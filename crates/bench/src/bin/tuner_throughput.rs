@@ -45,10 +45,6 @@ struct PoolWindow {
     inline: u64,
     tasks: u64,
     max_batch: u64,
-    /// Queued jobs executed by a thread of their home shard.
-    local_jobs: u64,
-    /// Queued jobs executed cross-shard (remote steals, per job).
-    remote_jobs: u64,
 }
 
 impl From<PoolBatchStats> for PoolWindow {
@@ -58,43 +54,8 @@ impl From<PoolBatchStats> for PoolWindow {
             inline: s.inline,
             tasks: s.tasks,
             max_batch: s.max_batch,
-            local_jobs: s.local_jobs,
-            remote_jobs: s.remote_jobs,
         }
     }
-}
-
-/// Per-shard counter deltas over the sharded pass (one entry per
-/// active shard, from [`Pool::shard_stats`] snapshots).
-#[derive(Debug, Serialize)]
-struct ShardWindow {
-    shard: usize,
-    /// Thread slots assigned to the shard (caller slot included).
-    threads: usize,
-    /// Jobs routed to this shard's injector at submission.
-    dispatched: u64,
-    /// Jobs this shard's threads ran that were homed here.
-    local_jobs: u64,
-    /// Jobs this shard's threads ran that were homed elsewhere
-    /// (cross-shard steals).
-    remote_jobs: u64,
-}
-
-/// One workload re-timed with the pool split into shards.
-#[derive(Debug, Serialize)]
-struct ShardedReport {
-    name: String,
-    /// Active shard count during the pass.
-    shards: usize,
-    trials_per_sec: f64,
-    /// Best sharded-vs-1-shard throughput ratio across paired
-    /// attempts: the gate fails below 0.9 — sharding must never cost
-    /// more than 10%.
-    relative_throughput: f64,
-    /// Whether the sharded run reproduced the 1-shard tuned program
-    /// and statistics bitwise (it must — sharding is pure scheduling).
-    bit_identical: bool,
-    per_shard: Vec<ShardWindow>,
 }
 
 /// One timed tuning run.
@@ -188,9 +149,6 @@ struct Report {
     /// speedup is ~1.0 by construction).
     note: String,
     workloads: Vec<WorkloadReport>,
-    /// The parallel pass re-run with the pool split into shard-local
-    /// injectors (one entry per workload).
-    sharded: Vec<ShardedReport>,
     /// Cumulative work-stealing pool counters across the whole bench
     /// process (both modes, all workloads): how many batches reached
     /// the queues vs ran inline, and how wide they were.
@@ -198,10 +156,6 @@ struct Report {
     pool_batches_inline: u64,
     pool_tasks: u64,
     pool_max_batch: u64,
-    /// Cumulative job-locality counters: queued jobs executed on their
-    /// home shard vs drained cross-shard.
-    pool_local_jobs: u64,
-    pool_remote_jobs: u64,
 }
 
 /// Tuning runs are deterministic, so repeated runs produce identical
@@ -290,12 +244,7 @@ where
     (outcome, report)
 }
 
-fn workload<T>(
-    name: &str,
-    transform: T,
-    bins: &[f64],
-    max_size: u64,
-) -> (WorkloadReport, TuningOutcome)
+fn workload<T>(name: &str, transform: T, bins: &[f64], max_size: u64) -> WorkloadReport
 where
     T: Transform + Send + Sync + Copy,
 {
@@ -310,97 +259,13 @@ where
         "{name}: parallel evaluation diverged from sequential"
     );
     let speedup = parallel.trials_per_sec / sequential.trials_per_sec.max(1e-9);
-    let report = WorkloadReport {
+    WorkloadReport {
         name: name.to_string(),
         max_size,
         sequential,
         parallel,
         speedup,
         bit_identical,
-    };
-    (report, par_outcome)
-}
-
-/// Re-times one workload's parallel pass with the pool split into
-/// `shards` shard-local injectors and windows the per-shard counters
-/// around it. The caller has already set the shard count.
-fn sharded_workload<T>(
-    name: &str,
-    transform: T,
-    bins: &[f64],
-    max_size: u64,
-    baseline: &WorkloadReport,
-    baseline_outcome: &TuningOutcome,
-) -> ShardedReport
-where
-    T: Transform + Send + Sync + Copy,
-{
-    let pool = pb_runtime::Pool::global();
-    let target_shards = pool.shards();
-    // Wall-clock on a loaded machine is noisy (the smoke workloads run
-    // in milliseconds), so measure in pairs: each sharded attempt is
-    // compared against the most recent 1-shard timing, and a fresh
-    // 1-shard baseline is re-timed between attempts so both sides see
-    // the same machine-load epoch. The gate passes if ANY pair keeps
-    // the sharded side within 10%; a real scheduling regression fails
-    // every pair. Every run must reproduce the 1-shard outcome bitwise
-    // regardless.
-    let mut per_shard: Vec<ShardWindow> = pool
-        .shard_stats()
-        .iter()
-        .map(|s| ShardWindow {
-            shard: s.shard,
-            threads: s.threads,
-            dispatched: 0,
-            local_jobs: 0,
-            remote_jobs: 0,
-        })
-        .collect();
-    let mut base_trials_per_sec = baseline.parallel.trials_per_sec;
-    let mut best_trials_per_sec = 0.0f64;
-    let mut best_ratio = 0.0f64;
-    for attempt in 0..3 {
-        let before = pool.shard_stats();
-        let (outcome, report) = timed_tune(transform, bins, max_size, 0x7B5, true);
-        for (acc, (now, then)) in per_shard
-            .iter_mut()
-            .zip(pool.shard_stats().iter().zip(&before))
-        {
-            acc.dispatched += now.dispatched - then.dispatched;
-            acc.local_jobs += now.local_jobs - then.local_jobs;
-            acc.remote_jobs += now.remote_jobs - then.remote_jobs;
-        }
-        let bit_identical = outcome.program == baseline_outcome.program
-            && outcome.stats == baseline_outcome.stats
-            && outcome.final_population == baseline_outcome.final_population;
-        assert!(
-            bit_identical,
-            "{name}: sharded evaluation diverged from the 1-shard run \
-             (attempt {attempt})"
-        );
-        best_trials_per_sec = best_trials_per_sec.max(report.trials_per_sec);
-        best_ratio = best_ratio.max(report.trials_per_sec / base_trials_per_sec.max(1e-9));
-        if best_ratio >= 0.9 {
-            break;
-        }
-        // Re-time the 1-shard side for the next pair.
-        pool.set_shards(1);
-        let (base_outcome, base_report) = timed_tune(transform, bins, max_size, 0x7B5, true);
-        pool.set_shards(target_shards);
-        assert!(
-            base_outcome.program == baseline_outcome.program
-                && base_outcome.stats == baseline_outcome.stats,
-            "{name}: 1-shard re-measurement diverged from the original run"
-        );
-        base_trials_per_sec = base_report.trials_per_sec;
-    }
-    ShardedReport {
-        name: name.to_string(),
-        shards: target_shards,
-        trials_per_sec: best_trials_per_sec,
-        relative_throughput: best_ratio,
-        bit_identical: true,
-        per_shard,
     }
 }
 
@@ -420,37 +285,10 @@ fn main() {
     }
 
     let binpack_bins = [ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
-    let (kmeans_report, kmeans_outcome) = workload("kmeans", Clustering, &[0.05, 0.2], kmeans_size);
-    let (binpack_report, binpack_outcome) =
-        workload("binpacking", BinPacking, &binpack_bins, binpack_size);
-
-    // The sharded pass: split the pool's injector into two shard-local
-    // injectors and re-run the parallel pass. Sharding is pure
-    // scheduling, so the outcomes must stay bitwise those of the
-    // 1-shard pass — and close in throughput (gated below).
-    let pool_handle = pb_runtime::Pool::global();
-    let initial_shards = pool_handle.shards();
-    let sharded_shards = pool_handle.set_shards(2);
-    let sharded = vec![
-        sharded_workload(
-            "kmeans",
-            Clustering,
-            &[0.05, 0.2],
-            kmeans_size,
-            &kmeans_report,
-            &kmeans_outcome,
-        ),
-        sharded_workload(
-            "binpacking",
-            BinPacking,
-            &binpack_bins,
-            binpack_size,
-            &binpack_report,
-            &binpack_outcome,
-        ),
+    let workloads = vec![
+        workload("kmeans", Clustering, &[0.05, 0.2], kmeans_size),
+        workload("binpacking", BinPacking, &binpack_bins, binpack_size),
     ];
-    pool_handle.set_shards(initial_shards);
-    let workloads = vec![kmeans_report, binpack_report];
 
     let threads = available_threads();
     let note = if threads < 2 {
@@ -470,13 +308,10 @@ fn main() {
         smoke,
         note,
         workloads,
-        sharded,
         pool_batches_dispatched: pool.dispatched,
         pool_batches_inline: pool.inline,
         pool_tasks: pool.tasks,
         pool_max_batch: pool.max_batch,
-        pool_local_jobs: pool.local_jobs,
-        pool_remote_jobs: pool.remote_jobs,
     };
 
     println!(
@@ -508,21 +343,6 @@ fn main() {
             w.parallel.pair_memo_hits,
         );
     }
-    println!("\n## sharded pass ({} shards)", report.sharded.len().max(1));
-    println!(
-        "{:>12} {:>7} {:>14} {:>9} {:>12} {:>13}",
-        "workload", "shards", "trials/s", "vs 1sh", "local jobs", "remote jobs"
-    );
-    for s in &report.sharded {
-        let (local, remote) = s.per_shard.iter().fold((0u64, 0u64), |(l, r), w| {
-            (l + w.local_jobs, r + w.remote_jobs)
-        });
-        println!(
-            "{:>12} {:>7} {:>14.0} {:>8.2}x {:>12} {:>13}",
-            s.name, s.shards, s.trials_per_sec, s.relative_throughput, local, remote
-        );
-    }
-
     // Write the artifact before gating so a gate failure still leaves
     // the diagnostic JSON behind.
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -570,41 +390,6 @@ fn main() {
                 (0, 0, 0),
                 "{}: healthy workloads must never trip fault isolation",
                 w.name
-            );
-        }
-    }
-
-    // Gate the sharded pass: splitting the injector must not cost
-    // throughput (>10% under the 1-shard parallel pass fails), and the
-    // locality-preferring steal order must hold — most jobs should run
-    // on their home shard, with the cross-shard (remote-steal) share
-    // staying below the local share. The locality gate is skipped on
-    // tiny samples and when the pool could not actually split
-    // (single-thread budget).
-    for s in &report.sharded {
-        assert!(
-            s.relative_throughput >= 0.9,
-            "{}: sharded trials/sec regressed more than 10% below the \
-             1-shard baseline: {:.0}/s vs {:.2}x",
-            s.name,
-            s.trials_per_sec,
-            s.relative_throughput,
-        );
-    }
-    if sharded_shards > 1 {
-        let (local, remote) = report
-            .sharded
-            .iter()
-            .flat_map(|s| &s.per_shard)
-            .fold((0u64, 0u64), |(l, r), w| {
-                (l + w.local_jobs, r + w.remote_jobs)
-            });
-        if local + remote >= 32 {
-            assert!(
-                remote < local,
-                "sharded runs must keep the remote-steal share below the \
-                 local share: {remote} jobs drained cross-shard vs {local} run on \
-                 their home shard"
             );
         }
     }

@@ -341,16 +341,11 @@ fn main() -> ExitCode {
             .map(|e| e.ts + e.dur)
             .fold(0.0f64, f64::max);
         let span = (span_end - span_start).max(1e-9);
-        // `pool_steal` args.c is the locality bit: 0 = within-shard
-        // (an own-shard peer's deque), 1 = cross-shard.
-        let (mut local_steals, mut remote_steals) = (0u64, 0u64);
-        for e in trace.traceEvents.iter().filter(|e| e.name == "pool_steal") {
-            if e.args.c == 0 {
-                local_steals += 1;
-            } else {
-                remote_steals += 1;
-            }
-        }
+        let steals = trace
+            .traceEvents
+            .iter()
+            .filter(|e| e.name == "pool_steal")
+            .count();
         let mut per_tid: BTreeMap<u32, (u64, f64)> = BTreeMap::new();
         for j in &jobs {
             let slot = per_tid.entry(j.tid).or_insert((0, 0.0));
@@ -358,7 +353,7 @@ fn main() -> ExitCode {
             slot.1 += j.dur;
         }
         println!(
-            "\n## pool utilization ({} jobs, {local_steals} local + {remote_steals} remote steals, {:.1} ms trace span)",
+            "\n## pool utilization ({} jobs, {steals} steals, {:.1} ms trace span)",
             jobs.len(),
             span / 1e3
         );

@@ -32,6 +32,18 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // needed beyond the batch-completion fence `run_indexed` provides.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
+/// Whether a map of `count` elements with the given cutoff runs on
+/// the pool (as opposed to inline on the calling thread).
+///
+/// This is the single source of truth for the switch-over decision:
+/// [`parallel_gen`] / [`parallel_map`] branch on it, and cost models
+/// that charge for the schedule (e.g. the clustering benchmark's
+/// `par_cutoff` tunable) query it rather than duplicating the
+/// condition.
+pub fn parallel_engages(count: usize, sequential_cutoff: usize) -> bool {
+    count >= sequential_cutoff.max(2) && Pool::global().threads() >= 2
+}
+
 /// Builds a `Vec` whose `i`-th element is `f(i)`, splitting across the
 /// global pool when at least `sequential_cutoff` elements are
 /// requested.
@@ -54,18 +66,6 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// let squares = parallel_gen(4, 2, |i| i * i);
 /// assert_eq!(squares, vec![0, 1, 4, 9]);
 /// ```
-/// Whether a map of `count` elements with the given cutoff runs on
-/// the pool (as opposed to inline on the calling thread).
-///
-/// This is the single source of truth for the switch-over decision:
-/// [`parallel_gen`] / [`parallel_map`] branch on it, and cost models
-/// that charge for the schedule (e.g. the clustering benchmark's
-/// `par_cutoff` tunable) query it rather than duplicating the
-/// condition.
-pub fn parallel_engages(count: usize, sequential_cutoff: usize) -> bool {
-    count >= sequential_cutoff.max(2) && Pool::global().threads() >= 2
-}
-
 pub fn parallel_gen<O, F>(count: usize, sequential_cutoff: usize, f: F) -> Vec<O>
 where
     O: Send,

@@ -1,10 +1,10 @@
-//! A persistent, shard-aware work-stealing thread pool.
+//! A persistent work-stealing thread pool.
 //!
 //! The paper's runtime executes rule applications on "a parallel work
 //! stealing scheduler" whose sequential/parallel switch-over points are
 //! exposed to the autotuner (§5.2). This module is that scheduler's
 //! equivalent: a lazily initialized global [`Pool`] of worker threads
-//! fed through `crossbeam`-style injectors, with per-worker deques
+//! fed through one `crossbeam`-style injector, with per-worker deques
 //! that refill in batches and steal from each other when dry.
 //!
 //! Design points:
@@ -13,22 +13,11 @@
 //!   and parked between batches, replacing the fresh
 //!   `crossbeam::thread::scope` spawns the old `parallel_map` paid on
 //!   every call. The hardware thread count is queried once and cached.
-//! * **Sharded injectors with locality-preferring stealing.** The pool
-//!   is partitioned into `PB_POOL_SHARDS` shards (default 1 — exactly
-//!   the old single-injector behaviour). Each shard owns an injector;
-//!   thread slots are partitioned contiguously across shards, and
-//!   batch submission routes contiguous chunk ranges to their home
-//!   shard's injector. An idle thread looks for work in locality
-//!   order: its own shard's injector (batch-refilling its deque), then
-//!   own-shard peers' deques, then remote injectors and remote deques
-//!   — work-conservation beats locality once the home shard is dry.
-//!   Every job is tagged with its home shard at routing, and per-shard
-//!   counters attribute each executed job as local (run by a
-//!   home-shard thread) or remote (drained by a cross-shard thief).
-//!   Sharding changes only *where* a job runs, never *what* it
-//!   computes, so results are bit-identical at any shard count. A
-//!   shard boundary is the future process boundary for distributed
-//!   evaluation.
+//! * **One injector, per-worker deques.** [`Pool::run_indexed`] splits
+//!   a batch into contiguous chunks and pushes them onto the pool's
+//!   single injector. An idle thread polls the injector first
+//!   (batch-refilling its own deque), then steals single jobs from its
+//!   peers' deques.
 //! * **Caller participation.** [`Pool::run_indexed`] blocks until the
 //!   batch completes, but the calling thread executes queued tasks
 //!   while it waits. This both uses the caller as an extra worker and
@@ -40,11 +29,21 @@
 //!   on the submitting thread instead of re-enqueueing: the outer
 //!   batch already occupies every worker, so re-splitting nested work
 //!   only adds queue churn and oversubscription on small machines.
-//!   This holds at every shard count.
 //! * **Panic propagation.** A panicking task aborts its batch's
 //!   remaining tasks (best effort), and the panic payload is re-thrown
 //!   on the calling thread once the batch has drained, mirroring the
 //!   behaviour of scoped threads.
+//! * **One completion channel.** A batch's bookkeeping (`BatchState`)
+//!   lives on its submitter's stack, and the submitter returns as soon
+//!   as it reads `remaining == 0`. A job's decrement of `remaining` is
+//!   therefore its *last* access to the batch; the job that brings it
+//!   to zero reports so, and the wake-up goes through a mutex/condvar
+//!   pair owned by the pool-lifetime `Shared`, never through memory
+//!   the returning submitter is about to pop. The channel is shared:
+//!   when several threads each wait on a batch of their own, every
+//!   batch's completion wakes all of them, and each re-checks its own
+//!   `remaining` under the one lock. Measured with a single submitter
+//!   only (the tuner); measure before tuning it for more.
 //!
 //! The pool runs *tasks*, not futures: closures over an index range.
 //! Data-parallel helpers ([`crate::parallel::parallel_map`]) are built
@@ -97,53 +96,84 @@ pub fn current_task_depth() -> usize {
 
 /// One schedulable unit: a contiguous index range of some batch.
 struct Job {
-    /// The batch this job belongs to. The submitting thread keeps the
-    /// `BatchState` alive until every job of the batch has finished
-    /// (it blocks in [`Pool::run_indexed`]), so the pointer is valid
-    /// for the job's whole lifetime.
+    /// The batch this job belongs to. The `BatchState` lives on the
+    /// submitter's stack, and the submitter returns from
+    /// [`Pool::run_indexed`] as soon as it observes `remaining == 0`.
+    /// The pointer is therefore valid from the job's creation up to
+    /// and including the job's own `remaining.fetch_sub` in
+    /// [`BatchState::execute`] (until then `remaining >= 1` keeps the
+    /// submitter blocked) — and must not be dereferenced after it.
     batch: *const BatchState,
     start: usize,
     end: usize,
-    /// The shard whose injector this job was routed to at submission —
-    /// the job's locality affinity, fixed even if the job is later
-    /// stolen across a shard boundary (or the shard count changes).
-    home: usize,
 }
 
-// SAFETY: `Job` moves raw `BatchState` pointers between threads. The
-// state outlives the job (see `Job::batch`) and all of its fields are
-// `Sync` (atomics, mutexes, and a `Sync` task closure).
+// SAFETY: `Job` moves a raw `BatchState` pointer between threads. The
+// pointee is `Sync` (below) and outlives every dereference: each job
+// reads it only up to its own `remaining.fetch_sub` (see `Job::batch`).
 unsafe impl Send for Job {}
 
-/// Shared bookkeeping for one `run_indexed` call.
+impl Job {
+    /// When the batch is traced, records a `pool_steal` instant for
+    /// this not-yet-run job.
+    fn trace_steal(&self) {
+        // SAFETY: the job has not run yet, so its own `fetch_sub` is
+        // still ahead, `remaining >= 1`, and the submitter (hence the
+        // batch state) is still in `run_indexed`.
+        let seq = unsafe { (*self.batch).trace_seq };
+        if seq != 0 {
+            pb_trace::record(Event::instant(
+                EventKind::PoolSteal,
+                seq,
+                self.start as u64,
+                [self.start as u64, self.end as u64, 0, 0],
+            ));
+        }
+    }
+}
+
+/// Shared bookkeeping for one `run_indexed` call. Lives on the
+/// submitter's stack; see [`Job::batch`] for how long jobs may use it.
 struct BatchState {
     /// The task closure, as a raw wide pointer so `BatchState` can be
     /// stored behind `'static` jobs. Valid while the submitter blocks.
     task: *const (dyn Fn(usize) + Sync),
-    /// Jobs not yet finished.
+    /// Jobs not yet finished. A job's decrement is its last access to
+    /// this struct.
     remaining: AtomicUsize,
     /// Set by the first panicking job; later jobs in the batch
     /// early-exit instead of doing work whose result will be thrown
     /// away by the propagated panic.
     poisoned: AtomicBool,
     /// The first panic payload, re-thrown on the submitting thread.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Signals the submitter when `remaining` reaches zero.
-    done_lock: Mutex<()>,
-    done: Condvar,
+    panic: OnceLock<Box<dyn Any + Send>>,
     /// Trace sequence of the batch's `pool_batch` span, or 0 when the
     /// batch is untraced. Jobs key their `pool_job`/`pool_steal`
     /// events under it so the merged log nests them deterministically.
     trace_seq: u64,
 }
 
-// SAFETY: see the field docs — the raw pointers are only dereferenced
-// while the submitting thread (which owns the referents) blocks.
+// SAFETY: a `BatchState` is shared by reference between its submitter
+// and the threads running its jobs, each of which stops using it at
+// its own `remaining.fetch_sub` (see `Job::batch`), while the
+// submitter — which owns the struct and the closure behind `task` —
+// is still blocked in `run_indexed`. Field by field: `task` points at
+// a `Sync` closure that is only ever called through `&`; `remaining`
+// and `poisoned` are atomics; `trace_seq` is read-only; `panic` holds
+// a `Send`-only payload that one job moves in (`OnceLock::set`) and
+// only the submitter takes out, after every job's release-decrement
+// has been acquired — it is never accessed through a shared reference
+// from two threads.
 unsafe impl Send for BatchState {}
 unsafe impl Sync for BatchState {}
 
 impl BatchState {
-    fn execute(&self, start: usize, end: usize) {
+    /// Runs indices `start..end` and retires the job. Returns whether
+    /// this was the batch's last job, in which case the caller must
+    /// signal completion *without* touching `self` again: the
+    /// decrement below releases the submitter, whose stack frame (and
+    /// this struct with it) may be gone by the time this returns.
+    fn execute(&self, start: usize, end: usize) -> bool {
         if !self.poisoned.load(Ordering::Relaxed) {
             let job_start = if self.trace_seq != 0 {
                 pb_trace::now_ns()
@@ -164,8 +194,8 @@ impl BatchState {
             }));
             if let Err(payload) = result {
                 self.poisoned.store(true, Ordering::Relaxed);
-                let mut slot = self.panic.lock().expect("panic slot poisoned");
-                slot.get_or_insert(payload);
+                // First payload wins; a later one is dropped here.
+                let _ = self.panic.set(payload);
             }
             if self.trace_seq != 0 {
                 pb_trace::record(Event::span(
@@ -177,197 +207,82 @@ impl BatchState {
                 ));
             }
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done_lock.lock().expect("done lock poisoned");
-            self.done.notify_all();
-        }
+        // Release: publishes this job's writes (results, the panic
+        // slot) to the submitter's acquire load of `remaining`.
+        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
     }
-}
-
-/// The shard a thread slot belongs to: slots `0..threads` (slot 0 is
-/// the submitting caller, slots `1..` the workers) partition
-/// contiguously across `shards` shards. With `shards == threads` every
-/// slot is its own shard (per-slot injectors); with `shards == 1` all
-/// slots share one shard — the pre-sharding topology.
-fn shard_of_slot(slot: usize, shards: usize, threads: usize) -> usize {
-    debug_assert!(slot < threads && shards >= 1 && shards <= threads);
-    slot * shards / threads
-}
-
-/// Per-shard scheduling counters (relaxed atomics; jobs are
-/// chunk-sized, so one relaxed increment per executed job is noise
-/// next to the work the job carries).
-#[derive(Default)]
-struct ShardCounters {
-    /// Jobs (chunks) routed to this shard's injector at submission.
-    dispatched: AtomicU64,
-    /// Jobs executed by this shard's threads that were routed to this
-    /// shard (locality preserved).
-    local_jobs: AtomicU64,
-    /// Jobs executed by this shard's threads that were routed to a
-    /// *different* shard — cross-shard steals, counted per job.
-    remote_jobs: AtomicU64,
-}
-
-/// A snapshot of one shard's scheduling counters, cumulative since the
-/// pool was created (see [`Pool::shard_stats`]). Executed jobs are
-/// attributed to the shard whose thread *ran* them, split by whether
-/// the job's home shard matched — so across shards,
-/// `Σ local_jobs + Σ remote_jobs` equals the jobs executed, and the
-/// remote share measures how much work leaked across shard boundaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index in `0..Pool::shards()`.
-    pub shard: usize,
-    /// Thread slots currently assigned to this shard (including the
-    /// caller slot for shard 0).
-    pub threads: usize,
-    /// Jobs routed to this shard's injector at submission.
-    pub dispatched: u64,
-    /// Jobs this shard's threads ran that were homed here.
-    pub local_jobs: u64,
-    /// Jobs this shard's threads ran that were homed elsewhere
-    /// (cross-shard steals, per job).
-    pub remote_jobs: u64,
 }
 
 /// State shared between the pool handle and its worker threads.
 struct Shared {
-    /// One injector per *potential* shard (allocated up to the thread
-    /// budget so the active shard count can change without
-    /// reallocation; inactive injectors just sit empty).
-    injectors: Vec<Injector<Job>>,
+    injector: Injector<Job>,
     stealers: Vec<Stealer<Job>>,
-    /// Active shard count in `[1, threads]`. Routing of *new* batches
-    /// and the steal order read it; a change never strands queued jobs
-    /// because idle threads scan every injector before sleeping.
-    shards: AtomicUsize,
-    /// Thread budget (including the caller slot) — fixed at creation.
-    threads: usize,
-    shard_counters: Vec<ShardCounters>,
     /// Sleeping workers wait here; submitters notify on new work.
     sleep_lock: Mutex<()>,
     wake: Condvar,
+    /// The completion channel: submitters with nothing left to help
+    /// with wait here, and whichever thread retires the last job of
+    /// any batch notifies (see [`Shared::run_job`]). Owned by the
+    /// pool, so a notifier never touches a submitter's stack.
+    done_lock: Mutex<()>,
+    done: Condvar,
     /// Set by [`Pool::drop`]; workers exit once the queues drain.
     shutdown: AtomicBool,
 }
 
-/// Polls one injector until it yields a job or reports empty,
-/// batch-refilling `local` when the thread has a deque (home *and*
-/// remote injectors: once a thread is reduced to cross-shard stealing
-/// its own shard is dry, and work-conservation beats locality — the
-/// per-job home tags keep the locality accounting exact either way).
-fn poll_injector(injector: &Injector<Job>, local: Option<&Worker<Job>>) -> Option<Job> {
-    loop {
-        let stolen = match local {
-            Some(worker) => injector.steal_batch_and_pop(worker),
-            None => injector.steal(),
-        };
-        match stolen {
-            Steal::Success(job) => return Some(job),
-            Steal::Retry => continue,
-            Steal::Empty => return None,
-        }
-    }
-}
-
 impl Shared {
-    /// Takes one job in locality order for the thread at `slot`: own
-    /// shard's injector first, then own-shard peers' deques, then —
-    /// only once the home shard is dry — remote injectors and remote
-    /// deques (each injector poll batch-refills `local` when present).
+    /// Takes one job for the thread at `slot` (0 is a submitting
+    /// caller, `1..` the workers): the injector first — batch-refilling
+    /// `local` when the thread has a deque — then the peers' deques.
     fn find_job(&self, local: Option<&Worker<Job>>, slot: usize) -> Option<Job> {
-        let shards = self.shards.load(Ordering::Relaxed);
-        let home = shard_of_slot(slot, shards, self.threads);
-        if let Some(job) = poll_injector(&self.injectors[home], local) {
-            return Some(job);
-        }
-        for (peer, stealer) in self.stealers.iter().enumerate() {
-            let peer_slot = peer + 1;
-            if peer_slot == slot || shard_of_slot(peer_slot, shards, self.threads) != home {
-                continue;
-            }
-            if let Steal::Success(job) = stealer.steal() {
-                self.trace_steal(false, &job);
-                return Some(job);
-            }
-        }
-        // Remote shards: scan *every* other injector — including
-        // indices beyond the active shard count — so a shard-count
-        // change mid-flight can never strand queued jobs.
-        for (idx, injector) in self.injectors.iter().enumerate() {
-            if idx == home {
-                continue;
-            }
-            if let Some(job) = poll_injector(injector, local) {
-                self.trace_steal(true, &job);
-                return Some(job);
+        loop {
+            let stolen = match local {
+                Some(worker) => self.injector.steal_batch_and_pop(worker),
+                None => self.injector.steal(),
+            };
+            match stolen {
+                Steal::Success(job) => return Some(job),
+                Steal::Retry => continue,
+                Steal::Empty => break,
             }
         }
         for (peer, stealer) in self.stealers.iter().enumerate() {
-            let peer_slot = peer + 1;
-            if peer_slot == slot || shard_of_slot(peer_slot, shards, self.threads) == home {
+            if peer + 1 == slot {
                 continue;
             }
             if let Steal::Success(job) = stealer.steal() {
-                self.trace_steal(true, &job);
+                job.trace_steal();
                 return Some(job);
             }
         }
         None
     }
 
-    /// When the batch is traced, records a `pool_steal` instant whose
-    /// `c` payload carries the acquisition's locality (0 = an
-    /// own-shard peer's deque, 1 = cross-shard).
-    fn trace_steal(&self, remote: bool, job: &Job) {
-        // SAFETY: the batch state outlives its jobs (the submitter
-        // blocks until the batch drains).
-        let seq = unsafe { (*job.batch).trace_seq };
-        if seq != 0 {
-            pb_trace::record(Event::instant(
-                EventKind::PoolSteal,
-                seq,
-                job.start as u64,
-                [job.start as u64, job.end as u64, remote as u64, 0],
-            ));
+    /// Executes one job and, if it was its batch's last, wakes the
+    /// waiting submitters through the pool-owned completion channel.
+    fn run_job(&self, job: &Job) {
+        // SAFETY: `job` has not run yet, so its batch state is alive
+        // (see `Job::batch`); `execute` makes the job's `fetch_sub`
+        // its final access, and nothing below dereferences
+        // `job.batch` again.
+        let last = unsafe { (*job.batch).execute(job.start, job.end) };
+        if last {
+            // Taking the lock orders this notify after a submitter's
+            // check-then-wait, so the wake-up cannot be lost.
+            let _guard = self.done_lock.lock().expect("done lock poisoned");
+            self.done.notify_all();
         }
-    }
-
-    /// Executes one job on the thread at `slot`, attributing it to the
-    /// executing thread's shard as local (the job's home) or remote
-    /// (drained cross-shard).
-    fn run_job(&self, job: &Job, slot: usize) {
-        let shards = self.shards.load(Ordering::Relaxed);
-        let here = shard_of_slot(slot, shards, self.threads);
-        let counters = &self.shard_counters[here];
-        if job.home == here {
-            counters.local_jobs.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.remote_jobs.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: every job's batch state is alive (its submitter
-        // blocks in `run_indexed` until the batch completes).
-        unsafe { (*job.batch).execute(job.start, job.end) };
-    }
-
-    fn injectors_empty(&self) -> bool {
-        self.injectors.iter().all(|i| i.is_empty())
     }
 }
 
 /// Cumulative **top-level** batch counters for one pool: how many
 /// batches were dispatched to the queues vs run inline, how many
-/// tasks they carried, the widest batch seen, and — aggregated across
-/// shards — how many jobs ran on their home shard vs leaked across a
-/// shard boundary. Relaxed atomics; the batch counters are updated
-/// once per top-level submission — batches submitted from *inside* a
-/// pool task (nested parallelism running under the depth-aware
-/// admission policy) are deliberately not counted, so worker threads
-/// never touch those shared cache lines from their inner loops. The
-/// locality counters are updated once per executed job (chunk), which
-/// is coarse enough to be free and rich enough for the throughput
-/// benches to report how well sharding keeps work local.
+/// tasks they carried, and the widest batch seen. Relaxed atomics,
+/// updated once per top-level submission — batches submitted from
+/// *inside* a pool task (nested parallelism running under the
+/// depth-aware admission policy) are deliberately not counted, so
+/// worker threads never touch those shared cache lines from their
+/// inner loops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolBatchStats {
     /// Batches fanned out across the worker queues.
@@ -379,12 +294,6 @@ pub struct PoolBatchStats {
     pub tasks: u64,
     /// Largest single batch (tasks).
     pub max_batch: u64,
-    /// Queued jobs executed by a thread of their home shard (summed
-    /// over shards).
-    pub local_jobs: u64,
-    /// Queued jobs executed cross-shard — remote steals, per job
-    /// (summed over shards; always 0 at one shard).
-    pub remote_jobs: u64,
 }
 
 impl PoolBatchStats {
@@ -403,8 +312,6 @@ impl PoolBatchStats {
             } else {
                 0
             },
-            local_jobs: self.local_jobs.saturating_sub(earlier.local_jobs),
-            remote_jobs: self.remote_jobs.saturating_sub(earlier.remote_jobs),
         }
     }
 
@@ -414,8 +321,6 @@ impl PoolBatchStats {
         self.inline += other.inline;
         self.tasks += other.tasks;
         self.max_batch = self.max_batch.max(other.max_batch);
-        self.local_jobs += other.local_jobs;
-        self.remote_jobs += other.remote_jobs;
     }
 }
 
@@ -434,7 +339,6 @@ impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
             .field("threads", &self.threads)
-            .field("shards", &self.shards())
             .finish()
     }
 }
@@ -443,21 +347,14 @@ impl std::fmt::Debug for Pool {
 /// (useful for determinism tests on small machines and for pinning CI).
 pub const THREADS_ENV: &str = "PB_POOL_THREADS";
 
-/// The environment variable setting the global pool's initial shard
-/// count (default 1 — the pre-sharding single-injector topology).
-/// Values are clamped to `[1, threads]`; see [`Pool::set_shards`].
-pub const SHARDS_ENV: &str = "PB_POOL_SHARDS";
-
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 impl Pool {
     /// The lazily initialized process-wide pool.
     ///
     /// Sized to `std::thread::available_parallelism()` unless the
-    /// `PB_POOL_THREADS` environment variable overrides it, and
-    /// sharded per `PB_POOL_SHARDS` (default 1). The first caller
-    /// fixes the thread budget for the life of the process; the shard
-    /// count stays adjustable via [`Pool::set_shards`].
+    /// `PB_POOL_THREADS` environment variable overrides it. The first
+    /// caller fixes the thread budget for the life of the process.
     pub fn global() -> &'static Pool {
         GLOBAL.get_or_init(|| {
             let threads = std::env::var(THREADS_ENV)
@@ -469,39 +366,24 @@ impl Pool {
                         .map(|n| n.get())
                         .unwrap_or(1)
                 });
-            let shards = std::env::var(SHARDS_ENV)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1);
-            Pool::with_config(threads, shards)
+            Pool::with_threads(threads)
         })
     }
 
-    /// Creates a single-shard pool with an explicit thread budget of
-    /// `threads` (counting the submitting thread: `threads - 1`
-    /// workers are spawned, and `threads < 2` means "run everything
-    /// inline").
+    /// Creates a pool with an explicit thread budget of `threads`
+    /// (counting the submitting thread: `threads - 1` workers are
+    /// spawned, and `threads < 2` means "run everything inline").
     pub fn with_threads(threads: usize) -> Pool {
-        Pool::with_config(threads, 1)
-    }
-
-    /// Creates a pool with an explicit thread budget and shard count.
-    /// The shard count is clamped to `[1, threads]` — asking for more
-    /// shards than threads degenerates to one injector per thread
-    /// slot, never to empty shards.
-    pub fn with_config(threads: usize, shards: usize) -> Pool {
         let threads = threads.max(1);
-        let shards = shards.clamp(1, threads);
         let workers: Vec<Worker<Job>> = (1..threads).map(|_| Worker::new_fifo()).collect();
         let shared = Arc::new(Shared {
-            injectors: (0..threads).map(|_| Injector::new()).collect(),
+            injector: Injector::new(),
             stealers: workers.iter().map(Worker::stealer).collect(),
-            shards: AtomicUsize::new(shards),
-            threads,
-            shard_counters: (0..threads).map(|_| ShardCounters::default()).collect(),
-            shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
+            done_lock: Mutex::new(()),
+            done: Condvar::new(),
+            shutdown: AtomicBool::new(false),
         });
         for (index, worker) in workers.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
@@ -526,65 +408,21 @@ impl Pool {
         self.threads
     }
 
-    /// The active shard count (in `[1, threads]`).
+    /// Always 1: the pool has one injector (sharding was removed).
+    /// Kept only because the frozen benchmark (`ledger/src/env.rs`)
+    /// calls it; delete it with the next benchmark change.
     pub fn shards(&self) -> usize {
-        self.shared.shards.load(Ordering::Relaxed)
+        1
     }
 
-    /// Sets the active shard count, clamped to `[1, threads]`, and
-    /// returns the effective value. Affects the routing of batches
-    /// submitted *after* the call and the steal order of idle threads;
-    /// jobs already queued are never stranded (idle threads scan every
-    /// injector). Sharding is pure scheduling — outcomes are
-    /// bit-identical at any shard count — so this is safe to call at
-    /// any time; tests and benches use it to sweep shard counts on the
-    /// process-wide pool, whose thread budget is fixed at first use.
-    pub fn set_shards(&self, shards: usize) -> usize {
-        let shards = shards.clamp(1, self.threads);
-        self.shared.shards.store(shards, Ordering::Relaxed);
-        shards
-    }
-
-    /// Cumulative batch counters since the pool was created (job
-    /// locality counters aggregated across shards).
+    /// Cumulative batch counters since the pool was created.
     pub fn batch_stats(&self) -> PoolBatchStats {
-        let mut local_jobs = 0;
-        let mut remote_jobs = 0;
-        for counters in &self.shared.shard_counters {
-            local_jobs += counters.local_jobs.load(Ordering::Relaxed);
-            remote_jobs += counters.remote_jobs.load(Ordering::Relaxed);
-        }
         PoolBatchStats {
             dispatched: self.dispatched.load(Ordering::Relaxed),
             inline: self.inline.load(Ordering::Relaxed),
             tasks: self.tasks.load(Ordering::Relaxed),
             max_batch: self.max_batch.load(Ordering::Relaxed),
-            local_jobs,
-            remote_jobs,
         }
-    }
-
-    /// Per-shard scheduling counters for the *active* shards,
-    /// cumulative since the pool was created. If the shard count
-    /// changed over the pool's lifetime, counters accumulated under
-    /// the old topology stay attributed to their shard indices.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let shards = self.shards();
-        (0..shards)
-            .map(|shard| {
-                let slots = (0..self.threads)
-                    .filter(|&s| shard_of_slot(s, shards, self.threads) == shard)
-                    .count();
-                let counters = &self.shared.shard_counters[shard];
-                ShardStats {
-                    shard,
-                    threads: slots,
-                    dispatched: counters.dispatched.load(Ordering::Relaxed),
-                    local_jobs: counters.local_jobs.load(Ordering::Relaxed),
-                    remote_jobs: counters.remote_jobs.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
     }
 
     /// Counts one top-level batch of `count` tasks against the stats.
@@ -605,13 +443,6 @@ impl Pool {
     /// Runs `task(i)` for every `i` in `0..count` and blocks until all
     /// calls complete. Calls may run concurrently and in any order;
     /// the caller's thread participates.
-    ///
-    /// The batch is split into contiguous chunks and chunk `c` of `C`
-    /// is routed to shard `c * shards / C` — a contiguous per-shard
-    /// partition of the index space, so a shard is a span of the
-    /// submitted order (for the tuner: a span of candidate-index
-    /// order). Callers that merge results by index are therefore
-    /// bit-identical at any shard count.
     ///
     /// # Panics
     ///
@@ -688,32 +519,19 @@ impl Pool {
             task: task_ptr,
             remaining: AtomicUsize::new(chunks),
             poisoned: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done: Condvar::new(),
+            panic: OnceLock::new(),
             trace_seq,
         };
 
-        // Route contiguous chunk ranges to their home shard's
-        // injector; own-shard threads drain them first (locality),
-        // remote threads only once their shard is dry.
-        let shards = self.shared.shards.load(Ordering::Relaxed);
         let mut start = 0;
-        let mut chunk = 0;
         while start < count {
             let end = (start + chunk_len).min(count);
-            let shard = chunk * shards / chunks;
-            self.shared.shard_counters[shard]
-                .dispatched
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared.injectors[shard].push(Job {
+            self.shared.injector.push(Job {
                 batch: &state,
                 start,
                 end,
-                home: shard,
             });
             start = end;
-            chunk += 1;
         }
         {
             let _guard = self.shared.sleep_lock.lock().expect("sleep lock poisoned");
@@ -721,27 +539,24 @@ impl Pool {
         }
 
         // Help: execute queued jobs (ours or anyone's) while waiting.
-        // The caller occupies slot 0, so it drains shard 0 first.
+        // The acquire load pairs with each job's release-decrement.
         while state.remaining.load(Ordering::Acquire) != 0 {
             match self.shared.find_job(None, 0) {
-                Some(job) => self.shared.run_job(&job, 0),
+                Some(job) => self.shared.run_job(&job),
                 None => {
-                    let guard = self.shared.sleep_lock.lock().expect("sleep lock poisoned");
-                    // Re-check under the lock: a worker may have
-                    // finished the last job before we locked.
-                    if state.remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    drop(guard);
-                    let guard = state.done_lock.lock().expect("done lock poisoned");
+                    let guard = self.shared.done_lock.lock().expect("done lock poisoned");
+                    // Re-check under the lock: the last job may have
+                    // retired since the loop condition was read, and
+                    // its notify needs this lock.
                     if state.remaining.load(Ordering::Acquire) != 0 {
                         // Timed wait: our remaining jobs might be
                         // *queued* (not running) if workers raced to
                         // sleep; wake up periodically to help.
-                        let _ = state
+                        let _ = self
+                            .shared
                             .done
                             .wait_timeout(guard, Duration::from_millis(1))
-                            .expect("done condvar poisoned");
+                            .expect("done lock poisoned");
                     }
                 }
             }
@@ -753,12 +568,11 @@ impl Pool {
                 trace_seq,
                 0,
                 batch_start,
-                [count as u64, chunks as u64, 1, shards as u64],
+                [count as u64, chunks as u64, 1, 0],
             ));
         }
 
-        let payload = state.panic.lock().expect("panic slot poisoned").take();
-        if let Some(payload) = payload {
+        if let Some(payload) = state.panic.into_inner() {
             std::panic::resume_unwind(payload);
         }
     }
@@ -778,7 +592,7 @@ impl Drop for Pool {
 fn worker_loop(shared: &Shared, local: Worker<Job>, slot: usize) {
     loop {
         if let Some(job) = local.pop().or_else(|| shared.find_job(Some(&local), slot)) {
-            shared.run_job(&job, slot);
+            shared.run_job(&job);
             continue;
         }
         // Drain-then-exit: only stop once no work is reachable, so a
@@ -787,7 +601,7 @@ fn worker_loop(shared: &Shared, local: Worker<Job>, slot: usize) {
             return;
         }
         let guard = shared.sleep_lock.lock().expect("sleep lock poisoned");
-        if shared.injectors_empty() {
+        if shared.injector.is_empty() {
             // Timed wait so a notify racing ahead of this lock cannot
             // strand a worker while jobs sit queued.
             let _ = shared
@@ -816,122 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batches_run_every_index_exactly_once() {
-        // Sweep the shard counts the determinism suite uses, both via
-        // construction and via `set_shards` on a live pool (the path
-        // the in-process sweep takes on the global pool).
-        for shards in [1, 2, 4] {
-            let pool = Pool::with_config(4, shards);
-            assert_eq!(pool.shards(), shards);
-            let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-            pool.run_indexed(1000, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-        let pool = Pool::with_threads(4);
-        for shards in [2, 4, 1] {
-            assert_eq!(pool.set_shards(shards), shards);
-            let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-            pool.run_indexed(500, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-    }
-
-    #[test]
-    fn shard_count_clamps_to_the_thread_budget() {
-        // More shards than threads degenerates to per-slot injectors;
-        // zero means "unsharded".
-        let pool = Pool::with_config(4, 64);
-        assert_eq!(pool.shards(), 4);
-        let pool = Pool::with_config(4, 0);
-        assert_eq!(pool.shards(), 1);
-        assert_eq!(pool.set_shards(100), 4);
-        assert_eq!(pool.set_shards(0), 1);
-        let single = Pool::with_config(1, 8);
-        assert_eq!(single.shards(), 1);
-    }
-
-    #[test]
-    fn shards_equal_threads_degenerates_to_per_slot_injectors() {
-        let pool = Pool::with_config(4, 4);
-        let stats = pool.shard_stats();
-        assert_eq!(stats.len(), 4);
-        assert!(
-            stats.iter().all(|s| s.threads == 1),
-            "every slot its own shard: {stats:?}"
-        );
-        // 64 tasks on 4 threads split into 16 chunks; chunk c routes
-        // to shard c*4/16, i.e. exactly 4 chunks per shard.
-        pool.run_indexed(64, |_| {});
-        let stats = pool.shard_stats();
-        assert!(stats.iter().all(|s| s.dispatched == 4), "{stats:?}");
-    }
-
-    #[test]
-    fn submission_routes_contiguous_chunk_spans_to_shards() {
-        // With 2 shards the first half of the chunk range must land on
-        // shard 0 and the second on shard 1 (the contiguous per-shard
-        // sub-batch partition the evaluator's merge order relies on).
-        let pool = Pool::with_config(4, 2);
-        pool.run_indexed(64, |_| {});
-        let stats = pool.shard_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].dispatched, 8, "{stats:?}");
-        assert_eq!(stats[1].dispatched, 8, "{stats:?}");
-        // Slots 0..4 partition contiguously: {0,1} and {2,3}.
-        assert_eq!(stats[0].threads, 2);
-        assert_eq!(stats[1].threads, 2);
-    }
-
-    #[test]
-    fn set_shards_reroutes_future_batches_without_stranding_jobs() {
-        let pool = Pool::with_threads(4);
-        pool.run_indexed(64, |_| {});
-        assert_eq!(pool.shard_stats().len(), 1);
-        pool.set_shards(4);
-        let count = AtomicU64::new(0);
-        pool.run_indexed(64, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 64);
-        let stats = pool.shard_stats();
-        assert_eq!(stats.len(), 4);
-        // The rerouted batch spread across the new shards (the first
-        // 64-task batch's 16 chunks all sit on shard 0's counter).
-        assert_eq!(stats[0].dispatched, 16 + 4, "{stats:?}");
-        assert!(stats[1..].iter().all(|s| s.dispatched == 4), "{stats:?}");
-    }
-
-    #[test]
-    fn batch_stats_aggregate_shard_locality_counters() {
-        let pool = Pool::with_config(4, 2);
-        // Uneven work per task forces cross-shard stealing; whatever
-        // mix of local and remote execution the schedule produces, the
-        // aggregate view must equal the per-shard sum — and every
-        // dispatched job must be accounted exactly once.
-        pool.run_indexed(256, |i| {
-            if i % 7 == 0 {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        });
-        let agg = pool.batch_stats();
-        let per_shard = pool.shard_stats();
-        let local: u64 = per_shard.iter().map(|s| s.local_jobs).sum();
-        let remote: u64 = per_shard.iter().map(|s| s.remote_jobs).sum();
-        let dispatched: u64 = per_shard.iter().map(|s| s.dispatched).sum();
-        assert_eq!(agg.local_jobs, local);
-        assert_eq!(agg.remote_jobs, remote);
-        assert_eq!(
-            local + remote,
-            dispatched,
-            "every queued job runs exactly once: {per_shard:?}"
-        );
-    }
-
-    #[test]
     fn single_thread_budget_runs_inline() {
         let pool = Pool::with_threads(1);
         let caller = std::thread::current().id();
@@ -956,22 +654,6 @@ mod tests {
         // Even on a single-core host the 3 workers plus the caller
         // timeshare; requiring >= 2 distinct threads keeps the test
         // robust while still proving jobs leave the calling thread.
-        assert!(seen.into_inner().unwrap().len() >= 2);
-    }
-
-    #[test]
-    fn sharded_work_still_spreads_across_threads() {
-        // Remote stealing must keep a 2-shard pool fully utilized even
-        // when one shard's half of the batch is much heavier.
-        let pool = Pool::with_config(4, 2);
-        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-        pool.run_indexed(256, |i| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            if i < 128 {
-                // Shard 0's span is the slow half.
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        });
         assert!(seen.into_inner().unwrap().len() >= 2);
     }
 
@@ -1026,28 +708,6 @@ mod tests {
         assert_eq!(violations.load(Ordering::Relaxed), 0);
         // Depth unwinds once the batch completes.
         assert_eq!(current_task_depth(), 0);
-    }
-
-    #[test]
-    fn nested_batches_stay_inline_at_every_shard_count() {
-        // The depth-aware admission policy is shard-independent: a
-        // nested batch must never reach any shard's injector.
-        for shards in [2, 4] {
-            let pool = Pool::with_config(4, shards);
-            let violations = AtomicU64::new(0);
-            pool.run_indexed(16, |_| {
-                let submitter = std::thread::current().id();
-                pool.run_indexed(16, |_| {
-                    if std::thread::current().id() != submitter || current_task_depth() != 2 {
-                        violations.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            });
-            assert_eq!(violations.load(Ordering::Relaxed), 0);
-            // Only the outer batch's chunks were dispatched.
-            let dispatched: u64 = pool.shard_stats().iter().map(|s| s.dispatched).sum();
-            assert_eq!(dispatched, 16, "nested jobs must not hit the injectors");
-        }
     }
 
     #[test]
@@ -1163,7 +823,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a >= 1);
         assert!(std::ptr::eq(Pool::global(), Pool::global()));
-        let shards = Pool::global().shards();
-        assert!(shards >= 1 && shards <= a);
     }
 }

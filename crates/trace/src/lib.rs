@@ -257,15 +257,15 @@ pub enum EventKind {
     /// batch. `a`=input size, `b`=trial seed, `c`=virtual cost.
     Trial,
     /// One pool batch. `a`=items, `b`=job chunks, `c`=1 if dispatched
-    /// to workers, 0 if inline; `d`=active shard count when dispatched.
+    /// to workers, 0 if inline; `d` is reserved (0; older traces may
+    /// carry other values, which readers ignore).
     PoolBatch,
     /// One executed pool job (contiguous item range). `idx`=`a`=range
     /// start, `b`=range end.
     PoolJob,
-    /// A job taken by stealing rather than from the thread's own
-    /// shard injector (instant event). `a`=range start, `b`=range
-    /// end, `c`=locality: 0 = within-shard (an own-shard peer's
-    /// deque), 1 = cross-shard (a remote injector or remote deque).
+    /// A job taken from another worker's deque (instant event).
+    /// `a`=range start, `b`=range end; `c` is reserved (0; older
+    /// traces may carry 1, which readers ignore).
     PoolSteal,
 }
 

@@ -486,16 +486,6 @@ impl<'a> Evaluator<'a> {
     /// unique trials run on the pool in parallel mode or in order in
     /// sequential mode. Identical results and identical final cache
     /// state either way.
-    ///
-    /// **Sharding contract.** Callers submit requests in candidate-
-    /// index order (the arena plans demands through a `BTreeMap`), the
-    /// miss batch preserves that order, and the pool routes contiguous
-    /// chunk spans of it to shard-local injectors — so each shard
-    /// executes a contiguous per-shard sub-batch of the round's
-    /// candidate range. Outcomes merge back strictly by request index
-    /// below, which is what keeps decisions bit-identical at any
-    /// `PB_POOL_SHARDS` setting: sharding moves *where* a trial runs,
-    /// never which outcome lands in which slot.
     pub fn run_batch(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
         let tracing = pb_trace::enabled();
         let (batch_seq, batch_start) = if tracing {
@@ -598,12 +588,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Executes every request (no cache involvement), parallel or
-    /// sequential per the mode, windowing the pool's batch stats —
-    /// including the shard steal counters — into
-    /// [`Evaluator::pool_trial_stats`]. In parallel mode the request
-    /// range fans out through `run_indexed`, whose chunk→shard routing
-    /// turns the (candidate-index-ordered) range into contiguous
-    /// per-shard sub-batches.
+    /// sequential per the mode, windowing the pool's batch stats into
+    /// [`Evaluator::pool_trial_stats`].
     fn execute(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
         if requests.is_empty() {
             return Vec::new();
@@ -624,9 +610,26 @@ impl<'a> Evaluator<'a> {
             // its request index — the deterministic `idx` of its trace
             // event. Behaviorally identical: `parallel_map` is this
             // exact call.
-            EvalMode::Parallel => parallel_gen(requests.len(), 2, |i| {
-                self.run_one(trace_seq, i, &requests[i])
-            }),
+            EvalMode::Parallel => match self.repeated_coordinates(requests) {
+                None => parallel_gen(requests.len(), 2, |i| {
+                    self.run_one(trace_seq, i, &requests[i])
+                }),
+                Some(chains) => {
+                    let ran = parallel_gen(chains.len(), 2, |c| {
+                        chains[c]
+                            .iter()
+                            .map(|&i| self.run_one(trace_seq, i, &requests[i]))
+                            .collect::<Vec<_>>()
+                    });
+                    let mut outcomes = vec![TrialOutcome::QUARANTINED; requests.len()];
+                    for (chain, chain_outcomes) in chains.iter().zip(ran) {
+                        for (&i, outcome) in chain.iter().zip(chain_outcomes) {
+                            outcomes[i] = outcome;
+                        }
+                    }
+                    outcomes
+                }
+            },
         };
         let delta = Pool::global().batch_stats().delta_since(&before);
         self.pool_trial
@@ -634,6 +637,36 @@ impl<'a> Evaluator<'a> {
             .expect("pool stats poisoned")
             .absorb(&delta);
         outcomes
+    }
+
+    /// Request indices grouped by trial coordinate, in first-occurrence
+    /// order, when some coordinate repeats within the batch; `None`
+    /// when every request is distinct (always, behind the memo, which
+    /// coalesces repeats before they get here).
+    ///
+    /// Without a memo, identical candidates each re-run the same
+    /// `(config, n, seed)`. A runner that re-samples — wall-clock, or
+    /// `pb_faults` noise, which draws on how often a coordinate has run
+    /// — hands its k-th draw to whichever repeat reaches it k-th, so a
+    /// pool job per request would let the schedule pick which candidate
+    /// gets which draw. One job per coordinate, run in request order,
+    /// gives every repeat the draw the sequential evaluator gives it.
+    fn repeated_coordinates(&self, requests: &[TrialRequest]) -> Option<Vec<Vec<usize>>> {
+        if self.cache.is_some() {
+            return None;
+        }
+        let mut chain_of: HashMap<CacheKey, usize> = HashMap::new();
+        let mut chains: Vec<Vec<usize>> = Vec::new();
+        for (i, r) in requests.iter().enumerate() {
+            let chain = *chain_of
+                .entry((r.fingerprint, r.n, r.seed))
+                .or_insert(chains.len());
+            if chain == chains.len() {
+                chains.push(Vec::new());
+            }
+            chains[chain].push(i);
+        }
+        (chains.len() < requests.len()).then_some(chains)
     }
 
     /// Classifies a completed attempt: timed out, non-finite cost, or
@@ -1365,6 +1398,58 @@ mod tests {
         assert_eq!(eval.cache_hits(), 0);
         assert_eq!(eval.cache_misses(), 0);
         assert_eq!(eval.quarantined(), 0);
+    }
+
+    #[test]
+    fn repeated_coordinates_resample_in_request_order_on_the_pool() {
+        /// Re-samples like a noisy measurement: a trial's time grows
+        /// with how often its coordinate has already run.
+        struct Drifting<'r> {
+            inner: &'r dyn TrialRunner,
+            runs: Mutex<HashMap<u64, u64>>,
+        }
+        impl TrialRunner for Drifting<'_> {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn schema(&self) -> &Schema {
+                self.inner.schema()
+            }
+            fn deterministic(&self) -> bool {
+                false
+            }
+            fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
+                let mut outcome = self.inner.run_trial(config, n, seed);
+                let mut runs = self.runs.lock().unwrap();
+                let run = runs.entry(seed).or_insert(0);
+                outcome.time += *run as f64;
+                *run += 1;
+                outcome
+            }
+            fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
+                self.inner.run_traced(config, n, seed)
+            }
+        }
+
+        let clean = TransformRunner::new(Linear, CostModel::Virtual);
+        let config = clean.schema().default_config();
+        // Eight coordinates, sixteen interleaved repeats of each.
+        let reqs: Vec<TrialRequest> = (0..128).map(|i| request(&config, 8, i % 8)).collect();
+        let times = |mode| {
+            let runner = Drifting {
+                inner: &clean,
+                runs: Mutex::new(HashMap::new()),
+            };
+            let eval = Evaluator::with_memo_policy(&runner, mode, MemoPolicy::Resample);
+            let times: Vec<f64> = eval.run_batch(&reqs).iter().map(|o| o.time).collect();
+            times
+        };
+        let seq = times(EvalMode::Sequential);
+        assert_eq!(seq[0], 8.0);
+        assert_eq!(seq[127], 8.0 + 15.0);
+        for _ in 0..20 {
+            assert_eq!(times(EvalMode::Parallel), seq);
+        }
     }
 
     #[test]
