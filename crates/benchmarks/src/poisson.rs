@@ -129,6 +129,11 @@ impl Poisson2d {
         let out = match action {
             2 => {
                 // Direct band Cholesky: O(n² · bandwidth²) = O(n⁴).
+                // The charge deliberately still models `DPBSV`'s
+                // factor-and-solve, the block the paper timed, although
+                // `direct_solve` reuses one factor per grid size: tuned
+                // programs and the Fig. 6–8 shapes must not depend on
+                // that reuse.
                 ctx.charge((n as f64).powi(4));
                 ctx.event("direct");
                 poisson2d::direct_solve(b)

@@ -8,12 +8,38 @@
 //! solves it in `O(n² · bandwidth²)` — asymptotically better than dense
 //! factorization but worse than multigrid, which is exactly the
 //! trade-off the autotuner explores.
+//!
+//! # Layout
+//!
+//! Matrix and factor share LAPACK's lower band storage: one contiguous
+//! buffer of `n` columns of `kd + 1` entries (`kd` the bandwidth) with
+//! `ab[j·(kd+1) + d] = A[j+d][j]`. Column `j` of the lower triangle is
+//! the slice starting at `j·(kd+1)`: its diagonal first, then the
+//! entries below it. The last `kd` columns are shorter than `kd + 1`;
+//! their tails are padding that stays `0.0` and is never read.
+//!
+//! # Factorization order
+//!
+//! `cholesky` is left-looking by columns: column `j` starts as
+//! `A[j..][j]`, has `L[j][k]·L[j..][k]` subtracted for every earlier
+//! column `k` whose band reaches row `j`, `k` ascending, and is then
+//! scaled by its pivot. An entry `L[i][j]` therefore sees
+//! `A[i][j] − L[i][k₀]·L[j][k₀] − L[i][k₁]·L[j][k₁] − …` over exactly
+//! the columns whose band holds both rows, lowest first — the same
+//! multiply–subtract sequence as the textbook entry-at-a-time
+//! dot-product loop, so the factor is bit-identical to that loop's.
+//! What changes is the shape of the inner loop: not a serial dot
+//! product that reads a different diagonal at every step, but an axpy
+//! of one contiguous column slice into another, whose elements do not
+//! depend on each other. The substitutions keep their orders as well
+//! (forward: column axpys for `j` ascending; back: a dot product over
+//! ascending rows), each over one contiguous column.
 
+use crate::cholesky::NotPositiveDefinite;
 use crate::matrix::Matrix;
 
-/// A symmetric banded matrix stored by diagonals (lower part).
-///
-/// `band(d)[i]` holds `A[i + d][i]` for `d = 0..=bandwidth`.
+/// A symmetric banded matrix in column-major lower band storage (see
+/// the module docs).
 ///
 /// # Examples
 ///
@@ -33,9 +59,9 @@ use crate::matrix::Matrix;
 pub struct SymmetricBanded {
     n: usize,
     bandwidth: usize,
-    /// `bands[d][i] = A[i + d][i]`, `d` in `0..=bandwidth`,
-    /// `i` in `0..n - d`.
-    bands: Vec<Vec<f64>>,
+    /// `ab[j·(bandwidth+1) + d] = A[j + d][j]`, `d` in `0..=bandwidth`;
+    /// entries with `j + d >= n` are padding and stay `0.0`.
+    ab: Vec<f64>,
 }
 
 impl SymmetricBanded {
@@ -51,7 +77,7 @@ impl SymmetricBanded {
         SymmetricBanded {
             n,
             bandwidth,
-            bands: (0..=bandwidth).map(|d| vec![0.0; n - d]).collect(),
+            ab: vec![0.0; n * (bandwidth + 1)],
         }
     }
 
@@ -112,7 +138,7 @@ impl SymmetricBanded {
         if d > self.bandwidth {
             0.0
         } else {
-            self.bands[d][lo]
+            self.ab[lo * (self.bandwidth + 1) + d]
         }
     }
 
@@ -126,7 +152,7 @@ impl SymmetricBanded {
         let (hi, lo) = if i >= j { (i, j) } else { (j, i) };
         let d = hi - lo;
         assert!(d <= self.bandwidth, "entry outside the band");
-        self.bands[d][lo] = value;
+        self.ab[lo * (self.bandwidth + 1) + d] = value;
     }
 
     /// Matrix-vector product.
@@ -154,40 +180,37 @@ impl SymmetricBanded {
         Matrix::from_fn(self.n, self.n, |i, j| self.get(i, j))
     }
 
-    /// Band Cholesky factorization (`DPBTRF` equivalent).
+    /// Band Cholesky factorization (`DPBTRF` equivalent), left-looking
+    /// by columns (see the module docs for why that order matters).
     ///
     /// # Errors
     ///
     /// Returns [`crate::cholesky::NotPositiveDefinite`] on a
     /// non-positive pivot.
-    pub fn cholesky(&self) -> Result<BandedCholesky, crate::cholesky::NotPositiveDefinite> {
+    pub fn cholesky(&self) -> Result<BandedCholesky, NotPositiveDefinite> {
         let n = self.n;
         let kd = self.bandwidth;
-        let mut l = self.bands.clone();
+        let w = kd + 1;
+        let mut l = self.ab.clone();
         for j in 0..n {
-            // Diagonal pivot.
-            let mut sum = l[0][j];
-            let kmin = j.saturating_sub(kd);
-            for k in kmin..j {
-                let v = l[j - k][k];
-                sum -= v * v;
-            }
-            if sum <= 0.0 {
-                return Err(crate::cholesky::NotPositiveDefinite);
-            }
-            let pivot = sum.sqrt();
-            l[0][j] = pivot;
-            // Column below the pivot.
-            for i in j + 1..(j + kd + 1).min(n) {
-                let mut sum = l[i - j][j];
-                let kmin = i.saturating_sub(kd);
-                for k in kmin..j {
-                    // L[i][k] and L[j][k] both exist only within band.
-                    if i - k <= kd && j - k <= kd {
-                        sum -= l[i - k][k] * l[j - k][k];
-                    }
+            let (done, rest) = l.split_at_mut(j * w);
+            let col = &mut rest[..w.min(n - j)];
+            for k in j.saturating_sub(kd)..j {
+                // Rows j.. of column k: L[j][k] first. `zip` stops at
+                // the shorter of column k's band and column j's height.
+                let src = &done[k * w + (j - k)..(k + 1) * w];
+                let ljk = src[0];
+                for (c, &s) in col.iter_mut().zip(src) {
+                    *c -= ljk * s;
                 }
-                l[i - j][j] = sum / pivot;
+            }
+            if col[0] <= 0.0 {
+                return Err(NotPositiveDefinite);
+            }
+            let pivot = col[0].sqrt();
+            col[0] = pivot;
+            for c in &mut col[1..] {
+                *c /= pivot;
             }
         }
         Ok(BandedCholesky {
@@ -203,7 +226,7 @@ impl SymmetricBanded {
     ///
     /// Returns [`crate::cholesky::NotPositiveDefinite`] if the matrix is
     /// not SPD.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, crate::cholesky::NotPositiveDefinite> {
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NotPositiveDefinite> {
         Ok(self.cholesky()?.solve(b))
     }
 }
@@ -213,8 +236,9 @@ impl SymmetricBanded {
 pub struct BandedCholesky {
     n: usize,
     bandwidth: usize,
-    /// Lower factor in band storage: `l[d][j] = L[j + d][j]`.
-    l: Vec<Vec<f64>>,
+    /// Lower factor in the matrix's storage:
+    /// `l[j·(bandwidth+1) + d] = L[j + d][j]`.
+    l: Vec<f64>,
 }
 
 impl BandedCholesky {
@@ -225,25 +249,27 @@ impl BandedCholesky {
     /// Panics if `b.len()` mismatches the dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.n;
-        let kd = self.bandwidth;
+        let w = self.bandwidth + 1;
         assert_eq!(b.len(), n, "right-hand side has wrong length");
-        // Forward: L·y = b.
-        let mut y = b.to_vec();
-        for j in 0..n {
-            y[j] /= self.l[0][j];
-            let yj = y[j];
-            for i in j + 1..(j + kd + 1).min(n) {
-                y[i] -= self.l[i - j][j] * yj;
+        let mut x = b.to_vec();
+        // Forward: L·y = b, one column axpy per unknown.
+        for (j, col) in self.l.chunks_exact(w).enumerate() {
+            let (head, tail) = x[j..].split_first_mut().expect("j < n");
+            *head /= col[0];
+            let yj = *head;
+            for (yi, &lij) in tail.iter_mut().zip(&col[1..]) {
+                *yi -= lij * yj;
             }
         }
-        // Back: Lᵀ·x = y.
-        let mut x = y;
-        for j in (0..n).rev() {
-            let mut sum = x[j];
-            for i in j + 1..(j + kd + 1).min(n) {
-                sum -= self.l[i - j][j] * x[i];
+        // Back: Lᵀ·x = y, one dot product over ascending rows per
+        // unknown.
+        for (j, col) in self.l.chunks_exact(w).enumerate().rev() {
+            let (head, tail) = x[j..].split_first_mut().expect("j < n");
+            let mut sum = *head;
+            for (&xi, &lij) in tail.iter().zip(&col[1..]) {
+                sum -= lij * xi;
             }
-            x[j] = sum / self.l[0][j];
+            *head = sum / col[0];
         }
         x
     }
@@ -256,18 +282,129 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// The diagonal-major, entry-at-a-time band Cholesky this module
+    /// used before the column-major layout, kept as the bit-identity
+    /// oracle: `bands[d][i] = A[i + d][i]`.
+    struct DiagonalMajorReference {
+        n: usize,
+        kd: usize,
+        l: Vec<Vec<f64>>,
+    }
+
+    impl DiagonalMajorReference {
+        fn factor(a: &SymmetricBanded) -> Self {
+            let n = a.dim();
+            let kd = a.bandwidth();
+            let mut l: Vec<Vec<f64>> = (0..=kd)
+                .map(|d| (0..n - d).map(|i| a.get(i + d, i)).collect())
+                .collect();
+            for j in 0..n {
+                let mut sum = l[0][j];
+                let kmin = j.saturating_sub(kd);
+                for k in kmin..j {
+                    let v = l[j - k][k];
+                    sum -= v * v;
+                }
+                assert!(sum > 0.0, "reference factor needs an SPD matrix");
+                let pivot = sum.sqrt();
+                l[0][j] = pivot;
+                for i in j + 1..(j + kd + 1).min(n) {
+                    let mut sum = l[i - j][j];
+                    let kmin = i.saturating_sub(kd);
+                    for k in kmin..j {
+                        if i - k <= kd && j - k <= kd {
+                            sum -= l[i - k][k] * l[j - k][k];
+                        }
+                    }
+                    l[i - j][j] = sum / pivot;
+                }
+            }
+            DiagonalMajorReference { n, kd, l }
+        }
+
+        fn solve(&self, b: &[f64]) -> Vec<f64> {
+            let (n, kd) = (self.n, self.kd);
+            let mut y = b.to_vec();
+            for j in 0..n {
+                y[j] /= self.l[0][j];
+                let yj = y[j];
+                for i in j + 1..(j + kd + 1).min(n) {
+                    y[i] -= self.l[i - j][j] * yj;
+                }
+            }
+            let mut x = y;
+            for j in (0..n).rev() {
+                let mut sum = x[j];
+                for i in j + 1..(j + kd + 1).min(n) {
+                    sum -= self.l[i - j][j] * x[i];
+                }
+                x[j] = sum / self.l[0][j];
+            }
+            x
+        }
+    }
+
     fn random_spd_banded(n: usize, kd: usize, rng: &mut SmallRng) -> SymmetricBanded {
         let mut a = SymmetricBanded::zeros(n, kd);
         for d in 1..=kd {
             for i in 0..n - d {
-                a.bands[d][i] = rng.gen_range(-1.0..1.0);
+                a.set(i + d, i, rng.gen_range(-1.0..1.0));
             }
         }
         // Diagonal dominance guarantees positive definiteness.
         for i in 0..n {
-            a.bands[0][i] = 2.0 * (kd as f64 + 1.0) + rng.gen_range(0.0..1.0);
+            a.set(i, i, 2.0 * (kd as f64 + 1.0) + rng.gen_range(0.0..1.0));
         }
         a
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: entry {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn poisson_2d_solutions_are_bit_identical_to_the_diagonal_major_reference() {
+        let mut rng = SmallRng::seed_from_u64(63);
+        for m in [1, 3, 7, 15, 31, 63] {
+            let a = SymmetricBanded::poisson_2d(m);
+            let b: Vec<f64> = (0..m * m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let reference = DiagonalMajorReference::factor(&a);
+            let factor = a.cholesky().unwrap();
+            for j in 0..a.dim() {
+                for i in j..(j + a.bandwidth() + 1).min(a.dim()) {
+                    assert_eq!(
+                        factor.l[j * (a.bandwidth() + 1) + (i - j)].to_bits(),
+                        reference.l[i - j][j].to_bits(),
+                        "m={m}: L[{i}][{j}]"
+                    );
+                }
+            }
+            assert_bits_eq(&factor.solve(&b), &reference.solve(&b), &format!("m={m}"));
+        }
+    }
+
+    #[test]
+    fn random_bands_are_bit_identical_to_the_diagonal_major_reference() {
+        let mut rng = SmallRng::seed_from_u64(22);
+        for (n, kd) in [(1, 0), (2, 1), (5, 4), (9, 3), (16, 5), (40, 17), (33, 0)] {
+            let a = random_spd_banded(n, kd, &mut rng);
+            let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let want = DiagonalMajorReference::factor(&a).solve(&b);
+            assert_bits_eq(&a.solve(&b).unwrap(), &want, &format!("n={n} kd={kd}"));
+        }
+    }
+
+    #[test]
+    fn non_positive_pivot_is_an_error() {
+        let mut a = SymmetricBanded::zeros(3, 1);
+        for i in 0..3 {
+            a.set(i, i, 1.0);
+        }
+        a.set(1, 0, 2.0);
+        assert_eq!(a.cholesky(), Err(NotPositiveDefinite));
     }
 
     #[test]

@@ -36,6 +36,18 @@ impl Grid2d {
         }
     }
 
+    /// A grid of `n` interior points per dimension that takes ownership
+    /// of `data` (row-major).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `data.len() != n²`.
+    pub fn from_vec(n: usize, data: Vec<f64>) -> Self {
+        assert!(n > 0, "grid must be non-empty");
+        assert_eq!(data.len(), n * n, "data does not fill an {n}-grid");
+        Grid2d { n, data }
+    }
+
     /// Whether `n` is a legal multigrid size (`2^k − 1`).
     pub fn valid_size(n: usize) -> bool {
         n > 0 && (n + 1).is_power_of_two()
@@ -133,6 +145,18 @@ mod tests {
         assert_eq!(Grid2d::round_up_size(2), 3);
         assert_eq!(Grid2d::round_up_size(9), 15);
         assert_eq!(Grid2d::round_up_size(15), 15);
+    }
+
+    #[test]
+    fn from_vec_keeps_row_major_order() {
+        let g = Grid2d::from_vec(2, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((g.n(), g.get(0, 1), g.get(1, 0)), (2, 2.0, 3.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fill")]
+    fn from_vec_checks_the_length() {
+        Grid2d::from_vec(2, vec![0.0; 3]);
     }
 
     #[test]

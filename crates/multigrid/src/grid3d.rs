@@ -32,9 +32,30 @@ impl Grid3d {
         g
     }
 
+    /// A grid of `n` interior points per dimension that takes ownership
+    /// of `data` (in [`Grid3d::idx`] order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `data.len() != n³`.
+    pub fn from_vec(n: usize, data: Vec<f64>) -> Self {
+        assert!(n > 0, "grid must be non-empty");
+        assert_eq!(data.len(), n * n * n, "data does not fill an {n}-grid");
+        Grid3d { n, data }
+    }
+
     /// Whether `n` is a legal multigrid size (`2^k − 1`).
     pub fn valid_size(n: usize) -> bool {
         n > 0 && (n + 1).is_power_of_two()
+    }
+
+    /// The next legal multigrid size at or above `n`.
+    pub fn round_up_size(n: usize) -> usize {
+        let mut s = 1;
+        while s < n {
+            s = 2 * s + 1;
+        }
+        s
     }
 
     /// A grid with entries drawn uniformly from `[lo, hi)`.
@@ -167,5 +188,20 @@ mod tests {
     fn valid_sizes() {
         assert!(Grid3d::valid_size(7));
         assert!(!Grid3d::valid_size(8));
+        assert_eq!(Grid3d::round_up_size(1), 1);
+        assert_eq!(Grid3d::round_up_size(4), 7);
+        assert_eq!(Grid3d::round_up_size(7), 7);
+    }
+
+    #[test]
+    fn from_vec_keeps_idx_order() {
+        let g = Grid3d::from_vec(2, (0..8).map(f64::from).collect());
+        assert_eq!((g.n(), g.get(0, 1, 1), g.get(1, 0, 0)), (2, 3.0, 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fill")]
+    fn from_vec_checks_the_length() {
+        Grid3d::from_vec(2, vec![0.0; 7]);
     }
 }

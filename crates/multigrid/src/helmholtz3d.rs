@@ -6,11 +6,13 @@
 //! paper. Face coefficients are arithmetic averages of the adjacent
 //! point values. The three solver building blocks the tuned benchmark
 //! chooses between — Red-Black SOR, recursion to a coarsened problem,
-//! and a dense direct solve — all live here.
+//! and a direct solve — all live here. The direct solve is a band
+//! Cholesky: the 7-point operator on `n³` unknowns has bandwidth `n²`,
+//! so it costs `O(n³·(n²)²) = O(n⁷)`, not the `O(n⁹)` of factoring the
+//! same matrix densely.
 
 use crate::grid3d::Grid3d;
-use pb_linalg::cholesky::Cholesky;
-use pb_linalg::Matrix;
+use pb_linalg::SymmetricBanded;
 use rand::rngs::SmallRng;
 
 /// The six axis directions used for face averaging.
@@ -203,9 +205,14 @@ impl HelmholtzProblem {
         }
     }
 
-    /// Dense direct solve by Cholesky (the "ideal direct solver" for
-    /// small grids; `O(n⁹)` in the per-dimension size, so use only at
-    /// the bottom of the recursion).
+    /// Direct solve by band Cholesky (the "ideal direct solver" for
+    /// small grids): the operator is written straight into a band of
+    /// width `n²` — each point's diagonal and its couplings to the next
+    /// point along each axis — and factored there, `O(n⁷)` in the
+    /// per-dimension size against `O(n⁹)` for a dense factorization.
+    /// Entries outside the band are exact zeros, so the answer is the
+    /// dense factorization's bit for bit. Still only worth it at the
+    /// bottom of the recursion.
     ///
     /// # Panics
     ///
@@ -214,24 +221,33 @@ impl HelmholtzProblem {
     pub fn direct_solve(&self, f: &Grid3d) -> Grid3d {
         let n = self.n();
         assert_eq!(f.n(), n, "grid sizes must match");
-        let size = n * n * n;
-        // Assemble by applying the operator to unit vectors.
-        let mut dense = Matrix::zeros(size, size);
-        let mut e = Grid3d::zeros(n);
-        for col in 0..size {
-            e.as_mut_slice()[col] = 1.0;
-            let ae = self.apply(&e);
-            for (row, &v) in ae.as_slice().iter().enumerate() {
-                dense[(row, col)] = v;
+        let inv_h2 = 1.0 / (self.h * self.h);
+        // A 1-grid has no couplings, and a band must be narrower than
+        // the matrix.
+        let bandwidth = if n == 1 { 0 } else { n * n };
+        let mut band = SymmetricBanded::zeros(n * n * n, bandwidth);
+        for i in 0..n {
+            for j in 0..n {
+                for k in 0..n {
+                    let row = f.idx(i, j, k);
+                    band.set(row, row, self.diag(i, j, k));
+                    // Couplings to the next point along each axis
+                    // (the lower triangle in `idx` order).
+                    for (here, dir, stride) in
+                        [(i, (1, 0, 0), n * n), (j, (0, 1, 0), n), (k, (0, 0, 1), 1)]
+                    {
+                        if here + 1 < n {
+                            let coupling = -(self.beta * inv_h2 * self.face_b(i, j, k, dir));
+                            band.set(row + stride, row, coupling);
+                        }
+                    }
+                }
             }
-            e.as_mut_slice()[col] = 0.0;
         }
-        let x = Cholesky::factor(&dense)
-            .expect("the Helmholtz operator is SPD for positive coefficients")
-            .solve(f.as_slice());
-        let mut out = Grid3d::zeros(n);
-        out.as_mut_slice().copy_from_slice(&x);
-        out
+        let x = band
+            .solve(f.as_slice())
+            .expect("the Helmholtz operator is SPD for positive coefficients");
+        Grid3d::from_vec(n, x)
     }
 }
 
@@ -269,28 +285,35 @@ pub fn restrict(fine: &Grid3d) -> Grid3d {
     coarse
 }
 
+/// The coarse points (and their weights) that fine index `x`
+/// interpolates from along one axis, as a fixed pair plus how many of
+/// it are in use: an odd index sits on one coarse point, an even index
+/// halfway between two.
+fn axis_stencil(x: usize) -> ([(isize, f64); 2], usize) {
+    let x = x as isize;
+    if x % 2 == 1 {
+        ([((x - 1) / 2, 1.0), (0, 0.0)], 1)
+    } else {
+        ([(x / 2 - 1, 0.5), (x / 2, 0.5)], 2)
+    }
+}
+
 /// Trilinear prolongation from an `m`-grid to the `2m + 1` grid.
 pub fn prolong(coarse: &Grid3d) -> Grid3d {
     let m = coarse.n();
     let n = 2 * m + 1;
     let mut fine = Grid3d::zeros(n);
     for i in 0..n {
+        let (si, li) = axis_stencil(i);
         for j in 0..n {
+            let (sj, lj) = axis_stencil(j);
             for k in 0..n {
-                // Per-axis: odd fine index aligns with one coarse
-                // point; even index interpolates its two neighbours.
+                let (sk, lk) = axis_stencil(k);
                 let mut v = 0.0;
-                let axes = [i, j, k].map(|x| {
-                    if x % 2 == 1 {
-                        vec![((x as isize - 1) / 2, 1.0)]
-                    } else {
-                        vec![(x as isize / 2 - 1, 0.5), (x as isize / 2, 0.5)]
-                    }
-                });
-                for (ci, wi) in &axes[0] {
-                    for (cj, wj) in &axes[1] {
-                        for (ck, wk) in &axes[2] {
-                            v += wi * wj * wk * coarse.get_bc(*ci, *cj, *ck);
+                for &(ci, wi) in &si[..li] {
+                    for &(cj, wj) in &sj[..lj] {
+                        for &(ck, wk) in &sk[..lk] {
+                            v += wi * wj * wk * coarse.get_bc(ci, cj, ck);
                         }
                     }
                 }
@@ -316,6 +339,8 @@ pub fn add_correction(phi: &mut Grid3d, delta: &Grid3d) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pb_linalg::cholesky::Cholesky;
+    use pb_linalg::Matrix;
     use rand::SeedableRng;
 
     fn problem(n: usize, seed: u64) -> HelmholtzProblem {
@@ -323,14 +348,13 @@ mod tests {
         HelmholtzProblem::random(n, 1.0, 1.0, &mut rng)
     }
 
-    #[test]
-    fn operator_is_symmetric_positive() {
-        let p = problem(3, 1);
-        let n = 27;
-        // Assemble and check symmetry + positive diagonal.
-        let mut e = Grid3d::zeros(3);
-        let mut dense = Matrix::zeros(n, n);
-        for col in 0..n {
+    /// The operator as a dense matrix, assembled by applying it to unit
+    /// vectors.
+    fn assemble_dense(p: &HelmholtzProblem) -> Matrix {
+        let size = p.n().pow(3);
+        let mut dense = Matrix::zeros(size, size);
+        let mut e = Grid3d::zeros(p.n());
+        for col in 0..size {
             e.as_mut_slice()[col] = 1.0;
             let ae = p.apply(&e);
             for (row, &v) in ae.as_slice().iter().enumerate() {
@@ -338,6 +362,91 @@ mod tests {
             }
             e.as_mut_slice()[col] = 0.0;
         }
+        dense
+    }
+
+    /// `direct_solve` as it was before the band assembly — dense
+    /// assemble-and-factor — kept as the bit-identity oracle.
+    fn dense_direct_solve(p: &HelmholtzProblem, f: &Grid3d) -> Vec<f64> {
+        Cholesky::factor(&assemble_dense(p))
+            .expect("the Helmholtz operator is SPD for positive coefficients")
+            .solve(f.as_slice())
+    }
+
+    /// `prolong` as it was with a `Vec` per axis per fine point, kept
+    /// as the bit-identity oracle.
+    fn prolong_with_vecs(coarse: &Grid3d) -> Grid3d {
+        let m = coarse.n();
+        let n = 2 * m + 1;
+        let mut fine = Grid3d::zeros(n);
+        for i in 0..n {
+            for j in 0..n {
+                for k in 0..n {
+                    let mut v = 0.0;
+                    let axes = [i, j, k].map(|x| {
+                        if x % 2 == 1 {
+                            vec![((x as isize - 1) / 2, 1.0)]
+                        } else {
+                            vec![(x as isize / 2 - 1, 0.5), (x as isize / 2, 0.5)]
+                        }
+                    });
+                    for (ci, wi) in &axes[0] {
+                        for (cj, wj) in &axes[1] {
+                            for (ck, wk) in &axes[2] {
+                                v += wi * wj * wk * coarse.get_bc(*ci, *cj, *ck);
+                            }
+                        }
+                    }
+                    fine.set(i, j, k, v);
+                }
+            }
+        }
+        fine
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn direct_solve_is_bit_identical_to_dense_assemble_and_factor() {
+        for n in [1, 3, 7] {
+            for seed in [11, 12] {
+                let fine = problem(n, seed);
+                let mut rng = SmallRng::seed_from_u64(seed + 100);
+                let mut p = Some(fine);
+                while let Some(level) = p {
+                    let m = level.n();
+                    let f = Grid3d::random_uniform(m, -1.0, 1.0, &mut rng);
+                    assert_eq!(
+                        bits(level.direct_solve(&f).as_slice()),
+                        bits(&dense_direct_solve(&level, &f)),
+                        "n={n} seed={seed} level size {m}"
+                    );
+                    p = (m >= 3).then(|| level.coarsen());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prolong_is_bit_identical_to_the_vec_per_axis_version() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        for m in [1, 3] {
+            let coarse = Grid3d::random_uniform(m, -1.0, 1.0, &mut rng);
+            assert_eq!(
+                bits(prolong(&coarse).as_slice()),
+                bits(prolong_with_vecs(&coarse).as_slice()),
+                "m={m}"
+            );
+        }
+    }
+
+    #[test]
+    fn operator_is_symmetric_positive() {
+        let p = problem(3, 1);
+        let n = 27;
+        let dense = assemble_dense(&p);
         assert!(dense.is_symmetric(1e-12));
         for i in 0..n {
             assert!(dense[(i, i)] > 0.0);

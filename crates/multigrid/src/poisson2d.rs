@@ -6,7 +6,9 @@
 //! metric (a ratio of residual RMS values, §6.1.5).
 
 use crate::grid2d::Grid2d;
+use pb_linalg::banded::BandedCholesky;
 use pb_linalg::SymmetricBanded;
+use std::sync::OnceLock;
 
 /// Applies the 5-point stencil: `out = A·u`.
 ///
@@ -150,8 +152,30 @@ pub fn add_correction(u: &mut Grid2d, delta: &Grid2d) {
     }
 }
 
+/// Band Cholesky factors of the stencil, one slot per multigrid level
+/// `k` (`n = 2ᵏ − 1`), filled on first use and kept for the life of the
+/// process.
+static FACTORS: [OnceLock<BandedCholesky>; usize::BITS as usize] =
+    [const { OnceLock::new() }; usize::BITS as usize];
+
+fn factor(n: usize) -> BandedCholesky {
+    SymmetricBanded::poisson_2d(n)
+        .cholesky()
+        .expect("the 5-point Poisson stencil is SPD")
+}
+
 /// Direct solve `A·u = b` via band Cholesky — the paper's `DPBSV`
 /// building block.
+///
+/// The matrix depends on `n` alone, so each multigrid size
+/// (`n = 2ᵏ − 1`) is factored once per process and every later call is
+/// two band substitutions. The factor is the one
+/// `SymmetricBanded::poisson_2d(n).cholesky()` returns, so answers are
+/// bit-identical to factoring per call. The table is shared by every
+/// thread (pool workers included: the first caller of a size factors,
+/// concurrent callers of that size wait for it) and is never evicted;
+/// a size holds `8·n²·(n+1)` bytes (2.0 MB at `n = 63`). Other sizes
+/// are factored per call.
 ///
 /// # Panics
 ///
@@ -159,13 +183,13 @@ pub fn add_correction(u: &mut Grid2d, delta: &Grid2d) {
 /// indicate a bug.
 pub fn direct_solve(b: &Grid2d) -> Grid2d {
     let n = b.n();
-    let a = SymmetricBanded::poisson_2d(n);
-    let x = a
-        .solve(b.as_slice())
-        .expect("the 5-point Poisson stencil is SPD");
-    let mut u = Grid2d::zeros(n);
-    u.as_mut_slice().copy_from_slice(&x);
-    u
+    let x = if Grid2d::valid_size(n) {
+        let level = (n + 1).trailing_zeros() as usize;
+        FACTORS[level].get_or_init(|| factor(n)).solve(b.as_slice())
+    } else {
+        factor(n).solve(b.as_slice())
+    };
+    Grid2d::from_vec(n, x)
 }
 
 #[cfg(test)]
@@ -173,6 +197,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::Barrier;
 
     #[test]
     fn apply_matches_banded_operator() {
@@ -191,6 +216,55 @@ mod tests {
         let b = Grid2d::random_uniform(15, -1.0, 1.0, &mut rng);
         let u = direct_solve(&b);
         assert!(residual(&u, &b).max_abs() < 1e-9);
+    }
+
+    #[test]
+    fn first_use_from_eight_threads_matches_a_fresh_factor_bit_for_bit() {
+        // No other test in this crate direct-solves a 31-grid, so all
+        // eight threads meet the empty slot.
+        let n = 31;
+        let level = (n + 1usize).trailing_zeros() as usize;
+        assert!(FACTORS[level].get().is_none(), "size {n} already factored");
+        let mut rng = SmallRng::seed_from_u64(31);
+        let inputs: Vec<Grid2d> = (0..8)
+            .map(|_| Grid2d::random_uniform(n, -1.0, 1.0, &mut rng))
+            .collect();
+        let start = Barrier::new(inputs.len());
+        let answers: Vec<Grid2d> = std::thread::scope(|scope| {
+            let handles: Vec<_> = inputs
+                .iter()
+                .map(|b| {
+                    scope.spawn(|| {
+                        start.wait();
+                        direct_solve(b)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("solver thread panicked"))
+                .collect()
+        });
+        let fresh = SymmetricBanded::poisson_2d(n).cholesky().unwrap();
+        for (b, u) in inputs.iter().zip(&answers) {
+            let want = fresh.solve(b.as_slice());
+            let got: Vec<u64> = u.as_slice().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn sizes_outside_the_table_and_size_one_still_solve() {
+        // n = 5 is not 2ᵏ − 1 (factored per call); n = 1 has bandwidth 0.
+        let mut rng = SmallRng::seed_from_u64(5);
+        for n in [5, 1] {
+            let b = Grid2d::random_uniform(n, -1.0, 1.0, &mut rng);
+            let u = direct_solve(&b);
+            assert!(residual(&u, &b).max_abs() < 1e-12, "n={n}");
+            let want = SymmetricBanded::poisson_2d(n).solve(b.as_slice()).unwrap();
+            assert_eq!(u.as_slice(), &want[..], "n={n}");
+        }
     }
 
     #[test]

@@ -6,14 +6,29 @@
 use petabricks::benchmarks::binpacking::{generate_input, pack_with, ALGORITHM_NAMES};
 use petabricks::benchmarks::BinPacking;
 use petabricks::config::{AccuracyBins, DecisionTree, Schema, Value};
+use petabricks::linalg::cholesky::Cholesky;
 use petabricks::linalg::SymmetricBanded;
 use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner};
 use petabricks::stats::{welch_t_test, Comparator, CompareOutcome, OnlineStats};
 use petabricks::tuner::{Candidate, EvalMode, Evaluator, MutatorPool, Population};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+
+/// A random band of the given width, diagonally dominant and so SPD.
+fn random_spd_band(n: usize, kd: usize, rng: &mut SmallRng) -> SymmetricBanded {
+    let mut a = SymmetricBanded::zeros(n, kd);
+    for d in 1..=kd {
+        for i in 0..n - d {
+            a.set(i + d, i, rng.gen_range(-1.0..1.0));
+        }
+    }
+    for i in 0..n {
+        a.set(i, i, 2.0 * (kd as f64 + 1.0) + rng.gen_range(0.0..1.0));
+    }
+    a
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -90,24 +105,35 @@ proptest! {
     /// Banded Cholesky solves random diagonally-dominant SPD systems.
     #[test]
     fn banded_cholesky_solves(seed in 0u64..500, n in 2usize..20, kd in 1usize..4) {
-        let kd = kd.min(n - 1);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut a = SymmetricBanded::zeros(n, kd);
-        use rand::Rng;
-        for d in 1..=kd {
-            for i in 0..n - d {
-                a.set(i + d, i, rng.gen_range(-1.0..1.0));
-            }
-        }
-        for i in 0..n {
-            a.set(i, i, 2.0 * (kd as f64 + 1.0) + rng.gen_range(0.0..1.0));
-        }
+        let a = random_spd_band(n, kd.min(n - 1), &mut rng);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let b = a.matvec(&x_true);
         let x = a.solve(&b).expect("diagonally dominant is SPD");
         for (xi, ti) in x.iter().zip(&x_true) {
             prop_assert!((xi - ti).abs() < 1e-7);
         }
+    }
+
+    /// Band Cholesky is dense Cholesky with the out-of-band terms
+    /// skipped. Those terms are exact zeros, so the two solutions may
+    /// differ in the sign of a zero and in nothing else.
+    #[test]
+    fn banded_solve_matches_dense_cholesky_bitwise(
+        seed in 0u64..500,
+        n in 1usize..=40,
+        kd in 0usize..40,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let a = random_spd_band(n, kd.min(n - 1), &mut rng);
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let banded = a.solve(&b).expect("diagonally dominant is SPD");
+        let dense = Cholesky::factor(&a.to_dense())
+            .expect("diagonally dominant is SPD")
+            .solve(&b);
+        // `+ 0.0` maps -0.0 to 0.0 and changes no other value.
+        let bits = |x: &[f64]| x.iter().map(|v| (v + 0.0).to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&banded), bits(&dense));
     }
 
     /// No packing heuristic ever overfills a bin or beats OPT, and the
