@@ -17,7 +17,7 @@
 //! recomputation for numerically orthogonal eigenvectors.
 
 use crate::eigen_qr::{eigen_tridiagonal, EigenDidNotConverge, SymmetricEigen};
-use crate::matrix::{norm2, Matrix};
+use crate::matrix::{axpy, norm2, Matrix};
 use crate::tridiag::SymmetricTridiagonal;
 
 /// Subproblems at or below this size are solved directly with QL.
@@ -83,30 +83,37 @@ pub fn eigen_dc_tridiagonal(
 
     let update = rank_one_update(&d, &z, beta);
 
-    // Map eigenvectors back through the block-diagonal Q.
-    let mut vectors = Matrix::zeros(n, n);
-    for col in 0..n {
-        for i in 0..m {
-            let mut acc = 0.0;
-            for j in 0..m {
-                acc += e1.vectors[(i, j)] * update.vectors[(j, col)];
-            }
-            vectors[(i, col)] = acc;
-        }
-        for i in 0..n - m {
-            let mut acc = 0.0;
-            for j in 0..n - m {
-                acc += e2.vectors[(i, j)] * update.vectors[(m + j, col)];
-            }
-            vectors[(m + i, col)] = acc;
-        }
-    }
+    let vectors = map_back(&e1.vectors, &e2.vectors, &update.vectors);
     let mut out = SymmetricEigen {
         values: update.values,
         vectors,
     };
     out.sort_ascending();
     Ok(out)
+}
+
+/// Maps the rank-one update's eigenvectors back through the
+/// block-diagonal `Q = blkdiag(q1, q2)`: `Q · update`.
+///
+/// Row-axpy form: output row `i` accumulates `q[i][j] · update_row(j)`
+/// for ascending `j`, so every entry is the same left-to-right sum a
+/// per-entry dot product over `j` would form, while each pass walks two
+/// contiguous rows instead of a column of `update`.
+fn map_back(q1: &Matrix, q2: &Matrix, update: &Matrix) -> Matrix {
+    let m = q1.rows();
+    let n = update.rows();
+    let mut out = vec![0.0; n * n];
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let (q_row, first) = if i < m {
+            (q1.row(i), 0)
+        } else {
+            (q2.row(i - m), m)
+        };
+        for (j, &qij) in q_row.iter().enumerate() {
+            axpy(qij, update.row(first + j), out_row);
+        }
+    }
+    Matrix::from_vec(n, n, out)
 }
 
 /// Concatenates two independent eigendecompositions into a
@@ -347,6 +354,7 @@ fn bisect_secular(d: &[f64], z: &[f64], rho: f64, lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::{assert_bits_eq, SIZES};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -366,6 +374,59 @@ mod tests {
         let vtv = eig.vectors.transpose().matmul(&eig.vectors);
         let orth = vtv.sub(&Matrix::identity(n)).max_abs();
         assert!(orth < tol, "orthogonality defect {orth}");
+    }
+
+    /// One dot product per output entry, walking a column of `update`
+    /// — the back-multiplication before the row-axpy form: the
+    /// bit-identity oracle.
+    fn map_back_reference(q1: &Matrix, q2: &Matrix, update: &Matrix) -> Matrix {
+        let m = q1.rows();
+        let n = update.rows();
+        let mut vectors = Matrix::zeros(n, n);
+        for col in 0..n {
+            for i in 0..m {
+                let mut acc = 0.0;
+                for j in 0..m {
+                    acc += q1[(i, j)] * update[(j, col)];
+                }
+                vectors[(i, col)] = acc;
+            }
+            for i in 0..n - m {
+                let mut acc = 0.0;
+                for j in 0..n - m {
+                    acc += q2[(i, j)] * update[(m + j, col)];
+                }
+                vectors[(m + i, col)] = acc;
+            }
+        }
+        vectors
+    }
+
+    #[test]
+    fn row_axpy_back_multiplication_matches_dot_products_bit_for_bit() {
+        for &n in &SIZES[1..] {
+            for seed in [5u64, 50, 500] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let m = n / 2;
+                let q1 = Matrix::random_symmetric(m, &mut rng);
+                let q2 = Matrix::random_symmetric(n - m, &mut rng);
+                // Exact zeros and a deflated (unit) column, as the
+                // rank-one update produces them.
+                let mut update = Matrix::random_symmetric(n, &mut rng);
+                for i in 0..n {
+                    update[(i, 0)] = 0.0;
+                    update[(0, i)] = 0.0;
+                }
+                update[(0, 0)] = 1.0;
+                let got = map_back(&q1, &q2, &update);
+                let want = map_back_reference(&q1, &q2, &update);
+                assert_bits_eq(
+                    got.as_slice(),
+                    want.as_slice(),
+                    &format!("n={n} seed={seed}"),
+                );
+            }
+        }
     }
 
     #[test]

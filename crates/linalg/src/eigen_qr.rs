@@ -6,6 +6,13 @@
 //! into the eigenvector matrix. Cost is `O(n³)` including eigenvectors,
 //! which is what makes bisection-for-k attractive at low accuracy in
 //! the image-compression benchmark (§6.1.4).
+//!
+//! A rotation mixes two adjacent *columns* of the eigenvector matrix.
+//! The iteration therefore works on a column-major copy, where that is
+//! one pass over two contiguous slices instead of two stride-`n`
+//! walks, and returns to row-major once, while sorting. Each entry
+//! still sees the same rotations in the same order with the same two
+//! expressions, so the layout changes no bit of the result.
 
 use crate::matrix::Matrix;
 use crate::tridiag::{householder_tridiagonalize, SymmetricTridiagonal};
@@ -24,17 +31,23 @@ impl SymmetricEigen {
     /// Sorts eigenpairs ascending by eigenvalue (in place).
     pub(crate) fn sort_ascending(&mut self) {
         let n = self.values.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            self.values[a]
-                .partial_cmp(&self.values[b])
-                .expect("eigenvalues are finite")
-        });
+        let order = ascending_order(&self.values);
         let values = order.iter().map(|&i| self.values[i]).collect();
         let vectors = Matrix::from_fn(self.vectors.rows(), n, |r, c| self.vectors[(r, order[c])]);
         self.values = values;
         self.vectors = vectors;
     }
+}
+
+/// The stable permutation that sorts `values` ascending.
+fn ascending_order(values: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| {
+        values[a]
+            .partial_cmp(&values[b])
+            .expect("eigenvalues are finite")
+    });
+    order
 }
 
 /// Error for QL iteration failing to converge (essentially impossible
@@ -68,14 +81,16 @@ pub fn eigen_tridiagonal(
     // e is offset by one versus the textbook: e[i] couples d[i], d[i+1].
     let mut e = t.offdiag.clone();
     e.push(0.0);
-    let mut z = match q0 {
+    // Column-major: column `j` of the eigenvector matrix is
+    // `z[j * rows..(j + 1) * rows]`, so a rotation of two adjacent
+    // columns is one pass over two contiguous slices.
+    let (rows, mut z) = match q0 {
         Some(q) => {
             assert_eq!(q.cols(), n, "q0 must have n columns");
-            q.clone()
+            (q.rows(), q.transpose().into_vec())
         }
-        None => Matrix::identity(n),
+        None => (n, Matrix::identity(n).into_vec()),
     };
-    let rows = z.rows();
 
     for l in 0..n {
         let mut iter = 0;
@@ -106,7 +121,7 @@ pub fn eigen_tridiagonal(
             let mut i = m;
             while i > l {
                 i -= 1;
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -123,10 +138,11 @@ pub fn eigen_tridiagonal(
                 d[i + 1] = g + p;
                 g = c * r - b;
                 // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..rows {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
+                let (zi, zi1) = z[i * rows..(i + 2) * rows].split_at_mut(rows);
+                for (a, b) in zi.iter_mut().zip(zi1) {
+                    let f = *b;
+                    *b = s * *a + c * f;
+                    *a = c * *a - s * f;
                 }
             }
             if r == 0.0 && i > l {
@@ -138,12 +154,16 @@ pub fn eigen_tridiagonal(
         }
     }
 
-    let mut eig = SymmetricEigen {
-        values: d,
-        vectors: z,
-    };
-    eig.sort_ascending();
-    Ok(eig)
+    // Sort ascending and return to row-major in one pass.
+    let order = ascending_order(&d);
+    let mut vectors = Vec::with_capacity(rows * n);
+    for r in 0..rows {
+        vectors.extend(order.iter().map(|&c| z[c * rows + r]));
+    }
+    Ok(SymmetricEigen {
+        values: order.iter().map(|&c| d[c]).collect(),
+        vectors: Matrix::from_vec(rows, n, vectors),
+    })
 }
 
 /// Full eigendecomposition of a dense symmetric matrix: Householder
@@ -177,8 +197,127 @@ pub fn eigen_symmetric(a: &Matrix) -> Result<SymmetricEigen, EigenDidNotConverge
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::{assert_bits_eq, symmetric_cases};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// QL rotating two columns of a row-major matrix, as this module
+    /// did before the column-major working copy: the bit-identity
+    /// oracle.
+    fn eigen_tridiagonal_reference(
+        t: &SymmetricTridiagonal,
+        q0: Option<&Matrix>,
+    ) -> Result<SymmetricEigen, EigenDidNotConverge> {
+        let n = t.dim();
+        let mut d = t.diag.clone();
+        // e is offset by one versus the textbook: e[i] couples d[i], d[i+1].
+        let mut e = t.offdiag.clone();
+        e.push(0.0);
+        let mut z = match q0 {
+            Some(q) => {
+                assert_eq!(q.cols(), n, "q0 must have n columns");
+                q.clone()
+            }
+            None => Matrix::identity(n),
+        };
+        let rows = z.rows();
+
+        for l in 0..n {
+            let mut iter = 0;
+            loop {
+                // Look for a negligible off-diagonal to split at.
+                let mut m = l;
+                while m + 1 < n {
+                    let dd = d[m].abs() + d[m + 1].abs();
+                    if e[m].abs() <= f64::EPSILON * dd {
+                        break;
+                    }
+                    m += 1;
+                }
+                if m == l {
+                    break;
+                }
+                iter += 1;
+                if iter > 50 {
+                    return Err(EigenDidNotConverge);
+                }
+                // Wilkinson shift.
+                let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+                let mut r = g.hypot(1.0);
+                g = d[m] - d[l] + e[l] / (g + r.copysign(g));
+                let mut s = 1.0;
+                let mut c = 1.0;
+                let mut p = 0.0;
+                let mut i = m;
+                while i > l {
+                    i -= 1;
+                    let mut f = s * e[i];
+                    let b = c * e[i];
+                    r = f.hypot(g);
+                    e[i + 1] = r;
+                    if r == 0.0 {
+                        d[i + 1] -= p;
+                        e[m] = 0.0;
+                        break;
+                    }
+                    s = f / r;
+                    c = g / r;
+                    g = d[i + 1] - p;
+                    r = (d[i] - g) * s + 2.0 * c * b;
+                    p = s * r;
+                    d[i + 1] = g + p;
+                    g = c * r - b;
+                    // Accumulate the rotation into the eigenvector matrix.
+                    for k in 0..rows {
+                        f = z[(k, i + 1)];
+                        z[(k, i + 1)] = s * z[(k, i)] + c * f;
+                        z[(k, i)] = c * z[(k, i)] - s * f;
+                    }
+                }
+                if r == 0.0 && i > l {
+                    continue;
+                }
+                d[l] -= p;
+                e[l] = g;
+                e[m] = 0.0;
+            }
+        }
+
+        let mut eig = SymmetricEigen {
+            values: d,
+            vectors: z,
+        };
+        eig.sort_ascending();
+        Ok(eig)
+    }
+
+    #[test]
+    fn column_major_rotations_match_row_major_bit_for_bit() {
+        for (label, a) in symmetric_cases() {
+            let reduction = householder_tridiagonalize(&a);
+            for q0 in [None, Some(&reduction.q)] {
+                let got = eigen_tridiagonal(&reduction.tridiag, q0).unwrap();
+                let want = eigen_tridiagonal_reference(&reduction.tridiag, q0).unwrap();
+                let what = format!("{label} q0={}", q0.is_some());
+                assert_bits_eq(&got.values, &want.values, &format!("{what} values"));
+                assert_bits_eq(
+                    got.vectors.as_slice(),
+                    want.vectors.as_slice(),
+                    &format!("{what} vectors"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rectangular_q0_keeps_its_row_count() {
+        let t = SymmetricTridiagonal::new(vec![2.0, -1.0, 0.5], vec![0.75, -0.25]);
+        let q0 = Matrix::from_fn(5, 3, |i, j| (1 + i * 3 + j) as f64 / 7.0);
+        let got = eigen_tridiagonal(&t, Some(&q0)).unwrap();
+        let want = eigen_tridiagonal_reference(&t, Some(&q0)).unwrap();
+        assert_eq!((got.vectors.rows(), got.vectors.cols()), (5, 3));
+        assert_bits_eq(got.vectors.as_slice(), want.vectors.as_slice(), "5x3 q0");
+    }
 
     fn check_decomposition(a: &Matrix, eig: &SymmetricEigen, tol: f64) {
         let n = a.rows();

@@ -33,6 +33,8 @@ pub mod eigen_dc;
 pub mod eigen_qr;
 pub mod matrix;
 pub mod svd;
+#[cfg(test)]
+mod test_inputs;
 pub mod tridiag;
 
 pub use banded::SymmetricBanded;

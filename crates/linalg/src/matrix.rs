@@ -64,6 +64,16 @@ impl Matrix {
         }
     }
 
+    /// Wraps row-major `data` as a `rows × cols` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), rows * cols, "data length must be rows * cols");
+        Matrix { rows, cols, data }
+    }
+
     /// Builds a matrix from a closure over `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut m = Matrix::zeros(rows, cols);
@@ -125,6 +135,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying row-major data, by value.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Row `i` as a slice.
     ///
     /// # Panics
@@ -147,7 +162,15 @@ impl Matrix {
 
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        let mut data = Vec::with_capacity(self.data.len());
+        for j in 0..self.cols {
+            data.extend(self.data.iter().skip(j).step_by(self.cols.max(1)));
+        }
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data,
+        }
     }
 
     /// Matrix product `self · other`.

@@ -10,7 +10,7 @@
 use crate::eigen_bisect;
 use crate::eigen_dc::eigen_dc_tridiagonal;
 use crate::eigen_qr::{eigen_tridiagonal, EigenDidNotConverge};
-use crate::matrix::Matrix;
+use crate::matrix::{axpy, Matrix};
 use crate::tridiag::householder_tridiagonalize;
 
 /// Which eigensolver backs the SVD computation — the algorithmic
@@ -48,21 +48,21 @@ impl Svd {
     pub fn reconstruct(&self) -> Matrix {
         let m = self.u.rows();
         let n = self.v.rows();
-        let k = self.rank();
-        let mut out = Matrix::zeros(m, n);
-        for t in 0..k {
-            let s = self.sigma[t];
-            for i in 0..m {
+        // Row `t` of `Vᵀ` is the contiguous `vₜ`, so triplet `t` adds
+        // `uᵢₜ·σₜ·vₜ` to output row `i` in one pass; every entry still
+        // accumulates its triplets in ascending `t`.
+        let vt = self.v.transpose();
+        let mut out = vec![0.0; m * n];
+        for (t, &s) in self.sigma.iter().enumerate() {
+            for (i, out_row) in out.chunks_exact_mut(n.max(1)).enumerate() {
                 let us = self.u[(i, t)] * s;
                 if us == 0.0 {
                     continue;
                 }
-                for j in 0..n {
-                    out[(i, j)] += us * self.v[(j, t)];
-                }
+                axpy(us, vt.row(t), out_row);
             }
         }
-        out
+        Matrix::from_vec(m, n, out)
     }
 
     /// Truncates to the top `k` triplets (no-op if `k >= rank`).
@@ -166,6 +166,7 @@ fn take_top_k(values: Vec<f64>, vectors: Matrix, k: usize) -> (Vec<f64>, Matrix)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::{assert_bits_eq, SIZES};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -174,6 +175,55 @@ mod tests {
         SvdMethod::DivideAndConquer,
         SvdMethod::Bisection,
     ];
+
+    /// Entry-by-entry accumulation walking a column of `V` — the
+    /// reconstruction before the transposed form: the bit-identity
+    /// oracle.
+    fn reconstruct_reference(svd: &Svd) -> Matrix {
+        let m = svd.u.rows();
+        let n = svd.v.rows();
+        let k = svd.rank();
+        let mut out = Matrix::zeros(m, n);
+        for t in 0..k {
+            let s = svd.sigma[t];
+            for i in 0..m {
+                let us = svd.u[(i, t)] * s;
+                if us == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[(i, j)] += us * svd.v[(j, t)];
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transposed_reconstruction_matches_column_walk_bit_for_bit() {
+        for &n in &SIZES {
+            for seed in [3u64, 30] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let a = Matrix::random_uniform(n + 2, n, &mut rng);
+                for method in METHODS {
+                    for k in [1, n.div_ceil(2), n] {
+                        let mut svd = svd_top_k(&a, k, method).unwrap();
+                        // A zero left vector (what a zero singular
+                        // value leaves) takes the `us == 0.0` skip.
+                        let last = svd.rank() - 1;
+                        for i in 0..svd.u.rows() {
+                            svd.u[(i, last)] = 0.0;
+                        }
+                        assert_bits_eq(
+                            svd.reconstruct().as_slice(),
+                            reconstruct_reference(&svd).as_slice(),
+                            &format!("n={n} seed={seed} {method:?} k={k}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn diagonal_matrix_sigma_exact() {

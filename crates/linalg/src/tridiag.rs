@@ -5,8 +5,24 @@
 //! dense symmetric matrix is first reduced with Householder reflections
 //! (the classic `tred2` reduction), accumulating the orthogonal
 //! transformation so eigenvectors can be mapped back.
+//!
+//! Step `k`'s Householder vector `v` is zero up to index `k`, so the
+//! step touches only what is still live: `w = m·v` over columns
+//! `k+1..n` of rows `k..n`, the new off-diagonal entry `(k+1, k)`, the
+//! trailing block `(k+1.., k+1..)`, and columns `k+1..n` of `Q`. This
+//! is the full-matrix update with its no-ops removed, not a different
+//! summation: every kept entry receives the same expression with the
+//! same association (`-2·v[i]`, `2·w[i]` and `4·vw·v[i]` are hoisted
+//! per row exactly as the full expression groups them), every dropped
+//! term of a sum is a product with an exact zero that leaves a
+//! non-zero partial sum unchanged, and every dropped entry is one no
+//! later step and neither returned diagonal reads again. The results
+//! are bit-identical to the full update (pinned by the oracle test
+//! against the previous body), including on tridiagonal, diagonal,
+//! zero and zero-sub-column inputs where the `alpha == 0.0` /
+//! `r == 0.0` skips fire.
 
-use crate::matrix::Matrix;
+use crate::matrix::{dot, Matrix};
 
 /// A symmetric tridiagonal matrix: `diag` of length `n` and `offdiag`
 /// of length `n - 1` (`offdiag[i] = A[i+1][i]`).
@@ -131,67 +147,170 @@ pub struct Tridiagonalization {
 pub fn householder_tridiagonalize(a: &Matrix) -> Tridiagonalization {
     assert!(a.is_square(), "tridiagonalization requires a square matrix");
     let n = a.rows();
-    let mut m = a.clone();
-    let mut q = Matrix::identity(n);
+    // Flat row-major working copies: every inner loop below walks two
+    // or three equally long row slices.
+    let mut m = a.as_slice().to_vec();
+    let mut q = Matrix::identity(n).into_vec();
+    // Only `v[k + 1..]` and `w[k..]` are live at step `k`.
+    let mut v = vec![0.0; n];
+    let mut w = vec![0.0; n];
 
     for k in 0..n.saturating_sub(2) {
         // Build the Householder vector for column k below the diagonal.
         let mut alpha: f64 = 0.0;
         for i in k + 1..n {
-            alpha += m[(i, k)] * m[(i, k)];
+            alpha += m[i * n + k] * m[i * n + k];
         }
         alpha = alpha.sqrt();
         if alpha == 0.0 {
             continue;
         }
-        if m[(k + 1, k)] > 0.0 {
+        let head = m[(k + 1) * n + k];
+        if head > 0.0 {
             alpha = -alpha;
         }
-        let r = (0.5 * (alpha * alpha - m[(k + 1, k)] * alpha)).sqrt();
+        let r = (0.5 * (alpha * alpha - head * alpha)).sqrt();
         if r == 0.0 {
             continue;
         }
-        let mut v = vec![0.0; n];
-        v[k + 1] = (m[(k + 1, k)] - alpha) / (2.0 * r);
+        v[k + 1] = (head - alpha) / (2.0 * r);
         for i in k + 2..n {
-            v[i] = m[(i, k)] / (2.0 * r);
+            v[i] = m[i * n + k] / (2.0 * r);
         }
+        let vt = &v[k + 1..];
 
-        // m <- H m H with H = I - 2 v vᵀ.
-        // w = m v.
-        let w = m.matvec(&v);
-        let vw = crate::matrix::dot(&v, &w);
-        // m <- m - 2 v wᵀ - 2 w vᵀ + 4 (vᵀ w) v vᵀ.
-        for i in 0..n {
-            for j in 0..n {
-                m[(i, j)] += -2.0 * v[i] * w[j] - 2.0 * w[i] * v[j] + 4.0 * vw * v[i] * v[j];
+        // m <- H m H with H = I - 2 v vᵀ, where v is zero up to k.
+        // w = m v: rows above k are never used, columns up to k only
+        // add products with those zeros.
+        for i in k..n {
+            w[i] = dot(&m[i * n + k + 1..(i + 1) * n], vt);
+        }
+        let wt = &w[k + 1..];
+        let vw = dot(vt, wt);
+        // m <- m - 2 v wᵀ - 2 w vᵀ + 4 (vᵀ w) v vᵀ, on the entries
+        // still to be read: the new off-diagonal (k + 1, k), where
+        // v[k] = 0, and the trailing block.
+        let vk = 0.0;
+        m[(k + 1) * n + k] +=
+            -2.0 * v[k + 1] * w[k] - 2.0 * w[k + 1] * vk + 4.0 * vw * v[k + 1] * vk;
+        for i in k + 1..n {
+            let (a, b, c) = (-2.0 * v[i], 2.0 * w[i], 4.0 * vw * v[i]);
+            let row = &mut m[i * n + k + 1..(i + 1) * n];
+            for ((mij, &wj), &vj) in row.iter_mut().zip(wt).zip(vt) {
+                *mij += a * wj - b * vj + c * vj;
             }
         }
-        // q <- q H (accumulate from the right).
-        for i in 0..n {
+        // q <- q H (accumulate from the right): columns up to k of H
+        // are the identity's.
+        for qrow in q.chunks_exact_mut(n) {
+            let qt = &mut qrow[k + 1..];
             let mut qv = 0.0;
-            for j in 0..n {
-                qv += q[(i, j)] * v[j];
+            for (&qj, &vj) in qt.iter().zip(vt) {
+                qv += qj * vj;
             }
-            for j in 0..n {
-                q[(i, j)] -= 2.0 * qv * v[j];
+            let scale = 2.0 * qv;
+            for (qj, &vj) in qt.iter_mut().zip(vt) {
+                *qj -= scale * vj;
             }
         }
     }
 
-    let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-    let offdiag: Vec<f64> = (0..n.saturating_sub(1)).map(|i| m[(i + 1, i)]).collect();
+    let diag: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
+    let offdiag: Vec<f64> = (0..n.saturating_sub(1))
+        .map(|i| m[(i + 1) * n + i])
+        .collect();
     Tridiagonalization {
         tridiag: SymmetricTridiagonal::new(diag, offdiag),
-        q,
+        q: Matrix::from_vec(n, n, q),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::{assert_bits_eq, symmetric_cases};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The full-matrix `tred2` step this module used before the
+    /// trailing-block update: the bit-identity oracle.
+    fn householder_tridiagonalize_reference(a: &Matrix) -> Tridiagonalization {
+        assert!(a.is_square(), "tridiagonalization requires a square matrix");
+        let n = a.rows();
+        let mut m = a.clone();
+        let mut q = Matrix::identity(n);
+
+        for k in 0..n.saturating_sub(2) {
+            // Build the Householder vector for column k below the diagonal.
+            let mut alpha: f64 = 0.0;
+            for i in k + 1..n {
+                alpha += m[(i, k)] * m[(i, k)];
+            }
+            alpha = alpha.sqrt();
+            if alpha == 0.0 {
+                continue;
+            }
+            if m[(k + 1, k)] > 0.0 {
+                alpha = -alpha;
+            }
+            let r = (0.5 * (alpha * alpha - m[(k + 1, k)] * alpha)).sqrt();
+            if r == 0.0 {
+                continue;
+            }
+            let mut v = vec![0.0; n];
+            v[k + 1] = (m[(k + 1, k)] - alpha) / (2.0 * r);
+            for i in k + 2..n {
+                v[i] = m[(i, k)] / (2.0 * r);
+            }
+
+            // m <- H m H with H = I - 2 v vᵀ.
+            // w = m v.
+            let w = m.matvec(&v);
+            let vw = dot(&v, &w);
+            // m <- m - 2 v wᵀ - 2 w vᵀ + 4 (vᵀ w) v vᵀ.
+            for i in 0..n {
+                for j in 0..n {
+                    m[(i, j)] += -2.0 * v[i] * w[j] - 2.0 * w[i] * v[j] + 4.0 * vw * v[i] * v[j];
+                }
+            }
+            // q <- q H (accumulate from the right).
+            for i in 0..n {
+                let mut qv = 0.0;
+                for j in 0..n {
+                    qv += q[(i, j)] * v[j];
+                }
+                for j in 0..n {
+                    q[(i, j)] -= 2.0 * qv * v[j];
+                }
+            }
+        }
+
+        let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
+        let offdiag: Vec<f64> = (0..n.saturating_sub(1)).map(|i| m[(i + 1, i)]).collect();
+        Tridiagonalization {
+            tridiag: SymmetricTridiagonal::new(diag, offdiag),
+            q,
+        }
+    }
+
+    #[test]
+    fn trailing_block_update_matches_full_update_bit_for_bit() {
+        for (label, a) in symmetric_cases() {
+            let got = householder_tridiagonalize(&a);
+            let want = householder_tridiagonalize_reference(&a);
+            assert_bits_eq(
+                &got.tridiag.diag,
+                &want.tridiag.diag,
+                &format!("{label} diag"),
+            );
+            assert_bits_eq(
+                &got.tridiag.offdiag,
+                &want.tridiag.offdiag,
+                &format!("{label} offdiag"),
+            );
+            assert_bits_eq(got.q.as_slice(), want.q.as_slice(), &format!("{label} q"));
+        }
+    }
 
     #[test]
     fn tridiagonal_accessors() {
