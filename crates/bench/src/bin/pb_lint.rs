@@ -2,22 +2,27 @@
 //!
 //! ```text
 //! pb_lint [--deny-warnings] <file-or-dir>...
+//! pb_lint --disasm <file> <transform>
 //! ```
 //!
 //! Each argument is a `.pb` source file or a directory walked
 //! recursively for `.pb` files. Every file is parsed, sema-checked,
 //! compiled, and run through [`pb_lang::lint_program`]: rule chunks
-//! are verified at `O0` and pass-by-pass through the `O2` pipeline,
-//! tunable references are checked against the transform's schema, and
-//! DSL-level lints (dead accuracy variables, range-collapsed tunables,
-//! unconsumed rule products, tree-walking fallbacks) are reported as
-//! warnings.
+//! are verified at `O0` and pass-by-pass through the `O3` pipeline
+//! (the whole-program `inline` pass included), tunable references are
+//! checked against the transform's schema, and DSL-level lints (dead
+//! accuracy variables, range-collapsed tunables, unconsumed rule
+//! products, tree-walking fallbacks, calls to scalar helpers that
+//! could not be inlined) are reported as warnings.
+//!
+//! `--disasm` instead prints every chunk of one transform as the
+//! default [`pb_lang::OptLevel`] dispatches it.
 //!
 //! Exit codes: `0` clean, `1` any error (or any warning under
 //! `--deny-warnings`), `2` usage or I/O failure — so CI can gate on it
 //! directly.
 
-use pb_lang::{check_program, lint_program, parse_program, Severity};
+use pb_lang::{check_program, compile_program, lint_program, parse_program, OptLevel, Severity};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -43,14 +48,54 @@ fn line_col(source: &str, offset: usize) -> (usize, usize) {
     pb_lang::token::Span::new(offset, offset).line_col(source)
 }
 
+const USAGE: &str =
+    "usage: pb_lint [--deny-warnings] <file-or-dir>...\n       pb_lint --disasm <file> <transform>";
+
+/// `--disasm`: the optimized chunks of one transform, in rule order.
+fn disasm(file: &str, transform: &str) -> ExitCode {
+    let program = match std::fs::read_to_string(file) {
+        Ok(source) => parse_program(&source).map_err(|e| format!("parse failed: {e}")),
+        Err(e) => Err(e.to_string()),
+    };
+    let program = match program {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("pb_lint: {file}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let compiled = compile_program(&program).optimized(OptLevel::default());
+    let Some(t) = compiled.transform(transform) else {
+        eprintln!("pb_lint: {file}: no transform `{transform}`");
+        return ExitCode::from(2);
+    };
+    for (i, rule) in t.rules.iter().enumerate() {
+        match rule {
+            Ok(chunk) => println!("{}", chunk.disassemble()),
+            Err(e) => println!("{transform}::r{i}: {e}\n"),
+        }
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "--disasm") {
+        return match &args[1..] {
+            [file, transform] => disasm(file, transform),
+            _ => {
+                eprintln!("{USAGE}");
+                ExitCode::from(2)
+            }
+        };
+    }
     let mut deny_warnings = false;
     let mut roots = Vec::new();
-    for arg in std::env::args().skip(1) {
+    for arg in args {
         match arg.as_str() {
             "--deny-warnings" => deny_warnings = true,
             "--help" | "-h" => {
-                println!("usage: pb_lint [--deny-warnings] <file-or-dir>...");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             _ if arg.starts_with('-') => {
@@ -61,7 +106,7 @@ fn main() -> ExitCode {
         }
     }
     if roots.is_empty() {
-        eprintln!("usage: pb_lint [--deny-warnings] <file-or-dir>...");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
 

@@ -22,6 +22,11 @@
 //!   [`crate::opt::optimize`] checks the signature after every pass
 //!   (under `PB_VERIFY=1` or in debug builds), so a `Charge` hoisted
 //!   across control flow is attributed to the pass that moved it.
+//! * [`verify_inlined`] checks a chunk the `inline` pass rewrote
+//!   against the chunk it started from and the pass's own site
+//!   records: regions closed to stray control flow, sites licensed by
+//!   the facts, no state surviving from one entry to the next, and
+//!   the callee's charges present in full.
 //! * [`analyze_chunk`] runs a forward abstract interpretation over the
 //!   same CFG, inferring per-register and per-slot abstract kinds
 //!   (bool/int/float scalars with a constant-ness lattice, arrays with
@@ -35,7 +40,10 @@
 
 use crate::ast::{Program, Rule, Transform};
 use crate::compile::{Chunk, FirstArg, Instr, Operand, Slot};
-use crate::opt::{for_each_def, for_each_use, is_terminator, jump_targets, OptLevel};
+use crate::opt::{
+    for_each_def, for_each_target, for_each_use, is_terminator, jump_targets, live_in_at_entry,
+    Bank, InlineSite, OptLevel,
+};
 use crate::sema::{collect_block_vars, collect_expr_vars};
 use crate::token::Span;
 use pb_config::{Schema, TunableKind};
@@ -87,6 +95,15 @@ pub enum ViolationKind {
     /// A `ShapeHoisted` run not protected by an adjacent zero-trip
     /// guard (a forward conditional branch past the run).
     BadHoistGuard,
+    /// An inlined region that is not closed: it does not open with its
+    /// `DepthGuard`, control enters it past the guard or leaves it
+    /// other than through its exit, or an argument slot the site
+    /// relied on is not proven scalar (see [`verify_inlined`]).
+    BadInlineRegion,
+    /// An inlined region that can read one of its private registers or
+    /// slots before writing it — state left by the previous entry,
+    /// where a call would have started from a zeroed frame.
+    StaleInlineState,
 }
 
 impl ViolationKind {
@@ -106,6 +123,8 @@ impl ViolationKind {
             ViolationKind::TunableMismatch => "tunable_mismatch",
             ViolationKind::BadSpecializedAccess => "bad_specialized_access",
             ViolationKind::BadHoistGuard => "bad_hoist_guard",
+            ViolationKind::BadInlineRegion => "bad_inline_region",
+            ViolationKind::StaleInlineState => "stale_inline_state",
         }
     }
 }
@@ -148,24 +167,6 @@ fn violation(kind: ViolationKind, at: usize, detail: impl Into<String>) -> Viola
 // and DCE); the verifier additionally needs *every* slot, name, and
 // jump-target reference, including write targets the optimizer's
 // read-oriented walkers skip.
-
-fn for_each_target(instr: &Instr, mut f: impl FnMut(usize)) {
-    match instr {
-        Instr::Jump { target }
-        | Instr::AddImmJump { target, .. }
-        | Instr::JumpIfZero { target, .. }
-        | Instr::JumpIfNonZero { target, .. }
-        | Instr::JumpIfGe { target, .. }
-        | Instr::JumpCmp { target, .. }
-        | Instr::JumpCmpImm { target, .. } => f(*target),
-        Instr::Switch { targets, .. } => {
-            for t in targets {
-                f(*t);
-            }
-        }
-        _ => {}
-    }
-}
 
 fn for_each_slot(instr: &Instr, mut f: impl FnMut(Slot)) {
     match instr {
@@ -644,28 +645,209 @@ fn verify_def_before_use(code: &[Instr], n_regs: u16) -> Result<(), Violation> {
 ///
 /// Jump targets must already be validated (`<= code.len()`).
 pub fn charge_signature(code: &[Instr]) -> Vec<f64> {
+    charge_segments(code, &[]).concat()
+}
+
+/// [`charge_signature`] split into one signature per stretch of code
+/// between consecutive `cuts` (ascending instruction indices, each a
+/// forced region boundary) — how an inlined chunk's accounting is
+/// compared piecewise with its caller's and callees'.
+fn charge_segments(code: &[Instr], cuts: &[usize]) -> Vec<Vec<f64>> {
     let targets = jump_targets(code);
-    let mut sig = Vec::new();
+    let mut segments = vec![Vec::new()];
     let mut cur = 0.0f64;
-    let flush = |cur: &mut f64, sig: &mut Vec<f64>| {
+    let flush = |cur: &mut f64, segments: &mut Vec<Vec<f64>>| {
         if *cur != 0.0 {
-            sig.push(*cur);
+            segments.last_mut().expect("never empty").push(*cur);
             *cur = 0.0;
         }
     };
     for (i, instr) in code.iter().enumerate() {
         if targets[i] {
-            flush(&mut cur, &mut sig);
+            flush(&mut cur, &mut segments);
+        }
+        for _ in cuts.iter().filter(|&&c| c == i) {
+            flush(&mut cur, &mut segments);
+            segments.push(Vec::new());
         }
         if let Instr::Charge { amount } = instr {
             cur += *amount;
         }
         if is_terminator(instr) {
-            flush(&mut cur, &mut sig);
+            flush(&mut cur, &mut segments);
         }
     }
-    flush(&mut cur, &mut sig);
-    sig
+    flush(&mut cur, &mut segments);
+    segments.resize(cuts.len() + 1, Vec::new());
+    segments
+}
+
+/// Checks the `inline` pass's output against its input and its own
+/// site records, one rule per thing a splice can get wrong:
+///
+/// * **closed regions** — each region opens with its `DepthGuard`;
+///   every jump inside it lands inside it or on its exit, and nothing
+///   outside jumps past the guard ([`ViolationKind::BadInlineRegion`]);
+/// * **licensed sites** — each slot argument of the replaced call is
+///   proven scalar by facts recomputed over `before` (same kind);
+/// * **fresh state** — analysed on its own, a region reads none of its
+///   private registers or slots before writing them
+///   ([`ViolationKind::StaleInlineState`]);
+/// * **charges kept** — with boundaries forced at every region's ends,
+///   the result's charge signature is the caller's with each callee's
+///   inserted where its call was ([`ViolationKind::ChargeMoved`]).
+///
+/// `entry` is `before`'s entry slot state (see [`entry_slots`]).
+///
+/// # Errors
+///
+/// Returns the first [`Violation`].
+pub fn verify_inlined(
+    before: &Chunk,
+    after: &Chunk,
+    sites: &[InlineSite],
+    entry: &[AbsValue],
+) -> Result<(), Violation> {
+    let calls: Vec<usize> = before
+        .code
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| matches!(i, Instr::CallTransform { .. }))
+        .map(|(at, _)| at)
+        .collect();
+    let facts = analyze_chunk(before, entry);
+    let bad_region =
+        |at: usize, detail: String| violation(ViolationKind::BadInlineRegion, at, detail);
+
+    // Where each site's call sat in `before`: regions only ever grow
+    // the code, so the offset is the growth of the sites before it.
+    let mut grown = 0;
+    let mut call_at = Vec::with_capacity(sites.len());
+    for site in sites {
+        let Some(len) = site
+            .end
+            .checked_sub(site.start)
+            .filter(|_| site.end <= after.code.len())
+        else {
+            return Err(bad_region(
+                site.start,
+                "region lies outside the chunk".into(),
+            ));
+        };
+        let at = site.start.wrapping_sub(grown);
+        let Some(Instr::CallTransform { args, .. }) = calls.contains(&at).then(|| &before.code[at])
+        else {
+            return Err(bad_region(
+                site.start,
+                format!(
+                    "no call to `{}` at the matching point of the caller",
+                    site.callee
+                ),
+            ));
+        };
+        for op in args {
+            if let Operand::Slot(s) = op {
+                if !matches!(facts.slots.get(*s as usize), Some(AbsValue::Scalar { .. })) {
+                    return Err(bad_region(
+                        site.start,
+                        format!("argument s{s} of `{}` is not proven scalar", site.callee),
+                    ));
+                }
+            }
+        }
+        call_at.push(at);
+        grown += len.saturating_sub(1);
+    }
+
+    for site in sites {
+        let region = &after.code[site.start..site.end];
+        if !matches!(region.first(), Some(Instr::DepthGuard { .. })) {
+            return Err(bad_region(
+                site.start,
+                format!(
+                    "region of `{}` does not open with its depth guard",
+                    site.callee
+                ),
+            ));
+        }
+        // Control flow: closed from the inside, sealed from the outside.
+        for (i, instr) in after.code.iter().enumerate() {
+            let inside = (site.start..site.end).contains(&i);
+            let mut stray = None;
+            for_each_target(instr, |t| {
+                let ok = if inside {
+                    (site.start..=site.end).contains(&t)
+                } else {
+                    !(site.start < t && t < site.end)
+                };
+                if !ok {
+                    stray = Some(t);
+                }
+            });
+            if let Some(t) = stray {
+                return Err(bad_region(
+                    i,
+                    format!("jump to {t} crosses the region of `{}`", site.callee),
+                ));
+            }
+        }
+        // Fresh state: the region as a program of its own.
+        let mut alone = region.to_vec();
+        for instr in &mut alone {
+            crate::opt::for_each_target_mut(instr, |t| *t -= site.start);
+        }
+        let stale_reg = live_in_at_entry(&alone, Bank::Regs)
+            .into_iter()
+            .find(|r| site.regs.contains(r))
+            .map(|r| format!("r{r}"));
+        let stale = stale_reg.or_else(|| {
+            live_in_at_entry(&alone, Bank::Slots)
+                .into_iter()
+                .find(|s| site.slots.contains(s))
+                .map(|s| format!("s{s}"))
+        });
+        if let Some(what) = stale {
+            return Err(violation(
+                ViolationKind::StaleInlineState,
+                site.start,
+                format!(
+                    "`{}`'s {what} may be read before this entry writes it",
+                    site.callee
+                ),
+            ));
+        }
+    }
+
+    // Charges: the caller's stretches between calls must survive as
+    // the result's stretches between regions, and each region must
+    // carry exactly its callee's signature.
+    let cuts: Vec<usize> = sites.iter().flat_map(|s| [s.start, s.end]).collect();
+    let got = charge_segments(&after.code, &cuts);
+    let kept = charge_segments(&before.code, &call_at);
+    for (i, want) in kept.iter().enumerate() {
+        if got[2 * i] != *want {
+            return Err(violation(
+                ViolationKind::ChargeMoved,
+                sites.get(i).map_or(after.code.len(), |s| s.start),
+                format!("caller charges {want:?} became {:?}", got[2 * i]),
+            ));
+        }
+    }
+    for (i, site) in sites.iter().enumerate() {
+        if got[2 * i + 1] != site.charges {
+            return Err(violation(
+                ViolationKind::ChargeMoved,
+                site.start,
+                format!(
+                    "`{}` charges {:?}, its inlined region {:?}",
+                    site.callee,
+                    site.charges,
+                    got[2 * i + 1]
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---- schema validation -------------------------------------------------
@@ -1163,7 +1345,15 @@ fn step(instr: &Instr, regs: &mut [AbsValue], slots: &mut [AbsValue]) {
                 slots[*s as usize] = AbsValue::Any;
             }
         }
-        Instr::CallTransform { dst, .. } => slots[*dst as usize] = AbsValue::Any,
+        // A callee's declared-scalar output may still be assigned an
+        // array; only a callee whose facts rule that out is stamped.
+        Instr::CallTransform { dst, scalar, .. } => {
+            slots[*dst as usize] = if *scalar {
+                AbsValue::scalar(ScalarKind::Float)
+            } else {
+                AbsValue::Any
+            };
+        }
         Instr::Jump { .. }
         | Instr::JumpIfZero { .. }
         | Instr::JumpIfNonZero { .. }
@@ -1173,6 +1363,7 @@ fn step(instr: &Instr, regs: &mut [AbsValue], slots: &mut [AbsValue]) {
         | Instr::Switch { .. }
         | Instr::Charge { .. }
         | Instr::Return
+        | Instr::DepthGuard { .. }
         | Instr::Nop => {}
     }
 }
@@ -1260,12 +1451,35 @@ pub fn count_indexed(code: &[Instr]) -> (usize, usize) {
 /// * **warning** — an accuracy variable nothing reads, a tunable whose
 ///   range collapses to a single value, a rule producing only data no
 ///   rule consumes and no output needs, a rule that falls back to the
-///   tree-walking interpreter, or a chunk whose facts force every
-///   indexed access onto the checked fallback at `O3` (no
-///   specialization despite indexed hot-path work).
+///   tree-walking interpreter, a call to a scalar helper the `inline`
+///   pass had to leave on the generic path (with the reason), or a
+///   chunk whose facts force every indexed access onto the checked
+///   fallback at `O3` (no specialization despite indexed hot-path
+///   work).
 pub fn lint_program(program: &Program) -> Vec<Lint> {
     let mut lints = Vec::new();
     let compiled = crate::compile::compile_program(program);
+    // What `O3` dispatches starts from the inlined chunks; the lowered
+    // ones are still verified on their own below.
+    let mut inlined = compiled.clone();
+    if let Err(v) = inlined.inline_calls(true) {
+        lints.push(Lint {
+            severity: Severity::Error,
+            span: None,
+            message: v.to_string(),
+        });
+        inlined = compiled.clone();
+    }
+    for skip in inlined.inline_skips() {
+        lints.push(Lint {
+            severity: Severity::Warning,
+            span: None,
+            message: format!(
+                "chunk `{}`: call to scalar helper `{}` is not inlined: {}",
+                skip.chunk, skip.callee, skip.reason
+            ),
+        });
+    }
     for t in &program.transforms {
         let schema = crate::traininfo::extract_schema(program, &t.name);
         let referenced = transform_referenced_names(t);
@@ -1368,6 +1582,7 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
                 continue;
             }
             let entry = entry_slots(t, rule, chunk);
+            let chunk = inlined.chunk(&t.name, ri).unwrap_or(chunk);
             match crate::opt::optimize_verified_with_entry(chunk, OptLevel::O3, true, Some(&entry))
             {
                 Err(v) => broken(&v.to_string()),

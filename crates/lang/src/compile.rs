@@ -350,17 +350,34 @@ pub enum Instr {
         dst: Slot,
     },
     /// Sub-transform call: recurses through the shared executor under
-    /// a `<callee>.` tunable prefix.
+    /// a `<callee>.` tunable prefix. At [`crate::opt::OptLevel::O3`]
+    /// the `inline` pass replaces calls to scalar helpers with the
+    /// callee's body; the calls that remain take this generic path.
     CallTransform {
-        /// Interned callee transform name.
+        /// Interned callee transform name (the tunable-prefix key).
         name: NameIdx,
+        /// The callee's position in `Program::transforms`, resolved at
+        /// lowering so dispatch never looks it up by name.
+        callee: u16,
         /// Argument values, in callee input order.
         args: Vec<Operand>,
         /// Slot receiving the callee's single output.
         dst: Slot,
+        /// Whether the callee's facts prove that output is always a
+        /// scalar ([`CompiledTransform::scalar_out`]); lowering emits
+        /// `false`, the `inline` pass stamps it.
+        scalar: bool,
     },
     /// Early exit from the rule body (`return;`).
     Return,
+    /// Entry check of an inlined callee body `extra` call levels below
+    /// this chunk: errors with the generic path's "transform call depth
+    /// exceeded" when `depth + extra` passes the limit. Emitted only by
+    /// the `inline` pass.
+    DepthGuard {
+        /// Call levels between the chunk and the inlined body (≥ 1).
+        extra: u8,
+    },
 
     // ---- fused forms -----------------------------------------------
     // Lowering never emits the variants below; the optimizer
@@ -558,7 +575,7 @@ pub enum Instr {
 
 /// Number of distinct opcodes ([`Instr`] variants). Profiling counter
 /// tables are sized to this.
-pub const N_OPCODES: usize = 47;
+pub const N_OPCODES: usize = 48;
 
 /// Stable lower-snake names for opcode indices, in declaration order
 /// (`OPCODE_NAMES[i.opcode_index()]` names instruction `i`).
@@ -595,6 +612,7 @@ pub const OPCODE_NAMES: [&str; N_OPCODES] = [
     "call_host",
     "call_transform",
     "return",
+    "depth_guard",
     "bin_ri",
     "bin_ir",
     "jump_cmp",
@@ -616,8 +634,8 @@ pub const OPCODE_NAMES: [&str; N_OPCODES] = [
 /// by the optimizer ([`crate::opt`]): profiling counts of these are
 /// the VM's "fusion hits".
 pub fn opcode_is_fused(idx: usize) -> bool {
-    const BIN_RI: usize = 32;
-    const ADD_IMM_JUMP: usize = 39;
+    const BIN_RI: usize = 33;
+    const ADD_IMM_JUMP: usize = 40;
     (BIN_RI..=ADD_IMM_JUMP).contains(&idx)
 }
 
@@ -625,8 +643,8 @@ pub fn opcode_is_fused(idx: usize) -> bool {
 /// facts-directed specializer ([`crate::opt`] at `O3`): profiling
 /// counts of these are the VM's "specialization hits".
 pub fn opcode_is_specialized(idx: usize) -> bool {
-    const LOAD_IDX1_U: usize = 40;
-    const SHAPE_HOISTED: usize = 45;
+    const LOAD_IDX1_U: usize = 41;
+    const SHAPE_HOISTED: usize = 46;
     (LOAD_IDX1_U..=SHAPE_HOISTED).contains(&idx)
 }
 
@@ -667,21 +685,22 @@ impl Instr {
             Instr::CallHost { .. } => 29,
             Instr::CallTransform { .. } => 30,
             Instr::Return => 31,
-            Instr::BinRI { .. } => 32,
-            Instr::BinIR { .. } => 33,
-            Instr::JumpCmp { .. } => 34,
-            Instr::JumpCmpImm { .. } => 35,
-            Instr::SlotUpdImm { .. } => 36,
-            Instr::SlotUpdReg { .. } => 37,
-            Instr::BinStoreIdx1 { .. } => 38,
-            Instr::AddImmJump { .. } => 39,
-            Instr::LoadIdx1U { .. } => 40,
-            Instr::LoadIdx2U { .. } => 41,
-            Instr::StoreIdx1U { .. } => 42,
-            Instr::StoreIdx2U { .. } => 43,
-            Instr::BinStoreIdx1U { .. } => 44,
-            Instr::ShapeHoisted { .. } => 45,
-            Instr::Nop => 46,
+            Instr::DepthGuard { .. } => 32,
+            Instr::BinRI { .. } => 33,
+            Instr::BinIR { .. } => 34,
+            Instr::JumpCmp { .. } => 35,
+            Instr::JumpCmpImm { .. } => 36,
+            Instr::SlotUpdImm { .. } => 37,
+            Instr::SlotUpdReg { .. } => 38,
+            Instr::BinStoreIdx1 { .. } => 39,
+            Instr::AddImmJump { .. } => 40,
+            Instr::LoadIdx1U { .. } => 41,
+            Instr::LoadIdx2U { .. } => 42,
+            Instr::StoreIdx1U { .. } => 43,
+            Instr::StoreIdx2U { .. } => 44,
+            Instr::BinStoreIdx1U { .. } => 45,
+            Instr::ShapeHoisted { .. } => 46,
+            Instr::Nop => 47,
         }
     }
 }
@@ -713,6 +732,39 @@ pub struct Chunk {
     pub opt: crate::opt::OptLevel,
 }
 
+impl Chunk {
+    /// A listing of the chunk, one instruction per line with its index
+    /// (what jump targets refer to) and, where it carries one, the
+    /// interned name it resolves — what `pb_lint --disasm` prints.
+    pub fn disassemble(&self) -> String {
+        let mut out = format!(
+            "{} ({:?}): {} instrs, {} regs, {} slots, in {:?}, out {:?}\n",
+            self.label,
+            self.opt,
+            self.code.len(),
+            self.n_regs,
+            self.n_slots,
+            self.input_slots,
+            self.output_slots,
+        );
+        for (i, instr) in self.code.iter().enumerate() {
+            let name = match instr {
+                Instr::LoadParam { name, .. }
+                | Instr::ForEnoughPrep { name, .. }
+                | Instr::Choice { name, .. }
+                | Instr::CallHost { name, .. }
+                | Instr::CallTransform { name, .. } => self.names.get(*name as usize),
+                _ => None,
+            };
+            out.push_str(&match name {
+                Some(name) => format!("{i:5}  {instr:?}  ; {name}\n"),
+                None => format!("{i:5}  {instr:?}\n"),
+            });
+        }
+        out
+    }
+}
+
 /// Why a rule could not be compiled (it falls back to tree-walking).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileError {
@@ -728,9 +780,33 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+/// The calling convention of a *scalar helper* transform: one whose
+/// inputs are all plain scalars (no dims, no `scaled_by`), with no
+/// accuracy variables or intermediates, and exactly one dimensionless
+/// output produced by a single rule that compiled and reads only
+/// declared inputs.
+///
+/// For such a callee everything the generic call path derives per call
+/// — dimension environment (empty), input validation (scalars always
+/// pass), the zero-initialized store, the schedule walk, the choice of
+/// producing rule — is a constant of the program, which is what lets
+/// the `inline` pass ([`crate::opt`]) splice the rule's body into a
+/// caller.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HelperSig {
+    /// Index of the single producing rule.
+    pub rule_idx: usize,
+    /// For each of that rule's input bindings (aligned with its
+    /// chunk's `input_slots`), the position of the transform input —
+    /// and so of the call argument — that binds it.
+    pub arg_for_input: Vec<usize>,
+}
+
 /// A compiled transform: one optional chunk per rule (in rule order).
 #[derive(Debug, Clone)]
 pub struct CompiledTransform {
+    /// The transform's name.
+    pub name: String,
     /// `Some(chunk)` for compiled rules, `None` where the rule falls
     /// back to the tree-walking interpreter (with the reason).
     pub rules: Vec<Result<Chunk, CompileError>>,
@@ -739,17 +815,36 @@ pub struct CompiledTransform {
     /// each facts' stored entry state when the chunks are
     /// re-optimized.
     pub facts: Vec<Option<crate::analysis::ChunkFacts>>,
+    /// The transform's calling convention, when it is a scalar helper.
+    pub helper: Option<HelperSig>,
+    /// Whether the facts prove the transform's only, dimensionless
+    /// output always comes back a scalar — a rule may assign an array
+    /// to it, so the declaration alone does not. `None` until the
+    /// `inline` pass needs the answer (a caller references the
+    /// transform at `O3`).
+    pub scalar_out: Option<bool>,
+    /// For a transform with exactly one, dimensionless output: per
+    /// rule, the positions in that rule's `output_slots` bound to it.
+    pub(crate) sole_scalar_output: Option<Vec<Vec<usize>>>,
 }
 
-/// All compiled transforms of a program, keyed by transform name.
+/// All compiled transforms of a program, in declaration order.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledProgram {
-    transforms: HashMap<String, CompiledTransform>,
+    transforms: Vec<CompiledTransform>,
+    by_name: HashMap<String, usize>,
+    inline_skips: Vec<crate::opt::InlineSkip>,
 }
 
 impl CompiledProgram {
     /// The chunk for `transform`'s rule `rule_idx`, if it compiled.
     pub fn chunk(&self, transform: &str, rule_idx: usize) -> Option<&Chunk> {
+        self.chunk_at(*self.by_name.get(transform)?, rule_idx)
+    }
+
+    /// [`CompiledProgram::chunk`] by the transform's position in
+    /// `Program::transforms` (what [`Instr::CallTransform`] carries).
+    pub fn chunk_at(&self, transform: usize, rule_idx: usize) -> Option<&Chunk> {
         self.transforms
             .get(transform)?
             .rules
@@ -760,56 +855,102 @@ impl CompiledProgram {
 
     /// The compiled form of one transform.
     pub fn transform(&self, name: &str) -> Option<&CompiledTransform> {
-        self.transforms.get(name)
+        self.transforms.get(*self.by_name.get(name)?)
     }
 
     /// The inferred facts for `transform`'s rule `rule_idx`, if that
     /// rule compiled.
     pub fn facts(&self, transform: &str, rule_idx: usize) -> Option<&crate::analysis::ChunkFacts> {
-        self.transforms
-            .get(transform)?
-            .facts
-            .get(rule_idx)?
-            .as_ref()
+        self.transform(transform)?.facts.get(rule_idx)?.as_ref()
+    }
+
+    /// Calls to scalar helpers the `inline` pass left on the generic
+    /// path, with the reason (empty below [`crate::opt::OptLevel::O3`]).
+    pub fn inline_skips(&self) -> &[crate::opt::InlineSkip] {
+        &self.inline_skips
     }
 
     /// Runs the optimizer pipeline ([`crate::opt`]) over every compiled
     /// chunk. Every [`crate::opt::OptLevel`] is observably identical to
     /// the unoptimized bytecode (and the tree-walker).
+    ///
+    /// # Panics
+    ///
+    /// On a verifier violation (under `PB_VERIFY=1` or in debug
+    /// builds), naming the pass that introduced it.
     #[must_use]
-    pub fn optimized(mut self, level: crate::opt::OptLevel) -> Self {
-        if level != crate::opt::OptLevel::O0 {
-            for t in self.transforms.values_mut() {
-                for (chunk, facts) in t.rules.iter_mut().zip(t.facts.iter_mut()) {
-                    if let Ok(chunk) = chunk {
-                        // The stored entry state seeds the O3
-                        // specializer (hoisting in particular needs
-                        // declaration-level array facts).
-                        let entry: Option<Vec<crate::analysis::AbsValue>> =
-                            facts.as_ref().map(|f| f.entry_slots.clone());
-                        *chunk = crate::opt::optimize_with_entry(chunk, level, entry.as_deref());
-                        // Re-infer over the optimized code from the same
-                        // entry state, so the facts always describe the
-                        // chunk that will actually dispatch.
-                        *facts = Some(crate::analysis::analyze_chunk(
-                            chunk,
-                            facts
-                                .as_ref()
-                                .map(|f| f.entry_slots.as_slice())
-                                .unwrap_or(&[]),
-                        ));
-                    }
+    pub fn optimized(self, level: crate::opt::OptLevel) -> Self {
+        match self.try_optimized(level, crate::opt::verify_enabled()) {
+            Ok(program) => program,
+            Err(v) => panic!("optimizer bug: {v}"),
+        }
+    }
+
+    /// [`CompiledProgram::optimized`] with explicit control over
+    /// pass-by-pass verification.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`crate::opt::PassViolation`] for the first pass
+    /// whose output fails verification.
+    pub fn try_optimized(
+        mut self,
+        level: crate::opt::OptLevel,
+        verify: bool,
+    ) -> Result<Self, crate::opt::PassViolation> {
+        if level == crate::opt::OptLevel::O0 {
+            return Ok(self);
+        }
+        if level >= crate::opt::OptLevel::O3 {
+            self.inline_calls(verify)?;
+        }
+        for t in &mut self.transforms {
+            for (chunk, facts) in t.rules.iter_mut().zip(t.facts.iter_mut()) {
+                if let Ok(chunk) = chunk {
+                    // The stored entry state seeds the O3 specializer
+                    // (hoisting in particular needs declaration-level
+                    // array facts).
+                    let entry: Vec<crate::analysis::AbsValue> = facts
+                        .as_ref()
+                        .map(|f| f.entry_slots.clone())
+                        .unwrap_or_default();
+                    *chunk = crate::opt::optimize_verified_with_entry(
+                        chunk,
+                        level,
+                        verify,
+                        Some(&entry),
+                    )?;
+                    // Re-infer over the optimized code from the same
+                    // entry state, so the facts always describe the
+                    // chunk that will actually dispatch.
+                    *facts = Some(crate::analysis::analyze_chunk(chunk, &entry));
                 }
             }
         }
-        self
+        Ok(self)
+    }
+
+    /// Runs the `inline` pass alone — the first thing
+    /// [`CompiledProgram::try_optimized`] does at `O3` — and returns a
+    /// record per chunk it changed.
+    ///
+    /// # Errors
+    ///
+    /// With `verify` on, the first violation, under pass name `inline`.
+    pub fn inline_calls(
+        &mut self,
+        verify: bool,
+    ) -> Result<Vec<crate::opt::InlineRecord>, crate::opt::PassViolation> {
+        let (records, skips) = crate::opt::inline_program(&mut self.transforms, verify)?;
+        self.inline_skips = skips;
+        Ok(records)
     }
 
     /// `(compiled, total)` rule counts across the program.
     pub fn coverage(&self) -> (usize, usize) {
         let mut compiled = 0;
         let mut total = 0;
-        for t in self.transforms.values() {
+        for t in &self.transforms {
             total += t.rules.len();
             compiled += t.rules.iter().filter(|r| r.is_ok()).count();
         }
@@ -821,8 +962,8 @@ impl CompiledProgram {
 /// the compiler does not cover carry their [`CompileError`] and run on
 /// the interpreter instead.
 pub fn compile_program(program: &Program) -> CompiledProgram {
-    let mut transforms = HashMap::new();
-    for t in &program.transforms {
+    let mut compiled = CompiledProgram::default();
+    for (i, t) in program.transforms.iter().enumerate() {
         let rules: Vec<Result<Chunk, CompileError>> = t
             .rules
             .iter()
@@ -839,9 +980,91 @@ pub fn compile_program(program: &Program) -> CompiledProgram {
                 })
             })
             .collect();
-        transforms.insert(t.name.clone(), CompiledTransform { rules, facts });
+        let sole_scalar_output = match t.outputs.as_slice() {
+            [out] if out.dims.is_empty() => Some(
+                t.rules
+                    .iter()
+                    .map(|rule| {
+                        let bound = rule.outputs.iter().enumerate();
+                        bound
+                            .filter(|(_, b)| b.data == out.name)
+                            .map(|(p, _)| p)
+                            .collect()
+                    })
+                    .collect(),
+            ),
+            _ => None,
+        };
+        // Like `Program::transform`, the first of a duplicated name wins.
+        compiled.by_name.entry(t.name.clone()).or_insert(i);
+        compiled.transforms.push(CompiledTransform {
+            name: t.name.clone(),
+            helper: helper_sig(t, &rules),
+            rules,
+            facts,
+            scalar_out: None,
+            sole_scalar_output,
+        });
     }
-    CompiledProgram { transforms }
+    compiled
+}
+
+/// Qualifies `t` as a scalar helper (see [`HelperSig`]). The
+/// conditions mirror exactly what a spliced body skips of the generic
+/// call path: every per-call derivation in `run_prefixed` must be a
+/// program constant for the callee, and its single producing rule must
+/// run on the VM.
+fn helper_sig(t: &Transform, rules: &[Result<Chunk, CompileError>]) -> Option<HelperSig> {
+    // All inputs plain scalars: no dimension environment to build, no
+    // `scaled_by` resampling, validation always passes. No accuracy
+    // variables (their `ctx.param` reads would be skipped) and exactly
+    // one scalar output, no intermediates, so the store is one zero
+    // scalar.
+    let [out] = t.outputs.as_slice() else {
+        return None;
+    };
+    if t.inputs
+        .iter()
+        .any(|p| !p.dims.is_empty() || p.scaled_by.is_some())
+        || !t.accuracy_variables.is_empty()
+        || !t.intermediates.is_empty()
+        || !out.dims.is_empty()
+    {
+        return None;
+    }
+    // Schedule trivial: the one output, produced by a single rule (no
+    // `ctx.choice` resolution).
+    let graph = crate::cdg::ChoiceDependencyGraph::build(t);
+    let order = graph.schedule().ok()?;
+    if order.len() != 1 || order[0] != out.name {
+        return None;
+    }
+    let &[rule_idx] = graph.producers(&order[0]) else {
+        return None;
+    };
+    let rule = &t.rules[rule_idx];
+    // The rule must have compiled (otherwise the generic path
+    // tree-walks it) and write exactly the output.
+    let chunk = rules[rule_idx].as_ref().ok()?;
+    if rule.outputs.len() != 1
+        || rule.outputs[0].data != out.name
+        || chunk.output_slots.len() != 1
+        || chunk.input_slots.len() != rule.inputs.len()
+    {
+        return None;
+    }
+    // Each rule input binding maps to the call argument that supplies
+    // it; a binding that reads anything but a declared input (e.g. the
+    // zero-initialized output) leaves the generic path in charge.
+    let arg_for_input = rule
+        .inputs
+        .iter()
+        .map(|b| t.inputs.iter().position(|p| p.name == b.data))
+        .collect::<Option<Vec<usize>>>()?;
+    Some(HelperSig {
+        rule_idx,
+        arg_for_input,
+    })
 }
 
 /// Compiles a single rule body.
@@ -1588,11 +1811,22 @@ impl<'a> Compiler<'a> {
             }
             (self.reg_top, self.temp_top) = save;
             let dst = self.alloc_temp()?;
+            let callee = self
+                .program
+                .transforms
+                .iter()
+                .position(|t| t.name == *name)
+                .and_then(|i| u16::try_from(i).ok());
+            let Some(callee) = callee else {
+                return bail(format!("callee `{name}` is past the transform-index range"));
+            };
             let name = self.intern(name);
             self.emit(Instr::CallTransform {
                 name,
+                callee,
                 args: ops,
                 dst,
+                scalar: false,
             });
             return Ok(Operand::Slot(dst));
         }

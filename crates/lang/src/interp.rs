@@ -189,41 +189,17 @@ pub struct Interpreter {
     program: Program,
     host_fns: HashMap<String, HostFn>,
     compiled: Option<crate::compile::CompiledProgram>,
-    /// Per-transform choice dependency graph and execution schedule,
-    /// built once at construction: both are config-independent, so
-    /// rebuilding them per run (the old behavior) only burned per-trial
-    /// time. Scheduling failures are kept as strings and surface with
-    /// the same message (and span) the lazy build produced.
-    schedules: HashMap<String, Result<(ChoiceDependencyGraph, Vec<String>), String>>,
-    /// Per-callee [`BindingPlan`]s for scalar helper transforms,
-    /// precomputed at construction so the VM's `CallTransform` fast
-    /// path stops re-resolving names and re-validating schemas per
-    /// invocation. Empty when the program is not compiled.
-    binding_plans: HashMap<String, BindingPlan>,
+    /// Per-transform (in `program.transforms` order) choice dependency
+    /// graph and execution schedule, built once at construction: both
+    /// are config-independent, so rebuilding them per run (the old
+    /// behavior) only burned per-trial time. Scheduling failures are
+    /// kept as strings and surface with the same message (and span)
+    /// the lazy build produced.
+    schedules: Vec<Result<(ChoiceDependencyGraph, Vec<String>), String>>,
 }
 
-/// A precomputed calling convention for a *scalar helper* transform:
-/// one whose inputs are all plain scalars (no dims, no `scaled_by`),
-/// with no intermediates, exactly one scalar output produced by a
-/// single rule that compiled to bytecode, and an `Ok` schedule.
-///
-/// For such a callee, everything `run_prefixed` derives per call —
-/// dimension environment (empty), input validation (scalars always
-/// pass), the zero-initialized store, the schedule walk, the choice
-/// of producing rule — is a constant of the program, so the VM's
-/// `CallTransform` dispatch can bind arguments straight into a pooled
-/// frame and execute the rule chunk, skipping the `HashMap` store
-/// round-trip entirely. The fast path is observably identical to the
-/// generic path; any argument that is not currently a scalar simply
-/// falls back.
-pub(crate) struct BindingPlan {
-    /// Index of the single producing rule in the callee transform.
-    pub(crate) rule_idx: usize,
-    /// For each of the rule's input bindings (aligned with the chunk's
-    /// `input_slots`), the caller argument position — i.e. the index
-    /// into the callee's declared input list — that binds it.
-    pub(crate) arg_for_input: Vec<usize>,
-}
+/// Deepest legal nesting of transform calls (the root runs at 0).
+pub(crate) const CALL_DEPTH_LIMIT: usize = 8;
 
 impl fmt::Debug for Interpreter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -244,7 +220,6 @@ impl Interpreter {
             host_fns: HashMap::new(),
             compiled: None,
             schedules,
-            binding_plans: HashMap::new(),
         }
     }
 
@@ -262,25 +237,17 @@ impl Interpreter {
     pub fn new_compiled_at(program: Program, level: OptLevel) -> Self {
         let compiled = crate::compile::compile_program(&program).optimized(level);
         let schedules = build_schedules(&program);
-        let binding_plans = build_binding_plans(&program, &compiled, &schedules);
         Interpreter {
             program,
             host_fns: HashMap::new(),
             compiled: Some(compiled),
             schedules,
-            binding_plans,
         }
     }
 
     /// The cached bytecode, when built with [`Interpreter::new_compiled`].
     pub fn compiled(&self) -> Option<&crate::compile::CompiledProgram> {
         self.compiled.as_ref()
-    }
-
-    /// The precomputed calling convention for a scalar helper callee,
-    /// if it qualified at construction.
-    pub(crate) fn binding_plan(&self, callee: &str) -> Option<&BindingPlan> {
-        self.binding_plans.get(callee)
     }
 
     /// The wrapped program.
@@ -328,16 +295,38 @@ impl Interpreter {
         prefix: &str,
         depth: usize,
     ) -> Result<HashMap<String, Value>, RuntimeError> {
-        if depth > 8 {
+        let found = self
+            .program
+            .transforms
+            .iter()
+            .position(|t| t.name == transform_name);
+        match found {
+            Some(idx) => self.run_transform(idx, inputs, ctx, prefix, depth),
+            None => Err(RuntimeError {
+                message: format!("unknown transform `{transform_name}`"),
+                span: None,
+            }),
+        }
+    }
+
+    /// [`Interpreter::run_prefixed`] by position in
+    /// `program.transforms` — what a compiled `CallTransform` carries,
+    /// so a call resolves its callee, schedule and chunks by index.
+    pub(crate) fn run_transform<V: Borrow<Value>>(
+        &self,
+        transform: usize,
+        inputs: &HashMap<String, V>,
+        ctx: &mut ExecCtx<'_>,
+        prefix: &str,
+        depth: usize,
+    ) -> Result<HashMap<String, Value>, RuntimeError> {
+        if depth > CALL_DEPTH_LIMIT {
             return Err(RuntimeError {
                 message: "transform call depth exceeded".into(),
                 span: None,
             });
         }
-        let t = self.program.transform(transform_name).ok_or(RuntimeError {
-            message: format!("unknown transform `{transform_name}`"),
-            span: None,
-        })?;
+        let t = &self.program.transforms[transform];
 
         // Resolve dimension variables from the provided inputs, the
         // configuration's accuracy variables, and literal dims.
@@ -428,15 +417,13 @@ impl Interpreter {
 
         // Schedule and execute rules, resolving choices through ctx.
         // Graph and order come precomputed from construction.
-        let (graph, order) = self
-            .schedules
-            .get(transform_name)
-            .expect("schedules built for every transform")
-            .as_ref()
-            .map_err(|message| RuntimeError {
-                message: message.clone(),
-                span: Some(t.span),
-            })?;
+        let (graph, order) =
+            self.schedules[transform]
+                .as_ref()
+                .map_err(|message| RuntimeError {
+                    message: message.clone(),
+                    span: Some(t.span),
+                })?;
         let mut produced: Vec<&str> = Vec::new();
         for data in order {
             if produced.contains(&data.as_str()) {
@@ -459,7 +446,7 @@ impl Interpreter {
             let chunk = self
                 .compiled
                 .as_ref()
-                .and_then(|c| c.chunk(transform_name, rule_idx));
+                .and_then(|c| c.chunk_at(transform, rule_idx));
             match chunk {
                 Some(chunk) => {
                     crate::vm::run_rule(self, rule, chunk, &mut store, ctx, prefix, depth)?;
@@ -540,102 +527,20 @@ impl Interpreter {
     }
 }
 
-/// Qualifies each transform as a scalar helper callee and precomputes
-/// its [`BindingPlan`]. The conditions mirror exactly what the fast
-/// path skips: every per-call derivation in `run_prefixed` must be a
-/// program constant for the callee, and its single producing rule
-/// must run on the VM.
-fn build_binding_plans(
-    program: &Program,
-    compiled: &crate::compile::CompiledProgram,
-    schedules: &HashMap<String, Result<(ChoiceDependencyGraph, Vec<String>), String>>,
-) -> HashMap<String, BindingPlan> {
-    let mut plans = HashMap::new();
-    for t in &program.transforms {
-        // All inputs plain scalars: no dimension environment to build,
-        // no `scaled_by` resampling, validation always passes.
-        if t.inputs
-            .iter()
-            .any(|p| !p.dims.is_empty() || p.scaled_by.is_some())
-        {
-            continue;
-        }
-        // No accuracy variables (their `ctx.param` reads would be
-        // skipped) and exactly one scalar output, no intermediates, so
-        // the store is one zero scalar.
-        if !t.accuracy_variables.is_empty()
-            || !t.intermediates.is_empty()
-            || t.outputs.len() != 1
-            || !t.outputs[0].dims.is_empty()
-        {
-            continue;
-        }
-        // Schedule precomputed and trivial: the one output, produced by
-        // a single rule (no `ctx.choice` resolution).
-        let Some(Ok((graph, order))) = schedules.get(&t.name).map(Result::as_ref) else {
-            continue;
-        };
-        if order.len() != 1 || order[0] != t.outputs[0].name {
-            continue;
-        }
-        let producers = graph.producers(&order[0]);
-        if producers.len() != 1 {
-            continue;
-        }
-        let rule_idx = producers[0];
-        let rule = &t.rules[rule_idx];
-        // The rule must have compiled (otherwise the generic path
-        // tree-walks it) and write exactly the output.
-        let Some(chunk) = compiled.chunk(&t.name, rule_idx) else {
-            continue;
-        };
-        if rule.outputs.len() != 1
-            || rule.outputs[0].data != t.outputs[0].name
-            || chunk.output_slots.len() != 1
-            || chunk.input_slots.len() != rule.inputs.len()
-        {
-            continue;
-        }
-        // Map each rule input binding to the caller argument position
-        // that supplies it. A binding that reads anything other than a
-        // declared input (e.g. the zero-initialized output) falls back
-        // to the generic path.
-        let arg_for_input: Option<Vec<usize>> = rule
-            .inputs
-            .iter()
-            .map(|b| t.inputs.iter().position(|p| p.name == b.data))
-            .collect();
-        let Some(arg_for_input) = arg_for_input else {
-            continue;
-        };
-        plans.insert(
-            t.name.clone(),
-            BindingPlan {
-                rule_idx,
-                arg_for_input,
-            },
-        );
-    }
-    plans
-}
-
 /// Precomputes every transform's choice dependency graph and execution
 /// schedule (config-independent, so they never need rebuilding at run
 /// time). Scheduling failures are stored and surfaced on the first run
 /// of the affected transform, exactly like the lazy build did.
-fn build_schedules(
-    program: &Program,
-) -> HashMap<String, Result<(ChoiceDependencyGraph, Vec<String>), String>> {
+fn build_schedules(program: &Program) -> Vec<Result<(ChoiceDependencyGraph, Vec<String>), String>> {
     program
         .transforms
         .iter()
         .map(|t| {
             let graph = ChoiceDependencyGraph::build(t);
-            let entry = match graph.schedule() {
+            match graph.schedule() {
                 Ok(order) => Ok((graph, order)),
                 Err(e) => Err(e.to_string()),
-            };
-            (t.name.clone(), entry)
+            }
         })
         .collect()
 }

@@ -76,8 +76,8 @@ pub mod vm;
 
 pub use analysis::{
     analyze_chunk, charge_signature, count_indexed, entry_slots, lint_program, verify_chunk,
-    verify_code, verify_specialized, verify_tunables, AbsValue, ChunkFacts, Lint, ScalarKind,
-    Severity, Violation, ViolationKind,
+    verify_code, verify_inlined, verify_specialized, verify_tunables, AbsValue, ChunkFacts, Lint,
+    ScalarKind, Severity, Violation, ViolationKind,
 };
 pub use ast::Program;
 pub use compile::{

@@ -12,7 +12,17 @@
 //! consumption order, same virtual-cost totals, same errors at the
 //! same execution points.
 //!
-//! Pipeline (per [`Chunk`]):
+//! At [`OptLevel::O3`] one whole-program pass runs first:
+//!
+//! 0. **Inlining** ([`inline`]) — calls to scalar helper transforms are
+//!    replaced by the callee's lowered body (registers, slots, names
+//!    and jump targets renumbered; charges, draws and error points
+//!    kept), callees first. Everything below then runs across the old
+//!    call boundary: the argument stores and the helper's loads
+//!    collapse into register moves, its statement charge folds into
+//!    the caller's.
+//!
+//! Then, per [`Chunk`]:
 //!
 //! 1. **Local value tracking** — block-local constant folding, copy
 //!    propagation, and slot-scalar aliasing (a `LoadSlotNum` from a
@@ -36,14 +46,19 @@
 //! 4. **Charge folding** ([`OptLevel::O2`]) — consecutive `Charge`
 //!    amounts within a straight-line region merge into the first one.
 //!    Charges never move across control flow (block leaders or
-//!    terminators), so totals on every *completed* execution are
-//!    identical. The one sanctioned deviation: a region's merged
+//!    terminators) or an inlined body's depth guard, so totals on
+//!    every *completed* execution are identical. The one sanctioned
+//!    deviation: a region's merged
 //!    charge lands at its first charge's position, so an execution
 //!    aborted by an error mid-region has already been charged for the
 //!    region's later statements — the error itself (message and
 //!    point) is unchanged, and no completed run ever observes a
 //!    different total.
-//! 5. **Compaction + register coalescing** — `Nop`s are dropped (jump
+//! 5. **Specialization** ([`OptLevel::O3`], [`specialize`]) — indexed
+//!    accesses whose slot the facts prove an array of the right rank
+//!    become guarded unchecked (`*U`) forms, and loop-invariant
+//!    `Shape` reads hoist behind zero-trip guards.
+//! 6. **Compaction + register coalescing** — `Nop`s are dropped (jump
 //!    targets remapped), and surviving registers are renumbered
 //!    densely, shrinking `n_regs` and with it the per-invocation frame
 //!    reset cost.
@@ -57,7 +72,11 @@ use crate::ast::BinOp;
 use crate::compile::{Chunk, FirstArg, Instr, Operand, Reg};
 use std::collections::HashMap;
 
+mod inline;
 mod specialize;
+
+pub(crate) use inline::inline_program;
+pub use inline::{InlineRecord, InlineSite, InlineSkip};
 
 /// How much optimization to run between lowering and dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -70,11 +89,11 @@ pub enum OptLevel {
     /// Everything in [`OptLevel::O1`] plus superinstruction fusion and
     /// charge folding.
     O2,
-    /// Everything in [`OptLevel::O2`] plus facts-directed
-    /// specialization ([`crate::analysis::ChunkFacts`]): unchecked
-    /// length-specialized indexing, loop-invariant `Shape` hoisting
-    /// behind zero-trip guards, and (in the interpreter) precomputed
-    /// per-callee binding plans.
+    /// Everything in [`OptLevel::O2`] plus the facts-directed rewrites
+    /// ([`crate::analysis::ChunkFacts`]): scalar helper transforms
+    /// inlined into their callers, unchecked length-specialized
+    /// indexing, and loop-invariant `Shape` hoisting behind zero-trip
+    /// guards.
     #[default]
     O3,
 }
@@ -90,8 +109,9 @@ impl OptLevel {
 /// malformed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassViolation {
-    /// Pass name: `lowering`, `local_value`, `dce`, `compact`, `fuse`,
-    /// `fold_charges`, `specialize`, or `renumber_regs`.
+    /// Pass name: `lowering`, `inline`, `local_value`, `dce`,
+    /// `compact`, `fuse`, `fold_charges`, `specialize`, or
+    /// `renumber_regs`.
     pub pass: &'static str,
     /// The chunk's label.
     pub label: String,
@@ -397,6 +417,7 @@ pub(crate) fn for_each_use(instr: &Instr, mut f: impl FnMut(Reg)) {
         | Instr::Choice { .. }
         | Instr::SlotUpdImm { .. }
         | Instr::Return
+        | Instr::DepthGuard { .. }
         | Instr::Nop => {}
     }
 }
@@ -481,23 +502,41 @@ pub(crate) fn is_terminator(instr: &Instr) -> bool {
 pub(crate) fn jump_targets(code: &[Instr]) -> Vec<bool> {
     let mut targets = vec![false; code.len() + 1];
     for instr in code {
-        match instr {
-            Instr::Jump { target }
-            | Instr::AddImmJump { target, .. }
-            | Instr::JumpIfZero { target, .. }
-            | Instr::JumpIfNonZero { target, .. }
-            | Instr::JumpIfGe { target, .. }
-            | Instr::JumpCmp { target, .. }
-            | Instr::JumpCmpImm { target, .. } => targets[*target] = true,
-            Instr::Switch { targets: ts, .. } => {
-                for t in ts {
-                    targets[*t] = true;
-                }
-            }
-            _ => {}
-        }
+        for_each_target(instr, |t| targets[t] = true);
     }
     targets
+}
+
+/// Every instruction index an instruction may transfer control to
+/// (fall-through excluded).
+pub(crate) fn for_each_target(instr: &Instr, mut f: impl FnMut(usize)) {
+    match instr {
+        Instr::Jump { target }
+        | Instr::AddImmJump { target, .. }
+        | Instr::JumpIfZero { target, .. }
+        | Instr::JumpIfNonZero { target, .. }
+        | Instr::JumpIfGe { target, .. }
+        | Instr::JumpCmp { target, .. }
+        | Instr::JumpCmpImm { target, .. } => f(*target),
+        Instr::Switch { targets, .. } => targets.iter().for_each(|t| f(*t)),
+        _ => {}
+    }
+}
+
+/// [`for_each_target`], rewriting: the one place that knows which
+/// instructions carry targets, for every pass that moves code.
+pub(crate) fn for_each_target_mut(instr: &mut Instr, mut f: impl FnMut(&mut usize)) {
+    match instr {
+        Instr::Jump { target }
+        | Instr::AddImmJump { target, .. }
+        | Instr::JumpIfZero { target, .. }
+        | Instr::JumpIfNonZero { target, .. }
+        | Instr::JumpIfGe { target, .. }
+        | Instr::JumpCmp { target, .. }
+        | Instr::JumpCmpImm { target, .. } => f(target),
+        Instr::Switch { targets, .. } => targets.iter_mut().for_each(f),
+        _ => {}
+    }
 }
 
 // ---- liveness ----------------------------------------------------------
@@ -550,15 +589,56 @@ impl RegSet {
     }
 }
 
+/// Which bank a liveness query tracks.
+#[derive(Clone, Copy)]
+pub(crate) enum Bank {
+    /// Scalar registers.
+    Regs,
+    /// `Value` slots (a def is a whole-slot overwrite; element stores
+    /// read-modify the array in place and count as uses).
+    Slots,
+}
+
+impl Bank {
+    fn uses(self, instr: &Instr, f: impl FnMut(u16)) {
+        match self {
+            Bank::Regs => for_each_use(instr, f),
+            Bank::Slots => for_each_slot_use(instr, f),
+        }
+    }
+
+    fn defs(self, instr: &Instr, f: impl FnMut(u16)) {
+        match self {
+            Bank::Regs => for_each_def(instr, f),
+            Bank::Slots => for_each_slot_def(instr, f),
+        }
+    }
+}
+
+/// The registers (or slots) some path from entry reads before writing
+/// — the state a fresh, zeroed frame would have supplied.
+pub(crate) fn live_in_at_entry(code: &[Instr], bank: Bank) -> Vec<u16> {
+    let Some(first) = code.first() else {
+        return Vec::new();
+    };
+    let mut live = live_after_sets(code, bank).swap_remove(0);
+    bank.defs(first, |r| live.remove(r));
+    bank.uses(first, |r| live.insert(r));
+    (0..live.words.len() * 64)
+        .map(|r| r as u16)
+        .filter(|&r| live.contains(r))
+        .collect()
+}
+
 /// Per-instruction liveness: `live_after[i]` is the set of registers
-/// whose values may still be read on some path after instruction `i`
-/// executes.
-fn live_after_sets(code: &[Instr]) -> Vec<RegSet> {
+/// (or slots, per `bank`) whose values may still be read on some path
+/// after instruction `i` executes.
+fn live_after_sets(code: &[Instr], bank: Bank) -> Vec<RegSet> {
     let n = code.len();
     let mut max_reg = 0usize;
     for instr in code {
-        for_each_use(instr, |r| max_reg = max_reg.max(r as usize + 1));
-        for_each_def(instr, |r| max_reg = max_reg.max(r as usize + 1));
+        bank.uses(instr, |r| max_reg = max_reg.max(r as usize + 1));
+        bank.defs(instr, |r| max_reg = max_reg.max(r as usize + 1));
     }
 
     // Block structure.
@@ -632,8 +712,8 @@ fn live_after_sets(code: &[Instr]) -> Vec<RegSet> {
             }
             let mut live = out.clone();
             for i in (block_starts[b]..block_end(b)).rev() {
-                for_each_def(&code[i], |r| live.remove(r));
-                for_each_use(&code[i], |r| live.insert(r));
+                bank.defs(&code[i], |r| live.remove(r));
+                bank.uses(&code[i], |r| live.insert(r));
             }
             changed |= live_out[b] != out || live_in[b] != live;
             live_out[b] = out;
@@ -647,8 +727,8 @@ fn live_after_sets(code: &[Instr]) -> Vec<RegSet> {
         let mut live = live_out[b].clone();
         for i in (block_starts[b]..block_end(b)).rev() {
             after[i] = live.clone();
-            for_each_def(&code[i], |r| live.remove(r));
-            for_each_use(&code[i], |r| live.insert(r));
+            bank.defs(&code[i], |r| live.remove(r));
+            bank.uses(&code[i], |r| live.insert(r));
         }
     }
     after
@@ -974,7 +1054,7 @@ fn is_cmp(op: BinOp) -> bool {
 fn fuse(code: &mut [Instr]) {
     let n = code.len();
     let targets = jump_targets(code);
-    let live = live_after_sets(code);
+    let live = live_after_sets(code, Bank::Regs);
 
     // LoadSlotNum + binop + StoreSlotNum → SlotUpd*.
     for i in 0..n.saturating_sub(2) {
@@ -1154,12 +1234,26 @@ fn for_each_slot_use(instr: &Instr, mut f: impl FnMut(u16)) {
     }
 }
 
+/// Slots an instruction overwrites whole (element stores mutate in
+/// place and are uses, not defs).
+fn for_each_slot_def(instr: &Instr, mut f: impl FnMut(u16)) {
+    match instr {
+        Instr::StoreSlotNum { slot, .. } => f(*slot),
+        Instr::CopySlot { dst, .. }
+        | Instr::SlotUpdImm { dst, .. }
+        | Instr::SlotUpdReg { dst, .. }
+        | Instr::CallHost { dst, .. }
+        | Instr::CallTransform { dst, .. } => f(*dst),
+        _ => {}
+    }
+}
+
 /// Replaces instructions with no observable effect with `Nop`s: pure
 /// instructions whose result registers are dead, self-moves, and
 /// never-erroring stores to slots nothing reads.
 fn dce(code: &mut [Instr], output_slots: &[crate::compile::Slot]) {
     loop {
-        let live = live_after_sets(code);
+        let live = live_after_sets(code, Bank::Regs);
         // Flow-insensitive slot read set: a slot is observable if any
         // instruction may read it or it carries a rule output.
         let mut read_slots: Vec<bool> = Vec::new();
@@ -1240,6 +1334,9 @@ fn fold_charges(code: &mut [Instr]) {
                     code[i] = Instr::Nop;
                 }
             }
+            // A failing depth guard must see exactly the interpreter's
+            // charges: nothing after it is pre-paid before it.
+            Instr::DepthGuard { .. } => flush(code, &mut pending, &mut first),
             instr if is_terminator(instr) => flush(code, &mut pending, &mut first),
             _ => {}
         }
@@ -1269,21 +1366,7 @@ fn compact(code: Vec<Instr>) -> Vec<Instr> {
             continue;
         }
         debug_assert_eq!(map[i], out.len());
-        match &mut instr {
-            Instr::Jump { target }
-            | Instr::AddImmJump { target, .. }
-            | Instr::JumpIfZero { target, .. }
-            | Instr::JumpIfNonZero { target, .. }
-            | Instr::JumpIfGe { target, .. }
-            | Instr::JumpCmp { target, .. }
-            | Instr::JumpCmpImm { target, .. } => *target = map[*target],
-            Instr::Switch { targets, .. } => {
-                for t in targets.iter_mut() {
-                    *t = map[*t];
-                }
-            }
-            _ => {}
-        }
+        for_each_target_mut(&mut instr, |t| *t = map[*t]);
         out.push(instr);
     }
     out
@@ -1306,14 +1389,14 @@ fn renumber_regs(mut code: Vec<Instr>) -> (Vec<Instr>, u16) {
         for_each_def(instr, &mut note);
     }
     for instr in &mut code {
-        remap_regs(instr, &map);
+        remap_regs(instr, |r| map[&r]);
     }
     (code, next)
 }
 
 /// Rewrites every register reference through `map`.
-fn remap_regs(instr: &mut Instr, map: &HashMap<Reg, Reg>) {
-    let m = |r: &mut Reg| *r = map[r];
+pub(crate) fn remap_regs(instr: &mut Instr, map: impl Fn(Reg) -> Reg) {
+    let m = |r: &mut Reg| *r = map(*r);
     match instr {
         Instr::Const { dst, .. }
         | Instr::LoadSlotNum { dst, .. }
@@ -1408,7 +1491,55 @@ fn remap_regs(instr: &mut Instr, map: &HashMap<Reg, Reg>) {
         | Instr::Jump { .. }
         | Instr::Charge { .. }
         | Instr::Return
+        | Instr::DepthGuard { .. }
         | Instr::Nop => {}
+    }
+}
+
+/// Rewrites every slot reference through `map`.
+pub(crate) fn remap_slots(instr: &mut Instr, map: impl Fn(u16) -> u16) {
+    let m = |s: &mut u16| *s = map(*s);
+    let operand = |op: &mut Operand| {
+        if let Operand::Slot(s) = op {
+            m(s);
+        }
+    };
+    match instr {
+        Instr::LoadSlotNum { slot, .. }
+        | Instr::StoreSlotNum { slot, .. }
+        | Instr::Shape { slot, .. }
+        | Instr::ShapeHoisted { slot, .. }
+        | Instr::LoadIdx1 { slot, .. }
+        | Instr::LoadIdx1U { slot, .. }
+        | Instr::LoadIdx2 { slot, .. }
+        | Instr::LoadIdx2U { slot, .. }
+        | Instr::StoreIdx1 { slot, .. }
+        | Instr::StoreIdx1U { slot, .. }
+        | Instr::StoreIdx2 { slot, .. }
+        | Instr::StoreIdx2U { slot, .. }
+        | Instr::BinStoreIdx1 { slot, .. }
+        | Instr::BinStoreIdx1U { slot, .. } => m(slot),
+        Instr::CopySlot { dst, src }
+        | Instr::SlotUpdImm { dst, src, .. }
+        | Instr::SlotUpdReg { dst, src, .. } => {
+            m(dst);
+            m(src);
+        }
+        Instr::CallHost {
+            first, rest, dst, ..
+        } => {
+            m(dst);
+            match first {
+                FirstArg::Var(s) => m(s),
+                FirstArg::Anon(op) => operand(op),
+            }
+            rest.iter_mut().for_each(operand);
+        }
+        Instr::CallTransform { args, dst, .. } => {
+            m(dst);
+            args.iter_mut().for_each(operand);
+        }
+        _ => {}
     }
 }
 

@@ -3,9 +3,8 @@
 //! forms dispatch executes faster, without perturbing observable
 //! behavior.
 //!
-//! Two rewrites run here (the third O3 feature, per-callee binding
-//! plans, lives in the interpreter — it needs the whole program, not
-//! one chunk):
+//! Two rewrites run here (the third O3 feature, helper inlining, is
+//! [`super::inline`] — it needs the whole program, not one chunk):
 //!
 //! 1. **Unchecked indexing** — an indexed load/store whose slot the
 //!    facts prove is an array of the matching rank becomes its `*U`
@@ -174,21 +173,7 @@ fn hoist_one_loop(code: &mut Vec<Instr>, n_regs: &mut u16, facts: &ChunkFacts) -
                 }
             }
         };
-        match instr {
-            Instr::Jump { target }
-            | Instr::AddImmJump { target, .. }
-            | Instr::JumpIfZero { target, .. }
-            | Instr::JumpIfNonZero { target, .. }
-            | Instr::JumpIfGe { target, .. }
-            | Instr::JumpCmp { target, .. }
-            | Instr::JumpCmpImm { target, .. } => note(*target),
-            Instr::Switch { targets, .. } => {
-                for t in targets {
-                    note(*t);
-                }
-            }
-            _ => {}
-        }
+        super::for_each_target(instr, &mut note);
     }
 
     for (h, s) in loops {
@@ -244,39 +229,17 @@ fn hoist_one_loop(code: &mut Vec<Instr>, n_regs: &mut u16, facts: &ChunkFacts) -
         // preheader; entries from outside run it.
         let k = 1 + pairs.len();
         for (i, instr) in code.iter_mut().enumerate() {
-            let remap = |t: &mut usize| {
+            super::for_each_target_mut(instr, |t| {
                 if *t > h || (*t == h && i > h && i <= s) {
                     *t += k;
                 }
-            };
-            match instr {
-                Instr::Jump { target }
-                | Instr::AddImmJump { target, .. }
-                | Instr::JumpIfZero { target, .. }
-                | Instr::JumpIfNonZero { target, .. }
-                | Instr::JumpIfGe { target, .. }
-                | Instr::JumpCmp { target, .. }
-                | Instr::JumpCmpImm { target, .. } => remap(target),
-                Instr::Switch { targets, .. } => {
-                    for t in targets.iter_mut() {
-                        remap(t);
-                    }
-                }
-                _ => {}
-            }
+            });
         }
 
         // The guard's own exit target also shifts (it was cloned from
         // the pre-insertion header).
         let mut guard = guard;
-        if let Instr::JumpIfZero { target, .. }
-        | Instr::JumpIfNonZero { target, .. }
-        | Instr::JumpIfGe { target, .. }
-        | Instr::JumpCmp { target, .. }
-        | Instr::JumpCmpImm { target, .. } = &mut guard
-        {
-            *target += k;
-        }
+        super::for_each_target_mut(&mut guard, |t| *t += k);
 
         // Splice the preheader in: guard first (so the hoisted reads
         // run only when the body will), then the hoists.

@@ -7,28 +7,36 @@
 //! protocol, bounds checks, and per-statement virtual-cost charging —
 //! while replacing the tree-walker's per-node dispatch, per-variable
 //! hash lookups, and per-access `Value` clones with direct register
-//! and slot addressing. Sub-transform calls recurse through
+//! and slot addressing. Calls to scalar helper transforms were inlined
+//! into the chunk by the optimizer ([`crate::opt`]); the sub-transform
+//! calls that remain recurse through
 //! [`crate::interp::Interpreter`]'s shared orchestration, so callees
 //! run compiled wherever their rules compiled.
 //!
-//! The hot path is allocation-free in steady state:
+//! The hot path is allocation-free in steady state. Each thread owns
+//! one [`VmScratch`] (parked in the `pb_runtime` scratch reservoir
+//! between rule invocations, held by [`run_rule`] during one):
 //!
-//! * Register and slot banks live in a [`VmFrame`] borrowed from the
-//!   per-thread scratch pool on the `ExecCtx` and grown monotonically,
-//!   replacing the `vec![…]` pair every invocation used to pay.
-//! * Tunable names resolve once per `(chunk, prefix)` into a cached
+//! * Register and slot banks live in a [`VmFrame`] from its free list,
+//!   grown monotonically, replacing the `vec![…]` pair every
+//!   invocation used to pay. A frame goes back to the list it came
+//!   from; the list is as deep as transform calls can nest.
+//! * Tunable names resolve once per `(chunk, prefix)` into its cached
 //!   table of pre-built full names and schema ids
-//!   ([`ResolvedNames`], also scratch-pooled), so the dispatch loop
-//!   never rebuilds `prefix + name` strings or hashes them against the
-//!   schema. The cache revalidates its ids against the active schema
-//!   on every borrow (a few pointer-free string compares), which keeps
-//!   it correct even when the same chunk runs under different schemas
-//!   (e.g. an accuracy-metric context).
+//!   ([`ResolvedNames`]), so the dispatch loop never rebuilds
+//!   `prefix + name` strings or hashes them against the schema. The
+//!   cache revalidates its ids against the active schema on every
+//!   borrow (a few pointer-free string compares), which keeps it
+//!   correct even when the same chunk runs under different schemas
+//!   (e.g. an accuracy-metric context, which shares the thread's
+//!   scratch with the trial that precedes it).
 
 use crate::ast::BinOp;
 use crate::ast::Rule;
 use crate::compile::{Chunk, FirstArg, Instr, MathFn1, MathFn2, Operand, ShapeKind};
-use crate::interp::{read_element, write_element, Interpreter, RuntimeError, Value};
+use crate::interp::{
+    read_element, write_element, Interpreter, RuntimeError, Value, CALL_DEPTH_LIMIT,
+};
 use crate::opt::apply_bin;
 use crate::token::Span;
 use pb_config::{ConfigError, Schema, TunableId};
@@ -128,7 +136,7 @@ fn operand_value(op: &Operand, regs: &[f64], slots: &[Value]) -> Value {
 
 /// Reusable per-invocation execution state: the scalar register bank
 /// and the `Value` slot bank, grown monotonically and recycled through
-/// the `ExecCtx` scratch pool (nested invocations each borrow their
+/// the thread's [`VmScratch`] (nested invocations each borrow their
 /// own frame).
 #[derive(Default)]
 pub(crate) struct VmFrame {
@@ -162,10 +170,11 @@ impl VmFrame {
         self.choices.resize(n_names, usize::MAX);
     }
 
-    /// Drops any arrays parked in the slot bank so a pooled frame does
-    /// not pin trial data between invocations.
-    fn release_values(&mut self) {
-        for slot in &mut self.slots {
+    /// Drops any arrays parked in the `n_slots` the finished chunk
+    /// used (the rest of the bank was released by whoever used it), so
+    /// a pooled frame does not pin trial data between invocations.
+    fn release_values(&mut self, n_slots: usize) {
+        for slot in &mut self.slots[..n_slots] {
             *slot = Value::Num(0.0);
         }
     }
@@ -193,12 +202,26 @@ struct CacheEntry {
     names: ResolvedNames,
 }
 
-/// Scratch state parked on the `ExecCtx` between rule invocations:
-/// free execution frames plus the tunable-resolution cache.
+/// The thread's VM scratch state, parked in the `pb_runtime` scratch
+/// reservoir between rule invocations: free execution frames plus the
+/// tunable-resolution cache.
 #[derive(Default)]
 pub(crate) struct VmScratch {
+    /// Free frames. A running rule holds one; each nested generic call
+    /// holds another, so more than one per call level is never needed.
     frames: Vec<VmFrame>,
     cache: Vec<CacheEntry>,
+}
+
+/// Frames parked in the current thread's [`VmScratch`] — a diagnostic
+/// for the boundedness tests: however many rules and trials a thread
+/// has run, this stays within one frame per call level.
+pub fn parked_frames() -> usize {
+    let mut pool = pb_runtime::ScratchPool::default();
+    let vm = pool.take::<VmScratch>();
+    let parked = vm.frames.len();
+    pool.put(vm);
+    parked
 }
 
 /// Caps the resolution cache so pathological programs (many chunks ×
@@ -303,14 +326,16 @@ pub(crate) fn run_rule(
             })
             .collect();
         return bind_exec_writeback(
-            interp, rule, chunk, store, ctx, depth, &resolved, &mut frame,
+            interp, rule, chunk, store, ctx, depth, &resolved, &mut frame, &mut None,
         );
     }
 
-    let mut scratch = ctx.scratch().take::<VmScratch>();
-    let resolved = scratch.resolve(chunk, prefix, ctx.schema());
-    let mut frame = scratch.frames.pop().unwrap_or_default();
-    ctx.scratch().put(scratch);
+    // The thread's scratch stays with this invocation until it ends; a
+    // generic `CallTransform` parks it around the nested run.
+    let mut scratch = Some(ctx.scratch().take::<VmScratch>());
+    let vm = scratch.as_mut().expect("just taken");
+    let resolved = vm.resolve(chunk, prefix, ctx.schema());
+    let mut frame = vm.frames.pop().unwrap_or_default();
     frame.reset(
         chunk.n_regs as usize,
         chunk.n_slots as usize,
@@ -318,15 +343,25 @@ pub(crate) fn run_rule(
     );
 
     let result = bind_exec_writeback(
-        interp, rule, chunk, store, ctx, depth, &resolved, &mut frame,
+        interp,
+        rule,
+        chunk,
+        store,
+        ctx,
+        depth,
+        &resolved,
+        &mut frame,
+        &mut scratch,
     );
 
     // Recycle the frame whatever the outcome (dropping parked arrays
     // now, not at the next reset, so pooled frames stay small).
-    frame.release_values();
-    let mut scratch = ctx.scratch().take::<VmScratch>();
-    scratch.frames.push(frame);
-    ctx.scratch().put(scratch);
+    frame.release_values(chunk.n_slots as usize);
+    let mut vm = scratch.expect("re-taken after every nested call");
+    if vm.frames.len() <= CALL_DEPTH_LIMIT {
+        vm.frames.push(frame);
+    }
+    ctx.scratch().put(vm);
     result
 }
 
@@ -342,6 +377,7 @@ fn bind_exec_writeback(
     depth: usize,
     resolved: &[ResolvedName],
     frame: &mut VmFrame,
+    scratch: &mut Option<Box<VmScratch>>,
 ) -> Result<(), RuntimeError> {
     for (b, slot) in rule.inputs.iter().zip(&chunk.input_slots) {
         let v = store.get(&b.data).ok_or_else(|| RuntimeError {
@@ -359,7 +395,7 @@ fn bind_exec_writeback(
         frame.slots[*slot as usize] = v.clone();
     }
 
-    exec(interp, chunk, resolved, frame, ctx, depth)?;
+    exec(interp, chunk, resolved, frame, scratch, ctx, depth)?;
 
     for (b, slot) in rule.outputs.iter().zip(&chunk.output_slots) {
         store.insert(b.data.clone(), frame.slots[*slot as usize].clone());
@@ -379,25 +415,38 @@ fn exec(
     chunk: &Chunk,
     resolved: &[ResolvedName],
     frame: &mut VmFrame,
+    scratch: &mut Option<Box<VmScratch>>,
     ctx: &mut ExecCtx<'_>,
     depth: usize,
 ) -> Result<(), RuntimeError> {
     if pb_trace::vm_profile_due(&chunk.label) {
         let mut counts = [0u64; crate::compile::N_OPCODES];
-        let result = exec_loop::<true>(interp, chunk, resolved, frame, ctx, depth, &mut counts);
+        let result = exec_loop::<true>(
+            interp,
+            chunk,
+            resolved,
+            frame,
+            scratch,
+            ctx,
+            depth,
+            &mut counts,
+        );
         pb_trace::record_chunk(&chunk.label, &counts);
         result
     } else {
-        exec_loop::<false>(interp, chunk, resolved, frame, ctx, depth, &mut [])
+        exec_loop::<false>(interp, chunk, resolved, frame, scratch, ctx, depth, &mut [])
     }
 }
 
-/// The dispatch loop.
+/// The dispatch loop. `scratch` is the thread's [`VmScratch`] while
+/// [`run_rule`] holds it (`None` on the `O0` compatibility path).
+#[allow(clippy::too_many_arguments)]
 fn exec_loop<const PROFILE: bool>(
     interp: &Interpreter,
     chunk: &Chunk,
     resolved: &[ResolvedName],
     frame: &mut VmFrame,
+    scratch: &mut Option<Box<VmScratch>>,
     ctx: &mut ExecCtx<'_>,
     depth: usize,
     counts: &mut [u64],
@@ -807,30 +856,15 @@ fn exec_loop<const PROFILE: bool>(
                 }
                 slots[*dst as usize] = out;
             }
-            Instr::CallTransform { name, args, dst } => {
-                let callee_name = &names[*name as usize];
-                let callee = interp
-                    .program()
-                    .transform(callee_name)
-                    .expect("callee checked at compile time");
-                // Scalar helper callees with a precomputed binding plan
-                // skip the generic store round-trip entirely.
-                if let Some(out) = call_transform_planned(
-                    interp,
-                    chunk,
-                    callee_name,
-                    callee,
-                    args,
-                    regs,
-                    slots,
-                    &resolved[*name as usize].sub_prefix,
-                    ctx,
-                    depth,
-                )? {
-                    slots[*dst as usize] = out;
-                    pc += 1;
-                    continue;
-                }
+            Instr::CallTransform {
+                name,
+                callee,
+                args,
+                dst,
+                ..
+            } => {
+                let callee_idx = *callee as usize;
+                let callee = &interp.program().transforms[callee_idx];
                 // Argument values borrow straight out of the slot bank
                 // (the callee clones what it keeps), so array arguments
                 // are cloned once — into the callee's store — instead
@@ -841,124 +875,34 @@ fn exec_loop<const PROFILE: bool>(
                     sub_inputs.insert(param.name.clone(), operand_cow(op, regs, slots));
                 }
                 let sub_prefix = &resolved[*name as usize].sub_prefix;
+                // The callee's rules run on the thread's scratch too:
+                // park it where they find it, take it back after.
+                let held = scratch.take().map(|vm| ctx.scratch().put(vm)).is_some();
                 let outputs =
-                    interp.run_prefixed(callee_name, &sub_inputs, ctx, sub_prefix, depth + 1)?;
+                    interp.run_transform(callee_idx, &sub_inputs, ctx, sub_prefix, depth + 1);
+                if held {
+                    *scratch = Some(ctx.scratch().take::<VmScratch>());
+                }
                 drop(sub_inputs);
                 let out_name = &callee.outputs[0].name;
-                slots[*dst as usize] = outputs.get(out_name).cloned().ok_or_else(|| {
+                slots[*dst as usize] = outputs?.get(out_name).cloned().ok_or_else(|| {
                     err(format!(
-                        "transform `{callee_name}` produced no `{out_name}`"
+                        "transform `{}` produced no `{out_name}`",
+                        callee.name
                     ))
                 })?;
             }
             Instr::Return => return Ok(()),
+            Instr::DepthGuard { extra } => {
+                // The check (and error) `run_transform` makes first for
+                // a call `extra` levels down.
+                if depth + *extra as usize > CALL_DEPTH_LIMIT {
+                    return Err(err("transform call depth exceeded"));
+                }
+            }
             Instr::Nop => {}
         }
         pc += 1;
     }
     Ok(())
-}
-
-/// The `CallTransform` fast path: executes a scalar helper callee
-/// through its precomputed [`BindingPlan`] — arguments bind straight
-/// into a pooled frame as scalars, the single producing rule's chunk
-/// runs, and the scalar output comes back, with no `HashMap` store,
-/// no per-call name re-resolution, and no schema re-validation beyond
-/// the cached table's cheap revalidation.
-///
-/// Returns `Ok(None)` when the plan does not apply — no plan for this
-/// callee, an argument slot currently holding an array, a caller chunk
-/// below `O3` — in which case the caller takes the generic
-/// `run_prefixed` path, which reproduces every error and resampling
-/// behavior exactly. When the plan applies, execution is observably
-/// identical to the generic path: same depth limit (and message), same
-/// zero-initialized output, same binding order (inputs first, output
-/// shadowing after), same chunk under the same sub-prefix.
-#[allow(clippy::too_many_arguments)]
-fn call_transform_planned(
-    interp: &Interpreter,
-    caller: &Chunk,
-    callee_name: &str,
-    callee: &crate::ast::Transform,
-    args: &[Operand],
-    regs: &[f64],
-    slots: &[Value],
-    sub_prefix: &str,
-    ctx: &mut ExecCtx<'_>,
-    depth: usize,
-) -> Result<Option<Value>, RuntimeError> {
-    if caller.opt < crate::opt::OptLevel::O3 {
-        return Ok(None);
-    }
-    let Some(plan) = interp.binding_plan(callee_name) else {
-        return Ok(None);
-    };
-    if args.len() != callee.inputs.len() {
-        return Ok(None);
-    }
-    // Every argument must currently be a scalar; a slot holding an
-    // array falls back so the generic path can report its dimension
-    // mismatch verbatim.
-    if !args.iter().all(|op| match op {
-        Operand::Reg(_) => true,
-        Operand::Slot(s) => matches!(&slots[*s as usize], Value::Num(_)),
-    }) {
-        return Ok(None);
-    }
-    let Some(sub_chunk) = interp
-        .compiled()
-        .and_then(|c| c.chunk(callee_name, plan.rule_idx))
-    else {
-        return Ok(None);
-    };
-    // Same guard (and error) `run_prefixed` raises first.
-    if depth + 1 > 8 {
-        return Err(RuntimeError {
-            message: "transform call depth exceeded".into(),
-            span: None,
-        });
-    }
-
-    let mut scratch = ctx.scratch().take::<VmScratch>();
-    let sub_resolved = scratch.resolve(sub_chunk, sub_prefix, ctx.schema());
-    let mut sub_frame = scratch.frames.pop().unwrap_or_default();
-    ctx.scratch().put(scratch);
-    sub_frame.reset(
-        sub_chunk.n_regs as usize,
-        sub_chunk.n_slots as usize,
-        sub_chunk.names.len(),
-    );
-
-    // Bind inputs, then zero the output slot after them (the generic
-    // path's output alias shadows same-named inputs).
-    for (slot_idx, &arg_pos) in sub_chunk.input_slots.iter().zip(&plan.arg_for_input) {
-        let v = match &args[arg_pos] {
-            Operand::Reg(r) => regs[*r as usize],
-            Operand::Slot(s) => match &slots[*s as usize] {
-                Value::Num(v) => *v,
-                _ => unreachable!("checked scalar above"),
-            },
-        };
-        sub_frame.slots[*slot_idx as usize] = Value::Num(v);
-    }
-    let out_slot = sub_chunk.output_slots[0] as usize;
-    sub_frame.slots[out_slot] = Value::Num(0.0);
-
-    let result = exec(
-        interp,
-        sub_chunk,
-        &sub_resolved,
-        &mut sub_frame,
-        ctx,
-        depth + 1,
-    );
-    let out = std::mem::replace(&mut sub_frame.slots[out_slot], Value::Num(0.0));
-
-    // Recycle the frame whatever the outcome.
-    sub_frame.release_values();
-    let mut scratch = ctx.scratch().take::<VmScratch>();
-    scratch.frames.push(sub_frame);
-    ctx.scratch().put(scratch);
-    result?;
-    Ok(Some(out))
 }

@@ -121,14 +121,14 @@ impl<'a> ExecCtx<'a> {
             trace: Vec::new(),
             trace_enabled: false,
             open_scopes: 0,
-            scratch: ScratchPool::from_thread_reservoir(),
+            scratch: ScratchPool::default(),
         }
     }
 
-    /// The context's reusable scratch pool (register banks, resolved
-    /// tunable tables, …). Seeded from a per-thread reservoir at
-    /// construction and returned to it on drop, so executors on a pool
-    /// worker reuse the same buffers across trials.
+    /// The current thread's reusable scratch items (register banks,
+    /// resolved tunable tables, …): one per type per thread, shared by
+    /// every context on it, so executors on a pool worker reuse the
+    /// same buffers across trials — and across a trial and its metric.
     pub fn scratch(&mut self) -> &mut ScratchPool {
         &mut self.scratch
     }

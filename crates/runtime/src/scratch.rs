@@ -3,99 +3,78 @@
 //! The register VM (and any other hot executor) needs per-invocation
 //! working memory — register banks, slot banks, resolved-tunable
 //! tables. Allocating those on every invocation dominates small-rule
-//! execution, so each [`crate::ExecCtx`] carries a [`ScratchPool`]: a
-//! typed grab-bag of reusable boxed allocations. The pool's contents
-//! survive the context: on construction the pool adopts whatever the
-//! current thread's reservoir holds, and on drop it gives the items
-//! back, so steady-state trial execution on a pool worker re-uses the
-//! same buffers across every trial that thread runs.
+//! execution, so each thread keeps a *reservoir*: at most one warm,
+//! boxed item per scratch type. [`ScratchPool`] — reached through
+//! [`crate::ExecCtx::scratch`] — is the handle to the current thread's
+//! reservoir, not a container of its own: [`ScratchPool::take`] removes
+//! the thread's item and [`ScratchPool::put`] returns it there, so the
+//! item an executor warmed under one context is the item the next
+//! context on this thread finds — including a context created while
+//! the first is still alive (every trial builds its accuracy metric's
+//! context that way) and contexts dropped in any order.
 //!
-//! The pool is deliberately dumb: a small vector of `Box<dyn Any>`
-//! searched linearly by type. Executors keep at most a handful of
-//! distinct scratch types alive, so the scan is a few pointer
-//! comparisons — far cheaper than the allocations it avoids.
+//! One item per type is the whole bound: a `put` of a type already
+//! parked replaces the parked item. Code that holds its item across a
+//! call that may take the same type again should put it back first
+//! (and re-take it afterwards) so the inner user runs warm; if it does
+//! not, the inner user gets a fresh item and the outer one — put last,
+//! held longest, warmest — is the one that stays.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::fmt;
-
-/// Upper bound on reservoir entries kept per thread, so pathological
-/// usage (many distinct scratch types, deep recursion) cannot grow the
-/// reservoir without bound.
-const RESERVOIR_CAP: usize = 64;
 
 thread_local! {
-    /// Scratch items handed back by dropped [`ScratchPool`]s, adopted
-    /// by the next pool constructed on this thread.
+    /// This thread's parked scratch items, one per type.
     static RESERVOIR: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A typed pool of reusable scratch allocations (see the module docs).
-#[derive(Default)]
-pub struct ScratchPool {
-    items: Vec<Box<dyn Any>>,
-}
-
-impl fmt::Debug for ScratchPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScratchPool")
-            .field("items", &self.items.len())
-            .finish()
-    }
-}
+/// Handle to the current thread's scratch reservoir (see the module
+/// docs). Holds nothing itself: creating or dropping one is free.
+#[derive(Debug, Default)]
+pub struct ScratchPool(());
 
 impl ScratchPool {
-    /// Creates a pool seeded with the current thread's reservoir, so
-    /// buffers recycle across successive pools (e.g. one per trial) on
-    /// the same thread.
-    pub fn from_thread_reservoir() -> Self {
-        let items = RESERVOIR.with(|r| std::mem::take(&mut *r.borrow_mut()));
-        ScratchPool { items }
-    }
-
-    /// Number of items currently parked in the pool.
+    /// Number of items currently parked on this thread.
     pub fn len(&self) -> usize {
-        self.items.len()
+        RESERVOIR.with(|r| r.borrow().len())
     }
 
-    /// Whether the pool holds no items.
+    /// Whether this thread has no parked items.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len() == 0
     }
 
-    /// Takes an item of type `T` out of the pool, or default-constructs
-    /// one if none is parked. The caller owns the item until it is
-    /// [`ScratchPool::put`] back (nested users each get their own).
+    /// Takes this thread's item of type `T`, or default-constructs one
+    /// if none is parked. The caller owns it until it is
+    /// [`ScratchPool::put`] back.
     pub fn take<T: Any + Default>(&mut self) -> Box<T> {
-        match self.items.iter().position(|i| i.is::<T>()) {
-            Some(at) => self
-                .items
-                .swap_remove(at)
-                .downcast::<T>()
-                .expect("position() matched the type"),
+        let parked = RESERVOIR.with(|r| {
+            let mut items = r.borrow_mut();
+            let at = items.iter().position(|i| i.is::<T>())?;
+            Some(items.swap_remove(at))
+        });
+        match parked {
+            Some(item) => item.downcast::<T>().expect("position() matched the type"),
             None => Box::<T>::default(),
         }
     }
 
-    /// Parks an item for later reuse.
+    /// Parks an item for later reuse on this thread, replacing any
+    /// parked item of the same type.
     pub fn put<T: Any>(&mut self, item: Box<T>) {
-        self.items.push(item);
-    }
-}
-
-impl Drop for ScratchPool {
-    /// Returns the items to the thread's reservoir (up to a cap), so
-    /// the next pool on this thread starts warm.
-    fn drop(&mut self) {
-        RESERVOIR.with(|r| {
-            let mut reservoir = r.borrow_mut();
-            while reservoir.len() < RESERVOIR_CAP {
-                match self.items.pop() {
-                    Some(item) => reservoir.push(item),
-                    None => break,
+        // The displaced item drops after the borrow ends: its `Drop`
+        // may itself reach for the reservoir.
+        let displaced = RESERVOIR.with(|r| {
+            let mut items = r.borrow_mut();
+            match items.iter().position(|i| i.is::<T>()) {
+                Some(at) => Some(std::mem::replace(&mut items[at], item as Box<dyn Any>)),
+                None => {
+                    items.push(item);
+                    None
                 }
             }
         });
+        drop(displaced);
     }
 }
 
@@ -120,13 +99,19 @@ mod tests {
 
     #[test]
     fn nested_takes_get_distinct_items() {
+        #[derive(Default)]
+        struct Nested(Vec<u8>);
         let mut pool = ScratchPool::default();
-        let a = pool.take::<Buf>();
-        let b = pool.take::<Buf>();
+        let mut a = pool.take::<Nested>();
+        a.0.push(1);
+        let b = pool.take::<Nested>();
         assert!(!std::ptr::eq(&*a, &*b));
-        pool.put(a);
+        // Inner user returns first; the outer, longer-held item is the
+        // one the thread keeps.
         pool.put(b);
-        assert_eq!(pool.len(), 2);
+        pool.put(a);
+        assert_eq!(pool.take::<Nested>().0, vec![1]);
+        assert!(pool.take::<Nested>().0.is_empty(), "one item per type");
     }
 
     #[test]
@@ -134,13 +119,15 @@ mod tests {
         // Run in a dedicated thread so other tests' reservoirs don't
         // interfere.
         std::thread::spawn(|| {
-            let mut pool = ScratchPool::from_thread_reservoir();
-            let mut buf = pool.take::<Buf>();
-            buf.0.resize(64, 1);
-            let data_ptr = buf.0.as_ptr();
-            pool.put(buf);
-            drop(pool);
-            let mut warm = ScratchPool::from_thread_reservoir();
+            let data_ptr = {
+                let mut pool = ScratchPool::default();
+                let mut buf = pool.take::<Buf>();
+                buf.0.resize(64, 1);
+                let data_ptr = buf.0.as_ptr();
+                pool.put(buf);
+                data_ptr
+            };
+            let mut warm = ScratchPool::default();
             let buf = warm.take::<Buf>();
             assert_eq!(buf.0.as_ptr(), data_ptr, "reservoir kept the buffer");
         })
@@ -149,11 +136,49 @@ mod tests {
     }
 
     #[test]
+    fn nested_pools_share_one_item_whatever_the_order() {
+        // The trial's context is alive while the metric's runs: the
+        // inner pool must find the item the outer one warmed, and the
+        // thread must end with exactly one — whichever pool goes out
+        // of scope first, and whichever returns an item last when both
+        // hold one.
+        for inner_ends_first in [true, false] {
+            std::thread::spawn(move || {
+                let mut outer = ScratchPool::default();
+                let mut buf = outer.take::<Buf>();
+                buf.0.resize(32, 3);
+                let data_ptr = buf.0.as_ptr();
+                outer.put(buf);
+
+                let mut inner = ScratchPool::default();
+                let warm = inner.take::<Buf>();
+                assert_eq!(warm.0.as_ptr(), data_ptr, "inner pool finds the warm item");
+                let fresh = outer.take::<Buf>();
+                assert!(fresh.0.is_empty(), "a second holder starts cold");
+                let (mut first, mut last) = if inner_ends_first {
+                    (inner, outer)
+                } else {
+                    (outer, inner)
+                };
+                first.put(fresh);
+                last.put(warm);
+
+                let mut next = ScratchPool::default();
+                assert_eq!(next.len(), 1);
+                assert_eq!(next.take::<Buf>().0.as_ptr(), data_ptr, "last put stays");
+            })
+            .join()
+            .unwrap();
+        }
+    }
+
+    #[test]
     fn distinct_types_coexist() {
         #[derive(Default)]
         struct Other(u64);
         let mut pool = ScratchPool::default();
         let mut buf = pool.take::<Buf>();
+        buf.0.clear();
         buf.0.push(1);
         pool.put(buf);
         let mut other = pool.take::<Other>();

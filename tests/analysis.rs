@@ -4,25 +4,31 @@
 //! Three layers:
 //!
 //! 1. **Fuzz acceptance** — every program the differential suite's
-//!    random-body generator produces must verify clean at `O0` and
-//!    through the verified `O1`–`O3` pass pipelines (pass-by-pass
-//!    checking on), with the charge signature preserved end to end.
+//!    generators produce (straight-line bodies; scalar helpers with
+//!    control flow called from loops, branches and argument positions)
+//!    must verify clean at `O0` and through the verified `O1`–`O3`
+//!    pass pipelines (pass-by-pass checking on, the whole-program
+//!    `inline` pass included), with the charge signature preserved end
+//!    to end.
 //! 2. **Hand-broken regression corpus** — chunks broken one invariant
 //!    at a time must be rejected with exactly the right
 //!    [`ViolationKind`], and the pass pipeline must attribute a bad
-//!    *input* chunk to `lowering`.
+//!    *input* chunk to `lowering`. Inlined chunks get the same
+//!    treatment against [`verify_inlined`].
 //! 3. **`ChunkFacts` pins** — the shipped kmeans and binpacking
 //!    programs infer the expected per-slot kinds (arrays with rank,
-//!    scalar int/float, constant-ness), at `O0` and after `O2`.
+//!    scalar int/float, constant-ness), at `O0` and after `O2`; a call
+//!    result is scalar exactly when the callee's facts prove it.
 
 mod common;
 
-use common::gen_straight_line_program;
-use petabricks::lang::compile::{Chunk, Instr, ShapeKind};
+use common::{gen_helper_program, gen_straight_line_program};
+use petabricks::lang::compile::{Chunk, Instr, Operand, ShapeKind};
+use petabricks::lang::opt::InlineRecord;
 use petabricks::lang::{
     analyze_chunk, charge_signature, check_program, compile_program, entry_slots,
-    optimize_verified, parse_program, verify_chunk, verify_specialized, verify_tunables, AbsValue,
-    OptLevel, ScalarKind, ViolationKind,
+    optimize_verified, parse_program, verify_chunk, verify_inlined, verify_specialized,
+    verify_tunables, AbsValue, OptLevel, ScalarKind, ViolationKind,
 };
 use proptest::prelude::*;
 
@@ -68,6 +74,49 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Generated helper programs go through the whole-program pipeline
+    /// with every gate on: `inline` (structure + `verify_inlined`),
+    /// then each pass of each chunk. What comes out verifies clean and
+    /// — the caller resolves every inlined tunable under its helper's
+    /// prefix — against the caller's schema.
+    #[test]
+    fn random_helper_programs_verify_clean_at_every_level(seed in 0u64..100_000) {
+        let src = gen_helper_program(seed);
+        let program = parse_program(&src).unwrap();
+        check_program(&program).unwrap();
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        for level in [OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            let compiled = compile_program(&program)
+                .try_optimized(level, true)
+                .unwrap_or_else(|v| panic!("{v}\n{src}"));
+            let chunk = compiled.chunk("t", 0).expect("generated bodies always compile");
+            verify_chunk(chunk).unwrap_or_else(|v| panic!("{level:?} chunk invalid: {v}\n{src}"));
+            verify_tunables(chunk, &schema, "").unwrap_or_else(|v| panic!("{level:?}: {v}\n{src}"));
+        }
+    }
+}
+
+#[test]
+fn generated_helper_programs_exercise_both_call_paths() {
+    // The generator is only worth its cases if the inliner both fires
+    // and declines on what it produces.
+    let (mut inlined, mut declined) = (0, 0);
+    for seed in 0..40 {
+        let program = parse_program(&gen_helper_program(seed)).unwrap();
+        let mut compiled = compile_program(&program);
+        let records = compiled.inline_calls(true).unwrap();
+        inlined += records.iter().map(|r| r.sites.len()).sum::<usize>();
+        declined += compiled.inline_skips().len();
+    }
+    assert!(
+        inlined > 100 && declined > 10,
+        "{inlined} inlined, {declined} declined"
+    );
 }
 
 #[test]
@@ -428,7 +477,199 @@ fn corpus_unknown_and_mismatched_tunables() {
     );
 }
 
+// ---- hand-broken inlined chunks ----------------------------------------
+
+/// A caller with work before its call (so callee-relative and absolute
+/// indices differ) and a helper that writes its output on one path
+/// only, loops, and charges in several regions.
+const INLINE_VICTIM: &str = r#"
+    transform t from In[n] to Out[n] {
+        to (Out o) from (In a) {
+            o[0] = 1;
+            o[2] = a[1] + 2;
+            o[3] = a[2] * a[3];
+            o[1] = h(a[0]);
+        }
+    }
+    transform h from X to R {
+        to (R r) from (X x) {
+            if (x > 0) { r = x; }
+            let w = 0;
+            while (w < 2) { w = w + 1; }
+        }
+    }
+"#;
+
+/// `t`'s chunk before and after the `inline` pass, with the pass's
+/// record of the one site.
+fn inline_victim() -> (InlineRecord, Chunk, Vec<AbsValue>) {
+    let program = parse_program(INLINE_VICTIM).unwrap();
+    check_program(&program).unwrap();
+    let mut compiled = compile_program(&program);
+    let entry = compiled.facts("t", 0).unwrap().entry_slots.clone();
+    let mut records = compiled
+        .inline_calls(true)
+        .expect("the pass verifies its own output");
+    assert_eq!(records.len(), 1);
+    let record = records.remove(0);
+    assert_eq!((record.transform.as_str(), record.sites.len()), ("t", 1));
+    let after = compiled.chunk("t", 0).unwrap().clone();
+    verify_inlined(&record.before, &after, &record.sites, &entry).unwrap();
+    (record, after, entry)
+}
+
+#[test]
+fn corpus_inlined_missing_rezero() {
+    // `h` leaves `r` unwritten when `x <= 0`: the region must zero its
+    // copy of `r` on entry, or the second call returns the first's
+    // result.
+    let (record, mut after, entry) = inline_victim();
+    let site = &record.sites[0];
+    let zeroing = (site.start..site.end)
+        .find(|&i| {
+            matches!(&after.code[i], Instr::Const { val, dst } if *val == 0.0 && site.regs.contains(dst))
+                && matches!(&after.code[i + 1], Instr::StoreSlotNum { slot, .. } if site.slots.contains(slot))
+        })
+        .expect("the region zeroes its output slot");
+    after.code[zeroing + 1] = Instr::Nop;
+    let v = verify_inlined(&record.before, &after, &record.sites, &entry).unwrap_err();
+    assert_eq!(v.kind, ViolationKind::StaleInlineState, "{v}");
+}
+
+#[test]
+fn corpus_inlined_dropped_callee_charge() {
+    let (record, mut after, entry) = inline_victim();
+    let site = &record.sites[0];
+    let charge = (site.start..site.end)
+        .find(|&i| matches!(after.code[i], Instr::Charge { .. }))
+        .expect("the callee charges");
+    after.code[charge] = Instr::Nop;
+    let v = verify_inlined(&record.before, &after, &record.sites, &entry).unwrap_err();
+    assert_eq!(v.kind, ViolationKind::ChargeMoved, "{v}");
+}
+
+#[test]
+fn corpus_inlined_unrebased_jump() {
+    // A callee-relative target left as it was points back into the
+    // caller's own code.
+    let (record, mut after, entry) = inline_victim();
+    let site = &record.sites[0];
+    let body_base = (site.start..site.end)
+        .find(|&i| matches!(after.code[i], Instr::Charge { .. }))
+        .unwrap();
+    let jump = (site.start..site.end)
+        .find(|&i| matches!(after.code[i], Instr::JumpIfZero { .. }))
+        .expect("the callee branches");
+    if let Instr::JumpIfZero { target, .. } = &mut after.code[jump] {
+        *target -= body_base;
+    }
+    let v = verify_inlined(&record.before, &after, &record.sites, &entry).unwrap_err();
+    assert_eq!(v.kind, ViolationKind::BadInlineRegion, "{v}");
+    assert_eq!(v.at, jump);
+}
+
+#[test]
+fn corpus_inlined_unguarded_region_and_unproven_argument() {
+    let (record, after, entry) = inline_victim();
+    let site = &record.sites[0];
+
+    let mut unguarded = after.clone();
+    unguarded.code[site.start] = Instr::Nop;
+    let v = verify_inlined(&record.before, &unguarded, &record.sites, &entry).unwrap_err();
+    assert_eq!(v.kind, ViolationKind::BadInlineRegion, "{v}");
+
+    // The same splice is not licensed when the call's argument is the
+    // input array rather than one of its elements.
+    let mut before = record.before.clone();
+    for instr in &mut before.code {
+        if let Instr::CallTransform { args, .. } = instr {
+            args[0] = Operand::Slot(before.input_slots[0]);
+        }
+    }
+    let v = verify_inlined(&before, &after, &record.sites, &entry).unwrap_err();
+    assert_eq!(v.kind, ViolationKind::BadInlineRegion, "{v}");
+    assert!(v.detail.contains("not proven scalar"), "{v}");
+}
+
 // ---- ChunkFacts pins ---------------------------------------------------
+
+/// `total` is no scalar helper (array input) but its facts prove its
+/// output scalar; `leak` assigns its array input to its scalar-declared
+/// output, so its facts cannot.
+const CALL_RESULTS: &str = r#"
+    transform t from In[n] to Out[n] {
+        to (Out o) from (In a) {
+            o[0] = twice(total(a));
+            let d = total(a);
+            o[1] = twice(d);
+        }
+    }
+    transform u from In[n] to Out[n] {
+        to (Out o) from (In a) { o[0] = twice(leak(a)); }
+    }
+    transform twice from X to R {
+        to (R r) from (X x) { r = x * 2; }
+    }
+    transform total from V[m] to S {
+        to (S s) from (V v) {
+            for (i in 0 .. len(v)) { s = s + v[i]; }
+        }
+    }
+    transform leak from V[m] to S {
+        to (S s) from (V v) { s = v; }
+    }
+"#;
+
+#[test]
+fn call_results_are_scalar_exactly_when_the_callee_proves_it() {
+    let program = parse_program(CALL_RESULTS).unwrap();
+    check_program(&program).unwrap();
+    let mut compiled = compile_program(&program);
+    let records = compiled.inline_calls(true).unwrap();
+    assert_eq!(compiled.transform("total").unwrap().scalar_out, Some(true));
+    assert_eq!(compiled.transform("leak").unwrap().scalar_out, Some(false));
+
+    // `twice(total(a))` and `twice(d)` inline; `twice(leak(a))` cannot.
+    assert_eq!(records.len(), 1);
+    assert_eq!(
+        (records[0].transform.as_str(), records[0].sites.len()),
+        ("t", 2)
+    );
+    let skips = compiled.inline_skips();
+    assert_eq!(skips.len(), 1, "{skips:?}");
+    assert_eq!(
+        (skips[0].chunk.as_str(), skips[0].callee.as_str()),
+        ("u::r0", "twice")
+    );
+    assert!(
+        skips[0].reason.contains("not provably a scalar"),
+        "{skips:?}"
+    );
+
+    // The stamp is what the facts see: a proven call's destination is
+    // a scalar slot, the unproven one's is anything.
+    for (transform, callee, proven) in [("t", "total", true), ("u", "leak", false)] {
+        let chunk = compiled.chunk(transform, 0).unwrap();
+        let facts = compiled.facts(transform, 0).unwrap();
+        let mut calls = 0;
+        for instr in &chunk.code {
+            if let Instr::CallTransform {
+                name, dst, scalar, ..
+            } = instr
+            {
+                if chunk.names[*name as usize] == callee {
+                    calls += 1;
+                    assert_eq!(*scalar, proven);
+                    assert_eq!(
+                        matches!(facts.slots[*dst as usize], AbsValue::Scalar { .. }),
+                        proven
+                    );
+                }
+            }
+        }
+        assert!(calls > 0, "{transform} calls {callee}");
+    }
+}
 
 /// The facts for `transform`'s rule `rule_idx` of `src`, computed at
 /// `level` through the public compile → optimize path.

@@ -18,34 +18,48 @@
 //! counters are exercised too — steady-state counter bumps are
 //! `HashMap::get_mut` on warmed entries, not inserts.
 //!
-//! This file holds exactly one test so no concurrent test thread
-//! pollutes the global allocation counter.
+//! A second test pins the *scratch* behind those frames: across
+//! thousands of trials, each followed by its accuracy metric under a
+//! second `ExecCtx`, a thread keeps one `VmScratch`, at most one frame
+//! per call level, and a flat heap — on the test's own thread and on a
+//! pool worker.
+//!
+//! The tests take one lock, so no concurrent test thread pollutes the
+//! global allocation counters.
 
 use petabricks::config::Value as ConfigValue;
 use petabricks::lang::interp::Value;
-use petabricks::lang::{check_program, parse_program, Interpreter};
-use petabricks::runtime::ExecCtx;
+use petabricks::lang::{check_program, parse_program, DslTransform, Interpreter};
+use petabricks::runtime::{CostModel, ExecCtx, Pool, ScratchPool, TransformRunner, TrialRunner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Serializes the tests: both read process-wide counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
-// SAFETY: delegates everything to `System`; only adds a counter.
+// SAFETY: delegates everything to `System`; only adds counters.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -85,6 +99,7 @@ fn run_hot(interp: &Interpreter, schema: &petabricks::config::Schema, iters: i64
 
 #[test]
 fn dispatch_loop_is_allocation_free_in_steady_state() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     // Fix the sampling period before anything touches `pb_trace` (the
     // knob is read once per process). 4 means every 4th execution per
     // chunk is profiled — the counter path must stay allocation-free.
@@ -197,4 +212,102 @@ fn dispatch_loop_is_allocation_free_in_steady_state() {
         expect["Out"].as_num().unwrap(),
         run_hot(&interp, &schema, SHORT)
     );
+}
+
+/// A call-free program and its metric: every trial runs a rule chunk
+/// under the trial's context and then the metric's chunk under a
+/// second context, created while the first is alive.
+const SMOOTH: &str = r#"
+    transform smooth
+    accuracy_metric smoothacc
+    from In[n]
+    to Out[n]
+    {
+        to (Out o) from (In a) {
+            for_enough {
+                for (i in 0 .. len(a)) { o[i] = (o[i] + a[i]) / 2; }
+            }
+        }
+    }
+
+    transform smoothacc
+    from Out[n], In[n]
+    to Accuracy
+    {
+        to (Accuracy acc) from (Out o, In a) {
+            let e = 0;
+            for (i in 0 .. len(a)) { e = e + abs(o[i] - a[i]); }
+            acc = 0 - e;
+        }
+    }
+"#;
+
+/// Runs 100 warm-up trials and 2 000 more on the calling thread;
+/// returns the heap growth over the 2 000, the thread's parked scratch
+/// items and its parked VM frames.
+fn trial_footprint(runner: &TransformRunner<DslTransform>) -> (i64, usize, usize) {
+    let config = runner.schema().default_config();
+    for seed in 0..100 {
+        runner.run_trial(&config, 64, seed);
+    }
+    let warm = LIVE.load(Ordering::Relaxed);
+    for seed in 100..2100 {
+        runner.run_trial(&config, 64, seed);
+    }
+    let grown = LIVE.load(Ordering::Relaxed) - warm;
+    (
+        grown,
+        ScratchPool::default().len(),
+        petabricks::lang::vm::parked_frames(),
+    )
+}
+
+#[test]
+fn trial_scratch_stays_bounded_on_caller_and_worker_threads() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let program = parse_program(SMOOTH).expect("parses");
+    let dsl = DslTransform::compile(
+        program,
+        "smooth",
+        Box::new(|n, _| {
+            let data = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+            [("In".to_string(), Value::Arr1(data))].into()
+        }),
+    )
+    .expect("compiles");
+    let runner = TransformRunner::new(dsl, CostModel::Virtual);
+
+    // One worker and the caller each hold one of the two tasks (the
+    // barrier needs both); the worker's runs the measurement.
+    let pool = Pool::with_threads(2);
+    let both = Barrier::new(2);
+    let on_worker = Mutex::new(None);
+    pool.run_indexed(2, |_| {
+        both.wait();
+        if std::thread::current().name() == Some("pb-pool-worker") {
+            *on_worker.lock().unwrap() = Some(trial_footprint(&runner));
+        }
+    });
+    let on_worker = on_worker
+        .into_inner()
+        .unwrap()
+        .expect("a worker ran a task");
+
+    for (thread, (grown, scratch_items, frames)) in
+        [("caller", trial_footprint(&runner)), ("worker", on_worker)]
+    {
+        // One scratch type in use (the VM's), so one item; a call-free
+        // rule needs one frame, the depth limit bounds any program.
+        assert_eq!(scratch_items, 1, "{thread}: parked scratch items");
+        assert!(
+            (1..=9).contains(&frames),
+            "{thread}: {frames} parked frames"
+        );
+        // Flat, not merely slow-growing: 2 000 trials may not keep
+        // even one small allocation each.
+        assert!(
+            grown.abs() < 2_000,
+            "{thread}: heap grew {grown} bytes over 2 000 trials"
+        );
+    }
 }

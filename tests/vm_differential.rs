@@ -52,27 +52,59 @@ fn assert_identical(
     seed: u64,
     hosts: &dyn Fn(&mut Interpreter),
 ) {
+    let outcome = assert_same_outcome(src, transform, schema, config, inputs, n, seed, hosts);
+    if let Err(message) = outcome {
+        panic!("`{transform}` fails on both engines: {message}");
+    }
+}
+
+/// [`assert_identical`] for programs that may fail: when the
+/// tree-walker errors, the VM must raise the same message at every
+/// level (cost and draws of an aborted run are not compared — charge
+/// folding pre-pays a straight-line region). Returns the tree-walker's
+/// error message, if it raised one.
+#[allow(clippy::too_many_arguments)]
+fn assert_same_outcome(
+    src: &str,
+    transform: &str,
+    schema: &Schema,
+    config: &Config,
+    inputs: &HashMap<String, Value>,
+    n: u64,
+    seed: u64,
+    hosts: &dyn Fn(&mut Interpreter),
+) -> Result<(), String> {
     let program = parse_program(src).expect("parses");
     check_program(&program).expect("well-formed");
 
     let mut tree = Interpreter::new(program.clone());
     hosts(&mut tree);
     let mut tree_ctx = ExecCtx::new(schema, config, n, seed);
-    let tree_out = tree
-        .run(transform, inputs, &mut tree_ctx)
-        .expect("interpreter run succeeds");
+    let tree_out = tree.run(transform, inputs, &mut tree_ctx);
     let tree_probe: u64 = tree_ctx.rng().gen();
 
     for level in OPT_LEVELS {
         let mut vm = Interpreter::new_compiled_at(program.clone(), level);
         hosts(&mut vm);
         let mut vm_ctx = ExecCtx::new(schema, config, n, seed);
-        let vm_out = vm
-            .run(transform, inputs, &mut vm_ctx)
-            .expect("VM run succeeds");
+        let vm_out = vm.run(transform, inputs, &mut vm_ctx);
+        let (tree_out, vm_out) = match (&tree_out, vm_out) {
+            (Ok(tree_out), Ok(vm_out)) => (tree_out, vm_out),
+            (Err(tree_err), Err(vm_err)) => {
+                assert_eq!(
+                    tree_err.message, vm_err.message,
+                    "error text diverges for `{transform}` at {level:?} (n={n}, seed={seed})"
+                );
+                continue;
+            }
+            (tree_out, vm_out) => panic!(
+                "one engine fails for `{transform}` at {level:?} (n={n}, seed={seed}):\n\
+                 interp: {tree_out:?}\n    vm: {vm_out:?}"
+            ),
+        };
 
         assert!(
-            outputs_bits_eq(&tree_out, &vm_out),
+            outputs_bits_eq(tree_out, &vm_out),
             "outputs diverge for `{transform}` at {level:?} (n={n}, seed={seed}):\n\
              interp: {tree_out:?}\n    vm: {vm_out:?}"
         );
@@ -88,6 +120,7 @@ fn assert_identical(
             "RNG draw count diverges for `{transform}` at {level:?} (n={n}, seed={seed})"
         );
     }
+    tree_out.map(|_| ()).map_err(|e| e.message)
 }
 
 fn no_hosts(_: &mut Interpreter) {}
@@ -562,11 +595,296 @@ fn stress_program_matches_across_choice_paths() {
 fn shipped_programs_compile_fully() {
     // Every rule of every shipped DSL program must lower to bytecode —
     // no silent interpreter fallbacks on the hot paths.
-    for src in [REFINE, KMEANS_FIG3, KMEANS_HOSTED, STRESS] {
+    let (lloyd, relax) = (ledger_program("lloyd"), ledger_program("relax"));
+    for src in [REFINE, KMEANS_FIG3, KMEANS_HOSTED, STRESS, &lloyd, &relax] {
         let program = parse_program(src).unwrap();
         let compiled = compile_program(&program);
         let (done, total) = compiled.coverage();
         assert_eq!(done, total, "uncompiled rules in a shipped program");
+    }
+}
+
+/// The two ledger programs (`ledger/programs/`, read as shipped): the
+/// workloads whose inner loops call a scalar helper per element, so at
+/// `O3` every comparison below runs through inlined bodies.
+fn ledger_program(name: &str) -> String {
+    let path = format!("{}/ledger/programs/{name}.pb", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn ledger_lloyd_matches_across_rules_sizes_and_seeds() {
+    let src = ledger_program("lloyd");
+    let program = parse_program(&src).unwrap();
+    let schema = petabricks::lang::extract_schema(&program, "lloyd");
+    for n in [8usize, 48] {
+        let inputs = points(n);
+        for (rule, k, iters) in [(0usize, 3i64, 2i64), (1, 5, 3), (1, 1, 1)] {
+            for seed in [0u64, 11] {
+                let mut config = schema.default_config();
+                for (name, value) in [
+                    ("k", ConfigValue::Int(k)),
+                    ("for_enough_0", ConfigValue::Int(iters)),
+                    (
+                        "rule_Seeds",
+                        ConfigValue::Tree(petabricks::config::DecisionTree::single(rule)),
+                    ),
+                ] {
+                    config.set_by_name(&schema, name, value).unwrap();
+                }
+                assert_identical(
+                    &src, "lloyd", &schema, &config, &inputs, n as u64, seed, &no_hosts,
+                );
+            }
+        }
+    }
+
+    // The metric calls the helper with an indexed-by-element argument.
+    let schema = petabricks::lang::extract_schema(&program, "lloydacc");
+    let mut inputs = points(12);
+    inputs.insert(
+        "Assignments".to_string(),
+        Value::Arr1((0..12).map(|i| (i % 3) as f64).collect()),
+    );
+    inputs.insert(
+        "Centres".to_string(),
+        Value::Arr2 {
+            rows: 2,
+            cols: 3,
+            data: vec![1.0, -20.0, 35.5, 0.0, 4.0, -60.0],
+        },
+    );
+    let config = schema.default_config();
+    assert_identical(
+        &src, "lloydacc", &schema, &config, &inputs, 12, 0, &no_hosts,
+    );
+}
+
+#[test]
+fn ledger_relax_matches_across_sweeps_and_sizes() {
+    let src = ledger_program("relax");
+    let program = parse_program(&src).unwrap();
+    let schema = petabricks::lang::extract_schema(&program, "relax");
+    // n = 2 leaves the sweeps' `1 .. len(x) - 1` loops zero-trip.
+    for n in [2usize, 9, 33] {
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
+        let inputs: HashMap<String, Value> = [("B".to_string(), Value::Arr1(b.clone()))].into();
+        for sweep in [0usize, 1] {
+            for iters in [1i64, 4] {
+                let mut config = schema.default_config();
+                config
+                    .set_by_name(&schema, "for_enough_0", ConfigValue::Int(iters))
+                    .unwrap();
+                config
+                    .set_by_name(
+                        &schema,
+                        "either_0",
+                        ConfigValue::Tree(petabricks::config::DecisionTree::single(sweep)),
+                    )
+                    .unwrap();
+                assert_identical(
+                    &src, "relax", &schema, &config, &inputs, n as u64, 5, &no_hosts,
+                );
+            }
+        }
+        let metric = petabricks::lang::extract_schema(&program, "relaxacc");
+        let metric_inputs: HashMap<String, Value> = [
+            ("B".to_string(), Value::Arr1(b.clone())),
+            (
+                "X".to_string(),
+                Value::Arr1(b.iter().map(|v| v * 0.4).collect()),
+            ),
+        ]
+        .into();
+        assert_identical(
+            &src,
+            "relaxacc",
+            &metric,
+            &metric.default_config(),
+            &metric_inputs,
+            n as u64,
+            0,
+            &no_hosts,
+        );
+    }
+}
+
+// ---- inliner pins: error parity and per-entry state --------------------
+
+fn run_at(
+    src: &str,
+    transform: &str,
+    level: Option<OptLevel>,
+    inputs: &HashMap<String, Value>,
+) -> (Result<HashMap<String, Value>, String>, f64) {
+    let program = parse_program(src).unwrap();
+    check_program(&program).unwrap();
+    let schema = petabricks::lang::extract_schema(&program, transform);
+    let config = schema.default_config();
+    let engine = match level {
+        Some(level) => Interpreter::new_compiled_at(program, level),
+        None => Interpreter::new(program),
+    };
+    let mut ctx = ExecCtx::new(&schema, &config, 4, 0);
+    let out = engine.run(transform, inputs, &mut ctx);
+    (out.map_err(|e| e.message), ctx.virtual_cost())
+}
+
+fn in4() -> HashMap<String, Value> {
+    [("In".to_string(), Value::Arr1(vec![0.25, -1.5, 3.0, 0.0]))].into()
+}
+
+/// `t` calls `c1`, which calls `c2`, … down to `c<depth>`; each link
+/// runs one statement before its call, so the charges made before the
+/// error are a count of the links entered.
+fn call_chain(depth: usize) -> String {
+    let mut src = String::from(
+        "transform t from In[n] to Out[n] {\n to (Out o) from (In a) { o[0] = c1(a[0]); }\n}\n",
+    );
+    for i in 1..=depth {
+        let body = if i == depth {
+            "r = x + 1;".to_string()
+        } else {
+            format!("let y = x * 2;\n r = c{}(y) + 1;", i + 1)
+        };
+        src.push_str(&format!(
+            "transform c{i} from X to R {{\n to (R r) from (X x) {{ {body} }}\n}}\n"
+        ));
+    }
+    src
+}
+
+#[test]
+fn depth_limit_fires_at_the_same_point_through_inlined_sites() {
+    // Depth 8 is the deepest legal nest; the ninth link must fail, with
+    // the same message and after exactly the interpreter's charges —
+    // the depth guard is a charge barrier, so nothing past it is
+    // pre-paid — whether a link is reached by an inlined body or a
+    // real call.
+    let (ok, _) = run_at(&call_chain(8), "t", Some(OptLevel::O3), &in4());
+    assert_eq!(ok.unwrap()["Out"], Value::Arr1(vec![40.0, 0.0, 0.0, 0.0]));
+
+    let src = call_chain(9);
+    let (tree, tree_cost) = run_at(&src, "t", None, &in4());
+    assert_eq!(tree.unwrap_err(), "transform call depth exceeded");
+    for level in OPT_LEVELS {
+        let (vm, vm_cost) = run_at(&src, "t", Some(level), &in4());
+        assert_eq!(
+            vm.unwrap_err(),
+            "transform call depth exceeded",
+            "{level:?}"
+        );
+        assert_eq!(vm_cost, tree_cost, "charges before the error at {level:?}");
+    }
+
+    // And the failing link really is reached through inlined bodies at
+    // O3: some link absorbed several of the links below it (the size
+    // cap stops it absorbing them all), so the chain is a mix of
+    // nested guards and real calls.
+    let compiled = compile_program(&parse_program(&src).unwrap()).optimized(OptLevel::O3);
+    let deepest_guard = (1..=9)
+        .filter_map(|i| compiled.chunk(&format!("c{i}"), 0))
+        .flat_map(|chunk| &chunk.code)
+        .filter_map(|i| match i {
+            petabricks::lang::compile::Instr::DepthGuard { extra } => Some(*extra),
+            _ => None,
+        })
+        .max();
+    assert!(deepest_guard >= Some(3), "deepest guard: {deepest_guard:?}");
+}
+
+#[test]
+fn array_bound_to_a_scalar_parameter_reports_the_generic_error() {
+    // `a` is an array: the site is not provably scalar, stays a real
+    // call, and the callee's input check speaks.
+    let src = r#"
+        transform t from In[n] to Out[n] {
+            to (Out o) from (In a) { o[0] = twice(a); }
+        }
+        transform twice from X to R {
+            to (R r) from (X x) { r = x * 2; }
+        }
+    "#;
+    let (tree, _) = run_at(src, "t", None, &in4());
+    let want = tree.unwrap_err();
+    assert_eq!(want, "input `X` has 1 dimensions, declared 0");
+    for level in OPT_LEVELS {
+        assert_eq!(run_at(src, "t", Some(level), &in4()).0.unwrap_err(), want);
+    }
+}
+
+#[test]
+fn inlined_while_guard_restarts_on_every_entry() {
+    // The helper's `while` runs 1 500 iterations per call and is called
+    // 10 000 times: 15 M iterations in all, past the 10 M guard if the
+    // inlined counter carried over from one entry to the next.
+    let src = r#"
+        transform t from In[n] to Out[n] {
+            to (Out o) from (In a) {
+                for (i in 0 .. 10000) { o[0] = o[0] + spin(i); }
+            }
+        }
+        transform spin from X to R {
+            to (R r) from (X x) {
+                let w = 0;
+                while (w < 1500) { w = w + 1; }
+                r = w + x - x;
+            }
+        }
+    "#;
+    let (out, cost) = run_at(src, "t", Some(OptLevel::O3), &in4());
+    assert_eq!(
+        out.unwrap()["Out"],
+        Value::Arr1(vec![15_000_000.0, 0.0, 0.0, 0.0])
+    );
+    // 1 + 10 000 × (1 + 3 + 1 500) statements.
+    assert_eq!(cost, 15_040_001.0);
+}
+
+#[test]
+fn inlined_tunables_resolve_under_the_helper_prefix() {
+    let src = r#"
+        transform t from In[n] to Out[n] {
+            to (Out o) from (In a) { o[0] = pick(a[0]); }
+        }
+        transform pick from X to R {
+            to (R r) from (X x) {
+                either { r = x + 1; } or { r = x + 2; }
+                for_enough { r = r * 10; }
+            }
+        }
+    "#;
+    let program = parse_program(src).unwrap();
+    let schema = petabricks::lang::extract_schema(&program, "t");
+    let compiled = compile_program(&program).optimized(OptLevel::O3);
+    let root = compiled.chunk("t", 0).unwrap();
+    assert!(
+        root.names.contains(&"pick.either_0".to_string())
+            && root.names.contains(&"pick.for_enough_0".to_string()),
+        "{:?}",
+        root.names
+    );
+    assert!(!root
+        .code
+        .iter()
+        .any(|i| matches!(i, petabricks::lang::compile::Instr::CallTransform { .. })));
+    for (branch, iters, want) in [(0usize, 1i64, 12.5), (1, 2, 225.0)] {
+        let mut config = schema.default_config();
+        config
+            .set_by_name(
+                &schema,
+                "pick.either_0",
+                ConfigValue::Tree(petabricks::config::DecisionTree::single(branch)),
+            )
+            .unwrap();
+        config
+            .set_by_name(&schema, "pick.for_enough_0", ConfigValue::Int(iters))
+            .unwrap();
+        assert_identical(src, "t", &schema, &config, &in4(), 4, 0, &no_hosts);
+        let vm = Interpreter::new_compiled(program.clone());
+        let mut ctx = ExecCtx::new(&schema, &config, 4, 0);
+        let out = vm.run("t", &in4(), &mut ctx).unwrap();
+        assert_eq!(out["Out"], Value::Arr1(vec![want, 0.0, 0.0, 0.0]));
     }
 }
 
@@ -636,7 +954,7 @@ fn argument_snapshots_survive_mutating_later_arguments() {
 // `analysis` suite so every fuzzed program is also run through the
 // verifier.
 
-use common::gen_straight_line_program;
+use common::{gen_helper_program, gen_straight_line_program, random_config};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -659,5 +977,26 @@ proptest! {
         )]
         .into();
         assert_identical(&src, "t", &schema, &config, &inputs, 4, seed, &no_hosts);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random scalar helpers (`if`, `while`, `for`, `either`,
+    /// `for_enough`, `return`, `rand`, calls to other helpers) called
+    /// from loops, branches, argument positions and `let`s, under a
+    /// random configuration of the tunables the helpers introduce: at
+    /// `O3` most of these calls are inlined, below it none are, and
+    /// every level must reproduce the tree-walker — outputs, draws,
+    /// cost, or the error it raises.
+    #[test]
+    fn random_helper_programs_are_bit_identical(seed in 0u64..100_000) {
+        let src = gen_helper_program(seed);
+        let program = parse_program(&src)
+            .unwrap_or_else(|e| panic!("generated program parses: {e:?}\n{src}"));
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let config = random_config(&schema, seed);
+        let _ = assert_same_outcome(&src, "t", &schema, &config, &in4(), 4, seed, &no_hosts);
     }
 }
