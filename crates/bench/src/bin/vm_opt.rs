@@ -1,12 +1,15 @@
 //! VM throughput: executions/sec of shipped DSL workloads on the
 //! tree-walking interpreter and on the register VM at every
 //! [`OptLevel`] — `O0` (straight-from-lowering bytecode), `O1`/`O2`
-//! (peephole + superinstruction fusion and charge folding; frame
-//! reuse and tunable-resolution caching are always on above `O0`),
-//! and `O3` (the typed specialization tier: facts-directed unchecked
-//! indexing, loop-invariant shape hoisting, precomputed callee
-//! binding plans). The engine list derives from [`OptLevel::ALL`], so
-//! a new level shows up here — and in the gates — by construction.
+//! (scalar locals promoted to registers, chunk-wide value tracking,
+//! dead-code elimination; then superinstruction fusion and charge
+//! folding; frame reuse and tunable-resolution caching are always on
+//! above `O0`), and `O3` (the typed specialization tier: scalar
+//! helper transforms inlined into their callers, facts-directed
+//! unchecked indexing, loop-invariant shape hoisting, loop constants
+//! in registers set once, threaded back-edge jumps). The engine list
+//! derives from [`OptLevel::ALL`], so a new level shows up here — and
+//! in the gates — by construction.
 //!
 //! Writes `BENCH_vm.json` (in the working directory) so the per-trial
 //! cost trajectory is recorded across PRs, and prints a human-readable

@@ -42,7 +42,7 @@ use crate::ast::{Program, Rule, Transform};
 use crate::compile::{Chunk, FirstArg, Instr, Operand, Slot};
 use crate::opt::{
     for_each_def, for_each_target, for_each_use, is_terminator, jump_targets, live_in_at_entry,
-    Bank, InlineSite, OptLevel,
+    Bank, Cfg, InlineSite, OptLevel,
 };
 use crate::sema::{collect_block_vars, collect_expr_vars};
 use crate::token::Span;
@@ -104,6 +104,21 @@ pub enum ViolationKind {
     /// slots before writing it — state left by the previous entry,
     /// where a call would have started from a zeroed frame.
     StaleInlineState,
+    /// A slot `promote` moved into a register is still touched as a
+    /// slot, or an exit is not preceded by the stores that write the
+    /// promoted outputs back (see [`verify_promoted`]).
+    LostWriteBack,
+    /// Value tracking pointed a read at a register that does not
+    /// provably hold the value the original operand held there, or
+    /// replaced an instruction with one that writes something else
+    /// (see [`verify_forwarded`]).
+    StaleValue,
+    /// A `DepthGuard` was removed where no guard at least as deep has
+    /// run on every path.
+    UnguardedDepth,
+    /// A threaded jump is not a copy of the `AddImmJump` its `Jump`
+    /// pointed at (see [`verify_threaded`]).
+    BadJumpThread,
 }
 
 impl ViolationKind {
@@ -125,6 +140,10 @@ impl ViolationKind {
             ViolationKind::BadHoistGuard => "bad_hoist_guard",
             ViolationKind::BadInlineRegion => "bad_inline_region",
             ViolationKind::StaleInlineState => "stale_inline_state",
+            ViolationKind::LostWriteBack => "lost_write_back",
+            ViolationKind::StaleValue => "stale_value",
+            ViolationKind::UnguardedDepth => "unguarded_depth",
+            ViolationKind::BadJumpThread => "bad_jump_thread",
         }
     }
 }
@@ -505,80 +524,6 @@ pub fn verify_code(
     verify_def_before_use(code, n_regs)
 }
 
-/// Basic-block structure shared by the dataflow passes below: block
-/// start indices, an index→block map, and per-block successors.
-struct Cfg {
-    starts: Vec<usize>,
-    block_of: Vec<usize>,
-}
-
-impl Cfg {
-    /// Builds the CFG. All jump targets must already be validated
-    /// (`<= code.len()`).
-    fn build(code: &[Instr]) -> Cfg {
-        let n = code.len();
-        let targets = jump_targets(code);
-        let mut leader = vec![false; n];
-        if n > 0 {
-            leader[0] = true;
-        }
-        for i in 0..n {
-            if targets[i] {
-                leader[i] = true;
-            }
-            if is_terminator(&code[i]) && i + 1 < n {
-                leader[i + 1] = true;
-            }
-        }
-        let starts: Vec<usize> = (0..n).filter(|&i| leader[i]).collect();
-        let mut block_of = vec![0usize; n];
-        for (b, &start) in starts.iter().enumerate() {
-            let end = starts.get(b + 1).copied().unwrap_or(n);
-            for slot in block_of.iter_mut().take(end).skip(start) {
-                *slot = b;
-            }
-        }
-        Cfg { starts, block_of }
-    }
-
-    fn len(&self) -> usize {
-        self.starts.len()
-    }
-
-    fn range(&self, b: usize, n: usize) -> std::ops::Range<usize> {
-        self.starts[b]..self.starts.get(b + 1).copied().unwrap_or(n)
-    }
-
-    fn successors(&self, code: &[Instr], b: usize, out: &mut Vec<usize>) {
-        out.clear();
-        let n = code.len();
-        let last = self.range(b, n).end - 1;
-        let mut push = |t: usize| {
-            if t < n {
-                out.push(self.block_of[t]);
-            }
-        };
-        match &code[last] {
-            Instr::Jump { target } | Instr::AddImmJump { target, .. } => push(*target),
-            Instr::JumpIfZero { target, .. }
-            | Instr::JumpIfNonZero { target, .. }
-            | Instr::JumpIfGe { target, .. }
-            | Instr::JumpCmp { target, .. }
-            | Instr::JumpCmpImm { target, .. } => {
-                push(*target);
-                push(last + 1);
-            }
-            Instr::Switch { targets, .. } => {
-                for t in targets {
-                    push(*t);
-                }
-            }
-            Instr::Return => {}
-            _ => push(last + 1),
-        }
-    }
-}
-
 /// Forward must-defined dataflow: at every instruction, every register
 /// read must be defined on *all* paths from entry. Unreachable blocks
 /// start at ⊤ (all-defined) so they cannot raise false positives.
@@ -594,17 +539,15 @@ fn verify_def_before_use(code: &[Instr], n_regs: u16) -> Result<(), Violation> {
     let mut in_sets: Vec<Vec<u64>> = vec![vec![u64::MAX; words]; nb];
     in_sets[0] = vec![0; words];
 
-    let mut succ = Vec::new();
     let mut changed = true;
     while changed {
         changed = false;
         for b in 0..nb {
             let mut cur = in_sets[b].clone();
-            for i in cfg.range(b, n) {
+            for i in cfg.range(b) {
                 for_each_def(&code[i], |r| cur[r as usize / 64] |= 1 << (r as usize % 64));
             }
-            cfg.successors(code, b, &mut succ);
-            for &s in &succ {
+            for &s in cfg.successors(b) {
                 for (dst, src) in in_sets[s].iter_mut().zip(&cur) {
                     let next = *dst & *src;
                     changed |= next != *dst;
@@ -616,7 +559,7 @@ fn verify_def_before_use(code: &[Instr], n_regs: u16) -> Result<(), Violation> {
 
     for (b, in_set) in in_sets.iter().enumerate() {
         let mut cur = in_set.clone();
-        for i in cfg.range(b, n) {
+        for i in cfg.range(b) {
             let mut undef = None;
             for_each_use(&code[i], |r| {
                 if cur[r as usize / 64] & (1 << (r as usize % 64)) == 0 && undef.is_none() {
@@ -796,12 +739,12 @@ pub fn verify_inlined(
         for instr in &mut alone {
             crate::opt::for_each_target_mut(instr, |t| *t -= site.start);
         }
-        let stale_reg = live_in_at_entry(&alone, Bank::Regs)
+        let stale_reg = live_in_at_entry(&alone, Bank::Regs, &[])
             .into_iter()
             .find(|r| site.regs.contains(r))
             .map(|r| format!("r{r}"));
         let stale = stale_reg.or_else(|| {
-            live_in_at_entry(&alone, Bank::Slots)
+            live_in_at_entry(&alone, Bank::Slots, &[])
                 .into_iter()
                 .find(|s| site.slots.contains(s))
                 .map(|s| format!("s{s}"))
@@ -845,6 +788,289 @@ pub fn verify_inlined(
                     got[2 * i + 1]
                 ),
             ));
+        }
+    }
+    Ok(())
+}
+
+// ---- claims of the register-residency passes ----------------------------
+
+/// Checks `promote`'s output against its own record: a promoted slot
+/// is mentioned only by its entry load and its write-back stores, and
+/// every exit — each `Return`, and the end of the code when control
+/// can run off it — sits directly behind the full write-back run, with
+/// no jump landing inside the run or on the exit itself.
+///
+/// # Errors
+///
+/// Returns the first [`Violation`] ([`ViolationKind::LostWriteBack`]).
+pub(crate) fn verify_promoted(
+    code: &[Instr],
+    promotion: &crate::opt::Promotion,
+) -> Result<(), Violation> {
+    let lost = |at: usize, detail: String| violation(ViolationKind::LostWriteBack, at, detail);
+    let home = |s: Slot| {
+        promotion
+            .homes
+            .iter()
+            .find(|(p, _)| *p == s)
+            .map(|&(_, h)| h)
+    };
+    for (i, instr) in code.iter().enumerate() {
+        let edge = match instr {
+            Instr::LoadSlotNum { dst, slot } => {
+                i < promotion.entry_loads && home(*slot) == Some(*dst)
+            }
+            Instr::StoreSlotNum { slot, src } => home(*slot) == Some(*src),
+            _ => false,
+        };
+        let mut stray = None;
+        for_each_slot(instr, |s| {
+            if home(s).is_some() && !edge {
+                stray = Some(s);
+            }
+        });
+        if let Some(s) = stray {
+            return Err(lost(i, format!("promoted s{s} is still used as a slot")));
+        }
+    }
+    let run = &promotion.write_back;
+    if run.is_empty() {
+        return Ok(());
+    }
+    let targets = jump_targets(code);
+    let n = code.len();
+    let falls_off = crate::opt::falls_off_end(code);
+    let exits = (0..n)
+        .filter(|&i| matches!(code[i], Instr::Return))
+        .chain(falls_off.then_some(n));
+    for exit in exits {
+        let written = exit >= run.len() && code[exit - run.len()..exit] == run[..];
+        if !written {
+            return Err(lost(
+                exit.min(n.saturating_sub(1)),
+                "an exit is not preceded by the output write-back".into(),
+            ));
+        }
+        if let Some(t) = (exit - run.len() + 1..=exit).find(|&t| targets[t]) {
+            return Err(lost(
+                t,
+                "a jump lands past the start of a write-back".into(),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Instruction identity for the before/after checks: `==`, except that
+/// a `NaN` immediate equals itself.
+fn same_instr(a: &Instr, b: &Instr) -> bool {
+    a == b || format!("{a:?}") == format!("{b:?}")
+}
+
+/// What [`verify_forwarded`] knows of a register: the class of
+/// registers it provably equals, and how deep a depth guard has run.
+#[derive(Clone, PartialEq)]
+struct Equalities {
+    /// `Some(c)`: this constant's bits; registers with the same
+    /// `Ok(root)` hold the same value.
+    class: Vec<Result<u16, u64>>,
+    guard: u8,
+}
+
+impl Equalities {
+    fn define(&mut self, d: u16) {
+        // Registers that were copies of `d` keep one another: re-root
+        // them on the first.
+        let mut heir = None;
+        for r in 0..self.class.len() as u16 {
+            if r != d && self.class[r as usize] == Ok(d) {
+                self.class[r as usize] = Ok(*heir.get_or_insert(r));
+            }
+        }
+        self.class[d as usize] = Ok(d);
+    }
+
+    fn step(&mut self, instr: &Instr) {
+        match *instr {
+            Instr::Const { dst, val } => {
+                self.define(dst);
+                self.class[dst as usize] = Err(val.to_bits());
+            }
+            Instr::Move { dst, src } => {
+                let class = self.class[src as usize];
+                if class != self.class[dst as usize] {
+                    self.define(dst);
+                    self.class[dst as usize] = class;
+                }
+            }
+            Instr::DepthGuard { extra } => self.guard = self.guard.max(extra),
+            _ => {
+                let mut defs = Vec::new();
+                for_each_def(instr, |d| defs.push(d));
+                defs.into_iter().for_each(|d| self.define(d));
+            }
+        }
+    }
+}
+
+/// Checks value tracking's output against the code it started from.
+/// The pass rewrites in place, so instruction `i` of `after` stands for
+/// instruction `i` of `before`: where the opcode is unchanged, every
+/// register it reads must be the original operand or provably equal to
+/// it at that point — by a must-equality dataflow over `after` (copies
+/// and constants, met over all predecessors) — and it must write the
+/// same registers; where the opcode changed, a `DepthGuard` may only
+/// vanish behind a guard at least as deep, and anything else must still
+/// write exactly what the original wrote.
+///
+/// # Errors
+///
+/// Returns the first [`Violation`] ([`ViolationKind::StaleValue`] or
+/// [`ViolationKind::UnguardedDepth`]).
+pub(crate) fn verify_forwarded(
+    before: &[Instr],
+    after: &[Instr],
+    n_regs: u16,
+) -> Result<(), Violation> {
+    let stale = |at: usize, detail: String| violation(ViolationKind::StaleValue, at, detail);
+    if before.len() != after.len() {
+        return Err(stale(0, "value tracking changed the code length".into()));
+    }
+    if after.is_empty() {
+        return Ok(());
+    }
+    let cfg = Cfg::build(after);
+    let mut at_entry: Vec<Option<Equalities>> = vec![None; cfg.len()];
+    at_entry[0] = Some(Equalities {
+        class: (0..n_regs).map(Ok).collect(),
+        guard: 0,
+    });
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in 0..cfg.len() {
+            let Some(mut state) = at_entry[b].clone() else {
+                continue;
+            };
+            for i in cfg.range(b) {
+                state.step(&after[i]);
+            }
+            for &s in cfg.successors(b) {
+                match &mut at_entry[s] {
+                    None => {
+                        at_entry[s] = Some(state.clone());
+                        changed = true;
+                    }
+                    Some(known) => {
+                        // Two registers stay equal only if they were
+                        // on both sides: re-root by pairs of classes.
+                        let pairs: Vec<_> = known.class.iter().zip(&state.class).collect();
+                        let met: Vec<Result<u16, u64>> = (0..pairs.len())
+                            .map(|r| match pairs[r] {
+                                (Err(a), Err(b)) if a == b => Err(*a),
+                                pair => {
+                                    Ok(pairs.iter().position(|p| *p == pair).unwrap_or(r) as u16)
+                                }
+                            })
+                            .collect();
+                        let guard = known.guard.min(state.guard);
+                        if met != known.class || guard != known.guard {
+                            known.class = met;
+                            known.guard = guard;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (b, state) in at_entry.into_iter().enumerate() {
+        let Some(mut state) = state else {
+            continue;
+        };
+        for i in cfg.range(b) {
+            let (old, new) = (&before[i], &after[i]);
+            if !same_instr(old, new) {
+                let defs = |instr: &Instr| {
+                    let mut v = Vec::new();
+                    for_each_def(instr, |d| v.push(d));
+                    v
+                };
+                let uses = |instr: &Instr| {
+                    let mut v = Vec::new();
+                    for_each_use(instr, |r| v.push(r));
+                    v
+                };
+                match (old, new) {
+                    (Instr::DepthGuard { extra }, Instr::Nop) => {
+                        if state.guard < *extra {
+                            return Err(violation(
+                                ViolationKind::UnguardedDepth,
+                                i,
+                                format!("no guard of depth {extra} or more dominates this one"),
+                            ));
+                        }
+                    }
+                    _ if old.opcode_index() == new.opcode_index() => {
+                        let (was, now) = (uses(old), uses(new));
+                        for (w, n) in was.iter().zip(&now) {
+                            if state.class[*w as usize] != state.class[*n as usize] {
+                                return Err(stale(i, format!("r{n} is not a copy of r{w} here")));
+                            }
+                        }
+                        if was.len() != now.len() || defs(old) != defs(new) {
+                            return Err(stale(i, "the instruction's shape changed".into()));
+                        }
+                    }
+                    // Folded, strength-reduced, or reused: any pure
+                    // form writing the same register (an expression
+                    // recomputed into the register that still holds it
+                    // may go altogether).
+                    _ => {
+                        let same = defs(old) == defs(new) || matches!(new, Instr::Nop);
+                        let pure = matches!(
+                            new,
+                            Instr::Const { .. }
+                                | Instr::Move { .. }
+                                | Instr::BinRI { .. }
+                                | Instr::BinIR { .. }
+                                | Instr::Nop
+                        );
+                        if !(same && pure) {
+                            return Err(stale(i, format!("{old:?} became {new:?}")));
+                        }
+                    }
+                }
+            }
+            state.step(new);
+        }
+    }
+    Ok(())
+}
+
+/// Checks `thread_jumps`' output against its input: the only change it
+/// may make is a `Jump` becoming a copy of the `AddImmJump` it pointed
+/// at.
+///
+/// # Errors
+///
+/// Returns the first [`Violation`] ([`ViolationKind::BadJumpThread`]).
+pub(crate) fn verify_threaded(before: &[Instr], after: &[Instr]) -> Result<(), Violation> {
+    let bad = |at: usize, detail: String| violation(ViolationKind::BadJumpThread, at, detail);
+    if before.len() != after.len() {
+        return Err(bad(0, "jump threading changed the code length".into()));
+    }
+    for (i, (old, new)) in before.iter().zip(after).enumerate() {
+        if same_instr(old, new) {
+            continue;
+        }
+        let through = match old {
+            Instr::Jump { target } => before.get(*target),
+            _ => None,
+        };
+        if !matches!(through, Some(next @ Instr::AddImmJump { .. }) if same_instr(next, new)) {
+            return Err(bad(i, format!("{old:?} became {new:?}")));
         }
     }
     Ok(())
@@ -1076,6 +1302,13 @@ impl ChunkFacts {
 /// Entry slot state for a rule chunk, from the transform's data
 /// declarations: each input/output binding is a scalar or an array of
 /// the declared rank; local slots start ⊥.
+///
+/// A declaration describes the data when the transform starts (inputs
+/// are validated against it, the rest is zero-initialized from it); a
+/// rule is free to rebind its output to a value of another shape, which
+/// the rules scheduled after it then see. [`transform_facts`] computes
+/// the entry states that hold regardless, and those are what
+/// [`crate::compile::CompiledProgram`] stores and optimizes against.
 pub fn entry_slots(transform: &Transform, rule: &Rule, chunk: &Chunk) -> Vec<AbsValue> {
     let mut slots = vec![AbsValue::Bottom; chunk.n_slots as usize];
     let bound = [
@@ -1084,19 +1317,117 @@ pub fn entry_slots(transform: &Transform, rule: &Rule, chunk: &Chunk) -> Vec<Abs
     ];
     for (bindings, slot_list) in bound {
         for (b, &s) in bindings.iter().zip(slot_list.iter()) {
-            let v = match transform.data(&b.data) {
-                Some(p) if p.dims.is_empty() => AbsValue::scalar(ScalarKind::Float),
-                Some(p) => AbsValue::Array {
-                    rank: p.dims.len() as u8,
-                },
-                None => AbsValue::Any,
-            };
             if let Some(slot) = slots.get_mut(s as usize) {
-                *slot = v;
+                *slot = declared_shape(transform, &b.data);
             }
         }
     }
     slots
+}
+
+fn declared_shape(transform: &Transform, data: &str) -> AbsValue {
+    match transform.data(data) {
+        Some(p) if p.dims.is_empty() => AbsValue::scalar(ScalarKind::Float),
+        Some(p) => AbsValue::Array {
+            rank: p.dims.len() as u8,
+        },
+        None => AbsValue::Any,
+    }
+}
+
+/// How a transform's rules bind its data — what [`transform_facts`]
+/// needs of the AST, kept with the compiled transform so the facts can
+/// be settled again once the `inline` pass knows which calls return
+/// scalars.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Bindings {
+    /// The declared shape of each datum some rule binds.
+    declared: Vec<AbsValue>,
+    /// Per rule, the data it binds (indices into `declared`): inputs,
+    /// then outputs, in the order of the chunk's `input_slots` and
+    /// `output_slots`.
+    rules: Vec<(Vec<usize>, Vec<usize>)>,
+}
+
+impl Bindings {
+    pub(crate) fn of(transform: &Transform) -> Bindings {
+        let mut names: Vec<&str> = Vec::new();
+        let mut bindings = Bindings::default();
+        for rule in &transform.rules {
+            let mut bound = (Vec::new(), Vec::new());
+            for (side, ids) in [(&rule.inputs, &mut bound.0), (&rule.outputs, &mut bound.1)] {
+                for b in side {
+                    let known = names.iter().position(|n| *n == b.data);
+                    ids.push(known.unwrap_or_else(|| {
+                        names.push(&b.data);
+                        bindings.declared.push(declared_shape(transform, &b.data));
+                        names.len() - 1
+                    }));
+                }
+            }
+            bindings.rules.push(bound);
+        }
+        bindings
+    }
+}
+
+/// The facts of every compiled rule of a transform, from entry states
+/// that hold wherever the schedule puts the rule: a binding enters with
+/// its declared shape only if no rule of the transform can leave that
+/// datum in another one (`s = v` with `v` an array makes scalar-declared
+/// `S` an array for every rule that runs afterwards). Starts from the
+/// declarations and withdraws, to a fixpoint, each datum some rule's
+/// output slot is not proven to keep in shape; a rule that did not
+/// compile could do anything to its outputs.
+pub(crate) fn transform_facts(
+    bindings: &Bindings,
+    rules: &[Result<Chunk, crate::compile::CompileError>],
+) -> Vec<Option<ChunkFacts>> {
+    let mut shape = bindings.declared.clone();
+    for ((_, outputs), compiled) in bindings.rules.iter().zip(rules) {
+        if compiled.is_err() {
+            outputs.iter().for_each(|&d| shape[d] = AbsValue::Any);
+        }
+    }
+    loop {
+        let facts: Vec<Option<ChunkFacts>> = bindings
+            .rules
+            .iter()
+            .zip(rules)
+            .map(|((inputs, outputs), compiled)| {
+                let chunk = compiled.as_ref().ok()?;
+                let mut entry = vec![AbsValue::Bottom; chunk.n_slots as usize];
+                // Output aliases bind last, shadowing same-named inputs.
+                let bound = (inputs.iter().zip(&chunk.input_slots))
+                    .chain(outputs.iter().zip(&chunk.output_slots));
+                for (&d, &s) in bound {
+                    entry[s as usize] = shape[d];
+                }
+                Some(analyze_chunk(chunk, &entry))
+            })
+            .collect();
+        let mut settled = true;
+        for (((_, outputs), compiled), facts) in bindings.rules.iter().zip(rules).zip(&facts) {
+            let (Ok(chunk), Some(facts)) = (compiled, facts) else {
+                continue;
+            };
+            for (&d, &s) in outputs.iter().zip(&chunk.output_slots) {
+                // The slot's fact joins every state it is ever in, the
+                // entry state included.
+                let kept = match (shape[d], facts.slots[s as usize]) {
+                    (AbsValue::Any, _) | (AbsValue::Scalar { .. }, AbsValue::Scalar { .. }) => true,
+                    (declared, now) => declared == now,
+                };
+                if !kept {
+                    shape[d] = AbsValue::Any;
+                    settled = false;
+                }
+            }
+        }
+        if settled {
+            return facts;
+        }
+    }
 }
 
 /// Runs the abstract interpreter over a verified chunk: forward
@@ -1125,47 +1456,61 @@ pub fn analyze_chunk(chunk: &Chunk, entry_slots: &[AbsValue]) -> ChunkFacts {
     let code = &chunk.code;
     let cfg = Cfg::build(code);
     let nb = cfg.len();
-    let mut in_regs: Vec<Vec<AbsValue>> = vec![vec![AbsValue::Bottom; nr]; nb];
-    let mut in_slots: Vec<Vec<AbsValue>> = vec![vec![AbsValue::Bottom; ns]; nb];
-    in_slots[0] = entry;
+    // Block-entry states, one flat row per block.
+    let mut in_regs = vec![AbsValue::Bottom; nb * nr];
+    let mut in_slots = vec![AbsValue::Bottom; nb * ns];
+    in_slots[..ns].copy_from_slice(&entry);
 
-    let mut succ = Vec::new();
-    let mut changed = true;
-    while changed {
-        changed = false;
+    /// `into = into ⊔ from`, element-wise; whether anything rose.
+    fn join_into(into: &mut [AbsValue], from: &[AbsValue]) -> bool {
+        let mut changed = false;
+        for (dst, &v) in into.iter_mut().zip(from) {
+            let next = dst.join(v);
+            changed |= next != *dst;
+            *dst = next;
+        }
+        changed
+    }
+
+    // Every block runs at least once (unreachable ones from ⊥, as
+    // ever), then again whenever a predecessor raised its entry state.
+    let mut regs = vec![AbsValue::Bottom; nr];
+    let mut slots = vec![AbsValue::Bottom; ns];
+    let mut dirty = vec![true; nb];
+    while dirty.contains(&true) {
         for b in 0..nb {
-            let mut regs = in_regs[b].clone();
-            let mut slots = in_slots[b].clone();
-            for i in cfg.range(b, n) {
+            if !std::mem::take(&mut dirty[b]) {
+                continue;
+            }
+            regs.copy_from_slice(&in_regs[b * nr..][..nr]);
+            slots.copy_from_slice(&in_slots[b * ns..][..ns]);
+            for i in cfg.range(b) {
                 step(&code[i], &mut regs, &mut slots);
             }
-            cfg.successors(code, b, &mut succ);
-            for &s in &succ {
-                for (dst, &v) in in_regs[s].iter_mut().zip(&regs) {
-                    let next = dst.join(v);
-                    changed |= next != *dst;
-                    *dst = next;
-                }
-                for (dst, &v) in in_slots[s].iter_mut().zip(&slots) {
-                    let next = dst.join(v);
-                    changed |= next != *dst;
-                    *dst = next;
-                }
+            for &s in cfg.successors(b) {
+                let raised = join_into(&mut in_regs[s * nr..][..nr], &regs)
+                    | join_into(&mut in_slots[s * ns..][..ns], &slots);
+                dirty[s] |= raised;
             }
         }
     }
 
+    // A register or slot takes a new value only where an instruction
+    // writes it, so folding in what each instruction touched covers
+    // every program point.
     for b in 0..nb {
-        let mut regs = in_regs[b].clone();
-        let mut slots = in_slots[b].clone();
-        for i in cfg.range(b, n) {
+        regs.copy_from_slice(&in_regs[b * nr..][..nr]);
+        slots.copy_from_slice(&in_slots[b * ns..][..ns]);
+        for i in cfg.range(b) {
             step(&code[i], &mut regs, &mut slots);
-            for (dst, &v) in facts.regs.iter_mut().zip(&regs) {
-                *dst = dst.join(v);
-            }
-            for (dst, &v) in facts.slots.iter_mut().zip(&slots) {
-                *dst = dst.join(v);
-            }
+            for_each_def(&code[i], |r| {
+                let r = r as usize;
+                facts.regs[r] = facts.regs[r].join(regs[r]);
+            });
+            for_each_slot(&code[i], |s| {
+                let s = s as usize;
+                facts.slots[s] = facts.slots[s].join(slots[s]);
+            });
         }
     }
     facts
@@ -1452,7 +1797,9 @@ pub fn count_indexed(code: &[Instr]) -> (usize, usize) {
 ///   range collapses to a single value, a rule producing only data no
 ///   rule consumes and no output needs, a rule that falls back to the
 ///   tree-walking interpreter, a call to a scalar helper the `inline`
-///   pass had to leave on the generic path (with the reason), or a
+///   pass had to leave on the generic path (with the reason), a scalar
+///   variable `promote` had to leave in its `Value` slot (with the
+///   reason), or a
 ///   chunk whose facts force every indexed access onto the checked
 ///   fallback at `O3` (no specialization despite indexed hot-path
 ///   work).
@@ -1581,7 +1928,11 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
                 broken(&format!("chunk fails verification: {v}"));
                 continue;
             }
-            let entry = entry_slots(t, rule, chunk);
+            // The entry state the program will optimize against.
+            let entry = match compiled.facts(&t.name, ri) {
+                Some(facts) => facts.entry_slots.clone(),
+                None => entry_slots(t, rule, chunk),
+            };
             let chunk = inlined.chunk(&t.name, ri).unwrap_or(chunk);
             match crate::opt::optimize_verified_with_entry(chunk, OptLevel::O3, true, Some(&entry))
             {
@@ -1607,6 +1958,21 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
                         });
                     }
                 }
+            }
+            let names = crate::compile::named_slots(rule);
+            for (slot, why) in crate::opt::unpromoted(chunk, &entry) {
+                let what = match names.get(slot as usize) {
+                    Some(name) => format!("`{name}`"),
+                    None => format!("in temporary s{slot}"),
+                };
+                lints.push(Lint {
+                    severity: Severity::Warning,
+                    span: Some(rule.span),
+                    message: format!(
+                        "transform `{}`: rule #{ri}: scalar {what} stays in a slot: {why}",
+                        t.name
+                    ),
+                });
             }
         }
     }

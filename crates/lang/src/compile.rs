@@ -734,8 +734,10 @@ pub struct Chunk {
 
 impl Chunk {
     /// A listing of the chunk, one instruction per line with its index
-    /// (what jump targets refer to) and, where it carries one, the
-    /// interned name it resolves — what `pb_lint --disasm` prints.
+    /// (what jump targets refer to), its loop nesting depth and, where
+    /// it carries one, the interned name it resolves; then one line per
+    /// innermost loop with what a trip round it costs — what `pb_lint
+    /// --disasm` prints.
     pub fn disassemble(&self) -> String {
         let mut out = format!(
             "{} ({:?}): {} instrs, {} regs, {} slots, in {:?}, out {:?}\n",
@@ -747,7 +749,9 @@ impl Chunk {
             self.input_slots,
             self.output_slots,
         );
+        let loops = crate::opt::loops(&self.code);
         for (i, instr) in self.code.iter().enumerate() {
+            let depth = loops.iter().filter(|&&(h, s)| h <= i && i <= s).count();
             let name = match instr {
                 Instr::LoadParam { name, .. }
                 | Instr::ForEnoughPrep { name, .. }
@@ -757,9 +761,18 @@ impl Chunk {
                 _ => None,
             };
             out.push_str(&match name {
-                Some(name) => format!("{i:5}  {instr:?}  ; {name}\n"),
-                None => format!("{i:5}  {instr:?}\n"),
+                Some(name) => format!("{i:5} {depth:2}  {instr:?}  ; {name}\n"),
+                None => format!("{i:5} {depth:2}  {instr:?}\n"),
             });
+        }
+        for l in crate::opt::innermost_loops(&self.code) {
+            out.push_str(&format!(
+                "  loop {}..={}: {} instrs, {} dispatched on the shortest trip\n",
+                l.head,
+                l.last,
+                l.last - l.head + 1,
+                l.shortest_trip
+            ));
         }
         out
     }
@@ -826,6 +839,9 @@ pub struct CompiledTransform {
     /// For a transform with exactly one, dimensionless output: per
     /// rule, the positions in that rule's `output_slots` bound to it.
     pub(crate) sole_scalar_output: Option<Vec<Vec<usize>>>,
+    /// Which data each rule binds, with the declared shapes: what
+    /// settles the entry state of `facts`.
+    pub(crate) bindings: crate::analysis::Bindings,
 }
 
 /// All compiled transforms of a program, in declaration order.
@@ -969,17 +985,8 @@ pub fn compile_program(program: &Program) -> CompiledProgram {
             .iter()
             .map(|rule| compile_rule(program, t, rule))
             .collect();
-        let facts = t
-            .rules
-            .iter()
-            .zip(&rules)
-            .map(|(rule, compiled)| {
-                compiled.as_ref().ok().map(|chunk| {
-                    let entry = crate::analysis::entry_slots(t, rule, chunk);
-                    crate::analysis::analyze_chunk(chunk, &entry)
-                })
-            })
-            .collect();
+        let bindings = crate::analysis::Bindings::of(t);
+        let facts = crate::analysis::transform_facts(&bindings, &rules);
         let sole_scalar_output = match t.outputs.as_slice() {
             [out] if out.dims.is_empty() => Some(
                 t.rules
@@ -1002,6 +1009,7 @@ pub fn compile_program(program: &Program) -> CompiledProgram {
             helper: helper_sig(t, &rules),
             rules,
             facts,
+            bindings,
             scalar_out: None,
             sole_scalar_output,
         });
@@ -1113,21 +1121,10 @@ struct Compiler<'a> {
 
 impl<'a> Compiler<'a> {
     fn new(program: &'a Program, transform: &'a Transform, rule: &'a Rule) -> Self {
-        // Pre-pass: allocate one slot per name the rule ever binds, in
-        // a stable order (aliases first, then body-locals as found).
-        let mut slots = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
-        let mut note = |name: &str| {
-            if !slots.contains_key(name) {
-                slots.insert(name.to_owned(), order.len() as Slot);
-                order.push(name.to_owned());
-            }
-        };
-        for b in rule.inputs.iter().chain(&rule.outputs) {
-            note(&b.alias);
-        }
-        collect_bound_names(&rule.body, &mut |name| note(name));
+        // Pre-pass: allocate one slot per name the rule ever binds.
+        let order = named_slots(rule);
         let named_slots = order.len() as u16;
+        let slots = (order.into_iter().zip(0..)).collect();
 
         // Aliases are bound before the body runs.
         let assigned: HashSet<String> = rule
@@ -1876,6 +1873,23 @@ impl<'a> Compiler<'a> {
         });
         Ok(Operand::Slot(dst))
     }
+}
+
+/// The names a rule ever binds, indexed by the slot lowering gives each
+/// (a stable order: aliases first, then body-locals as found) — the
+/// slots above them are temporaries.
+pub(crate) fn named_slots(rule: &Rule) -> Vec<String> {
+    let mut order: Vec<String> = Vec::new();
+    let mut note = |name: &str| {
+        if !order.iter().any(|n| n == name) {
+            order.push(name.to_owned());
+        }
+    };
+    for b in rule.inputs.iter().chain(&rule.outputs) {
+        note(&b.alias);
+    }
+    collect_bound_names(&rule.body, &mut note);
+    order
 }
 
 /// Names bound by `let`, scalar assignment, or `for` loops anywhere in

@@ -4,13 +4,12 @@
 //! Lowering is deliberately naive — it mirrors the interpreter's
 //! evaluation order statement by statement, which makes it easy to
 //! prove semantics-preserving but leaves obvious fat in the hot loops:
-//! constants rematerialized every iteration, loop variables bounced
-//! through their slots on every read, three dispatches for a scalar
-//! accumulator update, one `Charge` dispatch per statement. This
-//! module removes that fat while keeping execution *observably
-//! identical* to the interpreter: same outputs bit for bit, same RNG
-//! consumption order, same virtual-cost totals, same errors at the
-//! same execution points.
+//! every named local in a `Value` slot, boxed and unboxed on each read
+//! and write; constants rematerialized every iteration; one `Charge`
+//! dispatch per statement. This module removes that fat while keeping
+//! execution *observably identical* to the interpreter: same outputs
+//! bit for bit, same RNG consumption order, same virtual-cost totals,
+//! same errors at the same execution points.
 //!
 //! At [`OptLevel::O3`] one whole-program pass runs first:
 //!
@@ -22,46 +21,83 @@
 //!    collapse into register moves, its statement charge folds into
 //!    the caller's.
 //!
-//! Then, per [`Chunk`]:
+//! Then, per [`Chunk`] (every level from [`OptLevel::O1`] runs a prefix
+//! of the same list):
 //!
-//! 1. **Local value tracking** — block-local constant folding, copy
-//!    propagation, and slot-scalar aliasing (a `LoadSlotNum` from a
-//!    slot that provably holds `Num(regs[r])` becomes a `Move` from
-//!    `r`, which copy propagation then usually erases).
-//! 2. **Superinstruction fusion** ([`OptLevel::O2`]) — the dominant
+//! 1. **Promotion** ([`promote`]) — every slot that provably only ever
+//!    holds a scalar gets a home register, and the loads, stores and
+//!    copies that touched it become register moves: a `let`, a loop
+//!    variable or an inlined helper's argument lives in a register for
+//!    the whole chunk. Rule bindings the entry facts prove scalar join
+//!    in with their traffic moved to the chunk's edges — one load at
+//!    entry if the binding is read before written, and **the exit
+//!    write-back rule**: one `StoreSlotNum` per promoted output in
+//!    front of every `Return` and of the fall-off end, because the VM
+//!    copies output slots back to the store on success. An execution
+//!    that ends in an error writes nothing back, as before.
+//! 2. **Sweep** — one liveness computation serves three rewrites:
+//!    dead-code elimination (pure instructions whose results are dead,
+//!    never-read slot writes, unreachable blocks; anything that can
+//!    error, draw, charge or store stays), *move retargeting* (`t = …;
+//!    Move p ← t` with `t` dead becomes `p = …`, so `x = x + y` on a
+//!    register-resident `x` is one dispatch), and compaction (`Nop`s
+//!    dropped, jump targets remapped). Runs again after steps 3 and 7.
+//! 3. **Value tracking** — constant folding, copy propagation, reuse
+//!    of already-computed arithmetic *and element loads* (an identical
+//!    load of an unchanged slot cannot fail or differ), removal of a
+//!    `DepthGuard` behind one at least as deep, and forwarding of a
+//!    scalar just stored to a slot that had to stay one. **Chunk-wide**:
+//!    the state at a block's entry is the meet of its predecessors'
+//!    exit states, iterated to a fixpoint, so what is known before a
+//!    loop — or at its head — still holds at the bottom of its body
+//!    unless the body overwrites it. (Before promotion this pass forgot
+//!    everything at every jump target, and aliased slots to registers
+//!    block by block to make up for it.)
+//! 4. **Superinstruction fusion** ([`OptLevel::O2`]) — the dominant
 //!    dynamic sequences collapse into one dispatch:
-//!    `Const`-operand arithmetic → [`Instr::BinRI`]/[`Instr::BinIR`];
 //!    compare-then-branch → [`Instr::JumpCmp`]/[`Instr::JumpCmpImm`];
+//!    binop+`StoreIdx1` → [`Instr::BinStoreIdx1`]; the `AddImm`+`Jump`
+//!    loop back-edge → [`Instr::AddImmJump`]; and
 //!    `LoadSlotNum`+binop+`StoreSlotNum` →
-//!    [`Instr::SlotUpdImm`]/[`Instr::SlotUpdReg`];
-//!    binop+`StoreIdx1` → [`Instr::BinStoreIdx1`]; and the
-//!    `AddImm`+`Jump` loop back-edge → [`Instr::AddImmJump`]. Fusion
-//!    only fires when no jump lands inside the sequence and the
-//!    absorbed registers are dead afterwards (per the liveness
-//!    analysis).
-//! 3. **Dead-code elimination** — pure instructions whose results are
-//!    dead become `Nop`s. Instructions with side effects (stores, RNG,
-//!    cost charges, anything that can error) are never removed, so
-//!    error behavior is preserved exactly.
-//! 4. **Charge folding** ([`OptLevel::O2`]) — consecutive `Charge`
+//!    [`Instr::SlotUpdImm`]/[`Instr::SlotUpdReg`] (`Const`-operand
+//!    arithmetic already became [`Instr::BinRI`]/[`Instr::BinIR`] in
+//!    step 3). Fusion only fires when no jump lands inside the
+//!    sequence and the absorbed registers are dead afterwards. The
+//!    slot-update forms are what is left for an accumulator `promote`
+//!    could not move: a local that also holds an array at some point
+//!    (`x = a; …; x = 0; x = x + 1`), a scalar binding some other rule
+//!    of the transform may leave as an array, or a chunk optimized
+//!    without entry facts ([`optimize`] on its own). No shipped or
+//!    ledger program dispatches one; the fuzzers' programs do.
+//! 5. **Charge folding** ([`OptLevel::O2`]) — consecutive `Charge`
 //!    amounts within a straight-line region merge into the first one.
 //!    Charges never move across control flow (block leaders or
-//!    terminators) or an inlined body's depth guard, so totals on
-//!    every *completed* execution are identical. The one sanctioned
-//!    deviation: a region's merged
-//!    charge lands at its first charge's position, so an execution
-//!    aborted by an error mid-region has already been charged for the
-//!    region's later statements — the error itself (message and
-//!    point) is unchanged, and no completed run ever observes a
-//!    different total.
-//! 5. **Specialization** ([`OptLevel::O3`], [`specialize`]) — indexed
+//!    terminators) or a surviving depth guard, so totals on every
+//!    *completed* execution are identical. The one sanctioned
+//!    deviation: a region's merged charge lands at its first charge's
+//!    position, so an execution aborted by an error mid-region has
+//!    already been charged for the region's later statements — the
+//!    error itself (message and point) is unchanged, and no completed
+//!    run ever observes a different total.
+//! 6. **Specialization** ([`OptLevel::O3`], [`specialize`]) — indexed
 //!    accesses whose slot the facts prove an array of the right rank
 //!    become guarded unchecked (`*U`) forms, and loop-invariant
 //!    `Shape` reads hoist behind zero-trip guards.
-//! 6. **Compaction + register coalescing** — `Nop`s are dropped (jump
-//!    targets remapped), and surviving registers are renumbered
+//! 7. **Constant homes and jump threading** ([`OptLevel::O3`]) — each
+//!    distinct constant an instruction inside a loop reads from a
+//!    just-set register gets one register defined by a `Const` at
+//!    chunk entry ([`promote::const_homes`]; the in-loop `Const` is
+//!    then dead), and a `Jump` whose target is an `AddImmJump` becomes
+//!    a copy of it, so an `if`/`else` arm ending a loop body takes the
+//!    back edge in one dispatch.
+//! 8. **Register coalescing** — surviving registers are renumbered
 //!    densely, shrinking `n_regs` and with it the per-invocation frame
 //!    reset cost.
+//!
+//! Under verification ([`optimize_verified`]) every pass goes through
+//! a gate that names it when its output is malformed, and the passes
+//! whose claim structure alone cannot show have it re-checked against
+//! the code they started from ([`crate::analysis`]).
 //!
 //! Constant folding computes with the same `f64` operations the VM
 //! would execute, so folded results are bit-identical to runtime
@@ -69,22 +105,24 @@
 //! `i64`-truncation rules).
 
 use crate::ast::BinOp;
-use crate::compile::{Chunk, FirstArg, Instr, Operand, Reg};
-use std::collections::HashMap;
+use crate::compile::{Chunk, FirstArg, Instr, Operand, Reg, Slot};
 
 mod inline;
+mod promote;
 mod specialize;
 
 pub(crate) use inline::inline_program;
 pub use inline::{InlineRecord, InlineSite, InlineSkip};
+pub(crate) use promote::{unpromoted, Promotion};
 
 /// How much optimization to run between lowering and dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum OptLevel {
     /// Straight-from-lowering bytecode (the pre-optimizer behavior).
     O0,
-    /// Constant folding, copy propagation, dead-code elimination, and
-    /// register coalescing.
+    /// Scalar slots promoted to registers, chunk-wide constant folding,
+    /// copy propagation and common-subexpression reuse, dead-code
+    /// elimination, and register coalescing.
     O1,
     /// Everything in [`OptLevel::O1`] plus superinstruction fusion and
     /// charge folding.
@@ -92,8 +130,9 @@ pub enum OptLevel {
     /// Everything in [`OptLevel::O2`] plus the facts-directed rewrites
     /// ([`crate::analysis::ChunkFacts`]): scalar helper transforms
     /// inlined into their callers, unchecked length-specialized
-    /// indexing, and loop-invariant `Shape` hoisting behind zero-trip
-    /// guards.
+    /// indexing, loop-invariant `Shape` hoisting behind zero-trip
+    /// guards, loop constants in registers set once, and threaded
+    /// back-edge jumps.
     #[default]
     O3,
 }
@@ -109,9 +148,9 @@ impl OptLevel {
 /// malformed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassViolation {
-    /// Pass name: `lowering`, `inline`, `local_value`, `dce`,
-    /// `compact`, `fuse`, `fold_charges`, `specialize`, or
-    /// `renumber_regs`.
+    /// Pass name: `lowering`, `inline`, `promote`, `dce`, `retarget`,
+    /// `compact`, `value`, `fuse`, `fold_charges`, `specialize`,
+    /// `const_homes`, `thread_jumps`, or `renumber_regs`.
     pub pass: &'static str,
     /// The chunk's label.
     pub label: String,
@@ -147,14 +186,11 @@ pub fn verify_enabled() -> bool {
 /// is re-verified after every pass; a violation panics with the name
 /// of the pass that introduced it.
 pub fn optimize(chunk: &Chunk, level: OptLevel) -> Chunk {
-    match optimize_verified(chunk, level, verify_enabled()) {
-        Ok(c) => c,
-        Err(v) => panic!("optimizer bug: {v}"),
-    }
+    optimize_with_entry(chunk, level, None)
 }
 
-/// [`optimize`] with entry-slot facts for the specializer (see
-/// [`optimize_verified_with_entry`]).
+/// [`optimize`] with entry-slot facts for `promote` and the specializer
+/// (see [`optimize_verified_with_entry`]).
 pub fn optimize_with_entry(
     chunk: &Chunk,
     level: OptLevel,
@@ -168,11 +204,13 @@ pub fn optimize_with_entry(
 
 /// [`optimize`] with explicit control over pass-by-pass verification.
 /// With `verify` off this is the plain pipeline (no per-pass cost);
-/// with it on, [`crate::analysis::verify_code`] runs after every pass
-/// and the per-region charge signature
+/// with it on, [`crate::analysis::verify_code`] runs after every pass,
+/// the per-region charge signature
 /// ([`crate::analysis::charge_signature`]) is checked against the
-/// input's, so the first pass to break an invariant — including
-/// hoisting a `Charge` across control flow — is named in the error.
+/// input's, and the passes that make a claim structure alone cannot
+/// show (`promote`, `value`, `specialize`, `thread_jumps`) have that
+/// claim re-checked against the code they started from — so the first
+/// pass to break an invariant is named in the error.
 ///
 /// # Errors
 ///
@@ -187,11 +225,11 @@ pub fn optimize_verified(
 }
 
 /// [`optimize_verified`] with optional entry-slot facts (see
-/// [`crate::analysis::entry_slots`]) feeding the [`OptLevel::O3`]
-/// specializer. Without them the specializer still runs, but only the
-/// rewrites that are safe from chunk-local inference alone fire —
-/// `Shape` hoisting in particular needs the entry facts to prove a
-/// hoisted read cannot introduce a new error point.
+/// [`crate::analysis::entry_slots`]). Without them everything still
+/// runs, but only the rewrites that are safe from chunk-local inference
+/// alone fire: `promote` leaves scalar rule bindings in their slots,
+/// and `Shape` hoisting needs the entry facts to prove a hoisted read
+/// cannot introduce a new error point.
 ///
 /// # Errors
 ///
@@ -203,133 +241,223 @@ pub fn optimize_verified_with_entry(
     verify: bool,
     entry: Option<&[crate::analysis::AbsValue]>,
 ) -> Result<Chunk, PassViolation> {
-    use crate::analysis::{charge_signature, verify_code, Violation, ViolationKind};
+    Pipeline::new(chunk, verify, None).run(level, entry)
+}
 
-    let n_names = chunk.names.len();
-    let check = |pass: &'static str,
-                 code: &[Instr],
-                 n_regs: u16,
-                 want_sig: Option<&[f64]>|
-     -> Result<(), PassViolation> {
-        let fail = |violation: Violation| PassViolation {
+/// Test support for the hand-broken corpus: the fully verified pipeline
+/// with `tamper` applied to the output of every run of pass `pass`
+/// just before that pass's gate — how a test shows the gate rejects a
+/// specific miscompile and attributes it to the right pass.
+///
+/// # Errors
+///
+/// The [`PassViolation`] the gates raise (the point of calling this).
+#[doc(hidden)]
+pub fn optimize_tampered(
+    chunk: &Chunk,
+    level: OptLevel,
+    entry: Option<&[crate::analysis::AbsValue]>,
+    pass: &'static str,
+    tamper: &mut dyn FnMut(&mut Vec<Instr>),
+) -> Result<Chunk, PassViolation> {
+    Pipeline::new(chunk, true, Some((pass, tamper))).run(level, entry)
+}
+
+/// A pass name and what to do to that pass's output before its gate
+/// (see [`optimize_tampered`]).
+type Tamper<'a> = (&'static str, &'a mut dyn FnMut(&mut Vec<Instr>));
+
+/// One chunk's trip through the passes: the code as it stands, the
+/// register bank size (passes allocate fresh registers; every gate
+/// verifies against the current count), and what verification needs.
+struct Pipeline<'a> {
+    chunk: &'a Chunk,
+    code: Vec<Instr>,
+    n_regs: u16,
+    verify: bool,
+    /// The input's charge signature, once `lowering` has verified.
+    sig: Option<Vec<f64>>,
+    tamper: Option<Tamper<'a>>,
+}
+
+impl<'a> Pipeline<'a> {
+    fn new(chunk: &'a Chunk, verify: bool, tamper: Option<Tamper<'a>>) -> Self {
+        Pipeline {
+            chunk,
+            code: chunk.code.clone(),
+            n_regs: chunk.n_regs,
+            verify,
+            sig: None,
+            tamper,
+        }
+    }
+
+    fn fail(&self, pass: &'static str, violation: crate::analysis::Violation) -> PassViolation {
+        PassViolation {
             pass,
-            label: chunk.label.clone(),
+            label: self.chunk.label.clone(),
             violation,
-        };
+        }
+    }
+
+    /// The structural gate every pass goes through: well-formedness
+    /// over the current register bank and an unchanged charge
+    /// signature.
+    fn gate(&mut self, pass: &'static str) -> Result<(), PassViolation> {
+        if let Some((target, tamper)) = &mut self.tamper {
+            if *target == pass {
+                tamper(&mut self.code);
+            }
+        }
+        if !self.verify {
+            return Ok(());
+        }
+        use crate::analysis::{charge_signature, verify_code, Violation, ViolationKind};
+        let chunk = self.chunk;
         verify_code(
-            code,
-            n_regs,
+            &self.code,
+            self.n_regs,
             chunk.n_slots,
-            n_names,
+            chunk.names.len(),
             &chunk.input_slots,
             &chunk.output_slots,
         )
-        .map_err(fail)?;
-        if let Some(want) = want_sig {
-            let got = charge_signature(code);
-            if got != want {
-                return Err(fail(Violation {
-                    kind: ViolationKind::ChargeMoved,
-                    at: 0,
-                    detail: format!("charge signature changed: {want:?} -> {got:?}"),
-                }));
+        .map_err(|v| self.fail(pass, v))?;
+        if let Some(want) = &self.sig {
+            let got = charge_signature(&self.code);
+            if got != *want {
+                return Err(self.fail(
+                    pass,
+                    Violation {
+                        kind: ViolationKind::ChargeMoved,
+                        at: 0,
+                        detail: format!("charge signature changed: {want:?} -> {got:?}"),
+                    },
+                ));
             }
         }
         Ok(())
-    };
+    }
 
-    let sig = if verify {
-        check("lowering", &chunk.code, chunk.n_regs, None)?;
-        Some(charge_signature(&chunk.code))
-    } else {
-        None
-    };
-    if level == OptLevel::O0 {
-        return Ok(chunk.clone());
-    }
-    let mut code = chunk.code.clone();
-    // The specializer allocates fresh registers, so the bank size is
-    // tracked explicitly and every gate verifies against the current
-    // count.
-    let mut n_regs_cur = chunk.n_regs;
-    let gate = |pass: &'static str, code: &[Instr], n_regs: u16| -> Result<(), PassViolation> {
-        match &sig {
-            Some(sig) => check(pass, code, n_regs, Some(sig)),
-            None => Ok(()),
-        }
-    };
-
-    // Value tracking and DCE cascade (a folded constant exposes a dead
-    // `Const`, whose removal exposes nothing further), so two rounds
-    // reach the fixpoint for the shapes lowering produces.
-    for _ in 0..2 {
-        local_value_pass(&mut code, level);
-        gate("local_value", &code, n_regs_cur)?;
-        dce(&mut code, &chunk.output_slots);
-        gate("dce", &code, n_regs_cur)?;
-        code = compact(code);
-        gate("compact", &code, n_regs_cur)?;
-    }
-    if level >= OptLevel::O2 {
-        fuse(&mut code);
-        gate("fuse", &code, n_regs_cur)?;
-        dce(&mut code, &chunk.output_slots);
-        gate("dce", &code, n_regs_cur)?;
-        fold_charges(&mut code);
-        gate("fold_charges", &code, n_regs_cur)?;
-        code = compact(code);
-        gate("compact", &code, n_regs_cur)?;
-    }
-    if level >= OptLevel::O3 {
-        // Facts for the specializer come from the code as it stands
-        // now (the forms the earlier passes produced are what dispatch
-        // will see), seeded with the caller's entry-slot facts.
-        let interim = Chunk {
+    /// The code as it stands, taken out into a chunk stamped `opt`.
+    fn finish(&mut self, opt: OptLevel) -> Chunk {
+        let chunk = self.chunk;
+        Chunk {
             label: chunk.label.clone(),
-            code: code.clone(),
+            code: std::mem::take(&mut self.code),
             names: chunk.names.clone(),
-            n_regs: n_regs_cur,
+            n_regs: self.n_regs,
             n_slots: chunk.n_slots,
             input_slots: chunk.input_slots.clone(),
             output_slots: chunk.output_slots.clone(),
-            opt: OptLevel::O2,
-        };
-        let facts = crate::analysis::analyze_chunk(&interim, entry.unwrap_or(&[]));
-        n_regs_cur = specialize::specialize(&mut code, n_regs_cur, &facts);
-        gate("specialize", &code, n_regs_cur)?;
-        if sig.is_some() {
-            crate::analysis::verify_specialized(&code, &facts).map_err(|violation| {
-                PassViolation {
-                    pass: "specialize",
-                    label: chunk.label.clone(),
-                    violation,
-                }
-            })?;
+            opt,
         }
-        // The hoist rewrite leaves `Move`s where the in-loop `Shape`s
-        // were; one more cleanup round propagates and drops them.
-        local_value_pass(&mut code, level);
-        gate("local_value", &code, n_regs_cur)?;
-        dce(&mut code, &chunk.output_slots);
-        gate("dce", &code, n_regs_cur)?;
-        code = compact(code);
-        gate("compact", &code, n_regs_cur)?;
     }
 
-    let (code, n_regs) = renumber_regs(code);
-    if let Some(sig) = &sig {
-        check("renumber_regs", &code, n_regs, Some(sig))?;
+    /// The code before a pass, for the claim checks that compare
+    /// against it (`None` when not verifying).
+    fn snapshot(&self) -> Option<Vec<Instr>> {
+        self.verify.then(|| self.code.clone())
     }
-    Ok(Chunk {
-        label: chunk.label.clone(),
-        code,
-        names: chunk.names.clone(),
-        n_regs,
-        n_slots: chunk.n_slots,
-        input_slots: chunk.input_slots.clone(),
-        output_slots: chunk.output_slots.clone(),
-        opt: level,
-    })
+
+    /// One liveness computation, shared: dead code becomes `Nop`s,
+    /// producers absorb the register moves that follow them, `Nop`s are
+    /// dropped. Returns the liveness of the compacted code.
+    fn sweep(&mut self) -> Result<Liveness, PassViolation> {
+        let chunk = self.chunk;
+        let mut live = dce(&mut self.code, chunk.n_slots, &chunk.output_slots);
+        self.gate("dce")?;
+        retarget_moves(&mut self.code, &mut live);
+        self.gate("retarget")?;
+        compact(&mut self.code, Some(&mut live));
+        self.gate("compact")?;
+        Ok(live)
+    }
+
+    fn value(&mut self, level: OptLevel) -> Result<(), PassViolation> {
+        let before = self.snapshot();
+        value_pass(&mut self.code, self.n_regs, level);
+        self.gate("value")?;
+        if let Some(before) = before {
+            crate::analysis::verify_forwarded(&before, &self.code, self.n_regs)
+                .map_err(|v| self.fail("value", v))?;
+        }
+        Ok(())
+    }
+
+    fn run(
+        mut self,
+        level: OptLevel,
+        entry: Option<&[crate::analysis::AbsValue]>,
+    ) -> Result<Chunk, PassViolation> {
+        let chunk = self.chunk;
+        if self.verify {
+            self.gate("lowering")?;
+            self.sig = Some(crate::analysis::charge_signature(&chunk.code));
+        }
+        if level == OptLevel::O0 {
+            return Ok(chunk.clone());
+        }
+
+        let promotion = promote::promote(&mut self.code, &mut self.n_regs, chunk, entry);
+        self.gate("promote")?;
+        if self.verify {
+            crate::analysis::verify_promoted(&self.code, &promotion)
+                .map_err(|v| self.fail("promote", v))?;
+        }
+        // Lowering's `expr -> temp; store temp` pairs must retarget to
+        // the home registers *before* copy propagation extends the
+        // temps' live ranges, so a sweep runs on either side of value
+        // tracking.
+        self.sweep()?;
+        self.value(level)?;
+        let live = self.sweep()?;
+
+        if level >= OptLevel::O2 {
+            fuse(&mut self.code, &live);
+            self.gate("fuse")?;
+            fold_charges(&mut self.code);
+            self.gate("fold_charges")?;
+            compact(&mut self.code, None);
+            self.gate("compact")?;
+        }
+
+        if level >= OptLevel::O3 {
+            // Facts for the specializer come from the code as it stands
+            // now (the forms the earlier passes produced are what
+            // dispatch will see), seeded with the caller's entry-slot
+            // facts.
+            let interim = self.finish(OptLevel::O2);
+            let spec_facts = crate::analysis::analyze_chunk(&interim, entry.unwrap_or(&[]));
+            self.code = interim.code;
+            let hoisted = specialize::specialize(&mut self.code, &mut self.n_regs, &spec_facts);
+            self.gate("specialize")?;
+            if self.verify {
+                crate::analysis::verify_specialized(&self.code, &spec_facts)
+                    .map_err(|v| self.fail("specialize", v))?;
+            }
+
+            // The hoist rewrite leaves `Move`s where the in-loop
+            // `Shape`s were.
+            if hoisted {
+                self.value(level)?;
+            }
+            promote::const_homes(&mut self.code, &mut self.n_regs);
+            self.gate("const_homes")?;
+            let before = self.snapshot();
+            thread_jumps(&mut self.code);
+            self.gate("thread_jumps")?;
+            if let Some(before) = before {
+                crate::analysis::verify_threaded(&before, &self.code)
+                    .map_err(|v| self.fail("thread_jumps", v))?;
+            }
+            self.sweep()?;
+        }
+
+        self.n_regs = renumber_regs(&mut self.code);
+        self.gate("renumber_regs")?;
+        Ok(self.finish(level))
+    }
 }
 
 // ---- instruction facts -------------------------------------------------
@@ -507,6 +635,21 @@ pub(crate) fn jump_targets(code: &[Instr]) -> Vec<bool> {
     targets
 }
 
+/// Whether control can run off the end of `code`: a jump targets the
+/// end, or the last instruction falls through.
+pub(crate) fn falls_off_end(code: &[Instr]) -> bool {
+    jump_targets(code)[code.len()]
+        || !matches!(
+            code.last(),
+            Some(
+                Instr::Return
+                    | Instr::Jump { .. }
+                    | Instr::AddImmJump { .. }
+                    | Instr::Switch { .. }
+            )
+        )
+}
+
 /// Every instruction index an instruction may transfer control to
 /// (fall-through excluded).
 pub(crate) fn for_each_target(instr: &Instr, mut f: impl FnMut(usize)) {
@@ -539,54 +682,175 @@ pub(crate) fn for_each_target_mut(instr: &mut Instr, mut f: impl FnMut(&mut usiz
     }
 }
 
-// ---- liveness ----------------------------------------------------------
+// ---- loops ------------------------------------------------------------------
 
-/// A dense per-register bit set.
-#[derive(Clone, PartialEq, Default)]
-struct RegSet {
-    words: Vec<u64>,
+/// The chunk's loops as `(head, last)` instruction ranges, one per
+/// distinct back-edge target (`last` is its furthest back-edge source),
+/// in order of first back edge.
+pub fn loops(code: &[Instr]) -> Vec<(usize, usize)> {
+    let mut loops: Vec<(usize, usize)> = Vec::new();
+    for (i, instr) in code.iter().enumerate() {
+        for_each_target(instr, |t| {
+            if t <= i {
+                match loops.iter_mut().find(|(h, _)| *h == t) {
+                    Some((_, s)) => *s = (*s).max(i),
+                    None => loops.push((t, i)),
+                }
+            }
+        });
+    }
+    loops
 }
 
-impl RegSet {
-    fn with_capacity(n_regs: usize) -> RegSet {
-        RegSet {
-            words: vec![0; n_regs.div_ceil(64)],
+/// What one trip round an innermost loop costs in dispatches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopCost {
+    /// The loop head (its back edges' target).
+    pub head: usize,
+    /// The furthest back-edge source.
+    pub last: usize,
+    /// Instructions on the shortest path from the head round to a back
+    /// edge, the back-edge instruction included.
+    pub shortest_trip: usize,
+}
+
+/// The innermost loops of `code` (those containing no other loop) with
+/// their per-trip dispatch counts, in code order — what `pb_lint
+/// --disasm` prints and the register-residency tests bound.
+pub fn innermost_loops(code: &[Instr]) -> Vec<LoopCost> {
+    let all = loops(code);
+    let mut inner: Vec<LoopCost> = all
+        .iter()
+        .filter(|&&(h, s)| {
+            !all.iter()
+                .any(|&(h2, s2)| (h2, s2) != (h, s) && h <= h2 && s2 <= s)
+        })
+        .map(|&(head, last)| {
+            // Breadth-first over instructions inside the loop.
+            let mut dist = vec![0usize; last - head + 1];
+            dist[0] = 1;
+            let mut queue = std::collections::VecDeque::from([head]);
+            let mut shortest_trip = 0;
+            while let Some(i) = queue.pop_front() {
+                let d = dist[i - head];
+                let mut back = false;
+                let mut visit = |t: usize| {
+                    if t == head {
+                        back = true;
+                    } else if (head..=last).contains(&t) && dist[t - head] == 0 {
+                        dist[t - head] = d + 1;
+                        queue.push_back(t);
+                    }
+                };
+                for_each_target(&code[i], &mut visit);
+                if !matches!(
+                    code[i],
+                    Instr::Jump { .. }
+                        | Instr::AddImmJump { .. }
+                        | Instr::Switch { .. }
+                        | Instr::Return
+                ) {
+                    visit(i + 1);
+                }
+                if back {
+                    shortest_trip = d;
+                    break;
+                }
+            }
+            LoopCost {
+                head,
+                last,
+                shortest_trip,
+            }
+        })
+        .collect();
+    inner.sort_by_key(|l| l.head);
+    inner
+}
+
+// ---- block structure and liveness ---------------------------------------
+
+/// Basic-block structure shared by every dataflow pass here and in
+/// [`crate::analysis`]: block start indices and per-block successors.
+/// All jump targets must already be valid (`<= code.len()`).
+pub(crate) struct Cfg {
+    starts: Vec<usize>,
+    n: usize,
+    succ_at: Vec<usize>,
+    succs: Vec<usize>,
+    exits: Vec<bool>,
+}
+
+impl Cfg {
+    pub(crate) fn build(code: &[Instr]) -> Cfg {
+        let n = code.len();
+        let targets = jump_targets(code);
+        let mut block_of = vec![0usize; n];
+        let mut starts = Vec::new();
+        for i in 0..n {
+            if i == 0 || targets[i] || is_terminator(&code[i - 1]) {
+                starts.push(i);
+            }
+            block_of[i] = starts.len() - 1;
         }
+        let mut cfg = Cfg {
+            starts,
+            n,
+            succ_at: vec![0],
+            succs: Vec::new(),
+            exits: Vec::new(),
+        };
+        for b in 0..cfg.len() {
+            let last = cfg.range(b).end - 1;
+            let mut exits = false;
+            let mut push = |t: usize| match block_of.get(t) {
+                Some(&s) => cfg.succs.push(s),
+                None => exits = true,
+            };
+            for_each_target(&code[last], &mut push);
+            match &code[last] {
+                Instr::Jump { .. } | Instr::AddImmJump { .. } | Instr::Switch { .. } => {}
+                Instr::Return => exits = true,
+                _ => push(last + 1),
+            }
+            cfg.succ_at.push(cfg.succs.len());
+            cfg.exits.push(exits);
+        }
+        cfg
     }
 
-    fn insert(&mut self, r: Reg) {
-        let r = r as usize;
-        if r / 64 >= self.words.len() {
-            self.words.resize(r / 64 + 1, 0);
-        }
-        self.words[r / 64] |= 1 << (r % 64);
+    /// Number of blocks.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len()
     }
 
-    fn remove(&mut self, r: Reg) {
-        let r = r as usize;
-        if r / 64 < self.words.len() {
-            self.words[r / 64] &= !(1 << (r % 64));
-        }
+    /// The instruction indices of block `b`.
+    pub(crate) fn range(&self, b: usize) -> std::ops::Range<usize> {
+        self.starts[b]..self.starts.get(b + 1).copied().unwrap_or(self.n)
     }
 
-    fn contains(&self, r: Reg) -> bool {
-        let r = r as usize;
-        r / 64 < self.words.len() && self.words[r / 64] & (1 << (r % 64)) != 0
+    /// The blocks control may reach from the end of `b`.
+    pub(crate) fn successors(&self, b: usize) -> &[usize] {
+        &self.succs[self.succ_at[b]..self.succ_at[b + 1]]
     }
 
-    /// `self |= other`; returns whether anything changed.
-    fn union_with(&mut self, other: &RegSet) -> bool {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        let mut changed = false;
-        for (dst, src) in self.words.iter_mut().zip(&other.words) {
-            let next = *dst | *src;
-            changed |= next != *dst;
-            *dst = next;
-        }
-        changed
+    /// Whether execution can end at `b`'s last instruction (a `Return`,
+    /// or control running off the end of the chunk).
+    pub(crate) fn exits(&self, b: usize) -> bool {
+        self.exits[b]
     }
+}
+
+fn bit(row: &[u64], r: u16) -> bool {
+    row[r as usize / 64] & (1 << (r % 64)) != 0
+}
+
+fn set_bit(row: &mut [u64], r: u16) {
+    row[r as usize / 64] |= 1 << (r % 64);
+}
+
+fn clear_bit(row: &mut [u64], r: u16) {
+    row[r as usize / 64] &= !(1 << (r % 64));
 }
 
 /// Which bank a liveness query tracks.
@@ -613,582 +877,110 @@ impl Bank {
             Bank::Slots => for_each_slot_def(instr, f),
         }
     }
+
+    /// Words in a bit row wide enough for everything `code` mentions.
+    fn words(self, code: &[Instr]) -> usize {
+        let mut top = 0usize;
+        for instr in code {
+            self.uses(instr, |r| top = top.max(r as usize + 1));
+            self.defs(instr, |r| top = top.max(r as usize + 1));
+        }
+        top.div_ceil(64).max(1)
+    }
 }
 
-/// The registers (or slots) some path from entry reads before writing
-/// — the state a fresh, zeroed frame would have supplied.
-pub(crate) fn live_in_at_entry(code: &[Instr], bank: Bank) -> Vec<u16> {
-    let Some(first) = code.first() else {
-        return Vec::new();
-    };
-    let mut live = live_after_sets(code, bank).swap_remove(0);
-    bank.defs(first, |r| live.remove(r));
-    bank.uses(first, |r| live.insert(r));
-    (0..live.words.len() * 64)
-        .map(|r| r as u16)
-        .filter(|&r| live.contains(r))
-        .collect()
-}
-
-/// Per-instruction liveness: `live_after[i]` is the set of registers
-/// (or slots, per `bank`) whose values may still be read on some path
-/// after instruction `i` executes.
-fn live_after_sets(code: &[Instr], bank: Bank) -> Vec<RegSet> {
-    let n = code.len();
-    let mut max_reg = 0usize;
-    for instr in code {
-        bank.uses(instr, |r| max_reg = max_reg.max(r as usize + 1));
-        bank.defs(instr, |r| max_reg = max_reg.max(r as usize + 1));
-    }
-
-    // Block structure.
-    let targets = jump_targets(code);
-    let mut leader = vec![false; n.max(1)];
-    if n > 0 {
-        leader[0] = true;
-    }
-    for i in 0..n {
-        if targets[i] {
-            leader[i] = true;
-        }
-        if is_terminator(&code[i]) && i + 1 < n {
-            leader[i + 1] = true;
-        }
-    }
-    let block_starts: Vec<usize> = (0..n).filter(|&i| leader[i]).collect();
-    let block_of = {
-        let mut map = vec![0usize; n];
-        for (b, &start) in block_starts.iter().enumerate() {
-            let end = block_starts.get(b + 1).copied().unwrap_or(n);
-            for slot in map.iter_mut().take(end).skip(start) {
-                *slot = b;
-            }
-        }
-        map
-    };
-    let block_end = |b: usize| block_starts.get(b + 1).copied().unwrap_or(n);
-
-    // Successor blocks of each block (via its final instruction).
-    let successors = |b: usize| -> Vec<usize> {
-        let last = block_end(b) - 1;
-        let mut out = Vec::new();
-        let mut push_target = |t: usize| {
-            if t < n {
-                out.push(block_of[t]);
-            }
-        };
-        match &code[last] {
-            Instr::Jump { target } | Instr::AddImmJump { target, .. } => push_target(*target),
-            Instr::JumpIfZero { target, .. }
-            | Instr::JumpIfNonZero { target, .. }
-            | Instr::JumpIfGe { target, .. }
-            | Instr::JumpCmp { target, .. }
-            | Instr::JumpCmpImm { target, .. } => {
-                push_target(*target);
-                push_target(last + 1);
-            }
-            Instr::Switch { targets, .. } => {
-                for t in targets {
-                    push_target(*t);
-                }
-            }
-            Instr::Return => {}
-            _ => push_target(last + 1),
-        }
-        out
-    };
-
-    // Backward dataflow to a fixpoint over block live-in/live-out.
-    let nb = block_starts.len();
-    let mut live_in: Vec<RegSet> = vec![RegSet::with_capacity(max_reg); nb];
-    let mut live_out: Vec<RegSet> = vec![RegSet::with_capacity(max_reg); nb];
+/// Backward dataflow to a fixpoint: the live-in row of every block,
+/// `words` words each. `step(i, row)` takes the row live after
+/// instruction `i` to the row live before it; `at_exit` is live where
+/// execution ends.
+fn block_live_in(
+    cfg: &Cfg,
+    words: usize,
+    at_exit: &[u64],
+    step: impl Fn(usize, &mut [u64]),
+) -> Vec<u64> {
+    let nb = cfg.len();
+    let mut live_in = vec![0u64; nb * words];
+    let mut row = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for b in (0..nb).rev() {
-            let mut out = RegSet::with_capacity(max_reg);
-            for s in successors(b) {
-                out.union_with(&live_in[s]);
+            live_out(cfg, b, &live_in, at_exit, &mut row);
+            for i in cfg.range(b).rev() {
+                step(i, &mut row);
             }
-            let mut live = out.clone();
-            for i in (block_starts[b]..block_end(b)).rev() {
-                bank.defs(&code[i], |r| live.remove(r));
-                bank.uses(&code[i], |r| live.insert(r));
+            let cur = &mut live_in[b * words..][..words];
+            if cur != row {
+                cur.copy_from_slice(&row);
+                changed = true;
             }
-            changed |= live_out[b] != out || live_in[b] != live;
-            live_out[b] = out;
-            live_in[b] = live;
         }
     }
+    live_in
+}
 
-    // Final backward walk materializing per-instruction live-after.
-    let mut after = vec![RegSet::default(); n];
-    for b in 0..nb {
-        let mut live = live_out[b].clone();
-        for i in (block_starts[b]..block_end(b)).rev() {
-            after[i] = live.clone();
-            bank.defs(&code[i], |r| live.remove(r));
-            bank.uses(&code[i], |r| live.insert(r));
+/// `row` = what is live at the end of block `b`.
+fn live_out(cfg: &Cfg, b: usize, live_in: &[u64], at_exit: &[u64], row: &mut [u64]) {
+    let words = row.len();
+    row.fill(0);
+    if cfg.exits(b) {
+        for (w, e) in row.iter_mut().zip(at_exit) {
+            *w |= e;
         }
     }
-    after
-}
-
-// ---- pass 1: local value tracking --------------------------------------
-
-/// What a register is known to hold at the current program point.
-#[derive(Clone, Copy, PartialEq)]
-enum RegFact {
-    Const(f64),
-    /// Same value as another register (the fact is stored canonical:
-    /// the referenced register is never itself a `Copy`).
-    Copy(Reg),
-}
-
-/// Applies a binary operator with the VM's exact `f64` semantics.
-/// `And`/`Or` never appear (lowering compiles them to jumps).
-pub(crate) fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Rem => a % b,
-        BinOp::Eq => (a == b) as i64 as f64,
-        BinOp::Ne => (a != b) as i64 as f64,
-        BinOp::Lt => (a < b) as i64 as f64,
-        BinOp::Le => (a <= b) as i64 as f64,
-        BinOp::Gt => (a > b) as i64 as f64,
-        BinOp::Ge => (a >= b) as i64 as f64,
-        BinOp::And | BinOp::Or => unreachable!("lowered to jumps"),
-    }
-}
-
-/// Block-local constant folding, copy propagation, and slot-scalar
-/// aliasing. Rewrites instructions in place (the code length never
-/// changes, so jump targets stay valid).
-fn local_value_pass(code: &mut [Instr], level: OptLevel) {
-    let n = code.len();
-    let targets = jump_targets(code);
-
-    let mut facts: HashMap<Reg, RegFact> = HashMap::new();
-    // `slots[s]` holds `Num` equal to the current value of a register.
-    let mut slot_alias: HashMap<u16, Reg> = HashMap::new();
-    // `slots[s]` holds `Num(imm)`.
-    let mut slot_const: HashMap<u16, f64> = HashMap::new();
-
-    for i in 0..n {
-        if targets[i] {
-            // Joining control flow invalidates everything local.
-            facts.clear();
-            slot_alias.clear();
-            slot_const.clear();
-        }
-
-        // Kill facts that depend on a register this instruction writes
-        // — done up front against the *pre*-instruction state; the
-        // per-variant handling below then installs the new fact.
-        let mut defs: Vec<Reg> = Vec::new();
-        for_each_def(&code[i], |r| defs.push(r));
-
-        // Resolve a register through the current copy facts.
-        let canon = |facts: &HashMap<Reg, RegFact>, r: Reg| -> Reg {
-            match facts.get(&r) {
-                Some(RegFact::Copy(root)) => *root,
-                _ => r,
-            }
-        };
-        let known = |facts: &HashMap<Reg, RegFact>, r: Reg| -> Option<f64> {
-            match facts.get(&r) {
-                Some(RegFact::Const(v)) => Some(*v),
-                _ => None,
-            }
-        };
-
-        // Rewrite uses through copy facts (pure uses only; the
-        // read-modify-write destinations of AddImm/TruncPair/WhileGuard
-        // must stay in place).
-        match &mut code[i] {
-            Instr::Move { src, .. }
-            | Instr::Neg { src, .. }
-            | Instr::Not { src, .. }
-            | Instr::TestNonZero { src, .. }
-            | Instr::Math1 { src, .. }
-            | Instr::StoreSlotNum { src, .. } => *src = canon(&facts, *src),
-            Instr::Bin { a, b, .. } | Instr::Math2 { a, b, .. } => {
-                *a = canon(&facts, *a);
-                *b = canon(&facts, *b);
-            }
-            Instr::BinRI { a, .. } => *a = canon(&facts, *a),
-            Instr::BinIR { b, .. } => *b = canon(&facts, *b),
-            Instr::Rand { lo, hi, .. } => {
-                *lo = canon(&facts, *lo);
-                *hi = canon(&facts, *hi);
-            }
-            Instr::LoadIdx1 { idx, .. } | Instr::LoadIdx1U { idx, .. } => {
-                *idx = canon(&facts, *idx)
-            }
-            Instr::LoadIdx2 { i: a, j: b, .. } | Instr::LoadIdx2U { i: a, j: b, .. } => {
-                *a = canon(&facts, *a);
-                *b = canon(&facts, *b);
-            }
-            Instr::StoreIdx1 { idx, src, .. } | Instr::StoreIdx1U { idx, src, .. } => {
-                *idx = canon(&facts, *idx);
-                *src = canon(&facts, *src);
-            }
-            Instr::BinStoreIdx1 { idx, a, b, .. } | Instr::BinStoreIdx1U { idx, a, b, .. } => {
-                *idx = canon(&facts, *idx);
-                *a = canon(&facts, *a);
-                *b = canon(&facts, *b);
-            }
-            Instr::StoreIdx2 {
-                i: a, j: b, src, ..
-            }
-            | Instr::StoreIdx2U {
-                i: a, j: b, src, ..
-            } => {
-                *a = canon(&facts, *a);
-                *b = canon(&facts, *b);
-                *src = canon(&facts, *src);
-            }
-            Instr::JumpIfZero { cond, .. } | Instr::JumpIfNonZero { cond, .. } => {
-                *cond = canon(&facts, *cond)
-            }
-            Instr::JumpIfGe { a, b, .. } | Instr::JumpCmp { a, b, .. } => {
-                *a = canon(&facts, *a);
-                *b = canon(&facts, *b);
-            }
-            Instr::JumpCmpImm { a, .. } => *a = canon(&facts, *a),
-            Instr::Switch { src, .. } => *src = canon(&facts, *src),
-            Instr::SlotUpdReg { b, .. } => *b = canon(&facts, *b),
-            Instr::CallHost { first, rest, .. } => {
-                if let FirstArg::Anon(Operand::Reg(r)) = first {
-                    *r = canon(&facts, *r);
-                }
-                for op in rest.iter_mut() {
-                    if let Operand::Reg(r) = op {
-                        *r = canon(&facts, *r);
-                    }
-                }
-            }
-            Instr::CallTransform { args, .. } => {
-                for op in args.iter_mut() {
-                    if let Operand::Reg(r) = op {
-                        *r = canon(&facts, *r);
-                    }
-                }
-            }
-            _ => {}
-        }
-
-        // Fold where operands are known, then install new facts.
-        let new_instr: Option<Instr> = match &code[i] {
-            Instr::Bin { op, dst, a, b } => match (known(&facts, *a), known(&facts, *b)) {
-                (Some(va), Some(vb)) => Some(Instr::Const {
-                    dst: *dst,
-                    val: apply_bin(*op, va, vb),
-                }),
-                (Some(va), None) if level >= OptLevel::O2 => Some(Instr::BinIR {
-                    op: *op,
-                    dst: *dst,
-                    imm: va,
-                    b: *b,
-                }),
-                (None, Some(vb)) if level >= OptLevel::O2 => Some(Instr::BinRI {
-                    op: *op,
-                    dst: *dst,
-                    a: *a,
-                    imm: vb,
-                }),
-                _ => None,
-            },
-            Instr::BinRI { op, dst, a, imm } => known(&facts, *a).map(|va| Instr::Const {
-                dst: *dst,
-                val: apply_bin(*op, va, *imm),
-            }),
-            Instr::BinIR { op, dst, imm, b } => known(&facts, *b).map(|vb| Instr::Const {
-                dst: *dst,
-                val: apply_bin(*op, *imm, vb),
-            }),
-            Instr::Neg { dst, src } => {
-                known(&facts, *src).map(|v| Instr::Const { dst: *dst, val: -v })
-            }
-            Instr::Not { dst, src } => known(&facts, *src).map(|v| Instr::Const {
-                dst: *dst,
-                val: if v == 0.0 { 1.0 } else { 0.0 },
-            }),
-            Instr::TestNonZero { dst, src } => known(&facts, *src).map(|v| Instr::Const {
-                dst: *dst,
-                val: (v != 0.0) as i64 as f64,
-            }),
-            Instr::Math1 { f, dst, src } => known(&facts, *src).map(|v| Instr::Const {
-                dst: *dst,
-                val: crate::vm::apply_math1(*f, v),
-            }),
-            Instr::Math2 { f, dst, a, b } => match (known(&facts, *a), known(&facts, *b)) {
-                (Some(va), Some(vb)) => Some(Instr::Const {
-                    dst: *dst,
-                    val: crate::vm::apply_math2(*f, va, vb),
-                }),
-                _ => None,
-            },
-            Instr::AddImm { dst, imm } => known(&facts, *dst).map(|v| Instr::Const {
-                dst: *dst,
-                val: v + imm,
-            }),
-            // A load from a slot that provably holds `Num(regs[r])`
-            // cannot fail and equals a register copy.
-            Instr::LoadSlotNum { dst, slot } => match slot_alias.get(slot) {
-                Some(&r) => Some(Instr::Move { dst: *dst, src: r }),
-                None => slot_const
-                    .get(slot)
-                    .map(|&v| Instr::Const { dst: *dst, val: v }),
-            },
-            _ => None,
-        };
-        if let Some(instr) = new_instr {
-            code[i] = instr;
-        }
-
-        // Register writes invalidate dependent facts.
-        for &d in &defs {
-            facts.remove(&d);
-            facts.retain(|_, f| !matches!(f, RegFact::Copy(r) if *r == d));
-            slot_alias.retain(|_, r| *r != d);
-        }
-
-        // Install the post-instruction facts.
-        match &code[i] {
-            Instr::Const { dst, val } => {
-                facts.insert(*dst, RegFact::Const(*val));
-            }
-            Instr::Move { dst, src } => {
-                let fact = match facts.get(src) {
-                    Some(RegFact::Const(v)) => RegFact::Const(*v),
-                    _ => RegFact::Copy(*src),
-                };
-                facts.insert(*dst, fact);
-            }
-            // Read-modify-write instructions (TruncPair, WhileGuard,
-            // AddImmJump): the defs-kill above already dropped their
-            // registers' facts, leaving them Unknown — fine, since
-            // loop-carried counters never stay constant anyway.
-            Instr::StoreSlotNum { slot, src } => {
-                slot_alias.remove(slot);
-                slot_const.remove(slot);
-                match facts.get(src) {
-                    Some(RegFact::Const(v)) => {
-                        slot_const.insert(*slot, *v);
-                    }
-                    _ => {
-                        slot_alias.insert(*slot, *src);
-                    }
-                }
-            }
-            Instr::SlotUpdImm { dst, .. } | Instr::SlotUpdReg { dst, .. } => {
-                slot_alias.remove(dst);
-                slot_const.remove(dst);
-            }
-            Instr::CopySlot { dst, src } => {
-                match (slot_alias.get(src).copied(), slot_const.get(src).copied()) {
-                    (Some(r), _) => {
-                        slot_const.remove(dst);
-                        slot_alias.insert(*dst, r);
-                    }
-                    (None, Some(v)) => {
-                        slot_alias.remove(dst);
-                        slot_const.insert(*dst, v);
-                    }
-                    (None, None) => {
-                        slot_alias.remove(dst);
-                        slot_const.remove(dst);
-                    }
-                }
-            }
-            Instr::CallHost { first, dst, .. } => {
-                if let FirstArg::Var(s) = first {
-                    slot_alias.remove(s);
-                    slot_const.remove(s);
-                }
-                slot_alias.remove(dst);
-                slot_const.remove(dst);
-            }
-            Instr::CallTransform { dst, .. } => {
-                slot_alias.remove(dst);
-                slot_const.remove(dst);
-            }
-            _ => {}
-        }
-
-        if is_terminator(&code[i]) {
-            facts.clear();
-            slot_alias.clear();
-            slot_const.clear();
+    for &s in cfg.successors(b) {
+        for (w, l) in row.iter_mut().zip(&live_in[s * words..][..words]) {
+            *w |= l;
         }
     }
 }
 
-// ---- pass 2: superinstruction fusion -----------------------------------
+/// The registers (or slots) some path from entry reads before writing
+/// — the state a fresh, zeroed frame would have supplied. `at_exit`
+/// lists what the caller reads once the chunk finishes (output slots).
+pub(crate) fn live_in_at_entry(code: &[Instr], bank: Bank, at_exit: &[u16]) -> Vec<u16> {
+    if code.is_empty() {
+        return at_exit.to_vec();
+    }
+    let mut words = bank.words(code);
+    for &r in at_exit {
+        words = words.max(r as usize / 64 + 1);
+    }
+    let mut exit_row = vec![0u64; words];
+    for &r in at_exit {
+        set_bit(&mut exit_row, r);
+    }
+    let cfg = Cfg::build(code);
+    let live_in = block_live_in(&cfg, words, &exit_row, |i, row| {
+        bank.defs(&code[i], |r| clear_bit(row, r));
+        bank.uses(&code[i], |r| set_bit(row, r));
+    });
+    (0..words * 64)
+        .map(|r| r as u16)
+        .filter(|&r| bit(&live_in[..words], r))
+        .collect()
+}
 
-/// Flips a comparison so `imm op b` can be expressed as `b op' imm`.
-fn flip_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other, // Eq / Ne are symmetric.
+/// Per-instruction register liveness: row `i` is the set of registers
+/// whose values may still be read on some path after instruction `i`
+/// executes.
+pub(crate) struct Liveness {
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl Liveness {
+    fn live_after(&self, i: usize, r: Reg) -> bool {
+        (r as usize) < self.words * 64 && bit(&self.rows[i * self.words..][..self.words], r)
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.rows[i * self.words..][..self.words]
     }
 }
 
-fn is_cmp(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-    )
-}
-
-/// Collapses the dominant adjacent sequences into superinstructions.
-/// A sequence fuses only when no jump lands inside it and the absorbed
-/// intermediate registers are dead afterwards.
-fn fuse(code: &mut [Instr]) {
-    let n = code.len();
-    let targets = jump_targets(code);
-    let live = live_after_sets(code, Bank::Regs);
-
-    // LoadSlotNum + binop + StoreSlotNum → SlotUpd*.
-    for i in 0..n.saturating_sub(2) {
-        if targets[i + 1] || targets[i + 2] {
-            continue;
-        }
-        let Instr::LoadSlotNum { dst: r1, slot: src } = code[i] else {
-            continue;
-        };
-        let Instr::StoreSlotNum { slot: dst, src: r2 } = code[i + 2] else {
-            continue;
-        };
-        if live[i + 2].contains(r1) || live[i + 2].contains(r2) {
-            continue;
-        }
-        let fused = match code[i + 1] {
-            Instr::Bin { op, dst: d, a, b } if d == r2 && a == r1 && b != r1 => {
-                Some(Instr::SlotUpdReg { op, dst, src, b })
-            }
-            Instr::BinRI { op, dst: d, a, imm } if d == r2 && a == r1 => Some(Instr::SlotUpdImm {
-                op,
-                dst,
-                src,
-                imm,
-                imm_on_left: false,
-            }),
-            Instr::BinIR { op, dst: d, imm, b } if d == r2 && b == r1 => Some(Instr::SlotUpdImm {
-                op,
-                dst,
-                src,
-                imm,
-                imm_on_left: true,
-            }),
-            _ => None,
-        };
-        if let Some(fused) = fused {
-            code[i] = fused;
-            code[i + 1] = Instr::Nop;
-            code[i + 2] = Instr::Nop;
-        }
-    }
-
-    // arithmetic + element store → BinStoreIdx1. The index register
-    // must not be the arithmetic result (the fused form reads it
-    // directly, so it has to carry its pre-`Bin` value — which it
-    // does whenever it is a distinct register).
-    for i in 0..n.saturating_sub(1) {
-        if targets[i + 1] {
-            continue;
-        }
-        let Instr::Bin { op, dst, a, b } = code[i] else {
-            continue;
-        };
-        let Instr::StoreIdx1 { slot, idx, src } = code[i + 1] else {
-            continue;
-        };
-        if src != dst || idx == dst || live[i + 1].contains(dst) {
-            continue;
-        }
-        code[i] = Instr::BinStoreIdx1 {
-            op,
-            slot,
-            idx,
-            a,
-            b,
-        };
-        code[i + 1] = Instr::Nop;
-    }
-
-    // counter increment + loop back-edge → AddImmJump (no deadness
-    // requirement: both effects are kept, in one dispatch).
-    for i in 0..n.saturating_sub(1) {
-        if targets[i + 1] {
-            continue;
-        }
-        let Instr::AddImm { dst, imm } = code[i] else {
-            continue;
-        };
-        let Instr::Jump { target } = code[i + 1] else {
-            continue;
-        };
-        code[i] = Instr::AddImmJump { dst, imm, target };
-        code[i + 1] = Instr::Nop;
-    }
-
-    // compare + conditional branch → JumpCmp / JumpCmpImm.
-    for i in 0..n.saturating_sub(1) {
-        if targets[i + 1] {
-            continue;
-        }
-        let (cond, jump_if, target) = match code[i + 1] {
-            Instr::JumpIfZero { cond, target } => (cond, false, target),
-            Instr::JumpIfNonZero { cond, target } => (cond, true, target),
-            _ => continue,
-        };
-        if live[i + 1].contains(cond) {
-            continue;
-        }
-        let fused = match code[i] {
-            Instr::Bin { op, dst, a, b } if dst == cond && is_cmp(op) => Some(Instr::JumpCmp {
-                op,
-                a,
-                b,
-                jump_if,
-                target,
-            }),
-            Instr::BinRI { op, dst, a, imm } if dst == cond && is_cmp(op) => {
-                Some(Instr::JumpCmpImm {
-                    op,
-                    a,
-                    imm,
-                    jump_if,
-                    target,
-                })
-            }
-            Instr::BinIR { op, dst, imm, b } if dst == cond && is_cmp(op) => {
-                Some(Instr::JumpCmpImm {
-                    op: flip_cmp(op),
-                    a: b,
-                    imm,
-                    jump_if,
-                    target,
-                })
-            }
-            _ => None,
-        };
-        if let Some(fused) = fused {
-            code[i] = Instr::Nop;
-            code[i + 1] = fused;
-        }
-    }
-}
-
-// ---- pass 3: dead-code elimination -------------------------------------
+// ---- dead-code elimination ------------------------------------------------
 
 /// Slots an instruction reads (a write to a slot no instruction — and
 /// no output binding — ever reads is unobservable).
@@ -1248,60 +1040,710 @@ fn for_each_slot_def(instr: &Instr, mut f: impl FnMut(u16)) {
     }
 }
 
-/// Replaces instructions with no observable effect with `Nop`s: pure
-/// instructions whose result registers are dead, self-moves, and
-/// never-erroring stores to slots nothing reads.
-fn dce(code: &mut [Instr], output_slots: &[crate::compile::Slot]) {
-    loop {
-        let live = live_after_sets(code, Bank::Regs);
-        // Flow-insensitive slot read set: a slot is observable if any
-        // instruction may read it or it carries a rule output.
-        let mut read_slots: Vec<bool> = Vec::new();
-        let mut note = |s: u16| {
-            let s = s as usize;
-            if s >= read_slots.len() {
-                read_slots.resize(s + 1, false);
+/// Marks the never-erroring slot writes (`StoreSlotNum`, `CopySlot`)
+/// whose slot nothing reads — no instruction, no output binding. The
+/// read set is flow-insensitive; dropping a dead `CopySlot` can free
+/// its source in turn, hence the loop.
+fn dead_slot_writes(code: &[Instr], n_slots: u16, output_slots: &[Slot]) -> Vec<bool> {
+    let mut reads = vec![0u32; n_slots as usize];
+    for instr in code {
+        for_each_slot_use(instr, |s| reads[s as usize] += 1);
+    }
+    for &s in output_slots {
+        reads[s as usize] += 1;
+    }
+    let mut dead = vec![false; code.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (i, instr) in code.iter().enumerate() {
+            if dead[i] {
+                continue;
             }
-            read_slots[s] = true;
-        };
-        for instr in code.iter() {
-            for_each_slot_use(instr, &mut note);
-        }
-        for &s in output_slots {
-            note(s);
-        }
-        let slot_read = |s: u16| read_slots.get(s as usize).copied().unwrap_or(false);
-
-        let mut changed = false;
-        for i in 0..code.len() {
-            let dead = match &code[i] {
-                Instr::Nop => false,
-                Instr::Move { dst, src } if dst == src => true,
-                // These two slot writes cannot error; dropping them is
-                // unobservable when nothing reads the slot.
-                Instr::StoreSlotNum { slot, .. } => !slot_read(*slot),
-                Instr::CopySlot { dst, .. } => !slot_read(*dst),
-                instr if is_pure(instr) => {
-                    let mut any_live = false;
-                    for_each_def(instr, |r| any_live |= live[i].contains(r));
-                    let mut has_def = false;
-                    for_each_def(instr, |_| has_def = true);
-                    has_def && !any_live
+            match instr {
+                Instr::StoreSlotNum { slot, .. } if reads[*slot as usize] == 0 => dead[i] = true,
+                Instr::CopySlot { dst, src } if reads[*dst as usize] == 0 => {
+                    dead[i] = true;
+                    reads[*src as usize] -= 1;
+                    changed = true;
                 }
-                _ => false,
-            };
-            if dead {
+                _ => {}
+            }
+        }
+    }
+    dead
+}
+
+/// Replaces instructions with no observable effect with `Nop`s — pure
+/// instructions whose result registers are dead, self-moves, and
+/// never-erroring writes to slots nothing reads — and returns the
+/// register liveness of what is left.
+///
+/// One liveness computation does it: the transfer function skips an
+/// instruction that is removable and whose results are dead (so what
+/// *it* reads does not become live on its account), which reaches in
+/// one fixpoint what removing and recomputing reached in several.
+/// Instructions with side effects (stores that something reads, RNG,
+/// cost charges, anything that can error) are never removed, so error
+/// behavior is preserved exactly.
+fn dce(code: &mut [Instr], n_slots: u16, output_slots: &[Slot]) -> Liveness {
+    let dead_write = dead_slot_writes(code, n_slots, output_slots);
+    let words = Bank::Regs.words(code);
+    // `true` when instruction `i` is dead given `row` live after it;
+    // otherwise `row` becomes what is live before it.
+    let step = |code: &[Instr], i: usize, row: &mut [u64]| -> bool {
+        let instr = &code[i];
+        if dead_write[i] || matches!(instr, Instr::Move { dst, src } if dst == src) {
+            return true;
+        }
+        if is_pure(instr) {
+            let (mut has_def, mut any_live) = (false, false);
+            for_each_def(instr, |r| {
+                has_def = true;
+                any_live |= bit(row, r);
+            });
+            if has_def && !any_live {
+                return true;
+            }
+        }
+        for_each_def(instr, |r| clear_bit(row, r));
+        for_each_use(instr, |r| set_bit(row, r));
+        false
+    };
+    let cfg = Cfg::build(code);
+    // Blocks nothing reaches go whole (jump threading strands the
+    // `AddImmJump` it copied) — unless they charge: the charge
+    // signature counts every region, reachable or not.
+    let mut reached = vec![false; cfg.len()];
+    let mut stack = vec![0];
+    while let Some(b) = stack.pop() {
+        if !std::mem::replace(&mut reached[b], true) {
+            stack.extend(cfg.successors(b));
+        }
+    }
+    for b in (0..cfg.len()).filter(|&b| !reached[b]) {
+        if !code[cfg.range(b)]
+            .iter()
+            .any(|i| matches!(i, Instr::Charge { .. }))
+        {
+            code[cfg.range(b)].fill(Instr::Nop);
+        }
+    }
+    let live_in = block_live_in(&cfg, words, &[], |i, row| {
+        step(code, i, row);
+    });
+    let mut live = Liveness {
+        words,
+        rows: vec![0; code.len() * words],
+    };
+    let mut row = vec![0u64; words];
+    for b in 0..cfg.len() {
+        live_out(&cfg, b, &live_in, &[], &mut row);
+        for i in cfg.range(b).rev() {
+            live.row_mut(i).copy_from_slice(&row);
+            if step(code, i, &mut row) {
                 code[i] = Instr::Nop;
+            }
+        }
+    }
+    live
+}
+
+/// Whether `instr` writes exactly one register without also reading it
+/// as a read-modify-write — the producers [`retarget_moves`] may point
+/// elsewhere.
+fn sole_plain_def(instr: &Instr) -> Option<Reg> {
+    if matches!(
+        instr,
+        Instr::AddImm { .. }
+            | Instr::AddImmJump { .. }
+            | Instr::TruncPair { .. }
+            | Instr::WhileGuard { .. }
+    ) {
+        return None;
+    }
+    let mut def = None;
+    for_each_def(instr, |r| def = Some(r));
+    def
+}
+
+/// `t = …; Move p ← t` with `t` dead afterwards becomes `p = …`: the
+/// producer writes the destination directly and the `Move` goes, so
+/// `x = x + y` on a register-resident `x` stays one dispatch. Only
+/// `Nop`s may sit between the two, no jump may land between them, and
+/// chains (`Move q ← p` right behind) collapse in the same sweep.
+/// `live` is kept exact for the rewritten code.
+fn retarget_moves(code: &mut [Instr], live: &mut Liveness) {
+    let targets = jump_targets(code);
+    let mut producer: Option<usize> = None;
+    for m in 0..code.len() {
+        if targets[m] {
+            producer = None;
+        }
+        if matches!(code[m], Instr::Nop) {
+            continue;
+        }
+        if let (Instr::Move { dst, src }, Some(q)) = (&code[m], producer) {
+            let (p, t) = (*dst, *src);
+            if sole_plain_def(&code[q]) == Some(t) && p != t && !live.live_after(m, t) {
+                for_each_def_mut(&mut code[q], |d| *d = p);
+                code[m] = Instr::Nop;
+                for k in q..m {
+                    let row = live.row_mut(k);
+                    clear_bit(row, t);
+                    set_bit(row, p);
+                }
+                continue;
+            }
+        }
+        producer = (!is_terminator(&code[m])).then_some(m);
+    }
+}
+
+// ---- value tracking ------------------------------------------------------
+
+/// What a register is known to hold at a program point.
+#[derive(Clone, Copy, PartialEq)]
+enum RegFact {
+    Unknown,
+    /// This constant, bit for bit.
+    Const(u64),
+    /// Same value as another register (stored canonical: the
+    /// referenced register is itself `Unknown`).
+    Copy(Reg),
+}
+
+/// Applies a binary operator with the VM's exact `f64` semantics.
+/// `And`/`Or` never appear (lowering compiles them to jumps).
+pub(crate) fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
+    match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Rem => a % b,
+        BinOp::Eq => (a == b) as i64 as f64,
+        BinOp::Ne => (a != b) as i64 as f64,
+        BinOp::Lt => (a < b) as i64 as f64,
+        BinOp::Le => (a <= b) as i64 as f64,
+        BinOp::Gt => (a > b) as i64 as f64,
+        BinOp::Ge => (a >= b) as i64 as f64,
+        BinOp::And | BinOp::Or => unreachable!("lowered to jumps"),
+    }
+}
+
+/// An operand of an [`Expr`]: a constant, or whatever a register (the
+/// root of its copy class) holds.
+#[derive(Clone, Copy, PartialEq)]
+enum Val {
+    Reg(Reg),
+    Const(u64),
+}
+
+/// A computation whose result a register may still hold: pure
+/// arithmetic, or an element load (which, behind an identical load of
+/// an unchanged slot, can neither fail nor read anything else).
+#[derive(Clone, Copy, PartialEq)]
+enum Expr {
+    Bin(BinOp, Val, Val),
+    Math1(crate::compile::MathFn1, Val),
+    Math2(crate::compile::MathFn2, Val, Val),
+    Load1(Slot, Val),
+    Load2(Slot, Val, Val),
+}
+
+impl Expr {
+    fn operands_mut(&mut self) -> [Option<&mut Val>; 2] {
+        match self {
+            Expr::Bin(_, a, b) | Expr::Math2(_, a, b) | Expr::Load2(_, a, b) => [Some(a), Some(b)],
+            Expr::Math1(_, a) | Expr::Load1(_, a) => [Some(a), None],
+        }
+    }
+
+    /// Register `d` is overwritten; `heir` (if any) still holds what it
+    /// held. Whether the expression still names live values.
+    fn survives(&mut self, d: Reg, heir: Option<Reg>) -> bool {
+        self.operands_mut().into_iter().flatten().all(|a| {
+            if *a == Val::Reg(d) {
+                match heir {
+                    Some(h) => *a = Val::Reg(h),
+                    None => return false,
+                }
+            }
+            true
+        })
+    }
+
+    fn loads_from(&self, s: Slot) -> bool {
+        matches!(*self, Expr::Load1(slot, _) | Expr::Load2(slot, _, _) if slot == s)
+    }
+}
+
+/// Slots whose contents an instruction may change: rebound whole, or an
+/// element stored through.
+fn for_each_slot_write(instr: &Instr, mut f: impl FnMut(Slot)) {
+    for_each_slot_def(instr, &mut f);
+    match instr {
+        Instr::StoreIdx1 { slot, .. }
+        | Instr::StoreIdx1U { slot, .. }
+        | Instr::StoreIdx2 { slot, .. }
+        | Instr::StoreIdx2U { slot, .. }
+        | Instr::BinStoreIdx1 { slot, .. }
+        | Instr::BinStoreIdx1U { slot, .. } => f(*slot),
+        // The host may mutate or rebind its first argument.
+        Instr::CallHost {
+            first: FirstArg::Var(s),
+            ..
+        } => f(*s),
+        _ => {}
+    }
+}
+
+/// The facts that hold on *every* path to a program point: what each
+/// register holds, which computations some register still holds the
+/// result of, and the deepest inlined-call level a `DepthGuard` has
+/// already admitted (the call depth is fixed for one execution of a
+/// chunk, so a guard behind a deeper-or-equal one cannot fail).
+#[derive(Clone)]
+struct Known {
+    regs: Vec<RegFact>,
+    /// `(e, r)`: `r` holds what `e` evaluates to here. Operands are
+    /// canonical (roots of the copy facts); `r` is one too.
+    avail: Vec<(Expr, Reg)>,
+    guard: u8,
+}
+
+impl Known {
+    fn canon(&self, r: Reg) -> Reg {
+        match self.regs[r as usize] {
+            RegFact::Copy(root) => root,
+            _ => r,
+        }
+    }
+
+    fn value(&self, r: Reg) -> Option<f64> {
+        match self.regs[r as usize] {
+            RegFact::Const(bits) => Some(f64::from_bits(bits)),
+            _ => None,
+        }
+    }
+
+    /// Register `d` is overwritten. Its copies still equal one another
+    /// and what `d` held: the first becomes their root and takes over
+    /// whatever was known through `d`; with no copy, that is gone.
+    /// Returns that heir.
+    fn kill(&mut self, d: Reg) -> Option<Reg> {
+        let mut heir = None;
+        for r in 0..self.regs.len() {
+            if self.regs[r] == RegFact::Copy(d) {
+                self.regs[r] = match heir {
+                    Some(h) => RegFact::Copy(h),
+                    None => {
+                        heir = Some(r as Reg);
+                        RegFact::Unknown
+                    }
+                };
+            }
+        }
+        self.regs[d as usize] = RegFact::Unknown;
+        self.avail.retain_mut(|(expr, held)| {
+            if *held == d {
+                match heir {
+                    Some(h) => *held = h,
+                    None => return false,
+                }
+            }
+            expr.survives(d, heir)
+        });
+        heir
+    }
+
+    /// Keeps what `self` and `other` agree on; returns whether `self`
+    /// lost anything.
+    fn meet(&mut self, other: &Known) -> bool {
+        let mut changed = self.guard > other.guard;
+        self.guard = self.guard.min(other.guard);
+        for (mine, theirs) in self.regs.iter_mut().zip(&other.regs) {
+            if *mine != *theirs && *mine != RegFact::Unknown {
+                *mine = RegFact::Unknown;
                 changed = true;
             }
         }
-        if !changed {
+        let before = self.avail.len();
+        self.avail.retain(|e| other.avail.contains(e));
+        changed | (self.avail.len() != before)
+    }
+
+    /// The constant a pure instruction computes when everything it
+    /// reads is known — with the same `f64` operations the VM would
+    /// execute, so folding is bit-identical to running it.
+    fn fold(&self, instr: &Instr) -> Option<(Reg, f64)> {
+        let v = |r: &Reg| self.value(*r);
+        Some(match instr {
+            Instr::Move { dst, src } => (*dst, v(src)?),
+            Instr::Bin { op, dst, a, b } => (*dst, apply_bin(*op, v(a)?, v(b)?)),
+            Instr::BinRI { op, dst, a, imm } => (*dst, apply_bin(*op, v(a)?, *imm)),
+            Instr::BinIR { op, dst, imm, b } => (*dst, apply_bin(*op, *imm, v(b)?)),
+            Instr::Neg { dst, src } => (*dst, -v(src)?),
+            Instr::Not { dst, src } => (*dst, if v(src)? == 0.0 { 1.0 } else { 0.0 }),
+            Instr::TestNonZero { dst, src } => (*dst, (v(src)? != 0.0) as i64 as f64),
+            Instr::Math1 { f, dst, src } => (*dst, crate::vm::apply_math1(*f, v(src)?)),
+            Instr::Math2 { f, dst, a, b } => (*dst, crate::vm::apply_math2(*f, v(a)?, v(b)?)),
+            Instr::AddImm { dst, imm } => (*dst, v(dst)? + imm),
+            _ => return None,
+        })
+    }
+
+    fn val(&self, r: Reg) -> Val {
+        match self.regs[r as usize] {
+            RegFact::Const(bits) => Val::Const(bits),
+            RegFact::Copy(root) => Val::Reg(root),
+            RegFact::Unknown => Val::Reg(r),
+        }
+    }
+
+    /// What `instr` computes, over the values its operands hold here.
+    fn expr(&self, instr: &Instr) -> Option<(Reg, Expr)> {
+        let v = |r: Reg| self.val(r);
+        let c = |imm: f64| Val::Const(imm.to_bits());
+        Some(match *instr {
+            Instr::Bin { op, dst, a, b } => (dst, Expr::Bin(op, v(a), v(b))),
+            Instr::BinRI { op, dst, a, imm } => (dst, Expr::Bin(op, v(a), c(imm))),
+            Instr::BinIR { op, dst, imm, b } => (dst, Expr::Bin(op, c(imm), v(b))),
+            Instr::Math1 { f, dst, src } => (dst, Expr::Math1(f, v(src))),
+            Instr::Math2 { f, dst, a, b } => (dst, Expr::Math2(f, v(a), v(b))),
+            Instr::LoadIdx1 { dst, slot, idx } | Instr::LoadIdx1U { dst, slot, idx } => {
+                (dst, Expr::Load1(slot, v(idx)))
+            }
+            Instr::LoadIdx2 { dst, slot, i, j } | Instr::LoadIdx2U { dst, slot, i, j } => {
+                (dst, Expr::Load2(slot, v(i), v(j)))
+            }
+            _ => return None,
+        })
+    }
+
+    /// The destination of `instr` and the register that already holds
+    /// what it would compute.
+    fn holder(&self, instr: &Instr) -> Option<(Reg, Reg)> {
+        let (dst, expr) = self.expr(instr)?;
+        let held = self.avail.iter().find(|(e, _)| *e == expr)?.1;
+        Some((dst, held))
+    }
+
+    /// Transfer function: the facts after `instr` executes.
+    fn step(&mut self, instr: &Instr) {
+        if let Some((dst, val)) = self.fold(instr) {
+            self.kill(dst);
+            self.regs[dst as usize] = RegFact::Const(val.to_bits());
             return;
+        }
+        match instr {
+            Instr::Const { dst, val } => {
+                self.kill(*dst);
+                self.regs[*dst as usize] = RegFact::Const(val.to_bits());
+            }
+            Instr::Move { dst, src } => {
+                // Copying a register onto its own root changes nothing.
+                let root = self.canon(*src);
+                if root != *dst {
+                    self.kill(*dst);
+                    self.regs[*dst as usize] = RegFact::Copy(root);
+                }
+            }
+            Instr::DepthGuard { extra } => self.guard = self.guard.max(*extra),
+            other => {
+                // What it computes is over the values it *read*: an
+                // operand it overwrites lives on in its heir, if at all.
+                let mut computed = self.expr(other);
+                let mut defs = [None; 2];
+                let mut n = 0;
+                for_each_def(other, |d| {
+                    defs[n] = Some(d);
+                    n += 1;
+                });
+                for d in defs.into_iter().flatten() {
+                    let heir = self.kill(d);
+                    if computed.as_mut().is_some_and(|(_, e)| !e.survives(d, heir)) {
+                        computed = None;
+                    }
+                }
+                for_each_slot_write(other, |s| self.avail.retain(|(e, _)| !e.loads_from(s)));
+                self.avail.extend(computed.map(|(dst, e)| (e, dst)));
+            }
         }
     }
 }
 
-// ---- pass 4: charge folding --------------------------------------------
+/// Constant folding, copy propagation, redundant-guard removal and
+/// common-subexpression reuse (arithmetic and element loads), over
+/// facts that hold chunk-wide: a forward dataflow whose state at a
+/// block's entry is the *meet* of its predecessors' exit states,
+/// iterated to a fixpoint, so a copy, constant or loaded element
+/// established before a loop — or at its head — is still available at
+/// the bottom of its body. Rewrites instructions in place (the code
+/// length never changes, so jump targets stay valid).
+fn value_pass(code: &mut [Instr], n_regs: u16, level: OptLevel) {
+    if code.is_empty() {
+        return;
+    }
+    let cfg = Cfg::build(code);
+    let nb = cfg.len();
+    // `None` = not reached yet (the meet's identity).
+    let mut at_entry: Vec<Option<Known>> = vec![None; nb];
+    at_entry[0] = Some(Known {
+        regs: vec![RegFact::Unknown; n_regs as usize],
+        avail: Vec::new(),
+        guard: 0,
+    });
+    let mut dirty = vec![false; nb];
+    dirty[0] = true;
+    while dirty.contains(&true) {
+        for b in 0..nb {
+            if !std::mem::take(&mut dirty[b]) {
+                continue;
+            }
+            let mut state = at_entry[b].clone().expect("dirty blocks are reached");
+            for i in cfg.range(b) {
+                state.step(&code[i]);
+            }
+            for &s in cfg.successors(b) {
+                dirty[s] |= match &mut at_entry[s] {
+                    Some(known) => known.meet(&state),
+                    slot => {
+                        *slot = Some(state.clone());
+                        true
+                    }
+                };
+            }
+        }
+    }
+
+    // Scalars stored earlier in the block to slots `promote` had to
+    // leave in place, with what was stored: loading one back cannot
+    // fail and is a copy.
+    let mut stored: Vec<(Slot, RegFact)> = Vec::new();
+    for (b, known) in at_entry.into_iter().enumerate() {
+        let Some(mut state) = known else {
+            continue; // unreachable
+        };
+        stored.clear();
+        for i in cfg.range(b) {
+            let instr = &mut code[i];
+            // Reads go through the copy facts (plain reads only; the
+            // in-place destinations of AddImm/TruncPair/WhileGuard
+            // must stay where they are).
+            for_each_read_mut(instr, |r| *r = state.canon(*r));
+            if let Instr::LoadSlotNum { dst, slot } = *instr {
+                match stored.iter().find(|(s, _)| *s == slot) {
+                    Some(&(_, RegFact::Copy(src))) => *instr = Instr::Move { dst, src },
+                    Some(&(_, RegFact::Const(bits))) => {
+                        let val = f64::from_bits(bits);
+                        *instr = Instr::Const { dst, val };
+                    }
+                    _ => {}
+                }
+            }
+            let folded = match *instr {
+                Instr::Const { .. } => None,
+                Instr::DepthGuard { extra } if state.guard >= extra => Some(Instr::Nop),
+                _ => match (state.fold(instr), &*instr) {
+                    (Some((dst, val)), _) => Some(Instr::Const { dst, val }),
+                    (None, &Instr::Bin { op, dst, a, b }) if level >= OptLevel::O2 => {
+                        match (state.value(a), state.value(b)) {
+                            (Some(imm), _) => Some(Instr::BinIR { op, dst, imm, b }),
+                            (_, Some(imm)) => Some(Instr::BinRI { op, dst, a, imm }),
+                            _ => None,
+                        }
+                    }
+                    _ => None,
+                },
+            };
+            if let Some(folded) = folded {
+                *instr = folded;
+            }
+            if let Some((dst, held)) = state.holder(instr) {
+                *instr = if held == dst {
+                    Instr::Nop
+                } else {
+                    Instr::Move { dst, src: held }
+                };
+            }
+            state.step(instr);
+            for_each_def(instr, |d| {
+                stored.retain(|(_, fact)| *fact != RegFact::Copy(d))
+            });
+            for_each_slot_write(instr, |s| stored.retain(|(slot, _)| *slot != s));
+            if let Instr::StoreSlotNum { slot, src } = *instr {
+                let fact = match state.regs[src as usize] {
+                    RegFact::Const(bits) => RegFact::Const(bits),
+                    _ => RegFact::Copy(src),
+                };
+                stored.push((slot, fact));
+            }
+        }
+    }
+}
+
+// ---- superinstruction fusion ---------------------------------------------
+
+/// Flips a comparison so `imm op b` can be expressed as `b op' imm`.
+fn flip_cmp(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other, // Eq / Ne are symmetric.
+    }
+}
+
+fn is_cmp(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+    )
+}
+
+/// Collapses the dominant adjacent sequences into superinstructions.
+/// A sequence fuses only when no jump lands inside it and the absorbed
+/// intermediate registers are dead afterwards.
+fn fuse(code: &mut [Instr], live: &Liveness) {
+    let n = code.len();
+    let targets = jump_targets(code);
+
+    // LoadSlotNum + binop + StoreSlotNum → SlotUpd*.
+    for i in 0..n.saturating_sub(2) {
+        if targets[i + 1] || targets[i + 2] {
+            continue;
+        }
+        let Instr::LoadSlotNum { dst: r1, slot: src } = code[i] else {
+            continue;
+        };
+        let Instr::StoreSlotNum { slot: dst, src: r2 } = code[i + 2] else {
+            continue;
+        };
+        if live.live_after(i + 2, r1) || live.live_after(i + 2, r2) {
+            continue;
+        }
+        let fused = match code[i + 1] {
+            Instr::Bin { op, dst: d, a, b } if d == r2 && a == r1 && b != r1 => {
+                Some(Instr::SlotUpdReg { op, dst, src, b })
+            }
+            Instr::BinRI { op, dst: d, a, imm } if d == r2 && a == r1 => Some(Instr::SlotUpdImm {
+                op,
+                dst,
+                src,
+                imm,
+                imm_on_left: false,
+            }),
+            Instr::BinIR { op, dst: d, imm, b } if d == r2 && b == r1 => Some(Instr::SlotUpdImm {
+                op,
+                dst,
+                src,
+                imm,
+                imm_on_left: true,
+            }),
+            _ => None,
+        };
+        if let Some(fused) = fused {
+            code[i] = fused;
+            code[i + 1] = Instr::Nop;
+            code[i + 2] = Instr::Nop;
+        }
+    }
+
+    // arithmetic + element store → BinStoreIdx1. The index register
+    // must not be the arithmetic result (the fused form reads it
+    // directly, so it has to carry its pre-`Bin` value — which it
+    // does whenever it is a distinct register).
+    for i in 0..n.saturating_sub(1) {
+        if targets[i + 1] {
+            continue;
+        }
+        let Instr::Bin { op, dst, a, b } = code[i] else {
+            continue;
+        };
+        let Instr::StoreIdx1 { slot, idx, src } = code[i + 1] else {
+            continue;
+        };
+        if src != dst || idx == dst || live.live_after(i + 1, dst) {
+            continue;
+        }
+        code[i] = Instr::BinStoreIdx1 {
+            op,
+            slot,
+            idx,
+            a,
+            b,
+        };
+        code[i + 1] = Instr::Nop;
+    }
+
+    // counter increment + loop back-edge → AddImmJump (no deadness
+    // requirement: both effects are kept, in one dispatch).
+    for i in 0..n.saturating_sub(1) {
+        if targets[i + 1] {
+            continue;
+        }
+        let Instr::AddImm { dst, imm } = code[i] else {
+            continue;
+        };
+        let Instr::Jump { target } = code[i + 1] else {
+            continue;
+        };
+        code[i] = Instr::AddImmJump { dst, imm, target };
+        code[i + 1] = Instr::Nop;
+    }
+
+    // compare + conditional branch → JumpCmp / JumpCmpImm.
+    for i in 0..n.saturating_sub(1) {
+        if targets[i + 1] {
+            continue;
+        }
+        let (cond, jump_if, target) = match code[i + 1] {
+            Instr::JumpIfZero { cond, target } => (cond, false, target),
+            Instr::JumpIfNonZero { cond, target } => (cond, true, target),
+            _ => continue,
+        };
+        if live.live_after(i + 1, cond) {
+            continue;
+        }
+        let fused = match code[i] {
+            Instr::Bin { op, dst, a, b } if dst == cond && is_cmp(op) => Some(Instr::JumpCmp {
+                op,
+                a,
+                b,
+                jump_if,
+                target,
+            }),
+            Instr::BinRI { op, dst, a, imm } if dst == cond && is_cmp(op) => {
+                Some(Instr::JumpCmpImm {
+                    op,
+                    a,
+                    imm,
+                    jump_if,
+                    target,
+                })
+            }
+            Instr::BinIR { op, dst, imm, b } if dst == cond && is_cmp(op) => {
+                Some(Instr::JumpCmpImm {
+                    op: flip_cmp(op),
+                    a: b,
+                    imm,
+                    jump_if,
+                    target,
+                })
+            }
+            _ => None,
+        };
+        if let Some(fused) = fused {
+            code[i] = Instr::Nop;
+            code[i + 1] = fused;
+        }
+    }
+}
+
+// ---- charge folding --------------------------------------------------------
 
 /// Merges consecutive `Charge` amounts within a straight-line region
 /// into the region's first `Charge`. Never moves cost across control
@@ -1344,10 +1786,26 @@ fn fold_charges(code: &mut [Instr]) {
     flush(code, &mut pending, &mut first);
 }
 
-// ---- pass 5: compaction + register coalescing --------------------------
+// ---- jump threading ------------------------------------------------------
 
-/// Drops `Nop`s, remapping every jump target.
-fn compact(code: Vec<Instr>) -> Vec<Instr> {
+/// A `Jump` whose target is an `AddImmJump` becomes a copy of it: the
+/// `if`/`else` arm that ends a loop body increments and branches to
+/// the head in one dispatch instead of two.
+fn thread_jumps(code: &mut [Instr]) {
+    for i in 0..code.len() {
+        if let Instr::Jump { target } = code[i] {
+            if let Some(next @ Instr::AddImmJump { .. }) = code.get(target) {
+                code[i] = next.clone();
+            }
+        }
+    }
+}
+
+// ---- compaction + register coalescing ------------------------------------
+
+/// Drops `Nop`s, remapping every jump target (and dropping the `Nop`s'
+/// rows from `live`, when the caller goes on using it).
+fn compact(code: &mut Vec<Instr>, live: Option<&mut Liveness>) {
     let n = code.len();
     // map[i] = new index of the first surviving instruction at or
     // after i (end-of-code targets map to the new length).
@@ -1360,140 +1818,157 @@ fn compact(code: Vec<Instr>) -> Vec<Instr> {
         }
         map[i] = next;
     }
-    let mut out = Vec::with_capacity(map[n]);
-    for (i, mut instr) in code.into_iter().enumerate() {
-        if matches!(instr, Instr::Nop) {
-            continue;
+    if let Some(live) = live {
+        for i in (0..n).filter(|&i| !matches!(code[i], Instr::Nop)) {
+            live.rows
+                .copy_within(i * live.words..(i + 1) * live.words, map[i] * live.words);
         }
-        debug_assert_eq!(map[i], out.len());
-        for_each_target_mut(&mut instr, |t| *t = map[*t]);
-        out.push(instr);
+        live.rows.truncate(map[n] * live.words);
     }
-    out
+    code.retain(|i| !matches!(i, Instr::Nop));
+    for instr in code {
+        for_each_target_mut(instr, |t| *t = map[*t]);
+    }
 }
 
 /// Renumbers surviving registers densely (coalescing the bank) and
 /// returns the new register count.
-fn renumber_regs(mut code: Vec<Instr>) -> (Vec<Instr>, u16) {
-    let mut map: HashMap<Reg, Reg> = HashMap::new();
+fn renumber_regs(code: &mut [Instr]) -> u16 {
+    let mut map: Vec<Option<Reg>> = Vec::new();
     let mut next: Reg = 0;
-    for instr in &code {
+    for instr in code.iter() {
         let mut note = |r: Reg| {
-            map.entry(r).or_insert_with(|| {
-                let n = next;
+            if map.len() <= r as usize {
+                map.resize(r as usize + 1, None);
+            }
+            map[r as usize].get_or_insert_with(|| {
                 next += 1;
-                n
+                next - 1
             });
         };
         for_each_use(instr, &mut note);
         for_each_def(instr, &mut note);
     }
-    for instr in &mut code {
-        remap_regs(instr, |r| map[&r]);
+    for instr in code {
+        remap_regs(instr, |r| {
+            map[r as usize].expect("every register was noted")
+        });
     }
-    (code, next)
+    next
 }
 
-/// Rewrites every register reference through `map`.
-pub(crate) fn remap_regs(instr: &mut Instr, map: impl Fn(Reg) -> Reg) {
-    let m = |r: &mut Reg| *r = map(*r);
+/// Every register an instruction reads *without* also writing it in
+/// place — the operands a pass may point at another register holding
+/// the same value. (The in-place destinations of `AddImm`,
+/// `AddImmJump`, `TruncPair` and `WhileGuard` are reads too, but must
+/// stay where they are; [`for_each_def_mut`] visits them.)
+pub(crate) fn for_each_read_mut(instr: &mut Instr, mut f: impl FnMut(&mut Reg)) {
     match instr {
-        Instr::Const { dst, .. }
-        | Instr::LoadSlotNum { dst, .. }
-        | Instr::LoadParam { dst, .. }
-        | Instr::AddImm { dst, .. }
-        | Instr::AddImmJump { dst, .. }
-        | Instr::ForEnoughPrep { dst, .. }
-        | Instr::Choice { dst, .. } => m(dst),
-        Instr::Move { dst, src }
-        | Instr::Neg { dst, src }
-        | Instr::Not { dst, src }
-        | Instr::TestNonZero { dst, src }
-        | Instr::Math1 { dst, src, .. } => {
-            m(dst);
-            m(src);
+        Instr::Move { src, .. }
+        | Instr::Neg { src, .. }
+        | Instr::Not { src, .. }
+        | Instr::TestNonZero { src, .. }
+        | Instr::Math1 { src, .. }
+        | Instr::StoreSlotNum { src, .. } => f(src),
+        Instr::Bin { a, b, .. } | Instr::Math2 { a, b, .. } => {
+            f(a);
+            f(b);
         }
-        Instr::StoreSlotNum { src, .. } => m(src),
-        Instr::Bin { dst, a, b, .. } | Instr::Math2 { dst, a, b, .. } => {
-            m(dst);
-            m(a);
-            m(b);
+        Instr::BinRI { a, .. } => f(a),
+        Instr::BinIR { b, .. } => f(b),
+        Instr::Rand { lo, hi, .. } => {
+            f(lo);
+            f(hi);
         }
-        Instr::BinRI { dst, a, .. } => {
-            m(dst);
-            m(a);
-        }
-        Instr::BinIR { dst, b, .. } => {
-            m(dst);
-            m(b);
-        }
-        Instr::Rand { dst, lo, hi } => {
-            m(dst);
-            m(lo);
-            m(hi);
-        }
-        Instr::Shape { dst, .. } | Instr::ShapeHoisted { dst, .. } => m(dst),
-        Instr::LoadIdx1 { dst, idx, .. } | Instr::LoadIdx1U { dst, idx, .. } => {
-            m(dst);
-            m(idx);
-        }
-        Instr::LoadIdx2 { dst, i, j, .. } | Instr::LoadIdx2U { dst, i, j, .. } => {
-            m(dst);
-            m(i);
-            m(j);
+        Instr::LoadIdx1 { idx, .. } | Instr::LoadIdx1U { idx, .. } => f(idx),
+        Instr::LoadIdx2 { i, j, .. } | Instr::LoadIdx2U { i, j, .. } => {
+            f(i);
+            f(j);
         }
         Instr::StoreIdx1 { idx, src, .. } | Instr::StoreIdx1U { idx, src, .. } => {
-            m(idx);
-            m(src);
+            f(idx);
+            f(src);
         }
         Instr::BinStoreIdx1 { idx, a, b, .. } | Instr::BinStoreIdx1U { idx, a, b, .. } => {
-            m(idx);
-            m(a);
-            m(b);
+            f(idx);
+            f(a);
+            f(b);
         }
         Instr::StoreIdx2 { i, j, src, .. } | Instr::StoreIdx2U { i, j, src, .. } => {
-            m(i);
-            m(j);
-            m(src);
+            f(i);
+            f(j);
+            f(src);
         }
-        Instr::JumpIfZero { cond, .. } | Instr::JumpIfNonZero { cond, .. } => m(cond),
+        Instr::JumpIfZero { cond, .. } | Instr::JumpIfNonZero { cond, .. } => f(cond),
         Instr::JumpIfGe { a, b, .. } | Instr::JumpCmp { a, b, .. } => {
-            m(a);
-            m(b);
+            f(a);
+            f(b);
         }
-        Instr::JumpCmpImm { a, .. } => m(a),
-        Instr::TruncPair { a, b } => {
-            m(a);
-            m(b);
-        }
-        Instr::WhileGuard { counter } => m(counter),
-        Instr::Switch { src, .. } => m(src),
-        Instr::SlotUpdReg { b, .. } => m(b),
+        Instr::JumpCmpImm { a, .. } => f(a),
+        Instr::Switch { src, .. } => f(src),
+        Instr::SlotUpdReg { b, .. } => f(b),
         Instr::CallHost { first, rest, .. } => {
             if let FirstArg::Anon(Operand::Reg(r)) = first {
-                m(r);
+                f(r);
             }
             for op in rest.iter_mut() {
                 if let Operand::Reg(r) = op {
-                    m(r);
+                    f(r);
                 }
             }
         }
         Instr::CallTransform { args, .. } => {
             for op in args.iter_mut() {
                 if let Operand::Reg(r) = op {
-                    m(r);
+                    f(r);
                 }
             }
         }
-        Instr::CopySlot { .. }
-        | Instr::SlotUpdImm { .. }
-        | Instr::Jump { .. }
-        | Instr::Charge { .. }
-        | Instr::Return
-        | Instr::DepthGuard { .. }
-        | Instr::Nop => {}
+        _ => {}
     }
+}
+
+/// [`for_each_def`], rewriting.
+pub(crate) fn for_each_def_mut(instr: &mut Instr, mut f: impl FnMut(&mut Reg)) {
+    match instr {
+        Instr::Const { dst, .. }
+        | Instr::Move { dst, .. }
+        | Instr::LoadSlotNum { dst, .. }
+        | Instr::LoadParam { dst, .. }
+        | Instr::Bin { dst, .. }
+        | Instr::BinRI { dst, .. }
+        | Instr::BinIR { dst, .. }
+        | Instr::Neg { dst, .. }
+        | Instr::Not { dst, .. }
+        | Instr::TestNonZero { dst, .. }
+        | Instr::Math1 { dst, .. }
+        | Instr::Math2 { dst, .. }
+        | Instr::Rand { dst, .. }
+        | Instr::Shape { dst, .. }
+        | Instr::ShapeHoisted { dst, .. }
+        | Instr::LoadIdx1 { dst, .. }
+        | Instr::LoadIdx1U { dst, .. }
+        | Instr::LoadIdx2 { dst, .. }
+        | Instr::LoadIdx2U { dst, .. }
+        | Instr::AddImm { dst, .. }
+        | Instr::AddImmJump { dst, .. }
+        | Instr::ForEnoughPrep { dst, .. }
+        | Instr::Choice { dst, .. } => f(dst),
+        Instr::TruncPair { a, b } => {
+            f(a);
+            f(b);
+        }
+        Instr::WhileGuard { counter } => f(counter),
+        _ => {}
+    }
+}
+
+/// Rewrites every register reference through `map` (each operand field
+/// exactly once: the plain reads, then the written — and
+/// read-modify-written — registers).
+pub(crate) fn remap_regs(instr: &mut Instr, map: impl Fn(Reg) -> Reg) {
+    for_each_read_mut(instr, |r| *r = map(*r));
+    for_each_def_mut(instr, |r| *r = map(*r));
 }
 
 /// Rewrites every slot reference through `map`.

@@ -29,7 +29,9 @@
 //! generic path, as is any nest deeper than the call-depth limit.
 
 use super::{for_each_target_mut, live_in_at_entry, remap_regs, remap_slots, Bank, PassViolation};
-use crate::analysis::{analyze_chunk, charge_signature, verify_code, verify_inlined, AbsValue};
+use crate::analysis::{
+    analyze_chunk, charge_signature, transform_facts, verify_code, verify_inlined, AbsValue,
+};
 use crate::compile::{Chunk, CompiledTransform, HelperSig, Instr, NameIdx, Operand};
 use crate::interp::CALL_DEPTH_LIMIT;
 
@@ -147,6 +149,28 @@ impl Pass {
                 prove_scalar_out(&mut transforms[c]);
             }
         }
+        // Calls whose callee is now proven to return a scalar say so,
+        // and the facts are settled again: a rule that copies such a
+        // result into its scalar output no longer counts as reshaping
+        // it.
+        let proven: Vec<bool> = transforms
+            .iter()
+            .map(|c| c.scalar_out == Some(true))
+            .collect();
+        let mut stamped = false;
+        for chunk in transforms[i].rules.iter_mut().flatten() {
+            for instr in &mut chunk.code {
+                if let Instr::CallTransform { callee, scalar, .. } = instr {
+                    let now = proven.get(*callee as usize).copied().unwrap_or(false);
+                    stamped |= now != *scalar;
+                    *scalar = now;
+                }
+            }
+        }
+        if stamped {
+            let owner = &mut transforms[i];
+            owner.facts = transform_facts(&owner.bindings, &owner.rules);
+        }
         for rule_idx in 0..transforms[i].rules.len() {
             self.inline_rule(transforms, i, rule_idx)?;
         }
@@ -167,19 +191,11 @@ impl Pass {
         if !chunk.code.iter().any(calls) {
             return Ok(());
         }
-        let mut before = chunk.clone();
-        for instr in &mut before.code {
-            if let Instr::CallTransform { callee, scalar, .. } = instr {
-                *scalar = transforms
-                    .get(*callee as usize)
-                    .is_some_and(|c| c.scalar_out == Some(true));
-            }
-        }
-        let entry: Vec<AbsValue> = transforms[t].facts[rule_idx]
-            .as_ref()
-            .map(|f| f.entry_slots.clone())
-            .unwrap_or_default();
-        let facts = analyze_chunk(&before, &entry);
+        let before = chunk.clone();
+        let facts = transforms[t].facts[rule_idx]
+            .clone()
+            .expect("a compiled rule has facts");
+        let entry = facts.entry_slots.clone();
 
         // Decide every site under the one facts snapshot (splicing only
         // adds fresh registers and slots, so a decision cannot be
@@ -399,11 +415,11 @@ fn splice(
         });
     }
     let bound = |s: u16| s != out && body.input_slots.contains(&(s - slot_base));
-    let stale_slots: Vec<u16> = live_in_at_entry(&tail, Bank::Slots)
+    let stale_slots: Vec<u16> = live_in_at_entry(&tail, Bank::Slots, &[])
         .into_iter()
         .filter(|&s| s >= slot_base && !bound(s))
         .collect();
-    let stale_regs: Vec<u16> = live_in_at_entry(&tail, Bank::Regs)
+    let stale_regs: Vec<u16> = live_in_at_entry(&tail, Bank::Regs, &[])
         .into_iter()
         .filter(|&r| r >= reg_base)
         .collect();

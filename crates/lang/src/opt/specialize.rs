@@ -35,16 +35,19 @@
 use crate::analysis::{AbsValue, ChunkFacts};
 use crate::compile::{Instr, Reg, ShapeKind, Slot};
 
-/// Runs both rewrites over `code` in place. Returns the new register
-/// count (hoisting allocates fresh registers at the top of the bank;
-/// the pipeline's final `renumber_regs` re-densifies).
-pub(super) fn specialize(code: &mut Vec<Instr>, n_regs: u16, facts: &ChunkFacts) -> u16 {
-    let mut n_regs = n_regs;
+/// Runs both rewrites over `code` in place and returns whether
+/// anything was hoisted (hoisting allocates fresh registers at the top
+/// of the bank, raising `n_regs`; the pipeline's final `renumber_regs`
+/// re-densifies).
+pub(super) fn specialize(code: &mut Vec<Instr>, n_regs: &mut u16, facts: &ChunkFacts) -> bool {
     // Hoist first: the loop scan reads the checked `Shape` forms, and
     // the unchecked rewrite below is position-independent.
-    while hoist_one_loop(code, &mut n_regs, facts) {}
+    let mut hoisted = false;
+    while hoist_one_loop(code, n_regs, facts) {
+        hoisted = true;
+    }
     rewrite_unchecked(code, facts);
-    n_regs
+    hoisted
 }
 
 /// Whether the facts prove `s` always holds a rank-`rank` array.
@@ -162,21 +165,7 @@ fn guard_from_header(header: &Instr, loop_end: usize) -> Option<Instr> {
 /// returns whether anything changed (the caller loops to a fixpoint;
 /// each rewrite consumes its `Shape`s, so this terminates).
 fn hoist_one_loop(code: &mut Vec<Instr>, n_regs: &mut u16, facts: &ChunkFacts) -> bool {
-    // Back-edge map: header -> furthest back-edge source.
-    let mut loops: Vec<(usize, usize)> = Vec::new();
-    for (i, instr) in code.iter().enumerate() {
-        let mut note = |t: usize| {
-            if t <= i {
-                match loops.iter_mut().find(|(h, _)| *h == t) {
-                    Some((_, s)) => *s = (*s).max(i),
-                    None => loops.push((t, i)),
-                }
-            }
-        };
-        super::for_each_target(instr, &mut note);
-    }
-
-    for (h, s) in loops {
+    for (h, s) in super::loops(code) {
         let Some(guard) = guard_from_header(&code[h], s) else {
             continue;
         };

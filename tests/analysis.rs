@@ -5,28 +5,34 @@
 //!
 //! 1. **Fuzz acceptance** — every program the differential suite's
 //!    generators produce (straight-line bodies; scalar helpers with
-//!    control flow called from loops, branches and argument positions)
-//!    must verify clean at `O0` and through the verified `O1`–`O3`
-//!    pass pipelines (pass-by-pass checking on, the whole-program
-//!    `inline` pass included), with the charge signature preserved end
-//!    to end.
+//!    control flow called from loops, branches and argument positions;
+//!    array loops with locals, scalar outputs and early exits) must
+//!    verify clean at `O0` and through the verified `O1`–`O3` pass
+//!    pipelines (pass-by-pass checking on, the whole-program `inline`
+//!    pass included), with the charge signature preserved end to end.
 //! 2. **Hand-broken regression corpus** — chunks broken one invariant
 //!    at a time must be rejected with exactly the right
 //!    [`ViolationKind`], and the pass pipeline must attribute a bad
 //!    *input* chunk to `lowering`. Inlined chunks get the same
-//!    treatment against [`verify_inlined`].
+//!    treatment against [`verify_inlined`], and each register-residency
+//!    pass has its output broken just before its gate, which must name
+//!    that pass.
 //! 3. **`ChunkFacts` pins** — the shipped kmeans and binpacking
 //!    programs infer the expected per-slot kinds (arrays with rank,
 //!    scalar int/float, constant-ness), at `O0` and after `O2`; a call
 //!    result is scalar exactly when the callee's facts prove it.
+//! 4. **Register residency** — the hot loops of the shipped and ledger
+//!    programs hold no slot traffic, rematerialized constant or
+//!    two-dispatch back edge at `O3`, and cost no more dispatches per
+//!    trip than pinned here.
 
 mod common;
 
-use common::{gen_helper_program, gen_straight_line_program};
+use common::{gen_array_loop_program, gen_helper_program, gen_straight_line_program};
 use petabricks::lang::compile::{Chunk, Instr, Operand, ShapeKind};
-use petabricks::lang::opt::InlineRecord;
+use petabricks::lang::opt::{innermost_loops, optimize_tampered, InlineRecord};
 use petabricks::lang::{
-    analyze_chunk, charge_signature, check_program, compile_program, entry_slots,
+    analyze_chunk, charge_signature, check_program, compile_program, entry_slots, lint_program,
     optimize_verified, parse_program, verify_chunk, verify_inlined, verify_specialized,
     verify_tunables, AbsValue, OptLevel, ScalarKind, ViolationKind,
 };
@@ -97,6 +103,33 @@ proptest! {
             let chunk = compiled.chunk("t", 0).expect("generated bodies always compile");
             verify_chunk(chunk).unwrap_or_else(|v| panic!("{level:?} chunk invalid: {v}\n{src}"));
             verify_tunables(chunk, &schema, "").unwrap_or_else(|v| panic!("{level:?}: {v}\n{src}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Generated array-loop programs — the shapes `promote`, chunk-wide
+    /// value tracking, constant homes and jump threading rewrite — go
+    /// through every level with every gate and claim check on.
+    #[test]
+    fn random_array_loop_programs_verify_clean_at_every_level(seed in 0u64..100_000) {
+        let src = gen_array_loop_program(seed);
+        let program = parse_program(&src).unwrap();
+        check_program(&program).unwrap();
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let lowered = compile_program(&program);
+        let sig = charge_signature(&lowered.chunk("t", 0).expect("generated bodies always compile").code);
+        for level in [OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            let compiled = lowered
+                .clone()
+                .try_optimized(level, true)
+                .unwrap_or_else(|v| panic!("{v}\n{src}"));
+            let chunk = compiled.chunk("t", 0).unwrap();
+            verify_chunk(chunk).unwrap_or_else(|v| panic!("{level:?} chunk invalid: {v}\n{src}"));
+            verify_tunables(chunk, &schema, "").unwrap_or_else(|v| panic!("{level:?}: {v}\n{src}"));
+            prop_assert!(charge_signature(&chunk.code) == sig, "{level:?} moved a charge\n{src}");
         }
     }
 }
@@ -591,6 +624,159 @@ fn corpus_inlined_unguarded_region_and_unproven_argument() {
     assert!(v.detail.contains("not proven scalar"), "{v}");
 }
 
+// ---- hand-broken register-residency passes -----------------------------
+
+/// `t`'s lowered rule 0 with the entry state the program optimizes
+/// against.
+fn lowered(src: &str) -> (Chunk, Vec<AbsValue>) {
+    let program = parse_program(src).unwrap();
+    check_program(&program).unwrap();
+    let compiled = compile_program(&program);
+    let entry = compiled.facts("t", 0).unwrap().entry_slots.clone();
+    (compiled.chunk("t", 0).unwrap().clone(), entry)
+}
+
+/// Runs the verified `O3` pipeline over `chunk` with `tamper` applied
+/// to the output of `pass`, and returns the pass and violation kind the
+/// gates name.
+fn broken_by(
+    chunk: &Chunk,
+    entry: &[AbsValue],
+    pass: &'static str,
+    mut tamper: impl FnMut(&mut Vec<Instr>),
+) -> (&'static str, ViolationKind) {
+    optimize_verified(chunk, OptLevel::O3, true).expect("the chunk is fine untampered");
+    let err = optimize_tampered(chunk, OptLevel::O3, Some(entry), pass, &mut tamper)
+        .expect_err("the gates must reject the tampered pass output");
+    (err.pass, err.violation.kind)
+}
+
+#[test]
+fn corpus_promoted_binding_loses_its_entry_load() {
+    // `w` is read before it is written: its home register is only
+    // defined by the load `promote` opens the chunk with.
+    let (chunk, entry) = lowered(
+        "transform t from In[n] to Out[n], W { to (Out o, W w) from (In a) { w = w + a[0]; } }",
+    );
+    let w = chunk.output_slots[1];
+    let got = broken_by(&chunk, &entry, "promote", |code| {
+        assert!(matches!(code[0], Instr::LoadSlotNum { slot, .. } if slot == w));
+        code[0] = Instr::Nop;
+    });
+    assert_eq!(got, ("promote", ViolationKind::UseBeforeDef));
+}
+
+#[test]
+fn corpus_promoted_output_misses_a_write_back() {
+    // Two exits (the early `return` and the end): each needs `w` back
+    // in its slot.
+    let (chunk, entry) = lowered(
+        "transform t from In[n] to Out[n], W {
+            to (Out o, W w) from (In a) { w = 1; if (a[0] > 0) { return; } w = 2; }
+        }",
+    );
+    let w = chunk.output_slots[1];
+    let got = broken_by(&chunk, &entry, "promote", |code| {
+        let ret = code
+            .iter()
+            .position(|i| matches!(i, Instr::Return))
+            .unwrap();
+        assert!(matches!(code[ret - 1], Instr::StoreSlotNum { slot, .. } if slot == w));
+        code[ret - 1] = Instr::Nop;
+    });
+    assert_eq!(got, ("promote", ViolationKind::LostWriteBack));
+}
+
+#[test]
+fn corpus_copy_forwarded_past_a_redefinition_across_a_back_edge() {
+    // `y` copies `x` before the loop, but the body redefines `x`: from
+    // the second trip on they differ, so the store must keep reading
+    // `y`.
+    let (chunk, entry) = lowered(
+        "transform t from In[n] to Out[n] {
+            to (Out o) from (In a) {
+                let x = a[0];
+                let y = x;
+                for (i in 0 .. len(a)) { o[i] = y; x = x + 1; }
+                o[0] = x;
+            }
+        }",
+    );
+    let got = broken_by(&chunk, &entry, "value", |code| {
+        let x = code
+            .iter()
+            .find_map(|i| match i {
+                Instr::Bin { dst, a, .. } | Instr::BinRI { dst, a, .. } if dst == a => Some(*dst),
+                _ => None,
+            })
+            .expect("`x = x + 1` updates x's home in place");
+        let store = code
+            .iter_mut()
+            .find_map(|i| match i {
+                Instr::StoreIdx1 { src, .. } if *src != x => Some(src),
+                _ => None,
+            })
+            .expect("the loop stores y");
+        *store = x;
+    });
+    assert_eq!(got, ("value", ViolationKind::StaleValue));
+}
+
+#[test]
+fn corpus_constant_home_used_before_its_entry_const() {
+    let (chunk, entry) = lowered(
+        "transform t from In[n], Grid[2, m] to Out[n] {
+            to (Out o) from (In a, Grid g) {
+                for (i in 0 .. len(a)) { o[i] = g[0, i] + g[1, i]; }
+            }
+        }",
+    );
+    let got = broken_by(&chunk, &entry, "const_homes", |code| {
+        assert!(matches!(code[0], Instr::Const { .. }));
+        code[0] = Instr::Nop;
+    });
+    assert_eq!(got, ("const_homes", ViolationKind::UseBeforeDef));
+}
+
+#[test]
+fn corpus_depth_guard_removed_without_a_dominating_one() {
+    let (_, inlined, entry) = inline_victim();
+    let got = broken_by(&inlined, &entry, "value", |code| {
+        let guard = code
+            .iter_mut()
+            .find(|i| matches!(i, Instr::DepthGuard { .. }))
+            .expect("the inlined body is guarded");
+        *guard = Instr::Nop;
+    });
+    assert_eq!(got, ("value", ViolationKind::UnguardedDepth));
+}
+
+#[test]
+fn corpus_threaded_jump_with_the_wrong_increment() {
+    // The `then` arm's jump to the loop's `AddImmJump` becomes a copy
+    // of it — which must add what the original adds.
+    let (chunk, entry) = lowered(
+        "transform t from In[n] to Out[n] {
+            to (Out o) from (In a) {
+                for (i in 0 .. len(a)) { if (a[i] > 0) { o[i] = 1; } else { o[i] = 2; } }
+            }
+        }",
+    );
+    let got = broken_by(&chunk, &entry, "thread_jumps", |code| {
+        let n = code
+            .iter()
+            .filter(|i| matches!(i, Instr::AddImmJump { .. }))
+            .count();
+        assert_eq!(n, 2, "the arm's jump was threaded: {code:?}");
+        let copy = code.iter_mut().find_map(|i| match i {
+            Instr::AddImmJump { imm, .. } => Some(imm),
+            _ => None,
+        });
+        *copy.unwrap() = 2.0;
+    });
+    assert_eq!(got, ("thread_jumps", ViolationKind::BadJumpThread));
+}
+
 // ---- ChunkFacts pins ---------------------------------------------------
 
 /// `total` is no scalar helper (array input) but its facts prove its
@@ -738,29 +924,35 @@ fn kmeans_facts_pin_expected_kinds() {
             );
         }
 
-        // Rule 0 (random restarts) draws via rand: its `src` index
-        // register is floor()-ed, so it must infer int, not float.
+        // Rule 0 (random restarts) draws via rand: its `src` local is
+        // floor()-ed, so it must infer int, not float — in its slot as
+        // lowered, in the home register `promote` gives it after.
         let facts0 = facts_at(&src, "kmeans", 0, level);
         let p0 = slot_of(&src, "kmeans", 0, level, Binding::Input(0));
         let c0 = slot_of(&src, "kmeans", 0, level, Binding::Output(0));
         assert_eq!(facts0.slots[p0], AbsValue::Array { rank: 2 }, "{level:?}");
         assert_eq!(facts0.slots[c0], AbsValue::Array { rank: 2 }, "{level:?}");
-        let src_slot = facts0
-            .slots
-            .iter()
-            .filter(|v| {
-                matches!(
-                    v,
-                    AbsValue::Scalar {
-                        kind: ScalarKind::Int,
-                        ..
-                    }
-                )
-            })
-            .count();
+        let is_int = |v: &&AbsValue| {
+            matches!(
+                v,
+                AbsValue::Scalar {
+                    kind: ScalarKind::Int,
+                    cst: None
+                }
+            )
+        };
+        let (bank, ints) = if level == OptLevel::O0 {
+            ("slot", facts0.slots.iter().filter(is_int).count())
+        } else {
+            assert!(
+                !facts0.slots.iter().any(|v| is_int(&v)),
+                "{level:?}: `src` should have left its slot"
+            );
+            ("register", facts0.regs.iter().filter(is_int).count())
+        };
         assert!(
-            src_slot >= 1,
-            "{level:?}: expected an int-kinded local slot (`src`)"
+            ints >= 1,
+            "{level:?}: expected an int-kinded {bank} (`src`)"
         );
     }
 }
@@ -829,4 +1021,122 @@ fn entry_slots_come_from_declarations() {
         entry[chunk.output_slots[0] as usize],
         AbsValue::Array { rank: 1 }
     );
+}
+
+// ---- register residency ------------------------------------------------
+
+/// Every program `tune_dsl` and `serve_tuned` run.
+fn ledger_programs() -> Vec<(&'static str, String)> {
+    let mut programs: Vec<_> = ["refine", "kmeans", "binpacking"]
+        .map(|name| (name, example(name)))
+        .into();
+    for name in ["lloyd", "relax"] {
+        let path = format!("{}/ledger/programs/{name}.pb", env!("CARGO_MANIFEST_DIR"));
+        programs.push((name, std::fs::read_to_string(&path).unwrap()));
+    }
+    programs
+}
+
+#[test]
+fn hot_loops_are_register_resident() {
+    // Inside an innermost loop at `O3`: no scalar slot traffic, no
+    // constant rematerialized for an operand, no `Jump` that only
+    // reaches the back edge — except these, each with its reason.
+    let allowed = |label: &str, instr: &Instr| match (label, instr) {
+        // `load = 0`, the next-fit arm opening a bin: an assignment to
+        // a register-resident local, not an operand.
+        ("binpack::r0", Instr::Const { val, .. }) => *val == 0.0,
+        _ => false,
+    };
+    // Dispatches on the shortest trip round each innermost loop, in
+    // code order (the lowered programs' counts in the comments).
+    let ceilings: [(&str, &[usize]); 3] = [
+        // Seeding loop; distance loop on the not-closer path (31);
+        // accumulate loop on the not-equal path (7).
+        ("lloyd::r2", &[7, 16, 5]),
+        // The round-robin arm (13).
+        ("binpack::r0", &[9]),
+        // Jacobi sweep (14), copy-back, Gauss-Seidel sweep (14).
+        ("relax::r0", &[14, 5, 14]),
+    ];
+    let mut checked = 0;
+    for (name, src) in ledger_programs() {
+        let program = parse_program(&src).unwrap();
+        let compiled = compile_program(&program)
+            .try_optimized(OptLevel::O3, true)
+            .unwrap();
+        for t in &program.transforms {
+            let rules = &compiled.transform(&t.name).unwrap().rules;
+            for chunk in rules
+                .iter()
+                .map(|r| r.as_ref().expect("every rule compiles"))
+            {
+                let loops = innermost_loops(&chunk.code);
+                for l in &loops {
+                    for i in l.head..=l.last {
+                        let instr = &chunk.code[i];
+                        let cold = match instr {
+                            Instr::LoadSlotNum { .. }
+                            | Instr::StoreSlotNum { .. }
+                            | Instr::CopySlot { .. }
+                            | Instr::Const { .. } => true,
+                            Instr::Jump { target } => {
+                                matches!(chunk.code.get(*target), Some(Instr::AddImmJump { .. }))
+                            }
+                            _ => false,
+                        };
+                        assert!(
+                            !cold || allowed(&chunk.label, instr),
+                            "{name}: `{}` dispatches {instr:?} at {i}, inside the loop at {}:\n{}",
+                            chunk.label,
+                            l.head,
+                            chunk.disassemble()
+                        );
+                    }
+                }
+                if let Some((_, want)) = ceilings.iter().find(|(label, _)| *label == chunk.label) {
+                    let got: Vec<usize> = loops.iter().map(|l| l.shortest_trip).collect();
+                    assert_eq!(got.len(), want.len(), "{}", chunk.disassemble());
+                    assert!(
+                        got.iter().zip(*want).all(|(g, w)| g <= w),
+                        "`{}` dispatches {got:?} per trip, ceilings {want:?}:\n{}",
+                        chunk.label,
+                        chunk.disassemble()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, ceilings.len());
+}
+
+#[test]
+fn lint_names_the_scalars_left_in_slots() {
+    // `x` is a number when it is added to, but it was an array first:
+    // its slot must stay a `Value`, and the lint says why.
+    let program = parse_program(
+        "transform t from In[n] to Out[n] {
+            to (Out o) from (In a) {
+                let x = a;
+                o[0] = x[0];
+                x = 0;
+                for (i in 0 .. len(a)) { x = x + a[i]; }
+                o[1] = x;
+            }
+        }",
+    )
+    .unwrap();
+    check_program(&program).unwrap();
+    let lints = lint_program(&program);
+    assert!(
+        lints.iter().any(|l| l
+            .message
+            .contains("scalar `x` stays in a slot: it is used as an array")),
+        "{lints:?}"
+    );
+    for (name, src) in ledger_programs() {
+        let lints = lint_program(&parse_program(&src).unwrap());
+        assert!(lints.is_empty(), "{name}: {lints:?}");
+    }
 }

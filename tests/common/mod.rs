@@ -263,6 +263,286 @@ pub fn gen_helper_program(seed: u64) -> String {
     )
 }
 
+/// State threaded through [`gen_array_stmts`]: the names in scope by
+/// kind, and counters for fresh names.
+struct ArrayGen {
+    rng: SmallRng,
+    /// Scalar locals (and the scalar outputs) definitely assigned here.
+    scalars: Vec<String>,
+    /// Loop variables of the enclosing counted loops, innermost last.
+    loop_vars: Vec<String>,
+    /// Locals currently bound to the input array.
+    aliases: Vec<String>,
+    /// Enclosing loops and branches (the compiler only indexes a local
+    /// array declared outside all of them).
+    nesting: usize,
+    fresh: usize,
+}
+
+impl ArrayGen {
+    fn pick<'a>(&mut self, from: &'a [String]) -> &'a str {
+        &from[self.rng.gen_range(0..from.len())]
+    }
+
+    fn fresh(&mut self, prefix: &str) -> String {
+        self.fresh += 1;
+        format!("{prefix}{}", self.fresh)
+    }
+
+    /// An index expression: mostly the innermost loop variable or a
+    /// small constant (in range for the inputs the suites feed), now
+    /// and then an offset or a stray scalar that may fall outside —
+    /// the error that raises must be the same at every level.
+    fn index(&mut self) -> String {
+        match self.rng.gen_range(0..12) {
+            0..=5 if !self.loop_vars.is_empty() => self.loop_vars.last().unwrap().clone(),
+            6 if !self.loop_vars.is_empty() => format!("{} + 1", self.loop_vars[0]),
+            7 if !self.loop_vars.is_empty() => format!("{} - 1", self.loop_vars.last().unwrap()),
+            8 => {
+                let scalars = self.scalars.clone();
+                self.pick(&scalars).to_owned()
+            }
+            _ => format!("{}", self.rng.gen_range(0..3)),
+        }
+    }
+
+    fn leaf(&mut self) -> String {
+        match self.rng.gen_range(0..10) {
+            // The same small constants serve as operands here and as
+            // indices above.
+            0 | 1 => format!("{}", self.rng.gen_range(0..3)),
+            2 => "0.5".to_owned(),
+            3 => format!("a[{}]", self.index()),
+            // Read back what the loops store (a repeated load must see
+            // the store in between).
+            9 => format!("o[{}]", self.index()),
+            4 => format!("g[{}, {}]", self.rng.gen_range(0..2), self.index()),
+            5 if !self.loop_vars.is_empty() => {
+                let vars = self.loop_vars.clone();
+                self.pick(&vars).to_owned()
+            }
+            6 => ["len(a)", "cols(g)", "len(o)"][self.rng.gen_range(0..3)].to_owned(),
+            7 if !self.aliases.is_empty() => {
+                let aliases = self.aliases.clone();
+                format!("{}[{}]", self.pick(&aliases), self.index())
+            }
+            _ => {
+                let scalars = self.scalars.clone();
+                self.pick(&scalars).to_owned()
+            }
+        }
+    }
+
+    fn expr(&mut self, depth: usize) -> String {
+        if depth == 0 || self.rng.gen_range(0..3) == 0 {
+            return self.leaf();
+        }
+        let (a, b) = (self.expr(depth - 1), self.expr(depth - 1));
+        match self.rng.gen_range(0..10) {
+            0 | 1 => format!("({a} + {b})"),
+            2 => format!("({a} - {b})"),
+            3 | 4 => format!("({a} * {b})"),
+            5 => format!("({a} / {b})"),
+            6 => format!("({a} < {b})"),
+            7 => format!("({a} == {b})"),
+            8 => format!("min({a}, {b})"),
+            _ => format!("({a} && {b})"),
+        }
+    }
+
+    /// A block of `n` statements. Names a block declares go out of
+    /// scope with it (after a loop or branch they are only
+    /// conditionally assigned, and the compiler rejects reading those).
+    fn block(&mut self, n: usize, depth: usize, out: &mut String) {
+        let scalars = self.scalars.len();
+        self.nesting += 1;
+        for _ in 0..n {
+            self.stmt(depth, out);
+        }
+        self.nesting -= 1;
+        self.scalars.truncate(scalars);
+    }
+
+    fn stmt(&mut self, depth: usize, out: &mut String) {
+        let in_loop = !self.loop_vars.is_empty();
+        match self.rng.gen_range(0..19) {
+            // An early exit, from however deep (the scalar outputs
+            // must have reached their slots).
+            16 => out.push_str(&format!("if ({}) {{ return; }}\n", self.expr(1))),
+            // An element read into a local, stored over, and read
+            // again: the second read must see the store.
+            17 => {
+                let (name, idx, add) = (self.fresh("v"), self.index(), self.leaf());
+                out.push_str(&format!(
+                    "let {name} = o[{idx}];\no[{idx}] = {name} + {add};\nacc = acc + o[{idx}] * {name};\n"
+                ));
+                self.scalars.push(name);
+            }
+            // The same product before and after one operand is
+            // reassigned on one path only.
+            18 => {
+                let scalars = self.scalars.clone();
+                let (a, b) = (
+                    self.pick(&scalars).to_owned(),
+                    self.pick(&scalars).to_owned(),
+                );
+                let (name, cond) = (self.fresh("v"), self.expr(1));
+                out.push_str(&format!(
+                    "let {name} = {a} * {b};\nif ({cond}) {{ {a} = {a} + 1; }}\ncnt = cnt + {a} * {b} - {name};\n"
+                ));
+                self.scalars.push(name);
+            }
+            // A `let` (inside a loop body: re-declared every trip).
+            0 | 1 => {
+                let name = self.fresh("v");
+                out.push_str(&format!("let {name} = {};\n", self.expr(2)));
+                self.scalars.push(name);
+            }
+            // Re-assignment of anything scalar in scope.
+            2 | 3 => {
+                let scalars = self.scalars.clone();
+                let target = self.pick(&scalars).to_owned();
+                out.push_str(&format!("{target} = {};\n", self.expr(2)));
+            }
+            // The loop variable assigned in the body (the counter, not
+            // the variable, drives the loop).
+            4 if in_loop => {
+                let var = self.loop_vars.last().unwrap().clone();
+                out.push_str(&format!("{var} = {var} * 2 + {};\n", self.leaf()));
+            }
+            // Scalar outputs read before written, updated in place.
+            5 | 6 => {
+                let target = ["acc", "cnt"][self.rng.gen_range(0..2)];
+                out.push_str(&format!("{target} = {target} + {};\n", self.expr(1)));
+            }
+            7 | 8 => out.push_str(&format!("o[{}] = {};\n", self.index(), self.expr(2))),
+            // Counted loops: bounds from shapes and constants, zero-trip
+            // and nested included; sometimes over a variable declared
+            // before the loop, which is then readable after it.
+            9..=11 if depth > 0 => {
+                let lo = ["0", "0", "1", "2"][self.rng.gen_range(0..4)];
+                let hi = ["len(a)", "len(o)", "cols(g)", "len(a) - 1", "1", "3"]
+                    [self.rng.gen_range(0..6)];
+                let var = self.fresh("i");
+                let kept = self.rng.gen_range(0..3) == 0;
+                if kept {
+                    out.push_str(&format!("let {var} = 7;\n"));
+                }
+                out.push_str(&format!("for ({var} in {lo} .. {hi}) {{\n"));
+                self.loop_vars.push(var.clone());
+                let n = self.rng.gen_range(1..4);
+                self.block(n, depth - 1, out);
+                self.loop_vars.pop();
+                out.push_str("}\n");
+                if kept {
+                    out.push_str(&format!("cnt = cnt + {var};\n"));
+                    self.scalars.push(var);
+                }
+            }
+            // A variable reassigned in one branch only.
+            12 if depth > 0 => {
+                out.push_str(&format!("if ({}) {{\n", self.expr(1)));
+                self.block(1, depth - 1, out);
+                if self.rng.gen_range(0..2) == 0 {
+                    out.push_str("} else {\n");
+                    self.block(1, depth - 1, out);
+                }
+                out.push_str("}\n");
+            }
+            13 if depth > 0 => {
+                out.push_str("either {\n");
+                self.block(1, depth - 1, out);
+                out.push_str("} or {\n");
+                self.block(2, depth - 1, out);
+                out.push_str("}\n");
+            }
+            14 if depth > 0 => {
+                out.push_str("for_enough {\n");
+                self.block(1, depth - 1, out);
+                out.push_str("}\n");
+            }
+            // A local bound to the array, or a scalar local rebound to
+            // it for a statement (either way it must stay a `Value`
+            // slot; it is a number again before anything reads it as
+            // one — the tree-walker words that error by context).
+            _ => {
+                if self.nesting == 1 {
+                    let name = self.fresh("w");
+                    out.push_str(&format!("let {name} = a;\n"));
+                    self.aliases.push(name);
+                } else if self.rng.gen_range(0..3) == 0 {
+                    // `x` or `y`: declared outside every loop, so the
+                    // compiler lets them be indexed.
+                    let target = ["x", "y"][self.rng.gen_range(0..2)];
+                    out.push_str(&format!(
+                        "{target} = a;\no[0] = {target}[0];\n{target} = {};\n",
+                        self.rng.gen_range(0..3)
+                    ));
+                } else {
+                    out.push_str(&format!("x = {};\n", self.expr(2)));
+                }
+            }
+        }
+    }
+}
+
+/// Builds a random rule over a rank-1 input `a`, a rank-2 input `g`
+/// (two rows), a rank-1 output `o` as long as `a` and two scalar
+/// outputs — the shapes the register-residency passes rewrite:
+/// counted loops over the arrays (zero-trip, nested, bounds from
+/// `len`/`cols`), `let`s inside loop bodies, variables reassigned in
+/// one branch only, loop variables assigned in the body or read after
+/// the loop, scalar outputs read before written and updated in loops,
+/// `either`/`for_enough` inside loops, the same constant as index and
+/// operand, locals bound to an array, and indices that now and then
+/// fall out of range (the run must then fail with the same message at
+/// every level).
+pub fn gen_array_loop_program(seed: u64) -> String {
+    let mut gen = ArrayGen {
+        rng: SmallRng::seed_from_u64(seed ^ 0xa77a),
+        scalars: vec!["acc".into(), "cnt".into(), "x".into(), "y".into()],
+        loop_vars: Vec::new(),
+        aliases: Vec::new(),
+        nesting: 0,
+        fresh: 0,
+    };
+    let mut body = String::from("let x = 1;\nlet y = a[0];\n");
+    let n = gen.rng.gen_range(3..8);
+    gen.block(n, 3, &mut body);
+    format!(
+        "transform t from In[n], Grid[2, m] to Out[n], Acc, Cnt {{\n to (Out o, Acc acc, Cnt cnt) from (In a, Grid g) {{\n{body}}}\n}}\n"
+    )
+}
+
+/// Inputs for a [`gen_array_loop_program`] rule, with the `n` they were
+/// built for: `In` of 1 to 5 elements and a two-row `Grid` of 0 to 4
+/// columns, so some loops are zero-trip and the small constant indices
+/// the generator favours are mostly — not always — in range.
+pub fn array_loop_inputs(
+    seed: u64,
+) -> (
+    std::collections::HashMap<String, petabricks::lang::interp::Value>,
+    u64,
+) {
+    use petabricks::lang::interp::Value;
+    let (n, m) = [(4, 3), (1, 2), (3, 0), (5, 4)][(seed % 4) as usize];
+    let inputs = [
+        (
+            "In".to_string(),
+            Value::Arr1((0..n).map(|i| 0.25 * i as f64 - 0.5).collect()),
+        ),
+        (
+            "Grid".to_string(),
+            Value::Arr2 {
+                rows: 2,
+                cols: m,
+                data: (0..2 * m).map(|i| 1.5 - i as f64).collect(),
+            },
+        ),
+    ];
+    (inputs.into(), n as u64)
+}
+
 /// A configuration drawn from `seed`: every choice site picks one of
 /// its algorithms and every accuracy variable a small legal value, so
 /// the `either`/`for_enough` sites of generated helpers take different

@@ -954,7 +954,10 @@ fn argument_snapshots_survive_mutating_later_arguments() {
 // `analysis` suite so every fuzzed program is also run through the
 // verifier.
 
-use common::{gen_helper_program, gen_straight_line_program, random_config};
+use common::{
+    array_loop_inputs, gen_array_loop_program, gen_helper_program, gen_straight_line_program,
+    random_config,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -999,4 +1002,111 @@ proptest! {
         let config = random_config(&schema, seed);
         let _ = assert_same_outcome(&src, "t", &schema, &config, &in4(), 4, seed, &no_hosts);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random array loops (counted loops over rank-1 and rank-2 data,
+    /// zero-trip and nested; locals declared in loop bodies, assigned
+    /// in one branch, read after their loop; scalar outputs updated in
+    /// place; `either`/`for_enough` inside loops; locals bound to an
+    /// array; indices that sometimes fall out of range): what
+    /// `promote`, chunk-wide value tracking, constant homes and jump
+    /// threading rewrite. Every level must reproduce the tree-walker —
+    /// outputs, draws, cost, or the error it raises.
+    #[test]
+    fn random_array_loop_programs_are_bit_identical(seed in 0u64..100_000) {
+        let src = gen_array_loop_program(seed);
+        let program = parse_program(&src)
+            .unwrap_or_else(|e| panic!("generated program parses: {e:?}\n{src}"));
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let config = random_config(&schema, seed);
+        let (inputs, n) = array_loop_inputs(seed);
+        let _ = assert_same_outcome(&src, "t", &schema, &config, &inputs, n, seed, &no_hosts);
+    }
+}
+
+#[test]
+fn generated_array_loop_programs_both_complete_and_fail() {
+    // The generator is only worth its cases if most programs run to
+    // completion (so outputs, cost and draws are compared) while some
+    // raise an error mid-loop (so error parity is).
+    let (mut completed, mut failed) = (0, 0);
+    for seed in 0..200 {
+        let src = gen_array_loop_program(seed);
+        let program = parse_program(&src).unwrap();
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let config = random_config(&schema, seed);
+        let (inputs, n) = array_loop_inputs(seed);
+        match assert_same_outcome(&src, "t", &schema, &config, &inputs, n, seed, &no_hosts) {
+            Ok(()) => completed += 1,
+            Err(_) => failed += 1,
+        }
+    }
+    assert!(
+        completed >= 60 && failed >= 20,
+        "{completed} completed, {failed} failed"
+    );
+}
+
+#[test]
+fn data_a_rule_leaves_in_another_shape_is_not_assumed_declared() {
+    // A declaration describes data when the transform starts; a rule
+    // may rebind its output to a value of another shape, and the rules
+    // scheduled after it see that. Whatever acts on the declared shape
+    // ahead of the first use (the entry load of a promoted binding, a
+    // hoisted `Shape`) would then raise an error the tree-walker never
+    // reaches, or reaches elsewhere.
+    let reader_bodies: [(&str, &str, &[&str]); 3] = [
+        // Scalar-declared `S` holding an array, read as an input…
+        (
+            "to (S s) from (In a) { s = a; }",
+            "to (Out o) from (S s, In a)",
+            &[
+                "if (a[0] > 100) { o[0] = s + 1; }",
+                "o[0] = 1; o[1] = s + 1;",
+                "for (i in 0 .. len(a)) { if (a[i] > 100) { o[i] = s; } }",
+            ],
+        ),
+        // …and rebound as an output.
+        (
+            "to (S s) from (In a) { s = a; }",
+            "to (Out o, S s) from (In a)",
+            &[
+                "if (a[0] > 100) { s = s + 1; } o[0] = 2;",
+                "o[0] = 2; s = s + 1;",
+            ],
+        ),
+        // Array-declared `S` holding a scalar.
+        (
+            "to (S s) from (In a) { s = 5; }",
+            "to (Out o) from (S s, In a)",
+            &[
+                "for (i in 0 .. len(a)) { if (a[0] > 100) { o[i] = len(s); } }",
+                "for (i in 0 .. len(a)) { if (a[0] > 100) { o[i] = s[i]; } }",
+                "for (i in 0 .. len(a)) { o[i] = s[i]; }",
+            ],
+        ),
+    ];
+    let (mut completed, mut failed) = (0, 0);
+    for (k, (writer, reader, bodies)) in reader_bodies.iter().enumerate() {
+        let decl = if k == 2 { "S[n]" } else { "S" };
+        for body in *bodies {
+            let src = format!(
+                "transform t from In[n] through {decl} to Out[n] {{\n {writer}\n {reader} {{ {body} }}\n}}\n"
+            );
+            let program = parse_program(&src).unwrap();
+            let schema = petabricks::lang::extract_schema(&program, "t");
+            let config = schema.default_config();
+            match assert_same_outcome(&src, "t", &schema, &config, &in4(), 4, 1, &no_hosts) {
+                Ok(()) => completed += 1,
+                Err(_) => failed += 1,
+            }
+        }
+    }
+    assert!(
+        completed >= 3 && failed >= 3,
+        "{completed} completed, {failed} failed"
+    );
 }
