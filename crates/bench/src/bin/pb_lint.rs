@@ -6,14 +6,15 @@
 //! ```
 //!
 //! Each argument is a `.pb` source file or a directory walked
-//! recursively for `.pb` files. Every file is parsed, sema-checked,
-//! compiled, and run through [`pb_lang::lint_program`]: rule chunks
-//! are verified at `O0` and pass-by-pass through the `O3` pipeline
-//! (the whole-program `inline` pass included), tunable references are
-//! checked against the transform's schema, and DSL-level lints (dead
-//! accuracy variables, range-collapsed tunables, unconsumed rule
-//! products, tree-walking fallbacks, calls to scalar helpers that
-//! could not be inlined) are reported as warnings.
+//! recursively for `.pb` files. Every file is parsed, sema-checked
+//! (a rule body that could not compile — a read of a name bound on
+//! only some paths, a wrong arity — is an error here), compiled, and
+//! run through [`pb_lang::lint_program`]: rule chunks are verified at
+//! `O0` and pass-by-pass through the `O3` pipeline (the whole-program
+//! `inline` pass included), tunable references are checked against the
+//! transform's schema, and DSL-level lints (dead accuracy variables,
+//! range-collapsed tunables, unconsumed rule products, calls to scalar
+//! helpers that could not be inlined) are reported as warnings.
 //!
 //! `--disasm` instead prints every chunk of one transform as the
 //! default [`pb_lang::OptLevel`] dispatches it.
@@ -53,27 +54,30 @@ const USAGE: &str =
 
 /// `--disasm`: the optimized chunks of one transform, in rule order.
 fn disasm(file: &str, transform: &str) -> ExitCode {
-    let program = match std::fs::read_to_string(file) {
-        Ok(source) => parse_program(&source).map_err(|e| format!("parse failed: {e}")),
-        Err(e) => Err(e.to_string()),
-    };
-    let program = match program {
-        Ok(p) => p,
+    let compiled = std::fs::read_to_string(file)
+        .map_err(|e| e.to_string())
+        .and_then(|source| parse_program(&source).map_err(|e| format!("parse failed: {e}")))
+        .and_then(|program| match check_program(&program) {
+            Ok(()) => Ok(compile_program(&program).optimized(OptLevel::default())),
+            Err(errors) => Err(errors[0].to_string()),
+        })
+        .and_then(|compiled| match compiled.error() {
+            Some(e) => Err(e.to_string()),
+            None => Ok(compiled),
+        });
+    let compiled = match compiled {
+        Ok(compiled) => compiled,
         Err(e) => {
             eprintln!("pb_lint: {file}: {e}");
             return ExitCode::from(2);
         }
     };
-    let compiled = compile_program(&program).optimized(OptLevel::default());
     let Some(t) = compiled.transform(transform) else {
         eprintln!("pb_lint: {file}: no transform `{transform}`");
         return ExitCode::from(2);
     };
-    for (i, rule) in t.rules.iter().enumerate() {
-        match rule {
-            Ok(chunk) => println!("{}", chunk.disassemble()),
-            Err(e) => println!("{transform}::r{i}: {e}\n"),
-        }
+    for chunk in &t.rules {
+        println!("{}", chunk.disassemble());
     }
     ExitCode::SUCCESS
 }

@@ -1,6 +1,6 @@
 //! Trace inspection: validates and summarizes a Chrome trace-event
-//! file emitted by `tuner_throughput --trace` / `vm_opt --trace`
-//! (the `pb_trace` Chrome exporter).
+//! file emitted by `tuner_throughput --trace` (the `pb_trace` Chrome
+//! exporter).
 //!
 //! Validation (the CI gate): the file must parse as a trace-event
 //! JSON object, every event must carry finite non-negative
@@ -19,7 +19,7 @@
 //!
 //! `--require-phases` fails unless the trace carries per-phase pool
 //! deltas (a tuning-run trace); `--require-chunks` fails unless it
-//! carries a VM chunk profile (a VM workload trace).
+//! carries a VM chunk profile (a trace recorded with VM profiling on).
 //!
 //! Diff mode: `tuner_trace diff <a.json> <b.json> [--top N]` compares
 //! two trace summaries — per-phase wall time / dispatch deltas and

@@ -38,13 +38,12 @@
 //!   range collapses to a constant, and rules whose chunks fail
 //!   verification.
 
-use crate::ast::{Program, Rule, Transform};
+use crate::ast::{Expr, LValue, Program, Stmt, Transform};
 use crate::compile::{Chunk, FirstArg, Instr, Operand, Slot};
 use crate::opt::{
-    for_each_def, for_each_target, for_each_use, is_terminator, jump_targets, live_in_at_entry,
-    Bank, Cfg, InlineSite, OptLevel,
+    for_each_def, for_each_slot_def, for_each_slot_use, for_each_target, for_each_use,
+    is_terminator, jump_targets, live_in_at_entry, Bank, Cfg, InlineSite, OptLevel,
 };
-use crate::sema::{collect_block_vars, collect_expr_vars};
 use crate::token::Span;
 use pb_config::{Schema, TunableKind};
 use std::collections::HashSet;
@@ -188,51 +187,8 @@ fn violation(kind: ViolationKind, at: usize, detail: impl Into<String>) -> Viola
 // read-oriented walkers skip.
 
 fn for_each_slot(instr: &Instr, mut f: impl FnMut(Slot)) {
-    match instr {
-        Instr::LoadSlotNum { slot, .. }
-        | Instr::StoreSlotNum { slot, .. }
-        | Instr::Shape { slot, .. }
-        | Instr::ShapeHoisted { slot, .. }
-        | Instr::LoadIdx1 { slot, .. }
-        | Instr::LoadIdx1U { slot, .. }
-        | Instr::LoadIdx2 { slot, .. }
-        | Instr::LoadIdx2U { slot, .. }
-        | Instr::StoreIdx1 { slot, .. }
-        | Instr::StoreIdx1U { slot, .. }
-        | Instr::StoreIdx2 { slot, .. }
-        | Instr::StoreIdx2U { slot, .. }
-        | Instr::BinStoreIdx1 { slot, .. }
-        | Instr::BinStoreIdx1U { slot, .. } => f(*slot),
-        Instr::CopySlot { dst, src }
-        | Instr::SlotUpdImm { dst, src, .. }
-        | Instr::SlotUpdReg { dst, src, .. } => {
-            f(*dst);
-            f(*src);
-        }
-        Instr::CallHost {
-            first, rest, dst, ..
-        } => {
-            f(*dst);
-            match first {
-                FirstArg::Var(s) | FirstArg::Anon(Operand::Slot(s)) => f(*s),
-                FirstArg::Anon(Operand::Reg(_)) => {}
-            }
-            for op in rest {
-                if let Operand::Slot(s) = op {
-                    f(*s);
-                }
-            }
-        }
-        Instr::CallTransform { args, dst, .. } => {
-            f(*dst);
-            for op in args {
-                if let Operand::Slot(s) = op {
-                    f(*s);
-                }
-            }
-        }
-        _ => {}
-    }
+    for_each_slot_use(instr, &mut f);
+    for_each_slot_def(instr, &mut f);
 }
 
 fn for_each_name(instr: &Instr, mut f: impl FnMut(u16)) {
@@ -465,8 +421,6 @@ pub fn verify_code(
             }
             Instr::BinRI { op, .. }
             | Instr::BinIR { op, .. }
-            | Instr::SlotUpdImm { op, .. }
-            | Instr::SlotUpdReg { op, .. }
             | Instr::BinStoreIdx1 { op, .. }
             | Instr::BinStoreIdx1U { op, .. } => {
                 if matches!(op, crate::ast::BinOp::And | crate::ast::BinOp::Or) {
@@ -640,7 +594,7 @@ fn charge_segments(code: &[Instr], cuts: &[usize]) -> Vec<Vec<f64>> {
 ///   the result's charge signature is the caller's with each callee's
 ///   inserted where its call was ([`ViolationKind::ChargeMoved`]).
 ///
-/// `entry` is `before`'s entry slot state (see [`entry_slots`]).
+/// `entry` is `before`'s entry slot state.
 ///
 /// # Errors
 ///
@@ -1299,32 +1253,6 @@ impl ChunkFacts {
     }
 }
 
-/// Entry slot state for a rule chunk, from the transform's data
-/// declarations: each input/output binding is a scalar or an array of
-/// the declared rank; local slots start ⊥.
-///
-/// A declaration describes the data when the transform starts (inputs
-/// are validated against it, the rest is zero-initialized from it); a
-/// rule is free to rebind its output to a value of another shape, which
-/// the rules scheduled after it then see. [`transform_facts`] computes
-/// the entry states that hold regardless, and those are what
-/// [`crate::compile::CompiledProgram`] stores and optimizes against.
-pub fn entry_slots(transform: &Transform, rule: &Rule, chunk: &Chunk) -> Vec<AbsValue> {
-    let mut slots = vec![AbsValue::Bottom; chunk.n_slots as usize];
-    let bound = [
-        (&rule.inputs, &chunk.input_slots),
-        (&rule.outputs, &chunk.output_slots),
-    ];
-    for (bindings, slot_list) in bound {
-        for (b, &s) in bindings.iter().zip(slot_list.iter()) {
-            if let Some(slot) = slots.get_mut(s as usize) {
-                *slot = declared_shape(transform, &b.data);
-            }
-        }
-    }
-    slots
-}
-
 fn declared_shape(transform: &Transform, data: &str) -> AbsValue {
     match transform.data(data) {
         Some(p) if p.dims.is_empty() => AbsValue::scalar(ScalarKind::Float),
@@ -1371,31 +1299,21 @@ impl Bindings {
     }
 }
 
-/// The facts of every compiled rule of a transform, from entry states
-/// that hold wherever the schedule puts the rule: a binding enters with
-/// its declared shape only if no rule of the transform can leave that
-/// datum in another one (`s = v` with `v` an array makes scalar-declared
-/// `S` an array for every rule that runs afterwards). Starts from the
+/// The facts of every rule of a transform, from entry states that hold
+/// wherever the schedule puts the rule: a binding enters with its
+/// declared shape only if no rule of the transform can leave that datum
+/// in another one (`s = v` with `v` an array makes scalar-declared `S`
+/// an array for every rule that runs afterwards). Starts from the
 /// declarations and withdraws, to a fixpoint, each datum some rule's
-/// output slot is not proven to keep in shape; a rule that did not
-/// compile could do anything to its outputs.
-pub(crate) fn transform_facts(
-    bindings: &Bindings,
-    rules: &[Result<Chunk, crate::compile::CompileError>],
-) -> Vec<Option<ChunkFacts>> {
+/// output slot is not proven to keep in shape.
+pub(crate) fn transform_facts(bindings: &Bindings, rules: &[Chunk]) -> Vec<ChunkFacts> {
     let mut shape = bindings.declared.clone();
-    for ((_, outputs), compiled) in bindings.rules.iter().zip(rules) {
-        if compiled.is_err() {
-            outputs.iter().for_each(|&d| shape[d] = AbsValue::Any);
-        }
-    }
     loop {
-        let facts: Vec<Option<ChunkFacts>> = bindings
+        let facts: Vec<ChunkFacts> = bindings
             .rules
             .iter()
             .zip(rules)
-            .map(|((inputs, outputs), compiled)| {
-                let chunk = compiled.as_ref().ok()?;
+            .map(|((inputs, outputs), chunk)| {
                 let mut entry = vec![AbsValue::Bottom; chunk.n_slots as usize];
                 // Output aliases bind last, shadowing same-named inputs.
                 let bound = (inputs.iter().zip(&chunk.input_slots))
@@ -1403,14 +1321,11 @@ pub(crate) fn transform_facts(
                 for (&d, &s) in bound {
                     entry[s as usize] = shape[d];
                 }
-                Some(analyze_chunk(chunk, &entry))
+                analyze_chunk(chunk, &entry)
             })
             .collect();
         let mut settled = true;
-        for (((_, outputs), compiled), facts) in bindings.rules.iter().zip(rules).zip(&facts) {
-            let (Ok(chunk), Some(facts)) = (compiled, facts) else {
-                continue;
-            };
+        for (((_, outputs), chunk), facts) in bindings.rules.iter().zip(rules).zip(&facts) {
             for (&d, &s) in outputs.iter().zip(&chunk.output_slots) {
                 // The slot's fact joins every state it is ever in, the
                 // entry state included.
@@ -1435,8 +1350,11 @@ pub(crate) fn transform_facts(
 /// accumulation pass folding every post-instruction state into the
 /// returned [`ChunkFacts`].
 ///
-/// `entry_slots` is the slot state at chunk entry (see
-/// [`entry_slots`]); it is padded/truncated to `n_slots`.
+/// `entry_slots` is the slot state at chunk entry (what
+/// [`ChunkFacts::entry_slots`] records: for the facts a
+/// [`crate::compile::CompiledProgram`] stores, each binding's declared
+/// shape unless some rule of the transform can leave the datum in
+/// another one, ⊥ for locals); it is padded/truncated to `n_slots`.
 pub fn analyze_chunk(chunk: &Chunk, entry_slots: &[AbsValue]) -> ChunkFacts {
     let n = chunk.code.len();
     let nr = chunk.n_regs as usize;
@@ -1656,32 +1574,6 @@ fn step(instr: &Instr, regs: &mut [AbsValue], slots: &mut [AbsValue]) {
         Instr::WhileGuard { counter } => {
             regs[*counter as usize] = AbsValue::scalar(ScalarKind::Int);
         }
-        Instr::SlotUpdImm {
-            op,
-            dst,
-            src,
-            imm,
-            imm_on_left,
-        } => {
-            let s = match slots[*src as usize] {
-                AbsValue::Scalar { kind, cst } => (kind, cst),
-                _ => (ScalarKind::Float, None),
-            };
-            let imm = (const_kind(*imm), Some(*imm));
-            let v = if *imm_on_left {
-                abs_bin(*op, imm, s)
-            } else {
-                abs_bin(*op, s, imm)
-            };
-            slots[*dst as usize] = v;
-        }
-        Instr::SlotUpdReg { op, dst, src, b } => {
-            let s = match slots[*src as usize] {
-                AbsValue::Scalar { kind, cst } => (kind, cst),
-                _ => (ScalarKind::Float, None),
-            };
-            slots[*dst as usize] = abs_bin(*op, s, reg(regs, *b));
-        }
         Instr::CallHost { first, dst, .. } => {
             slots[*dst as usize] = AbsValue::Any;
             if let FirstArg::Var(s) = first {
@@ -1747,18 +1639,32 @@ pub struct Lint {
 
 /// Every name a transform references: rule bodies, rule binding data,
 /// and data dimension expressions.
-fn transform_referenced_names(t: &Transform) -> HashSet<String> {
-    let mut names = HashSet::new();
-    for rule in &t.rules {
-        collect_block_vars(&rule.body, &mut names);
-        for b in rule.inputs.iter().chain(&rule.outputs) {
-            names.insert(b.data.clone());
+fn transform_referenced_names(t: &Transform) -> HashSet<&str> {
+    fn note<'a>(names: &mut HashSet<&'a str>, expr: &'a Expr) {
+        if let Expr::Var(name, _) | Expr::Index { name, .. } = expr {
+            names.insert(name);
         }
     }
-    for p in t.all_data() {
-        for dim in &p.dims {
-            collect_expr_vars(dim, &mut names);
-        }
+    let mut names: HashSet<&str> = HashSet::new();
+    for rule in &t.rules {
+        rule.body.for_each_stmt(&mut |stmt| {
+            // Assignment targets included: writing `Out` still *uses*
+            // the data.
+            if let Stmt::Assign { target, .. } = stmt {
+                let (LValue::Var(name) | LValue::Index { name, .. }) = target;
+                names.insert(name);
+            }
+            stmt.for_each_expr(&mut |e| note(&mut names, e));
+        });
+        names.extend(
+            rule.inputs
+                .iter()
+                .chain(&rule.outputs)
+                .map(|b| b.data.as_str()),
+        );
+    }
+    for dim in t.all_data().flat_map(|p| &p.dims) {
+        dim.for_each(&mut |e| note(&mut names, e));
     }
     names
 }
@@ -1790,13 +1696,14 @@ pub fn count_indexed(code: &[Instr]) -> (usize, usize) {
 
 /// Runs the DSL-level lints over a parsed (and sema-checked) program:
 ///
-/// * **error** — a rule chunk fails verification (at `O0` or through
-///   the full `O3` pass pipeline), or references a tunable missing
-///   from the transform's schema;
+/// * **error** — the program hits a capacity limit of the bytecode
+///   (`check_program` accepts nothing else that does not lower), a rule
+///   chunk fails verification (at `O0` or through the full `O3` pass
+///   pipeline), or references a tunable missing from the transform's
+///   schema;
 /// * **warning** — an accuracy variable nothing reads, a tunable whose
 ///   range collapses to a single value, a rule producing only data no
-///   rule consumes and no output needs, a rule that falls back to the
-///   tree-walking interpreter, a call to a scalar helper the `inline`
+///   rule consumes and no output needs, a call to a scalar helper the `inline`
 ///   pass had to leave on the generic path (with the reason), a scalar
 ///   variable `promote` had to leave in its `Value` slot (with the
 ///   reason), or a
@@ -1806,6 +1713,13 @@ pub fn count_indexed(code: &[Instr]) -> (usize, usize) {
 pub fn lint_program(program: &Program) -> Vec<Lint> {
     let mut lints = Vec::new();
     let compiled = crate::compile::compile_program(program);
+    if let Some(e) = compiled.error() {
+        return vec![Lint {
+            severity: Severity::Error,
+            span: None,
+            message: e.to_string(),
+        }];
+    }
     // What `O3` dispatches starts from the inlined chunks; the lowered
     // ones are still verified on their own below.
     let mut inlined = compiled.clone();
@@ -1832,7 +1746,7 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
         let referenced = transform_referenced_names(t);
 
         for av in &t.accuracy_variables {
-            if !referenced.contains(&av.name) {
+            if !referenced.contains(av.name.as_str()) {
                 lints.push(Lint {
                     severity: Severity::Warning,
                     span: Some(av.span),
@@ -1902,21 +1816,7 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
         let Some(ct) = compiled.transform(&t.name) else {
             continue;
         };
-        for (ri, (rule, compiled_rule)) in t.rules.iter().zip(&ct.rules).enumerate() {
-            let chunk = match compiled_rule {
-                Ok(chunk) => chunk,
-                Err(e) => {
-                    lints.push(Lint {
-                        severity: Severity::Warning,
-                        span: Some(rule.span),
-                        message: format!(
-                            "transform `{}`: rule #{ri} falls back to tree-walking ({e})",
-                            t.name
-                        ),
-                    });
-                    continue;
-                }
-            };
+        for (ri, (rule, chunk)) in t.rules.iter().zip(&ct.rules).enumerate() {
             let mut broken = |what: &str| {
                 lints.push(Lint {
                     severity: Severity::Error,
@@ -1929,13 +1829,9 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
                 continue;
             }
             // The entry state the program will optimize against.
-            let entry = match compiled.facts(&t.name, ri) {
-                Some(facts) => facts.entry_slots.clone(),
-                None => entry_slots(t, rule, chunk),
-            };
+            let entry = &ct.facts[ri].entry_slots;
             let chunk = inlined.chunk(&t.name, ri).unwrap_or(chunk);
-            match crate::opt::optimize_verified_with_entry(chunk, OptLevel::O3, true, Some(&entry))
-            {
+            match crate::opt::optimize(chunk, OptLevel::O3, true, Some(entry)) {
                 Err(v) => broken(&v.to_string()),
                 Ok(opt_chunk) => {
                     if let Err(v) = verify_tunables(&opt_chunk, &schema, "") {
@@ -1960,7 +1856,7 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
                 }
             }
             let names = crate::compile::named_slots(rule);
-            for (slot, why) in crate::opt::unpromoted(chunk, &entry) {
+            for (slot, why) in crate::opt::unpromoted(chunk, entry) {
                 let what = match names.get(slot as usize) {
                     Some(name) => format!("`{name}`"),
                     None => format!("in temporary s{slot}"),

@@ -113,6 +113,37 @@ pub struct Block {
     pub stmts: Vec<Stmt>,
 }
 
+impl Block {
+    /// Calls `f` on every statement of the block, those of nested
+    /// blocks included, in source order.
+    pub(crate) fn for_each_stmt<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        for stmt in &self.stmts {
+            f(stmt);
+            match stmt {
+                Stmt::If {
+                    then_block,
+                    else_block,
+                    ..
+                } => {
+                    then_block.for_each_stmt(f);
+                    if let Some(else_block) = else_block {
+                        else_block.for_each_stmt(f);
+                    }
+                }
+                Stmt::While { body, .. }
+                | Stmt::For { body, .. }
+                | Stmt::ForEnough { body, .. } => body.for_each_stmt(f),
+                Stmt::Either { branches, .. } => {
+                    for branch in branches {
+                        branch.for_each_stmt(f);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
@@ -207,6 +238,46 @@ pub enum Stmt {
 }
 
 impl Stmt {
+    /// The name a statement binds: a `let`, a scalar assignment or a
+    /// `for` header.
+    pub(crate) fn bound_name(&self) -> Option<&str> {
+        match self {
+            Stmt::Let { name, .. }
+            | Stmt::Assign {
+                target: LValue::Var(name),
+                ..
+            }
+            | Stmt::For { var: name, .. } => Some(name),
+            _ => None,
+        }
+    }
+
+    /// Calls `f` on every expression of the statement itself, nested
+    /// sub-expressions included (not on those of the statements in its
+    /// blocks: see [`Block::for_each_stmt`]).
+    pub(crate) fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        let own: [Option<&Expr>; 2] = match self {
+            Stmt::Let { value, .. }
+            | Stmt::Return {
+                value: Some(value), ..
+            } => [Some(value), None],
+            Stmt::Assign { target, value, .. } => {
+                if let LValue::Index { indices, .. } = target {
+                    indices.iter().for_each(|e| e.for_each(f));
+                }
+                [Some(value), None]
+            }
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => [Some(cond), None],
+            Stmt::For { lo, hi, .. } => [Some(lo), Some(hi)],
+            Stmt::Expr { expr, .. } => [Some(expr), None],
+            Stmt::ForEnough { .. }
+            | Stmt::Either { .. }
+            | Stmt::VerifyAccuracy { .. }
+            | Stmt::Return { value: None, .. } => [None, None],
+        };
+        own.into_iter().flatten().for_each(|e| e.for_each(f));
+    }
+
     /// This statement's source span.
     pub fn span(&self) -> Span {
         match self {
@@ -329,6 +400,22 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// Calls `f` on the expression and every sub-expression.
+    pub(crate) fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        match self {
+            Expr::Index { indices: inner, .. } | Expr::Call { args: inner, .. } => {
+                inner.iter().for_each(|e| e.for_each(f));
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.for_each(f);
+                rhs.for_each(f);
+            }
+            Expr::Unary { operand, .. } => operand.for_each(f),
+            Expr::Number(..) | Expr::Var(..) => {}
+        }
+    }
+
     /// This expression's source span.
     pub fn span(&self) -> Span {
         match self {

@@ -14,9 +14,18 @@
 //! order, short-circuiting, RNG consumption, virtual-cost charging,
 //! and tunable lookups mirror the interpreter exactly, so a compiled
 //! rule produces bit-identical `Value`s (and virtual cost) to the
-//! tree-walker. Constructs the compiler cannot prove safe — chiefly
-//! reads of variables only *conditionally* assigned — are rejected
-//! with [`CompileError`] and the rule falls back to tree-walking.
+//! tree-walker.
+//!
+//! It is also *total* on checked programs: every rule body
+//! [`crate::sema::check_program`] accepts lowers, and there is no
+//! per-rule fallback. What sema rejects is what lowering could not
+//! resolve statically — a read of a name bound on only some of the
+//! paths reaching it (local or tunable?), an indexed use of a name that
+//! is not a local, the arities of indices, builtins and sub-transform
+//! calls. The one thing left to fail here is capacity: a rule that
+//! needs more than `u16::MAX` registers, slots or transform indices is
+//! a [`CompileError`], and then the *program* has no bytecode
+//! ([`CompiledProgram::error`]).
 //!
 //! Machine model: two register banks per rule activation. Scalar
 //! temporaries live in a bank of `f64` registers; named locals (rule
@@ -438,34 +447,6 @@ pub enum Instr {
         /// Target instruction index.
         target: usize,
     },
-    /// Fused `LoadSlotNum` + binop + `StoreSlotNum` with an immediate
-    /// operand: `slots[dst] = Num(num(slots[src]) op imm)` (operands
-    /// swapped when `imm_on_left`). Errors exactly like the
-    /// `LoadSlotNum` it absorbs when `src` holds a non-scalar.
-    SlotUpdImm {
-        /// The operator.
-        op: BinOp,
-        /// Destination slot.
-        dst: Slot,
-        /// Source slot (must hold a scalar).
-        src: Slot,
-        /// Immediate operand.
-        imm: f64,
-        /// Whether the immediate is the left operand.
-        imm_on_left: bool,
-    },
-    /// Fused `LoadSlotNum` + binop + `StoreSlotNum` with a register
-    /// operand: `slots[dst] = Num(num(slots[src]) op regs[b])`.
-    SlotUpdReg {
-        /// The operator.
-        op: BinOp,
-        /// Destination slot.
-        dst: Slot,
-        /// Source slot (must hold a scalar; the left operand).
-        src: Slot,
-        /// Right operand register.
-        b: Reg,
-    },
     /// Fused arithmetic-into-element-store:
     /// `slots[slot][regs[idx]] = regs[a] op regs[b]` — the `Bin` +
     /// `StoreIdx1` pair of array-update loop bodies. Bounds checks and
@@ -575,7 +556,7 @@ pub enum Instr {
 
 /// Number of distinct opcodes ([`Instr`] variants). Profiling counter
 /// tables are sized to this.
-pub const N_OPCODES: usize = 48;
+pub const N_OPCODES: usize = 46;
 
 /// Stable lower-snake names for opcode indices, in declaration order
 /// (`OPCODE_NAMES[i.opcode_index()]` names instruction `i`).
@@ -617,8 +598,6 @@ pub const OPCODE_NAMES: [&str; N_OPCODES] = [
     "bin_ir",
     "jump_cmp",
     "jump_cmp_imm",
-    "slot_upd_imm",
-    "slot_upd_reg",
     "bin_store_idx1",
     "add_imm_jump",
     "load_idx1_u",
@@ -635,7 +614,7 @@ pub const OPCODE_NAMES: [&str; N_OPCODES] = [
 /// the VM's "fusion hits".
 pub fn opcode_is_fused(idx: usize) -> bool {
     const BIN_RI: usize = 33;
-    const ADD_IMM_JUMP: usize = 40;
+    const ADD_IMM_JUMP: usize = 38;
     (BIN_RI..=ADD_IMM_JUMP).contains(&idx)
 }
 
@@ -643,8 +622,8 @@ pub fn opcode_is_fused(idx: usize) -> bool {
 /// facts-directed specializer ([`crate::opt`] at `O3`): profiling
 /// counts of these are the VM's "specialization hits".
 pub fn opcode_is_specialized(idx: usize) -> bool {
-    const LOAD_IDX1_U: usize = 41;
-    const SHAPE_HOISTED: usize = 46;
+    const LOAD_IDX1_U: usize = 39;
+    const SHAPE_HOISTED: usize = 44;
     (LOAD_IDX1_U..=SHAPE_HOISTED).contains(&idx)
 }
 
@@ -690,17 +669,15 @@ impl Instr {
             Instr::BinIR { .. } => 34,
             Instr::JumpCmp { .. } => 35,
             Instr::JumpCmpImm { .. } => 36,
-            Instr::SlotUpdImm { .. } => 37,
-            Instr::SlotUpdReg { .. } => 38,
-            Instr::BinStoreIdx1 { .. } => 39,
-            Instr::AddImmJump { .. } => 40,
-            Instr::LoadIdx1U { .. } => 41,
-            Instr::LoadIdx2U { .. } => 42,
-            Instr::StoreIdx1U { .. } => 43,
-            Instr::StoreIdx2U { .. } => 44,
-            Instr::BinStoreIdx1U { .. } => 45,
-            Instr::ShapeHoisted { .. } => 46,
-            Instr::Nop => 47,
+            Instr::BinStoreIdx1 { .. } => 37,
+            Instr::AddImmJump { .. } => 38,
+            Instr::LoadIdx1U { .. } => 39,
+            Instr::LoadIdx2U { .. } => 40,
+            Instr::StoreIdx1U { .. } => 41,
+            Instr::StoreIdx2U { .. } => 42,
+            Instr::BinStoreIdx1U { .. } => 43,
+            Instr::ShapeHoisted { .. } => 44,
+            Instr::Nop => 45,
         }
     }
 }
@@ -725,10 +702,8 @@ pub struct Chunk {
     pub output_slots: Vec<Slot>,
     /// The optimization level this chunk was produced at (lowering
     /// emits [`crate::opt::OptLevel::O0`]; [`crate::opt::optimize`]
-    /// stamps its level). The VM runs `O0` chunks on a compatibility
-    /// path that approximates the pre-optimizer execution profile
-    /// (fresh banks, per-invocation name resolution), so benchmarks
-    /// retain a "current VM" baseline.
+    /// stamps its level). The verifier admits the specialized forms
+    /// only in an `O3` chunk; the VM runs every chunk the same way.
     pub opt: crate::opt::OptLevel,
 }
 
@@ -778,10 +753,13 @@ impl Chunk {
     }
 }
 
-/// Why a rule could not be compiled (it falls back to tree-walking).
+/// Why a rule has no bytecode. On a program
+/// [`crate::sema::check_program`] accepts the only reasons are capacity
+/// limits (register, slot or transform-index banks past `u16::MAX`); on
+/// one it rejects, the constructs sema would have named.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileError {
-    /// Human-readable reason.
+    /// Human-readable reason, starting with the rule's label.
     pub reason: String,
 }
 
@@ -796,8 +774,7 @@ impl std::error::Error for CompileError {}
 /// The calling convention of a *scalar helper* transform: one whose
 /// inputs are all plain scalars (no dims, no `scaled_by`), with no
 /// accuracy variables or intermediates, and exactly one dimensionless
-/// output produced by a single rule that compiled and reads only
-/// declared inputs.
+/// output produced by a single rule that reads only declared inputs.
 ///
 /// For such a callee everything the generic call path derives per call
 /// — dimension environment (empty), input validation (scalars always
@@ -815,19 +792,17 @@ pub struct HelperSig {
     pub arg_for_input: Vec<usize>,
 }
 
-/// A compiled transform: one optional chunk per rule (in rule order).
+/// A compiled transform: one chunk per rule (in rule order).
 #[derive(Debug, Clone)]
 pub struct CompiledTransform {
     /// The transform's name.
     pub name: String,
-    /// `Some(chunk)` for compiled rules, `None` where the rule falls
-    /// back to the tree-walking interpreter (with the reason).
-    pub rules: Vec<Result<Chunk, CompileError>>,
-    /// Inferred [`crate::analysis::ChunkFacts`] per rule (`None` where
-    /// the rule did not compile) — the typed-IR seed. Recomputed from
-    /// each facts' stored entry state when the chunks are
-    /// re-optimized.
-    pub facts: Vec<Option<crate::analysis::ChunkFacts>>,
+    /// The rules' chunks.
+    pub rules: Vec<Chunk>,
+    /// Inferred [`crate::analysis::ChunkFacts`] per rule — the typed-IR
+    /// seed. Recomputed from each facts' stored entry state when the
+    /// chunks are re-optimized.
+    pub facts: Vec<crate::analysis::ChunkFacts>,
     /// The transform's calling convention, when it is a scalar helper.
     pub helper: Option<HelperSig>,
     /// Whether the facts prove the transform's only, dimensionless
@@ -844,29 +819,51 @@ pub struct CompiledTransform {
     pub(crate) bindings: crate::analysis::Bindings,
 }
 
-/// All compiled transforms of a program, in declaration order.
+/// All compiled transforms of a program, in declaration order — or,
+/// when some rule hit a capacity limit, none of them and the reason
+/// ([`CompiledProgram::error`]): a program runs on bytecode whole or
+/// not at all.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledProgram {
     transforms: Vec<CompiledTransform>,
     by_name: HashMap<String, usize>,
     inline_skips: Vec<crate::opt::InlineSkip>,
+    n_rules: usize,
+    error: Option<CompileError>,
 }
 
 impl CompiledProgram {
-    /// The chunk for `transform`'s rule `rule_idx`, if it compiled.
-    pub fn chunk(&self, transform: &str, rule_idx: usize) -> Option<&Chunk> {
-        self.chunk_at(*self.by_name.get(transform)?, rule_idx)
+    /// A program without bytecode, and why.
+    pub(crate) fn failed(program: &Program, error: CompileError) -> Self {
+        CompiledProgram {
+            n_rules: program.transforms.iter().map(|t| t.rules.len()).sum(),
+            error: Some(error),
+            ..CompiledProgram::default()
+        }
     }
 
-    /// [`CompiledProgram::chunk`] by the transform's position in
-    /// `Program::transforms` (what [`Instr::CallTransform`] carries).
-    pub fn chunk_at(&self, transform: usize, rule_idx: usize) -> Option<&Chunk> {
-        self.transforms
-            .get(transform)?
-            .rules
-            .get(rule_idx)?
-            .as_ref()
-            .ok()
+    /// Why the program has no bytecode, if it has none.
+    pub fn error(&self) -> Option<&CompileError> {
+        self.error.as_ref()
+    }
+
+    /// The chunk for `transform`'s rule `rule_idx`.
+    pub fn chunk(&self, transform: &str, rule_idx: usize) -> Option<&Chunk> {
+        self.transform(transform)?.rules.get(rule_idx)
+    }
+
+    /// The chunks of the transform at position `transform` of
+    /// `Program::transforms` (what [`Instr::CallTransform`] carries),
+    /// in rule order.
+    ///
+    /// # Errors
+    ///
+    /// The reason the program has no bytecode.
+    pub(crate) fn chunks_at(&self, transform: usize) -> Result<&[Chunk], &CompileError> {
+        match &self.error {
+            Some(e) => Err(e),
+            None => Ok(&self.transforms[transform].rules),
+        }
     }
 
     /// The compiled form of one transform.
@@ -874,21 +871,20 @@ impl CompiledProgram {
         self.transforms.get(*self.by_name.get(name)?)
     }
 
-    /// The inferred facts for `transform`'s rule `rule_idx`, if that
-    /// rule compiled.
+    /// The inferred facts for `transform`'s rule `rule_idx`.
     pub fn facts(&self, transform: &str, rule_idx: usize) -> Option<&crate::analysis::ChunkFacts> {
-        self.transform(transform)?.facts.get(rule_idx)?.as_ref()
+        self.transform(transform)?.facts.get(rule_idx)
     }
 
     /// Calls to scalar helpers the `inline` pass left on the generic
-    /// path, with the reason (empty below [`crate::opt::OptLevel::O3`]).
+    /// path, with the reason (empty at [`crate::opt::OptLevel::O0`]).
     pub fn inline_skips(&self) -> &[crate::opt::InlineSkip] {
         &self.inline_skips
     }
 
-    /// Runs the optimizer pipeline ([`crate::opt`]) over every compiled
-    /// chunk. Every [`crate::opt::OptLevel`] is observably identical to
-    /// the unoptimized bytecode (and the tree-walker).
+    /// Runs the optimizer pipeline ([`crate::opt`]) over every chunk.
+    /// Both [`crate::opt::OptLevel`]s are observably identical (and
+    /// identical to the tree-walker).
     ///
     /// # Panics
     ///
@@ -917,30 +913,18 @@ impl CompiledProgram {
         if level == crate::opt::OptLevel::O0 {
             return Ok(self);
         }
-        if level >= crate::opt::OptLevel::O3 {
-            self.inline_calls(verify)?;
-        }
+        self.inline_calls(verify)?;
         for t in &mut self.transforms {
             for (chunk, facts) in t.rules.iter_mut().zip(t.facts.iter_mut()) {
-                if let Ok(chunk) = chunk {
-                    // The stored entry state seeds the O3 specializer
-                    // (hoisting in particular needs declaration-level
-                    // array facts).
-                    let entry: Vec<crate::analysis::AbsValue> = facts
-                        .as_ref()
-                        .map(|f| f.entry_slots.clone())
-                        .unwrap_or_default();
-                    *chunk = crate::opt::optimize_verified_with_entry(
-                        chunk,
-                        level,
-                        verify,
-                        Some(&entry),
-                    )?;
-                    // Re-infer over the optimized code from the same
-                    // entry state, so the facts always describe the
-                    // chunk that will actually dispatch.
-                    *facts = Some(crate::analysis::analyze_chunk(chunk, &entry));
-                }
+                // The stored entry state seeds the specializer
+                // (hoisting in particular needs declaration-level array
+                // facts).
+                let entry = std::mem::take(&mut facts.entry_slots);
+                *chunk = crate::opt::optimize(chunk, level, verify, Some(&entry))?;
+                // Re-infer over the optimized code from the same entry
+                // state, so the facts always describe the chunk that
+                // will actually dispatch.
+                *facts = crate::analysis::analyze_chunk(chunk, &entry);
             }
         }
         Ok(self)
@@ -962,29 +946,32 @@ impl CompiledProgram {
         Ok(records)
     }
 
-    /// `(compiled, total)` rule counts across the program.
+    /// `(compiled, total)` rule counts across the program: `(n, n)`, or
+    /// `(0, n)` for a program without bytecode.
     pub fn coverage(&self) -> (usize, usize) {
-        let mut compiled = 0;
-        let mut total = 0;
-        for t in &self.transforms {
-            total += t.rules.len();
-            compiled += t.rules.iter().filter(|r| r.is_ok()).count();
-        }
-        (compiled, total)
+        let compiled = self.transforms.iter().map(|t| t.rules.len()).sum();
+        (compiled, self.n_rules)
     }
 }
 
-/// Compiles every rule of every transform; rules that use constructs
-/// the compiler does not cover carry their [`CompileError`] and run on
-/// the interpreter instead.
+/// Lowers every rule of every transform. `program` must have passed
+/// [`crate::sema::check_program`]: on one that has not, a rule sema
+/// would reject comes back as the [`CompiledProgram::error`] where
+/// lowering notices, and a read of a name bound on only some paths
+/// lowers as a tunable read.
 pub fn compile_program(program: &Program) -> CompiledProgram {
     let mut compiled = CompiledProgram::default();
     for (i, t) in program.transforms.iter().enumerate() {
-        let rules: Vec<Result<Chunk, CompileError>> = t
+        let lowered: Result<Vec<Chunk>, CompileError> = t
             .rules
             .iter()
             .map(|rule| compile_rule(program, t, rule))
             .collect();
+        let rules = match lowered {
+            Ok(rules) => rules,
+            Err(e) => return CompiledProgram::failed(program, e),
+        };
+        compiled.n_rules += rules.len();
         let bindings = crate::analysis::Bindings::of(t);
         let facts = crate::analysis::transform_facts(&bindings, &rules);
         let sole_scalar_output = match t.outputs.as_slice() {
@@ -1020,9 +1007,8 @@ pub fn compile_program(program: &Program) -> CompiledProgram {
 /// Qualifies `t` as a scalar helper (see [`HelperSig`]). The
 /// conditions mirror exactly what a spliced body skips of the generic
 /// call path: every per-call derivation in `run_prefixed` must be a
-/// program constant for the callee, and its single producing rule must
-/// run on the VM.
-fn helper_sig(t: &Transform, rules: &[Result<Chunk, CompileError>]) -> Option<HelperSig> {
+/// program constant for the callee.
+fn helper_sig(t: &Transform, rules: &[Chunk]) -> Option<HelperSig> {
     // All inputs plain scalars: no dimension environment to build, no
     // `scaled_by` resampling, validation always passes. No accuracy
     // variables (their `ctx.param` reads would be skipped) and exactly
@@ -1051,9 +1037,8 @@ fn helper_sig(t: &Transform, rules: &[Result<Chunk, CompileError>]) -> Option<He
         return None;
     };
     let rule = &t.rules[rule_idx];
-    // The rule must have compiled (otherwise the generic path
-    // tree-walks it) and write exactly the output.
-    let chunk = rules[rule_idx].as_ref().ok()?;
+    // The rule writes exactly the output.
+    let chunk = &rules[rule_idx];
     if rule.outputs.len() != 1
         || rule.outputs[0].data != out.name
         || chunk.output_slots.len() != 1
@@ -1075,25 +1060,40 @@ fn helper_sig(t: &Transform, rules: &[Result<Chunk, CompileError>]) -> Option<He
     })
 }
 
-/// Compiles a single rule body.
+/// Lowers a single rule body (of a checked program, see
+/// [`compile_program`]).
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] when the body uses a construct whose
-/// compiled semantics could diverge from the interpreter (see the
-/// module docs); callers fall back to tree-walking.
+/// [`CompileError`]: the body needs more registers, slots or transform
+/// indices than the banks hold.
 pub fn compile_rule(
     program: &Program,
     transform: &Transform,
     rule: &Rule,
 ) -> Result<Chunk, CompileError> {
-    Compiler::new(program, transform, rule).compile(rule)
+    let rule_idx = transform.rules.iter().position(|r| std::ptr::eq(r, rule));
+    let label = match rule_idx {
+        Some(i) => format!("{}::r{i}", transform.name),
+        None => format!("{}::r?", transform.name),
+    };
+    Compiler::new(program, transform, rule)
+        .compile(rule, label.clone())
+        .map_err(|e| CompileError {
+            reason: format!("`{label}`: {}", e.reason),
+        })
 }
 
 fn bail<T>(reason: impl Into<String>) -> Result<T, CompileError> {
     Err(CompileError {
         reason: reason.into(),
     })
+}
+
+/// A construct [`crate::sema::check_program`] rejects: unreachable from
+/// a checked program.
+fn unchecked<T>(what: impl fmt::Display) -> Result<T, CompileError> {
+    bail(format!("{what} (`check_program` rejects this program)"))
 }
 
 struct Compiler<'a> {
@@ -1113,10 +1113,10 @@ struct Compiler<'a> {
     /// Scalar-register stack pointer.
     reg_top: u16,
     reg_max: u16,
-    /// Names definitely assigned at the current program point.
+    /// Names bound on every path to the current program point: reads
+    /// of these are slot reads, plain reads of anything else tunable
+    /// reads (sema has rejected the reads in between).
     assigned: HashSet<String>,
-    /// Names assigned on *some* path only — reads of these bail out.
-    maybe: HashSet<String>,
 }
 
 impl<'a> Compiler<'a> {
@@ -1147,23 +1147,13 @@ impl<'a> Compiler<'a> {
             reg_top: 0,
             reg_max: 0,
             assigned,
-            maybe: HashSet::new(),
         }
     }
 
-    fn compile(mut self, rule: &Rule) -> Result<Chunk, CompileError> {
+    fn compile(mut self, rule: &Rule, label: String) -> Result<Chunk, CompileError> {
         self.block(&rule.body)?;
         let input_slots = rule.inputs.iter().map(|b| self.slots[&b.alias]).collect();
         let output_slots = rule.outputs.iter().map(|b| self.slots[&b.alias]).collect();
-        let rule_idx = self
-            .transform
-            .rules
-            .iter()
-            .position(|r| std::ptr::eq(r, rule));
-        let label = match rule_idx {
-            Some(i) => format!("{}::r{i}", self.transform.name),
-            None => format!("{}::r?", self.transform.name),
-        };
         Ok(Chunk {
             label,
             code: self.code,
@@ -1282,7 +1272,7 @@ impl<'a> Compiler<'a> {
                         j: *j,
                         src,
                     }),
-                    _ => return bail("index arity beyond 2-D"),
+                    _ => return unchecked("index arity beyond 2-D"),
                 };
                 (self.reg_top, self.temp_top) = save;
                 Ok(())
@@ -1300,26 +1290,24 @@ impl<'a> Compiler<'a> {
 
                 let before = self.assigned.clone();
                 self.block(then_block)?;
-                let after_then = std::mem::replace(&mut self.assigned, before.clone());
+                let after_then = std::mem::replace(&mut self.assigned, before);
 
                 if let Some(else_block) = else_block {
                     let jend = self.emit(Instr::Jump { target: 0 });
                     let else_at = self.here();
                     self.patch(jz, else_at);
                     self.block(else_block)?;
-                    let after_else = std::mem::replace(&mut self.assigned, before);
                     let end = self.here();
                     self.patch(jend, end);
-                    self.merge_branch_states(&[after_then, after_else]);
+                    // Bound in both arms: bound (an arm only adds).
+                    self.assigned.retain(|name| after_then.contains(name));
                 } else {
                     let end = self.here();
                     self.patch(jz, end);
-                    self.merge_branch_states(&[after_then, before]);
                 }
                 Ok(())
             }
             Stmt::While { cond, body, .. } => {
-                self.loop_body_becomes_maybe(body, &[]);
                 let save = (self.reg_top, self.temp_top);
                 let guard = self.alloc_reg()?;
                 self.emit(Instr::Const {
@@ -1333,8 +1321,7 @@ impl<'a> Compiler<'a> {
                 let jz = self.emit(Instr::JumpIfZero { cond: c, target: 0 });
                 let before = self.assigned.clone();
                 self.block(body)?;
-                // The body may run zero times: its bindings are only
-                // maybe-assigned afterwards.
+                // The body may run zero times.
                 self.assigned = before;
                 self.emit(Instr::WhileGuard { counter: guard });
                 self.emit(Instr::Jump { target: head });
@@ -1346,7 +1333,6 @@ impl<'a> Compiler<'a> {
             Stmt::For {
                 var, lo, hi, body, ..
             } => {
-                self.loop_body_becomes_maybe(body, &[var]);
                 let save = (self.reg_top, self.temp_top);
                 let r_lo = {
                     let s = (self.reg_top, self.temp_top);
@@ -1381,8 +1367,7 @@ impl<'a> Compiler<'a> {
                 });
                 let before = self.assigned.clone();
                 self.block(body)?;
-                // The body may run zero times: its bindings are only
-                // maybe-assigned afterwards.
+                // The body may run zero times.
                 self.assigned = before;
                 self.emit(Instr::AddImm {
                     dst: r_lo,
@@ -1395,12 +1380,10 @@ impl<'a> Compiler<'a> {
                 if !var_was_definite {
                     // An empty range never binds the variable.
                     self.assigned.remove(var);
-                    self.maybe.insert(var.clone());
                 }
                 Ok(())
             }
             Stmt::ForEnough { id, body, .. } => {
-                self.loop_body_becomes_maybe(body, &[]);
                 let name = self.intern(&format!("for_enough_{id}"));
                 let save = (self.reg_top, self.temp_top);
                 let iters = self.alloc_reg()?;
@@ -1445,15 +1428,23 @@ impl<'a> Compiler<'a> {
                 });
                 (self.reg_top, self.temp_top) = save;
 
-                let before = self.assigned.clone();
+                let before = std::mem::take(&mut self.assigned);
                 let mut targets = Vec::with_capacity(branches.len());
                 let mut end_jumps = Vec::with_capacity(branches.len());
-                let mut branch_states = Vec::with_capacity(branches.len());
+                // Bound in every branch: bound.
+                let mut everywhere: Option<HashSet<String>> = None;
                 for branch in branches {
                     targets.push(self.here());
                     self.assigned = before.clone();
                     self.block(branch)?;
-                    branch_states.push(std::mem::take(&mut self.assigned));
+                    let after = std::mem::take(&mut self.assigned);
+                    everywhere = Some(match everywhere {
+                        Some(mut so_far) => {
+                            so_far.retain(|name| after.contains(name));
+                            so_far
+                        }
+                        None => after,
+                    });
                     end_jumps.push(self.emit(Instr::Jump { target: 0 }));
                 }
                 let end = self.here();
@@ -1463,8 +1454,7 @@ impl<'a> Compiler<'a> {
                 if let Instr::Switch { targets: t, .. } = &mut self.code[switch_at] {
                     *t = targets;
                 }
-                self.assigned = before;
-                self.merge_branch_states(&branch_states);
+                self.assigned = everywhere.unwrap_or(before);
                 Ok(())
             }
             // Same as the interpreter: verification is disabled during
@@ -1484,48 +1474,12 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// After branching control flow, names assigned on *every* path
-    /// stay definite; names assigned on only some become `maybe`.
-    fn merge_branch_states(&mut self, states: &[HashSet<String>]) {
-        let mut union: HashSet<String> = HashSet::new();
-        let mut intersection: Option<HashSet<String>> = None;
-        for s in states {
-            union.extend(s.iter().cloned());
-            intersection = Some(match intersection {
-                None => s.clone(),
-                Some(acc) => acc.intersection(s).cloned().collect(),
-            });
-        }
-        let intersection = intersection.unwrap_or_default();
-        for name in union {
-            if intersection.contains(&name) {
-                self.assigned.insert(name);
-            } else if !self.assigned.contains(&name) {
-                self.maybe.insert(name);
-            }
-        }
-    }
-
-    /// Zero-iteration loops leave body bindings unbound, so anything a
-    /// loop body assigns (minus `always_bound` — the loop variable) is
-    /// only maybe-assigned from the loop onward, including *within*
-    /// the body before its own assignment runs.
-    fn loop_body_becomes_maybe(&mut self, body: &Block, always_bound: &[&String]) {
-        let mut bound = Vec::new();
-        collect_bound_names(body, &mut |name| bound.push(name.to_owned()));
-        for name in bound {
-            if !self.assigned.contains(&name) && !always_bound.iter().any(|a| **a == name) {
-                self.maybe.insert(name);
-            }
-        }
-    }
-
     /// Resolves a name that must denote a bound local (array ops).
     fn read_slot(&mut self, name: &str) -> Result<Slot, CompileError> {
         if self.assigned.contains(name) {
             Ok(self.slots[name])
         } else {
-            bail(format!("`{name}` is not definitely assigned here"))
+            unchecked(format_args!("`{name}` is not a bound local here"))
         }
     }
 
@@ -1543,8 +1497,6 @@ impl<'a> Compiler<'a> {
                 if self.assigned.contains(name) {
                     let slot = self.slots[name];
                     self.emit(Instr::LoadSlotNum { dst, slot });
-                } else if self.maybe.contains(name) {
-                    return bail(format!("`{name}` is only conditionally assigned"));
                 } else {
                     // The interpreter's fallback: a prefixed tunable.
                     let idx = self.intern(name);
@@ -1553,9 +1505,6 @@ impl<'a> Compiler<'a> {
                 Ok(dst)
             }
             Expr::Index { name, indices, .. } => {
-                if self.maybe.contains(name) {
-                    return bail(format!("array `{name}` is only conditionally assigned"));
-                }
                 let slot = self.read_slot(name)?;
                 let save = self.reg_top;
                 let idx: Vec<Reg> = indices
@@ -1572,7 +1521,7 @@ impl<'a> Compiler<'a> {
                         i: *i,
                         j: *j,
                     }),
-                    _ => return bail("index arity beyond 2-D"),
+                    _ => return unchecked("index arity beyond 2-D"),
                 };
                 Ok(dst)
             }
@@ -1681,38 +1630,18 @@ impl<'a> Compiler<'a> {
 
     /// Whether evaluating `expr` can mutate a named slot — i.e. it
     /// contains a host call anywhere (builtins are pure; sub-transform
-    /// calls cannot touch the caller's scope, but their arguments are
-    /// scanned recursively).
+    /// calls cannot touch the caller's scope).
     fn contains_mutating_call(&self, expr: &Expr) -> bool {
-        match expr {
-            Expr::Call { name, args, .. } => {
-                let builtin = matches!(
-                    name.as_str(),
-                    "sqrt"
-                        | "abs"
-                        | "floor"
-                        | "ceil"
-                        | "exp"
-                        | "log"
-                        | "min"
-                        | "max"
-                        | "pow"
-                        | "rand"
-                        | "len"
-                        | "rows"
-                        | "cols"
-                );
+        let mut found = false;
+        expr.for_each(&mut |e| {
+            if let Expr::Call { name, .. } = e {
+                let builtin = crate::sema::builtin_arity(name).is_some();
                 let sub_transform =
                     self.program.transform(name).is_some() && *name != self.transform.name;
-                (!builtin && !sub_transform) || args.iter().any(|a| self.contains_mutating_call(a))
+                found |= !builtin && !sub_transform;
             }
-            Expr::Binary { lhs, rhs, .. } => {
-                self.contains_mutating_call(lhs) || self.contains_mutating_call(rhs)
-            }
-            Expr::Unary { operand, .. } => self.contains_mutating_call(operand),
-            Expr::Index { indices, .. } => indices.iter().any(|e| self.contains_mutating_call(e)),
-            Expr::Number(..) | Expr::Var(..) => false,
-        }
+        });
+        found
     }
 
     fn call(&mut self, expr: &Expr) -> Result<Operand, CompileError> {
@@ -1730,10 +1659,10 @@ impl<'a> Compiler<'a> {
             "log" => Some(MathFn1::Log),
             _ => None,
         };
+        if crate::sema::builtin_arity(name).is_some_and(|arity| args.len() != arity) {
+            return unchecked(format_args!("`{name}` with {} arguments", args.len()));
+        }
         if let Some(f) = math1 {
-            if args.is_empty() {
-                return bail(format!("`{name}` needs an argument"));
-            }
             let save = self.reg_top;
             let src = self.expr_scalar(&args[0])?;
             self.reg_top = save;
@@ -1748,9 +1677,6 @@ impl<'a> Compiler<'a> {
             _ => None,
         };
         if let Some(f) = math2 {
-            if args.len() < 2 {
-                return bail(format!("`{name}` needs two arguments"));
-            }
             let save = self.reg_top;
             let a = self.expr_scalar(&args[0])?;
             let b = self.expr_scalar(&args[1])?;
@@ -1760,9 +1686,6 @@ impl<'a> Compiler<'a> {
             return Ok(Operand::Reg(dst));
         }
         if name == "rand" {
-            if args.len() < 2 {
-                return bail("`rand` needs two arguments");
-            }
             let save = self.reg_top;
             let lo = self.expr_scalar(&args[0])?;
             let hi = self.expr_scalar(&args[1])?;
@@ -1777,14 +1700,9 @@ impl<'a> Compiler<'a> {
             "cols" => Some(ShapeKind::Cols),
             _ => None,
         } {
-            // Shape queries on anything but a bound local value are
-            // rare and left to the interpreter.
             let Some(Expr::Var(arg, _)) = args.first() else {
-                return bail(format!("`{name}` of a non-variable expression"));
+                return unchecked(format_args!("`{name}` of a non-variable expression"));
             };
-            if self.maybe.contains(arg) {
-                return bail(format!("array `{arg}` is only conditionally assigned"));
-            }
             let slot = self.read_slot(arg)?;
             let dst = self.alloc_reg()?;
             self.emit(Instr::Shape { kind, dst, slot });
@@ -1794,11 +1712,10 @@ impl<'a> Compiler<'a> {
         // Sub-transform call.
         if self.program.transform(name).is_some() && *name != self.transform.name {
             let callee = self.program.transform(name).expect("looked up above");
-            if callee.outputs.len() != 1 {
-                return bail(format!("callee `{name}` must have exactly one output"));
-            }
-            if args.len() != callee.inputs.len() {
-                return bail(format!("callee `{name}` arity mismatch"));
+            if callee.outputs.len() != 1 || args.len() != callee.inputs.len() {
+                return unchecked(format_args!(
+                    "call of `{name}` does not fit its declaration"
+                ));
             }
             let save = (self.reg_top, self.temp_top);
             let mut ops = Vec::with_capacity(args.len());
@@ -1832,7 +1749,7 @@ impl<'a> Compiler<'a> {
         // registered after compilation still work — and unknown names
         // fail with the interpreter's error).
         if args.is_empty() {
-            return bail(format!("host call `{name}` without arguments"));
+            return unchecked(format_args!("host call `{name}` without arguments"));
         }
         let save = (self.reg_top, self.temp_top);
         // Interpreter order: rest arguments first, then the first.
@@ -1849,17 +1766,7 @@ impl<'a> Compiler<'a> {
             rest.push(self.snapshot_if_mutable_later(op, &args[i + 2..], anon_first)?);
         }
         let first = match &args[0] {
-            Expr::Var(n, _) => {
-                if self.maybe.contains(n) {
-                    return bail(format!("`{n}` is only conditionally assigned"));
-                }
-                if !self.assigned.contains(n) {
-                    // The interpreter reports `unknown variable` here;
-                    // keep that behavior on the fallback path.
-                    return bail(format!("host call first argument `{n}` is unbound"));
-                }
-                FirstArg::Var(self.slots[n])
-            }
+            Expr::Var(n, _) => FirstArg::Var(self.read_slot(n)?),
             other => FirstArg::Anon(self.expr_value(other)?),
         };
         (self.reg_top, self.temp_top) = save;
@@ -1888,48 +1795,9 @@ pub(crate) fn named_slots(rule: &Rule) -> Vec<String> {
     for b in rule.inputs.iter().chain(&rule.outputs) {
         note(&b.alias);
     }
-    collect_bound_names(&rule.body, &mut note);
+    let body = &rule.body;
+    body.for_each_stmt(&mut |stmt| stmt.bound_name().into_iter().for_each(&mut note));
     order
-}
-
-/// Names bound by `let`, scalar assignment, or `for` loops anywhere in
-/// a block (the set of body-local slots).
-fn collect_bound_names(block: &Block, note: &mut impl FnMut(&str)) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { name, .. } => note(name),
-            Stmt::Assign {
-                target: LValue::Var(name),
-                ..
-            } => note(name),
-            Stmt::Assign { .. }
-            | Stmt::VerifyAccuracy { .. }
-            | Stmt::Return { .. }
-            | Stmt::Expr { .. } => {}
-            Stmt::If {
-                then_block,
-                else_block,
-                ..
-            } => {
-                collect_bound_names(then_block, note);
-                if let Some(e) = else_block {
-                    collect_bound_names(e, note);
-                }
-            }
-            Stmt::While { body, .. } | Stmt::ForEnough { body, .. } => {
-                collect_bound_names(body, note);
-            }
-            Stmt::For { var, body, .. } => {
-                note(var);
-                collect_bound_names(body, note);
-            }
-            Stmt::Either { branches, .. } => {
-                for b in branches {
-                    collect_bound_names(b, note);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2145,20 +2013,6 @@ mod tests {
     }
 
     #[test]
-    fn conditionally_assigned_reads_fall_back() {
-        let err = compile_first_rule(
-            r#"transform t from In[n] to Out[n] {
-                to (Out o) from (In a) {
-                    if (a[0]) { let x = 1; }
-                    o[0] = x;
-                }
-            }"#,
-        )
-        .unwrap_err();
-        assert!(err.reason.contains("conditionally assigned"), "{err}");
-    }
-
-    #[test]
     fn variables_assigned_in_all_branches_stay_compilable() {
         let c = chunk(
             r#"transform t from In[n] to Out[n] {
@@ -2170,39 +2024,6 @@ mod tests {
         );
         assert!(has(&c, |i| matches!(i, Instr::CopySlot { .. })
             || matches!(i, Instr::StoreSlotNum { .. })));
-    }
-
-    #[test]
-    fn loop_local_reads_after_loop_fall_back() {
-        let err = compile_first_rule(
-            r#"transform t from In[n] to Out[n] {
-                to (Out o) from (In a) {
-                    for (i in 0 .. len(a)) { let y = a[i]; }
-                    o[0] = y;
-                }
-            }"#,
-        )
-        .unwrap_err();
-        assert!(err.reason.contains("conditionally assigned"), "{err}");
-    }
-
-    #[test]
-    fn compile_program_reports_coverage() {
-        let src = r#"
-            transform t from In[n] to Out[n] {
-                to (Out o) from (In a) { o[0] = 1; }
-                to (Out o) from (In a) {
-                    if (a[0]) { let x = 1; }
-                    o[0] = x;
-                }
-            }
-        "#;
-        let program = parse_program(src).unwrap();
-        let compiled = compile_program(&program);
-        assert_eq!(compiled.coverage(), (1, 2));
-        assert!(compiled.chunk("t", 0).is_some());
-        assert!(compiled.chunk("t", 1).is_none());
-        assert!(compiled.transform("t").unwrap().rules[1].is_err());
     }
 
     #[test]

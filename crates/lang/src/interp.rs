@@ -1,15 +1,26 @@
-//! Tree-walking interpreter for checked transform programs.
+//! Transform orchestration shared by both engines, and the reference
+//! tree-walking interpreter.
 //!
-//! The original compiler generated C++; this reproduction executes the
-//! AST directly against a [`pb_runtime::ExecCtx`], which supplies the
-//! choice configuration exactly as the generated code's config-file
-//! lookups did: rule choices resolve through `rule_<Data>` decision
-//! trees, `for_enough` loops read their `for_enough_<i>` accuracy
-//! variables, `either…or` reads `either_<i>`, and sub-transform calls
-//! resolve their tunables under a `<callee>.` prefix.
+//! [`Interpreter::run`] resolves dimensions, builds the data store and
+//! walks the choice-dependency schedule against a
+//! [`pb_runtime::ExecCtx`], which supplies the choice configuration
+//! exactly as the original compiler's generated config-file lookups
+//! did: rule choices resolve through `rule_<Data>` decision trees,
+//! `for_enough` loops read their `for_enough_<i>` accuracy variables,
+//! `either…or` reads `either_<i>`, and sub-transform calls resolve
+//! their tunables under a `<callee>.` prefix.
+//!
+//! Rule *bodies* run on one engine per [`Interpreter`], chosen at
+//! construction: the bytecode VM ([`Interpreter::new_compiled`], what
+//! [`crate::DslTransform`] and so every tuned run uses) or the
+//! tree-walker below ([`Interpreter::new`]). The tree-walker executes
+//! the AST directly and is the *differential oracle*: the semantics the
+//! VM is pinned bit-identical to, by the test suites and the frozen
+//! benchmark's output checks. Nothing falls back to it.
 
 use crate::ast::*;
 use crate::cdg::ChoiceDependencyGraph;
+use crate::compile::{CompileError, CompiledProgram};
 use crate::opt::OptLevel;
 use crate::token::Span;
 use pb_runtime::ExecCtx;
@@ -182,13 +193,12 @@ enum Flow {
 }
 
 /// The interpreter: a checked program plus registered host functions,
-/// and optionally the program's compiled bytecode (see
-/// [`crate::compile`]) — rules that compiled run on the register VM,
-/// the rest tree-walk.
+/// and — when built by [`Interpreter::new_compiled`] — the program's
+/// bytecode (see [`crate::compile`]), which then runs every rule body.
 pub struct Interpreter {
     program: Program,
     host_fns: HashMap<String, HostFn>,
-    compiled: Option<crate::compile::CompiledProgram>,
+    compiled: Option<CompiledProgram>,
     /// Per-transform (in `program.transforms` order) choice dependency
     /// graph and execution schedule, built once at construction: both
     /// are config-independent, so rebuilding them per run (the old
@@ -212,7 +222,8 @@ impl fmt::Debug for Interpreter {
 }
 
 impl Interpreter {
-    /// Wraps a (checked) program for pure tree-walking execution.
+    /// Wraps a (checked) program for pure tree-walking execution: the
+    /// reference the VM is differentially tested against.
     pub fn new(program: Program) -> Self {
         let schedules = build_schedules(&program);
         Interpreter {
@@ -223,19 +234,37 @@ impl Interpreter {
         }
     }
 
-    /// Wraps a (checked) program *and* lowers every rule to bytecode,
-    /// optimized at the default [`OptLevel`]. Rules the compiler covers
-    /// execute on the register VM; the rest fall back to tree-walking,
-    /// statement by statement identical.
+    /// Checks a program, lowers every rule to bytecode optimized at the
+    /// default [`OptLevel`], and runs all of them on the register VM. A
+    /// program [`crate::sema::check_program`] rejects, or one past a
+    /// capacity limit of the bytecode, still constructs: every run of
+    /// it returns that reason as a [`RuntimeError`].
     pub fn new_compiled(program: Program) -> Self {
         Self::new_compiled_at(program, OptLevel::default())
     }
 
     /// Like [`Interpreter::new_compiled`] with an explicit optimization
-    /// level (every level is bit-identical to the tree-walker; lower
-    /// levels exist for debugging and differential testing).
+    /// level (both are bit-identical to the tree-walker; `O0` is the
+    /// baseline the optimizer is measured and tested against).
     pub fn new_compiled_at(program: Program, level: OptLevel) -> Self {
+        match crate::sema::check_program(&program) {
+            Ok(()) => Self::compiled_checked(program, level),
+            Err(errors) => {
+                let reason = errors[0].to_string();
+                let failed = CompiledProgram::failed(&program, CompileError { reason });
+                Self::with_bytecode(program, failed)
+            }
+        }
+    }
+
+    /// [`Interpreter::new_compiled_at`] for a program the caller has
+    /// already put through [`crate::sema::check_program`].
+    pub(crate) fn compiled_checked(program: Program, level: OptLevel) -> Self {
         let compiled = crate::compile::compile_program(&program).optimized(level);
+        Self::with_bytecode(program, compiled)
+    }
+
+    fn with_bytecode(program: Program, compiled: CompiledProgram) -> Self {
         let schedules = build_schedules(&program);
         Interpreter {
             program,
@@ -245,8 +274,8 @@ impl Interpreter {
         }
     }
 
-    /// The cached bytecode, when built with [`Interpreter::new_compiled`].
-    pub fn compiled(&self) -> Option<&crate::compile::CompiledProgram> {
+    /// The bytecode, when built with [`Interpreter::new_compiled`].
+    pub fn compiled(&self) -> Option<&CompiledProgram> {
         self.compiled.as_ref()
     }
 
@@ -327,6 +356,15 @@ impl Interpreter {
             });
         }
         let t = &self.program.transforms[transform];
+        // One engine for the whole run: this transform's chunks, or the
+        // tree-walker when the interpreter holds no bytecode.
+        let chunks = match &self.compiled {
+            Some(compiled) => Some(compiled.chunks_at(transform).map_err(|e| RuntimeError {
+                message: e.to_string(),
+                span: None,
+            })?),
+            None => None,
+        };
 
         // Resolve dimension variables from the provided inputs, the
         // configuration's accuracy variables, and literal dims.
@@ -441,14 +479,9 @@ impl Interpreter {
                 rules[0]
             };
             let rule = &t.rules[rule_idx];
-            // Compiled rules run on the register VM; uncompiled ones
-            // (and everything when compilation is off) tree-walk.
-            let chunk = self
-                .compiled
-                .as_ref()
-                .and_then(|c| c.chunk_at(transform, rule_idx));
-            match chunk {
-                Some(chunk) => {
+            match chunks {
+                Some(chunks) => {
+                    let chunk = &chunks[rule_idx];
                     crate::vm::run_rule(self, rule, chunk, &mut store, ctx, prefix, depth)?;
                 }
                 None => self.run_rule(t, rule, &mut store, ctx, prefix, depth)?,
@@ -465,6 +498,8 @@ impl Interpreter {
         Ok(store)
     }
 
+    /// The tree-walking engine's rule invocation (see
+    /// [`crate::vm::run_rule`] for the VM's).
     fn run_rule(
         &self,
         t: &Transform,
@@ -799,6 +834,9 @@ impl Env<'_> {
         }
     }
 
+    /// Dispatch order (the VM's too): builtin, other transform, host
+    /// function. (One function per kind keeps the frames a nested call
+    /// stacks up small.)
     fn eval_call(
         &mut self,
         name: &str,
@@ -806,132 +844,149 @@ impl Env<'_> {
         span: Span,
         ctx: &mut ExecCtx<'_>,
     ) -> Result<Value, RuntimeError> {
-        // Builtins first.
-        match name {
-            "sqrt" | "abs" | "floor" | "ceil" | "exp" | "log" => {
-                let v = self.eval_num(&args[0], ctx)?;
-                return Ok(Value::Num(match name {
-                    "sqrt" => v.sqrt(),
-                    "abs" => v.abs(),
-                    "floor" => v.floor(),
-                    "ceil" => v.ceil(),
-                    "exp" => v.exp(),
-                    _ => v.ln(),
-                }));
+        if crate::sema::builtin_arity(name).is_some() {
+            return self.eval_builtin(name, args, span, ctx);
+        }
+        match self.interp.program.transform(name) {
+            Some(callee) if name != self.transform.name => {
+                self.call_transform(callee, args, span, ctx)
             }
-            "min" | "max" | "pow" => {
-                let a = self.eval_num(&args[0], ctx)?;
+            _ => self.call_host(name, args, span, ctx),
+        }
+    }
+
+    fn eval_builtin(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        span: Span,
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<Value, RuntimeError> {
+        if matches!(name, "len" | "rows" | "cols") {
+            let v = self.eval(&args[0], ctx)?;
+            let dims = v.dims_ref();
+            return Ok(Value::Num(match (name, dims.as_slice()) {
+                ("len", [n]) => *n as f64,
+                ("len", [_, c]) => *c as f64,
+                ("rows", [r, _]) => *r as f64,
+                ("cols", [_, c]) => *c as f64,
+                _ => {
+                    return Err(RuntimeError::new(
+                        format!("`{name}` applied to a value of wrong shape"),
+                        span,
+                    ))
+                }
+            }));
+        }
+        let a = self.eval_num(&args[0], ctx)?;
+        Ok(Value::Num(match name {
+            "sqrt" => a.sqrt(),
+            "abs" => a.abs(),
+            "floor" => a.floor(),
+            "ceil" => a.ceil(),
+            "exp" => a.exp(),
+            "log" => a.ln(),
+            two => {
                 let b = self.eval_num(&args[1], ctx)?;
-                return Ok(Value::Num(match name {
+                match two {
                     "min" => a.min(b),
                     "max" => a.max(b),
-                    _ => a.powf(b),
-                }));
-            }
-            "rand" => {
-                let lo = self.eval_num(&args[0], ctx)?;
-                let hi = self.eval_num(&args[1], ctx)?;
-                if hi <= lo {
-                    return Ok(Value::Num(lo));
+                    "pow" => a.powf(b),
+                    // `rand(lo, hi)`: no draw for an empty range.
+                    _ if b <= a => a,
+                    _ => ctx.rng().gen_range(a..b),
                 }
-                return Ok(Value::Num(ctx.rng().gen_range(lo..hi)));
             }
-            "len" | "rows" | "cols" => {
-                let v = self.eval(&args[0], ctx)?;
-                let dims = v.dims_ref();
-                return Ok(Value::Num(match (name, dims.as_slice()) {
-                    ("len", [n]) => *n as f64,
-                    ("len", [_, c]) => *c as f64,
-                    ("rows", [r, _]) => *r as f64,
-                    ("cols", [_, c]) => *c as f64,
-                    _ => {
-                        return Err(RuntimeError::new(
-                            format!("`{name}` applied to a value of wrong shape"),
-                            span,
-                        ))
-                    }
-                }));
-            }
-            _ => {}
-        }
+        }))
+    }
 
-        // Sub-transform call.
-        if self.interp.program.transform(name).is_some() && name != self.transform.name {
-            let callee = self.interp.program.transform(name).expect("checked");
-            if callee.outputs.len() != 1 {
-                return Err(RuntimeError::new(
-                    format!("transform `{name}` called as expression must have one output"),
-                    span,
-                ));
-            }
-            let mut sub_inputs = HashMap::new();
-            if args.len() != callee.inputs.len() {
-                return Err(RuntimeError::new(
-                    format!(
-                        "transform `{name}` takes {} inputs, got {}",
-                        callee.inputs.len(),
-                        args.len()
-                    ),
-                    span,
-                ));
-            }
-            for (param, arg) in callee.inputs.iter().zip(args) {
-                let v = self.eval(arg, ctx)?;
-                sub_inputs.insert(param.name.clone(), v);
-            }
-            let sub_prefix = format!("{}{name}.", self.prefix);
-            let outputs =
-                self.interp
-                    .run_prefixed(name, &sub_inputs, ctx, &sub_prefix, self.depth + 1)?;
-            let out_name = &callee.outputs[0].name;
-            return outputs.get(out_name).cloned().ok_or(RuntimeError::new(
-                format!("transform `{name}` produced no `{out_name}`"),
+    fn call_transform(
+        &mut self,
+        callee: &Transform,
+        args: &[Expr],
+        span: Span,
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<Value, RuntimeError> {
+        let name = &callee.name;
+        if callee.outputs.len() != 1 {
+            return Err(RuntimeError::new(
+                format!("transform `{name}` called as expression must have one output"),
                 span,
             ));
         }
-
-        // Host function: first argument (if an alias) is mutable.
-        if self.interp.host_fns.contains_key(name) {
-            if args.is_empty() {
-                return Err(RuntimeError::new(
-                    format!("host function `{name}` needs at least one argument"),
-                    span,
-                ));
-            }
-            let rest: Vec<Value> = args[1..]
-                .iter()
-                .map(|a| self.eval(a, ctx))
-                .collect::<Result<_, _>>()?;
-            let first_name = match &args[0] {
-                Expr::Var(n, _) => Some(n.clone()),
-                _ => None,
-            };
-            let mut first = match &first_name {
-                Some(n) => self
-                    .scope
-                    .get(n)
-                    .cloned()
-                    .ok_or(RuntimeError::new(format!("unknown variable `{n}`"), span))?,
-                None => self.eval(&args[0], ctx)?,
-            };
-            ctx.charge(
-                rest.iter()
-                    .map(|v| v.dims_ref().iter().product::<usize>().max(1))
-                    .sum::<usize>() as f64,
-            );
-            let f = &self.interp.host_fns[name];
-            let out = f(&mut first, &rest)
-                .map_err(|m| RuntimeError::new(format!("host `{name}`: {m}"), span))?;
-            if let Some(n) = first_name {
-                self.scope.insert(n, first);
-            }
-            return Ok(out);
+        if args.len() != callee.inputs.len() {
+            return Err(RuntimeError::new(
+                format!(
+                    "transform `{name}` takes {} inputs, got {}",
+                    callee.inputs.len(),
+                    args.len()
+                ),
+                span,
+            ));
         }
-
-        Err(RuntimeError::new(
-            format!("unknown function `{name}`"),
+        let mut sub_inputs = HashMap::new();
+        for (param, arg) in callee.inputs.iter().zip(args) {
+            let v = self.eval(arg, ctx)?;
+            sub_inputs.insert(param.name.clone(), v);
+        }
+        let sub_prefix = format!("{}{name}.", self.prefix);
+        let outputs =
+            self.interp
+                .run_prefixed(name, &sub_inputs, ctx, &sub_prefix, self.depth + 1)?;
+        let out_name = &callee.outputs[0].name;
+        outputs.get(out_name).cloned().ok_or(RuntimeError::new(
+            format!("transform `{name}` produced no `{out_name}`"),
             span,
         ))
+    }
+
+    /// Host function: the first argument (if an alias) is mutable.
+    fn call_host(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        span: Span,
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<Value, RuntimeError> {
+        let Some(f) = self.interp.host_fns.get(name) else {
+            return Err(RuntimeError::new(
+                format!("unknown function `{name}`"),
+                span,
+            ));
+        };
+        if args.is_empty() {
+            return Err(RuntimeError::new(
+                format!("host function `{name}` needs at least one argument"),
+                span,
+            ));
+        }
+        let rest: Vec<Value> = args[1..]
+            .iter()
+            .map(|a| self.eval(a, ctx))
+            .collect::<Result<_, _>>()?;
+        let first_name = match &args[0] {
+            Expr::Var(n, _) => Some(n.clone()),
+            _ => None,
+        };
+        let mut first = match &first_name {
+            Some(n) => self
+                .scope
+                .get(n)
+                .cloned()
+                .ok_or(RuntimeError::new(format!("unknown variable `{n}`"), span))?,
+            None => self.eval(&args[0], ctx)?,
+        };
+        ctx.charge(
+            rest.iter()
+                .map(|v| v.dims_ref().iter().product::<usize>().max(1))
+                .sum::<usize>() as f64,
+        );
+        let out = f(&mut first, &rest)
+            .map_err(|m| RuntimeError::new(format!("host `{name}`: {m}"), span))?;
+        if let Some(n) = first_name {
+            self.scope.insert(n, first);
+        }
+        Ok(out)
     }
 }
 

@@ -15,9 +15,10 @@
 //! source ──lexer──▶ tokens ──parser──▶ AST ──sema──▶ checked AST
 //!        ──cdg──▶ choice dependency graph (execution order, choice sites)
 //!        ──traininfo──▶ pb_config::Schema  (the "training information file")
-//!        ──compile──▶ bytecode ──vm──▶ register-VM execution (hot path)
-//!        ──interp──▶ executable transform (pb_runtime::Transform adapter;
-//!                    tree-walking fallback for uncompiled rules)
+//!        ──compile──▶ bytecode ──opt──▶ optimized bytecode
+//!        ──vm──▶ register-VM execution (every tuned run)
+//!        ──interp──▶ transform orchestration shared by both engines, and
+//!                    the reference tree-walker (differential oracle only)
 //! ```
 //!
 //! The `compile`/`vm` stage is this reproduction's analogue of the
@@ -26,9 +27,13 @@
 //! with identical tunable-resolution semantics to the tree-walking
 //! interpreter (`rule_<Data>` decision trees, `for_enough_<i>` /
 //! `either_<i>` variables, `<callee>.`-prefixed sub-transform
-//! tunables). [`DslTransform`] compiles at construction, so the
-//! autotuner's thousands of candidate executions per generation run
-//! on the VM.
+//! tunables). Like the original, there is one execution path: a
+//! program [`check_program`] accepts compiles, whole — the checks
+//! include definite assignment of every local a rule body reads and
+//! the arities of indices, builtins and calls — and [`DslTransform`]
+//! compiles at construction, so the autotuner's thousands of candidate
+//! executions per generation run on the VM. The tree-walker survives as
+//! the oracle the VM is tested against, at both [`OptLevel`]s.
 //!
 //! # Examples
 //!
@@ -75,9 +80,9 @@ pub mod transform;
 pub mod vm;
 
 pub use analysis::{
-    analyze_chunk, charge_signature, count_indexed, entry_slots, lint_program, verify_chunk,
-    verify_code, verify_inlined, verify_specialized, verify_tunables, AbsValue, ChunkFacts, Lint,
-    ScalarKind, Severity, Violation, ViolationKind,
+    analyze_chunk, charge_signature, count_indexed, lint_program, verify_chunk, verify_code,
+    verify_inlined, verify_specialized, verify_tunables, AbsValue, ChunkFacts, Lint, ScalarKind,
+    Severity, Violation, ViolationKind,
 };
 pub use ast::Program;
 pub use compile::{
@@ -85,7 +90,7 @@ pub use compile::{
     OPCODE_NAMES,
 };
 pub use interp::{Dims, Interpreter, Value};
-pub use opt::{optimize_verified, optimize_verified_with_entry, OptLevel, PassViolation};
+pub use opt::{optimize, OptLevel, PassViolation};
 pub use parser::{parse_program, ParseError};
 pub use sema::{check_program, SemaError};
 pub use traininfo::extract_schema;

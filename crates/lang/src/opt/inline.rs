@@ -7,7 +7,7 @@
 //! frame, a name-table lookup and a nested dispatch loop around a body
 //! that is often one statement. A callee qualifies when it is a
 //! *scalar helper* ([`CompiledTransform::helper`]: scalar inputs, one
-//! dimensionless output produced by one compiled rule, no accuracy
+//! dimensionless output produced by one rule, no accuracy
 //! variables), its lowered body is small and free of name-resolved
 //! reads and further calls, and every argument at the site is a
 //! register or a slot the caller's [`ChunkFacts`] prove scalar. Any
@@ -131,7 +131,6 @@ impl Pass {
         let mut callees: Vec<usize> = transforms[i]
             .rules
             .iter()
-            .flatten()
             .flat_map(|chunk| &chunk.code)
             .filter_map(|instr| match instr {
                 Instr::CallTransform { callee, .. } => Some(*callee as usize),
@@ -158,7 +157,7 @@ impl Pass {
             .map(|c| c.scalar_out == Some(true))
             .collect();
         let mut stamped = false;
-        for chunk in transforms[i].rules.iter_mut().flatten() {
+        for chunk in &mut transforms[i].rules {
             for instr in &mut chunk.code {
                 if let Instr::CallTransform { callee, scalar, .. } = instr {
                     let now = proven.get(*callee as usize).copied().unwrap_or(false);
@@ -184,17 +183,13 @@ impl Pass {
         t: usize,
         rule_idx: usize,
     ) -> Result<(), PassViolation> {
-        let Ok(chunk) = &transforms[t].rules[rule_idx] else {
-            return Ok(());
-        };
+        let chunk = &transforms[t].rules[rule_idx];
         let calls = |i: &Instr| matches!(i, Instr::CallTransform { .. });
         if !chunk.code.iter().any(calls) {
             return Ok(());
         }
         let before = chunk.clone();
-        let facts = transforms[t].facts[rule_idx]
-            .clone()
-            .expect("a compiled rule has facts");
+        let facts = transforms[t].facts[rule_idx].clone();
         let entry = facts.entry_slots.clone();
 
         // Decide every site under the one facts snapshot (splicing only
@@ -213,9 +208,7 @@ impl Pass {
             let Some(sig) = &callee_t.helper else {
                 continue;
             };
-            let body = callee_t.rules[sig.rule_idx]
-                .as_ref()
-                .expect("a helper's producing rule compiled");
+            let body = &callee_t.rules[sig.rule_idx];
             let verdict = if self.state[*callee as usize] != Visit::Done {
                 Err("it is part of a call cycle".to_owned())
             } else {
@@ -259,12 +252,12 @@ impl Pass {
         // Facts for the chunk as it now stands: what a caller of *this*
         // transform consults to prove its output scalar.
         let owner = &mut transforms[t];
-        owner.facts[rule_idx] = Some(if sites.is_empty() {
+        owner.facts[rule_idx] = if sites.is_empty() {
             facts
         } else {
             analyze_chunk(&after, &entry)
-        });
-        owner.rules[rule_idx] = Ok(after);
+        };
+        owner.rules[rule_idx] = after;
         if !sites.is_empty() {
             self.records.push(InlineRecord {
                 transform: owner.name.clone(),
@@ -278,25 +271,21 @@ impl Pass {
 }
 
 /// Settles [`CompiledTransform::scalar_out`]: the transform's only,
-/// dimensionless output is provably a scalar when every rule that can
-/// write it compiled and that rule's facts keep the bound slot scalar
-/// at every program point (the zero it starts as included).
+/// dimensionless output is provably a scalar when the facts of every
+/// rule that can write it keep the bound slot scalar at every program
+/// point (the zero it starts as included).
 fn prove_scalar_out(t: &mut CompiledTransform) {
     if t.scalar_out.is_some() {
         return;
     }
     let proven = t.sole_scalar_output.as_ref().is_some_and(|per_rule| {
         per_rule.iter().enumerate().all(|(r, positions)| {
-            positions.is_empty()
-                || match (&t.rules[r], &t.facts[r]) {
-                    (Ok(chunk), Some(facts)) => positions.iter().all(|&p| {
-                        matches!(
-                            facts.slots.get(chunk.output_slots[p] as usize),
-                            Some(AbsValue::Scalar { .. })
-                        )
-                    }),
-                    _ => false,
-                }
+            positions.iter().all(|&p| {
+                matches!(
+                    t.facts[r].slots.get(t.rules[r].output_slots[p] as usize),
+                    Some(AbsValue::Scalar { .. })
+                )
+            })
         })
     });
     t.scalar_out = Some(proven);

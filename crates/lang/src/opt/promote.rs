@@ -103,17 +103,6 @@ fn verdicts(code: &[Instr], chunk: &Chunk, entry: Option<&[AbsValue]>) -> Verdic
                 mentioned[*src as usize] = true;
                 copies.push((*dst, *src));
             }
-            // Fused updates load and store in one dispatch, which only
-            // a slot can serve; they are scalar on both sides.
-            Instr::SlotUpdImm { dst, src, .. } | Instr::SlotUpdReg { dst, src, .. } => {
-                for s in [*dst, *src] {
-                    raise(
-                        &mut of,
-                        s,
-                        Verdict::ScalarSlot("a fused slot update touches it"),
-                    );
-                }
-            }
             Instr::Shape { slot, .. }
             | Instr::ShapeHoisted { slot, .. }
             | Instr::LoadIdx1 { slot, .. }

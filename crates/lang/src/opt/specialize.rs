@@ -109,7 +109,6 @@ fn slot_rebound(code: &[Instr], s: Slot) -> bool {
     code.iter().any(|instr| match instr {
         Instr::StoreSlotNum { slot, .. } => *slot == s,
         Instr::CopySlot { dst, .. } => *dst == s,
-        Instr::SlotUpdImm { dst, .. } | Instr::SlotUpdReg { dst, .. } => *dst == s,
         Instr::CallHost { first, dst, .. } => {
             *dst == s || matches!(first, FirstArg::Var(fs) if *fs == s)
         }

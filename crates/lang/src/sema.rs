@@ -1,96 +1,9 @@
 //! Semantic analysis: name resolution and well-formedness checks.
 
-use crate::ast::{Block, Expr, LValue, Program, Stmt, Transform};
+use crate::ast::{Block, Expr, LValue, Program, Rule, Stmt, Transform};
 use crate::token::Span;
 use std::collections::HashSet;
 use std::fmt;
-
-/// Collects every name an expression references (variables, indexed
-/// arrays, names inside call arguments and index expressions) into
-/// `out`. Shared by the lint layer ([`crate::analysis`]) to find
-/// dead tunables and unread accuracy variables.
-pub fn collect_expr_vars(expr: &Expr, out: &mut HashSet<String>) {
-    match expr {
-        Expr::Number(..) => {}
-        Expr::Var(name, _) => {
-            out.insert(name.clone());
-        }
-        Expr::Index { name, indices, .. } => {
-            out.insert(name.clone());
-            for e in indices {
-                collect_expr_vars(e, out);
-            }
-        }
-        Expr::Call { args, .. } => {
-            for e in args {
-                collect_expr_vars(e, out);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_expr_vars(lhs, out);
-            collect_expr_vars(rhs, out);
-        }
-        Expr::Unary { operand, .. } => collect_expr_vars(operand, out),
-    }
-}
-
-/// Collects every name a block references — assignment targets
-/// included, since writing `Out` still *uses* the data — into `out`.
-pub fn collect_block_vars(block: &Block, out: &mut HashSet<String>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { value, .. } => collect_expr_vars(value, out),
-            Stmt::Assign { target, value, .. } => {
-                match target {
-                    LValue::Var(name) => {
-                        out.insert(name.clone());
-                    }
-                    LValue::Index { name, indices } => {
-                        out.insert(name.clone());
-                        for e in indices {
-                            collect_expr_vars(e, out);
-                        }
-                    }
-                }
-                collect_expr_vars(value, out);
-            }
-            Stmt::If {
-                cond,
-                then_block,
-                else_block,
-                ..
-            } => {
-                collect_expr_vars(cond, out);
-                collect_block_vars(then_block, out);
-                if let Some(e) = else_block {
-                    collect_block_vars(e, out);
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                collect_expr_vars(cond, out);
-                collect_block_vars(body, out);
-            }
-            Stmt::For { lo, hi, body, .. } => {
-                collect_expr_vars(lo, out);
-                collect_expr_vars(hi, out);
-                collect_block_vars(body, out);
-            }
-            Stmt::ForEnough { body, .. } => collect_block_vars(body, out),
-            Stmt::Either { branches, .. } => {
-                for b in branches {
-                    collect_block_vars(b, out);
-                }
-            }
-            Stmt::Return { value, .. } => {
-                if let Some(e) = value {
-                    collect_expr_vars(e, out);
-                }
-            }
-            Stmt::Expr { expr, .. } => collect_expr_vars(expr, out),
-            Stmt::VerifyAccuracy { .. } => {}
-        }
-    }
-}
 
 /// A semantic error with its location.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,7 +170,7 @@ fn check_transform(program: &Program, t: &Transform, errors: &mut Vec<SemaError>
                 });
             }
         }
-        check_block_calls(program, &rule.body, errors);
+        check_rule_body(program, t, rule, errors);
     }
 
     // Every non-input datum needs at least one producing rule.
@@ -278,76 +191,296 @@ fn check_transform(program: &Program, t: &Transform, errors: &mut Vec<SemaError>
     }
 }
 
-/// Explicit sub-accuracy calls must target declared transforms.
-fn check_block_calls(program: &Program, block: &crate::ast::Block, errors: &mut Vec<SemaError>) {
-    for stmt in &block.stmts {
+/// Argument count of a builtin function (`None` for any other name).
+pub(crate) fn builtin_arity(name: &str) -> Option<usize> {
+    match name {
+        "sqrt" | "abs" | "floor" | "ceil" | "exp" | "log" | "len" | "rows" | "cols" => Some(1),
+        "min" | "max" | "pow" | "rand" => Some(2),
+        _ => None,
+    }
+}
+
+/// The rule-body checks — what makes every accepted rule compile
+/// ([`crate::compile`] lowers a checked body without a fallback).
+///
+/// *Definite assignment.* A name is bound by a rule header alias, a
+/// `let`, a scalar assignment or a `for` header. A plain read of a name
+/// no path has bound yet is a tunable read (accuracy variables are
+/// read by name); a read of a name every path has bound is a local
+/// read. What is rejected is the read in between — bound by one `if`
+/// arm, one `either` branch, a loop body that may run zero times, or a
+/// later statement of the enclosing loop body — because which of the
+/// two it is would depend on the path taken. `return` is not modelled:
+/// a branch that ends in one still counts as a path.
+///
+/// *Arities.* Builtins take their fixed argument count, `len`/`rows`/
+/// `cols` a variable, an index one or two subscripts, a sub-transform
+/// call one argument per callee input (and the callee has exactly one
+/// output), a host call at least one argument.
+struct BodyCheck<'a> {
+    program: &'a Program,
+    transform: &'a Transform,
+    /// Names bound on every path to the current point.
+    assigned: HashSet<&'a str>,
+    /// Names some path has bound (or, inside a loop, a later statement
+    /// of its body will): a read of one not in `assigned` is rejected.
+    maybe: HashSet<&'a str>,
+    errors: &'a mut Vec<SemaError>,
+}
+
+fn check_rule_body(
+    program: &Program,
+    transform: &Transform,
+    rule: &Rule,
+    errors: &mut Vec<SemaError>,
+) {
+    let aliases = rule.inputs.iter().chain(&rule.outputs);
+    let mut check = BodyCheck {
+        program,
+        transform,
+        assigned: aliases.map(|b| b.alias.as_str()).collect(),
+        maybe: HashSet::new(),
+        errors,
+    };
+    check.block(&rule.body);
+}
+
+impl<'a> BodyCheck<'a> {
+    fn error(&mut self, message: String, span: Span) {
+        self.errors.push(SemaError { message, span });
+    }
+
+    fn block(&mut self, block: &'a Block) {
+        for stmt in &block.stmts {
+            self.stmt(stmt);
+        }
+    }
+
+    fn stmt(&mut self, stmt: &'a Stmt) {
         match stmt {
-            Stmt::Let { value, .. } | Stmt::Expr { expr: value, .. } => {
-                check_expr_calls(program, value, errors)
+            Stmt::Let { name, value, .. }
+            | Stmt::Assign {
+                target: LValue::Var(name),
+                value,
+                ..
+            } => {
+                self.expr(value);
+                self.assigned.insert(name);
             }
-            Stmt::Assign { value, .. } => check_expr_calls(program, value, errors),
+            Stmt::Assign {
+                target: LValue::Index { name, indices },
+                value,
+                span,
+            } => {
+                self.expr(value);
+                self.indexed(name, indices, *span);
+            }
             Stmt::If {
                 cond,
                 then_block,
                 else_block,
                 ..
             } => {
-                check_expr_calls(program, cond, errors);
-                check_block_calls(program, then_block, errors);
-                if let Some(e) = else_block {
-                    check_block_calls(program, e, errors);
-                }
+                self.expr(cond);
+                self.branch([Some(then_block), else_block.as_ref()]);
             }
             Stmt::While { cond, body, .. } => {
-                check_expr_calls(program, cond, errors);
-                check_block_calls(program, body, errors);
+                // The condition runs again after every trip.
+                self.enter_loop(body);
+                self.expr(cond);
+                self.zero_or_more(body);
             }
-            Stmt::For { lo, hi, body, .. } => {
-                check_expr_calls(program, lo, errors);
-                check_expr_calls(program, hi, errors);
-                check_block_calls(program, body, errors);
-            }
-            Stmt::ForEnough { body, .. } => check_block_calls(program, body, errors),
-            Stmt::Either { branches, .. } => {
-                for b in branches {
-                    check_block_calls(program, b, errors);
+            Stmt::For {
+                var, lo, hi, body, ..
+            } => {
+                // The bounds are evaluated once, ahead of the loop.
+                self.expr(lo);
+                self.expr(hi);
+                self.enter_loop(body);
+                let was_definite = !self.assigned.insert(var);
+                self.zero_or_more(body);
+                if !was_definite {
+                    // An empty range never binds the variable.
+                    self.assigned.remove(var.as_str());
+                    self.maybe.insert(var);
                 }
             }
-            Stmt::Return { value: Some(v), .. } => check_expr_calls(program, v, errors),
+            Stmt::ForEnough { body, .. } => {
+                self.enter_loop(body);
+                self.zero_or_more(body);
+            }
+            Stmt::Either { branches, .. } => self.branch(branches.iter().map(Some)),
+            Stmt::Return { value: Some(v), .. } | Stmt::Expr { expr: v, .. } => self.expr(v),
             Stmt::Return { value: None, .. } | Stmt::VerifyAccuracy { .. } => {}
         }
     }
-}
 
-fn check_expr_calls(program: &Program, expr: &Expr, errors: &mut Vec<SemaError>) {
-    match expr {
-        Expr::Call {
-            name,
-            accuracy,
-            args,
-            span,
-        } => {
-            if accuracy.is_some() && program.transform(name).is_none() {
-                errors.push(SemaError {
-                    message: format!("sub-accuracy call targets undeclared transform `{name}`"),
-                    span: *span,
-                });
-            }
-            for a in args {
-                check_expr_calls(program, a, errors);
+    /// What a loop body binds is bound on some paths only from the
+    /// loop's head on — inside the body too, ahead of the binding
+    /// statement, which the previous trip may or may not have run.
+    fn enter_loop(&mut self, body: &'a Block) {
+        body.for_each_stmt(&mut |stmt| self.maybe.extend(stmt.bound_name()));
+    }
+
+    /// A body that may run zero times leaves nothing more definitely
+    /// bound than it found.
+    fn zero_or_more(&mut self, body: &'a Block) {
+        let before = self.assigned.clone();
+        self.block(body);
+        self.assigned = before;
+    }
+
+    /// One of `arms` runs (`None`: an `if` without `else`). Afterwards,
+    /// bound on every path is definite, bound on some only is `maybe`.
+    fn branch(&mut self, arms: impl IntoIterator<Item = Option<&'a Block>>) {
+        let before = std::mem::take(&mut self.assigned);
+        let mut paths = Vec::new();
+        for arm in arms {
+            self.assigned = before.clone();
+            arm.into_iter().for_each(|block| self.block(block));
+            paths.push(std::mem::take(&mut self.assigned));
+        }
+        self.assigned = before;
+        for &name in paths.iter().flatten() {
+            if paths.iter().all(|p| p.contains(name)) {
+                self.assigned.insert(name);
+            } else {
+                self.maybe.insert(name);
             }
         }
-        Expr::Binary { lhs, rhs, .. } => {
-            check_expr_calls(program, lhs, errors);
-            check_expr_calls(program, rhs, errors);
+    }
+
+    /// A read of `name`: whether it is a local (bound on every path).
+    /// Bound on some paths only is the error; on none, a tunable read.
+    fn read(&mut self, name: &str, span: Span) -> bool {
+        let local = self.assigned.contains(name);
+        if !local && self.maybe.contains(name) {
+            self.error(
+                format!("`{name}` is read here but bound on only some of the paths that reach it"),
+                span,
+            );
         }
-        Expr::Unary { operand, .. } => check_expr_calls(program, operand, errors),
-        Expr::Index { indices, .. } => {
-            for i in indices {
-                check_expr_calls(program, i, errors);
+        local
+    }
+
+    /// A use of `name` as a value in place — indexed, measured, or
+    /// handed to a host function to mutate: it must be a local.
+    fn local(&mut self, name: &str, span: Span) {
+        if !self.read(name, span) && !self.maybe.contains(name) {
+            self.error(format!("`{name}` is not bound here"), span);
+        }
+    }
+
+    fn indexed(&mut self, name: &str, indices: &'a [Expr], span: Span) {
+        self.local(name, span);
+        if indices.len() > 2 {
+            self.error(
+                format!(
+                    "`{name}` is indexed with {} subscripts (arrays have one or two dimensions)",
+                    indices.len()
+                ),
+                span,
+            );
+        }
+        for index in indices {
+            self.expr(index);
+        }
+    }
+
+    fn expr(&mut self, expr: &'a Expr) {
+        match expr {
+            Expr::Number(..) => {}
+            Expr::Var(name, span) => {
+                self.read(name, *span);
+            }
+            Expr::Index {
+                name,
+                indices,
+                span,
+            } => self.indexed(name, indices, *span),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+            }
+            Expr::Unary { operand, .. } => self.expr(operand),
+            Expr::Call {
+                name,
+                accuracy,
+                args,
+                span,
+            } => self.call(name, accuracy.is_some(), args, *span),
+        }
+    }
+
+    fn call(&mut self, name: &str, sub_accuracy: bool, args: &'a [Expr], span: Span) {
+        let callee = self.program.transform(name);
+        if sub_accuracy && callee.is_none() {
+            self.error(
+                format!("sub-accuracy call targets undeclared transform `{name}`"),
+                span,
+            );
+        }
+        // Dispatch order of both engines: builtin, other transform,
+        // host function.
+        let mut value_args = args;
+        if let Some(arity) = builtin_arity(name) {
+            if args.len() != arity {
+                let s = if arity == 1 { "" } else { "s" };
+                self.error(
+                    format!("`{name}` takes {arity} argument{s}, got {}", args.len()),
+                    span,
+                );
+            }
+            if matches!(name, "len" | "rows" | "cols") {
+                match args.first() {
+                    Some(Expr::Var(array, at)) => {
+                        self.local(array, *at);
+                        value_args = &args[1..];
+                    }
+                    Some(other) => self.error(
+                        format!("`{name}` takes a variable, not an expression"),
+                        other.span(),
+                    ),
+                    None => {}
+                }
+            }
+        } else if let Some(callee) = callee.filter(|_| name != self.transform.name) {
+            if callee.outputs.len() != 1 {
+                self.error(
+                    format!(
+                        "transform `{name}` is called as an expression but has {} outputs",
+                        callee.outputs.len()
+                    ),
+                    span,
+                );
+            }
+            if args.len() != callee.inputs.len() {
+                self.error(
+                    format!(
+                        "transform `{name}` takes {} inputs, got {}",
+                        callee.inputs.len(),
+                        args.len()
+                    ),
+                    span,
+                );
+            }
+        } else {
+            match args.first() {
+                // The host may mutate its first argument in place.
+                Some(Expr::Var(first, at)) => {
+                    self.local(first, *at);
+                    value_args = &args[1..];
+                }
+                Some(_) => {}
+                None => self.error(
+                    format!("host function `{name}` needs at least one argument"),
+                    span,
+                ),
             }
         }
-        Expr::Number(..) | Expr::Var(..) => {}
+        for arg in value_args {
+            self.expr(arg);
+        }
     }
 }
 
@@ -483,6 +616,169 @@ mod tests {
         "#;
         let errs = errors_of(src);
         assert!(errs.iter().any(|e| e.contains("empty range")), "{errs:?}");
+    }
+
+    /// Checks a one-rule transform `t` with the given body (`k` is an
+    /// accuracy variable, `one` and `pair` are callable transforms):
+    /// `want` is a substring of one of the errors, or empty when the
+    /// body must be accepted. Every error's span starts in the body.
+    fn body(body: &str, want: &str) {
+        let src = format!(
+            "transform t accuracy_variable k 1 9 from In[n] to Out[n] {{
+                to (Out o) from (In a) {{ {body} }}
+            }}
+            transform pair from X, Y to R, S {{
+                to (R r, S s) from (X x, Y y) {{ r = x; s = y; }}
+            }}
+            transform one from X to R {{ to (R r) from (X x) {{ r = x; }} }}"
+        );
+        let at = src.find(body).unwrap();
+        let errors = check_program(&parse_program(&src).unwrap())
+            .err()
+            .unwrap_or_default();
+        for e in &errors {
+            assert!(
+                (at..at + body.len()).contains(&e.span.start),
+                "{body}: {e:?}"
+            );
+        }
+        let ok = match want {
+            "" => errors.is_empty(),
+            want => errors.iter().any(|e| e.message.contains(want)),
+        };
+        assert!(ok, "{body}: want `{want}`, got {errors:?}");
+    }
+
+    /// `name` is read where only some paths have bound it.
+    fn partial(code: &str, name: &str) {
+        body(
+            code,
+            &format!("`{name}` is read here but bound on only some"),
+        );
+    }
+
+    #[test]
+    fn binding_only_in_if_without_else_is_rejected() {
+        partial("if (a[0]) { let x = 1; } o[0] = x;", "x");
+        partial("if (a[0]) { let x = 1; } else { o[1] = 2; } o[0] = x;", "x");
+        // The span is the read, not the `if`.
+        let src = "transform t from In[n] to Out[n] { to (Out o) from (In a) {
+            if (a[0]) { let x = 1; } o[0] = x; } }";
+        let errors = check_program(&parse_program(src).unwrap()).unwrap_err();
+        assert_eq!(errors.len(), 1);
+        assert_eq!(&src[errors[0].span.start..][..2], "x;");
+    }
+
+    #[test]
+    fn binding_in_one_either_arm_is_rejected() {
+        partial("either { let x = 1; } or { o[1] = 2; } o[0] = x;", "x");
+        body("either { let x = 1; } or { let x = 2; } o[0] = x;", "");
+    }
+
+    #[test]
+    fn binding_in_a_loop_body_is_rejected_after_the_loop() {
+        partial(
+            "let j = 0; while (j < 2) { let y = j; j = j + 1; } o[0] = y;",
+            "y",
+        );
+        partial("for (i in 0 .. len(a)) { let y = a[i]; } o[0] = y;", "y");
+        partial("for_enough { let y = 1; } o[0] = y;", "y");
+        // The issue's probe: an assignment, not a `let`.
+        partial(
+            "for (i in 0 .. len(a)) { last = a[i]; } o[0] = last;",
+            "last",
+        );
+        // Declared ahead of the loop, it is readable after it.
+        body(
+            "let y = 0; for (i in 0 .. len(a)) { y = a[i]; } o[0] = y;",
+            "",
+        );
+    }
+
+    #[test]
+    fn binding_later_in_a_loop_body_is_rejected_earlier_in_it() {
+        // First trip: the tunable (or nothing); later trips: the local.
+        partial("for (i in 0 .. 3) { o[0] = y; let y = i; }", "y");
+        partial("let j = 0; while (j < y) { let y = 2; j = j + 1; }", "y");
+        // `for` bounds are evaluated once, ahead of every trip.
+        body("for (i in 0 .. k) { let k = 2; o[0] = k; }", "");
+    }
+
+    #[test]
+    fn loop_variable_read_after_a_possibly_empty_for_is_rejected() {
+        partial("for (i in 0 .. len(a)) { o[i] = 1; } o[0] = i;", "i");
+        body(
+            "let i = 7; for (i in 0 .. len(a)) { o[i] = 1; } o[0] = i;",
+            "",
+        );
+    }
+
+    #[test]
+    fn both_branches_bind_is_accepted() {
+        body("if (a[0]) { let x = 1; } else { let x = 2; } o[0] = x;", "");
+        // And a name bound again after a one-armed `if`.
+        body("if (a[0]) { let x = 1; } let x = 2; o[0] = x;", "");
+    }
+
+    #[test]
+    fn read_before_any_binding_is_accepted_and_resolves_the_tunable() {
+        // `k` is the accuracy variable until the `let` shadows it.
+        body("o[0] = k; let k = 40; o[1] = k;", "");
+        let program = parse_program(
+            "transform t accuracy_variable k 1 9 from In[n] to Out[n] {
+                to (Out o) from (In a) { o[0] = k; let k = 40; o[1] = k; }
+            }",
+        )
+        .unwrap();
+        let compiled = crate::compile::compile_program(&program);
+        let chunk = compiled.chunk("t", 0).unwrap();
+        let param_loads = chunk.code.iter().filter(|i| {
+            matches!(i, crate::compile::Instr::LoadParam { name, .. } if chunk.names[*name as usize] == "k")
+        });
+        assert_eq!(param_loads.count(), 1);
+    }
+
+    #[test]
+    fn in_place_uses_need_a_local() {
+        for code in [
+            "o[0] = zz[0];",
+            "zz[0] = 1;",
+            "o[0] = len(zz);",
+            "Fill(zz, 1);",
+        ] {
+            body(code, "`zz` is not bound here");
+        }
+        for tail in [
+            "o[0] = w[0];",
+            "w[0] = 1;",
+            "o[0] = rows(w);",
+            "Fill(w, 1);",
+        ] {
+            partial(&format!("if (a[0]) {{ let w = a; }} {tail}"), "w");
+        }
+        body("let w = a; Fill(w, 1); o[0] = w[0] + len(w);", "");
+    }
+
+    #[test]
+    fn arities_are_checked() {
+        body("o[0] = a[0, 1, 2];", "3 subscripts");
+        body("o[0, 1, 2] = 1;", "3 subscripts");
+        body("o[0] = sqrt();", "`sqrt` takes 1 argument, got 0");
+        body("o[0] = min(1);", "`min` takes 2 arguments, got 1");
+        body("o[0] = rand(0, 1, 2);", "`rand` takes 2 arguments, got 3");
+        body("o[0] = len();", "`len` takes 1 argument, got 0");
+        body("o[0] = cols(a + 1);", "`cols` takes a variable");
+        body(
+            "o[0] = pair(1, 2);",
+            "`pair` is called as an expression but has 2 outputs",
+        );
+        body("o[0] = one(1, 2);", "`one` takes 1 inputs, got 2");
+        body("o[0] = one();", "`one` takes 1 inputs, got 0");
+        body(
+            "Poke();",
+            "host function `Poke` needs at least one argument",
+        );
+        body("o[0] = one(a[0]) + min(1, 2) + Poke(o, 1) + Peek(1);", "");
     }
 
     #[test]

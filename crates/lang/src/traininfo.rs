@@ -16,7 +16,7 @@
 //!   sub-accuracy expansion, §3.2/§4.2: the tuner becomes free to pick
 //!   the sub-accuracy).
 
-use crate::ast::{Block, Expr, Program, Stmt, Transform};
+use crate::ast::{Expr, Program, Stmt, Transform};
 use crate::cdg::ChoiceDependencyGraph;
 use pb_config::{AccuracyBins, Schema};
 use std::collections::HashSet;
@@ -88,105 +88,47 @@ fn add_transform_tunables(
         schema.add_choice_site(format!("{prefix}rule_{site}"), graph.producers(site).len());
     }
 
-    let mut callees: Vec<String> = Vec::new();
+    let mut callees: Vec<&str> = Vec::new();
     for rule in &t.rules {
-        collect_block_tunables(program, &rule.body, prefix, schema, &mut callees);
+        rule.body.for_each_stmt(&mut |stmt| {
+            match stmt {
+                Stmt::ForEnough { id, .. } => {
+                    let name = format!("{prefix}for_enough_{id}");
+                    if schema.tunable(&name).is_none() {
+                        schema.add_accuracy_variable(name, 1, 500);
+                    }
+                }
+                Stmt::Either { id, branches, .. } => {
+                    let name = format!("{prefix}either_{id}");
+                    if schema.tunable(&name).is_none() {
+                        schema.add_choice_site(name, branches.len());
+                    }
+                }
+                _ => {}
+            }
+            // A plain call to a declared transform exposes the callee's
+            // tunables; an explicit-accuracy call pins them (§3.2: the
+            // `<N>` syntax "may … be used … to prevent the automatic
+            // expansion").
+            stmt.for_each_expr(&mut |expr| match expr {
+                Expr::Call {
+                    name,
+                    accuracy: None,
+                    ..
+                } if program.transform(name).is_some() && !callees.contains(&name.as_str()) => {
+                    callees.push(name);
+                }
+                _ => {}
+            });
+        });
     }
     for callee in callees {
-        if let Some(sub) = program.transform(&callee) {
+        if let Some(sub) = program.transform(callee) {
             let sub_prefix = format!("{prefix}{callee}.");
             add_transform_tunables(program, sub, &sub_prefix, schema, visiting, depth + 1);
         }
     }
     visiting.remove(&t.name);
-}
-
-fn collect_block_tunables(
-    program: &Program,
-    block: &Block,
-    prefix: &str,
-    schema: &mut Schema,
-    callees: &mut Vec<String>,
-) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::ForEnough { id, body, .. } => {
-                let name = format!("{prefix}for_enough_{id}");
-                if schema.tunable(&name).is_none() {
-                    schema.add_accuracy_variable(name, 1, 500);
-                }
-                collect_block_tunables(program, body, prefix, schema, callees);
-            }
-            Stmt::Either { id, branches, .. } => {
-                let name = format!("{prefix}either_{id}");
-                if schema.tunable(&name).is_none() {
-                    schema.add_choice_site(name, branches.len());
-                }
-                for b in branches {
-                    collect_block_tunables(program, b, prefix, schema, callees);
-                }
-            }
-            Stmt::If {
-                cond,
-                then_block,
-                else_block,
-                ..
-            } => {
-                collect_expr_tunables(program, cond, callees);
-                collect_block_tunables(program, then_block, prefix, schema, callees);
-                if let Some(e) = else_block {
-                    collect_block_tunables(program, e, prefix, schema, callees);
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                collect_expr_tunables(program, cond, callees);
-                collect_block_tunables(program, body, prefix, schema, callees);
-            }
-            Stmt::For { lo, hi, body, .. } => {
-                collect_expr_tunables(program, lo, callees);
-                collect_expr_tunables(program, hi, callees);
-                collect_block_tunables(program, body, prefix, schema, callees);
-            }
-            Stmt::Let { value, .. }
-            | Stmt::Assign { value, .. }
-            | Stmt::Expr { expr: value, .. } => collect_expr_tunables(program, value, callees),
-            Stmt::Return { value: Some(v), .. } => collect_expr_tunables(program, v, callees),
-            Stmt::Return { value: None, .. } | Stmt::VerifyAccuracy { .. } => {}
-        }
-    }
-}
-
-fn collect_expr_tunables(program: &Program, expr: &Expr, callees: &mut Vec<String>) {
-    match expr {
-        Expr::Call {
-            name,
-            accuracy,
-            args,
-            ..
-        } => {
-            // A plain call to a declared transform exposes the callee's
-            // tunables; an explicit-accuracy call pins them (§3.2:
-            // the `<N>` syntax "may … be used … to prevent the
-            // automatic expansion").
-            if accuracy.is_none() && program.transform(name).is_some() && !callees.contains(name) {
-                callees.push(name.clone());
-            }
-            for a in args {
-                collect_expr_tunables(program, a, callees);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_expr_tunables(program, lhs, callees);
-            collect_expr_tunables(program, rhs, callees);
-        }
-        Expr::Unary { operand, .. } => collect_expr_tunables(program, operand, callees),
-        Expr::Index { indices, .. } => {
-            for i in indices {
-                collect_expr_tunables(program, i, callees);
-            }
-        }
-        Expr::Number(..) | Expr::Var(..) => {}
-    }
 }
 
 #[cfg(test)]

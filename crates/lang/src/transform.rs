@@ -30,6 +30,9 @@ pub enum DslError {
     UnknownTransform(String),
     /// The transform declares no `accuracy_metric`.
     NoAccuracyMetric(String),
+    /// The program is past a capacity limit of the bytecode (the only
+    /// way a checked program fails to lower).
+    Compile(String),
 }
 
 impl fmt::Display for DslError {
@@ -40,6 +43,7 @@ impl fmt::Display for DslError {
             DslError::NoAccuracyMetric(name) => {
                 write!(f, "transform `{name}` declares no accuracy_metric")
             }
+            DslError::Compile(reason) => write!(f, "{reason}"),
         }
     }
 }
@@ -75,22 +79,6 @@ impl DslTransform {
         transform_name: &str,
         input_gen: InputGenerator,
     ) -> Result<Self, DslError> {
-        Self::compile_at(program, transform_name, input_gen, OptLevel::default())
-    }
-
-    /// Like [`DslTransform::compile`] with an explicit bytecode
-    /// [`OptLevel`]. Every level executes bit-identically; lower levels
-    /// exist for debugging and for differential benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// See [`DslError`].
-    pub fn compile_at(
-        program: Program,
-        transform_name: &str,
-        input_gen: InputGenerator,
-        opt_level: OptLevel,
-    ) -> Result<Self, DslError> {
         check_program(&program)
             .map_err(|es| DslError::Sema(es.into_iter().map(|e| e.message).collect()))?;
         let t = program
@@ -104,11 +92,13 @@ impl DslTransform {
         // Lower every rule to bytecode once, here at construction: the
         // tuner re-executes candidates thousands of times per
         // generation, so all of them (and the metric transform) run on
-        // the register VM — through the optimizer pipeline — falling
-        // back to tree-walking only for the rules the compiler does
-        // not cover.
+        // the register VM, through the optimizer pipeline.
+        let interpreter = Interpreter::compiled_checked(program, OptLevel::default());
+        if let Some(e) = interpreter.compiled().and_then(|c| c.error()) {
+            return Err(DslError::Compile(e.to_string()));
+        }
         Ok(DslTransform {
-            interpreter: Interpreter::new_compiled_at(program, opt_level),
+            interpreter,
             name: transform_name.to_owned(),
             metric,
             metric_schema,
@@ -127,8 +117,8 @@ impl DslTransform {
     }
 
     /// The inferred [`crate::analysis::ChunkFacts`] for this
-    /// transform's rule `rule_idx`, if that rule compiled — the facts
-    /// describe the chunk at the opt level this transform dispatches.
+    /// transform's rule `rule_idx` — the facts describe the chunk this
+    /// transform dispatches.
     pub fn chunk_facts(&self, rule_idx: usize) -> Option<&crate::analysis::ChunkFacts> {
         self.interpreter.compiled()?.facts(&self.name, rule_idx)
     }
@@ -318,6 +308,60 @@ mod tests {
         .unwrap();
         let err = DslTransform::compile(program, "t", Box::new(|_, _| HashMap::new())).unwrap_err();
         assert!(matches!(err, DslError::NoAccuracyMetric(_)));
+    }
+
+    /// Runs `t` of `src` on a compiled interpreter and returns the error.
+    fn compiled_run_error(src: &str) -> String {
+        let program = parse_program(src).unwrap();
+        let schema = extract_schema(&program, "t");
+        let config = schema.default_config();
+        let mut ctx = ExecCtx::new(&schema, &config, 1, 0);
+        let inputs: HashMap<String, Value> = [("In".to_string(), Value::Arr1(vec![1.0]))].into();
+        let err = Interpreter::new_compiled(program).run("t", &inputs, &mut ctx);
+        err.unwrap_err().message
+    }
+
+    #[test]
+    fn a_program_past_a_capacity_limit_is_a_compile_error_not_a_tree_walk() {
+        // Every argument of a call holds its register until the call is
+        // emitted: 70 000 literals outgrow the bank. Nothing else an
+        // accepted program can do fails to lower, and then the whole
+        // program has no bytecode — the rule that would have compiled
+        // included.
+        let src = format!(
+            "transform t accuracy_metric m from In[n] to Out[n] {{
+                to (Out o) from (In a) {{ o[0] = 1; }}
+                to (Out o) from (In a) {{ Fill(o, {}0); }}
+            }}
+            transform m from Out[n] to Accuracy {{
+                to (Accuracy acc) from (Out o) {{ acc = 1; }}
+            }}",
+            "0, ".repeat(70_000)
+        );
+        let program = parse_program(&src).unwrap();
+        let compiled = crate::compile::compile_program(&program);
+        assert_eq!(compiled.coverage(), (0, 3));
+        assert!(compiled.chunk("t", 0).is_none());
+        let reason = compiled.error().unwrap().to_string();
+        assert!(
+            reason.contains("`t::r1`: register bank exhausted"),
+            "{reason}"
+        );
+
+        let err = DslTransform::compile(program, "t", Box::new(|_, _| HashMap::new()));
+        assert_eq!(err.unwrap_err(), DslError::Compile(reason.clone()));
+        assert_eq!(compiled_run_error(&src), reason);
+    }
+
+    #[test]
+    fn a_compiled_interpreter_refuses_a_program_sema_rejects() {
+        // `x` is a local on one path and a tunable on the other: there
+        // is no bytecode for that, and no second engine to fall back on.
+        let src = "transform t from In[n] to Out[n] {
+            to (Out o) from (In a) { if (a[0]) { let x = 1; } o[0] = x; }
+        }";
+        let message = compiled_run_error(src);
+        assert!(message.contains("only some of the paths"), "{message}");
     }
 
     #[test]

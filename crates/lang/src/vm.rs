@@ -10,8 +10,8 @@
 //! and slot addressing. Calls to scalar helper transforms were inlined
 //! into the chunk by the optimizer ([`crate::opt`]); the sub-transform
 //! calls that remain recurse through
-//! [`crate::interp::Interpreter`]'s shared orchestration, so callees
-//! run compiled wherever their rules compiled.
+//! [`crate::interp::Interpreter`]'s shared orchestration, which runs
+//! the callee's rules on this VM too.
 //!
 //! The hot path is allocation-free in steady state. Each thread owns
 //! one [`VmScratch`] (parked in the `pb_runtime` scratch reservoir
@@ -147,7 +147,7 @@ pub(crate) struct VmFrame {
     /// functions of the context's fixed config/schema/size, so
     /// memoizing them within one invocation is observably identical to
     /// re-resolving — it just lifts the decision-tree walk out of
-    /// loops. Left empty on the `O0` compatibility path.
+    /// loops.
     choices: Vec<usize>,
 }
 
@@ -288,18 +288,9 @@ impl VmScratch {
 }
 
 /// Runs one compiled rule against the transform's data store,
-/// mirroring the interpreter's `run_rule` binding and write-back.
-///
-/// Optimized chunks run on pooled frames with cached tunable
-/// resolution; `O0` chunks take a compatibility path that approximates
-/// the pre-optimizer execution profile — fresh banks and fresh name
-/// resolution every invocation — preserving a "current VM" baseline
-/// for the `vm_opt` benchmark. (It is an approximation, not a replay:
-/// the old VM resolved names lazily per *read*, so for prefixed
-/// tunables in loops this baseline under-counts the old cost —
-/// conservative for the reported speedups — while for top-level
-/// chunks it eagerly builds a handful of small strings per invocation
-/// the old VM skipped, which is noise at trial granularity.)
+/// mirroring the interpreter's `run_rule` binding and write-back, on a
+/// pooled frame with cached tunable resolution — whatever level the
+/// chunk was optimized at.
 pub(crate) fn run_rule(
     interp: &Interpreter,
     rule: &Rule,
@@ -309,27 +300,6 @@ pub(crate) fn run_rule(
     prefix: &str,
     depth: usize,
 ) -> Result<(), RuntimeError> {
-    if chunk.opt == crate::opt::OptLevel::O0 {
-        let mut frame = VmFrame::default();
-        frame.reset(chunk.n_regs as usize, chunk.n_slots as usize, 0);
-        let schema = ctx.schema();
-        let resolved: Vec<ResolvedName> = chunk
-            .names
-            .iter()
-            .map(|name| {
-                let full = format!("{prefix}{name}");
-                ResolvedName {
-                    id: schema.tunable(&full).map(|(id, _)| id),
-                    sub_prefix: format!("{full}."),
-                    full,
-                }
-            })
-            .collect();
-        return bind_exec_writeback(
-            interp, rule, chunk, store, ctx, depth, &resolved, &mut frame, &mut None,
-        );
-    }
-
     // The thread's scratch stays with this invocation until it ends; a
     // generic `CallTransform` parks it around the nested run.
     let mut scratch = Some(ctx.scratch().take::<VmScratch>());
@@ -365,7 +335,7 @@ pub(crate) fn run_rule(
     result
 }
 
-/// Shared invocation body: binds the rule's aliases into the frame,
+/// The invocation body: binds the rule's aliases into the frame,
 /// dispatches, and writes outputs back on success.
 #[allow(clippy::too_many_arguments)]
 fn bind_exec_writeback(
@@ -438,8 +408,9 @@ fn exec(
     }
 }
 
-/// The dispatch loop. `scratch` is the thread's [`VmScratch`] while
-/// [`run_rule`] holds it (`None` on the `O0` compatibility path).
+/// The dispatch loop. `scratch` is the thread's [`VmScratch`], which
+/// [`run_rule`] holds for the invocation (`None` only while a nested
+/// call has it).
 #[allow(clippy::too_many_arguments)]
 fn exec_loop<const PROFILE: bool>(
     interp: &Interpreter,
@@ -524,7 +495,10 @@ fn exec_loop<const PROFILE: bool>(
                     ctx.rng().gen_range(lo..hi)
                 };
             }
-            Instr::Shape { kind, dst, slot } => {
+            // `ShapeHoisted` dispatches exactly like `Shape`; the
+            // distinct opcode carries the verifier's hoist contract and
+            // lets profiling count hoisted reads.
+            Instr::Shape { kind, dst, slot } | Instr::ShapeHoisted { kind, dst, slot } => {
                 // Matches the value directly (not through `dims()`,
                 // which allocates) with the interpreter's exact
                 // shape-acceptance rules.
@@ -673,26 +647,6 @@ fn exec_loop<const PROFILE: bool>(
                 write_element(&mut slots[*slot as usize], &[i], x, Span::new(0, 0))
                     .map_err(|e| err(e.message))?;
             }
-            Instr::ShapeHoisted { kind, dst, slot } => {
-                // Dispatch is `Shape`'s exactly; the distinct opcode
-                // carries the verifier's hoist contract and lets
-                // profiling count hoisted reads.
-                let v = &slots[*slot as usize];
-                regs[*dst as usize] = match (kind, v) {
-                    (ShapeKind::Len, Value::Arr1(a)) => a.len() as f64,
-                    (ShapeKind::Len, Value::Arr2 { cols, .. })
-                    | (ShapeKind::Cols, Value::Arr2 { cols, .. }) => *cols as f64,
-                    (ShapeKind::Rows, Value::Arr2 { rows, .. }) => *rows as f64,
-                    (kind, _) => {
-                        let name = match kind {
-                            ShapeKind::Len => "len",
-                            ShapeKind::Rows => "rows",
-                            ShapeKind::Cols => "cols",
-                        };
-                        return Err(err(format!("`{name}` applied to a value of wrong shape")));
-                    }
-                };
-            }
             Instr::Jump { target } => {
                 pc = *target;
                 continue;
@@ -803,31 +757,6 @@ fn exec_loop<const PROFILE: bool>(
                 })?;
                 continue;
             }
-            Instr::SlotUpdImm {
-                op,
-                dst,
-                src,
-                imm,
-                imm_on_left,
-            } => {
-                let v = match &slots[*src as usize] {
-                    Value::Num(v) => *v,
-                    _ => return Err(err("expected a scalar value")),
-                };
-                let out = if *imm_on_left {
-                    apply_bin(*op, *imm, v)
-                } else {
-                    apply_bin(*op, v, *imm)
-                };
-                slots[*dst as usize] = Value::Num(out);
-            }
-            Instr::SlotUpdReg { op, dst, src, b } => {
-                let v = match &slots[*src as usize] {
-                    Value::Num(v) => *v,
-                    _ => return Err(err("expected a scalar value")),
-                };
-                slots[*dst as usize] = Value::Num(apply_bin(*op, v, regs[*b as usize]));
-            }
             Instr::CallHost {
                 name,
                 first,
@@ -877,12 +806,11 @@ fn exec_loop<const PROFILE: bool>(
                 let sub_prefix = &resolved[*name as usize].sub_prefix;
                 // The callee's rules run on the thread's scratch too:
                 // park it where they find it, take it back after.
-                let held = scratch.take().map(|vm| ctx.scratch().put(vm)).is_some();
+                ctx.scratch()
+                    .put(scratch.take().expect("held between nested calls"));
                 let outputs =
                     interp.run_transform(callee_idx, &sub_inputs, ctx, sub_prefix, depth + 1);
-                if held {
-                    *scratch = Some(ctx.scratch().take::<VmScratch>());
-                }
+                *scratch = Some(ctx.scratch().take::<VmScratch>());
                 drop(sub_inputs);
                 let out_name = &callee.outputs[0].name;
                 slots[*dst as usize] = outputs?.get(out_name).cloned().ok_or_else(|| {

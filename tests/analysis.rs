@@ -7,9 +7,9 @@
 //!    generators produce (straight-line bodies; scalar helpers with
 //!    control flow called from loops, branches and argument positions;
 //!    array loops with locals, scalar outputs and early exits) must
-//!    verify clean at `O0` and through the verified `O1`–`O3` pass
-//!    pipelines (pass-by-pass checking on, the whole-program `inline`
-//!    pass included), with the charge signature preserved end to end.
+//!    verify clean at `O0` and through the verified `O3` pass pipeline
+//!    (pass-by-pass checking on, the whole-program `inline` pass
+//!    included), with the charge signature preserved end to end.
 //! 2. **Hand-broken regression corpus** — chunks broken one invariant
 //!    at a time must be rejected with exactly the right
 //!    [`ViolationKind`], and the pass pipeline must attribute a bad
@@ -19,8 +19,8 @@
 //!    that pass.
 //! 3. **`ChunkFacts` pins** — the shipped kmeans and binpacking
 //!    programs infer the expected per-slot kinds (arrays with rank,
-//!    scalar int/float, constant-ness), at `O0` and after `O2`; a call
-//!    result is scalar exactly when the callee's facts prove it.
+//!    scalar int/float, constant-ness), at both levels; a call result
+//!    is scalar exactly when the callee's facts prove it.
 //! 4. **Register residency** — the hot loops of the shipped and ledger
 //!    programs hold no slot traffic, rematerialized constant or
 //!    two-dispatch back edge at `O3`, and cost no more dispatches per
@@ -32,9 +32,9 @@ use common::{gen_array_loop_program, gen_helper_program, gen_straight_line_progr
 use petabricks::lang::compile::{Chunk, Instr, Operand, ShapeKind};
 use petabricks::lang::opt::{innermost_loops, optimize_tampered, InlineRecord};
 use petabricks::lang::{
-    analyze_chunk, charge_signature, check_program, compile_program, entry_slots, lint_program,
-    optimize_verified, parse_program, verify_chunk, verify_inlined, verify_specialized,
-    verify_tunables, AbsValue, OptLevel, ScalarKind, ViolationKind,
+    analyze_chunk, charge_signature, check_program, compile_program, lint_program, optimize,
+    parse_program, verify_chunk, verify_inlined, verify_specialized, verify_tunables, AbsValue,
+    OptLevel, ScalarKind, ViolationKind,
 };
 use proptest::prelude::*;
 
@@ -48,9 +48,10 @@ fn example(name: &str) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every generated program's chunks verify clean at `O0`, and both
-    /// optimizing levels run the full pipeline with pass-by-pass
-    /// verification on — so a pass that ever emits a malformed chunk
+    /// Every generated program's chunks verify clean at `O0`, and the
+    /// full pipeline runs over them with pass-by-pass verification on
+    /// (without entry facts here, with them in the two suites below) —
+    /// so a pass that ever emits a malformed chunk
     /// (or moves a charge across control flow) fails here with the
     /// pass named, not in the differential suite with a diverging
     /// output.
@@ -64,12 +65,11 @@ proptest! {
         check_program(&program).unwrap();
         let compiled = compile_program(&program);
         let t = compiled.transform("t").unwrap();
-        for rule in &t.rules {
-            let chunk = rule.as_ref().expect("generated bodies always compile");
+        for chunk in &t.rules {
             verify_chunk(chunk).unwrap_or_else(|v| panic!("O0 chunk invalid: {v}\n{src}"));
             let sig = charge_signature(&chunk.code);
-            for level in [OptLevel::O1, OptLevel::O2, OptLevel::O3] {
-                let opt = optimize_verified(chunk, level, true)
+            for level in OptLevel::ALL {
+                let opt = optimize(chunk, level, true, None)
                     .unwrap_or_else(|v| panic!("{v}\n{src}"));
                 verify_chunk(&opt).unwrap_or_else(|v| panic!("{level:?} chunk invalid: {v}"));
                 let opt_sig = charge_signature(&opt.code);
@@ -96,7 +96,7 @@ proptest! {
         let program = parse_program(&src).unwrap();
         check_program(&program).unwrap();
         let schema = petabricks::lang::extract_schema(&program, "t");
-        for level in [OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+        for level in OptLevel::ALL {
             let compiled = compile_program(&program)
                 .try_optimized(level, true)
                 .unwrap_or_else(|v| panic!("{v}\n{src}"));
@@ -121,7 +121,7 @@ proptest! {
         let schema = petabricks::lang::extract_schema(&program, "t");
         let lowered = compile_program(&program);
         let sig = charge_signature(&lowered.chunk("t", 0).expect("generated bodies always compile").code);
-        for level in [OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+        for level in OptLevel::ALL {
             let compiled = lowered
                 .clone()
                 .try_optimized(level, true)
@@ -162,10 +162,9 @@ fn shipped_examples_verify_clean_with_tunables() {
         for t in &program.transforms {
             let schema = petabricks::lang::extract_schema(&program, &t.name);
             let ct = compiled.transform(&t.name).unwrap();
-            for rule in &ct.rules {
-                let chunk = rule.as_ref().expect("shipped rules all compile");
+            for chunk in &ct.rules {
                 verify_chunk(chunk).unwrap();
-                let opt = optimize_verified(chunk, OptLevel::O2, true).unwrap();
+                let opt = optimize(chunk, OptLevel::O3, true, None).unwrap();
                 verify_tunables(&opt, &schema, "").unwrap();
             }
         }
@@ -476,7 +475,7 @@ fn corpus_malformed_zero_trip_guard() {
 #[test]
 fn corpus_bad_input_chunk_attributed_to_lowering() {
     let c = chunk(vec![Instr::Jump { target: 9 }], 0, 0, vec![]);
-    let err = optimize_verified(&c, OptLevel::O2, true).unwrap_err();
+    let err = optimize(&c, OptLevel::O3, true, None).unwrap_err();
     assert_eq!(err.pass, "lowering");
     assert_eq!(err.violation.kind, ViolationKind::BadJumpTarget);
 }
@@ -645,7 +644,7 @@ fn broken_by(
     pass: &'static str,
     mut tamper: impl FnMut(&mut Vec<Instr>),
 ) -> (&'static str, ViolationKind) {
-    optimize_verified(chunk, OptLevel::O3, true).expect("the chunk is fine untampered");
+    optimize(chunk, OptLevel::O3, true, None).expect("the chunk is fine untampered");
     let err = optimize_tampered(chunk, OptLevel::O3, Some(entry), pass, &mut tamper)
         .expect_err("the gates must reject the tampered pass output");
     (err.pass, err.violation.kind)
@@ -894,7 +893,7 @@ enum Binding {
 #[test]
 fn kmeans_facts_pin_expected_kinds() {
     let src = example("kmeans");
-    for level in [OptLevel::O0, OptLevel::O2] {
+    for level in OptLevel::ALL {
         // Rule 2: to (Assignments a) from (Points p, Centroids c).
         let facts = facts_at(&src, "kmeans", 2, level);
         let points = slot_of(&src, "kmeans", 2, level, Binding::Input(0));
@@ -960,7 +959,7 @@ fn kmeans_facts_pin_expected_kinds() {
 #[test]
 fn binpacking_facts_pin_expected_kinds() {
     let src = example("binpacking");
-    for level in [OptLevel::O0, OptLevel::O2] {
+    for level in OptLevel::ALL {
         let facts = facts_at(&src, "binpack", 0, level);
         let sizes = slot_of(&src, "binpack", 0, level, Binding::Input(0));
         let bins = slot_of(&src, "binpack", 0, level, Binding::Output(0));
@@ -994,7 +993,7 @@ fn facts_refresh_after_optimization() {
     // lowering-time one.
     let src = example("binpacking");
     let program = parse_program(&src).unwrap();
-    let compiled = compile_program(&program).optimized(OptLevel::O2);
+    let compiled = compile_program(&program).optimized(OptLevel::O3);
     let chunk = compiled.chunk("binpack", 0).unwrap();
     let facts = compiled.facts("binpack", 0).unwrap();
     assert_eq!(facts.regs.len(), chunk.n_regs as usize);
@@ -1008,11 +1007,9 @@ fn facts_refresh_after_optimization() {
 #[test]
 fn entry_slots_come_from_declarations() {
     let src = example("kmeans");
-    let program = parse_program(&src).unwrap();
-    let t = program.transform("kmeans").unwrap();
-    let compiled = compile_program(&program);
+    let compiled = compile_program(&parse_program(&src).unwrap());
     let chunk = compiled.chunk("kmeans", 2).unwrap();
-    let entry = entry_slots(t, &t.rules[2], chunk);
+    let entry = &compiled.facts("kmeans", 2).unwrap().entry_slots;
     assert_eq!(
         entry[chunk.input_slots[0] as usize],
         AbsValue::Array { rank: 2 }
@@ -1066,11 +1063,7 @@ fn hot_loops_are_register_resident() {
             .try_optimized(OptLevel::O3, true)
             .unwrap();
         for t in &program.transforms {
-            let rules = &compiled.transform(&t.name).unwrap().rules;
-            for chunk in rules
-                .iter()
-                .map(|r| r.as_ref().expect("every rule compiles"))
-            {
+            for chunk in &compiled.transform(&t.name).unwrap().rules {
                 let loops = innermost_loops(&chunk.code);
                 for l in &loops {
                     for i in l.head..=l.last {

@@ -101,7 +101,7 @@ pub fn gen_straight_line_program(seed: u64, n_stmts: usize) -> String {
 }
 
 /// One random statement of a helper body. Every variable it assigns is
-/// already declared (the compiler rejects reads of conditionally
+/// already declared (`check_program` rejects reads of conditionally
 /// assigned names), so nested blocks only re-assign; loops are
 /// counted or `for_enough`, so every program terminates.
 fn gen_helper_stmt(rng: &mut SmallRng, scope: &Scope<'_>, locals: &[String], id: usize) -> String {
@@ -273,8 +273,8 @@ struct ArrayGen {
     loop_vars: Vec<String>,
     /// Locals currently bound to the input array.
     aliases: Vec<String>,
-    /// Enclosing loops and branches (the compiler only indexes a local
-    /// array declared outside all of them).
+    /// Enclosing loops and branches (a local array is only indexed
+    /// when declared outside all of them, so it is definitely bound).
     nesting: usize,
     fresh: usize,
 }
@@ -352,7 +352,7 @@ impl ArrayGen {
 
     /// A block of `n` statements. Names a block declares go out of
     /// scope with it (after a loop or branch they are only
-    /// conditionally assigned, and the compiler rejects reading those).
+    /// conditionally assigned, and `check_program` rejects reading those).
     fn block(&mut self, n: usize, depth: usize, out: &mut String) {
         let scalars = self.scalars.len();
         self.nesting += 1;
@@ -472,7 +472,7 @@ impl ArrayGen {
                     self.aliases.push(name);
                 } else if self.rng.gen_range(0..3) == 0 {
                     // `x` or `y`: declared outside every loop, so the
-                    // compiler lets them be indexed.
+                    // they are definitely bound where they are indexed.
                     let target = ["x", "y"][self.rng.gen_range(0..2)];
                     out.push_str(&format!(
                         "{target} = a;\no[0] = {target}[0];\n{target} = {};\n",

@@ -11,12 +11,16 @@
 //! same bound is then re-pinned with `pb_trace` VM chunk profiling
 //! enabled — observability must not cost the hot path its guarantee.
 //!
-//! Pinned at `OptLevel::O3` (the default): the hot loop executes the
-//! typed-specialized unchecked forms and hoisted shape reads, and the
-//! guarantee must survive them. Profiling runs under a sampling
-//! period (`PB_PROFILE_SAMPLE=4`), so the per-(thread, chunk) sample
-//! counters are exercised too — steady-state counter bumps are
-//! `HashMap::get_mut` on warmed entries, not inserts.
+//! Pinned at both levels: at `OptLevel::O3` (the default) the hot loop
+//! executes the typed-specialized unchecked forms and hoisted shape
+//! reads, and the guarantee must survive them; `OptLevel::O0` chunks
+//! run on the same pooled frames with the same cached name resolution,
+//! so the unoptimized baseline is allocation-free too. Profiling runs
+//! under a sampling period (`PB_PROFILE_SAMPLE=4`), so the
+//! per-(thread, chunk) sample counters are exercised too — steady-state
+//! counter bumps are `HashMap::get_mut` on warmed entries, not inserts
+//! — and the profile a traced run collects must carry the chunks, with
+//! a share of their instructions in the specialized forms.
 //!
 //! A second test pins the *scratch* behind those frames: across
 //! thousands of trials, each followed by its accuracy metric under a
@@ -29,7 +33,9 @@
 
 use petabricks::config::Value as ConfigValue;
 use petabricks::lang::interp::Value;
-use petabricks::lang::{check_program, parse_program, DslTransform, Interpreter};
+use petabricks::lang::{
+    check_program, opcode_is_specialized, parse_program, DslTransform, Interpreter, OptLevel,
+};
 use petabricks::runtime::{CostModel, ExecCtx, Pool, ScratchPool, TransformRunner, TrialRunner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -97,6 +103,37 @@ fn run_hot(interp: &Interpreter, schema: &petabricks::config::Schema, iters: i64
     out["Out"].as_num().unwrap()
 }
 
+/// The short trip count of [`assert_flat_allocations`].
+const SHORT: i64 = 16;
+
+/// Allocations of eight runs at 16 loop trips and of eight at 4096,
+/// after warming the thread's frame reservoir and resolution caches at
+/// both trip counts: ~256x the iterations (each reading the prefixed
+/// `bump` tunable twice) must cost the same allocation count. The
+/// slack absorbs incidental harness noise; a single per-iteration
+/// allocation would add RUNS * (LONG - SHORT) ≈ 32k.
+fn assert_flat_allocations(interp: &Interpreter, schema: &petabricks::config::Schema, what: &str) {
+    const RUNS: u64 = 8;
+    const LONG: i64 = 4096;
+    for _ in 0..2 {
+        run_hot(interp, schema, SHORT);
+        run_hot(interp, schema, LONG);
+    }
+    let allocs_of = |iters: i64| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..RUNS {
+            run_hot(interp, schema, iters);
+        }
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
+    let (short, long) = (allocs_of(SHORT), allocs_of(LONG));
+    assert!(
+        long <= short + 64,
+        "{what}: the dispatch loop allocates per iteration: {short} allocs for \
+         {RUNS}x{SHORT} iterations vs {long} for {RUNS}x{LONG}"
+    );
+}
+
 #[test]
 fn dispatch_loop_is_allocation_free_in_steady_state() {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -105,84 +142,30 @@ fn dispatch_loop_is_allocation_free_in_steady_state() {
     // chunk is profiled — the counter path must stay allocation-free.
     std::env::set_var(petabricks::trace::PROFILE_SAMPLE_ENV, "4");
 
-    // The default pipeline is the full typed-specialization tier; this
-    // test pins the allocation contract at that level, not below it.
-    assert_eq!(
-        petabricks::lang::OptLevel::default(),
-        petabricks::lang::OptLevel::O3
-    );
-
     let program = parse_program(HOT).expect("parses");
     check_program(&program).expect("well-formed");
+    let schema = petabricks::lang::extract_schema(&program, "hot");
+
+    // The default pipeline is the full typed-specialization tier.
+    assert_eq!(OptLevel::default(), OptLevel::O3);
     let interp = Interpreter::new_compiled(program.clone());
     let (compiled, total) = interp.compiled().unwrap().coverage();
     assert_eq!(compiled, total, "the hot path must run on the VM");
-    let schema = petabricks::lang::extract_schema(&program, "hot");
+    assert_flat_allocations(&interp, &schema, "O3");
 
-    const RUNS: u64 = 8;
-    const SHORT: i64 = 16;
-    const LONG: i64 = 4096;
-
-    // Warm the thread's frame reservoir and resolution caches at both
-    // trip counts.
-    for _ in 0..2 {
-        run_hot(&interp, &schema, SHORT);
-        run_hot(&interp, &schema, LONG);
-    }
-
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..RUNS {
-        run_hot(&interp, &schema, SHORT);
-    }
-    let short_allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-
-    let b0 = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..RUNS {
-        run_hot(&interp, &schema, LONG);
-    }
-    let long_allocs = ALLOCS.load(Ordering::Relaxed) - b0;
-
-    // ~256x the loop iterations (each reading the prefixed `bump`
-    // tunable twice), same allocation count: the dispatch loop and its
-    // tunable reads are allocation-free. The slack absorbs incidental
-    // harness noise; a single per-iteration allocation would add
-    // RUNS * (LONG - SHORT) ≈ 32k.
-    assert!(
-        long_allocs <= short_allocs + 64,
-        "dispatch loop allocates per iteration: {short_allocs} allocs for \
-         {RUNS}x{SHORT} iterations vs {long_allocs} for {RUNS}x{LONG}"
-    );
+    // Unoptimized chunks run on the same frame path.
+    let baseline = Interpreter::new_compiled_at(program.clone(), OptLevel::O0);
+    assert_flat_allocations(&baseline, &schema, "O0");
 
     // With VM chunk profiling enabled the contract must hold
     // unchanged: the per-chunk counters live on the stack during the
     // dispatch loop and merge into an already-populated table after
-    // it returns, so steady state stays allocation-free. Warm first —
-    // the initial `record_chunk` per (thread, chunk) label inserts.
+    // it returns, so steady state stays allocation-free. (The warm-up
+    // matters here: the initial `record_chunk` per (thread, chunk)
+    // label inserts.)
     petabricks::trace::set_vm_profiling(true);
-    for _ in 0..2 {
-        run_hot(&interp, &schema, SHORT);
-        run_hot(&interp, &schema, LONG);
-    }
-
-    let c0 = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..RUNS {
-        run_hot(&interp, &schema, SHORT);
-    }
-    let short_profiled = ALLOCS.load(Ordering::Relaxed) - c0;
-
-    let d0 = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..RUNS {
-        run_hot(&interp, &schema, LONG);
-    }
-    let long_profiled = ALLOCS.load(Ordering::Relaxed) - d0;
-
+    assert_flat_allocations(&interp, &schema, "O3, profiled");
     petabricks::trace::set_vm_profiling(false);
-    assert!(
-        long_profiled <= short_profiled + 64,
-        "profiled dispatch loop allocates per iteration: {short_profiled} \
-         allocs for {RUNS}x{SHORT} iterations vs {long_profiled} for \
-         {RUNS}x{LONG}"
-    );
 
     // And the profile was really collected: both transforms' chunks
     // appear with execution counts.
@@ -198,6 +181,18 @@ fn dispatch_loop_is_allocation_free_in_steady_state() {
             .all(|c| c.executions > 0 && c.instructions() > 0),
         "profiled chunks must carry counts"
     );
+    // What a traced run hands its exporter is the same profile, and
+    // part of it ran in the specialized forms (`x[0]` unchecked, the
+    // loop's `len(x)` hoisted).
+    let traced = petabricks::trace::collect().chunks;
+    assert_eq!(traced, chunks);
+    let specialized: u64 = traced
+        .iter()
+        .flat_map(|c| c.opcodes.iter().enumerate())
+        .filter(|&(idx, _)| opcode_is_specialized(idx))
+        .map(|(_, n)| n)
+        .sum();
+    assert!(specialized > 0, "no specialized instruction in {traced:?}");
 
     // And the result is still the interpreter's, bit for bit.
     let tree = Interpreter::new(program);

@@ -7,8 +7,8 @@
 //! programs covering each language construct, across several
 //! configurations, input sizes, and RNG seeds.
 //!
-//! Every comparison runs at every [`OptLevel`] (unoptimized, folded,
-//! fully fused, and typed-specialized bytecode) and additionally pins
+//! Every comparison runs at both [`OptLevel`]s (bytecode as lowered,
+//! and through the whole optimizer pipeline) and additionally pins
 //! the RNG *draw count*: after each run both contexts draw one probe value, which
 //! only matches if the executors consumed exactly the same number of
 //! draws in the same order.
@@ -23,9 +23,6 @@ use proptest::prelude::*;
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Every optimization level the pipeline exposes.
-const OPT_LEVELS: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
-
 /// Bitwise `f64` equality: stricter than `==` (distinguishes `-0.0`
 /// from `0.0`) and total over NaN, which random programs do produce.
 fn bits_eq(a: f64, b: f64) -> bool {
@@ -39,7 +36,7 @@ fn outputs_bits_eq(a: &HashMap<String, Value>, b: &HashMap<String, Value>) -> bo
 }
 
 /// Runs `transform` through the tree-walker and through the VM at
-/// every [`OptLevel`], asserting outputs, virtual cost, and RNG draw
+/// both [`OptLevel`]s, asserting outputs, virtual cost, and RNG draw
 /// counts are identical across all of them.
 #[allow(clippy::too_many_arguments)]
 fn assert_identical(
@@ -83,7 +80,7 @@ fn assert_same_outcome(
     let tree_out = tree.run(transform, inputs, &mut tree_ctx);
     let tree_probe: u64 = tree_ctx.rng().gen();
 
-    for level in OPT_LEVELS {
+    for level in OptLevel::ALL {
         let mut vm = Interpreter::new_compiled_at(program.clone(), level);
         hosts(&mut vm);
         let mut vm_ctx = ExecCtx::new(schema, config, n, seed);
@@ -604,6 +601,116 @@ fn shipped_programs_compile_fully() {
     }
 }
 
+/// `src` with a statement that binds `zq` on some paths only (one
+/// variant in six: on every path) spliced in at one line of `t`'s rule
+/// body and a read of it at a later one — the generators emit a
+/// statement, block opener or closer per line, and `t` first — and the
+/// byte range of that body.
+fn splice_partial_binding(src: &str, seed: u64) -> (String, std::ops::Range<usize>) {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xb1d);
+    let start = src.find(") {\n").expect("t's rule header") + 4;
+    let t_end = src[start..]
+        .find("\ntransform ")
+        .map_or(src.len(), |i| start + i);
+    // Past the rule's closing brace comes the transform's.
+    let end = src[..src[..t_end].rfind('}').unwrap()].rfind('}').unwrap();
+    let lines: Vec<usize> = std::iter::once(start)
+        .chain(
+            src[start..end]
+                .match_indices('\n')
+                .map(|(i, _)| start + i + 1),
+        )
+        .collect();
+    let bind_at = rng.gen_range(0..lines.len());
+    let read_at = lines[rng.gen_range(bind_at..lines.len())];
+    let bind_at = lines[bind_at];
+    let bind = [
+        "if (acc) { let zq = 1; }\n",
+        "for (zi in 0 .. 2) { let zq = zi; }\n",
+        "either { let zq = 1; } or { acc = acc; }\n",
+        "for_enough { zq = 3; }\n",
+        "let zw = 0;\nwhile (zw < 1) { let zq = 1; zw = zw + 1; }\n",
+        "if (acc) { let zq = 1; } else { let zq = 2; }\n",
+    ][rng.gen_range(0..6)];
+    let read = ["acc = zq;\n", "o[0] = zq + 1;\n", "acc = min(zq, 2);\n"][rng.gen_range(0..3)];
+    let (head, mid, tail) = (&src[..bind_at], &src[bind_at..read_at], &src[read_at..]);
+    let spliced = [head, bind, mid, read, tail].concat();
+    (spliced, start..end + bind.len() + read.len())
+}
+
+#[test]
+fn accepted_programs_always_compile() {
+    // The contract: whatever `check_program` accepts lowers, whole.
+    // Every generated program as it is, and with a partially bound
+    // name read somewhere after its binding: rejected with a span
+    // inside the rule, or accepted and fully compiled — never accepted
+    // and left without bytecode.
+    let (mut accepted, mut rejected) = (0, 0);
+    for seed in 0..300 {
+        for src in [
+            common::gen_straight_line_program(seed, 1 + (seed % 11) as usize),
+            common::gen_helper_program(seed),
+            common::gen_array_loop_program(seed),
+        ] {
+            let (spliced, body) = splice_partial_binding(&src, seed);
+            for (src, as_generated) in [(&src, true), (&spliced, false)] {
+                let program = parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+                match check_program(&program) {
+                    Ok(()) => {
+                        let compiled = compile_program(&program);
+                        let (done, total) = compiled.coverage();
+                        assert!(done == total && total > 0, "{:?}\n{src}", compiled.error());
+                        accepted += usize::from(!as_generated);
+                    }
+                    Err(errors) => {
+                        assert!(!as_generated, "{errors:?}\n{src}");
+                        let outside = errors.iter().find(|e| !body.contains(&e.span.start));
+                        assert!(outside.is_none(), "{outside:?} is not in {body:?}:\n{src}");
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+    }
+    // The splice is worth its cases only if it lands on both sides.
+    assert!(
+        accepted >= 50 && rejected >= 500,
+        "{accepted} accepted, {rejected} rejected"
+    );
+}
+
+#[test]
+fn nesting_at_the_limit_runs_bit_identically_and_past_it_is_a_parse_error() {
+    let wrapped = |open: &str, core: &str, close: &str, depth: usize| {
+        format!("{}{core}{}", open.repeat(depth), close.repeat(depth))
+    };
+    // One rule body per shape, `depth` levels each (an index is a level
+    // of its own).
+    let programs = |depth: usize| {
+        [
+            format!("acc = {};", wrapped("(", "a[1]", ")", depth - 1)),
+            format!("acc = {};", wrapped("-", "a[1]", "", depth - 1)),
+            format!("acc = {};", wrapped("sqrt(", "16", ")", depth)),
+            wrapped("if (a[0]) {", "acc = acc + 2;", "}", depth),
+            format!("acc = {};", vec!["a[2]"; depth].join(" + ")),
+        ]
+        .map(|body| {
+            format!("transform t from In[n] to Out[n], Acc {{\n to (Out o, Acc acc) from (In a) {{ {body} }}\n}}\n")
+        })
+    };
+    for src in programs(256) {
+        let program = parse_program(&src).unwrap_or_else(|e| panic!("{e}: {}…", &src[..160]));
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let config = schema.default_config();
+        assert_identical(&src, "t", &schema, &config, &in4(), 4, 0, &no_hosts);
+    }
+    for src in programs(258).into_iter().chain(programs(100_000)) {
+        let err = parse_program(&src).expect_err("too deep");
+        assert!(err.message.contains("nesting deeper than 256"), "{err}");
+    }
+}
+
 /// The two ledger programs (`ledger/programs/`, read as shipped): the
 /// workloads whose inner loops call a scalar helper per element, so at
 /// `O3` every comparison below runs through inlined bodies.
@@ -767,7 +874,7 @@ fn depth_limit_fires_at_the_same_point_through_inlined_sites() {
     let src = call_chain(9);
     let (tree, tree_cost) = run_at(&src, "t", None, &in4());
     assert_eq!(tree.unwrap_err(), "transform call depth exceeded");
-    for level in OPT_LEVELS {
+    for level in OptLevel::ALL {
         let (vm, vm_cost) = run_at(&src, "t", Some(level), &in4());
         assert_eq!(
             vm.unwrap_err(),
@@ -808,7 +915,7 @@ fn array_bound_to_a_scalar_parameter_reports_the_generic_error() {
     let (tree, _) = run_at(src, "t", None, &in4());
     let want = tree.unwrap_err();
     assert_eq!(want, "input `X` has 1 dimensions, declared 0");
-    for level in OPT_LEVELS {
+    for level in OptLevel::ALL {
         assert_eq!(run_at(src, "t", Some(level), &in4()).0.unwrap_err(), want);
     }
 }
