@@ -38,7 +38,7 @@ fn rate(num: u64, den: u64) -> f64 {
     }
 }
 
-/// One window of work-stealing-pool batch counters.
+/// One window of pool batch counters.
 #[derive(Debug, Serialize)]
 struct PoolWindow {
     dispatched: u64,
@@ -149,9 +149,9 @@ struct Report {
     /// speedup is ~1.0 by construction).
     note: String,
     workloads: Vec<WorkloadReport>,
-    /// Cumulative work-stealing pool counters across the whole bench
+    /// Cumulative pool counters across the whole bench
     /// process (both modes, all workloads): how many batches reached
-    /// the queues vs ran inline, and how wide they were.
+    /// the queue vs ran inline, and how wide they were.
     pool_batches_dispatched: u64,
     pool_batches_inline: u64,
     pool_tasks: u64,

@@ -341,11 +341,6 @@ fn main() -> ExitCode {
             .map(|e| e.ts + e.dur)
             .fold(0.0f64, f64::max);
         let span = (span_end - span_start).max(1e-9);
-        let steals = trace
-            .traceEvents
-            .iter()
-            .filter(|e| e.name == "pool_steal")
-            .count();
         let mut per_tid: BTreeMap<u32, (u64, f64)> = BTreeMap::new();
         for j in &jobs {
             let slot = per_tid.entry(j.tid).or_insert((0, 0.0));
@@ -353,7 +348,7 @@ fn main() -> ExitCode {
             slot.1 += j.dur;
         }
         println!(
-            "\n## pool utilization ({} jobs, {steals} steals, {:.1} ms trace span)",
+            "\n## pool utilization ({} jobs, {:.1} ms trace span)",
             jobs.len(),
             span / 1e3
         );

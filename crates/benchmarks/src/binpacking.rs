@@ -130,7 +130,7 @@ impl Packing {
 const PROBE_COST: f64 = 1.0;
 
 /// Virtual-cost units modelling the fixed overhead of dispatching a
-/// placement scan to the work-stealing pool (same constant as
+/// placement scan to the pool (same constant as
 /// clustering, so `par_cutoff` has the same dispatch-vs-division
 /// tradeoff the real scheduler exhibits).
 const PAR_DISPATCH_COST: f64 = 512.0;

@@ -149,7 +149,7 @@ fn nearest_centroid(points: &Points, centroids: &Points, i: usize) -> usize {
 }
 
 /// Virtual-cost units modelling the fixed overhead of dispatching a
-/// batch to the work-stealing pool (wakeups, chunking, the join).
+/// batch to the pool (wakeups, chunking, the join).
 /// Gives `par_cutoff` the same tradeoff the real scheduler has: below
 /// the crossover the dispatch overhead outweighs the divided work.
 const PAR_DISPATCH_COST: f64 = 512.0;
@@ -157,7 +157,7 @@ const PAR_DISPATCH_COST: f64 = 512.0;
 /// Assigns every point to its nearest centroid; returns the number of
 /// changed assignments.
 ///
-/// The per-point distance scans split across the work-stealing pool
+/// The per-point distance scans split across the pool
 /// when the input reaches `par_cutoff` points (paper §5.2's tuned
 /// switch-over). Each point's result is a pure function of the
 /// inputs, so the *assignments* are identical in both regimes; the

@@ -13,7 +13,7 @@
 
 use pb_config::Schema;
 use pb_multigrid::{poisson2d, Grid2d};
-use pb_runtime::parallel::{available_threads, parallel_engages, parallel_gen};
+use pb_runtime::parallel::{available_threads, parallel_engages};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 
@@ -46,56 +46,30 @@ fn add_level_tunables(s: &mut Schema) {
 }
 
 /// Virtual-cost units modelling the fixed overhead of dispatching one
-/// smoother sweep to the work-stealing pool (same constant as the
-/// clustering and bin-packing benchmarks, so `par_cutoff` exhibits the
-/// same dispatch-vs-division tradeoff the real scheduler has).
+/// smoother sweep to the pool (same constant as the clustering and
+/// bin-packing benchmarks, so `par_cutoff` exhibits the same
+/// dispatch-vs-division tradeoff the real scheduler has).
 const PAR_DISPATCH_COST: f64 = 512.0;
 
-/// One Red-Black SOR sweep whose per-colour row updates split across
-/// the work-stealing pool when the grid has at least `par_cutoff` rows
-/// (the §5.2 parallel/sequential switch-over, tuned like the other
-/// benchmarks' placement and assignment scans).
+/// One Red-Black SOR sweep, charged as split across the pool when the
+/// grid has at least `par_cutoff` rows (the §5.2 parallel/sequential
+/// switch-over, tuned like the other benchmarks' placement and
+/// assignment scans).
 ///
-/// Same-colour points never read each other — their four neighbours
-/// are all the opposite colour — so computing a colour's updates from
-/// the pre-colour grid snapshot produces bitwise the values the
-/// in-place sequential sweep writes; the two regimes differ only in
-/// *virtual cost*, which models the schedule (work divided across the
-/// pool's threads plus a dispatch overhead). The thread count is the
-/// pool's cached budget, constant within a process, so sequential and
-/// parallel evaluator modes stay bit-identical.
+/// Both regimes run `poisson2d::sor_sweep` in place; they differ only
+/// in *virtual cost*, which models the schedule (work divided across
+/// the pool's threads plus a dispatch overhead). The thread count is
+/// the pool's cached budget, constant within a process, so sequential
+/// and parallel evaluator modes stay bit-identical.
 fn smooth(u: &mut Grid2d, b: &Grid2d, omega: f64, par_cutoff: usize, ctx: &mut ExecCtx<'_>) {
     let n = u.n();
     let work = (n * n) as f64 * 5.0;
-    if !parallel_engages(n, par_cutoff) {
-        poisson2d::sor_sweep(u, b, omega);
+    poisson2d::sor_sweep(u, b, omega);
+    if parallel_engages(n, par_cutoff) {
+        ctx.charge(work / available_threads() as f64 + PAR_DISPATCH_COST);
+    } else {
         ctx.charge(work);
-        ctx.event("relax");
-        return;
     }
-    for color in 0..2usize {
-        let grid: &Grid2d = u;
-        let rows: Vec<Vec<f64>> = parallel_gen(n, par_cutoff, |i| {
-            (0..n)
-                .filter(|j| (i + j) % 2 == color)
-                .map(|j| {
-                    let nb = grid.get_bc(i as isize - 1, j as isize)
-                        + grid.get_bc(i as isize + 1, j as isize)
-                        + grid.get_bc(i as isize, j as isize - 1)
-                        + grid.get_bc(i as isize, j as isize + 1);
-                    let gs = (b.get(i, j) + nb) / 4.0;
-                    let old = grid.get(i, j);
-                    old + omega * (gs - old)
-                })
-                .collect()
-        });
-        for (i, row) in rows.into_iter().enumerate() {
-            for (slot, j) in (0..n).filter(|j| (i + j) % 2 == color).enumerate() {
-                u.set(i, j, row[slot]);
-            }
-        }
-    }
-    ctx.charge(work / available_threads() as f64 + PAR_DISPATCH_COST);
     ctx.event("relax");
 }
 
@@ -379,30 +353,6 @@ mod tests {
             );
         } else {
             assert_eq!(outputs[0].1, outputs[1].1);
-        }
-    }
-
-    #[test]
-    fn parallel_smoother_matches_sequential_sweep() {
-        // `smooth` above the cutoff writes bitwise the grid
-        // `poisson2d::sor_sweep` produces in place.
-        let t = Poisson2d;
-        let schema = t.schema();
-        let config = schema.default_config();
-        let mut rng = {
-            use rand::SeedableRng;
-            SmallRng::seed_from_u64(7)
-        };
-        let b = Grid2d::random_uniform(31, -1.0, 1.0, &mut rng);
-        let mut seq = Grid2d::zeros(31);
-        let mut par = Grid2d::zeros(31);
-        for _ in 0..3 {
-            poisson2d::sor_sweep(&mut seq, &b, 1.15);
-            let mut ctx = ExecCtx::new(&schema, &config, 31, 0);
-            smooth(&mut par, &b, 1.15, 1, &mut ctx);
-        }
-        for (s, p) in seq.as_slice().iter().zip(par.as_slice()) {
-            assert_eq!(s.to_bits(), p.to_bits());
         }
     }
 

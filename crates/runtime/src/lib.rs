@@ -20,8 +20,9 @@
 //!   obtain a requested accuracy" (§4.2).
 //! * [`guarantee`] — statistical, runtime-checked (`verify_accuracy`),
 //!   and domain-specific accuracy guarantees (§3.3).
-//! * [`pool`] / [`parallel`] — the persistent work-stealing scheduler
-//!   and the tunable-cutoff data-parallel helpers built on it (§5.2).
+//! * [`pool`] / [`parallel`] — the persistent thread pool (one shared
+//!   job queue) and the tunable-cutoff data-parallel helpers built on
+//!   it (§5.2).
 
 pub mod ctx;
 pub mod diag;

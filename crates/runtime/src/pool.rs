@@ -1,65 +1,62 @@
-//! A persistent work-stealing thread pool.
+//! A persistent thread pool with one shared job queue.
 //!
 //! The paper's runtime executes rule applications on "a parallel work
 //! stealing scheduler" whose sequential/parallel switch-over points are
-//! exposed to the autotuner (§5.2). This module is that scheduler's
-//! equivalent: a lazily initialized global [`Pool`] of worker threads
-//! fed through one `crossbeam`-style injector, with per-worker deques
-//! that refill in batches and steal from each other when dry.
+//! exposed to the autotuner (§5.2). What is reproduced here is that
+//! tunable switch-over (the `sequential_cutoff` of
+//! [`crate::parallel::parallel_map`], charged by the cost models); the
+//! lock-free Chase–Lev deques are not — the traffic is one submitter
+//! pushing batches a few chunks wide, so the pool is:
 //!
-//! Design points:
-//!
-//! * **Persistent workers.** Threads are spawned once (on first use)
-//!   and parked between batches, replacing the fresh
-//!   `crossbeam::thread::scope` spawns the old `parallel_map` paid on
-//!   every call. The hardware thread count is queried once and cached.
-//! * **One injector, per-worker deques.** [`Pool::run_indexed`] splits
-//!   a batch into contiguous chunks and pushes them onto the pool's
-//!   single injector. An idle thread polls the injector first
-//!   (batch-refilling its own deque), then steals single jobs from its
-//!   peers' deques.
-//! * **Caller participation.** [`Pool::run_indexed`] blocks until the
-//!   batch completes, but the calling thread executes queued tasks
-//!   while it waits. This both uses the caller as an extra worker and
-//!   makes nested batches (a pool task that itself calls
-//!   `run_indexed`) deadlock-free: the inner caller drains work
-//!   instead of sleeping while holding a worker slot.
+//! * **Persistent workers, one FIFO.** `threads - 1` workers are
+//!   spawned once and park between batches. [`Pool::run_indexed`]
+//!   splits a batch into contiguous chunk jobs and pushes them all onto
+//!   the pool's single queue under its single lock.
+//! * **Caller participation.** The submitter pops and runs jobs (its
+//!   own or anyone's) until its batch is done, which also makes
+//!   concurrent submitters deadlock-free.
 //! * **Depth-aware admission.** A batch submitted from *inside* a pool
-//!   task (nested `parallel_map` in a batched trial, say) runs inline
-//!   on the submitting thread instead of re-enqueueing: the outer
-//!   batch already occupies every worker, so re-splitting nested work
-//!   only adds queue churn and oversubscription on small machines.
+//!   task runs inline on the submitting thread: the outer batch already
+//!   occupies the workers, and re-splitting would only add queue
+//!   traffic and oversubscribe small machines. A top-level single-task
+//!   batch runs inline too, without marking depth.
 //! * **Panic propagation.** A panicking task aborts its batch's
-//!   remaining tasks (best effort), and the panic payload is re-thrown
-//!   on the calling thread once the batch has drained, mirroring the
-//!   behaviour of scoped threads.
-//! * **One completion channel.** A batch's bookkeeping (`BatchState`)
+//!   remaining tasks (best effort); the first payload is re-thrown on
+//!   the submitter once the batch has drained.
+//! * **Pool-owned completion.** A batch's bookkeeping (`BatchState`)
 //!   lives on its submitter's stack, and the submitter returns as soon
-//!   as it reads `remaining == 0`. A job's decrement of `remaining` is
-//!   therefore its *last* access to the batch; the job that brings it
-//!   to zero reports so, and the wake-up goes through a mutex/condvar
-//!   pair owned by the pool-lifetime `Shared`, never through memory
-//!   the returning submitter is about to pop. The channel is shared:
-//!   when several threads each wait on a batch of their own, every
-//!   batch's completion wakes all of them, and each re-checks its own
-//!   `remaining` under the one lock. Measured with a single submitter
-//!   only (the tuner); measure before tuning it for more.
+//!   as it reads `remaining == 0`, so a job's decrement of `remaining`
+//!   is its *last* access to the batch. The job that brings it to zero
+//!   notifies `done`, a condvar owned by the pool-lifetime `Shared`.
 //!
-//! The pool runs *tasks*, not futures: closures over an index range.
-//! Data-parallel helpers ([`crate::parallel::parallel_map`]) are built
-//! on top and keep the tunable `sequential_cutoff` semantics the
-//! autotuner relies on.
+//! **Why no wake-up is lost.** Every push, pop, park and notify happens
+//! under the one queue lock. A worker parks on `wake` only after seeing
+//! the queue empty under the lock, and a submitter pushes and notifies
+//! under it, so the notify cannot fall between the check and the wait.
+//! A submitter waits on `done` only after seeing, under the lock, the
+//! queue empty and its own `remaining != 0`: the rest of its batch is
+//! then running elsewhere, and the last of those jobs takes the lock to
+//! notify — after the submitter's wait released it. `done` is shared:
+//! any batch's completion wakes every waiting submitter, and each
+//! re-checks only its own `remaining`.
+//!
+//! **Watching before parking.** Before either wait, the thread re-reads
+//! what it is waiting for (`remaining`, or the `pushed` batch counter)
+//! a bounded number of times without the lock, then takes the lock and
+//! decides as above. That is not part of the argument, only of the
+//! timing: while a tuner runs, the next batch is microseconds away, and
+//! how long a parked thread takes to come back is up to the host — the
+//! one cost here that varied from run to run.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use pb_trace::{Event, EventKind};
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 thread_local! {
     /// How many pool tasks are currently executing on this thread
@@ -113,25 +110,6 @@ struct Job {
 // reads it only up to its own `remaining.fetch_sub` (see `Job::batch`).
 unsafe impl Send for Job {}
 
-impl Job {
-    /// When the batch is traced, records a `pool_steal` instant for
-    /// this not-yet-run job.
-    fn trace_steal(&self) {
-        // SAFETY: the job has not run yet, so its own `fetch_sub` is
-        // still ahead, `remaining >= 1`, and the submitter (hence the
-        // batch state) is still in `run_indexed`.
-        let seq = unsafe { (*self.batch).trace_seq };
-        if seq != 0 {
-            pb_trace::record(Event::instant(
-                EventKind::PoolSteal,
-                seq,
-                self.start as u64,
-                [self.start as u64, self.end as u64, 0, 0],
-            ));
-        }
-    }
-}
-
 /// Shared bookkeeping for one `run_indexed` call. Lives on the
 /// submitter's stack; see [`Job::batch`] for how long jobs may use it.
 struct BatchState {
@@ -148,8 +126,8 @@ struct BatchState {
     /// The first panic payload, re-thrown on the submitting thread.
     panic: OnceLock<Box<dyn Any + Send>>,
     /// Trace sequence of the batch's `pool_batch` span, or 0 when the
-    /// batch is untraced. Jobs key their `pool_job`/`pool_steal`
-    /// events under it so the merged log nests them deterministically.
+    /// batch is untraced. Jobs key their `pool_job` spans under it so
+    /// the merged log nests them deterministically.
     trace_seq: u64,
 }
 
@@ -213,49 +191,55 @@ impl BatchState {
     }
 }
 
-/// State shared between the pool handle and its worker threads.
+const POISONED: &str = "pool queue lock poisoned";
+
+/// How often a thread with nothing to pop re-reads what it is waiting
+/// for before it parks (~0.3 ms in all at ~16 ns a read). While a tuner
+/// runs, batches are tens to hundreds of microseconds apart, and a
+/// parked thread comes back only as fast as the host reschedules its
+/// halted vCPU: microseconds on a quiet machine, a millisecond beside
+/// busy neighbours. Watching across the gap keeps that out of every
+/// batch; parking only bounds what an idle pool burns.
+const WATCH_BEFORE_PARK: usize = 20_000;
+
+/// Re-reads `waiting` until it is false or the watch runs out.
+fn watch(waiting: impl Fn() -> bool) {
+    for _ in 0..WATCH_BEFORE_PARK {
+        if !waiting() {
+            break;
+        }
+        std::hint::spin_loop();
+    }
+}
+
+/// What the one lock guards.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set by [`Pool::drop`]; a worker exits when it sees this on an
+    /// empty queue, so a dropped pool still drains what was queued.
+    shutdown: bool,
+}
+
+/// State shared between the pool handle and its worker threads (see
+/// the module docs for the ordering argument).
 struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
-    /// Sleeping workers wait here; submitters notify on new work.
-    sleep_lock: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Batches pushed so far, bumped under the lock. Only a watching
+    /// worker reads it without the lock, to see that the queue it
+    /// found empty has changed.
+    pushed: AtomicUsize,
+    /// Parked workers wait here; submitters notify on new work.
     wake: Condvar,
-    /// The completion channel: submitters with nothing left to help
-    /// with wait here, and whichever thread retires the last job of
-    /// any batch notifies (see [`Shared::run_job`]). Owned by the
-    /// pool, so a notifier never touches a submitter's stack.
-    done_lock: Mutex<()>,
+    /// The completion channel: a submitter whose queue is empty waits
+    /// here, and whichever thread retires the last job of any batch
+    /// notifies. Owned by the pool, so a notifier never touches a
+    /// submitter's stack.
     done: Condvar,
-    /// Set by [`Pool::drop`]; workers exit once the queues drain.
-    shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Takes one job for the thread at `slot` (0 is a submitting
-    /// caller, `1..` the workers): the injector first — batch-refilling
-    /// `local` when the thread has a deque — then the peers' deques.
-    fn find_job(&self, local: Option<&Worker<Job>>, slot: usize) -> Option<Job> {
-        loop {
-            let stolen = match local {
-                Some(worker) => self.injector.steal_batch_and_pop(worker),
-                None => self.injector.steal(),
-            };
-            match stolen {
-                Steal::Success(job) => return Some(job),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-        for (peer, stealer) in self.stealers.iter().enumerate() {
-            if peer + 1 == slot {
-                continue;
-            }
-            if let Steal::Success(job) = stealer.steal() {
-                job.trace_steal();
-                return Some(job);
-            }
-        }
-        None
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect(POISONED)
     }
 
     /// Executes one job and, if it was its batch's last, wakes the
@@ -269,7 +253,7 @@ impl Shared {
         if last {
             // Taking the lock orders this notify after a submitter's
             // check-then-wait, so the wake-up cannot be lost.
-            let _guard = self.done_lock.lock().expect("done lock poisoned");
+            let _queue = self.lock();
             self.done.notify_all();
         }
     }
@@ -285,7 +269,7 @@ impl Shared {
 /// inner loops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolBatchStats {
-    /// Batches fanned out across the worker queues.
+    /// Batches fanned out across the workers.
     pub dispatched: u64,
     /// Batches run inline on the submitting thread (nested submission,
     /// single-thread budget, or a single-task batch).
@@ -324,7 +308,7 @@ impl PoolBatchStats {
     }
 }
 
-/// A work-stealing thread pool (see the module docs).
+/// A persistent thread pool (see the module docs).
 pub struct Pool {
     shared: Arc<Shared>,
     /// Cached hardware thread budget (including the calling thread).
@@ -375,22 +359,20 @@ impl Pool {
     /// spawned, and `threads < 2` means "run everything inline").
     pub fn with_threads(threads: usize) -> Pool {
         let threads = threads.max(1);
-        let workers: Vec<Worker<Job>> = (1..threads).map(|_| Worker::new_fifo()).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers: workers.iter().map(Worker::stealer).collect(),
-            sleep_lock: Mutex::new(()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            pushed: AtomicUsize::new(0),
             wake: Condvar::new(),
-            done_lock: Mutex::new(()),
             done: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
-        for (index, worker) in workers.into_iter().enumerate() {
+        for _ in 1..threads {
             let shared = Arc::clone(&shared);
-            let slot = index + 1;
             std::thread::Builder::new()
                 .name("pb-pool-worker".into())
-                .spawn(move || worker_loop(&shared, worker, slot))
+                .spawn(move || worker_loop(&shared))
                 .expect("failed to spawn pool worker");
         }
         Pool {
@@ -408,7 +390,7 @@ impl Pool {
         self.threads
     }
 
-    /// Always 1: the pool has one injector (sharding was removed).
+    /// Always 1: the pool has one queue (sharding was removed).
     /// Kept only because the frozen benchmark (`ledger/src/env.rs`)
     /// calls it; delete it with the next benchmark change.
     pub fn shards(&self) -> usize {
@@ -456,19 +438,12 @@ impl Pool {
         if count == 0 {
             return;
         }
-        // Depth-aware admission: a batch submitted from *inside* a pool
-        // task runs inline on the submitting thread instead of
-        // re-enqueueing. The outer batch has already fanned out across
-        // the pool, so splitting nested batches again only adds queue
-        // traffic and oversubscribes small machines; inline execution
-        // keeps exactly one task per worker. (Results are unchanged —
-        // `run_indexed` makes no ordering promises either way.)
+        // Depth-aware admission (module docs): nested batches run
+        // inline. Not counted in the batch stats — nested submissions
+        // come from worker inner loops, where shared-atomic updates
+        // would ping-pong cache lines — but still marked as pool tasks,
+        // so further nesting observes the right depth.
         if current_task_depth() >= 1 {
-            // Not counted in the batch stats: nested submissions come
-            // from worker inner loops, where shared-atomic updates
-            // would ping-pong cache lines across the pool.
-            // Inline execution still counts as running pool tasks, so
-            // further nesting observes (and keeps) the right depth.
             let _depth = DepthGuard::enter();
             for i in 0..count {
                 task(i);
@@ -481,6 +456,17 @@ impl Pool {
         } else {
             (0, 0)
         };
+        let trace_batch = |chunks: usize, dispatched: u64| {
+            if tracing {
+                pb_trace::record(Event::span(
+                    EventKind::PoolBatch,
+                    trace_seq,
+                    0,
+                    batch_start,
+                    [count as u64, chunks as u64, dispatched, 0],
+                ));
+            }
+        };
         // Top-level degenerate batches run inline *without* marking
         // task depth: their tasks occupy no worker, so parallelism
         // nested inside them should still fan out across the idle pool.
@@ -489,28 +475,20 @@ impl Pool {
             for i in 0..count {
                 task(i);
             }
-            if tracing {
-                pb_trace::record(Event::span(
-                    EventKind::PoolBatch,
-                    trace_seq,
-                    0,
-                    batch_start,
-                    [count as u64, 1, 0, 0],
-                ));
-            }
+            trace_batch(1, 0);
             return;
         }
         self.count_batch(count, true);
 
-        // Split into more chunks than threads so idle workers can
-        // steal from long-running ones.
+        // Split into more chunks than threads so a thread that finishes
+        // early finds more to pop.
         let chunks = count.min(self.threads * 4);
         let chunk_len = count.div_ceil(chunks);
         let chunks = count.div_ceil(chunk_len);
 
         let task_obj: &(dyn Fn(usize) + Sync) = &task;
         // SAFETY: the transmute only erases the wide reference's
-        // lifetime so jobs can carry it through the 'static queues
+        // lifetime so jobs can carry it through the 'static queue
         // (same pointee type, same vtable). Sound because this
         // function does not return until every job of the batch has
         // executed, so the borrow outlives every dereference.
@@ -523,54 +501,48 @@ impl Pool {
             trace_seq,
         };
 
+        let mut queue = self.shared.lock();
         let mut start = 0;
         while start < count {
             let end = (start + chunk_len).min(count);
-            self.shared.injector.push(Job {
+            queue.jobs.push_back(Job {
                 batch: &state,
                 start,
                 end,
             });
             start = end;
         }
-        {
-            let _guard = self.shared.sleep_lock.lock().expect("sleep lock poisoned");
-            self.shared.wake.notify_all();
-        }
+        self.shared.pushed.fetch_add(1, Ordering::Relaxed);
+        self.shared.wake.notify_all();
 
-        // Help: execute queued jobs (ours or anyone's) while waiting.
-        // The acquire load pairs with each job's release-decrement.
+        // Help: execute queued jobs (ours or anyone's) until the batch
+        // is done. The acquire load pairs with each job's
+        // release-decrement.
+        let mut watched = false;
         while state.remaining.load(Ordering::Acquire) != 0 {
-            match self.shared.find_job(None, 0) {
-                Some(job) => self.shared.run_job(&job),
-                None => {
-                    let guard = self.shared.done_lock.lock().expect("done lock poisoned");
-                    // Re-check under the lock: the last job may have
-                    // retired since the loop condition was read, and
-                    // its notify needs this lock.
-                    if state.remaining.load(Ordering::Acquire) != 0 {
-                        // Timed wait: our remaining jobs might be
-                        // *queued* (not running) if workers raced to
-                        // sleep; wake up periodically to help.
-                        let _ = self
-                            .shared
-                            .done
-                            .wait_timeout(guard, Duration::from_millis(1))
-                            .expect("done lock poisoned");
-                    }
+            queue = match queue.jobs.pop_front() {
+                Some(job) => {
+                    drop(queue);
+                    self.shared.run_job(&job);
+                    watched = false;
+                    self.shared.lock()
                 }
-            }
+                // Queue empty, batch unfinished: its last jobs are
+                // running elsewhere. Watch for them first.
+                None if !watched => {
+                    drop(queue);
+                    watch(|| state.remaining.load(Ordering::Acquire) != 0);
+                    watched = true;
+                    self.shared.lock()
+                }
+                // Still unfinished, seen under the lock: the final
+                // job's notify needs the lock this wait releases.
+                None => self.shared.done.wait(queue).expect(POISONED),
+            };
         }
+        drop(queue);
 
-        if tracing {
-            pb_trace::record(Event::span(
-                EventKind::PoolBatch,
-                trace_seq,
-                0,
-                batch_start,
-                [count as u64, chunks as u64, 1, 0],
-            ));
-        }
+        trace_batch(chunks, 1);
 
         if let Some(payload) = state.panic.into_inner() {
             std::panic::resume_unwind(payload);
@@ -583,31 +555,34 @@ impl Drop for Pool {
     /// ad-hoc instances) do not leak threads. The process-wide pool
     /// from [`Pool::global`] lives in a static and is never dropped.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let _guard = self.shared.sleep_lock.lock().expect("sleep lock poisoned");
+        self.shared.lock().shutdown = true;
         self.shared.wake.notify_all();
     }
 }
 
-fn worker_loop(shared: &Shared, local: Worker<Job>, slot: usize) {
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.lock();
+    let mut watched = false;
     loop {
-        if let Some(job) = local.pop().or_else(|| shared.find_job(Some(&local), slot)) {
+        if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
             shared.run_job(&job);
-            continue;
-        }
-        // Drain-then-exit: only stop once no work is reachable, so a
-        // dropped pool still completes any in-flight batch.
-        if shared.shutdown.load(Ordering::Acquire) {
+            watched = false;
+            queue = shared.lock();
+        } else if queue.shutdown {
             return;
-        }
-        let guard = shared.sleep_lock.lock().expect("sleep lock poisoned");
-        if shared.injector.is_empty() {
-            // Timed wait so a notify racing ahead of this lock cannot
-            // strand a worker while jobs sit queued.
-            let _ = shared
-                .wake
-                .wait_timeout(guard, Duration::from_millis(10))
-                .expect("wake condvar poisoned");
+        } else if !watched {
+            // Out of work: watch for the next batch before parking.
+            let seen = shared.pushed.load(Ordering::Relaxed);
+            drop(queue);
+            watch(|| shared.pushed.load(Ordering::Relaxed) == seen);
+            watched = true;
+            queue = shared.lock();
+        } else {
+            queue = shared.wake.wait(queue).expect(POISONED);
+            // If the submitter has already popped the whole batch,
+            // stay up for the next one.
+            watched = false;
         }
     }
 }
@@ -618,6 +593,7 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
     use std::thread::ThreadId;
+    use std::time::Duration;
 
     #[test]
     fn runs_every_index_exactly_once() {

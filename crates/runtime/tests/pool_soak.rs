@@ -1,5 +1,9 @@
-//! Soak tests for the work-stealing pool: the failure modes that only
-//! show after many batches.
+//! Soak tests for the pool: the failure modes that only show after
+//! many batches.
+//!
+//! The pool has no timed waits, so a lost wake-up is a hang: every test
+//! runs its body under [`with_deadline`] and fails with a message
+//! instead of stalling CI.
 //!
 //! The first one pins the pool's completion protocol. A batch's
 //! bookkeeping lives on the submitter's stack and the submitter
@@ -15,8 +19,33 @@ use pb_runtime::pool::{current_task_depth, Pool};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Generous: the longest body (a full-length canary) takes a few
+/// seconds on two cores.
+const DEADLINE: Duration = Duration::from_secs(if cfg!(debug_assertions) { 60 } else { 120 });
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// returned by [`DEADLINE`]; a panic in `body` is re-thrown as is.
+fn with_deadline(body: impl FnOnce() + Send + 'static) {
+    let (finished, wait) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        body();
+        let _ = finished.send(());
+    });
+    match wait.recv_timeout(DEADLINE) {
+        Ok(()) => handle.join().expect("body finished"),
+        // The sender dropped unsent: `body` is unwinding.
+        Err(RecvTimeoutError::Disconnected) => {
+            resume_unwind(handle.join().expect_err("body panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("still running after {DEADLINE:?}: a pool thread missed a wake-up")
+        }
+    }
+}
 
 /// Batches per canary run. An unoptimized canary costs ~90 us per
 /// batch, so debug builds (tier-1) run a shorter soak to stay within
@@ -98,16 +127,70 @@ fn completion_never_touches_a_returned_submitter(threads: usize) {
 
 #[test]
 fn completion_never_touches_a_returned_submitter_2_threads() {
-    completion_never_touches_a_returned_submitter(2);
+    with_deadline(|| completion_never_touches_a_returned_submitter(2));
 }
 
 #[test]
 fn completion_never_touches_a_returned_submitter_4_threads() {
-    completion_never_touches_a_returned_submitter(4);
+    with_deadline(|| completion_never_touches_a_returned_submitter(4));
+}
+
+#[test]
+fn parked_workers_wake_for_every_batch() {
+    // The back-to-back soaks above almost never let a worker park;
+    // here every round starts with all of them parked (the sleep
+    // outlasts their ~0.3 ms watch several times over), and a worker
+    // that sleeps through the notify shows as a short thread count.
+    with_deadline(|| {
+        for threads in [2, 4] {
+            let pool = Pool::with_threads(threads);
+            for round in 0..300 {
+                std::thread::sleep(Duration::from_millis(2));
+                assert_eq!(
+                    live_threads(&pool),
+                    threads,
+                    "round {round}: a parked worker missed its wake-up"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn concurrent_submitters_complete_independently() {
+    // Any batch's completion wakes every waiting submitter; each must
+    // re-check only its own batch, return when that one is done, and
+    // have had every index run exactly once.
+    const SUBMITTERS: usize = 3;
+    const BATCHES: usize = 20_000;
+    const WIDTH: usize = 3;
+    with_deadline(|| {
+        let pool = Pool::with_threads(4);
+        std::thread::scope(|scope| {
+            for _ in 0..SUBMITTERS {
+                scope.spawn(|| {
+                    for batch in 0..BATCHES {
+                        let runs: [AtomicUsize; WIDTH] = Default::default();
+                        pool.run_indexed(WIDTH, |i| {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                        });
+                        for (i, run) in runs.iter().enumerate() {
+                            assert_eq!(run.load(Ordering::Relaxed), 1, "batch {batch} index {i}");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(live_threads(&pool), 4);
+    });
 }
 
 #[test]
 fn pool_survives_repeated_panicking_jobs() {
+    with_deadline(pool_survives_repeated_panicking_jobs_body);
+}
+
+fn pool_survives_repeated_panicking_jobs_body() {
     struct Boom(usize);
     let pool = Pool::with_threads(4);
     for round in 0..20_000 {
@@ -138,6 +221,10 @@ fn pool_survives_repeated_panicking_jobs() {
 
 #[test]
 fn nested_batches_under_load() {
+    with_deadline(nested_batches_under_load_body);
+}
+
+fn nested_batches_under_load_body() {
     // Several top-level submitters share the global pool (sized by
     // `PB_POOL_THREADS`) — and with it the one completion channel —
     // while every task submits a nested batch of its own.

@@ -263,10 +263,6 @@ pub enum EventKind {
     /// One executed pool job (contiguous item range). `idx`=`a`=range
     /// start, `b`=range end.
     PoolJob,
-    /// A job taken from another worker's deque (instant event).
-    /// `a`=range start, `b`=range end; `c` is reserved (0; older
-    /// traces may carry 1, which readers ignore).
-    PoolSteal,
 }
 
 impl EventKind {
@@ -285,14 +281,13 @@ impl EventKind {
             EventKind::Trial => "trial",
             EventKind::PoolBatch => "pool_batch",
             EventKind::PoolJob => "pool_job",
-            EventKind::PoolSteal => "pool_steal",
         }
     }
 
     /// Chrome trace category.
     pub fn category(self) -> &'static str {
         match self {
-            EventKind::PoolBatch | EventKind::PoolJob | EventKind::PoolSteal => "pool",
+            EventKind::PoolBatch | EventKind::PoolJob => "pool",
             EventKind::EvalBatch | EventKind::Trial => "eval",
             _ => "tuner",
         }
@@ -322,7 +317,7 @@ pub struct Event {
     pub thread: u32,
     /// Span start, nanoseconds since the trace epoch.
     pub start_ns: u64,
-    /// Span duration in nanoseconds (0 for instant events).
+    /// Span duration in nanoseconds.
     pub dur_ns: u64,
     /// Kind-specific payload.
     pub a: u64,
@@ -345,22 +340,6 @@ impl Event {
             thread: 0,
             start_ns,
             dur_ns: now_ns().saturating_sub(start_ns),
-            a: args[0],
-            b: args[1],
-            c: args[2],
-            d: args[3],
-        }
-    }
-
-    /// A zero-duration event happening now.
-    pub fn instant(kind: EventKind, seq: u64, idx: u64, args: [u64; 4]) -> Event {
-        Event {
-            kind,
-            seq,
-            idx,
-            thread: 0,
-            start_ns: now_ns(),
-            dur_ns: 0,
             a: args[0],
             b: args[1],
             c: args[2],

@@ -18,7 +18,7 @@
 //! * **A generic round loop** ([`Arena::run`]): advance every pending
 //!   decision ([`Contest`]) as far as current statistics allow,
 //!   collect all stalled comparisons' requested draws, execute them as
-//!   one [`Evaluator::run_batch`] on the work-stealing pool, merge
+//!   one [`Evaluator::run_batch`] on the pool, merge
 //!   outcomes back in candidate-index order, repeat. Any caller — the
 //!   fastest-K selections of pruning, the pair verdicts of
 //!   child-vs-parent merging — drives the same loop.

@@ -8,7 +8,7 @@
 use crate::exec::TrialRequest;
 use crate::mutators::MutationRecord;
 use pb_config::Config;
-use pb_runtime::{TrialOutcome, TrialRunner};
+use pb_runtime::TrialOutcome;
 use pb_stats::{OnlineStats, SampleStats};
 use std::collections::BTreeMap;
 
@@ -82,23 +82,16 @@ impl Candidate {
             .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// Runs trials at size `n` until at least `min_trials` are cached.
-    ///
-    /// Seeds are a deterministic function of the size and trial index,
-    /// so *different candidates are measured on the same training
-    /// inputs*, which sharpens comparisons exactly as reusing test
-    /// inputs did in the original system.
-    pub fn ensure_tested(&mut self, runner: &dyn TrialRunner, n: u64, min_trials: u64) {
-        while self.trials(n) < min_trials {
-            self.run_one_trial(runner, n);
-        }
-    }
-
     /// Plans the trials needed to reach `min_trials` cached trials at
     /// size `n` (the *plan* half of plan-then-execute; outcomes are
     /// merged back with [`Candidate::absorb`] in trial-index order).
     /// The configuration is cloned and fingerprinted once for the
     /// whole plan.
+    ///
+    /// Seeds are a deterministic function of the size and trial index,
+    /// so *different candidates are measured on the same training
+    /// inputs*, which sharpens comparisons exactly as reusing test
+    /// inputs did in the original system.
     pub fn plan_trials(&self, n: u64, min_trials: u64) -> Vec<TrialRequest> {
         TrialRequest::batch_for(
             &self.config,
@@ -130,19 +123,6 @@ impl Candidate {
         stats.accuracy.push(outcome.accuracy);
     }
 
-    /// Runs exactly one more trial at size `n` and returns the measured
-    /// cost (the shape [`pb_stats::Comparator`] expects from a sample
-    /// source).
-    pub fn run_one_trial(&mut self, runner: &dyn TrialRunner, n: u64) -> f64 {
-        let trial_index = self.trials(n);
-        let seed = trial_seed(n, trial_index);
-        let outcome = runner.run_trial(&self.config, n, seed);
-        let stats = self.stats_mut(n);
-        stats.time.push(outcome.time);
-        stats.accuracy.push(outcome.accuracy);
-        outcome.time
-    }
-
     /// Whether this candidate meets accuracy `target` at size `n` (by
     /// mean accuracy over its cached trials).
     pub fn meets_target(&self, n: u64, target: f64) -> bool {
@@ -167,7 +147,7 @@ pub(crate) fn trial_seed(n: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use pb_config::Schema;
-    use pb_runtime::{CostModel, ExecCtx, Transform, TransformRunner};
+    use pb_runtime::{CostModel, ExecCtx, Transform, TransformRunner, TrialRunner};
     use rand::rngs::SmallRng;
 
     struct Fixed;
@@ -193,20 +173,26 @@ mod tests {
         }
     }
 
+    /// Plans up to `min_trials` at `n`, runs the plan, absorbs it.
+    fn fill(c: &mut Candidate, runner: &dyn TrialRunner, n: u64, min_trials: u64) {
+        for r in c.plan_trials(n, min_trials) {
+            c.absorb(n, &runner.run_trial(r.config(), r.n, r.seed));
+        }
+    }
+
     #[test]
-    fn ensure_tested_reaches_min_and_caches() {
+    fn planned_trials_reach_min_and_cache() {
         let runner = TransformRunner::new(Fixed, CostModel::Virtual);
         let mut c = Candidate::new(0, runner.schema().default_config());
         assert_eq!(c.trials(16), 0);
         assert_eq!(c.mean_time(16), f64::INFINITY);
         assert_eq!(c.mean_accuracy(16), f64::NEG_INFINITY);
-        c.ensure_tested(&runner, 16, 3);
+        fill(&mut c, &runner, 16, 3);
         assert_eq!(c.trials(16), 3);
         assert_eq!(c.mean_time(16), 16.0);
         assert_eq!(c.mean_accuracy(16), 0.7);
-        // Calling again does not add trials.
-        c.ensure_tested(&runner, 16, 3);
-        assert_eq!(c.trials(16), 3);
+        // Planning again asks for nothing more.
+        assert!(c.plan_trials(16, 3).is_empty());
         // Other sizes remain independent.
         assert_eq!(c.trials(32), 0);
     }
@@ -215,7 +201,7 @@ mod tests {
     fn meets_target_uses_mean_accuracy() {
         let runner = TransformRunner::new(Fixed, CostModel::Virtual);
         let mut c = Candidate::new(0, runner.schema().default_config());
-        c.ensure_tested(&runner, 8, 2);
+        fill(&mut c, &runner, 8, 2);
         assert!(c.meets_target(8, 0.7));
         assert!(c.meets_target(8, 0.5));
         assert!(!c.meets_target(8, 0.71));

@@ -7,8 +7,8 @@
 //! *executing* them: phases collect [`TrialRequest`]s and hand them to
 //! an [`Evaluator`], which
 //!
-//! * executes whole batches on the work-stealing
-//!   [`pb_runtime::pool::Pool`] (or sequentially, when forced), and
+//! * executes whole batches on the [`pb_runtime::pool::Pool`] (or
+//!   sequentially, when forced), and
 //! * memoizes outcomes in a fingerprint cache keyed on
 //!   `(canonical config hash, n, seed)`, so duplicate candidates and
 //!   mutate-then-revert configurations never re-execute a trial.
@@ -19,15 +19,14 @@
 //! only the wall-clock schedule differs, never an outcome or a merge
 //! order.
 //!
-//! The evaluator also implements [`TrialRunner`], so the adaptive
-//! comparator's demand-driven extra trials (§5.5.1) flow through the
-//! same cache — they execute immediately on the calling thread, the
-//! single-trial fallback path.
+//! [`Evaluator::run_batch`] is the only way a trial reaches the runner:
+//! the adaptive comparator's demand-driven extra trials (§5.5.1) are
+//! planned and batched per arena round like everything else.
 
 use pb_config::{Config, Value};
 use pb_runtime::parallel::parallel_gen;
 use pb_runtime::pool::{Pool, PoolBatchStats};
-use pb_runtime::{TraceNode, TrialOutcome, TrialRunner};
+use pb_runtime::{TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
 use pb_trace::{Event, EventKind};
 use serde::{Deserialize, Serialize};
@@ -41,7 +40,7 @@ use std::time::{Duration, Instant};
 /// How an [`Evaluator`] executes a batch of trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Batches run on the global work-stealing pool.
+    /// Batches run on the global pool.
     #[default]
     Parallel,
     /// Batches run one trial at a time on the calling thread (forced
@@ -55,8 +54,7 @@ pub enum EvalMode {
 /// transform into a panic, an unbounded slowdown, or a NaN cost. The
 /// evaluator turns each of those into a `TrialError` — counted,
 /// retried, and ultimately quarantined — instead of letting it
-/// propagate and kill the tuning run (or poison the work-stealing
-/// pool).
+/// propagate and kill the tuning run (or poison the pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrialError {
     /// The trial panicked (caught via `catch_unwind`; the pool never
@@ -261,17 +259,6 @@ struct TrialCache {
     coalesced: AtomicU64,
 }
 
-impl TrialCache {
-    /// Counts one lookup hit against the right counter.
-    fn count_hit(&self, cached: &CachedTrial) {
-        if cached.warm {
-            self.hits_warm.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// On-disk form of the trial memo: one sidecar per transform, keyed by
 /// `(transform name, config fingerprint, n, seed)` and stamped with
 /// the schema's fingerprint — a sidecar recorded against a different
@@ -320,10 +307,6 @@ struct SidecarEntry {
 
 /// Executes trials for the tuner: batched, optionally parallel,
 /// optionally memoized.
-///
-/// Implements [`TrialRunner`] so existing demand-driven call sites
-/// (the adaptive comparator, `ensure_tested`) transparently share the
-/// cache.
 pub struct Evaluator<'a> {
     runner: &'a dyn TrialRunner,
     mode: EvalMode,
@@ -342,7 +325,7 @@ pub struct Evaluator<'a> {
     /// [`TrialOutcome::QUARANTINED`] sentinel.
     quarantined: AtomicU64,
     /// Pool batch traffic attributable to trial execution: the global
-    /// pool's stats delta across every `execute`/single-trial window.
+    /// pool's stats delta across every `execute` window.
     /// Only the coordinator thread executes trials' windows, so the
     /// mutex is uncontended; in sequential mode the window also
     /// captures kernel batches the trials spawned at top level (the
@@ -726,38 +709,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Executes one demand-driven trial on the calling thread,
-    /// windowing pool stats and tracing it like a one-request batch.
-    fn run_single(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
-        let before = Pool::global().batch_stats();
-        let trace_seq = if pb_trace::enabled() {
-            pb_trace::next_seq()
-        } else {
-            0
-        };
-        let t0 = if trace_seq != 0 {
-            pb_trace::now_ns()
-        } else {
-            0
-        };
-        let outcome = self.guarded_run(config, n, seed);
-        if trace_seq != 0 {
-            pb_trace::record(Event::span(
-                EventKind::Trial,
-                trace_seq,
-                0,
-                t0,
-                [n, seed, outcome.virtual_cost as u64, 0],
-            ));
-        }
-        let delta = Pool::global().batch_stats().delta_since(&before);
-        self.pool_trial
-            .lock()
-            .expect("pool stats poisoned")
-            .absorb(&delta);
-        outcome
-    }
-
     /// Runs one trial of a batch, tracing it when `trace_seq != 0`.
     fn run_one(&self, trace_seq: u64, index: usize, r: &TrialRequest) -> TrialOutcome {
         if trace_seq == 0 {
@@ -917,58 +868,12 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-impl TrialRunner for Evaluator<'_> {
-    fn name(&self) -> &str {
-        self.runner.name()
-    }
-
-    fn schema(&self) -> &pb_config::Schema {
-        self.runner.schema()
-    }
-
-    fn deterministic(&self) -> bool {
-        self.runner.deterministic()
-    }
-
-    /// Single-trial execution: the fallback path for demand-driven
-    /// draws. Served from the cache when possible; executes on the
-    /// calling thread otherwise.
-    fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
-        let Some(cache) = &self.cache else {
-            return self.run_single(config, n, seed);
-        };
-        let key = (config_fingerprint(config), n, seed);
-        {
-            let map = cache.map.lock().expect("trial cache poisoned");
-            if let Some(cached) = map.get(&key) {
-                cache.count_hit(cached);
-                return cached.outcome;
-            }
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.run_single(config, n, seed);
-        cache.map.lock().expect("trial cache poisoned").insert(
-            key,
-            CachedTrial {
-                outcome,
-                warm: false,
-            },
-        );
-        outcome
-    }
-
-    /// Traced runs are never cached (the trace is not memoized).
-    fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
-        self.runner.run_traced(config, n, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidate::trial_seed;
     use pb_config::{Schema, Value};
-    use pb_runtime::{CostModel, ExecCtx, Transform, TransformRunner};
+    use pb_runtime::{CostModel, ExecCtx, TraceNode, Transform, TransformRunner};
     use rand::rngs::SmallRng;
 
     struct Linear;
@@ -1089,9 +994,9 @@ mod tests {
         let config = runner.schema().default_config();
         eval.run_batch(&[request(&config, 16, 0)]);
         // The comparator-style single draw for the same trial hits.
-        let outcome = eval.run_trial(&config, 16, trial_seed(16, 0));
+        let outcomes = eval.run_batch(&[request(&config, 16, 0)]);
         assert_eq!(eval.cache_hits(), 1);
-        assert_eq!(outcome.time, 16.0);
+        assert_eq!(outcomes[0].time, 16.0);
     }
 
     #[test]
@@ -1380,8 +1285,8 @@ mod tests {
     #[test]
     fn wall_clock_trials_resample_through_the_evaluator() {
         // The wall-clock satellite: real measurements flow through
-        // `run_batch`/`run_trial` under `MemoPolicy::Resample`, every
-        // request re-executes, and outcomes stay finite.
+        // `run_batch` under `MemoPolicy::Resample`, every request
+        // re-executes, and outcomes stay finite.
         let runner = TransformRunner::new(Linear, CostModel::WallClock);
         let memo = MemoPolicy::for_runner(true, runner.deterministic());
         assert_eq!(memo, MemoPolicy::Resample);
@@ -1394,7 +1299,7 @@ mod tests {
         }
         // Demand-driven draws re-execute too: no hits, no misses
         // counted (there is no cache at all).
-        let _ = eval.run_trial(&config, 8, trial_seed(8, 0));
+        eval.run_batch(&[request(&config, 8, 0)]);
         assert_eq!(eval.cache_hits(), 0);
         assert_eq!(eval.cache_misses(), 0);
         assert_eq!(eval.quarantined(), 0);

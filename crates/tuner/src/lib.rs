@@ -21,7 +21,7 @@
 //!   pair-verdict memo and a generic "pending decisions → batched
 //!   draws → merged outcomes" round loop that every comparator
 //!   consumer drives, so the adaptive comparator's trial draws batch
-//!   onto the work-stealing pool.
+//!   onto the pool.
 //! * [`tournament`] — the pruning procedure's fastest-K selections
 //!   laid out as arena contests (k-way selection over pre-sorted
 //!   runs).

@@ -17,8 +17,8 @@
 //!
 //! The selection runs as comparison-arena rounds (see [`crate::arena`]
 //! and [`crate::tournament`]): all bins' pending comparator draws
-//! execute as one [`Evaluator`] batch per round on the work-stealing
-//! pool, and pair verdicts memoize for the duration of the prune call.
+//! execute as one [`Evaluator`] batch per round on the pool, and pair
+//! verdicts memoize for the duration of the prune call.
 
 use crate::arena::{Arena, ArenaReport, Contest, PairContest};
 use crate::candidate::Candidate;
@@ -112,7 +112,7 @@ impl Population {
     ///
     /// Plan-then-execute: the whole population's missing trials are
     /// collected into one batch, executed through `evaluator` (on the
-    /// work-stealing pool in parallel mode), and merged back per
+    /// pool in parallel mode), and merged back per
     /// candidate in trial-index order — bit-identical to testing each
     /// candidate sequentially.
     pub fn test_all(&mut self, evaluator: &Evaluator<'_>, n: u64, min_trials: u64) {

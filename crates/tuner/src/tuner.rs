@@ -92,7 +92,7 @@ pub struct TunerOptions {
     pub initial_random: usize,
     /// Master seed for the tuner's own randomness.
     pub seed: u64,
-    /// Execute trial batches on the work-stealing pool. `false` forces
+    /// Execute trial batches on the pool. `false` forces
     /// sequential execution; results are bit-identical either way
     /// (trial seeds are deterministic and merge order is fixed), so
     /// this is a performance switch and a determinism-test lever, not
@@ -637,7 +637,7 @@ impl<'a> Autotuner<'a> {
     ///    the round-start population: pick a random parent and
     ///    mutator, build the child configuration. No trials run.
     /// 2. **Execute** — batch all planned children's initial trials
-    ///    through the evaluator (the work-stealing pool in parallel
+    ///    through the evaluator (the pool in parallel
     ///    mode).
     /// 3. **Merge** — decide each child-vs-parent comparison through
     ///    one comparison-arena session, in *waves* of plan-order pairs
@@ -822,7 +822,10 @@ impl<'a> Autotuner<'a> {
 
         if improved_any || current_acc >= target {
             let mut candidate = Candidate::new(alloc_id(), current);
-            candidate.ensure_tested(evaluator, n, self.options.min_trials);
+            let plan = candidate.plan_trials(n, self.options.min_trials);
+            for outcome in &evaluator.run_batch(&plan) {
+                candidate.absorb(n, outcome);
+            }
             stats.children_created += 1;
             stats.children_accepted += 1;
             pop.add(candidate);

@@ -120,8 +120,12 @@ fn blocking_reference_merge(
                         Which::A => child,
                         Which::B => parent,
                     };
+                    // One draw at a time, each a one-request batch
+                    // served before the next is planned.
+                    let candidate = &mut pop.candidates_mut()[target];
                     for _ in 0..draws {
-                        pop.candidates_mut()[target].run_one_trial(evaluator, n);
+                        let plan = candidate.plan_more_trials(n, 1);
+                        candidate.absorb(n, &evaluator.run_batch(&plan)[0]);
                     }
                 }
             }
