@@ -34,7 +34,7 @@ impl Transform for Iterate {
     }
 }
 
-fn bench_tuner(c: &mut Criterion) {
+fn bench_tuning(c: &mut Criterion) {
     let mut group = c.benchmark_group("tuner");
     group.sample_size(10);
     group.bench_function("full_tune_2_bins", |b| {
@@ -71,5 +71,5 @@ fn bench_tuner(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tuner);
+criterion_group!(benches, bench_tuning);
 criterion_main!(benches);

@@ -116,11 +116,6 @@ impl Tunable {
         &self.kind
     }
 
-    /// The default value used for fresh configurations.
-    pub fn default_value(&self) -> &Value {
-        &self.default
-    }
-
     /// Checks that `value` has the right variant and is within range.
     pub fn accepts(&self, value: &Value) -> bool {
         match (&self.kind, value) {

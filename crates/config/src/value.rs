@@ -63,16 +63,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// A short name for the variant, used in error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Switch(_) => "switch",
-            Value::Tree(_) => "tree",
-        }
-    }
 }
 
 impl fmt::Display for Value {

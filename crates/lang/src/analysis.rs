@@ -1240,19 +1240,6 @@ pub struct ChunkFacts {
     pub slots: Vec<AbsValue>,
 }
 
-impl ChunkFacts {
-    /// Compact one-line rendering of the slot kinds (stable, for test
-    /// pins and diagnostics): `s0=arr2 s1=int …`.
-    pub fn render_slots(&self) -> String {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, v)| format!("s{i}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-}
-
 fn declared_shape(transform: &Transform, data: &str) -> AbsValue {
     match transform.data(data) {
         Some(p) if p.dims.is_empty() => AbsValue::scalar(ScalarKind::Float),

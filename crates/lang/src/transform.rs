@@ -116,13 +116,6 @@ impl DslTransform {
         &self.interpreter
     }
 
-    /// The inferred [`crate::analysis::ChunkFacts`] for this
-    /// transform's rule `rule_idx` — the facts describe the chunk this
-    /// transform dispatches.
-    pub fn chunk_facts(&self, rule_idx: usize) -> Option<&crate::analysis::ChunkFacts> {
-        self.interpreter.compiled()?.facts(&self.name, rule_idx)
-    }
-
     /// Runs the accuracy-metric transform on an input/output pair.
     ///
     /// # Errors

@@ -373,8 +373,7 @@ fn bind_exec_writeback(
     Ok(())
 }
 
-/// Dispatch entry point: profiling off (or this execution skipped by
-/// the `PB_PROFILE_SAMPLE` sampling grid) takes the unchanged hot loop
+/// Dispatch entry point: profiling off takes the unchanged hot loop
 /// (monomorphized without the counting code — zero overhead); with
 /// profiling on, per-opcode executions count into a stack-local table
 /// that merges into this thread's chunk profile *after* the loop

@@ -210,13 +210,6 @@ impl<'a> ExecCtx<'a> {
         Ok(self.param(name)?.max(0) as u64)
     }
 
-    /// Resolves a tunable name to its schema id, for executors that
-    /// cache name resolution outside their dispatch loops and then use
-    /// the `*_by_id` accessors (which skip the per-read string hash).
-    pub fn tunable_id(&self, name: &str) -> Option<TunableId> {
-        self.schema.tunable(name).map(|(id, _)| id)
-    }
-
     /// Like [`ExecCtx::choice`] with a pre-resolved id.
     ///
     /// # Errors

@@ -237,12 +237,6 @@ impl<T: Transform> TransformRunner<T> {
         };
         (outcome, tree)
     }
-
-    /// Runs the transform on a caller-provided input (outside tuning).
-    pub fn run_on(&self, input: &T::Input, config: &Config, n: u64, seed: u64) -> T::Output {
-        let mut ctx = ExecCtx::new(&self.schema, config, n, seed);
-        self.transform.execute(input, &mut ctx)
-    }
 }
 
 impl<T: Transform> TrialRunner for TransformRunner<T>

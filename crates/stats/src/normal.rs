@@ -173,13 +173,6 @@ impl Normal {
         let z = standard_normal_quantile(confidence);
         self.mean + z * se
     }
-
-    /// Probability that a draw from this distribution is below `x`
-    /// (alias of [`Normal::cdf`], provided for readability at call
-    /// sites that reason about accuracy thresholds).
-    pub fn prob_below(&self, x: f64) -> f64 {
-        self.cdf(x)
-    }
 }
 
 /// Quantile of the standard normal distribution via bisection.

@@ -33,17 +33,6 @@
 //! event sequence is identical across reruns and across sequential vs
 //! pooled execution even though the timestamps differ.
 //!
-//! # Exporters
-//!
-//! * [`Trace::to_jsonl`] — one JSON object per line, in deterministic
-//!   merge order. Greppable ground truth.
-//! * [`Trace::to_chrome`] / [`Trace::chrome_json`] — Chrome
-//!   trace-event JSON (sorted by timestamp, complete `"X"` events)
-//!   that loads directly in Perfetto (<https://ui.perfetto.dev>) or
-//!   `chrome://tracing`. Chunk profiles and per-phase pool-batch
-//!   deltas ride along in `otherData`, which the viewers ignore but
-//!   the `tuner_trace` CLI reads back.
-//!
 //! # VM chunk profiling
 //!
 //! [`record_chunk`] merges a stack-local per-opcode count array into a
@@ -54,74 +43,16 @@
 //! not allocate, preserving the VM's zero-alloc contract (pinned by
 //! `tests/vm_alloc.rs` with profiling enabled).
 
-use serde::{Deserialize, Serialize};
-use std::cell::{OnceCell, RefCell, UnsafeCell};
+use std::cell::{OnceCell, UnsafeCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Environment variable overriding the per-thread ring capacity
-/// (events kept per thread before wrap-around). Read once per
-/// process, on first ring registration; the value is rounded up to a
-/// power of two so the slot index stays a single mask. Absent,
-/// unparsable, or zero values fall back to [`DEFAULT_RING_CAP`].
-pub const RING_CAP_ENV: &str = "PB_TRACE_RING";
-
-/// Default events per thread kept in the ring; older events are
-/// overwritten (and counted in [`Trace::dropped`]). Power of two so
-/// the index mask is a single `and`.
-const DEFAULT_RING_CAP: usize = 1 << 15;
-
-/// The active per-thread ring capacity: [`RING_CAP_ENV`] if set, else
-/// [`DEFAULT_RING_CAP`].
-fn ring_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| parse_ring_cap(std::env::var(RING_CAP_ENV).ok().as_deref()))
-}
-
-/// Pure parse half of [`ring_cap`]: round a positive integer up to a
-/// power of two, defaulting on anything else.
-fn parse_ring_cap(raw: Option<&str>) -> usize {
-    match raw.and_then(|value| value.trim().parse::<usize>().ok()) {
-        None | Some(0) => DEFAULT_RING_CAP,
-        Some(cap) => cap.next_power_of_two(),
-    }
-}
-
-/// Environment variable selecting the VM profiling sample period: when
-/// profiling is on, only every `N`th execution of each chunk (per
-/// thread) is counted, cutting the per-execution table merge to `1/N`
-/// for long measurement runs. Read once per process, on the first
-/// sampling decision. Absent, unparsable, or zero values fall back to
-/// `1` — profile every execution, the exact pre-sampling behavior with
-/// no extra bookkeeping.
-pub const PROFILE_SAMPLE_ENV: &str = "PB_PROFILE_SAMPLE";
-
-/// The active sample period: [`PROFILE_SAMPLE_ENV`] if set, else 1.
-fn profile_sample() -> u64 {
-    static PERIOD: OnceLock<u64> = OnceLock::new();
-    *PERIOD.get_or_init(|| parse_profile_sample(std::env::var(PROFILE_SAMPLE_ENV).ok().as_deref()))
-}
-
-/// Pure parse half of [`profile_sample`]: a positive integer, or the
-/// every-execution default of 1 on anything else.
-fn parse_profile_sample(raw: Option<&str>) -> u64 {
-    match raw.and_then(|value| value.trim().parse::<u64>().ok()) {
-        None | Some(0) => 1,
-        Some(n) => n,
-    }
-}
-
-/// Pure sampling decision: bumps the per-chunk execution counter and
-/// reports whether this execution lands on the sample grid (the 1st,
-/// `n+1`th, `2n+1`th, ... executions are profiled, so a chunk that
-/// runs at all always profiles at least once).
-fn sample_due(counter: &mut u64, n: u64) -> bool {
-    let due = counter.is_multiple_of(n);
-    *counter += 1;
-    due
-}
+/// Events per thread kept in the ring; older events are overwritten
+/// (and counted in [`Trace::dropped`]). Power of two so the index mask
+/// is a single `and`.
+const RING_CAP: usize = 1 << 15;
 
 // ---------------------------------------------------------------------------
 // Global switches
@@ -167,35 +98,11 @@ pub fn vm_profiling() -> bool {
 }
 
 /// Should *this* execution of the chunk named `label` be profiled?
-///
-/// `false` whenever [`vm_profiling`] is off. When it is on, the
-/// [`PROFILE_SAMPLE_ENV`] period decides: at the default period of 1
-/// this is exactly `vm_profiling()` — no counters are touched — and at
-/// period `N > 1` each thread counts executions per chunk label and
-/// profiles every `N`th, starting with the first. The counter bump is
-/// allocation-free once a label has been seen on a thread (the first
-/// sighting allocates its table row, absorbed by warmup), preserving
-/// the VM's zero-alloc contract under sampled profiling.
-pub fn vm_profile_due(label: &str) -> bool {
-    if !VMPROF.load(Ordering::Relaxed) {
-        return false;
-    }
-    let n = profile_sample();
-    if n <= 1 {
-        return true;
-    }
-    SAMPLE_COUNTERS.with(|counters| {
-        let mut counters = counters.borrow_mut();
-        match counters.get_mut(label) {
-            Some(counter) => sample_due(counter, n),
-            None => {
-                let mut counter = 0;
-                let due = sample_due(&mut counter, n);
-                counters.insert(label.to_owned(), counter);
-                due
-            }
-        }
-    })
+/// Every execution is while [`vm_profiling`] is on, none while it is
+/// off.
+#[inline]
+pub fn vm_profile_due(_label: &str) -> bool {
+    vm_profiling()
 }
 
 /// Toggles VM chunk profiling independently of event recording (used
@@ -266,7 +173,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable lower-snake name used by both exporters.
+    /// Stable lower-snake name.
     pub fn name(self) -> &'static str {
         match self {
             EventKind::TuningRun => "tuning_run",
@@ -281,15 +188,6 @@ impl EventKind {
             EventKind::Trial => "trial",
             EventKind::PoolBatch => "pool_batch",
             EventKind::PoolJob => "pool_job",
-        }
-    }
-
-    /// Chrome trace category.
-    pub fn category(self) -> &'static str {
-        match self {
-            EventKind::PoolBatch | EventKind::PoolJob => "pool",
-            EventKind::EvalBatch | EventKind::Trial => "eval",
-            _ => "tuner",
         }
     }
 
@@ -371,7 +269,7 @@ struct Ring {
     /// Trace-local thread id.
     thread: u32,
     /// Total events ever written; slot = `head & (slots.len() - 1)`
-    /// (capacity from [`ring_cap`], always a power of two).
+    /// ([`RING_CAP`] slots, a power of two).
     /// `Release` on write, `Acquire` on collect, so the collector sees
     /// fully-written slots.
     head: AtomicU64,
@@ -393,16 +291,13 @@ static CHUNK_TABLES: Mutex<Vec<SharedChunkTable>> = Mutex::new(Vec::new());
 thread_local! {
     static RECORDER: OnceCell<Arc<Ring>> = const { OnceCell::new() };
     static CHUNK_TABLE: OnceCell<SharedChunkTable> = const { OnceCell::new() };
-    /// Per-chunk execution counters for sampled profiling
-    /// ([`vm_profile_due`]); purely thread-local, never collected.
-    static SAMPLE_COUNTERS: RefCell<HashMap<String, u64>> = RefCell::new(HashMap::new());
 }
 
 fn register_ring() -> Arc<Ring> {
     let ring = Arc::new(Ring {
         thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
         head: AtomicU64::new(0),
-        slots: (0..ring_cap())
+        slots: (0..RING_CAP)
             .map(|_| UnsafeCell::new(Event::ZERO))
             .collect(),
     });
@@ -477,7 +372,7 @@ pub fn record_chunk(label: &str, opcodes: &[u64]) {
 /// follow `pb_lang`'s opcode table (this crate stores them raw and
 /// leaves naming to consumers, keeping the dependency arrow pointing
 /// the right way).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkProfile {
     /// Chunk label, `transform::rN`.
     pub label: String,
@@ -581,76 +476,9 @@ pub fn reset() {
     SEQ.store(0, Ordering::Relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// Exporters
-// ---------------------------------------------------------------------------
-
-/// One line of the JSONL export.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct JsonlEvent {
-    /// [`EventKind::name`].
-    pub kind: String,
-    /// Structural sequence.
-    pub seq: u64,
-    /// Within-sequence index.
-    pub idx: u64,
-    /// Recording thread.
-    pub thread: u32,
-    /// Start, ns since epoch.
-    pub start_ns: u64,
-    /// Duration, ns.
-    pub dur_ns: u64,
-    /// Payload.
-    pub a: u64,
-    /// Payload.
-    pub b: u64,
-    /// Payload.
-    pub c: u64,
-    /// Payload.
-    pub d: u64,
-}
-
-/// `args` of a Chrome trace event: the logical order and raw payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChromeArgs {
-    /// Structural sequence.
-    pub seq: u64,
-    /// Within-sequence index.
-    pub idx: u64,
-    /// Payload.
-    pub a: u64,
-    /// Payload.
-    pub b: u64,
-    /// Payload.
-    pub c: u64,
-    /// Payload.
-    pub d: u64,
-}
-
-/// One Chrome trace-event (`ph:"X"` complete event, µs timestamps).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChromeEvent {
-    /// Event name ([`EventKind::name`]).
-    pub name: String,
-    /// Category (`tuner`/`eval`/`pool`).
-    pub cat: String,
-    /// Phase — always `"X"` (complete event with duration).
-    pub ph: String,
-    /// Process id (always 1; one trace = one process).
-    pub pid: u32,
-    /// Thread lane = trace-local thread id.
-    pub tid: u32,
-    /// Start in microseconds since the trace epoch.
-    pub ts: f64,
-    /// Duration in microseconds.
-    pub dur: f64,
-    /// Logical order + payload.
-    pub args: ChromeArgs,
-}
-
-/// Per-phase pool-batch delta summary, precomputed at export time so
-/// trace consumers need no event-model knowledge.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Per-phase pool-batch delta summary, so trace consumers need no
+/// event-model knowledge.
+#[derive(Debug, Clone, Default)]
 pub struct PhaseDelta {
     /// Phase name (`phase_test`, `phase_mutate`, ...).
     pub phase: String,
@@ -668,53 +496,7 @@ pub struct PhaseDelta {
     pub max_batch: u64,
 }
 
-/// Non-event payload of the Chrome export (ignored by viewers, read by
-/// the `tuner_trace` CLI).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChromeMeta {
-    /// Events lost to ring wrap-around.
-    pub dropped: u64,
-    /// Merged VM chunk profiles.
-    pub chunks: Vec<ChunkProfile>,
-    /// Per-phase pool-batch deltas.
-    pub phases: Vec<PhaseDelta>,
-}
-
-/// The whole Chrome trace file (object form, Perfetto-loadable).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[allow(non_snake_case)]
-pub struct ChromeTrace {
-    /// Events sorted by `ts` (monotonic non-decreasing).
-    pub traceEvents: Vec<ChromeEvent>,
-    /// Display hint for viewers.
-    pub displayTimeUnit: String,
-    /// Chunk profiles + phase summaries.
-    pub otherData: ChromeMeta,
-}
-
 impl Trace {
-    /// JSONL export in deterministic merge order, one event per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            let line = JsonlEvent {
-                kind: e.kind.name().to_owned(),
-                seq: e.seq,
-                idx: e.idx,
-                thread: e.thread,
-                start_ns: e.start_ns,
-                dur_ns: e.dur_ns,
-                a: e.a,
-                b: e.b,
-                c: e.c,
-                d: e.d,
-            };
-            out.push_str(&serde_json::to_string(&line).expect("event serialization is total"));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Per-phase pool-batch deltas aggregated from this trace's phase
     /// spans (args: a=dispatched, b=inline, c=tasks, d=max batch).
     pub fn phase_deltas(&self) -> Vec<PhaseDelta> {
@@ -743,49 +525,6 @@ impl Trace {
         }
         out
     }
-
-    /// Chrome trace-event form: events sorted by timestamp, chunk
-    /// profiles and phase deltas in `otherData`.
-    pub fn to_chrome(&self) -> ChromeTrace {
-        let mut events: Vec<&Event> = self.events.iter().collect();
-        events.sort_by(|x, y| {
-            (x.start_ns, x.seq, x.idx, x.kind).cmp(&(y.start_ns, y.seq, y.idx, y.kind))
-        });
-        let trace_events = events
-            .iter()
-            .map(|e| ChromeEvent {
-                name: e.kind.name().to_owned(),
-                cat: e.kind.category().to_owned(),
-                ph: "X".to_owned(),
-                pid: 1,
-                tid: e.thread,
-                ts: e.start_ns as f64 / 1000.0,
-                dur: e.dur_ns as f64 / 1000.0,
-                args: ChromeArgs {
-                    seq: e.seq,
-                    idx: e.idx,
-                    a: e.a,
-                    b: e.b,
-                    c: e.c,
-                    d: e.d,
-                },
-            })
-            .collect();
-        ChromeTrace {
-            traceEvents: trace_events,
-            displayTimeUnit: "ms".to_owned(),
-            otherData: ChromeMeta {
-                dropped: self.dropped,
-                chunks: self.chunks.clone(),
-                phases: self.phase_deltas(),
-            },
-        }
-    }
-
-    /// [`Trace::to_chrome`] serialized to a JSON string.
-    pub fn chrome_json(&self) -> String {
-        serde_json::to_string(&self.to_chrome()).expect("trace serialization is total")
-    }
 }
 
 #[cfg(test)]
@@ -808,57 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_cap_parses_rounds_and_defaults() {
-        assert_eq!(parse_ring_cap(None), DEFAULT_RING_CAP);
-        assert_eq!(parse_ring_cap(Some("")), DEFAULT_RING_CAP);
-        assert_eq!(parse_ring_cap(Some("not a number")), DEFAULT_RING_CAP);
-        assert_eq!(parse_ring_cap(Some("0")), DEFAULT_RING_CAP);
-        assert_eq!(parse_ring_cap(Some("1")), 1);
-        assert_eq!(parse_ring_cap(Some("4096")), 4096);
-        assert_eq!(parse_ring_cap(Some(" 4096 ")), 4096, "whitespace tolerated");
-        assert_eq!(
-            parse_ring_cap(Some("5000")),
-            8192,
-            "rounds up to a power of two"
-        );
-    }
-
-    #[test]
-    fn profile_sample_parses_and_defaults() {
-        assert_eq!(parse_profile_sample(None), 1);
-        assert_eq!(parse_profile_sample(Some("")), 1);
-        assert_eq!(parse_profile_sample(Some("not a number")), 1);
-        assert_eq!(parse_profile_sample(Some("0")), 1);
-        assert_eq!(parse_profile_sample(Some("1")), 1);
-        assert_eq!(
-            parse_profile_sample(Some(" 16 ")),
-            16,
-            "whitespace tolerated"
-        );
-        assert_eq!(parse_profile_sample(Some("1000")), 1000);
-    }
-
-    #[test]
-    fn sample_due_hits_every_nth_starting_with_the_first() {
-        let mut counter = 0;
-        let hits: Vec<bool> = (0..7).map(|_| sample_due(&mut counter, 3)).collect();
-        assert_eq!(hits, [true, false, false, true, false, false, true]);
-        assert_eq!(counter, 7);
-
-        // Period 1 profiles everything.
-        let mut counter = 0;
-        assert!((0..4).all(|_| sample_due(&mut counter, 1)));
-    }
-
-    #[test]
     fn vm_profile_due_mirrors_the_profiling_switch_at_default_period() {
-        // PB_PROFILE_SAMPLE is unset in the test process, so the
-        // period is 1 and the decision is exactly the global switch.
         set_vm_profiling(false);
         assert!(!vm_profile_due("t::r0"));
         set_vm_profiling(true);
         assert!(vm_profile_due("t::r0"));
-        assert!(vm_profile_due("t::r0"), "period 1 samples every execution");
+        assert!(vm_profile_due("t::r0"), "every execution is profiled");
         set_vm_profiling(false);
     }
 
@@ -906,52 +600,23 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_timestamp_sorted_and_round_trips() {
+    fn phase_deltas_sum_the_pool_args_per_phase_in_generation_order() {
         let trace = Trace {
             events: vec![
+                ev(EventKind::PhasePrune, 3, 0, 700, 100),
                 ev(EventKind::PhaseMutate, 2, 0, 500, 100),
                 ev(EventKind::TuningRun, 1, 0, 0, 1000),
-                ev(EventKind::PhasePrune, 3, 0, 700, 100),
-            ],
-            chunks: vec![ChunkProfile {
-                label: "t::r0".into(),
-                executions: 7,
-                opcodes: vec![3, 0, 4],
-            }],
-            dropped: 0,
-        };
-        let json = trace.chrome_json();
-        let parsed: ChromeTrace = serde_json::from_str(&json).expect("round-trips");
-        assert_eq!(parsed.traceEvents.len(), 3);
-        for pair in parsed.traceEvents.windows(2) {
-            assert!(pair[0].ts <= pair[1].ts, "timestamps must be monotonic");
-        }
-        assert_eq!(parsed.otherData.chunks.len(), 1);
-        assert_eq!(parsed.otherData.chunks[0].executions, 7);
-        // Both phase kinds present with their pool-delta args summed.
-        let phases = &parsed.otherData.phases;
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].phase, "phase_mutate");
-        assert_eq!(phases[0].dispatched, 1);
-        assert_eq!(phases[0].tasks, 3);
-        assert_eq!(phases[1].phase, "phase_prune");
-    }
-
-    #[test]
-    fn jsonl_has_one_line_per_event() {
-        let trace = Trace {
-            events: vec![
-                ev(EventKind::Trial, 1, 0, 0, 10),
-                ev(EventKind::Trial, 1, 1, 5, 10),
+                ev(EventKind::PhaseMutate, 4, 0, 900, 50),
             ],
             chunks: Vec::new(),
             dropped: 0,
         };
-        let jsonl = trace.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first: JsonlEvent = serde_json::from_str(lines[0]).expect("parses");
-        assert_eq!(first.kind, "trial");
-        assert_eq!(first.dur_ns, 10);
+        let phases = trace.phase_deltas();
+        assert_eq!(phases.len(), 2, "only phases that occurred are listed");
+        assert_eq!(phases[0].phase, "phase_mutate");
+        assert_eq!((phases[0].count, phases[0].wall_ns), (2, 150));
+        assert_eq!((phases[0].dispatched, phases[0].inline), (2, 4));
+        assert_eq!((phases[0].tasks, phases[0].max_batch), (6, 4));
+        assert_eq!(phases[1].phase, "phase_prune");
     }
 }

@@ -263,13 +263,11 @@ struct TrialCache {
 /// `(transform name, config fingerprint, n, seed)` and stamped with
 /// the schema's fingerprint — a sidecar recorded against a different
 /// tunable schema is rejected wholesale, since its config fingerprints
-/// describe configurations of a different shape. The hashed `u64` keys
-/// are stored as hex strings — they routinely exceed `i64::MAX`, which
-/// JSON integers cannot carry losslessly.
+/// describe configurations of a different shape.
 #[derive(Debug, Serialize, Deserialize)]
 struct SidecarFile {
     transform: String,
-    schema: String,
+    schema: u64,
     /// The pool thread budget the outcomes were measured under.
     /// Schedule-aware virtual cost models divide parallel work by
     /// `available_threads()`, so outcomes from a different budget are
@@ -296,9 +294,9 @@ fn schema_fingerprint(schema: &pb_config::Schema) -> u64 {
 /// One `(key, outcome)` pair of the sidecar.
 #[derive(Debug, Serialize, Deserialize)]
 struct SidecarEntry {
-    fingerprint: String,
+    fingerprint: u64,
     n: u64,
-    seed: String,
+    seed: u64,
     time: f64,
     wall_seconds: f64,
     virtual_cost: f64,
@@ -388,11 +386,6 @@ impl<'a> Evaluator<'a> {
         } else {
             MemoPolicy::Resample
         }
-    }
-
-    /// The active fault isolation policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.faults
     }
 
     /// Trial attempts that panicked (caught and classified, never
@@ -764,7 +757,7 @@ impl<'a> Evaluator<'a> {
             }
         };
         if file.transform != self.runner.name()
-            || file.schema != format!("{:016x}", schema_fingerprint(self.runner.schema()))
+            || file.schema != schema_fingerprint(self.runner.schema())
             || file.threads != pb_runtime::parallel::available_threads()
         {
             return 0;
@@ -772,12 +765,6 @@ impl<'a> Evaluator<'a> {
         let mut map = cache.map.lock().expect("trial cache poisoned");
         let mut loaded = 0;
         for entry in file.entries {
-            let (Ok(fingerprint), Ok(seed)) = (
-                u64::from_str_radix(&entry.fingerprint, 16),
-                u64::from_str_radix(&entry.seed, 16),
-            ) else {
-                continue;
-            };
             let outcome = TrialOutcome {
                 time: entry.time,
                 wall_seconds: entry.wall_seconds,
@@ -785,7 +772,7 @@ impl<'a> Evaluator<'a> {
                 accuracy: entry.accuracy,
             };
             if let std::collections::hash_map::Entry::Vacant(slot) =
-                map.entry((fingerprint, entry.n, seed))
+                map.entry((entry.fingerprint, entry.n, entry.seed))
             {
                 slot.insert(CachedTrial {
                     outcome,
@@ -821,9 +808,9 @@ impl<'a> Evaluator<'a> {
                         && o.accuracy.is_finite()
                 })
                 .map(|(&(fingerprint, n, seed), cached)| SidecarEntry {
-                    fingerprint: format!("{fingerprint:016x}"),
+                    fingerprint,
                     n,
-                    seed: format!("{seed:016x}"),
+                    seed,
                     time: cached.outcome.time,
                     wall_seconds: cached.outcome.wall_seconds,
                     virtual_cost: cached.outcome.virtual_cost,
@@ -833,10 +820,10 @@ impl<'a> Evaluator<'a> {
         };
         // HashMap iteration order is arbitrary; sort so the sidecar is
         // byte-stable across runs with identical contents.
-        entries.sort_by(|a, b| (&a.fingerprint, a.n, &a.seed).cmp(&(&b.fingerprint, b.n, &b.seed)));
+        entries.sort_by_key(|e| (e.fingerprint, e.n, e.seed));
         let file = SidecarFile {
             transform: self.runner.name().to_string(),
-            schema: format!("{:016x}", schema_fingerprint(self.runner.schema())),
+            schema: schema_fingerprint(self.runner.schema()),
             threads: pb_runtime::parallel::available_threads(),
             entries,
         };
@@ -1016,7 +1003,21 @@ mod tests {
         let runner = TransformRunner::new(Linear, CostModel::Virtual);
         let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
         let config = runner.schema().default_config();
-        let reqs = vec![request(&config, 8, 0), request(&config, 8, 1)];
+        // Keys above `i64::MAX` (half of all hashes) are stored as
+        // plain JSON integers and must come back exactly.
+        let high = (1..=100)
+            .map(|v| {
+                let mut c = config.clone();
+                c.set_by_name(runner.schema(), "v", Value::Int(v)).unwrap();
+                c
+            })
+            .find(|c| config_fingerprint(c) >> 63 == 1)
+            .expect("some config hashes into the upper half");
+        let reqs = vec![
+            request(&config, 8, 0),
+            request(&config, 8, 1),
+            TrialRequest::new(Arc::new(high), 8, (1 << 63) | 5),
+        ];
         let first = eval.run_batch(&reqs);
         let path =
             std::env::temp_dir().join(format!("pb_sidecar_roundtrip_{}.json", std::process::id()));
@@ -1026,12 +1027,12 @@ mod tests {
         // requests without executing anything — counted as warm hits,
         // separate from in-run hits.
         let warm = Evaluator::new(&runner, EvalMode::Sequential, true);
-        assert_eq!(warm.load_sidecar(&path), 2);
+        assert_eq!(warm.load_sidecar(&path), 3);
         let second = warm.run_batch(&reqs);
         assert_eq!(first, second);
         assert_eq!(warm.cache_misses(), 0);
         assert_eq!(warm.cache_hits(), 0);
-        assert_eq!(warm.cache_hits_warm(), 2);
+        assert_eq!(warm.cache_hits_warm(), 3);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1363,9 +1364,17 @@ mod tests {
         let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
         let path =
             std::env::temp_dir().join(format!("pb_sidecar_corrupt_{}.json", std::process::id()));
-        // Truncated JSON — the classic torn write.
-        std::fs::write(&path, "{\"transform\": \"linear\", \"entr").unwrap();
-        assert_eq!(eval.load_sidecar(&path), 0);
+        // Truncated JSON — the classic torn write — and a sidecar from
+        // before the keys were JSON integers: each warns once.
+        let old_format = r#"{"transform": "linear", "schema": "00ab54a98ceb1f0a", "threads": 1,
+            "entries": [{"fingerprint": "00ab54a98ceb1f0a", "n": 8, "seed": "8000000000000005",
+            "time": 8.0, "wall_seconds": 0.0, "virtual_cost": 8.0, "accuracy": 1.0}]}"#;
+        for text in ["{\"transform\": \"linear\", \"entr", old_format] {
+            std::fs::write(&path, text).unwrap();
+            let warned = pb_runtime::diag::warn_count();
+            assert_eq!(eval.load_sidecar(&path), 0);
+            assert_eq!(pb_runtime::diag::warn_count(), warned + 1);
+        }
         // The evaluator is fully usable afterwards.
         let config = runner.schema().default_config();
         let out = eval.run_batch(&[request(&config, 8, 0)]);

@@ -189,8 +189,6 @@ pub struct TunerStats {
     pub children_accepted: u64,
     /// Guided-mutation invocations.
     pub guided_runs: u64,
-    /// Candidates removed by pruning.
-    pub pruned: u64,
     /// Trial requests served from the memo cache without executing
     /// (entries produced earlier in this run).
     pub cache_hits: u64,
@@ -530,7 +528,6 @@ impl<'a> Autotuner<'a> {
                     &comparator,
                 );
                 PhaseSpan::end(span);
-                stats.pruned += report.removed;
                 stats.prune_rounds += report.arena.rounds;
                 stats.prune_draws += report.arena.draws;
                 stats.prune_max_batch = stats.prune_max_batch.max(report.arena.max_round);

@@ -18,7 +18,7 @@
 //! * [`runtime`] — execution of tuned transforms, accuracy guarantees
 //!   (§3.3).
 //! * [`trace`] — zero-perturbation structured tracing across all of
-//!   the above, with Perfetto-loadable export.
+//!   the above, read in-process through `collect()`.
 //! * [`faults`] — seeded deterministic fault and noise injection for
 //!   chaos-testing the tuner's trial isolation and robust statistics.
 //! * [`linalg`] / [`multigrid`] — the numeric substrates the benchmarks

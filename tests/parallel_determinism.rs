@@ -53,6 +53,13 @@ fn assert_bit_identical(seq: &TuningOutcome, par: &TuningOutcome) {
     assert_eq!(seq.stats, par.stats);
     // And the surviving population is the same size.
     assert_eq!(seq.final_population, par.final_population);
+    // Healthy workloads never trip fault isolation.
+    for stats in [&seq.stats, &par.stats] {
+        assert_eq!(
+            (stats.trial_panics, stats.trial_nonfinite, stats.quarantined),
+            (0, 0, 0)
+        );
+    }
 }
 
 #[test]
@@ -114,8 +121,10 @@ fn pruning_is_bit_identical_and_batched() {
 
 /// The child-vs-parent merge phase and the pair-verdict memo run
 /// through the same arena machinery and must be just as bit-identical
-/// — and really exercised: merge draws batch wider than one, and the
-/// pruning re-sorts replay memoized verdicts.
+/// — and really exercised: merge draws batch wider than one, the
+/// pruning re-sorts replay memoized verdicts, and the mean arena round
+/// is wider than the ~1.07 draws/round of pruning-only batching (when
+/// every child-vs-parent draw ran blocking).
 #[test]
 fn merging_and_pair_memo_are_bit_identical_and_batched() {
     force_parallel_pool();
@@ -124,11 +133,18 @@ fn merging_and_pair_memo_are_bit_identical_and_batched() {
     // cost model sees the thread budget, so the trajectory — and with
     // it the memo traffic — is a deterministic function of the seed
     // and that budget).
-    for seed in [5u64, 42] {
+    for (max_size, seed) in [(256, 5u64), (256, 42), (128, 0x7B5)] {
         let bins = vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
-        let seq = tune(BinPacking, bins.clone(), 256, seed, false);
-        let par = tune(BinPacking, bins, 256, seed, true);
+        let seq = tune(BinPacking, bins.clone(), max_size, seed, false);
+        let par = tune(BinPacking, bins, max_size, seed, true);
         assert_bit_identical(&seq, &par);
+        let draws = seq.stats.prune_draws + seq.stats.merge_draws;
+        let rounds = seq.stats.prune_rounds + seq.stats.merge_rounds;
+        assert!(
+            draws as f64 / rounds as f64 > 1.07,
+            "mean arena round width fell to the pruning-only baseline: {:?}",
+            seq.stats
+        );
         assert!(
             seq.stats.merge_rounds > 0,
             "child-vs-parent merges must have run batched rounds: {:?}",

@@ -15,12 +15,9 @@
 //! executes the typed-specialized unchecked forms and hoisted shape
 //! reads, and the guarantee must survive them; `OptLevel::O0` chunks
 //! run on the same pooled frames with the same cached name resolution,
-//! so the unoptimized baseline is allocation-free too. Profiling runs
-//! under a sampling period (`PB_PROFILE_SAMPLE=4`), so the
-//! per-(thread, chunk) sample counters are exercised too — steady-state
-//! counter bumps are `HashMap::get_mut` on warmed entries, not inserts
-//! — and the profile a traced run collects must carry the chunks, with
-//! a share of their instructions in the specialized forms.
+//! so the unoptimized baseline is allocation-free too. The profile a
+//! traced run collects must carry the chunks, with a share of their
+//! instructions in the specialized forms.
 //!
 //! A second test pins the *scratch* behind those frames: across
 //! thousands of trials, each followed by its accuracy metric under a
@@ -137,11 +134,6 @@ fn assert_flat_allocations(interp: &Interpreter, schema: &petabricks::config::Sc
 #[test]
 fn dispatch_loop_is_allocation_free_in_steady_state() {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    // Fix the sampling period before anything touches `pb_trace` (the
-    // knob is read once per process). 4 means every 4th execution per
-    // chunk is profiled — the counter path must stay allocation-free.
-    std::env::set_var(petabricks::trace::PROFILE_SAMPLE_ENV, "4");
-
     let program = parse_program(HOT).expect("parses");
     check_program(&program).expect("well-formed");
     let schema = petabricks::lang::extract_schema(&program, "hot");
@@ -181,7 +173,7 @@ fn dispatch_loop_is_allocation_free_in_steady_state() {
             .all(|c| c.executions > 0 && c.instructions() > 0),
         "profiled chunks must carry counts"
     );
-    // What a traced run hands its exporter is the same profile, and
+    // What a traced run hands its reader is the same profile, and
     // part of it ran in the specialized forms (`x[0]` unchecked, the
     // loop's `len(x)` hoisted).
     let traced = petabricks::trace::collect().chunks;
