@@ -90,7 +90,6 @@ fn main() {
                 max_trials: 25,
                 ..ComparatorConfig::default()
             },
-            min_trials: 25,
             ..base
         },
     );

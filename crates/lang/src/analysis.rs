@@ -87,13 +87,6 @@ pub enum ViolationKind {
     /// non-accuracy-variable, `Choice` branches exceeding the site's
     /// algorithm count).
     TunableMismatch,
-    /// A specialized (`*U`) access whose target the facts do not prove
-    /// — wrong array rank, or a non-integral index register (see
-    /// [`verify_specialized`]).
-    BadSpecializedAccess,
-    /// A `ShapeHoisted` run not protected by an adjacent zero-trip
-    /// guard (a forward conditional branch past the run).
-    BadHoistGuard,
     /// An inlined region that is not closed: it does not open with its
     /// `DepthGuard`, control enters it past the guard or leaves it
     /// other than through its exit, or an argument slot the site
@@ -135,8 +128,6 @@ impl ViolationKind {
             ViolationKind::BadOperator => "bad_operator",
             ViolationKind::UnknownTunable => "unknown_tunable",
             ViolationKind::TunableMismatch => "tunable_mismatch",
-            ViolationKind::BadSpecializedAccess => "bad_specialized_access",
-            ViolationKind::BadHoistGuard => "bad_hoist_guard",
             ViolationKind::BadInlineRegion => "bad_inline_region",
             ViolationKind::StaleInlineState => "stale_inline_state",
             ViolationKind::LostWriteBack => "lost_write_back",
@@ -215,24 +206,6 @@ fn is_cmp_op(op: crate::ast::BinOp) -> bool {
 ///
 /// Returns the first [`Violation`] in instruction order.
 pub fn verify_chunk(chunk: &Chunk) -> Result<(), Violation> {
-    // Specialized (`*U` / hoisted) forms are an O3-only contract: a
-    // chunk stamped below O3 carrying one was not produced by the
-    // specializer's gated pipeline.
-    if chunk.opt < OptLevel::O3 {
-        for (i, instr) in chunk.code.iter().enumerate() {
-            let idx = instr.opcode_index();
-            if crate::compile::opcode_is_specialized(idx) {
-                return Err(violation(
-                    ViolationKind::BadSpecializedAccess,
-                    i,
-                    format!(
-                        "specialized form `{}` in a chunk below O3",
-                        crate::compile::OPCODE_NAMES[idx]
-                    ),
-                ));
-            }
-        }
-    }
     verify_code(
         &chunk.code,
         chunk.n_regs,
@@ -241,59 +214,6 @@ pub fn verify_chunk(chunk: &Chunk) -> Result<(), Violation> {
         &chunk.input_slots,
         &chunk.output_slots,
     )
-}
-
-/// The facts-dependent half of the specialized-form contract (the
-/// structural half lives in [`verify_code`]): every unchecked (`*U`)
-/// access must be licensed by the facts the specializer consumed — an
-/// array slot of the matching rank — and every [`Instr::ShapeHoisted`]
-/// must read a slot whose *entry* facts prove an array rank accepting
-/// the query, so the hoisted read cannot introduce a new error point.
-///
-/// Index registers need no proof: the `*U` dispatch guard truncates
-/// an in-range index exactly like the checked `index()` path and falls
-/// back to it otherwise, so index *kind* never affects behavior — only
-/// the slot's rank decides whether the guard can ever hit.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`]
-/// ([`ViolationKind::BadSpecializedAccess`]).
-pub fn verify_specialized(code: &[Instr], facts: &ChunkFacts) -> Result<(), Violation> {
-    use crate::compile::ShapeKind;
-    let slot_arr = |s: Slot, rank: u8| {
-        matches!(
-            facts.slots.get(s as usize),
-            Some(AbsValue::Array { rank: got }) if *got == rank
-        )
-    };
-    for (i, instr) in code.iter().enumerate() {
-        let problem = match instr {
-            Instr::LoadIdx1U { slot, .. }
-            | Instr::StoreIdx1U { slot, .. }
-            | Instr::BinStoreIdx1U { slot, .. } => {
-                (!slot_arr(*slot, 1)).then(|| format!("s{slot} is not a proven rank-1 array"))
-            }
-            Instr::LoadIdx2U { slot, .. } | Instr::StoreIdx2U { slot, .. } => {
-                (!slot_arr(*slot, 2)).then(|| format!("s{slot} is not a proven rank-2 array"))
-            }
-            Instr::ShapeHoisted { kind, slot, .. } => {
-                let ok = match facts.entry_slots.get(*slot as usize) {
-                    Some(AbsValue::Array { rank }) => match kind {
-                        ShapeKind::Len => *rank == 1 || *rank == 2,
-                        ShapeKind::Rows | ShapeKind::Cols => *rank == 2,
-                    },
-                    _ => false,
-                };
-                (!ok).then(|| format!("hoisted shape read of s{slot} could error at entry"))
-            }
-            _ => None,
-        };
-        if let Some(detail) = problem {
-            return Err(violation(ViolationKind::BadSpecializedAccess, i, detail));
-        }
-    }
-    Ok(())
 }
 
 /// Verifies a code sequence against its declared register/slot/name
@@ -419,10 +339,7 @@ pub fn verify_code(
                     ));
                 }
             }
-            Instr::BinRI { op, .. }
-            | Instr::BinIR { op, .. }
-            | Instr::BinStoreIdx1 { op, .. }
-            | Instr::BinStoreIdx1U { op, .. } => {
+            Instr::BinRI { op, .. } | Instr::BinIR { op, .. } | Instr::BinStoreIdx1 { op, .. } => {
                 if matches!(op, crate::ast::BinOp::And | crate::ast::BinOp::Or) {
                     note(violation(
                         ViolationKind::BadOperator,
@@ -437,37 +354,6 @@ pub fn verify_code(
                     i,
                     format!("fused compare carries non-comparison operator {op:?}"),
                 ));
-            }
-            Instr::ShapeHoisted { .. } => {
-                // A hoisted run must sit directly behind its zero-trip
-                // guard — a forward conditional branch past the run —
-                // which proves the loop body executes at least once
-                // and so licenses running the reads early. `Nop`s may
-                // sit between mid-pipeline. A `Charge` inside the run
-                // means cost was hoisted along with the reads.
-                let prev = (0..i)
-                    .rev()
-                    .map(|p| &code[p])
-                    .find(|instr| !matches!(instr, Instr::ShapeHoisted { .. } | Instr::Nop));
-                match prev {
-                    Some(Instr::Charge { .. }) => note(violation(
-                        ViolationKind::ChargeMoved,
-                        i,
-                        "a Charge sits inside a hoisted Shape run",
-                    )),
-                    Some(
-                        Instr::JumpIfZero { target, .. }
-                        | Instr::JumpIfNonZero { target, .. }
-                        | Instr::JumpIfGe { target, .. }
-                        | Instr::JumpCmp { target, .. }
-                        | Instr::JumpCmpImm { target, .. },
-                    ) if *target > i => {}
-                    _ => note(violation(
-                        ViolationKind::BadHoistGuard,
-                        i,
-                        "hoisted Shape run lacks an adjacent zero-trip guard branching past it",
-                    )),
-                }
             }
             _ => {}
         }
@@ -1226,8 +1112,8 @@ fn const_kind(v: f64) -> ScalarKind {
 /// Per-chunk inferred facts: the join, over every reachable program
 /// point, of each register's and slot's abstract value. This is the
 /// artifact the ROADMAP's typed IR consumes — e.g. a slot inferred
-/// `arr2` can dispatch rank-specialized indexing, a reg inferred `int`
-/// can skip float-path checks.
+/// `arr2` needs no rank check, a reg inferred `int` can skip
+/// float-path checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkFacts {
     /// Slot state at chunk entry (rule bindings from the transform
@@ -1533,22 +1419,12 @@ fn step(instr: &Instr, regs: &mut [AbsValue], slots: &mut [AbsValue]) {
             regs[*dst as usize] = AbsValue::Scalar { kind, cst };
         }
         Instr::Rand { dst, .. } => regs[*dst as usize] = AbsValue::scalar(ScalarKind::Float),
-        Instr::Shape { dst, .. } | Instr::ShapeHoisted { dst, .. } => {
-            regs[*dst as usize] = AbsValue::scalar(ScalarKind::Int)
-        }
-        Instr::LoadIdx1 { dst, .. }
-        | Instr::LoadIdx1U { dst, .. }
-        | Instr::LoadIdx2 { dst, .. }
-        | Instr::LoadIdx2U { dst, .. } => {
+        Instr::Shape { dst, .. } => regs[*dst as usize] = AbsValue::scalar(ScalarKind::Int),
+        Instr::LoadIdx1 { dst, .. } | Instr::LoadIdx2 { dst, .. } => {
             regs[*dst as usize] = AbsValue::scalar(ScalarKind::Float);
         }
         // Element writes refine nothing: the slot keeps its array kind.
-        Instr::StoreIdx1 { .. }
-        | Instr::StoreIdx1U { .. }
-        | Instr::StoreIdx2 { .. }
-        | Instr::StoreIdx2U { .. }
-        | Instr::BinStoreIdx1 { .. }
-        | Instr::BinStoreIdx1U { .. } => {}
+        Instr::StoreIdx1 { .. } | Instr::StoreIdx2 { .. } | Instr::BinStoreIdx1 { .. } => {}
         Instr::AddImm { dst, imm } | Instr::AddImmJump { dst, imm, .. } => {
             let a = reg(regs, *dst);
             regs[*dst as usize] =
@@ -1656,31 +1532,6 @@ fn transform_referenced_names(t: &Transform) -> HashSet<&str> {
     names
 }
 
-/// Counts indexed element accesses in a code sequence, split into
-/// `(checked, specialized)` — the static specialization-coverage
-/// numbers `pb_lint` reports (`ShapeHoisted` is not an element access
-/// and is not counted).
-pub fn count_indexed(code: &[Instr]) -> (usize, usize) {
-    let mut checked = 0;
-    let mut specialized = 0;
-    for instr in code {
-        match instr {
-            Instr::LoadIdx1 { .. }
-            | Instr::LoadIdx2 { .. }
-            | Instr::StoreIdx1 { .. }
-            | Instr::StoreIdx2 { .. }
-            | Instr::BinStoreIdx1 { .. } => checked += 1,
-            Instr::LoadIdx1U { .. }
-            | Instr::LoadIdx2U { .. }
-            | Instr::StoreIdx1U { .. }
-            | Instr::StoreIdx2U { .. }
-            | Instr::BinStoreIdx1U { .. } => specialized += 1,
-            _ => {}
-        }
-    }
-    (checked, specialized)
-}
-
 /// Runs the DSL-level lints over a parsed (and sema-checked) program:
 ///
 /// * **error** — the program hits a capacity limit of the bytecode
@@ -1691,12 +1542,9 @@ pub fn count_indexed(code: &[Instr]) -> (usize, usize) {
 /// * **warning** — an accuracy variable nothing reads, a tunable whose
 ///   range collapses to a single value, a rule producing only data no
 ///   rule consumes and no output needs, a call to a scalar helper the `inline`
-///   pass had to leave on the generic path (with the reason), a scalar
-///   variable `promote` had to leave in its `Value` slot (with the
-///   reason), or a
-///   chunk whose facts force every indexed access onto the checked
-///   fallback at `O3` (no specialization despite indexed hot-path
-///   work).
+///   pass had to leave on the generic path (with the reason), or a
+///   scalar variable `promote` had to leave in its `Value` slot (with
+///   the reason).
 pub fn lint_program(program: &Program) -> Vec<Lint> {
     let mut lints = Vec::new();
     let compiled = crate::compile::compile_program(program);
@@ -1824,22 +1672,6 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
                     if let Err(v) = verify_tunables(&opt_chunk, &schema, "") {
                         broken(&v.to_string());
                     }
-                    // Specialization coverage: indexed accesses that
-                    // stayed on the checked path despite running the
-                    // O3 specializer mean the facts could not prove
-                    // the slot ranks / index kinds.
-                    let (checked, specialized) = count_indexed(&opt_chunk.code);
-                    if checked > 0 && specialized == 0 {
-                        lints.push(Lint {
-                            severity: Severity::Warning,
-                            span: Some(rule.span),
-                            message: format!(
-                                "transform `{}`: rule #{ri}: facts force full fallback at O3 \
-                                 ({checked} indexed accesses stay bounds-checked)",
-                                t.name
-                            ),
-                        });
-                    }
                 }
             }
             let names = crate::compile::named_slots(rule);
@@ -1865,7 +1697,6 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::OptLevel;
 
     fn chunk(code: Vec<Instr>, n_regs: u16, n_slots: u16, names: Vec<String>) -> Chunk {
         Chunk {
@@ -1876,7 +1707,6 @@ mod tests {
             n_slots,
             input_slots: vec![],
             output_slots: vec![],
-            opt: OptLevel::O0,
         }
     }
 

@@ -474,80 +474,6 @@ pub enum Instr {
         /// Jump target (the loop head).
         target: usize,
     },
-    // ---- specialized forms -----------------------------------------
-    // Emitted only by the facts-directed `specialize` pass at
-    // [`crate::opt::OptLevel::O3`]. Each unchecked form carries a
-    // cheap runtime guard (`0 <= idx < len`, exact float compare) and
-    // falls back to the checked form's exact dispatch when the guard
-    // fails, so error points, messages, and results stay bit-identical
-    // to the form it replaces even if the facts were over-optimistic.
-    /// `LoadIdx1` specialized for a facts-proven `arr1` slot with an
-    /// int-kind index: in-bounds indices skip the validate/truncate
-    /// path.
-    LoadIdx1U {
-        /// Destination register.
-        dst: Reg,
-        /// Array slot (facts: rank-1 array).
-        slot: Slot,
-        /// Index register (facts: int kind).
-        idx: Reg,
-    },
-    /// `LoadIdx2` specialized for a facts-proven `arr2` slot.
-    LoadIdx2U {
-        /// Destination register.
-        dst: Reg,
-        /// Array slot (facts: rank-2 array).
-        slot: Slot,
-        /// Row index register.
-        i: Reg,
-        /// Column index register.
-        j: Reg,
-    },
-    /// `StoreIdx1` specialized for a facts-proven `arr1` slot.
-    StoreIdx1U {
-        /// Array slot (facts: rank-1 array).
-        slot: Slot,
-        /// Index register.
-        idx: Reg,
-        /// Source register.
-        src: Reg,
-    },
-    /// `StoreIdx2` specialized for a facts-proven `arr2` slot.
-    StoreIdx2U {
-        /// Array slot (facts: rank-2 array).
-        slot: Slot,
-        /// Row index register.
-        i: Reg,
-        /// Column index register.
-        j: Reg,
-        /// Source register.
-        src: Reg,
-    },
-    /// `BinStoreIdx1` specialized for a facts-proven `arr1` slot.
-    BinStoreIdx1U {
-        /// The operator.
-        op: BinOp,
-        /// Destination array slot (facts: rank-1 array).
-        slot: Slot,
-        /// Index register.
-        idx: Reg,
-        /// Left operand register.
-        a: Reg,
-        /// Right operand register.
-        b: Reg,
-    },
-    /// A `Shape` read hoisted out of a loop body into its preheader by
-    /// the specializer. Dispatch is identical to [`Instr::Shape`]; the
-    /// distinct opcode lets the verifier demand the zero-trip guard
-    /// that must precede a hoisted run, and profiling count hoists.
-    ShapeHoisted {
-        /// Which query.
-        kind: ShapeKind,
-        /// Destination register.
-        dst: Reg,
-        /// The array slot.
-        slot: Slot,
-    },
     /// Placeholder left by optimizer rewrites; compaction removes every
     /// `Nop` before a chunk reaches the VM (the VM still executes it as
     /// a no-op for robustness).
@@ -556,7 +482,7 @@ pub enum Instr {
 
 /// Number of distinct opcodes ([`Instr`] variants). Profiling counter
 /// tables are sized to this.
-pub const N_OPCODES: usize = 46;
+pub const N_OPCODES: usize = 40;
 
 /// Stable lower-snake names for opcode indices, in declaration order
 /// (`OPCODE_NAMES[i.opcode_index()]` names instruction `i`).
@@ -600,12 +526,6 @@ pub const OPCODE_NAMES: [&str; N_OPCODES] = [
     "jump_cmp_imm",
     "bin_store_idx1",
     "add_imm_jump",
-    "load_idx1_u",
-    "load_idx2_u",
-    "store_idx1_u",
-    "store_idx2_u",
-    "bin_store_idx1_u",
-    "shape_hoisted",
     "nop",
 ];
 
@@ -618,13 +538,12 @@ pub fn opcode_is_fused(idx: usize) -> bool {
     (BIN_RI..=ADD_IMM_JUMP).contains(&idx)
 }
 
-/// Whether opcode index `idx` is a specialized form introduced by the
-/// facts-directed specializer ([`crate::opt`] at `O3`): profiling
-/// counts of these are the VM's "specialization hits".
-pub fn opcode_is_specialized(idx: usize) -> bool {
-    const LOAD_IDX1_U: usize = 39;
-    const SHAPE_HOISTED: usize = 44;
-    (LOAD_IDX1_U..=SHAPE_HOISTED).contains(&idx)
+/// Always `false`: no opcode is specialized any more (the checked
+/// indexed forms carry the in-bounds fast path themselves). Kept only
+/// because the frozen ledger (`ledger/src/layers.rs`) calls it, so its
+/// `vm.specialized_instr_share` reads 0.
+pub fn opcode_is_specialized(_idx: usize) -> bool {
+    false
 }
 
 impl Instr {
@@ -671,13 +590,7 @@ impl Instr {
             Instr::JumpCmpImm { .. } => 36,
             Instr::BinStoreIdx1 { .. } => 37,
             Instr::AddImmJump { .. } => 38,
-            Instr::LoadIdx1U { .. } => 39,
-            Instr::LoadIdx2U { .. } => 40,
-            Instr::StoreIdx1U { .. } => 41,
-            Instr::StoreIdx2U { .. } => 42,
-            Instr::BinStoreIdx1U { .. } => 43,
-            Instr::ShapeHoisted { .. } => 44,
-            Instr::Nop => 45,
+            Instr::Nop => 39,
         }
     }
 }
@@ -700,11 +613,6 @@ pub struct Chunk {
     pub input_slots: Vec<Slot>,
     /// Slot of each rule *output* binding alias, in declaration order.
     pub output_slots: Vec<Slot>,
-    /// The optimization level this chunk was produced at (lowering
-    /// emits [`crate::opt::OptLevel::O0`]; [`crate::opt::optimize`]
-    /// stamps its level). The verifier admits the specialized forms
-    /// only in an `O3` chunk; the VM runs every chunk the same way.
-    pub opt: crate::opt::OptLevel,
 }
 
 impl Chunk {
@@ -715,9 +623,8 @@ impl Chunk {
     /// --disasm` prints.
     pub fn disassemble(&self) -> String {
         let mut out = format!(
-            "{} ({:?}): {} instrs, {} regs, {} slots, in {:?}, out {:?}\n",
+            "{}: {} instrs, {} regs, {} slots, in {:?}, out {:?}\n",
             self.label,
-            self.opt,
             self.code.len(),
             self.n_regs,
             self.n_slots,
@@ -916,9 +823,8 @@ impl CompiledProgram {
         self.inline_calls(verify)?;
         for t in &mut self.transforms {
             for (chunk, facts) in t.rules.iter_mut().zip(t.facts.iter_mut()) {
-                // The stored entry state seeds the specializer
-                // (hoisting in particular needs declaration-level array
-                // facts).
+                // The stored entry state lets `promote` move scalar rule
+                // bindings into registers.
                 let entry = std::mem::take(&mut facts.entry_slots);
                 *chunk = crate::opt::optimize(chunk, level, verify, Some(&entry))?;
                 // Re-infer over the optimized code from the same entry
@@ -1162,7 +1068,6 @@ impl<'a> Compiler<'a> {
             n_slots: self.temp_max,
             input_slots,
             output_slots,
-            opt: crate::opt::OptLevel::O0,
         })
     }
 

@@ -1016,10 +1016,9 @@ pub fn resample_linear(data: &[f64], target: usize) -> Vec<f64> {
 
 pub(crate) fn read_element(arr: &Value, idx: &[usize], span: Span) -> Result<f64, RuntimeError> {
     match (arr, idx) {
-        (Value::Arr1(v), [i]) => v.get(*i).copied().ok_or(RuntimeError::new(
-            format!("index {i} out of bounds (len {})", v.len()),
-            span,
-        )),
+        (Value::Arr1(v), [i]) => v.get(*i).copied().ok_or_else(|| {
+            RuntimeError::new(format!("index {i} out of bounds (len {})", v.len()), span)
+        }),
         (Value::Arr2 { rows, cols, data }, [i, j]) => {
             if *i >= *rows || *j >= *cols {
                 Err(RuntimeError::new(

@@ -80,9 +80,8 @@ pub mod transform;
 pub mod vm;
 
 pub use analysis::{
-    analyze_chunk, charge_signature, count_indexed, lint_program, verify_chunk, verify_code,
-    verify_inlined, verify_specialized, verify_tunables, AbsValue, ChunkFacts, Lint, ScalarKind,
-    Severity, Violation, ViolationKind,
+    analyze_chunk, charge_signature, lint_program, verify_chunk, verify_code, verify_inlined,
+    verify_tunables, AbsValue, ChunkFacts, Lint, ScalarKind, Severity, Violation, ViolationKind,
 };
 pub use ast::Program;
 pub use compile::{

@@ -42,7 +42,7 @@
 //!    error, draw, charge or store stays), *move retargeting* (`t = …;
 //!    Move p ← t` with `t` dead becomes `p = …`, so `x = x + y` on a
 //!    register-resident `x` is one dispatch), and compaction (`Nop`s
-//!    dropped, jump targets remapped). Runs again after steps 3 and 7.
+//!    dropped, jump targets remapped). Runs again after steps 3 and 6.
 //! 3. **Value tracking** — constant folding (a `Bin` with one constant
 //!    operand becomes [`Instr::BinRI`]/[`Instr::BinIR`]), copy
 //!    propagation, reuse of already-computed arithmetic *and element
@@ -70,18 +70,14 @@
 //!    region's later statements — the error itself (message and point)
 //!    is unchanged, and no completed run ever observes a different
 //!    total.
-//! 6. **Specialization** ([`specialize`]) — indexed accesses whose slot
-//!    the facts prove an array of the right rank become guarded
-//!    unchecked (`*U`) forms, and loop-invariant `Shape` reads hoist
-//!    behind zero-trip guards.
-//! 7. **Constant homes and jump threading** — each distinct constant
+//! 6. **Constant homes and jump threading** — each distinct constant
 //!    an instruction inside a loop reads from a just-set register gets
 //!    one register defined by a `Const` at chunk entry
 //!    ([`promote::const_homes`]; the in-loop `Const` is then dead), and
 //!    a `Jump` whose target is an `AddImmJump` becomes a copy of it, so
 //!    an `if`/`else` arm ending a loop body takes the back edge in one
 //!    dispatch.
-//! 8. **Register coalescing** — surviving registers are renumbered
+//! 7. **Register coalescing** — surviving registers are renumbered
 //!    densely, shrinking `n_regs` and with it the per-invocation frame
 //!    reset cost.
 //!
@@ -100,7 +96,6 @@ use crate::compile::{Chunk, FirstArg, Instr, Operand, Reg, Slot};
 
 mod inline;
 mod promote;
-mod specialize;
 
 pub(crate) use inline::inline_program;
 pub use inline::{InlineRecord, InlineSite, InlineSkip};
@@ -115,11 +110,9 @@ pub enum OptLevel {
     /// The whole pipeline (see the module docs): scalar helper
     /// transforms inlined into their callers, scalar slots promoted to
     /// registers, chunk-wide value tracking, dead-code elimination,
-    /// superinstruction fusion, charge folding, the facts-directed
-    /// rewrites ([`crate::analysis::ChunkFacts`]: unchecked
-    /// length-specialized indexing, loop-invariant `Shape` hoisting
-    /// behind zero-trip guards), loop constants in registers set once,
-    /// threaded back-edge jumps, and register coalescing.
+    /// superinstruction fusion, charge folding, loop constants in
+    /// registers set once, threaded back-edge jumps, and register
+    /// coalescing.
     #[default]
     O3,
 }
@@ -136,8 +129,8 @@ impl OptLevel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassViolation {
     /// Pass name: `lowering`, `inline`, `promote`, `dce`, `retarget`,
-    /// `compact`, `value`, `fuse`, `fold_charges`, `specialize`,
-    /// `const_homes`, `thread_jumps`, or `renumber_regs`.
+    /// `compact`, `value`, `fuse`, `fold_charges`, `const_homes`,
+    /// `thread_jumps`, or `renumber_regs`.
     pub pass: &'static str,
     /// The chunk's label.
     pub label: String,
@@ -176,17 +169,13 @@ pub fn verify_enabled() -> bool {
 /// [`crate::analysis::verify_code`] runs after every pass, the
 /// per-region charge signature ([`crate::analysis::charge_signature`])
 /// is checked against the input's, and the passes that make a claim
-/// structure alone cannot show (`promote`, `value`, `specialize`,
-/// `thread_jumps`) have that claim re-checked against the code they
-/// started from — so the first pass to break an invariant is named in
-/// the error.
+/// structure alone cannot show (`promote`, `value`, `thread_jumps`)
+/// have that claim re-checked against the code they started from — so
+/// the first pass to break an invariant is named in the error.
 ///
 /// `entry` is the slot state at chunk entry
-/// ([`crate::analysis::ChunkFacts::entry_slots`]). Without it everything still runs,
-/// but only the rewrites that are safe from chunk-local inference alone
-/// fire: `promote` leaves scalar rule bindings in their slots, and
-/// `Shape` hoisting needs the entry facts to prove a hoisted read
-/// cannot introduce a new error point.
+/// ([`crate::analysis::ChunkFacts::entry_slots`]). Without it everything
+/// still runs, but `promote` leaves scalar rule bindings in their slots.
 ///
 /// # Errors
 ///
@@ -296,18 +285,17 @@ impl<'a> Pipeline<'a> {
         Ok(())
     }
 
-    /// The code as it stands, taken out into a chunk stamped `opt`.
-    fn finish(&mut self, opt: OptLevel) -> Chunk {
+    /// The code as it stands, taken out into a chunk.
+    fn finish(self) -> Chunk {
         let chunk = self.chunk;
         Chunk {
             label: chunk.label.clone(),
-            code: std::mem::take(&mut self.code),
+            code: self.code,
             names: chunk.names.clone(),
             n_regs: self.n_regs,
             n_slots: chunk.n_slots,
             input_slots: chunk.input_slots.clone(),
             output_slots: chunk.output_slots.clone(),
-            opt,
         }
     }
 
@@ -377,24 +365,6 @@ impl<'a> Pipeline<'a> {
         compact(&mut self.code, None);
         self.gate("compact")?;
 
-        // Facts for the specializer come from the code as it stands
-        // now (the forms the earlier passes produced are what dispatch
-        // will see), seeded with the caller's entry-slot facts.
-        let interim = self.finish(level);
-        let spec_facts = crate::analysis::analyze_chunk(&interim, entry.unwrap_or(&[]));
-        self.code = interim.code;
-        let hoisted = specialize::specialize(&mut self.code, &mut self.n_regs, &spec_facts);
-        self.gate("specialize")?;
-        if self.verify {
-            crate::analysis::verify_specialized(&self.code, &spec_facts)
-                .map_err(|v| self.fail("specialize", v))?;
-        }
-
-        // The hoist rewrite leaves `Move`s where the in-loop `Shape`s
-        // were.
-        if hoisted {
-            self.value()?;
-        }
         promote::const_homes(&mut self.code, &mut self.n_regs);
         self.gate("const_homes")?;
         let before = self.snapshot();
@@ -408,7 +378,7 @@ impl<'a> Pipeline<'a> {
 
         self.n_regs = renumber_regs(&mut self.code);
         self.gate("renumber_regs")?;
-        Ok(self.finish(level))
+        Ok(self.finish())
     }
 }
 
@@ -441,21 +411,21 @@ macro_rules! each_read {
                 $f(lo);
                 $f(hi);
             }
-            Instr::LoadIdx1 { idx, .. } | Instr::LoadIdx1U { idx, .. } => $f(idx),
-            Instr::LoadIdx2 { i, j, .. } | Instr::LoadIdx2U { i, j, .. } => {
+            Instr::LoadIdx1 { idx, .. } => $f(idx),
+            Instr::LoadIdx2 { i, j, .. } => {
                 $f(i);
                 $f(j);
             }
-            Instr::StoreIdx1 { idx, src, .. } | Instr::StoreIdx1U { idx, src, .. } => {
+            Instr::StoreIdx1 { idx, src, .. } => {
                 $f(idx);
                 $f(src);
             }
-            Instr::BinStoreIdx1 { idx, a, b, .. } | Instr::BinStoreIdx1U { idx, a, b, .. } => {
+            Instr::BinStoreIdx1 { idx, a, b, .. } => {
                 $f(idx);
                 $f(a);
                 $f(b);
             }
-            Instr::StoreIdx2 { i, j, src, .. } | Instr::StoreIdx2U { i, j, src, .. } => {
+            Instr::StoreIdx2 { i, j, src, .. } => {
                 $f(i);
                 $f(j);
                 $f(src);
@@ -495,7 +465,6 @@ macro_rules! each_read {
             | Instr::CopySlot { .. }
             | Instr::LoadParam { .. }
             | Instr::Shape { .. }
-            | Instr::ShapeHoisted { .. }
             | Instr::Jump { .. }
             | Instr::Charge { .. }
             | Instr::ForEnoughPrep { .. }
@@ -526,11 +495,8 @@ macro_rules! each_def {
             | Instr::Math2 { dst, .. }
             | Instr::Rand { dst, .. }
             | Instr::Shape { dst, .. }
-            | Instr::ShapeHoisted { dst, .. }
             | Instr::LoadIdx1 { dst, .. }
-            | Instr::LoadIdx1U { dst, .. }
             | Instr::LoadIdx2 { dst, .. }
-            | Instr::LoadIdx2U { dst, .. }
             | Instr::AddImm { dst, .. }
             | Instr::AddImmJump { dst, .. }
             | Instr::ForEnoughPrep { dst, .. }
@@ -989,17 +955,11 @@ macro_rules! each_slot_use {
         match $instr {
             Instr::LoadSlotNum { slot, .. }
             | Instr::Shape { slot, .. }
-            | Instr::ShapeHoisted { slot, .. }
             | Instr::LoadIdx1 { slot, .. }
-            | Instr::LoadIdx1U { slot, .. }
             | Instr::LoadIdx2 { slot, .. }
-            | Instr::LoadIdx2U { slot, .. }
             | Instr::StoreIdx1 { slot, .. }
-            | Instr::StoreIdx1U { slot, .. }
             | Instr::StoreIdx2 { slot, .. }
-            | Instr::StoreIdx2U { slot, .. }
-            | Instr::BinStoreIdx1 { slot, .. }
-            | Instr::BinStoreIdx1U { slot, .. } => $f(slot),
+            | Instr::BinStoreIdx1 { slot, .. } => $f(slot),
             Instr::CopySlot { src, .. } => $f(src),
             Instr::CallHost { first, rest, .. } => {
                 if let FirstArg::Var(s) | FirstArg::Anon(Operand::Slot(s)) = first {
@@ -1289,11 +1249,8 @@ fn for_each_slot_write(instr: &Instr, mut f: impl FnMut(Slot)) {
     for_each_slot_def(instr, &mut f);
     match instr {
         Instr::StoreIdx1 { slot, .. }
-        | Instr::StoreIdx1U { slot, .. }
         | Instr::StoreIdx2 { slot, .. }
-        | Instr::StoreIdx2U { slot, .. }
-        | Instr::BinStoreIdx1 { slot, .. }
-        | Instr::BinStoreIdx1U { slot, .. } => f(*slot),
+        | Instr::BinStoreIdx1 { slot, .. } => f(*slot),
         // The host may mutate or rebind its first argument.
         Instr::CallHost {
             first: FirstArg::Var(s),
@@ -1416,12 +1373,8 @@ impl Known {
             Instr::BinIR { op, dst, imm, b } => (dst, Expr::Bin(op, c(imm), v(b))),
             Instr::Math1 { f, dst, src } => (dst, Expr::Math1(f, v(src))),
             Instr::Math2 { f, dst, a, b } => (dst, Expr::Math2(f, v(a), v(b))),
-            Instr::LoadIdx1 { dst, slot, idx } | Instr::LoadIdx1U { dst, slot, idx } => {
-                (dst, Expr::Load1(slot, v(idx)))
-            }
-            Instr::LoadIdx2 { dst, slot, i, j } | Instr::LoadIdx2U { dst, slot, i, j } => {
-                (dst, Expr::Load2(slot, v(i), v(j)))
-            }
+            Instr::LoadIdx1 { dst, slot, idx } => (dst, Expr::Load1(slot, v(idx))),
+            Instr::LoadIdx2 { dst, slot, i, j } => (dst, Expr::Load2(slot, v(i), v(j))),
             _ => return None,
         })
     }

@@ -104,17 +104,11 @@ fn verdicts(code: &[Instr], chunk: &Chunk, entry: Option<&[AbsValue]>) -> Verdic
                 copies.push((*dst, *src));
             }
             Instr::Shape { slot, .. }
-            | Instr::ShapeHoisted { slot, .. }
             | Instr::LoadIdx1 { slot, .. }
-            | Instr::LoadIdx1U { slot, .. }
             | Instr::LoadIdx2 { slot, .. }
-            | Instr::LoadIdx2U { slot, .. }
             | Instr::StoreIdx1 { slot, .. }
-            | Instr::StoreIdx1U { slot, .. }
             | Instr::StoreIdx2 { slot, .. }
-            | Instr::StoreIdx2U { slot, .. }
-            | Instr::BinStoreIdx1 { slot, .. }
-            | Instr::BinStoreIdx1U { slot, .. } => {
+            | Instr::BinStoreIdx1 { slot, .. } => {
                 raise(&mut of, *slot, Verdict::ValueSlot("it is used as an array"));
             }
             Instr::CallHost {

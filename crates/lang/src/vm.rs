@@ -62,6 +62,16 @@ fn index(v: f64) -> Result<usize, RuntimeError> {
     Ok(v as usize)
 }
 
+/// The indexed-access fast path's guard: whether `v` indexes an axis of
+/// length `len`. It admits exactly the indices [`index`] accepts and
+/// the element access would not reject (`v >= 0.0` excludes NaN and
+/// negatives, `v < len` excludes ±inf and overflow), and `v as usize`
+/// then truncates them like [`index`] does.
+#[inline]
+fn in_bounds(v: f64, len: usize) -> bool {
+    v >= 0.0 && v < len as f64
+}
+
 /// One-argument math builtins, shared with the optimizer's constant
 /// folder so folded results are bit-identical to runtime evaluation.
 #[inline]
@@ -494,10 +504,7 @@ fn exec_loop<const PROFILE: bool>(
                     ctx.rng().gen_range(lo..hi)
                 };
             }
-            // `ShapeHoisted` dispatches exactly like `Shape`; the
-            // distinct opcode carries the verifier's hoist contract and
-            // lets profiling count hoisted reads.
-            Instr::Shape { kind, dst, slot } | Instr::ShapeHoisted { kind, dst, slot } => {
+            Instr::Shape { kind, dst, slot } => {
                 // Matches the value directly (not through `dims()`,
                 // which allocates) with the interpreter's exact
                 // shape-acceptance rules.
@@ -517,23 +524,41 @@ fn exec_loop<const PROFILE: bool>(
                     }
                 };
             }
+            // Indexed access: an in-bounds index into an array of the
+            // matching rank reads or writes the element directly; any
+            // other index or slot takes the checked `index` +
+            // `read_element`/`write_element` path, which raises the
+            // interpreter's exact error. The guard ([`in_bounds`])
+            // admits only indices that path accepts and truncates them
+            // the same way, so results and error points are identical
+            // on either path.
             Instr::LoadIdx1 { dst, slot, idx } => {
-                let i = index(regs[*idx as usize])?;
-                regs[*dst as usize] = read_element(&slots[*slot as usize], &[i], Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
+                let v = regs[*idx as usize];
+                regs[*dst as usize] = match &slots[*slot as usize] {
+                    Value::Arr1(a) if in_bounds(v, a.len()) => a[v as usize],
+                    arr => read_element(arr, &[index(v)?], Span::new(0, 0))
+                        .map_err(|e| err(e.message))?,
+                };
             }
             Instr::LoadIdx2 { dst, slot, i, j } => {
-                let i = index(regs[*i as usize])?;
-                let j = index(regs[*j as usize])?;
-                regs[*dst as usize] =
-                    read_element(&slots[*slot as usize], &[i, j], Span::new(0, 0))
-                        .map_err(|e| err(e.message))?;
+                let (vi, vj) = (regs[*i as usize], regs[*j as usize]);
+                regs[*dst as usize] = match &slots[*slot as usize] {
+                    Value::Arr2 { rows, cols, data }
+                        if in_bounds(vi, *rows) && in_bounds(vj, *cols) =>
+                    {
+                        data[vi as usize * *cols + vj as usize]
+                    }
+                    arr => read_element(arr, &[index(vi)?, index(vj)?], Span::new(0, 0))
+                        .map_err(|e| err(e.message))?,
+                };
             }
             Instr::StoreIdx1 { slot, idx, src } => {
-                let i = index(regs[*idx as usize])?;
-                let v = regs[*src as usize];
-                write_element(&mut slots[*slot as usize], &[i], v, Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
+                let (v, x) = (regs[*idx as usize], regs[*src as usize]);
+                match &mut slots[*slot as usize] {
+                    Value::Arr1(a) if in_bounds(v, a.len()) => a[v as usize] = x,
+                    arr => write_element(arr, &[index(v)?], x, Span::new(0, 0))
+                        .map_err(|e| err(e.message))?,
+                }
             }
             Instr::BinStoreIdx1 {
                 op,
@@ -544,107 +569,26 @@ fn exec_loop<const PROFILE: bool>(
             } => {
                 // The absorbed `Bin` is pure, so computing it on either
                 // side of the index check is unobservable.
-                let i = index(regs[*idx as usize])?;
-                let v = apply_bin(*op, regs[*a as usize], regs[*b as usize]);
-                write_element(&mut slots[*slot as usize], &[i], v, Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
-            }
-            Instr::StoreIdx2 { slot, i, j, src } => {
-                let i = index(regs[*i as usize])?;
-                let j = index(regs[*j as usize])?;
-                let v = regs[*src as usize];
-                write_element(&mut slots[*slot as usize], &[i, j], v, Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
-            }
-            // Specialized (`*U`) forms: one guard compare replaces the
-            // validate/truncate/match path. The guard admits exactly
-            // the indices the checked form would accept (`v >= 0.0`
-            // excludes NaN and negatives, `v < len` excludes overflow;
-            // `v as usize` truncates like `index`), and a failed guard
-            // — index out of range *or* a slot whose runtime shape
-            // belies the facts — re-runs the checked form's exact
-            // dispatch, so results and error points are bit-identical.
-            Instr::LoadIdx1U { dst, slot, idx } => {
-                let v = regs[*idx as usize];
-                if let Value::Arr1(a) = &slots[*slot as usize] {
-                    if v >= 0.0 && v < a.len() as f64 {
-                        regs[*dst as usize] = a[v as usize];
-                        pc += 1;
-                        continue;
-                    }
-                }
-                let i = index(v)?;
-                regs[*dst as usize] = read_element(&slots[*slot as usize], &[i], Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
-            }
-            Instr::LoadIdx2U { dst, slot, i, j } => {
-                let vi = regs[*i as usize];
-                let vj = regs[*j as usize];
-                if let Value::Arr2 { rows, cols, data } = &slots[*slot as usize] {
-                    if vi >= 0.0 && vi < *rows as f64 && vj >= 0.0 && vj < *cols as f64 {
-                        regs[*dst as usize] = data[vi as usize * *cols + vj as usize];
-                        pc += 1;
-                        continue;
-                    }
-                }
-                let i = index(vi)?;
-                let j = index(vj)?;
-                regs[*dst as usize] =
-                    read_element(&slots[*slot as usize], &[i, j], Span::new(0, 0))
-                        .map_err(|e| err(e.message))?;
-            }
-            Instr::StoreIdx1U { slot, idx, src } => {
-                let v = regs[*idx as usize];
-                let x = regs[*src as usize];
-                if let Value::Arr1(a) = &mut slots[*slot as usize] {
-                    if v >= 0.0 && v < a.len() as f64 {
-                        a[v as usize] = x;
-                        pc += 1;
-                        continue;
-                    }
-                }
-                let i = index(v)?;
-                write_element(&mut slots[*slot as usize], &[i], x, Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
-            }
-            Instr::StoreIdx2U { slot, i, j, src } => {
-                let vi = regs[*i as usize];
-                let vj = regs[*j as usize];
-                let x = regs[*src as usize];
-                if let Value::Arr2 { rows, cols, data } = &mut slots[*slot as usize] {
-                    if vi >= 0.0 && vi < *rows as f64 && vj >= 0.0 && vj < *cols as f64 {
-                        data[vi as usize * *cols + vj as usize] = x;
-                        pc += 1;
-                        continue;
-                    }
-                }
-                let i = index(vi)?;
-                let j = index(vj)?;
-                write_element(&mut slots[*slot as usize], &[i, j], x, Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
-            }
-            Instr::BinStoreIdx1U {
-                op,
-                slot,
-                idx,
-                a,
-                b,
-            } => {
-                // Like `BinStoreIdx1`, the absorbed `Bin` is pure, so
-                // computing it on either side of the guard is
-                // unobservable.
                 let v = regs[*idx as usize];
                 let x = apply_bin(*op, regs[*a as usize], regs[*b as usize]);
-                if let Value::Arr1(arr) = &mut slots[*slot as usize] {
-                    if v >= 0.0 && v < arr.len() as f64 {
-                        arr[v as usize] = x;
-                        pc += 1;
-                        continue;
-                    }
+                match &mut slots[*slot as usize] {
+                    Value::Arr1(arr) if in_bounds(v, arr.len()) => arr[v as usize] = x,
+                    arr => write_element(arr, &[index(v)?], x, Span::new(0, 0))
+                        .map_err(|e| err(e.message))?,
                 }
-                let i = index(v)?;
-                write_element(&mut slots[*slot as usize], &[i], x, Span::new(0, 0))
-                    .map_err(|e| err(e.message))?;
+            }
+            Instr::StoreIdx2 { slot, i, j, src } => {
+                let (vi, vj) = (regs[*i as usize], regs[*j as usize]);
+                let v = regs[*src as usize];
+                match &mut slots[*slot as usize] {
+                    Value::Arr2 { rows, cols, data }
+                        if in_bounds(vi, *rows) && in_bounds(vj, *cols) =>
+                    {
+                        data[vi as usize * *cols + vj as usize] = v;
+                    }
+                    arr => write_element(arr, &[index(vi)?, index(vj)?], v, Span::new(0, 0))
+                        .map_err(|e| err(e.message))?,
+                }
             }
             Instr::Jump { target } => {
                 pc = *target;

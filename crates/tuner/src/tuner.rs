@@ -81,9 +81,8 @@ pub struct TunerOptions {
     pub mutation_attempts: usize,
     /// `K`: candidates kept per accuracy bin when pruning.
     pub keep_per_bin: usize,
-    /// Minimum trials before any candidate is compared.
-    pub min_trials: u64,
-    /// Adaptive-comparison settings (§5.5.1).
+    /// Adaptive-comparison settings (§5.5.1); its `min_trials` is also
+    /// how many trials every candidate gets before it is compared.
     pub comparator: ComparatorConfig,
     /// Hill-climbing step budget for guided mutation.
     pub guided_max_steps: usize,
@@ -117,15 +116,13 @@ pub struct TunerOptions {
 
 impl Default for TunerOptions {
     fn default() -> Self {
-        let comparator = ComparatorConfig::default();
         TunerOptions {
             initial_size: 1,
             max_size: 4096,
             rounds_per_size: 6,
             mutation_attempts: 16,
             keep_per_bin: 3,
-            min_trials: comparator.min_trials,
-            comparator,
+            comparator: ComparatorConfig::default(),
             guided_max_steps: 64,
             initial_random: 3,
             seed: 0x5EED,
@@ -141,19 +138,17 @@ impl TunerOptions {
     /// A reduced-effort preset for tests, examples, and quick tuning
     /// runs: fewer rounds, fewer trials, smaller population.
     pub fn fast_preset(max_size: u64, seed: u64) -> Self {
-        let comparator = ComparatorConfig {
-            min_trials: 2,
-            max_trials: 8,
-            ..ComparatorConfig::default()
-        };
         TunerOptions {
             initial_size: 2.min(max_size),
             max_size,
             rounds_per_size: 3,
             mutation_attempts: 8,
             keep_per_bin: 2,
-            min_trials: 2,
-            comparator,
+            comparator: ComparatorConfig {
+                min_trials: 2,
+                max_trials: 8,
+                ..ComparatorConfig::default()
+            },
             guided_max_steps: 48,
             initial_random: 2,
             seed,
@@ -492,7 +487,7 @@ impl<'a> Autotuner<'a> {
         for (gen_idx, &n) in sizes.iter().enumerate() {
             let gen_span = PhaseSpan::begin(EventKind::Generation, gen_idx as u64);
             let span = PhaseSpan::begin(EventKind::PhaseTest, n);
-            pop.test_all(&evaluator, n, self.options.min_trials);
+            pop.test_all(&evaluator, n, self.options.comparator.min_trials);
             PhaseSpan::end(span);
             for _round in 0..self.options.rounds_per_size {
                 self.random_mutation(
@@ -690,7 +685,7 @@ impl<'a> Autotuner<'a> {
         let mut requests = Vec::new();
         let mut spans = Vec::new();
         for (_, child) in &planned {
-            let plan = child.plan_trials(n, self.options.min_trials);
+            let plan = child.plan_trials(n, self.options.comparator.min_trials);
             spans.push(plan.len());
             requests.extend(plan);
         }
@@ -764,7 +759,8 @@ impl<'a> Autotuner<'a> {
         }
 
         let mut current = pop.candidates()[base_idx].config.clone();
-        let mut current_acc = evaluator.mean_accuracy(&current, n, self.options.min_trials);
+        let mut current_acc =
+            evaluator.mean_accuracy(&current, n, self.options.comparator.min_trials);
         let mut improved_any = false;
 
         for _ in 0..self.options.guided_max_steps {
@@ -789,12 +785,13 @@ impl<'a> Autotuner<'a> {
                 requests.extend(crate::exec::TrialRequest::batch_for(
                     probe,
                     n,
-                    (0..self.options.min_trials).map(|i| crate::candidate::trial_seed(n, i)),
+                    (0..self.options.comparator.min_trials)
+                        .map(|i| crate::candidate::trial_seed(n, i)),
                 ));
             }
             let outcomes = evaluator.run_batch(&requests);
             // … and pick the winner in plan order.
-            let trials = self.options.min_trials as usize;
+            let trials = self.options.comparator.min_trials as usize;
             let mut best: Option<(Config, f64)> = None;
             for (k, probe) in probes.into_iter().enumerate() {
                 let span = &outcomes[k * trials..(k + 1) * trials];
@@ -819,7 +816,7 @@ impl<'a> Autotuner<'a> {
 
         if improved_any || current_acc >= target {
             let mut candidate = Candidate::new(alloc_id(), current);
-            let plan = candidate.plan_trials(n, self.options.min_trials);
+            let plan = candidate.plan_trials(n, self.options.comparator.min_trials);
             for outcome in &evaluator.run_batch(&plan) {
                 candidate.absorb(n, outcome);
             }

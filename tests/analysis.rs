@@ -29,12 +29,12 @@
 mod common;
 
 use common::{gen_array_loop_program, gen_helper_program, gen_straight_line_program};
-use petabricks::lang::compile::{Chunk, Instr, Operand, ShapeKind};
+use petabricks::lang::compile::{Chunk, Instr, Operand};
 use petabricks::lang::opt::{innermost_loops, optimize_tampered, InlineRecord};
 use petabricks::lang::{
     analyze_chunk, charge_signature, check_program, compile_program, lint_program, optimize,
-    parse_program, verify_chunk, verify_inlined, verify_specialized, verify_tunables, AbsValue,
-    OptLevel, ScalarKind, ViolationKind,
+    parse_program, verify_chunk, verify_inlined, verify_tunables, AbsValue, OptLevel, ScalarKind,
+    ViolationKind,
 };
 use proptest::prelude::*;
 
@@ -182,7 +182,6 @@ fn chunk(code: Vec<Instr>, n_regs: u16, n_slots: u16, names: Vec<&str>) -> Chunk
         n_slots,
         input_slots: vec![],
         output_slots: vec![],
-        opt: OptLevel::O0,
     }
 }
 
@@ -364,112 +363,6 @@ fn corpus_bad_operator() {
         verify_chunk(&c).unwrap_err().kind,
         ViolationKind::BadOperator
     );
-}
-
-#[test]
-fn corpus_specialized_form_below_o3() {
-    // The `*U` / hoisted forms are an O3-only contract: a chunk
-    // stamped below O3 carrying one was not produced by the gated
-    // specializer pipeline.
-    let c = chunk(
-        vec![
-            Instr::Const { dst: 0, val: 0.0 },
-            Instr::LoadIdx1U {
-                dst: 1,
-                slot: 0,
-                idx: 0,
-            },
-            Instr::Return,
-        ],
-        2,
-        1,
-        vec![],
-    );
-    let v = verify_chunk(&c).unwrap_err();
-    assert_eq!(v.kind, ViolationKind::BadSpecializedAccess);
-    assert_eq!(v.at, 1);
-}
-
-#[test]
-fn corpus_unchecked_target_not_proven() {
-    // At O3 the structural check passes, but the facts half must
-    // reject an unchecked access whose slot the facts cannot prove is
-    // a rank-1 array (no entry information -> Bottom).
-    let mut c = chunk(
-        vec![
-            Instr::Const { dst: 0, val: 0.0 },
-            Instr::LoadIdx1U {
-                dst: 1,
-                slot: 0,
-                idx: 0,
-            },
-            Instr::Return,
-        ],
-        2,
-        1,
-        vec![],
-    );
-    c.opt = OptLevel::O3;
-    verify_chunk(&c).expect("structurally fine at O3");
-    let facts = analyze_chunk(&c, &[]);
-    let v = verify_specialized(&c.code, &facts).unwrap_err();
-    assert_eq!(v.kind, ViolationKind::BadSpecializedAccess);
-    assert_eq!(v.at, 1);
-}
-
-#[test]
-fn corpus_hoist_past_a_charge() {
-    // A Charge sitting between the zero-trip guard and the hoisted
-    // Shape run means cost moved along with the reads.
-    let mut c = chunk(
-        vec![
-            Instr::Const { dst: 0, val: 0.0 },
-            Instr::JumpIfGe {
-                a: 0,
-                b: 0,
-                target: 5,
-            },
-            Instr::Charge { amount: 1.0 },
-            Instr::ShapeHoisted {
-                kind: ShapeKind::Len,
-                dst: 1,
-                slot: 0,
-            },
-            Instr::Return,
-            Instr::Return,
-        ],
-        2,
-        1,
-        vec![],
-    );
-    c.opt = OptLevel::O3;
-    let v = verify_chunk(&c).unwrap_err();
-    assert_eq!(v.kind, ViolationKind::ChargeMoved);
-    assert_eq!(v.at, 3);
-}
-
-#[test]
-fn corpus_malformed_zero_trip_guard() {
-    // A hoisted run whose predecessor is not a forward conditional
-    // branch past it could run when the loop body never would.
-    let mut c = chunk(
-        vec![
-            Instr::Const { dst: 0, val: 0.0 },
-            Instr::ShapeHoisted {
-                kind: ShapeKind::Len,
-                dst: 1,
-                slot: 0,
-            },
-            Instr::Return,
-        ],
-        2,
-        1,
-        vec![],
-    );
-    c.opt = OptLevel::O3;
-    let v = verify_chunk(&c).unwrap_err();
-    assert_eq!(v.kind, ViolationKind::BadHoistGuard);
-    assert_eq!(v.at, 1);
 }
 
 #[test]

@@ -229,7 +229,6 @@ fn tune_noisy(robustness: Robustness, plan_seed: u64) -> (usize, TuningOutcome) 
         "noise must demote the runner to wall-clock semantics"
     );
     let mut options = TunerOptions::fast_preset(64, 0x5EED);
-    options.min_trials = 5;
     options.comparator.min_trials = 5;
     options.comparator.max_trials = 25;
     options.comparator.robustness = robustness;

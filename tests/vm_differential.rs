@@ -921,6 +921,70 @@ fn array_bound_to_a_scalar_parameter_reports_the_generic_error() {
 }
 
 #[test]
+fn index_edges_match_the_tree_walker_at_every_level() {
+    // Every indexed form takes its in-bounds fast path at every level;
+    // an index on either side of the guard's edges must still read or
+    // write the tree-walker's element, or raise its error, after the
+    // same charges. `(body, length of the axis `i` indexes, the opcode
+    // the body dispatches at O3)`.
+    let bodies = [
+        ("acc = a[i];", 4.0, "load_idx1"),
+        ("acc = g[1, i];", 4.0, "load_idx2"),
+        ("acc = g[i, 3];", 2.0, "load_idx2"),
+        ("o[i] = 7;", 4.0, "store_idx1"),
+        ("m[1, i] = 7;", 4.0, "store_idx2"),
+        ("m[i, 3] = 7;", 2.0, "store_idx2"),
+        ("o[i] = a[1] * a[2];", 4.0, "bin_store_idx1"),
+    ];
+    for (body, len, opcode) in bodies {
+        let src = format!(
+            "transform t from In[n], G[2, n], I to Out[n], M[2, n], Acc {{\n to (Out o, M m, Acc acc) from (In a, G g, I i) {{ {body} }}\n}}\n"
+        );
+        let o3 = compile_program(&parse_program(&src).unwrap()).optimized(OptLevel::O3);
+        assert!(
+            o3.chunk("t", 0)
+                .unwrap()
+                .code
+                .iter()
+                .any(|instr| { petabricks::lang::OPCODE_NAMES[instr.opcode_index()] == opcode }),
+            "`{body}` does not dispatch {opcode} at O3"
+        );
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for v in [-0.0, 2.5, len - 0.5, len, -1.0, nan, inf, -inf, 1e300] {
+            let mut inputs = in4();
+            inputs.insert(
+                "G".to_string(),
+                Value::Arr2 {
+                    rows: 2,
+                    cols: 4,
+                    data: (0..8).map(|k| k as f64 * 0.5 - 1.0).collect(),
+                },
+            );
+            inputs.insert("I".to_string(), Value::Num(v));
+            let (tree, tree_cost) = run_at(&src, "t", None, &inputs);
+            // In range exactly for `-0.0`, `len - 0.5` and, on a
+            // 4-long axis, `2.5`.
+            let in_range = v == 0.0 || v == len - 0.5 || (v == 2.5 && len == 4.0);
+            assert_eq!(tree.is_ok(), in_range, "`{body}` at i = {v}: {tree:?}");
+            for level in OptLevel::ALL {
+                let (vm, vm_cost) = run_at(&src, "t", Some(level), &inputs);
+                match (&tree, &vm) {
+                    (Ok(want), Ok(got)) => assert!(
+                        outputs_bits_eq(want, got),
+                        "`{body}` at i = {v}, {level:?}: {want:?} vs {got:?}"
+                    ),
+                    (want, got) => assert_eq!(want, got, "`{body}` at i = {v}, {level:?}"),
+                }
+                assert!(
+                    bits_eq(tree_cost, vm_cost),
+                    "`{body}` at i = {v}, {level:?}: cost {tree_cost} vs {vm_cost}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn inlined_while_guard_restarts_on_every_entry() {
     // The helper's `while` runs 1 500 iterations per call and is called
     // 10 000 times: 15 M iterations in all, past the 10 M guard if the
@@ -1162,9 +1226,9 @@ fn data_a_rule_leaves_in_another_shape_is_not_assumed_declared() {
     // A declaration describes data when the transform starts; a rule
     // may rebind its output to a value of another shape, and the rules
     // scheduled after it see that. Whatever acts on the declared shape
-    // ahead of the first use (the entry load of a promoted binding, a
-    // hoisted `Shape`) would then raise an error the tree-walker never
-    // reaches, or reaches elsewhere.
+    // ahead of the first use (the entry load of a promoted binding)
+    // would then raise an error the tree-walker never reaches, or
+    // reaches elsewhere.
     let reader_bodies: [(&str, &str, &[&str]); 3] = [
         // Scalar-declared `S` holding an array, read as an input…
         (
