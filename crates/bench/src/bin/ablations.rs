@@ -1,4 +1,4 @@
-//! Tuner design-choice ablations (DESIGN.md §4).
+//! Tuner design-choice ablations (§5.1, §5.5).
 //!
 //! Each ablation tunes the same diminishing-returns benchmark under a
 //! modified tuner and reports trials executed plus the quality of the

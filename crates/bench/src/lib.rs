@@ -9,7 +9,7 @@
 //! | `table1` | Table 1: tuned k-means choices per accuracy (n = 2048) |
 //! | `fig8` | Fig. 8: tuned Helmholtz cycle shapes |
 //! | `programmability` | §6.5: code-size comparison |
-//! | `ablations` | DESIGN.md §4: tuner design-choice ablations |
+//! | `ablations` | §5.1, §5.5: tuner design-choice ablations |
 //!
 //! Costs are measured with the deterministic virtual-cost model, which
 //! tracks operation counts; speedup *shapes* (who wins, crossovers,

@@ -9,9 +9,8 @@
 //! The paper uses the discrete Poisson operator, whose diagonal is
 //! constant — making Jacobi preconditioning a no-op scaling. To keep
 //! the Jacobi choice meaningful we use the variable-coefficient
-//! operator `a(x)·u − Δu` with `a ~ U(0, 4)` (documented in
-//! DESIGN.md); the choice structure, accuracy metric, and trade-off
-//! shape are unchanged.
+//! operator `a(x)·u − Δu` with `a ~ U(0, 4)`; the choice structure,
+//! accuracy metric, and trade-off shape are unchanged.
 //!
 //! Accuracy metric: `log₁₀(rms(b − A·x_in) / rms(b − A·x_out))` with
 //! `x_in = 0` (the paper's levels 0.0–3.0 are these orders of

@@ -62,6 +62,16 @@ fn check_transform(program: &Program, t: &Transform, errors: &mut Vec<SemaError>
                 span: p.span,
             });
         }
+        if p.dims.len() > 2 {
+            errors.push(SemaError {
+                message: format!(
+                    "data `{}` is declared with {} dimensions (arrays have one or two)",
+                    p.name,
+                    p.dims.len()
+                ),
+                span: p.span,
+            });
+        }
     }
 
     // Accuracy variables: sane ranges, no clash with data names.
@@ -616,6 +626,30 @@ mod tests {
         "#;
         let errs = errors_of(src);
         assert!(errs.iter().any(|e| e.contains("empty range")), "{errs:?}");
+    }
+
+    #[test]
+    fn data_of_more_than_two_dims_reported() {
+        let src = "transform t from A[n, n, n] to B[n, n, n] {
+            to (B b) from (A a) { b[0, 0] = a[0, 0]; } }";
+        let errors = check_program(&parse_program(src).unwrap()).unwrap_err();
+        let spanned: Vec<(&str, &str)> = errors
+            .iter()
+            .map(|e| (&src[e.span.start..][..1], e.message.as_str()))
+            .collect();
+        assert_eq!(
+            spanned,
+            [
+                (
+                    "A",
+                    "data `A` is declared with 3 dimensions (arrays have one or two)"
+                ),
+                (
+                    "B",
+                    "data `B` is declared with 3 dimensions (arrays have one or two)"
+                ),
+            ]
+        );
     }
 
     /// Checks a one-rule transform `t` with the given body (`k` is an

@@ -51,7 +51,7 @@ pub enum CompareStep {
     /// The comparison is decided; no further trials are needed.
     Decided(CompareOutcome),
     /// Run `draws` more trial(s) on `which`, fold them into that
-    /// side's statistics, and call [`Comparator::decide`] again.
+    /// side's statistics, and call [`Comparator::decide_samples`] again.
     NeedMore {
         /// The side that should receive the next trial(s).
         which: Which,
@@ -72,20 +72,6 @@ impl CompareOutcome {
     }
 }
 
-/// A source of additional measurements for a candidate: each call to
-/// [`SampleSource::draw`] runs one more test and returns the measured
-/// value (e.g. execution time in seconds).
-pub trait SampleSource {
-    /// Runs one more trial and returns the observation.
-    fn draw(&mut self) -> f64;
-}
-
-impl<F: FnMut() -> f64> SampleSource for F {
-    fn draw(&mut self) -> f64 {
-        self()
-    }
-}
-
 /// Tuning knobs for the comparison protocol. The defaults are the
 /// "typical values" quoted in the paper: 3–25 trials, α = 0.05, and a
 /// same-threshold of a 95% probability of a < 1% difference.
@@ -102,10 +88,8 @@ pub struct ComparatorConfig {
     /// Confidence required to declare the difference negligible.
     pub same_confidence: f64,
     /// How sample-retaining statistics are summarized before testing
-    /// (see [`Robustness`]). Only consulted by the sample-aware entry
-    /// points ([`Comparator::decide_samples`] and
-    /// [`Comparator::decide_pair_samples`]); the plain
-    /// [`OnlineStats`]-based paths have no samples to robustify.
+    /// (see [`Robustness`]) in [`Comparator::decide_samples`] and
+    /// [`Comparator::decide_pair_samples`].
     pub robustness: Robustness,
 }
 
@@ -127,18 +111,24 @@ impl Default for ComparatorConfig {
 /// # Examples
 ///
 /// ```
-/// use pb_stats::{Comparator, CompareOutcome, OnlineStats};
+/// use pb_stats::{Comparator, CompareOutcome, CompareStep, SampleStats, Which};
 ///
 /// let comparator = Comparator::default();
-/// let mut fast = OnlineStats::new();
-/// let mut slow = OnlineStats::new();
-/// let (mut ta, mut tb) = (0u64, 0u64);
-/// let outcome = comparator.compare(
-///     &mut fast,
-///     &mut || { ta += 1; 1.0 + 0.001 * (ta % 3) as f64 },
-///     &mut slow,
-///     &mut || { tb += 1; 2.0 + 0.001 * (tb % 5) as f64 },
-/// );
+/// let mut fast = SampleStats::new();
+/// let mut slow = SampleStats::new();
+/// let outcome = loop {
+///     match comparator.decide_samples(&fast, &slow) {
+///         CompareStep::Decided(outcome) => break outcome,
+///         CompareStep::NeedMore { which, draws } => {
+///             for _ in 0..draws {
+///                 match which {
+///                     Which::A => fast.push(1.0 + 0.001 * (fast.count() % 3) as f64),
+///                     Which::B => slow.push(2.0 + 0.001 * (slow.count() % 5) as f64),
+///                 }
+///             }
+///         }
+///     }
+/// };
 /// assert_eq!(outcome, CompareOutcome::Less);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -159,26 +149,17 @@ impl Comparator {
 
     /// The decision core of §5.5.1: given both candidates' accumulated
     /// statistics, either the comparison is already decided or the
-    /// protocol names the side that should run more trials.
+    /// protocol names the side that should run more trials. Pure in the
+    /// statistics — no trials run here — so a scheduler can evaluate
+    /// many comparisons' pending draws as one batch and re-decide after
+    /// merging the outcomes.
     ///
-    /// Pure in the statistics — no trials run here — so a scheduler
-    /// can evaluate many comparisons' pending draws as one batch and
-    /// re-decide after merging the outcomes. [`Comparator::compare`]
-    /// is the blocking wrapper that consumes these steps one at a
-    /// time, so the two paths request identical draw sequences.
-    pub fn decide(&self, a_stats: &OnlineStats, b_stats: &OnlineStats) -> CompareStep {
-        self.decide_counts(a_stats.count(), a_stats, b_stats.count(), b_stats)
-    }
-
-    /// [`Comparator::decide`] over sample-retaining statistics: each
-    /// side's observations are first summarized under the configured
-    /// [`Robustness`] policy, then tested. Trial-count bookkeeping
-    /// (minimum fill, budget) uses the *raw* sample counts, so a
-    /// trimmed summary never tricks the protocol into re-running
-    /// trials it already has.
-    ///
-    /// Under [`Robustness::Mean`] this is bit-identical to
-    /// [`Comparator::decide`] on the pass-through accumulators.
+    /// Each side's observations are first summarized under the
+    /// configured [`Robustness`] policy, then tested. Trial-count
+    /// bookkeeping (minimum fill, budget) uses the *raw* sample counts,
+    /// so a trimmed summary never tricks the protocol into re-running
+    /// trials it already has. Under [`Robustness::Mean`] the summaries
+    /// are the pass-through accumulators themselves.
     pub fn decide_samples(&self, a_stats: &SampleStats, b_stats: &SampleStats) -> CompareStep {
         match self.config.robustness {
             // No copies on the hot (deterministic-tuning) path.
@@ -281,46 +262,6 @@ impl Comparator {
         }
     }
 
-    /// Compares two candidates, drawing extra samples on demand.
-    ///
-    /// `a_stats` / `b_stats` accumulate every drawn observation, so
-    /// repeated comparisons against other candidates reuse earlier
-    /// trials — mirroring the paper, where tests on a candidate are
-    /// cached for its lifetime in the population.
-    ///
-    /// A thin blocking wrapper over [`Comparator::decide`]: it draws
-    /// exactly the trials the decision core requests, in the order it
-    /// requests them.
-    pub fn compare(
-        &self,
-        a_stats: &mut OnlineStats,
-        a_source: &mut dyn SampleSource,
-        b_stats: &mut OnlineStats,
-        b_source: &mut dyn SampleSource,
-    ) -> CompareOutcome {
-        loop {
-            match self.decide(a_stats, b_stats) {
-                CompareStep::Decided(outcome) => return outcome,
-                CompareStep::NeedMore {
-                    which: Which::A,
-                    draws,
-                } => {
-                    for _ in 0..draws {
-                        a_stats.push(a_source.draw());
-                    }
-                }
-                CompareStep::NeedMore {
-                    which: Which::B,
-                    draws,
-                } => {
-                    for _ in 0..draws {
-                        b_stats.push(b_source.draw());
-                    }
-                }
-            }
-        }
-    }
-
     /// Step 2 of the heuristic: P(|relative difference| < ε) ≥ confidence.
     fn relative_difference_negligible(&self, a: &OnlineStats, b: &OnlineStats) -> bool {
         let cfg = &self.config;
@@ -349,7 +290,7 @@ impl Comparator {
 /// `(b, a)` with the outcome [reversed](CompareOutcome::reverse).
 ///
 /// This is the pair-identity hook of the decision core: once
-/// [`Comparator::decide_pair`] has decided a pair, every later query
+/// [`Comparator::decide_pair_samples`] has decided a pair, every later query
 /// in the same session — a re-sort touching the same two candidates, a
 /// tournament bracket replaying an earlier head-to-head — returns the
 /// recorded verdict without consuming trials, even if the candidates'
@@ -381,7 +322,7 @@ impl PairMemo {
         self.verdicts.is_empty()
     }
 
-    /// Total verdict lookups (each [`Comparator::decide_pair`] call).
+    /// Total verdict lookups (each [`Comparator::decide_pair_samples`] call).
     pub fn queries(&self) -> u64 {
         self.queries
     }
@@ -420,37 +361,16 @@ impl PairMemo {
 }
 
 impl Comparator {
-    /// [`Comparator::decide`] with pair-identity memoization: a pair
-    /// already decided in `memo` returns its recorded verdict without
-    /// touching the statistics; a fresh decision that reaches
+    /// [`Comparator::decide_samples`] with pair-identity memoization: a
+    /// pair already decided in `memo` returns its recorded verdict
+    /// without touching the statistics; a fresh decision that reaches
     /// [`CompareStep::Decided`] is recorded before being returned.
     ///
     /// `a_id` / `b_id` are caller-chosen stable identities for the two
-    /// sides (the tuner uses candidate ids). The memo key is
-    /// unordered, so `decide_pair(m, x, sx, y, sy)` and the reversed
-    /// `decide_pair(m, y, sy, x, sx)` share one verdict.
-    pub fn decide_pair(
-        &self,
-        memo: &mut PairMemo,
-        a_id: u64,
-        a_stats: &OnlineStats,
-        b_id: u64,
-        b_stats: &OnlineStats,
-    ) -> CompareStep {
-        if let Some(outcome) = memo.lookup(a_id, b_id) {
-            return CompareStep::Decided(outcome);
-        }
-        let step = self.decide(a_stats, b_stats);
-        if let CompareStep::Decided(outcome) = step {
-            memo.record(a_id, b_id, outcome);
-        }
-        step
-    }
-
-    /// [`Comparator::decide_pair`] over sample-retaining statistics
-    /// (see [`Comparator::decide_samples`]): the tuner's comparison
-    /// arena routes every contest through here so the configured
-    /// [`Robustness`] policy governs all tuning decisions.
+    /// sides (the tuner uses candidate ids); the memo key is unordered.
+    /// The tuner's comparison arena routes every contest through here
+    /// so the configured [`Robustness`] policy governs all tuning
+    /// decisions.
     pub fn decide_pair_samples(
         &self,
         memo: &mut PairMemo,
@@ -497,15 +417,28 @@ mod tests {
         }
     }
 
+    /// Serves `decide_samples`' draws from the two generators until it
+    /// decides: the outcome and the number of draws on each side.
     fn run_compare(
         comparator: &Comparator,
         mut gen_a: impl FnMut() -> f64,
         mut gen_b: impl FnMut() -> f64,
     ) -> (CompareOutcome, u64, u64) {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        let out = comparator.compare(&mut a, &mut gen_a, &mut b, &mut gen_b);
-        (out, a.count(), b.count())
+        let mut a = SampleStats::new();
+        let mut b = SampleStats::new();
+        loop {
+            match comparator.decide_samples(&a, &b) {
+                CompareStep::Decided(out) => return (out, a.count(), b.count()),
+                CompareStep::NeedMore {
+                    which: Which::A,
+                    draws,
+                } => (0..draws).for_each(|_| a.push(gen_a())),
+                CompareStep::NeedMore {
+                    which: Which::B,
+                    draws,
+                } => (0..draws).for_each(|_| b.push(gen_b())),
+            }
+        }
     }
 
     #[test]
@@ -580,60 +513,20 @@ mod tests {
         assert_eq!(nb, 3);
     }
 
-    /// Drives `decide` by hand the way a batch scheduler would and
-    /// checks it reproduces `compare` exactly: same outcome, same
-    /// number of draws on each side.
-    #[test]
-    fn decide_steps_replay_compare_exactly() {
-        for (seed_a, seed_b, offset) in [(1u64, 2u64, 9.0), (3, 4, 0.0), (5, 6, 0.05)] {
-            let comparator = Comparator::new(ComparatorConfig {
-                max_trials: 10,
-                ..ComparatorConfig::default()
-            });
-            let mut rng_a = Lcg(seed_a);
-            let mut rng_b = Lcg(seed_b);
-            let mut gen_a = move || 1.0 + rng_a.next_f64();
-            let mut gen_b = move || 1.0 + offset + rng_b.next_f64();
-            let (blocking, na, nb) = run_compare(&comparator, &mut gen_a, &mut gen_b);
-
-            // Replay: identical sources, but stepped via `decide`.
-            let mut rng_a = Lcg(seed_a);
-            let mut rng_b = Lcg(seed_b);
-            let mut a = OnlineStats::new();
-            let mut b = OnlineStats::new();
-            let stepped = loop {
-                match comparator.decide(&a, &b) {
-                    CompareStep::Decided(outcome) => break outcome,
-                    CompareStep::NeedMore {
-                        which: Which::A,
-                        draws,
-                    } => (0..draws).for_each(|_| a.push(1.0 + rng_a.next_f64())),
-                    CompareStep::NeedMore {
-                        which: Which::B,
-                        draws,
-                    } => (0..draws).for_each(|_| b.push(1.0 + offset + rng_b.next_f64())),
-                }
-            };
-            assert_eq!(stepped, blocking);
-            assert_eq!(a.count(), na);
-            assert_eq!(b.count(), nb);
-        }
-    }
-
     #[test]
     fn decide_requests_min_trials_in_bulk() {
         let comparator = Comparator::default();
-        let empty = OnlineStats::new();
+        let empty = SampleStats::new();
         assert_eq!(
-            comparator.decide(&empty, &empty),
+            comparator.decide_samples(&empty, &empty),
             CompareStep::NeedMore {
                 which: Which::A,
                 draws: comparator.config().min_trials,
             }
         );
-        let full: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
+        let full: SampleStats = [1.0, 2.0, 3.0].into_iter().collect();
         assert_eq!(
-            comparator.decide(&full, &empty),
+            comparator.decide_samples(&full, &empty),
             CompareStep::NeedMore {
                 which: Which::B,
                 draws: comparator.config().min_trials,
@@ -645,24 +538,24 @@ mod tests {
     fn pair_memo_reverses_orientation_and_counts() {
         let comparator = Comparator::default();
         let mut memo = PairMemo::new();
-        let fast: OnlineStats = [1.0, 1.0, 1.0].into_iter().collect();
-        let slow: OnlineStats = [9.0, 9.0, 9.0].into_iter().collect();
+        let fast: SampleStats = [1.0, 1.0, 1.0].into_iter().collect();
+        let slow: SampleStats = [9.0, 9.0, 9.0].into_iter().collect();
         // First decision is fresh (one query, no hit) and is recorded.
         assert_eq!(
-            comparator.decide_pair(&mut memo, 7, &fast, 3, &slow),
+            comparator.decide_pair_samples(&mut memo, 7, &fast, 3, &slow),
             CompareStep::Decided(CompareOutcome::Less)
         );
         assert_eq!((memo.queries(), memo.hits(), memo.len()), (1, 0, 1));
         // The reversed query answers from the memo, reversed.
         assert_eq!(
-            comparator.decide_pair(&mut memo, 3, &slow, 7, &fast),
+            comparator.decide_pair_samples(&mut memo, 3, &slow, 7, &fast),
             CompareStep::Decided(CompareOutcome::Greater)
         );
         assert_eq!((memo.queries(), memo.hits(), memo.len()), (2, 1, 1));
         // A memoized verdict wins even over changed statistics.
-        let empty = OnlineStats::new();
+        let empty = SampleStats::new();
         assert_eq!(
-            comparator.decide_pair(&mut memo, 7, &empty, 3, &empty),
+            comparator.decide_pair_samples(&mut memo, 7, &empty, 3, &empty),
             CompareStep::Decided(CompareOutcome::Less)
         );
         assert_eq!(memo.hits(), 2);
@@ -672,9 +565,9 @@ mod tests {
     fn pair_memo_does_not_record_undecided_steps() {
         let comparator = Comparator::default();
         let mut memo = PairMemo::new();
-        let empty = OnlineStats::new();
+        let empty = SampleStats::new();
         assert!(matches!(
-            comparator.decide_pair(&mut memo, 1, &empty, 2, &empty),
+            comparator.decide_pair_samples(&mut memo, 1, &empty, 2, &empty),
             CompareStep::NeedMore { .. }
         ));
         assert!(memo.is_empty());
@@ -684,22 +577,22 @@ mod tests {
     #[test]
     fn non_finite_summaries_lose_immediately() {
         let comparator = Comparator::default();
-        let healthy: OnlineStats = [1.0, 1.0, 1.0].into_iter().collect();
-        let mut poisoned = OnlineStats::new();
+        let healthy: SampleStats = [1.0, 1.0, 1.0].into_iter().collect();
+        let mut poisoned = SampleStats::new();
         poisoned.push(f64::INFINITY);
         // Even below min_trials, the quarantined side loses without
         // requesting a single draw: its summary can never become
         // finite, so extra trials would be wasted.
         assert_eq!(
-            comparator.decide(&poisoned, &healthy),
+            comparator.decide_samples(&poisoned, &healthy),
             CompareStep::Decided(CompareOutcome::Greater)
         );
         assert_eq!(
-            comparator.decide(&healthy, &poisoned),
+            comparator.decide_samples(&healthy, &poisoned),
             CompareStep::Decided(CompareOutcome::Less)
         );
         assert_eq!(
-            comparator.decide(&poisoned, &poisoned),
+            comparator.decide_samples(&poisoned, &poisoned),
             CompareStep::Decided(CompareOutcome::Same)
         );
         // Mixing finite samples in degrades the mean to NaN — still
@@ -707,7 +600,7 @@ mod tests {
         poisoned.push(1.0);
         assert!(poisoned.mean().is_nan());
         assert_eq!(
-            comparator.decide(&poisoned, &healthy),
+            comparator.decide_samples(&poisoned, &healthy),
             CompareStep::Decided(CompareOutcome::Greater)
         );
     }
@@ -719,11 +612,10 @@ mod tests {
         let data_b = [4.0, 4.5];
         let sa: SampleStats = data_a.into_iter().collect();
         let sb: SampleStats = data_b.into_iter().collect();
-        let oa: OnlineStats = data_a.into_iter().collect();
-        let ob: OnlineStats = data_b.into_iter().collect();
+        let (oa, ob) = (sa.summary(Robustness::Mean), sb.summary(Robustness::Mean));
         assert_eq!(
             comparator.decide_samples(&sa, &sb),
-            comparator.decide(&oa, &ob)
+            comparator.decide_counts(sa.count(), &oa, sb.count(), &ob)
         );
     }
 

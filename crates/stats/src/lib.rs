@@ -42,9 +42,7 @@ pub mod robust;
 pub mod special;
 pub mod ttest;
 
-pub use compare::{
-    Comparator, ComparatorConfig, CompareOutcome, CompareStep, PairMemo, SampleSource, Which,
-};
+pub use compare::{Comparator, ComparatorConfig, CompareOutcome, CompareStep, PairMemo, Which};
 pub use lsq::{linear_fit, LinearFit};
 pub use normal::Normal;
 pub use online::OnlineStats;

@@ -1,5 +1,5 @@
-//! Cross-crate property tests (proptest) over the invariants called
-//! out in DESIGN.md §5.
+//! Cross-crate property tests (proptest) over the workspace's
+//! invariants.
 
 #![allow(clippy::needless_range_loop)]
 
