@@ -1,8 +1,8 @@
 //! Seeded deterministic fault and noise injection for autotuner trials.
 //!
 //! Real deployments measure wall-clock time on shared machines: trials
-//! crash, stall, return garbage, and — even when healthy — report
-//! noisy costs. The tuner's fault-isolation layer
+//! crash, return garbage, and — even when healthy — report noisy
+//! costs. The tuner's fault-isolation layer
 //! (`pb_tuner::exec::Evaluator`) and robust comparator statistics
 //! (`pb_stats::Robustness`) exist to survive exactly that, and this
 //! crate is the harness that proves they do: a [`FaultyRunner`] wraps
@@ -75,33 +75,18 @@ use pb_runtime::{TraceNode, TrialOutcome, TrialRunner};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Which fault a coordinate injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+enum FaultKind {
     /// The trial panics (models a crash in measured code).
     Panic,
     /// The trial reports a non-finite cost (models a corrupted timer
     /// or overflowed accumulator).
     NonFinite,
-    /// The trial sleeps [`FaultConfig::stall`] before running (models
-    /// a hung measurement; trips the evaluator's soft deadline).
-    Stall,
 }
 
-/// A forced fault at one exact trial coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForcedFault {
-    /// Input size the trial must match.
-    pub n: u64,
-    /// Trial seed the trial must match.
-    pub seed: u64,
-    /// The fault to inject there.
-    pub kind: FaultKind,
-}
-
-/// The injection plan: rates, noise, and forced coordinates.
+/// The injection plan: fault rates and cost noise.
 ///
 /// All rates are probabilities in `[0, 1]` evaluated against a seeded
 /// hash of the trial coordinate; the default plan injects nothing.
@@ -113,10 +98,6 @@ pub struct FaultConfig {
     pub panic_rate: f64,
     /// Fraction of coordinates that report a non-finite cost.
     pub nonfinite_rate: f64,
-    /// Fraction of coordinates that stall before running.
-    pub stall_rate: f64,
-    /// How long a stalling trial sleeps.
-    pub stall: Duration,
     /// How many consecutive attempts at a faulting coordinate fail
     /// before it heals (`u32::MAX` = never heals).
     pub faults_per_trial: u32,
@@ -128,9 +109,6 @@ pub struct FaultConfig {
     pub outlier_rate: f64,
     /// Cost multiplier for outlier trials.
     pub outlier_factor: f64,
-    /// Faults forced at exact `(n, seed)` coordinates, checked before
-    /// the probabilistic rates.
-    pub forced: Vec<ForcedFault>,
 }
 
 impl Default for FaultConfig {
@@ -139,27 +117,22 @@ impl Default for FaultConfig {
             seed: 0,
             panic_rate: 0.0,
             nonfinite_rate: 0.0,
-            stall_rate: 0.0,
-            stall: Duration::from_millis(2),
             faults_per_trial: 1,
             jitter: 0.0,
             outlier_rate: 0.0,
             outlier_factor: 20.0,
-            forced: Vec::new(),
         }
     }
 }
 
 impl FaultConfig {
     /// Whether this plan injects nothing at all (the fast-path gate:
-    /// an off plan never hashes, locks, or sleeps).
+    /// an off plan never hashes or locks).
     pub fn is_off(&self) -> bool {
         self.panic_rate == 0.0
             && self.nonfinite_rate == 0.0
-            && self.stall_rate == 0.0
             && self.jitter == 0.0
             && self.outlier_rate == 0.0
-            && self.forced.is_empty()
     }
 
     /// Whether cost noise is enabled (jitter or outliers). Noise makes
@@ -177,8 +150,6 @@ pub struct InjectionReport {
     pub panics: u64,
     /// Non-finite costs returned.
     pub nonfinite: u64,
-    /// Stalls slept.
-    pub stalls: u64,
     /// Trials whose cost was jittered or outlier-scaled.
     pub noisy: u64,
 }
@@ -195,7 +166,6 @@ pub struct FaultyRunner<'r> {
     calls: Mutex<HashMap<(u64, u64, u64), u32>>,
     panics: AtomicU64,
     nonfinite: AtomicU64,
-    stalls: AtomicU64,
     noisy: AtomicU64,
 }
 
@@ -208,7 +178,6 @@ impl<'r> FaultyRunner<'r> {
             calls: Mutex::new(HashMap::new()),
             panics: AtomicU64::new(0),
             nonfinite: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
             noisy: AtomicU64::new(0),
         }
     }
@@ -223,7 +192,6 @@ impl<'r> FaultyRunner<'r> {
         InjectionReport {
             panics: self.panics.load(Ordering::Relaxed),
             nonfinite: self.nonfinite.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
             noisy: self.noisy.load(Ordering::Relaxed),
         }
     }
@@ -245,21 +213,13 @@ impl<'r> FaultyRunner<'r> {
         if attempt >= self.plan.faults_per_trial {
             return None;
         }
-        for forced in &self.plan.forced {
-            if forced.n == key.1 && forced.seed == key.2 {
-                return Some(forced.kind);
-            }
-        }
         let draw = unit(mix(&[SALT_FAULT, self.plan.seed, key.0, key.1, key.2]));
         let panic_edge = self.plan.panic_rate;
         let nonfinite_edge = panic_edge + self.plan.nonfinite_rate;
-        let stall_edge = nonfinite_edge + self.plan.stall_rate;
         if draw < panic_edge {
             Some(FaultKind::Panic)
         } else if draw < nonfinite_edge {
             Some(FaultKind::NonFinite)
-        } else if draw < stall_edge {
-            Some(FaultKind::Stall)
         } else {
             None
         }
@@ -320,11 +280,6 @@ impl TrialRunner for FaultyRunner<'_> {
                 let mut outcome = self.inner.run_trial(config, n, seed);
                 outcome.time = f64::NAN;
                 outcome
-            }
-            Some(FaultKind::Stall) => {
-                self.stalls.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(self.plan.stall);
-                self.inner.run_trial(config, n, seed)
             }
             None => {
                 let mut outcome = self.inner.run_trial(config, n, seed);
@@ -443,12 +398,8 @@ mod tests {
         let faulty = FaultyRunner::new(
             &inner,
             FaultConfig {
+                panic_rate: 1.0,
                 faults_per_trial: 2,
-                forced: vec![ForcedFault {
-                    n: 16,
-                    seed: 5,
-                    kind: FaultKind::Panic,
-                }],
                 ..FaultConfig::default()
             },
         );
@@ -460,8 +411,9 @@ mod tests {
         let healed = faulty.run_trial(&config, 16, 5);
         assert!(healed.time.is_finite());
         assert_eq!(faulty.report().panics, 2);
-        // Other coordinates are untouched.
-        assert!(faulty.run_trial(&config, 16, 6).time.is_finite());
+        // Another coordinate counts its own attempts.
+        let other = catch_unwind(AssertUnwindSafe(|| faulty.run_trial(&config, 16, 6)));
+        assert!(other.is_err(), "a fresh coordinate's first attempt panics");
     }
 
     #[test]
@@ -470,11 +422,7 @@ mod tests {
         let faulty = FaultyRunner::new(
             &inner,
             FaultConfig {
-                forced: vec![ForcedFault {
-                    n: 8,
-                    seed: 1,
-                    kind: FaultKind::NonFinite,
-                }],
+                nonfinite_rate: 1.0,
                 ..FaultConfig::default()
             },
         );
@@ -590,28 +538,5 @@ mod tests {
             (10..70).contains(&spikes),
             "a 10% outlier rate should spike roughly 30 of 300 trials, spiked {spikes}"
         );
-    }
-
-    #[test]
-    fn stall_injection_delays_but_returns_the_true_outcome() {
-        let inner = runner();
-        let faulty = FaultyRunner::new(
-            &inner,
-            FaultConfig {
-                stall: Duration::from_millis(1),
-                forced: vec![ForcedFault {
-                    n: 4,
-                    seed: 2,
-                    kind: FaultKind::Stall,
-                }],
-                ..FaultConfig::default()
-            },
-        );
-        let config = inner.schema().default_config();
-        let started = std::time::Instant::now();
-        let outcome = faulty.run_trial(&config, 4, 2);
-        assert!(started.elapsed() >= Duration::from_millis(1));
-        assert_eq!(outcome.time, 4.0, "stall corrupts timing, not results");
-        assert_eq!(faulty.report().stalls, 1);
     }
 }

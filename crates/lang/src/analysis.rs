@@ -98,18 +98,18 @@ pub enum ViolationKind {
     StaleInlineState,
     /// A slot `promote` moved into a register is still touched as a
     /// slot, or an exit is not preceded by the stores that write the
-    /// promoted outputs back (see [`verify_promoted`]).
+    /// promoted outputs back (see `verify_promoted`).
     LostWriteBack,
     /// Value tracking pointed a read at a register that does not
     /// provably hold the value the original operand held there, or
     /// replaced an instruction with one that writes something else
-    /// (see [`verify_forwarded`]).
+    /// (see `verify_forwarded`).
     StaleValue,
     /// A `DepthGuard` was removed where no guard at least as deep has
     /// run on every path.
     UnguardedDepth,
     /// A threaded jump is not a copy of the `AddImmJump` its `Jump`
-    /// pointed at (see [`verify_threaded`]).
+    /// pointed at (see `verify_threaded`).
     BadJumpThread,
 }
 

@@ -15,7 +15,7 @@
 //! emitted, [`OptLevel::O3`] (the default) runs everything below. One
 //! whole-program pass runs first:
 //!
-//! 0. **Inlining** ([`inline`]) — calls to scalar helper transforms are
+//! 0. **Inlining** (`inline`) — calls to scalar helper transforms are
 //!    replaced by the callee's lowered body (registers, slots, names
 //!    and jump targets renumbered; charges, draws and error points
 //!    kept), callees first. Everything below then runs across the old
@@ -25,7 +25,7 @@
 //!
 //! Then, per [`Chunk`]:
 //!
-//! 1. **Promotion** ([`promote`]) — every slot that provably only ever
+//! 1. **Promotion** (`promote`) — every slot that provably only ever
 //!    holds a scalar gets a home register, and the loads, stores and
 //!    copies that touched it become register moves: a `let`, a loop
 //!    variable or an inlined helper's argument lives in a register for
@@ -73,7 +73,7 @@
 //! 6. **Constant homes and jump threading** — each distinct constant
 //!    an instruction inside a loop reads from a just-set register gets
 //!    one register defined by a `Const` at chunk entry
-//!    ([`promote::const_homes`]; the in-loop `Const` is then dead), and
+//!    (`promote::const_homes`; the in-loop `Const` is then dead), and
 //!    a `Jump` whose target is an `AddImmJump` becomes a copy of it, so
 //!    an `if`/`else` arm ending a loop body takes the back edge in one
 //!    dispatch.

@@ -14,16 +14,16 @@
 //! the callee's rules on this VM too.
 //!
 //! The hot path is allocation-free in steady state. Each thread owns
-//! one [`VmScratch`] (parked in the `pb_runtime` scratch reservoir
-//! between rule invocations, held by [`run_rule`] during one):
+//! one `VmScratch` (parked in the `pb_runtime` scratch reservoir
+//! between rule invocations, held by `run_rule` during one):
 //!
-//! * Register and slot banks live in a [`VmFrame`] from its free list,
+//! * Register and slot banks live in a `VmFrame` from its free list,
 //!   grown monotonically, replacing the `vec![…]` pair every
 //!   invocation used to pay. A frame goes back to the list it came
 //!   from; the list is as deep as transform calls can nest.
 //! * Tunable names resolve once per `(chunk, prefix)` into its cached
 //!   table of pre-built full names and schema ids
-//!   ([`ResolvedNames`]), so the dispatch loop never rebuilds
+//!   (`ResolvedNames`), so the dispatch loop never rebuilds
 //!   `prefix + name` strings or hashes them against the schema. The
 //!   cache revalidates its ids against the active schema on every
 //!   borrow (a few pointer-free string compares), which keeps it
@@ -223,7 +223,7 @@ pub(crate) struct VmScratch {
     cache: Vec<CacheEntry>,
 }
 
-/// Frames parked in the current thread's [`VmScratch`] — a diagnostic
+/// Frames parked in the current thread's `VmScratch` — a diagnostic
 /// for the boundedness tests: however many rules and trials a thread
 /// has run, this stays within one frame per call level.
 pub fn parked_frames() -> usize {

@@ -4,7 +4,7 @@
 //! applications with a work-stealing scheduler and tuned the
 //! sequential/parallel cutoff. We reproduce the essential behaviour: a
 //! data-parallel map with a tunable sequential cutoff, built on the
-//! persistent [`Pool`](crate::pool::Pool). Benchmarks
+//! persistent [`Pool`]. Benchmarks
 //! call [`parallel_map`] (or [`parallel_gen`]) with a cutoff read from
 //! their configuration, so the tuner controls the switch-over point
 //! exactly as in the paper (§5.2 "switching points from a parallel

@@ -60,23 +60,33 @@ impl TunedProgram {
     /// Panics if the entries do not line up one-to-one (same order) with
     /// the bins' targets.
     pub fn new(transform: impl Into<String>, bins: AccuracyBins, entries: Vec<TunedEntry>) -> Self {
-        assert_eq!(
-            bins.len(),
-            entries.len(),
-            "one tuned entry is required per accuracy bin"
-        );
-        for (i, entry) in entries.iter().enumerate() {
-            assert_eq!(
-                entry.target,
-                bins.target(i),
-                "entry {i} target does not match its bin"
-            );
-        }
-        TunedProgram {
+        let program = TunedProgram {
             transform: transform.into(),
             bins,
             entries,
+        };
+        if let Err(e) = program.check() {
+            panic!("{e}");
         }
+        program
+    }
+
+    /// The invariants every lookup relies on: non-empty, ascending,
+    /// distinct bin targets, and one entry per bin carrying its target.
+    fn check(&self) -> Result<(), String> {
+        let targets = self.bins.targets();
+        if targets.is_empty() || !targets.windows(2).all(|w| w[0] < w[1]) {
+            return Err("accuracy bin targets must be non-empty, sorted and distinct".into());
+        }
+        if targets.len() != self.entries.len() {
+            return Err("one tuned entry is required per accuracy bin".into());
+        }
+        for (i, (entry, &target)) in self.entries.iter().zip(targets).enumerate() {
+            if entry.target != target {
+                return Err(format!("entry {i} target does not match its bin"));
+            }
+        }
+        Ok(())
     }
 
     /// Name of the transform this program was trained for.
@@ -125,9 +135,12 @@ impl TunedProgram {
     ///
     /// # Errors
     ///
-    /// Returns the underlying serde error message.
+    /// Returns the underlying serde error message, or the broken
+    /// invariant [`TunedProgram::new`] would have panicked on.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+        let program: TunedProgram = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        program.check()?;
+        Ok(program)
     }
 
     /// Writes the program to a config file on disk — the paper's
@@ -146,7 +159,8 @@ impl TunedProgram {
     ///
     /// # Errors
     ///
-    /// Returns I/O errors, or `InvalidData` for malformed JSON.
+    /// Returns I/O errors, or `InvalidData` for malformed JSON or an
+    /// inconsistent program.
     pub fn load_from(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
         Self::from_json(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
@@ -209,9 +223,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pb_tuned_bad_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.cfg.json");
-        std::fs::write(&path, "not json").unwrap();
-        let err = TunedProgram::load_from(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // Well-formed programs `new` would reject: no entries for three
+        // bins, and bins (with matching entries) in descending order.
+        let mut unsorted = demo_program();
+        unsorted.entries.reverse();
+        unsorted.bins = serde_json::from_str(r#"{"targets": [0.9, 0.5, 0.2]}"#).unwrap();
+        for body in [
+            "not json".to_string(),
+            r#"{"transform": "d", "bins": {"targets": [0.2, 0.5, 0.9]}, "entries": []}"#
+                .to_string(),
+            unsorted.to_json(),
+        ] {
+            std::fs::write(&path, &body).unwrap();
+            let err = TunedProgram::load_from(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{body}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -157,8 +157,8 @@ impl Comparator {
     /// Each side's observations are first summarized under the
     /// configured [`Robustness`] policy, then tested. Trial-count
     /// bookkeeping (minimum fill, budget) uses the *raw* sample counts,
-    /// so a trimmed summary never tricks the protocol into re-running
-    /// trials it already has. Under [`Robustness::Mean`] the summaries
+    /// whatever the policy, so a summary never tricks the protocol into
+    /// re-running trials it already has. Under [`Robustness::Mean`] the summaries
     /// are the pass-through accumulators themselves.
     pub fn decide_samples(&self, a_stats: &SampleStats, b_stats: &SampleStats) -> CompareStep {
         match self.config.robustness {

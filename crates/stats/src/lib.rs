@@ -16,7 +16,7 @@
 //! * [`Comparator`] — the adaptive trial-count comparison protocol from
 //!   §5.5.1 (run more trials only when the decision is still ambiguous).
 //! * [`SampleStats`] / [`Robustness`] — sample-retaining statistics and
-//!   the winsorized/trimmed summary policies that keep the comparison
+//!   the winsorized summary policy that keeps the comparison
 //!   protocol honest under noisy (wall-clock) measurement.
 //! * [`linear_fit`] — least-squares line fit used for trend estimation.
 //!

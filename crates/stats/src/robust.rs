@@ -7,9 +7,8 @@
 //! observations alongside a pass-through [`OnlineStats`] accumulator,
 //! and a [`Robustness`] policy turns them into the summary the
 //! comparator actually tests: the untouched Welford accumulator
-//! ([`Robustness::Mean`]), a winsorized summary (extreme observations
-//! clamped to interior quantiles), or a trimmed summary (extreme
-//! observations dropped).
+//! ([`Robustness::Mean`]) or a winsorized summary (extreme observations
+//! clamped to interior quantiles).
 //!
 //! `Robustness::Mean` returns the pass-through accumulator verbatim —
 //! not a recomputation — so virtual-cost tuning runs stay bit-identical
@@ -32,12 +31,6 @@ pub enum Robustness {
     Winsorized {
         /// Fraction of observations clamped at *each* end (e.g. `0.1`
         /// clamps the bottom 10% and the top 10%).
-        fraction: f64,
-    },
-    /// Trimmed summary: the lowest and highest `fraction` of the
-    /// sorted observations are dropped entirely.
-    Trimmed {
-        /// Fraction of observations dropped at *each* end.
         fraction: f64,
     },
 }
@@ -133,10 +126,10 @@ impl SampleStats {
     /// The summary the comparison protocol should test under `policy`.
     ///
     /// [`Robustness::Mean`] returns the pass-through accumulator
-    /// verbatim (bit-identical to having never retained samples); the
-    /// robust policies sort a copy of the observations (total order,
-    /// NaN last) and rebuild a Welford accumulator from the clamped or
-    /// trimmed values.
+    /// verbatim (bit-identical to having never retained samples);
+    /// [`Robustness::Winsorized`] sorts a copy of the observations
+    /// (total order, NaN last) and rebuilds a Welford accumulator from
+    /// the clamped values.
     pub fn summary(&self, policy: Robustness) -> OnlineStats {
         match policy {
             Robustness::Mean => self.online,
@@ -156,12 +149,6 @@ impl SampleStats {
                     }
                 }
                 sorted.into_iter().collect()
-            }
-            Robustness::Trimmed { fraction } => {
-                let mut sorted = self.samples.clone();
-                sorted.sort_by(|a, b| a.total_cmp(b));
-                let k = Robustness::tail_len(fraction, sorted.len());
-                sorted[k..sorted.len() - k].iter().copied().collect()
             }
         }
     }
@@ -215,29 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_drops_outliers_and_reduces_count() {
-        let s: SampleStats = [0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 50.0]
-            .into_iter()
-            .collect();
-        let t = s.summary(Robustness::Trimmed { fraction: 0.1 });
-        assert_eq!(t.count(), 8);
-        assert_eq!(t.mean(), 2.0);
-    }
-
-    #[test]
     fn tiny_samples_are_never_emptied() {
         for len in 1..=4usize {
             let s: SampleStats = (0..len).map(|i| i as f64).collect();
-            for policy in [
-                Robustness::Winsorized { fraction: 0.49 },
-                Robustness::Trimmed { fraction: 0.49 },
-            ] {
-                let summary = s.summary(policy);
-                assert!(
-                    summary.count() >= 1,
-                    "len={len} policy={policy:?} emptied the sample"
-                );
-            }
+            let summary = s.summary(Robustness::Winsorized { fraction: 0.49 });
+            assert!(summary.count() >= 1, "len={len} emptied the sample");
         }
     }
 

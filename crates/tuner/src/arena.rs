@@ -42,24 +42,11 @@ pub struct ArenaReport {
     pub rounds: u64,
     /// Comparator-requested trial draws executed via those batches.
     pub draws: u64,
-    /// Widest single round (draws in one batch).
-    pub max_round: u64,
     /// Pair-verdict memo lookups.
     pub memo_queries: u64,
     /// Lookups answered from a recorded verdict (no re-decide, no
     /// re-test).
     pub memo_hits: u64,
-}
-
-impl ArenaReport {
-    /// Accumulates another session's counters into this one.
-    pub fn absorb(&mut self, other: &ArenaReport) {
-        self.rounds += other.rounds;
-        self.draws += other.draws;
-        self.max_round = self.max_round.max(other.max_round);
-        self.memo_queries += other.memo_queries;
-        self.memo_hits += other.memo_hits;
-    }
 }
 
 /// A resumable decision driven by the arena: `advance` resolves as
@@ -135,7 +122,6 @@ pub struct Arena<'a, 'r> {
     memo: PairMemo,
     rounds: u64,
     draws: u64,
-    max_round: u64,
 }
 
 impl<'a, 'r> Arena<'a, 'r> {
@@ -147,7 +133,6 @@ impl<'a, 'r> Arena<'a, 'r> {
             memo: PairMemo::new(),
             rounds: 0,
             draws: 0,
-            max_round: 0,
         }
     }
 
@@ -156,7 +141,6 @@ impl<'a, 'r> Arena<'a, 'r> {
         ArenaReport {
             rounds: self.rounds,
             draws: self.draws,
-            max_round: self.max_round,
             memo_queries: self.memo.queries(),
             memo_hits: self.memo.hits(),
         }
@@ -225,7 +209,6 @@ impl<'a, 'r> Arena<'a, 'r> {
             }
             self.rounds += 1;
             self.draws += requests.len() as u64;
-            self.max_round = self.max_round.max(requests.len() as u64);
 
             let tracing = pb_trace::enabled();
             let (round_seq, round_start) = if tracing {
@@ -325,7 +308,7 @@ mod tests {
         let report = arena.report();
         assert!(report.rounds > 0);
         assert!(
-            report.max_round > 1,
+            report.draws > report.rounds,
             "disjoint pairs must batch together: {report:?}"
         );
     }

@@ -25,7 +25,6 @@
 
 use pb_config::{Config, Value};
 use pb_runtime::parallel::parallel_gen;
-use pb_runtime::pool::{Pool, PoolBatchStats};
 use pb_runtime::{TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
 use pb_trace::{Event, EventKind};
@@ -35,7 +34,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// How an [`Evaluator`] executes a batch of trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,87 +46,15 @@ pub enum EvalMode {
     Sequential,
 }
 
-/// Structured classification of one failed trial execution attempt.
+/// Retries after a trial's first faulting attempt (up to three attempts
+/// in total) before its outcome is replaced by the quarantine sentinel
+/// ([`TrialOutcome::QUARANTINED`]).
 ///
 /// Trials are hostile territory: a candidate configuration can drive a
-/// transform into a panic, an unbounded slowdown, or a NaN cost. The
-/// evaluator turns each of those into a `TrialError` — counted,
-/// retried, and ultimately quarantined — instead of letting it
+/// transform into a panic or a NaN cost. The evaluator counts, retries
+/// and ultimately quarantines each such fault instead of letting it
 /// propagate and kill the tuning run (or poison the pool).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrialError {
-    /// The trial panicked (caught via `catch_unwind`; the pool never
-    /// sees the unwind).
-    Panic,
-    /// The trial completed but exceeded the soft deadline
-    /// ([`FaultPolicy::deadline`]).
-    Timeout,
-    /// The trial reported a non-finite cost (NaN or ±inf `time`).
-    NonFinite,
-}
-
-/// The evaluator's fault-handling policy: how many times a faulting
-/// trial is retried (with deterministic backoff) before its outcome is
-/// replaced by the quarantine sentinel
-/// ([`TrialOutcome::QUARANTINED`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPolicy {
-    /// Retries after the first failed attempt (`2` means up to three
-    /// attempts total).
-    pub max_retries: u32,
-    /// Soft deadline per attempt: an attempt whose wall time exceeds
-    /// this counts as [`TrialError::Timeout`] even though it ran to
-    /// completion. `None` (the default) disables the check — and its
-    /// per-trial clock reads. Note that timeout classification depends
-    /// on real time, so enabling it trades bit-reproducibility of the
-    /// fault *counters* for protection against hangs; panic and
-    /// non-finite classification are deterministic.
-    pub deadline: Option<Duration>,
-    /// Base of the deterministic linear backoff between attempts
-    /// (attempt `k` sleeps `k × backoff`). Deterministic in *schedule*
-    /// — how long is slept never influences any decision.
-    pub backoff: Duration,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            max_retries: 2,
-            deadline: None,
-            backoff: Duration::from_micros(100),
-        }
-    }
-}
-
-/// What the evaluator's memo cache is allowed to do with a recorded
-/// outcome — the explicit form of the "wall-clock runners are never
-/// memoized" rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemoPolicy {
-    /// Serve recorded outcomes verbatim. Sound only when trials are
-    /// pure functions of `(config, n, seed)` — the virtual cost
-    /// model.
-    Replay,
-    /// Never serve a recorded outcome: every request re-executes, so
-    /// noisy (wall-clock) measurements are re-sampled rather than
-    /// replayed. Replaying them would feed the comparator
-    /// zero-variance copies of one measurement and turn one unlucky
-    /// outlier into a permanent verdict.
-    Resample,
-}
-
-impl MemoPolicy {
-    /// The sound policy for a runner: [`MemoPolicy::Replay`] only when
-    /// memoization was requested *and* the runner's trials are
-    /// deterministic.
-    pub fn for_runner(requested: bool, deterministic: bool) -> MemoPolicy {
-        if requested && deterministic {
-            MemoPolicy::Replay
-        } else {
-            MemoPolicy::Resample
-        }
-    }
-}
+const MAX_RETRIES: u32 = 2;
 
 /// One planned trial: a configuration to run at input size `n` with a
 /// deterministic seed.
@@ -309,12 +235,10 @@ pub struct Evaluator<'a> {
     runner: &'a dyn TrialRunner,
     mode: EvalMode,
     cache: Option<TrialCache>,
-    /// Fault isolation policy applied around every trial execution.
-    faults: FaultPolicy,
+    /// Calls into the runner, retried attempts included.
+    trials: AtomicU64,
     /// Attempts that panicked (caught, never propagated).
     trial_panics: AtomicU64,
-    /// Attempts that exceeded the soft deadline.
-    trial_timeouts: AtomicU64,
     /// Attempts that reported a non-finite cost.
     trial_nonfinite: AtomicU64,
     /// Re-executions triggered by a faulting attempt.
@@ -322,13 +246,6 @@ pub struct Evaluator<'a> {
     /// Trials whose every attempt faulted: their outcome is the
     /// [`TrialOutcome::QUARANTINED`] sentinel.
     quarantined: AtomicU64,
-    /// Pool batch traffic attributable to trial execution: the global
-    /// pool's stats delta across every `execute` window.
-    /// Only the coordinator thread executes trials' windows, so the
-    /// mutex is uncontended; in sequential mode the window also
-    /// captures kernel batches the trials spawned at top level (the
-    /// honest semantic: everything the pool did while trials ran).
-    pool_trial: Mutex<PoolBatchStats>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -336,67 +253,31 @@ impl<'a> Evaluator<'a> {
     /// whenever trials are deterministic functions of
     /// `(config, n, seed)`, i.e. under the virtual cost model; disable
     /// it when tuning on wall-clock time, where repeated measurements
-    /// genuinely differ. (The explicit form is
-    /// [`Evaluator::with_memo_policy`].)
+    /// genuinely differ and replaying one would feed the comparator
+    /// zero-variance copies of it. The tuner passes
+    /// [`TrialRunner::deterministic`].
     pub fn new(runner: &'a dyn TrialRunner, mode: EvalMode, memoize: bool) -> Self {
-        Self::with_memo_policy(
-            runner,
-            mode,
-            if memoize {
-                MemoPolicy::Replay
-            } else {
-                MemoPolicy::Resample
-            },
-        )
-    }
-
-    /// Wraps `runner` with an explicit cache policy; see
-    /// [`MemoPolicy`] (and [`MemoPolicy::for_runner`] for the gate the
-    /// tuner applies).
-    pub fn with_memo_policy(runner: &'a dyn TrialRunner, mode: EvalMode, memo: MemoPolicy) -> Self {
         Evaluator {
             runner,
             mode,
-            cache: (memo == MemoPolicy::Replay).then(TrialCache::default),
-            faults: FaultPolicy::default(),
+            cache: memoize.then(TrialCache::default),
+            trials: AtomicU64::new(0),
             trial_panics: AtomicU64::new(0),
-            trial_timeouts: AtomicU64::new(0),
             trial_nonfinite: AtomicU64::new(0),
             trial_retries: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            pool_trial: Mutex::new(PoolBatchStats::default()),
         }
     }
 
-    /// Replaces the fault isolation policy (builder-style).
-    pub fn with_faults(mut self, faults: FaultPolicy) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The active execution mode.
-    pub fn mode(&self) -> EvalMode {
-        self.mode
-    }
-
-    /// The active memoization policy.
-    pub fn memo_policy(&self) -> MemoPolicy {
-        if self.cache.is_some() {
-            MemoPolicy::Replay
-        } else {
-            MemoPolicy::Resample
-        }
+    /// Calls into the runner so far, retried attempts included.
+    pub(crate) fn trials(&self) -> u64 {
+        self.trials.load(Ordering::Relaxed)
     }
 
     /// Trial attempts that panicked (caught and classified, never
     /// propagated to the pool or the tuning loop).
     pub fn trial_panics(&self) -> u64 {
         self.trial_panics.load(Ordering::Relaxed)
-    }
-
-    /// Trial attempts that exceeded [`FaultPolicy::deadline`].
-    pub fn trial_timeouts(&self) -> u64 {
-        self.trial_timeouts.load(Ordering::Relaxed)
     }
 
     /// Trial attempts that reported a non-finite cost.
@@ -413,14 +294,6 @@ impl<'a> Evaluator<'a> {
     /// [`TrialOutcome::QUARANTINED`].
     pub fn quarantined(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Accumulated pool batch traffic of this evaluator's trial
-    /// execution windows (see the field docs). Subtracting it from a
-    /// whole-run pool delta separates trial batches from the tuner's
-    /// own kernel batches.
-    pub fn pool_trial_stats(&self) -> PoolBatchStats {
-        *self.pool_trial.lock().expect("pool stats poisoned")
     }
 
     /// Requests served from the cache without executing a trial
@@ -564,19 +437,17 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Executes every request (no cache involvement), parallel or
-    /// sequential per the mode, windowing the pool's batch stats into
-    /// [`Evaluator::pool_trial_stats`].
+    /// sequential per the mode.
     fn execute(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
         if requests.is_empty() {
             return Vec::new();
         }
-        let before = Pool::global().batch_stats();
         let trace_seq = if pb_trace::enabled() {
             pb_trace::next_seq()
         } else {
             0
         };
-        let outcomes = match self.mode {
+        match self.mode {
             EvalMode::Sequential => requests
                 .iter()
                 .enumerate()
@@ -606,13 +477,7 @@ impl<'a> Evaluator<'a> {
                     outcomes
                 }
             },
-        };
-        let delta = Pool::global().batch_stats().delta_since(&before);
-        self.pool_trial
-            .lock()
-            .expect("pool stats poisoned")
-            .absorb(&delta);
-        outcomes
+        }
     }
 
     /// Request indices grouped by trial coordinate, in first-occurrence
@@ -645,61 +510,30 @@ impl<'a> Evaluator<'a> {
         (chains.len() < requests.len()).then_some(chains)
     }
 
-    /// Classifies a completed attempt: timed out, non-finite cost, or
-    /// healthy (`None`).
-    fn classify(&self, started: Option<Instant>, outcome: &TrialOutcome) -> Option<TrialError> {
-        if let (Some(deadline), Some(started)) = (self.faults.deadline, started) {
-            if started.elapsed() > deadline {
-                return Some(TrialError::Timeout);
-            }
-        }
-        if !outcome.time.is_finite() {
-            return Some(TrialError::NonFinite);
-        }
-        None
-    }
-
-    /// Executes one trial attempt under full fault isolation: panics
-    /// are caught (`catch_unwind` — the pool's unwind machinery never
-    /// engages), soft-deadline overruns and non-finite costs are
-    /// classified as [`TrialError`]s, and faulting attempts retry with
-    /// deterministic linear backoff up to [`FaultPolicy::max_retries`]
-    /// times. A trial whose every attempt faults is *quarantined*: its
-    /// recorded outcome is the deterministic worst-cost sentinel
-    /// [`TrialOutcome::QUARANTINED`], which loses every comparison and
-    /// meets no accuracy target, so tournaments, arena contests, and
-    /// merges degrade gracefully instead of aborting the run.
+    /// Executes one trial under full fault isolation, counting every
+    /// call into the runner: panics are caught (`catch_unwind` — the
+    /// pool's unwind machinery never engages), non-finite costs are
+    /// counted as faults too, and a faulting attempt is retried up to
+    /// `MAX_RETRIES` times. A trial whose every attempt faults is
+    /// *quarantined*: its recorded outcome is the deterministic
+    /// worst-cost sentinel [`TrialOutcome::QUARANTINED`], which loses
+    /// every comparison and meets no accuracy target, so tournaments,
+    /// arena contests, and merges degrade gracefully instead of
+    /// aborting the run.
     fn guarded_run(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
-        let mut attempt: u32 = 0;
-        loop {
-            let started = self.faults.deadline.map(|_| Instant::now());
-            let error =
-                match catch_unwind(AssertUnwindSafe(|| self.runner.run_trial(config, n, seed))) {
-                    Ok(outcome) => match self.classify(started, &outcome) {
-                        None => return outcome,
-                        Some(error) => error,
-                    },
-                    Err(_) => TrialError::Panic,
-                };
-            match error {
-                TrialError::Panic => self.trial_panics.fetch_add(1, Ordering::Relaxed),
-                TrialError::Timeout => self.trial_timeouts.fetch_add(1, Ordering::Relaxed),
-                TrialError::NonFinite => self.trial_nonfinite.fetch_add(1, Ordering::Relaxed),
+        for attempt in 0..=MAX_RETRIES {
+            if attempt > 0 {
+                self.trial_retries.fetch_add(1, Ordering::Relaxed);
+            }
+            self.trials.fetch_add(1, Ordering::Relaxed);
+            match catch_unwind(AssertUnwindSafe(|| self.runner.run_trial(config, n, seed))) {
+                Ok(outcome) if outcome.time.is_finite() => return outcome,
+                Ok(_) => self.trial_nonfinite.fetch_add(1, Ordering::Relaxed),
+                Err(_) => self.trial_panics.fetch_add(1, Ordering::Relaxed),
             };
-            if attempt >= self.faults.max_retries {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                return TrialOutcome::QUARANTINED;
-            }
-            attempt += 1;
-            self.trial_retries.fetch_add(1, Ordering::Relaxed);
-            // Transient faults (a cold cache, a contended resource)
-            // deserve breathing room; the schedule is a deterministic
-            // function of the attempt number and never feeds back into
-            // any decision.
-            if !self.faults.backoff.is_zero() {
-                std::thread::sleep(self.faults.backoff.saturating_mul(attempt));
-            }
         }
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        TrialOutcome::QUARANTINED
     }
 
     /// Runs one trial of a batch, tracing it when `trace_seq != 0`.
@@ -1155,23 +989,16 @@ mod tests {
         }
     }
 
-    fn quiet_faults(max_retries: u32) -> FaultPolicy {
-        FaultPolicy {
-            max_retries,
-            deadline: None,
-            backoff: Duration::ZERO,
-        }
-    }
-
     #[test]
     fn transient_panic_recovers_after_retry() {
         let runner = TransformRunner::new(Flaky::new(1), CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true).with_faults(quiet_faults(2));
+        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
         let config = runner.schema().default_config();
         let out = eval.run_batch(&[request(&config, 8, 0)]);
         assert_eq!(out[0].time, 8.0, "the retry produced a healthy outcome");
         assert_eq!(eval.trial_panics(), 1);
         assert_eq!(eval.trial_retries(), 1);
+        assert_eq!(eval.trials(), 2, "the retried attempt is a trial too");
         assert_eq!(eval.quarantined(), 0);
         // The healthy (post-retry) outcome is what got memoized.
         let again = eval.run_batch(&[request(&config, 8, 0)]);
@@ -1183,7 +1010,7 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_with_the_sentinel() {
         let runner = TransformRunner::new(Flaky::new(u64::MAX), CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true).with_faults(quiet_faults(2));
+        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
         let config = runner.schema().default_config();
         let out = eval.run_batch(&[request(&config, 8, 0)]);
         assert!(out[0].is_quarantined());
@@ -1222,76 +1049,23 @@ mod tests {
             }
         }
         let runner = TransformRunner::new(NanCost, CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true).with_faults(quiet_faults(1));
+        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
         let config = runner.schema().default_config();
         let out = eval.run_batch(&[request(&config, 8, 0)]);
         assert!(out[0].is_quarantined());
-        assert_eq!(eval.trial_nonfinite(), 2);
+        assert_eq!(eval.trial_nonfinite(), 3, "initial attempt + two retries");
         assert_eq!(eval.trial_panics(), 0);
         assert_eq!(eval.quarantined(), 1);
     }
 
     #[test]
-    fn slow_trials_trip_the_soft_deadline() {
-        struct Slow;
-        impl Transform for Slow {
-            type Input = ();
-            type Output = ();
-            fn name(&self) -> &str {
-                "slow"
-            }
-            fn schema(&self) -> Schema {
-                let mut s = Schema::new("slow");
-                s.add_accuracy_variable("v", 1, 100);
-                s
-            }
-            fn generate_input(&self, _n: u64, _rng: &mut SmallRng) {}
-            fn execute(&self, _i: &(), ctx: &mut ExecCtx<'_>) {
-                std::thread::sleep(Duration::from_millis(5));
-                ctx.charge(1.0);
-            }
-            fn accuracy(&self, _i: &(), _o: &()) -> f64 {
-                0.5
-            }
-        }
-        let runner = TransformRunner::new(Slow, CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true).with_faults(FaultPolicy {
-            max_retries: 1,
-            deadline: Some(Duration::from_micros(100)),
-            backoff: Duration::ZERO,
-        });
-        let config = runner.schema().default_config();
-        let out = eval.run_batch(&[request(&config, 8, 0)]);
-        assert!(
-            out[0].is_quarantined(),
-            "every attempt overran the deadline"
-        );
-        assert_eq!(eval.trial_timeouts(), 2);
-        assert_eq!(eval.quarantined(), 1);
-    }
-
-    #[test]
-    fn memo_policy_gate_replays_only_deterministic_runners() {
-        assert_eq!(MemoPolicy::for_runner(true, true), MemoPolicy::Replay);
-        assert_eq!(MemoPolicy::for_runner(true, false), MemoPolicy::Resample);
-        assert_eq!(MemoPolicy::for_runner(false, true), MemoPolicy::Resample);
-        assert_eq!(MemoPolicy::for_runner(false, false), MemoPolicy::Resample);
-        let runner = TransformRunner::new(Linear, CostModel::Virtual);
-        let eval = Evaluator::with_memo_policy(&runner, EvalMode::Sequential, MemoPolicy::Replay);
-        assert_eq!(eval.memo_policy(), MemoPolicy::Replay);
-        let eval = Evaluator::with_memo_policy(&runner, EvalMode::Sequential, MemoPolicy::Resample);
-        assert_eq!(eval.memo_policy(), MemoPolicy::Resample);
-    }
-
-    #[test]
     fn wall_clock_trials_resample_through_the_evaluator() {
-        // The wall-clock satellite: real measurements flow through
-        // `run_batch` under `MemoPolicy::Resample`, every request
-        // re-executes, and outcomes stay finite.
+        // Real measurements flow through `run_batch` without a memo
+        // (the tuner memoizes only deterministic runners), every
+        // request re-executes, and outcomes stay finite.
         let runner = TransformRunner::new(Linear, CostModel::WallClock);
-        let memo = MemoPolicy::for_runner(true, runner.deterministic());
-        assert_eq!(memo, MemoPolicy::Resample);
-        let eval = Evaluator::with_memo_policy(&runner, EvalMode::Sequential, memo);
+        assert!(!runner.deterministic());
+        let eval = Evaluator::new(&runner, EvalMode::Sequential, runner.deterministic());
         let config = runner.schema().default_config();
         let reqs = vec![request(&config, 8, 0), request(&config, 8, 0)];
         for outcome in eval.run_batch(&reqs) {
@@ -1346,7 +1120,7 @@ mod tests {
                 inner: &clean,
                 runs: Mutex::new(HashMap::new()),
             };
-            let eval = Evaluator::with_memo_policy(&runner, mode, MemoPolicy::Resample);
+            let eval = Evaluator::new(&runner, mode, false);
             let times: Vec<f64> = eval.run_batch(&reqs).iter().map(|o| o.time).collect();
             times
         };

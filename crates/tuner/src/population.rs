@@ -177,7 +177,7 @@ impl Population {
     /// [`retain_indexed`](Population::retain_indexed)).
     ///
     /// Pairs are grouped by parent into plan-order *chains* and every
-    /// chain runs as one [`MergeChain`] contest in a single arena
+    /// chain runs as one `MergeChain` contest in a single arena
     /// session — the demand-merge rule: within a chain, pair `k + 1`
     /// only starts demanding draws once pair `k`'s verdict and accept
     /// decision are recorded (a later pair must see the parent's
@@ -649,9 +649,8 @@ mod tests {
         let report = pop.prune(n, &bins, 2, &evaluator, &comparator);
         assert!(report.arena.rounds > 0);
         assert!(
-            report.arena.max_round > 1,
+            report.arena.draws > report.arena.rounds,
             "independent comparisons must batch their draws: {report:?}"
         );
-        assert!(report.arena.draws >= report.arena.rounds);
     }
 }

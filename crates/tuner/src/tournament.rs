@@ -1,7 +1,7 @@
 //! Fastest-K selection (§5.5.4) as arena contests.
 //!
 //! Each accuracy bin's six-step selection is a resumable
-//! [`Contest`](crate::arena::Contest) driven by the
+//! [`Contest`] driven by the
 //! [`Arena`](crate::arena::Arena) round loop, so many selections
 //! interleave their comparator draws into shared pool batches:
 //!

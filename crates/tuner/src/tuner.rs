@@ -19,19 +19,18 @@
 //! the fastest `K` per accuracy bin (§5.5.4).
 
 use crate::candidate::Candidate;
-use crate::exec::{EvalMode, Evaluator, FaultPolicy, MemoPolicy};
+use crate::exec::{EvalMode, Evaluator};
 use crate::mutators::MutatorPool;
 use crate::population::Population;
 use pb_config::{AccuracyBins, Config, Schema, TunableKind, Value};
 use pb_runtime::pool::{Pool, PoolBatchStats};
-use pb_runtime::{TrialOutcome, TrialRunner, TunedEntry, TunedProgram};
+use pb_runtime::{TrialRunner, TunedEntry, TunedProgram};
 use pb_stats::{Comparator, ComparatorConfig};
 use pb_trace::{Event, EventKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Errors the autotuner can report.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,21 +96,6 @@ pub struct TunerOptions {
     /// this is a performance switch and a determinism-test lever, not
     /// a semantic one.
     pub parallel_trials: bool,
-    /// Memoize trial outcomes by `(config fingerprint, n, seed)`.
-    /// Only takes effect when the runner reports
-    /// [`TrialRunner::deterministic`] trials (the virtual cost
-    /// model); wall-clock runners are never memoized, since their
-    /// repeated measurements genuinely differ (see
-    /// [`MemoPolicy`](crate::exec::MemoPolicy)).
-    pub memoize_trials: bool,
-    /// Retries granted to a faulting trial (panic, soft-deadline
-    /// overrun, non-finite cost) before it is quarantined with the
-    /// deterministic worst-cost sentinel. See
-    /// [`FaultPolicy`](crate::exec::FaultPolicy).
-    pub max_trial_retries: u32,
-    /// Soft per-attempt deadline for trial execution; `None` disables
-    /// the check (and its clock reads).
-    pub trial_deadline: Option<std::time::Duration>,
 }
 
 impl Default for TunerOptions {
@@ -127,9 +111,6 @@ impl Default for TunerOptions {
             initial_random: 3,
             seed: 0x5EED,
             parallel_trials: true,
-            memoize_trials: true,
-            max_trial_retries: 2,
-            trial_deadline: None,
         }
     }
 }
@@ -153,9 +134,6 @@ impl TunerOptions {
             initial_random: 2,
             seed,
             parallel_trials: true,
-            memoize_trials: true,
-            max_trial_retries: 2,
-            trial_deadline: None,
         }
     }
 
@@ -176,7 +154,8 @@ impl TunerOptions {
 /// Counters describing what a tuning run did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TunerStats {
-    /// Total trial executions (the dominant cost, §5.5.1).
+    /// Calls into the runner, retried attempts included (the dominant
+    /// cost, §5.5.1).
     pub trials: u64,
     /// Children created by random mutation.
     pub children_created: u64,
@@ -190,9 +169,8 @@ pub struct TunerStats {
     /// Trial requests served by entries preloaded from a cross-run
     /// sidecar (see [`Autotuner::with_trial_cache`]).
     pub cache_hits_warm: u64,
-    /// Trial requests that executed a trial (equals `trials` when
-    /// memoization is on and all execution flows through the
-    /// evaluator).
+    /// Trial requests that executed a trial (with memoization on,
+    /// `trials - trial_retries`).
     pub cache_misses: u64,
     /// Trial requests that duplicated another request in the same
     /// batch and shared its execution (neither hits nor misses).
@@ -202,14 +180,10 @@ pub struct TunerStats {
     pub prune_rounds: u64,
     /// Comparator-requested trial draws executed via pruning batches.
     pub prune_draws: u64,
-    /// Largest single pruning batch.
-    pub prune_max_batch: u64,
     /// Child-vs-parent merge arena rounds that issued a trial batch.
     pub merge_rounds: u64,
     /// Comparator-requested trial draws executed via merge batches.
     pub merge_draws: u64,
-    /// Largest single merge batch.
-    pub merge_max_batch: u64,
     /// Pair-verdict memo lookups across all arena sessions.
     pub pair_memo_queries: u64,
     /// Lookups answered from a recorded verdict — comparisons neither
@@ -218,9 +192,6 @@ pub struct TunerStats {
     /// Trial attempts that panicked (caught by the evaluator's fault
     /// isolation, never propagated).
     pub trial_panics: u64,
-    /// Trial attempts that exceeded the soft deadline
-    /// ([`TunerOptions::trial_deadline`]).
-    pub trial_timeouts: u64,
     /// Trial attempts that reported a non-finite cost.
     pub trial_nonfinite: u64,
     /// Trial re-executions triggered by faulting attempts.
@@ -237,38 +208,19 @@ impl TunerStats {
     /// choices even if one needed retries to get there — the chaos
     /// contract (`tests/fault_injection.rs`) compares a fault-injected
     /// run against a fault-free run this way, since retried attempts
-    /// legitimately inflate `trials` and the fault counters without
-    /// changing a single verdict. `quarantined` is *kept*: a
-    /// quarantine replaces an outcome and therefore is a decision
-    /// input.
+    /// legitimately inflate the fault counters and `trials` (by exactly
+    /// `trial_retries`) without changing a single verdict.
+    /// `quarantined` is *kept*: a quarantine replaces an outcome and
+    /// therefore is a decision input.
     pub fn decision_image(&self) -> TunerStats {
         TunerStats {
             trials: 0,
             trial_panics: 0,
-            trial_timeouts: 0,
             trial_nonfinite: 0,
             trial_retries: 0,
             ..*self
         }
     }
-}
-
-/// Work-stealing-pool traffic windowed to one tuning run.
-///
-/// Kept out of [`TunerStats`] deliberately: sequential and parallel
-/// runs of the same seed make identical tuner decisions but different
-/// pool traffic, and `TunerStats` equality is the determinism
-/// contract (`tests/parallel_determinism.rs`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunPoolStats {
-    /// Every batch the global pool ran during the tuning run,
-    /// including kernel-level batches spawned inside trial executions.
-    pub total: PoolBatchStats,
-    /// Batches the pool ran while trial batches were executing — the
-    /// evaluator's windows around [`Evaluator`] trial execution. The
-    /// remainder (`total - trial`) is kernel traffic outside trial
-    /// windows.
-    pub trial: PoolBatchStats,
 }
 
 /// A tuned program plus the run's statistics and frontier summary.
@@ -280,9 +232,6 @@ pub struct TuningOutcome {
     pub stats: TunerStats,
     /// Population size at the end of training.
     pub final_population: usize,
-    /// Pool batch traffic windowed to this run (not part of the
-    /// determinism contract — see [`RunPoolStats`]).
-    pub pool: RunPoolStats,
 }
 
 /// An in-flight tracing span around one tuner phase: captures the
@@ -325,50 +274,6 @@ impl PhaseSpan {
     }
 }
 
-/// Wraps a [`TrialRunner`] to count trial executions.
-struct CountingRunner<'a> {
-    inner: &'a dyn TrialRunner,
-    trials: AtomicU64,
-}
-
-impl<'a> CountingRunner<'a> {
-    fn new(inner: &'a dyn TrialRunner) -> Self {
-        CountingRunner {
-            inner,
-            trials: AtomicU64::new(0),
-        }
-    }
-
-    fn count(&self) -> u64 {
-        self.trials.load(Ordering::Relaxed)
-    }
-}
-
-impl TrialRunner for CountingRunner<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-    fn deterministic(&self) -> bool {
-        self.inner.deterministic()
-    }
-    fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
-        self.trials.fetch_add(1, Ordering::Relaxed);
-        self.inner.run_trial(config, n, seed)
-    }
-    fn run_traced(
-        &self,
-        config: &Config,
-        n: u64,
-        seed: u64,
-    ) -> (TrialOutcome, pb_runtime::TraceNode) {
-        self.trials.fetch_add(1, Ordering::Relaxed);
-        self.inner.run_traced(config, n, seed)
-    }
-}
-
 /// The accuracy-aware genetic autotuner (§5).
 ///
 /// See the crate-level example for end-to-end usage.
@@ -398,9 +303,9 @@ impl<'a> Autotuner<'a> {
     /// schema-default change — then starts warm, with reuse reported
     /// as [`TunerStats::cache_hits_warm`].
     ///
-    /// Only takes effect when memoization does (deterministic runner,
-    /// `TunerOptions::memoize_trials`); a wall-clock run neither reads
-    /// nor writes the sidecar.
+    /// Only takes effect when memoization does, i.e. when the runner
+    /// reports [`TrialRunner::deterministic`] trials; a wall-clock run
+    /// neither reads nor writes the sidecar.
     pub fn with_trial_cache(mut self, path: impl Into<PathBuf>) -> Self {
         self.trial_cache = Some(path.into());
         self
@@ -422,8 +327,7 @@ impl<'a> Autotuner<'a> {
     ///
     /// See [`TunerError`].
     pub fn tune_outcome(self) -> Result<TuningOutcome, TunerError> {
-        let counting = CountingRunner::new(self.runner);
-        let schema = counting.schema().clone();
+        let schema = self.runner.schema().clone();
         if schema.is_empty() {
             return Err(TunerError::NothingToTune);
         }
@@ -436,13 +340,7 @@ impl<'a> Autotuner<'a> {
         // (config, n, seed); a wall-clock runner says it is not, and
         // serving it cached timings would feed the comparator
         // zero-variance samples.
-        let memo = MemoPolicy::for_runner(self.options.memoize_trials, counting.deterministic());
-        let evaluator =
-            Evaluator::with_memo_policy(&counting, mode, memo).with_faults(FaultPolicy {
-                max_retries: self.options.max_trial_retries,
-                deadline: self.options.trial_deadline,
-                ..FaultPolicy::default()
-            });
+        let evaluator = Evaluator::new(self.runner, mode, self.runner.deterministic());
         if let Some(path) = &self.trial_cache {
             evaluator.load_sidecar(path);
         }
@@ -450,7 +348,6 @@ impl<'a> Autotuner<'a> {
         let comparator = Comparator::new(self.options.comparator);
         let mut rng = SmallRng::seed_from_u64(self.options.seed);
         let mut stats = TunerStats::default();
-        let pool_at_start = Pool::global().batch_stats();
         let run_tracing = pb_trace::enabled();
         let (run_seq, run_start) = if run_tracing {
             (pb_trace::next_seq(), pb_trace::now_ns())
@@ -525,7 +422,6 @@ impl<'a> Autotuner<'a> {
                 PhaseSpan::end(span);
                 stats.prune_rounds += report.arena.rounds;
                 stats.prune_draws += report.arena.draws;
-                stats.prune_max_batch = stats.prune_max_batch.max(report.arena.max_round);
                 stats.pair_memo_queries += report.arena.memo_queries;
                 stats.pair_memo_hits += report.arena.memo_hits;
             }
@@ -578,13 +474,12 @@ impl<'a> Autotuner<'a> {
                 observed_time: candidate.mean_time(final_n),
             });
         }
-        stats.trials = counting.count();
+        stats.trials = evaluator.trials();
         stats.cache_hits = evaluator.cache_hits();
         stats.cache_hits_warm = evaluator.cache_hits_warm();
         stats.cache_misses = evaluator.cache_misses();
         stats.cache_coalesced = evaluator.cache_coalesced();
         stats.trial_panics = evaluator.trial_panics();
-        stats.trial_timeouts = evaluator.trial_timeouts();
         stats.trial_nonfinite = evaluator.trial_nonfinite();
         stats.trial_retries = evaluator.trial_retries();
         stats.quarantined = evaluator.quarantined();
@@ -593,7 +488,6 @@ impl<'a> Autotuner<'a> {
             // fail the tuning run that produced a valid program.
             let _ = evaluator.save_sidecar(path);
         }
-        let pool_delta = Pool::global().batch_stats().delta_since(&pool_at_start);
         if run_tracing {
             pb_trace::record(Event::span(
                 EventKind::TuningRun,
@@ -607,10 +501,6 @@ impl<'a> Autotuner<'a> {
             program: TunedProgram::new(schema.name(), self.bins, entries),
             stats,
             final_population: pop.len(),
-            pool: RunPoolStats {
-                total: pool_delta,
-                trial: evaluator.pool_trial_stats(),
-            },
         })
     }
 
@@ -720,7 +610,6 @@ impl<'a> Autotuner<'a> {
         pop.retain_indexed(|idx| idx < parent_count || accepted[idx - parent_count]);
         stats.merge_rounds += report.rounds;
         stats.merge_draws += report.draws;
-        stats.merge_max_batch = stats.merge_max_batch.max(report.max_round);
         stats.pair_memo_queries += report.memo_queries;
         stats.pair_memo_hits += report.memo_hits;
     }
@@ -1018,9 +907,7 @@ mod tests {
     fn wall_clock_runners_are_never_memoized() {
         let runner = TransformRunner::new(Iterate, CostModel::WallClock);
         let bins = AccuracyBins::new(vec![0.5]);
-        let mut options = TunerOptions::fast_preset(8, 2);
-        options.memoize_trials = true; // requested, but the runner is nondeterministic
-        let outcome = Autotuner::new(&runner, bins, options)
+        let outcome = Autotuner::new(&runner, bins, TunerOptions::fast_preset(8, 2))
             .tune_outcome()
             .unwrap();
         assert!(outcome.stats.trials > 0);

@@ -108,6 +108,11 @@ fn chaos_with_retries_is_decision_identical_to_fault_free() {
             "every single-shot fault costs exactly one retry"
         );
         assert_eq!(chaos.stats.quarantined, 0, "retries must heal everything");
+        assert_eq!(
+            chaos.stats.trials,
+            clean.stats.trials + chaos.stats.trial_retries,
+            "every retried attempt is counted as a trial"
+        );
 
         // The decisions — program, decision counters, survivors — are
         // bitwise those of the run that never saw a fault.
