@@ -1,14 +1,14 @@
 //! The six variable-accuracy benchmarks from §6.1 of the paper,
 //! implemented as [`pb_runtime::Transform`]s.
 //!
-//! | module | paper section | accuracy metric |
-//! |--------|--------------|-----------------|
+//! | benchmark | paper section | accuracy metric |
+//! |-----------|--------------|-----------------|
 //! | [`binpacking`] | §6.1.1 | `2 − bins/OPT` (so larger = tighter packing) |
 //! | [`clustering`] | §6.1.2 | `√(2n / Σ Dᵢ²)` |
-//! | [`helmholtz`] | §6.1.3 | `log₁₀` RMS residual-reduction ratio |
+//! | [`Helmholtz3d`] | §6.1.3 | `log₁₀` RMS residual-reduction ratio |
 //! | [`imagecompr`] | §6.1.4 | `log₁₀` RMS reconstruction-error ratio |
-//! | [`poisson`] | §6.1.5 | `log₁₀` RMS residual-reduction ratio |
-//! | [`precond`] | §6.1.6 | `log₁₀` RMS residual-reduction ratio |
+//! | [`Poisson2d`] | §6.1.5 | `log₁₀` RMS residual-reduction ratio |
+//! | [`Preconditioner`] | §6.1.6 | `log₁₀` RMS residual-reduction ratio |
 //!
 //! Every transform charges a deterministic virtual cost proportional to
 //! the work it performs, so the autotuner can run in the reproducible
@@ -20,10 +20,10 @@
 
 pub mod binpacking;
 pub mod clustering;
-pub mod helmholtz;
+mod helmholtz;
 pub mod imagecompr;
-pub mod poisson;
-pub mod precond;
+mod poisson;
+mod precond;
 
 pub use binpacking::BinPacking;
 pub use clustering::Clustering;

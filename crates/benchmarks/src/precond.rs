@@ -42,11 +42,6 @@ impl SpdOperator {
         }
     }
 
-    /// Grid dimension per side.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
     /// Number of unknowns (`m²`).
     pub fn dim(&self) -> usize {
         self.m * self.m

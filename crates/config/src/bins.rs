@@ -20,13 +20,10 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use pb_config::AccuracyBins;
 ///
-/// let mut bins = AccuracyBins::new(vec![0.5, 0.2, 0.95]);
-/// assert_eq!(bins.targets(), &[0.2, 0.5, 0.95]);
-/// bins.add_target(0.5); // duplicate: ignored
-/// bins.add_target(0.75);
-/// assert_eq!(bins.targets(), &[0.2, 0.5, 0.75, 0.95]);
-/// assert_eq!(bins.bin_for(0.6), Some(1)); // meets 0.5 but not 0.75
-/// assert_eq!(bins.bin_for(0.1), None);
+/// let bins = AccuracyBins::new(vec![0.5, 0.2, 0.95, 0.5]);
+/// assert_eq!(bins.targets(), &[0.2, 0.5, 0.95]); // sorted, duplicate dropped
+/// assert_eq!(bins.bin_meeting(0.6), Some(2)); // 0.5 is too loose for 0.6
+/// assert_eq!(bins.bin_meeting(0.99), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccuracyBins {
@@ -75,42 +72,6 @@ impl AccuracyBins {
         self.targets.is_empty()
     }
 
-    /// Adds an extra target of interest (e.g. when the compiler sees a
-    /// call with a specific accuracy, §4.2). Duplicates are ignored.
-    pub fn add_target(&mut self, target: f64) {
-        assert!(!target.is_nan(), "accuracy target must not be NaN");
-        match self
-            .targets
-            .binary_search_by(|t| t.partial_cmp(&target).expect("no NaN stored"))
-        {
-            Ok(_) => {}
-            Err(i) => self.targets.insert(i, target),
-        }
-    }
-
-    /// The index of the most demanding bin that `accuracy` satisfies
-    /// (highest target ≤ `accuracy`), or `None` if it satisfies no bin.
-    pub fn bin_for(&self, accuracy: f64) -> Option<usize> {
-        let mut best = None;
-        for (i, &t) in self.targets.iter().enumerate() {
-            if accuracy >= t {
-                best = Some(i);
-            } else {
-                break;
-            }
-        }
-        best
-    }
-
-    /// The target value of bin `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn target(&self, index: usize) -> f64 {
-        self.targets[index]
-    }
-
     /// The index of the least accurate bin whose target is at least
     /// `required` — the bin to *run* when a caller asks for accuracy
     /// `required` at runtime ("we support dynamically looking up the
@@ -135,18 +96,8 @@ mod tests {
     fn default_range_covers_zero_to_one() {
         let bins = AccuracyBins::default_range();
         assert_eq!(bins.len(), 11);
-        assert_eq!(bins.target(0), 0.0);
-        assert_eq!(bins.target(10), 1.0);
-    }
-
-    #[test]
-    fn bin_for_picks_highest_satisfied() {
-        let bins = AccuracyBins::new(vec![0.2, 0.5, 0.95]);
-        assert_eq!(bins.bin_for(1.0), Some(2));
-        assert_eq!(bins.bin_for(0.95), Some(2));
-        assert_eq!(bins.bin_for(0.94), Some(1));
-        assert_eq!(bins.bin_for(0.2), Some(0));
-        assert_eq!(bins.bin_for(0.19), None);
+        assert_eq!(bins.targets()[0], 0.0);
+        assert_eq!(bins.targets()[10], 1.0);
     }
 
     #[test]
@@ -159,20 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn add_target_inserts_in_order() {
-        let mut bins = AccuracyBins::new(vec![1.0, 3.0]);
-        bins.add_target(2.0);
-        assert_eq!(bins.targets(), &[1.0, 2.0, 3.0]);
-        bins.add_target(2.0);
-        assert_eq!(bins.len(), 3);
-    }
-
-    #[test]
     fn negative_targets_supported() {
         // Image compression uses log-scale accuracies that can be
         // negative; bins must not assume [0, 1].
         let bins = AccuracyBins::new(vec![-1.0, 0.0, 2.0]);
-        assert_eq!(bins.bin_for(-0.5), Some(0));
+        assert_eq!(bins.bin_meeting(-0.5), Some(1));
         assert_eq!(bins.bin_meeting(-2.0), Some(0));
     }
 

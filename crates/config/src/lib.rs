@@ -33,8 +33,8 @@
 pub mod bins;
 pub mod config;
 pub mod schema;
-pub mod tree;
-pub mod value;
+mod tree;
+mod value;
 
 pub use bins::AccuracyBins;
 pub use config::{Config, ConfigError};

@@ -9,12 +9,12 @@
 use crate::config::Config;
 use crate::tree::DecisionTree;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a tunable within its [`Schema`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct TunableId(pub usize);
 
 impl fmt::Display for TunableId {
@@ -25,7 +25,7 @@ impl fmt::Display for TunableId {
 
 /// The category of a tunable, which determines its value representation
 /// and which mutators apply to it (§5.2, §5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum TunableKind {
     /// An algorithmic choice site, tuned with a [`DecisionTree`] over
     /// input sizes. `num_algorithms` rules can satisfy this site.
@@ -85,20 +85,10 @@ impl TunableKind {
             TunableKind::AccuracyVariable { .. } | TunableKind::ChoiceSite { .. }
         )
     }
-
-    /// Whether the tunable holds a size-like magnitude best mutated with
-    /// log-normal scaling ("small changes have larger effects on small
-    /// values than large values", §5.4).
-    pub fn is_log_scaled(&self) -> bool {
-        matches!(
-            self,
-            TunableKind::Cutoff { .. } | TunableKind::AccuracyVariable { .. }
-        )
-    }
 }
 
 /// One tunable: a named decision the autotuner controls.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tunable {
     name: String,
     kind: TunableKind,
@@ -171,7 +161,7 @@ impl Tunable {
 ///     TunableKind::UserDefined { .. }
 /// ));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Schema {
     name: String,
     tunables: Vec<Tunable>,
@@ -346,16 +336,6 @@ impl Schema {
             .map(|(id, _)| id)
             .collect()
     }
-
-    /// Rebuilds the name index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .tunables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.clone(), TunableId(i)))
-            .collect();
-    }
 }
 
 impl PartialEq for Schema {
@@ -439,23 +419,5 @@ mod tests {
         let mut s = Schema::new("x");
         s.add_switch("a", 2);
         s.add_switch("a", 3);
-    }
-
-    #[test]
-    fn log_scaled_kinds() {
-        assert!(TunableKind::Cutoff { min: 1, max: 2 }.is_log_scaled());
-        assert!(TunableKind::AccuracyVariable { min: 1, max: 2 }.is_log_scaled());
-        assert!(!TunableKind::Switch { num_values: 2 }.is_log_scaled());
-        assert!(!TunableKind::ChoiceSite { num_algorithms: 2 }.is_log_scaled());
-    }
-
-    #[test]
-    fn serde_round_trip_with_index_rebuild() {
-        let s = sample_schema();
-        let json = serde_json::to_string(&s).unwrap();
-        let mut back: Schema = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert_eq!(s, back);
-        assert!(back.tunable("omega").is_some());
     }
 }

@@ -131,18 +131,13 @@ impl DecisionTree {
         true
     }
 
-    /// The set of distinct choices this tree can ever return.
-    pub fn reachable_choices(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.levels.iter().map(|l| l.choice).collect();
-        out.push(self.top_choice);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Checks that every choice in the tree is below `num_algorithms`.
+    /// Checks that every choice in the tree is below `num_algorithms`
+    /// and that the cutoffs ascend strictly, which [`select`](Self::select)
+    /// and [`add_level`](Self::add_level) rely on.
     pub fn is_valid_for(&self, num_algorithms: usize) -> bool {
-        self.top_choice < num_algorithms && self.levels.iter().all(|l| l.choice < num_algorithms)
+        self.top_choice < num_algorithms
+            && self.levels.iter().all(|l| l.choice < num_algorithms)
+            && self.levels.windows(2).all(|w| w[0].cutoff < w[1].cutoff)
     }
 }
 
@@ -162,7 +157,6 @@ mod tests {
         assert_eq!(t.select(0), 2);
         assert_eq!(t.select(u64::MAX), 2);
         assert_eq!(t.depth(), 0);
-        assert_eq!(t.reachable_choices(), vec![2]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Real deployments measure wall-clock time on shared machines: trials
 //! crash, return garbage, and — even when healthy — report noisy
 //! costs. The tuner's fault-isolation layer
-//! (`pb_tuner::exec::Evaluator`) and robust comparator statistics
+//! (`pb_tuner::Evaluator`) and robust comparator statistics
 //! (`pb_stats::Robustness`) exist to survive exactly that, and this
 //! crate is the harness that proves they do: a [`FaultyRunner`] wraps
 //! any [`TrialRunner`] and injects faults and noise at *seeded,
@@ -180,11 +180,6 @@ impl<'r> FaultyRunner<'r> {
             nonfinite: AtomicU64::new(0),
             noisy: AtomicU64::new(0),
         }
-    }
-
-    /// The active injection plan.
-    pub fn plan(&self) -> &FaultConfig {
-        &self.plan
     }
 
     /// Everything injected so far.

@@ -277,22 +277,6 @@ impl Stmt {
         };
         own.into_iter().flatten().for_each(|e| e.for_each(f));
     }
-
-    /// This statement's source span.
-    pub fn span(&self) -> Span {
-        match self {
-            Stmt::Let { span, .. }
-            | Stmt::Assign { span, .. }
-            | Stmt::If { span, .. }
-            | Stmt::While { span, .. }
-            | Stmt::For { span, .. }
-            | Stmt::ForEnough { span, .. }
-            | Stmt::Either { span, .. }
-            | Stmt::VerifyAccuracy { span }
-            | Stmt::Return { span, .. }
-            | Stmt::Expr { span, .. } => *span,
-        }
-    }
 }
 
 /// Assignment targets.

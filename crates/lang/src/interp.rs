@@ -70,13 +70,6 @@ impl Value {
         }
     }
 
-    /// The value's dimensions as an owned `Vec` (compatibility
-    /// wrapper; shape queries on hot paths use
-    /// [`Value::dims_ref`], which does not allocate).
-    pub fn dims(&self) -> Vec<usize> {
-        self.dims_ref().to_vec()
-    }
-
     /// The value's dimensions, stored inline — the borrowing-flavoured
     /// shape accessor: no `Vec` allocation per query. Values have at
     /// most two dimensions, so the shape fits in a [`Dims`] on the
@@ -128,11 +121,10 @@ impl Value {
     }
 }
 
-/// A value's shape, stored inline (at most two dimensions): what
-/// [`Value::dims`] returns, without the per-query `Vec` allocation.
-/// Dereferences to `&[usize]`, so existing slice-shaped consumers
-/// (`len()`, iteration, pattern matching via `as_slice`) port
-/// directly.
+/// A value's shape, stored inline (at most two dimensions), so a
+/// shape query allocates no `Vec`. Dereferences to `&[usize]`, so
+/// slice-shaped consumers (`len()`, iteration, pattern matching via
+/// `as_slice`) use it directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dims {
     count: u8,
@@ -1212,7 +1204,7 @@ mod tests {
         let mut ctx = simple_ctx(&schema, &config, 2);
         let out = interp.run("t", &inputs, &mut ctx).unwrap();
         assert_eq!(out["Out"], Value::Arr1(vec![5.0, 0.0]));
-        assert_eq!(out["Mid"].dims(), vec![5]);
+        assert_eq!(out["Mid"].dims_ref().as_slice(), &[5]);
     }
 
     #[test]
@@ -1358,7 +1350,7 @@ mod tests {
         let mut ctx = simple_ctx(&schema, &config, 100);
         let out = interp.run("mean", &inputs, &mut ctx).unwrap();
         assert_eq!(out["Count"], Value::Num(25.0));
-        assert_eq!(out["Out"].dims(), vec![25]);
+        assert_eq!(out["Out"].dims_ref().as_slice(), &[25]);
     }
 
     #[test]
@@ -1414,9 +1406,9 @@ mod tests {
         let scalar = Value::Num(1.0);
         let arr1 = Value::Arr1(vec![0.0; 5]);
         let arr2 = Value::zeros(&[3, 4]);
-        for v in [&scalar, &arr1, &arr2] {
-            assert_eq!(v.dims_ref().as_slice(), v.dims().as_slice());
-        }
+        assert_eq!(scalar.dims_ref().as_slice(), &[] as &[usize]);
+        assert_eq!(arr1.dims_ref().as_slice(), &[5]);
+        assert_eq!(arr2.dims_ref().as_slice(), &[3, 4]);
         // The inline shape behaves like the slice it derefs to.
         assert!(scalar.dims_ref().is_empty());
         assert_eq!(arr1.dims_ref().len(), 1);

@@ -64,18 +64,18 @@
 //! assert_eq!(program.transforms.len(), 2);
 //! ```
 
-pub mod analysis;
+mod analysis;
 pub mod ast;
-pub mod cdg;
+mod cdg;
 pub mod compile;
 pub mod interp;
 pub mod lexer;
 pub mod opt;
-pub mod parser;
+mod parser;
 pub mod pretty;
-pub mod sema;
+mod sema;
 pub mod token;
-pub mod traininfo;
+mod traininfo;
 pub mod transform;
 pub mod vm;
 

@@ -84,7 +84,7 @@
 //! Under verification ([`optimize`] with `verify` on) every pass goes
 //! through a gate that names it when its output is malformed, and the
 //! passes whose claim structure alone cannot show have it re-checked
-//! against the code they started from ([`crate::analysis`]).
+//! against the code they started from (`analysis`).
 //!
 //! Constant folding computes with the same `f64` operations the VM
 //! would execute, so folded results are bit-identical to runtime

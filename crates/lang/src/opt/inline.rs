@@ -10,8 +10,9 @@
 //! dimensionless output produced by one rule, no accuracy
 //! variables), its lowered body is small and free of name-resolved
 //! reads and further calls, and every argument at the site is a
-//! register or a slot the caller's [`ChunkFacts`] prove scalar. Any
-//! other site keeps its `CallTransform` and runs the generic path.
+//! register or a slot the caller's [`ChunkFacts`](crate::ChunkFacts)
+//! prove scalar. Any other site keeps its `CallTransform` and runs the
+//! generic path.
 //!
 //! A spliced region reproduces the generic call instruction for
 //! instruction: a [`Instr::DepthGuard`] raises "transform call depth
@@ -66,8 +67,6 @@ pub struct InlineSite {
 pub struct InlineRecord {
     /// The transform the chunk belongs to.
     pub transform: String,
-    /// Its rule index.
-    pub rule_idx: usize,
     /// The chunk before splicing.
     pub before: Chunk,
     /// The spliced regions, in code order.
@@ -261,7 +260,6 @@ impl Pass {
         if !sites.is_empty() {
             self.records.push(InlineRecord {
                 transform: owner.name.clone(),
-                rule_idx,
                 before,
                 sites,
             });

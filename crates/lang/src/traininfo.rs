@@ -18,7 +18,7 @@
 
 use crate::ast::{Expr, Program, Stmt, Transform};
 use crate::cdg::ChoiceDependencyGraph;
-use pb_config::{AccuracyBins, Schema};
+use pb_config::Schema;
 use std::collections::HashSet;
 
 /// Maximum sub-transform flattening depth.
@@ -38,19 +38,6 @@ pub fn extract_schema(program: &Program, transform_name: &str) -> Schema {
     let mut visiting = HashSet::new();
     add_transform_tunables(program, t, "", &mut schema, &mut visiting, 0);
     schema
-}
-
-/// Extracts this transform's accuracy bins, or the default 0..1 range
-/// (§3.2).
-pub fn extract_bins(program: &Program, transform_name: &str) -> AccuracyBins {
-    let t = program
-        .transform(transform_name)
-        .unwrap_or_else(|| panic!("unknown transform `{transform_name}`"));
-    if t.accuracy_bins.is_empty() {
-        AccuracyBins::default_range()
-    } else {
-        AccuracyBins::new(t.accuracy_bins.clone())
-    }
 }
 
 fn add_transform_tunables(
@@ -230,20 +217,5 @@ mod tests {
         // Only the transform's own tunable — no infinite expansion.
         assert!(schema.tunable("v").is_some());
         assert!(schema.tunable("t.v").is_none());
-    }
-
-    #[test]
-    fn bins_default_and_declared() {
-        let src = r#"
-            transform a accuracy_bins 0.25 0.75 from A[n] to B[n] {
-                to (B b) from (A a) { b[0] = 1; }
-            }
-            transform b from A[n] to B[n] {
-                to (B b) from (A a) { b[0] = 1; }
-            }
-        "#;
-        let program = parse_program(src).unwrap();
-        assert_eq!(extract_bins(&program, "a").targets(), &[0.25, 0.75]);
-        assert_eq!(extract_bins(&program, "b").len(), 11);
     }
 }

@@ -46,10 +46,9 @@ use crate::matrix::Matrix;
 /// ```
 /// use pb_linalg::SymmetricBanded;
 ///
-/// // The 1D Poisson operator tridiag(-1, 2, -1) of size 4.
-/// let a = SymmetricBanded::poisson_1d(4);
-/// let chol = a.cholesky().unwrap();
-/// let x = chol.solve(&[1.0, 0.0, 0.0, 1.0]);
+/// // The 2D Poisson 5-point operator on a 2 × 2 grid: dimension 4.
+/// let a = SymmetricBanded::poisson_2d(2);
+/// let x = a.solve(&[1.0, 0.0, 0.0, 1.0]).unwrap();
 /// let ax = a.matvec(&x);
 /// for (got, want) in ax.iter().zip([1.0, 0.0, 0.0, 1.0]) {
 ///     assert!((got - want).abs() < 1e-10);
@@ -82,6 +81,7 @@ impl SymmetricBanded {
     }
 
     /// The 1D Poisson operator `tridiag(-1, 2, -1)` of size `n`.
+    #[cfg(test)]
     pub fn poisson_1d(n: usize) -> Self {
         let mut a = SymmetricBanded::zeros(n, 1.min(n - 1));
         for i in 0..n {
@@ -117,11 +117,13 @@ impl SymmetricBanded {
     }
 
     /// Dimension of the matrix.
+    #[cfg(test)]
     pub fn dim(&self) -> usize {
         self.n
     }
 
     /// The (lower) bandwidth.
+    #[cfg(test)]
     pub fn bandwidth(&self) -> usize {
         self.bandwidth
     }

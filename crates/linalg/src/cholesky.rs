@@ -45,7 +45,7 @@ impl Cholesky {
     /// use pb_linalg::cholesky::Cholesky;
     /// use pb_linalg::Matrix;
     ///
-    /// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
+    /// let a = Matrix::from_vec(2, 2, vec![4.0, 2.0, 2.0, 3.0]);
     /// let chol = Cholesky::factor(&a).unwrap();
     /// let x = chol.solve(&[8.0, 7.0]);
     /// let ax = a.matvec(&x);
@@ -75,6 +75,7 @@ impl Cholesky {
     }
 
     /// The lower-triangular factor.
+    #[cfg(test)]
     pub fn l(&self) -> &Matrix {
         &self.l
     }

@@ -22,18 +22,6 @@ use crate::tridiag::SymmetricTridiagonal;
 
 /// Number of eigenvalues of `t` strictly less than `x`, computed with
 /// the Sturm sequence of leading principal minors.
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::eigen_bisect::sturm_count;
-/// use pb_linalg::SymmetricTridiagonal;
-///
-/// // diag(1, 2, 3): one eigenvalue below 1.5, two below 2.5.
-/// let t = SymmetricTridiagonal::new(vec![1.0, 2.0, 3.0], vec![0.0, 0.0]);
-/// assert_eq!(sturm_count(&t, 1.5), 1);
-/// assert_eq!(sturm_count(&t, 2.5), 2);
-/// ```
 pub fn sturm_count(t: &SymmetricTridiagonal, x: f64) -> usize {
     let n = t.dim();
     let mut count = 0;
@@ -294,28 +282,6 @@ fn normalize(v: &mut [f64]) -> f64 {
     norm
 }
 
-/// The `k` smallest eigenpairs of a symmetric tridiagonal matrix by
-/// bisection + inverse iteration.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `k > t.dim()`.
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::eigen_bisect::smallest_eigenpairs;
-/// use pb_linalg::SymmetricTridiagonal;
-///
-/// let t = SymmetricTridiagonal::new(vec![2.0; 6], vec![-1.0; 5]);
-/// let eig = smallest_eigenpairs(&t, 2);
-/// assert_eq!(eig.values.len(), 2);
-/// assert!(eig.values[0] < eig.values[1]);
-/// ```
-pub fn smallest_eigenpairs(t: &SymmetricTridiagonal, k: usize) -> SymmetricEigen {
-    selected_eigenpairs(t, 0, k)
-}
-
 /// The `k` largest eigenpairs (ascending order within the result).
 ///
 /// # Panics
@@ -551,6 +517,14 @@ mod tests {
     }
 
     #[test]
+    fn sturm_count_between_diagonal_entries() {
+        // diag(1, 2, 3): one eigenvalue below 1.5, two below 2.5.
+        let t = SymmetricTridiagonal::new(vec![1.0, 2.0, 3.0], vec![0.0, 0.0]);
+        assert_eq!(sturm_count(&t, 1.5), 1);
+        assert_eq!(sturm_count(&t, 2.5), 2);
+    }
+
+    #[test]
     fn sturm_count_diagonal_matrix() {
         let t = SymmetricTridiagonal::new(vec![1.0, 5.0, 9.0], vec![0.0, 0.0]);
         assert_eq!(sturm_count(&t, 0.0), 0);
@@ -594,7 +568,7 @@ mod tests {
     fn eigenvectors_satisfy_residual() {
         let n = 12;
         let t = poisson_t(n);
-        let eig = smallest_eigenpairs(&t, 4);
+        let eig = selected_eigenpairs(&t, 0, 4);
         for j in 0..4 {
             let v = eig.vectors.col(j);
             let tv = t.matvec(&v);
@@ -623,7 +597,7 @@ mod tests {
     fn clustered_eigenvalues_get_orthogonal_vectors() {
         // diag(1, 1, 5): eigenvalue 1 has multiplicity 2.
         let t = SymmetricTridiagonal::new(vec![1.0, 1.0, 5.0], vec![0.0, 0.0]);
-        let eig = smallest_eigenpairs(&t, 2);
+        let eig = selected_eigenpairs(&t, 0, 2);
         let v0 = eig.vectors.col(0);
         let v1 = eig.vectors.col(1);
         assert!(crate::matrix::dot(&v0, &v1).abs() < 1e-6);

@@ -28,18 +28,6 @@ const BASE_CASE: usize = 32;
 /// # Errors
 ///
 /// Returns [`EigenDidNotConverge`] only if a QL base case fails.
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::eigen_dc::eigen_dc_tridiagonal;
-/// use pb_linalg::SymmetricTridiagonal;
-///
-/// let t = SymmetricTridiagonal::new(vec![2.0; 40], vec![-1.0; 39]);
-/// let eig = eigen_dc_tridiagonal(&t).unwrap();
-/// assert_eq!(eig.values.len(), 40);
-/// assert!(eig.values.windows(2).all(|w| w[0] <= w[1]));
-/// ```
 pub fn eigen_dc_tridiagonal(
     t: &SymmetricTridiagonal,
 ) -> Result<SymmetricEigen, EigenDidNotConverge> {
@@ -485,6 +473,14 @@ mod tests {
         // Orthogonality through the rotation-undo path.
         let vtv = eig.vectors.transpose().matmul(&eig.vectors);
         assert!(vtv.sub(&Matrix::identity(3)).max_abs() < 1e-9);
+    }
+
+    #[test]
+    fn dc_returns_every_eigenvalue_ascending() {
+        let t = SymmetricTridiagonal::new(vec![2.0; 40], vec![-1.0; 39]);
+        let eig = eigen_dc_tridiagonal(&t).unwrap();
+        assert_eq!(eig.values.len(), 40);
+        assert!(eig.values.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! expressions, so the layout changes no bit of the result.
 
 use crate::matrix::Matrix;
-use crate::tridiag::{householder_tridiagonalize, SymmetricTridiagonal};
+use crate::tridiag::SymmetricTridiagonal;
 
 /// An eigendecomposition `A = V · diag(λ) · Vᵀ` with eigenvalues
 /// ascending and eigenvectors in the matching columns of `V`.
@@ -166,38 +166,11 @@ pub fn eigen_tridiagonal(
     })
 }
 
-/// Full eigendecomposition of a dense symmetric matrix: Householder
-/// reduction followed by implicit QL.
-///
-/// # Errors
-///
-/// Returns [`EigenDidNotConverge`] if QL fails (see
-/// [`eigen_tridiagonal`]).
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::eigen_qr::eigen_symmetric;
-/// use pb_linalg::Matrix;
-///
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-/// let eig = eigen_symmetric(&a).unwrap();
-/// assert!((eig.values[0] - 1.0).abs() < 1e-10);
-/// assert!((eig.values[1] - 3.0).abs() < 1e-10);
-/// ```
-pub fn eigen_symmetric(a: &Matrix) -> Result<SymmetricEigen, EigenDidNotConverge> {
-    let reduction = householder_tridiagonalize(a);
-    eigen_tridiagonal(&reduction.tridiag, Some(&reduction.q))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_inputs::{assert_bits_eq, symmetric_cases};
+    use crate::tridiag::householder_tridiagonalize;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -319,6 +292,13 @@ mod tests {
         assert_bits_eq(got.vectors.as_slice(), want.vectors.as_slice(), "5x3 q0");
     }
 
+    /// Every eigenpair of a dense symmetric matrix: Householder
+    /// reduction followed by implicit QL.
+    fn eigen_dense(a: &Matrix) -> SymmetricEigen {
+        let reduction = householder_tridiagonalize(a);
+        eigen_tridiagonal(&reduction.tridiag, Some(&reduction.q)).unwrap()
+    }
+
     fn check_decomposition(a: &Matrix, eig: &SymmetricEigen, tol: f64) {
         let n = a.rows();
         // A v = λ v for every pair.
@@ -344,7 +324,7 @@ mod tests {
     #[test]
     fn known_2x2() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let eig = eigen_symmetric(&a).unwrap();
+        let eig = eigen_dense(&a);
         assert!((eig.values[0] - 1.0).abs() < 1e-12);
         assert!((eig.values[1] - 3.0).abs() < 1e-12);
         check_decomposition(&a, &eig, 1e-10);
@@ -370,7 +350,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(44);
         for n in [1, 2, 3, 8, 25] {
             let a = Matrix::random_symmetric(n, &mut rng);
-            let eig = eigen_symmetric(&a).unwrap();
+            let eig = eigen_dense(&a);
             check_decomposition(&a, &eig, 1e-8);
             // Trace is preserved.
             let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
@@ -382,7 +362,7 @@ mod tests {
     #[test]
     fn diagonal_matrix_is_immediate() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -1.0]]);
-        let eig = eigen_symmetric(&a).unwrap();
+        let eig = eigen_dense(&a);
         assert!((eig.values[0] + 1.0).abs() < 1e-14);
         assert!((eig.values[1] - 3.0).abs() < 1e-14);
     }
@@ -391,7 +371,7 @@ mod tests {
     fn repeated_eigenvalues() {
         // 2·I has eigenvalue 2 with multiplicity 3.
         let a = Matrix::identity(3).scale(2.0);
-        let eig = eigen_symmetric(&a).unwrap();
+        let eig = eigen_dense(&a);
         for &v in &eig.values {
             assert!((v - 2.0).abs() < 1e-14);
         }

@@ -12,13 +12,13 @@
 //! * [`cholesky`] — dense Cholesky factorization/solve for SPD systems.
 //! * [`banded`] — symmetric banded storage and band Cholesky (the
 //!   `DPBSV` equivalent).
-//! * [`tridiag`] — Householder reduction of a symmetric matrix to
+//! * `tridiag` — Householder reduction of a symmetric matrix to
 //!   tridiagonal form.
-//! * [`eigen_qr`] — implicit-shift QL/QR eigensolver for symmetric
+//! * `eigen_qr` — implicit-shift QL/QR eigensolver for symmetric
 //!   tridiagonal matrices (all eigenpairs).
-//! * [`eigen_bisect`] — Sturm-sequence bisection for selected
+//! * `eigen_bisect` — Sturm-sequence bisection for selected
 //!   eigenvalues plus inverse iteration for their eigenvectors.
-//! * [`eigen_dc`] — Cuppen-style divide-and-conquer eigensolver.
+//! * `eigen_dc` — Cuppen-style divide-and-conquer eigensolver.
 //! * [`svd`] — singular value decomposition (via the symmetric
 //!   eigenproblem) and best rank-k approximation.
 
@@ -28,14 +28,14 @@
 
 pub mod banded;
 pub mod cholesky;
-pub mod eigen_bisect;
-pub mod eigen_dc;
-pub mod eigen_qr;
-pub mod matrix;
+mod eigen_bisect;
+mod eigen_dc;
+mod eigen_qr;
+mod matrix;
 pub mod svd;
 #[cfg(test)]
 mod test_inputs;
-pub mod tridiag;
+mod tridiag;
 
 pub use banded::SymmetricBanded;
 pub use eigen_qr::SymmetricEigen;

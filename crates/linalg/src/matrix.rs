@@ -12,7 +12,7 @@ use std::ops::{Index, IndexMut};
 /// ```
 /// use pb_linalg::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
 /// let b = Matrix::identity(2);
 /// let c = a.matmul(&b);
 /// assert_eq!(c, a);
@@ -49,6 +49,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the rows have differing lengths or there are no rows.
+    #[cfg(test)]
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         assert!(!rows.is_empty(), "matrix needs at least one row");
         let cols = rows[0].len();
@@ -93,6 +94,7 @@ impl Matrix {
     }
 
     /// A random symmetric matrix with entries in `[-1, 1]`.
+    #[cfg(test)]
     pub fn random_symmetric(n: usize, rng: &mut SmallRng) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
@@ -106,6 +108,7 @@ impl Matrix {
     }
 
     /// A random symmetric positive-definite matrix (`B·Bᵀ + n·I`).
+    #[cfg(test)]
     pub fn random_spd(n: usize, rng: &mut SmallRng) -> Self {
         let b = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
         let mut m = b.matmul(&b.transpose());
@@ -243,6 +246,7 @@ impl Matrix {
     }
 
     /// Scales every entry by `s`.
+    #[cfg(test)]
     pub fn scale(&self, s: f64) -> Matrix {
         let mut out = self.clone();
         for v in &mut out.data {
@@ -252,6 +256,7 @@ impl Matrix {
     }
 
     /// Frobenius norm.
+    #[cfg(test)]
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
@@ -267,6 +272,7 @@ impl Matrix {
     }
 
     /// Largest absolute entry.
+    #[cfg(test)]
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }

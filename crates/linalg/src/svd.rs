@@ -64,16 +64,6 @@ impl Svd {
         }
         Matrix::from_vec(m, n, out)
     }
-
-    /// Truncates to the top `k` triplets (no-op if `k >= rank`).
-    pub fn truncate(&mut self, k: usize) {
-        if k >= self.rank() {
-            return;
-        }
-        self.sigma.truncate(k);
-        self.u = Matrix::from_fn(self.u.rows(), k, |i, j| self.u[(i, j)]);
-        self.v = Matrix::from_fn(self.v.rows(), k, |i, j| self.v[(i, j)]);
-    }
 }
 
 /// Computes the top-`k` SVD of `a` with the selected eigensolver.
@@ -85,7 +75,7 @@ impl Svd {
 ///
 /// # Errors
 ///
-/// Returns [`EigenDidNotConverge`] if the underlying QL iteration
+/// Returns `EigenDidNotConverge` if the underlying QL iteration
 /// fails.
 ///
 /// # Examples
@@ -94,7 +84,7 @@ impl Svd {
 /// use pb_linalg::svd::{svd_top_k, SvdMethod};
 /// use pb_linalg::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 2.0]]);
+/// let a = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 2.0]);
 /// let svd = svd_top_k(&a, 2, SvdMethod::Qr).unwrap();
 /// assert!((svd.sigma[0] - 3.0).abs() < 1e-10);
 /// assert!((svd.sigma[1] - 2.0).abs() < 1e-10);
@@ -295,17 +285,6 @@ mod tests {
         assert_eq!(svd.v.rows(), 5);
         let err = a.sub(&svd.reconstruct()).max_abs();
         assert!(err < 1e-6);
-    }
-
-    #[test]
-    fn truncate_shrinks_factors() {
-        let mut rng = SmallRng::seed_from_u64(82);
-        let a = Matrix::random_uniform(6, 6, &mut rng);
-        let mut svd = svd_top_k(&a, 6, SvdMethod::Qr).unwrap();
-        svd.truncate(2);
-        assert_eq!(svd.rank(), 2);
-        assert_eq!(svd.u.cols(), 2);
-        assert_eq!(svd.v.cols(), 2);
     }
 
     #[test]

@@ -55,7 +55,8 @@ impl SymmetricTridiagonal {
         self.diag.len()
     }
 
-    /// Densifies (tests / small solves).
+    /// Densifies (test oracles).
+    #[cfg(test)]
     pub fn to_dense(&self) -> Matrix {
         let n = self.dim();
         Matrix::from_fn(n, n, |i, j| {
@@ -74,6 +75,7 @@ impl SymmetricTridiagonal {
     /// # Panics
     ///
     /// Panics if `x.len() != dim()`.
+    #[cfg(test)]
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         let n = self.dim();
         assert_eq!(x.len(), n, "vector length mismatch");
@@ -127,23 +129,6 @@ pub struct Tridiagonalization {
 ///
 /// Panics if `a` is not square (symmetry of the lower triangle is
 /// assumed; only the lower triangle is read).
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::tridiag::householder_tridiagonalize;
-/// use pb_linalg::Matrix;
-///
-/// let a = Matrix::from_rows(&[
-///     &[4.0, 1.0, -2.0],
-///     &[1.0, 2.0, 0.0],
-///     &[-2.0, 0.0, 3.0],
-/// ]);
-/// let t = householder_tridiagonalize(&a);
-/// // Q·T·Qᵀ reconstructs A.
-/// let back = t.q.matmul(&t.tridiag.to_dense()).matmul(&t.q.transpose());
-/// assert!(a.sub(&back).max_abs() < 1e-10);
-/// ```
 pub fn householder_tridiagonalize(a: &Matrix) -> Tridiagonalization {
     assert!(a.is_square(), "tridiagonalization requires a square matrix");
     let n = a.rows();
@@ -310,6 +295,14 @@ mod tests {
             );
             assert_bits_eq(got.q.as_slice(), want.q.as_slice(), &format!("{label} q"));
         }
+    }
+
+    #[test]
+    fn q_t_qt_reconstructs_a() {
+        let a = Matrix::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]);
+        let t = householder_tridiagonalize(&a);
+        let back = t.q.matmul(&t.tridiag.to_dense()).matmul(&t.q.transpose());
+        assert!(a.sub(&back).max_abs() < 1e-10);
     }
 
     #[test]

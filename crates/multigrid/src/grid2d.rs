@@ -123,6 +123,7 @@ impl Grid2d {
     }
 
     /// Largest absolute value.
+    #[cfg(test)]
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }

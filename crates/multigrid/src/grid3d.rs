@@ -26,6 +26,7 @@ impl Grid3d {
     }
 
     /// A grid filled with `value`.
+    #[cfg(test)]
     pub fn constant(n: usize, value: f64) -> Self {
         let mut g = Grid3d::zeros(n);
         g.data.fill(value);
@@ -45,6 +46,7 @@ impl Grid3d {
     }
 
     /// Whether `n` is a legal multigrid size (`2^k − 1`).
+    #[cfg(test)]
     pub fn valid_size(n: usize) -> bool {
         n > 0 && (n + 1).is_power_of_two()
     }
@@ -145,6 +147,7 @@ impl Grid3d {
     }
 
     /// Largest absolute value.
+    #[cfg(test)]
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }

@@ -6,7 +6,7 @@
 //! Relaxation), and one recursive (multigrid)" algorithmic building
 //! block each. This crate supplies those blocks:
 //!
-//! * [`grid2d`] / [`grid3d`] — simple vertex-centered grids with
+//! * [`Grid2d`] / [`Grid3d`] — simple vertex-centered grids with
 //!   `2^k − 1` interior points per dimension.
 //! * [`poisson2d`] — the 5-point Laplacian: operator application,
 //!   residuals, Red-Black SOR sweeps, full-weighting restriction,
@@ -15,15 +15,11 @@
 //!   `α·a·φ − β·∇·(b·∇φ)` with face-averaged coefficients, Red-Black
 //!   SOR, 3D transfer operators, coefficient coarsening, and a dense
 //!   direct solve for coarse levels.
-//! * [`vcycle`] — a reference V-cycle used to validate the machinery
-//!   (the *tunable* cycle shapes live in the benchmark crate, where the
-//!   autotuner owns the per-level decisions).
 
-pub mod grid2d;
-pub mod grid3d;
+mod grid2d;
+mod grid3d;
 pub mod helmholtz3d;
 pub mod poisson2d;
-pub mod vcycle;
 
 pub use grid2d::Grid2d;
 pub use grid3d::Grid3d;

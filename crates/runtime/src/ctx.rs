@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 /// One event recorded in the execution trace.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+enum TraceEvent {
     /// Entered a named scope (e.g. one multigrid recursion level).
     Enter(String),
     /// Left the innermost open scope.
@@ -38,16 +38,6 @@ pub struct TraceNode {
 }
 
 impl TraceNode {
-    /// Total number of point events in this subtree.
-    pub fn total_points(&self) -> usize {
-        self.points.len()
-            + self
-                .children
-                .iter()
-                .map(TraceNode::total_points)
-                .sum::<usize>()
-    }
-
     /// Maximum scope depth below this node (0 for a leaf).
     pub fn depth(&self) -> usize {
         self.children
@@ -291,11 +281,6 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// The raw trace events recorded so far.
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-
     /// Builds the tree view of the trace. Unclosed scopes are treated as
     /// closed at the end.
     pub fn trace_tree(&self) -> TraceNode {
@@ -408,7 +393,7 @@ mod tests {
         ctx.enter("level0");
         ctx.event("relax");
         ctx.exit();
-        assert!(ctx.trace().is_empty());
+        assert_eq!(ctx.trace_tree(), TraceNode::default());
     }
 
     #[test]
@@ -432,7 +417,6 @@ mod tests {
         assert_eq!(l0.points, vec!["relax", "relax"]);
         assert_eq!(l0.children[0].label, "level1");
         assert_eq!(l0.children[0].points, vec!["relax", "direct"]);
-        assert_eq!(tree.total_points(), 4);
         assert_eq!(tree.depth(), 2);
         assert_eq!(tree.count_points("relax"), 3);
     }

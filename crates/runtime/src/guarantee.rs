@@ -17,6 +17,7 @@
 use crate::transform::{Transform, TransformRunner};
 use crate::tuned::TunedProgram;
 use crate::ExecCtx;
+use pb_config::ConfigError;
 use std::fmt;
 
 /// Which accuracy-guarantee technique a transform uses (§3.3).
@@ -57,6 +58,14 @@ pub enum GuaranteeError {
         /// Total executions performed.
         attempts: usize,
     },
+    /// A bin's configuration does not fit the transform's schema (a
+    /// tuned-program file written for another schema, or edited).
+    ConfigMismatch {
+        /// The bin whose configuration was rejected.
+        bin: usize,
+        /// Why the schema rejected it.
+        error: ConfigError,
+    },
 }
 
 impl fmt::Display for GuaranteeError {
@@ -77,6 +86,9 @@ impl fmt::Display for GuaranteeError {
                 f,
                 "accuracy {required} not met after {attempts} attempts (best achieved {best_achieved})"
             ),
+            GuaranteeError::ConfigMismatch { bin, error } => {
+                write!(f, "the configuration of bin {bin} does not fit the schema: {error}")
+            }
         }
     }
 }
@@ -108,6 +120,8 @@ pub struct VerifiedRun<O> {
 ///
 /// * [`GuaranteeError::NoSufficientBin`] if no trained bin targets the
 ///   required accuracy.
+/// * [`GuaranteeError::ConfigMismatch`] if a bin the escalation could
+///   reach holds a configuration the transform's schema rejects.
 /// * [`GuaranteeError::AccuracyNotMet`] if every attempt fails the check.
 pub fn run_verified<T: Transform>(
     runner: &TransformRunner<T>,
@@ -136,6 +150,11 @@ pub fn run_verified<T: Transform>(
     let mut best_achieved = f64::NEG_INFINITY;
     let transform = runner.transform();
     let schema = runner.schema();
+    for bin in start_bin..=top_bin {
+        if let Err(error) = tuned.entry(bin).config.validate(schema) {
+            return Err(GuaranteeError::ConfigMismatch { bin, error });
+        }
+    }
 
     // Escalation schedule: each bin from start to top once, then
     // max_retries extra tries at the top bin.
@@ -187,6 +206,7 @@ mod tests {
         fn schema(&self) -> Schema {
             let mut s = Schema::new("noisy");
             s.add_accuracy_variable("level", 0, 10);
+            s.add_choice_site("rule", 2);
             s
         }
 
@@ -278,5 +298,27 @@ mod tests {
         let run = run_verified(&runner, &tuned, &(), 1, 0.9, 50, 7).unwrap();
         assert!(run.accuracy >= 0.9);
         assert!(run.attempts >= 1);
+    }
+
+    #[test]
+    fn configs_the_schema_rejects_are_errors_not_panics_or_runs() {
+        let (runner, tuned) = tuned_for(&[(0.2, 2), (0.8, 8)]);
+        let json = serde_json::to_string(&tuned).unwrap();
+        let edits = [
+            // Written for another schema: no values at all.
+            (r#"[{"Int":2},{"Tree":{"levels":[],"top_choice":0}}]"#, "[]"),
+            // `level` is declared 0..=10.
+            (r#"{"Int":2}"#, r#"{"Int":99}"#),
+            // Decision-tree cutoffs must ascend strictly.
+            (
+                r#""levels":[]"#,
+                r#""levels":[{"cutoff":9,"choice":1},{"cutoff":3,"choice":0}]"#,
+            ),
+        ];
+        for (from, to) in edits {
+            let loaded = TunedProgram::from_json(&json.replacen(from, to, 1)).unwrap();
+            let err = run_verified(&runner, &loaded, &(), 1, 0.1, 0, 42).unwrap_err();
+            assert!(matches!(err, GuaranteeError::ConfigMismatch { bin: 0, .. }));
+        }
     }
 }

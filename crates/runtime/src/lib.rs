@@ -24,16 +24,16 @@
 //!   job queue) and the tunable-cutoff data-parallel helpers built on
 //!   it (§5.2).
 
-pub mod ctx;
+mod ctx;
 pub mod diag;
 pub mod guarantee;
 pub mod parallel;
 pub mod pool;
 pub mod scratch;
 pub mod transform;
-pub mod tuned;
+mod tuned;
 
-pub use ctx::{ExecCtx, TraceEvent, TraceNode};
+pub use ctx::{ExecCtx, TraceNode};
 pub use guarantee::{GuaranteeError, GuaranteeKind, VerifiedRun};
 pub use pool::{Pool, PoolBatchStats};
 pub use scratch::ScratchPool;

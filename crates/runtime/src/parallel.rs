@@ -5,7 +5,7 @@
 //! sequential/parallel cutoff. We reproduce the essential behaviour: a
 //! data-parallel map with a tunable sequential cutoff, built on the
 //! persistent [`Pool`]. Benchmarks
-//! call [`parallel_map`] (or [`parallel_gen`]) with a cutoff read from
+//! call [`parallel_gen`] with a cutoff read from
 //! their configuration, so the tuner controls the switch-over point
 //! exactly as in the paper (§5.2 "switching points from a parallel
 //! work stealing scheduler to sequential code").
@@ -36,7 +36,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// the pool (as opposed to inline on the calling thread).
 ///
 /// This is the single source of truth for the switch-over decision:
-/// [`parallel_gen`] / [`parallel_map`] branch on it, and cost models
+/// [`parallel_gen`] branches on it, and cost models
 /// that charge for the schedule (e.g. the clustering benchmark's
 /// `par_cutoff` tunable) query it rather than duplicating the
 /// condition.
@@ -110,29 +110,6 @@ where
     out
 }
 
-/// Applies `f` to every element, splitting across threads when the
-/// input is at least `sequential_cutoff` elements long.
-///
-/// Results are returned in input order. See [`parallel_gen`] for the
-/// cutoff and panic semantics.
-///
-/// # Examples
-///
-/// ```
-/// use pb_runtime::parallel::parallel_map;
-///
-/// let squares = parallel_map(&[1, 2, 3, 4], 2, |&x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn parallel_map<I, O, F>(items: &[I], sequential_cutoff: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    parallel_gen(items.len(), sequential_cutoff, |i| f(&items[i]))
-}
-
 /// Number of hardware threads the global pool uses (cached in the
 /// pool; no syscall per query).
 pub fn available_threads() -> usize {
@@ -147,32 +124,31 @@ mod tests {
     #[test]
     fn sequential_below_cutoff() {
         let calls = AtomicUsize::new(0);
-        let out = parallel_map(&[1, 2, 3], 1000, |&x| {
+        let out = parallel_gen(3, 1000, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
-            x + 1
+            i + 1
         });
-        assert_eq!(out, vec![2, 3, 4]);
+        assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn parallel_preserves_order() {
-        let input: Vec<u64> = (0..10_000).collect();
-        let out = parallel_map(&input, 8, |&x| x * 2);
-        let expected: Vec<u64> = input.iter().map(|&x| x * 2).collect();
+        let out = parallel_gen(10_000, 8, |i| i as u64 * 2);
+        let expected: Vec<u64> = (0..10_000).map(|x| x * 2).collect();
         assert_eq!(out, expected);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<i32> = parallel_map(&[] as &[i32], 1, |&x| x);
+        let out: Vec<usize> = parallel_gen(0, 1, |i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn results_match_sequential_for_nontrivial_work() {
         let input: Vec<f64> = (1..500).map(|i| i as f64).collect();
-        let par = parallel_map(&input, 4, |&x| x.sqrt().sin());
+        let par = parallel_gen(input.len(), 4, |i| input[i].sqrt().sin());
         let seq: Vec<f64> = input.iter().map(|&x| x.sqrt().sin()).collect();
         assert_eq!(par, seq);
     }

@@ -4,7 +4,7 @@
 //! stealing scheduler" whose sequential/parallel switch-over points are
 //! exposed to the autotuner (§5.2). What is reproduced here is that
 //! tunable switch-over (the `sequential_cutoff` of
-//! [`crate::parallel::parallel_map`], charged by the cost models); the
+//! [`crate::parallel::parallel_gen`], charged by the cost models); the
 //! lock-free Chase–Lev deques are not — the traffic is one submitter
 //! pushing batches a few chunks wide, so the pool is:
 //!

@@ -194,11 +194,6 @@ impl<T: Transform> TransformRunner<T> {
         &self.schema
     }
 
-    /// The active cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
-    }
-
     fn run_inner(
         &self,
         config: &Config,

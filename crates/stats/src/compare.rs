@@ -14,6 +14,7 @@
 
 use crate::online::OnlineStats;
 use crate::robust::{Robustness, SampleStats};
+use crate::special::normal_cdf;
 use crate::ttest::welch_t_test;
 use std::collections::HashMap;
 
@@ -277,8 +278,8 @@ impl Comparator {
         if se == 0.0 {
             return diff.abs() < cfg.same_epsilon;
         }
-        let dist = crate::normal::Normal::new(diff, se);
-        let p_within = dist.cdf(cfg.same_epsilon) - dist.cdf(-cfg.same_epsilon);
+        let p_within =
+            normal_cdf(cfg.same_epsilon, diff, se) - normal_cdf(-cfg.same_epsilon, diff, se);
         p_within >= cfg.same_confidence
     }
 }

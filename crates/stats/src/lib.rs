@@ -8,8 +8,6 @@
 //!
 //! * [`OnlineStats`] — numerically stable streaming mean/variance
 //!   (Welford's algorithm).
-//! * [`Normal`] — a fitted normal distribution with CDF/quantile and
-//!   confidence bounds.
 //! * [`welch_t_test`] — two-sample t-test with unequal variances,
 //!   returning a real p-value via the regularized incomplete beta
 //!   function.
@@ -18,7 +16,6 @@
 //! * [`SampleStats`] / [`Robustness`] — sample-retaining statistics and
 //!   the winsorized summary policy that keeps the comparison
 //!   protocol honest under noisy (wall-clock) measurement.
-//! * [`linear_fit`] — least-squares line fit used for trend estimation.
 //!
 //! # Examples
 //!
@@ -33,18 +30,14 @@
 //! assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
 //! ```
 
-pub mod compare;
-pub mod lsq;
-pub mod normal;
-pub mod online;
-pub mod order;
-pub mod robust;
-pub mod special;
-pub mod ttest;
+mod compare;
+mod online;
+mod order;
+mod robust;
+mod special;
+mod ttest;
 
 pub use compare::{Comparator, ComparatorConfig, CompareOutcome, CompareStep, PairMemo, Which};
-pub use lsq::{linear_fit, LinearFit};
-pub use normal::Normal;
 pub use online::OnlineStats;
 pub use order::{total_cmp_nan_first, total_cmp_nan_last};
 pub use robust::{Robustness, SampleStats};

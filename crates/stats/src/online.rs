@@ -12,27 +12,19 @@
 ///
 /// let s: OnlineStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineStats::default()
     }
 
     /// Adds one observation.
@@ -42,8 +34,6 @@ impl OnlineStats {
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations seen so far.
@@ -61,16 +51,6 @@ impl OnlineStats {
         self.mean
     }
 
-    /// Smallest observation, or `+inf` if empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation, or `-inf` if empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// Unbiased sample variance (Bessel-corrected). Zero when fewer than
     /// two observations have been recorded.
     pub fn variance(&self) -> f64 {
@@ -78,15 +58,6 @@ impl OnlineStats {
             0.0
         } else {
             self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population (biased) variance. Zero when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 
@@ -102,29 +73,6 @@ impl OnlineStats {
         } else {
             self.std_dev() / (self.count as f64).sqrt()
         }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    ///
-    /// The result is identical (up to floating-point rounding) to having
-    /// pushed all observations into a single accumulator.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -166,8 +114,6 @@ mod tests {
         s.push(42.0);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 42.0);
-        assert_eq!(s.max(), 42.0);
     }
 
     #[test]
@@ -178,33 +124,6 @@ mod tests {
         let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (data.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.variance() - var).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0, 30.0, 40.0];
-        let mut a: OnlineStats = a_data.into_iter().collect();
-        let b: OnlineStats = b_data.into_iter().collect();
-        a.merge(&b);
-        let all: OnlineStats = a_data.into_iter().chain(b_data).collect();
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: OnlineStats = [5.0, 6.0].into_iter().collect();
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -67,22 +67,10 @@ impl Robustness {
 /// assert_eq!(w.mean(), 1.0); // the outlier is clamped to 1.0
 /// assert_eq!(w.count(), 5); // winsorizing keeps the count
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SampleStats {
     online: OnlineStats,
     samples: Vec<f64>,
-}
-
-impl Default for SampleStats {
-    fn default() -> Self {
-        SampleStats {
-            // `OnlineStats::new()`, not the derived zeroed default, so
-            // the pass-through accumulator is bit-identical to one
-            // built by pushing the same observations directly.
-            online: OnlineStats::new(),
-            samples: Vec::new(),
-        }
-    }
 }
 
 impl SampleStats {
@@ -116,11 +104,6 @@ impl SampleStats {
     /// The pass-through Welford accumulator over the raw observations.
     pub fn online(&self) -> &OnlineStats {
         &self.online
-    }
-
-    /// The raw observations, in insertion order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 
     /// The summary the comparison protocol should test under `policy`.
@@ -185,7 +168,6 @@ mod tests {
         // indistinguishable from never having retained samples.
         assert_eq!(s.summary(Robustness::Mean), direct);
         assert_eq!(s.count(), 8);
-        assert_eq!(s.samples().len(), 8);
     }
 
     #[test]

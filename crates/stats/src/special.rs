@@ -11,6 +11,12 @@ pub fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 
+/// CDF at `x` of the normal distribution with the given mean and
+/// (positive) standard deviation.
+pub(crate) fn normal_cdf(x: f64, mean: f64, std_dev: f64) -> f64 {
+    0.5 * (1.0 + erf((x - mean) / (std_dev * std::f64::consts::SQRT_2)))
+}
+
 /// Complementary error function `erfc(x)`.
 ///
 /// Uses the Numerical Recipes `erfccheb`-style rational approximation,
@@ -208,6 +214,13 @@ mod tests {
         for &x in &[-2.5, -1.0, -0.1, 0.0, 0.3, 1.7, 3.0] {
             assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12, "x={x}");
         }
+    }
+
+    #[test]
+    fn normal_cdf_standard_values() {
+        assert!((normal_cdf(0.0, 0.0, 1.0) - 0.5).abs() < 1e-12);
+        assert!((normal_cdf(1.96, 0.0, 1.0) - 0.9750021).abs() < 1e-5);
+        assert!((normal_cdf(-1.96, 0.0, 1.0) - 0.0249979).abs() < 1e-5);
     }
 
     #[test]

@@ -453,10 +453,6 @@ impl<'a> Evaluator<'a> {
                 .enumerate()
                 .map(|(i, r)| self.run_one(trace_seq, i, r))
                 .collect(),
-            // `parallel_gen` (not `parallel_map`) so each trial knows
-            // its request index — the deterministic `idx` of its trace
-            // event. Behaviorally identical: `parallel_map` is this
-            // exact call.
             EvalMode::Parallel => match self.repeated_coordinates(requests) {
                 None => parallel_gen(requests.len(), 2, |i| {
                     self.run_one(trace_seq, i, &requests[i])

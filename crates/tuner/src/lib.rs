@@ -11,21 +11,21 @@
 //!
 //! Components:
 //!
-//! * [`mutators`] — the mutator pool generated automatically from a
+//! * [`MutatorPool`] — the mutator pool generated automatically from a
 //!   transform's tunable schema (§5.4): decision-tree manipulation,
 //!   log-normal scaling, uniform random, and meta mutators.
-//! * [`candidate`] — a configuration plus its cached per-input-size
+//! * [`Candidate`] — a configuration plus its cached per-input-size
 //!   timing/accuracy statistics.
-//! * [`population`] — the accuracy-binned pruning procedure (§5.5.4).
+//! * [`Population`] — the accuracy-binned pruning procedure (§5.5.4).
 //! * [`arena`] — the comparison arena: a session object with a
 //!   pair-verdict memo and a generic "pending decisions → batched
 //!   draws → merged outcomes" round loop that every comparator
 //!   consumer drives, so the adaptive comparator's trial draws batch
 //!   onto the pool.
-//! * [`tournament`] — the pruning procedure's fastest-K selections
+//! * `tournament` — the pruning procedure's fastest-K selections
 //!   laid out as arena contests (k-way selection over pre-sorted
 //!   runs).
-//! * [`tuner`] — the top-level loop (Figure 5): test, random mutation,
+//! * [`Autotuner`] — the top-level loop (Figure 5): test, random mutation,
 //!   guided mutation, prune, over exponentially growing input sizes.
 //!
 //! # Examples
@@ -71,12 +71,12 @@
 //! ```
 
 pub mod arena;
-pub mod candidate;
-pub mod exec;
-pub mod mutators;
-pub mod population;
-pub mod tournament;
-pub mod tuner;
+mod candidate;
+mod exec;
+mod mutators;
+mod population;
+mod tournament;
+mod tuner;
 
 pub use arena::{Arena, ArenaReport, Contest, PairContest};
 pub use candidate::{Candidate, SizeStats};

@@ -204,11 +204,6 @@ impl MutatorPool {
         self.mutators.is_empty()
     }
 
-    /// The mutators in the pool.
-    pub fn mutators(&self) -> &[Mutator] {
-        &self.mutators
-    }
-
     /// Base (non-meta) mutators.
     fn base_mutators(&self) -> impl Iterator<Item = &Mutator> {
         self.mutators
@@ -473,7 +468,7 @@ mod tests {
     fn pool_contains_expected_categories() {
         let s = schema();
         let pool = MutatorPool::from_schema(&s);
-        let has = |m: &dyn Fn(&Mutator) -> bool| pool.mutators().iter().any(m);
+        let has = |m: &dyn Fn(&Mutator) -> bool| pool.mutators.iter().any(m);
         assert!(has(&|m| matches!(m, Mutator::TreeAddLevel { .. })));
         assert!(has(&|m| matches!(m, Mutator::ScaleInt { .. })));
         assert!(has(&|m| matches!(m, Mutator::UniformSwitch { .. })));
