@@ -27,6 +27,15 @@
 //! a [`CompileError`], and then the *program* has no bytecode
 //! ([`CompiledProgram::error`]).
 //!
+//! Statements lower one by one, in the interpreter's order, with one
+//! reshaping that leaves every result and error as it was: a `for` or
+//! `for_enough` whose body is exactly one `either` lowers *unswitched*.
+//! A choice (§3.2) cannot change within one rule invocation, so the
+//! loop's zero-trip check is followed by one `Choice`+`Switch` into a
+//! copy of the loop per branch, and no trip dispatches on the choice
+//! again. Each branch body is still emitted once, and a loop that runs
+//! no trip never resolves the choice, like the tree-walker.
+//!
 //! Machine model: two register banks per rule activation. Scalar
 //! temporaries live in a bank of `f64` registers; named locals (rule
 //! aliases, `let` bindings, loop variables) and value temporaries
@@ -1260,27 +1269,7 @@ impl<'a> Compiler<'a> {
                 // The loop variable is definitely bound inside the body.
                 let var_was_definite = self.assigned.contains(var);
                 self.assigned.insert(var.clone());
-                let head = self.here();
-                let jge = self.emit(Instr::JumpIfGe {
-                    a: r_lo,
-                    b: r_hi,
-                    target: 0,
-                });
-                self.emit(Instr::StoreSlotNum {
-                    slot: var_slot,
-                    src: r_lo,
-                });
-                let before = self.assigned.clone();
-                self.block(body)?;
-                // The body may run zero times.
-                self.assigned = before;
-                self.emit(Instr::AddImm {
-                    dst: r_lo,
-                    imm: 1.0,
-                });
-                self.emit(Instr::Jump { target: head });
-                let end = self.here();
-                self.patch(jge, end);
+                self.counted_loop(r_lo, r_hi, Some(var_slot), body)?;
                 (self.reg_top, self.temp_top) = save;
                 if !var_was_definite {
                     // An empty range never binds the variable.
@@ -1298,41 +1287,12 @@ impl<'a> Compiler<'a> {
                     dst: counter,
                     val: 0.0,
                 });
-                let head = self.here();
-                let jge = self.emit(Instr::JumpIfGe {
-                    a: counter,
-                    b: iters,
-                    target: 0,
-                });
-                let before = self.assigned.clone();
-                self.block(body)?;
-                // `for_enough` may run zero iterations.
-                self.assigned = before;
-                self.emit(Instr::AddImm {
-                    dst: counter,
-                    imm: 1.0,
-                });
-                self.emit(Instr::Jump { target: head });
-                let end = self.here();
-                self.patch(jge, end);
+                self.counted_loop(counter, iters, None, body)?;
                 (self.reg_top, self.temp_top) = save;
                 Ok(())
             }
             Stmt::Either { id, branches, .. } => {
-                let name = self.intern(&format!("either_{id}"));
-                let save = (self.reg_top, self.temp_top);
-                let pick = self.alloc_reg()?;
-                self.emit(Instr::Choice {
-                    dst: pick,
-                    name,
-                    branches: branches.len() as u16,
-                });
-                let switch_at = self.emit(Instr::Switch {
-                    src: pick,
-                    targets: Vec::new(),
-                });
-                (self.reg_top, self.temp_top) = save;
-
+                let switch_at = self.choice(*id, branches.len())?;
                 let before = std::mem::take(&mut self.assigned);
                 let mut targets = Vec::with_capacity(branches.len());
                 let mut end_jumps = Vec::with_capacity(branches.len());
@@ -1356,9 +1316,7 @@ impl<'a> Compiler<'a> {
                 for j in end_jumps {
                     self.patch(j, end);
                 }
-                if let Instr::Switch { targets: t, .. } = &mut self.code[switch_at] {
-                    *t = targets;
-                }
+                self.switch_to(switch_at, targets);
                 self.assigned = everywhere.unwrap_or(before);
                 Ok(())
             }
@@ -1376,6 +1334,94 @@ impl<'a> Compiler<'a> {
                 (self.reg_top, self.temp_top) = save;
                 Ok(())
             }
+        }
+    }
+
+    /// A counted loop: `counter` counts up to `bound`, stored to `var`
+    /// (the `for` variable) at the top of every trip.
+    ///
+    /// A body that is exactly one `either` lowers *unswitched*: the
+    /// choice cannot change within one invocation, so after the
+    /// zero-trip check one `Choice`+`Switch` picks a copy of the loop
+    /// per branch — head check, variable store, the `either`'s own
+    /// charge, the branch, increment and back edge. A loop that runs no
+    /// trip never resolves the choice, like the tree-walker.
+    fn counted_loop(
+        &mut self,
+        counter: Reg,
+        bound: Reg,
+        var: Option<Slot>,
+        body: &Block,
+    ) -> Result<(), CompileError> {
+        let head_check = Instr::JumpIfGe {
+            a: counter,
+            b: bound,
+            target: 0,
+        };
+        let mut exits = Vec::new();
+        let (switch_at, arms) = match body.stmts.as_slice() {
+            [Stmt::Either { id, branches, .. }] => {
+                exits.push(self.emit(head_check.clone()));
+                (
+                    Some(self.choice(*id, branches.len())?),
+                    branches.iter().collect(),
+                )
+            }
+            _ => (None, vec![body]),
+        };
+        let before = self.assigned.clone();
+        let mut heads = Vec::with_capacity(arms.len());
+        for arm in arms {
+            let head = self.here();
+            heads.push(head);
+            exits.push(self.emit(head_check.clone()));
+            if let Some(slot) = var {
+                self.emit(Instr::StoreSlotNum { slot, src: counter });
+            }
+            if switch_at.is_some() {
+                self.emit(Instr::Charge { amount: 1.0 });
+            }
+            self.block(arm)?;
+            // The body may run zero times.
+            self.assigned = before.clone();
+            self.emit(Instr::AddImm {
+                dst: counter,
+                imm: 1.0,
+            });
+            self.emit(Instr::Jump { target: head });
+        }
+        let end = self.here();
+        for j in exits {
+            self.patch(j, end);
+        }
+        if let Some(at) = switch_at {
+            self.switch_to(at, heads);
+        }
+        Ok(())
+    }
+
+    /// Emits `either_<id>`'s `Choice` and a `Switch` on it, returning
+    /// the `Switch`'s index for [`Compiler::switch_to`].
+    fn choice(&mut self, id: usize, branches: usize) -> Result<usize, CompileError> {
+        let name = self.intern(&format!("either_{id}"));
+        let save = (self.reg_top, self.temp_top);
+        let pick = self.alloc_reg()?;
+        self.emit(Instr::Choice {
+            dst: pick,
+            name,
+            branches: branches as u16,
+        });
+        let at = self.emit(Instr::Switch {
+            src: pick,
+            targets: Vec::new(),
+        });
+        (self.reg_top, self.temp_top) = save;
+        Ok(at)
+    }
+
+    fn switch_to(&mut self, at: usize, targets: Vec<usize>) {
+        if let Instr::Switch { targets: t, .. } = &mut self.code[at] {
+            *t = targets;
         }
     }
 
@@ -1799,6 +1845,23 @@ mod tests {
         assert!(has(&c, |i| matches!(i, Instr::Switch { .. })));
         assert!(c.names.iter().any(|n| n == "for_enough_0"));
         assert!(c.names.iter().any(|n| n == "either_0"));
+        // The body is one `either`: unswitched, the `Choice` sits behind
+        // the zero-trip check and outside both loops, and each target is
+        // a loop head of its own.
+        let choice = c
+            .code
+            .iter()
+            .position(|i| matches!(i, Instr::Choice { .. }))
+            .unwrap();
+        assert!(matches!(c.code[choice - 1], Instr::JumpIfGe { .. }));
+        let Instr::Switch { targets, .. } = &c.code[choice + 1] else {
+            panic!("{:?}", c.code);
+        };
+        let heads: Vec<usize> = crate::opt::loops(&c.code).iter().map(|l| l.0).collect();
+        assert_eq!(*targets, heads);
+        assert!(targets
+            .iter()
+            .all(|&t| matches!(c.code[t], Instr::JumpIfGe { .. })));
     }
 
     #[test]

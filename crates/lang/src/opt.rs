@@ -34,7 +34,7 @@
 //!    entry if the binding is read before written, and **the exit
 //!    write-back rule**: one `StoreSlotNum` per promoted output in
 //!    front of every `Return` and of the fall-off end, because the VM
-//!    copies output slots back to the store on success. An execution
+//!    moves output slots back to the store on success. An execution
 //!    that ends in an error writes nothing back, as before.
 //! 2. **Sweep** — one liveness computation serves three rewrites:
 //!    dead-code elimination (pure instructions whose results are dead,
@@ -89,7 +89,9 @@
 //! Constant folding computes with the same `f64` operations the VM
 //! would execute, so folded results are bit-identical to runtime
 //! evaluation (including NaN, signed zero, and the interpreter's
-//! `i64`-truncation rules).
+//! `i64`-truncation rules). Both go through `apply_bin`, whose `%`
+//! takes a `u32` remainder where that is exactly libm's `fmod` (see
+//! `rem`), and `fmod` everywhere else.
 
 use crate::ast::BinOp;
 use crate::compile::{Chunk, FirstArg, Instr, Operand, Reg, Slot};
@@ -1185,7 +1187,7 @@ pub(crate) fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
         BinOp::Sub => a - b,
         BinOp::Mul => a * b,
         BinOp::Div => a / b,
-        BinOp::Rem => a % b,
+        BinOp::Rem => rem(a, b),
         BinOp::Eq => (a == b) as i64 as f64,
         BinOp::Ne => (a != b) as i64 as f64,
         BinOp::Lt => (a < b) as i64 as f64,
@@ -1193,6 +1195,24 @@ pub(crate) fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
         BinOp::Gt => (a > b) as i64 as f64,
         BinOp::Ge => (a >= b) as i64 as f64,
         BinOp::And | BinOp::Or => unreachable!("lowered to jumps"),
+    }
+}
+
+/// `a % b` (libm `fmod`) with an integer fast path, bit-identical to it.
+/// `a as u32` saturates and maps NaN to 0, so `ai as f64 == a` holds
+/// exactly for the integers `0 ..= 2³² − 1` and for `-0.0`, which the
+/// sign test excludes (`fmod(-0.0, b)` is `-0.0`); `bi != 0` likewise
+/// leaves `b` a positive integer below 2³². On those inputs `fmod` is
+/// exact — the remainder of two integers is an integer below `b`, so
+/// representable — and its zero is `+0.0`, the sign of `a`: exactly what
+/// the `u32` remainder converts to. Every other input takes `%`.
+#[inline]
+fn rem(a: f64, b: f64) -> f64 {
+    let (ai, bi) = (a as u32, b as u32);
+    if ai as f64 == a && a.is_sign_positive() && bi != 0 && bi as f64 == b {
+        (ai % bi) as f64
+    } else {
+        a % b
     }
 }
 
@@ -1986,6 +2006,34 @@ mod tests {
             for_each_target(instr, |t| assert!(t <= opt.code.len(), "{instr:?}"));
         }
         assert!(!opt.code.iter().any(|i| matches!(i, Instr::Nop)));
+    }
+
+    #[test]
+    fn integer_remainder_is_fmod_bit_for_bit() {
+        // Integers on both sides of every edge of the fast path's guard,
+        // their negations, and neighbours a fraction away.
+        let mut edges = vec![0.0, 0.5, 1.0, 2.0, 3.0, 1e300, f64::INFINITY, f64::NAN];
+        for k in [31, 32, 52, 53, 54] {
+            let p = 2f64.powi(k);
+            edges.extend([p - 1.0, p, p + 1.0, p - 0.5]);
+        }
+        edges.extend(edges.clone().iter().map(|v| -v));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as f64
+        };
+        let random = (0..20_000).map(|_| (next(), next() % 1000.0 + 1.0));
+        let pairs = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .chain(random);
+        for (a, b) in pairs {
+            let (got, want) = (apply_bin(BinOp::Rem, a, b), a % b);
+            assert_eq!(got.to_bits(), want.to_bits(), "{a} % {b}");
+        }
     }
 
     #[test]

@@ -159,7 +159,16 @@ fn check_transform(program: &Program, t: &Transform, errors: &mut Vec<SemaError>
     // Rules: bindings reference declared data; outputs are writable.
     let input_names: HashSet<&str> = t.inputs.iter().map(|p| p.name.as_str()).collect();
     for rule in &t.rules {
+        // One local per output binding: the VM moves each out of its
+        // own slot after the body.
+        let mut out_aliases: HashSet<&str> = HashSet::new();
         for b in &rule.outputs {
+            if !out_aliases.insert(&b.alias) {
+                errors.push(SemaError {
+                    message: format!("output alias `{}` is bound twice in one rule", b.alias),
+                    span: b.span,
+                });
+            }
             if !data_names.contains(b.data.as_str()) {
                 errors.push(SemaError {
                     message: format!("rule writes undeclared data `{}`", b.data),
@@ -573,6 +582,28 @@ mod tests {
             errs.iter().any(|e| e.contains("writes transform input")),
             "{errs:?}"
         );
+    }
+
+    #[test]
+    fn output_alias_bound_twice_reported() {
+        let src = r#"
+            transform t from A[n] to B[n], C {
+                to (B x, C x) from (A a) { x = 1; }
+            }
+        "#;
+        let errs = errors_of(src);
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("output alias `x` is bound twice")),
+            "{errs:?}"
+        );
+        // An output alias may still shadow an input's.
+        let src = r#"
+            transform t from A[n] to B[n] {
+                to (B a) from (A a) { a[0] = 1; }
+            }
+        "#;
+        assert!(errors_of(src).is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::interp::{HostFn, Interpreter, RuntimeError, Value};
 use crate::opt::OptLevel;
 use crate::sema::check_program;
 use crate::traininfo::extract_schema;
-use pb_config::Schema;
+use pb_config::{Config, Schema};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 use std::collections::HashMap;
@@ -56,6 +56,8 @@ pub struct DslTransform {
     name: String,
     metric: String,
     metric_schema: Schema,
+    /// The metric's configuration: its schema's defaults, built once.
+    metric_config: Config,
     input_gen: InputGenerator,
 }
 
@@ -101,6 +103,7 @@ impl DslTransform {
             interpreter,
             name: transform_name.to_owned(),
             metric,
+            metric_config: metric_schema.default_config(),
             metric_schema,
             input_gen,
         })
@@ -149,8 +152,7 @@ impl DslTransform {
                 })?;
             metric_inputs.insert(p.name.clone(), v);
         }
-        let config = self.metric_schema.default_config();
-        let mut ctx = ExecCtx::new(&self.metric_schema, &config, 1, 0);
+        let mut ctx = ExecCtx::new(&self.metric_schema, &self.metric_config, 1, 0);
         let result =
             self.interpreter
                 .run_prefixed(&self.metric, &metric_inputs, &mut ctx, "", 0)?;

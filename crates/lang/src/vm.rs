@@ -377,8 +377,12 @@ fn bind_exec_writeback(
 
     exec(interp, chunk, resolved, frame, scratch, ctx, depth)?;
 
+    // Moved, not cloned: `release_values` would drop the slot next, and
+    // sema gives each output binding of a rule its own alias, so its
+    // own slot.
     for (b, slot) in rule.outputs.iter().zip(&chunk.output_slots) {
-        store.insert(b.data.clone(), frame.slots[*slot as usize].clone());
+        let v = std::mem::replace(&mut frame.slots[*slot as usize], Value::Num(0.0));
+        store.insert(b.data.clone(), v);
     }
     Ok(())
 }

@@ -363,6 +363,30 @@ impl ArrayGen {
         self.scalars.truncate(scalars);
     }
 
+    /// A `for` or `for_enough` body: one to three statements, or — one
+    /// time in three — exactly one `either` of two to four branches,
+    /// the shape lowering unswitches, whose arms now and then end in a
+    /// `return` (and may hold such a loop themselves).
+    fn loop_body(&mut self, depth: usize, out: &mut String) {
+        if self.rng.gen_range(0..3) != 0 {
+            let n = self.rng.gen_range(1..4);
+            self.block(n, depth, out);
+            return;
+        }
+        out.push_str("either {\n");
+        for k in 0..self.rng.gen_range(2..5) {
+            if k > 0 {
+                out.push_str("} or {\n");
+            }
+            let n = self.rng.gen_range(1..3);
+            self.block(n, depth, out);
+            if self.rng.gen_range(0..5) == 0 {
+                out.push_str("return;\n");
+            }
+        }
+        out.push_str("}\n");
+    }
+
     fn stmt(&mut self, depth: usize, out: &mut String) {
         let in_loop = !self.loop_vars.is_empty();
         match self.rng.gen_range(0..19) {
@@ -430,8 +454,7 @@ impl ArrayGen {
                 }
                 out.push_str(&format!("for ({var} in {lo} .. {hi}) {{\n"));
                 self.loop_vars.push(var.clone());
-                let n = self.rng.gen_range(1..4);
-                self.block(n, depth - 1, out);
+                self.loop_body(depth - 1, out);
                 self.loop_vars.pop();
                 out.push_str("}\n");
                 if kept {
@@ -458,7 +481,7 @@ impl ArrayGen {
             }
             14 if depth > 0 => {
                 out.push_str("for_enough {\n");
-                self.block(1, depth - 1, out);
+                self.loop_body(depth - 1, out);
                 out.push_str("}\n");
             }
             // A local bound to the array, or a scalar local rebound to
@@ -493,7 +516,8 @@ impl ArrayGen {
 /// `len`/`cols`), `let`s inside loop bodies, variables reassigned in
 /// one branch only, loop variables assigned in the body or read after
 /// the loop, scalar outputs read before written and updated in loops,
-/// `either`/`for_enough` inside loops, the same constant as index and
+/// `either`/`for_enough` inside loops, loop bodies that are one
+/// `either` of two to four branches, the same constant as index and
 /// operand, locals bound to an array, and indices that now and then
 /// fall out of range (the run must then fail with the same message at
 /// every level).

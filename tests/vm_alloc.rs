@@ -24,6 +24,9 @@
 //! per call level, and a flat heap — on the test's own thread and on a
 //! pool worker.
 //!
+//! A third pins the copies one run makes of its arrays: a rule's
+//! outputs move from its frame back to the data store, never cloned.
+//!
 //! The tests take one lock, so no concurrent test thread pollutes the
 //! global allocation counters.
 
@@ -41,6 +44,11 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed.
 static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Allocations of at least [`BIG_BYTES`].
+static BIG: AtomicU64 = AtomicU64::new(0);
+/// The byte size of [`COPY`]'s arrays as `write_back_moves_outputs`
+/// runs it.
+const BIG_BYTES: usize = 8 * COPY_LEN;
 /// Serializes the tests: both read process-wide counters.
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -49,6 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        if layout.size() >= BIG_BYTES {
+            BIG.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -60,6 +71,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        if new_size >= BIG_BYTES {
+            BIG.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -283,5 +297,42 @@ fn trial_scratch_stays_bounded_on_caller_and_worker_threads() {
             grown.abs() < 2_000,
             "{thread}: heap grew {grown} bytes over 2 000 trials"
         );
+    }
+}
+
+/// One array in, one out, and a loop copying the one into the other.
+const COPY: &str = r#"
+    transform copy from In[n] to Out[n] {
+        to (Out o) from (In a) { for (i in 0 .. len(a)) { o[i] = a[i]; } }
+    }
+"#;
+
+/// The length of the arrays [`COPY`] runs on (128 KiB each).
+const COPY_LEN: usize = 1 << 14;
+
+#[test]
+fn write_back_moves_outputs() {
+    // A run of `copy` makes four array-sized allocations: the data
+    // store's copy of `In` and its zeroed `Out`, and the rule frame's
+    // copies of both. Writing `Out` back to the store moves the frame's
+    // value; a clone there would be a fifth.
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let program = parse_program(COPY).expect("parses");
+    let schema = petabricks::lang::extract_schema(&program, "copy");
+    let config = schema.default_config();
+    let input: Vec<f64> = (0..COPY_LEN).map(|i| i as f64).collect();
+    let inputs: HashMap<String, Value> = [("In".to_string(), Value::Arr1(input.clone()))].into();
+    for level in OptLevel::ALL {
+        let interp = Interpreter::new_compiled_at(program.clone(), level);
+        let run = || {
+            let mut ctx = ExecCtx::new(&schema, &config, COPY_LEN as u64, 0);
+            interp.run("copy", &inputs, &mut ctx).unwrap()
+        };
+        run(); // warm the thread's frames and name tables
+        let before = BIG.load(Ordering::Relaxed);
+        let out = run();
+        let big = BIG.load(Ordering::Relaxed) - before;
+        assert_eq!(out["Out"], Value::Arr1(input.clone()), "{level:?}");
+        assert_eq!(big, 4, "{level:?}: array-sized allocations in one run");
     }
 }

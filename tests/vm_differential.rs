@@ -16,6 +16,8 @@
 mod common;
 
 use petabricks::config::{Config, Schema, Value as ConfigValue};
+use petabricks::lang::ast::BinOp;
+use petabricks::lang::compile::Instr;
 use petabricks::lang::interp::Value;
 use petabricks::lang::{check_program, compile_program, parse_program, Interpreter, OptLevel};
 use petabricks::runtime::ExecCtx;
@@ -985,6 +987,141 @@ fn index_edges_match_the_tree_walker_at_every_level() {
 }
 
 #[test]
+fn an_unswitched_loop_resolves_a_missing_choice_only_when_it_runs() {
+    // The loops' bodies are one `either` each, so lowering resolves the
+    // choice once, ahead of the first trip. Under a schema that lacks
+    // `either_0` that must fail with the tree-walker's text, and a loop
+    // that runs no trip must not resolve it at all.
+    for body in [
+        "for (i in 0 .. len(a)) { either { o[i] = 1; } or { o[i] = 2; } or { return; } }",
+        "for_enough { either { o[0] = o[0] + 1; } or { o[0] = 2; } }",
+    ] {
+        let src = format!(
+            "transform t from In[n] to Out[n] {{\n to (Out o) from (In a) {{ {body} }}\n}}\n"
+        );
+        let o3 = compile_program(&parse_program(&src).unwrap()).optimized(OptLevel::O3);
+        assert!(
+            o3.chunk("t", 0)
+                .unwrap()
+                .code
+                .windows(2)
+                .any(|w| matches!(w, [Instr::JumpIfGe { .. }, Instr::Choice { .. }])),
+            "`{body}` is not unswitched at O3"
+        );
+        // The same program without the `either`: its `for_enough_0`,
+        // no `either_0`.
+        let twin = src
+            .replace("either {", "if (1) {")
+            .replace("} or {", "} else {");
+        let twin = twin.replace("} else { return; }", "}");
+        let schema = petabricks::lang::extract_schema(&parse_program(&twin).unwrap(), "t");
+        assert!(schema.tunable("either_0").is_none(), "{twin}");
+        let config = schema.default_config();
+        for len in [0, 3] {
+            if len == 0 && body.starts_with("for_enough") {
+                continue; // `for_enough_0` runs at least once
+            }
+            let inputs: HashMap<String, Value> =
+                [("In".to_string(), Value::Arr1(vec![0.5; len]))].into();
+            let outcome =
+                assert_same_outcome(&src, "t", &schema, &config, &inputs, 4, 0, &no_hosts);
+            match len {
+                0 => assert_eq!(outcome, Ok(()), "`{body}` ran no trip"),
+                _ => {
+                    let message = outcome.unwrap_err();
+                    assert!(message.contains("either_0"), "`{body}`: {message}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn remainder_edges_match_the_tree_walker_at_every_level() {
+    // `%` takes an integer fast path for a non-negative `a` and a
+    // positive `b`, both integers below 2^32; on those inputs it must be
+    // bit-identical to the tree-walker's `f64` `%`, and every other pair
+    // must take `%` itself. Each pair runs from arrays (the VM's
+    // element-store arithmetic) and as literals (the constant folder).
+    let two32 = 4_294_967_296.0;
+    let edges = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        3.0,
+        7.0,
+        0.5,
+        2.5,
+        -2.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        two32 - 1.0,
+        two32,
+        9_007_199_254_740_992.0,
+    ];
+    let pairs: Vec<(f64, f64)> = edges
+        .iter()
+        .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+        .collect();
+    let literal = |v: f64| match v {
+        v if v.is_nan() => "(0 / 0)".to_string(),
+        v if v.is_infinite() => format!("({}1 / 0)", if v < 0.0 { "-" } else { "" }),
+        v if v.is_sign_negative() => format!("(-{})", -v),
+        v => format!("{v}"),
+    };
+    let arrays = "transform t from A[n], B[n] to Out[n] {\n to (Out o) from (A a, B b) { for (i in 0 .. len(a)) { o[i] = a[i] % b[i]; } }\n}\n";
+    let stores: String = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, &(a, b))| format!("o[{i}] = {} % {};\n", literal(a), literal(b)))
+        .collect();
+    let literals = format!(
+        "transform t from A[n], B[n] to Out[n] {{\n to (Out o) from (A a, B b) {{\n{stores}}}\n}}\n"
+    );
+    let inputs: HashMap<String, Value> = [
+        (
+            "A".to_string(),
+            Value::Arr1(pairs.iter().map(|p| p.0).collect()),
+        ),
+        (
+            "B".to_string(),
+            Value::Arr1(pairs.iter().map(|p| p.1).collect()),
+        ),
+    ]
+    .into();
+    let rem_ops = |src: &str| {
+        let o3 = compile_program(&parse_program(src).unwrap()).optimized(OptLevel::O3);
+        let code = &o3.chunk("t", 0).unwrap().code;
+        let rem = |i: &&Instr| {
+            matches!(
+                i,
+                Instr::Bin { op: BinOp::Rem, .. }
+                    | Instr::BinRI { op: BinOp::Rem, .. }
+                    | Instr::BinIR { op: BinOp::Rem, .. }
+                    | Instr::BinStoreIdx1 { op: BinOp::Rem, .. }
+            )
+        };
+        code.iter().filter(rem).count()
+    };
+    assert!(rem_ops(arrays) > 0, "the array loop dispatches `%`");
+    assert_eq!(
+        rem_ops(&literals),
+        0,
+        "the constant folder computes every `%`"
+    );
+    for src in [arrays, literals.as_str()] {
+        let (tree, _) = run_at(src, "t", None, &inputs);
+        let tree = tree.unwrap();
+        for level in OptLevel::ALL {
+            let (vm, _) = run_at(src, "t", Some(level), &inputs);
+            assert!(outputs_bits_eq(&tree, &vm.unwrap()), "{level:?}\n{src}");
+        }
+    }
+}
+
+#[test]
 fn inlined_while_guard_restarts_on_every_entry() {
     // The helper's `while` runs 1 500 iterations per call and is called
     // 10 000 times: 15 M iterations in all, past the 10 M guard if the
@@ -1181,7 +1318,8 @@ proptest! {
     /// Random array loops (counted loops over rank-1 and rank-2 data,
     /// zero-trip and nested; locals declared in loop bodies, assigned
     /// in one branch, read after their loop; scalar outputs updated in
-    /// place; `either`/`for_enough` inside loops; locals bound to an
+    /// place; `either`/`for_enough` inside loops; loop bodies that are
+    /// one `either`, which lowering unswitches; locals bound to an
     /// array; indices that sometimes fall out of range): what
     /// `promote`, chunk-wide value tracking, constant homes and jump
     /// threading rewrite. Every level must reproduce the tree-walker —
@@ -1202,8 +1340,11 @@ proptest! {
 fn generated_array_loop_programs_both_complete_and_fail() {
     // The generator is only worth its cases if most programs run to
     // completion (so outputs, cost and draws are compared) while some
-    // raise an error mid-loop (so error parity is).
+    // raise an error mid-loop (so error parity is), and if enough of
+    // them hold an unswitched loop — lowered as a zero-trip check
+    // straight before the `Choice` — some nested in another's arm.
     let (mut completed, mut failed) = (0, 0);
+    let (mut unswitched, mut nested) = (0, 0);
     for seed in 0..200 {
         let src = gen_array_loop_program(seed);
         let program = parse_program(&src).unwrap();
@@ -1214,10 +1355,45 @@ fn generated_array_loop_programs_both_complete_and_fail() {
             Ok(()) => completed += 1,
             Err(_) => failed += 1,
         }
+        let code = compile_program(&program)
+            .chunk("t", 0)
+            .unwrap()
+            .code
+            .clone();
+        let loops = petabricks::lang::opt::loops(&code);
+        let choices: Vec<usize> = (1..code.len())
+            .filter(|&i| {
+                matches!(
+                    code[i - 1..=i],
+                    [Instr::JumpIfGe { .. }, Instr::Choice { .. }]
+                )
+            })
+            .collect();
+        // The arms: the loops the `Switch` behind each such `Choice`
+        // dispatches to.
+        let arms: Vec<(usize, usize)> = loops
+            .iter()
+            .copied()
+            .filter(|(h, _)| {
+                choices.iter().any(|&c| {
+                    matches!(&code[c + 1], Instr::Switch { targets, .. } if targets.contains(h))
+                })
+            })
+            .collect();
+        unswitched += usize::from(!choices.is_empty());
+        nested += usize::from(
+            choices
+                .iter()
+                .any(|&c| arms.iter().any(|&(h, l)| h < c && c <= l)),
+        );
     }
     assert!(
         completed >= 60 && failed >= 20,
         "{completed} completed, {failed} failed"
+    );
+    assert!(
+        unswitched >= 70 && nested >= 20,
+        "{unswitched} with an unswitched loop, {nested} with one nested in a loop"
     );
 }
 
