@@ -50,13 +50,6 @@ impl AccuracyBins {
         AccuracyBins { targets }
     }
 
-    /// The default range used when the programmer gives no
-    /// `accuracy_bins`: targets 0.0 to 1.0 in steps of 0.1 (§3.2: "the
-    /// default range of accuracies is 0 to 1.0").
-    pub fn default_range() -> Self {
-        AccuracyBins::new((0..=10).map(|i| i as f64 / 10.0).collect())
-    }
-
     /// The sorted accuracy targets.
     pub fn targets(&self) -> &[f64] {
         &self.targets
@@ -90,14 +83,6 @@ mod tests {
         let bins = AccuracyBins::new(vec![3.0, 1.0, 2.0, 1.0]);
         assert_eq!(bins.targets(), &[1.0, 2.0, 3.0]);
         assert_eq!(bins.len(), 3);
-    }
-
-    #[test]
-    fn default_range_covers_zero_to_one() {
-        let bins = AccuracyBins::default_range();
-        assert_eq!(bins.len(), 11);
-        assert_eq!(bins.targets()[0], 0.0);
-        assert_eq!(bins.targets()[10], 1.0);
     }
 
     #[test]

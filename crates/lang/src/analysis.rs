@@ -28,11 +28,10 @@
 //!   the facts, no state surviving from one entry to the next, and
 //!   the callee's charges present in full.
 //! * [`analyze_chunk`] runs a forward abstract interpretation over the
-//!   same CFG, inferring per-register and per-slot abstract kinds
-//!   (bool/int/float scalars with a constant-ness lattice, arrays with
-//!   rank) as a [`ChunkFacts`] artifact attached to
-//!   [`crate::compile::CompiledTransform`] — the seed for the typed IR
-//!   the ROADMAP's native-code tier needs.
+//!   same CFG, inferring each slot's shape (scalar, array of a rank, or
+//!   either) as a [`ChunkFacts`] artifact attached to
+//!   [`crate::compile::CompiledTransform`]: what `promote` and `inline`
+//!   read to prove a slot scalar.
 //! * [`lint_program`] layers DSL-level lints on top of sema and the
 //!   verifier: dead tunables, unconsumed rule products, tunables whose
 //!   range collapses to a constant, and rules whose chunks fail
@@ -530,7 +529,7 @@ pub fn verify_inlined(
         };
         for op in args {
             if let Operand::Slot(s) = op {
-                if !matches!(facts.slots.get(*s as usize), Some(AbsValue::Scalar { .. })) {
+                if facts.slots.get(*s as usize) != Some(&AbsValue::Scalar) {
                     return Err(bad_region(
                         site.start,
                         format!("argument s{s} of `{}` is not proven scalar", site.callee),
@@ -984,47 +983,15 @@ pub fn verify_tunables(chunk: &Chunk, schema: &Schema, prefix: &str) -> Result<(
 
 // ---- abstract interpretation -------------------------------------------
 
-/// Scalar kind lattice: `Bool ⊑ Int ⊑ Float` (every bool is 0/1,
-/// every int is an integral `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ScalarKind {
-    /// Always `0.0` or `1.0` (comparisons, logic).
-    Bool,
-    /// Always an integral `f64` (counters, indices, shapes, tunables).
-    Int,
-    /// Any `f64`.
-    Float,
-}
-
-impl fmt::Display for ScalarKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ScalarKind::Bool => "bool",
-            ScalarKind::Int => "int",
-            ScalarKind::Float => "float",
-        })
-    }
-}
-
-/// Abstract value: the join-semilattice element inferred for a
-/// register or slot.
-///
-/// Equality is lattice-element identity: constants compare **bitwise**
-/// (`NaN == NaN`), matching [`AbsValue::join`]'s merge rule — the
-/// fixpoint in [`analyze_chunk`] relies on a folded `NaN` constant
-/// being equal to itself to converge.
-#[derive(Debug, Clone, Copy)]
+/// Abstract value: the shape a slot can hold, an element of the
+/// join-semilattice `Bottom ⊑ Scalar, Array { rank } ⊑ Any`.
+/// (Registers only ever hold scalars, so only slots are tracked.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsValue {
     /// Unreached / never holds a value.
     Bottom,
-    /// A scalar of the given kind; `cst` when every reaching value is
-    /// the same constant (bitwise).
-    Scalar {
-        /// The scalar kind.
-        kind: ScalarKind,
-        /// The constant value, if provably unique.
-        cst: Option<f64>,
-    },
+    /// A scalar number.
+    Scalar,
     /// An array of the given rank (1 or 2).
     Array {
         /// Number of dimensions.
@@ -1034,101 +1001,34 @@ pub enum AbsValue {
     Any,
 }
 
-impl PartialEq for AbsValue {
-    fn eq(&self, other: &AbsValue) -> bool {
-        use AbsValue::*;
-        match (self, other) {
-            (Bottom, Bottom) | (Any, Any) => true,
-            (Scalar { kind: ka, cst: ca }, Scalar { kind: kb, cst: cb }) => {
-                ka == kb && ca.map(f64::to_bits) == cb.map(f64::to_bits)
-            }
-            (Array { rank: a }, Array { rank: b }) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl Eq for AbsValue {}
-
 impl AbsValue {
-    /// A non-constant scalar.
-    pub fn scalar(kind: ScalarKind) -> AbsValue {
-        AbsValue::Scalar { kind, cst: None }
-    }
-
-    /// A known constant (kind inferred from the value).
-    pub fn constant(v: f64) -> AbsValue {
-        AbsValue::Scalar {
-            kind: const_kind(v),
-            cst: Some(v),
-        }
-    }
-
     /// Least upper bound.
     pub fn join(self, other: AbsValue) -> AbsValue {
-        use AbsValue::*;
         match (self, other) {
-            (Bottom, x) | (x, Bottom) => x,
-            (Scalar { kind: ka, cst: ca }, Scalar { kind: kb, cst: cb }) => Scalar {
-                kind: ka.max(kb),
-                cst: match (ca, cb) {
-                    (Some(a), Some(b)) if a.to_bits() == b.to_bits() => Some(a),
-                    _ => None,
-                },
-            },
-            (Array { rank: a }, Array { rank: b }) if a == b => Array { rank: a },
-            _ => Any,
+            (AbsValue::Bottom, x) | (x, AbsValue::Bottom) => x,
+            (a, b) if a == b => a,
+            _ => AbsValue::Any,
         }
-    }
-
-    fn as_scalar(self) -> (ScalarKind, Option<f64>) {
-        match self {
-            AbsValue::Scalar { kind, cst } => (kind, cst),
-            _ => (ScalarKind::Float, None),
-        }
-    }
-}
-
-impl fmt::Display for AbsValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AbsValue::Bottom => f.write_str("bot"),
-            AbsValue::Scalar { kind, cst: None } => write!(f, "{kind}"),
-            AbsValue::Scalar { kind, cst: Some(v) } => write!(f, "{kind}={v}"),
-            AbsValue::Array { rank } => write!(f, "arr{rank}"),
-            AbsValue::Any => f.write_str("any"),
-        }
-    }
-}
-
-fn const_kind(v: f64) -> ScalarKind {
-    if v.is_finite() && v.fract() == 0.0 {
-        ScalarKind::Int
-    } else {
-        ScalarKind::Float
     }
 }
 
 /// Per-chunk inferred facts: the join, over every reachable program
-/// point, of each register's and slot's abstract value. This is the
-/// artifact the ROADMAP's typed IR consumes — e.g. a slot inferred
-/// `arr2` needs no rank check, a reg inferred `int` can skip
-/// float-path checks.
+/// point, of each slot's shape — what `promote`, `inline` and
+/// [`verify_inlined`] consult to prove a slot scalar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkFacts {
     /// Slot state at chunk entry (rule bindings from the transform
-    /// declaration; everything else ⊥). Kept so the facts can be
-    /// recomputed after re-optimization without the AST.
+    /// declaration; everything else ⊥). Kept so `promote` can start
+    /// from it and an inlined chunk's facts can be recomputed without
+    /// the AST.
     pub entry_slots: Vec<AbsValue>,
-    /// Per-register inferred kind (⊥ = never written / unreachable).
-    pub regs: Vec<AbsValue>,
-    /// Per-slot inferred kind, entry state included.
+    /// Per-slot inferred shape, entry state included.
     pub slots: Vec<AbsValue>,
 }
 
 fn declared_shape(transform: &Transform, data: &str) -> AbsValue {
     match transform.data(data) {
-        Some(p) if p.dims.is_empty() => AbsValue::scalar(ScalarKind::Float),
+        Some(p) if p.dims.is_empty() => AbsValue::Scalar,
         Some(p) => AbsValue::Array {
             rank: p.dims.len() as u8,
         },
@@ -1202,11 +1102,7 @@ pub(crate) fn transform_facts(bindings: &Bindings, rules: &[Chunk]) -> Vec<Chunk
             for (&d, &s) in outputs.iter().zip(&chunk.output_slots) {
                 // The slot's fact joins every state it is ever in, the
                 // entry state included.
-                let kept = match (shape[d], facts.slots[s as usize]) {
-                    (AbsValue::Any, _) | (AbsValue::Scalar { .. }, AbsValue::Scalar { .. }) => true,
-                    (declared, now) => declared == now,
-                };
-                if !kept {
+                if shape[d] != AbsValue::Any && shape[d] != facts.slots[s as usize] {
                     shape[d] = AbsValue::Any;
                     settled = false;
                 }
@@ -1229,18 +1125,15 @@ pub(crate) fn transform_facts(bindings: &Bindings, rules: &[Chunk]) -> Vec<Chunk
 /// shape unless some rule of the transform can leave the datum in
 /// another one, ⊥ for locals); it is padded/truncated to `n_slots`.
 pub fn analyze_chunk(chunk: &Chunk, entry_slots: &[AbsValue]) -> ChunkFacts {
-    let n = chunk.code.len();
-    let nr = chunk.n_regs as usize;
     let ns = chunk.n_slots as usize;
     let mut entry = entry_slots.to_vec();
     entry.resize(ns, AbsValue::Bottom);
 
     let mut facts = ChunkFacts {
         entry_slots: entry.clone(),
-        regs: vec![AbsValue::Bottom; nr],
         slots: entry.clone(),
     };
-    if n == 0 {
+    if chunk.code.is_empty() {
         return facts;
     }
 
@@ -1248,7 +1141,6 @@ pub fn analyze_chunk(chunk: &Chunk, entry_slots: &[AbsValue]) -> ChunkFacts {
     let cfg = Cfg::build(code);
     let nb = cfg.len();
     // Block-entry states, one flat row per block.
-    let mut in_regs = vec![AbsValue::Bottom; nb * nr];
     let mut in_slots = vec![AbsValue::Bottom; nb * ns];
     in_slots[..ns].copy_from_slice(&entry);
 
@@ -1265,7 +1157,6 @@ pub fn analyze_chunk(chunk: &Chunk, entry_slots: &[AbsValue]) -> ChunkFacts {
 
     // Every block runs at least once (unreachable ones from ⊥, as
     // ever), then again whenever a predecessor raised its entry state.
-    let mut regs = vec![AbsValue::Bottom; nr];
     let mut slots = vec![AbsValue::Bottom; ns];
     let mut dirty = vec![true; nb];
     while dirty.contains(&true) {
@@ -1273,31 +1164,23 @@ pub fn analyze_chunk(chunk: &Chunk, entry_slots: &[AbsValue]) -> ChunkFacts {
             if !std::mem::take(&mut dirty[b]) {
                 continue;
             }
-            regs.copy_from_slice(&in_regs[b * nr..][..nr]);
             slots.copy_from_slice(&in_slots[b * ns..][..ns]);
             for i in cfg.range(b) {
-                step(&code[i], &mut regs, &mut slots);
+                step(&code[i], &mut slots);
             }
             for &s in cfg.successors(b) {
-                let raised = join_into(&mut in_regs[s * nr..][..nr], &regs)
-                    | join_into(&mut in_slots[s * ns..][..ns], &slots);
-                dirty[s] |= raised;
+                dirty[s] |= join_into(&mut in_slots[s * ns..][..ns], &slots);
             }
         }
     }
 
-    // A register or slot takes a new value only where an instruction
-    // writes it, so folding in what each instruction touched covers
-    // every program point.
+    // A slot takes a new shape only where an instruction writes it, so
+    // folding in what each instruction touched covers every program
+    // point.
     for b in 0..nb {
-        regs.copy_from_slice(&in_regs[b * nr..][..nr]);
         slots.copy_from_slice(&in_slots[b * ns..][..ns]);
         for i in cfg.range(b) {
-            step(&code[i], &mut regs, &mut slots);
-            for_each_def(&code[i], |r| {
-                let r = r as usize;
-                facts.regs[r] = facts.regs[r].join(regs[r]);
-            });
+            step(&code[i], &mut slots);
             for_each_slot(&code[i], |s| {
                 let s = s as usize;
                 facts.slots[s] = facts.slots[s].join(slots[s]);
@@ -1307,136 +1190,14 @@ pub fn analyze_chunk(chunk: &Chunk, entry_slots: &[AbsValue]) -> ChunkFacts {
     facts
 }
 
-/// Abstract result of `a op b`.
-fn abs_bin(
-    op: crate::ast::BinOp,
-    a: (ScalarKind, Option<f64>),
-    b: (ScalarKind, Option<f64>),
-) -> AbsValue {
-    use crate::ast::BinOp::*;
-    if matches!(op, And | Or) {
-        // Malformed (the VM cannot dispatch it); stay conservative.
-        return AbsValue::scalar(ScalarKind::Bool);
-    }
-    let cst = match (a.1, b.1) {
-        (Some(x), Some(y)) => Some(crate::opt::apply_bin(op, x, y)),
-        _ => None,
-    };
-    if is_cmp_op(op) {
-        return AbsValue::Scalar {
-            kind: ScalarKind::Bool,
-            cst,
-        };
-    }
-    match cst {
-        Some(v) => AbsValue::constant(v),
-        None => {
-            let kind = match op {
-                Div => ScalarKind::Float,
-                _ => a.0.max(b.0).max(ScalarKind::Int),
-            };
-            AbsValue::scalar(kind)
-        }
-    }
-}
-
-/// Transfer function: one instruction over (registers, slots).
-fn step(instr: &Instr, regs: &mut [AbsValue], slots: &mut [AbsValue]) {
-    use crate::compile::{MathFn1, MathFn2};
-    let reg = |regs: &[AbsValue], r: u16| regs[r as usize].as_scalar();
+/// Transfer function: one instruction over the slots. Only the four
+/// instructions that overwrite a slot whole change its shape; an
+/// element write leaves an array the array it was.
+fn step(instr: &Instr, slots: &mut [AbsValue]) {
     match instr {
-        Instr::Const { dst, val } => regs[*dst as usize] = AbsValue::constant(*val),
-        Instr::Move { dst, src } => regs[*dst as usize] = regs[*src as usize],
-        Instr::LoadSlotNum { dst, slot } => {
-            regs[*dst as usize] = match slots[*slot as usize] {
-                v @ AbsValue::Scalar { .. } => v,
-                _ => AbsValue::scalar(ScalarKind::Float),
-            };
-        }
-        Instr::StoreSlotNum { slot, src } => {
-            let (kind, cst) = reg(regs, *src);
-            slots[*slot as usize] = AbsValue::Scalar { kind, cst };
-        }
+        // Registers only ever hold scalars.
+        Instr::StoreSlotNum { slot, .. } => slots[*slot as usize] = AbsValue::Scalar,
         Instr::CopySlot { dst, src } => slots[*dst as usize] = slots[*src as usize],
-        Instr::LoadParam { dst, .. }
-        | Instr::ForEnoughPrep { dst, .. }
-        | Instr::Choice { dst, .. } => {
-            regs[*dst as usize] = AbsValue::scalar(ScalarKind::Int);
-        }
-        Instr::Bin { op, dst, a, b } => {
-            regs[*dst as usize] = abs_bin(*op, reg(regs, *a), reg(regs, *b));
-        }
-        Instr::BinRI { op, dst, a, imm } => {
-            regs[*dst as usize] = abs_bin(*op, reg(regs, *a), (const_kind(*imm), Some(*imm)));
-        }
-        Instr::BinIR { op, dst, imm, b } => {
-            regs[*dst as usize] = abs_bin(*op, (const_kind(*imm), Some(*imm)), reg(regs, *b));
-        }
-        Instr::Neg { dst, src } => {
-            let (kind, cst) = reg(regs, *src);
-            regs[*dst as usize] = AbsValue::Scalar {
-                kind: kind.max(ScalarKind::Int),
-                cst: cst.map(|v| -v),
-            };
-        }
-        Instr::Not { dst, src } => {
-            let (_, cst) = reg(regs, *src);
-            regs[*dst as usize] = AbsValue::Scalar {
-                kind: ScalarKind::Bool,
-                cst: cst.map(|v| (v == 0.0) as i64 as f64),
-            };
-        }
-        Instr::TestNonZero { dst, src } => {
-            let (_, cst) = reg(regs, *src);
-            regs[*dst as usize] = AbsValue::Scalar {
-                kind: ScalarKind::Bool,
-                cst: cst.map(|v| (v != 0.0) as i64 as f64),
-            };
-        }
-        Instr::Math1 { f, dst, src } => {
-            let (kind, cst) = reg(regs, *src);
-            let kind = match f {
-                MathFn1::Floor | MathFn1::Ceil => ScalarKind::Int,
-                MathFn1::Abs => kind,
-                MathFn1::Sqrt | MathFn1::Exp | MathFn1::Log => ScalarKind::Float,
-            };
-            regs[*dst as usize] = AbsValue::Scalar {
-                kind,
-                cst: cst.map(|v| crate::vm::apply_math1(*f, v)),
-            };
-        }
-        Instr::Math2 { f, dst, a, b } => {
-            let (ka, ca) = reg(regs, *a);
-            let (kb, cb) = reg(regs, *b);
-            let kind = match f {
-                MathFn2::Min | MathFn2::Max => ka.max(kb),
-                MathFn2::Pow => ScalarKind::Float,
-            };
-            let cst = match (ca, cb) {
-                (Some(x), Some(y)) => Some(crate::vm::apply_math2(*f, x, y)),
-                _ => None,
-            };
-            regs[*dst as usize] = AbsValue::Scalar { kind, cst };
-        }
-        Instr::Rand { dst, .. } => regs[*dst as usize] = AbsValue::scalar(ScalarKind::Float),
-        Instr::Shape { dst, .. } => regs[*dst as usize] = AbsValue::scalar(ScalarKind::Int),
-        Instr::LoadIdx1 { dst, .. } | Instr::LoadIdx2 { dst, .. } => {
-            regs[*dst as usize] = AbsValue::scalar(ScalarKind::Float);
-        }
-        // Element writes refine nothing: the slot keeps its array kind.
-        Instr::StoreIdx1 { .. } | Instr::StoreIdx2 { .. } | Instr::BinStoreIdx1 { .. } => {}
-        Instr::AddImm { dst, imm } | Instr::AddImmJump { dst, imm, .. } => {
-            let a = reg(regs, *dst);
-            regs[*dst as usize] =
-                abs_bin(crate::ast::BinOp::Add, a, (const_kind(*imm), Some(*imm)));
-        }
-        Instr::TruncPair { a, b } => {
-            regs[*a as usize] = AbsValue::scalar(ScalarKind::Int);
-            regs[*b as usize] = AbsValue::scalar(ScalarKind::Int);
-        }
-        Instr::WhileGuard { counter } => {
-            regs[*counter as usize] = AbsValue::scalar(ScalarKind::Int);
-        }
         Instr::CallHost { first, dst, .. } => {
             slots[*dst as usize] = AbsValue::Any;
             if let FirstArg::Var(s) = first {
@@ -1449,22 +1210,12 @@ fn step(instr: &Instr, regs: &mut [AbsValue], slots: &mut [AbsValue]) {
         // array; only a callee whose facts rule that out is stamped.
         Instr::CallTransform { dst, scalar, .. } => {
             slots[*dst as usize] = if *scalar {
-                AbsValue::scalar(ScalarKind::Float)
+                AbsValue::Scalar
             } else {
                 AbsValue::Any
             };
         }
-        Instr::Jump { .. }
-        | Instr::JumpIfZero { .. }
-        | Instr::JumpIfNonZero { .. }
-        | Instr::JumpIfGe { .. }
-        | Instr::JumpCmp { .. }
-        | Instr::JumpCmpImm { .. }
-        | Instr::Switch { .. }
-        | Instr::Charge { .. }
-        | Instr::Return
-        | Instr::DepthGuard { .. }
-        | Instr::Nop => {}
+        _ => {}
     }
 }
 
@@ -1905,110 +1656,78 @@ mod tests {
     #[test]
     fn join_is_a_lattice() {
         use AbsValue::*;
-        let int = AbsValue::scalar(ScalarKind::Int);
-        let a2 = Array { rank: 2 };
-        assert_eq!(Bottom.join(int), int);
-        assert_eq!(int.join(Bottom), int);
-        assert_eq!(a2.join(a2), a2);
-        assert_eq!(a2.join(Array { rank: 1 }), Any);
-        assert_eq!(int.join(a2), Any);
-        assert_eq!(
-            AbsValue::constant(3.0).join(AbsValue::constant(3.0)),
-            AbsValue::constant(3.0)
-        );
-        assert_eq!(
-            AbsValue::constant(3.0).join(AbsValue::constant(4.0)),
-            AbsValue::scalar(ScalarKind::Int)
-        );
-        assert_eq!(
-            AbsValue::constant(1.5).join(AbsValue::constant(2.0)),
-            AbsValue::scalar(ScalarKind::Float)
-        );
-    }
-
-    #[test]
-    fn abstract_interp_infers_kinds_and_consts() {
-        // s0 = const 6 (3 * 2 folded abstractly), r-level bool from a
-        // comparison.
-        let c = chunk(
-            vec![
-                Instr::Const { dst: 0, val: 3.0 },
-                Instr::BinRI {
-                    op: crate::ast::BinOp::Mul,
-                    dst: 1,
-                    a: 0,
-                    imm: 2.0,
-                },
-                Instr::StoreSlotNum { slot: 0, src: 1 },
-                Instr::Bin {
-                    op: crate::ast::BinOp::Lt,
-                    dst: 2,
-                    a: 0,
-                    b: 1,
-                },
-                Instr::Return,
-            ],
-            3,
-            1,
-            vec![],
-        );
-        let facts = analyze_chunk(&c, &[]);
-        assert_eq!(facts.slots[0], AbsValue::constant(6.0));
-        assert_eq!(
-            facts.regs[2],
-            AbsValue::Scalar {
-                kind: ScalarKind::Bool,
-                cst: Some(1.0)
+        let all = [Bottom, Scalar, Array { rank: 1 }, Array { rank: 2 }, Any];
+        for a in all {
+            assert_eq!(Bottom.join(a), a);
+            assert_eq!(a.join(a), a);
+            assert_eq!(a.join(Any), Any);
+            for b in all {
+                assert_eq!(a.join(b), b.join(a));
+                for c in all {
+                    assert_eq!(a.join(b).join(c), a.join(b.join(c)));
+                }
             }
-        );
+        }
+        assert_eq!(Scalar.join(Array { rank: 2 }), Any);
+        assert_eq!(Array { rank: 1 }.join(Array { rank: 2 }), Any);
     }
 
     #[test]
-    fn loop_counter_loses_constness_but_stays_int() {
-        // r0 = 0; loop: r0 += 1; jump back — the join forces non-const
-        // but keeps int.
+    fn slot_transfers_track_shape() {
+        // Entry: s0 a matrix, s1 a vector, the rest unwritten.
         let c = chunk(
             vec![
-                Instr::Const { dst: 0, val: 0.0 },
-                Instr::AddImmJump {
-                    dst: 0,
-                    imm: 1.0,
-                    target: 1,
+                Instr::Const { dst: 0, val: 1.0 },
+                Instr::StoreSlotNum { slot: 2, src: 0 },
+                Instr::CopySlot { dst: 3, src: 0 },
+                Instr::CallHost {
+                    name: 0,
+                    first: FirstArg::Var(1),
+                    rest: vec![],
+                    dst: 4,
                 },
-            ],
-            1,
-            0,
-            vec![],
-        );
-        let facts = analyze_chunk(&c, &[]);
-        assert_eq!(facts.regs[0], AbsValue::scalar(ScalarKind::Int));
-    }
-
-    #[test]
-    fn nan_constants_converge() {
-        // Equality is bitwise, so a folded NaN constant is equal to
-        // itself — the fixpoint's changed-check relies on that to
-        // terminate when a NaN stays live across a back-edge.
-        assert_eq!(AbsValue::constant(f64::NAN), AbsValue::constant(f64::NAN));
-        let c = chunk(
-            vec![
-                Instr::Const {
-                    dst: 0,
-                    val: f64::NAN,
+                Instr::CallTransform {
+                    name: 1,
+                    callee: 0,
+                    args: vec![Operand::Slot(2)],
+                    dst: 5,
+                    scalar: true,
                 },
-                Instr::Const { dst: 1, val: 1.0 },
-                Instr::JumpIfZero { cond: 1, target: 4 },
-                Instr::Jump { target: 1 },
+                Instr::CallTransform {
+                    name: 1,
+                    callee: 0,
+                    args: vec![Operand::Slot(2)],
+                    dst: 6,
+                    scalar: false,
+                },
+                // s7: a scalar on one path, the matrix on the other.
+                Instr::StoreSlotNum { slot: 7, src: 0 },
+                Instr::JumpIfZero { cond: 0, target: 9 },
+                Instr::CopySlot { dst: 7, src: 0 },
                 Instr::Return,
             ],
-            2,
-            0,
-            vec![],
+            1,
+            8,
+            vec!["host".into(), "callee".into()],
         );
         verify_chunk(&c).unwrap();
-        let facts = analyze_chunk(&c, &[]);
-        let (kind, cst) = facts.regs[0].as_scalar();
-        assert_eq!(kind, ScalarKind::Float);
-        assert!(cst.is_some_and(f64::is_nan));
+        let entry = [AbsValue::Array { rank: 2 }, AbsValue::Array { rank: 1 }];
+        let facts = analyze_chunk(&c, &entry);
+        use AbsValue::*;
+        assert_eq!(
+            facts.slots,
+            [
+                Array { rank: 2 },
+                Any, // the host may overwrite its mutable first argument
+                Scalar,
+                Array { rank: 2 },
+                Any,
+                Scalar,
+                Any,
+                Any,
+            ]
+        );
+        assert_eq!(facts.entry_slots[..2], entry);
+        assert!(facts.entry_slots[2..].iter().all(|v| *v == Bottom));
     }
 }

@@ -538,15 +538,6 @@ pub const OPCODE_NAMES: [&str; N_OPCODES] = [
     "nop",
 ];
 
-/// Whether opcode index `idx` is a fused superinstruction introduced
-/// by the optimizer ([`crate::opt`]): profiling counts of these are
-/// the VM's "fusion hits".
-pub fn opcode_is_fused(idx: usize) -> bool {
-    const BIN_RI: usize = 33;
-    const ADD_IMM_JUMP: usize = 38;
-    (BIN_RI..=ADD_IMM_JUMP).contains(&idx)
-}
-
 /// Always `false`: no opcode is specialized any more (the checked
 /// indexed forms carry the in-bounds fast path themselves). Kept only
 /// because the frozen ledger (`ledger/src/layers.rs`) calls it, so its
@@ -715,9 +706,8 @@ pub struct CompiledTransform {
     pub name: String,
     /// The rules' chunks.
     pub rules: Vec<Chunk>,
-    /// Inferred [`crate::analysis::ChunkFacts`] per rule — the typed-IR
-    /// seed. Recomputed from each facts' stored entry state when the
-    /// chunks are re-optimized.
+    /// Inferred [`crate::analysis::ChunkFacts`] per rule, of the chunk
+    /// `promote` and `inline` consumed (see [`CompiledProgram::facts`]).
     pub facts: Vec<crate::analysis::ChunkFacts>,
     /// The transform's calling convention, when it is a scalar helper.
     pub helper: Option<HelperSig>,
@@ -787,7 +777,11 @@ impl CompiledProgram {
         self.transforms.get(*self.by_name.get(name)?)
     }
 
-    /// The inferred facts for `transform`'s rule `rule_idx`.
+    /// The inferred facts for `transform`'s rule `rule_idx`. They
+    /// describe the chunk `promote` and `inline` consumed (as lowered,
+    /// or as inlined at [`crate::opt::OptLevel::O3`]) and
+    /// over-approximate the optimized one: every shape a slot of the
+    /// optimized chunk takes is covered by its fact here.
     pub fn facts(&self, transform: &str, rule_idx: usize) -> Option<&crate::analysis::ChunkFacts> {
         self.transform(transform)?.facts.get(rule_idx)
     }
@@ -831,15 +825,10 @@ impl CompiledProgram {
         }
         self.inline_calls(verify)?;
         for t in &mut self.transforms {
-            for (chunk, facts) in t.rules.iter_mut().zip(t.facts.iter_mut()) {
+            for (chunk, facts) in t.rules.iter_mut().zip(&t.facts) {
                 // The stored entry state lets `promote` move scalar rule
                 // bindings into registers.
-                let entry = std::mem::take(&mut facts.entry_slots);
-                *chunk = crate::opt::optimize(chunk, level, verify, Some(&entry))?;
-                // Re-infer over the optimized code from the same entry
-                // state, so the facts always describe the chunk that
-                // will actually dispatch.
-                *facts = crate::analysis::analyze_chunk(chunk, &entry);
+                *chunk = crate::opt::optimize(chunk, level, verify, Some(&facts.entry_slots))?;
             }
         }
         Ok(self)

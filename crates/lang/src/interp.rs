@@ -48,18 +48,26 @@ pub enum Value {
 }
 
 impl Value {
-    /// Builds a zero value with the given dimensions (0 dims = scalar).
-    pub fn zeros(dims: &[usize]) -> Value {
-        match dims {
+    /// Builds a zero value with the given dimensions (0 dims = scalar),
+    /// or `None` when its element count overflows `usize` or its
+    /// storage cannot be allocated.
+    pub fn zeros(dims: &[usize]) -> Option<Value> {
+        let filled = |len: usize| {
+            let mut data = Vec::new();
+            data.try_reserve_exact(len).ok()?;
+            data.resize(len, 0.0);
+            Some(data)
+        };
+        Some(match dims {
             [] => Value::Num(0.0),
-            [n] => Value::Arr1(vec![0.0; *n]),
+            [n] => Value::Arr1(filled(*n)?),
             [r, c] => Value::Arr2 {
                 rows: *r,
                 cols: *c,
-                data: vec![0.0; r * c],
+                data: filled(r.checked_mul(*c)?)?,
             },
             _ => panic!("only scalars, 1-D, and 2-D arrays are supported"),
-        }
+        })
     }
 
     /// Scalar accessor.
@@ -442,7 +450,16 @@ impl Interpreter {
                 .iter()
                 .map(|d| self.eval_dim(d, &dim_env))
                 .collect::<Result<_, _>>()?;
-            store.insert(p.name.clone(), Value::zeros(&dims));
+            let value = Value::zeros(&dims).ok_or_else(|| {
+                RuntimeError::new(
+                    format!(
+                        "`{}` with dimensions {dims:?} is too large to allocate",
+                        p.name
+                    ),
+                    p.span,
+                )
+            })?;
+            store.insert(p.name.clone(), value);
         }
 
         // Schedule and execute rules, resolving choices through ctx.
@@ -1405,7 +1422,7 @@ mod tests {
     fn dims_ref_matches_dims_for_every_shape() {
         let scalar = Value::Num(1.0);
         let arr1 = Value::Arr1(vec![0.0; 5]);
-        let arr2 = Value::zeros(&[3, 4]);
+        let arr2 = Value::zeros(&[3, 4]).unwrap();
         assert_eq!(scalar.dims_ref().as_slice(), &[] as &[usize]);
         assert_eq!(arr1.dims_ref().as_slice(), &[5]);
         assert_eq!(arr2.dims_ref().as_slice(), &[3, 4]);

@@ -81,12 +81,11 @@ pub mod vm;
 
 pub use analysis::{
     analyze_chunk, charge_signature, lint_program, verify_chunk, verify_code, verify_inlined,
-    verify_tunables, AbsValue, ChunkFacts, Lint, ScalarKind, Severity, Violation, ViolationKind,
+    verify_tunables, AbsValue, ChunkFacts, Lint, Severity, Violation, ViolationKind,
 };
 pub use ast::Program;
 pub use compile::{
-    compile_program, opcode_is_fused, opcode_is_specialized, CompiledProgram, N_OPCODES,
-    OPCODE_NAMES,
+    compile_program, opcode_is_specialized, CompiledProgram, N_OPCODES, OPCODE_NAMES,
 };
 pub use interp::{Dims, Interpreter, Value};
 pub use opt::{optimize, OptLevel, PassViolation};

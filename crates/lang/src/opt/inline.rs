@@ -279,10 +279,7 @@ fn prove_scalar_out(t: &mut CompiledTransform) {
     let proven = t.sole_scalar_output.as_ref().is_some_and(|per_rule| {
         per_rule.iter().enumerate().all(|(r, positions)| {
             positions.iter().all(|&p| {
-                matches!(
-                    t.facts[r].slots.get(t.rules[r].output_slots[p] as usize),
-                    Some(AbsValue::Scalar { .. })
-                )
+                t.facts[r].slots.get(t.rules[r].output_slots[p] as usize) == Some(&AbsValue::Scalar)
             })
         })
     });
@@ -299,7 +296,7 @@ fn inlinable(
 ) -> Result<(), String> {
     for (i, op) in args.iter().enumerate() {
         if let Operand::Slot(s) = op {
-            if !matches!(slot_facts.get(*s as usize), Some(AbsValue::Scalar { .. })) {
+            if slot_facts.get(*s as usize) != Some(&AbsValue::Scalar) {
                 return Err(format!("argument {i} (s{s}) is not provably a scalar"));
             }
         }

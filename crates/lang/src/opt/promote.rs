@@ -146,11 +146,7 @@ fn verdicts(code: &[Instr], chunk: &Chunk, entry: Option<&[AbsValue]>) -> Verdic
     }
     let bound = |s: Slot| chunk.input_slots.contains(&s) || chunk.output_slots.contains(&s);
     for &s in chunk.input_slots.iter().chain(&chunk.output_slots) {
-        let scalar = matches!(
-            entry.and_then(|e| e.get(s as usize)),
-            Some(AbsValue::Scalar { .. })
-        );
-        if !scalar {
+        if entry.and_then(|e| e.get(s as usize)) != Some(&AbsValue::Scalar) {
             let why = "it is a rule binding not known to be a scalar";
             raise(&mut of, s, Verdict::ValueSlot(why));
         }

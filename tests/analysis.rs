@@ -18,9 +18,10 @@
 //!    pass has its output broken just before its gate, which must name
 //!    that pass.
 //! 3. **`ChunkFacts` pins** — the shipped kmeans and binpacking
-//!    programs infer the expected per-slot kinds (arrays with rank,
-//!    scalar int/float, constant-ness), at both levels; a call result
-//!    is scalar exactly when the callee's facts prove it.
+//!    programs infer the expected per-slot shapes (arrays with rank,
+//!    scalars), at both levels; the stored facts cover every optimized
+//!    chunk; a call result is scalar exactly when the callee's facts
+//!    prove it.
 //! 4. **Register residency** — the hot loops of the shipped and ledger
 //!    programs hold no slot traffic, rematerialized constant or
 //!    two-dispatch back edge at `O3`, and cost no more dispatches per
@@ -33,7 +34,7 @@ use petabricks::lang::compile::{Chunk, Instr, Operand};
 use petabricks::lang::opt::{innermost_loops, optimize_tampered, InlineRecord};
 use petabricks::lang::{
     analyze_chunk, charge_signature, check_program, compile_program, lint_program, optimize,
-    parse_program, verify_chunk, verify_inlined, verify_tunables, AbsValue, OptLevel, ScalarKind,
+    parse_program, verify_chunk, verify_inlined, verify_tunables, AbsValue, OptLevel,
     ViolationKind,
 };
 use proptest::prelude::*;
@@ -738,10 +739,7 @@ fn call_results_are_scalar_exactly_when_the_callee_proves_it() {
                 if chunk.names[*name as usize] == callee {
                     calls += 1;
                     assert_eq!(*scalar, proven);
-                    assert_eq!(
-                        matches!(facts.slots[*dst as usize], AbsValue::Scalar { .. }),
-                        proven
-                    );
+                    assert_eq!(facts.slots[*dst as usize] == AbsValue::Scalar, proven);
                 }
             }
         }
@@ -807,45 +805,13 @@ fn kmeans_facts_pin_expected_kinds() {
             AbsValue::Array { rank: 1 },
             "{level:?}"
         );
-        // Registers only ever hold scalars; the abstract domain must
-        // agree (no Array/Any leaks into the register file).
-        for (i, r) in facts.regs.iter().enumerate() {
-            assert!(
-                matches!(r, AbsValue::Bottom | AbsValue::Scalar { .. }),
-                "{level:?}: r{i} inferred {r}"
-            );
-        }
 
-        // Rule 0 (random restarts) draws via rand: its `src` local is
-        // floor()-ed, so it must infer int, not float — in its slot as
-        // lowered, in the home register `promote` gives it after.
+        // Rule 0 (random restarts): to (Centroids c) from (Points p).
         let facts0 = facts_at(&src, "kmeans", 0, level);
         let p0 = slot_of(&src, "kmeans", 0, level, Binding::Input(0));
         let c0 = slot_of(&src, "kmeans", 0, level, Binding::Output(0));
         assert_eq!(facts0.slots[p0], AbsValue::Array { rank: 2 }, "{level:?}");
         assert_eq!(facts0.slots[c0], AbsValue::Array { rank: 2 }, "{level:?}");
-        let is_int = |v: &&AbsValue| {
-            matches!(
-                v,
-                AbsValue::Scalar {
-                    kind: ScalarKind::Int,
-                    cst: None
-                }
-            )
-        };
-        let (bank, ints) = if level == OptLevel::O0 {
-            ("slot", facts0.slots.iter().filter(is_int).count())
-        } else {
-            assert!(
-                !facts0.slots.iter().any(|v| is_int(&v)),
-                "{level:?}: `src` should have left its slot"
-            );
-            ("register", facts0.regs.iter().filter(is_int).count())
-        };
-        assert!(
-            ints >= 1,
-            "{level:?}: expected an int-kinded {bank} (`src`)"
-        );
     }
 }
 
@@ -859,42 +825,41 @@ fn binpacking_facts_pin_expected_kinds() {
         let used = slot_of(&src, "binpack", 0, level, Binding::Output(1));
         assert_eq!(facts.slots[sizes], AbsValue::Array { rank: 1 }, "{level:?}");
         assert_eq!(facts.slots[bins], AbsValue::Array { rank: 1 }, "{level:?}");
-        // `Used` is declared scalar (float at entry) and only ever
-        // assigned integral values; the join across entry and stores
-        // keeps it a non-constant scalar, never an array.
-        assert!(
-            matches!(facts.slots[used], AbsValue::Scalar { cst: None, .. }),
-            "{level:?}: Used inferred {}",
-            facts.slots[used]
-        );
+        // `Used` is declared scalar and only ever assigned scalars; the
+        // join across entry and stores keeps it a scalar, never an array.
+        assert_eq!(facts.slots[used], AbsValue::Scalar, "{level:?}");
 
         // The metric rule: Accuracy output is a scalar.
         let mfacts = facts_at(&src, "binpackacc", 0, level);
         let acc = slot_of(&src, "binpackacc", 0, level, Binding::Output(0));
-        assert!(
-            matches!(mfacts.slots[acc], AbsValue::Scalar { .. }),
-            "{level:?}: Accuracy inferred {}",
-            mfacts.slots[acc]
-        );
+        assert_eq!(mfacts.slots[acc], AbsValue::Scalar, "{level:?}");
     }
 }
 
 #[test]
 fn facts_refresh_after_optimization() {
-    // `optimized()` must re-infer over the optimized code: the facts'
-    // register file matches the *renumbered* register count, not the
-    // lowering-time one.
-    let src = example("binpacking");
-    let program = parse_program(&src).unwrap();
-    let compiled = compile_program(&program).optimized(OptLevel::O3);
-    let chunk = compiled.chunk("binpack", 0).unwrap();
-    let facts = compiled.facts("binpack", 0).unwrap();
-    assert_eq!(facts.regs.len(), chunk.n_regs as usize);
-    assert_eq!(facts.slots.len(), chunk.n_slots as usize);
-
-    // And recomputing from the stored entry state is reproducible.
-    let again = analyze_chunk(chunk, &facts.entry_slots);
-    assert_eq!(&again, facts);
+    // Optimizing does not re-infer: the stored facts describe the chunk
+    // `promote` and `inline` consumed. They must cover the optimized
+    // chunk — every shape a slot takes there within its stored fact —
+    // for every rule of every shipped program.
+    let mut chunks = 0;
+    for (name, src) in ledger_programs() {
+        let program = parse_program(&src).unwrap();
+        let compiled = compile_program(&program).optimized(OptLevel::O3);
+        for t in &program.transforms {
+            let rules = &compiled.transform(&t.name).unwrap().rules;
+            for (r, chunk) in rules.iter().enumerate() {
+                let stored = compiled.facts(&t.name, r).unwrap();
+                let fresh = analyze_chunk(chunk, &stored.entry_slots);
+                assert_eq!(fresh.slots.len(), stored.slots.len(), "{name}");
+                for (s, (now, kept)) in fresh.slots.iter().zip(&stored.slots).enumerate() {
+                    assert_eq!(now.join(*kept), *kept, "{name}: {} s{s}", chunk.label);
+                }
+                chunks += 1;
+            }
+        }
+    }
+    assert!(chunks >= 16, "{chunks} chunks");
 }
 
 #[test]

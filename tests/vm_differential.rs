@@ -923,6 +923,30 @@ fn array_bound_to_a_scalar_parameter_reports_the_generic_error() {
 }
 
 #[test]
+fn oversized_declarations_report_an_error_not_a_crash() {
+    // An element count that overflows `usize`, and one no allocator can
+    // satisfy: each is a runtime error naming the datum, the same on
+    // every engine, not a panic or an abort.
+    for (dims, at, shown) in [
+        ("4294967296, 4294967296", "0, 0", "[4294967296, 4294967296]"),
+        ("1e15", "0", "[1000000000000000]"),
+    ] {
+        let src = format!(
+            "transform t from In[n] to Out[{dims}] {{\n to (Out o) from (In a) {{ o[{at}] = 1; }}\n}}\n"
+        );
+        let (tree, _) = run_at(&src, "t", None, &in4());
+        let want = tree.unwrap_err();
+        assert_eq!(
+            want,
+            format!("`Out` with dimensions {shown} is too large to allocate")
+        );
+        for level in OptLevel::ALL {
+            assert_eq!(run_at(&src, "t", Some(level), &in4()).0.unwrap_err(), want);
+        }
+    }
+}
+
+#[test]
 fn index_edges_match_the_tree_walker_at_every_level() {
     // Every indexed form takes its in-bounds fast path at every level;
     // an index on either side of the guard's edges must still read or
