@@ -402,7 +402,7 @@ fn exec(
     ctx: &mut ExecCtx<'_>,
     depth: usize,
 ) -> Result<(), RuntimeError> {
-    if pb_trace::vm_profile_due(&chunk.label) {
+    if pb_trace::vm_profiling() {
         let mut counts = [0u64; crate::compile::N_OPCODES];
         let result = exec_loop::<true>(
             interp,

@@ -20,24 +20,6 @@ use crate::ExecCtx;
 use pb_config::ConfigError;
 use std::fmt;
 
-/// Which accuracy-guarantee technique a transform uses (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GuaranteeKind {
-    /// Off-line statistical bounds at the given confidence (e.g. 0.95).
-    Statistical {
-        /// Required confidence level in `(0, 1)`.
-        confidence: f64,
-    },
-    /// `verify_accuracy`: check at run time, escalating on failure up to
-    /// `max_retries` re-executions after the highest bin is reached.
-    RuntimeChecked {
-        /// Extra re-executions (with fresh seeds) at the highest bin.
-        max_retries: usize,
-    },
-    /// The programmer supplied a proof; accuracy is never re-checked.
-    DomainSpecific,
-}
-
 /// Error produced when a runtime-checked execution cannot reach the
 /// required accuracy.
 #[derive(Debug, Clone, PartialEq)]

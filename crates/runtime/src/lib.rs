@@ -34,7 +34,7 @@ pub mod transform;
 mod tuned;
 
 pub use ctx::{ExecCtx, TraceNode};
-pub use guarantee::{GuaranteeError, GuaranteeKind, VerifiedRun};
+pub use guarantee::{GuaranteeError, VerifiedRun};
 pub use pool::{Pool, PoolBatchStats};
 pub use scratch::ScratchPool;
 pub use transform::{CostModel, Transform, TransformRunner, TrialOutcome, TrialRunner};

@@ -78,19 +78,6 @@ where
         // see `PoolBatchStats`.
         if count > 0 && crate::pool::current_task_depth() == 0 {
             Pool::global().count_batch(count, false);
-            if pb_trace::enabled() {
-                let seq = pb_trace::next_seq();
-                let start = pb_trace::now_ns();
-                let out = (0..count).map(f).collect();
-                pb_trace::record(pb_trace::Event::span(
-                    pb_trace::EventKind::PoolBatch,
-                    seq,
-                    0,
-                    start,
-                    [count as u64, 1, 0, 0],
-                ));
-                return out;
-            }
         }
         return (0..count).map(f).collect();
     }

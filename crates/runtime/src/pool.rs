@@ -28,6 +28,9 @@
 //!   as it reads `remaining == 0`, so a job's decrement of `remaining`
 //!   is its *last* access to the batch. The job that brings it to zero
 //!   notifies `done`, a condvar owned by the pool-lifetime `Shared`.
+//! * **Counters, not spans.** The pool's only instrumentation is
+//!   [`Pool::batch_stats`]: three relaxed counters bumped once per
+//!   top-level batch. Nothing is recorded per job.
 //!
 //! **Why no wake-up is lost.** Every push, pop, park and notify happens
 //! under the one queue lock. A worker parks on `wake` only after seeing
@@ -50,7 +53,6 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use pb_trace::{Event, EventKind};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -125,10 +127,6 @@ struct BatchState {
     poisoned: AtomicBool,
     /// The first panic payload, re-thrown on the submitting thread.
     panic: OnceLock<Box<dyn Any + Send>>,
-    /// Trace sequence of the batch's `pool_batch` span, or 0 when the
-    /// batch is untraced. Jobs key their `pool_job` spans under it so
-    /// the merged log nests them deterministically.
-    trace_seq: u64,
 }
 
 // SAFETY: a `BatchState` is shared by reference between its submitter
@@ -137,11 +135,10 @@ struct BatchState {
 // submitter — which owns the struct and the closure behind `task` —
 // is still blocked in `run_indexed`. Field by field: `task` points at
 // a `Sync` closure that is only ever called through `&`; `remaining`
-// and `poisoned` are atomics; `trace_seq` is read-only; `panic` holds
-// a `Send`-only payload that one job moves in (`OnceLock::set`) and
-// only the submitter takes out, after every job's release-decrement
-// has been acquired — it is never accessed through a shared reference
-// from two threads.
+// and `poisoned` are atomics; `panic` holds a `Send`-only payload
+// that one job moves in (`OnceLock::set`) and only the submitter
+// takes out, after every job's release-decrement has been acquired —
+// it is never accessed through a shared reference from two threads.
 unsafe impl Send for BatchState {}
 unsafe impl Sync for BatchState {}
 
@@ -153,11 +150,6 @@ impl BatchState {
     /// this struct with it) may be gone by the time this returns.
     fn execute(&self, start: usize, end: usize) -> bool {
         if !self.poisoned.load(Ordering::Relaxed) {
-            let job_start = if self.trace_seq != 0 {
-                pb_trace::now_ns()
-            } else {
-                0
-            };
             let _depth = DepthGuard::enter();
             // SAFETY: the submitter keeps the closure alive until the
             // batch completes (it blocks in `run_indexed`).
@@ -174,15 +166,6 @@ impl BatchState {
                 self.poisoned.store(true, Ordering::Relaxed);
                 // First payload wins; a later one is dropped here.
                 let _ = self.panic.set(payload);
-            }
-            if self.trace_seq != 0 {
-                pb_trace::record(Event::span(
-                    EventKind::PoolJob,
-                    self.trace_seq,
-                    start as u64,
-                    job_start,
-                    [start as u64, end as u64, 0, 0],
-                ));
             }
         }
         // Release: publishes this job's writes (results, the panic
@@ -260,9 +243,9 @@ impl Shared {
 }
 
 /// Cumulative **top-level** batch counters for one pool: how many
-/// batches were dispatched to the queues vs run inline, how many
-/// tasks they carried, and the widest batch seen. Relaxed atomics,
-/// updated once per top-level submission — batches submitted from
+/// batches were dispatched to the queues vs run inline, and how many
+/// tasks they carried. Relaxed atomics, updated once per top-level
+/// submission — batches submitted from
 /// *inside* a pool task (nested parallelism running under the
 /// depth-aware admission policy) are deliberately not counted, so
 /// worker threads never touch those shared cache lines from their
@@ -276,35 +259,28 @@ pub struct PoolBatchStats {
     pub inline: u64,
     /// Total tasks across all batches.
     pub tasks: u64,
-    /// Largest single batch (tasks).
-    pub max_batch: u64,
 }
 
 impl PoolBatchStats {
     /// The traffic between an `earlier` snapshot of the same pool's
-    /// stats and this one: counter fields subtract; `max_batch` — a
-    /// running maximum, from which a windowed maximum is not
-    /// recoverable — reports the new high-water mark if it rose during
-    /// the window and 0 otherwise.
+    /// stats and this one. Kept only because the frozen benchmark
+    /// (`ledger/src/layers.rs`) calls it; delete it with the next
+    /// benchmark change.
     pub fn delta_since(&self, earlier: &PoolBatchStats) -> PoolBatchStats {
         PoolBatchStats {
             dispatched: self.dispatched.saturating_sub(earlier.dispatched),
             inline: self.inline.saturating_sub(earlier.inline),
             tasks: self.tasks.saturating_sub(earlier.tasks),
-            max_batch: if self.max_batch > earlier.max_batch {
-                self.max_batch
-            } else {
-                0
-            },
         }
     }
 
-    /// Folds another delta into this one (`max_batch` takes the max).
+    /// Folds another delta into this one. Kept only because the frozen
+    /// benchmark (`ledger/src/layers.rs`) calls it; delete it with the
+    /// next benchmark change.
     pub fn absorb(&mut self, other: &PoolBatchStats) {
         self.dispatched += other.dispatched;
         self.inline += other.inline;
         self.tasks += other.tasks;
-        self.max_batch = self.max_batch.max(other.max_batch);
     }
 }
 
@@ -316,7 +292,6 @@ pub struct Pool {
     dispatched: AtomicU64,
     inline: AtomicU64,
     tasks: AtomicU64,
-    max_batch: AtomicU64,
 }
 
 impl std::fmt::Debug for Pool {
@@ -381,7 +356,6 @@ impl Pool {
             dispatched: AtomicU64::new(0),
             inline: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
         }
     }
 
@@ -403,7 +377,6 @@ impl Pool {
             dispatched: self.dispatched.load(Ordering::Relaxed),
             inline: self.inline.load(Ordering::Relaxed),
             tasks: self.tasks.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
         }
     }
 
@@ -419,7 +392,6 @@ impl Pool {
             self.inline.fetch_add(1, Ordering::Relaxed);
         }
         self.tasks.fetch_add(count as u64, Ordering::Relaxed);
-        self.max_batch.fetch_max(count as u64, Ordering::Relaxed);
     }
 
     /// Runs `task(i)` for every `i` in `0..count` and blocks until all
@@ -450,23 +422,6 @@ impl Pool {
             }
             return;
         }
-        let tracing = pb_trace::enabled();
-        let (trace_seq, batch_start) = if tracing {
-            (pb_trace::next_seq(), pb_trace::now_ns())
-        } else {
-            (0, 0)
-        };
-        let trace_batch = |chunks: usize, dispatched: u64| {
-            if tracing {
-                pb_trace::record(Event::span(
-                    EventKind::PoolBatch,
-                    trace_seq,
-                    0,
-                    batch_start,
-                    [count as u64, chunks as u64, dispatched, 0],
-                ));
-            }
-        };
         // Top-level degenerate batches run inline *without* marking
         // task depth: their tasks occupy no worker, so parallelism
         // nested inside them should still fan out across the idle pool.
@@ -475,7 +430,6 @@ impl Pool {
             for i in 0..count {
                 task(i);
             }
-            trace_batch(1, 0);
             return;
         }
         self.count_batch(count, true);
@@ -498,7 +452,6 @@ impl Pool {
             remaining: AtomicUsize::new(chunks),
             poisoned: AtomicBool::new(false),
             panic: OnceLock::new(),
-            trace_seq,
         };
 
         let mut queue = self.shared.lock();
@@ -541,8 +494,6 @@ impl Pool {
             };
         }
         drop(queue);
-
-        trace_batch(chunks, 1);
 
         if let Some(payload) = state.panic.into_inner() {
             std::panic::resume_unwind(payload);
@@ -733,7 +684,6 @@ mod tests {
         let after_dispatch = pool.batch_stats();
         assert_eq!(after_dispatch.dispatched, 1);
         assert_eq!(after_dispatch.tasks, 64);
-        assert_eq!(after_dispatch.max_batch, 64);
         // A single-task batch runs inline and is counted; nested
         // batches run inline on the submitting task and are *not*
         // counted (worker inner loops must not touch the shared
@@ -746,7 +696,6 @@ mod tests {
         assert_eq!(stats.dispatched, 2);
         assert_eq!(stats.inline, 1, "only the degenerate top-level batch");
         assert_eq!(stats.tasks, 64 + 1 + 2);
-        assert_eq!(stats.max_batch, 64);
     }
 
     #[test]
@@ -760,14 +709,10 @@ mod tests {
         assert_eq!(delta.dispatched, 1);
         assert_eq!(delta.inline, 1);
         assert_eq!(delta.tasks, 33);
-        // max_batch did not rise past the earlier snapshot's 64, so the
-        // window reports no new high-water mark.
-        assert_eq!(delta.max_batch, 0);
         let mut acc = PoolBatchStats::default();
         acc.absorb(&delta);
         acc.absorb(&snap.delta_since(&PoolBatchStats::default()));
         assert_eq!(acc.tasks, 64 + 33);
-        assert_eq!(acc.max_batch, 64);
     }
 
     #[test]

@@ -210,30 +210,9 @@ impl<'a, 'r> Arena<'a, 'r> {
             self.rounds += 1;
             self.draws += requests.len() as u64;
 
-            let tracing = pb_trace::enabled();
-            let (round_seq, round_start) = if tracing {
-                (pb_trace::next_seq(), pb_trace::now_ns())
-            } else {
-                (0, 0)
-            };
-
             // Execute on the pool (or sequentially — bit-identical
             // either way) and merge back in plan order.
             let outcomes = self.evaluator.run_batch(&requests);
-            if tracing {
-                pb_trace::record(pb_trace::Event::span(
-                    pb_trace::EventKind::ArenaRound,
-                    round_seq,
-                    self.rounds - 1,
-                    round_start,
-                    [
-                        requests.len() as u64,
-                        demands.len() as u64,
-                        contests.len() as u64,
-                        0,
-                    ],
-                ));
-            }
             let mut offset = 0;
             for (ci, count) in spans {
                 for outcome in &outcomes[offset..offset + count] {

@@ -27,7 +27,6 @@ use pb_config::{Config, Value};
 use pb_runtime::parallel::parallel_gen;
 use pb_runtime::{TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
-use pb_trace::{Event, EventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -336,24 +335,8 @@ impl<'a> Evaluator<'a> {
     /// sequential mode. Identical results and identical final cache
     /// state either way.
     pub fn run_batch(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
-        let tracing = pb_trace::enabled();
-        let (batch_seq, batch_start) = if tracing {
-            (pb_trace::next_seq(), pb_trace::now_ns())
-        } else {
-            (0, 0)
-        };
         let Some(cache) = &self.cache else {
-            let outcomes = self.execute(requests);
-            if tracing {
-                pb_trace::record(Event::span(
-                    EventKind::EvalBatch,
-                    batch_seq,
-                    0,
-                    batch_start,
-                    [requests.len() as u64, requests.len() as u64, 0, 0],
-                ));
-            }
-            return outcomes;
+            return self.execute(requests);
         };
 
         let keys: Vec<CacheKey> = requests
@@ -402,20 +385,6 @@ impl<'a> Evaluator<'a> {
             .fetch_add(miss_requests.len() as u64, Ordering::Relaxed);
 
         let executed = self.execute(&miss_requests);
-        if tracing {
-            pb_trace::record(Event::span(
-                EventKind::EvalBatch,
-                batch_seq,
-                0,
-                batch_start,
-                [
-                    requests.len() as u64,
-                    miss_requests.len() as u64,
-                    hits + hits_warm,
-                    coalesced,
-                ],
-            ));
-        }
         {
             let mut map = cache.map.lock().expect("trial cache poisoned");
             for (key, &mi) in &miss_of_key {
@@ -442,26 +411,15 @@ impl<'a> Evaluator<'a> {
         if requests.is_empty() {
             return Vec::new();
         }
-        let trace_seq = if pb_trace::enabled() {
-            pb_trace::next_seq()
-        } else {
-            0
-        };
         match self.mode {
-            EvalMode::Sequential => requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| self.run_one(trace_seq, i, r))
-                .collect(),
+            EvalMode::Sequential => requests.iter().map(|r| self.guarded_run(r)).collect(),
             EvalMode::Parallel => match self.repeated_coordinates(requests) {
-                None => parallel_gen(requests.len(), 2, |i| {
-                    self.run_one(trace_seq, i, &requests[i])
-                }),
+                None => parallel_gen(requests.len(), 2, |i| self.guarded_run(&requests[i])),
                 Some(chains) => {
                     let ran = parallel_gen(chains.len(), 2, |c| {
                         chains[c]
                             .iter()
-                            .map(|&i| self.run_one(trace_seq, i, &requests[i]))
+                            .map(|&i| self.guarded_run(&requests[i]))
                             .collect::<Vec<_>>()
                     });
                     let mut outcomes = vec![TrialOutcome::QUARANTINED; requests.len()];
@@ -516,13 +474,15 @@ impl<'a> Evaluator<'a> {
     /// every comparison and meets no accuracy target, so tournaments,
     /// arena contests, and merges degrade gracefully instead of
     /// aborting the run.
-    fn guarded_run(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
+    fn guarded_run(&self, r: &TrialRequest) -> TrialOutcome {
         for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
                 self.trial_retries.fetch_add(1, Ordering::Relaxed);
             }
             self.trials.fetch_add(1, Ordering::Relaxed);
-            match catch_unwind(AssertUnwindSafe(|| self.runner.run_trial(config, n, seed))) {
+            match catch_unwind(AssertUnwindSafe(|| {
+                self.runner.run_trial(r.config(), r.n, r.seed)
+            })) {
                 Ok(outcome) if outcome.time.is_finite() => return outcome,
                 Ok(_) => self.trial_nonfinite.fetch_add(1, Ordering::Relaxed),
                 Err(_) => self.trial_panics.fetch_add(1, Ordering::Relaxed),
@@ -530,23 +490,6 @@ impl<'a> Evaluator<'a> {
         }
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         TrialOutcome::QUARANTINED
-    }
-
-    /// Runs one trial of a batch, tracing it when `trace_seq != 0`.
-    fn run_one(&self, trace_seq: u64, index: usize, r: &TrialRequest) -> TrialOutcome {
-        if trace_seq == 0 {
-            return self.guarded_run(r.config(), r.n, r.seed);
-        }
-        let t0 = pb_trace::now_ns();
-        let outcome = self.guarded_run(r.config(), r.n, r.seed);
-        pb_trace::record(Event::span(
-            EventKind::Trial,
-            trace_seq,
-            index as u64,
-            t0,
-            [r.n, r.seed, outcome.virtual_cost as u64, 0],
-        ));
-        outcome
     }
 
     /// Preloads the trial memo from a cross-run sidecar written by
@@ -659,11 +602,15 @@ impl<'a> Evaluator<'a> {
         };
         let json = serde_json::to_string_pretty(&file)
             .expect("sidecar serialization cannot fail for finite entries");
-        // Write-then-rename so an interrupted save (or two runs
+        // Write-then-rename so an interrupted save (or two saves
         // sharing one path) can never leave a truncated sidecar: the
         // next load sees either the old file or the complete new one.
+        // The temp name is unique per save, not just per process, so
+        // two threads never write or rename each other's file.
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let save = SAVES.fetch_add(1, Ordering::Relaxed);
         let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
+        tmp.push(format!(".tmp.{}.{save}", std::process::id()));
         let tmp = std::path::PathBuf::from(tmp);
         std::fs::write(&tmp, json)?;
         std::fs::rename(&tmp, path)
@@ -1150,6 +1097,35 @@ mod tests {
         let out = eval.run_batch(&[request(&config, 8, 0)]);
         assert_eq!(out[0].time, 8.0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_never_fail_or_tear() {
+        let runner = TransformRunner::new(Linear, CostModel::Virtual);
+        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
+        let config = runner.schema().default_config();
+        let reqs: Vec<TrialRequest> = (0..32).map(|i| request(&config, 8, i)).collect();
+        eval.run_batch(&reqs);
+        let path =
+            std::env::temp_dir().join(format!("pb_sidecar_concurrent_{}.json", std::process::id()));
+        let failures = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..300 {
+                        let saved = eval.save_sidecar(&path).is_ok();
+                        let fresh = Evaluator::new(&runner, EvalMode::Sequential, true);
+                        if !saved || fresh.load_sidecar(&path) != reqs.len() {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(failures.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -96,27 +96,6 @@ pub enum Mutator {
     MetaUndo,
 }
 
-impl Mutator {
-    /// Whether this mutator can change program accuracy directly
-    /// (log-normal/uniform mutators on accuracy variables and
-    /// decision-tree changes; §5.4). The tuner nevertheless retests
-    /// accuracy after *every* mutation, conservatively.
-    pub fn affects_accuracy(&self, schema: &Schema) -> bool {
-        match self {
-            Mutator::TreeAddLevel { .. }
-            | Mutator::TreeRemoveLevel { .. }
-            | Mutator::TreeChangeChoice { .. }
-            | Mutator::TreeScaleCutoff { .. }
-            | Mutator::MetaMany
-            | Mutator::MetaUndo => true,
-            Mutator::ScaleInt { id } | Mutator::UniformInt { id } => {
-                schema.tunable_by_id(*id).kind().affects_accuracy()
-            }
-            Mutator::UniformSwitch { .. } | Mutator::UniformFloat { .. } => false,
-        }
-    }
-}
-
 /// Samples a standard normal via Box–Muller.
 fn standard_normal(rng: &mut SmallRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -653,17 +632,5 @@ mod tests {
             }
         }
         assert!(max_changes >= 2, "meta mutator should take larger jumps");
-    }
-
-    #[test]
-    fn affects_accuracy_classification() {
-        let s = schema();
-        let (iters, _) = s.tunable("iters").unwrap();
-        let (block, _) = s.tunable("block").unwrap();
-        let (site, _) = s.tunable("algo").unwrap();
-        assert!(Mutator::ScaleInt { id: iters }.affects_accuracy(&s));
-        assert!(!Mutator::ScaleInt { id: block }.affects_accuracy(&s));
-        assert!(Mutator::TreeChangeChoice { site }.affects_accuracy(&s));
-        assert!(Mutator::MetaMany.affects_accuracy(&s));
     }
 }

@@ -23,10 +23,9 @@ use crate::exec::{EvalMode, Evaluator};
 use crate::mutators::MutatorPool;
 use crate::population::Population;
 use pb_config::{AccuracyBins, Config, Schema, TunableKind, Value};
-use pb_runtime::pool::{Pool, PoolBatchStats};
 use pb_runtime::{TrialRunner, TunedEntry, TunedProgram};
 use pb_stats::{Comparator, ComparatorConfig};
-use pb_trace::{Event, EventKind};
+use pb_trace::EventKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -234,46 +233,6 @@ pub struct TuningOutcome {
     pub final_population: usize,
 }
 
-/// An in-flight tracing span around one tuner phase: captures the
-/// sequence number, start time, and a pool-stats snapshot at `begin`,
-/// and records the span — with the phase's pool batch delta as its
-/// args — at `end`. `None` when tracing is disabled, so the off path
-/// is a single branch.
-struct PhaseSpan {
-    kind: EventKind,
-    seq: u64,
-    idx: u64,
-    start_ns: u64,
-    pool_before: PoolBatchStats,
-}
-
-impl PhaseSpan {
-    fn begin(kind: EventKind, idx: u64) -> Option<PhaseSpan> {
-        if !pb_trace::enabled() {
-            return None;
-        }
-        Some(PhaseSpan {
-            kind,
-            seq: pb_trace::next_seq(),
-            idx,
-            start_ns: pb_trace::now_ns(),
-            pool_before: Pool::global().batch_stats(),
-        })
-    }
-
-    fn end(span: Option<PhaseSpan>) {
-        let Some(span) = span else { return };
-        let delta = Pool::global().batch_stats().delta_since(&span.pool_before);
-        pb_trace::record(Event::span(
-            span.kind,
-            span.seq,
-            span.idx,
-            span.start_ns,
-            [delta.dispatched, delta.inline, delta.tasks, delta.max_batch],
-        ));
-    }
-}
-
 /// The accuracy-aware genetic autotuner (§5).
 ///
 /// See the crate-level example for end-to-end usage.
@@ -348,12 +307,6 @@ impl<'a> Autotuner<'a> {
         let comparator = Comparator::new(self.options.comparator);
         let mut rng = SmallRng::seed_from_u64(self.options.seed);
         let mut stats = TunerStats::default();
-        let run_tracing = pb_trace::enabled();
-        let (run_seq, run_start) = if run_tracing {
-            (pb_trace::next_seq(), pb_trace::now_ns())
-        } else {
-            (0, 0)
-        };
         let mut next_id: u64 = 0;
         let mut alloc_id = || {
             let id = next_id;
@@ -381,11 +334,10 @@ impl<'a> Autotuner<'a> {
         }
 
         let sizes = self.options.size_schedule();
-        for (gen_idx, &n) in sizes.iter().enumerate() {
-            let gen_span = PhaseSpan::begin(EventKind::Generation, gen_idx as u64);
-            let span = PhaseSpan::begin(EventKind::PhaseTest, n);
+        for &n in &sizes {
+            let span = pb_trace::start();
             pop.test_all(&evaluator, n, self.options.comparator.min_trials);
-            PhaseSpan::end(span);
+            pb_trace::record(EventKind::PhaseTest, span);
             for _round in 0..self.options.rounds_per_size {
                 self.random_mutation(
                     &evaluator,
@@ -400,7 +352,7 @@ impl<'a> Autotuner<'a> {
                 );
                 if self.targets_not_reached(&pop, n) {
                     stats.guided_runs += 1;
-                    let span = PhaseSpan::begin(EventKind::PhaseGuided, n);
+                    let span = pb_trace::start();
                     self.guided_mutation(
                         &evaluator,
                         &schema,
@@ -409,9 +361,9 @@ impl<'a> Autotuner<'a> {
                         &mut stats,
                         &mut alloc_id,
                     );
-                    PhaseSpan::end(span);
+                    pb_trace::record(EventKind::PhaseGuided, span);
                 }
-                let span = PhaseSpan::begin(EventKind::PhasePrune, n);
+                let span = pb_trace::start();
                 let report = pop.prune(
                     n,
                     &self.bins,
@@ -419,22 +371,11 @@ impl<'a> Autotuner<'a> {
                     &evaluator,
                     &comparator,
                 );
-                PhaseSpan::end(span);
+                pb_trace::record(EventKind::PhasePrune, span);
                 stats.prune_rounds += report.arena.rounds;
                 stats.prune_draws += report.arena.draws;
                 stats.pair_memo_queries += report.arena.memo_queries;
                 stats.pair_memo_hits += report.arena.memo_hits;
-            }
-            if let Some(g) = gen_span {
-                // A generation's headline arg is its input size.
-                let delta = Pool::global().batch_stats().delta_since(&g.pool_before);
-                pb_trace::record(Event::span(
-                    EventKind::Generation,
-                    g.seq,
-                    g.idx,
-                    g.start_ns,
-                    [n, delta.dispatched, delta.inline, delta.tasks],
-                ));
             }
         }
 
@@ -487,15 +428,6 @@ impl<'a> Autotuner<'a> {
             // Best-effort: a read-only training directory should not
             // fail the tuning run that produced a valid program.
             let _ = evaluator.save_sidecar(path);
-        }
-        if run_tracing {
-            pb_trace::record(Event::span(
-                EventKind::TuningRun,
-                run_seq,
-                0,
-                run_start,
-                [self.options.seed, sizes.len() as u64, stats.trials, 0],
-            ));
         }
         Ok(TuningOutcome {
             program: TunedProgram::new(schema.name(), self.bins, entries),
@@ -555,7 +487,7 @@ impl<'a> Autotuner<'a> {
         // Phase 1 — plan. Parents are drawn from the round-start
         // population (accepted children join the parent pool next
         // round).
-        let span = PhaseSpan::begin(EventKind::PhaseMutate, n);
+        let span = pb_trace::start();
         let parent_count = pop.len();
         let mut planned: Vec<(usize, Candidate)> = Vec::new();
         for _ in 0..self.options.mutation_attempts {
@@ -587,7 +519,7 @@ impl<'a> Autotuner<'a> {
             }
             offset += count;
         }
-        PhaseSpan::end(span);
+        pb_trace::record(EventKind::PhaseMutate, span);
 
         // Phase 3 — merge through the arena. All children join the
         // population at fixed indices after the parents; rejected ones
@@ -597,7 +529,7 @@ impl<'a> Autotuner<'a> {
             stats.children_created += 1;
             pop.add(child);
         }
-        let span = PhaseSpan::begin(EventKind::PhaseMerge, n);
+        let span = pb_trace::start();
         let (accepted, report) = pop.merge_children(
             &parent_of,
             n,
@@ -605,7 +537,7 @@ impl<'a> Autotuner<'a> {
             comparator,
             self.options.comparator.alpha,
         );
-        PhaseSpan::end(span);
+        pb_trace::record(EventKind::PhaseMerge, span);
         stats.children_accepted += accepted.iter().filter(|&&a| a).count() as u64;
         pop.retain_indexed(|idx| idx < parent_count || accepted[idx - parent_count]);
         stats.merge_rounds += report.rounds;

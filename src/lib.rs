@@ -17,8 +17,8 @@
 //! * [`tuner`] — the accuracy-aware genetic autotuner (§5).
 //! * [`runtime`] — execution of tuned transforms, accuracy guarantees
 //!   (§3.3).
-//! * [`trace`] — zero-perturbation structured tracing across all of
-//!   the above, read in-process through `collect()`.
+//! * [`trace`] — zero-perturbation tuner phase spans and VM chunk
+//!   profiles, read in-process through `collect()`.
 //! * [`faults`] — seeded deterministic fault and noise injection for
 //!   chaos-testing the tuner's trial isolation and robust statistics.
 //! * [`linalg`] / [`multigrid`] — the numeric substrates the benchmarks
