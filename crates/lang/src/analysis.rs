@@ -9,8 +9,9 @@
 //!
 //! * [`verify_chunk`] / [`verify_code`] prove a [`Chunk`] is
 //!   *well-formed* before dispatch: every jump (including the fused
-//!   `JumpCmp*`/`AddImmJump` forms and `Switch` tables) lands inside
-//!   the chunk, every register/slot/name index is in bounds, every
+//!   `JumpCmp*`/`LoopNext` forms and `Switch` tables) lands inside
+//!   the chunk, every fused back edge replays its loop head exactly,
+//!   every register/slot/name index is in bounds, every
 //!   register is defined on every path before it is read (forward
 //!   must-defined dataflow over the CFG), every `Switch` is guarded by
 //!   the clamping `Choice` that feeds it, and every `Charge` is
@@ -107,9 +108,14 @@ pub enum ViolationKind {
     /// A `DepthGuard` was removed where no guard at least as deep has
     /// run on every path.
     UnguardedDepth,
-    /// A threaded jump is not a copy of the `AddImmJump` its `Jump`
+    /// A threaded jump is not a copy of the `LoopNext` its `Jump`
     /// pointed at (see `verify_threaded`).
     BadJumpThread,
+    /// A fused back edge that does not replay its loop head: behind its
+    /// `body` (and the `Charge` it carries, if any) there is no
+    /// `JumpIfGe` with its comparands and exit, or that `Charge` is not
+    /// the amount it carries.
+    BadBackEdge,
 }
 
 impl ViolationKind {
@@ -133,6 +139,7 @@ impl ViolationKind {
             ViolationKind::StaleValue => "stale_value",
             ViolationKind::UnguardedDepth => "unguarded_depth",
             ViolationKind::BadJumpThread => "bad_jump_thread",
+            ViolationKind::BadBackEdge => "bad_back_edge",
         }
     }
 }
@@ -354,6 +361,37 @@ pub fn verify_code(
                     format!("fused compare carries non-comparison operator {op:?}"),
                 ));
             }
+            Instr::LoopNext {
+                a,
+                b,
+                exit,
+                body,
+                charge,
+                ..
+            } => {
+                // The trip it replays: the head, then the charge it
+                // carries, right behind `body`.
+                let behind = |k: usize| body.checked_sub(k).and_then(|at| code.get(at));
+                let head = match behind(1) {
+                    Some(Instr::Charge { amount }) if *charge != 0.0 => {
+                        let same = amount.to_bits() == charge.to_bits();
+                        behind(2).filter(|_| same)
+                    }
+                    _ => behind(1).filter(|_| *charge == 0.0),
+                };
+                let replays = matches!(
+                    head,
+                    Some(Instr::JumpIfGe { a: ha, b: hb, target })
+                        if (ha, hb, target) == (a, b, exit)
+                );
+                if !replays {
+                    note(violation(
+                        ViolationKind::BadBackEdge,
+                        i,
+                        format!("{instr:?} does not replay the loop head behind {body}"),
+                    ));
+                }
+            }
             _ => {}
         }
         if let Some(v) = first {
@@ -435,7 +473,16 @@ pub fn charge_signature(code: &[Instr]) -> Vec<f64> {
 /// forced region boundary) — how an inlined chunk's accounting is
 /// compared piecewise with its caller's and callees'.
 fn charge_segments(code: &[Instr], cuts: &[usize]) -> Vec<Vec<f64>> {
-    let targets = jump_targets(code);
+    // A fused back edge re-entering past its head's `Charge` replays
+    // that charge (`verify_code` checks it does): its `body` opens no
+    // region of its own.
+    let mut targets = vec![false; code.len() + 1];
+    for instr in code {
+        match instr {
+            Instr::LoopNext { exit, .. } => targets[*exit] = true,
+            other => for_each_target(other, |t| targets[t] = true),
+        }
+    }
     let mut segments = vec![Vec::new()];
     let mut cur = 0.0f64;
     let flush = |cur: &mut f64, segments: &mut Vec<Vec<f64>>| {
@@ -889,7 +936,7 @@ pub(crate) fn verify_forwarded(
 }
 
 /// Checks `thread_jumps`' output against its input: the only change it
-/// may make is a `Jump` becoming a copy of the `AddImmJump` it pointed
+/// may make is a `Jump` becoming a copy of the `LoopNext` it pointed
 /// at.
 ///
 /// # Errors
@@ -908,7 +955,7 @@ pub(crate) fn verify_threaded(before: &[Instr], after: &[Instr]) -> Result<(), V
             Instr::Jump { target } => before.get(*target),
             _ => None,
         };
-        if !matches!(through, Some(next @ Instr::AddImmJump { .. }) if same_instr(next, new)) {
+        if !matches!(through, Some(next @ Instr::LoopNext { .. }) if same_instr(next, new)) {
             return Err(bad(i, format!("{old:?} became {new:?}")));
         }
     }
@@ -1458,6 +1505,7 @@ mod tests {
             n_slots,
             input_slots: vec![],
             output_slots: vec![],
+            moves: vec![],
         }
     }
 

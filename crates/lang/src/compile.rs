@@ -216,7 +216,8 @@ pub enum Instr {
         b: Reg,
     },
     /// `rand(lo, hi)` with the interpreter's exact semantics: `lo`
-    /// when `hi <= lo` (no RNG draw), else one uniform draw.
+    /// unless `lo < hi` (no RNG draw: an empty range or a NaN bound),
+    /// else one uniform draw.
     Rand {
         /// Destination register.
         dst: Reg,
@@ -472,16 +473,32 @@ pub enum Instr {
         /// Right operand register.
         b: Reg,
     },
-    /// Fused loop back-edge: `regs[dst] += imm; pc = target` — the
-    /// `AddImm` + `Jump` pair every counted loop executes per
-    /// iteration.
-    AddImmJump {
+    /// Rotated loop back edge: the `AddImm` + `Jump` that close a
+    /// counted loop, fused with the `JumpIfGe` head they jump to.
+    /// `regs[ctr] += imm`; then, if `regs[a] >= regs[b]`, `pc = exit`;
+    /// otherwise `ctx.charge(charge)` and `pc = body`. `a`, `b` and
+    /// `exit` are the head's. When a `Charge` follows the head, `charge`
+    /// is its amount and `body` points past it; otherwise `charge` is
+    /// `0.0` (adding it changes no total) and `body` is the instruction
+    /// after the head. The head stays in place for the first trip, so
+    /// every later trip costs one control dispatch.
+    LoopNext {
         /// Counter register updated in place.
-        dst: Reg,
+        ctr: Reg,
         /// Immediate addend.
         imm: f64,
-        /// Jump target (the loop head).
-        target: usize,
+        /// The head's left comparand, read after the update.
+        a: Reg,
+        /// The head's right comparand.
+        b: Reg,
+        /// The head's exit target.
+        exit: usize,
+        /// Where the next trip continues: just past the head and its
+        /// `Charge`.
+        body: usize,
+        /// The head's `Charge` amount, replayed on every trip (`0.0`
+        /// when the head has none).
+        charge: f64,
     },
     /// Placeholder left by optimizer rewrites; compaction removes every
     /// `Nop` before a chunk reaches the VM (the VM still executes it as
@@ -534,7 +551,7 @@ pub const OPCODE_NAMES: [&str; N_OPCODES] = [
     "jump_cmp",
     "jump_cmp_imm",
     "bin_store_idx1",
-    "add_imm_jump",
+    "loop_next",
     "nop",
 ];
 
@@ -589,7 +606,7 @@ impl Instr {
             Instr::JumpCmp { .. } => 35,
             Instr::JumpCmpImm { .. } => 36,
             Instr::BinStoreIdx1 { .. } => 37,
-            Instr::AddImmJump { .. } => 38,
+            Instr::LoopNext { .. } => 38,
             Instr::Nop => 39,
         }
     }
@@ -613,6 +630,10 @@ pub struct Chunk {
     pub input_slots: Vec<Slot>,
     /// Slot of each rule *output* binding alias, in declaration order.
     pub output_slots: Vec<Slot>,
+    /// Per binding, inputs then outputs: whether the VM moves the datum
+    /// between the data store and the slot instead of cloning it (see
+    /// [`crate::vm`]). A missing entry clones.
+    pub moves: Vec<bool>,
 }
 
 impl Chunk {
@@ -1056,8 +1077,23 @@ impl<'a> Compiler<'a> {
 
     fn compile(mut self, rule: &Rule, label: String) -> Result<Chunk, CompileError> {
         self.block(&rule.body)?;
-        let input_slots = rule.inputs.iter().map(|b| self.slots[&b.alias]).collect();
-        let output_slots = rule.outputs.iter().map(|b| self.slots[&b.alias]).collect();
+        let input_slots: Vec<Slot> = rule.inputs.iter().map(|b| self.slots[&b.alias]).collect();
+        let output_slots: Vec<Slot> = rule.outputs.iter().map(|b| self.slots[&b.alias]).collect();
+        // An input moves when no other binding names its datum or
+        // shares its slot and nothing writes that slot; an output when
+        // no other output names its datum (inputs bind first, so any
+        // that shares it has taken its copy).
+        let bindings = || rule.inputs.iter().chain(&rule.outputs);
+        let slots = || input_slots.iter().chain(&output_slots);
+        let written = crate::opt::written_slots(&self.code, self.temp_max);
+        let inputs = rule.inputs.iter().zip(&input_slots).map(|(b, &s)| {
+            bindings().filter(|o| o.data == b.data).count() == 1
+                && slots().filter(|&&o| o == s).count() == 1
+                && !written[s as usize]
+        });
+        let outputs = (rule.outputs.iter())
+            .map(|b| rule.outputs.iter().filter(|o| o.data == b.data).count() == 1);
+        let moves = inputs.chain(outputs).collect();
         Ok(Chunk {
             label,
             code: self.code,
@@ -1066,6 +1102,7 @@ impl<'a> Compiler<'a> {
             n_slots: self.temp_max,
             input_slots,
             output_slots,
+            moves,
         })
     }
 

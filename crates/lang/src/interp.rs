@@ -901,9 +901,10 @@ impl Env<'_> {
                     "min" => a.min(b),
                     "max" => a.max(b),
                     "pow" => a.powf(b),
-                    // `rand(lo, hi)`: no draw for an empty range.
-                    _ if b <= a => a,
-                    _ => ctx.rng().gen_range(a..b),
+                    // `rand(lo, hi)`: no draw for an empty range or a
+                    // NaN bound.
+                    _ if a < b => ctx.rng().gen_range(a..b),
+                    _ => a,
                 }
             }
         }))

@@ -56,10 +56,10 @@
 //! 4. **Superinstruction fusion** — the dominant dynamic sequences
 //!    collapse into one dispatch: compare-then-branch →
 //!    [`Instr::JumpCmp`]/[`Instr::JumpCmpImm`]; binop+`StoreIdx1` →
-//!    [`Instr::BinStoreIdx1`]; the `AddImm`+`Jump` loop back-edge →
-//!    [`Instr::AddImmJump`]. Fusion only fires when no jump lands
+//!    [`Instr::BinStoreIdx1`]. Fusion only fires when no jump lands
 //!    inside the sequence and the absorbed registers are dead
-//!    afterwards.
+//!    afterwards. The loop back edge fuses later (step 6), once its
+//!    head's charge is final.
 //! 5. **Charge folding** — consecutive `Charge` amounts within a
 //!    straight-line region merge into the first one. Charges never
 //!    move across control flow (block leaders or terminators) or a
@@ -69,14 +69,23 @@
 //!    aborted by an error mid-region has already been charged for the
 //!    region's later statements — the error itself (message and point)
 //!    is unchanged, and no completed run ever observes a different
-//!    total.
-//! 6. **Constant homes and jump threading** — each distinct constant
-//!    an instruction inside a loop reads from a just-set register gets
-//!    one register defined by a `Const` at chunk entry
-//!    (`promote::const_homes`; the in-loop `Const` is then dead), and
-//!    a `Jump` whose target is an `AddImmJump` becomes a copy of it, so
-//!    an `if`/`else` arm ending a loop body takes the back edge in one
-//!    dispatch.
+//!    total. So the `Charge` right behind a loop head is all its
+//!    region charges up to the first depth guard.
+//! 6. **Constant homes, loop rotation and jump threading** — each
+//!    distinct constant an instruction inside a loop reads from a
+//!    just-set register gets one register defined by a `Const` at chunk
+//!    entry (`promote::const_homes`; the in-loop `Const` is then dead).
+//!    Then each counted loop's `AddImm`+`Jump` back edge to its
+//!    `JumpIfGe` head becomes one [`Instr::LoopNext`]: it steps the
+//!    counter, runs the head's test with the head's exit, and re-enters
+//!    the body past the head — carrying the head's `Charge`, when one
+//!    follows it, and re-entering past that too. The head and its
+//!    `Charge` stay for the first trip, so every later trip costs one
+//!    control dispatch instead of three, and the charge signature sees
+//!    the carried amount as a replay of the head's region
+//!    (`analysis::charge_signature`). Last, a `Jump` whose target is a
+//!    `LoopNext` becomes a copy of it, so an `if`/`else` arm ending a
+//!    loop body takes the back edge in one dispatch.
 //! 7. **Register coalescing** — surviving registers are renumbered
 //!    densely, shrinking `n_regs` and with it the per-invocation frame
 //!    reset cost.
@@ -113,8 +122,8 @@ pub enum OptLevel {
     /// transforms inlined into their callers, scalar slots promoted to
     /// registers, chunk-wide value tracking, dead-code elimination,
     /// superinstruction fusion, charge folding, loop constants in
-    /// registers set once, threaded back-edge jumps, and register
-    /// coalescing.
+    /// registers set once, rotated counted loops, threaded back-edge
+    /// jumps, and register coalescing.
     #[default]
     O3,
 }
@@ -132,7 +141,7 @@ impl OptLevel {
 pub struct PassViolation {
     /// Pass name: `lowering`, `inline`, `promote`, `dce`, `retarget`,
     /// `compact`, `value`, `fuse`, `fold_charges`, `const_homes`,
-    /// `thread_jumps`, or `renumber_regs`.
+    /// `rotate`, `thread_jumps`, or `renumber_regs`.
     pub pass: &'static str,
     /// The chunk's label.
     pub label: String,
@@ -287,9 +296,15 @@ impl<'a> Pipeline<'a> {
         Ok(())
     }
 
-    /// The code as it stands, taken out into a chunk.
+    /// The code as it stands, taken out into a chunk. An input whose
+    /// slot the code now writes no longer moves.
     fn finish(self) -> Chunk {
         let chunk = self.chunk;
+        let written = written_slots(&self.code, chunk.n_slots);
+        let mut moves = chunk.moves.clone();
+        for (moved, &s) in moves.iter_mut().zip(&chunk.input_slots) {
+            *moved &= !written[s as usize];
+        }
         Chunk {
             label: chunk.label.clone(),
             code: self.code,
@@ -298,6 +313,7 @@ impl<'a> Pipeline<'a> {
             n_slots: chunk.n_slots,
             input_slots: chunk.input_slots.clone(),
             output_slots: chunk.output_slots.clone(),
+            moves,
         }
     }
 
@@ -358,6 +374,12 @@ impl<'a> Pipeline<'a> {
         // tracking.
         self.sweep()?;
         self.value()?;
+        self.sweep()?;
+        // Again: a temp lowering reused for a literal or an index loses
+        // the value it held to a `Const` or `Move` that the first round
+        // folded away and the sweep dropped, so the second round sees
+        // that value survive.
+        self.value()?;
         let live = self.sweep()?;
 
         fuse(&mut self.code, &live);
@@ -369,6 +391,9 @@ impl<'a> Pipeline<'a> {
 
         promote::const_homes(&mut self.code, &mut self.n_regs);
         self.gate("const_homes")?;
+        rotate_loops(&mut self.code);
+        compact(&mut self.code, None);
+        self.gate("rotate")?;
         let before = self.snapshot();
         thread_jumps(&mut self.code);
         self.gate("thread_jumps")?;
@@ -433,7 +458,12 @@ macro_rules! each_read {
                 $f(src);
             }
             Instr::JumpIfZero { cond, .. } | Instr::JumpIfNonZero { cond, .. } => $f(cond),
-            Instr::JumpIfGe { a, b, .. } | Instr::JumpCmp { a, b, .. } => {
+            // A fused back edge reads its comparands after stepping its
+            // counter (nothing retargets its reads: it forms after value
+            // tracking).
+            Instr::JumpIfGe { a, b, .. }
+            | Instr::JumpCmp { a, b, .. }
+            | Instr::LoopNext { a, b, .. } => {
                 $f(a);
                 $f(b);
             }
@@ -459,7 +489,6 @@ macro_rules! each_read {
             // In-place destinations ([`writes_in_place`]) are
             // `each_def!`'s; the rest read no register.
             Instr::AddImm { .. }
-            | Instr::AddImmJump { .. }
             | Instr::TruncPair { .. }
             | Instr::WhileGuard { .. }
             | Instr::Const { .. }
@@ -500,7 +529,7 @@ macro_rules! each_def {
             | Instr::LoadIdx1 { dst, .. }
             | Instr::LoadIdx2 { dst, .. }
             | Instr::AddImm { dst, .. }
-            | Instr::AddImmJump { dst, .. }
+            | Instr::LoopNext { ctr: dst, .. }
             | Instr::ForEnoughPrep { dst, .. }
             | Instr::Choice { dst, .. } => $f(dst),
             Instr::TruncPair { a, b } => {
@@ -519,7 +548,7 @@ fn writes_in_place(instr: &Instr) -> bool {
     matches!(
         instr,
         Instr::AddImm { .. }
-            | Instr::AddImmJump { .. }
+            | Instr::LoopNext { .. }
             | Instr::TruncPair { .. }
             | Instr::WhileGuard { .. }
     )
@@ -579,7 +608,7 @@ pub(crate) fn is_terminator(instr: &Instr) -> bool {
     matches!(
         instr,
         Instr::Jump { .. }
-            | Instr::AddImmJump { .. }
+            | Instr::LoopNext { .. }
             | Instr::JumpIfZero { .. }
             | Instr::JumpIfNonZero { .. }
             | Instr::JumpIfGe { .. }
@@ -601,19 +630,18 @@ pub(crate) fn jump_targets(code: &[Instr]) -> Vec<bool> {
     targets
 }
 
+/// Whether control can continue at the next instruction after `instr`.
+fn falls_through(instr: &Instr) -> bool {
+    !matches!(
+        instr,
+        Instr::Jump { .. } | Instr::LoopNext { .. } | Instr::Switch { .. } | Instr::Return
+    )
+}
+
 /// Whether control can run off the end of `code`: a jump targets the
 /// end, or the last instruction falls through.
 pub(crate) fn falls_off_end(code: &[Instr]) -> bool {
-    jump_targets(code)[code.len()]
-        || !matches!(
-            code.last(),
-            Some(
-                Instr::Return
-                    | Instr::Jump { .. }
-                    | Instr::AddImmJump { .. }
-                    | Instr::Switch { .. }
-            )
-        )
+    jump_targets(code)[code.len()] || code.last().is_none_or(falls_through)
 }
 
 /// Every instruction index `$instr` may transfer control to
@@ -622,12 +650,15 @@ macro_rules! each_target {
     ($instr:expr, $f:ident) => {
         match $instr {
             Instr::Jump { target }
-            | Instr::AddImmJump { target, .. }
             | Instr::JumpIfZero { target, .. }
             | Instr::JumpIfNonZero { target, .. }
             | Instr::JumpIfGe { target, .. }
             | Instr::JumpCmp { target, .. }
             | Instr::JumpCmpImm { target, .. } => $f(target),
+            Instr::LoopNext { exit, body, .. } => {
+                $f(exit);
+                $f(body);
+            }
             Instr::Switch { targets, .. } => {
                 for target in targets {
                     $f(target);
@@ -711,13 +742,7 @@ pub fn innermost_loops(code: &[Instr]) -> Vec<LoopCost> {
                     }
                 };
                 for_each_target(&code[i], &mut visit);
-                if !matches!(
-                    code[i],
-                    Instr::Jump { .. }
-                        | Instr::AddImmJump { .. }
-                        | Instr::Switch { .. }
-                        | Instr::Return
-                ) {
+                if falls_through(&code[i]) {
                     visit(i + 1);
                 }
                 if back {
@@ -776,10 +801,10 @@ impl Cfg {
                 None => exits = true,
             };
             for_each_target(&code[last], &mut push);
-            match &code[last] {
-                Instr::Jump { .. } | Instr::AddImmJump { .. } | Instr::Switch { .. } => {}
-                Instr::Return => exits = true,
-                _ => push(last + 1),
+            if matches!(code[last], Instr::Return) {
+                exits = true;
+            } else if falls_through(&code[last]) {
+                push(last + 1);
             }
             cfg.succ_at.push(cfg.succs.len());
             cfg.exits.push(exits);
@@ -1084,7 +1109,7 @@ fn dce(code: &mut [Instr], n_slots: u16, output_slots: &[Slot]) -> Liveness {
     };
     let cfg = Cfg::build(code);
     // Blocks nothing reaches go whole (jump threading strands the
-    // `AddImmJump` it copied) — unless they charge: the charge
+    // `LoopNext` it copied) — unless they charge: the charge
     // signature counts every region, reachable or not.
     let mut reached = vec![false; cfg.len()];
     let mut stack = vec![0];
@@ -1278,6 +1303,20 @@ fn for_each_slot_write(instr: &Instr, mut f: impl FnMut(Slot)) {
         } => f(*s),
         _ => {}
     }
+}
+
+/// Per slot below `n_slots`, whether some instruction of `code` may
+/// change its contents ([`for_each_slot_write`]).
+pub(crate) fn written_slots(code: &[Instr], n_slots: u16) -> Vec<bool> {
+    let mut written = vec![false; n_slots as usize];
+    for instr in code {
+        for_each_slot_write(instr, |s| {
+            if let Some(w) = written.get_mut(s as usize) {
+                *w = true;
+            }
+        });
+    }
+    written
 }
 
 /// The facts that hold on *every* path to a program point: what each
@@ -1615,22 +1654,6 @@ fn fuse(code: &mut [Instr], live: &Liveness) {
         code[i + 1] = Instr::Nop;
     }
 
-    // counter increment + loop back-edge → AddImmJump (no deadness
-    // requirement: both effects are kept, in one dispatch).
-    for i in 0..n.saturating_sub(1) {
-        if targets[i + 1] {
-            continue;
-        }
-        let Instr::AddImm { dst, imm } = code[i] else {
-            continue;
-        };
-        let Instr::Jump { target } = code[i + 1] else {
-            continue;
-        };
-        code[i] = Instr::AddImmJump { dst, imm, target };
-        code[i + 1] = Instr::Nop;
-    }
-
     // compare + conditional branch → JumpCmp / JumpCmpImm.
     for i in 0..n.saturating_sub(1) {
         if targets[i + 1] {
@@ -1722,15 +1745,54 @@ fn fold_charges(code: &mut [Instr]) {
     flush(code, &mut pending, &mut first);
 }
 
-// ---- jump threading ------------------------------------------------------
+// ---- loop rotation and jump threading ----------------------------------------
 
-/// A `Jump` whose target is an `AddImmJump` becomes a copy of it: the
-/// `if`/`else` arm that ends a loop body increments and branches to
-/// the head in one dispatch instead of two.
+/// Fuses each counted loop's back edge — an `AddImm` + `Jump` to a
+/// `JumpIfGe` head, with no jump landing on the `Jump` — into one
+/// [`Instr::LoopNext`]: it steps the counter, repeats the head's test
+/// and, when a `Charge` follows the head, replays that charge and
+/// re-enters the body past it. The head and its `Charge` stay for the
+/// first trip. Runs after charge folding, so the `Charge` behind a head
+/// is the whole of what its region charges before a barrier; a back
+/// edge to anything else stays two instructions.
+fn rotate_loops(code: &mut [Instr]) {
+    let targets = jump_targets(code);
+    for i in 0..code.len().saturating_sub(1) {
+        let (Instr::AddImm { dst: ctr, imm }, Instr::Jump { target }) = (&code[i], &code[i + 1])
+        else {
+            continue;
+        };
+        let (ctr, imm, head) = (*ctr, *imm, *target);
+        let Some(&Instr::JumpIfGe { a, b, target: exit }) = code.get(head) else {
+            continue;
+        };
+        if targets[i + 1] {
+            continue;
+        }
+        let (charge, body) = match code.get(head + 1) {
+            Some(&Instr::Charge { amount }) => (amount, head + 2),
+            _ => (0.0, head + 1),
+        };
+        code[i] = Instr::LoopNext {
+            ctr,
+            imm,
+            a,
+            b,
+            exit,
+            body,
+            charge,
+        };
+        code[i + 1] = Instr::Nop;
+    }
+}
+
+/// A `Jump` whose target is a `LoopNext` becomes a copy of it: the
+/// `if`/`else` arm that ends a loop body steps, tests and re-enters the
+/// loop in one dispatch instead of two.
 fn thread_jumps(code: &mut [Instr]) {
     for i in 0..code.len() {
         if let Instr::Jump { target } = code[i] {
-            if let Some(next @ Instr::AddImmJump { .. }) = code.get(target) {
+            if let Some(next @ Instr::LoopNext { .. }) = code.get(target) {
                 code[i] = next.clone();
             }
         }
@@ -1963,9 +2025,7 @@ mod tests {
             opt.code
         );
         assert!(
-            opt.code
-                .iter()
-                .any(|i| matches!(i, Instr::AddImmJump { .. })),
+            opt.code.iter().any(|i| matches!(i, Instr::LoopNext { .. })),
             "the loop back-edge should fuse"
         );
     }

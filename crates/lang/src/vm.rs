@@ -13,6 +13,16 @@
 //! [`crate::interp::Interpreter`]'s shared orchestration, which runs
 //! the callee's rules on this VM too.
 //!
+//! Rule bindings move arrays rather than copy them wherever that is
+//! unobservable ([`crate::compile::Chunk::moves`], settled once per
+//! chunk). An output's datum moves out of the data store into its slot
+//! and back on success, unless another output binds the same datum. An
+//! input's moves in and back out, whether the body succeeds or fails,
+//! when it is read-only: no instruction writes its slot, and the rule
+//! binds neither that datum nor that alias anywhere else (`from (X a,
+//! X b)`, or an output alias shadowing the input's, clones). Every
+//! other input clones, like the interpreter's `run_rule`.
+//!
 //! The hot path is allocation-free in steady state. Each thread owns
 //! one `VmScratch` (parked in the `pb_runtime` scratch reservoir
 //! between rule invocations, held by `run_rule` during one):
@@ -346,7 +356,10 @@ pub(crate) fn run_rule(
 }
 
 /// The invocation body: binds the rule's aliases into the frame,
-/// dispatches, and writes outputs back on success.
+/// dispatches, and writes outputs back on success. Inputs moved into
+/// their slots go back to the store whatever the outcome; outputs moved
+/// out stay out on an error, which ends the transform's run and drops
+/// the store.
 #[allow(clippy::too_many_arguments)]
 fn bind_exec_writeback(
     interp: &Interpreter,
@@ -359,30 +372,52 @@ fn bind_exec_writeback(
     frame: &mut VmFrame,
     scratch: &mut Option<Box<VmScratch>>,
 ) -> Result<(), RuntimeError> {
-    for (b, slot) in rule.inputs.iter().zip(&chunk.input_slots) {
-        let v = store.get(&b.data).ok_or_else(|| RuntimeError {
-            message: format!("rule reads unproduced data `{}`", b.data),
-            span: Some(b.span),
-        })?;
-        frame.slots[*slot as usize] = v.clone();
+    let mut bound = 0;
+    let result = bind(rule, chunk, store, frame, &mut bound)
+        .and_then(|()| exec(interp, chunk, resolved, frame, scratch, ctx, depth));
+    let inputs = rule.inputs.iter().zip(&chunk.input_slots);
+    for ((b, slot), _) in inputs.zip(&chunk.moves).take(bound).filter(|(_, &m)| m) {
+        if let Some(v) = store.get_mut(&b.data) {
+            *v = std::mem::replace(&mut frame.slots[*slot as usize], Value::Num(0.0));
+        }
     }
-    // Output aliases bind after inputs, shadowing same-named inputs.
-    for (b, slot) in rule.outputs.iter().zip(&chunk.output_slots) {
-        let v = store.get(&b.data).ok_or_else(|| RuntimeError {
-            message: format!("rule writes undeclared data `{}`", b.data),
-            span: Some(b.span),
-        })?;
-        frame.slots[*slot as usize] = v.clone();
-    }
-
-    exec(interp, chunk, resolved, frame, scratch, ctx, depth)?;
+    result?;
 
     // Moved, not cloned: `release_values` would drop the slot next, and
     // sema gives each output binding of a rule its own alias, so its
-    // own slot.
+    // own slot. Binding found each datum, so it is replaced in place.
     for (b, slot) in rule.outputs.iter().zip(&chunk.output_slots) {
         let v = std::mem::replace(&mut frame.slots[*slot as usize], Value::Num(0.0));
-        store.insert(b.data.clone(), v);
+        if let Some(data) = store.get_mut(&b.data) {
+            *data = v;
+        }
+    }
+    Ok(())
+}
+
+/// Binds the rule's aliases into the frame: inputs, then outputs, which
+/// shadow same-named inputs. Each datum is moved out of the store (a
+/// placeholder left behind) where `chunk.moves` says so, else cloned.
+/// `bound` counts the bindings made, inputs first.
+fn bind(
+    rule: &Rule,
+    chunk: &Chunk,
+    store: &mut HashMap<String, Value>,
+    frame: &mut VmFrame,
+    bound: &mut usize,
+) -> Result<(), RuntimeError> {
+    let inputs = (rule.inputs.iter().zip(&chunk.input_slots)).map(|b| (b, "reads unproduced"));
+    let outputs = (rule.outputs.iter().zip(&chunk.output_slots)).map(|b| (b, "writes undeclared"));
+    for (k, ((b, slot), missing)) in inputs.chain(outputs).enumerate() {
+        let v = store.get_mut(&b.data).ok_or_else(|| RuntimeError {
+            message: format!("rule {missing} data `{}`", b.data),
+            span: Some(b.span),
+        })?;
+        frame.slots[*slot as usize] = match chunk.moves.get(k) {
+            Some(true) => std::mem::replace(v, Value::Num(0.0)),
+            _ => v.clone(),
+        };
+        *bound = k + 1;
     }
     Ok(())
 }
@@ -502,10 +537,11 @@ fn exec_loop<const PROFILE: bool>(
             Instr::Rand { dst, lo, hi } => {
                 let lo = regs[*lo as usize];
                 let hi = regs[*hi as usize];
-                regs[*dst as usize] = if hi <= lo {
-                    lo
-                } else {
+                // An empty range, or a NaN bound, draws nothing.
+                regs[*dst as usize] = if lo < hi {
                     ctx.rng().gen_range(lo..hi)
+                } else {
+                    lo
                 };
             }
             Instr::Shape { kind, dst, slot } => {
@@ -641,9 +677,22 @@ fn exec_loop<const PROFILE: bool>(
                 }
             }
             Instr::AddImm { dst, imm } => regs[*dst as usize] += *imm,
-            Instr::AddImmJump { dst, imm, target } => {
-                regs[*dst as usize] += *imm;
-                pc = *target;
+            Instr::LoopNext {
+                ctr,
+                imm,
+                a,
+                b,
+                exit,
+                body,
+                charge,
+            } => {
+                regs[*ctr as usize] += *imm;
+                pc = if regs[*a as usize] >= regs[*b as usize] {
+                    *exit
+                } else {
+                    ctx.charge(*charge);
+                    *body
+                };
                 continue;
             }
             Instr::TruncPair { a, b } => {

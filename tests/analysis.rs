@@ -183,6 +183,7 @@ fn chunk(code: Vec<Instr>, n_regs: u16, n_slots: u16, names: Vec<&str>) -> Chunk
         n_slots,
         input_slots: vec![],
         output_slots: vec![],
+        moves: vec![],
     }
 }
 
@@ -201,8 +202,8 @@ fn corpus_bad_jump_target() {
 
 #[test]
 fn corpus_bad_fused_jump_target() {
-    // The fused compare-and-branch and add-and-jump forms carry their
-    // own targets; both must be range-checked too.
+    // The fused compare-and-branch and back-edge forms carry their own
+    // targets; both must be range-checked too.
     let cmp = chunk(
         vec![
             Instr::Const { dst: 0, val: 0.0 },
@@ -222,23 +223,47 @@ fn corpus_bad_fused_jump_target() {
         verify_chunk(&cmp).unwrap_err().kind,
         ViolationKind::BadJumpTarget
     );
-    let aij = chunk(
+    let back_edge = chunk(
         vec![
             Instr::Const { dst: 0, val: 0.0 },
-            Instr::AddImmJump {
-                dst: 0,
-                imm: 1.0,
+            Instr::JumpIfGe {
+                a: 0,
+                b: 0,
                 target: 77,
+            },
+            Instr::LoopNext {
+                ctr: 0,
+                imm: 1.0,
+                a: 0,
+                b: 0,
+                exit: 77,
+                body: 2,
+                charge: 0.0,
             },
         ],
         1,
         0,
         vec![],
     );
-    assert_eq!(
-        verify_chunk(&aij).unwrap_err().kind,
-        ViolationKind::BadJumpTarget
-    );
+    let v = verify_chunk(&back_edge).unwrap_err();
+    assert_eq!((v.kind, v.at), (ViolationKind::BadJumpTarget, 1));
+    let mut past_end = back_edge.clone();
+    past_end.code[1] = Instr::JumpIfGe {
+        a: 0,
+        b: 0,
+        target: 3,
+    };
+    past_end.code[2] = Instr::LoopNext {
+        ctr: 0,
+        imm: 1.0,
+        a: 0,
+        b: 0,
+        exit: 3,
+        body: 77,
+        charge: 0.0,
+    };
+    let v = verify_chunk(&past_end).unwrap_err();
+    assert_eq!((v.kind, v.at), (ViolationKind::BadJumpTarget, 2));
 }
 
 #[test]
@@ -646,8 +671,8 @@ fn corpus_depth_guard_removed_without_a_dominating_one() {
 
 #[test]
 fn corpus_threaded_jump_with_the_wrong_increment() {
-    // The `then` arm's jump to the loop's `AddImmJump` becomes a copy
-    // of it — which must add what the original adds.
+    // The `then` arm's jump to the loop's `LoopNext` becomes a copy of
+    // it — which must add what the original adds.
     let (chunk, entry) = lowered(
         "transform t from In[n] to Out[n] {
             to (Out o) from (In a) {
@@ -658,16 +683,61 @@ fn corpus_threaded_jump_with_the_wrong_increment() {
     let got = broken_by(&chunk, &entry, "thread_jumps", |code| {
         let n = code
             .iter()
-            .filter(|i| matches!(i, Instr::AddImmJump { .. }))
+            .filter(|i| matches!(i, Instr::LoopNext { .. }))
             .count();
         assert_eq!(n, 2, "the arm's jump was threaded: {code:?}");
         let copy = code.iter_mut().find_map(|i| match i {
-            Instr::AddImmJump { imm, .. } => Some(imm),
+            Instr::LoopNext { imm, .. } => Some(imm),
             _ => None,
         });
         *copy.unwrap() = 2.0;
     });
     assert_eq!(got, ("thread_jumps", ViolationKind::BadJumpThread));
+}
+
+#[test]
+fn corpus_fused_back_edge_that_does_not_replay_its_head() {
+    // A rotated back edge must repeat its head's test with the head's
+    // exit and charge what the head's `Charge` does; the gate after
+    // rotation names a back edge that differs in either.
+    let (chunk, entry) = lowered(
+        "transform t from In[n] to Out[n] {
+            to (Out o) from (In a) {
+                for (i in 0 .. len(a)) { o[i] = a[i] + 1; }
+            }
+        }",
+    );
+    type Break = fn(&mut f64, &mut usize, &mut usize);
+    let breaks: [(&str, Break); 4] = [
+        ("a different charge", |charge, _, _| *charge += 1.0),
+        ("a charge it skips", |charge, _, _| *charge = 0.0),
+        ("a body past the first statement", |_, body, _| *body += 1),
+        ("another exit", |_, _, exit| *exit -= 1),
+    ];
+    for (what, break_it) in breaks {
+        let got = broken_by(&chunk, &entry, "rotate", |code| {
+            let (charge, body, exit) = code
+                .iter_mut()
+                .find_map(|i| match i {
+                    Instr::LoopNext {
+                        charge, body, exit, ..
+                    } => Some((charge, body, exit)),
+                    _ => None,
+                })
+                .expect("the loop rotates");
+            assert_eq!(*charge, 1.0, "the body's one statement");
+            break_it(charge, body, exit);
+        });
+        assert_eq!(got, ("rotate", ViolationKind::BadBackEdge), "{what}");
+    }
+}
+
+#[test]
+fn instructions_stay_five_words() {
+    // The widest variants, `LoopNext` among them, take 40 bytes; a
+    // later one that grows every instruction past that should be a
+    // visible choice.
+    assert_eq!(std::mem::size_of::<Instr>(), 40);
 }
 
 // ---- ChunkFacts pins ---------------------------------------------------
@@ -910,15 +980,15 @@ fn hot_loops_are_register_resident() {
     let ceilings: [(&str, &[usize]); 4] = [
         // Seeding loop (18); distance loop on the not-closer path (24);
         // accumulate loop on the not-equal path (10).
-        ("lloyd::r2", &[7, 16, 5]),
+        ("lloyd::r2", &[5, 9, 3]),
         // The next-fit arm on the path that keeps its bin (25); the
         // round-robin arm (11).
-        ("binpack::r0", &[11, 5]),
+        ("binpack::r0", &[8, 3]),
         // The halving arm (14); the quartering arm (14).
-        ("refine::r0", &[5, 5]),
+        ("refine::r0", &[3, 3]),
         // Jacobi sweep (19), copy-back (9), Gauss-Seidel sweep (19): the
         // `for_enough` round them is unswitched, they are not.
-        ("relax::r0", &[14, 5, 14]),
+        ("relax::r0", &[12, 3, 12]),
     ];
     let mut checked = 0;
     for (name, src) in ledger_programs() {
@@ -938,7 +1008,7 @@ fn hot_loops_are_register_resident() {
                             | Instr::CopySlot { .. }
                             | Instr::Const { .. } => true,
                             Instr::Jump { target } => {
-                                matches!(chunk.code.get(*target), Some(Instr::AddImmJump { .. }))
+                                matches!(chunk.code.get(*target), Some(Instr::LoopNext { .. }))
                             }
                             _ => false,
                         };
@@ -947,6 +1017,14 @@ fn hot_loops_are_register_resident() {
                             "{name}: `{}` dispatches {instr:?} at {i}, inside the loop at {}:\n{}",
                             chunk.label,
                             l.head,
+                            chunk.disassemble()
+                        );
+                        // A counted loop's back edge is one rotated
+                        // dispatch, never `AddImm` + `Jump`.
+                        assert!(
+                            !matches!(instr, Instr::AddImm { .. }),
+                            "{name}: `{}` steps a counter apart from its back edge at {i}:\n{}",
+                            chunk.label,
                             chunk.disassemble()
                         );
                         // A choice is resolved once per invocation, not
@@ -959,6 +1037,17 @@ fn hot_loops_are_register_resident() {
                             chunk.disassemble()
                         );
                     }
+                }
+                if chunk.label == "binpack::r0" {
+                    // `fill + s[i]` and `fill = fill + s[i]` read `s[i]`
+                    // once between them.
+                    let next_fit = &chunk.code[loops[0].head..=loops[0].last];
+                    let sizes = chunk.input_slots[0];
+                    let loads = next_fit
+                        .iter()
+                        .filter(|i| matches!(i, Instr::LoadIdx1 { slot, .. } if *slot == sizes))
+                        .count();
+                    assert_eq!(loads, 1, "{}", chunk.disassemble());
                 }
                 if let Some((_, want)) = ceilings.iter().find(|(label, _)| *label == chunk.label) {
                     let got: Vec<usize> = loops.iter().map(|l| l.shortest_trip).collect();

@@ -24,8 +24,10 @@
 //! per call level, and a flat heap — on the test's own thread and on a
 //! pool worker.
 //!
-//! A third pins the copies one run makes of its arrays: a rule's
-//! outputs move from its frame back to the data store, never cloned.
+//! A third pins the copies one run makes of its arrays: binding a
+//! read-only input and an output moves each between the data store and
+//! the rule's frame, and the write-back moves the output back; none of
+//! the three clones an array.
 //!
 //! The tests take one lock, so no concurrent test thread pollutes the
 //! global allocation counters.
@@ -312,10 +314,11 @@ const COPY_LEN: usize = 1 << 14;
 
 #[test]
 fn write_back_moves_outputs() {
-    // A run of `copy` makes four array-sized allocations: the data
-    // store's copy of `In` and its zeroed `Out`, and the rule frame's
-    // copies of both. Writing `Out` back to the store moves the frame's
-    // value; a clone there would be a fifth.
+    // A run of `copy` makes two array-sized allocations: the data
+    // store's copy of `In` and its zeroed `Out`. The rule reads `In`
+    // and never writes it, so both bindings move their arrays into the
+    // frame, and `Out` moves back; a clone at any of the three would be
+    // a third.
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let program = parse_program(COPY).expect("parses");
     let schema = petabricks::lang::extract_schema(&program, "copy");
@@ -333,6 +336,6 @@ fn write_back_moves_outputs() {
         let out = run();
         let big = BIG.load(Ordering::Relaxed) - before;
         assert_eq!(out["Out"], Value::Arr1(input.clone()), "{level:?}");
-        assert_eq!(big, 4, "{level:?}: array-sized allocations in one run");
+        assert_eq!(big, 2, "{level:?}: array-sized allocations in one run");
     }
 }

@@ -1481,3 +1481,116 @@ fn data_a_rule_leaves_in_another_shape_is_not_assumed_declared() {
         "{completed} completed, {failed} failed"
     );
 }
+
+#[test]
+fn rule_bindings_move_only_what_nothing_observes() {
+    // The VM moves a binding's array between the data store and the
+    // rule's frame instead of cloning it where nothing can tell: each
+    // program below must still run as the tree-walker's clones do, and
+    // `moves` (inputs, then outputs, per rule) pins which bindings move.
+    let cases: [(&str, &str, &[&[bool]]); 5] = [
+        // A rule writes its own input alias; the next rule reads that
+        // datum and must see the original.
+        (
+            "a rule writing its input",
+            "transform t from In[n] through Mid[n] to Out[n], Sum {
+                to (Mid m) from (In a) {
+                    a[0] = 99;
+                    for (i in 0 .. len(a)) { m[i] = a[i] * 2; }
+                }
+                to (Out o, Sum s) from (In a, Mid m) {
+                    for (i in 0 .. len(a)) { o[i] = a[i] + m[i]; s = s + a[i]; }
+                }
+            }",
+            &[&[false, true], &[true, true, true, true]],
+        ),
+        // The output alias shadows the input's: the body sees `Mid`.
+        (
+            "an output alias shadowing an input alias",
+            "transform t from In[n] through Mid[n] to Out[n] {
+                to (Mid x) from (In x) { for (i in 0 .. len(x)) { x[i] = x[i] + i; } }
+                to (Out o) from (In a, Mid m) {
+                    for (i in 0 .. len(a)) { o[i] = a[i] * 10 + m[i]; }
+                }
+            }",
+            &[&[false, true], &[true, true, true]],
+        ),
+        // One datum bound twice, one of the two written.
+        (
+            "one datum under two aliases",
+            "transform t from In[n] to Out[n] {
+                to (Out o) from (In a, In b) {
+                    a[0] = 7;
+                    for (i in 0 .. len(a)) { o[i] = a[i] - b[len(b) - 1 - i]; }
+                }
+            }",
+            &[&[false, false, true]],
+        ),
+        // Two rules in a row read the same datum, one through a call
+        // that borrows the moved array.
+        (
+            "one datum read by two rules",
+            "transform t from In[n] through Mid to Out[n] {
+                to (Mid m) from (In a) { m = total(a); }
+                to (Out o) from (In a, Mid m) {
+                    for (i in 0 .. len(a)) { o[i] = a[i] / m; }
+                }
+            }
+            transform total from V[k] to S {
+                to (S s) from (V v) { for (i in 0 .. len(v)) { s = s + v[i]; } }
+            }",
+            &[&[true, true], &[true, true, true]],
+        ),
+        // A rule that fails after its input moved in: the error text
+        // is the tree-walker's.
+        (
+            "an erroring rule",
+            "transform t from In[n] through Mid[n] to Out[n] {
+                to (Mid m) from (In a) { m[0] = a[0]; m[1] = a[len(a)]; }
+                to (Out o) from (In a, Mid m) { o[0] = a[0] + m[0]; }
+            }",
+            &[&[true, true], &[true, true, true]],
+        ),
+    ];
+    let inputs: HashMap<String, Value> =
+        [("In".to_string(), Value::Arr1(vec![0.5, -1.5, 3.0, 2.0]))].into();
+    for (what, src, moves) in cases {
+        let program = parse_program(src).unwrap();
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let config = schema.default_config();
+        let outcome = assert_same_outcome(src, "t", &schema, &config, &inputs, 4, 5, &no_hosts);
+        assert_eq!(
+            outcome.is_err(),
+            what == "an erroring rule",
+            "{what}: {outcome:?}"
+        );
+        for level in OptLevel::ALL {
+            let compiled = compile_program(&program).optimized(level);
+            for (r, want) in moves.iter().enumerate() {
+                let got = &compiled.chunk("t", r).unwrap().moves;
+                assert_eq!(got, want, "{what}: rule {r} at {level:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn rand_with_a_nan_bound_draws_nothing_on_either_engine() {
+    // `a[0] / a[1]` is NaN on `[0, 0]`: a NaN bound is an empty range,
+    // which yields `lo` without a draw, as the next draw must show.
+    for (lo, hi) in [
+        ("0", "a[0] / a[1]"),
+        ("a[0] / a[1]", "1"),
+        ("a[0] / a[1]", "a[1] / a[0]"),
+    ] {
+        let src = format!(
+            "transform t from In[n] to Out[n] {{\n to (Out o) from (In a) {{ o[0] = rand({lo}, {hi}); o[1] = rand(0, 1); }}\n}}\n"
+        );
+        let program = parse_program(&src).unwrap();
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let config = schema.default_config();
+        let inputs: HashMap<String, Value> =
+            [("In".to_string(), Value::Arr1(vec![0.0, 0.0]))].into();
+        assert_identical(&src, "t", &schema, &config, &inputs, 2, 9, &no_hosts);
+    }
+}
