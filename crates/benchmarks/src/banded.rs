@@ -36,24 +36,11 @@
 //! ascending rows), each over one contiguous column.
 
 use crate::cholesky::NotPositiveDefinite;
+#[cfg(test)]
 use crate::matrix::Matrix;
 
 /// A symmetric banded matrix in column-major lower band storage (see
 /// the module docs).
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::SymmetricBanded;
-///
-/// // The 2D Poisson 5-point operator on a 2 × 2 grid: dimension 4.
-/// let a = SymmetricBanded::poisson_2d(2);
-/// let x = a.solve(&[1.0, 0.0, 0.0, 1.0]).unwrap();
-/// let ax = a.matvec(&x);
-/// for (got, want) in ax.iter().zip([1.0, 0.0, 0.0, 1.0]) {
-///     assert!((got - want).abs() < 1e-10);
-/// }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymmetricBanded {
     n: usize,
@@ -133,6 +120,7 @@ impl SymmetricBanded {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[cfg(test)]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "index out of range");
         let (hi, lo) = if i >= j { (i, j) } else { (j, i) };
@@ -162,6 +150,7 @@ impl SymmetricBanded {
     /// # Panics
     ///
     /// Panics if `x.len() != dim()`.
+    #[cfg(test)]
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "vector length mismatch");
         let mut y = vec![0.0; self.n];
@@ -177,7 +166,8 @@ impl SymmetricBanded {
         y
     }
 
-    /// Densifies (for tests and small direct solves).
+    /// Densifies.
+    #[cfg(test)]
     pub fn to_dense(&self) -> Matrix {
         Matrix::from_fn(self.n, self.n, |i, j| self.get(i, j))
     }
@@ -281,6 +271,7 @@ impl BandedCholesky {
 mod tests {
     use super::*;
     use crate::cholesky::Cholesky;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -486,5 +477,43 @@ mod tests {
         assert_eq!(a.dim(), 1);
         let x = a.solve(&[2.0]).unwrap();
         assert!((x[0] - 0.5).abs() < 1e-12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Banded Cholesky solves random diagonally-dominant SPD systems.
+        #[test]
+        fn banded_cholesky_solves(seed in 0u64..500, n in 2usize..20, kd in 1usize..4) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let a = random_spd_banded(n, kd.min(n - 1), &mut rng);
+            let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+            let b = a.matvec(&x_true);
+            let x = a.solve(&b).expect("diagonally dominant is SPD");
+            for (xi, ti) in x.iter().zip(&x_true) {
+                prop_assert!((xi - ti).abs() < 1e-7);
+            }
+        }
+
+        /// Band Cholesky is dense Cholesky with the out-of-band terms
+        /// skipped. Those terms are exact zeros, so the two solutions may
+        /// differ in the sign of a zero and in nothing else.
+        #[test]
+        fn banded_solve_matches_dense_cholesky_bitwise(
+            seed in 0u64..500,
+            n in 1usize..=40,
+            kd in 0usize..40,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let a = random_spd_banded(n, kd.min(n - 1), &mut rng);
+            let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let banded = a.solve(&b).expect("diagonally dominant is SPD");
+            let dense = Cholesky::factor(&a.to_dense())
+                .expect("diagonally dominant is SPD")
+                .solve(&b);
+            // `+ 0.0` maps -0.0 to 0.0 and changes no other value.
+            let bits = |x: &[f64]| x.iter().map(|v| (v + 0.0).to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&banded), bits(&dense));
+        }
     }
 }

@@ -1,12 +1,11 @@
 //! Dense Cholesky factorization for symmetric positive-definite
 //! systems.
 //!
-//! Used as the "ideal direct solver" at the bottom of multigrid
-//! recursions (§6.4: at size 8 and 9 orders of magnitude of required
-//! accuracy, the tuned Helmholtz algorithm "abandons the use of
-//! recursion completely, opting instead to solve the problem with the
-//! ideal direct solver").
+//! The benchmarks' direct solves are band Cholesky (see `banded`);
+//! this dense factorization is the oracle their tests compare
+//! against, so only its error type leaves test builds.
 
+#[cfg(test)]
 use crate::matrix::Matrix;
 
 /// Error returned when a matrix is not positive definite (or not
@@ -23,11 +22,13 @@ impl std::fmt::Display for NotPositiveDefinite {
 impl std::error::Error for NotPositiveDefinite {}
 
 /// The lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
 }
 
+#[cfg(test)]
 impl Cholesky {
     /// Factors a symmetric positive-definite matrix.
     ///
@@ -38,19 +39,6 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `a` is not square.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pb_linalg::cholesky::Cholesky;
-    /// use pb_linalg::Matrix;
-    ///
-    /// let a = Matrix::from_vec(2, 2, vec![4.0, 2.0, 2.0, 3.0]);
-    /// let chol = Cholesky::factor(&a).unwrap();
-    /// let x = chol.solve(&[8.0, 7.0]);
-    /// let ax = a.matvec(&x);
-    /// assert!((ax[0] - 8.0).abs() < 1e-12 && (ax[1] - 7.0).abs() < 1e-12);
-    /// ```
     pub fn factor(a: &Matrix) -> Result<Self, NotPositiveDefinite> {
         assert!(a.is_square(), "Cholesky requires a square matrix");
         let n = a.rows();
@@ -75,7 +63,6 @@ impl Cholesky {
     }
 
     /// The lower-triangular factor.
-    #[cfg(test)]
     pub fn l(&self) -> &Matrix {
         &self.l
     }

@@ -5,17 +5,6 @@ use rand::Rng;
 
 /// An `n × n` grid of interior values with an implicit zero Dirichlet
 /// boundary. Multigrid coarsening requires `n = 2^k − 1`.
-///
-/// # Examples
-///
-/// ```
-/// use pb_multigrid::Grid2d;
-///
-/// let mut g = Grid2d::zeros(7);
-/// g.set(3, 3, 1.0);
-/// assert_eq!(g.get(3, 3), 1.0);
-/// assert!(Grid2d::valid_size(7) && !Grid2d::valid_size(8));
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid2d {
     n: usize,

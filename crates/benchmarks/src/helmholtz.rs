@@ -10,9 +10,9 @@
 //! The execution trace of a tuned configuration *is* the cycle shape
 //! drawn in Fig. 8.
 
+use crate::grid3d::Grid3d;
+use crate::helmholtz3d::{add_correction, prolong, restrict, HelmholtzProblem};
 use pb_config::Schema;
-use pb_multigrid::helmholtz3d::{add_correction, prolong, restrict};
-use pb_multigrid::{Grid3d, HelmholtzProblem};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 

@@ -11,8 +11,8 @@
 //! so it costs `O(n³·(n²)²) = O(n⁷)`, not the `O(n⁹)` of factoring the
 //! same matrix densely.
 
+use crate::banded::SymmetricBanded;
 use crate::grid3d::Grid3d;
-use pb_linalg::SymmetricBanded;
 use rand::rngs::SmallRng;
 
 /// The six axis directions used for face averaging.
@@ -339,8 +339,8 @@ pub fn add_correction(phi: &mut Grid3d, delta: &Grid3d) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pb_linalg::cholesky::Cholesky;
-    use pb_linalg::Matrix;
+    use crate::cholesky::Cholesky;
+    use crate::matrix::Matrix;
     use rand::SeedableRng;
 
     fn problem(n: usize, seed: u64) -> HelmholtzProblem {

@@ -12,9 +12,9 @@
 //! with the input matrix A, converted to log-scale" —
 //! `log₁₀(rms(A) / rms(A − A_k))`.
 
+use crate::matrix::Matrix;
+use crate::svd::{svd_top_k, Svd, SvdMethod};
 use pb_config::Schema;
-use pb_linalg::svd::{svd_top_k, SvdMethod};
-use pb_linalg::{Matrix, Svd};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 

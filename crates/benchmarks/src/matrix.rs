@@ -6,18 +6,6 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A dense `rows × cols` matrix of `f64`, stored row-major.
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::Matrix;
-///
-/// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-/// let b = Matrix::identity(2);
-/// let c = a.matmul(&b);
-/// assert_eq!(c, a);
-/// assert_eq!(c[(1, 0)], 3.0);
-/// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,

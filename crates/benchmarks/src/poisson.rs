@@ -11,8 +11,9 @@
 //! the initial guess and of the final guess (the paper's accuracy
 //! levels 10¹…10⁹ are these orders of magnitude).
 
+use crate::grid2d::Grid2d;
+use crate::poisson2d;
 use pb_config::Schema;
-use pb_multigrid::{poisson2d, Grid2d};
 use pb_runtime::parallel::{available_threads, parallel_engages};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;

@@ -5,9 +5,8 @@
 //! pre-multiplied by `h²`, which drops out of the paper's accuracy
 //! metric (a ratio of residual RMS values, §6.1.5).
 
+use crate::banded::{BandedCholesky, SymmetricBanded};
 use crate::grid2d::Grid2d;
-use pb_linalg::banded::BandedCholesky;
-use pb_linalg::SymmetricBanded;
 use std::sync::OnceLock;
 
 /// Applies the 5-point stencil: `out = A·u`.

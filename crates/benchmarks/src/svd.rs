@@ -77,18 +77,6 @@ impl Svd {
 ///
 /// Returns `EigenDidNotConverge` if the underlying QL iteration
 /// fails.
-///
-/// # Examples
-///
-/// ```
-/// use pb_linalg::svd::{svd_top_k, SvdMethod};
-/// use pb_linalg::Matrix;
-///
-/// let a = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 2.0]);
-/// let svd = svd_top_k(&a, 2, SvdMethod::Qr).unwrap();
-/// assert!((svd.sigma[0] - 3.0).abs() < 1e-10);
-/// assert!((svd.sigma[1] - 2.0).abs() < 1e-10);
-/// ```
 pub fn svd_top_k(a: &Matrix, k: usize, method: SvdMethod) -> Result<Svd, EigenDidNotConverge> {
     let m = a.rows();
     let n = a.cols();

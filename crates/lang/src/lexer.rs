@@ -105,20 +105,16 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
             });
             continue;
         }
-        // Operators and punctuation.
-        let two = if i + 1 < bytes.len() {
-            &source[i..i + 2]
-        } else {
-            ""
-        };
-        let (kind, len) = match two {
-            "==" => (TokenKind::Eq, 2),
-            "!=" => (TokenKind::Ne, 2),
-            "<=" => (TokenKind::Le, 2),
-            ">=" => (TokenKind::Ge, 2),
-            "&&" => (TokenKind::AndAnd, 2),
-            "||" => (TokenKind::OrOr, 2),
-            ".." => (TokenKind::DotDot, 2),
+        // Operators and punctuation. The two-byte peek compares bytes,
+        // because a `&str` slice would split a multi-byte next character.
+        let (kind, len) = match bytes.get(i..i + 2) {
+            Some(b"==") => (TokenKind::Eq, 2),
+            Some(b"!=") => (TokenKind::Ne, 2),
+            Some(b"<=") => (TokenKind::Le, 2),
+            Some(b">=") => (TokenKind::Ge, 2),
+            Some(b"&&") => (TokenKind::AndAnd, 2),
+            Some(b"||") => (TokenKind::OrOr, 2),
+            Some(b"..") => (TokenKind::DotDot, 2),
             _ => match c {
                 '(' => (TokenKind::LParen, 1),
                 ')' => (TokenKind::RParen, 1),
@@ -137,11 +133,15 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                 '/' => (TokenKind::Slash, 1),
                 '%' => (TokenKind::Percent, 1),
                 '!' => (TokenKind::Bang, 1),
-                other => {
+                _ => {
+                    // `start` is a char boundary (every earlier token and
+                    // comment ends on ASCII), so this is the whole
+                    // character, not its first byte.
+                    let other = source[start..].chars().next().unwrap_or(c);
                     return Err(LexError {
                         message: format!("unexpected character `{other}`"),
                         span: Span::new(start, start + other.len_utf8()),
-                    })
+                    });
                 }
             },
         };
@@ -246,6 +246,15 @@ mod tests {
         let err = lex("a # b").unwrap_err();
         assert!(err.message.contains('#'));
         assert_eq!(err.span.start, 2);
+    }
+
+    #[test]
+    fn non_ascii_characters_are_errors_naming_the_whole_character() {
+        for (src, bad) in [("(§3.2)", "§"), ("a é", "é"), ("x —", "—")] {
+            let err = lex(src).unwrap_err();
+            assert!(err.message.contains(&format!("`{bad}`")), "{src}: {err}");
+            assert_eq!(&src[err.span.start..err.span.end], bad, "{src}");
+        }
     }
 
     #[test]

@@ -1112,7 +1112,8 @@ fn dce(code: &mut [Instr], n_slots: u16, output_slots: &[Slot]) -> Liveness {
     // `LoopNext` it copied) — unless they charge: the charge
     // signature counts every region, reachable or not.
     let mut reached = vec![false; cfg.len()];
-    let mut stack = vec![0];
+    // An empty rule body has no blocks, so no entry block to seed.
+    let mut stack = if cfg.len() > 0 { vec![0] } else { Vec::new() };
     while let Some(b) = stack.pop() {
         if !std::mem::replace(&mut reached[b], true) {
             stack.extend(cfg.successors(b));

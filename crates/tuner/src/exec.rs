@@ -441,7 +441,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Without a memo, identical candidates each re-run the same
     /// `(config, n, seed)`. A runner that re-samples — wall-clock, or
-    /// `pb_faults` noise, which draws on how often a coordinate has run
+    /// injected noise, which draws on how often a coordinate has run
     /// — hands its k-th draw to whichever repeat reaches it k-th, so a
     /// pool job per request would let the schedule pick which candidate
     /// gets which draw. One job per coordinate, run in request order,

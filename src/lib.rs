@@ -19,12 +19,9 @@
 //!   (§3.3).
 //! * [`trace`] — zero-perturbation tuner phase spans and VM chunk
 //!   profiles, read in-process through `collect()`.
-//! * [`faults`] — seeded deterministic fault and noise injection for
-//!   chaos-testing the tuner's trial isolation and robust statistics.
-//! * [`linalg`] / [`multigrid`] — the numeric substrates the benchmarks
-//!   need (the paper used LAPACK; we implement the routines from
-//!   scratch).
-//! * [`benchmarks`] — the six-benchmark suite from §6.1.
+//! * [`benchmarks`] — the six-benchmark suite from §6.1, with the
+//!   numeric substrates it needs (the paper used LAPACK; the benchmark
+//!   crate implements the routines from scratch).
 //!
 //! # Quickstart
 //!
@@ -43,10 +40,7 @@
 
 pub use pb_benchmarks as benchmarks;
 pub use pb_config as config;
-pub use pb_faults as faults;
 pub use pb_lang as lang;
-pub use pb_linalg as linalg;
-pub use pb_multigrid as multigrid;
 pub use pb_runtime as runtime;
 pub use pb_stats as stats;
 pub use pb_trace as trace;

@@ -2,7 +2,7 @@
 //!
 //! Two guarantees are pinned here, end to end through the autotuner:
 //!
-//! 1. **Chaos heals bit-identically.** With `pb_faults` injecting
+//! 1. **Chaos heals bit-identically.** With the `faults` module injecting
 //!    panics and non-finite costs at a seeded fraction of trial
 //!    coordinates — each faulting once, within the evaluator's retry
 //!    budget — a virtual-cost tuning run's *decisions* (program,
@@ -16,9 +16,11 @@
 //!    comparator is flipped by the outliers — and noisy runners are
 //!    re-sampled, never memoized.
 
+mod faults;
+
+use faults::{FaultConfig, FaultyRunner};
 use petabricks::benchmarks::Clustering;
 use petabricks::config::{AccuracyBins, Schema};
-use petabricks::faults::{FaultConfig, FaultyRunner};
 use petabricks::runtime::pool::THREADS_ENV;
 use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner, TrialRunner};
 use petabricks::stats::Robustness;

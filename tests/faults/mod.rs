@@ -1,77 +1,33 @@
-//! Seeded deterministic fault and noise injection for autotuner trials.
-//!
-//! Real deployments measure wall-clock time on shared machines: trials
-//! crash, return garbage, and — even when healthy — report noisy
-//! costs. The tuner's fault-isolation layer
-//! (`pb_tuner::Evaluator`) and robust comparator statistics
-//! (`pb_stats::Robustness`) exist to survive exactly that, and this
-//! crate is the harness that proves they do: a [`FaultyRunner`] wraps
-//! any [`TrialRunner`] and injects faults and noise at *seeded,
-//! reproducible* trial coordinates, so chaos tests can assert
-//! bit-identical tuning decisions instead of eyeballing flakiness.
-//!
-//! Design rules:
-//!
-//! * **Off by default, zero hot-path cost.** A default [`FaultConfig`]
-//!   makes [`FaultyRunner::run_trial`] a plain delegation — no lock,
-//!   no hash, no clock.
-//! * **Seeded and coordinate-keyed.** Whether a trial faults is a pure
-//!   function of `(plan seed, config, n, trial seed)` — *not* of
-//!   thread interleaving or call order — so sequential and pooled runs
-//!   inject the same faults at the same coordinates.
-//! * **Bounded per coordinate.** Each faulting coordinate fails its
-//!   first [`FaultConfig::faults_per_trial`] attempts and then
-//!   succeeds, which is what makes "retries heal everything"
-//!   assertable: with `faults_per_trial = 1` and at least one retry,
-//!   a virtual-cost tuning run's decisions are bit-identical to the
-//!   fault-free run.
-//!
-//! # Examples
-//!
-//! ```
-//! use pb_faults::{FaultConfig, FaultyRunner};
-//! use pb_runtime::TrialRunner;
-//! # use pb_config::Schema;
-//! # use pb_runtime::{CostModel, ExecCtx, Transform, TransformRunner};
-//! # use rand::rngs::SmallRng;
-//! # struct Unit;
-//! # impl Transform for Unit {
-//! #     type Input = ();
-//! #     type Output = ();
-//! #     fn name(&self) -> &str { "unit" }
-//! #     fn schema(&self) -> Schema {
-//! #         let mut s = Schema::new("unit");
-//! #         s.add_cutoff("c", 1, 8);
-//! #         s
-//! #     }
-//! #     fn generate_input(&self, _n: u64, _rng: &mut SmallRng) {}
-//! #     fn execute(&self, _i: &(), ctx: &mut ExecCtx<'_>) { ctx.charge(1.0); }
-//! #     fn accuracy(&self, _i: &(), _o: &()) -> f64 { 1.0 }
-//! # }
-//! # let inner = TransformRunner::new(Unit, CostModel::Virtual);
-//! let chaos = FaultyRunner::new(
-//!     &inner,
-//!     FaultConfig {
-//!         seed: 7,
-//!         panic_rate: 0.25,
-//!         ..FaultConfig::default()
-//!     },
-//! );
-//! // ~25% of coordinates panic once, then succeed on retry.
-//! let config = chaos.schema().default_config();
-//! let healthy = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-//!     chaos.run_trial(&config, 8, 42)
-//! }));
-//! let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-//!     chaos.run_trial(&config, 8, 42)
-//! }));
-//! // Faults are bounded per coordinate: a second attempt never
-//! // re-panics under the default `faults_per_trial = 1`.
-//! assert!(healthy.is_err() || again.is_ok());
-//! ```
+// Seeded deterministic fault and noise injection for autotuner trials.
+//
+// Real deployments measure wall-clock time on shared machines: trials
+// crash, return garbage, and — even when healthy — report noisy
+// costs. The tuner's fault-isolation layer
+// (`pb_tuner::Evaluator`) and robust comparator statistics
+// (`pb_stats::Robustness`) exist to survive exactly that, and this
+// module is the harness that proves they do: a `FaultyRunner` wraps
+// any `TrialRunner` and injects faults and noise at *seeded,
+// reproducible* trial coordinates, so chaos tests can assert
+// bit-identical tuning decisions instead of eyeballing flakiness.
+//
+// Design rules:
+//
+// * **Off by default, zero hot-path cost.** A default `FaultConfig`
+//   makes `FaultyRunner::run_trial` a plain delegation — no lock,
+//   no hash, no clock.
+// * **Seeded and coordinate-keyed.** Whether a trial faults is a pure
+//   function of `(plan seed, config, n, trial seed)` — *not* of
+//   thread interleaving or call order — so sequential and pooled runs
+//   inject the same faults at the same coordinates.
+// * **Bounded per coordinate.** Each faulting coordinate fails its
+//   first `FaultConfig::faults_per_trial` attempts and then
+//   succeeds, which is what makes "retries heal everything"
+//   assertable: with `faults_per_trial = 1` and at least one retry,
+//   a virtual-cost tuning run's decisions are bit-identical to the
+//   fault-free run.
 
-use pb_config::Config;
-use pb_runtime::{TraceNode, TrialOutcome, TrialRunner};
+use petabricks::config::Config;
+use petabricks::runtime::{TraceNode, TrialOutcome, TrialRunner};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -247,7 +203,7 @@ impl TrialRunner for FaultyRunner<'_> {
         self.inner.name()
     }
 
-    fn schema(&self) -> &pb_config::Schema {
+    fn schema(&self) -> &petabricks::config::Schema {
         self.inner.schema()
     }
 
@@ -339,8 +295,8 @@ fn unit(hash: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pb_config::Schema;
-    use pb_runtime::{CostModel, ExecCtx, Transform, TransformRunner};
+    use petabricks::config::Schema;
+    use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner};
     use rand::rngs::SmallRng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -2,8 +2,8 @@
 //! runtime accuracy-guarantee machinery works against them (§3.3).
 
 use petabricks::benchmarks::ImageCompression;
+use petabricks::benchmarks::Matrix;
 use petabricks::config::AccuracyBins;
-use petabricks::linalg::Matrix;
 use petabricks::runtime::guarantee::{run_verified, GuaranteeError};
 use petabricks::runtime::{CostModel, TransformRunner, TunedProgram};
 use petabricks::tuner::{Autotuner, TunerOptions};

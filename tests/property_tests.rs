@@ -6,8 +6,7 @@
 use petabricks::benchmarks::binpacking::{generate_input, pack_with, ALGORITHM_NAMES};
 use petabricks::benchmarks::BinPacking;
 use petabricks::config::{AccuracyBins, DecisionTree, Schema, Value};
-use petabricks::linalg::cholesky::Cholesky;
-use petabricks::linalg::SymmetricBanded;
+use petabricks::lang::{check_program, compile_program, parse_program, OptLevel};
 use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner};
 use petabricks::stats::{welch_t_test, Comparator, CompareOutcome, OnlineStats};
 use petabricks::tuner::{Candidate, EvalMode, Evaluator, MutatorPool, Population};
@@ -15,20 +14,6 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-
-/// A random band of the given width, diagonally dominant and so SPD.
-fn random_spd_band(n: usize, kd: usize, rng: &mut SmallRng) -> SymmetricBanded {
-    let mut a = SymmetricBanded::zeros(n, kd);
-    for d in 1..=kd {
-        for i in 0..n - d {
-            a.set(i + d, i, rng.gen_range(-1.0..1.0));
-        }
-    }
-    for i in 0..n {
-        a.set(i, i, 2.0 * (kd as f64 + 1.0) + rng.gen_range(0.0..1.0));
-    }
-    a
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -102,40 +87,6 @@ proptest! {
         prop_assert!((ab.t + ba.t).abs() < 1e-9);
     }
 
-    /// Banded Cholesky solves random diagonally-dominant SPD systems.
-    #[test]
-    fn banded_cholesky_solves(seed in 0u64..500, n in 2usize..20, kd in 1usize..4) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let a = random_spd_band(n, kd.min(n - 1), &mut rng);
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b = a.matvec(&x_true);
-        let x = a.solve(&b).expect("diagonally dominant is SPD");
-        for (xi, ti) in x.iter().zip(&x_true) {
-            prop_assert!((xi - ti).abs() < 1e-7);
-        }
-    }
-
-    /// Band Cholesky is dense Cholesky with the out-of-band terms
-    /// skipped. Those terms are exact zeros, so the two solutions may
-    /// differ in the sign of a zero and in nothing else.
-    #[test]
-    fn banded_solve_matches_dense_cholesky_bitwise(
-        seed in 0u64..500,
-        n in 1usize..=40,
-        kd in 0usize..40,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let a = random_spd_band(n, kd.min(n - 1), &mut rng);
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let banded = a.solve(&b).expect("diagonally dominant is SPD");
-        let dense = Cholesky::factor(&a.to_dense())
-            .expect("diagonally dominant is SPD")
-            .solve(&b);
-        // `+ 0.0` maps -0.0 to 0.0 and changes no other value.
-        let bits = |x: &[f64]| x.iter().map(|v| (v + 0.0).to_bits()).collect::<Vec<u64>>();
-        prop_assert_eq!(bits(&banded), bits(&dense));
-    }
-
     /// No packing heuristic ever overfills a bin or beats OPT, and the
     /// proven worst-case multipliers hold on generated instances.
     #[test]
@@ -206,6 +157,89 @@ proptest! {
             &program.transforms[0].accuracy_bins,
             &reparsed.transforms[0].accuracy_bins
         );
+    }
+}
+
+/// The shipped DSL programs, read as shipped.
+fn shipped_programs() -> Vec<String> {
+    [
+        "examples/dsl/binpacking.pb",
+        "examples/dsl/kmeans.pb",
+        "examples/dsl/refine.pb",
+        "ledger/programs/lloyd.pb",
+        "ledger/programs/relax.pb",
+    ]
+    .iter()
+    .map(|file| {
+        let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    })
+    .collect()
+}
+
+/// What a byte-level edit may insert: tokens of the language, and
+/// multi-byte characters that must not be split.
+const INSERTS: &[&str] = &[
+    "§", "é", "—", "…", "(", ")", "{", "}", "[", "]", ";", ",", "=", "==", "<=", "..", ".", "+",
+    "-", "*", "/", "%", "!", "&&", "||", "//", "\n", " ", "0", "1e9", "2.5", "for", "either", "or",
+    "if", "let", "to", "from", "through", "len", "x",
+];
+
+/// Applies 1–3 random edits to `source`: delete a byte, insert from
+/// [`INSERTS`], overwrite a byte, or duplicate a span. An edit that
+/// would leave invalid UTF-8 is skipped, because `&str` is the API.
+fn mutate(source: &str, rng: &mut SmallRng) -> String {
+    let mut bytes = source.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        let mut edited = bytes.clone();
+        let at = rng.gen_range(0..=edited.len());
+        match rng.gen_range(0..4) {
+            0 if at < edited.len() => {
+                edited.remove(at);
+            }
+            1 => {
+                let token = INSERTS[rng.gen_range(0..INSERTS.len())];
+                edited.splice(at..at, token.bytes());
+            }
+            2 if at < edited.len() => edited[at] = rng.gen_range(0..=255u8),
+            3 => {
+                let end = (at + rng.gen_range(1..=32)).min(edited.len());
+                let span = edited[at..end].to_vec();
+                let to = rng.gen_range(0..=edited.len());
+                edited.splice(to..to, span);
+            }
+            _ => {}
+        }
+        if std::str::from_utf8(&edited).is_ok() {
+            bytes = edited;
+        }
+    }
+    String::from_utf8(bytes).expect("every kept edit is valid UTF-8")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// The front end and compiler reject a damaged program with an
+    /// error, never a panic: every shipped program, after a few random
+    /// byte edits, goes through parse, sema and compilation at the
+    /// default level.
+    #[test]
+    fn mutated_programs_fail_with_errors_not_panics(seed in 0u64..1_000_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for source in shipped_programs() {
+            let mutated = mutate(&source, &mut rng);
+            // Compilation runs whether or not sema accepts: a program
+            // that skipped `check_program` must still compile to an
+            // error, not a crash.
+            let outcome = std::panic::catch_unwind(|| {
+                if let Ok(program) = parse_program(&mutated) {
+                    let _ = check_program(&program);
+                    let _ = compile_program(&program).optimized(OptLevel::default());
+                }
+            });
+            prop_assert!(outcome.is_ok(), "panicked on:\n{mutated}");
+        }
     }
 }
 

@@ -903,6 +903,26 @@ fn depth_limit_fires_at_the_same_point_through_inlined_sites() {
 }
 
 #[test]
+fn empty_rule_bodies_match_the_tree_walker_at_every_level() {
+    // Sema accepts a rule with no statements, so its chunk has no
+    // blocks. Every level must still compile it and leave its outputs,
+    // and what a later rule reads of them, as the tree-walker does.
+    let programs = [
+        "transform t from In[n] to Out[n] {\n to (Out o) from (In a) { }\n}\n",
+        "transform t from In[n] to S {\n to (S s) from (In a) { }\n}\n",
+        "transform t from In[n] through Mid[n] to Out[n] {\n\
+         to (Mid m) from (In a) { }\n\
+         to (Out o) from (Mid m) { o[0] = m[1] + 1; }\n}\n",
+    ];
+    for src in programs {
+        let program = parse_program(src).unwrap();
+        let schema = petabricks::lang::extract_schema(&program, "t");
+        let config = schema.default_config();
+        assert_identical(src, "t", &schema, &config, &in4(), 4, 0, &no_hosts);
+    }
+}
+
+#[test]
 fn array_bound_to_a_scalar_parameter_reports_the_generic_error() {
     // `a` is an array: the site is not provably scalar, stays a real
     // call, and the callee's input check speaks.
