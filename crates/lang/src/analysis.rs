@@ -19,15 +19,11 @@
 //!   [`ViolationKind`] so regression tests can pin exactly *which*
 //!   invariant a hand-broken chunk trips.
 //! * [`charge_signature`] summarizes a chunk's cost accounting as the
-//!   ordered per-straight-line-region charge totals;
-//!   [`crate::opt::optimize`] checks the signature after every pass
-//!   (under `PB_VERIFY=1` or in debug builds), so a `Charge` hoisted
-//!   across control flow is attributed to the pass that moved it.
-//! * [`verify_inlined`] checks a chunk the `inline` pass rewrote
-//!   against the chunk it started from and the pass's own site
-//!   records: regions closed to stray control flow, sites licensed by
-//!   the facts, no state surviving from one entry to the next, and
-//!   the callee's charges present in full.
+//!   ordered per-straight-line-region charge totals of its reachable
+//!   code; [`crate::opt::optimize`] checks the signature after every
+//!   pass (under `PB_VERIFY=1` or in debug builds), so a `Charge`
+//!   hoisted across control flow is attributed to the pass that moved
+//!   it.
 //! * [`analyze_chunk`] runs a forward abstract interpretation over the
 //!   same CFG, inferring each slot's shape (scalar, array of a rank, or
 //!   either) as a [`ChunkFacts`] artifact attached to
@@ -37,12 +33,17 @@
 //!   verifier: dead tunables, unconsumed rule products, tunables whose
 //!   range collapses to a constant, and rules whose chunks fail
 //!   verification.
+//!
+//! The verifier and the signature check structure only. Whether a pass
+//! kept what it claims to keep — outputs, draws and charges — is the
+//! differential suite's to show: it runs both engines at every level
+//! against the tree-walker.
 
 use crate::ast::{Expr, LValue, Program, Stmt, Transform};
-use crate::compile::{Chunk, FirstArg, Instr, Operand, Slot};
+use crate::compile::{Chunk, FirstArg, Instr, Slot};
 use crate::opt::{
     for_each_def, for_each_slot_def, for_each_slot_use, for_each_target, for_each_use,
-    is_terminator, jump_targets, live_in_at_entry, Bank, Cfg, InlineSite, OptLevel,
+    is_terminator, Cfg, OptLevel,
 };
 use crate::token::Span;
 use pb_config::{Schema, TunableKind};
@@ -87,30 +88,6 @@ pub enum ViolationKind {
     /// non-accuracy-variable, `Choice` branches exceeding the site's
     /// algorithm count).
     TunableMismatch,
-    /// An inlined region that is not closed: it does not open with its
-    /// `DepthGuard`, control enters it past the guard or leaves it
-    /// other than through its exit, or an argument slot the site
-    /// relied on is not proven scalar (see [`verify_inlined`]).
-    BadInlineRegion,
-    /// An inlined region that can read one of its private registers or
-    /// slots before writing it — state left by the previous entry,
-    /// where a call would have started from a zeroed frame.
-    StaleInlineState,
-    /// A slot `promote` moved into a register is still touched as a
-    /// slot, or an exit is not preceded by the stores that write the
-    /// promoted outputs back (see `verify_promoted`).
-    LostWriteBack,
-    /// Value tracking pointed a read at a register that does not
-    /// provably hold the value the original operand held there, or
-    /// replaced an instruction with one that writes something else
-    /// (see `verify_forwarded`).
-    StaleValue,
-    /// A `DepthGuard` was removed where no guard at least as deep has
-    /// run on every path.
-    UnguardedDepth,
-    /// A threaded jump is not a copy of the `LoopNext` its `Jump`
-    /// pointed at (see `verify_threaded`).
-    BadJumpThread,
     /// A fused back edge that does not replay its loop head: behind its
     /// `body` (and the `Charge` it carries, if any) there is no
     /// `JumpIfGe` with its comparands and exit, or that `Charge` is not
@@ -133,12 +110,6 @@ impl ViolationKind {
             ViolationKind::BadOperator => "bad_operator",
             ViolationKind::UnknownTunable => "unknown_tunable",
             ViolationKind::TunableMismatch => "tunable_mismatch",
-            ViolationKind::BadInlineRegion => "bad_inline_region",
-            ViolationKind::StaleInlineState => "stale_inline_state",
-            ViolationKind::LostWriteBack => "lost_write_back",
-            ViolationKind::StaleValue => "stale_value",
-            ViolationKind::UnguardedDepth => "unguarded_depth",
-            ViolationKind::BadJumpThread => "bad_jump_thread",
             ViolationKind::BadBackEdge => "bad_back_edge",
         }
     }
@@ -457,509 +428,53 @@ fn verify_def_before_use(code: &[Instr], n_regs: u16) -> Result<(), Violation> {
 }
 
 /// The chunk's cost-accounting shape: ordered per-straight-line-region
-/// charge totals (zero-total regions elided, so pure `Nop` compaction
-/// cannot perturb it). Every optimizer pass must preserve this
-/// signature exactly — `fold_charges` merges within a region, never
-/// across one — which is what "no `Charge` hoisted across control
-/// flow" means statically.
+/// charge totals over the code reachable from the entry (zero-total
+/// regions elided, so pure `Nop` compaction cannot perturb it; code
+/// nothing reaches never charges, and a pass may drop it). Every
+/// optimizer pass must preserve this signature exactly —
+/// `fold_charges` merges within a region, never across one — which is
+/// what "no `Charge` hoisted across control flow" means statically.
 ///
 /// Jump targets must already be validated (`<= code.len()`).
 pub fn charge_signature(code: &[Instr]) -> Vec<f64> {
-    charge_segments(code, &[]).concat()
-}
-
-/// [`charge_signature`] split into one signature per stretch of code
-/// between consecutive `cuts` (ascending instruction indices, each a
-/// forced region boundary) — how an inlined chunk's accounting is
-/// compared piecewise with its caller's and callees'.
-fn charge_segments(code: &[Instr], cuts: &[usize]) -> Vec<Vec<f64>> {
+    let cfg = Cfg::build(code);
+    let reached = cfg.reached();
+    let live = || {
+        (0..cfg.len())
+            .filter(|&b| reached[b])
+            .flat_map(|b| cfg.range(b))
+    };
     // A fused back edge re-entering past its head's `Charge` replays
     // that charge (`verify_code` checks it does): its `body` opens no
     // region of its own.
     let mut targets = vec![false; code.len() + 1];
-    for instr in code {
-        match instr {
+    for i in live() {
+        match &code[i] {
             Instr::LoopNext { exit, .. } => targets[*exit] = true,
             other => for_each_target(other, |t| targets[t] = true),
         }
     }
-    let mut segments = vec![Vec::new()];
+    let mut signature = Vec::new();
     let mut cur = 0.0f64;
-    let flush = |cur: &mut f64, segments: &mut Vec<Vec<f64>>| {
+    let flush = |cur: &mut f64, signature: &mut Vec<f64>| {
         if *cur != 0.0 {
-            segments.last_mut().expect("never empty").push(*cur);
+            signature.push(*cur);
             *cur = 0.0;
         }
     };
-    for (i, instr) in code.iter().enumerate() {
+    for i in live() {
         if targets[i] {
-            flush(&mut cur, &mut segments);
+            flush(&mut cur, &mut signature);
         }
-        for _ in cuts.iter().filter(|&&c| c == i) {
-            flush(&mut cur, &mut segments);
-            segments.push(Vec::new());
+        if let Instr::Charge { amount } = code[i] {
+            cur += amount;
         }
-        if let Instr::Charge { amount } = instr {
-            cur += *amount;
-        }
-        if is_terminator(instr) {
-            flush(&mut cur, &mut segments);
+        if is_terminator(&code[i]) {
+            flush(&mut cur, &mut signature);
         }
     }
-    flush(&mut cur, &mut segments);
-    segments.resize(cuts.len() + 1, Vec::new());
-    segments
-}
-
-/// Checks the `inline` pass's output against its input and its own
-/// site records, one rule per thing a splice can get wrong:
-///
-/// * **closed regions** — each region opens with its `DepthGuard`;
-///   every jump inside it lands inside it or on its exit, and nothing
-///   outside jumps past the guard ([`ViolationKind::BadInlineRegion`]);
-/// * **licensed sites** — each slot argument of the replaced call is
-///   proven scalar by facts recomputed over `before` (same kind);
-/// * **fresh state** — analysed on its own, a region reads none of its
-///   private registers or slots before writing them
-///   ([`ViolationKind::StaleInlineState`]);
-/// * **charges kept** — with boundaries forced at every region's ends,
-///   the result's charge signature is the caller's with each callee's
-///   inserted where its call was ([`ViolationKind::ChargeMoved`]).
-///
-/// `entry` is `before`'s entry slot state.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`].
-pub fn verify_inlined(
-    before: &Chunk,
-    after: &Chunk,
-    sites: &[InlineSite],
-    entry: &[AbsValue],
-) -> Result<(), Violation> {
-    let calls: Vec<usize> = before
-        .code
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| matches!(i, Instr::CallTransform { .. }))
-        .map(|(at, _)| at)
-        .collect();
-    let facts = analyze_chunk(before, entry);
-    let bad_region =
-        |at: usize, detail: String| violation(ViolationKind::BadInlineRegion, at, detail);
-
-    // Where each site's call sat in `before`: regions only ever grow
-    // the code, so the offset is the growth of the sites before it.
-    let mut grown = 0;
-    let mut call_at = Vec::with_capacity(sites.len());
-    for site in sites {
-        let Some(len) = site
-            .end
-            .checked_sub(site.start)
-            .filter(|_| site.end <= after.code.len())
-        else {
-            return Err(bad_region(
-                site.start,
-                "region lies outside the chunk".into(),
-            ));
-        };
-        let at = site.start.wrapping_sub(grown);
-        let Some(Instr::CallTransform { args, .. }) = calls.contains(&at).then(|| &before.code[at])
-        else {
-            return Err(bad_region(
-                site.start,
-                format!(
-                    "no call to `{}` at the matching point of the caller",
-                    site.callee
-                ),
-            ));
-        };
-        for op in args {
-            if let Operand::Slot(s) = op {
-                if facts.slots.get(*s as usize) != Some(&AbsValue::Scalar) {
-                    return Err(bad_region(
-                        site.start,
-                        format!("argument s{s} of `{}` is not proven scalar", site.callee),
-                    ));
-                }
-            }
-        }
-        call_at.push(at);
-        grown += len.saturating_sub(1);
-    }
-
-    for site in sites {
-        let region = &after.code[site.start..site.end];
-        if !matches!(region.first(), Some(Instr::DepthGuard { .. })) {
-            return Err(bad_region(
-                site.start,
-                format!(
-                    "region of `{}` does not open with its depth guard",
-                    site.callee
-                ),
-            ));
-        }
-        // Control flow: closed from the inside, sealed from the outside.
-        for (i, instr) in after.code.iter().enumerate() {
-            let inside = (site.start..site.end).contains(&i);
-            let mut stray = None;
-            for_each_target(instr, |t| {
-                let ok = if inside {
-                    (site.start..=site.end).contains(&t)
-                } else {
-                    !(site.start < t && t < site.end)
-                };
-                if !ok {
-                    stray = Some(t);
-                }
-            });
-            if let Some(t) = stray {
-                return Err(bad_region(
-                    i,
-                    format!("jump to {t} crosses the region of `{}`", site.callee),
-                ));
-            }
-        }
-        // Fresh state: the region as a program of its own.
-        let mut alone = region.to_vec();
-        for instr in &mut alone {
-            crate::opt::for_each_target_mut(instr, |t| *t -= site.start);
-        }
-        let stale_reg = live_in_at_entry(&alone, Bank::Regs, &[])
-            .into_iter()
-            .find(|r| site.regs.contains(r))
-            .map(|r| format!("r{r}"));
-        let stale = stale_reg.or_else(|| {
-            live_in_at_entry(&alone, Bank::Slots, &[])
-                .into_iter()
-                .find(|s| site.slots.contains(s))
-                .map(|s| format!("s{s}"))
-        });
-        if let Some(what) = stale {
-            return Err(violation(
-                ViolationKind::StaleInlineState,
-                site.start,
-                format!(
-                    "`{}`'s {what} may be read before this entry writes it",
-                    site.callee
-                ),
-            ));
-        }
-    }
-
-    // Charges: the caller's stretches between calls must survive as
-    // the result's stretches between regions, and each region must
-    // carry exactly its callee's signature.
-    let cuts: Vec<usize> = sites.iter().flat_map(|s| [s.start, s.end]).collect();
-    let got = charge_segments(&after.code, &cuts);
-    let kept = charge_segments(&before.code, &call_at);
-    for (i, want) in kept.iter().enumerate() {
-        if got[2 * i] != *want {
-            return Err(violation(
-                ViolationKind::ChargeMoved,
-                sites.get(i).map_or(after.code.len(), |s| s.start),
-                format!("caller charges {want:?} became {:?}", got[2 * i]),
-            ));
-        }
-    }
-    for (i, site) in sites.iter().enumerate() {
-        if got[2 * i + 1] != site.charges {
-            return Err(violation(
-                ViolationKind::ChargeMoved,
-                site.start,
-                format!(
-                    "`{}` charges {:?}, its inlined region {:?}",
-                    site.callee,
-                    site.charges,
-                    got[2 * i + 1]
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-// ---- claims of the register-residency passes ----------------------------
-
-/// Checks `promote`'s output against its own record: a promoted slot
-/// is mentioned only by its entry load and its write-back stores, and
-/// every exit — each `Return`, and the end of the code when control
-/// can run off it — sits directly behind the full write-back run, with
-/// no jump landing inside the run or on the exit itself.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] ([`ViolationKind::LostWriteBack`]).
-pub(crate) fn verify_promoted(
-    code: &[Instr],
-    promotion: &crate::opt::Promotion,
-) -> Result<(), Violation> {
-    let lost = |at: usize, detail: String| violation(ViolationKind::LostWriteBack, at, detail);
-    let home = |s: Slot| {
-        promotion
-            .homes
-            .iter()
-            .find(|(p, _)| *p == s)
-            .map(|&(_, h)| h)
-    };
-    for (i, instr) in code.iter().enumerate() {
-        let edge = match instr {
-            Instr::LoadSlotNum { dst, slot } => {
-                i < promotion.entry_loads && home(*slot) == Some(*dst)
-            }
-            Instr::StoreSlotNum { slot, src } => home(*slot) == Some(*src),
-            _ => false,
-        };
-        let mut stray = None;
-        for_each_slot(instr, |s| {
-            if home(s).is_some() && !edge {
-                stray = Some(s);
-            }
-        });
-        if let Some(s) = stray {
-            return Err(lost(i, format!("promoted s{s} is still used as a slot")));
-        }
-    }
-    let run = &promotion.write_back;
-    if run.is_empty() {
-        return Ok(());
-    }
-    let targets = jump_targets(code);
-    let n = code.len();
-    let falls_off = crate::opt::falls_off_end(code);
-    let exits = (0..n)
-        .filter(|&i| matches!(code[i], Instr::Return))
-        .chain(falls_off.then_some(n));
-    for exit in exits {
-        let written = exit >= run.len() && code[exit - run.len()..exit] == run[..];
-        if !written {
-            return Err(lost(
-                exit.min(n.saturating_sub(1)),
-                "an exit is not preceded by the output write-back".into(),
-            ));
-        }
-        if let Some(t) = (exit - run.len() + 1..=exit).find(|&t| targets[t]) {
-            return Err(lost(
-                t,
-                "a jump lands past the start of a write-back".into(),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Instruction identity for the before/after checks: `==`, except that
-/// a `NaN` immediate equals itself.
-fn same_instr(a: &Instr, b: &Instr) -> bool {
-    a == b || format!("{a:?}") == format!("{b:?}")
-}
-
-/// What [`verify_forwarded`] knows of a register: the class of
-/// registers it provably equals, and how deep a depth guard has run.
-#[derive(Clone, PartialEq)]
-struct Equalities {
-    /// `Some(c)`: this constant's bits; registers with the same
-    /// `Ok(root)` hold the same value.
-    class: Vec<Result<u16, u64>>,
-    guard: u8,
-}
-
-impl Equalities {
-    fn define(&mut self, d: u16) {
-        // Registers that were copies of `d` keep one another: re-root
-        // them on the first.
-        let mut heir = None;
-        for r in 0..self.class.len() as u16 {
-            if r != d && self.class[r as usize] == Ok(d) {
-                self.class[r as usize] = Ok(*heir.get_or_insert(r));
-            }
-        }
-        self.class[d as usize] = Ok(d);
-    }
-
-    fn step(&mut self, instr: &Instr) {
-        match *instr {
-            Instr::Const { dst, val } => {
-                self.define(dst);
-                self.class[dst as usize] = Err(val.to_bits());
-            }
-            Instr::Move { dst, src } => {
-                let class = self.class[src as usize];
-                if class != self.class[dst as usize] {
-                    self.define(dst);
-                    self.class[dst as usize] = class;
-                }
-            }
-            Instr::DepthGuard { extra } => self.guard = self.guard.max(extra),
-            _ => {
-                let mut defs = Vec::new();
-                for_each_def(instr, |d| defs.push(d));
-                defs.into_iter().for_each(|d| self.define(d));
-            }
-        }
-    }
-}
-
-/// Checks value tracking's output against the code it started from.
-/// The pass rewrites in place, so instruction `i` of `after` stands for
-/// instruction `i` of `before`: where the opcode is unchanged, every
-/// register it reads must be the original operand or provably equal to
-/// it at that point — by a must-equality dataflow over `after` (copies
-/// and constants, met over all predecessors) — and it must write the
-/// same registers; where the opcode changed, a `DepthGuard` may only
-/// vanish behind a guard at least as deep, and anything else must still
-/// write exactly what the original wrote.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] ([`ViolationKind::StaleValue`] or
-/// [`ViolationKind::UnguardedDepth`]).
-pub(crate) fn verify_forwarded(
-    before: &[Instr],
-    after: &[Instr],
-    n_regs: u16,
-) -> Result<(), Violation> {
-    let stale = |at: usize, detail: String| violation(ViolationKind::StaleValue, at, detail);
-    if before.len() != after.len() {
-        return Err(stale(0, "value tracking changed the code length".into()));
-    }
-    if after.is_empty() {
-        return Ok(());
-    }
-    let cfg = Cfg::build(after);
-    let mut at_entry: Vec<Option<Equalities>> = vec![None; cfg.len()];
-    at_entry[0] = Some(Equalities {
-        class: (0..n_regs).map(Ok).collect(),
-        guard: 0,
-    });
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in 0..cfg.len() {
-            let Some(mut state) = at_entry[b].clone() else {
-                continue;
-            };
-            for i in cfg.range(b) {
-                state.step(&after[i]);
-            }
-            for &s in cfg.successors(b) {
-                match &mut at_entry[s] {
-                    None => {
-                        at_entry[s] = Some(state.clone());
-                        changed = true;
-                    }
-                    Some(known) => {
-                        // Two registers stay equal only if they were
-                        // on both sides: re-root by pairs of classes.
-                        let pairs: Vec<_> = known.class.iter().zip(&state.class).collect();
-                        let met: Vec<Result<u16, u64>> = (0..pairs.len())
-                            .map(|r| match pairs[r] {
-                                (Err(a), Err(b)) if a == b => Err(*a),
-                                pair => {
-                                    Ok(pairs.iter().position(|p| *p == pair).unwrap_or(r) as u16)
-                                }
-                            })
-                            .collect();
-                        let guard = known.guard.min(state.guard);
-                        if met != known.class || guard != known.guard {
-                            known.class = met;
-                            known.guard = guard;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (b, state) in at_entry.into_iter().enumerate() {
-        let Some(mut state) = state else {
-            continue;
-        };
-        for i in cfg.range(b) {
-            let (old, new) = (&before[i], &after[i]);
-            if !same_instr(old, new) {
-                let defs = |instr: &Instr| {
-                    let mut v = Vec::new();
-                    for_each_def(instr, |d| v.push(d));
-                    v
-                };
-                let uses = |instr: &Instr| {
-                    let mut v = Vec::new();
-                    for_each_use(instr, |r| v.push(r));
-                    v
-                };
-                match (old, new) {
-                    (Instr::DepthGuard { extra }, Instr::Nop) => {
-                        if state.guard < *extra {
-                            return Err(violation(
-                                ViolationKind::UnguardedDepth,
-                                i,
-                                format!("no guard of depth {extra} or more dominates this one"),
-                            ));
-                        }
-                    }
-                    _ if old.opcode_index() == new.opcode_index() => {
-                        let (was, now) = (uses(old), uses(new));
-                        for (w, n) in was.iter().zip(&now) {
-                            if state.class[*w as usize] != state.class[*n as usize] {
-                                return Err(stale(i, format!("r{n} is not a copy of r{w} here")));
-                            }
-                        }
-                        if was.len() != now.len() || defs(old) != defs(new) {
-                            return Err(stale(i, "the instruction's shape changed".into()));
-                        }
-                    }
-                    // Folded, strength-reduced, or reused: any pure
-                    // form writing the same register (an expression
-                    // recomputed into the register that still holds it
-                    // may go altogether).
-                    _ => {
-                        let same = defs(old) == defs(new) || matches!(new, Instr::Nop);
-                        let pure = matches!(
-                            new,
-                            Instr::Const { .. }
-                                | Instr::Move { .. }
-                                | Instr::BinRI { .. }
-                                | Instr::BinIR { .. }
-                                | Instr::Nop
-                        );
-                        if !(same && pure) {
-                            return Err(stale(i, format!("{old:?} became {new:?}")));
-                        }
-                    }
-                }
-            }
-            state.step(new);
-        }
-    }
-    Ok(())
-}
-
-/// Checks `thread_jumps`' output against its input: the only change it
-/// may make is a `Jump` becoming a copy of the `LoopNext` it pointed
-/// at.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] ([`ViolationKind::BadJumpThread`]).
-pub(crate) fn verify_threaded(before: &[Instr], after: &[Instr]) -> Result<(), Violation> {
-    let bad = |at: usize, detail: String| violation(ViolationKind::BadJumpThread, at, detail);
-    if before.len() != after.len() {
-        return Err(bad(0, "jump threading changed the code length".into()));
-    }
-    for (i, (old, new)) in before.iter().zip(after).enumerate() {
-        if same_instr(old, new) {
-            continue;
-        }
-        let through = match old {
-            Instr::Jump { target } => before.get(*target),
-            _ => None,
-        };
-        if !matches!(through, Some(next @ Instr::LoopNext { .. }) if same_instr(next, new)) {
-            return Err(bad(i, format!("{old:?} became {new:?}")));
-        }
-    }
-    Ok(())
+    flush(&mut cur, &mut signature);
+    signature
 }
 
 // ---- schema validation -------------------------------------------------
@@ -1060,8 +575,8 @@ impl AbsValue {
 }
 
 /// Per-chunk inferred facts: the join, over every reachable program
-/// point, of each slot's shape — what `promote`, `inline` and
-/// [`verify_inlined`] consult to prove a slot scalar.
+/// point, of each slot's shape — what `promote` and `inline` consult to
+/// prove a slot scalar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkFacts {
     /// Slot state at chunk entry (rule bindings from the transform
@@ -1495,6 +1010,7 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::Operand;
 
     fn chunk(code: Vec<Instr>, n_regs: u16, n_slots: u16, names: Vec<String>) -> Chunk {
         Chunk {

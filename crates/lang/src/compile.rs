@@ -613,7 +613,7 @@ impl Instr {
 }
 
 /// A compiled rule body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Chunk {
     /// `transform::rN` — identifies the rule this chunk compiles, for
     /// profiling attribution (chunks have no other back-pointer).
@@ -856,19 +856,14 @@ impl CompiledProgram {
     }
 
     /// Runs the `inline` pass alone — the first thing
-    /// [`CompiledProgram::try_optimized`] does at `O3` — and returns a
-    /// record per chunk it changed.
+    /// [`CompiledProgram::try_optimized`] does at `O3`.
     ///
     /// # Errors
     ///
     /// With `verify` on, the first violation, under pass name `inline`.
-    pub fn inline_calls(
-        &mut self,
-        verify: bool,
-    ) -> Result<Vec<crate::opt::InlineRecord>, crate::opt::PassViolation> {
-        let (records, skips) = crate::opt::inline_program(&mut self.transforms, verify)?;
-        self.inline_skips = skips;
-        Ok(records)
+    pub fn inline_calls(&mut self, verify: bool) -> Result<(), crate::opt::PassViolation> {
+        self.inline_skips = crate::opt::inline_program(&mut self.transforms, verify)?;
+        Ok(())
     }
 
     /// `(compiled, total)` rule counts across the program: `(n, n)`, or

@@ -958,18 +958,16 @@ impl Env<'_> {
         span: Span,
         ctx: &mut ExecCtx<'_>,
     ) -> Result<Value, RuntimeError> {
-        let Some(f) = self.interp.host_fns.get(name) else {
-            return Err(RuntimeError::new(
-                format!("unknown function `{name}`"),
-                span,
-            ));
-        };
         if args.is_empty() {
             return Err(RuntimeError::new(
                 format!("host function `{name}` needs at least one argument"),
                 span,
             ));
         }
+        // An unknown name is reported once the arguments are evaluated:
+        // bytecode computes them ahead of the `CallHost` that looks the
+        // function up, so an argument's error comes first in both.
+        let f = self.interp.host_fns.get(name);
         let rest: Vec<Value> = args[1..]
             .iter()
             .map(|a| self.eval(a, ctx))
@@ -985,6 +983,12 @@ impl Env<'_> {
                 .cloned()
                 .ok_or(RuntimeError::new(format!("unknown variable `{n}`"), span))?,
             None => self.eval(&args[0], ctx)?,
+        };
+        let Some(f) = f else {
+            return Err(RuntimeError::new(
+                format!("unknown function `{name}`"),
+                span,
+            ));
         };
         ctx.charge(
             rest.iter()

@@ -80,8 +80,8 @@ pub mod transform;
 pub mod vm;
 
 pub use analysis::{
-    analyze_chunk, charge_signature, lint_program, verify_chunk, verify_code, verify_inlined,
-    verify_tunables, AbsValue, ChunkFacts, Lint, Severity, Violation, ViolationKind,
+    analyze_chunk, charge_signature, lint_program, verify_chunk, verify_code, verify_tunables,
+    AbsValue, ChunkFacts, Lint, Severity, Violation, ViolationKind,
 };
 pub use ast::Program;
 pub use compile::{

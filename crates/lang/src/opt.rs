@@ -91,9 +91,10 @@
 //!    reset cost.
 //!
 //! Under verification ([`optimize`] with `verify` on) every pass goes
-//! through a gate that names it when its output is malformed, and the
-//! passes whose claim structure alone cannot show have it re-checked
-//! against the code they started from (`analysis`).
+//! through a gate that names it when its output is malformed
+//! (`analysis`). That a pass kept outputs, draws and charges is the
+//! differential suite's to show: it runs both engines at every level
+//! against the tree-walker.
 //!
 //! Constant folding computes with the same `f64` operations the VM
 //! would execute, so folded results are bit-identical to runtime
@@ -109,8 +110,8 @@ mod inline;
 mod promote;
 
 pub(crate) use inline::inline_program;
-pub use inline::{InlineRecord, InlineSite, InlineSkip};
-pub(crate) use promote::{unpromoted, Promotion};
+pub use inline::InlineSkip;
+pub(crate) use promote::unpromoted;
 
 /// How much optimization to run between lowering and dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -177,12 +178,10 @@ pub fn verify_enabled() -> bool {
 ///
 /// With `verify` off this is the plain pipeline (no per-pass cost);
 /// with it on ([`verify_enabled`] is the default callers pass),
-/// [`crate::analysis::verify_code`] runs after every pass, the
+/// [`crate::analysis::verify_code`] runs after every pass and the
 /// per-region charge signature ([`crate::analysis::charge_signature`])
-/// is checked against the input's, and the passes that make a claim
-/// structure alone cannot show (`promote`, `value`, `thread_jumps`)
-/// have that claim re-checked against the code they started from — so
-/// the first pass to break an invariant is named in the error.
+/// is checked against the input's, so the first pass to break an
+/// invariant is named in the error.
 ///
 /// `entry` is the slot state at chunk entry
 /// ([`crate::analysis::ChunkFacts::entry_slots`]). Without it everything
@@ -317,12 +316,6 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// The code before a pass, for the claim checks that compare
-    /// against it (`None` when not verifying).
-    fn snapshot(&self) -> Option<Vec<Instr>> {
-        self.verify.then(|| self.code.clone())
-    }
-
     /// One liveness computation, shared: dead code becomes `Nop`s,
     /// producers absorb the register moves that follow them, `Nop`s are
     /// dropped. Returns the liveness of the compacted code.
@@ -338,14 +331,8 @@ impl<'a> Pipeline<'a> {
     }
 
     fn value(&mut self) -> Result<(), PassViolation> {
-        let before = self.snapshot();
         value_pass(&mut self.code, self.n_regs);
-        self.gate("value")?;
-        if let Some(before) = before {
-            crate::analysis::verify_forwarded(&before, &self.code, self.n_regs)
-                .map_err(|v| self.fail("value", v))?;
-        }
-        Ok(())
+        self.gate("value")
     }
 
     fn run(
@@ -362,12 +349,8 @@ impl<'a> Pipeline<'a> {
             return Ok(chunk.clone());
         }
 
-        let promotion = promote::promote(&mut self.code, &mut self.n_regs, chunk, entry);
+        promote::promote(&mut self.code, &mut self.n_regs, chunk, entry);
         self.gate("promote")?;
-        if self.verify {
-            crate::analysis::verify_promoted(&self.code, &promotion)
-                .map_err(|v| self.fail("promote", v))?;
-        }
         // Lowering's `expr -> temp; store temp` pairs must retarget to
         // the home registers *before* copy propagation extends the
         // temps' live ranges, so a sweep runs on either side of value
@@ -394,13 +377,8 @@ impl<'a> Pipeline<'a> {
         rotate_loops(&mut self.code);
         compact(&mut self.code, None);
         self.gate("rotate")?;
-        let before = self.snapshot();
         thread_jumps(&mut self.code);
         self.gate("thread_jumps")?;
-        if let Some(before) = before {
-            crate::analysis::verify_threaded(&before, &self.code)
-                .map_err(|v| self.fail("thread_jumps", v))?;
-        }
         self.sweep()?;
 
         self.n_regs = renumber_regs(&mut self.code);
@@ -832,6 +810,19 @@ impl Cfg {
     pub(crate) fn exits(&self, b: usize) -> bool {
         self.exits[b]
     }
+
+    /// Per block, whether control can reach it from the entry.
+    pub(crate) fn reached(&self) -> Vec<bool> {
+        let mut reached = vec![false; self.len()];
+        // An empty rule body has no blocks, so no entry block to seed.
+        let mut stack = if self.len() > 0 { vec![0] } else { Vec::new() };
+        while let Some(b) = stack.pop() {
+            if !std::mem::replace(&mut reached[b], true) {
+                stack.extend(self.successors(b));
+            }
+        }
+        reached
+    }
 }
 
 fn bit(row: &[u64], r: u16) -> bool {
@@ -1109,23 +1100,10 @@ fn dce(code: &mut [Instr], n_slots: u16, output_slots: &[Slot]) -> Liveness {
     };
     let cfg = Cfg::build(code);
     // Blocks nothing reaches go whole (jump threading strands the
-    // `LoopNext` it copied) — unless they charge: the charge
-    // signature counts every region, reachable or not.
-    let mut reached = vec![false; cfg.len()];
-    // An empty rule body has no blocks, so no entry block to seed.
-    let mut stack = if cfg.len() > 0 { vec![0] } else { Vec::new() };
-    while let Some(b) = stack.pop() {
-        if !std::mem::replace(&mut reached[b], true) {
-            stack.extend(cfg.successors(b));
-        }
-    }
+    // `LoopNext` it copied).
+    let reached = cfg.reached();
     for b in (0..cfg.len()).filter(|&b| !reached[b]) {
-        if !code[cfg.range(b)]
-            .iter()
-            .any(|i| matches!(i, Instr::Charge { .. }))
-        {
-            code[cfg.range(b)].fill(Instr::Nop);
-        }
+        code[cfg.range(b)].fill(Instr::Nop);
     }
     let live_in = block_live_in(&cfg, words, &[], |i, row| {
         step(code, i, row);

@@ -18,9 +18,9 @@
 //! instruction: a [`Instr::DepthGuard`] raises "transform call depth
 //! exceeded" at the execution point `run_prefixed` would, inputs bind
 //! in rule order and the output slot is zeroed after them (an output
-//! alias shadows a same-named input), every callee register or slot
-//! that liveness shows readable before written is re-zeroed on each
-//! entry (what a pooled frame's reset supplied), tunable names intern
+//! alias shadows a same-named input), every callee slot that liveness
+//! shows readable before written is re-zeroed on each entry (what a
+//! pooled frame's reset supplied), tunable names intern
 //! as `<callee>.<name>` so they resolve to the key the call's
 //! sub-prefix produced, `Return` becomes a jump to the region's exit,
 //! and the callee's `Charge`s stay, verbatim.
@@ -30,9 +30,7 @@
 //! generic path, as is any nest deeper than the call-depth limit.
 
 use super::{for_each_target_mut, live_in_at_entry, remap_regs, remap_slots, Bank, PassViolation};
-use crate::analysis::{
-    analyze_chunk, charge_signature, transform_facts, verify_code, verify_inlined, AbsValue,
-};
+use crate::analysis::{analyze_chunk, transform_facts, verify_code, AbsValue};
 use crate::compile::{Chunk, CompiledTransform, HelperSig, Instr, NameIdx, Operand};
 use crate::interp::CALL_DEPTH_LIMIT;
 
@@ -42,36 +40,6 @@ const MAX_CALLEE_INSTRS: usize = 64;
 
 /// A caller stops absorbing callees past this many instructions.
 const MAX_CHUNK_INSTRS: usize = 4096;
-
-/// One spliced region of an inlined chunk, as the pass recorded it —
-/// what [`verify_inlined`] checks the result against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InlineSite {
-    /// Index of the region's [`Instr::DepthGuard`].
-    pub start: usize,
-    /// One past the region's last instruction (its copy-out).
-    pub end: usize,
-    /// The callee transform.
-    pub callee: String,
-    /// The registers private to the region.
-    pub regs: std::ops::Range<u16>,
-    /// The slots private to the region.
-    pub slots: std::ops::Range<u16>,
-    /// The callee body's charge signature at splice time.
-    pub charges: Vec<f64>,
-}
-
-/// A chunk the pass changed: the chunk as it was, and where the
-/// regions went.
-#[derive(Debug, Clone)]
-pub struct InlineRecord {
-    /// The transform the chunk belongs to.
-    pub transform: String,
-    /// The chunk before splicing.
-    pub before: Chunk,
-    /// The spliced regions, in code order.
-    pub sites: Vec<InlineSite>,
-}
 
 /// A call to a scalar helper the pass left on the generic path.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,17 +59,16 @@ enum Visit {
     Done,
 }
 
-/// Runs the pass over a whole program, in place. With `verify` on,
-/// every changed chunk is re-verified (structure and
-/// [`verify_inlined`]) and the first violation is returned under pass
-/// name `inline`.
+/// Runs the pass over a whole program, in place, and returns the sites
+/// it left on the generic path. With `verify` on, every changed chunk
+/// is re-verified and the first violation is returned under pass name
+/// `inline`.
 pub(crate) fn inline_program(
     transforms: &mut [CompiledTransform],
     verify: bool,
-) -> Result<(Vec<InlineRecord>, Vec<InlineSkip>), PassViolation> {
+) -> Result<Vec<InlineSkip>, PassViolation> {
     let mut pass = Pass {
         state: vec![Visit::Pending; transforms.len()],
-        records: Vec::new(),
         skips: Vec::new(),
         verify,
     };
@@ -110,12 +77,11 @@ pub(crate) fn inline_program(
             pass.visit(transforms, i)?;
         }
     }
-    Ok((pass.records, pass.skips))
+    Ok(pass.skips)
 }
 
 struct Pass {
     state: Vec<Visit>,
-    records: Vec<InlineRecord>,
     skips: Vec<InlineSkip>,
     verify: bool,
 }
@@ -182,23 +148,22 @@ impl Pass {
         t: usize,
         rule_idx: usize,
     ) -> Result<(), PassViolation> {
-        let chunk = &transforms[t].rules[rule_idx];
         let calls = |i: &Instr| matches!(i, Instr::CallTransform { .. });
-        if !chunk.code.iter().any(calls) {
+        if !transforms[t].rules[rule_idx].code.iter().any(calls) {
             return Ok(());
         }
-        let before = chunk.clone();
-        let facts = transforms[t].facts[rule_idx].clone();
-        let entry = facts.entry_slots.clone();
+        // The chunk is out of the program while it absorbs callees (a
+        // call cycle through it is declined before its body is read).
+        let mut chunk = std::mem::take(&mut transforms[t].rules[rule_idx]);
+        let facts = &transforms[t].facts[rule_idx];
 
         // Decide every site under the one facts snapshot (splicing only
         // adds fresh registers and slots, so a decision cannot be
         // invalidated by another site's splice), then splice back to
-        // front so pending indices stay valid.
-        let mut after = before.clone();
-        let mut sites: Vec<InlineSite> = Vec::new();
-        for at in (0..before.code.len()).rev() {
-            let Instr::CallTransform { callee, args, .. } = &before.code[at] else {
+        // front, so every site still to visit is where lowering put it.
+        let mut spliced = false;
+        for at in (0..chunk.code.len()).rev() {
+            let Instr::CallTransform { callee, args, .. } = &chunk.code[at] else {
                 continue;
             };
             let Some(callee_t) = transforms.get(*callee as usize) else {
@@ -211,59 +176,43 @@ impl Pass {
             let verdict = if self.state[*callee as usize] != Visit::Done {
                 Err("it is part of a call cycle".to_owned())
             } else {
-                inlinable(&after, body, args, &facts.slots)
+                inlinable(&chunk, body, args, &facts.slots)
             };
             match verdict {
                 Ok(()) => {
-                    let site = splice(&mut after, at, body, sig, &callee_t.name);
-                    let growth = site.end - site.start - 1;
-                    for later in &mut sites {
-                        later.start += growth;
-                        later.end += growth;
-                    }
-                    sites.insert(0, site);
+                    splice(&mut chunk, at, body, sig, &callee_t.name);
+                    spliced = true;
                 }
                 Err(reason) => self.skips.push(InlineSkip {
-                    chunk: before.label.clone(),
+                    chunk: chunk.label.clone(),
                     callee: callee_t.name.clone(),
                     reason,
                 }),
             }
         }
 
-        if self.verify && !sites.is_empty() {
-            let fail = |violation| PassViolation {
-                pass: "inline",
-                label: before.label.clone(),
-                violation,
-            };
+        if self.verify && spliced {
             verify_code(
-                &after.code,
-                after.n_regs,
-                after.n_slots,
-                after.names.len(),
-                &after.input_slots,
-                &after.output_slots,
+                &chunk.code,
+                chunk.n_regs,
+                chunk.n_slots,
+                chunk.names.len(),
+                &chunk.input_slots,
+                &chunk.output_slots,
             )
-            .map_err(fail)?;
-            verify_inlined(&before, &after, &sites, &entry).map_err(fail)?;
+            .map_err(|violation| PassViolation {
+                pass: "inline",
+                label: chunk.label.clone(),
+                violation,
+            })?;
         }
         // Facts for the chunk as it now stands: what a caller of *this*
         // transform consults to prove its output scalar.
         let owner = &mut transforms[t];
-        owner.facts[rule_idx] = if sites.is_empty() {
-            facts
-        } else {
-            analyze_chunk(&after, &entry)
-        };
-        owner.rules[rule_idx] = after;
-        if !sites.is_empty() {
-            self.records.push(InlineRecord {
-                transform: owner.name.clone(),
-                before,
-                sites,
-            });
+        if spliced {
+            owner.facts[rule_idx] = analyze_chunk(&chunk, &owner.facts[rule_idx].entry_slots);
         }
+        owner.rules[rule_idx] = chunk;
         Ok(())
     }
 }
@@ -343,13 +292,7 @@ fn intern(names: &mut Vec<String>, name: String) -> NameIdx {
 
 /// Replaces the `CallTransform` at `at` with `body`'s region (see the
 /// module docs for its layout).
-fn splice(
-    caller: &mut Chunk,
-    at: usize,
-    body: &Chunk,
-    sig: &HelperSig,
-    callee: &str,
-) -> InlineSite {
+fn splice(caller: &mut Chunk, at: usize, body: &Chunk, sig: &HelperSig, callee: &str) {
     let Instr::CallTransform { args, dst, .. } = caller.code[at].clone() else {
         unreachable!("splice() is only called on a CallTransform");
     };
@@ -385,11 +328,12 @@ fn splice(
     }
     tail.push(Instr::CopySlot { dst, src: out });
 
-    // Guard, argument binds, then a zero for everything else the tail
+    // Guard, argument binds, then a zero for every other slot the tail
     // can read before writing: the output slot (after the binds — an
-    // output alias shadows a same-named input) and any other state a
-    // fresh frame would have supplied. A `while` guard counter, say,
-    // must not carry over from the previous entry.
+    // output alias shadows a same-named input) and any other slot a
+    // fresh frame would have supplied. (No register needs one: the
+    // callee's body passed the verifier, so it defines every register
+    // before reading it.)
     let mut region = vec![Instr::DepthGuard { extra: 1 }];
     for (&slot, &arg) in body.input_slots.iter().zip(&sig.arg_for_input) {
         let slot = slot_base + slot;
@@ -403,11 +347,7 @@ fn splice(
         .into_iter()
         .filter(|&s| s >= slot_base && !bound(s))
         .collect();
-    let stale_regs: Vec<u16> = live_in_at_entry(&tail, Bank::Regs, &[])
-        .into_iter()
-        .filter(|&r| r >= reg_base)
-        .collect();
-    if !(stale_slots.is_empty() && stale_regs.is_empty()) {
+    if !stale_slots.is_empty() {
         region.push(Instr::Const {
             dst: zero,
             val: 0.0,
@@ -415,9 +355,6 @@ fn splice(
     }
     for slot in stale_slots {
         region.push(Instr::StoreSlotNum { slot, src: zero });
-    }
-    for dst in stale_regs {
-        region.push(Instr::Move { dst, src: zero });
     }
 
     let body_base = at + region.len();
@@ -434,14 +371,5 @@ fn splice(
             }
         });
     }
-    let end = at + region.len();
     caller.code.splice(at..=at, region);
-    InlineSite {
-        start: at,
-        end,
-        callee: callee.to_owned(),
-        regs: reg_base..caller.n_regs,
-        slots: slot_base..caller.n_slots,
-        charges: charge_signature(&body.code),
-    }
 }

@@ -35,17 +35,6 @@ use super::{
 use crate::analysis::AbsValue;
 use crate::compile::{Chunk, FirstArg, Instr, Operand, Reg, Slot};
 
-/// What `promote` did, for [`crate::analysis::verify_promoted`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Promotion {
-    /// Each promoted slot with its home register.
-    pub homes: Vec<(Slot, Reg)>,
-    /// The chunk now opens with this many binding loads.
-    pub entry_loads: usize,
-    /// The stores placed before every exit (promoted outputs).
-    pub write_back: Vec<Instr>,
-}
-
 /// Where a slot's value can live; a slot gets the strongest verdict
 /// any of its uses demands.
 #[derive(Clone, Copy, PartialEq)]
@@ -202,19 +191,19 @@ pub(super) fn promote(
     n_regs: &mut u16,
     chunk: &Chunk,
     entry: Option<&[AbsValue]>,
-) -> Promotion {
+) {
     let v = verdicts(code, chunk, entry);
     let mut home: Vec<Option<Reg>> = vec![None; chunk.n_slots as usize];
-    let mut promotion = Promotion::default();
+    let mut homes: Vec<(Slot, Reg)> = Vec::new();
     for s in 0..chunk.n_slots {
         if v.mentioned[s as usize] && v.of[s as usize] == Verdict::Register && *n_regs < u16::MAX {
             home[s as usize] = Some(*n_regs);
-            promotion.homes.push((s, *n_regs));
+            homes.push((s, *n_regs));
             *n_regs += 1;
         }
     }
-    if promotion.homes.is_empty() {
-        return promotion;
+    if homes.is_empty() {
+        return;
     }
     let home = |s: Slot| home[s as usize];
 
@@ -259,20 +248,17 @@ pub(super) fn promote(
 
     // The chunk's edges: bindings come in through one load each, and
     // outputs go back through one store each before every exit.
-    let mut loads = Vec::new();
-    for &(slot, dst) in &promotion.homes {
+    let (mut loads, mut write_back) = (Vec::new(), Vec::new());
+    for &(slot, dst) in &homes {
         if v.live_in.contains(&slot) {
             loads.push(Instr::LoadSlotNum { dst, slot });
         }
         if chunk.output_slots.contains(&slot) {
-            promotion
-                .write_back
-                .push(Instr::StoreSlotNum { slot, src: dst });
+            write_back.push(Instr::StoreSlotNum { slot, src: dst });
         }
     }
-    promotion.entry_loads = loads.len();
-    if loads.is_empty() && promotion.write_back.is_empty() {
-        return promotion;
+    if loads.is_empty() && write_back.is_empty() {
+        return;
     }
     let n = code.len();
     let falls_off = super::falls_off_end(code);
@@ -283,19 +269,18 @@ pub(super) fn promote(
     for instr in code.drain(..) {
         map.push(out.len());
         if matches!(instr, Instr::Return) {
-            out.extend(promotion.write_back.iter().cloned());
+            out.extend(write_back.iter().cloned());
         }
         out.push(instr);
     }
     map.push(out.len());
     if falls_off {
-        out.extend(promotion.write_back.iter().cloned());
+        out.extend(write_back.iter().cloned());
     }
     for instr in &mut out {
         for_each_target_mut(instr, |t| *t = map[*t]);
     }
     *code = out;
-    promotion
 }
 
 /// Gives every constant that a loop body reads from a just-set

@@ -760,8 +760,9 @@ fn exec_loop<const PROFILE: bool>(
                 dst,
             } => {
                 let fname = &names[*name as usize];
-                // Existence is checked before argument evaluation,
-                // like the interpreter's dispatch order.
+                // The arguments were computed by the instructions
+                // before this one; the interpreter, too, resolves the
+                // name only after evaluating them.
                 let Some(f) = interp.host_fn(fname) else {
                     return Err(err(format!("unknown function `{fname}`")));
                 };

@@ -6,14 +6,19 @@
 use petabricks::benchmarks::binpacking::{generate_input, pack_with, ALGORITHM_NAMES};
 use petabricks::benchmarks::BinPacking;
 use petabricks::config::{AccuracyBins, DecisionTree, Schema, Value};
-use petabricks::lang::{check_program, compile_program, parse_program, OptLevel};
+use petabricks::lang::ast::{Expr, Transform as DslDecl};
+use petabricks::lang::interp::Value as DslValue;
+use petabricks::lang::{
+    check_program, compile_program, extract_schema, lint_program, parse_program, Interpreter,
+    OptLevel,
+};
 use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner};
 use petabricks::stats::{welch_t_test, Comparator, CompareOutcome, OnlineStats};
 use petabricks::tuner::{Candidate, EvalMode, Evaluator, MutatorPool, Population};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -239,6 +244,91 @@ proptest! {
                 }
             });
             prop_assert!(outcome.is_ok(), "panicked on:\n{mutated}");
+        }
+    }
+}
+
+/// Small inputs for `t`: every input at its declared shape, each
+/// dimension 4 unless it is a literal of at most 8, holding a ramp.
+fn small_inputs(t: &DslDecl) -> HashMap<String, DslValue> {
+    let ramp = |len: usize| (0..len).map(|i| 0.75 * i as f64 - 1.0).collect::<Vec<_>>();
+    let input = |dims: &[Expr]| {
+        let dims: Vec<usize> = dims
+            .iter()
+            .map(|d| match d {
+                Expr::Number(v, _) if (0.0..=8.0).contains(v) => *v as usize,
+                _ => 4,
+            })
+            .collect();
+        match dims[..] {
+            [] => DslValue::Num(0.5),
+            [len] => DslValue::Arr1(ramp(len)),
+            [rows, cols, ..] => DslValue::Arr2 {
+                rows,
+                cols,
+                data: ramp(rows * cols),
+            },
+        }
+    };
+    t.inputs
+        .iter()
+        .map(|p| (p.name.clone(), input(&p.dims)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// A damaged program that sema accepts still runs alike on every
+    /// engine: each of its transforms, at the default configuration on
+    /// small inputs, gives the tree-walker's outputs and virtual cost
+    /// bit for bit at `O0` and `O3`, or the same error text. And no
+    /// gate of the verified pipeline `lint_program` runs rejects a
+    /// chunk.
+    #[test]
+    fn accepted_mutations_run_alike_on_every_engine(seed in 0u64..1_000_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for source in shipped_programs() {
+            let mutated = mutate(&source, &mut rng);
+            let Ok(program) = parse_program(&mutated) else {
+                continue;
+            };
+            if check_program(&program).is_err() {
+                continue;
+            }
+            for lint in lint_program(&program) {
+                prop_assert!(!lint.message.contains("broke chunk"), "{}\n{mutated}", lint.message);
+            }
+            let tree = Interpreter::new(program.clone());
+            let vms = OptLevel::ALL.map(|level| Interpreter::new_compiled_at(program.clone(), level));
+            for t in &program.transforms {
+                let schema = extract_schema(&program, &t.name);
+                let config = schema.default_config();
+                let inputs = small_inputs(t);
+                let run = |engine: &Interpreter| {
+                    let mut ctx = ExecCtx::new(&schema, &config, 4, seed);
+                    let out = engine.run(&t.name, &inputs, &mut ctx);
+                    (out.map_err(|e| e.message), ctx.virtual_cost())
+                };
+                let (want, want_cost) = run(&tree);
+                for (level, vm) in OptLevel::ALL.iter().zip(&vms) {
+                    let (got, cost) = run(vm);
+                    let alike = match (&want, &got) {
+                        (Ok(want), Ok(got)) => {
+                            want.len() == got.len()
+                                && want.iter().all(|(k, v)| got.get(k).is_some_and(|w| v.bits_eq(w)))
+                                && want_cost.to_bits() == cost.to_bits()
+                        }
+                        (Err(want), Err(got)) => want == got,
+                        _ => false,
+                    };
+                    prop_assert!(
+                        alike,
+                        "`{}` at {level:?}: {got:?} (cost {cost}), tree-walker {want:?} (cost {want_cost})\n{mutated}",
+                        t.name
+                    );
+                }
+            }
         }
     }
 }

@@ -1301,6 +1301,39 @@ fn argument_snapshots_survive_mutating_later_arguments() {
     assert_eq!(out["Out"], Value::Arr1(vec![1.0, 100.0, 100_007.0, 0.0]));
 }
 
+#[test]
+fn a_failing_argument_speaks_before_the_host_function_resolves() {
+    // Sema accepts both unknown names: `q` reads as a tunable and
+    // `nosuch` as a host function, each resolved at run time. The
+    // arguments are evaluated before the function is looked up, so it
+    // is `q` that fails, on every engine.
+    let src = "transform t from In[n] to Out {\n to (Out o) from (In a) { o = nosuch(a[0 - q], 1); }\n}\n";
+    let program = parse_program(src).unwrap();
+    let schema = petabricks::lang::extract_schema(&program, "t");
+    let config = schema.default_config();
+    let err = assert_same_outcome(src, "t", &schema, &config, &in4(), 4, 0, &no_hosts);
+    assert_eq!(err.unwrap_err(), "unknown variable `q`");
+
+    // With the function registered, a failing rest argument speaks
+    // before a failing first one: the rest are evaluated first.
+    let src = "transform t from In[n] to Out {\n to (Out o) from (In a) { o = Probe(a[0 - q], a[9]); }\n}\n";
+    let err = assert_same_outcome(src, "t", &schema, &config, &in4(), 4, 0, &mutating_hosts);
+    assert_eq!(err.unwrap_err(), "index 9 out of bounds (len 4)");
+}
+
+#[test]
+fn code_after_a_return_runs_nowhere() {
+    // The loop behind the `return` is unreachable. The optimizer may
+    // drop any of it, and the verified pipeline must accept that.
+    let src = "transform t from In[n] to Out {\n to (Out o) from (In a) { return; for (i in 0 .. len(a)) { if (a[i] == 1) { } } }\n}\n";
+    let program = parse_program(src).unwrap();
+    let schema = petabricks::lang::extract_schema(&program, "t");
+    let config = schema.default_config();
+    assert_identical(src, "t", &schema, &config, &in4(), 4, 0, &no_hosts);
+    let (out, cost) = run_at(src, "t", Some(OptLevel::O3), &in4());
+    assert_eq!((out.unwrap()["Out"].clone(), cost), (Value::Num(0.0), 1.0));
+}
+
 // ---- randomized straight-line bodies -----------------------------------
 // The generator lives in `tests/common/mod.rs`, shared with the
 // `analysis` suite so every fuzzed program is also run through the
