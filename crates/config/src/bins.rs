@@ -6,8 +6,6 @@
 //! by the user (`accuracy_bins`) or inferred by the compiler when a
 //! transform is called with a specific accuracy.
 
-use serde::{Deserialize, Serialize};
-
 /// A sorted set of accuracy targets the tuner must satisfy.
 ///
 /// Accuracies in this system follow the paper's convention: **larger is
@@ -25,10 +23,12 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(bins.bin_meeting(0.6), Some(2)); // 0.5 is too loose for 0.6
 /// assert_eq!(bins.bin_meeting(0.99), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyBins {
     targets: Vec<f64>,
 }
+
+serde::json_object!(AccuracyBins { targets });
 
 impl AccuracyBins {
     /// Creates bins from the given targets (sorted and deduplicated).

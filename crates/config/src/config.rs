@@ -7,7 +7,6 @@
 
 use crate::schema::{Schema, TunableId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced when validating or querying a configuration.
@@ -66,11 +65,13 @@ impl std::error::Error for ConfigError {}
 /// assert_eq!(cfg.int(&schema, "insertion_cutoff").unwrap(), 64);
 /// assert_eq!(cfg.choice(&schema, "sorter", 10_000).unwrap(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     transform: String,
     values: Vec<Value>,
 }
+
+serde::json_object!(Config { transform, values });
 
 impl Config {
     /// Builds a configuration directly from values (callers normally use
@@ -320,6 +321,71 @@ impl fmt::Display for Config {
 mod tests {
     use super::*;
     use crate::tree::DecisionTree;
+
+    /// The persisted form of a config holding every value variant and a
+    /// two-level tree. Config files already on disk are in this form,
+    /// so it may not move by a byte.
+    const GOLDEN: &str = r#"{
+  "transform": "golden",
+  "values": [
+    {
+      "Int": -3
+    },
+    {
+      "Float": 0.25
+    },
+    {
+      "Switch": 2
+    },
+    {
+      "Tree": {
+        "levels": [
+          {
+            "cutoff": 64,
+            "choice": 2
+          },
+          {
+            "cutoff": 4096,
+            "choice": 1
+          }
+        ],
+        "top_choice": 0
+      }
+    }
+  ]
+}"#;
+
+    #[test]
+    fn json_form_is_pinned() {
+        let mut tree = DecisionTree::single(0);
+        tree.add_level(64, 2);
+        tree.add_level(4096, 1);
+        let values = vec![
+            Value::Int(-3),
+            Value::Float(0.25),
+            Value::Switch(2),
+            Value::Tree(tree),
+        ];
+        let config = Config::from_values("golden".into(), values);
+        assert_eq!(config.to_json(), GOLDEN);
+        assert_eq!(Config::from_json(GOLDEN).unwrap(), config);
+    }
+
+    #[test]
+    fn integers_load_exactly_or_not_at_all() {
+        // 2^53 + 1 has no `f64`, and 1e300 no `i64`: read through a
+        // float, each would load as a different integer.
+        let cutoff = r#"{"transform": "t", "values": [{"Tree": {"levels":
+            [{"cutoff": 9007199254740993.0, "choice": 1}], "top_choice": 0}}]}"#;
+        let int = r#"{"transform": "t", "values": [{"Int": 1e300}]}"#;
+        for json in [cutoff, int] {
+            let err = Config::from_json(json).unwrap_err();
+            assert!(err.starts_with("expected integer"), "{err}");
+        }
+        let exact = Config::from_json(&cutoff.replace("993.0", "993")).unwrap();
+        let tree = exact.values()[0].as_tree().unwrap();
+        assert_eq!(tree.levels()[0].cutoff, 9_007_199_254_740_993);
+    }
 
     fn schema() -> Schema {
         let mut s = Schema::new("demo");

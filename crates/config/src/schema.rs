@@ -9,12 +9,13 @@
 use crate::config::Config;
 use crate::tree::DecisionTree;
 use crate::value::Value;
+use serde::json::Value as Json;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a tunable within its [`Schema`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TunableId(pub usize);
 
 impl fmt::Display for TunableId {
@@ -25,7 +26,7 @@ impl fmt::Display for TunableId {
 
 /// The category of a tunable, which determines its value representation
 /// and which mutators apply to it (§5.2, §5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TunableKind {
     /// An algorithmic choice site, tuned with a [`DecisionTree`] over
     /// input sizes. `num_algorithms` rules can satisfy this site.
@@ -88,7 +89,7 @@ impl TunableKind {
 }
 
 /// One tunable: a named decision the autotuner controls.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tunable {
     name: String,
     kind: TunableKind,
@@ -161,12 +162,50 @@ impl Tunable {
 ///     TunableKind::UserDefined { .. }
 /// ));
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Schema {
     name: String,
     tunables: Vec<Tunable>,
-    #[serde(skip)]
     by_name: HashMap<String, TunableId>,
+}
+
+/// The canonical form the trial-cache sidecar fingerprints: the name,
+/// then each tunable's name, kind (externally tagged, fields in
+/// declaration order) and default. `by_name` only indexes `tunables`,
+/// so it stays out. Nothing reads this form back.
+impl Serialize for Schema {
+    fn to_json(&self) -> Json {
+        fn obj(fields: Vec<(&str, Json)>) -> Json {
+            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        }
+        let range = |min: &dyn Serialize, max: &dyn Serialize| {
+            vec![("min", min.to_json()), ("max", max.to_json())]
+        };
+        let tunables = self.tunables.iter().map(|t| {
+            let (tag, fields) = match &t.kind {
+                TunableKind::ChoiceSite { num_algorithms } => (
+                    "ChoiceSite",
+                    vec![("num_algorithms", num_algorithms.to_json())],
+                ),
+                TunableKind::Cutoff { min, max } => ("Cutoff", range(min, max)),
+                TunableKind::Switch { num_values } => {
+                    ("Switch", vec![("num_values", num_values.to_json())])
+                }
+                TunableKind::AccuracyVariable { min, max } => ("AccuracyVariable", range(min, max)),
+                TunableKind::FloatParam { min, max } => ("FloatParam", range(min, max)),
+                TunableKind::UserDefined { min, max } => ("UserDefined", range(min, max)),
+            };
+            obj(vec![
+                ("name", t.name.to_json()),
+                ("kind", obj(vec![(tag, obj(fields))])),
+                ("default", t.default.to_json()),
+            ])
+        });
+        obj(vec![
+            ("name", self.name.to_json()),
+            ("tunables", Json::Arr(tunables.collect())),
+        ])
+    }
 }
 
 impl Schema {

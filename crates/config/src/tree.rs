@@ -7,18 +7,18 @@
 //! `3N/4` of the current training size, leaving behaviour for smaller
 //! inputs unchanged.
 
-use serde::{Deserialize, Serialize};
-
 /// One interior level of a decision tree: inputs strictly smaller than
 /// `cutoff` take `choice` (unless an earlier level with a smaller cutoff
 /// claims them first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Level {
     /// Inputs with `n < cutoff` select this level's choice.
     pub cutoff: u64,
     /// Algorithm index chosen below the cutoff.
     pub choice: usize,
 }
+
+serde::json_object!(Level { cutoff, choice });
 
 /// A decision tree mapping input size to an algorithm index.
 ///
@@ -37,11 +37,13 @@ pub struct Level {
 /// assert_eq!(tree.select(100), 0);
 /// assert_eq!(tree.select(1_000_000), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DecisionTree {
     levels: Vec<Level>,
     top_choice: usize,
 }
+
+serde::json_object!(DecisionTree { levels, top_choice });
 
 impl DecisionTree {
     /// A tree that always selects `choice`, regardless of input size.

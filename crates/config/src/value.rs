@@ -1,6 +1,7 @@
 //! Values that a single tunable can take.
 
 use crate::tree::DecisionTree;
+use serde::json::Value as Json;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -10,7 +11,7 @@ use std::fmt;
 /// integer-like kinds (cutoffs, accuracy variables, user parameters) use
 /// [`Value::Int`], switches use [`Value::Switch`], and algorithm-choice
 /// sites use [`Value::Tree`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// An integer-valued tunable (cutoff, accuracy variable, user
     /// parameter).
@@ -61,6 +62,40 @@ impl Value {
         match self {
             Value::Tree(t) => Some(t),
             _ => None,
+        }
+    }
+}
+
+/// Externally tagged: `{"Int": 3}`, `{"Tree": {…}}`.
+impl Serialize for Value {
+    fn to_json(&self) -> Json {
+        let (tag, payload) = match self {
+            Value::Int(v) => ("Int", v.to_json()),
+            Value::Float(v) => ("Float", v.to_json()),
+            Value::Switch(v) => ("Switch", v.to_json()),
+            Value::Tree(t) => ("Tree", t.to_json()),
+        };
+        Json::Obj(vec![(tag.to_owned(), payload)])
+    }
+}
+
+impl Deserialize for Value {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let Json::Obj(fields) = v else {
+            return Err(format!("expected a tagged config value, found {v:?}"));
+        };
+        let [(tag, payload)] = &fields[..] else {
+            return Err(format!(
+                "a config value has one tag, found {}",
+                fields.len()
+            ));
+        };
+        match tag.as_str() {
+            "Int" => i64::from_json(payload).map(Value::Int),
+            "Float" => f64::from_json(payload).map(Value::Float),
+            "Switch" => usize::from_json(payload).map(Value::Switch),
+            "Tree" => DecisionTree::from_json(payload).map(Value::Tree),
+            other => Err(format!("unknown config value variant `{other}`")),
         }
     }
 }

@@ -71,7 +71,7 @@
 //!    is unchanged, and no completed run ever observes a different
 //!    total. So the `Charge` right behind a loop head is all its
 //!    region charges up to the first depth guard.
-//! 6. **Constant homes, loop rotation and jump threading** — each
+//! 6. **Constant homes and loop rotation** — each
 //!    distinct constant an instruction inside a loop reads from a
 //!    just-set register gets one register defined by a `Const` at chunk
 //!    entry (`promote::const_homes`; the in-loop `Const` is then dead).
@@ -83,9 +83,7 @@
 //!    `Charge` stay for the first trip, so every later trip costs one
 //!    control dispatch instead of three, and the charge signature sees
 //!    the carried amount as a replay of the head's region
-//!    (`analysis::charge_signature`). Last, a `Jump` whose target is a
-//!    `LoopNext` becomes a copy of it, so an `if`/`else` arm ending a
-//!    loop body takes the back edge in one dispatch.
+//!    (`analysis::charge_signature`).
 //! 7. **Register coalescing** — surviving registers are renumbered
 //!    densely, shrinking `n_regs` and with it the per-invocation frame
 //!    reset cost.
@@ -123,8 +121,8 @@ pub enum OptLevel {
     /// transforms inlined into their callers, scalar slots promoted to
     /// registers, chunk-wide value tracking, dead-code elimination,
     /// superinstruction fusion, charge folding, loop constants in
-    /// registers set once, rotated counted loops, threaded back-edge
-    /// jumps, and register coalescing.
+    /// registers set once, rotated counted loops, and register
+    /// coalescing.
     #[default]
     O3,
 }
@@ -142,7 +140,7 @@ impl OptLevel {
 pub struct PassViolation {
     /// Pass name: `lowering`, `inline`, `promote`, `dce`, `retarget`,
     /// `compact`, `value`, `fuse`, `fold_charges`, `const_homes`,
-    /// `rotate`, `thread_jumps`, or `renumber_regs`.
+    /// `rotate`, or `renumber_regs`.
     pub pass: &'static str,
     /// The chunk's label.
     pub label: String,
@@ -377,8 +375,6 @@ impl<'a> Pipeline<'a> {
         rotate_loops(&mut self.code);
         compact(&mut self.code, None);
         self.gate("rotate")?;
-        thread_jumps(&mut self.code);
-        self.gate("thread_jumps")?;
         self.sweep()?;
 
         self.n_regs = renumber_regs(&mut self.code);
@@ -1099,8 +1095,7 @@ fn dce(code: &mut [Instr], n_slots: u16, output_slots: &[Slot]) -> Liveness {
         false
     };
     let cfg = Cfg::build(code);
-    // Blocks nothing reaches go whole (jump threading strands the
-    // `LoopNext` it copied).
+    // Blocks nothing reaches go whole.
     let reached = cfg.reached();
     for b in (0..cfg.len()).filter(|&b| !reached[b]) {
         code[cfg.range(b)].fill(Instr::Nop);
@@ -1724,7 +1719,7 @@ fn fold_charges(code: &mut [Instr]) {
     flush(code, &mut pending, &mut first);
 }
 
-// ---- loop rotation and jump threading ----------------------------------------
+// ---- loop rotation ---------------------------------------------------------
 
 /// Fuses each counted loop's back edge — an `AddImm` + `Jump` to a
 /// `JumpIfGe` head, with no jump landing on the `Jump` — into one
@@ -1762,19 +1757,6 @@ fn rotate_loops(code: &mut [Instr]) {
             charge,
         };
         code[i + 1] = Instr::Nop;
-    }
-}
-
-/// A `Jump` whose target is a `LoopNext` becomes a copy of it: the
-/// `if`/`else` arm that ends a loop body steps, tests and re-enters the
-/// loop in one dispatch instead of two.
-fn thread_jumps(code: &mut [Instr]) {
-    for i in 0..code.len() {
-        if let Instr::Jump { target } = code[i] {
-            if let Some(next @ Instr::LoopNext { .. }) = code.get(target) {
-                code[i] = next.clone();
-            }
-        }
     }
 }
 

@@ -8,10 +8,9 @@
 //! looking up the correct bin that will obtain a requested accuracy."
 
 use pb_config::{AccuracyBins, Config};
-use serde::{Deserialize, Serialize};
 
 /// The trained configuration for one accuracy bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunedEntry {
     /// The bin's accuracy target.
     pub target: f64,
@@ -22,6 +21,13 @@ pub struct TunedEntry {
     /// Mean cost observed during training (per the tuner's cost model).
     pub observed_time: f64,
 }
+
+serde::json_object!(TunedEntry {
+    target,
+    config,
+    observed_accuracy,
+    observed_time,
+});
 
 /// A fully trained variable-accuracy program: one configuration per
 /// accuracy bin.
@@ -45,12 +51,18 @@ pub struct TunedEntry {
 /// // A request for accuracy 0.7 is served by the 0.9 bin.
 /// assert_eq!(tuned.entry_meeting(0.7).unwrap().target, 0.9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunedProgram {
     transform: String,
     bins: AccuracyBins,
     entries: Vec<TunedEntry>,
 }
+
+serde::json_object!(TunedProgram {
+    transform,
+    bins,
+    entries
+});
 
 impl TunedProgram {
     /// Assembles a tuned program.
@@ -170,7 +182,68 @@ impl TunedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pb_config::Schema;
+    use pb_config::{Schema, Value};
+
+    /// The persisted form of a two-bin program. Tuned programs already
+    /// on disk are in this form, so it may not move by a byte.
+    const GOLDEN: &str = r#"{
+  "transform": "golden",
+  "bins": {
+    "targets": [
+      0.5,
+      0.95
+    ]
+  },
+  "entries": [
+    {
+      "target": 0.5,
+      "config": {
+        "transform": "golden",
+        "values": [
+          {
+            "Int": 7
+          }
+        ]
+      },
+      "observed_accuracy": 0.625,
+      "observed_time": 1.0
+    },
+    {
+      "target": 0.95,
+      "config": {
+        "transform": "golden",
+        "values": [
+          {
+            "Int": 1
+          }
+        ]
+      },
+      "observed_accuracy": 0.96875,
+      "observed_time": 0.00000015
+    }
+  ]
+}"#;
+
+    #[test]
+    fn json_form_is_pinned() {
+        let mut schema = Schema::new("golden");
+        schema.add_accuracy_variable("iters", 1, 100);
+        let mut fast = schema.default_config();
+        fast.set_by_name(&schema, "iters", Value::Int(7)).unwrap();
+        let entry = |target, config, observed_accuracy, observed_time| TunedEntry {
+            target,
+            config,
+            observed_accuracy,
+            observed_time,
+        };
+        let entries = vec![
+            entry(0.5, fast, 0.625, 1.0),
+            entry(0.95, schema.default_config(), 0.96875, 1.5e-7),
+        ];
+        let program = TunedProgram::new("golden", AccuracyBins::new(vec![0.5, 0.95]), entries);
+        assert_eq!(program.to_json(), GOLDEN);
+        assert_eq!(TunedProgram::from_json(GOLDEN).unwrap(), program);
+    }
 
     fn demo_program() -> TunedProgram {
         let mut schema = Schema::new("demo");

@@ -27,7 +27,6 @@ use pb_config::{Config, Value};
 use pb_runtime::parallel::parallel_gen;
 use pb_runtime::{TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -189,7 +188,7 @@ struct TrialCache {
 /// the schema's fingerprint — a sidecar recorded against a different
 /// tunable schema is rejected wholesale, since its config fingerprints
 /// describe configurations of a different shape.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct SidecarFile {
     transform: String,
     schema: u64,
@@ -200,6 +199,13 @@ struct SidecarFile {
     threads: usize,
     entries: Vec<SidecarEntry>,
 }
+
+serde::json_object!(SidecarFile {
+    transform,
+    schema,
+    threads,
+    entries,
+});
 
 /// FNV-1a over the schema's canonical serialized form: changes to the
 /// tunable set, ranges, or defaults invalidate persisted sidecars.
@@ -217,7 +223,7 @@ fn schema_fingerprint(schema: &pb_config::Schema) -> u64 {
 }
 
 /// One `(key, outcome)` pair of the sidecar.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct SidecarEntry {
     fingerprint: u64,
     n: u64,
@@ -227,6 +233,16 @@ struct SidecarEntry {
     virtual_cost: f64,
     accuracy: f64,
 }
+
+serde::json_object!(SidecarEntry {
+    fingerprint,
+    n,
+    seed,
+    time,
+    wall_seconds,
+    virtual_cost,
+    accuracy,
+});
 
 /// Executes trials for the tuner: batched, optionally parallel,
 /// optionally memoized.
@@ -665,6 +681,61 @@ mod tests {
 
     fn request(config: &Config, n: u64, index: u64) -> TrialRequest {
         TrialRequest::new(Arc::new(config.clone()), n, trial_seed(n, index))
+    }
+
+    /// The canonical form of a schema holding every tunable kind. A
+    /// byte moved here changes every schema fingerprint, and so turns
+    /// every sidecar on disk cold.
+    const GOLDEN_SCHEMA: &str = r#"{"name":"golden","tunables":[{"name":"site","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},{"name":"cutoff","kind":{"Cutoff":{"min":1,"max":1024}},"default":{"Int":1}},{"name":"layout","kind":{"Switch":{"num_values":2}},"default":{"Switch":0}},{"name":"iters","kind":{"AccuracyVariable":{"min":1,"max":100}},"default":{"Int":1}},{"name":"omega","kind":{"FloatParam":{"min":1.0,"max":2.0}},"default":{"Float":1.5}},{"name":"k","kind":{"UserDefined":{"min":-4,"max":16}},"default":{"Int":-4}}]}"#;
+
+    /// A one-entry sidecar as written to disk.
+    const GOLDEN_SIDECAR: &str = r#"{
+  "transform": "golden",
+  "schema": 14695981039346656037,
+  "threads": 4,
+  "entries": [
+    {
+      "fingerprint": 18446744073709551609,
+      "n": 4096,
+      "seed": 42,
+      "time": 0.001953125,
+      "wall_seconds": 0.000025,
+      "virtual_cost": 12345.0,
+      "accuracy": -0.75
+    }
+  ]
+}"#;
+
+    #[test]
+    fn schema_and_sidecar_forms_are_pinned() {
+        let mut schema = Schema::new("golden");
+        schema.add_choice_site("site", 3);
+        schema.add_cutoff("cutoff", 1, 1024);
+        schema.add_switch("layout", 2);
+        schema.add_accuracy_variable("iters", 1, 100);
+        schema.add_float_param("omega", 1.0, 2.0);
+        schema.add_user_param("k", -4, 16);
+        assert_eq!(serde_json::to_string(&schema).unwrap(), GOLDEN_SCHEMA);
+        assert_eq!(schema_fingerprint(&schema), 17328238095768039247);
+
+        let entry = SidecarEntry {
+            fingerprint: u64::MAX - 6,
+            n: 4096,
+            seed: 42,
+            time: 0.001953125,
+            wall_seconds: 2.5e-5,
+            virtual_cost: 12345.0,
+            accuracy: -0.75,
+        };
+        let file = SidecarFile {
+            transform: "golden".into(),
+            schema: 0xCBF2_9CE4_8422_2325,
+            threads: 4,
+            entries: vec![entry],
+        };
+        assert_eq!(serde_json::to_string_pretty(&file).unwrap(), GOLDEN_SIDECAR);
+        let back: SidecarFile = serde_json::from_str(GOLDEN_SIDECAR).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{file:?}"));
     }
 
     #[test]

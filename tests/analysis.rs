@@ -111,7 +111,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Generated array-loop programs — the shapes `promote`, chunk-wide
-    /// value tracking, constant homes and jump threading rewrite — go
+    /// value tracking, constant homes and loop rotation rewrite — go
     /// through every level with every gate on.
     #[test]
     fn random_array_loop_programs_verify_clean_at_every_level(seed in 0u64..100_000) {

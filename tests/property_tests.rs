@@ -5,20 +5,23 @@
 
 use petabricks::benchmarks::binpacking::{generate_input, pack_with, ALGORITHM_NAMES};
 use petabricks::benchmarks::BinPacking;
-use petabricks::config::{AccuracyBins, DecisionTree, Schema, Value};
+use petabricks::config::{AccuracyBins, Config, DecisionTree, Schema, Value};
 use petabricks::lang::ast::{Expr, Transform as DslDecl};
 use petabricks::lang::interp::Value as DslValue;
 use petabricks::lang::{
     check_program, compile_program, extract_schema, lint_program, parse_program, Interpreter,
     OptLevel,
 };
-use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner};
+use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner, TunedProgram};
 use petabricks::stats::{welch_t_test, Comparator, CompareOutcome, OnlineStats};
-use petabricks::tuner::{Candidate, EvalMode, Evaluator, MutatorPool, Population};
+use petabricks::tuner::{
+    Autotuner, Candidate, EvalMode, Evaluator, MutatorPool, Population, TunerOptions,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -182,18 +185,58 @@ fn shipped_programs() -> Vec<String> {
     .collect()
 }
 
-/// What a byte-level edit may insert: tokens of the language, and
-/// multi-byte characters that must not be split.
-const INSERTS: &[&str] = &[
+/// What a byte-level edit of a program may insert: tokens of the
+/// language, and multi-byte characters that must not be split.
+const DSL_INSERTS: &[&str] = &[
     "§", "é", "—", "…", "(", ")", "{", "}", "[", "]", ";", ",", "=", "==", "<=", "..", ".", "+",
     "-", "*", "/", "%", "!", "&&", "||", "//", "\n", " ", "0", "1e9", "2.5", "for", "either", "or",
     "if", "let", "to", "from", "through", "len", "x",
 ];
 
+/// What a byte-level edit of a JSON file may insert: its punctuation
+/// and literals, escapes, numbers no integer field may load as a
+/// different integer, the config format's tags, and multi-byte
+/// characters.
+const JSON_INSERTS: &[&str] = &[
+    "§",
+    "é",
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    "\\u00e9",
+    "\\ud800",
+    " ",
+    "\n",
+    "-",
+    ".",
+    "e",
+    "E+",
+    "0",
+    "7",
+    "2.5",
+    "-1",
+    "1e300",
+    "9007199254740993.0",
+    "18446744073709551616",
+    "null",
+    "true",
+    "false",
+    "\"Int\"",
+    "\"Float\"",
+    "\"Switch\"",
+    "\"Tree\"",
+    "\"levels\"",
+];
+
 /// Applies 1–3 random edits to `source`: delete a byte, insert from
-/// [`INSERTS`], overwrite a byte, or duplicate a span. An edit that
+/// `inserts`, overwrite a byte, or duplicate a span. An edit that
 /// would leave invalid UTF-8 is skipped, because `&str` is the API.
-fn mutate(source: &str, rng: &mut SmallRng) -> String {
+fn mutate(source: &str, inserts: &[&str], rng: &mut SmallRng) -> String {
     let mut bytes = source.as_bytes().to_vec();
     for _ in 0..rng.gen_range(1..=3) {
         let mut edited = bytes.clone();
@@ -203,7 +246,7 @@ fn mutate(source: &str, rng: &mut SmallRng) -> String {
                 edited.remove(at);
             }
             1 => {
-                let token = INSERTS[rng.gen_range(0..INSERTS.len())];
+                let token = inserts[rng.gen_range(0..inserts.len())];
                 edited.splice(at..at, token.bytes());
             }
             2 if at < edited.len() => edited[at] = rng.gen_range(0..=255u8),
@@ -233,7 +276,7 @@ proptest! {
     fn mutated_programs_fail_with_errors_not_panics(seed in 0u64..1_000_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         for source in shipped_programs() {
-            let mutated = mutate(&source, &mut rng);
+            let mutated = mutate(&source, DSL_INSERTS, &mut rng);
             // Compilation runs whether or not sema accepts: a program
             // that skipped `check_program` must still compile to an
             // error, not a crash.
@@ -245,6 +288,89 @@ proptest! {
             });
             prop_assert!(outcome.is_ok(), "panicked on:\n{mutated}");
         }
+    }
+}
+
+/// Options for the tuning runs over [`NoisyLevels`] that write and
+/// read the trial-cache sidecar.
+fn sidecar_options() -> TunerOptions {
+    TunerOptions {
+        parallel_trials: false,
+        ..TunerOptions::fast_preset(8, 0x51DE)
+    }
+}
+
+/// The three JSON files the system persists, as it writes them: a
+/// config holding every value variant, a tuned program, and the
+/// trial-cache sidecar of a tuning run over [`NoisyLevels`].
+fn persisted_files() -> &'static [String; 3] {
+    static FILES: OnceLock<[String; 3]> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let mut tree = DecisionTree::single(0);
+        tree.add_level(64, 2);
+        tree.add_level(4096, 1);
+        let values = vec![
+            Value::Int(-3),
+            Value::Float(0.25),
+            Value::Switch(2),
+            Value::Tree(tree),
+        ];
+        let config = Config::from_values("golden".into(), values);
+        let runner = TransformRunner::new(NoisyLevels, CostModel::Virtual);
+        let path =
+            std::env::temp_dir().join(format!("pb_prop_sidecar_{}.json", std::process::id()));
+        let tuned = Autotuner::new(
+            &runner,
+            AccuracyBins::new(vec![0.1, 0.5]),
+            sidecar_options(),
+        )
+        .with_trial_cache(&path)
+        .tune()
+        .expect("tunes");
+        let sidecar = std::fs::read_to_string(&path).expect("the tuner writes its sidecar");
+        std::fs::remove_file(&path).ok();
+        [config.to_json(), tuned.to_json(), sidecar]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// A damaged config or tuned program fails to load with an error,
+    /// never a panic.
+    #[test]
+    fn mutated_config_files_fail_with_errors_not_panics(seed in 0u64..1_000_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let [config, tuned, _] = persisted_files();
+        let config = mutate(config, JSON_INSERTS, &mut rng);
+        let tuned = mutate(tuned, JSON_INSERTS, &mut rng);
+        let outcome = std::panic::catch_unwind(|| {
+            let _ = Config::from_json(&config);
+            let _ = TunedProgram::from_json(&tuned);
+        });
+        prop_assert!(outcome.is_ok(), "panicked on:\n{config}\n{tuned}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A damaged trial-cache sidecar never stops a tuning run: the
+    /// tuner that reads it starts warm from what loads, or cold.
+    #[test]
+    fn mutated_sidecars_start_warm_or_cold(seed in 0u64..1_000_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let sidecar = mutate(&persisted_files()[2], JSON_INSERTS, &mut rng);
+        let path = std::env::temp_dir().join(format!("pb_prop_mutated_{}.json", std::process::id()));
+        std::fs::write(&path, &sidecar).unwrap();
+        let runner = TransformRunner::new(NoisyLevels, CostModel::Virtual);
+        let outcome = std::panic::catch_unwind(|| {
+            Autotuner::new(&runner, AccuracyBins::new(vec![0.1, 0.5]), sidecar_options())
+                .with_trial_cache(&path)
+                .tune()
+        });
+        std::fs::remove_file(&path).ok();
+        prop_assert!(matches!(outcome, Ok(Ok(_))), "failed on:\n{sidecar}");
     }
 }
 
@@ -289,7 +415,7 @@ proptest! {
     fn accepted_mutations_run_alike_on_every_engine(seed in 0u64..1_000_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         for source in shipped_programs() {
-            let mutated = mutate(&source, &mut rng);
+            let mutated = mutate(&source, DSL_INSERTS, &mut rng);
             let Ok(program) = parse_program(&mutated) else {
                 continue;
             };

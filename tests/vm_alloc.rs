@@ -29,52 +29,70 @@
 //! the rule's frame, and the write-back moves the output back; none of
 //! the three clones an array.
 //!
-//! The tests take one lock, so no concurrent test thread pollutes the
-//! global allocation counters.
+//! The counters are per thread: each counts only what the thread
+//! reading it allocates and frees, so a free on another thread (libtest
+//! dropping a finished test's captured output, a pool worker finishing
+//! its batch) cannot land inside a measured window. The tests also take
+//! one lock, so they never measure at the same time.
 
 use petabricks::config::Value as ConfigValue;
 use petabricks::lang::interp::Value;
 use petabricks::lang::{check_program, parse_program, DslTransform, Interpreter, OptLevel};
 use petabricks::runtime::{CostModel, ExecCtx, Pool, ScratchPool, TransformRunner, TrialRunner};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
+use std::thread::LocalKey;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicI64 = AtomicI64::new(0);
-/// Allocations of at least [`BIG_BYTES`].
-static BIG: AtomicU64 = AtomicU64::new(0);
+// `const` initializers and no destructor: reading them never allocates
+// and they outlive every allocation their thread makes.
+thread_local! {
+    static ALLOCS: Cell<i64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Allocations of at least [`BIG_BYTES`].
+    static BIG: Cell<i64> = const { Cell::new(0) };
+}
 /// The byte size of [`COPY`]'s arrays as `write_back_moves_outputs`
 /// runs it.
 const BIG_BYTES: usize = 8 * COPY_LEN;
-/// Serializes the tests: both read process-wide counters.
+/// Serializes the tests.
 static COUNTERS: Mutex<()> = Mutex::new(());
+
+/// Adds `by` to the calling thread's `counter`.
+fn bump(counter: &'static LocalKey<Cell<i64>>, by: i64) {
+    let _ = counter.try_with(|c| c.set(c.get() + by));
+}
+
+/// The calling thread's `counter`.
+fn read(counter: &'static LocalKey<Cell<i64>>) -> i64 {
+    counter.with(Cell::get)
+}
 
 // SAFETY: delegates everything to `System`; only adds counters.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        bump(&ALLOCS, 1);
+        bump(&LIVE, layout.size() as i64);
         if layout.size() >= BIG_BYTES {
-            BIG.fetch_add(1, Ordering::Relaxed);
+            bump(&BIG, 1);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        bump(&LIVE, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        bump(&ALLOCS, 1);
+        bump(&LIVE, new_size as i64 - layout.size() as i64);
         if new_size >= BIG_BYTES {
-            BIG.fetch_add(1, Ordering::Relaxed);
+            bump(&BIG, 1);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -130,11 +148,11 @@ fn assert_flat_allocations(interp: &Interpreter, schema: &petabricks::config::Sc
         run_hot(interp, schema, LONG);
     }
     let allocs_of = |iters: i64| {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = read(&ALLOCS);
         for _ in 0..RUNS {
             run_hot(interp, schema, iters);
         }
-        ALLOCS.load(Ordering::Relaxed) - before
+        read(&ALLOCS) - before
     };
     let (short, long) = (allocs_of(SHORT), allocs_of(LONG));
     assert!(
@@ -240,11 +258,11 @@ fn trial_footprint(runner: &TransformRunner<DslTransform>) -> (i64, usize, usize
     for seed in 0..100 {
         runner.run_trial(&config, 64, seed);
     }
-    let warm = LIVE.load(Ordering::Relaxed);
+    let warm = read(&LIVE);
     for seed in 100..2100 {
         runner.run_trial(&config, 64, seed);
     }
-    let grown = LIVE.load(Ordering::Relaxed) - warm;
+    let grown = read(&LIVE) - warm;
     (
         grown,
         ScratchPool::default().len(),
@@ -332,9 +350,9 @@ fn write_back_moves_outputs() {
             interp.run("copy", &inputs, &mut ctx).unwrap()
         };
         run(); // warm the thread's frames and name tables
-        let before = BIG.load(Ordering::Relaxed);
+        let before = read(&BIG);
         let out = run();
-        let big = BIG.load(Ordering::Relaxed) - before;
+        let big = read(&BIG) - before;
         assert_eq!(out["Out"], Value::Arr1(input.clone()), "{level:?}");
         assert_eq!(big, 2, "{level:?}: array-sized allocations in one run");
     }

@@ -1398,8 +1398,8 @@ proptest! {
     /// place; `either`/`for_enough` inside loops; loop bodies that are
     /// one `either`, which lowering unswitches; locals bound to an
     /// array; indices that sometimes fall out of range): what
-    /// `promote`, chunk-wide value tracking, constant homes and jump
-    /// threading rewrite. Every level must reproduce the tree-walker —
+    /// `promote`, chunk-wide value tracking, constant homes and loop
+    /// rotation rewrite. Every level must reproduce the tree-walker —
     /// outputs, draws, cost, or the error it raises.
     #[test]
     fn random_array_loop_programs_are_bit_identical(seed in 0u64..100_000) {
