@@ -96,7 +96,7 @@ impl Grid2d {
     }
 
     /// Value with the zero boundary applied: out-of-range reads give 0.
-    #[inline]
+    #[cfg(test)]
     pub fn get_bc(&self, i: isize, j: isize) -> f64 {
         if i < 0 || j < 0 || i as usize >= self.n || j as usize >= self.n {
             0.0

@@ -122,7 +122,7 @@ impl Grid3d {
     }
 
     /// Value with the zero boundary applied.
-    #[inline]
+    #[cfg(test)]
     pub fn get_bc(&self, i: isize, j: isize, k: isize) -> f64 {
         let n = self.n as isize;
         if i < 0 || j < 0 || k < 0 || i >= n || j >= n || k >= n {

@@ -194,6 +194,7 @@ impl Transform for Helmholtz3d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::{multigrid_configs, trial_hash};
     use pb_config::{Config, DecisionTree, Value};
     use rand::SeedableRng;
 
@@ -294,12 +295,61 @@ mod tests {
         assert_eq!(tree.count_points("direct"), 0);
     }
 
+    /// Whole-trial hashes (output, virtual cost and accuracy bits) taken
+    /// before the stencils got interior loops and per-level face weights.
+    const PINS: [&str; 18] = [
+        "n3 estimate=0 recurse: a1631519b72e141b",
+        "n3 estimate=1 recurse: a1631519b72e141b",
+        "n7 estimate=0 recurse: 242d036a5c72fee7",
+        "n7 estimate=0 level0 sor_solve: 448ba7cd75a58226",
+        "n7 estimate=0 level0 direct: 6028e79fff75896f",
+        "n7 estimate=1 recurse: 760c95249c062fe8",
+        "n7 estimate=1 level0 sor_solve: 51f107d0389c3b89",
+        "n7 estimate=1 level0 direct: 79702aba1720752c",
+        "n15 estimate=0 recurse: ce0f52dc030b7196",
+        "n15 estimate=0 level0 sor_solve: 39b49f2baa4dfaf6",
+        "n15 estimate=0 level0 direct: 42d9192675bc5dc6",
+        "n15 estimate=0 level1 sor_solve: b14063eb7dfe97dd",
+        "n15 estimate=0 level1 direct: fb52b6636b4f049a",
+        "n15 estimate=1 recurse: 89b0e047fbff6fbd",
+        "n15 estimate=1 level0 sor_solve: b2f8ee74d3604006",
+        "n15 estimate=1 level0 direct: fdbb915ad5ae3918",
+        "n15 estimate=1 level1 sor_solve: 58eebfecda2cb050",
+        "n15 estimate=1 level1 direct: 9be3e3483c83785e",
+    ];
+
+    #[test]
+    fn whole_trials_match_their_pins() {
+        let t = Helmholtz3d;
+        let schema = t.schema();
+        let mut got = Vec::new();
+        for (n, levels) in [(3u64, 0), (7, 1), (15, 2)] {
+            let input = t.generate_input(n, &mut SmallRng::seed_from_u64(n));
+            for estimate in 0..2 {
+                let edits = [
+                    ("omega", Value::Float(1.2)),
+                    ("cycles", Value::Int(1)),
+                    ("estimate", Value::Switch(estimate)),
+                ];
+                for (label, config) in multigrid_configs(&schema, levels, &edits) {
+                    let hash = trial_hash(&t, &config, &input, n, |phi| phi.as_slice());
+                    got.push(format!("n{n} estimate={estimate} {label}: {hash:016x}"));
+                }
+            }
+        }
+        assert_eq!(got, PINS);
+    }
+
     #[test]
     fn operator_coefficients_vary_per_input() {
         let t = Helmholtz3d;
         let mut rng = SmallRng::seed_from_u64(5);
         let a = t.generate_input(7, &mut rng);
         let b = t.generate_input(7, &mut rng);
-        assert_ne!(a.problem.a, b.problem.a, "coefficient fields are random");
+        assert_ne!(
+            a.problem.a(),
+            b.problem.a(),
+            "coefficient fields are random"
+        );
     }
 }

@@ -13,6 +13,7 @@
 
 use crate::banded::SymmetricBanded;
 use crate::grid3d::Grid3d;
+use crate::lines::{each_of_colour, each_point, split_line};
 use rand::rngs::SmallRng;
 
 /// The six axis directions used for face averaging.
@@ -25,20 +26,33 @@ const DIRS: [(isize, isize, isize); 6] = [
     (0, 0, 1),
 ];
 
+/// The operator's row at one point: its diagonal `α·a + Σ w`, and the
+/// six face weights `w = (β/h²)·b_face` in `DIRS` order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Weights {
+    diag: f64,
+    face: [f64; 6],
+}
+
 /// One discretized variable-coefficient Helmholtz problem (operator
 /// only; the right-hand side travels separately).
+///
+/// The fields are private so the per-point [`Weights`], built with the
+/// problem, always describe its coefficients.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HelmholtzProblem {
     /// Zeroth-order coefficient weight.
-    pub alpha: f64,
+    alpha: f64,
     /// Diffusion weight.
-    pub beta: f64,
+    beta: f64,
     /// Point coefficient field `a`.
-    pub a: Grid3d,
+    a: Grid3d,
     /// Diffusion coefficient field `b`.
-    pub b: Grid3d,
+    b: Grid3d,
     /// Mesh spacing (doubles on each coarsening).
-    pub h: f64,
+    h: f64,
+    /// The operator's rows, in [`Grid3d::idx`] order.
+    weights: Vec<Weights>,
 }
 
 impl HelmholtzProblem {
@@ -51,12 +65,43 @@ impl HelmholtzProblem {
     ///
     /// Panics if `n == 0`.
     pub fn random(n: usize, alpha: f64, beta: f64, rng: &mut SmallRng) -> Self {
+        let a = Grid3d::random_uniform(n, 0.5, 1.0, rng);
+        let b = Grid3d::random_uniform(n, 0.5, 1.0, rng);
+        Self::new(alpha, beta, a, b, 1.0 / (n as f64 + 1.0))
+    }
+
+    /// The problem with these coefficients, its operator rows computed
+    /// once: a face coefficient is the average of the two points' `b`,
+    /// with clamped reads extending the field past the boundary.
+    fn new(alpha: f64, beta: f64, a: Grid3d, b: Grid3d, h: f64) -> Self {
+        let n = a.n();
+        let inv_h2 = 1.0 / (h * h);
+        let mut weights = Vec::with_capacity(a.len());
+        for i in 0..n {
+            for j in 0..n {
+                for k in 0..n {
+                    let here = b.get(i, j, k);
+                    let mut row = Weights {
+                        diag: alpha * a.get(i, j, k),
+                        face: [0.0; 6],
+                    };
+                    for (w, d) in row.face.iter_mut().zip(DIRS) {
+                        let there =
+                            b.get_clamped(i as isize + d.0, j as isize + d.1, k as isize + d.2);
+                        *w = beta * inv_h2 * (0.5 * (here + there));
+                        row.diag += *w;
+                    }
+                    weights.push(row);
+                }
+            }
+        }
         HelmholtzProblem {
             alpha,
             beta,
-            a: Grid3d::random_uniform(n, 0.5, 1.0, rng),
-            b: Grid3d::random_uniform(n, 0.5, 1.0, rng),
-            h: 1.0 / (n as f64 + 1.0),
+            a,
+            b,
+            h,
+            weights,
         }
     }
 
@@ -65,27 +110,39 @@ impl HelmholtzProblem {
         self.a.n()
     }
 
-    /// Face coefficient between `(i,j,k)` and its neighbour in
-    /// direction `d` (clamped reads extend the coefficient field past
-    /// the boundary).
-    #[inline]
-    fn face_b(&self, i: usize, j: usize, k: usize, d: (isize, isize, isize)) -> f64 {
-        let here = self.b.get(i, j, k);
-        let there = self
-            .b
-            .get_clamped(i as isize + d.0, j as isize + d.1, k as isize + d.2);
-        0.5 * (here + there)
+    /// The point coefficient field `a`.
+    #[cfg(test)]
+    pub fn a(&self) -> &Grid3d {
+        &self.a
     }
 
-    /// Diagonal of the discretized operator at `(i,j,k)`.
-    #[inline]
-    pub fn diag(&self, i: usize, j: usize, k: usize) -> f64 {
-        let inv_h2 = 1.0 / (self.h * self.h);
-        let mut d = self.alpha * self.a.get(i, j, k);
-        for dir in DIRS {
-            d += self.beta * inv_h2 * self.face_b(i, j, k, dir);
+    /// Calls `point(idx, (A·φ)[idx])` for every point, `k`-line by
+    /// `k`-line. An off-grid neighbour reads as a line of zeros or a
+    /// `0.0` end, the exact `+0.0` the boundary holds, so the interior
+    /// needs no boundary tests and each point sums its faces in `DIRS`
+    /// order.
+    fn stencil(&self, phi: &Grid3d, mut point: impl FnMut(usize, f64)) {
+        let n = self.n();
+        assert_eq!(phi.n(), n, "grid sizes must match");
+        let zeros = vec![0.0; n];
+        let p = phi.as_slice();
+        for i in 0..n {
+            for j in 0..n {
+                let l = i * n + j;
+                let line = &p[l * n..][..n];
+                let [xm, xp, ym, yp] = across(&p[..l * n], &p[(l + 1) * n..], i, j, n, &zeros);
+                let a = &self.a.as_slice()[l * n..][..n];
+                let w = &self.weights[l * n..][..n];
+                each_point(line, |k, left, right| {
+                    let (w, here) = (&w[k].face, line[k]);
+                    let mut v = self.alpha * a[k] * here;
+                    for (wd, nbr) in w.iter().zip([xm[k], xp[k], ym[k], yp[k], left, right]) {
+                        v += wd * (here - nbr);
+                    }
+                    point(l * n + k, v);
+                });
+            }
         }
-        d
     }
 
     /// Applies the operator: `out = A·φ`.
@@ -93,48 +150,28 @@ impl HelmholtzProblem {
     /// # Panics
     ///
     /// Panics if `phi` has a different size.
+    #[cfg(test)]
     pub fn apply(&self, phi: &Grid3d) -> Grid3d {
-        let n = self.n();
-        assert_eq!(phi.n(), n, "grid sizes must match");
-        let inv_h2 = 1.0 / (self.h * self.h);
-        let mut out = Grid3d::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    let mut v = self.alpha * self.a.get(i, j, k) * phi.get(i, j, k);
-                    for dir in DIRS {
-                        let bf = self.face_b(i, j, k, dir);
-                        let nbr =
-                            phi.get_bc(i as isize + dir.0, j as isize + dir.1, k as isize + dir.2);
-                        v += self.beta * inv_h2 * bf * (phi.get(i, j, k) - nbr);
-                    }
-                    out.set(i, j, k, v);
-                }
-            }
-        }
-        out
+        let mut out = vec![0.0; phi.len()];
+        self.stencil(phi, |idx, v| out[idx] = v);
+        Grid3d::from_vec(phi.n(), out)
     }
 
-    /// Residual `r = f − A·φ`.
+    /// Residual `r = f − A·φ`, in one pass.
     ///
     /// # Panics
     ///
     /// Panics if sizes differ.
     pub fn residual(&self, phi: &Grid3d, f: &Grid3d) -> Grid3d {
         assert_eq!(phi.n(), f.n(), "grid sizes must match");
-        let aphi = self.apply(phi);
-        let mut r = Grid3d::zeros(self.n());
-        for (ri, (fi, ai)) in r
-            .as_mut_slice()
-            .iter_mut()
-            .zip(f.as_slice().iter().zip(aphi.as_slice()))
-        {
-            *ri = fi - ai;
-        }
-        r
+        let f = f.as_slice();
+        let mut r = vec![0.0; f.len()];
+        self.stencil(phi, |idx, v| r[idx] = f[idx] - v);
+        Grid3d::from_vec(phi.n(), r)
     }
 
-    /// One Red-Black SOR sweep (red points `(i+j+k)` even first).
+    /// One Red-Black SOR sweep (red points `(i+j+k)` even first), each
+    /// colour visiting only its own points.
     ///
     /// # Panics
     ///
@@ -143,32 +180,28 @@ impl HelmholtzProblem {
         let n = self.n();
         assert_eq!(phi.n(), n, "grid sizes must match");
         assert_eq!(f.n(), n, "grid sizes must match");
-        let inv_h2 = 1.0 / (self.h * self.h);
-        for color in 0..2usize {
+        let zeros = vec![0.0; n];
+        let (p, f) = (phi.as_mut_slice(), f.as_slice());
+        for colour in 0..2 {
             for i in 0..n {
                 for j in 0..n {
-                    for k in 0..n {
-                        if (i + j + k) % 2 != color {
-                            continue;
-                        }
+                    let l = i * n + j;
+                    let (before, line, after) = split_line(p, n, l);
+                    let [xm, xp, ym, yp] = across(before, after, i, j, n, &zeros);
+                    let f = &f[l * n..][..n];
+                    let w = &self.weights[l * n..][..n];
+                    each_of_colour(line, (colour + i + j) % 2, |line, k, left, right| {
+                        let w = &w[k];
                         let mut offdiag = 0.0;
-                        let mut diag = self.alpha * self.a.get(i, j, k);
-                        for dir in DIRS {
-                            let bf = self.face_b(i, j, k, dir);
-                            diag += self.beta * inv_h2 * bf;
-                            offdiag += self.beta
-                                * inv_h2
-                                * bf
-                                * phi.get_bc(
-                                    i as isize + dir.0,
-                                    j as isize + dir.1,
-                                    k as isize + dir.2,
-                                );
+                        for (wd, nbr) in
+                            w.face.iter().zip([xm[k], xp[k], ym[k], yp[k], left, right])
+                        {
+                            offdiag += wd * nbr;
                         }
-                        let gs = (f.get(i, j, k) + offdiag) / diag;
-                        let old = phi.get(i, j, k);
-                        phi.set(i, j, k, old + omega * (gs - old));
-                    }
+                        let gs = (f[k] + offdiag) / w.diag;
+                        let old = line[k];
+                        line[k] = old + omega * (gs - old);
+                    });
                 }
             }
         }
@@ -196,13 +229,13 @@ impl HelmholtzProblem {
             }
             c
         };
-        HelmholtzProblem {
-            alpha: self.alpha,
-            beta: self.beta,
-            a: sample(&self.a),
-            b: sample(&self.b),
-            h: 2.0 * self.h,
-        }
+        Self::new(
+            self.alpha,
+            self.beta,
+            sample(&self.a),
+            sample(&self.b),
+            2.0 * self.h,
+        )
     }
 
     /// Direct solve by band Cholesky (the "ideal direct solver" for
@@ -221,7 +254,6 @@ impl HelmholtzProblem {
     pub fn direct_solve(&self, f: &Grid3d) -> Grid3d {
         let n = self.n();
         assert_eq!(f.n(), n, "grid sizes must match");
-        let inv_h2 = 1.0 / (self.h * self.h);
         // A 1-grid has no couplings, and a band must be narrower than
         // the matrix.
         let bandwidth = if n == 1 { 0 } else { n * n };
@@ -230,15 +262,13 @@ impl HelmholtzProblem {
             for j in 0..n {
                 for k in 0..n {
                     let row = f.idx(i, j, k);
-                    band.set(row, row, self.diag(i, j, k));
-                    // Couplings to the next point along each axis
-                    // (the lower triangle in `idx` order).
-                    for (here, dir, stride) in
-                        [(i, (1, 0, 0), n * n), (j, (0, 1, 0), n), (k, (0, 0, 1), 1)]
-                    {
+                    let w = &self.weights[row];
+                    band.set(row, row, w.diag);
+                    // Couplings to the next point along each axis (the
+                    // lower triangle in `idx` order): `DIRS` 1, 3 and 5.
+                    for (here, d, stride) in [(i, 1, n * n), (j, 3, n), (k, 5, 1)] {
                         if here + 1 < n {
-                            let coupling = -(self.beta * inv_h2 * self.face_b(i, j, k, dir));
-                            band.set(row + stride, row, coupling);
+                            band.set(row + stride, row, -w.face[d]);
                         }
                     }
                 }
@@ -251,7 +281,31 @@ impl HelmholtzProblem {
     }
 }
 
-/// 27-point full-weighting restriction of a residual grid.
+/// The lines `(i−1, j)`, `(i+1, j)`, `(i, j−1)` and `(i, j+1)` of an
+/// `n`-grid, the first four of `DIRS`, given the values before and
+/// after line `l = i·n + j`; an off-grid line reads as `zeros`.
+#[inline(always)]
+fn across<'a>(
+    before: &'a [f64],
+    after: &'a [f64],
+    i: usize,
+    j: usize,
+    n: usize,
+    zeros: &'a [f64],
+) -> [&'a [f64]; 4] {
+    let l = i * n + j;
+    let line = |data: &'a [f64], at: Option<usize>| at.map_or(zeros, |at| &data[at * n..][..n]);
+    [
+        line(before, (i > 0).then(|| l - n)),
+        line(after, (i + 1 < n).then_some(n - 1)),
+        line(before, (j > 0).then(|| l - 1)),
+        line(after, (j + 1 < n).then_some(0)),
+    ]
+}
+
+/// 27-point full-weighting restriction of a residual grid. Each coarse
+/// point sits on an odd fine point, so the stencil never leaves the
+/// grid.
 ///
 /// # Panics
 ///
@@ -260,41 +314,39 @@ pub fn restrict(fine: &Grid3d) -> Grid3d {
     let n = fine.n();
     assert!(n >= 3 && n % 2 == 1, "size {n} cannot be coarsened");
     let m = (n - 1) / 2;
-    let mut coarse = Grid3d::zeros(m);
+    let f = fine.as_slice();
+    let mut coarse = Vec::with_capacity(m * m * m);
     for ci in 0..m {
         for cj in 0..m {
             for ck in 0..m {
-                let (fi, fj, fk) = (
-                    (2 * ci + 1) as isize,
-                    (2 * cj + 1) as isize,
-                    (2 * ck + 1) as isize,
-                );
+                // The corner of the 3×3×3 block around fine point
+                // `(2ci+1, 2cj+1, 2ck+1)`.
+                let corner = fine.idx(2 * ci, 2 * cj, 2 * ck);
                 let mut acc = 0.0;
-                for di in -1isize..=1 {
-                    for dj in -1isize..=1 {
-                        for dk in -1isize..=1 {
-                            let w = (2 - di.abs()) * (2 - dj.abs()) * (2 - dk.abs());
-                            acc += w as f64 * fine.get_bc(fi + di, fj + dj, fk + dk);
+                for di in 0..3 {
+                    for dj in 0..3 {
+                        for dk in 0..3 {
+                            let w = (1 + di % 2) * (1 + dj % 2) * (1 + dk % 2);
+                            acc += w as f64 * f[corner + (di * n + dj) * n + dk];
                         }
                     }
                 }
-                coarse.set(ci, cj, ck, acc / 64.0);
+                coarse.push(acc / 64.0);
             }
         }
     }
-    coarse
+    Grid3d::from_vec(m, coarse)
 }
 
-/// The coarse points (and their weights) that fine index `x`
+/// The padded coarse points (and their weights) that fine index `x`
 /// interpolates from along one axis, as a fixed pair plus how many of
 /// it are in use: an odd index sits on one coarse point, an even index
 /// halfway between two.
-fn axis_stencil(x: usize) -> ([(isize, f64); 2], usize) {
-    let x = x as isize;
+fn axis_stencil(x: usize) -> ([(usize, f64); 2], usize) {
     if x % 2 == 1 {
-        ([((x - 1) / 2, 1.0), (0, 0.0)], 1)
+        ([(x.div_ceil(2), 1.0), (0, 0.0)], 1)
     } else {
-        ([(x / 2 - 1, 0.5), (x / 2, 0.5)], 2)
+        ([(x / 2, 0.5), (x / 2 + 1, 0.5)], 2)
     }
 }
 
@@ -302,26 +354,33 @@ fn axis_stencil(x: usize) -> ([(isize, f64); 2], usize) {
 pub fn prolong(coarse: &Grid3d) -> Grid3d {
     let m = coarse.n();
     let n = 2 * m + 1;
-    let mut fine = Grid3d::zeros(n);
-    for i in 0..n {
-        let (si, li) = axis_stencil(i);
-        for j in 0..n {
-            let (sj, lj) = axis_stencil(j);
-            for k in 0..n {
-                let (sk, lk) = axis_stencil(k);
+    // The coarse grid inside a shell of the boundary's zeros (coarse
+    // index `c` is padded index `c + 1`), so no read needs a boundary
+    // test.
+    let w = m + 2;
+    let mut padded = vec![0.0; w * w * w];
+    for (l, line) in coarse.as_slice().chunks_exact(m).enumerate() {
+        let (ci, cj) = (l / m, l % m);
+        padded[((ci + 1) * w + cj + 1) * w + 1..][..m].copy_from_slice(line);
+    }
+    let axes: Vec<_> = (0..n).map(axis_stencil).collect();
+    let mut fine = Vec::with_capacity(n * n * n);
+    for (si, li) in &axes {
+        for (sj, lj) in &axes {
+            for (sk, lk) in &axes {
                 let mut v = 0.0;
-                for &(ci, wi) in &si[..li] {
-                    for &(cj, wj) in &sj[..lj] {
-                        for &(ck, wk) in &sk[..lk] {
-                            v += wi * wj * wk * coarse.get_bc(ci, cj, ck);
+                for &(ci, wi) in &si[..*li] {
+                    for &(cj, wj) in &sj[..*lj] {
+                        for &(ck, wk) in &sk[..*lk] {
+                            v += wi * wj * wk * padded[(ci * w + cj) * w + ck];
                         }
                     }
                 }
-                fine.set(i, j, k, v);
+                fine.push(v);
             }
         }
     }
-    fine
+    Grid3d::from_vec(n, fine)
 }
 
 /// Adds `delta` into `phi` in place.
@@ -341,6 +400,7 @@ mod tests {
     use super::*;
     use crate::cholesky::Cholesky;
     use crate::matrix::Matrix;
+    use crate::test_inputs::assert_bits_eq;
     use rand::SeedableRng;
 
     fn problem(n: usize, seed: u64) -> HelmholtzProblem {
@@ -404,6 +464,164 @@ mod tests {
         fine
     }
 
+    /// The operator kernels as they were before the per-point weights
+    /// and interior loops, forming every face coefficient per read and
+    /// every neighbour through `get_bc`: the bit-identity oracles.
+    mod reference {
+        use super::super::{HelmholtzProblem, DIRS};
+        use crate::grid3d::Grid3d;
+
+        fn face_b(
+            p: &HelmholtzProblem,
+            i: usize,
+            j: usize,
+            k: usize,
+            d: (isize, isize, isize),
+        ) -> f64 {
+            let here = p.b.get(i, j, k);
+            let there =
+                p.b.get_clamped(i as isize + d.0, j as isize + d.1, k as isize + d.2);
+            0.5 * (here + there)
+        }
+
+        pub fn apply(p: &HelmholtzProblem, phi: &Grid3d) -> Grid3d {
+            let n = p.n();
+            let inv_h2 = 1.0 / (p.h * p.h);
+            let mut out = Grid3d::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    for k in 0..n {
+                        let mut v = p.alpha * p.a.get(i, j, k) * phi.get(i, j, k);
+                        for dir in DIRS {
+                            let bf = face_b(p, i, j, k, dir);
+                            let nbr = phi.get_bc(
+                                i as isize + dir.0,
+                                j as isize + dir.1,
+                                k as isize + dir.2,
+                            );
+                            v += p.beta * inv_h2 * bf * (phi.get(i, j, k) - nbr);
+                        }
+                        out.set(i, j, k, v);
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn residual(p: &HelmholtzProblem, phi: &Grid3d, f: &Grid3d) -> Grid3d {
+            let aphi = apply(p, phi);
+            let mut r = Grid3d::zeros(p.n());
+            for (ri, (fi, ai)) in r
+                .as_mut_slice()
+                .iter_mut()
+                .zip(f.as_slice().iter().zip(aphi.as_slice()))
+            {
+                *ri = fi - ai;
+            }
+            r
+        }
+
+        pub fn sor_sweep(p: &HelmholtzProblem, phi: &mut Grid3d, f: &Grid3d, omega: f64) {
+            let n = p.n();
+            let inv_h2 = 1.0 / (p.h * p.h);
+            for color in 0..2usize {
+                for i in 0..n {
+                    for j in 0..n {
+                        for k in 0..n {
+                            if (i + j + k) % 2 != color {
+                                continue;
+                            }
+                            let mut offdiag = 0.0;
+                            let mut diag = p.alpha * p.a.get(i, j, k);
+                            for dir in DIRS {
+                                let bf = face_b(p, i, j, k, dir);
+                                diag += p.beta * inv_h2 * bf;
+                                offdiag += p.beta
+                                    * inv_h2
+                                    * bf
+                                    * phi.get_bc(
+                                        i as isize + dir.0,
+                                        j as isize + dir.1,
+                                        k as isize + dir.2,
+                                    );
+                            }
+                            let gs = (f.get(i, j, k) + offdiag) / diag;
+                            let old = phi.get(i, j, k);
+                            phi.set(i, j, k, old + omega * (gs - old));
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn restrict(fine: &Grid3d) -> Grid3d {
+            let m = (fine.n() - 1) / 2;
+            let mut coarse = Grid3d::zeros(m);
+            for ci in 0..m {
+                for cj in 0..m {
+                    for ck in 0..m {
+                        let (fi, fj, fk) = (
+                            (2 * ci + 1) as isize,
+                            (2 * cj + 1) as isize,
+                            (2 * ck + 1) as isize,
+                        );
+                        let mut acc = 0.0;
+                        for di in -1isize..=1 {
+                            for dj in -1isize..=1 {
+                                for dk in -1isize..=1 {
+                                    let w = (2 - di.abs()) * (2 - dj.abs()) * (2 - dk.abs());
+                                    acc += w as f64 * fine.get_bc(fi + di, fj + dj, fk + dk);
+                                }
+                            }
+                        }
+                        coarse.set(ci, cj, ck, acc / 64.0);
+                    }
+                }
+            }
+            coarse
+        }
+    }
+
+    /// Every size up to 9 (both parities), then the ledger's largest
+    /// Helmholtz size.
+    const SIZES: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15];
+
+    #[test]
+    fn stencils_are_bit_identical_to_the_get_bc_versions() {
+        let mut rng = SmallRng::seed_from_u64(19);
+        for n in SIZES {
+            for (alpha, beta) in [(1.0, 1.0), (0.3, 2.5)] {
+                let p = HelmholtzProblem::random(n, alpha, beta, &mut rng);
+                let f = Grid3d::random_uniform(n, -1.0, 1.0, &mut rng);
+                let mut phi = Grid3d::random_uniform(n, -1.0, 1.0, &mut rng);
+                let mut want = phi.clone();
+                for (sweep, omega) in [1.0, 1.2, 1.9, 0.8].into_iter().enumerate() {
+                    let what = format!("n={n} alpha={alpha} sweep {sweep}");
+                    assert_bits_eq(
+                        p.apply(&phi).as_slice(),
+                        reference::apply(&p, &want).as_slice(),
+                        &format!("apply {what}"),
+                    );
+                    assert_bits_eq(
+                        p.residual(&phi, &f).as_slice(),
+                        reference::residual(&p, &want, &f).as_slice(),
+                        &format!("residual {what}"),
+                    );
+                    p.sor_sweep(&mut phi, &f, omega);
+                    reference::sor_sweep(&p, &mut want, &f, omega);
+                    assert_bits_eq(phi.as_slice(), want.as_slice(), &format!("sor {what}"));
+                }
+                if n >= 3 && n % 2 == 1 {
+                    assert_bits_eq(
+                        restrict(&phi).as_slice(),
+                        reference::restrict(&phi).as_slice(),
+                        &format!("restrict n={n}"),
+                    );
+                }
+            }
+        }
+    }
+
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
     }
@@ -432,7 +650,7 @@ mod tests {
     #[test]
     fn prolong_is_bit_identical_to_the_vec_per_axis_version() {
         let mut rng = SmallRng::seed_from_u64(13);
-        for m in [1, 3] {
+        for m in 1..=7 {
             let coarse = Grid3d::random_uniform(m, -1.0, 1.0, &mut rng);
             assert_eq!(
                 bits(prolong(&coarse).as_slice()),
@@ -487,7 +705,7 @@ mod tests {
                     let idx = e.idx(i, j, k);
                     e.as_mut_slice()[idx] = 1.0;
                     let ae = p.apply(&e);
-                    assert!((ae.get(i, j, k) - p.diag(i, j, k)).abs() < 1e-12);
+                    assert!((ae.get(i, j, k) - p.weights[e.idx(i, j, k)].diag).abs() < 1e-12);
                     e.as_mut_slice()[idx] = 0.0;
                 }
             }

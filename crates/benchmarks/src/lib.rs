@@ -43,13 +43,16 @@
 //!   eigenproblem) and best rank-k approximation.
 //! * `grid2d` / `grid3d` — vertex-centered grids with `2^k − 1`
 //!   interior points per dimension.
+//! * `lines` — line-at-a-time stencil visits that pass the zero
+//!   boundary as values, so stencil interiors need no boundary tests.
 //! * `poisson2d` — the 5-point Laplacian: operator application,
 //!   residuals, Red-Black SOR sweeps, full-weighting restriction,
 //!   bilinear prolongation, and a banded-Cholesky direct solve.
 //! * `helmholtz3d` — the variable-coefficient operator
 //!   `α·a·φ − β·∇·(b·∇φ)` with face-averaged coefficients, Red-Black
-//!   SOR, 3D transfer operators, coefficient coarsening, and a
-//!   band-Cholesky direct solve for coarse levels.
+//!   SOR over per-point face weights computed once per level, 3D
+//!   transfer operators, coefficient coarsening, and a band-Cholesky
+//!   direct solve for coarse levels.
 
 // Index loops mirror the paper's pseudocode and the textbook
 // formulations of the numeric kernels; iterator rewrites would obscure
@@ -68,6 +71,7 @@ mod grid3d;
 mod helmholtz;
 mod helmholtz3d;
 pub mod imagecompr;
+mod lines;
 mod matrix;
 mod poisson;
 mod poisson2d;

@@ -201,6 +201,7 @@ impl Transform for Poisson2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::{multigrid_configs, trial_hash};
     use pb_config::{Config, DecisionTree, Value};
 
     fn config_with(schema: &Schema, edits: &[(&str, Value)]) -> Config {
@@ -355,6 +356,53 @@ mod tests {
         } else {
             assert_eq!(outputs[0].1, outputs[1].1);
         }
+    }
+
+    /// Whole-trial hashes (output, virtual cost and accuracy bits) taken
+    /// before the stencils got interior loops and a one-pass SOR sweep.
+    const PINS: [&str; 17] = [
+        "n7 recurse: 50395ff800403855",
+        "n7 level0 sor_solve: 5c081715b2e450db",
+        "n7 level0 direct: fcd3b97a8257c9de",
+        "n15 recurse: 7dc158f5683c9c5f",
+        "n15 level0 sor_solve: f5565a815b320ce1",
+        "n15 level0 direct: 218947cfd27229c1",
+        "n15 level1 sor_solve: a5c050e1a896e9f7",
+        "n15 level1 direct: effa1976784fb322",
+        "n63 recurse: da57294dbcd22789",
+        "n63 level0 sor_solve: 902fb1fc0c013ea1",
+        "n63 level0 direct: b589778d47adde2e",
+        "n63 level1 sor_solve: 00e8dc4ebbd5b204",
+        "n63 level1 direct: 4557802e9105cc14",
+        "n63 level2 sor_solve: bc410bd379edbae4",
+        "n63 level2 direct: f27572348c2b7495",
+        "n63 level3 sor_solve: ade32092b7eda9e4",
+        "n63 level3 direct: d4617695c38a39fe",
+    ];
+
+    #[test]
+    fn whole_trials_match_their_pins() {
+        let t = Poisson2d;
+        let schema = t.schema();
+        // A cutoff no grid reaches keeps the charges independent of the
+        // pool's thread count.
+        let edits = [
+            ("omega", Value::Float(1.3)),
+            ("par_cutoff", Value::Int(1 << 16)),
+        ];
+        let mut got = Vec::new();
+        for (n, levels) in [(7u64, 1), (15, 2), (63, 4)] {
+            let mut rng = {
+                use rand::SeedableRng;
+                SmallRng::seed_from_u64(n)
+            };
+            let input = t.generate_input(n, &mut rng);
+            for (label, config) in multigrid_configs(&schema, levels, &edits) {
+                let hash = trial_hash(&t, &config, &input, n, |u| u.as_slice());
+                got.push(format!("n{n} {label}: {hash:016x}"));
+            }
+        }
+        assert_eq!(got, PINS);
     }
 
     #[test]

@@ -7,49 +7,57 @@
 
 use crate::banded::{BandedCholesky, SymmetricBanded};
 use crate::grid2d::Grid2d;
+use crate::lines::{each_of_colour, each_point, split_line};
 use std::sync::OnceLock;
 
-/// Applies the 5-point stencil: `out = A·u`.
-///
-/// # Panics
-///
-/// Panics if the grids have different sizes.
-pub fn apply(u: &Grid2d) -> Grid2d {
+/// Calls `point(idx, (A·u)[idx])` for every point, row by row. An
+/// off-grid neighbour reads as a row of zeros or a `0.0` edge, the
+/// exact `+0.0` the boundary holds, so the interior needs no boundary
+/// tests and every point keeps the neighbour order `(i−1), (i+1),
+/// (j−1), (j+1)`.
+fn stencil(u: &Grid2d, mut point: impl FnMut(usize, f64)) {
     let n = u.n();
-    let mut out = Grid2d::zeros(n);
+    let zeros = vec![0.0; n];
+    let rows = u.as_slice();
+    let row_at = |i: Option<usize>| i.map_or(&zeros[..], |i| &rows[i * n..][..n]);
     for i in 0..n {
-        for j in 0..n {
-            let v = 4.0 * u.get(i, j)
-                - u.get_bc(i as isize - 1, j as isize)
-                - u.get_bc(i as isize + 1, j as isize)
-                - u.get_bc(i as isize, j as isize - 1)
-                - u.get_bc(i as isize, j as isize + 1);
-            out.set(i, j, v);
-        }
+        let row = &rows[i * n..][..n];
+        let up = row_at(i.checked_sub(1));
+        let down = row_at((i + 1 < n).then_some(i + 1));
+        each_point(row, |j, left, right| {
+            point(i * n + j, 4.0 * row[j] - up[j] - down[j] - left - right);
+        });
     }
-    out
 }
 
-/// Residual `r = b − A·u`.
+/// Applies the 5-point stencil: `out = A·u`.
+#[cfg(test)]
+pub fn apply(u: &Grid2d) -> Grid2d {
+    let mut out = vec![0.0; u.as_slice().len()];
+    stencil(u, |idx, au| out[idx] = au);
+    Grid2d::from_vec(u.n(), out)
+}
+
+/// Residual `r = b − A·u`, in one pass.
 ///
 /// # Panics
 ///
 /// Panics if sizes differ.
 pub fn residual(u: &Grid2d, b: &Grid2d) -> Grid2d {
     assert_eq!(u.n(), b.n(), "grid sizes must match");
-    let au = apply(u);
-    let n = u.n();
-    let mut r = Grid2d::zeros(n);
-    for i in 0..n {
-        for j in 0..n {
-            r.set(i, j, b.get(i, j) - au.get(i, j));
-        }
-    }
-    r
+    let b = b.as_slice();
+    let mut r = vec![0.0; b.len()];
+    stencil(u, |idx, au| r[idx] = b[idx] - au);
+    Grid2d::from_vec(u.n(), r)
 }
 
-/// One Red-Black SOR sweep with relaxation weight `omega` (updates red
-/// points `(i+j) even` first, then black).
+/// One Red-Black SOR sweep with relaxation weight `omega`: red points
+/// `(i+j) even`, then black.
+///
+/// It runs as one pass over the rows: red row `i`, then black row
+/// `i − 1`, then the last black row. That gives the two-pass answer:
+/// black row `i − 1` reads red rows `i − 2 ..= i`, all final, and red
+/// row `i` reads black rows `i − 1 ..= i + 1`, none updated yet.
 ///
 /// # Panics
 ///
@@ -57,26 +65,33 @@ pub fn residual(u: &Grid2d, b: &Grid2d) -> Grid2d {
 pub fn sor_sweep(u: &mut Grid2d, b: &Grid2d, omega: f64) {
     assert_eq!(u.n(), b.n(), "grid sizes must match");
     let n = u.n();
-    for color in 0..2usize {
-        for i in 0..n {
-            for j in 0..n {
-                if (i + j) % 2 != color {
-                    continue;
-                }
-                let nb = u.get_bc(i as isize - 1, j as isize)
-                    + u.get_bc(i as isize + 1, j as isize)
-                    + u.get_bc(i as isize, j as isize - 1)
-                    + u.get_bc(i as isize, j as isize + 1);
-                let gs = (b.get(i, j) + nb) / 4.0;
-                let old = u.get(i, j);
-                u.set(i, j, old + omega * (gs - old));
-            }
+    let zeros = vec![0.0; n];
+    let (u, b) = (u.as_mut_slice(), b.as_slice());
+    let mut relax_row = |i: usize, colour: usize| {
+        let (above, row, below) = split_line(u, n, i);
+        let up = if i > 0 { &above[(i - 1) * n..] } else { &zeros };
+        let down = if i + 1 < n { &below[..n] } else { &zeros };
+        let b = &b[i * n..][..n];
+        each_of_colour(row, (colour + i) % 2, |row, j, left, right| {
+            let nb = up[j] + down[j] + left + right;
+            let gs = (b[j] + nb) / 4.0;
+            let old = row[j];
+            row[j] = old + omega * (gs - old);
+        });
+    };
+    for i in 0..n {
+        relax_row(i, 0);
+        if i > 0 {
+            relax_row(i - 1, 1);
         }
     }
+    relax_row(n - 1, 1);
 }
 
 /// Full-weighting restriction: an `n`-grid (`n = 2m + 1`) to the
-/// `m`-grid, with the standard 1/16·[1 2 1; 2 4 2; 1 2 1] stencil.
+/// `m`-grid, with the standard 1/16·[1 2 1; 2 4 2; 1 2 1] stencil. Each
+/// coarse point sits on an odd fine point, so the stencil never leaves
+/// the grid.
 ///
 /// # Panics
 ///
@@ -85,58 +100,50 @@ pub fn restrict(fine: &Grid2d) -> Grid2d {
     let n = fine.n();
     assert!(n >= 3 && n % 2 == 1, "grid of size {n} cannot be coarsened");
     let m = (n - 1) / 2;
-    let mut coarse = Grid2d::zeros(m);
+    let f = fine.as_slice();
+    let mut coarse = Vec::with_capacity(m * m);
     for ci in 0..m {
+        let up = &f[2 * ci * n..][..n];
+        let mid = &f[(2 * ci + 1) * n..][..n];
+        let down = &f[(2 * ci + 2) * n..][..n];
         for cj in 0..m {
-            let fi = (2 * ci + 1) as isize;
-            let fj = (2 * cj + 1) as isize;
-            let mut acc = 4.0 * fine.get_bc(fi, fj);
-            acc += 2.0
-                * (fine.get_bc(fi - 1, fj)
-                    + fine.get_bc(fi + 1, fj)
-                    + fine.get_bc(fi, fj - 1)
-                    + fine.get_bc(fi, fj + 1));
-            acc += fine.get_bc(fi - 1, fj - 1)
-                + fine.get_bc(fi - 1, fj + 1)
-                + fine.get_bc(fi + 1, fj - 1)
-                + fine.get_bc(fi + 1, fj + 1);
-            coarse.set(ci, cj, acc / 16.0);
+            let c = 2 * cj + 1;
+            let mut acc = 4.0 * mid[c];
+            acc += 2.0 * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
+            acc += up[c - 1] + up[c + 1] + down[c - 1] + down[c + 1];
+            coarse.push(acc / 16.0);
         }
     }
-    coarse
+    Grid2d::from_vec(m, coarse)
 }
 
 /// Bilinear prolongation: an `m`-grid to the `n = 2m + 1` grid.
 pub fn prolong(coarse: &Grid2d) -> Grid2d {
     let m = coarse.n();
     let n = 2 * m + 1;
-    let mut fine = Grid2d::zeros(n);
-    let cv = |i: isize, j: isize| coarse.get_bc(i, j);
-    for i in 0..n {
-        for j in 0..n {
-            // Coarse coordinates: fine point (i, j) sits between coarse
-            // points ((i-1)/2, (j-1)/2) and neighbours.
-            let v = match (i % 2, j % 2) {
-                (1, 1) => cv((i as isize - 1) / 2, (j as isize - 1) / 2),
-                (1, 0) => {
-                    0.5 * (cv((i as isize - 1) / 2, j as isize / 2 - 1)
-                        + cv((i as isize - 1) / 2, j as isize / 2))
-                }
-                (0, 1) => {
-                    0.5 * (cv(i as isize / 2 - 1, (j as isize - 1) / 2)
-                        + cv(i as isize / 2, (j as isize - 1) / 2))
-                }
-                _ => {
-                    0.25 * (cv(i as isize / 2 - 1, j as isize / 2 - 1)
-                        + cv(i as isize / 2 - 1, j as isize / 2)
-                        + cv(i as isize / 2, j as isize / 2 - 1)
-                        + cv(i as isize / 2, j as isize / 2))
-                }
+    // The coarse grid inside a ring of the boundary's zeros: fine point
+    // `(i, j)` reads padded rows `i/2` and `i/2 + 1`, columns likewise,
+    // with no boundary tests.
+    let w = m + 2;
+    let mut padded = vec![0.0; w * w];
+    for (ci, row) in coarse.as_slice().chunks_exact(m).enumerate() {
+        padded[(ci + 1) * w + 1..][..m].copy_from_slice(row);
+    }
+    let mut fine = vec![0.0; n * n];
+    for (i, out) in fine.chunks_exact_mut(n).enumerate() {
+        let lo = &padded[i / 2 * w..][..w];
+        let hi = &padded[(i / 2 + 1) * w..][..w];
+        for (j, v) in out.iter_mut().enumerate() {
+            let q = j / 2;
+            *v = match (i % 2, j % 2) {
+                (1, 1) => hi[q + 1],
+                (1, 0) => 0.5 * (hi[q] + hi[q + 1]),
+                (0, 1) => 0.5 * (lo[q + 1] + hi[q + 1]),
+                _ => 0.25 * (lo[q] + lo[q + 1] + hi[q] + hi[q + 1]),
             };
-            fine.set(i, j, v);
         }
     }
-    fine
+    Grid2d::from_vec(n, fine)
 }
 
 /// Adds `delta` into `u` in place (`u += delta`).
@@ -194,9 +201,161 @@ pub fn direct_solve(b: &Grid2d) -> Grid2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::assert_bits_eq;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::sync::Barrier;
+
+    /// The stencils as they were before their interior loops, reading
+    /// every neighbour through `get_bc`: the bit-identity oracles.
+    mod reference {
+        use super::Grid2d;
+
+        pub fn apply(u: &Grid2d) -> Grid2d {
+            let n = u.n();
+            let mut out = Grid2d::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    let v = 4.0 * u.get(i, j)
+                        - u.get_bc(i as isize - 1, j as isize)
+                        - u.get_bc(i as isize + 1, j as isize)
+                        - u.get_bc(i as isize, j as isize - 1)
+                        - u.get_bc(i as isize, j as isize + 1);
+                    out.set(i, j, v);
+                }
+            }
+            out
+        }
+
+        pub fn residual(u: &Grid2d, b: &Grid2d) -> Grid2d {
+            let au = apply(u);
+            let n = u.n();
+            let mut r = Grid2d::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    r.set(i, j, b.get(i, j) - au.get(i, j));
+                }
+            }
+            r
+        }
+
+        pub fn sor_sweep(u: &mut Grid2d, b: &Grid2d, omega: f64) {
+            let n = u.n();
+            for color in 0..2usize {
+                for i in 0..n {
+                    for j in 0..n {
+                        if (i + j) % 2 != color {
+                            continue;
+                        }
+                        let nb = u.get_bc(i as isize - 1, j as isize)
+                            + u.get_bc(i as isize + 1, j as isize)
+                            + u.get_bc(i as isize, j as isize - 1)
+                            + u.get_bc(i as isize, j as isize + 1);
+                        let gs = (b.get(i, j) + nb) / 4.0;
+                        let old = u.get(i, j);
+                        u.set(i, j, old + omega * (gs - old));
+                    }
+                }
+            }
+        }
+
+        pub fn restrict(fine: &Grid2d) -> Grid2d {
+            let m = (fine.n() - 1) / 2;
+            let mut coarse = Grid2d::zeros(m);
+            for ci in 0..m {
+                for cj in 0..m {
+                    let fi = (2 * ci + 1) as isize;
+                    let fj = (2 * cj + 1) as isize;
+                    let mut acc = 4.0 * fine.get_bc(fi, fj);
+                    acc += 2.0
+                        * (fine.get_bc(fi - 1, fj)
+                            + fine.get_bc(fi + 1, fj)
+                            + fine.get_bc(fi, fj - 1)
+                            + fine.get_bc(fi, fj + 1));
+                    acc += fine.get_bc(fi - 1, fj - 1)
+                        + fine.get_bc(fi - 1, fj + 1)
+                        + fine.get_bc(fi + 1, fj - 1)
+                        + fine.get_bc(fi + 1, fj + 1);
+                    coarse.set(ci, cj, acc / 16.0);
+                }
+            }
+            coarse
+        }
+
+        pub fn prolong(coarse: &Grid2d) -> Grid2d {
+            let m = coarse.n();
+            let n = 2 * m + 1;
+            let mut fine = Grid2d::zeros(n);
+            let cv = |i: isize, j: isize| coarse.get_bc(i, j);
+            for i in 0..n {
+                for j in 0..n {
+                    let v = match (i % 2, j % 2) {
+                        (1, 1) => cv((i as isize - 1) / 2, (j as isize - 1) / 2),
+                        (1, 0) => {
+                            0.5 * (cv((i as isize - 1) / 2, j as isize / 2 - 1)
+                                + cv((i as isize - 1) / 2, j as isize / 2))
+                        }
+                        (0, 1) => {
+                            0.5 * (cv(i as isize / 2 - 1, (j as isize - 1) / 2)
+                                + cv(i as isize / 2, (j as isize - 1) / 2))
+                        }
+                        _ => {
+                            0.25 * (cv(i as isize / 2 - 1, j as isize / 2 - 1)
+                                + cv(i as isize / 2 - 1, j as isize / 2)
+                                + cv(i as isize / 2, j as isize / 2 - 1)
+                                + cv(i as isize / 2, j as isize / 2))
+                        }
+                    };
+                    fine.set(i, j, v);
+                }
+            }
+            fine
+        }
+    }
+
+    /// Every size up to 17 (both parities, so both colours start every
+    /// row), then the ledger's multigrid sizes.
+    const SIZES: [usize; 19] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 63,
+    ];
+
+    #[test]
+    fn stencils_are_bit_identical_to_the_get_bc_versions() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        for n in SIZES {
+            let b = Grid2d::random_uniform(n, -1.0, 1.0, &mut rng);
+            let mut u = Grid2d::random_uniform(n, -1.0, 1.0, &mut rng);
+            let mut want = u.clone();
+            for (sweep, omega) in [1.0, 1.3, 1.9, 0.8].into_iter().enumerate() {
+                let what = format!("n={n} sweep {sweep}");
+                assert_bits_eq(
+                    apply(&u).as_slice(),
+                    reference::apply(&want).as_slice(),
+                    &format!("apply {what}"),
+                );
+                assert_bits_eq(
+                    residual(&u, &b).as_slice(),
+                    reference::residual(&want, &b).as_slice(),
+                    &format!("residual {what}"),
+                );
+                sor_sweep(&mut u, &b, omega);
+                reference::sor_sweep(&mut want, &b, omega);
+                assert_bits_eq(u.as_slice(), want.as_slice(), &format!("sor {what}"));
+            }
+            if n >= 3 && n % 2 == 1 {
+                assert_bits_eq(
+                    restrict(&u).as_slice(),
+                    reference::restrict(&u).as_slice(),
+                    &format!("restrict n={n}"),
+                );
+            }
+            assert_bits_eq(
+                prolong(&u).as_slice(),
+                reference::prolong(&u).as_slice(),
+                &format!("prolong m={n}"),
+            );
+        }
+    }
 
     #[test]
     fn apply_matches_banded_operator() {

@@ -1,9 +1,12 @@
 //! Inputs and the comparison shared by the bit-identity oracles: each
 //! rewritten kernel keeps its previous body as a `#[cfg(test)]`
 //! reference and must reproduce it `to_bits`-exactly on all of these.
+//! The multigrid benchmarks also pin whole trials by hash.
 
 use crate::matrix::Matrix;
 use crate::tridiag::SymmetricTridiagonal;
+use pb_config::{Config, DecisionTree, Schema, Value};
+use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -72,4 +75,53 @@ pub(crate) fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
             "{what}: entry {i}: {g:e} vs {w:e}"
         );
     }
+}
+
+/// One configuration per way a multigrid cycle can end: recursing at
+/// every one of `levels` tuned levels, and SOR-solving or direct-solving
+/// at each level below recursing ones, each as `(label, config)`.
+/// `edits` set the remaining tunables.
+pub(crate) fn multigrid_configs(
+    schema: &Schema,
+    levels: usize,
+    edits: &[(&str, Value)],
+) -> Vec<(String, Config)> {
+    let mut base = schema.default_config();
+    for (name, v) in edits {
+        base.set_by_name(schema, name, v.clone()).unwrap();
+    }
+    let mut configs = vec![("recurse".to_string(), base.clone())];
+    for d in 0..levels {
+        for (action, label) in [(1, "sor_solve"), (2, "direct")] {
+            let mut c = base.clone();
+            let tree = Value::Tree(DecisionTree::single(action));
+            c.set_by_name(schema, &format!("level{d}_action"), tree)
+                .unwrap();
+            configs.push((format!("level{d} {label}"), c));
+        }
+    }
+    configs
+}
+
+/// One trial of `t` at `config` on `input`, hashed (FNV-1a) over the
+/// `to_bits` of the output's values, the virtual cost and the
+/// accuracy: equal hashes mean a bit-identical trial.
+pub(crate) fn trial_hash<T: Transform>(
+    t: &T,
+    config: &Config,
+    input: &T::Input,
+    n: u64,
+    values: impl Fn(&T::Output) -> &[f64],
+) -> u64 {
+    let schema = t.schema();
+    let mut ctx = ExecCtx::new(&schema, config, n, 0);
+    let out = t.execute(input, &mut ctx);
+    let tail = [ctx.virtual_cost(), t.accuracy(input, &out)];
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for v in values(&out).iter().chain(&tail) {
+        for byte in v.to_bits().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
 }
