@@ -16,6 +16,8 @@
 //! orders of magnitude) reproduce the paper, while absolute numbers
 //! reflect this substrate rather than the authors' 2009 Xeon testbed.
 
+#![forbid(unsafe_code)]
+
 use pb_config::AccuracyBins;
 use pb_runtime::{TrialRunner, TunedProgram};
 use pb_tuner::{Autotuner, TunerOptions};

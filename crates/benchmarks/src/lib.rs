@@ -54,6 +54,7 @@
 //!   transfer operators, coefficient coarsening, and a band-Cholesky
 //!   direct solve for coarse levels.
 
+#![forbid(unsafe_code)]
 // Index loops mirror the paper's pseudocode and the textbook
 // formulations of the numeric kernels; iterator rewrites would obscure
 // the banded/packed index algebra.

@@ -30,6 +30,8 @@
 //! # let _ = TunableKind::Switch { num_values: 2 };
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bins;
 pub mod config;
 pub mod schema;

@@ -64,6 +64,8 @@
 //! assert_eq!(program.transforms.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod analysis;
 pub mod ast;
 mod cdg;

@@ -24,8 +24,10 @@
 //! other input clones, like the interpreter's `run_rule`.
 //!
 //! The hot path is allocation-free in steady state. Each thread owns
-//! one `VmScratch` (parked in the `pb_runtime` scratch reservoir
-//! between rule invocations, held by `run_rule` during one):
+//! one `VmScratch`, a `thread_local!` that `run_rule` borrows briefly
+//! on entry (to resolve names and pop a frame) and on exit (to push the
+//! frame back), never while the rule runs, so a nested call's rules
+//! find it free:
 //!
 //! * Register and slot banks live in a `VmFrame` from its free list,
 //!   grown monotonically, replacing the `vec![…]` pair every
@@ -39,7 +41,7 @@
 //!   borrow (a few pointer-free string compares), which keeps it
 //!   correct even when the same chunk runs under different schemas
 //!   (e.g. an accuracy-metric context, which shares the thread's
-//!   scratch with the trial that precedes it).
+//!   `VmScratch` with the trial that precedes it).
 
 use crate::ast::BinOp;
 use crate::ast::Rule;
@@ -53,6 +55,7 @@ use pb_config::{ConfigError, Schema, TunableId};
 use pb_runtime::ExecCtx;
 use rand::Rng;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -222,26 +225,32 @@ struct CacheEntry {
     names: ResolvedNames,
 }
 
-/// The thread's VM scratch state, parked in the `pb_runtime` scratch
-/// reservoir between rule invocations: free execution frames plus the
+/// The thread's VM scratch state: free execution frames plus the
 /// tunable-resolution cache.
-#[derive(Default)]
-pub(crate) struct VmScratch {
+struct VmScratch {
     /// Free frames. A running rule holds one; each nested generic call
     /// holds another, so more than one per call level is never needed.
     frames: Vec<VmFrame>,
     cache: Vec<CacheEntry>,
 }
 
+thread_local! {
+    /// This thread's [`VmScratch`], shared by every context on it, so
+    /// rules on a pool worker reuse the same frames across trials and
+    /// across a trial and its accuracy metric.
+    static SCRATCH: RefCell<VmScratch> = const {
+        RefCell::new(VmScratch {
+            frames: Vec::new(),
+            cache: Vec::new(),
+        })
+    };
+}
+
 /// Frames parked in the current thread's `VmScratch` — a diagnostic
 /// for the boundedness tests: however many rules and trials a thread
 /// has run, this stays within one frame per call level.
 pub fn parked_frames() -> usize {
-    let mut pool = pb_runtime::ScratchPool::default();
-    let vm = pool.take::<VmScratch>();
-    let parked = vm.frames.len();
-    pool.put(vm);
-    parked
+    SCRATCH.with_borrow(|vm| vm.frames.len())
 }
 
 /// Caps the resolution cache so pathological programs (many chunks ×
@@ -320,12 +329,12 @@ pub(crate) fn run_rule(
     prefix: &str,
     depth: usize,
 ) -> Result<(), RuntimeError> {
-    // The thread's scratch stays with this invocation until it ends; a
-    // generic `CallTransform` parks it around the nested run.
-    let mut scratch = Some(ctx.scratch().take::<VmScratch>());
-    let vm = scratch.as_mut().expect("just taken");
-    let resolved = vm.resolve(chunk, prefix, ctx.schema());
-    let mut frame = vm.frames.pop().unwrap_or_default();
+    // The scratch is borrowed here and after the rule, never while it
+    // runs, so the rules of a nested `CallTransform` borrow it too.
+    let (resolved, mut frame) = SCRATCH.with_borrow_mut(|vm| {
+        let resolved = vm.resolve(chunk, prefix, ctx.schema());
+        (resolved, vm.frames.pop().unwrap_or_default())
+    });
     frame.reset(
         chunk.n_regs as usize,
         chunk.n_slots as usize,
@@ -333,25 +342,17 @@ pub(crate) fn run_rule(
     );
 
     let result = bind_exec_writeback(
-        interp,
-        rule,
-        chunk,
-        store,
-        ctx,
-        depth,
-        &resolved,
-        &mut frame,
-        &mut scratch,
+        interp, rule, chunk, store, ctx, depth, &resolved, &mut frame,
     );
 
     // Recycle the frame whatever the outcome (dropping parked arrays
     // now, not at the next reset, so pooled frames stay small).
     frame.release_values(chunk.n_slots as usize);
-    let mut vm = scratch.expect("re-taken after every nested call");
-    if vm.frames.len() <= CALL_DEPTH_LIMIT {
-        vm.frames.push(frame);
-    }
-    ctx.scratch().put(vm);
+    SCRATCH.with_borrow_mut(|vm| {
+        if vm.frames.len() <= CALL_DEPTH_LIMIT {
+            vm.frames.push(frame);
+        }
+    });
     result
 }
 
@@ -370,11 +371,10 @@ fn bind_exec_writeback(
     depth: usize,
     resolved: &[ResolvedName],
     frame: &mut VmFrame,
-    scratch: &mut Option<Box<VmScratch>>,
 ) -> Result<(), RuntimeError> {
     let mut bound = 0;
     let result = bind(rule, chunk, store, frame, &mut bound)
-        .and_then(|()| exec(interp, chunk, resolved, frame, scratch, ctx, depth));
+        .and_then(|()| exec(interp, chunk, resolved, frame, ctx, depth));
     let inputs = rule.inputs.iter().zip(&chunk.input_slots);
     for ((b, slot), _) in inputs.zip(&chunk.moves).take(bound).filter(|(_, &m)| m) {
         if let Some(v) = store.get_mut(&b.data) {
@@ -433,39 +433,25 @@ fn exec(
     chunk: &Chunk,
     resolved: &[ResolvedName],
     frame: &mut VmFrame,
-    scratch: &mut Option<Box<VmScratch>>,
     ctx: &mut ExecCtx<'_>,
     depth: usize,
 ) -> Result<(), RuntimeError> {
     if pb_trace::vm_profiling() {
         let mut counts = [0u64; crate::compile::N_OPCODES];
-        let result = exec_loop::<true>(
-            interp,
-            chunk,
-            resolved,
-            frame,
-            scratch,
-            ctx,
-            depth,
-            &mut counts,
-        );
+        let result = exec_loop::<true>(interp, chunk, resolved, frame, ctx, depth, &mut counts);
         pb_trace::record_chunk(&chunk.label, &counts);
         result
     } else {
-        exec_loop::<false>(interp, chunk, resolved, frame, scratch, ctx, depth, &mut [])
+        exec_loop::<false>(interp, chunk, resolved, frame, ctx, depth, &mut [])
     }
 }
 
-/// The dispatch loop. `scratch` is the thread's [`VmScratch`], which
-/// [`run_rule`] holds for the invocation (`None` only while a nested
-/// call has it).
-#[allow(clippy::too_many_arguments)]
+/// The dispatch loop.
 fn exec_loop<const PROFILE: bool>(
     interp: &Interpreter,
     chunk: &Chunk,
     resolved: &[ResolvedName],
     frame: &mut VmFrame,
-    scratch: &mut Option<Box<VmScratch>>,
     ctx: &mut ExecCtx<'_>,
     depth: usize,
     counts: &mut [u64],
@@ -801,13 +787,8 @@ fn exec_loop<const PROFILE: bool>(
                     sub_inputs.insert(param.name.clone(), operand_cow(op, regs, slots));
                 }
                 let sub_prefix = &resolved[*name as usize].sub_prefix;
-                // The callee's rules run on the thread's scratch too:
-                // park it where they find it, take it back after.
-                ctx.scratch()
-                    .put(scratch.take().expect("held between nested calls"));
                 let outputs =
                     interp.run_transform(callee_idx, &sub_inputs, ctx, sub_prefix, depth + 1);
-                *scratch = Some(ctx.scratch().take::<VmScratch>());
                 drop(sub_inputs);
                 let out_name = &callee.outputs[0].name;
                 slots[*dst as usize] = outputs?.get(out_name).cloned().ok_or_else(|| {

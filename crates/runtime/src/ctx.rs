@@ -9,7 +9,6 @@
 //! wall-clock time in tests and in the deterministic tuning mode) and an
 //! execution trace from which cycle-shape diagrams (Fig. 8) are drawn.
 
-use crate::scratch::ScratchPool;
 use pb_config::{Config, ConfigError, Schema, TunableId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -95,7 +94,6 @@ pub struct ExecCtx<'a> {
     trace: Vec<TraceEvent>,
     trace_enabled: bool,
     open_scopes: usize,
-    scratch: ScratchPool,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -111,16 +109,7 @@ impl<'a> ExecCtx<'a> {
             trace: Vec::new(),
             trace_enabled: false,
             open_scopes: 0,
-            scratch: ScratchPool::default(),
         }
-    }
-
-    /// The current thread's reusable scratch items (register banks,
-    /// resolved tunable tables, …): one per type per thread, shared by
-    /// every context on it, so executors on a pool worker reuse the
-    /// same buffers across trials — and across a trial and its metric.
-    pub fn scratch(&mut self) -> &mut ScratchPool {
-        &mut self.scratch
     }
 
     /// The schema the active configuration conforms to.

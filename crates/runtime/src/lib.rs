@@ -22,20 +22,18 @@
 //!   and domain-specific accuracy guarantees (§3.3).
 //! * [`pool`] / [`parallel`] — the persistent thread pool (one shared
 //!   job queue) and the tunable-cutoff data-parallel helpers built on
-//!   it (§5.2).
+//!   it (§5.2). `pool.rs` is the crate's one module with `unsafe` code.
 
 mod ctx;
 pub mod diag;
 pub mod guarantee;
 pub mod parallel;
 pub mod pool;
-pub mod scratch;
 pub mod transform;
 mod tuned;
 
 pub use ctx::{ExecCtx, TraceNode};
 pub use guarantee::{GuaranteeError, VerifiedRun};
 pub use pool::{Pool, PoolBatchStats};
-pub use scratch::ScratchPool;
 pub use transform::{CostModel, Transform, TransformRunner, TrialOutcome, TrialRunner};
 pub use tuned::{TunedEntry, TunedProgram};

@@ -10,27 +10,11 @@
 //! exactly as in the paper (§5.2 "switching points from a parallel
 //! work stealing scheduler to sequential code").
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use crate::pool::Pool;
-
-/// A raw output pointer that may cross thread boundaries.
-///
-/// Tasks write disjoint slots (`ptr.add(i)` for distinct `i`), which is
-/// what makes sharing the pointer sound.
-struct SendPtr<T>(*mut T);
-
-// SAFETY: `SendPtr` is only used to fan one allocation's slots out to
-// pool tasks that write disjoint indices (`ptr.add(i)` for distinct
-// `i`, each within capacity, each written exactly once), while the
-// owning `Vec` is pinned on the submitting thread for the duration of
-// the batch. `T: Send` because ownership of each written slot
-// transfers back to the submitter.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: tasks share `&SendPtr` across threads; disjoint-slot writes
-// (above) are the only access, so no synchronization on the pointee is
-// needed beyond the batch-completion fence `run_indexed` provides.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Whether a map of `count` elements with the given cutoff runs on
 /// the pool (as opposed to inline on the calling thread).
@@ -50,13 +34,13 @@ pub fn parallel_engages(count: usize, sequential_cutoff: usize) -> bool {
 ///
 /// With fewer elements than the cutoff (or a single-thread budget) the
 /// map runs sequentially on the calling thread, which is the tuned
-/// fast path for small inputs. Results are written straight into their
-/// final slots — no intermediate `Vec<Option<O>>`.
+/// fast path for small inputs. On the pool, each job fills its own
+/// contiguous part of the output, one pool task per element.
 ///
 /// # Panics
 ///
-/// Propagates the first panic from `f`. Elements already produced by
-/// other tasks are leaked (not dropped) in that case.
+/// Propagates the first panic from `f`. Every element already produced
+/// is dropped.
 ///
 /// # Examples
 ///
@@ -82,19 +66,27 @@ where
         return (0..count).map(f).collect();
     }
     let pool = Pool::global();
-    let mut out: Vec<O> = Vec::with_capacity(count);
-    let slots = SendPtr(out.as_mut_ptr());
-    let slots = &slots;
-    pool.run_indexed(count, |i| {
-        // SAFETY: `i` values are distinct across tasks, so each slot
-        // is written exactly once, within the Vec's capacity, while
-        // `out` (len 0) is fenced by `run_indexed`'s completion.
-        unsafe { slots.0.add(i).write(f(i)) };
-    });
-    // SAFETY: `run_indexed` returned without panicking, so all `count`
-    // slots were initialized.
-    unsafe { out.set_len(count) };
-    out
+    let chunk_len = pool.chunk_len(count);
+    let mut out: Vec<Option<O>> = std::iter::repeat_with(|| None).take(count).collect();
+    {
+        // One lock per part, taken by the one job that fills it: the
+        // split needs no unsafe code.
+        let parts: Vec<Mutex<&mut [Option<O>]>> =
+            out.chunks_mut(chunk_len).map(Mutex::new).collect();
+        pool.run_ranges(count, &|range: Range<usize>| {
+            // A dispatched range is one part; an inline one, all of them.
+            let mut i = range.start;
+            for part in &parts[range.start / chunk_len..range.end.div_ceil(chunk_len)] {
+                for slot in part.lock().expect("each part has one job").iter_mut() {
+                    *slot = Some(f(i));
+                    i += 1;
+                }
+            }
+        });
+    }
+    out.into_iter()
+        .map(|o| o.expect("the pool ran every part"))
+        .collect()
 }
 
 /// Number of hardware threads the global pool uses (cached in the
@@ -152,14 +144,14 @@ mod tests {
         assert!(available_threads() >= 1);
     }
 
-    /// Pins the `SendPtr` contract: every slot is written exactly once
-    /// (constructions == slots, even through pool-task fan-out), each
-    /// landing at its own index, and no value is dropped during the
-    /// writes or double-dropped afterwards — which would all be
+    /// Pins the fan-out's bookkeeping: every slot is written exactly
+    /// once (constructions == slots, even through pool-task fan-out),
+    /// each landing at its own index, and no value is dropped during
+    /// the writes or double-dropped afterwards — which would all be
     /// observable here because the payload counts its constructions
     /// and drops.
     #[test]
-    fn sendptr_writes_each_slot_exactly_once() {
+    fn pool_fills_each_slot_exactly_once() {
         static BUILT: AtomicUsize = AtomicUsize::new(0);
         static DROPPED: AtomicUsize = AtomicUsize::new(0);
 
@@ -180,14 +172,12 @@ mod tests {
         // Order and placement: slot i holds f(i).
         assert!(out.iter().enumerate().all(|(i, v)| v.0 == i));
         // Exactly-once writes: one construction per slot, and nothing
-        // dropped while the batch ran (a double write at a slot would
-        // overwrite — not drop — but would show up as extra
-        // constructions).
+        // dropped while the batch ran (a second write to a slot would
+        // drop the first value and add a construction).
         assert_eq!(BUILT.load(Ordering::Relaxed), N);
         assert_eq!(DROPPED.load(Ordering::Relaxed), 0);
         drop(out);
-        // Exactly-once drops: set_len(count) handed ownership of every
-        // initialized slot to the Vec.
+        // Exactly-once drops: the returned Vec owns every element.
         assert_eq!(DROPPED.load(Ordering::Relaxed), N);
     }
 }

@@ -9,8 +9,8 @@
 //! pushing batches a few chunks wide, so the pool is:
 //!
 //! * **Persistent workers, one FIFO.** `threads - 1` workers are
-//!   spawned once and park between batches. [`Pool::run_indexed`]
-//!   splits a batch into contiguous chunk jobs and pushes them all onto
+//!   spawned once and park between batches. A batch is split into
+//!   contiguous chunks of its indices, one job each, all pushed onto
 //!   the pool's single queue under its single lock.
 //! * **Caller participation.** The submitter pops and runs jobs (its
 //!   own or anyone's) until its batch is done, which also makes
@@ -21,7 +21,7 @@
 //!   traffic and oversubscribe small machines. A top-level single-task
 //!   batch runs inline too, without marking depth.
 //! * **Panic propagation.** A panicking task aborts its batch's
-//!   remaining tasks (best effort); the first payload is re-thrown on
+//!   remaining chunks (best effort); the first payload is re-thrown on
 //!   the submitter once the batch has drained.
 //! * **Pool-owned completion.** A batch's bookkeeping (`BatchState`)
 //!   lives on its submitter's stack, and the submitter returns as soon
@@ -56,6 +56,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -97,7 +98,7 @@ pub fn current_task_depth() -> usize {
 struct Job {
     /// The batch this job belongs to. The `BatchState` lives on the
     /// submitter's stack, and the submitter returns from
-    /// [`Pool::run_indexed`] as soon as it observes `remaining == 0`.
+    /// [`Pool::run_ranges`] as soon as it observes `remaining == 0`.
     /// The pointer is therefore valid from the job's creation up to
     /// and including the job's own `remaining.fetch_sub` in
     /// [`BatchState::execute`] (until then `remaining >= 1` keeps the
@@ -112,12 +113,12 @@ struct Job {
 // reads it only up to its own `remaining.fetch_sub` (see `Job::batch`).
 unsafe impl Send for Job {}
 
-/// Shared bookkeeping for one `run_indexed` call. Lives on the
+/// Shared bookkeeping for one dispatched batch. Lives on the
 /// submitter's stack; see [`Job::batch`] for how long jobs may use it.
 struct BatchState {
-    /// The task closure, as a raw wide pointer so `BatchState` can be
+    /// The chunk runner, as a raw wide pointer so `BatchState` can be
     /// stored behind `'static` jobs. Valid while the submitter blocks.
-    task: *const (dyn Fn(usize) + Sync),
+    task: *const (dyn Fn(Range<usize>) + Sync),
     /// Jobs not yet finished. A job's decrement is its last access to
     /// this struct.
     remaining: AtomicUsize,
@@ -133,7 +134,7 @@ struct BatchState {
 // and the threads running its jobs, each of which stops using it at
 // its own `remaining.fetch_sub` (see `Job::batch`), while the
 // submitter — which owns the struct and the closure behind `task` —
-// is still blocked in `run_indexed`. Field by field: `task` points at
+// is still blocked in `run_ranges`. Field by field: `task` points at
 // a `Sync` closure that is only ever called through `&`; `remaining`
 // and `poisoned` are atomics; `panic` holds a `Send`-only payload
 // that one job moves in (`OnceLock::set`) and only the submitter
@@ -152,17 +153,9 @@ impl BatchState {
         if !self.poisoned.load(Ordering::Relaxed) {
             let _depth = DepthGuard::enter();
             // SAFETY: the submitter keeps the closure alive until the
-            // batch completes (it blocks in `run_indexed`).
+            // batch completes (it blocks in `run_ranges`).
             let task = unsafe { &*self.task };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for i in start..end {
-                    if self.poisoned.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    task(i);
-                }
-            }));
-            if let Err(payload) = result {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(start..end))) {
                 self.poisoned.store(true, Ordering::Relaxed);
                 // First payload wins; a later one is dropped here.
                 let _ = self.panic.set(payload);
@@ -401,12 +394,27 @@ impl Pool {
     /// # Panics
     ///
     /// If any `task(i)` panics, the first panic payload is re-thrown
-    /// here after the batch drains (remaining tasks are skipped on a
+    /// here after the batch drains (remaining chunks are skipped on a
     /// best-effort basis).
     pub fn run_indexed<F>(&self, count: usize, task: F)
     where
         F: Fn(usize) + Sync,
     {
+        self.run_ranges(count, &|range: Range<usize>| range.for_each(&task));
+    }
+
+    /// The length of the chunks a dispatched batch of `count` tasks is
+    /// split into: at most `min(count, 4 · threads)` contiguous chunks,
+    /// more than threads so a thread that finishes early finds more to
+    /// pop.
+    pub(crate) fn chunk_len(&self, count: usize) -> usize {
+        count.div_ceil(self.threads * 4).max(1)
+    }
+
+    /// [`Pool::run_indexed`] by the range: runs `task` over contiguous
+    /// ranges that together cover `0..count` once, one per job if the
+    /// batch is dispatched (chunks of [`Pool::chunk_len`]), else one.
+    pub(crate) fn run_ranges(&self, count: usize, task: &(dyn Fn(Range<usize>) + Sync)) {
         if count == 0 {
             return;
         }
@@ -417,36 +425,26 @@ impl Pool {
         // so further nesting observes the right depth.
         if current_task_depth() >= 1 {
             let _depth = DepthGuard::enter();
-            for i in 0..count {
-                task(i);
-            }
-            return;
+            return task(0..count);
         }
         // Top-level degenerate batches run inline *without* marking
         // task depth: their tasks occupy no worker, so parallelism
         // nested inside them should still fan out across the idle pool.
         if self.threads < 2 || count == 1 {
             self.count_batch(count, false);
-            for i in 0..count {
-                task(i);
-            }
-            return;
+            return task(0..count);
         }
         self.count_batch(count, true);
 
-        // Split into more chunks than threads so a thread that finishes
-        // early finds more to pop.
-        let chunks = count.min(self.threads * 4);
-        let chunk_len = count.div_ceil(chunks);
+        let chunk_len = self.chunk_len(count);
         let chunks = count.div_ceil(chunk_len);
 
-        let task_obj: &(dyn Fn(usize) + Sync) = &task;
         // SAFETY: the transmute only erases the wide reference's
         // lifetime so jobs can carry it through the 'static queue
         // (same pointee type, same vtable). Sound because this
         // function does not return until every job of the batch has
         // executed, so the borrow outlives every dereference.
-        let task_ptr: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task_obj) };
+        let task_ptr: *const (dyn Fn(Range<usize>) + Sync) = unsafe { std::mem::transmute(task) };
         let state = BatchState {
             task: task_ptr,
             remaining: AtomicUsize::new(chunks),

@@ -30,6 +30,8 @@
 //! assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod compare;
 mod online;
 mod order;

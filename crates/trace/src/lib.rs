@@ -28,6 +28,8 @@
 //! not allocate, preserving the VM's zero-alloc contract (pinned by
 //! `tests/vm_alloc.rs` with profiling enabled).
 
+#![forbid(unsafe_code)]
+
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -70,6 +70,8 @@
 //! # let _ = ExecCtx::new(runner.schema(), &tuned.entry(0).config, 1, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 mod candidate;
 mod exec;

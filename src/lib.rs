@@ -38,6 +38,8 @@
 //! assert_eq!(tuned.entries().len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pb_benchmarks as benchmarks;
 pub use pb_config as config;
 pub use pb_lang as lang;

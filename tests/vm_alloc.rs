@@ -18,11 +18,12 @@
 //! allocation-free too. The profile a traced run collects must carry
 //! the chunks.
 //!
-//! A second test pins the *scratch* behind those frames: across
-//! thousands of trials, each followed by its accuracy metric under a
-//! second `ExecCtx`, a thread keeps one `VmScratch`, at most one frame
-//! per call level, and a flat heap — on the test's own thread and on a
-//! pool worker.
+//! Two more pin the *scratch* behind those frames: across thousands of
+//! trials, each followed by its accuracy metric under a second
+//! `ExecCtx`, a thread keeps at most one frame per call level and a
+//! flat heap — on the test's own thread and on a pool worker, for a
+//! call-free rule and for one whose generic sub-transform call runs
+//! the callee's rule on the same thread's scratch.
 //!
 //! A third pins the copies one run makes of its arrays: binding a
 //! read-only input and an output moves each between the data store and
@@ -38,7 +39,7 @@
 use petabricks::config::Value as ConfigValue;
 use petabricks::lang::interp::Value;
 use petabricks::lang::{check_program, parse_program, DslTransform, Interpreter, OptLevel};
-use petabricks::runtime::{CostModel, ExecCtx, Pool, ScratchPool, TransformRunner, TrialRunner};
+use petabricks::runtime::{CostModel, ExecCtx, Pool, TransformRunner, TrialRunner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -250,10 +251,49 @@ const SMOOTH: &str = r#"
     }
 "#;
 
+/// [`SMOOTH`] with the smoothing step behind a generic call: `halve`
+/// returns an array, so the inliner leaves its `CallTransform` and the
+/// callee's rule runs on a frame of its own, popped from the caller's
+/// thread scratch while the caller's rule holds another.
+const SMOOTH_NESTED: &str = r#"
+    transform smooth
+    accuracy_metric smoothacc
+    from In[n]
+    to Out[n]
+    {
+        to (Out o) from (In a) {
+            for_enough {
+                let h = halve(a);
+                for (i in 0 .. len(a)) { o[i] = o[i] / 2 + h[i]; }
+            }
+        }
+    }
+
+    transform halve
+    from X[m]
+    to Y[m]
+    {
+        to (Y y) from (X x) {
+            for (i in 0 .. len(x)) { y[i] = x[i] / 2; }
+        }
+    }
+
+    transform smoothacc
+    from Out[n], In[n]
+    to Accuracy
+    {
+        to (Accuracy acc) from (Out o, In a) {
+            let e = 0;
+            for (i in 0 .. len(a)) { e = e + abs(o[i] - a[i]); }
+            acc = 0 - e;
+        }
+    }
+"#;
+
 /// Runs 100 warm-up trials and 2 000 more on the calling thread;
-/// returns the heap growth over the 2 000, the thread's parked scratch
-/// items and its parked VM frames.
-fn trial_footprint(runner: &TransformRunner<DslTransform>) -> (i64, usize, usize) {
+/// returns the heap growth over the 2 000 and the thread's parked VM
+/// frames.
+fn trial_footprint(runner: &TransformRunner<DslTransform>) -> (i64, usize) {
     let config = runner.schema().default_config();
     for seed in 0..100 {
         runner.run_trial(&config, 64, seed);
@@ -263,17 +303,15 @@ fn trial_footprint(runner: &TransformRunner<DslTransform>) -> (i64, usize, usize
         runner.run_trial(&config, 64, seed);
     }
     let grown = read(&LIVE) - warm;
-    (
-        grown,
-        ScratchPool::default().len(),
-        petabricks::lang::vm::parked_frames(),
-    )
+    (grown, petabricks::lang::vm::parked_frames())
 }
 
-#[test]
-fn trial_scratch_stays_bounded_on_caller_and_worker_threads() {
+/// Measures [`trial_footprint`] of `src`'s `smooth` on a pool worker
+/// and on the calling thread: each must end with a parked-frame count
+/// in `frames` and a flat heap.
+fn assert_trials_stay_bounded(src: &str, frames: std::ops::RangeInclusive<usize>) {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    let program = parse_program(SMOOTH).expect("parses");
+    let program = parse_program(src).expect("parses");
     let dsl = DslTransform::compile(
         program,
         "smooth",
@@ -301,15 +339,10 @@ fn trial_scratch_stays_bounded_on_caller_and_worker_threads() {
         .unwrap()
         .expect("a worker ran a task");
 
-    for (thread, (grown, scratch_items, frames)) in
-        [("caller", trial_footprint(&runner)), ("worker", on_worker)]
-    {
-        // One scratch type in use (the VM's), so one item; a call-free
-        // rule needs one frame, the depth limit bounds any program.
-        assert_eq!(scratch_items, 1, "{thread}: parked scratch items");
+    for (thread, (grown, parked)) in [("caller", trial_footprint(&runner)), ("worker", on_worker)] {
         assert!(
-            (1..=9).contains(&frames),
-            "{thread}: {frames} parked frames"
+            frames.contains(&parked),
+            "{thread}: {parked} parked frames, want {frames:?}"
         );
         // Flat, not merely slow-growing: 2 000 trials may not keep
         // even one small allocation each.
@@ -318,6 +351,21 @@ fn trial_scratch_stays_bounded_on_caller_and_worker_threads() {
             "{thread}: heap grew {grown} bytes over 2 000 trials"
         );
     }
+}
+
+#[test]
+fn trial_scratch_stays_bounded_on_caller_and_worker_threads() {
+    // A call-free rule needs one frame; the depth limit bounds any
+    // program.
+    assert_trials_stay_bounded(SMOOTH, 1..=9);
+}
+
+#[test]
+fn nested_calls_share_the_thread_scratch() {
+    // The caller's rule and the callee's each hold one frame while
+    // both run, and give both back: two parked, whatever the trial
+    // count.
+    assert_trials_stay_bounded(SMOOTH_NESTED, 2..=2);
 }
 
 /// One array in, one out, and a loop copying the one into the other.
