@@ -7,20 +7,16 @@
 //! multigrid start that computes an initial guess on coarser grids
 //! ("work is done to converge towards the solution at smaller problem
 //! sizes before work is expended at the largest problem size", §6.4).
-//! The execution trace of a tuned configuration *is* the cycle shape
-//! drawn in Fig. 8.
+//! The solver is the [`multigrid`] one the Poisson benchmark also
+//! tunes, and the execution trace of a tuned configuration *is* the
+//! cycle shape drawn in Fig. 8.
 
-use crate::grid3d::Grid3d;
-use crate::helmholtz3d::{add_correction, prolong, restrict, HelmholtzProblem};
+use crate::grid::Grid;
+use crate::helmholtz3d::{prolong, restrict, HelmholtzProblem};
+use crate::multigrid::{self, Operator};
 use pb_config::Schema;
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
-
-/// Maximum recursion depth with dedicated tunables.
-pub const MAX_LEVELS: usize = 6;
-
-/// Per-level action choices.
-pub const ACTION_NAMES: [&str; 3] = ["recurse", "sor_solve", "direct"];
 
 /// One Helmholtz instance: the operator and its right-hand side.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +24,44 @@ pub struct HelmholtzInput {
     /// The discretized variable-coefficient operator.
     pub problem: HelmholtzProblem,
     /// Right-hand side.
-    pub f: Grid3d,
+    pub f: Grid<3>,
+}
+
+impl Operator<3> for HelmholtzProblem {
+    const MAX_LEVELS: usize = 6;
+    const MAX_CYCLES: i64 = 48;
+    const RESIDUAL_COST: f64 = 8.0;
+
+    fn relax(&self, phi: &mut Grid<3>, f: &Grid<3>, omega: f64, ctx: &mut ExecCtx<'_>) {
+        let n = self.n();
+        self.sor_sweep(phi, f, omega);
+        ctx.charge((n * n * n) as f64 * 8.0);
+    }
+
+    fn residual(&self, phi: &Grid<3>, f: &Grid<3>) -> Grid<3> {
+        HelmholtzProblem::residual(self, phi, f)
+    }
+
+    fn coarse_level(&self, r: &Grid<3>) -> (Self, Grid<3>) {
+        (self.coarsen(), restrict(r))
+    }
+
+    fn prolong(coarse: &Grid<3>) -> Grid<3> {
+        prolong(coarse)
+    }
+
+    /// Dense Cholesky on n³ unknowns: O(n⁹) — the "ideal direct
+    /// solver" that only pays off on tiny grids. The charge
+    /// deliberately still models that dense solver, the one the paper
+    /// timed, although `direct_solve` now factors the O(n⁷) band: tuned
+    /// programs and the Fig. 6–8 shapes must not depend on which
+    /// factorization produces the same bits.
+    fn direct(&self, f: &Grid<3>, ctx: &mut ExecCtx<'_>) -> Grid<3> {
+        let n = self.n();
+        let points = (n * n * n) as f64;
+        ctx.charge(points.powi(3) / 3.0 + points * points);
+        self.direct_solve(f)
+    }
 }
 
 /// The 3D Helmholtz variable-accuracy transform. The tuner's input
@@ -37,94 +70,16 @@ pub struct HelmholtzInput {
 pub struct Helmholtz3d;
 
 impl Helmholtz3d {
-    /// Solves `A·e = f` on (a coarsening of) the problem, recursively,
-    /// honouring the per-level tuned actions.
-    fn solve_level(
-        &self,
-        problem: &HelmholtzProblem,
-        f: &Grid3d,
-        depth: usize,
-        ctx: &mut ExecCtx<'_>,
-    ) -> Grid3d {
-        let n = problem.n();
-        let d = depth.min(MAX_LEVELS - 1);
-        let omega = ctx.float_param("omega").expect("schema declares omega");
-        let points = (n * n * n) as f64;
-        ctx.enter(format!("n{n}"));
-
-        let action = if n <= 3 {
-            2
-        } else {
-            ctx.with_size(n as u64, |ctx| {
-                ctx.choice(&format!("level{d}_action")).expect("schema")
-            })
-        };
-
-        let out = match action {
-            2 => {
-                // Dense Cholesky on n³ unknowns: O(n⁹) — the "ideal
-                // direct solver" that only pays off on tiny grids.
-                // The charge deliberately still models that dense
-                // solver, the one the paper timed, although
-                // `direct_solve` now factors the O(n⁷) band: tuned
-                // programs and the Fig. 6–8 shapes must not depend on
-                // which factorization produces the same bits.
-                ctx.charge(points.powi(3) / 3.0 + points * points);
-                ctx.event("direct");
-                problem.direct_solve(f)
-            }
-            1 => {
-                let iters = ctx
-                    .for_enough(&format!("level{d}_sor_iters"))
-                    .expect("schema");
-                let mut phi = Grid3d::zeros(n);
-                for _ in 0..iters {
-                    problem.sor_sweep(&mut phi, f, omega);
-                    ctx.charge(points * 8.0);
-                    ctx.event("relax");
-                }
-                phi
-            }
-            _ => {
-                let pre = ctx.for_enough(&format!("level{d}_pre")).expect("schema");
-                let post = ctx.for_enough(&format!("level{d}_post")).expect("schema");
-                let mut phi = Grid3d::zeros(n);
-                for _ in 0..pre {
-                    problem.sor_sweep(&mut phi, f, omega);
-                    ctx.charge(points * 8.0);
-                    ctx.event("relax");
-                }
-                let r = problem.residual(&phi, f);
-                ctx.charge(points * 8.0);
-                let rc = restrict(&r);
-                let coarse = problem.coarsen();
-                let ec = self.solve_level(&coarse, &rc, depth + 1, ctx);
-                let ef = prolong(&ec);
-                ctx.charge(points * 2.0);
-                add_correction(&mut phi, &ef);
-                for _ in 0..post {
-                    problem.sor_sweep(&mut phi, f, omega);
-                    ctx.charge(points * 8.0);
-                    ctx.event("relax");
-                }
-                phi
-            }
-        };
-        ctx.exit();
-        out
-    }
-
     /// The estimation phase: solve a coarsened problem and prolong the
     /// result as the initial guess (full multigrid).
-    fn estimate(&self, problem: &HelmholtzProblem, f: &Grid3d, ctx: &mut ExecCtx<'_>) -> Grid3d {
+    fn estimate(&self, problem: &HelmholtzProblem, f: &Grid<3>, ctx: &mut ExecCtx<'_>) -> Grid<3> {
         let n = problem.n();
         if n <= 3 {
-            return Grid3d::zeros(n);
+            return Grid::zeros(n);
         }
         ctx.enter("estimate");
-        let fc = restrict(f);
-        let coarse = problem.coarsen();
-        let phi_c = self.solve_level(&coarse, &fc, 1, ctx);
+        let (coarse, fc) = problem.coarse_level(f);
+        let phi_c = multigrid::solve_level(&coarse, &fc, 1, ctx);
         let guess = prolong(&phi_c);
         ctx.charge((n * n * n) as f64 * 2.0);
         ctx.exit();
@@ -134,7 +89,7 @@ impl Helmholtz3d {
 
 impl Transform for Helmholtz3d {
     type Input = HelmholtzInput;
-    type Output = Grid3d;
+    type Output = Grid<3>;
 
     fn name(&self) -> &str {
         "helmholtz3d"
@@ -142,52 +97,33 @@ impl Transform for Helmholtz3d {
 
     fn schema(&self) -> Schema {
         let mut s = Schema::new("helmholtz3d");
-        for d in 0..MAX_LEVELS {
-            s.add_choice_site(format!("level{d}_action"), ACTION_NAMES.len());
-            s.add_accuracy_variable_with_default(format!("level{d}_pre"), 0, 6, 2);
-            s.add_accuracy_variable_with_default(format!("level{d}_post"), 0, 6, 2);
-            s.add_accuracy_variable_with_default(format!("level{d}_sor_iters"), 1, 200, 10);
-        }
-        s.add_accuracy_variable_with_default("cycles", 1, 48, 2);
+        HelmholtzProblem::add_tunables(&mut s);
         s.add_switch("estimate", 2);
         s.add_float_param("omega", 0.8, 1.9);
         s
     }
 
     fn generate_input(&self, n: u64, rng: &mut SmallRng) -> HelmholtzInput {
-        let size = Grid3d::round_up_size(n.max(1) as usize);
+        let size = Grid::<3>::round_up_size(n.max(1) as usize);
         HelmholtzInput {
             problem: HelmholtzProblem::random(size, 1.0, 1.0, rng),
-            f: Grid3d::random_uniform(size, -1.0, 1.0, rng),
+            f: Grid::random_uniform(size, -1.0, 1.0, rng),
         }
     }
 
-    fn execute(&self, input: &HelmholtzInput, ctx: &mut ExecCtx<'_>) -> Grid3d {
-        let cycles = ctx.for_enough("cycles").expect("schema declares cycles");
+    fn execute(&self, input: &HelmholtzInput, ctx: &mut ExecCtx<'_>) -> Grid<3> {
         let estimate = ctx.switch("estimate").expect("schema declares estimate");
         let problem = &input.problem;
-        let n = problem.n();
-        let mut phi = if estimate == 1 {
+        let guess = if estimate == 1 {
             self.estimate(problem, &input.f, ctx)
         } else {
-            Grid3d::zeros(n)
+            Grid::zeros(problem.n())
         };
-        for _ in 0..cycles {
-            let r = problem.residual(&phi, &input.f);
-            ctx.charge((n * n * n) as f64 * 8.0);
-            let e = self.solve_level(problem, &r, 0, ctx);
-            add_correction(&mut phi, &e);
-        }
-        phi
+        multigrid::solve(problem, &input.f, guess, ctx)
     }
 
-    fn accuracy(&self, input: &HelmholtzInput, output: &Grid3d) -> f64 {
-        let initial = input.f.rms().max(f64::MIN_POSITIVE);
-        let after = input.problem.residual(output, &input.f).rms();
-        if after <= 0.0 {
-            return 16.0;
-        }
-        (initial / after).log10()
+    fn accuracy(&self, input: &HelmholtzInput, output: &Grid<3>) -> f64 {
+        multigrid::accuracy(&input.f, &input.problem.residual(output, &input.f))
     }
 }
 
@@ -222,7 +158,7 @@ mod tests {
         let t = Helmholtz3d;
         let schema = t.schema();
         let mut base = schema.default_config();
-        for d in 0..MAX_LEVELS {
+        for d in 0..HelmholtzProblem::MAX_LEVELS {
             base.set_by_name(&schema, &format!("level{d}_pre"), Value::Int(2))
                 .unwrap();
             base.set_by_name(&schema, &format!("level{d}_post"), Value::Int(2))
@@ -242,7 +178,7 @@ mod tests {
         let t = Helmholtz3d;
         let schema = t.schema();
         let mut base = schema.default_config();
-        for d in 0..MAX_LEVELS {
+        for d in 0..HelmholtzProblem::MAX_LEVELS {
             base.set_by_name(&schema, &format!("level{d}_pre"), Value::Int(1))
                 .unwrap();
             base.set_by_name(&schema, &format!("level{d}_post"), Value::Int(1))
@@ -269,7 +205,7 @@ mod tests {
         let t = Helmholtz3d;
         let schema = t.schema();
         let mut config = schema.default_config();
-        for d in 0..MAX_LEVELS {
+        for d in 0..HelmholtzProblem::MAX_LEVELS {
             config
                 .set_by_name(&schema, &format!("level{d}_pre"), Value::Int(1))
                 .unwrap();
@@ -295,27 +231,72 @@ mod tests {
         assert_eq!(tree.count_points("direct"), 0);
     }
 
+    /// The schema's JSON form, which the trial-cache sidecar
+    /// fingerprints: a reordered or re-ranged tunable changes every
+    /// tuned decision, so it must show here.
+    const SCHEMA: &str = concat!(
+        r#"{"name":"helmholtz3d","tunables":["#,
+        r#"{"name":"level0_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level0_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level0_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level0_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level1_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level1_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level1_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level1_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level2_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level2_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level2_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level2_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level3_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level3_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level3_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level3_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level4_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level4_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level4_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level4_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level5_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level5_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level5_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level5_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"cycles","kind":{"AccuracyVariable":{"min":1,"max":48}},"default":{"Int":2}},"#,
+        r#"{"name":"estimate","kind":{"Switch":{"num_values":2}},"default":{"Switch":0}},"#,
+        r#"{"name":"omega","kind":{"FloatParam":{"min":0.8,"max":1.9}},"default":{"Float":1.35}}"#,
+        "]}",
+    );
+
+    #[test]
+    fn schema_matches_its_pin() {
+        assert_eq!(
+            serde_json::to_string(&Helmholtz3d.schema()).unwrap(),
+            SCHEMA
+        );
+    }
+
     /// Whole-trial hashes (output, virtual cost and accuracy bits) taken
-    /// before the stencils got interior loops and per-level face weights.
+    /// before the stencils got interior loops and per-level face weights,
+    /// each followed by the trial's cycle-shape hash (the trace tree's
+    /// scopes and `relax`/`direct` points).
     const PINS: [&str; 18] = [
-        "n3 estimate=0 recurse: a1631519b72e141b",
-        "n3 estimate=1 recurse: a1631519b72e141b",
-        "n7 estimate=0 recurse: 242d036a5c72fee7",
-        "n7 estimate=0 level0 sor_solve: 448ba7cd75a58226",
-        "n7 estimate=0 level0 direct: 6028e79fff75896f",
-        "n7 estimate=1 recurse: 760c95249c062fe8",
-        "n7 estimate=1 level0 sor_solve: 51f107d0389c3b89",
-        "n7 estimate=1 level0 direct: 79702aba1720752c",
-        "n15 estimate=0 recurse: ce0f52dc030b7196",
-        "n15 estimate=0 level0 sor_solve: 39b49f2baa4dfaf6",
-        "n15 estimate=0 level0 direct: 42d9192675bc5dc6",
-        "n15 estimate=0 level1 sor_solve: b14063eb7dfe97dd",
-        "n15 estimate=0 level1 direct: fb52b6636b4f049a",
-        "n15 estimate=1 recurse: 89b0e047fbff6fbd",
-        "n15 estimate=1 level0 sor_solve: b2f8ee74d3604006",
-        "n15 estimate=1 level0 direct: fdbb915ad5ae3918",
-        "n15 estimate=1 level1 sor_solve: 58eebfecda2cb050",
-        "n15 estimate=1 level1 direct: 9be3e3483c83785e",
+        "n3 estimate=0 recurse: a1631519b72e141b 379b4187575bd235",
+        "n3 estimate=1 recurse: a1631519b72e141b 379b4187575bd235",
+        "n7 estimate=0 recurse: 242d036a5c72fee7 f025bd037853ae61",
+        "n7 estimate=0 level0 sor_solve: 448ba7cd75a58226 97e2353ce673830a",
+        "n7 estimate=0 level0 direct: 6028e79fff75896f 47e64f4870822439",
+        "n7 estimate=1 recurse: 760c95249c062fe8 1582d59b31963607",
+        "n7 estimate=1 level0 sor_solve: 51f107d0389c3b89 a583814a14b3eefc",
+        "n7 estimate=1 level0 direct: 79702aba1720752c 5550d549d91157cf",
+        "n15 estimate=0 recurse: ce0f52dc030b7196 5453da0ec02a11a4",
+        "n15 estimate=0 level0 sor_solve: 39b49f2baa4dfaf6 b363ea62169d9ca5",
+        "n15 estimate=0 level0 direct: 42d9192675bc5dc6 23f5ef092def0fc4",
+        "n15 estimate=0 level1 sor_solve: b14063eb7dfe97dd 60bd6985b9230f6d",
+        "n15 estimate=0 level1 direct: fb52b6636b4f049a 14941835edbd9814",
+        "n15 estimate=1 recurse: 89b0e047fbff6fbd 7bf5a5ef5dc4910e",
+        "n15 estimate=1 level0 sor_solve: b2f8ee74d3604006 2c8fed0e2ed1f0a3",
+        "n15 estimate=1 level0 direct: fdbb915ad5ae3918 2bc808f5fbb05c7e",
+        "n15 estimate=1 level1 sor_solve: 58eebfecda2cb050 fa2a6ca6dd5b877c",
+        "n15 estimate=1 level1 direct: 9be3e3483c83785e 42c3180920779556",
     ];
 
     #[test]
@@ -332,8 +313,10 @@ mod tests {
                     ("estimate", Value::Switch(estimate)),
                 ];
                 for (label, config) in multigrid_configs(&schema, levels, &edits) {
-                    let hash = trial_hash(&t, &config, &input, n, |phi| phi.as_slice());
-                    got.push(format!("n{n} estimate={estimate} {label}: {hash:016x}"));
+                    let (hash, shape) = trial_hash(&t, &config, &input, n, |phi| phi.as_slice());
+                    got.push(format!(
+                        "n{n} estimate={estimate} {label}: {hash:016x} {shape:016x}"
+                    ));
                 }
             }
         }

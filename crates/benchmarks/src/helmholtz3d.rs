@@ -12,7 +12,7 @@
 //! same matrix densely.
 
 use crate::banded::SymmetricBanded;
-use crate::grid3d::Grid3d;
+use crate::grid::Grid;
 use crate::lines::{each_of_colour, each_point, split_line};
 use rand::rngs::SmallRng;
 
@@ -46,12 +46,12 @@ pub struct HelmholtzProblem {
     /// Diffusion weight.
     beta: f64,
     /// Point coefficient field `a`.
-    a: Grid3d,
+    a: Grid<3>,
     /// Diffusion coefficient field `b`.
-    b: Grid3d,
+    b: Grid<3>,
     /// Mesh spacing (doubles on each coarsening).
     h: f64,
-    /// The operator's rows, in [`Grid3d::idx`] order.
+    /// The operator's rows, in [`Grid::idx`] order.
     weights: Vec<Weights>,
 }
 
@@ -65,18 +65,18 @@ impl HelmholtzProblem {
     ///
     /// Panics if `n == 0`.
     pub fn random(n: usize, alpha: f64, beta: f64, rng: &mut SmallRng) -> Self {
-        let a = Grid3d::random_uniform(n, 0.5, 1.0, rng);
-        let b = Grid3d::random_uniform(n, 0.5, 1.0, rng);
+        let a = Grid::random_uniform(n, 0.5, 1.0, rng);
+        let b = Grid::random_uniform(n, 0.5, 1.0, rng);
         Self::new(alpha, beta, a, b, 1.0 / (n as f64 + 1.0))
     }
 
     /// The problem with these coefficients, its operator rows computed
     /// once: a face coefficient is the average of the two points' `b`,
     /// with clamped reads extending the field past the boundary.
-    fn new(alpha: f64, beta: f64, a: Grid3d, b: Grid3d, h: f64) -> Self {
+    fn new(alpha: f64, beta: f64, a: Grid<3>, b: Grid<3>, h: f64) -> Self {
         let n = a.n();
         let inv_h2 = 1.0 / (h * h);
-        let mut weights = Vec::with_capacity(a.len());
+        let mut weights = Vec::with_capacity(a.as_slice().len());
         for i in 0..n {
             for j in 0..n {
                 for k in 0..n {
@@ -112,7 +112,7 @@ impl HelmholtzProblem {
 
     /// The point coefficient field `a`.
     #[cfg(test)]
-    pub fn a(&self) -> &Grid3d {
+    pub fn a(&self) -> &Grid<3> {
         &self.a
     }
 
@@ -121,7 +121,7 @@ impl HelmholtzProblem {
     /// `0.0` end, the exact `+0.0` the boundary holds, so the interior
     /// needs no boundary tests and each point sums its faces in `DIRS`
     /// order.
-    fn stencil(&self, phi: &Grid3d, mut point: impl FnMut(usize, f64)) {
+    fn stencil(&self, phi: &Grid<3>, mut point: impl FnMut(usize, f64)) {
         let n = self.n();
         assert_eq!(phi.n(), n, "grid sizes must match");
         let zeros = vec![0.0; n];
@@ -151,10 +151,10 @@ impl HelmholtzProblem {
     ///
     /// Panics if `phi` has a different size.
     #[cfg(test)]
-    pub fn apply(&self, phi: &Grid3d) -> Grid3d {
-        let mut out = vec![0.0; phi.len()];
+    pub fn apply(&self, phi: &Grid<3>) -> Grid<3> {
+        let mut out = vec![0.0; phi.as_slice().len()];
         self.stencil(phi, |idx, v| out[idx] = v);
-        Grid3d::from_vec(phi.n(), out)
+        Grid::from_vec(phi.n(), out)
     }
 
     /// Residual `r = f − A·φ`, in one pass.
@@ -162,12 +162,12 @@ impl HelmholtzProblem {
     /// # Panics
     ///
     /// Panics if sizes differ.
-    pub fn residual(&self, phi: &Grid3d, f: &Grid3d) -> Grid3d {
+    pub fn residual(&self, phi: &Grid<3>, f: &Grid<3>) -> Grid<3> {
         assert_eq!(phi.n(), f.n(), "grid sizes must match");
         let f = f.as_slice();
         let mut r = vec![0.0; f.len()];
         self.stencil(phi, |idx, v| r[idx] = f[idx] - v);
-        Grid3d::from_vec(phi.n(), r)
+        Grid::from_vec(phi.n(), r)
     }
 
     /// One Red-Black SOR sweep (red points `(i+j+k)` even first), each
@@ -176,7 +176,7 @@ impl HelmholtzProblem {
     /// # Panics
     ///
     /// Panics if sizes differ.
-    pub fn sor_sweep(&self, phi: &mut Grid3d, f: &Grid3d, omega: f64) {
+    pub fn sor_sweep(&self, phi: &mut Grid<3>, f: &Grid<3>, omega: f64) {
         let n = self.n();
         assert_eq!(phi.n(), n, "grid sizes must match");
         assert_eq!(f.n(), n, "grid sizes must match");
@@ -218,8 +218,8 @@ impl HelmholtzProblem {
         let n = self.n();
         assert!(n >= 3 && n % 2 == 1, "size {n} cannot be coarsened");
         let m = (n - 1) / 2;
-        let sample = |g: &Grid3d| {
-            let mut c = Grid3d::zeros(m);
+        let sample = |g: &Grid<3>| {
+            let mut c = Grid::<3>::zeros(m);
             for i in 0..m {
                 for j in 0..m {
                     for k in 0..m {
@@ -251,7 +251,7 @@ impl HelmholtzProblem {
     ///
     /// Panics if the assembled operator is not SPD, which would
     /// indicate a discretization bug.
-    pub fn direct_solve(&self, f: &Grid3d) -> Grid3d {
+    pub fn direct_solve(&self, f: &Grid<3>) -> Grid<3> {
         let n = self.n();
         assert_eq!(f.n(), n, "grid sizes must match");
         // A 1-grid has no couplings, and a band must be narrower than
@@ -277,7 +277,7 @@ impl HelmholtzProblem {
         let x = band
             .solve(f.as_slice())
             .expect("the Helmholtz operator is SPD for positive coefficients");
-        Grid3d::from_vec(n, x)
+        Grid::from_vec(n, x)
     }
 }
 
@@ -310,7 +310,7 @@ fn across<'a>(
 /// # Panics
 ///
 /// Panics if the size cannot be coarsened.
-pub fn restrict(fine: &Grid3d) -> Grid3d {
+pub fn restrict(fine: &Grid<3>) -> Grid<3> {
     let n = fine.n();
     assert!(n >= 3 && n % 2 == 1, "size {n} cannot be coarsened");
     let m = (n - 1) / 2;
@@ -335,7 +335,7 @@ pub fn restrict(fine: &Grid3d) -> Grid3d {
             }
         }
     }
-    Grid3d::from_vec(m, coarse)
+    Grid::from_vec(m, coarse)
 }
 
 /// The padded coarse points (and their weights) that fine index `x`
@@ -351,7 +351,7 @@ fn axis_stencil(x: usize) -> ([(usize, f64); 2], usize) {
 }
 
 /// Trilinear prolongation from an `m`-grid to the `2m + 1` grid.
-pub fn prolong(coarse: &Grid3d) -> Grid3d {
+pub fn prolong(coarse: &Grid<3>) -> Grid<3> {
     let m = coarse.n();
     let n = 2 * m + 1;
     // The coarse grid inside a shell of the boundary's zeros (coarse
@@ -380,19 +380,7 @@ pub fn prolong(coarse: &Grid3d) -> Grid3d {
             }
         }
     }
-    Grid3d::from_vec(n, fine)
-}
-
-/// Adds `delta` into `phi` in place.
-///
-/// # Panics
-///
-/// Panics if sizes differ.
-pub fn add_correction(phi: &mut Grid3d, delta: &Grid3d) {
-    assert_eq!(phi.n(), delta.n(), "grid sizes must match");
-    for (p, d) in phi.as_mut_slice().iter_mut().zip(delta.as_slice()) {
-        *p += d;
-    }
+    Grid::from_vec(n, fine)
 }
 
 #[cfg(test)]
@@ -413,7 +401,7 @@ mod tests {
     fn assemble_dense(p: &HelmholtzProblem) -> Matrix {
         let size = p.n().pow(3);
         let mut dense = Matrix::zeros(size, size);
-        let mut e = Grid3d::zeros(p.n());
+        let mut e = Grid::<3>::zeros(p.n());
         for col in 0..size {
             e.as_mut_slice()[col] = 1.0;
             let ae = p.apply(&e);
@@ -427,7 +415,7 @@ mod tests {
 
     /// `direct_solve` as it was before the band assembly — dense
     /// assemble-and-factor — kept as the bit-identity oracle.
-    fn dense_direct_solve(p: &HelmholtzProblem, f: &Grid3d) -> Vec<f64> {
+    fn dense_direct_solve(p: &HelmholtzProblem, f: &Grid<3>) -> Vec<f64> {
         Cholesky::factor(&assemble_dense(p))
             .expect("the Helmholtz operator is SPD for positive coefficients")
             .solve(f.as_slice())
@@ -435,10 +423,10 @@ mod tests {
 
     /// `prolong` as it was with a `Vec` per axis per fine point, kept
     /// as the bit-identity oracle.
-    fn prolong_with_vecs(coarse: &Grid3d) -> Grid3d {
+    fn prolong_with_vecs(coarse: &Grid<3>) -> Grid<3> {
         let m = coarse.n();
         let n = 2 * m + 1;
-        let mut fine = Grid3d::zeros(n);
+        let mut fine = Grid::<3>::zeros(n);
         for i in 0..n {
             for j in 0..n {
                 for k in 0..n {
@@ -469,7 +457,7 @@ mod tests {
     /// every neighbour through `get_bc`: the bit-identity oracles.
     mod reference {
         use super::super::{HelmholtzProblem, DIRS};
-        use crate::grid3d::Grid3d;
+        use crate::grid::Grid;
 
         fn face_b(
             p: &HelmholtzProblem,
@@ -484,10 +472,10 @@ mod tests {
             0.5 * (here + there)
         }
 
-        pub fn apply(p: &HelmholtzProblem, phi: &Grid3d) -> Grid3d {
+        pub fn apply(p: &HelmholtzProblem, phi: &Grid<3>) -> Grid<3> {
             let n = p.n();
             let inv_h2 = 1.0 / (p.h * p.h);
-            let mut out = Grid3d::zeros(n);
+            let mut out = Grid::<3>::zeros(n);
             for i in 0..n {
                 for j in 0..n {
                     for k in 0..n {
@@ -508,9 +496,9 @@ mod tests {
             out
         }
 
-        pub fn residual(p: &HelmholtzProblem, phi: &Grid3d, f: &Grid3d) -> Grid3d {
+        pub fn residual(p: &HelmholtzProblem, phi: &Grid<3>, f: &Grid<3>) -> Grid<3> {
             let aphi = apply(p, phi);
-            let mut r = Grid3d::zeros(p.n());
+            let mut r = Grid::<3>::zeros(p.n());
             for (ri, (fi, ai)) in r
                 .as_mut_slice()
                 .iter_mut()
@@ -521,7 +509,7 @@ mod tests {
             r
         }
 
-        pub fn sor_sweep(p: &HelmholtzProblem, phi: &mut Grid3d, f: &Grid3d, omega: f64) {
+        pub fn sor_sweep(p: &HelmholtzProblem, phi: &mut Grid<3>, f: &Grid<3>, omega: f64) {
             let n = p.n();
             let inv_h2 = 1.0 / (p.h * p.h);
             for color in 0..2usize {
@@ -554,9 +542,9 @@ mod tests {
             }
         }
 
-        pub fn restrict(fine: &Grid3d) -> Grid3d {
+        pub fn restrict(fine: &Grid<3>) -> Grid<3> {
             let m = (fine.n() - 1) / 2;
-            let mut coarse = Grid3d::zeros(m);
+            let mut coarse = Grid::<3>::zeros(m);
             for ci in 0..m {
                 for cj in 0..m {
                     for ck in 0..m {
@@ -592,8 +580,8 @@ mod tests {
         for n in SIZES {
             for (alpha, beta) in [(1.0, 1.0), (0.3, 2.5)] {
                 let p = HelmholtzProblem::random(n, alpha, beta, &mut rng);
-                let f = Grid3d::random_uniform(n, -1.0, 1.0, &mut rng);
-                let mut phi = Grid3d::random_uniform(n, -1.0, 1.0, &mut rng);
+                let f = Grid::random_uniform(n, -1.0, 1.0, &mut rng);
+                let mut phi = Grid::random_uniform(n, -1.0, 1.0, &mut rng);
                 let mut want = phi.clone();
                 for (sweep, omega) in [1.0, 1.2, 1.9, 0.8].into_iter().enumerate() {
                     let what = format!("n={n} alpha={alpha} sweep {sweep}");
@@ -635,7 +623,7 @@ mod tests {
                 let mut p = Some(fine);
                 while let Some(level) = p {
                     let m = level.n();
-                    let f = Grid3d::random_uniform(m, -1.0, 1.0, &mut rng);
+                    let f = Grid::random_uniform(m, -1.0, 1.0, &mut rng);
                     assert_eq!(
                         bits(level.direct_solve(&f).as_slice()),
                         bits(&dense_direct_solve(&level, &f)),
@@ -651,7 +639,7 @@ mod tests {
     fn prolong_is_bit_identical_to_the_vec_per_axis_version() {
         let mut rng = SmallRng::seed_from_u64(13);
         for m in 1..=7 {
-            let coarse = Grid3d::random_uniform(m, -1.0, 1.0, &mut rng);
+            let coarse = Grid::random_uniform(m, -1.0, 1.0, &mut rng);
             assert_eq!(
                 bits(prolong(&coarse).as_slice()),
                 bits(prolong_with_vecs(&coarse).as_slice()),
@@ -675,7 +663,7 @@ mod tests {
     fn direct_solve_zeroes_residual() {
         let p = problem(3, 2);
         let mut rng = SmallRng::seed_from_u64(3);
-        let f = Grid3d::random_uniform(3, -1.0, 1.0, &mut rng);
+        let f = Grid::random_uniform(3, -1.0, 1.0, &mut rng);
         let phi = p.direct_solve(&f);
         assert!(p.residual(&phi, &f).max_abs() < 1e-9);
     }
@@ -684,8 +672,8 @@ mod tests {
     fn sor_reduces_residual() {
         let p = problem(7, 4);
         let mut rng = SmallRng::seed_from_u64(5);
-        let f = Grid3d::random_uniform(7, -1.0, 1.0, &mut rng);
-        let mut phi = Grid3d::zeros(7);
+        let f = Grid::random_uniform(7, -1.0, 1.0, &mut rng);
+        let mut phi = Grid::<3>::zeros(7);
         let mut last = p.residual(&phi, &f).rms();
         for _ in 0..8 {
             p.sor_sweep(&mut phi, &f, 1.3);
@@ -698,7 +686,7 @@ mod tests {
     #[test]
     fn diag_matches_assembled_operator() {
         let p = problem(3, 6);
-        let mut e = Grid3d::zeros(3);
+        let mut e = Grid::<3>::zeros(3);
         for i in 0..3 {
             for j in 0..3 {
                 for k in 0..3 {
@@ -727,8 +715,8 @@ mod tests {
     fn transfer_operators_are_adjoint_up_to_scaling() {
         // R = (1/8)·Pᵀ in 3D.
         let mut rng = SmallRng::seed_from_u64(8);
-        let u = Grid3d::random_uniform(7, -1.0, 1.0, &mut rng);
-        let v = Grid3d::random_uniform(3, -1.0, 1.0, &mut rng);
+        let u = Grid::random_uniform(7, -1.0, 1.0, &mut rng);
+        let v = Grid::random_uniform(3, -1.0, 1.0, &mut rng);
         let lhs: f64 = restrict(&u)
             .as_slice()
             .iter()
@@ -748,16 +736,16 @@ mod tests {
     fn two_grid_cycle_beats_smoothing_alone() {
         let p = problem(7, 9);
         let mut rng = SmallRng::seed_from_u64(10);
-        let f = Grid3d::random_uniform(7, -1.0, 1.0, &mut rng);
+        let f = Grid::random_uniform(7, -1.0, 1.0, &mut rng);
 
         // Pure smoothing.
-        let mut phi_s = Grid3d::zeros(7);
+        let mut phi_s = Grid::<3>::zeros(7);
         for _ in 0..4 {
             p.sor_sweep(&mut phi_s, &f, 1.2);
         }
 
         // Two-grid: 2 sweeps, coarse direct correction, 2 sweeps.
-        let mut phi = Grid3d::zeros(7);
+        let mut phi = Grid::<3>::zeros(7);
         p.sor_sweep(&mut phi, &f, 1.2);
         p.sor_sweep(&mut phi, &f, 1.2);
         let r = p.residual(&phi, &f);
@@ -765,7 +753,7 @@ mod tests {
         let coarse = p.coarsen();
         let ec = coarse.direct_solve(&rc);
         let ef = prolong(&ec);
-        add_correction(&mut phi, &ef);
+        phi.add_correction(&ef);
         p.sor_sweep(&mut phi, &f, 1.2);
         p.sor_sweep(&mut phi, &f, 1.2);
 

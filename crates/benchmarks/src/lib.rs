@@ -27,7 +27,8 @@
 //! the reproduction has no external numeric dependencies and the
 //! autotuner faces the same algorithmic menu as in the paper:
 //!
-//! * [`Matrix`] — row-major dense matrices with the usual operations.
+//! * [`Matrix`] — row-major dense matrices (outside this crate, only
+//!   `Matrix::random_uniform` is callable, to build image inputs).
 //! * `banded` — symmetric banded storage and band Cholesky (the `DPBSV`
 //!   equivalent).
 //! * `cholesky` — the not-positive-definite error, and (in tests) the
@@ -41,8 +42,15 @@
 //! * `eigen_dc` — Cuppen-style divide-and-conquer eigensolver.
 //! * `svd` — singular value decomposition (via the symmetric
 //!   eigenproblem) and best rank-k approximation.
-//! * `grid2d` / `grid3d` — vertex-centered grids with `2^k − 1`
+//! * `grid` — vertex-centered 2-D and 3-D grids with `2^k − 1`
 //!   interior points per dimension.
+//! * `grid2d`, `grid3d` — coordinate accessors of the 2-D and 3-D
+//!   grids.
+//! * `multigrid` — the one tuned solver both PDE benchmarks run: the
+//!   per-level direct / SOR / recurse choice, the cycles loop, the
+//!   per-level tunables and the residual-ratio accuracy, over an
+//!   operator trait the Poisson stencil and the Helmholtz problem
+//!   implement.
 //! * `lines` — line-at-a-time stencil visits that pass the zero
 //!   boundary as values, so stencil interiors need no boundary tests.
 //! * `poisson2d` — the 5-point Laplacian: operator application,
@@ -67,6 +75,7 @@ pub mod clustering;
 mod eigen_bisect;
 mod eigen_dc;
 mod eigen_qr;
+mod grid;
 mod grid2d;
 mod grid3d;
 mod helmholtz;
@@ -74,6 +83,7 @@ mod helmholtz3d;
 pub mod imagecompr;
 mod lines;
 mod matrix;
+mod multigrid;
 mod poisson;
 mod poisson2d;
 mod precond;

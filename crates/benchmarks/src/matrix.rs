@@ -15,7 +15,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -24,7 +24,7 @@ impl Matrix {
     }
 
     /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -38,7 +38,7 @@ impl Matrix {
     ///
     /// Panics if the rows have differing lengths or there are no rows.
     #[cfg(test)]
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         assert!(!rows.is_empty(), "matrix needs at least one row");
         let cols = rows[0].len();
         let mut data = Vec::with_capacity(rows.len() * cols);
@@ -58,13 +58,17 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must be rows * cols");
         Matrix { rows, cols, data }
     }
 
     /// Builds a matrix from a closure over `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
         let mut m = Matrix::zeros(rows, cols);
         for i in 0..rows {
             for j in 0..cols {
@@ -83,7 +87,7 @@ impl Matrix {
 
     /// A random symmetric matrix with entries in `[-1, 1]`.
     #[cfg(test)]
-    pub fn random_symmetric(n: usize, rng: &mut SmallRng) -> Self {
+    pub(crate) fn random_symmetric(n: usize, rng: &mut SmallRng) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
@@ -97,7 +101,7 @@ impl Matrix {
 
     /// A random symmetric positive-definite matrix (`B·Bᵀ + n·I`).
     #[cfg(test)]
-    pub fn random_spd(n: usize, rng: &mut SmallRng) -> Self {
+    pub(crate) fn random_spd(n: usize, rng: &mut SmallRng) -> Self {
         let b = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
         let mut m = b.matmul(&b.transpose());
         for i in 0..n {
@@ -107,27 +111,27 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
     /// The underlying row-major data.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// The underlying row-major data, by value.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub(crate) fn into_vec(self) -> Vec<f64> {
         self.data
     }
 
@@ -136,7 +140,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index out of range");
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
@@ -146,13 +150,13 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `j` is out of range.
-    pub fn col(&self, j: usize) -> Vec<f64> {
+    pub(crate) fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "column index out of range");
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut data = Vec::with_capacity(self.data.len());
         for j in 0..self.cols {
             data.extend(self.data.iter().skip(j).step_by(self.cols.max(1)));
@@ -169,7 +173,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "inner dimensions must agree for matmul"
@@ -196,7 +200,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "vector length must equal cols");
         (0..self.rows)
             .map(|i| self.row(i).iter().zip(x).map(|(a, b)| a * b).sum())
@@ -208,7 +212,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn sub(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "shape mismatch");
         assert_eq!(self.cols, other.cols, "shape mismatch");
         let mut out = self.clone();
@@ -218,24 +222,9 @@ impl Matrix {
         out
     }
 
-    /// Element-wise sum `self + other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "shape mismatch");
-        assert_eq!(self.cols, other.cols, "shape mismatch");
-        let mut out = self.clone();
-        for (o, &b) in out.data.iter_mut().zip(&other.data) {
-            *o += b;
-        }
-        out
-    }
-
     /// Scales every entry by `s`.
     #[cfg(test)]
-    pub fn scale(&self, s: f64) -> Matrix {
+    pub(crate) fn scale(&self, s: f64) -> Matrix {
         let mut out = self.clone();
         for v in &mut out.data {
             *v *= s;
@@ -245,13 +234,13 @@ impl Matrix {
 
     /// Frobenius norm.
     #[cfg(test)]
-    pub fn frobenius_norm(&self) -> f64 {
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Root-mean-square of the entries (the error measure used by the
     /// paper's PDE and compression accuracy metrics).
-    pub fn rms(&self) -> f64 {
+    pub(crate) fn rms(&self) -> f64 {
         if self.data.is_empty() {
             0.0
         } else {
@@ -261,12 +250,13 @@ impl Matrix {
 
     /// Largest absolute entry.
     #[cfg(test)]
-    pub fn max_abs(&self) -> f64 {
+    pub(crate) fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 
     /// Whether the matrix is symmetric to within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;
         }

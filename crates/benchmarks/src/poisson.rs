@@ -5,45 +5,26 @@
 //! choosing, *at every recursion level*, whether to recurse further,
 //! iterate, or solve directly, and how many relaxations to apply before
 //! and after the coarse-grid correction. "It is this kind of trade-offs
-//! that our variable accuracy auto-tuner excels at exploring."
+//! that our variable accuracy auto-tuner excels at exploring." The
+//! solver is the [`multigrid`] one the Helmholtz benchmark also tunes.
 //!
 //! Accuracy metric: `log₁₀` of the ratio between the RMS residual of
 //! the initial guess and of the final guess (the paper's accuracy
 //! levels 10¹…10⁹ are these orders of magnitude).
 
-use crate::grid2d::Grid2d;
+use crate::grid::Grid;
+use crate::multigrid::{self, Operator};
 use crate::poisson2d;
 use pb_config::Schema;
 use pb_runtime::parallel::{available_threads, parallel_engages};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 
-/// Maximum recursion depth with dedicated tunables; deeper levels
-/// reuse the deepest set.
-pub const MAX_LEVELS: usize = 8;
-
-/// Per-level action choices.
-pub const ACTION_NAMES: [&str; 3] = ["recurse", "sor_solve", "direct"];
-
 /// The Poisson right-hand side (the unknown starts at zero).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoissonInput {
     /// Right-hand side grid (size `2^k − 1`).
-    pub b: Grid2d,
-}
-
-/// Builds the per-level tunable schema shared by this benchmark and
-/// the Helmholtz one.
-fn add_level_tunables(s: &mut Schema) {
-    for d in 0..MAX_LEVELS {
-        s.add_choice_site(format!("level{d}_action"), ACTION_NAMES.len());
-        s.add_accuracy_variable_with_default(format!("level{d}_pre"), 0, 6, 2);
-        s.add_accuracy_variable_with_default(format!("level{d}_post"), 0, 6, 2);
-        s.add_accuracy_variable_with_default(format!("level{d}_sor_iters"), 1, 200, 10);
-    }
-    s.add_accuracy_variable_with_default("cycles", 1, 64, 2);
-    s.add_float_param("omega", 0.8, 1.95);
-    s.add_cutoff("par_cutoff", 16, 1 << 16);
+    pub b: Grid<2>,
 }
 
 /// Virtual-cost units modelling the fixed overhead of dispatching one
@@ -52,108 +33,74 @@ fn add_level_tunables(s: &mut Schema) {
 /// dispatch-vs-division tradeoff the real scheduler has).
 const PAR_DISPATCH_COST: f64 = 512.0;
 
-/// One Red-Black SOR sweep, charged as split across the pool when the
-/// grid has at least `par_cutoff` rows (the §5.2 parallel/sequential
-/// switch-over, tuned like the other benchmarks' placement and
-/// assignment scans).
-///
-/// Both regimes run `poisson2d::sor_sweep` in place; they differ only
-/// in *virtual cost*, which models the schedule (work divided across
-/// the pool's threads plus a dispatch overhead). The thread count is
-/// the pool's cached budget, constant within a process, so sequential
-/// and parallel evaluator modes stay bit-identical.
-fn smooth(u: &mut Grid2d, b: &Grid2d, omega: f64, par_cutoff: usize, ctx: &mut ExecCtx<'_>) {
-    let n = u.n();
-    let work = (n * n) as f64 * 5.0;
-    poisson2d::sor_sweep(u, b, omega);
-    if parallel_engages(n, par_cutoff) {
-        ctx.charge(work / available_threads() as f64 + PAR_DISPATCH_COST);
-    } else {
-        ctx.charge(work);
+/// The scaled 5-point Laplacian at every level, with the tuned row
+/// count from which a smoother sweep is charged as split across the
+/// pool.
+#[derive(Clone, Copy)]
+struct Laplacian {
+    par_cutoff: usize,
+}
+
+impl Operator<2> for Laplacian {
+    const MAX_LEVELS: usize = 8;
+    const MAX_CYCLES: i64 = 64;
+    const RESIDUAL_COST: f64 = 6.0;
+
+    /// One Red-Black SOR sweep, charged as split across the pool when
+    /// the grid has at least `par_cutoff` rows (the §5.2
+    /// parallel/sequential switch-over, tuned like the other
+    /// benchmarks' placement and assignment scans).
+    ///
+    /// Both regimes run `poisson2d::sor_sweep` in place; they differ
+    /// only in *virtual cost*, which models the schedule (work divided
+    /// across the pool's threads plus a dispatch overhead). The thread
+    /// count is the pool's cached budget, constant within a process, so
+    /// sequential and parallel evaluator modes stay bit-identical.
+    fn relax(&self, u: &mut Grid<2>, b: &Grid<2>, omega: f64, ctx: &mut ExecCtx<'_>) {
+        let n = u.n();
+        let work = (n * n) as f64 * 5.0;
+        poisson2d::sor_sweep(u, b, omega);
+        if parallel_engages(n, self.par_cutoff) {
+            ctx.charge(work / available_threads() as f64 + PAR_DISPATCH_COST);
+        } else {
+            ctx.charge(work);
+        }
     }
-    ctx.event("relax");
+
+    fn residual(&self, u: &Grid<2>, b: &Grid<2>) -> Grid<2> {
+        poisson2d::residual(u, b)
+    }
+
+    fn coarse_level(&self, r: &Grid<2>) -> (Self, Grid<2>) {
+        let mut rc = poisson2d::restrict(r);
+        for v in rc.as_mut_slice() {
+            *v *= 4.0; // coarse-grid h² rescaling
+        }
+        (*self, rc)
+    }
+
+    fn prolong(coarse: &Grid<2>) -> Grid<2> {
+        poisson2d::prolong(coarse)
+    }
+
+    /// Direct band Cholesky: O(n² · bandwidth²) = O(n⁴). The charge
+    /// deliberately still models `DPBSV`'s factor-and-solve, the block
+    /// the paper timed, although `direct_solve` reuses one factor per
+    /// grid size: tuned programs and the Fig. 6–8 shapes must not
+    /// depend on that reuse.
+    fn direct(&self, b: &Grid<2>, ctx: &mut ExecCtx<'_>) -> Grid<2> {
+        ctx.charge((b.n() as f64).powi(4));
+        poisson2d::direct_solve(b)
+    }
 }
 
 /// The 2D Poisson variable-accuracy transform.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Poisson2d;
 
-impl Poisson2d {
-    fn solve_level(
-        &self,
-        b: &Grid2d,
-        depth: usize,
-        par_cutoff: usize,
-        ctx: &mut ExecCtx<'_>,
-    ) -> Grid2d {
-        let n = b.n();
-        let d = depth.min(MAX_LEVELS - 1);
-        let omega = ctx.float_param("omega").expect("schema declares omega");
-        ctx.enter(format!("n{n}"));
-
-        // Tiny grids always go direct; grids that cannot be coarsened
-        // cannot recurse.
-        let action = if n <= 3 {
-            2
-        } else {
-            ctx.with_size(n as u64, |ctx| {
-                ctx.choice(&format!("level{d}_action")).expect("schema")
-            })
-        };
-
-        let out = match action {
-            2 => {
-                // Direct band Cholesky: O(n² · bandwidth²) = O(n⁴).
-                // The charge deliberately still models `DPBSV`'s
-                // factor-and-solve, the block the paper timed, although
-                // `direct_solve` reuses one factor per grid size: tuned
-                // programs and the Fig. 6–8 shapes must not depend on
-                // that reuse.
-                ctx.charge((n as f64).powi(4));
-                ctx.event("direct");
-                poisson2d::direct_solve(b)
-            }
-            1 => {
-                let iters = ctx
-                    .for_enough(&format!("level{d}_sor_iters"))
-                    .expect("schema");
-                let mut u = Grid2d::zeros(n);
-                for _ in 0..iters {
-                    smooth(&mut u, b, omega, par_cutoff, ctx);
-                }
-                u
-            }
-            _ => {
-                let pre = ctx.for_enough(&format!("level{d}_pre")).expect("schema");
-                let post = ctx.for_enough(&format!("level{d}_post")).expect("schema");
-                let mut u = Grid2d::zeros(n);
-                for _ in 0..pre {
-                    smooth(&mut u, b, omega, par_cutoff, ctx);
-                }
-                let r = poisson2d::residual(&u, b);
-                ctx.charge((n * n) as f64 * 6.0);
-                let mut rc = poisson2d::restrict(&r);
-                for v in rc.as_mut_slice() {
-                    *v *= 4.0; // coarse-grid h² rescaling
-                }
-                let ec = self.solve_level(&rc, depth + 1, par_cutoff, ctx);
-                let ef = poisson2d::prolong(&ec);
-                ctx.charge((n * n) as f64 * 2.0);
-                poisson2d::add_correction(&mut u, &ef);
-                for _ in 0..post {
-                    smooth(&mut u, b, omega, par_cutoff, ctx);
-                }
-                u
-            }
-        };
-        ctx.exit();
-        out
-    }
-}
-
 impl Transform for Poisson2d {
     type Input = PoissonInput;
-    type Output = Grid2d;
+    type Output = Grid<2>;
 
     fn name(&self) -> &str {
         "poisson2d"
@@ -161,40 +108,27 @@ impl Transform for Poisson2d {
 
     fn schema(&self) -> Schema {
         let mut s = Schema::new("poisson2d");
-        add_level_tunables(&mut s);
+        Laplacian::add_tunables(&mut s);
+        s.add_float_param("omega", 0.8, 1.95);
+        s.add_cutoff("par_cutoff", 16, 1 << 16);
         s
     }
 
     fn generate_input(&self, n: u64, rng: &mut SmallRng) -> PoissonInput {
-        let size = Grid2d::round_up_size(n.max(1) as usize);
+        let size = Grid::<2>::round_up_size(n.max(1) as usize);
         PoissonInput {
-            b: Grid2d::random_uniform(size, -1.0, 1.0, rng),
+            b: Grid::random_uniform(size, -1.0, 1.0, rng),
         }
     }
 
-    fn execute(&self, input: &PoissonInput, ctx: &mut ExecCtx<'_>) -> Grid2d {
-        let cycles = ctx.for_enough("cycles").expect("schema declares cycles");
+    fn execute(&self, input: &PoissonInput, ctx: &mut ExecCtx<'_>) -> Grid<2> {
         let par_cutoff = ctx.param("par_cutoff").expect("schema").max(1) as usize;
-        let n = input.b.n();
-        let mut u = Grid2d::zeros(n);
-        for _ in 0..cycles {
-            // Each "cycle" solves the residual equation and corrects,
-            // so repeated cycles compound the per-cycle reduction.
-            let r = poisson2d::residual(&u, &input.b);
-            ctx.charge((n * n) as f64 * 6.0);
-            let e = self.solve_level(&r, 0, par_cutoff, ctx);
-            poisson2d::add_correction(&mut u, &e);
-        }
-        u
+        let b = &input.b;
+        multigrid::solve(&Laplacian { par_cutoff }, b, Grid::zeros(b.n()), ctx)
     }
 
-    fn accuracy(&self, input: &PoissonInput, output: &Grid2d) -> f64 {
-        let initial = input.b.rms().max(f64::MIN_POSITIVE);
-        let after = poisson2d::residual(output, &input.b).rms();
-        if after <= 0.0 {
-            return 16.0; // solved to the bits: better than any bin
-        }
-        (initial / after).log10()
+    fn accuracy(&self, input: &PoissonInput, output: &Grid<2>) -> f64 {
+        multigrid::accuracy(&input.b, &poisson2d::residual(output, &input.b))
     }
 }
 
@@ -229,7 +163,7 @@ mod tests {
         let t = Poisson2d;
         let schema = t.schema();
         let mut edits: Vec<(String, Value)> = Vec::new();
-        for d in 0..MAX_LEVELS {
+        for d in 0..Laplacian::MAX_LEVELS {
             edits.push((
                 format!("level{d}_action"),
                 Value::Tree(DecisionTree::single(2)),
@@ -247,7 +181,7 @@ mod tests {
         let t = Poisson2d;
         let schema = t.schema();
         let mut base: Vec<(String, Value)> = Vec::new();
-        for d in 0..MAX_LEVELS {
+        for d in 0..Laplacian::MAX_LEVELS {
             base.push((format!("level{d}_pre"), Value::Int(2)));
             base.push((format!("level{d}_post"), Value::Int(2)));
         }
@@ -276,7 +210,7 @@ mod tests {
         );
         // One V-cycle with 2+2 sweeps per level.
         let mut edits: Vec<(String, Value)> = Vec::new();
-        for d in 0..MAX_LEVELS {
+        for d in 0..Laplacian::MAX_LEVELS {
             edits.push((format!("level{d}_pre"), Value::Int(2)));
             edits.push((format!("level{d}_post"), Value::Int(2)));
         }
@@ -296,7 +230,7 @@ mod tests {
         let t = Poisson2d;
         let schema = t.schema();
         let mut edits: Vec<(String, Value)> = vec![("cycles".to_string(), Value::Int(1))];
-        for d in 0..MAX_LEVELS {
+        for d in 0..Laplacian::MAX_LEVELS {
             edits.push((format!("level{d}_pre"), Value::Int(1)));
             edits.push((format!("level{d}_post"), Value::Int(1)));
         }
@@ -358,26 +292,76 @@ mod tests {
         }
     }
 
+    /// The schema's JSON form, which the trial-cache sidecar
+    /// fingerprints: a reordered or re-ranged tunable changes every
+    /// tuned decision, so it must show here.
+    const SCHEMA: &str = concat!(
+        r#"{"name":"poisson2d","tunables":["#,
+        r#"{"name":"level0_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level0_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level0_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level0_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level1_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level1_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level1_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level1_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level2_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level2_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level2_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level2_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level3_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level3_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level3_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level3_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level4_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level4_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level4_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level4_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level5_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level5_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level5_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level5_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level6_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level6_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level6_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level6_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"level7_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
+        r#"{"name":"level7_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level7_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
+        r#"{"name":"level7_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
+        r#"{"name":"cycles","kind":{"AccuracyVariable":{"min":1,"max":64}},"default":{"Int":2}},"#,
+        r#"{"name":"omega","kind":{"FloatParam":{"min":0.8,"max":1.95}},"default":{"Float":1.375}},"#,
+        r#"{"name":"par_cutoff","kind":{"Cutoff":{"min":16,"max":65536}},"default":{"Int":16}}"#,
+        "]}",
+    );
+
+    #[test]
+    fn schema_matches_its_pin() {
+        assert_eq!(serde_json::to_string(&Poisson2d.schema()).unwrap(), SCHEMA);
+    }
+
     /// Whole-trial hashes (output, virtual cost and accuracy bits) taken
-    /// before the stencils got interior loops and a one-pass SOR sweep.
+    /// before the stencils got interior loops and a one-pass SOR sweep,
+    /// each followed by the trial's cycle-shape hash (the trace tree's
+    /// scopes and `relax`/`direct` points).
     const PINS: [&str; 17] = [
-        "n7 recurse: 50395ff800403855",
-        "n7 level0 sor_solve: 5c081715b2e450db",
-        "n7 level0 direct: fcd3b97a8257c9de",
-        "n15 recurse: 7dc158f5683c9c5f",
-        "n15 level0 sor_solve: f5565a815b320ce1",
-        "n15 level0 direct: 218947cfd27229c1",
-        "n15 level1 sor_solve: a5c050e1a896e9f7",
-        "n15 level1 direct: effa1976784fb322",
-        "n63 recurse: da57294dbcd22789",
-        "n63 level0 sor_solve: 902fb1fc0c013ea1",
-        "n63 level0 direct: b589778d47adde2e",
-        "n63 level1 sor_solve: 00e8dc4ebbd5b204",
-        "n63 level1 direct: 4557802e9105cc14",
-        "n63 level2 sor_solve: bc410bd379edbae4",
-        "n63 level2 direct: f27572348c2b7495",
-        "n63 level3 sor_solve: ade32092b7eda9e4",
-        "n63 level3 direct: d4617695c38a39fe",
+        "n7 recurse: 50395ff800403855 32d159a72fd95428",
+        "n7 level0 sor_solve: 5c081715b2e450db aa87de37b5c6061a",
+        "n7 level0 direct: fcd3b97a8257c9de dde550a2f41ce9d4",
+        "n15 recurse: 7dc158f5683c9c5f 2a41e5b17eaa6f82",
+        "n15 level0 sor_solve: f5565a815b320ce1 4aac46a4c9a36044",
+        "n15 level0 direct: 218947cfd27229c1 ebeb2f3c1980bc4a",
+        "n15 level1 sor_solve: a5c050e1a896e9f7 55deb62a627c0fb0",
+        "n15 level1 direct: effa1976784fb322 ea311af7f643b7aa",
+        "n63 recurse: da57294dbcd22789 7b51a709916c6f7a",
+        "n63 level0 sor_solve: 902fb1fc0c013ea1 4931d63f9638908a",
+        "n63 level0 direct: b589778d47adde2e 6acc0f359b17602a",
+        "n63 level1 sor_solve: 00e8dc4ebbd5b204 472a06a236a5754a",
+        "n63 level1 direct: 4557802e9105cc14 8a57d3d236086daa",
+        "n63 level2 sor_solve: bc410bd379edbae4 f513fdedb6425c6a",
+        "n63 level2 direct: f27572348c2b7495 162228a4c8b72a5a",
+        "n63 level3 sor_solve: ade32092b7eda9e4 3f73974f34246632",
+        "n63 level3 direct: d4617695c38a39fe cad79ad7ab88897e",
     ];
 
     #[test]
@@ -398,8 +382,8 @@ mod tests {
             };
             let input = t.generate_input(n, &mut rng);
             for (label, config) in multigrid_configs(&schema, levels, &edits) {
-                let hash = trial_hash(&t, &config, &input, n, |u| u.as_slice());
-                got.push(format!("n{n} {label}: {hash:016x}"));
+                let (hash, shape) = trial_hash(&t, &config, &input, n, |u| u.as_slice());
+                got.push(format!("n{n} {label}: {hash:016x} {shape:016x}"));
             }
         }
         assert_eq!(got, PINS);

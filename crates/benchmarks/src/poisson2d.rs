@@ -6,7 +6,7 @@
 //! metric (a ratio of residual RMS values, §6.1.5).
 
 use crate::banded::{BandedCholesky, SymmetricBanded};
-use crate::grid2d::Grid2d;
+use crate::grid::Grid;
 use crate::lines::{each_of_colour, each_point, split_line};
 use std::sync::OnceLock;
 
@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 /// exact `+0.0` the boundary holds, so the interior needs no boundary
 /// tests and every point keeps the neighbour order `(i−1), (i+1),
 /// (j−1), (j+1)`.
-fn stencil(u: &Grid2d, mut point: impl FnMut(usize, f64)) {
+fn stencil(u: &Grid<2>, mut point: impl FnMut(usize, f64)) {
     let n = u.n();
     let zeros = vec![0.0; n];
     let rows = u.as_slice();
@@ -32,10 +32,10 @@ fn stencil(u: &Grid2d, mut point: impl FnMut(usize, f64)) {
 
 /// Applies the 5-point stencil: `out = A·u`.
 #[cfg(test)]
-pub fn apply(u: &Grid2d) -> Grid2d {
+pub fn apply(u: &Grid<2>) -> Grid<2> {
     let mut out = vec![0.0; u.as_slice().len()];
     stencil(u, |idx, au| out[idx] = au);
-    Grid2d::from_vec(u.n(), out)
+    Grid::from_vec(u.n(), out)
 }
 
 /// Residual `r = b − A·u`, in one pass.
@@ -43,12 +43,12 @@ pub fn apply(u: &Grid2d) -> Grid2d {
 /// # Panics
 ///
 /// Panics if sizes differ.
-pub fn residual(u: &Grid2d, b: &Grid2d) -> Grid2d {
+pub fn residual(u: &Grid<2>, b: &Grid<2>) -> Grid<2> {
     assert_eq!(u.n(), b.n(), "grid sizes must match");
     let b = b.as_slice();
     let mut r = vec![0.0; b.len()];
     stencil(u, |idx, au| r[idx] = b[idx] - au);
-    Grid2d::from_vec(u.n(), r)
+    Grid::from_vec(u.n(), r)
 }
 
 /// One Red-Black SOR sweep with relaxation weight `omega`: red points
@@ -62,7 +62,7 @@ pub fn residual(u: &Grid2d, b: &Grid2d) -> Grid2d {
 /// # Panics
 ///
 /// Panics if sizes differ.
-pub fn sor_sweep(u: &mut Grid2d, b: &Grid2d, omega: f64) {
+pub fn sor_sweep(u: &mut Grid<2>, b: &Grid<2>, omega: f64) {
     assert_eq!(u.n(), b.n(), "grid sizes must match");
     let n = u.n();
     let zeros = vec![0.0; n];
@@ -96,7 +96,7 @@ pub fn sor_sweep(u: &mut Grid2d, b: &Grid2d, omega: f64) {
 /// # Panics
 ///
 /// Panics if `n` is not coarsenable (`n < 3` or `n` even).
-pub fn restrict(fine: &Grid2d) -> Grid2d {
+pub fn restrict(fine: &Grid<2>) -> Grid<2> {
     let n = fine.n();
     assert!(n >= 3 && n % 2 == 1, "grid of size {n} cannot be coarsened");
     let m = (n - 1) / 2;
@@ -114,11 +114,11 @@ pub fn restrict(fine: &Grid2d) -> Grid2d {
             coarse.push(acc / 16.0);
         }
     }
-    Grid2d::from_vec(m, coarse)
+    Grid::from_vec(m, coarse)
 }
 
 /// Bilinear prolongation: an `m`-grid to the `n = 2m + 1` grid.
-pub fn prolong(coarse: &Grid2d) -> Grid2d {
+pub fn prolong(coarse: &Grid<2>) -> Grid<2> {
     let m = coarse.n();
     let n = 2 * m + 1;
     // The coarse grid inside a ring of the boundary's zeros: fine point
@@ -143,19 +143,7 @@ pub fn prolong(coarse: &Grid2d) -> Grid2d {
             };
         }
     }
-    Grid2d::from_vec(n, fine)
-}
-
-/// Adds `delta` into `u` in place (`u += delta`).
-///
-/// # Panics
-///
-/// Panics if sizes differ.
-pub fn add_correction(u: &mut Grid2d, delta: &Grid2d) {
-    assert_eq!(u.n(), delta.n(), "grid sizes must match");
-    for (ui, di) in u.as_mut_slice().iter_mut().zip(delta.as_slice()) {
-        *ui += di;
-    }
+    Grid::from_vec(n, fine)
 }
 
 /// Band Cholesky factors of the stencil, one slot per multigrid level
@@ -187,15 +175,15 @@ fn factor(n: usize) -> BandedCholesky {
 ///
 /// Panics if the (always SPD) stencil factorization fails, which would
 /// indicate a bug.
-pub fn direct_solve(b: &Grid2d) -> Grid2d {
+pub fn direct_solve(b: &Grid<2>) -> Grid<2> {
     let n = b.n();
-    let x = if Grid2d::valid_size(n) {
+    let x = if Grid::<2>::valid_size(n) {
         let level = (n + 1).trailing_zeros() as usize;
         FACTORS[level].get_or_init(|| factor(n)).solve(b.as_slice())
     } else {
         factor(n).solve(b.as_slice())
     };
-    Grid2d::from_vec(n, x)
+    Grid::from_vec(n, x)
 }
 
 #[cfg(test)]
@@ -209,11 +197,11 @@ mod tests {
     /// The stencils as they were before their interior loops, reading
     /// every neighbour through `get_bc`: the bit-identity oracles.
     mod reference {
-        use super::Grid2d;
+        use super::Grid;
 
-        pub fn apply(u: &Grid2d) -> Grid2d {
+        pub fn apply(u: &Grid<2>) -> Grid<2> {
             let n = u.n();
-            let mut out = Grid2d::zeros(n);
+            let mut out = Grid::<2>::zeros(n);
             for i in 0..n {
                 for j in 0..n {
                     let v = 4.0 * u.get(i, j)
@@ -227,10 +215,10 @@ mod tests {
             out
         }
 
-        pub fn residual(u: &Grid2d, b: &Grid2d) -> Grid2d {
+        pub fn residual(u: &Grid<2>, b: &Grid<2>) -> Grid<2> {
             let au = apply(u);
             let n = u.n();
-            let mut r = Grid2d::zeros(n);
+            let mut r = Grid::<2>::zeros(n);
             for i in 0..n {
                 for j in 0..n {
                     r.set(i, j, b.get(i, j) - au.get(i, j));
@@ -239,7 +227,7 @@ mod tests {
             r
         }
 
-        pub fn sor_sweep(u: &mut Grid2d, b: &Grid2d, omega: f64) {
+        pub fn sor_sweep(u: &mut Grid<2>, b: &Grid<2>, omega: f64) {
             let n = u.n();
             for color in 0..2usize {
                 for i in 0..n {
@@ -259,9 +247,9 @@ mod tests {
             }
         }
 
-        pub fn restrict(fine: &Grid2d) -> Grid2d {
+        pub fn restrict(fine: &Grid<2>) -> Grid<2> {
             let m = (fine.n() - 1) / 2;
-            let mut coarse = Grid2d::zeros(m);
+            let mut coarse = Grid::<2>::zeros(m);
             for ci in 0..m {
                 for cj in 0..m {
                     let fi = (2 * ci + 1) as isize;
@@ -282,10 +270,10 @@ mod tests {
             coarse
         }
 
-        pub fn prolong(coarse: &Grid2d) -> Grid2d {
+        pub fn prolong(coarse: &Grid<2>) -> Grid<2> {
             let m = coarse.n();
             let n = 2 * m + 1;
-            let mut fine = Grid2d::zeros(n);
+            let mut fine = Grid::<2>::zeros(n);
             let cv = |i: isize, j: isize| coarse.get_bc(i, j);
             for i in 0..n {
                 for j in 0..n {
@@ -323,8 +311,8 @@ mod tests {
     fn stencils_are_bit_identical_to_the_get_bc_versions() {
         let mut rng = SmallRng::seed_from_u64(17);
         for n in SIZES {
-            let b = Grid2d::random_uniform(n, -1.0, 1.0, &mut rng);
-            let mut u = Grid2d::random_uniform(n, -1.0, 1.0, &mut rng);
+            let b = Grid::random_uniform(n, -1.0, 1.0, &mut rng);
+            let mut u = Grid::random_uniform(n, -1.0, 1.0, &mut rng);
             let mut want = u.clone();
             for (sweep, omega) in [1.0, 1.3, 1.9, 0.8].into_iter().enumerate() {
                 let what = format!("n={n} sweep {sweep}");
@@ -360,7 +348,7 @@ mod tests {
     #[test]
     fn apply_matches_banded_operator() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let u = Grid2d::random_uniform(7, -1.0, 1.0, &mut rng);
+        let u = Grid::random_uniform(7, -1.0, 1.0, &mut rng);
         let stencil = apply(&u);
         let banded = SymmetricBanded::poisson_2d(7).matvec(u.as_slice());
         for (a, b) in stencil.as_slice().iter().zip(&banded) {
@@ -371,7 +359,7 @@ mod tests {
     #[test]
     fn direct_solve_zeroes_residual() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let b = Grid2d::random_uniform(15, -1.0, 1.0, &mut rng);
+        let b = Grid::random_uniform(15, -1.0, 1.0, &mut rng);
         let u = direct_solve(&b);
         assert!(residual(&u, &b).max_abs() < 1e-9);
     }
@@ -384,11 +372,11 @@ mod tests {
         let level = (n + 1usize).trailing_zeros() as usize;
         assert!(FACTORS[level].get().is_none(), "size {n} already factored");
         let mut rng = SmallRng::seed_from_u64(31);
-        let inputs: Vec<Grid2d> = (0..8)
-            .map(|_| Grid2d::random_uniform(n, -1.0, 1.0, &mut rng))
+        let inputs: Vec<Grid<2>> = (0..8)
+            .map(|_| Grid::random_uniform(n, -1.0, 1.0, &mut rng))
             .collect();
         let start = Barrier::new(inputs.len());
-        let answers: Vec<Grid2d> = std::thread::scope(|scope| {
+        let answers: Vec<Grid<2>> = std::thread::scope(|scope| {
             let handles: Vec<_> = inputs
                 .iter()
                 .map(|b| {
@@ -417,7 +405,7 @@ mod tests {
         // n = 5 is not 2ᵏ − 1 (factored per call); n = 1 has bandwidth 0.
         let mut rng = SmallRng::seed_from_u64(5);
         for n in [5, 1] {
-            let b = Grid2d::random_uniform(n, -1.0, 1.0, &mut rng);
+            let b = Grid::random_uniform(n, -1.0, 1.0, &mut rng);
             let u = direct_solve(&b);
             assert!(residual(&u, &b).max_abs() < 1e-12, "n={n}");
             let want = SymmetricBanded::poisson_2d(n).solve(b.as_slice()).unwrap();
@@ -428,8 +416,8 @@ mod tests {
     #[test]
     fn sor_reduces_residual_monotonically() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let b = Grid2d::random_uniform(15, -1.0, 1.0, &mut rng);
-        let mut u = Grid2d::zeros(15);
+        let b = Grid::random_uniform(15, -1.0, 1.0, &mut rng);
+        let mut u = Grid::<2>::zeros(15);
         let mut last = residual(&u, &b).rms();
         for _ in 0..10 {
             sor_sweep(&mut u, &b, 1.5);
@@ -443,8 +431,8 @@ mod tests {
     fn gauss_seidel_is_sor_with_unit_weight() {
         // omega = 1 must still converge (plain Gauss-Seidel).
         let mut rng = SmallRng::seed_from_u64(4);
-        let b = Grid2d::random_uniform(7, -1.0, 1.0, &mut rng);
-        let mut u = Grid2d::zeros(7);
+        let b = Grid::random_uniform(7, -1.0, 1.0, &mut rng);
+        let mut u = Grid::<2>::zeros(7);
         let before = residual(&u, &b).rms();
         for _ in 0..50 {
             sor_sweep(&mut u, &b, 1.0);
@@ -454,9 +442,9 @@ mod tests {
 
     #[test]
     fn restriction_and_prolongation_shapes() {
-        let fine = Grid2d::zeros(15);
+        let fine = Grid::zeros(15);
         assert_eq!(restrict(&fine).n(), 7);
-        let coarse = Grid2d::zeros(7);
+        let coarse = Grid::zeros(7);
         assert_eq!(prolong(&coarse).n(), 15);
     }
 
@@ -464,7 +452,7 @@ mod tests {
     fn prolong_preserves_constants_in_the_interior() {
         // A constant coarse grid prolongs to the same constant away
         // from the boundary (boundary-adjacent points see the zero BC).
-        let mut coarse = Grid2d::zeros(7);
+        let mut coarse = Grid::<2>::zeros(7);
         for v in coarse.as_mut_slice() {
             *v = 1.0;
         }
@@ -480,8 +468,8 @@ mod tests {
     fn transfer_operators_are_adjoint_up_to_scaling() {
         // Full weighting R = (1/4)·Pᵀ: ⟨R·u, v⟩ = (1/4)·⟨u, P·v⟩.
         let mut rng = SmallRng::seed_from_u64(5);
-        let u = Grid2d::random_uniform(15, -1.0, 1.0, &mut rng);
-        let v = Grid2d::random_uniform(7, -1.0, 1.0, &mut rng);
+        let u = Grid::random_uniform(15, -1.0, 1.0, &mut rng);
+        let v = Grid::random_uniform(7, -1.0, 1.0, &mut rng);
         let lhs: f64 = restrict(&u)
             .as_slice()
             .iter()

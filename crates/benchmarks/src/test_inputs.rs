@@ -1,12 +1,13 @@
 //! Inputs and the comparison shared by the bit-identity oracles: each
 //! rewritten kernel keeps its previous body as a `#[cfg(test)]`
 //! reference and must reproduce it `to_bits`-exactly on all of these.
-//! The multigrid benchmarks also pin whole trials by hash.
+//! The multigrid benchmarks also pin whole trials, and their cycle
+//! shapes, by hash.
 
 use crate::matrix::Matrix;
 use crate::tridiag::SymmetricTridiagonal;
 use pb_config::{Config, DecisionTree, Schema, Value};
-use pb_runtime::{ExecCtx, Transform};
+use pb_runtime::{ExecCtx, TraceNode, Transform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -103,25 +104,51 @@ pub(crate) fn multigrid_configs(
     configs
 }
 
-/// One trial of `t` at `config` on `input`, hashed (FNV-1a) over the
-/// `to_bits` of the output's values, the virtual cost and the
-/// accuracy: equal hashes mean a bit-identical trial.
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Writes a trace tree as `label(point point child child)`: the scope
+/// labels and point events Fig. 8 renders, in order.
+fn write_shape(node: &TraceNode, out: &mut String) {
+    out.push_str(&node.label);
+    out.push('(');
+    for point in &node.points {
+        out.push_str(point);
+        out.push(' ');
+    }
+    for child in &node.children {
+        write_shape(child, out);
+    }
+    out.push(')');
+}
+
+/// One traced trial of `t` at `config` on `input`, as two FNV-1a
+/// hashes: the trial's, over the `to_bits` of the output's values, the
+/// virtual cost and the accuracy (equal hashes mean a bit-identical
+/// trial), then its cycle shape's, over the trace tree.
 pub(crate) fn trial_hash<T: Transform>(
     t: &T,
     config: &Config,
     input: &T::Input,
     n: u64,
     values: impl Fn(&T::Output) -> &[f64],
-) -> u64 {
+) -> (u64, u64) {
     let schema = t.schema();
     let mut ctx = ExecCtx::new(&schema, config, n, 0);
+    ctx.enable_trace();
     let out = t.execute(input, &mut ctx);
     let tail = [ctx.virtual_cost(), t.accuracy(input, &out)];
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for v in values(&out).iter().chain(&tail) {
-        for byte in v.to_bits().to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    hash
+    let trial = values(&out)
+        .iter()
+        .chain(&tail)
+        .fold(FNV_OFFSET, |h, v| fnv(h, &v.to_bits().to_le_bytes()));
+    let mut shape = String::new();
+    write_shape(&ctx.trace_tree(), &mut shape);
+    (trial, fnv(FNV_OFFSET, shape.as_bytes()))
 }

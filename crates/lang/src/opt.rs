@@ -349,17 +349,14 @@ impl<'a> Pipeline<'a> {
 
         promote::promote(&mut self.code, &mut self.n_regs, chunk, entry);
         self.gate("promote")?;
-        // Lowering's `expr -> temp; store temp` pairs must retarget to
-        // the home registers *before* copy propagation extends the
-        // temps' live ranges, so a sweep runs on either side of value
-        // tracking.
-        self.sweep()?;
+        // Value tracking runs twice, each round followed by a sweep: a
+        // temp lowering reused for a literal or an index loses the value
+        // it held to a `Const` or `Move` that the first round folded
+        // away and its sweep dropped, so the second round sees that
+        // value survive. A sweep before the first round only renumbers
+        // registers: it saves no executed instruction.
         self.value()?;
         self.sweep()?;
-        // Again: a temp lowering reused for a literal or an index loses
-        // the value it held to a `Const` or `Move` that the first round
-        // folded away and the sweep dropped, so the second round sees
-        // that value survive.
         self.value()?;
         let live = self.sweep()?;
 
