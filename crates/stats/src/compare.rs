@@ -16,7 +16,6 @@ use crate::online::OnlineStats;
 use crate::robust::{Robustness, SampleStats};
 use crate::special::normal_cdf;
 use crate::ttest::welch_t_test;
-use std::collections::HashMap;
 
 /// Outcome of comparing two candidates on a single metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,8 +88,7 @@ pub struct ComparatorConfig {
     /// Confidence required to declare the difference negligible.
     pub same_confidence: f64,
     /// How sample-retaining statistics are summarized before testing
-    /// (see [`Robustness`]) in [`Comparator::decide_samples`] and
-    /// [`Comparator::decide_pair_samples`].
+    /// (see [`Robustness`]) in [`Comparator::decide_samples`].
     pub robustness: Robustness,
 }
 
@@ -284,113 +282,6 @@ impl Comparator {
     }
 }
 
-/// A session-scoped memo of decided pair verdicts, keyed by the
-/// *unordered* pair of caller-supplied identities (e.g. candidate
-/// ids): the fingerprint of a comparison is `(min(a, b), max(a, b))`,
-/// and a verdict recorded for `(a, b)` answers the reversed query
-/// `(b, a)` with the outcome [reversed](CompareOutcome::reverse).
-///
-/// This is the pair-identity hook of the decision core: once
-/// [`Comparator::decide_pair_samples`] has decided a pair, every later query
-/// in the same session — a re-sort touching the same two candidates, a
-/// tournament bracket replaying an earlier head-to-head — returns the
-/// recorded verdict without consuming trials, even if the candidates'
-/// statistics have since accumulated more observations.
-///
-/// The memo is deliberately session-scoped (one pruning call, one
-/// merge phase): across sessions candidates' statistics evolve enough
-/// that re-deciding is the honest choice.
-#[derive(Debug, Default)]
-pub struct PairMemo {
-    verdicts: HashMap<(u64, u64), CompareOutcome>,
-    queries: u64,
-    hits: u64,
-}
-
-impl PairMemo {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        PairMemo::default()
-    }
-
-    /// Number of distinct decided pairs recorded.
-    pub fn len(&self) -> usize {
-        self.verdicts.len()
-    }
-
-    /// Whether no verdict has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty()
-    }
-
-    /// Total verdict lookups (each [`Comparator::decide_pair_samples`] call).
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Lookups answered from a recorded verdict.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// The recorded verdict for `(a, b)`, if any, oriented for that
-    /// query order. Counts the query and (on success) the hit.
-    pub fn lookup(&mut self, a: u64, b: u64) -> Option<CompareOutcome> {
-        self.queries += 1;
-        let outcome = if a <= b {
-            self.verdicts.get(&(a, b)).copied()
-        } else {
-            self.verdicts
-                .get(&(b, a))
-                .copied()
-                .map(CompareOutcome::reverse)
-        };
-        if outcome.is_some() {
-            self.hits += 1;
-        }
-        outcome
-    }
-
-    /// Records the verdict of comparing `a` to `b` (in that order).
-    pub fn record(&mut self, a: u64, b: u64, outcome: CompareOutcome) {
-        if a <= b {
-            self.verdicts.insert((a, b), outcome);
-        } else {
-            self.verdicts.insert((b, a), outcome.reverse());
-        }
-    }
-}
-
-impl Comparator {
-    /// [`Comparator::decide_samples`] with pair-identity memoization: a
-    /// pair already decided in `memo` returns its recorded verdict
-    /// without touching the statistics; a fresh decision that reaches
-    /// [`CompareStep::Decided`] is recorded before being returned.
-    ///
-    /// `a_id` / `b_id` are caller-chosen stable identities for the two
-    /// sides (the tuner uses candidate ids); the memo key is unordered.
-    /// The tuner's comparison arena routes every contest through here
-    /// so the configured [`Robustness`] policy governs all tuning
-    /// decisions.
-    pub fn decide_pair_samples(
-        &self,
-        memo: &mut PairMemo,
-        a_id: u64,
-        a_stats: &SampleStats,
-        b_id: u64,
-        b_stats: &SampleStats,
-    ) -> CompareStep {
-        if let Some(outcome) = memo.lookup(a_id, b_id) {
-            return CompareStep::Decided(outcome);
-        }
-        let step = self.decide_samples(a_stats, b_stats);
-        if let CompareStep::Decided(outcome) = step {
-            memo.record(a_id, b_id, outcome);
-        }
-        step
-    }
-}
-
 /// Expected reduction in standard error from one more sample:
 /// `s * (1/sqrt(n) - 1/sqrt(n+1))`.
 fn se_reduction(stats: &OnlineStats) -> f64 {
@@ -533,46 +424,6 @@ mod tests {
                 draws: comparator.config().min_trials,
             }
         );
-    }
-
-    #[test]
-    fn pair_memo_reverses_orientation_and_counts() {
-        let comparator = Comparator::default();
-        let mut memo = PairMemo::new();
-        let fast: SampleStats = [1.0, 1.0, 1.0].into_iter().collect();
-        let slow: SampleStats = [9.0, 9.0, 9.0].into_iter().collect();
-        // First decision is fresh (one query, no hit) and is recorded.
-        assert_eq!(
-            comparator.decide_pair_samples(&mut memo, 7, &fast, 3, &slow),
-            CompareStep::Decided(CompareOutcome::Less)
-        );
-        assert_eq!((memo.queries(), memo.hits(), memo.len()), (1, 0, 1));
-        // The reversed query answers from the memo, reversed.
-        assert_eq!(
-            comparator.decide_pair_samples(&mut memo, 3, &slow, 7, &fast),
-            CompareStep::Decided(CompareOutcome::Greater)
-        );
-        assert_eq!((memo.queries(), memo.hits(), memo.len()), (2, 1, 1));
-        // A memoized verdict wins even over changed statistics.
-        let empty = SampleStats::new();
-        assert_eq!(
-            comparator.decide_pair_samples(&mut memo, 7, &empty, 3, &empty),
-            CompareStep::Decided(CompareOutcome::Less)
-        );
-        assert_eq!(memo.hits(), 2);
-    }
-
-    #[test]
-    fn pair_memo_does_not_record_undecided_steps() {
-        let comparator = Comparator::default();
-        let mut memo = PairMemo::new();
-        let empty = SampleStats::new();
-        assert!(matches!(
-            comparator.decide_pair_samples(&mut memo, 1, &empty, 2, &empty),
-            CompareStep::NeedMore { .. }
-        ));
-        assert!(memo.is_empty());
-        assert_eq!((memo.queries(), memo.hits()), (1, 0));
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod robust;
 mod special;
 mod ttest;
 
-pub use compare::{Comparator, ComparatorConfig, CompareOutcome, CompareStep, PairMemo, Which};
+pub use compare::{Comparator, ComparatorConfig, CompareOutcome, CompareStep, Which};
 pub use online::OnlineStats;
 pub use order::{total_cmp_nan_first, total_cmp_nan_last};
 pub use robust::{Robustness, SampleStats};

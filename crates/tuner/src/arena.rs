@@ -3,25 +3,17 @@
 //!
 //! The §5.5.1 comparator decides `Less`/`Greater`/`Same` from two
 //! candidates' accumulated statistics and otherwise names the side
-//! that needs another trial ([`pb_stats::CompareStep`]). Historically
-//! only pruning consumed those steps in batched rounds; population
-//! sorting, the post-promotion re-sort, and the child-vs-parent merges
-//! of random mutation each ran one blocking `run_trial` at a time.
-//! This module owns the machinery they now all share:
-//!
-//! * **A session object** ([`Arena`]) wrapping an [`Evaluator`] and a
-//!   [`Comparator`] together with a session-scoped **pair-verdict
-//!   memo** ([`pb_stats::PairMemo`], keyed by the unordered candidate-
-//!   id pair): a pair decided during the KEEP sort of a pruning call
-//!   is never re-tested — or even re-decided — during the
-//!   post-promotion re-sort.
-//! * **A generic round loop** ([`Arena::run`]): advance every pending
-//!   decision ([`Contest`]) as far as current statistics allow,
-//!   collect all stalled comparisons' requested draws, execute them as
-//!   one [`Evaluator::run_batch`] on the pool, merge
-//!   outcomes back in candidate-index order, repeat. Any caller — the
-//!   fastest-K selections of pruning, the pair verdicts of
-//!   child-vs-parent merging — drives the same loop.
+//! that needs another trial ([`pb_stats::CompareStep`]). Pruning's
+//! fastest-K selections, the post-promotion re-sort and the
+//! child-vs-parent merges of random mutation all consume those steps
+//! through one round loop, owned by a session object ([`Arena`])
+//! wrapping an [`Evaluator`] and a [`Comparator`]:
+//! [`Arena::run`] advances every pending decision ([`Contest`]) as far
+//! as current statistics allow, collects the stalled comparisons'
+//! requested draws, executes them as one [`Evaluator::run_batch`] on
+//! the pool, merges outcomes back in candidate-index order, and
+//! repeats. Every comparison is decided afresh from the candidates'
+//! statistics at the moment it is asked.
 //!
 //! No randomness is consumed anywhere in a round (trial seeds are a
 //! deterministic function of each candidate's trial count) and merges
@@ -31,7 +23,7 @@
 
 use crate::candidate::Candidate;
 use crate::exec::Evaluator;
-use pb_stats::{Comparator, CompareOutcome, CompareStep, PairMemo, SampleStats, Which};
+use pb_stats::{Comparator, CompareOutcome, CompareStep, SampleStats, Which};
 use std::collections::BTreeMap;
 
 /// Counters for one arena session (folded into
@@ -42,11 +34,6 @@ pub struct ArenaReport {
     pub rounds: u64,
     /// Comparator-requested trial draws executed via those batches.
     pub draws: u64,
-    /// Pair-verdict memo lookups.
-    pub memo_queries: u64,
-    /// Lookups answered from a recorded verdict (no re-decide, no
-    /// re-test).
-    pub memo_hits: u64,
 }
 
 /// A resumable decision driven by the arena: `advance` resolves as
@@ -54,11 +41,12 @@ pub struct ArenaReport {
 /// once the decision is complete.
 ///
 /// `cmp(a, b)` compares candidates by slice index: `Some(outcome)`
-/// when decidable (or memoized), `None` when the comparison stalled —
-/// in which case its trial demand has been recorded for the round's
-/// batch. Implementations must keep querying every independent stalled
-/// comparison before giving up the round (that is what makes rounds
-/// wide) and must be idempotent across calls.
+/// when decidable from current statistics, `None` when the comparison
+/// stalled — in which case its trial demand has been recorded for the
+/// round's batch. Implementations must be idempotent across calls; a
+/// contest may give up the round at its first stalled comparison, and
+/// may query a pair it has asked before (it is decided again from the
+/// statistics as they stand).
 ///
 /// `cands` is a read-only view of the candidates at the moment of the
 /// call, so a contest whose decision rule consults statistics beyond
@@ -112,14 +100,12 @@ impl Contest for PairContest {
 }
 
 /// One comparison session: evaluator + comparator + the session's
-/// pair-verdict memo and counters. Create one per tuner decision
-/// procedure (a prune call, a merge phase) and [`run`](Arena::run) any
-/// number of contests through it; verdicts memoize across those runs
-/// for the session's lifetime.
+/// counters. Create one per tuner decision procedure (a prune call, a
+/// merge phase) and [`run`](Arena::run) any number of contests through
+/// it.
 pub struct Arena<'a, 'r> {
     evaluator: &'a Evaluator<'r>,
     comparator: &'a Comparator,
-    memo: PairMemo,
     rounds: u64,
     draws: u64,
 }
@@ -130,7 +116,6 @@ impl<'a, 'r> Arena<'a, 'r> {
         Arena {
             evaluator,
             comparator,
-            memo: PairMemo::new(),
             rounds: 0,
             draws: 0,
         }
@@ -141,20 +126,17 @@ impl<'a, 'r> Arena<'a, 'r> {
         ArenaReport {
             rounds: self.rounds,
             draws: self.draws,
-            memo_queries: self.memo.queries(),
-            memo_hits: self.memo.hits(),
         }
     }
 
     /// Runs every contest to completion.
     ///
     /// Each iteration advances all contests against the candidates'
-    /// current statistics (verdicts served from the session memo where
-    /// recorded); every stalled comparison deposits its draw request —
-    /// per candidate, the *largest* request wins, since draws extend
-    /// the shared per-candidate statistics — and the round's requests
-    /// execute as one batch through the evaluator, merging back in
-    /// candidate-index order.
+    /// current statistics; every stalled comparison deposits its draw
+    /// request — per candidate, the *largest* request wins, since draws
+    /// extend the shared per-candidate statistics — and the round's
+    /// requests execute as one batch through the evaluator, merging
+    /// back in candidate-index order.
     pub fn run<C: Contest>(&mut self, cands: &mut [Candidate], n: u64, contests: &mut [C]) {
         let empty = SampleStats::new();
         loop {
@@ -163,19 +145,11 @@ impl<'a, 'r> Arena<'a, 'r> {
             {
                 let cands_ro: &[Candidate] = cands;
                 let comparator = self.comparator;
-                let memo = &mut self.memo;
                 let mut cmp = |a: usize, b: usize| -> Option<CompareOutcome> {
                     debug_assert_ne!(a, b, "cannot compare a candidate to itself");
                     let time_a = cands_ro[a].stats(n).map(|s| &s.time).unwrap_or(&empty);
                     let time_b = cands_ro[b].stats(n).map(|s| &s.time).unwrap_or(&empty);
-                    let step = comparator.decide_pair_samples(
-                        memo,
-                        cands_ro[a].id,
-                        time_a,
-                        cands_ro[b].id,
-                        time_b,
-                    );
-                    match step {
+                    match comparator.decide_samples(time_a, time_b) {
                         CompareStep::Decided(outcome) => Some(outcome),
                         CompareStep::NeedMore { which, draws } => {
                             let target = match which {
@@ -290,26 +264,5 @@ mod tests {
             report.draws > report.rounds,
             "disjoint pairs must batch together: {report:?}"
         );
-    }
-
-    #[test]
-    fn session_memo_answers_repeat_contests_without_draws() {
-        let runner = TransformRunner::new(Leveled, CostModel::Virtual);
-        let mut cands = candidates(&runner, &[10, 80]);
-        let evaluator = Evaluator::new(&runner, EvalMode::Sequential, true);
-        let comparator = Comparator::default();
-        let mut arena = Arena::new(&evaluator, &comparator);
-        let mut first = [PairContest::new(0, 1)];
-        arena.run(&mut cands, 8, &mut first);
-        let draws_after_first = arena.report().draws;
-        assert!(draws_after_first > 0, "fresh pair must draw trials");
-        // Re-running the (reversed) pair in the same session consumes
-        // no draws and reports a memo hit.
-        let mut again = [PairContest::new(1, 0)];
-        arena.run(&mut cands, 8, &mut again);
-        assert_eq!(again[0].verdict, Some(CompareOutcome::Greater));
-        let report = arena.report();
-        assert_eq!(report.draws, draws_after_first, "memoized pair re-tested");
-        assert!(report.memo_hits > 0);
     }
 }

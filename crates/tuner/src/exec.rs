@@ -113,19 +113,11 @@ impl TrialRequest {
 /// Hashes the values directly — no serialization — because this runs
 /// for every trial request and comparator draw.
 pub fn config_fingerprint(config: &Config) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    // FNV-1a, one byte at a time, so every bit of `word` stirs.
+    // Low byte first, so every bit of `word` stirs.
     fn mix(hash: &mut u64, word: u64) {
-        for shift in (0..64).step_by(8) {
-            *hash ^= (word >> shift) & 0xFF;
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        *hash = fnv1a(*hash, &word.to_le_bytes());
     }
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in config.transform().as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
+    let mut hash = fnv1a(FNV_OFFSET, config.transform().as_bytes());
     for value in config.values() {
         match value {
             Value::Int(v) => {
@@ -155,6 +147,17 @@ pub fn config_fingerprint(config: &Config) -> u64 {
         }
     }
     hash
+}
+
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into a 64-bit FNV-1a `hash`, one byte at a time.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 type CacheKey = (u64, u64, u64);
@@ -213,13 +216,7 @@ serde::json_object!(SidecarFile {
 /// from here — delete the sidecar when the measured code changes.)
 fn schema_fingerprint(schema: &pb_config::Schema) -> u64 {
     let canonical = serde_json::to_string(schema).expect("schemas serialize");
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in canonical.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    fnv1a(FNV_OFFSET, canonical.as_bytes())
 }
 
 /// One `(key, outcome)` pair of the sidecar.
@@ -736,6 +733,26 @@ mod tests {
         assert_eq!(serde_json::to_string_pretty(&file).unwrap(), GOLDEN_SIDECAR);
         let back: SidecarFile = serde_json::from_str(GOLDEN_SIDECAR).unwrap();
         assert_eq!(format!("{back:?}"), format!("{file:?}"));
+    }
+
+    /// Sidecar entries are keyed by config fingerprint, so its value is
+    /// as persisted as the sidecar's JSON form.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        let mut schema = Schema::new("golden");
+        schema.add_choice_site("site", 3);
+        schema.add_cutoff("cutoff", 1, 1024);
+        schema.add_switch("layout", 2);
+        schema.add_accuracy_variable("iters", 1, 100);
+        schema.add_float_param("omega", 1.0, 2.0);
+        schema.add_user_param("k", -4, 16);
+        let mut config = schema.default_config();
+        assert_eq!(config_fingerprint(&config), 12017072131133183710);
+        config
+            .set_by_name(&schema, "omega", Value::Float(1.37))
+            .unwrap();
+        config.set_by_name(&schema, "k", Value::Int(-3)).unwrap();
+        assert_eq!(config_fingerprint(&config), 13940676186799297719);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!   timing/accuracy statistics.
 //! * [`Population`] — the accuracy-binned pruning procedure (§5.5.4).
 //! * [`arena`] — the comparison arena: a session object with a
-//!   pair-verdict memo and a generic "pending decisions → batched
-//!   draws → merged outcomes" round loop that every comparator
-//!   consumer drives, so the adaptive comparator's trial draws batch
-//!   onto the pool.
+//!   generic "pending decisions → batched draws → merged outcomes"
+//!   round loop that every comparator consumer drives, so the adaptive
+//!   comparator's trial draws batch onto the pool.
 //! * `tournament` — the pruning procedure's fastest-K selections
 //!   laid out as arena contests (k-way selection over pre-sorted
 //!   runs).

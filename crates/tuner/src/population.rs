@@ -17,8 +17,7 @@
 //!
 //! The selection runs as comparison-arena rounds (see [`crate::arena`]
 //! and [`crate::tournament`]): all bins' pending comparator draws
-//! execute as one [`Evaluator`] batch per round on the pool, and pair
-//! verdicts memoize for the duration of the prune call.
+//! execute as one [`Evaluator`] batch per round on the pool.
 
 use crate::arena::{Arena, ArenaReport, Contest, PairContest};
 use crate::candidate::Candidate;
@@ -232,11 +231,9 @@ impl Population {
     /// All bins' fastest-K selections run as one arena session: each
     /// round's pending comparator draws — across every bin and active
     /// pair — execute as a single [`Evaluator`] batch on the pool,
-    /// sharing the trial memo, and pair verdicts memoize for the whole
-    /// call (a pair decided during the KEEP sort is never re-tested
-    /// during the post-promotion re-sort). Plan-then-execute with
-    /// merges in candidate-index order keeps parallel pruning
-    /// bit-identical to sequential.
+    /// sharing the trial memo. Plan-then-execute with merges in
+    /// candidate-index order keeps parallel pruning bit-identical to
+    /// sequential.
     pub fn prune(
         &mut self,
         n: u64,

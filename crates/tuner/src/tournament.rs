@@ -7,14 +7,10 @@
 //!
 //! 1–2. rough sort by cached mean time, split at the K-th element into
 //!      KEEP and DISCARD (no trials);
-//! 3.   sort KEEP with the adaptive comparator via a **k-way selection
-//!      layout**: a bracket tournament over the heads of the pending
-//!      runs. Every undecided head-to-head at every computable bracket
-//!      level is queried each round, which exposes strictly more
-//!      independent comparisons per round than a bottom-up two-run
-//!      merge (whose stalled merges each expose exactly one). The
-//!      extra queries the bracket replays after a pop cost nothing:
-//!      decided verdicts come back from the session's pair memo.
+//! 3.   sort KEEP with the adaptive comparator by **k-way selection**:
+//!      each pop scans the heads of the pending runs in order and keeps
+//!      the fastest; a scan stops at its first undecided comparison,
+//!      whose draws join the round's batch.
 //! 4.   compare each DISCARD element against the **fixed** K-th KEEP
 //!      element (snapshotted before any promotion — §5.5.4; a moving
 //!      pivot would make promotion depend on DISCARD iteration order);
@@ -22,8 +18,7 @@
 //! 5.   re-sort by k-way selection over **pre-sorted runs**: the
 //!      sorted KEEP run plus each promoted element as a singleton.
 //!      KEEP-internal pairs are never re-compared (they share a run),
-//!      promoted-vs-pivot verdicts replay from the pair memo, and only
-//!      the first K elements are ever selected — the tail the
+//!      and only the first K elements are ever selected — the tail the
 //!      bottom-up merge used to sort fully is left unsorted.
 //! 6.   keep the first K.
 
@@ -36,22 +31,19 @@ use pb_stats::{total_cmp_nan_last, CompareOutcome};
 pub struct PruneReport {
     /// Candidates removed from the population.
     pub removed: u64,
-    /// The prune call's arena-session counters (rounds, draws, widths,
-    /// pair-memo traffic).
+    /// The prune call's arena-session counters (rounds, draws).
     pub arena: crate::arena::ArenaReport,
 }
 
 /// K-way selection over pre-sorted runs of candidate indices:
-/// repeatedly pops the overall fastest remaining head via a bracket
-/// tournament, until `take` elements are selected.
+/// repeatedly pops the overall fastest remaining head, until `take`
+/// elements are selected.
 ///
-/// The bracket pairs heads in run order, so the left side of every
-/// pairing comes from an earlier run; ties (`Same`) keep the left
-/// element, preserving the stability of the insertion/merge sorts this
-/// replaces. Brackets are recomputed from scratch on every advance:
-/// decided pairings answer from the arena's session memo (free), and
-/// every *undecided* pairing whose inputs are known is queried before
-/// the round ends — that breadth is what widens the trial batches.
+/// Each pop scans the heads in run order, comparing every head to the
+/// best so far; ties (`Same`) keep the earlier run's head, preserving
+/// the stability of the insertion/merge sorts this replaces. The scan
+/// restarts from scratch on every advance and stops at the first
+/// comparison that needs more trials.
 struct KWaySelect {
     runs: Vec<Vec<usize>>,
     /// Per-run cursor: `runs[r][pos[r]]` is the current head.
@@ -81,55 +73,31 @@ impl KWaySelect {
             .sum()
     }
 
-    /// Pops winners while the bracket can decide; `true` once `take`
-    /// elements are out (or the runs are exhausted).
+    /// Pops winners while the comparator can decide; `true` once
+    /// `take` elements are out (or the runs are exhausted).
     fn advance(&mut self, cmp: &mut dyn FnMut(usize, usize) -> Option<CompareOutcome>) -> bool {
         loop {
             let want = self.take.min(self.out.len() + self.remaining());
             if self.out.len() >= want {
                 return true;
             }
-            // Current heads, in run order. `None` marks an unknown
-            // bracket winner below.
-            let mut round: Vec<Option<usize>> = self
-                .runs
-                .iter()
-                .zip(&self.pos)
-                .filter(|(run, &p)| p < run.len())
-                .map(|(run, &p)| Some(run[p]))
-                .collect();
-            while round.len() > 1 {
-                let mut next = Vec::with_capacity(round.len().div_ceil(2));
-                let mut pairs = round.chunks(2);
-                for pair in &mut pairs {
-                    next.push(match *pair {
-                        [left] => left,
-                        // An unknown side makes the pairing's winner
-                        // unknown, but sibling pairings still advance
-                        // (and still deposit their draw demands).
-                        [Some(left), Some(right)] => match cmp(right, left) {
-                            None => None,
-                            Some(CompareOutcome::Less) => Some(right),
-                            Some(_) => Some(left),
-                        },
-                        _ => None,
-                    });
-                }
-                round = next;
+            // One pass over the current heads in run order: a later
+            // head must beat the best so far outright to replace it.
+            let mut best: Option<usize> = None;
+            for (r, (run, &p)) in self.runs.iter().zip(&self.pos).enumerate() {
+                let Some(&head) = run.get(p) else { continue };
+                best = match best {
+                    None => Some(r),
+                    Some(b) => match cmp(head, self.runs[b][self.pos[b]]) {
+                        None => return false,
+                        Some(CompareOutcome::Less) => Some(r),
+                        Some(_) => Some(b),
+                    },
+                };
             }
-            match round.first().copied().flatten() {
-                Some(winner) => {
-                    let r = self
-                        .runs
-                        .iter()
-                        .zip(&self.pos)
-                        .position(|(run, &p)| p < run.len() && run[p] == winner)
-                        .expect("winner is some run's head");
-                    self.pos[r] += 1;
-                    self.out.push(winner);
-                }
-                None => return false,
-            }
+            let r = best.expect("a run has a head");
+            self.out.push(self.runs[r][self.pos[r]]);
+            self.pos[r] += 1;
         }
     }
 
@@ -319,8 +287,8 @@ mod tests {
     #[test]
     fn kway_stalls_and_resumes() {
         let mut sel = KWaySelect::new(vec![vec![0], vec![1], vec![2]], 3);
-        // First pass: the (1, 0) pairing is undecided; the bracket
-        // must still query nothing else decidable but not pop.
+        // First pass: the (1, 0) pairing is undecided, so nothing
+        // pops.
         let mut undecided_pairs: Vec<(usize, usize)> = Vec::new();
         let mut cmp = |a: usize, b: usize| -> Option<CompareOutcome> {
             undecided_pairs.push((a, b));
@@ -329,7 +297,7 @@ mod tests {
         assert!(!sel.advance(&mut cmp));
         assert!(
             undecided_pairs.contains(&(1, 0)),
-            "bracket must query the stalled head pair: {undecided_pairs:?}"
+            "the scan must query the stalled head pair: {undecided_pairs:?}"
         );
         // Once decidable, the selection completes.
         let mut cmp = |a: usize, b: usize| -> Option<CompareOutcome> {
@@ -341,20 +309,5 @@ mod tests {
         };
         assert!(sel.advance(&mut cmp));
         assert_eq!(sel.into_selected(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn kway_exposes_multiple_pairings_per_round() {
-        // Four runs: the first bracket level has two independent
-        // pairings; both must be queried in one stalled round.
-        let mut sel = KWaySelect::new(vec![vec![0], vec![1], vec![2], vec![3]], 4);
-        let mut queried: Vec<(usize, usize)> = Vec::new();
-        let mut cmp = |a: usize, b: usize| -> Option<CompareOutcome> {
-            queried.push((a, b));
-            None
-        };
-        assert!(!sel.advance(&mut cmp));
-        assert!(queried.contains(&(1, 0)));
-        assert!(queried.contains(&(3, 2)));
     }
 }

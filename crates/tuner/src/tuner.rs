@@ -183,10 +183,11 @@ pub struct TunerStats {
     pub merge_rounds: u64,
     /// Comparator-requested trial draws executed via merge batches.
     pub merge_draws: u64,
-    /// Pair-verdict memo lookups across all arena sessions.
+    /// Always 0: the arena keeps no pair-verdict memo. Kept because
+    /// the frozen ledger still reads it.
     pub pair_memo_queries: u64,
-    /// Lookups answered from a recorded verdict — comparisons neither
-    /// re-decided nor re-tested.
+    /// Always 0, like `pair_memo_queries`, and kept for the same
+    /// reader.
     pub pair_memo_hits: u64,
     /// Trial attempts that panicked (caught by the evaluator's fault
     /// isolation, never propagated).
@@ -374,8 +375,6 @@ impl<'a> Autotuner<'a> {
                 pb_trace::record(EventKind::PhasePrune, span);
                 stats.prune_rounds += report.arena.rounds;
                 stats.prune_draws += report.arena.draws;
-                stats.pair_memo_queries += report.arena.memo_queries;
-                stats.pair_memo_hits += report.arena.memo_hits;
             }
         }
 
@@ -542,8 +541,6 @@ impl<'a> Autotuner<'a> {
         pop.retain_indexed(|idx| idx < parent_count || accepted[idx - parent_count]);
         stats.merge_rounds += report.rounds;
         stats.merge_draws += report.draws;
-        stats.pair_memo_queries += report.memo_queries;
-        stats.pair_memo_hits += report.memo_hits;
     }
 
     /// The guided-mutation phase (§5.5.3): hill climbing on the

@@ -3,9 +3,9 @@
 //! * the arena-driven child-vs-parent merge makes **exactly** the
 //!   decisions (and draws exactly the trials) of the old blocking
 //!   one-comparison-at-a-time merge, for identical seeds;
-//! * a pair verdict cached during the KEEP sort / promotion of a prune
-//!   call is **reused** during the post-promotion re-sort — the draw
-//!   counters prove zero re-tests.
+//! * the post-promotion re-sort of a prune call re-decides the
+//!   promotion pair from the statistics promotion left behind, so it
+//!   draws no trial — the draw counters prove zero re-tests.
 
 use petabricks::config::{AccuracyBins, Schema, Value};
 use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner};
@@ -312,7 +312,7 @@ impl Transform for Spread {
 /// The promotion scenario with K = 1: the rough sort keeps `a`
 /// (misleading cached mean), discards the truly-faster `d`; promotion
 /// decides `(d, a)` with fresh draws; the re-sort then needs exactly
-/// that verdict again — and must take it from the pair memo.
+/// that verdict again, and re-decides it without drawing.
 fn promotion_population(runner: &TransformRunner<Spread>, n: u64) -> (Population, usize, usize) {
     let schema = runner.schema();
     let mut pop = Population::new();
@@ -331,12 +331,11 @@ fn promotion_population(runner: &TransformRunner<Spread>, n: u64) -> (Population
     (pop, 0, 1) // (population, index of a, index of d)
 }
 
-/// Regression: a pair verdict cached during promotion is reused during
-/// the re-sort. Total prune draws equal the draws of deciding that one
-/// pair once — the re-sort re-tests nothing — and the session memo
-/// reports the reuse.
+/// Regression: the re-sort re-decides the promotion pair without
+/// re-testing it. Total prune draws equal the draws of deciding that
+/// one pair once.
 #[test]
-fn resort_reuses_pair_verdict_cached_during_promotion() {
+fn resort_draws_nothing_beyond_the_promotion_pair() {
     let runner = TransformRunner::new(Spread, CostModel::Virtual);
     let n = 4;
     let comparator = Comparator::new(ComparatorConfig {
@@ -359,10 +358,6 @@ fn resort_reuses_pair_verdict_cached_during_promotion() {
         .collect();
     levels.sort_unstable();
     assert_eq!(levels, vec![10, 500], "prune outcome changed: {report:?}");
-    assert!(
-        report.arena.memo_hits >= 1,
-        "the re-sort must replay the promotion verdict from the memo: {report:?}"
-    );
 
     // Twin measurement: deciding the single (d, a) pair from the same
     // starting statistics costs exactly the draws the whole prune
@@ -379,7 +374,7 @@ fn resort_reuses_pair_verdict_cached_during_promotion() {
     assert_eq!(
         report.arena.draws, pair_draws,
         "prune must draw exactly one pair-decision's trials; more means \
-         the re-sort re-tested a memoized pair"
+         the re-sort re-tested the promotion pair"
     );
 }
 

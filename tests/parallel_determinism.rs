@@ -87,10 +87,8 @@ fn binpacking_parallel_matches_sequential_across_seeds() {
 
 /// Arena comparisons consume no randomness at execution time and
 /// merge comparator draws in plan order, so their rounds, draw counts,
-/// batch shapes, memo traffic, and decisions must be bit-identical
-/// between the forced-sequential evaluator and the 4-thread pool —
-/// with pair-verdict memoization and the k-way selection layout
-/// enabled (they always are; there is no other code path).
+/// batch shapes and decisions must be bit-identical between the
+/// forced-sequential evaluator and the 4-thread pool.
 #[test]
 fn pruning_is_bit_identical_and_batched() {
     force_parallel_pool();
@@ -120,20 +118,17 @@ fn pruning_is_bit_identical_and_batched() {
     }
 }
 
-/// The child-vs-parent merge phase and the pair-verdict memo run
-/// through the same arena machinery and must be just as bit-identical
-/// — and really exercised: merge draws batch wider than one, the
-/// pruning re-sorts replay memoized verdicts, and the mean arena round
-/// is wider than the ~1.07 draws/round of pruning-only batching (when
-/// every child-vs-parent draw ran blocking).
+/// The child-vs-parent merge phase runs through the same arena
+/// machinery and must be just as bit-identical — and really exercised:
+/// merge draws batch wider than one, and the mean arena round is wider
+/// than the ~1.07 draws/round of pruning-only batching (when every
+/// child-vs-parent draw ran blocking).
 #[test]
-fn merging_and_pair_memo_are_bit_identical_and_batched() {
+fn merging_is_bit_identical_and_batched() {
     force_parallel_pool();
-    // Seeds chosen so the run's pruning re-sorts really replay
-    // memoized verdicts under the forced 4-thread pool (the virtual
-    // cost model sees the thread budget, so the trajectory — and with
-    // it the memo traffic — is a deterministic function of the seed
-    // and that budget).
+    // The virtual cost model sees the thread budget, so each run's
+    // trajectory is a deterministic function of the seed and the
+    // forced 4-thread pool.
     for (max_size, seed) in [(256, 5u64), (256, 42), (128, 0x7B5)] {
         let bins = vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
         let seq = tune(BinPacking, bins.clone(), max_size, seed, false);
@@ -156,15 +151,8 @@ fn merging_and_pair_memo_are_bit_identical_and_batched() {
             "disjoint merge pairs must batch their draws: {:?}",
             seq.stats
         );
-        assert!(
-            seq.stats.pair_memo_hits > 0,
-            "re-sorts must replay memoized pair verdicts: {:?}",
-            seq.stats
-        );
         assert_eq!(seq.stats.merge_rounds, par.stats.merge_rounds);
         assert_eq!(seq.stats.merge_draws, par.stats.merge_draws);
-        assert_eq!(seq.stats.pair_memo_queries, par.stats.pair_memo_queries);
-        assert_eq!(seq.stats.pair_memo_hits, par.stats.pair_memo_hits);
     }
 }
 
