@@ -13,22 +13,36 @@
 //! The per-item placement scans — the kernels' hot loops — expose the
 //! §5.2 work-stealing switch-over to the autotuner through the
 //! `par_cutoff` tunable, exactly like clustering's nearest-centroid
-//! scan. Below the cutoff a scan probes sequentially and charges one
-//! `PROBE_COST` per probe (early exit included). From the cutoff up it
-//! is *engaged*: charged once as a pool scan (probes divided by the
+//! scan. Below the cutoff a scan probes sequentially and is charged
+//! one `PROBE_COST` per probe (early exit included). From the cutoff up
+//! it is *engaged*: charged once as a pool scan (probes divided by the
 //! thread budget plus a dispatch), whatever the placement. The
 //! packing decisions are the same in both regimes; only the
 //! virtual-cost schedule differs.
 //!
 //! The charges model the §5.2 schedule; execution picks the cheapest
-//! way to the same placement. An engaged scan is one inline pass over
-//! the residuals — a `position`, a fold or a bounded top-k — and
-//! touches neither the pool, its counters nor the heap: at the ≤ 1500
-//! open bins of a 2048-item instance the whole scan costs a fraction
-//! of one measured pool dispatch (≈ 1.7–2.0 µs, the ledger's
-//! `pool.dispatch_us_w4`), so splitting it could only lose. Fanning a
-//! scan out again needs a workload with enough open bins to measure it
-//! on first.
+//! way to the same placement:
+//!
+//! * An engaged scan touches neither the pool, its counters nor the
+//!   heap: at the ≤ 1500 open bins of a 2048-item instance the whole
+//!   scan costs a fraction of one measured pool dispatch (≈ 1.7–2.0 µs,
+//!   the ledger's `pool.dispatch_us_w4`), so splitting it could only
+//!   lose. Fanning a scan out again needs a workload with enough open
+//!   bins to measure it on first.
+//! * A [`Packing`] keeps an upper bound on the residuals of each block
+//!   of 64 bins, so first fit and last fit (FF, FFD, LF, LFD and MFFD's
+//!   final pass) read the block bounds, then one block. The charges
+//!   still count what a linear scan probes: the bins up to the hit, or
+//!   every open bin on a miss.
+//! * A sequential scan is charged once, not once per probe, whenever
+//!   that one add gives the per-probe loop's bits (see
+//!   `charge_probes`), so no scan adds per probe. BestFit, WorstFit
+//!   and AlmostWorstFit still read every bin (their tie rules need
+//!   them): AlmostWorstFit in one pass, BestFit and WorstFit as the
+//!   winning residual over independent chains, then its first bin.
+//! * MFFD's pairing walk binary-searches the descending medium items
+//!   for the first that fits and follows links past the used ones, but
+//!   is charged for the linear walk over every medium item.
 
 use pb_config::Schema;
 use pb_runtime::parallel::{available_threads, parallel_engages};
@@ -94,13 +108,29 @@ pub fn generate_input(n: u64, rng: &mut SmallRng) -> BinPackingInput {
     BinPackingInput { items, opt_bins }
 }
 
+/// Bins per block of [`Packing`]'s block bounds.
+const BLOCK: usize = 64;
+
 /// A packing: the residual capacity of each open bin.
 #[derive(Debug, Clone, Default)]
 pub struct Packing {
     residuals: Vec<f64>,
+    /// One bound per block of `BLOCK` consecutive bins, at least every
+    /// residual in the block. A placement lowers a residual and leaves
+    /// the bound as it is; a scan that finds no fit below a bound that
+    /// fits lowers it to the block's largest residual.
+    block_bounds: Vec<f64>,
 }
 
 impl Packing {
+    /// An empty packing with room for one bin per item.
+    fn with_capacity(items: usize) -> Packing {
+        Packing {
+            residuals: Vec::with_capacity(items),
+            block_bounds: Vec::with_capacity(items.div_ceil(BLOCK)),
+        }
+    }
+
     /// Number of bins used.
     pub fn bins(&self) -> usize {
         self.residuals.len()
@@ -121,7 +151,43 @@ impl Packing {
     }
 
     fn open(&mut self, item: f64) {
-        self.residuals.push(1.0 - item);
+        let r = 1.0 - item;
+        if self.residuals.len().is_multiple_of(BLOCK) {
+            self.block_bounds.push(r);
+        } else {
+            let bound = self.block_bounds.last_mut().expect("an open block");
+            *bound = bound.max(r);
+        }
+        self.residuals.push(r);
+    }
+
+    /// The first (or last) bin `item` fits: the one a linear scan from
+    /// that end stops at. Only blocks whose bound fits are read, and a
+    /// block read in vain gets its largest residual as its bound.
+    fn scan(&mut self, item: f64, from: ScanFrom) -> Option<usize> {
+        let blocks = self.block_bounds.len();
+        for step in 0..blocks {
+            let k = match from {
+                ScanFrom::Front => step,
+                ScanFrom::Back => blocks - 1 - step,
+            };
+            if !fits(self.block_bounds[k], item) {
+                continue;
+            }
+            let lo = k * BLOCK;
+            let block = &self.residuals[lo..(lo + BLOCK).min(self.residuals.len())];
+            let hit = match from {
+                ScanFrom::Front => block.iter().position(|&r| fits(r, item)),
+                ScanFrom::Back => block.iter().rposition(|&r| fits(r, item)),
+            };
+            match hit {
+                Some(j) => return Some(lo + j),
+                None => {
+                    self.block_bounds[k] = block.iter().fold(f64::NEG_INFINITY, |m, &r| m.max(r))
+                }
+            }
+        }
+        None
     }
 }
 
@@ -152,6 +218,39 @@ fn charge_parallel_scan(ctx: &mut ExecCtx<'_>, bins: usize) {
     ctx.charge(bins as f64 * PROBE_COST / available_threads() as f64 + PAR_DISPATCH_COST);
 }
 
+/// Charges `probes` sequential probes, to the bit what charging
+/// `PROBE_COST` (one unit) once per probe gives. One add does that
+/// when the running cost is non-negative and the add is exact (TwoSum's
+/// error term is zero) with a sum below 2⁵³: the sum's ulp is then at
+/// most one unit, the running cost is a multiple of it, and so is every
+/// partial sum of the per-probe loop, which is therefore exact too.
+/// Otherwise (say after an `n·log₂n` sort charge, or a pool scan
+/// charged as `bins/3`) the probes are added one by one.
+fn charge_probes(ctx: &mut ExecCtx<'_>, probes: usize) {
+    let before = ctx.virtual_cost();
+    let total = probes as f64 * PROBE_COST;
+    let after = before + total;
+    let seen = after - before;
+    let error = (before - (after - seen)) + (total - seen);
+    if before >= 0.0 && after < 9_007_199_254_740_992.0 && error == 0.0 {
+        ctx.charge(total);
+    } else {
+        for _ in 0..probes {
+            ctx.charge(PROBE_COST);
+        }
+    }
+}
+
+/// Charges one placement scan over `bins` open bins, which probes
+/// `probes` of them when it runs sequentially.
+fn charge_scan(ctx: &mut ExecCtx<'_>, bins: usize, probes: usize, par_cutoff: usize) {
+    if scan_engages(bins, par_cutoff) {
+        charge_parallel_scan(ctx, bins);
+    } else {
+        charge_probes(ctx, probes);
+    }
+}
+
 /// Scan direction of a one-slot placement (first fitting bin vs last).
 #[derive(Clone, Copy, PartialEq)]
 enum ScanFrom {
@@ -161,38 +260,35 @@ enum ScanFrom {
 
 /// Places `item` in the first (or last) bin it fits, opening a new bin
 /// otherwise — the shared per-item scan of FirstFit, LastFit, and
-/// MFFD's final FFD pass. Sequential scans probe (and charge) with
-/// early exit; at or above `par_cutoff` open bins the scan is charged
-/// as one pool scan, with identical placement either way.
+/// MFFD's final FFD pass. A sequential scan is charged for a linear
+/// scan's probes, early exit included; at or above `par_cutoff` open
+/// bins it is charged as one pool scan. The placement is the same
+/// either way.
 fn place_one(p: &mut Packing, item: f64, from: ScanFrom, par_cutoff: usize, ctx: &mut ExecCtx<'_>) {
     let bins = p.bins();
-    let hit = if scan_engages(bins, par_cutoff) {
-        let hit = match from {
-            ScanFrom::Front => p.residuals.iter().position(|&r| fits(r, item)),
-            ScanFrom::Back => p.residuals.iter().rposition(|&r| fits(r, item)),
-        };
-        charge_parallel_scan(ctx, bins);
-        hit
-    } else {
-        let probe = |&r: &f64| {
-            ctx.charge(PROBE_COST);
-            fits(r, item)
-        };
-        match from {
-            ScanFrom::Front => p.residuals.iter().position(probe),
-            ScanFrom::Back => p.residuals.iter().rposition(probe),
-        }
+    let hit = p.scan(item, from);
+    let probes = match (hit, from) {
+        (Some(b), ScanFrom::Front) => b + 1,
+        (Some(b), ScanFrom::Back) => bins - b,
+        (None, _) => bins,
     };
+    charge_scan(ctx, bins, probes, par_cutoff);
     match hit {
         Some(b) => p.place(b, item),
         None => p.open(item),
     }
 }
 
-fn pack_first_fit(items: &[f64], par_cutoff: usize, ctx: &mut ExecCtx<'_>) -> Packing {
-    let mut p = Packing::default();
+/// FirstFit (`Front`) and LastFit (`Back`).
+fn pack_one_slot(
+    items: &[f64],
+    from: ScanFrom,
+    par_cutoff: usize,
+    ctx: &mut ExecCtx<'_>,
+) -> Packing {
+    let mut p = Packing::with_capacity(items.len());
     for &item in items {
-        place_one(&mut p, item, ScanFrom::Front, par_cutoff, ctx);
+        place_one(&mut p, item, from, par_cutoff, ctx);
     }
     p
 }
@@ -207,35 +303,63 @@ fn pack_by_residual(
     par_cutoff: usize,
     ctx: &mut ExecCtx<'_>,
 ) -> Packing {
-    let mut p = Packing::default();
+    let mut p = Packing::with_capacity(items.len());
     for &item in items {
         let bins = p.bins();
-        let mut slot = None;
-        let mut incumbent = start;
-        if scan_engages(bins, par_cutoff) {
-            for (b, &r) in p.residuals.iter().enumerate() {
-                if fits(r, item) && beats(r, incumbent) {
-                    slot = Some(b);
-                    incumbent = r;
-                }
-            }
-            charge_parallel_scan(ctx, bins);
-        } else {
-            for b in 0..bins {
-                ctx.charge(PROBE_COST);
-                let r = p.residuals[b];
-                if fits(r, item) && beats(r, incumbent) {
-                    slot = Some(b);
-                    incumbent = r;
-                }
-            }
-        }
+        let slot = winning_bin(&p.residuals, item, &beats, start);
+        charge_scan(ctx, bins, bins, par_cutoff);
         match slot {
             Some(b) => p.place(b, item),
             None => p.open(item),
         }
     }
     p
+}
+
+/// Independent chains of [`winning_bin`]'s first pass.
+const LANES: usize = 8;
+
+/// The fitting bin whose residual strictly `beats` all others, the
+/// lowest index among ties: the same bin as one pass that carries the
+/// incumbent and its index. First the winning residual, over `LANES`
+/// independent chains with no index to carry (picking one value of a
+/// set is exact in any order), then the first bin that holds it,
+/// `LANES` bins at a time.
+fn winning_bin(
+    residuals: &[f64],
+    item: f64,
+    beats: impl Fn(f64, f64) -> bool,
+    start: f64,
+) -> Option<usize> {
+    let mut lanes = [start; LANES];
+    let mut chunks = residuals.chunks_exact(LANES);
+    let probe = |lane: &mut f64, r: f64| {
+        let candidate = if fits(r, item) { r } else { start };
+        *lane = if beats(candidate, *lane) {
+            candidate
+        } else {
+            *lane
+        };
+    };
+    for chunk in &mut chunks {
+        for (lane, &r) in lanes.iter_mut().zip(chunk) {
+            probe(lane, r);
+        }
+    }
+    for &r in chunks.remainder() {
+        probe(&mut lanes[0], r);
+    }
+    let best = lanes.into_iter().fold(
+        start,
+        |best, lane| if beats(lane, best) { lane } else { best },
+    );
+    if best == start {
+        return None;
+    }
+    residuals.chunks(LANES).enumerate().find_map(|(c, chunk)| {
+        let holds = chunk.iter().fold(false, |holds, &r| holds | (r == best));
+        holds.then(|| c * LANES + chunk.iter().position(|&r| r == best).expect("held"))
+    })
 }
 
 fn pack_best_fit(items: &[f64], par_cutoff: usize, ctx: &mut ExecCtx<'_>) -> Packing {
@@ -278,7 +402,7 @@ fn pack_almost_worst_fit(
     ctx: &mut ExecCtx<'_>,
 ) -> Packing {
     let k = k.max(1);
-    let mut p = Packing::default();
+    let mut p = Packing::with_capacity(items.len());
     // The k emptiest fitting bins, emptiest first; its last entry is
     // the k-th of a full stable sort of all fitting bins (or that
     // sort's last entry when fewer than k fit). One buffer per pack,
@@ -287,22 +411,12 @@ fn pack_almost_worst_fit(
     for &item in items {
         top.clear();
         let bins = p.bins();
-        if scan_engages(bins, par_cutoff) {
-            for (b, &r) in p.residuals.iter().enumerate() {
-                if fits(r, item) {
-                    insert_top(&mut top, k, b, r);
-                }
-            }
-            charge_parallel_scan(ctx, bins);
-        } else {
-            for b in 0..bins {
-                ctx.charge(PROBE_COST);
-                let r = p.residuals[b];
-                if fits(r, item) {
-                    insert_top(&mut top, k, b, r);
-                }
+        for (b, &r) in p.residuals.iter().enumerate() {
+            if fits(r, item) {
+                insert_top(&mut top, k, b, r);
             }
         }
+        charge_scan(ctx, bins, bins, par_cutoff);
         match top.last() {
             Some(&(b, _)) => p.place(b, item),
             None => p.open(item),
@@ -311,16 +425,8 @@ fn pack_almost_worst_fit(
     p
 }
 
-fn pack_last_fit(items: &[f64], par_cutoff: usize, ctx: &mut ExecCtx<'_>) -> Packing {
-    let mut p = Packing::default();
-    for &item in items {
-        place_one(&mut p, item, ScanFrom::Back, par_cutoff, ctx);
-    }
-    p
-}
-
 fn pack_next_fit(items: &[f64], ctx: &mut ExecCtx<'_>) -> Packing {
-    let mut p = Packing::default();
+    let mut p = Packing::with_capacity(items.len());
     for &item in items {
         ctx.charge(PROBE_COST);
         let last = p.bins();
@@ -357,64 +463,65 @@ fn mffd_pairing(items: &[f64], ctx: &mut ExecCtx<'_>) -> (Packing, Vec<f64>) {
     let mut sorted = items.to_vec();
     charge_sort(ctx, sorted.len());
     sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+    // Descending, so each class is a run: large (> 1/2), medium
+    // (> 1/3), then the rest, whose two smallest sit at `rest_end`.
+    let large = sorted.partition_point(|&x| x > 0.5);
+    let rest_start = sorted.partition_point(|&x| x > 1.0 / 3.0);
+    let mut rest_end = sorted.len();
+    let medium = &sorted[large..rest_start];
 
-    let mut large: Vec<f64> = Vec::new();
-    let mut medium: Vec<f64> = Vec::new();
-    let mut rest: Vec<f64> = Vec::new();
-    for &x in &sorted {
-        if x > 0.5 {
-            large.push(x);
-        } else if x > 1.0 / 3.0 {
-            medium.push(x);
-        } else {
-            rest.push(x);
-        }
-    }
-
-    let mut p = Packing::default();
-    for &x in &large {
+    let mut p = Packing::with_capacity(items.len());
+    for &x in &sorted[..large] {
         p.open(x);
     }
+    // `next[i]` links toward the first unused medium item at or after
+    // `i` (`medium.len()` when there is none).
+    let mut next: Vec<usize> = (0..=medium.len()).collect();
     // Bins of large items, most-full first (they are already in
     // descending item order, so ascending residual order = original).
-    let mut medium_used = vec![false; medium.len()];
-    for b in 0..p.bins() {
-        ctx.charge(PROBE_COST);
-        // Try the largest unused medium item that fits.
-        let mut chosen: Option<usize> = None;
-        for (mi, &m) in medium.iter().enumerate() {
-            ctx.charge(PROBE_COST);
-            if !medium_used[mi] && p.residuals[b] >= m - 1e-15 {
-                chosen = Some(mi);
-                break;
-            }
-        }
-        if let Some(mi) = chosen {
-            medium_used[mi] = true;
-            let m = medium[mi];
-            p.place(b, m);
-        } else {
+    for b in 0..large {
+        let residual = p.residuals[b];
+        // Try the largest unused medium item that fits: the medium
+        // items that fit are a suffix, so it is the suffix's first
+        // unused one. Charged as the linear walk that finds it: the
+        // bin, then every medium item up to it (or all of them).
+        let mi = first_unused(&mut next, medium.partition_point(|&m| !fits(residual, m)));
+        charge_probes(ctx, 1 + (mi + 1).min(medium.len()));
+        if mi < medium.len() {
+            next[mi] = mi + 1;
+            p.place(b, medium[mi]);
+        } else if rest_end - rest_start >= 2 {
             // Try the two smallest remaining small items.
-            if rest.len() >= 2 {
-                let a = rest[rest.len() - 1];
-                let c = rest[rest.len() - 2];
-                if p.residuals[b] >= a + c - 1e-15 {
-                    rest.pop();
-                    rest.pop();
-                    p.place(b, a + c);
-                }
+            let a = sorted[rest_end - 1];
+            let c = sorted[rest_end - 2];
+            if fits(residual, a + c) {
+                rest_end -= 2;
+                p.place(b, a + c);
             }
         }
     }
-    // Leftovers: medium unused + rest, already descending.
-    let mut leftovers: Vec<f64> = medium
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !medium_used[*i])
-        .map(|(_, &m)| m)
-        .collect();
-    leftovers.extend(rest);
-    (p, leftovers)
+    // Leftovers, still descending: the unused medium items, then the
+    // rest, moved to the front of `sorted`.
+    let mut len = 0;
+    let mut mi = first_unused(&mut next, 0);
+    while large + mi < rest_start {
+        sorted[len] = sorted[large + mi];
+        len += 1;
+        mi = first_unused(&mut next, mi + 1);
+    }
+    sorted.copy_within(rest_start..rest_end, len);
+    sorted.truncate(len + rest_end - rest_start);
+    (p, sorted)
+}
+
+/// The first unused medium item at or after `i`, halving the path of
+/// links followed on the way.
+fn first_unused(next: &mut [usize], mut i: usize) -> usize {
+    while next[i] != i {
+        next[i] = next[next[i]];
+        i = next[i];
+    }
+    i
 }
 
 fn charge_sort(ctx: &mut ExecCtx<'_>, n: usize) {
@@ -447,10 +554,10 @@ pub fn pack_with(
     ctx: &mut ExecCtx<'_>,
 ) -> Packing {
     match algorithm {
-        0 => pack_first_fit(items, par_cutoff, ctx),
+        0 => pack_one_slot(items, ScanFrom::Front, par_cutoff, ctx),
         1 => {
             let s = decreasing(items, ctx);
-            pack_first_fit(&s, par_cutoff, ctx)
+            pack_one_slot(&s, ScanFrom::Front, par_cutoff, ctx)
         }
         2 => pack_mffd(items, par_cutoff, ctx),
         3 => pack_best_fit(items, par_cutoff, ctx),
@@ -458,10 +565,10 @@ pub fn pack_with(
             let s = decreasing(items, ctx);
             pack_best_fit(&s, par_cutoff, ctx)
         }
-        5 => pack_last_fit(items, par_cutoff, ctx),
+        5 => pack_one_slot(items, ScanFrom::Back, par_cutoff, ctx),
         6 => {
             let s = decreasing(items, ctx);
-            pack_last_fit(&s, par_cutoff, ctx)
+            pack_one_slot(&s, ScanFrom::Back, par_cutoff, ctx)
         }
         7 => pack_next_fit(items, ctx),
         8 => {
@@ -559,8 +666,9 @@ mod tests {
 
     /// The placement kernels before inline engaged scans: every engaged
     /// scan materialises a `Vec<bool>` fit mask through `parallel_gen`
-    /// (one pool task per open bin). The pins below hold the current
-    /// kernels to these bit for bit.
+    /// (one pool task per open bin), every sequential scan is linear
+    /// and charges each probe as it makes it. The pins below hold the
+    /// current kernels to these bit for bit.
     mod reference {
         use super::super::*;
         use pb_runtime::parallel::parallel_gen;
@@ -737,6 +845,66 @@ mod tests {
             p
         }
 
+        /// MFFD up to its final FFD pass as a linear walk: each large
+        /// bin rescans every medium item from the first, used ones
+        /// included, charging each probe.
+        pub fn mffd_pairing(items: &[f64], ctx: &mut ExecCtx<'_>) -> (Packing, Vec<f64>) {
+            let mut sorted = items.to_vec();
+            charge_sort(ctx, sorted.len());
+            sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+
+            let mut large: Vec<f64> = Vec::new();
+            let mut medium: Vec<f64> = Vec::new();
+            let mut rest: Vec<f64> = Vec::new();
+            for &x in &sorted {
+                if x > 0.5 {
+                    large.push(x);
+                } else if x > 1.0 / 3.0 {
+                    medium.push(x);
+                } else {
+                    rest.push(x);
+                }
+            }
+
+            let mut p = Packing::default();
+            for &x in &large {
+                p.open(x);
+            }
+            let mut medium_used = vec![false; medium.len()];
+            for b in 0..p.bins() {
+                ctx.charge(PROBE_COST);
+                let mut chosen: Option<usize> = None;
+                for (mi, &m) in medium.iter().enumerate() {
+                    ctx.charge(PROBE_COST);
+                    if !medium_used[mi] && p.residuals[b] >= m - 1e-15 {
+                        chosen = Some(mi);
+                        break;
+                    }
+                }
+                if let Some(mi) = chosen {
+                    medium_used[mi] = true;
+                    let m = medium[mi];
+                    p.place(b, m);
+                } else if rest.len() >= 2 {
+                    let a = rest[rest.len() - 1];
+                    let c = rest[rest.len() - 2];
+                    if p.residuals[b] >= a + c - 1e-15 {
+                        rest.pop();
+                        rest.pop();
+                        p.place(b, a + c);
+                    }
+                }
+            }
+            let mut leftovers: Vec<f64> = medium
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !medium_used[*i])
+                .map(|(_, &m)| m)
+                .collect();
+            leftovers.extend(rest);
+            (p, leftovers)
+        }
+
         /// [`super::super::pack_with`]'s compositions over the kernels above.
         pub fn pack_with(
             algorithm: usize,
@@ -837,6 +1005,75 @@ mod tests {
                     ref_ctx.virtual_cost().to_bits()
                 );
             }
+        }
+    }
+
+    /// BestFit and WorstFit on residuals full of exact ties (dyadic
+    /// items, more bins than one lane pass covers): the winning value
+    /// first, then its first bin, must be the bin the one-pass scan
+    /// keeps, the lowest index among equals.
+    #[test]
+    fn best_and_worst_fit_keep_the_lowest_index_on_ties() {
+        let schema = BinPacking.schema();
+        let config = schema.default_config();
+        let items: Vec<f64> = (0..600)
+            .map(|i| [0.75, 0.5, 0.25, 0.125, 0.625, 0.375, 0.875][i % 7])
+            .collect();
+        type Kernel = fn(&[f64], usize, &mut ExecCtx<'_>) -> Packing;
+        let kernels: [(&str, Kernel, Kernel); 2] = [
+            ("BestFit", pack_best_fit, reference::pack_best_fit),
+            ("WorstFit", pack_worst_fit, reference::pack_worst_fit),
+        ];
+        for (name, kernel, reference) in kernels {
+            for cutoff in [16, usize::MAX] {
+                let mut ctx = ctx_for(&schema, &config, 600);
+                let got = kernel(&items, cutoff, &mut ctx);
+                let mut ref_ctx = ctx_for(&schema, &config, 600);
+                let want = reference(&items, cutoff, &mut ref_ctx);
+                assert_eq!(got.residuals(), want.residuals(), "{name} cutoff={cutoff}");
+                assert_eq!(
+                    ctx.virtual_cost().to_bits(),
+                    ref_ctx.virtual_cost().to_bits()
+                );
+            }
+        }
+    }
+
+    /// `charge_probes` against the per-probe loop it stands for, from
+    /// running totals that are integers, sort charges (`n·log₂n`, not
+    /// dyadic at most `n`), pool scans on three threads (`bins/3`),
+    /// arbitrary fractions, and integers up to 2⁵⁴, where the loop
+    /// rounds.
+    #[test]
+    fn charge_probes_matches_the_per_probe_loop() {
+        let schema = BinPacking.schema();
+        let config = schema.default_config();
+        let mut rng = SmallRng::seed_from_u64(43);
+        for case in 0..30_000 {
+            let before = match case % 5 {
+                0 => rng.gen_range(0..1u64 << 20) as f64,
+                1 => {
+                    let n = rng.gen_range(2..4096) as f64;
+                    n * n.log2()
+                }
+                2 => rng.gen_range(0..1u64 << 20) as f64 / 3.0,
+                3 => rng.gen::<f64>() * 2f64.powi(rng.gen_range(0..40)),
+                _ => (1u64 << 53) as f64 - rng.gen_range(-3000.0..3000.0f64).round(),
+            };
+            let probes = rng.gen_range(0..2000);
+            let mut got = ExecCtx::new(&schema, &config, 1, 0);
+            got.charge(before);
+            charge_probes(&mut got, probes);
+            let mut want = ExecCtx::new(&schema, &config, 1, 0);
+            want.charge(before);
+            for _ in 0..probes {
+                want.charge(PROBE_COST);
+            }
+            assert_eq!(
+                got.virtual_cost().to_bits(),
+                want.virtual_cost().to_bits(),
+                "{probes} probes from {before:e}"
+            );
         }
     }
 

@@ -17,6 +17,8 @@ use crate::multigrid::{self, Operator};
 use pb_config::Schema;
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
+use std::borrow::Cow;
+use std::cell::OnceCell;
 
 /// One Helmholtz instance: the operator and its right-hand side.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,23 +29,44 @@ pub struct HelmholtzInput {
     pub f: Grid<3>,
 }
 
-impl Operator<3> for HelmholtzProblem {
+/// One level of a trial's multigrid hierarchy: its problem and, built
+/// on the first visit, the next coarser level. Each trial builds its
+/// own, so the cycles and the estimation phase coarsen each level once
+/// and nothing is shared across trials.
+struct Level<'p> {
+    problem: Cow<'p, HelmholtzProblem>,
+    coarser: OnceCell<Box<Level<'p>>>,
+}
+
+impl<'p> Level<'p> {
+    fn new(problem: Cow<'p, HelmholtzProblem>) -> Self {
+        Level {
+            problem,
+            coarser: OnceCell::new(),
+        }
+    }
+}
+
+impl Operator<3> for Level<'_> {
     const MAX_LEVELS: usize = 6;
     const MAX_CYCLES: i64 = 48;
     const RESIDUAL_COST: f64 = 8.0;
 
     fn relax(&self, phi: &mut Grid<3>, f: &Grid<3>, omega: f64, ctx: &mut ExecCtx<'_>) {
-        let n = self.n();
-        self.sor_sweep(phi, f, omega);
+        let n = self.problem.n();
+        self.problem.sor_sweep(phi, f, omega);
         ctx.charge((n * n * n) as f64 * 8.0);
     }
 
     fn residual(&self, phi: &Grid<3>, f: &Grid<3>) -> Grid<3> {
-        HelmholtzProblem::residual(self, phi, f)
+        self.problem.residual(phi, f)
     }
 
-    fn coarse_level(&self, r: &Grid<3>) -> (Self, Grid<3>) {
-        (self.coarsen(), restrict(r))
+    fn coarse_level(&self, r: &Grid<3>) -> (&Self, Grid<3>) {
+        let coarser = self
+            .coarser
+            .get_or_init(|| Box::new(Level::new(Cow::Owned(self.problem.coarsen()))));
+        (coarser, restrict(r))
     }
 
     fn prolong(coarse: &Grid<3>) -> Grid<3> {
@@ -57,10 +80,10 @@ impl Operator<3> for HelmholtzProblem {
     /// programs and the Fig. 6–8 shapes must not depend on which
     /// factorization produces the same bits.
     fn direct(&self, f: &Grid<3>, ctx: &mut ExecCtx<'_>) -> Grid<3> {
-        let n = self.n();
+        let n = self.problem.n();
         let points = (n * n * n) as f64;
         ctx.charge(points.powi(3) / 3.0 + points * points);
-        self.direct_solve(f)
+        self.problem.direct_solve(f)
     }
 }
 
@@ -72,14 +95,14 @@ pub struct Helmholtz3d;
 impl Helmholtz3d {
     /// The estimation phase: solve a coarsened problem and prolong the
     /// result as the initial guess (full multigrid).
-    fn estimate(&self, problem: &HelmholtzProblem, f: &Grid<3>, ctx: &mut ExecCtx<'_>) -> Grid<3> {
-        let n = problem.n();
+    fn estimate(&self, top: &Level<'_>, f: &Grid<3>, ctx: &mut ExecCtx<'_>) -> Grid<3> {
+        let n = top.problem.n();
         if n <= 3 {
             return Grid::zeros(n);
         }
         ctx.enter("estimate");
-        let (coarse, fc) = problem.coarse_level(f);
-        let phi_c = multigrid::solve_level(&coarse, &fc, 1, ctx);
+        let (coarse, fc) = top.coarse_level(f);
+        let phi_c = multigrid::solve_level(coarse, &fc, 1, ctx);
         let guess = prolong(&phi_c);
         ctx.charge((n * n * n) as f64 * 2.0);
         ctx.exit();
@@ -97,7 +120,7 @@ impl Transform for Helmholtz3d {
 
     fn schema(&self) -> Schema {
         let mut s = Schema::new("helmholtz3d");
-        HelmholtzProblem::add_tunables(&mut s);
+        Level::add_tunables(&mut s);
         s.add_switch("estimate", 2);
         s.add_float_param("omega", 0.8, 1.9);
         s
@@ -113,13 +136,13 @@ impl Transform for Helmholtz3d {
 
     fn execute(&self, input: &HelmholtzInput, ctx: &mut ExecCtx<'_>) -> Grid<3> {
         let estimate = ctx.switch("estimate").expect("schema declares estimate");
-        let problem = &input.problem;
+        let top = Level::new(Cow::Borrowed(&input.problem));
         let guess = if estimate == 1 {
-            self.estimate(problem, &input.f, ctx)
+            self.estimate(&top, &input.f, ctx)
         } else {
-            Grid::zeros(problem.n())
+            Grid::zeros(input.problem.n())
         };
-        multigrid::solve(problem, &input.f, guess, ctx)
+        multigrid::solve(&top, &input.f, guess, ctx)
     }
 
     fn accuracy(&self, input: &HelmholtzInput, output: &Grid<3>) -> f64 {
@@ -158,7 +181,7 @@ mod tests {
         let t = Helmholtz3d;
         let schema = t.schema();
         let mut base = schema.default_config();
-        for d in 0..HelmholtzProblem::MAX_LEVELS {
+        for d in 0..Level::MAX_LEVELS {
             base.set_by_name(&schema, &format!("level{d}_pre"), Value::Int(2))
                 .unwrap();
             base.set_by_name(&schema, &format!("level{d}_post"), Value::Int(2))
@@ -178,7 +201,7 @@ mod tests {
         let t = Helmholtz3d;
         let schema = t.schema();
         let mut base = schema.default_config();
-        for d in 0..HelmholtzProblem::MAX_LEVELS {
+        for d in 0..Level::MAX_LEVELS {
             base.set_by_name(&schema, &format!("level{d}_pre"), Value::Int(1))
                 .unwrap();
             base.set_by_name(&schema, &format!("level{d}_post"), Value::Int(1))
@@ -205,7 +228,7 @@ mod tests {
         let t = Helmholtz3d;
         let schema = t.schema();
         let mut config = schema.default_config();
-        for d in 0..HelmholtzProblem::MAX_LEVELS {
+        for d in 0..Level::MAX_LEVELS {
             config
                 .set_by_name(&schema, &format!("level{d}_pre"), Value::Int(1))
                 .unwrap();
@@ -313,7 +336,8 @@ mod tests {
                     ("estimate", Value::Switch(estimate)),
                 ];
                 for (label, config) in multigrid_configs(&schema, levels, &edits) {
-                    let (hash, shape) = trial_hash(&t, &config, &input, n, |phi| phi.as_slice());
+                    let (hash, shape) =
+                        trial_hash(&t, &config, &input, n, |phi| vec![phi.as_slice()]);
                     got.push(format!(
                         "n{n} estimate={estimate} {label}: {hash:016x} {shape:016x}"
                     ));
@@ -321,6 +345,18 @@ mod tests {
             }
         }
         assert_eq!(got, PINS);
+    }
+
+    /// A trial's hierarchy coarsens each level once: a second visit
+    /// gets the level the first one built, equal to a fresh coarsening.
+    #[test]
+    fn a_hierarchy_builds_each_coarser_level_once() {
+        let input = Helmholtz3d.generate_input(15, &mut SmallRng::seed_from_u64(15));
+        let top = Level::new(Cow::Borrowed(&input.problem));
+        let (first, _) = top.coarse_level(&input.f);
+        let (again, _) = top.coarse_level(&input.f);
+        assert!(std::ptr::eq(first, again));
+        assert_eq!(*first.problem, input.problem.coarsen());
     }
 
     #[test]

@@ -90,6 +90,7 @@ impl Transform for ImageCompression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::trial_hash;
     use pb_config::{Config, DecisionTree, Value};
     use rand::SeedableRng;
 
@@ -112,6 +113,64 @@ mod tests {
         let mut ctx = ExecCtx::new(&schema, &config, n, 0);
         let out = t.execute(&input, &mut ctx);
         (t.accuracy(&input, &out), ctx.virtual_cost())
+    }
+
+    /// Whole-trial hashes (the `U`, `σ` and `V` bits, virtual cost and
+    /// accuracy) taken before the Householder products ran four rows in
+    /// lockstep and the left vectors came from one pass over `A`.
+    const PINS: [&str; 27] = [
+        "n16 qr k=1: adcc52f62d5b1af5",
+        "n16 qr k=8: 5a5f4bd1e6025588",
+        "n16 qr k=16: b3f40b4c0f8a9d78",
+        "n16 divide_and_conquer k=1: 31ecc854274ce021",
+        "n16 divide_and_conquer k=8: 35c4239545d53d9a",
+        "n16 divide_and_conquer k=16: f56276e44c2b02a8",
+        "n16 bisection_k k=1: fc9adfad52a60eb2",
+        "n16 bisection_k k=8: 2fe866026039ad59",
+        "n16 bisection_k k=16: fb6dc4054367092c",
+        "n48 qr k=1: 379f46739d4b2c0e",
+        "n48 qr k=24: 91819689bae5b528",
+        "n48 qr k=48: 40912567a0bc9408",
+        "n48 divide_and_conquer k=1: b418e24ee4346b08",
+        "n48 divide_and_conquer k=24: ec54a072bcf25d00",
+        "n48 divide_and_conquer k=48: ce407e5d55de6318",
+        "n48 bisection_k k=1: ccb7c244b7788333",
+        "n48 bisection_k k=24: 9e4efc8743e47a03",
+        "n48 bisection_k k=48: ed62524b2c83472c",
+        "n96 qr k=1: 5d48712ba66f6c37",
+        "n96 qr k=48: aeab5694c8cbe87e",
+        "n96 qr k=96: 8e290739554a176e",
+        "n96 divide_and_conquer k=1: 7fedcc10d6f65c56",
+        "n96 divide_and_conquer k=48: 6041de13003acabc",
+        "n96 divide_and_conquer k=96: 55c30c2b18b8e13a",
+        "n96 bisection_k k=1: 8b925d13ac5f61aa",
+        "n96 bisection_k k=48: 8f2b28284325b881",
+        "n96 bisection_k k=96: d33ec953f8845eb5",
+    ];
+
+    #[test]
+    fn whole_trials_match_their_pins() {
+        let t = ImageCompression;
+        let schema = t.schema();
+        let mut got = Vec::new();
+        for n in [16u64, 48, 96] {
+            let input = t.generate_input(n, &mut SmallRng::seed_from_u64(n));
+            for (solver, name) in SOLVER_NAMES.iter().enumerate() {
+                for k in [1, n / 2, n] {
+                    let mut config = schema.default_config();
+                    let tree = Value::Tree(DecisionTree::single(solver));
+                    config.set_by_name(&schema, "eigensolver", tree).unwrap();
+                    config
+                        .set_by_name(&schema, "rank_k", Value::Int(k as i64))
+                        .unwrap();
+                    let (hash, _) = trial_hash(&t, &config, &input, n, |svd| {
+                        vec![svd.u.as_slice(), &svd.sigma, svd.v.as_slice()]
+                    });
+                    got.push(format!("n{n} {name} k={k}: {hash:016x}"));
+                }
+            }
+        }
+        assert_eq!(got, PINS);
     }
 
     #[test]

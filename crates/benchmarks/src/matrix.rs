@@ -126,6 +126,7 @@ impl Matrix {
     }
 
     /// The underlying row-major data.
+    #[cfg(test)]
     pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
@@ -150,6 +151,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `j` is out of range.
+    #[cfg(test)]
     pub(crate) fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "column index out of range");
         (0..self.rows).map(|i| self[(i, j)]).collect()
@@ -200,6 +202,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
+    #[cfg(test)]
     pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "vector length must equal cols");
         (0..self.rows)

@@ -41,7 +41,7 @@ pub trait Operator<const D: usize>: Sized {
 
     /// The next coarser level: its operator, and the residual `r`
     /// carried to it as that operator's right-hand side.
-    fn coarse_level(&self, r: &Grid<D>) -> (Self, Grid<D>);
+    fn coarse_level(&self, r: &Grid<D>) -> (&Self, Grid<D>);
 
     /// Interpolation from the `m`-grid to the `2m + 1` grid.
     fn prolong(coarse: &Grid<D>) -> Grid<D>;
@@ -136,7 +136,7 @@ pub fn solve_level<const D: usize, P: Operator<D>>(
             let r = op.residual(&u, b);
             ctx.charge(points * P::RESIDUAL_COST);
             let (coarse, rc) = op.coarse_level(&r);
-            let ec = solve_level(&coarse, &rc, depth + 1, ctx);
+            let ec = solve_level(coarse, &rc, depth + 1, ctx);
             let ef = P::prolong(&ec);
             ctx.charge(points * 2.0);
             u.add_correction(&ef);

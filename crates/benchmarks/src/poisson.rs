@@ -71,12 +71,12 @@ impl Operator<2> for Laplacian {
         poisson2d::residual(u, b)
     }
 
-    fn coarse_level(&self, r: &Grid<2>) -> (Self, Grid<2>) {
+    fn coarse_level(&self, r: &Grid<2>) -> (&Self, Grid<2>) {
         let mut rc = poisson2d::restrict(r);
         for v in rc.as_mut_slice() {
             *v *= 4.0; // coarse-grid h² rescaling
         }
-        (*self, rc)
+        (self, rc)
     }
 
     fn prolong(coarse: &Grid<2>) -> Grid<2> {
@@ -382,7 +382,7 @@ mod tests {
             };
             let input = t.generate_input(n, &mut rng);
             for (label, config) in multigrid_configs(&schema, levels, &edits) {
-                let (hash, shape) = trial_hash(&t, &config, &input, n, |u| u.as_slice());
+                let (hash, shape) = trial_hash(&t, &config, &input, n, |u| vec![u.as_slice()]);
                 got.push(format!("n{n} {label}: {hash:016x} {shape:016x}"));
             }
         }

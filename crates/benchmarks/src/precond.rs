@@ -58,29 +58,43 @@ impl SpdOperator {
     ///
     /// Panics if `x.len() != dim()`.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; x.len()];
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// `y = A·x` into `y`, row by row: each point's centre term, then
+    /// whichever of its up, down, left and right neighbours exist are
+    /// subtracted in that order, so every entry is `apply`'s
+    /// point-by-point expression.
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         let m = self.m;
         assert_eq!(x.len(), m * m, "vector length mismatch");
-        let mut y = vec![0.0; m * m];
+        assert_eq!(y.len(), m * m, "vector length mismatch");
         for i in 0..m {
-            for j in 0..m {
-                let idx = i * m + j;
-                let mut v = (self.a[idx] + 4.0) * x[idx];
-                if i > 0 {
-                    v -= x[idx - m];
+            let row = i * m..(i + 1) * m;
+            let yr = &mut y[row.clone()];
+            for ((yj, &aj), &xj) in yr.iter_mut().zip(&self.a[row.clone()]).zip(&x[row.clone()]) {
+                *yj = (aj + 4.0) * xj;
+            }
+            if i > 0 {
+                for (yj, &uj) in yr.iter_mut().zip(&x[row.start - m..row.start]) {
+                    *yj -= uj;
                 }
-                if i + 1 < m {
-                    v -= x[idx + m];
+            }
+            if i + 1 < m {
+                for (yj, &dj) in yr.iter_mut().zip(&x[row.end..row.end + m]) {
+                    *yj -= dj;
                 }
-                if j > 0 {
-                    v -= x[idx - 1];
-                }
-                if j + 1 < m {
-                    v -= x[idx + 1];
-                }
-                y[idx] = v;
+            }
+            let xr = &x[row];
+            for (yj, &lj) in yr[1..].iter_mut().zip(xr) {
+                *yj -= lj;
+            }
+            for (yj, &rj) in yr.iter_mut().zip(&xr[1..]) {
+                *yj -= rj;
             }
         }
-        y
     }
 
     /// RMS of the residual `b − A·x`.
@@ -105,46 +119,56 @@ pub struct PrecondInput {
     pub b: Vec<f64>,
 }
 
-/// Applies the selected preconditioner `z = P⁻¹·r`.
-fn precondition(
-    op: &SpdOperator,
+/// The selected preconditioner `z = P⁻¹·r`, written in place. `term`
+/// and `at` are the polynomial preconditioner's work vectors (empty for
+/// the others), allocated once per trial.
+struct Preconditioning {
     method: usize,
-    poly_degree: usize,
-    r: &[f64],
-    ctx: &mut ExecCtx<'_>,
-) -> Vec<f64> {
-    match method {
-        0 => r.to_vec(),
-        1 => {
-            // Jacobi: z = D⁻¹·r.
-            ctx.charge(r.len() as f64);
-            r.iter()
-                .enumerate()
-                .map(|(i, &ri)| ri / op.diag(i))
-                .collect()
+    degree: usize,
+    term: Vec<f64>,
+    at: Vec<f64>,
+}
+
+impl Preconditioning {
+    fn new(method: usize, degree: usize, dim: usize) -> Self {
+        let work = if method >= 2 { dim } else { 0 };
+        Preconditioning {
+            method,
+            degree,
+            term: vec![0.0; work],
+            at: vec![0.0; work],
         }
-        _ => {
-            // Truncated Neumann series on the Jacobi splitting:
-            // P⁻¹ = Σ_{j=0}^{deg} (I − D⁻¹A)^j · D⁻¹.
-            let dinv_r: Vec<f64> = r
-                .iter()
-                .enumerate()
-                .map(|(i, &ri)| ri / op.diag(i))
-                .collect();
-            let mut z = dinv_r.clone();
-            let mut term = dinv_r;
-            for _ in 0..poly_degree {
-                // term ← (I − D⁻¹A)·term.
-                let at = op.apply(&term);
-                ctx.charge(5.0 * r.len() as f64);
-                for (i, t) in term.iter_mut().enumerate() {
-                    *t -= at[i] / op.diag(i);
-                }
-                for (zi, &ti) in z.iter_mut().zip(&term) {
-                    *zi += ti;
+    }
+
+    fn apply(&mut self, op: &SpdOperator, r: &[f64], z: &mut [f64], ctx: &mut ExecCtx<'_>) {
+        match self.method {
+            0 => z.copy_from_slice(r),
+            1 => {
+                // Jacobi: z = D⁻¹·r.
+                ctx.charge(r.len() as f64);
+                for (i, (zi, &ri)) in z.iter_mut().zip(r).enumerate() {
+                    *zi = ri / op.diag(i);
                 }
             }
-            z
+            _ => {
+                // Truncated Neumann series on the Jacobi splitting:
+                // P⁻¹ = Σ_{j=0}^{deg} (I − D⁻¹A)^j · D⁻¹.
+                for (i, (ti, &ri)) in self.term.iter_mut().zip(r).enumerate() {
+                    *ti = ri / op.diag(i);
+                }
+                z.copy_from_slice(&self.term);
+                for _ in 0..self.degree {
+                    // term ← (I − D⁻¹A)·term.
+                    op.apply_into(&self.term, &mut self.at);
+                    ctx.charge(5.0 * r.len() as f64);
+                    for (i, (t, &ati)) in self.term.iter_mut().zip(&self.at).enumerate() {
+                        *t -= ati / op.diag(i);
+                    }
+                    for (zi, &ti) in z.iter_mut().zip(&self.term) {
+                        *zi += ti;
+                    }
+                }
+            }
         }
     }
 }
@@ -186,17 +210,21 @@ impl Transform for Preconditioner {
         let degree = ctx.param("poly_degree").expect("schema") as usize;
         ctx.event(METHOD_NAMES[method.min(2)]);
 
-        // Preconditioned conjugate gradients from x = 0.
+        // Preconditioned conjugate gradients from x = 0, every vector
+        // allocated here once and written in place.
+        let mut pre = Preconditioning::new(method, degree, dim);
         let mut x = vec![0.0; dim];
         let mut r = b.clone();
-        let mut z = precondition(op, method, degree, &r, ctx);
+        let mut z = vec![0.0; dim];
+        pre.apply(op, &r, &mut z, ctx);
         let mut p = z.clone();
+        let mut ap = vec![0.0; dim];
         let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
         for _ in 0..max_iters {
             if rz.abs() < 1e-300 {
                 break;
             }
-            let ap = op.apply(&p);
+            op.apply_into(&p, &mut ap);
             ctx.charge(5.0 * dim as f64);
             let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
             if pap <= 0.0 {
@@ -209,7 +237,7 @@ impl Transform for Preconditioner {
             for (ri, &api) in r.iter_mut().zip(&ap) {
                 *ri -= alpha * api;
             }
-            z = precondition(op, method, degree, &r, ctx);
+            pre.apply(op, &r, &mut z, ctx);
             let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
             let beta = rz_new / rz;
             rz = rz_new;
@@ -237,6 +265,7 @@ impl Transform for Preconditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::{assert_bits_eq, trial_hash};
     use pb_config::{Config, DecisionTree, Value};
     use rand::SeedableRng;
 
@@ -258,6 +287,94 @@ mod tests {
         let mut ctx = ExecCtx::new(&schema, &config, n, 0);
         let out = t.execute(&input, &mut ctx);
         (t.accuracy(&input, &out), ctx.virtual_cost())
+    }
+
+    /// Whole-trial hashes (output, virtual cost and accuracy bits) taken
+    /// before `apply` ran by rows and the solve loop wrote into buffers
+    /// allocated once per trial.
+    const PINS: [&str; 9] = [
+        "n8 cg: 30f91fbcbfdf393f",
+        "n8 jacobi_pcg: 6a1a07b710cf9bb5",
+        "n8 polynomial_pcg: d5eb049f380099ce",
+        "n24 cg: f24421d8e748f2e1",
+        "n24 jacobi_pcg: 08a90c446a575a1d",
+        "n24 polynomial_pcg: 04eae295e4c95277",
+        "n128 cg: 4be8a6e8675b9cb9",
+        "n128 jacobi_pcg: f8f02512cbd7abce",
+        "n128 polynomial_pcg: 8c99854e2bed3f4f",
+    ];
+
+    #[test]
+    fn whole_trials_match_their_pins() {
+        let t = Preconditioner;
+        let schema = t.schema();
+        let mut got = Vec::new();
+        for n in [8u64, 24, 128] {
+            let input = t.generate_input(n, &mut SmallRng::seed_from_u64(n));
+            for (method, name) in METHOD_NAMES.iter().enumerate() {
+                let mut config = schema.default_config();
+                let tree = Value::Tree(DecisionTree::single(method));
+                config.set_by_name(&schema, "method", tree).unwrap();
+                config
+                    .set_by_name(&schema, "iterations", Value::Int(40))
+                    .unwrap();
+                config
+                    .set_by_name(&schema, "poly_degree", Value::Int(3))
+                    .unwrap();
+                let (hash, _) = trial_hash(&t, &config, &input, n, |x| vec![x.as_slice()]);
+                got.push(format!("n{n} {name}: {hash:016x}"));
+            }
+        }
+        assert_eq!(got, PINS);
+    }
+
+    /// `apply` point by point, testing each neighbour: the body before
+    /// the row-wise passes, and the bit-identity oracle.
+    fn apply_reference(op: &SpdOperator, x: &[f64]) -> Vec<f64> {
+        let m = op.m;
+        let mut y = vec![0.0; m * m];
+        for i in 0..m {
+            for j in 0..m {
+                let idx = i * m + j;
+                let mut v = (op.a[idx] + 4.0) * x[idx];
+                if i > 0 {
+                    v -= x[idx - m];
+                }
+                if i + 1 < m {
+                    v -= x[idx + m];
+                }
+                if j > 0 {
+                    v -= x[idx - 1];
+                }
+                if j + 1 < m {
+                    v -= x[idx + 1];
+                }
+                y[idx] = v;
+            }
+        }
+        y
+    }
+
+    /// Every grid side from one point to the ledger's, on vectors with
+    /// signed zeros and exact cancellations as well as random entries.
+    #[test]
+    fn row_apply_matches_point_apply_bit_for_bit() {
+        for m in (1..=9).chain([24, 128]) {
+            let mut rng = SmallRng::seed_from_u64(m as u64);
+            let op = SpdOperator::random(m, &mut rng);
+            let random: Vec<f64> = (0..m * m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let signed_zeros: Vec<f64> = (0..m * m)
+                .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                .collect();
+            let ones: Vec<f64> = (0..m * m).map(|i| [1.0, -1.0, 0.5][i % 3]).collect();
+            for (label, x) in [("random", random), ("zeros", signed_zeros), ("ones", ones)] {
+                assert_bits_eq(
+                    &op.apply(&x),
+                    &apply_reference(&op, &x),
+                    &format!("m={m} {label}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -83,8 +83,7 @@ pub fn svd_top_k(a: &Matrix, k: usize, method: SvdMethod) -> Result<Svd, EigenDi
     let k = k.min(m.min(n)).max(1);
 
     // Gram matrix AᵀA (n × n), reduced to tridiagonal form.
-    let gram = a.transpose().matmul(a);
-    let reduction = householder_tridiagonalize(&gram);
+    let reduction = householder_tridiagonalize(&gram(a));
 
     // Eigenpairs of the tridiagonal form, largest k.
     let (mut values, tri_vectors) = match method {
@@ -116,19 +115,65 @@ pub fn svd_top_k(a: &Matrix, k: usize, method: SvdMethod) -> Result<Svd, EigenDi
     }
     let sigma: Vec<f64> = values.iter().map(|&l| l.sqrt()).collect();
 
-    // u_i = A v_i / σ_i.
-    let mut u = Matrix::zeros(m, k);
-    for j in 0..k {
-        let vj = v.col(j);
-        let avj = a.matvec(&vj);
-        if sigma[j] > f64::EPSILON * sigma.first().copied().unwrap_or(1.0).max(1.0) {
-            for i in 0..m {
-                u[(i, j)] = avj[i] / sigma[j];
+    let u = left_vectors(a, &v, &sigma);
+    Ok(Svd { u, sigma, v })
+}
+
+/// `AᵀA`, to the bit what `a.transpose().matmul(a)` gives for finite
+/// `a`. That product sums entry `(i, j)` as `Σₜ a[t][i]·a[t][j]` from
+/// 0.0 in ascending `t`, skipping each `t` with `a[t][i] == 0.0`; entry
+/// `(j, i)` adds the same products in the same order, skipping where
+/// `a[t][j] == 0.0` instead. A skipped product is an exact zero, and
+/// adding one leaves every partial sum (never `-0.0` from a 0.0 start)
+/// unchanged, so the two entries share their bits: the lower triangle
+/// is computed and mirrored.
+fn gram(a: &Matrix) -> Matrix {
+    let n = a.cols();
+    let mut out = vec![0.0; n * n];
+    for i in 0..n {
+        let out_row = &mut out[i * n..=i * n + i];
+        for t in 0..a.rows() {
+            let ati = a[(t, i)];
+            if ati == 0.0 {
+                continue;
+            }
+            for (o, &atj) in out_row.iter_mut().zip(a.row(t)) {
+                *o += ati * atj;
             }
         }
     }
+    for i in 0..n {
+        for j in i + 1..n {
+            out[i * n + j] = out[j * n + i];
+        }
+    }
+    Matrix::from_vec(n, n, out)
+}
 
-    Ok(Svd { u, sigma, v })
+/// `uⱼ = A·vⱼ/σⱼ` for every column `vⱼ` of `v`, zero where `σⱼ` is
+/// negligible, in one pass over `A`: row `i` accumulates all its `k`
+/// products `(A·vⱼ)ᵢ` in lockstep, each summed over `A`'s row in
+/// ascending order from `A.matvec(vⱼ)`'s starting value.
+fn left_vectors(a: &Matrix, v: &Matrix, sigma: &[f64]) -> Matrix {
+    let m = a.rows();
+    let k = sigma.len();
+    let floor = f64::EPSILON * sigma.first().copied().unwrap_or(1.0).max(1.0);
+    let mut u = vec![0.0; m * k];
+    let mut av = vec![0.0; k];
+    for (i, u_row) in u.chunks_exact_mut(k.max(1)).enumerate() {
+        av.fill(-0.0);
+        for (l, &ail) in a.row(i).iter().enumerate() {
+            for (s, &vlj) in av.iter_mut().zip(v.row(l)) {
+                *s += ail * vlj;
+            }
+        }
+        for ((uij, &s), &sj) in u_row.iter_mut().zip(&av).zip(sigma) {
+            if sj > floor {
+                *uij = s / sj;
+            }
+        }
+    }
+    Matrix::from_vec(m, k, u)
 }
 
 /// Selects the top `k` eigenpairs from an ascending decomposition,
@@ -146,7 +191,7 @@ mod tests {
     use super::*;
     use crate::test_inputs::{assert_bits_eq, SIZES};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     const METHODS: [SvdMethod; 3] = [
         SvdMethod::Qr,
@@ -196,6 +241,93 @@ mod tests {
                             svd.reconstruct().as_slice(),
                             reconstruct_reference(&svd).as_slice(),
                             &format!("n={n} seed={seed} {method:?} k={k}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The left vectors one column at a time, each a `col()` copy of
+    /// `vⱼ` and a `matvec`: the body before the lockstep pass, and the
+    /// bit-identity oracle.
+    fn left_vectors_reference(a: &Matrix, v: &Matrix, sigma: &[f64]) -> Matrix {
+        let m = a.rows();
+        let k = sigma.len();
+        let mut u = Matrix::zeros(m, k);
+        for j in 0..k {
+            let vj = v.col(j);
+            let avj = a.matvec(&vj);
+            if sigma[j] > f64::EPSILON * sigma.first().copied().unwrap_or(1.0).max(1.0) {
+                for i in 0..m {
+                    u[(i, j)] = avj[i] / sigma[j];
+                }
+            }
+        }
+        u
+    }
+
+    /// Tall, square and wide inputs at every oracle size, whole or with
+    /// zero entries (the product's skips) and zero columns.
+    #[test]
+    fn mirrored_gram_matches_the_transposed_product_bit_for_bit() {
+        for &n in &SIZES {
+            for (rows, seed) in [(n + 2, 7u64), (n, 70), (n.div_ceil(2), 700)] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let whole = Matrix::random_uniform(rows, n, &mut rng);
+                let mut holes = whole.clone();
+                for t in 0..rows {
+                    for j in 0..n {
+                        if (t * 7 + j * 3) % 5 == 0 || j == n / 2 {
+                            holes[(t, j)] = 0.0;
+                        }
+                    }
+                }
+                let signed = Matrix::from_fn(rows, n, |t, j| match (t + 2 * j) % 4 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                });
+                let cases = [
+                    ("whole", whole),
+                    ("holes", holes),
+                    ("signed zeros", signed),
+                    ("zero", Matrix::zeros(rows, n)),
+                ];
+                for (label, a) in cases {
+                    assert_bits_eq(
+                        gram(&a).as_slice(),
+                        a.transpose().matmul(&a).as_slice(),
+                        &format!("{rows}x{n} {label}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Tall, square and wide inputs at every oracle size, each method
+    /// and rank; then the same singular vectors with a zero and a
+    /// negligible singular value, which must leave zero columns.
+    #[test]
+    fn lockstep_left_vectors_match_matvec_columns_bit_for_bit() {
+        for &n in &SIZES {
+            for (rows, seed) in [(n + 2, 5u64), (n, 50), (n.div_ceil(2), 500)] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let a = Matrix::random_uniform(rows, n, &mut rng);
+                for method in METHODS {
+                    for k in [1, n.div_ceil(2), n] {
+                        let svd = svd_top_k(&a, k, method).unwrap();
+                        let what = format!("{rows}x{n} {method:?} k={k}");
+                        let want = left_vectors_reference(&a, &svd.v, &svd.sigma);
+                        assert_bits_eq(svd.u.as_slice(), want.as_slice(), &what);
+                        let mut sigma = svd.sigma.clone();
+                        let last = sigma.len() - 1;
+                        sigma[last] = 0.0;
+                        sigma[last / 2] = f64::EPSILON / 2.0;
+                        assert_bits_eq(
+                            left_vectors(&a, &svd.v, &sigma).as_slice(),
+                            left_vectors_reference(&a, &svd.v, &sigma).as_slice(),
+                            &format!("{what} with negligible σ"),
                         );
                     }
                 }

@@ -129,15 +129,16 @@ fn write_shape(node: &TraceNode, out: &mut String) {
 }
 
 /// One traced trial of `t` at `config` on `input`, as two FNV-1a
-/// hashes: the trial's, over the `to_bits` of the output's values, the
-/// virtual cost and the accuracy (equal hashes mean a bit-identical
-/// trial), then its cycle shape's, over the trace tree.
+/// hashes: the trial's, over the `to_bits` of the output's values (its
+/// `values` slices in order), the virtual cost and the accuracy (equal
+/// hashes mean a bit-identical trial), then its cycle shape's, over
+/// the trace tree.
 pub(crate) fn trial_hash<T: Transform>(
     t: &T,
     config: &Config,
     input: &T::Input,
     n: u64,
-    values: impl Fn(&T::Output) -> &[f64],
+    values: impl Fn(&T::Output) -> Vec<&[f64]>,
 ) -> (u64, u64) {
     let schema = t.schema();
     let mut ctx = ExecCtx::new(&schema, config, n, 0);
@@ -145,7 +146,8 @@ pub(crate) fn trial_hash<T: Transform>(
     let out = t.execute(input, &mut ctx);
     let tail = [ctx.virtual_cost(), t.accuracy(input, &out)];
     let trial = values(&out)
-        .iter()
+        .into_iter()
+        .flatten()
         .chain(&tail)
         .fold(FNV_OFFSET, |h, v| fnv(h, &v.to_bits().to_le_bytes()));
     let mut shape = String::new();

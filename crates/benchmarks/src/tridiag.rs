@@ -21,6 +21,13 @@
 //! against the previous body), including on tridiagonal, diagonal,
 //! zero and zero-sub-column inputs where the `alpha == 0.0` /
 //! `r == 0.0` skips fire.
+//!
+//! The step works on the transposes `Mᵀ` and `Qᵀ`, so a column of `M`
+//! or `Q` is a contiguous row. `w = m·v` and every row's `q·v` then
+//! advance all their sums together, one per row, each adding its
+//! columns in the same order from the same start value as a
+//! row-at-a-time dot product: no sum waits on another's add chain, and
+//! the results keep their bits.
 
 use crate::matrix::{dot, Matrix};
 
@@ -127,30 +134,39 @@ pub struct Tridiagonalization {
 ///
 /// # Panics
 ///
-/// Panics if `a` is not square (symmetry of the lower triangle is
-/// assumed; only the lower triangle is read).
+/// Panics if `a` is not square (`a` is assumed symmetric; both
+/// triangles are read).
 pub fn householder_tridiagonalize(a: &Matrix) -> Tridiagonalization {
     assert!(a.is_square(), "tridiagonalization requires a square matrix");
     let n = a.rows();
-    // Flat row-major working copies: every inner loop below walks two
-    // or three equally long row slices.
-    let mut m = a.as_slice().to_vec();
-    let mut q = Matrix::identity(n).into_vec();
-    // Only `v[k + 1..]` and `w[k..]` are live at step `k`.
+    // Row-major working copies of `Mᵀ` and `Qᵀ`: column `j` of `M` (of
+    // `Q`) is the contiguous row `j` of `mt` (`qt`), so every loop below
+    // walks rows, and a product with `v` advances one sum per row of `M`
+    // (of `Q`) at once, each still in column order.
+    let mut mt = a.transpose().into_vec();
+    let mut qt = Matrix::identity(n).into_vec();
+    // Only `v[k + 1..]`, `w[k..]` and the factors' `[k + 1..]` are live
+    // at step `k`.
     let mut v = vec![0.0; n];
     let mut w = vec![0.0; n];
+    // Per row `i` of the trailing block: `-2·v[i]`, `2·w[i]` and
+    // `4·vw·v[i]`, as the full update groups them.
+    let (mut fa, mut fb, mut fc) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    // Per row `i` of `Q`: `2·(q·v)`.
+    let mut qv = vec![0.0; n];
 
     for k in 0..n.saturating_sub(2) {
         // Build the Householder vector for column k below the diagonal.
+        let col = &mt[k * n..(k + 1) * n];
         let mut alpha: f64 = 0.0;
-        for i in k + 1..n {
-            alpha += m[i * n + k] * m[i * n + k];
+        for &x in &col[k + 1..] {
+            alpha += x * x;
         }
         alpha = alpha.sqrt();
         if alpha == 0.0 {
             continue;
         }
-        let head = m[(k + 1) * n + k];
+        let head = col[k + 1];
         if head > 0.0 {
             alpha = -alpha;
         }
@@ -160,15 +176,20 @@ pub fn householder_tridiagonalize(a: &Matrix) -> Tridiagonalization {
         }
         v[k + 1] = (head - alpha) / (2.0 * r);
         for i in k + 2..n {
-            v[i] = m[i * n + k] / (2.0 * r);
+            v[i] = col[i] / (2.0 * r);
         }
         let vt = &v[k + 1..];
 
         // m <- H m H with H = I - 2 v vᵀ, where v is zero up to k.
         // w = m v: rows above k are never used, columns up to k only
-        // add products with those zeros.
-        for i in k..n {
-            w[i] = dot(&m[i * n + k + 1..(i + 1) * n], vt);
+        // add products with those zeros. Each row's sum starts where
+        // `dot` starts and adds its columns in order.
+        let wk = &mut w[k..];
+        wk.fill(-0.0);
+        for (mt_row, &vj) in mt[(k + 1) * n..].chunks_exact(n).zip(vt) {
+            for (s, &mij) in wk.iter_mut().zip(&mt_row[k..]) {
+                *s += mij * vj;
+            }
         }
         let wt = &w[k + 1..];
         let vw = dot(vt, wt);
@@ -176,37 +197,44 @@ pub fn householder_tridiagonalize(a: &Matrix) -> Tridiagonalization {
         // still to be read: the new off-diagonal (k + 1, k), where
         // v[k] = 0, and the trailing block.
         let vk = 0.0;
-        m[(k + 1) * n + k] +=
+        mt[k * n + k + 1] +=
             -2.0 * v[k + 1] * w[k] - 2.0 * w[k + 1] * vk + 4.0 * vw * v[k + 1] * vk;
         for i in k + 1..n {
-            let (a, b, c) = (-2.0 * v[i], 2.0 * w[i], 4.0 * vw * v[i]);
-            let row = &mut m[i * n + k + 1..(i + 1) * n];
-            for ((mij, &wj), &vj) in row.iter_mut().zip(wt).zip(vt) {
+            (fa[i], fb[i], fc[i]) = (-2.0 * v[i], 2.0 * w[i], 4.0 * vw * v[i]);
+        }
+        let (fa, fb, fc) = (&fa[k + 1..], &fb[k + 1..], &fc[k + 1..]);
+        for ((mt_row, &wj), &vj) in mt[(k + 1) * n..].chunks_exact_mut(n).zip(wt).zip(vt) {
+            let column = mt_row[k + 1..].iter_mut().zip(fa).zip(fb).zip(fc);
+            for (((mij, &a), &b), &c) in column {
                 *mij += a * wj - b * vj + c * vj;
             }
         }
         // q <- q H (accumulate from the right): columns up to k of H
-        // are the identity's.
-        for qrow in q.chunks_exact_mut(n) {
-            let qt = &mut qrow[k + 1..];
-            let mut qv = 0.0;
-            for (&qj, &vj) in qt.iter().zip(vt) {
-                qv += qj * vj;
+        // are the identity's. Every row's `q·v` starts from 0.0 and adds
+        // its columns in order; then every row reflects.
+        qv.fill(0.0);
+        for (qt_row, &vj) in qt[(k + 1) * n..].chunks_exact(n).zip(vt) {
+            for (s, &qij) in qv.iter_mut().zip(qt_row) {
+                *s += qij * vj;
             }
-            let scale = 2.0 * qv;
-            for (qj, &vj) in qt.iter_mut().zip(vt) {
-                *qj -= scale * vj;
+        }
+        for s in &mut qv {
+            *s *= 2.0;
+        }
+        for (qt_row, &vj) in qt[(k + 1) * n..].chunks_exact_mut(n).zip(vt) {
+            for (qij, &scale) in qt_row.iter_mut().zip(&qv) {
+                *qij -= scale * vj;
             }
         }
     }
 
-    let diag: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
+    let diag: Vec<f64> = (0..n).map(|i| mt[i * n + i]).collect();
     let offdiag: Vec<f64> = (0..n.saturating_sub(1))
-        .map(|i| m[(i + 1) * n + i])
+        .map(|i| mt[i * n + i + 1])
         .collect();
     Tridiagonalization {
         tridiag: SymmetricTridiagonal::new(diag, offdiag),
-        q: Matrix::from_vec(n, n, q),
+        q: Matrix::from_vec(n, n, qt).transpose(),
     }
 }
 

@@ -61,17 +61,6 @@ pub enum CompareStep {
     },
 }
 
-impl CompareOutcome {
-    /// Flips `Less` and `Greater` (for comparing in the opposite order).
-    pub fn reverse(self) -> Self {
-        match self {
-            CompareOutcome::Less => CompareOutcome::Greater,
-            CompareOutcome::Greater => CompareOutcome::Less,
-            CompareOutcome::Same => CompareOutcome::Same,
-        }
-    }
-}
-
 /// Tuning knobs for the comparison protocol. The defaults are the
 /// "typical values" quoted in the paper: 3–25 trials, α = 0.05, and a
 /// same-threshold of a 95% probability of a < 1% difference.
@@ -387,13 +376,6 @@ mod tests {
         let comparator = Comparator::default();
         let (out, _, _) = run_compare(&comparator, || 10.0, || 1.0);
         assert_eq!(out, CompareOutcome::Greater);
-    }
-
-    #[test]
-    fn reverse_flips_order() {
-        assert_eq!(CompareOutcome::Less.reverse(), CompareOutcome::Greater);
-        assert_eq!(CompareOutcome::Greater.reverse(), CompareOutcome::Less);
-        assert_eq!(CompareOutcome::Same.reverse(), CompareOutcome::Same);
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub struct SizeStats {
 /// One member of the tuner's population.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// Unique id within one tuning run (used for seeding and reports).
+    /// Unique id within one tuning run: an identity for callers to
+    /// compare. The tuner itself never reads it; trial seeds come from
+    /// the input size and the trial index, not from the candidate.
     pub id: u64,
     /// The configuration this candidate embodies.
     pub config: Config,
