@@ -42,7 +42,7 @@
 use crate::ast::{Expr, LValue, Program, Stmt, Transform};
 use crate::compile::{Chunk, FirstArg, Instr, Slot};
 use crate::opt::{
-    for_each_def, for_each_slot_def, for_each_slot_use, for_each_target, for_each_use,
+    for_each_def, for_each_slot_def, for_each_slot_use, for_each_target, for_each_use, is_cmp,
     is_terminator, Cfg, OptLevel,
 };
 use crate::token::Span;
@@ -168,11 +168,6 @@ fn for_each_name(instr: &Instr, mut f: impl FnMut(u16)) {
         | Instr::CallTransform { name, .. } => f(*name),
         _ => {}
     }
-}
-
-fn is_cmp_op(op: crate::ast::BinOp) -> bool {
-    use crate::ast::BinOp::*;
-    matches!(op, Eq | Ne | Lt | Le | Gt | Ge)
 }
 
 // ---- the verifier ------------------------------------------------------
@@ -325,7 +320,7 @@ pub fn verify_code(
                     ));
                 }
             }
-            Instr::JumpCmp { op, .. } | Instr::JumpCmpImm { op, .. } if !is_cmp_op(*op) => {
+            Instr::JumpCmp { op, .. } | Instr::JumpCmpImm { op, .. } if !is_cmp(*op) => {
                 note(violation(
                     ViolationKind::BadOperator,
                     i,

@@ -590,6 +590,15 @@ pub(crate) fn is_terminator(instr: &Instr) -> bool {
     )
 }
 
+/// Whether `op` is one of the six comparisons, the operators a
+/// `JumpCmp` or `JumpCmpImm` may carry.
+pub(crate) fn is_cmp(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+    )
+}
+
 /// Indices that are jump targets (block leaders, minus index 0 and
 /// fall-throughs, which the passes that need full leader sets add
 /// themselves).
@@ -1582,13 +1591,6 @@ fn flip_cmp(op: BinOp) -> BinOp {
         BinOp::Ge => BinOp::Le,
         other => other, // Eq / Ne are symmetric.
     }
-}
-
-fn is_cmp(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-    )
 }
 
 /// Collapses the dominant adjacent sequences into superinstructions.

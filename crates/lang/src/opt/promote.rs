@@ -1,7 +1,7 @@
 //! Scalars live in registers: the two passes that move values out of
 //! per-iteration traffic and into registers defined once.
 //!
-//! **`promote`** (every level from `O1`) gives each `Value` slot that
+//! **`promote`** (`O3`) gives each `Value` slot that
 //! provably only ever holds a scalar a *home register* and turns the
 //! slot instructions that touched it into register moves, which the
 //! sweeps and value tracking that follow mostly erase. Lowering keeps

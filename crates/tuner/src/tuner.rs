@@ -453,16 +453,16 @@ impl<'a> Autotuner<'a> {
     ///    through the evaluator (the pool in parallel
     ///    mode).
     /// 3. **Merge** — decide each child-vs-parent comparison through
-    ///    one comparison-arena session, in *waves* of plan-order pairs
-    ///    with pairwise-distinct parents. Pairs within a wave are
-    ///    fully disjoint (every child is new, parents are distinct),
-    ///    so each wave's comparator draws execute as one
-    ///    [`Evaluator::run_batch`] on the pool; pairs sharing a parent
-    ///    stay strictly ordered across waves, so every comparison sees
-    ///    exactly the statistics the old one-blocking-comparison-at-a-
-    ///    time merge produced — identical draws, identical accept/
-    ///    reject decisions, just batched. A child is kept if it beats
-    ///    its parent in either time or accuracy.
+    ///    one comparison-arena session
+    ///    ([`Population::merge_children`]): the pairs are grouped by
+    ///    parent into plan-order chains. Within a chain a pair starts
+    ///    drawing only once the pair before it is decided, so every
+    ///    comparison sees exactly the statistics the old
+    ///    one-blocking-comparison-at-a-time merge produced — identical
+    ///    draws, identical accept/reject decisions. Across chains the
+    ///    stalled pairs' draws share each arena round, which executes
+    ///    as one [`Evaluator::run_batch`] on the pool. A child is kept
+    ///    if it beats its parent in either time or accuracy.
     ///
     /// All randomness is consumed in the plan phase and all decisions
     /// happen in the fixed merge order, so parallel execution is
