@@ -218,6 +218,7 @@ impl SymmetricBanded {
     ///
     /// Returns [`crate::cholesky::NotPositiveDefinite`] if the matrix is
     /// not SPD.
+    #[cfg(test)]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NotPositiveDefinite> {
         Ok(self.cholesky()?.solve(b))
     }

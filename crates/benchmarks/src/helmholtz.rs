@@ -76,9 +76,11 @@ impl Operator<3> for Level<'_> {
     /// Dense Cholesky on n³ unknowns: O(n⁹) — the "ideal direct
     /// solver" that only pays off on tiny grids. The charge
     /// deliberately still models that dense solver, the one the paper
-    /// timed, although `direct_solve` now factors the O(n⁷) band: tuned
-    /// programs and the Fig. 6–8 shapes must not depend on which
-    /// factorization produces the same bits.
+    /// timed, although `direct_solve` factors the O(n⁷) band once per
+    /// problem and then only substitutes: tuned programs and the Fig.
+    /// 6–8 shapes must not depend on which factorization produces the
+    /// same bits, or on whether an earlier trial on the same input
+    /// already built it.
     fn direct(&self, f: &Grid<3>, ctx: &mut ExecCtx<'_>) -> Grid<3> {
         let n = self.problem.n();
         let points = (n * n * n) as f64;

@@ -9,12 +9,13 @@
 //! and a direct solve — all live here. The direct solve is a band
 //! Cholesky: the 7-point operator on `n³` unknowns has bandwidth `n²`,
 //! so it costs `O(n³·(n²)²) = O(n⁷)`, not the `O(n⁹)` of factoring the
-//! same matrix densely.
+//! same matrix densely, and a problem factors it once.
 
-use crate::banded::SymmetricBanded;
+use crate::banded::{BandedCholesky, SymmetricBanded};
 use crate::grid::Grid;
 use crate::lines::{each_of_colour, each_point, split_line};
 use rand::rngs::SmallRng;
+use std::sync::OnceLock;
 
 /// The six axis directions used for face averaging.
 const DIRS: [(isize, isize, isize); 6] = [
@@ -38,8 +39,11 @@ struct Weights {
 /// only; the right-hand side travels separately).
 ///
 /// The fields are private so the per-point [`Weights`], built with the
-/// problem, always describe its coefficients.
-#[derive(Debug, Clone, PartialEq)]
+/// problem, and the band factor, built by its first direct solve,
+/// always describe its coefficients. Both are derived state: equality
+/// compares the coefficients and ignores whether the factor is built
+/// yet.
+#[derive(Debug, Clone)]
 pub struct HelmholtzProblem {
     /// Zeroth-order coefficient weight.
     alpha: f64,
@@ -53,6 +57,18 @@ pub struct HelmholtzProblem {
     h: f64,
     /// The operator's rows, in [`Grid::idx`] order.
     weights: Vec<Weights>,
+    /// The operator's band Cholesky factor, built by the first
+    /// [`HelmholtzProblem::direct_solve`] and kept for every later one.
+    factor: OnceLock<BandedCholesky>,
+}
+
+impl PartialEq for HelmholtzProblem {
+    fn eq(&self, other: &Self) -> bool {
+        (self.alpha, self.beta, self.h) == (other.alpha, other.beta, other.h)
+            && self.a == other.a
+            && self.b == other.b
+            && self.weights == other.weights
+    }
 }
 
 impl HelmholtzProblem {
@@ -102,6 +118,7 @@ impl HelmholtzProblem {
             b,
             h,
             weights,
+            factor: OnceLock::new(),
         }
     }
 
@@ -244,8 +261,10 @@ impl HelmholtzProblem {
     /// point along each axis — and factored there, `O(n⁷)` in the
     /// per-dimension size against `O(n⁹)` for a dense factorization.
     /// Entries outside the band are exact zeros, so the answer is the
-    /// dense factorization's bit for bit. Still only worth it at the
-    /// bottom of the recursion.
+    /// dense factorization's bit for bit. The first call on a problem
+    /// assembles and factors the band; every call then does the two
+    /// band substitutions, `O(n⁵)`. Still only worth it at the bottom
+    /// of the recursion.
     ///
     /// # Panics
     ///
@@ -254,6 +273,19 @@ impl HelmholtzProblem {
     pub fn direct_solve(&self, f: &Grid<3>) -> Grid<3> {
         let n = self.n();
         assert_eq!(f.n(), n, "grid sizes must match");
+        let factor = self.factor.get_or_init(|| {
+            self.band()
+                .cholesky()
+                .expect("the Helmholtz operator is SPD for positive coefficients")
+        });
+        Grid::from_vec(n, factor.solve(f.as_slice()))
+    }
+
+    /// The operator in band storage: each row's diagonal, and its
+    /// couplings to the next point along each axis (the lower triangle
+    /// in [`Grid::idx`] order).
+    fn band(&self) -> SymmetricBanded {
+        let n = self.n();
         // A 1-grid has no couplings, and a band must be narrower than
         // the matrix.
         let bandwidth = if n == 1 { 0 } else { n * n };
@@ -261,7 +293,7 @@ impl HelmholtzProblem {
         for i in 0..n {
             for j in 0..n {
                 for k in 0..n {
-                    let row = f.idx(i, j, k);
+                    let row = self.a.idx(i, j, k);
                     let w = &self.weights[row];
                     band.set(row, row, w.diag);
                     // Couplings to the next point along each axis (the
@@ -274,10 +306,7 @@ impl HelmholtzProblem {
                 }
             }
         }
-        let x = band
-            .solve(f.as_slice())
-            .expect("the Helmholtz operator is SPD for positive coefficients");
-        Grid::from_vec(n, x)
+        band
     }
 }
 
@@ -623,16 +652,31 @@ mod tests {
                 let mut p = Some(fine);
                 while let Some(level) = p {
                     let m = level.n();
-                    let f = Grid::random_uniform(m, -1.0, 1.0, &mut rng);
-                    assert_eq!(
-                        bits(level.direct_solve(&f).as_slice()),
-                        bits(&dense_direct_solve(&level, &f)),
-                        "n={n} seed={seed} level size {m}"
-                    );
+                    // The first solve factors the band, the second uses
+                    // the factor the level kept.
+                    for solve in ["first", "second"] {
+                        let f = Grid::random_uniform(m, -1.0, 1.0, &mut rng);
+                        assert_eq!(
+                            bits(level.direct_solve(&f).as_slice()),
+                            bits(&dense_direct_solve(&level, &f)),
+                            "n={n} seed={seed} level size {m}, {solve} solve"
+                        );
+                    }
+                    assert!(level.factor.get().is_some());
                     p = (m >= 3).then(|| level.coarsen());
                 }
             }
         }
+    }
+
+    #[test]
+    fn equality_ignores_the_kept_factor() {
+        let solved = problem(3, 14);
+        let mut rng = SmallRng::seed_from_u64(15);
+        solved.direct_solve(&Grid::random_uniform(3, -1.0, 1.0, &mut rng));
+        assert!(solved.factor.get().is_some());
+        assert_eq!(solved, problem(3, 14));
+        assert_ne!(solved, problem(3, 16));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::eigen_bisect;
 use crate::eigen_dc::eigen_dc_tridiagonal;
 use crate::eigen_qr::{eigen_tridiagonal, EigenDidNotConverge};
 use crate::matrix::{axpy, Matrix};
-use crate::tridiag::householder_tridiagonalize;
+use crate::tridiag::{householder_tridiagonalize, Tridiagonalization};
 
 /// Which eigensolver backs the SVD computation — the algorithmic
 /// choice exposed to the autotuner in the image-compression benchmark.
@@ -66,24 +66,40 @@ impl Svd {
     }
 }
 
-/// Computes the top-`k` SVD of `a` with the selected eigensolver.
+/// The Gram matrix `AᵀA` (whose eigenvalues are `σ²` and eigenvectors
+/// are the right singular vectors) reduced to tridiagonal form: the
+/// part of every SVD of `a` that depends on `a` alone, whatever the
+/// eigensolver or rank.
+pub fn gram_reduction(a: &Matrix) -> Tridiagonalization {
+    householder_tridiagonalize(&gram(a))
+}
+
+/// The top-`k` SVD of `a` with `a`'s [`gram_reduction`].
+#[cfg(test)]
+pub fn svd_top_k(a: &Matrix, k: usize, method: SvdMethod) -> Result<Svd, EigenDidNotConverge> {
+    svd_reduced(a, &gram_reduction(a), k, method)
+}
+
+/// Computes the top-`k` SVD of `a` with the selected eigensolver, from
+/// `reduction`, which must be `gram_reduction(a)`.
 ///
-/// `k` is clamped to `min(m, n)`. The decomposition is computed through
-/// the Gram matrix `AᵀA` (whose eigenvalues are `σ²` and eigenvectors
-/// are the right singular vectors); left vectors follow from
-/// `uᵢ = A·vᵢ/σᵢ`. Zero singular values get zero left vectors.
+/// `k` is clamped to `min(m, n)`. The eigenpairs of the reduced Gram
+/// matrix give `σ²` and the right singular vectors; left vectors follow
+/// from `uᵢ = A·vᵢ/σᵢ`. Zero singular values get zero left vectors.
 ///
 /// # Errors
 ///
 /// Returns `EigenDidNotConverge` if the underlying QL iteration
 /// fails.
-pub fn svd_top_k(a: &Matrix, k: usize, method: SvdMethod) -> Result<Svd, EigenDidNotConverge> {
+pub fn svd_reduced(
+    a: &Matrix,
+    reduction: &Tridiagonalization,
+    k: usize,
+    method: SvdMethod,
+) -> Result<Svd, EigenDidNotConverge> {
     let m = a.rows();
     let n = a.cols();
     let k = k.min(m.min(n)).max(1);
-
-    // Gram matrix AᵀA (n × n), reduced to tridiagonal form.
-    let reduction = householder_tridiagonalize(&gram(a));
 
     // Eigenpairs of the tridiagonal form, largest k.
     let (mut values, tri_vectors) = match method {

@@ -35,5 +35,7 @@ mod tuned;
 pub use ctx::{ExecCtx, TraceNode};
 pub use guarantee::{GuaranteeError, VerifiedRun};
 pub use pool::{Pool, PoolBatchStats};
-pub use transform::{CostModel, Transform, TransformRunner, TrialOutcome, TrialRunner};
+pub use transform::{
+    CostModel, SharedInput, Transform, TransformRunner, TrialOutcome, TrialRunner,
+};
 pub use tuned::{TunedEntry, TunedProgram};

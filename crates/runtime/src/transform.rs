@@ -13,6 +13,8 @@ use crate::ctx::{ExecCtx, TraceNode};
 use pb_config::{Config, Schema};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::any::Any;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How candidate cost is measured during training.
@@ -70,8 +72,10 @@ impl TrialOutcome {
 /// configuration via [`ExecCtx`], and score outputs with their
 /// `accuracy_metric`.
 pub trait Transform {
-    /// The transform's input data (the `from` clause).
-    type Input;
+    /// The transform's input data (the `from` clause). Shared, read
+    /// only, by every trial on the same `(n, seed)` of a tuning run
+    /// (see [`TrialRunner::prepare`]), possibly on several threads.
+    type Input: Send + Sync + 'static;
     /// The transform's output data (the `to` clause).
     type Output;
 
@@ -94,10 +98,16 @@ pub trait Transform {
     fn accuracy(&self, input: &Self::Input, output: &Self::Output) -> f64;
 }
 
+/// A training input built by [`TrialRunner::prepare`], type-erased so
+/// the tuner can hold it without knowing the transform.
+pub type SharedInput = Arc<dyn Any + Send + Sync>;
+
 /// Object-safe facade over a [`Transform`] used by the autotuner.
 ///
 /// The tuner never sees input/output types — only configurations going
-/// in and `(cost, accuracy)` measurements coming out.
+/// in and `(cost, accuracy)` measurements coming out, and the opaque
+/// [`SharedInput`]s it builds once per `(n, seed)` and hands back to
+/// [`TrialRunner::run_prepared`].
 pub trait TrialRunner: Send + Sync {
     /// Transform name.
     fn name(&self) -> &str;
@@ -116,6 +126,31 @@ pub trait TrialRunner: Send + Sync {
     /// Runs one trial: generate an input of size `n` from `seed`,
     /// execute under `config`, measure cost and accuracy.
     fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome;
+
+    /// Builds the input [`TrialRunner::run_trial`] would generate for
+    /// `(n, seed)`, once, so every trial on it can share it through
+    /// [`TrialRunner::run_prepared`]. The default builds nothing: a
+    /// runner that does not override both methods keeps generating its
+    /// input per trial.
+    fn prepare(&self, n: u64, seed: u64) -> SharedInput {
+        let _ = (n, seed);
+        Arc::new(())
+    }
+
+    /// Runs one trial on `input`, which [`TrialRunner::prepare`] built
+    /// for the same `(n, seed)`: the outcome is the one
+    /// [`TrialRunner::run_trial`] gives. The default ignores `input`
+    /// and calls `run_trial`.
+    fn run_prepared(
+        &self,
+        config: &Config,
+        input: &SharedInput,
+        n: u64,
+        seed: u64,
+    ) -> TrialOutcome {
+        let _ = input;
+        self.run_trial(config, n, seed)
+    }
 
     /// Like [`TrialRunner::run_trial`] but also records and returns the
     /// execution trace (used for cycle-shape reporting).
@@ -194,26 +229,33 @@ impl<T: Transform> TransformRunner<T> {
         &self.schema
     }
 
-    fn run_inner(
+    /// The training input of size `n` for `seed`. Input generation and
+    /// execution use decorrelated seeds: the input is a function of
+    /// `(n, seed)` alone, so [`TrialRunner::prepare`] builds it once and
+    /// every candidate's trial on that seed re-uses it, while the
+    /// execution's internal randomness still varies with `seed`.
+    fn generate(&self, n: u64, seed: u64) -> T::Input {
+        let mut input_rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E3779B97F4A7C15));
+        self.transform.generate_input(n, &mut input_rng)
+    }
+
+    /// Executes under `config` on `input` and measures the trial.
+    fn run_on(
         &self,
+        input: &T::Input,
         config: &Config,
         n: u64,
         seed: u64,
         traced: bool,
     ) -> (TrialOutcome, TraceNode) {
-        // Input generation and execution use decorrelated seeds so that
-        // the same input can be re-used across candidates while the
-        // execution's internal randomness still varies with `seed`.
-        let mut input_rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E3779B97F4A7C15));
-        let input = self.transform.generate_input(n, &mut input_rng);
         let mut ctx = ExecCtx::new(&self.schema, config, n, seed);
         if traced {
             ctx.enable_trace();
         }
         let start = Instant::now();
-        let output = self.transform.execute(&input, &mut ctx);
+        let output = self.transform.execute(input, &mut ctx);
         let wall = start.elapsed().as_secs_f64();
-        let accuracy = self.transform.accuracy(&input, &output);
+        let accuracy = self.transform.accuracy(input, &output);
         let virtual_cost = ctx.virtual_cost();
         let time = match self.cost_model {
             CostModel::WallClock => wall,
@@ -251,11 +293,32 @@ where
     }
 
     fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
-        self.run_inner(config, n, seed, false).0
+        let input = self.generate(n, seed);
+        self.run_on(&input, config, n, seed, false).0
     }
 
     fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
-        self.run_inner(config, n, seed, true)
+        self.run_on(&self.generate(n, seed), config, n, seed, true)
+    }
+
+    fn prepare(&self, n: u64, seed: u64) -> SharedInput {
+        Arc::new(self.generate(n, seed))
+    }
+
+    /// Falls back to [`TrialRunner::run_trial`] when `input` is not
+    /// this transform's: what a decorator that forwards `run_prepared`
+    /// but not `prepare` hands down.
+    fn run_prepared(
+        &self,
+        config: &Config,
+        input: &SharedInput,
+        n: u64,
+        seed: u64,
+    ) -> TrialOutcome {
+        match input.downcast_ref::<T::Input>() {
+            Some(input) => self.run_on(input, config, n, seed, false).0,
+            None => self.run_trial(config, n, seed),
+        }
     }
 }
 
@@ -363,6 +426,40 @@ mod tests {
         let b = runner.run_trial(&config, 64, 9);
         assert_eq!(a.virtual_cost, b.virtual_cost);
         assert_eq!(a.accuracy, b.accuracy);
+    }
+
+    #[test]
+    fn a_prepared_input_runs_the_trial_run_trial_runs() {
+        let runner = TransformRunner::new(Toy, CostModel::Virtual);
+        let mut config = runner.schema().default_config();
+        config
+            .set_by_name(runner.schema(), "level", pb_config::Value::Int(3))
+            .unwrap();
+        let measured = |o: TrialOutcome| (o.time, o.virtual_cost, o.accuracy);
+        // Toy's input is `n` or `n + 1` by seed, so its cost shows
+        // which input a trial ran on.
+        let costs: Vec<f64> = (0..8)
+            .map(|seed| runner.run_trial(&config, 100, seed).time)
+            .collect();
+        assert!(
+            costs.contains(&301.0) && costs.contains(&304.0),
+            "{costs:?}"
+        );
+        for seed in 0..8 {
+            let want = measured(runner.run_trial(&config, 100, seed));
+            let input = runner.prepare(100, seed);
+            assert_eq!(
+                measured(runner.run_prepared(&config, &input, 100, seed)),
+                want
+            );
+            // Another runner's input (here the default `prepare`'s
+            // `()`) falls back to generating the trial's own.
+            let foreign: SharedInput = Arc::new(());
+            assert_eq!(
+                measured(runner.run_prepared(&config, &foreign, 100, seed)),
+                want
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   sequentially, when forced), and
 //! * memoizes outcomes in a fingerprint cache keyed on
 //!   `(canonical config hash, n, seed)`, so duplicate candidates and
-//!   mutate-then-revert configurations never re-execute a trial.
+//!   mutate-then-revert configurations never re-execute a trial, and
+//! * builds each training input once per tuning run
+//!   ([`TrialRunner::prepare`]) and shares it with every trial on the
+//!   same `(n, seed)`, whatever the candidate.
 //!
 //! Because trial seeds are a deterministic function of the input size
 //! and trial index, and trials are pure under the virtual cost model,
@@ -25,13 +28,13 @@
 
 use pb_config::{Config, Value};
 use pb_runtime::parallel::parallel_gen;
-use pb_runtime::{TrialOutcome, TrialRunner};
+use pb_runtime::{SharedInput, TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How an [`Evaluator`] executes a batch of trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -241,12 +244,25 @@ serde::json_object!(SidecarEntry {
     accuracy,
 });
 
+/// One training input's slot, filled by the first trial that runs on
+/// it.
+type InputSlot = Arc<OnceLock<SharedInput>>;
+
 /// Executes trials for the tuner: batched, optionally parallel,
 /// optionally memoized.
 pub struct Evaluator<'a> {
     runner: &'a dyn TrialRunner,
     mode: EvalMode,
     cache: Option<TrialCache>,
+    /// The inputs built so far, `(n, seed) → input`. Trial seeds depend
+    /// only on `(n, trial index)`, so a run meets few of them, and each
+    /// lives as long as the evaluator: one tuning run.
+    inputs: Mutex<HashMap<(u64, u64), InputSlot>>,
+    /// Cleared once a prepared input turns out to carry nothing (`()`:
+    /// a runner that does not override `prepare`, or a transform with
+    /// no input); later batches then run every trial unprepared, and
+    /// pay nothing for the map.
+    shares_inputs: AtomicBool,
     /// Calls into the runner, retried attempts included.
     trials: AtomicU64,
     /// Attempts that panicked (caught, never propagated).
@@ -273,6 +289,8 @@ impl<'a> Evaluator<'a> {
             runner,
             mode,
             cache: memoize.then(TrialCache::default),
+            inputs: Mutex::default(),
+            shares_inputs: AtomicBool::new(true),
             trials: AtomicU64::new(0),
             trial_panics: AtomicU64::new(0),
             trial_nonfinite: AtomicU64::new(0),
@@ -424,16 +442,23 @@ impl<'a> Evaluator<'a> {
         if requests.is_empty() {
             return Vec::new();
         }
+        // Relaxed: the flag guards no data; a batch that reads it stale
+        // only resolves slots it did not need.
+        let inputs = self
+            .shares_inputs
+            .load(Ordering::Relaxed)
+            .then(|| self.input_slots(requests));
+        let run = |i: usize| {
+            let input = inputs.as_ref().map(|slots| &*slots[i]);
+            self.guarded_run(&requests[i], input)
+        };
         match self.mode {
-            EvalMode::Sequential => requests.iter().map(|r| self.guarded_run(r)).collect(),
+            EvalMode::Sequential => (0..requests.len()).map(run).collect(),
             EvalMode::Parallel => match self.repeated_coordinates(requests) {
-                None => parallel_gen(requests.len(), 2, |i| self.guarded_run(&requests[i])),
+                None => parallel_gen(requests.len(), 2, run),
                 Some(chains) => {
                     let ran = parallel_gen(chains.len(), 2, |c| {
-                        chains[c]
-                            .iter()
-                            .map(|&i| self.guarded_run(&requests[i]))
-                            .collect::<Vec<_>>()
+                        chains[c].iter().map(|&i| run(i)).collect::<Vec<_>>()
                     });
                     let mut outcomes = vec![TrialOutcome::QUARANTINED; requests.len()];
                     for (chain, chain_outcomes) in chains.iter().zip(ran) {
@@ -445,6 +470,17 @@ impl<'a> Evaluator<'a> {
                 }
             },
         }
+    }
+
+    /// Each request's input slot, in request order, all looked up under
+    /// one lock: a batch holds few distinct `(n, seed)`, and a lock per
+    /// trial would cost the shortest trials more than they save.
+    fn input_slots(&self, requests: &[TrialRequest]) -> Vec<InputSlot> {
+        let mut inputs = self.inputs.lock().expect("input map poisoned");
+        requests
+            .iter()
+            .map(|r| Arc::clone(inputs.entry((r.n, r.seed)).or_default()))
+            .collect()
     }
 
     /// Request indices grouped by trial coordinate, in first-occurrence
@@ -481,20 +517,28 @@ impl<'a> Evaluator<'a> {
     /// call into the runner: panics are caught (`catch_unwind` — the
     /// pool's unwind machinery never engages), non-finite costs are
     /// counted as faults too, and a faulting attempt is retried up to
-    /// `MAX_RETRIES` times. A trial whose every attempt faults is
+    /// `MAX_RETRIES` times. The first attempt on an empty `input` slot
+    /// prepares the input inside the same guard, so a panicking input
+    /// generator faults like a panicking trial, and leaves the slot
+    /// empty for the next attempt. Without a slot the trial generates
+    /// its own input. A trial whose every attempt faults is
     /// *quarantined*: its recorded outcome is the deterministic
     /// worst-cost sentinel [`TrialOutcome::QUARANTINED`], which loses
     /// every comparison and meets no accuracy target, so tournaments,
     /// arena contests, and merges degrade gracefully instead of
     /// aborting the run.
-    fn guarded_run(&self, r: &TrialRequest) -> TrialOutcome {
+    fn guarded_run(&self, r: &TrialRequest, input: Option<&OnceLock<SharedInput>>) -> TrialOutcome {
         for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
                 self.trial_retries.fetch_add(1, Ordering::Relaxed);
             }
             self.trials.fetch_add(1, Ordering::Relaxed);
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.runner.run_trial(r.config(), r.n, r.seed)
+            match catch_unwind(AssertUnwindSafe(|| match input {
+                Some(slot) => {
+                    let input = slot.get_or_init(|| self.prepare(r));
+                    self.runner.run_prepared(r.config(), input, r.n, r.seed)
+                }
+                None => self.runner.run_trial(r.config(), r.n, r.seed),
             })) {
                 Ok(outcome) if outcome.time.is_finite() => return outcome,
                 Ok(_) => self.trial_nonfinite.fetch_add(1, Ordering::Relaxed),
@@ -503,6 +547,16 @@ impl<'a> Evaluator<'a> {
         }
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         TrialOutcome::QUARANTINED
+    }
+
+    /// Prepares `r`'s input, and stops sharing inputs if it carries
+    /// nothing.
+    fn prepare(&self, r: &TrialRequest) -> SharedInput {
+        let input = self.runner.prepare(r.n, r.seed);
+        if input.is::<()>() {
+            self.shares_inputs.store(false, Ordering::Relaxed);
+        }
+        input
     }
 
     /// Preloads the trial memo from a cross-run sidecar written by
@@ -1214,6 +1268,237 @@ mod tests {
         });
         let _ = std::fs::remove_file(&path);
         assert_eq!(failures.load(Ordering::Relaxed), 0);
+    }
+
+    /// Accuracy and cost both scaled by a per-input factor, so trials
+    /// on different seeds differ and comparisons draw extra seeds.
+    struct Jittered;
+
+    impl Transform for Jittered {
+        type Input = f64;
+        type Output = f64;
+        fn name(&self) -> &str {
+            "jittered"
+        }
+        fn schema(&self) -> Schema {
+            let mut s = Schema::new("jittered");
+            s.add_accuracy_variable("v", 1, 100);
+            s
+        }
+        fn generate_input(&self, _n: u64, rng: &mut SmallRng) -> f64 {
+            rand::Rng::gen_range(rng, 0.9..1.1)
+        }
+        fn execute(&self, input: &f64, ctx: &mut ExecCtx<'_>) -> f64 {
+            let v = ctx.param("v").unwrap() as f64;
+            ctx.charge(v * ctx.size() as f64 * input);
+            1.0 - 1.0 / (1.0 + v)
+        }
+        fn accuracy(&self, input: &f64, output: &f64) -> f64 {
+            output * input
+        }
+    }
+
+    /// Forwards everything to `inner`, counting the inputs it prepares
+    /// per `(n, seed)` and the trials run on them.
+    struct Counting<'r> {
+        inner: &'r dyn TrialRunner,
+        deterministic: bool,
+        prepared: Mutex<HashMap<(u64, u64), u64>>,
+        ran_on: Mutex<HashMap<(u64, u64), u64>>,
+        unprepared: AtomicU64,
+    }
+
+    impl<'r> Counting<'r> {
+        fn new(inner: &'r dyn TrialRunner, deterministic: bool) -> Self {
+            Counting {
+                inner,
+                deterministic,
+                prepared: Mutex::default(),
+                ran_on: Mutex::default(),
+                unprepared: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl TrialRunner for Counting<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn deterministic(&self) -> bool {
+            self.deterministic
+        }
+        fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
+            self.unprepared.fetch_add(1, Ordering::Relaxed);
+            self.inner.run_trial(config, n, seed)
+        }
+        fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
+            self.inner.run_traced(config, n, seed)
+        }
+        fn prepare(&self, n: u64, seed: u64) -> SharedInput {
+            *self.prepared.lock().unwrap().entry((n, seed)).or_default() += 1;
+            self.inner.prepare(n, seed)
+        }
+        fn run_prepared(
+            &self,
+            config: &Config,
+            input: &SharedInput,
+            n: u64,
+            seed: u64,
+        ) -> TrialOutcome {
+            *self.ran_on.lock().unwrap().entry((n, seed)).or_default() += 1;
+            self.inner.run_prepared(config, input, n, seed)
+        }
+    }
+
+    #[test]
+    fn a_tuning_run_prepares_each_input_once_in_both_modes() {
+        use crate::{Autotuner, TunerOptions};
+        use pb_config::AccuracyBins;
+
+        let runner = TransformRunner::new(Jittered, CostModel::Virtual);
+        let mut programs = Vec::new();
+        for memoize in [true, false] {
+            for parallel in [false, true] {
+                let counting = Counting::new(&runner, memoize);
+                let mut options = TunerOptions::fast_preset(64, 5);
+                options.parallel_trials = parallel;
+                let bins = AccuracyBins::new(vec![0.5, 0.9]);
+                let outcome = Autotuner::new(&counting, bins, options)
+                    .tune_outcome()
+                    .unwrap();
+                let what = format!("memoize={memoize} parallel={parallel}");
+                let prepared = counting.prepared.into_inner().unwrap();
+                let ran_on = counting.ran_on.into_inner().unwrap();
+                assert!(
+                    prepared.values().all(|&count| count == 1),
+                    "{what}: {prepared:?}"
+                );
+                let mut keys: Vec<_> = prepared.keys().collect();
+                keys.sort();
+                let mut ran: Vec<_> = ran_on.keys().collect();
+                ran.sort();
+                assert_eq!(keys, ran, "{what}: every input prepared is run on");
+                assert!(
+                    keys.len() >= 4 && (ran_on.values().sum::<u64>() as usize) > 4 * keys.len(),
+                    "{what}: trials share few inputs: {ran_on:?}"
+                );
+                assert_eq!(ran_on.values().sum::<u64>(), outcome.stats.trials, "{what}");
+                assert_eq!(counting.unprepared.load(Ordering::Relaxed), 0, "{what}");
+                programs.push(outcome.program);
+            }
+        }
+        assert_eq!(programs[0], programs[1]);
+        assert_eq!(programs[2], programs[3]);
+    }
+
+    /// `Jittered` behind inputs whose first `fail` preparations panic.
+    struct FlakyInput {
+        inner: TransformRunner<Jittered>,
+        fail: u64,
+        prepares: AtomicU64,
+    }
+
+    impl TrialRunner for FlakyInput {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn deterministic(&self) -> bool {
+            true
+        }
+        fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
+            self.inner.run_trial(config, n, seed)
+        }
+        fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
+            self.inner.run_traced(config, n, seed)
+        }
+        fn prepare(&self, n: u64, seed: u64) -> SharedInput {
+            if self.prepares.fetch_add(1, Ordering::Relaxed) < self.fail {
+                panic!("injected input panic (test)");
+            }
+            self.inner.prepare(n, seed)
+        }
+        fn run_prepared(
+            &self,
+            config: &Config,
+            input: &SharedInput,
+            n: u64,
+            seed: u64,
+        ) -> TrialOutcome {
+            self.inner.run_prepared(config, input, n, seed)
+        }
+    }
+
+    #[test]
+    fn a_panicking_prepare_is_retried_then_quarantined() {
+        let flaky = |fail| FlakyInput {
+            inner: TransformRunner::new(Jittered, CostModel::Virtual),
+            fail,
+            prepares: AtomicU64::new(0),
+        };
+        let transient = flaky(1);
+        let eval = Evaluator::new(&transient, EvalMode::Sequential, true);
+        let config = transient.schema().default_config();
+        let time = |config: &Config| transient.inner.run_trial(config, 8, trial_seed(8, 0)).time;
+        let out = eval.run_batch(&[request(&config, 8, 0)]);
+        assert_eq!(out[0].time, time(&config), "the retry prepared the input");
+        assert_eq!(eval.trial_panics(), 1);
+        assert_eq!(eval.trial_retries(), 1);
+        assert_eq!(eval.trials(), 2);
+        assert_eq!(eval.quarantined(), 0);
+        // Another candidate on the same input re-uses it.
+        let mut other = config.clone();
+        other
+            .set_by_name(transient.schema(), "v", Value::Int(3))
+            .unwrap();
+        assert_eq!(
+            eval.run_batch(&[request(&other, 8, 0)])[0].time,
+            time(&other)
+        );
+        assert_eq!(transient.prepares.load(Ordering::Relaxed), 2);
+
+        let broken = flaky(u64::MAX);
+        for mode in [EvalMode::Sequential, EvalMode::Parallel] {
+            broken.prepares.store(0, Ordering::Relaxed);
+            let eval = Evaluator::new(&broken, mode, true);
+            let out = eval.run_batch(&[request(&config, 8, 0)]);
+            assert!(out[0].is_quarantined());
+            assert_eq!(eval.trial_panics(), 3, "initial attempt + two retries");
+            assert_eq!(eval.trial_retries(), 2);
+            assert_eq!(eval.quarantined(), 1);
+            // A failed preparation leaves nothing behind: the next
+            // trial on that input prepares it afresh.
+            let out = eval.run_batch(&[request(&other, 8, 0)]);
+            assert!(out[0].is_quarantined());
+            assert_eq!(broken.prepares.load(Ordering::Relaxed), 6);
+        }
+    }
+
+    #[test]
+    fn inputs_that_carry_nothing_stop_being_shared() {
+        // `Linear`'s input is `()`, as is every input of a runner that
+        // does not override `prepare`.
+        let runner = TransformRunner::new(Linear, CostModel::Virtual);
+        let counting = Counting::new(&runner, true);
+        let eval = Evaluator::new(&counting, EvalMode::Sequential, true);
+        let config = runner.schema().default_config();
+        let first: Vec<TrialRequest> = (0..3).map(|i| request(&config, 8, i)).collect();
+        eval.run_batch(&first);
+        // The batch resolved its slots before the first input showed it
+        // carries nothing, so all three ran prepared …
+        assert_eq!(counting.prepared.lock().unwrap().len(), 3);
+        assert_eq!(counting.unprepared.load(Ordering::Relaxed), 0);
+        // … and later batches, on old and new inputs, run unprepared.
+        let later: Vec<TrialRequest> = (2..6).map(|i| request(&config, 16, i)).collect();
+        let outcomes = eval.run_batch(&later);
+        assert_eq!(counting.prepared.lock().unwrap().len(), 3);
+        assert_eq!(counting.unprepared.load(Ordering::Relaxed), 4);
+        assert!(outcomes.iter().all(|o| o.time == 16.0));
     }
 
     #[test]

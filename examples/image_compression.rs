@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example image_compression`
 
-use petabricks::benchmarks::imagecompr::SOLVER_NAMES;
+use petabricks::benchmarks::imagecompr::{Image, SOLVER_NAMES};
 use petabricks::benchmarks::ImageCompression;
 use petabricks::config::AccuracyBins;
 use petabricks::runtime::guarantee::run_verified;
@@ -35,7 +35,9 @@ fn main() {
     // Hard guarantee via runtime checking: compress a fresh image and
     // verify the reconstruction meets 0.5 orders, escalating if not.
     let mut rng = SmallRng::seed_from_u64(123);
-    let image = petabricks::benchmarks::Matrix::random_uniform(32, 32, &mut rng);
+    let image = Image::new(petabricks::benchmarks::Matrix::random_uniform(
+        32, 32, &mut rng,
+    ));
     let run =
         run_verified(&runner, &tuned, &image, 32, 0.5, 2, 7).expect("a trained bin covers 0.5");
     println!(

@@ -10,7 +10,7 @@
 //! across multiple seeds and two real tuning workloads.
 
 use petabricks::benchmarks::binpacking::ratio_to_accuracy;
-use petabricks::benchmarks::{BinPacking, Clustering};
+use petabricks::benchmarks::{BinPacking, Clustering, Helmholtz3d, ImageCompression};
 use petabricks::config::{AccuracyBins, Config, Schema};
 use petabricks::runtime::pool::THREADS_ENV;
 use petabricks::runtime::{
@@ -241,4 +241,51 @@ fn memoization_does_not_change_results_only_work() {
         with_cache.stats.trials,
         without_cache.stats.trials
     );
+}
+
+/// The same trials as the wrapped runner, memoized like it, but
+/// without `prepare` and `run_prepared`: every trial generates its own
+/// input, as before inputs were shared.
+struct Unshared<'r>(&'r dyn TrialRunner);
+
+impl TrialRunner for Unshared<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+    fn deterministic(&self) -> bool {
+        self.0.deterministic()
+    }
+    fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
+        self.0.run_trial(config, n, seed)
+    }
+    fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
+        self.0.run_traced(config, n, seed)
+    }
+}
+
+/// Image compression keeps its Gram reduction and Helmholtz its band
+/// factors on the shared input; neither may show in a tuned decision or
+/// a counter.
+#[test]
+fn shared_inputs_change_work_not_results() {
+    force_parallel_pool();
+    fn check(runner: &dyn TrialRunner, bins: Vec<f64>, max_size: u64, seed: u64) {
+        let bins = AccuracyBins::new(bins);
+        let options = TunerOptions::fast_preset(max_size, seed);
+        let shared = Autotuner::new(runner, bins.clone(), options)
+            .tune_outcome()
+            .unwrap();
+        let unshared = Autotuner::new(&Unshared(runner), bins, options)
+            .tune_outcome()
+            .unwrap();
+        assert_eq!(shared.program, unshared.program, "{}", runner.name());
+        assert_eq!(shared.stats, unshared.stats, "{}", runner.name());
+    }
+    let image = TransformRunner::new(ImageCompression, CostModel::Virtual);
+    check(&image, vec![0.3, 1.0], 16, 0x1C);
+    let helmholtz = TransformRunner::new(Helmholtz3d, CostModel::Virtual);
+    check(&helmholtz, vec![1.0, 3.0, 5.0], 7, 0x4E);
 }

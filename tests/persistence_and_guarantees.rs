@@ -1,6 +1,7 @@
 //! Integration: tuned programs persist to JSON config files and the
 //! runtime accuracy-guarantee machinery works against them (§3.3).
 
+use petabricks::benchmarks::imagecompr::Image;
 use petabricks::benchmarks::ImageCompression;
 use petabricks::benchmarks::Matrix;
 use petabricks::config::AccuracyBins;
@@ -38,7 +39,7 @@ fn tuned_program_round_trips_through_json() {
 fn runtime_checked_execution_meets_requirement() {
     let (runner, tuned) = tune_compression();
     let mut rng = SmallRng::seed_from_u64(5);
-    let image = Matrix::random_uniform(16, 16, &mut rng);
+    let image = Image::new(Matrix::random_uniform(16, 16, &mut rng));
     let run = run_verified(&runner, &tuned, &image, 16, 0.3, 2, 1).expect("0.3 is trained");
     assert!(run.accuracy >= 0.3);
     assert!(run.output.rank() >= 1);
@@ -48,7 +49,7 @@ fn runtime_checked_execution_meets_requirement() {
 fn requirements_above_training_are_rejected() {
     let (runner, tuned) = tune_compression();
     let mut rng = SmallRng::seed_from_u64(6);
-    let image = Matrix::random_uniform(16, 16, &mut rng);
+    let image = Image::new(Matrix::random_uniform(16, 16, &mut rng));
     let err = run_verified(&runner, &tuned, &image, 16, 5.0, 1, 1).unwrap_err();
     assert!(matches!(err, GuaranteeError::NoSufficientBin { .. }));
 }
