@@ -153,23 +153,30 @@ pub fn gate(cells: &[Cell]) -> bool {
 
 /// Measures every bin of `tuned` at every size on [`MEASURE_TRIALS`]
 /// seeds the tuner never drew, averaging accuracy as the tuner's
-/// admission does, and judges the cells. They come size by size, each
-/// size's bins in target order.
+/// admission does, and judges the cells. Each held-out `(n, seed)`
+/// input is built once and shared by every bin's trial on it; each
+/// cell still sums its trials in seed order. They come size by size,
+/// each size's bins in target order.
 pub fn measure(
     runner: &dyn TrialRunner,
     tuned: &TunedProgram,
     sizes: &[u64],
     train_size: u64,
 ) -> Vec<Cell> {
+    let entries = tuned.entries();
     let mut cells = Vec::new();
     for &n in sizes {
-        for entry in tuned.entries() {
-            let (mut cost, mut acc) = (0.0, OnlineStats::new());
-            for trial in 0..MEASURE_TRIALS {
-                let outcome = runner.run_trial(&entry.config, n, 0xC0FFEE ^ (n << 8) ^ trial);
-                cost += outcome.time;
+        let mut sums = vec![(0.0, OnlineStats::new()); entries.len()];
+        for trial in 0..MEASURE_TRIALS {
+            let seed = 0xC0FFEE ^ (n << 8) ^ trial;
+            let input = runner.prepare(n, seed);
+            for (entry, (cost, acc)) in entries.iter().zip(&mut sums) {
+                let outcome = runner.run_prepared(&entry.config, &input, n, seed);
+                *cost += outcome.time;
                 acc.push(outcome.accuracy);
             }
+        }
+        for (entry, (cost, acc)) in entries.iter().zip(sums) {
             let cost = cost / MEASURE_TRIALS as f64;
             cells.push(Cell::new(n, entry.target, train_size, cost, acc.mean()));
         }

@@ -19,7 +19,13 @@
 //!   task runs inline on the submitting thread: the outer batch already
 //!   occupies the workers, and re-splitting would only add queue
 //!   traffic and oversubscribe small machines. A top-level single-task
-//!   batch runs inline too, without marking depth.
+//!   batch runs inline too, without marking depth: its one task may be
+//!   costly, and what it submits should still fan out.
+//! * **Inline by the caller's estimate.** A submitter that knows its
+//!   batch costs less than a dispatch ([`Pool::run_inline`]; the
+//!   tuner's evaluator, from its measured trial times) runs it on its
+//!   own thread as one pool task, depth marked, so the batches its
+//!   tasks submit run inline as they would under a dispatched batch.
 //! * **Panic propagation.** A panicking task aborts its batch's
 //!   remaining chunks (best effort); the first payload is re-thrown on
 //!   the submitter once the batch has drained.
@@ -247,8 +253,9 @@ impl Shared {
 pub struct PoolBatchStats {
     /// Batches fanned out across the workers.
     pub dispatched: u64,
-    /// Batches run inline on the submitting thread (nested submission,
-    /// single-thread budget, or a single-task batch).
+    /// Batches run inline on the submitting thread (single-thread
+    /// budget, a single-task batch, a `parallel_gen` below its cutoff,
+    /// or [`Pool::run_inline`]); nested submissions are not counted.
     pub inline: u64,
     /// Total tasks across all batches.
     pub tasks: u64,
@@ -385,6 +392,21 @@ impl Pool {
             self.inline.fetch_add(1, Ordering::Relaxed);
         }
         self.tasks.fetch_add(count as u64, Ordering::Relaxed);
+    }
+
+    /// Runs `task` on the calling thread as one inline batch of `count`
+    /// tasks, marked as a pool task: a batch it submits (a kernel's
+    /// nested [`crate::parallel::parallel_gen`]) runs inline too, as
+    /// under a dispatched batch. For a caller that knows a batch is
+    /// cheaper than a dispatch: `pb_tuner::exec`'s evaluator, for trial
+    /// batches whose measured wall-time history says so. Counted in
+    /// [`Pool::batch_stats`] as inline when submitted at the top level.
+    pub fn run_inline<R>(&self, count: usize, task: impl FnOnce() -> R) -> R {
+        if current_task_depth() == 0 {
+            self.count_batch(count, false);
+        }
+        let _depth = DepthGuard::enter();
+        task()
     }
 
     /// Runs `task(i)` for every `i` in `0..count` and blocks until all
@@ -652,6 +674,25 @@ mod tests {
             seen.into_inner().unwrap().len() >= 2,
             "nested batch under a single-task top-level batch must still fan out"
         );
+    }
+
+    #[test]
+    fn run_inline_is_one_counted_pool_task_on_the_caller() {
+        let pool = Pool::with_threads(4);
+        let caller = std::thread::current().id();
+        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        let depth = pool.run_inline(5, || {
+            // What the inline batch submits stays on this thread.
+            pool.run_indexed(64, |_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+            });
+            pool.run_inline(2, current_task_depth)
+        });
+        assert_eq!(depth, 2, "marked once per level");
+        assert_eq!(seen.into_inner().unwrap(), HashSet::from([caller]));
+        assert_eq!(current_task_depth(), 0);
+        let stats = pool.batch_stats();
+        assert_eq!((stats.dispatched, stats.inline, stats.tasks), (0, 1, 5));
     }
 
     #[test]

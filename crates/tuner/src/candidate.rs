@@ -5,7 +5,7 @@
 //! trial's result is cached on the candidate for its lifetime in the
 //! population, keyed by input size.
 
-use crate::exec::TrialRequest;
+use crate::exec::{SharedConfig, TrialRequest};
 use crate::mutators::MutationRecord;
 use pb_config::Config;
 use pb_runtime::TrialOutcome;
@@ -32,8 +32,9 @@ pub struct Candidate {
     /// compare. The tuner itself never reads it; trial seeds come from
     /// the input size and the trial index, not from the candidate.
     pub id: u64,
-    /// The configuration this candidate embodies.
-    pub config: Config,
+    /// The configuration this candidate embodies, fingerprinted once:
+    /// every trial planned for it shares both.
+    config: SharedConfig,
     /// Per-input-size cached measurements.
     results: BTreeMap<u64, SizeStats>,
     /// Record of the mutation that created this candidate, consumed by
@@ -42,14 +43,25 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// Wraps a configuration as an untested candidate.
+    /// Wraps a configuration as an untested candidate, fingerprinting
+    /// it.
     pub fn new(id: u64, config: Config) -> Self {
+        Candidate::shared(id, SharedConfig::new(config))
+    }
+
+    /// Wraps an already fingerprinted configuration.
+    pub(crate) fn shared(id: u64, config: SharedConfig) -> Self {
         Candidate {
             id,
             config,
             results: BTreeMap::new(),
             last_mutation: None,
         }
+    }
+
+    /// The configuration this candidate embodies.
+    pub fn config(&self) -> &Config {
+        self.config.config()
     }
 
     /// The cached statistics for input size `n`, if any trials ran.
@@ -87,19 +99,15 @@ impl Candidate {
     /// Plans the trials needed to reach `min_trials` cached trials at
     /// size `n` (the *plan* half of plan-then-execute; outcomes are
     /// merged back with [`Candidate::absorb`] in trial-index order).
-    /// The configuration is cloned and fingerprinted once for the
-    /// whole plan.
+    /// Every request shares the candidate's configuration and
+    /// fingerprint: planning neither clones nor hashes it.
     ///
     /// Seeds are a deterministic function of the size and trial index,
     /// so *different candidates are measured on the same training
     /// inputs*, which sharpens comparisons exactly as reusing test
     /// inputs did in the original system.
     pub fn plan_trials(&self, n: u64, min_trials: u64) -> Vec<TrialRequest> {
-        TrialRequest::batch_for(
-            &self.config,
-            n,
-            (self.trials(n)..min_trials).map(|index| trial_seed(n, index)),
-        )
+        self.config.plan(n, self.trials(n)..min_trials)
     }
 
     /// Plans `extra` additional trials beyond the ones already cached
@@ -109,11 +117,7 @@ impl Candidate {
     /// merged back with [`Candidate::absorb`] in plan order.
     pub fn plan_more_trials(&self, n: u64, extra: u64) -> Vec<TrialRequest> {
         let start = self.trials(n);
-        TrialRequest::batch_for(
-            &self.config,
-            n,
-            (start..start + extra).map(|index| trial_seed(n, index)),
-        )
+        self.config.plan(n, start..start + extra)
     }
 
     /// Merges one planned trial's outcome into the size-`n` statistics.

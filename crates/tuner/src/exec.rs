@@ -8,7 +8,9 @@
 //! an [`Evaluator`], which
 //!
 //! * executes whole batches on the [`pb_runtime::pool::Pool`] (or
-//!   sequentially, when forced), and
+//!   sequentially, when forced) — on the submitting thread, as one pool
+//!   task, when its measured trial times say the batch costs less than
+//!   a dispatch — and
 //! * memoizes outcomes in a fingerprint cache keyed on
 //!   `(canonical config hash, n, seed)`, so duplicate candidates and
 //!   mutate-then-revert configurations never re-execute a trial, and
@@ -28,9 +30,12 @@
 
 use pb_config::{Config, Value};
 use pb_runtime::parallel::parallel_gen;
+use pb_runtime::pool::Pool;
 use pb_runtime::{SharedInput, TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,10 +65,10 @@ const MAX_RETRIES: u32 = 2;
 /// One planned trial: a configuration to run at input size `n` with a
 /// deterministic seed.
 ///
-/// The configuration is shared (`Arc`) and its fingerprint is
-/// computed once per plan, so a candidate's `min_trials` requests —
-/// and `run_batch`'s internal bookkeeping — never re-clone or re-hash
-/// the config.
+/// The configuration is shared (`Arc`) and its fingerprint is computed
+/// once per candidate, when the candidate is created: every request
+/// planned for it — and `run_batch`'s internal bookkeeping — carries
+/// both without re-cloning or re-hashing the config.
 #[derive(Debug, Clone)]
 pub struct TrialRequest {
     config: Arc<Config>,
@@ -87,24 +92,49 @@ impl TrialRequest {
         }
     }
 
-    /// Plans a run of trials over `seeds` for one configuration,
-    /// fingerprinting it once.
-    pub fn batch_for(config: &Config, n: u64, seeds: impl Iterator<Item = u64>) -> Vec<Self> {
-        let config = Arc::new(config.clone());
-        let fingerprint = config_fingerprint(&config);
-        seeds
-            .map(|seed| TrialRequest {
-                config: Arc::clone(&config),
-                fingerprint,
-                n,
-                seed,
-            })
-            .collect()
-    }
-
     /// The configuration to execute.
     pub fn config(&self) -> &Config {
         &self.config
+    }
+
+    fn key(&self) -> CacheKey {
+        (self.fingerprint, self.n, self.seed)
+    }
+}
+
+/// A configuration behind an `Arc`, with its fingerprint: what a
+/// candidate (or a guided-mutation probe) plans its trials from.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedConfig {
+    config: Arc<Config>,
+    fingerprint: u64,
+}
+
+impl SharedConfig {
+    /// Moves `config` behind an `Arc` and fingerprints it, once.
+    pub(crate) fn new(config: Config) -> Self {
+        let fingerprint = config_fingerprint(&config);
+        SharedConfig {
+            config: Arc::new(config),
+            fingerprint,
+        }
+    }
+
+    pub(crate) fn config(&self) -> &Config {
+        &self.config
+    }
+
+    /// One request per trial index in `indices` at size `n`, each on
+    /// the shared configuration and fingerprint.
+    pub(crate) fn plan(&self, n: u64, indices: Range<u64>) -> Vec<TrialRequest> {
+        indices
+            .map(|index| TrialRequest {
+                config: Arc::clone(&self.config),
+                fingerprint: self.fingerprint,
+                n,
+                seed: crate::candidate::trial_seed(n, index),
+            })
+            .collect()
     }
 }
 
@@ -165,6 +195,36 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 
 type CacheKey = (u64, u64, u64);
 
+/// Hashes the evaluator's keys — config fingerprints, trial seeds and
+/// input sizes, all already well mixed or few — with one multiply and
+/// one rotate per word instead of SipHash's rounds. It resists no
+/// adversary, and needs not: every key is the tuner's own.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed through [`KeyHasher`].
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
 /// One memoized outcome, tagged with whether it was preloaded from a
 /// cross-run sidecar (a *warm* entry) or produced in this run.
 #[derive(Debug, Clone, Copy)]
@@ -176,7 +236,7 @@ struct CachedTrial {
 /// The trial memo: `(config fingerprint, n, seed) → outcome`.
 #[derive(Debug, Default)]
 struct TrialCache {
-    map: Mutex<HashMap<CacheKey, CachedTrial>>,
+    map: Mutex<KeyMap<CacheKey, CachedTrial>>,
     hits: AtomicU64,
     /// Hits served by entries preloaded from a sidecar (cross-run
     /// reuse), counted separately from in-run hits.
@@ -244,6 +304,26 @@ serde::json_object!(SidecarEntry {
     accuracy,
 });
 
+/// The estimated work below which a parallel-mode batch runs on the
+/// submitting thread instead of the pool: for less, queueing the batch,
+/// waking a worker and waiting for its last chunk cost more than the
+/// parallelism saves. Chosen from a sweep over 5–80 µs on the
+/// `tune_small` and `tune_full` ledger workloads (CHANGES.md).
+const INLINE_BELOW_SECONDS: f64 = 20e-6;
+
+/// The measured wall times of the trials run at one input size.
+#[derive(Debug, Default)]
+struct WallHistory {
+    sum: f64,
+    count: u64,
+}
+
+impl WallHistory {
+    fn mean(&self) -> f64 {
+        self.sum / self.count as f64
+    }
+}
+
 /// One training input's slot, filled by the first trial that runs on
 /// it.
 type InputSlot = Arc<OnceLock<SharedInput>>;
@@ -257,12 +337,17 @@ pub struct Evaluator<'a> {
     /// The inputs built so far, `(n, seed) → input`. Trial seeds depend
     /// only on `(n, trial index)`, so a run meets few of them, and each
     /// lives as long as the evaluator: one tuning run.
-    inputs: Mutex<HashMap<(u64, u64), InputSlot>>,
+    inputs: Mutex<KeyMap<(u64, u64), InputSlot>>,
     /// Cleared once a prepared input turns out to carry nothing (`()`:
     /// a runner that does not override `prepare`, or a transform with
     /// no input); later batches then run every trial unprepared, and
     /// pay nothing for the map.
     shares_inputs: AtomicBool,
+    /// Per input size, the measured wall time of the trials this
+    /// evaluator ran in parallel mode: what decides whether a batch is
+    /// worth dispatching. Updated once per batch, by the submitting
+    /// thread.
+    walls: Mutex<KeyMap<u64, WallHistory>>,
     /// Calls into the runner, retried attempts included.
     trials: AtomicU64,
     /// Attempts that panicked (caught, never propagated).
@@ -291,6 +376,7 @@ impl<'a> Evaluator<'a> {
             cache: memoize.then(TrialCache::default),
             inputs: Mutex::default(),
             shares_inputs: AtomicBool::new(true),
+            walls: Mutex::default(),
             trials: AtomicU64::new(0),
             trial_panics: AtomicU64::new(0),
             trial_nonfinite: AtomicU64::new(0),
@@ -367,33 +453,31 @@ impl<'a> Evaluator<'a> {
     /// state either way.
     pub fn run_batch(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
         let Some(cache) = &self.cache else {
-            return self.execute(requests);
+            return self.execute(&requests.iter().collect::<Vec<_>>());
         };
 
-        let keys: Vec<CacheKey> = requests
-            .iter()
-            .map(|r| (r.fingerprint, r.n, r.seed))
-            .collect();
         // Partition into already-cached slots and unique misses.
         let mut slots: Vec<Option<TrialOutcome>> = vec![None; requests.len()];
-        // For non-cached requests: index into `miss_requests`.
+        // For non-cached requests: index into `misses`.
         let mut pending: Vec<usize> = vec![usize::MAX; requests.len()];
-        let mut miss_of_key: HashMap<CacheKey, usize> = HashMap::new();
-        let mut miss_requests: Vec<TrialRequest> = Vec::new();
+        let mut miss_of_key: KeyMap<CacheKey, usize> = KeyMap::default();
+        // The requests that execute, borrowed: nothing is cloned.
+        let mut misses: Vec<&TrialRequest> = Vec::new();
         let mut hits = 0;
         let mut hits_warm = 0;
         let mut coalesced = 0;
         {
             let map = cache.map.lock().expect("trial cache poisoned");
-            for (i, (request, key)) in requests.iter().zip(&keys).enumerate() {
-                if let Some(cached) = map.get(key) {
+            for (i, request) in requests.iter().enumerate() {
+                let key = request.key();
+                if let Some(cached) = map.get(&key) {
                     slots[i] = Some(cached.outcome);
                     if cached.warm {
                         hits_warm += 1;
                     } else {
                         hits += 1;
                     }
-                } else if let Some(&mi) = miss_of_key.get(key) {
+                } else if let Some(&mi) = miss_of_key.get(&key) {
                     // Duplicate within the batch: executes once, but
                     // nothing was cached yet — count it as coalesced,
                     // not as a hit, so the reported hit rate reflects
@@ -401,9 +485,9 @@ impl<'a> Evaluator<'a> {
                     pending[i] = mi;
                     coalesced += 1;
                 } else {
-                    let mi = miss_requests.len();
-                    miss_of_key.insert(*key, mi);
-                    miss_requests.push(request.clone());
+                    let mi = misses.len();
+                    miss_of_key.insert(key, mi);
+                    misses.push(request);
                     pending[i] = mi;
                 }
             }
@@ -413,16 +497,16 @@ impl<'a> Evaluator<'a> {
         cache.coalesced.fetch_add(coalesced, Ordering::Relaxed);
         cache
             .misses
-            .fetch_add(miss_requests.len() as u64, Ordering::Relaxed);
+            .fetch_add(misses.len() as u64, Ordering::Relaxed);
 
-        let executed = self.execute(&miss_requests);
+        let executed = self.execute(&misses);
         {
             let mut map = cache.map.lock().expect("trial cache poisoned");
-            for (key, &mi) in &miss_of_key {
+            for (request, &outcome) in misses.iter().zip(&executed) {
                 map.insert(
-                    *key,
+                    request.key(),
                     CachedTrial {
-                        outcome: executed[mi],
+                        outcome,
                         warm: false,
                     },
                 );
@@ -437,8 +521,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Executes every request (no cache involvement), parallel or
-    /// sequential per the mode.
-    fn execute(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
+    /// sequential per the mode. In parallel mode a batch cheaper than
+    /// a dispatch runs inline (see [`Evaluator::runs_inline`]).
+    fn execute(&self, requests: &[&TrialRequest]) -> Vec<TrialOutcome> {
         if requests.is_empty() {
             return Vec::new();
         }
@@ -450,11 +535,16 @@ impl<'a> Evaluator<'a> {
             .then(|| self.input_slots(requests));
         let run = |i: usize| {
             let input = inputs.as_ref().map(|slots| &*slots[i]);
-            self.guarded_run(&requests[i], input)
+            self.guarded_run(requests[i], input)
         };
-        match self.mode {
-            EvalMode::Sequential => (0..requests.len()).map(run).collect(),
-            EvalMode::Parallel => match self.repeated_coordinates(requests) {
+        let in_order = || (0..requests.len()).map(run).collect();
+        if self.mode == EvalMode::Sequential {
+            return in_order();
+        }
+        let outcomes = if self.runs_inline(requests, inputs.as_deref()) {
+            Pool::global().run_inline(requests.len(), in_order)
+        } else {
+            match self.repeated_coordinates(requests) {
                 None => parallel_gen(requests.len(), 2, run),
                 Some(chains) => {
                     let ran = parallel_gen(chains.len(), 2, |c| {
@@ -468,14 +558,58 @@ impl<'a> Evaluator<'a> {
                     }
                     outcomes
                 }
-            },
+            }
+        };
+        self.record_walls(requests, &outcomes);
+        outcomes
+    }
+
+    /// Whether a parallel-mode batch runs on the submitting thread:
+    /// every request's size has a wall-time history, every input is
+    /// already built, and the estimated work — the sum of the
+    /// requests' per-size mean wall times — is below
+    /// [`INLINE_BELOW_SECONDS`]. The history is per size because one
+    /// mean over all sizes sends large-size batches inline; the inputs
+    /// must be built because `wall_seconds` does not include building
+    /// them, and an inline batch would build them one after another.
+    /// Sequential order is the one the sequential evaluator runs in,
+    /// so repeated coordinates draw as they do there.
+    fn runs_inline(&self, requests: &[&TrialRequest], inputs: Option<&[InputSlot]>) -> bool {
+        if inputs.is_some_and(|slots| slots.iter().any(|slot| slot.get().is_none())) {
+            return false;
+        }
+        let history = self.walls.lock().expect("wall history poisoned");
+        let mut estimate = 0.0;
+        for r in requests {
+            let Some(walls) = history.get(&r.n) else {
+                return false;
+            };
+            estimate += walls.mean();
+            if estimate >= INLINE_BELOW_SECONDS {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Folds a parallel-mode batch's measured wall times into the
+    /// per-size history, under one lock. A quarantined trial measured
+    /// nothing.
+    fn record_walls(&self, requests: &[&TrialRequest], outcomes: &[TrialOutcome]) {
+        let mut history = self.walls.lock().expect("wall history poisoned");
+        for (r, outcome) in requests.iter().zip(outcomes) {
+            if outcome.wall_seconds.is_finite() {
+                let walls = history.entry(r.n).or_default();
+                walls.sum += outcome.wall_seconds;
+                walls.count += 1;
+            }
         }
     }
 
     /// Each request's input slot, in request order, all looked up under
     /// one lock: a batch holds few distinct `(n, seed)`, and a lock per
     /// trial would cost the shortest trials more than they save.
-    fn input_slots(&self, requests: &[TrialRequest]) -> Vec<InputSlot> {
+    fn input_slots(&self, requests: &[&TrialRequest]) -> Vec<InputSlot> {
         let mut inputs = self.inputs.lock().expect("input map poisoned");
         requests
             .iter()
@@ -495,16 +629,14 @@ impl<'a> Evaluator<'a> {
     /// pool job per request would let the schedule pick which candidate
     /// gets which draw. One job per coordinate, run in request order,
     /// gives every repeat the draw the sequential evaluator gives it.
-    fn repeated_coordinates(&self, requests: &[TrialRequest]) -> Option<Vec<Vec<usize>>> {
+    fn repeated_coordinates(&self, requests: &[&TrialRequest]) -> Option<Vec<Vec<usize>>> {
         if self.cache.is_some() {
             return None;
         }
-        let mut chain_of: HashMap<CacheKey, usize> = HashMap::new();
+        let mut chain_of: KeyMap<CacheKey, usize> = KeyMap::default();
         let mut chains: Vec<Vec<usize>> = Vec::new();
         for (i, r) in requests.iter().enumerate() {
-            let chain = *chain_of
-                .entry((r.fingerprint, r.n, r.seed))
-                .or_insert(chains.len());
+            let chain = *chain_of.entry(r.key()).or_insert(chains.len());
             if chain == chains.len() {
                 chains.push(Vec::new());
             }
@@ -685,12 +817,8 @@ impl<'a> Evaluator<'a> {
 
     /// Mean accuracy of `config` over trials `0..trials` at size `n`
     /// (a batched replacement for probe candidates).
-    pub fn mean_accuracy(&self, config: &Config, n: u64, trials: u64) -> f64 {
-        let requests = TrialRequest::batch_for(
-            config,
-            n,
-            (0..trials).map(|index| crate::candidate::trial_seed(n, index)),
-        );
+    pub(crate) fn mean_accuracy(&self, config: &SharedConfig, n: u64, trials: u64) -> f64 {
+        let requests = config.plan(n, 0..trials);
         let mut acc = OnlineStats::new();
         for outcome in self.run_batch(&requests) {
             acc.push(outcome.accuracy);
@@ -807,6 +935,127 @@ mod tests {
             .unwrap();
         config.set_by_name(&schema, "k", Value::Int(-3)).unwrap();
         assert_eq!(config_fingerprint(&config), 13940676186799297719);
+    }
+
+    /// The memo's keys, and so `tuner.cache_hit_share`, depend on each
+    /// request's fingerprint: one computed per candidate must be the
+    /// one `config_fingerprint` gives, on every request planned.
+    #[test]
+    fn requests_planned_from_a_candidate_carry_its_fingerprint() {
+        let mut schema = Schema::new("golden");
+        schema.add_choice_site("site", 3);
+        schema.add_accuracy_variable("iters", 1, 100);
+        schema.add_float_param("omega", 1.0, 2.0);
+        let mut config = schema.default_config();
+        config
+            .set_by_name(&schema, "omega", Value::Float(1.37))
+            .unwrap();
+        let fingerprint = config_fingerprint(&config);
+        let candidate = crate::candidate::Candidate::new(7, config.clone());
+        let planned = candidate.plan_trials(16, 3);
+        let more = candidate.plan_more_trials(16, 2);
+        assert_eq!((planned.len(), more.len()), (3, 2));
+        // Nothing absorbed yet: both plans start at trial index 0.
+        let seeds: Vec<u64> = planned.iter().chain(&more).map(|r| r.seed).collect();
+        let indices = (0..3).chain(0..2);
+        assert_eq!(
+            seeds,
+            indices.map(|i| trial_seed(16, i)).collect::<Vec<_>>()
+        );
+        for r in planned.iter().chain(&more) {
+            assert_eq!(r.fingerprint, fingerprint);
+            assert_eq!(r.key(), (fingerprint, 16, r.seed));
+            assert_eq!(*r.config(), config);
+            // One configuration behind every request, not a copy each.
+            assert!(Arc::ptr_eq(&r.config, &planned[0].config));
+        }
+    }
+
+    /// Records, per trial, the task depth its kernel sees and whether a
+    /// nested `parallel_gen` stayed on the trial's thread.
+    struct Nesting {
+        seen: Mutex<Vec<(usize, bool)>>,
+    }
+
+    impl Transform for Nesting {
+        type Input = ();
+        type Output = ();
+        fn name(&self) -> &str {
+            "nesting"
+        }
+        fn schema(&self) -> Schema {
+            let mut s = Schema::new("nesting");
+            s.add_accuracy_variable("v", 1, 100);
+            s
+        }
+        fn generate_input(&self, _n: u64, _rng: &mut SmallRng) {}
+        fn execute(&self, _i: &(), ctx: &mut ExecCtx<'_>) {
+            let depth = pb_runtime::pool::current_task_depth();
+            let me = std::thread::current().id();
+            let stayed = parallel_gen(64, 2, |_| std::thread::current().id() == me)
+                .into_iter()
+                .all(|same| same);
+            self.seen.lock().unwrap().push((depth, stayed));
+            ctx.charge(1.0);
+        }
+        fn accuracy(&self, _i: &(), _o: &()) -> f64 {
+            0.5
+        }
+    }
+
+    #[test]
+    fn an_inline_batch_keeps_nested_parallelism_inline() {
+        let runner = TransformRunner::new(
+            Nesting {
+                seen: Mutex::default(),
+            },
+            CostModel::Virtual,
+        );
+        // Unmemoized, so the same requests run again.
+        let eval = Evaluator::new(&runner, EvalMode::Parallel, false);
+        let config = runner.schema().default_config();
+        let reqs: Vec<TrialRequest> = (0..4).map(|i| request(&config, 8, i)).collect();
+        let refs: Vec<&TrialRequest> = reqs.iter().collect();
+        assert!(!eval.runs_inline(&refs, None), "no history at n = 8 yet");
+        eval.run_batch(&reqs);
+        assert_eq!(
+            eval.walls.lock().unwrap()[&8].count,
+            4,
+            "one wall per trial"
+        );
+        // These trials take far less than a quarter of the threshold,
+        // unless the host preempted one: pin their mean.
+        let cheap = WallHistory {
+            sum: 1e-7,
+            count: 1,
+        };
+        eval.walls.lock().unwrap().insert(8, cheap);
+        assert!(eval.runs_inline(&refs, None));
+        let seen = &runner.transform().seen;
+        seen.lock().unwrap().clear();
+        eval.run_batch(&reqs);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4);
+        for &(depth, stayed) in seen.iter() {
+            assert!(depth >= 1, "an inline batch runs as a pool task");
+            assert!(
+                stayed,
+                "a kernel's nested batch stays on its trial's thread"
+            );
+        }
+        // A size without history, an input not yet built, and work
+        // estimated at the threshold all dispatch.
+        let other = [request(&config, 16, 0)];
+        assert!(!eval.runs_inline(&[&other[0]], None));
+        let empty: InputSlot = Arc::default();
+        assert!(!eval.runs_inline(&refs[..1], Some(&[empty])));
+        let costly = WallHistory {
+            sum: INLINE_BELOW_SECONDS / 4.0,
+            count: 1,
+        };
+        eval.walls.lock().unwrap().insert(8, costly);
+        assert!(eval.runs_inline(&refs[..3], None));
+        assert!(!eval.runs_inline(&refs, None));
     }
 
     #[test]

@@ -430,7 +430,7 @@ mod tests {
         let levels: Vec<i64> = pop
             .candidates()
             .iter()
-            .map(|c| c.config.int(runner.schema(), "level").unwrap())
+            .map(|c| c.config().int(runner.schema(), "level").unwrap())
             .collect();
         assert!(levels.contains(&2), "levels kept: {levels:?}");
         assert!(levels.contains(&8), "levels kept: {levels:?}");
@@ -449,7 +449,7 @@ mod tests {
         let levels: Vec<i64> = pop
             .candidates()
             .iter()
-            .map(|c| c.config.int(runner.schema(), "level").unwrap())
+            .map(|c| c.config().int(runner.schema(), "level").unwrap())
             .collect();
         // Fastest three meeting 0.3 are 3, 4, 5; plus best-accuracy 7.
         assert_eq!(levels, vec![3, 4, 5, 7]);
@@ -467,7 +467,7 @@ mod tests {
         assert_eq!(pop.len(), 1, "best-accuracy candidate survives");
         assert_eq!(
             pop.candidates()[0]
-                .config
+                .config()
                 .int(runner.schema(), "level")
                 .unwrap(),
             2
@@ -481,7 +481,7 @@ mod tests {
         let idx = pop.fastest_meeting(8, 0.5).unwrap();
         assert_eq!(
             pop.candidates()[idx]
-                .config
+                .config()
                 .int(runner.schema(), "level")
                 .unwrap(),
             5
@@ -509,7 +509,7 @@ mod tests {
         let best = pop.best_accuracy_index(8).unwrap();
         assert_eq!(
             pop.candidates()[best]
-                .config
+                .config()
                 .int(runner.schema(), "level")
                 .unwrap(),
             5
@@ -519,7 +519,7 @@ mod tests {
         let idx = pop.fastest_meeting(8, 0.2).unwrap();
         assert_eq!(
             pop.candidates()[idx]
-                .config
+                .config()
                 .int(runner.schema(), "level")
                 .unwrap(),
             2
@@ -604,7 +604,7 @@ mod tests {
         let mut levels: Vec<i64> = pop
             .candidates()
             .iter()
-            .map(|c| c.config.int(schema, "level").unwrap())
+            .map(|c| c.config().int(schema, "level").unwrap())
             .collect();
         levels.sort_unstable();
         // Kept: the two truly fastest (10, 20) plus the best-accuracy

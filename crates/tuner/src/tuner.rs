@@ -19,7 +19,7 @@
 //! the fastest `K` per accuracy bin (§5.5.4).
 
 use crate::candidate::Candidate;
-use crate::exec::{EvalMode, Evaluator};
+use crate::exec::{EvalMode, Evaluator, SharedConfig, TrialRequest};
 use crate::mutators::MutatorPool;
 use crate::population::Population;
 use pb_config::{AccuracyBins, Config, Schema, TunableKind, Value};
@@ -409,7 +409,7 @@ impl<'a> Autotuner<'a> {
             let candidate = &pop.candidates()[idx];
             entries.push(TunedEntry {
                 target,
-                config: candidate.config.clone(),
+                config: candidate.config().clone(),
                 observed_accuracy: candidate.mean_accuracy(final_n),
                 observed_time: candidate.mean_time(final_n),
             });
@@ -492,9 +492,9 @@ impl<'a> Autotuner<'a> {
         for _ in 0..self.options.mutation_attempts {
             let parent_idx = rng.gen_range(0..parent_count);
             let parent = &pop.candidates()[parent_idx];
-            let mut config = parent.config.clone();
-            let prev = parent.last_mutation.clone();
-            let Some(record) = pool.apply_random(&mut config, schema, n, rng, prev.as_ref()) else {
+            let mut config = parent.config().clone();
+            let prev = parent.last_mutation.as_ref();
+            let Some(record) = pool.apply_random(&mut config, schema, n, rng, prev) else {
                 continue;
             };
             let mut child = Candidate::new(alloc_id(), config);
@@ -576,7 +576,7 @@ impl<'a> Autotuner<'a> {
             return;
         }
 
-        let mut current = pop.candidates()[base_idx].config.clone();
+        let mut current = SharedConfig::new(pop.candidates()[base_idx].config().clone());
         let mut current_acc =
             evaluator.mean_accuracy(&current, n, self.options.comparator.min_trials);
         let mut improved_any = false;
@@ -586,31 +586,27 @@ impl<'a> Autotuner<'a> {
                 break;
             }
             // Plan the step's probes …
-            let mut probes: Vec<Config> = Vec::new();
+            let mut probes: Vec<SharedConfig> = Vec::new();
             for &id in &accuracy_ids {
-                for neighbor in neighbor_values(schema, &current, id) {
-                    let mut probe = current.clone();
+                for neighbor in neighbor_values(schema, current.config(), id) {
+                    let mut probe = current.config().clone();
                     probe.set(id, neighbor);
-                    if probe == current {
+                    if probe == *current.config() {
                         continue;
                     }
-                    probes.push(probe);
+                    probes.push(SharedConfig::new(probe));
                 }
             }
             // … execute their trials as one batch …
-            let mut requests = Vec::new();
-            for probe in &probes {
-                requests.extend(crate::exec::TrialRequest::batch_for(
-                    probe,
-                    n,
-                    (0..self.options.comparator.min_trials)
-                        .map(|i| crate::candidate::trial_seed(n, i)),
-                ));
-            }
+            let trials = self.options.comparator.min_trials;
+            let requests: Vec<TrialRequest> = probes
+                .iter()
+                .flat_map(|probe| probe.plan(n, 0..trials))
+                .collect();
             let outcomes = evaluator.run_batch(&requests);
             // … and pick the winner in plan order.
-            let trials = self.options.comparator.min_trials as usize;
-            let mut best: Option<(Config, f64)> = None;
+            let trials = trials as usize;
+            let mut best: Option<(SharedConfig, f64)> = None;
             for (k, probe) in probes.into_iter().enumerate() {
                 let span = &outcomes[k * trials..(k + 1) * trials];
                 let mut acc_stats = pb_stats::OnlineStats::new();
@@ -633,7 +629,7 @@ impl<'a> Autotuner<'a> {
         }
 
         if improved_any || current_acc >= target {
-            let mut candidate = Candidate::new(alloc_id(), current);
+            let mut candidate = Candidate::shared(alloc_id(), current);
             let plan = candidate.plan_trials(n, self.options.comparator.min_trials);
             for outcome in &evaluator.run_batch(&plan) {
                 candidate.absorb(n, outcome);

@@ -354,7 +354,7 @@ fn resort_draws_nothing_beyond_the_promotion_pair() {
     let mut levels: Vec<i64> = pop
         .candidates()
         .iter()
-        .map(|c| c.config.int(schema, "level").unwrap())
+        .map(|c| c.config().int(schema, "level").unwrap())
         .collect();
     levels.sort_unstable();
     assert_eq!(levels, vec![10, 500], "prune outcome changed: {report:?}");

@@ -7,30 +7,46 @@
 //! evaluator between the work-stealing pool and a sequential loop may
 //! change only the wall-clock schedule, never a configuration, a
 //! statistic, or a prune decision. These tests pin that guarantee
-//! across multiple seeds and two real tuning workloads.
+//! across multiple seeds and two real tuning workloads, and that the
+//! pooled runs they compare really dispatch batches to the workers,
+//! and really run batches too cheap to dispatch inline.
 
 use petabricks::benchmarks::binpacking::ratio_to_accuracy;
 use petabricks::benchmarks::{BinPacking, Clustering, Helmholtz3d, ImageCompression};
 use petabricks::config::{AccuracyBins, Config, Schema};
-use petabricks::runtime::pool::THREADS_ENV;
+use petabricks::runtime::pool::{current_task_depth, Pool, THREADS_ENV};
 use petabricks::runtime::{
-    CostModel, TraceNode, Transform, TransformRunner, TrialOutcome, TrialRunner,
+    CostModel, ExecCtx, TraceNode, Transform, TransformRunner, TrialOutcome, TrialRunner,
 };
 use petabricks::tuner::{Autotuner, TunerOptions, TuningOutcome};
+use rand::rngs::SmallRng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Forces a multi-threaded pool even on single-core CI runners, so the
-/// parallel path genuinely executes trials concurrently.
+/// parallel path genuinely executes trials concurrently, and holds the
+/// pool for the calling test until the guard drops: this file's tests
+/// run one at a time, so the pool's batch counters a test reads count
+/// its own batches only.
 ///
-/// Guarded by a [`Once`] because libtest runs the `#[test]` fns on
-/// separate threads: the variable is written exactly once, and every
-/// test synchronizes on that write before its first pool use (the
-/// pool's own `OnceLock` then reads it exactly once).
-fn force_parallel_pool() {
+/// The variable is written under a [`Once`] because libtest runs the
+/// `#[test]` fns on separate threads: it is written exactly once, and
+/// every test synchronizes on that write before its first pool use
+/// (the pool's own `OnceLock` then reads it exactly once).
+fn force_parallel_pool() -> MutexGuard<'static, ()> {
     static FORCE: std::sync::Once = std::sync::Once::new();
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // A test that failed while holding the pool poisoned nothing the
+    // next one reads.
+    let serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     // SAFETY: the Once serializes the single write; all reads happen
     // through Pool::global()'s one-time init, after some call to this
     // function (and therefore the write) has completed.
     FORCE.call_once(|| unsafe { std::env::set_var(THREADS_ENV, "4") });
+    serial
 }
 
 fn tune<T>(transform: T, bins: Vec<f64>, max_size: u64, seed: u64, parallel: bool) -> TuningOutcome
@@ -66,7 +82,7 @@ fn assert_bit_identical(seq: &TuningOutcome, par: &TuningOutcome) {
 
 #[test]
 fn clustering_parallel_matches_sequential_across_seeds() {
-    force_parallel_pool();
+    let _pool = force_parallel_pool();
     for seed in [11u64, 0xE2E] {
         let seq = tune(Clustering, vec![0.05, 0.2], 64, seed, false);
         let par = tune(Clustering, vec![0.05, 0.2], 64, seed, true);
@@ -76,7 +92,7 @@ fn clustering_parallel_matches_sequential_across_seeds() {
 
 #[test]
 fn binpacking_parallel_matches_sequential_across_seeds() {
-    force_parallel_pool();
+    let _pool = force_parallel_pool();
     for seed in [7u64, 42] {
         let bins = vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
         let seq = tune(BinPacking, bins.clone(), 256, seed, false);
@@ -91,7 +107,7 @@ fn binpacking_parallel_matches_sequential_across_seeds() {
 /// forced-sequential evaluator and the 4-thread pool.
 #[test]
 fn pruning_is_bit_identical_and_batched() {
-    force_parallel_pool();
+    let _pool = force_parallel_pool();
     // Bin packing's seed-dependent trial noise keeps comparisons
     // ambiguous, so pruning genuinely draws extra trials here
     // (clustering's comparisons all decide from cached statistics).
@@ -125,7 +141,7 @@ fn pruning_is_bit_identical_and_batched() {
 /// child-vs-parent draw ran blocking).
 #[test]
 fn merging_is_bit_identical_and_batched() {
-    force_parallel_pool();
+    let _pool = force_parallel_pool();
     // The virtual cost model sees the thread budget, so each run's
     // trajectory is a deterministic function of the seed and the
     // forced 4-thread pool.
@@ -163,7 +179,7 @@ fn merging_is_bit_identical_and_batched() {
 #[test]
 fn tracing_does_not_perturb_tuner_decisions() {
     use petabricks::trace::EventKind;
-    force_parallel_pool();
+    let _pool = force_parallel_pool();
     let bins = vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
     let seed = 0x17ACE;
     let off_seq = tune(BinPacking, bins.clone(), 128, seed, false);
@@ -218,7 +234,7 @@ impl TrialRunner for Unmemoized<'_> {
 
 #[test]
 fn memoization_does_not_change_results_only_work() {
-    force_parallel_pool();
+    let _pool = force_parallel_pool();
     let runner = TransformRunner::new(Clustering, CostModel::Virtual);
     let bins = AccuracyBins::new(vec![0.05, 0.2]);
     let options = TunerOptions::fast_preset(64, 3);
@@ -271,7 +287,7 @@ impl TrialRunner for Unshared<'_> {
 /// a counter.
 #[test]
 fn shared_inputs_change_work_not_results() {
-    force_parallel_pool();
+    let _pool = force_parallel_pool();
     fn check(runner: &dyn TrialRunner, bins: Vec<f64>, max_size: u64, seed: u64) {
         let bins = AccuracyBins::new(bins);
         let options = TunerOptions::fast_preset(max_size, seed);
@@ -288,4 +304,101 @@ fn shared_inputs_change_work_not_results() {
     check(&image, vec![0.3, 1.0], 16, 0x1C);
     let helmholtz = TransformRunner::new(Helmholtz3d, CostModel::Virtual);
     check(&helmholtz, vec![1.0, 3.0, 5.0], 7, 0x4E);
+}
+
+/// A trial that spins for `spin` before charging like `v` iterations
+/// of a real kernel, and records where it ran.
+struct Spinning {
+    spin: Duration,
+    /// Trials run on a pool worker: their batch was dispatched.
+    on_worker: AtomicU64,
+    /// Trials run on the submitting thread outside any pool task: a
+    /// single-request batch, which the pool counts as an inline batch.
+    unmarked: AtomicU64,
+}
+
+impl Spinning {
+    fn new(spin: Duration) -> Self {
+        Spinning {
+            spin,
+            on_worker: AtomicU64::new(0),
+            unmarked: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Transform for Spinning {
+    type Input = f64;
+    type Output = f64;
+    fn name(&self) -> &str {
+        "spinning"
+    }
+    fn schema(&self) -> Schema {
+        let mut s = Schema::new("spinning");
+        s.add_accuracy_variable("v", 1, 64);
+        s
+    }
+    fn generate_input(&self, _n: u64, rng: &mut SmallRng) -> f64 {
+        rand::Rng::gen_range(rng, 0.9..1.1)
+    }
+    fn execute(&self, input: &f64, ctx: &mut ExecCtx<'_>) -> f64 {
+        let start = Instant::now();
+        while start.elapsed() < self.spin {
+            std::hint::spin_loop();
+        }
+        if std::thread::current().name() == Some("pb-pool-worker") {
+            self.on_worker.fetch_add(1, Ordering::Relaxed);
+        } else if current_task_depth() == 0 {
+            self.unmarked.fetch_add(1, Ordering::Relaxed);
+        }
+        let v = ctx.param("v").unwrap() as f64;
+        ctx.charge(v * ctx.size() as f64 * input);
+        1.0 - 1.0 / (1.0 + v)
+    }
+    fn accuracy(&self, input: &f64, output: &f64) -> f64 {
+        output * input
+    }
+}
+
+/// At the sizes these tests tune, most pooled batches are cheaper than
+/// a dispatch and run inline, which would leave the comparisons above
+/// comparing the sequential evaluator with itself. Trials that spin
+/// ~50 µs must still reach the workers; trials that cost nothing must
+/// run some batch inline. Both pooled runs equal the sequential one.
+#[test]
+fn pooled_runs_dispatch_costly_batches_and_inline_cheap_ones() {
+    let _pool = force_parallel_pool();
+    let tune = |spin: Duration, parallel: bool| {
+        let runner = TransformRunner::new(Spinning::new(spin), CostModel::Virtual);
+        let mut options = TunerOptions::fast_preset(32, 0x5914);
+        options.parallel_trials = parallel;
+        let before = Pool::global().batch_stats();
+        let outcome = Autotuner::new(&runner, AccuracyBins::new(vec![0.5, 0.9]), options)
+            .tune_outcome()
+            .unwrap();
+        let inline = Pool::global().batch_stats().inline - before.inline;
+        let spinning = runner.transform();
+        let on_worker = spinning.on_worker.load(Ordering::Relaxed);
+        let unmarked = spinning.unmarked.load(Ordering::Relaxed);
+        (outcome, on_worker, inline, unmarked)
+    };
+    for spin in [Duration::from_micros(50), Duration::ZERO] {
+        let (seq, ..) = tune(spin, false);
+        let (par, on_worker, inline, unmarked) = tune(spin, true);
+        assert_eq!(seq.program, par.program, "{spin:?}");
+        assert_eq!(seq.stats, par.stats, "{spin:?}");
+        if spin > Duration::ZERO {
+            assert!(on_worker > 0, "no batch reached a worker: {:?}", par.stats);
+        } else {
+            // Every single-request batch is an inline batch too, and
+            // runs outside a pool task; an inline batch of the
+            // evaluator's own runs inside one.
+            assert!(
+                inline > unmarked,
+                "no batch ran inline: {inline} inline batches, {unmarked} \
+                 single-request ones; {:?}",
+                par.stats
+            );
+        }
+    }
 }
