@@ -273,21 +273,8 @@ pub fn fig6_panels() -> Vec<Panel> {
 mod tests {
     use super::*;
     use pb_config::Schema;
-    use pb_runtime::pool::{Pool, THREADS_ENV};
     use pb_runtime::ExecCtx;
     use rand::rngs::SmallRng;
-    use std::sync::Once;
-
-    /// Sizes this test process's global pool at two threads before any
-    /// tuning test uses it: the virtual cost model sees the thread
-    /// budget, so what the tuner picks depends on it.
-    fn two_thread_pool() {
-        static PIN: Once = Once::new();
-        PIN.call_once(|| {
-            std::env::set_var(THREADS_ENV, "2");
-            assert_eq!(Pool::global().threads(), 2, "pool sized before the pin");
-        });
-    }
 
     struct Iterate;
 
@@ -315,7 +302,6 @@ mod tests {
 
     #[test]
     fn harness_produces_monotone_speedups() {
-        two_thread_pool();
         let runner = TransformRunner::new(Iterate, CostModel::Virtual);
         let bins = AccuracyBins::new(vec![0.5, 0.99]);
         let tuned = train(&runner, &bins, 8, 1);
@@ -362,7 +348,6 @@ mod tests {
 
     #[test]
     fn clustering_panel_passes_where_trained_and_misses_beyond() {
-        two_thread_pool();
         let panel = fig6_panels().swap_remove(1);
         assert_eq!(panel.train_size, 256);
         let (tuned, cells) = panel.run();

@@ -15,8 +15,9 @@
 //! `par_cutoff` tunable, exactly like clustering's nearest-centroid
 //! scan. Below the cutoff a scan probes sequentially and is charged
 //! one `PROBE_COST` per probe (early exit included). From the cutoff up
-//! it is *engaged*: charged once as a pool scan (probes divided by the
-//! thread budget plus a dispatch), whatever the placement. The
+//! it is *engaged*: charged once as a split scan on the modeled machine
+//! (`ExecCtx::charge_split`: probes divided across its threads plus a
+//! dispatch), whatever the placement and the pool's width. The
 //! packing decisions are the same in both regimes; only the
 //! virtual-cost schedule differs.
 //!
@@ -45,7 +46,6 @@
 //!   is charged for the linear walk over every medium item.
 
 use pb_config::Schema;
-use pb_runtime::parallel::{available_threads, parallel_engages};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -195,27 +195,9 @@ impl Packing {
 /// `O(n·bins)` vs `O(n)` asymptotics that drive Fig. 6(a).
 const PROBE_COST: f64 = 1.0;
 
-/// Virtual-cost units modelling the fixed overhead of dispatching a
-/// placement scan to the pool (same constant as
-/// clustering, so `par_cutoff` has the same dispatch-vs-division
-/// tradeoff the real scheduler exhibits).
-const PAR_DISPATCH_COST: f64 = 512.0;
-
-/// Whether an item's scan over `bins` open bins is charged as a pool
-/// scan.
-fn scan_engages(bins: usize, par_cutoff: usize) -> bool {
-    parallel_engages(bins, par_cutoff)
-}
-
 /// Whether `item` fits a bin with `residual` capacity left.
 fn fits(residual: f64, item: f64) -> bool {
     residual >= item - 1e-15
-}
-
-/// Charges for one pool-dispatched scan over `bins` bins: the probe
-/// work divides across the pool's threads, plus the dispatch overhead.
-fn charge_parallel_scan(ctx: &mut ExecCtx<'_>, bins: usize) {
-    ctx.charge(bins as f64 * PROBE_COST / available_threads() as f64 + PAR_DISPATCH_COST);
 }
 
 /// Charges `probes` sequential probes, to the bit what charging
@@ -224,8 +206,8 @@ fn charge_parallel_scan(ctx: &mut ExecCtx<'_>, bins: usize) {
 /// error term is zero) with a sum below 2⁵³: the sum's ulp is then at
 /// most one unit, the running cost is a multiple of it, and so is every
 /// partial sum of the per-probe loop, which is therefore exact too.
-/// Otherwise (say after an `n·log₂n` sort charge, or a pool scan
-/// charged as `bins/3`) the probes are added one by one.
+/// Otherwise (say after an `n·log₂n` sort charge) the probes are added
+/// one by one.
 fn charge_probes(ctx: &mut ExecCtx<'_>, probes: usize) {
     let before = ctx.virtual_cost();
     let total = probes as f64 * PROBE_COST;
@@ -244,9 +226,7 @@ fn charge_probes(ctx: &mut ExecCtx<'_>, probes: usize) {
 /// Charges one placement scan over `bins` open bins, which probes
 /// `probes` of them when it runs sequentially.
 fn charge_scan(ctx: &mut ExecCtx<'_>, bins: usize, probes: usize, par_cutoff: usize) {
-    if scan_engages(bins, par_cutoff) {
-        charge_parallel_scan(ctx, bins);
-    } else {
+    if !ctx.charge_split(bins, par_cutoff, bins as f64 * PROBE_COST) {
         charge_probes(ctx, probes);
     }
 }
@@ -262,7 +242,7 @@ enum ScanFrom {
 /// otherwise — the shared per-item scan of FirstFit, LastFit, and
 /// MFFD's final FFD pass. A sequential scan is charged for a linear
 /// scan's probes, early exit included; at or above `par_cutoff` open
-/// bins it is charged as one pool scan. The placement is the same
+/// bins it is charged as one split scan. The placement is the same
 /// either way.
 fn place_one(p: &mut Packing, item: f64, from: ScanFrom, par_cutoff: usize, ctx: &mut ExecCtx<'_>) {
     let bins = p.bins();
@@ -539,7 +519,7 @@ fn decreasing(items: &[f64], ctx: &mut ExecCtx<'_>) -> Vec<f64> {
 /// Runs one named algorithm (index into [`ALGORITHM_NAMES`]).
 ///
 /// `par_cutoff` is the §5.2 switch-over: placement scans over at least
-/// that many open bins are charged as pool scans (pass `usize::MAX`
+/// that many open bins are charged as split scans (pass `usize::MAX`
 /// for per-probe charging throughout). Packing decisions are identical
 /// in both regimes.
 ///
@@ -674,35 +654,20 @@ mod tests {
         use pb_runtime::parallel::parallel_gen;
 
         /// The shared parallel-regime prelude of every placement kernel:
-        /// `Some(mask)` of `residual >= item - 1e-15` per open bin when the
-        /// scan engages the pool, `None` when the kernel should probe (and
-        /// charge) sequentially. One definition keeps the fit tolerance and
-        /// engage condition in a single place.
+        /// `Some(mask)` of `residual >= item - 1e-15` per open bin, computed
+        /// on the pool, when the scan is charged as split, `None` when the
+        /// kernel should probe (and charge) sequentially. The per-bin probes
+        /// are pure, so the mask (and thus every placement decision derived
+        /// from it) is identical to a sequential scan.
         fn fit_mask_if_parallel(
             p: &Packing,
             item: f64,
             par_cutoff: usize,
             ctx: &mut ExecCtx<'_>,
         ) -> Option<Vec<bool>> {
-            if scan_engages(p.bins(), par_cutoff) {
-                Some(parallel_fit_mask(p, par_cutoff, ctx, |r| r >= item - 1e-15))
-            } else {
-                None
-            }
-        }
-
-        /// Computes `pred(residual)` for every open bin on the pool. The
-        /// per-bin probes are pure, so the mask (and thus every placement
-        /// decision derived from it) is identical to a sequential scan.
-        fn parallel_fit_mask(
-            p: &Packing,
-            par_cutoff: usize,
-            ctx: &mut ExecCtx<'_>,
-            pred: impl Fn(f64) -> bool + Sync,
-        ) -> Vec<bool> {
-            let mask = parallel_gen(p.bins(), par_cutoff, |b| pred(p.residuals[b]));
-            charge_parallel_scan(ctx, p.bins());
-            mask
+            let bins = p.bins();
+            ctx.charge_split(bins, par_cutoff, bins as f64 * PROBE_COST)
+                .then(|| parallel_gen(bins, par_cutoff, |b| p.residuals[b] >= item - 1e-15))
         }
 
         /// Places `item` in the first (or last) bin it fits, opening a new bin
@@ -1041,7 +1006,7 @@ mod tests {
 
     /// `charge_probes` against the per-probe loop it stands for, from
     /// running totals that are integers, sort charges (`n·log₂n`, not
-    /// dyadic at most `n`), pool scans on three threads (`bins/3`),
+    /// dyadic at most `n`), non-dyadic totals (thirds),
     /// arbitrary fractions, and integers up to 2⁵⁴, where the loop
     /// rounds.
     #[test]

@@ -15,7 +15,7 @@
 //! point of the work-stealing scheduler exactly as in paper §5.2.
 
 use pb_config::Schema;
-use pb_runtime::parallel::{available_threads, parallel_engages, parallel_gen};
+use pb_runtime::parallel::parallel_gen;
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -148,12 +148,6 @@ fn nearest_centroid(points: &Points, centroids: &Points, i: usize) -> usize {
     best
 }
 
-/// Virtual-cost units modelling the fixed overhead of dispatching a
-/// batch to the pool (wakeups, chunking, the join).
-/// Gives `par_cutoff` the same tradeoff the real scheduler has: below
-/// the crossover the dispatch overhead outweighs the divided work.
-const PAR_DISPATCH_COST: f64 = 512.0;
-
 /// Assigns every point to its nearest centroid; returns the number of
 /// changed assignments.
 ///
@@ -161,12 +155,11 @@ const PAR_DISPATCH_COST: f64 = 512.0;
 /// when the input reaches `par_cutoff` points (paper §5.2's tuned
 /// switch-over). Each point's result is a pure function of the
 /// inputs, so the *assignments* are identical in both regimes; the
-/// *virtual cost* models the schedule — parallel execution divides
-/// the scan across the pool's threads but pays [`PAR_DISPATCH_COST`]
+/// *virtual cost* models the schedule (`ExecCtx::charge_split`: the
+/// scan divided across the modeled machine's threads plus a dispatch)
 /// — so the tuner can find the crossover deterministically, the way
-/// wall-clock measurements would on real hardware. The thread count
-/// is the pool's cached budget: constant within a process, so
-/// parallel-vs-sequential evaluator modes stay bit-identical.
+/// wall-clock measurements would on real hardware. The charge is the
+/// same whatever the pool's width, so a tuned program is too.
 fn assign(
     points: &Points,
     centroids: &Points,
@@ -185,9 +178,7 @@ fn assign(
         }
     }
     let work = (points.len() * centroids.len()) as f64;
-    if parallel_engages(points.len(), par_cutoff) {
-        ctx.charge(work / available_threads() as f64 + PAR_DISPATCH_COST);
-    } else {
+    if !ctx.charge_split(points.len(), par_cutoff, work) {
         ctx.charge(work);
     }
     changed
@@ -433,20 +424,16 @@ mod tests {
             outputs.push((out, ctx.virtual_cost()));
         }
         assert_eq!(outputs[0].0, outputs[1].0);
-        // The virtual cost *sees* the schedule: with a multi-thread
-        // pool the always-parallel run (cutoff 16, 512 points, k = 8:
-        // work well past the dispatch overhead) must be modelled
-        // cheaper; with one thread both regimes are sequential.
-        if pb_runtime::parallel::available_threads() >= 2 {
-            assert!(
-                outputs[0].1 < outputs[1].1,
-                "parallel schedule should cost less: {} vs {}",
-                outputs[0].1,
-                outputs[1].1
-            );
-        } else {
-            assert_eq!(outputs[0].1, outputs[1].1);
-        }
+        // The virtual cost *sees* the schedule: the always-parallel
+        // run (cutoff 16, 512 points, k = 8: work well past the
+        // dispatch overhead) is modelled cheaper on the modeled
+        // machine, whatever the pool's width.
+        assert!(
+            outputs[0].1 < outputs[1].1,
+            "parallel schedule should cost less: {} vs {}",
+            outputs[0].1,
+            outputs[1].1
+        );
     }
 
     #[test]

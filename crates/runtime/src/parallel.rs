@@ -9,23 +9,49 @@
 //! their configuration, so the tuner controls the switch-over point
 //! exactly as in the paper (§5.2 "switching points from a parallel
 //! work stealing scheduler to sequential code").
+//!
+//! What a split map *costs* is charged against one stated machine,
+//! [`MODELED_THREADS`] wide, through [`ExecCtx::charge_split`]. The
+//! pool's own width decides only where a batch runs in wall time, so a
+//! tuned program is the same on every box.
 
 #![forbid(unsafe_code)]
 
 use crate::pool::Pool;
+use crate::ExecCtx;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// Whether a map of `count` elements with the given cutoff runs on
-/// the pool (as opposed to inline on the calling thread).
-///
-/// This is the single source of truth for the switch-over decision:
-/// [`parallel_gen`] branches on it, and cost models
-/// that charge for the schedule (e.g. the clustering benchmark's
-/// `par_cutoff` tunable) query it rather than duplicating the
-/// condition.
-pub fn parallel_engages(count: usize, sequential_cutoff: usize) -> bool {
-    count >= sequential_cutoff.max(2) && Pool::global().threads() >= 2
+/// The machine every virtual-cost charge models: a map that splits is
+/// charged as its work divided across this many threads. A build
+/// constant, like every other charge coefficient.
+pub const MODELED_THREADS: usize = 2;
+
+/// Virtual-cost units for dispatching one split map on the modeled
+/// machine (wakeups, chunking, the join). Below the crossover the
+/// dispatch outweighs the divided work, which gives every `par_cutoff`
+/// tunable the tradeoff the real scheduler has.
+const DISPATCH_COST: f64 = 512.0;
+
+/// Whether a map of `count` elements with the given cutoff splits.
+fn splits(count: usize, sequential_cutoff: usize) -> bool {
+    count >= sequential_cutoff.max(2)
+}
+
+impl ExecCtx<'_> {
+    /// Charges a data-parallel map of `count` elements that does `work`
+    /// units in total, as split on the modeled machine
+    /// (`work / MODELED_THREADS` plus a dispatch), when `count` reaches
+    /// `sequential_cutoff`. Otherwise charges nothing: the map runs
+    /// sequentially and the caller charges its sequential work. Returns
+    /// whether it charged.
+    pub fn charge_split(&mut self, count: usize, sequential_cutoff: usize, work: f64) -> bool {
+        let split = splits(count, sequential_cutoff);
+        if split {
+            self.charge(work / MODELED_THREADS as f64 + DISPATCH_COST);
+        }
+        split
+    }
 }
 
 /// Builds a `Vec` whose `i`-th element is `f(i)`, splitting across the
@@ -55,7 +81,7 @@ where
     O: Send,
     F: Fn(usize) -> O + Sync,
 {
-    if !parallel_engages(count, sequential_cutoff) {
+    if !(splits(count, sequential_cutoff) && Pool::global().threads() >= 2) {
         // Below-cutoff top-level batches never reach the pool; record
         // them as inline so `Pool::batch_stats` reflects the full
         // top-level batch traffic. Nested calls skip the counters —
@@ -87,12 +113,6 @@ where
     out.into_iter()
         .map(|o| o.expect("the pool ran every part"))
         .collect()
-}
-
-/// Number of hardware threads the global pool uses (cached in the
-/// pool; no syscall per query).
-pub fn available_threads() -> usize {
-    Pool::global().threads()
 }
 
 #[cfg(test)]
@@ -139,9 +159,17 @@ mod tests {
     }
 
     #[test]
-    fn available_threads_is_stable() {
-        assert_eq!(available_threads(), available_threads());
-        assert!(available_threads() >= 1);
+    fn charge_split_charges_the_modeled_machine_from_the_cutoff() {
+        let schema = pb_config::Schema::new("split");
+        let config = schema.default_config();
+        let mut ctx = ExecCtx::new(&schema, &config, 1, 0);
+        // Below the cutoff, or below two elements whatever the cutoff,
+        // the map is sequential and the caller charges it.
+        assert!(!ctx.charge_split(7, 8, 1000.0));
+        assert!(!ctx.charge_split(1, 0, 1000.0));
+        assert_eq!(ctx.virtual_cost(), 0.0);
+        assert!(ctx.charge_split(8, 8, 1000.0));
+        assert_eq!(ctx.virtual_cost(), 1000.0 / 2.0 + DISPATCH_COST);
     }
 
     /// Pins the fan-out's bookkeeping: every slot is written exactly

@@ -29,7 +29,7 @@
 //! planned and batched per arena round like everything else.
 
 use pb_config::{Config, Value};
-use pb_runtime::parallel::parallel_gen;
+use pb_runtime::parallel::{parallel_gen, MODELED_THREADS};
 use pb_runtime::pool::Pool;
 use pb_runtime::{SharedInput, TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
@@ -258,10 +258,10 @@ struct TrialCache {
 struct SidecarFile {
     transform: String,
     schema: u64,
-    /// The pool thread budget the outcomes were measured under.
-    /// Schedule-aware virtual cost models divide parallel work by
-    /// `available_threads()`, so outcomes from a different budget are
-    /// not comparable and the whole sidecar is rejected on mismatch.
+    /// The modeled machine's width (`MODELED_THREADS`) the virtual
+    /// costs were charged against. A sidecar from a build that charged
+    /// another width (older builds charged the pool's) holds costs that
+    /// are not comparable, so the whole sidecar is rejected on mismatch.
     threads: usize,
     entries: Vec<SidecarEntry>,
 }
@@ -695,7 +695,7 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::save_sidecar`], so a re-tuning run starts warm.
     /// Returns the number of entries loaded; 0 when the file is
     /// missing, malformed, recorded for a different transform, a
-    /// different tunable schema, or a different pool thread budget
+    /// different tunable schema, or a different modeled machine width
     /// (schedule-aware virtual costs embed it), or memoization is off
     /// — a cold start, never an error. Entries loaded here count their reuse
     /// as [`cache_hits_warm`](Evaluator::cache_hits_warm).
@@ -730,7 +730,7 @@ impl<'a> Evaluator<'a> {
         };
         if file.transform != self.runner.name()
             || file.schema != schema_fingerprint(self.runner.schema())
-            || file.threads != pb_runtime::parallel::available_threads()
+            || file.threads != MODELED_THREADS
         {
             return 0;
         }
@@ -796,7 +796,7 @@ impl<'a> Evaluator<'a> {
         let file = SidecarFile {
             transform: self.runner.name().to_string(),
             schema: schema_fingerprint(self.runner.schema()),
-            threads: pb_runtime::parallel::available_threads(),
+            threads: MODELED_THREADS,
             entries,
         };
         let json = serde_json::to_string_pretty(&file)
@@ -1263,13 +1263,12 @@ mod tests {
         let wider_runner = TransformRunner::new(LinearWider, CostModel::Virtual);
         let wider = Evaluator::new(&wider_runner, EvalMode::Sequential, true);
         assert_eq!(wider.load_sidecar(&path), 0);
-        // A different pool thread budget: schedule-aware virtual costs
-        // divide by it, so the recorded outcomes are not comparable.
-        let threads = pb_runtime::parallel::available_threads();
+        // A different modeled machine width: schedule-aware virtual
+        // costs divide by it, so the recorded outcomes are not comparable.
         let text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.replace(
-            &format!("\"threads\": {threads}"),
-            &format!("\"threads\": {}", threads + 1),
+            &format!("\"threads\": {MODELED_THREADS}"),
+            &format!("\"threads\": {}", MODELED_THREADS + 1),
         );
         assert_ne!(text, tampered, "threads field must be present");
         std::fs::write(&path, tampered).unwrap();

@@ -142,9 +142,9 @@ fn pruning_is_bit_identical_and_batched() {
 #[test]
 fn merging_is_bit_identical_and_batched() {
     let _pool = force_parallel_pool();
-    // The virtual cost model sees the thread budget, so each run's
-    // trajectory is a deterministic function of the seed and the
-    // forced 4-thread pool.
+    // The virtual cost model charges the modeled machine, not the
+    // pool, so each run's trajectory is a deterministic function of the
+    // seed alone.
     for (max_size, seed) in [(256, 5u64), (256, 42), (128, 0x7B5)] {
         let bins = vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)];
         let seq = tune(BinPacking, bins.clone(), max_size, seed, false);
@@ -310,6 +310,9 @@ fn shared_inputs_change_work_not_results() {
 /// of a real kernel, and records where it ran.
 struct Spinning {
     spin: Duration,
+    /// How long, at most, a trial the submitting thread runs inside a
+    /// pool task spins on until some trial has run on a worker.
+    worker_deadline: Instant,
     /// Trials run on a pool worker: their batch was dispatched.
     on_worker: AtomicU64,
     /// Trials run on the submitting thread outside any pool task: a
@@ -321,6 +324,7 @@ impl Spinning {
     fn new(spin: Duration) -> Self {
         Spinning {
             spin,
+            worker_deadline: Instant::now() + Duration::from_secs(60),
             on_worker: AtomicU64::new(0),
             unmarked: AtomicU64::new(0),
         }
@@ -343,10 +347,21 @@ impl Transform for Spinning {
     }
     fn execute(&self, input: &f64, ctx: &mut ExecCtx<'_>) -> f64 {
         let start = Instant::now();
-        while start.elapsed() < self.spin {
+        let on_worker = std::thread::current().name() == Some("pb-pool-worker");
+        // The submitting thread can run every job of a dispatched batch
+        // before a parked worker wakes. So a spinning trial it runs
+        // inside a pool task holds its job until a worker has run one:
+        // whether a batch reaches a worker then does not depend on when
+        // a worker wakes.
+        let awaits_worker = self.spin > Duration::ZERO && !on_worker && current_task_depth() > 0;
+        while start.elapsed() < self.spin
+            || (awaits_worker
+                && self.on_worker.load(Ordering::Relaxed) == 0
+                && Instant::now() < self.worker_deadline)
+        {
             std::hint::spin_loop();
         }
-        if std::thread::current().name() == Some("pb-pool-worker") {
+        if on_worker {
             self.on_worker.fetch_add(1, Ordering::Relaxed);
         } else if current_task_depth() == 0 {
             self.unmarked.fetch_add(1, Ordering::Relaxed);
