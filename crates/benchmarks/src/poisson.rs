@@ -126,7 +126,7 @@ impl Transform for Poisson2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_inputs::{multigrid_configs, trial_hash};
+    use crate::test_inputs::{multigrid_configs, schema_lines, trial_hash};
     use pb_config::{Config, DecisionTree, Value};
 
     fn config_with(schema: &Schema, edits: &[(&str, Value)]) -> Config {
@@ -279,52 +279,52 @@ mod tests {
         );
     }
 
-    /// The schema's JSON form, which the trial-cache sidecar
-    /// fingerprints: a reordered or re-ranged tunable changes every
-    /// tuned decision, so it must show here.
-    const SCHEMA: &str = concat!(
-        r#"{"name":"poisson2d","tunables":["#,
-        r#"{"name":"level0_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level0_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level0_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level0_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"level1_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level1_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level1_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level1_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"level2_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level2_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level2_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level2_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"level3_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level3_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level3_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level3_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"level4_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level4_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level4_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level4_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"level5_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level5_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level5_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level5_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"level6_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level6_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level6_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level6_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"level7_action","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},"#,
-        r#"{"name":"level7_pre","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level7_post","kind":{"AccuracyVariable":{"min":0,"max":6}},"default":{"Int":2}},"#,
-        r#"{"name":"level7_sor_iters","kind":{"AccuracyVariable":{"min":1,"max":200}},"default":{"Int":10}},"#,
-        r#"{"name":"cycles","kind":{"AccuracyVariable":{"min":1,"max":64}},"default":{"Int":2}},"#,
-        r#"{"name":"omega","kind":{"FloatParam":{"min":0.8,"max":1.95}},"default":{"Float":1.375}},"#,
-        r#"{"name":"par_cutoff","kind":{"Cutoff":{"min":16,"max":65536}},"default":{"Int":16}}"#,
-        "]}",
-    );
+    /// Every tunable's name, kind, range and default, in schema order:
+    /// a reordered or re-ranged tunable changes every tuned decision, so
+    /// it must show here.
+    const SCHEMA: [&str; 35] = [
+        "level0_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level0_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level0_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level0_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "level1_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level1_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level1_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level1_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "level2_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level2_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level2_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level2_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "level3_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level3_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level3_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level3_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "level4_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level4_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level4_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level4_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "level5_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level5_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level5_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level5_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "level6_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level6_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level6_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level6_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "level7_action ChoiceSite { num_algorithms: 3 } = tree[*:0]",
+        "level7_pre AccuracyVariable { min: 0, max: 6 } = 2",
+        "level7_post AccuracyVariable { min: 0, max: 6 } = 2",
+        "level7_sor_iters AccuracyVariable { min: 1, max: 200 } = 10",
+        "cycles AccuracyVariable { min: 1, max: 64 } = 2",
+        "omega FloatParam { min: 0.8, max: 1.95 } = 1.375",
+        "par_cutoff Cutoff { min: 16, max: 65536 } = 16",
+    ];
 
     #[test]
     fn schema_matches_its_pin() {
-        assert_eq!(serde_json::to_string(&Poisson2d.schema()).unwrap(), SCHEMA);
+        let schema = Poisson2d.schema();
+        assert_eq!(schema.name(), "poisson2d");
+        assert_eq!(schema_lines(&schema), SCHEMA);
     }
 
     /// Whole-trial hashes (output, virtual cost and accuracy bits) taken

@@ -104,6 +104,16 @@ pub(crate) fn multigrid_configs(
     configs
 }
 
+/// Each tunable of `schema`, in order, as `name kind { range } =
+/// default`: what a pinned schema holds.
+pub(crate) fn schema_lines(schema: &Schema) -> Vec<String> {
+    let defaults = schema.default_config();
+    schema
+        .iter()
+        .map(|(id, t)| format!("{} {:?} = {}", t.name(), t.kind(), defaults.get(id)))
+        .collect()
+}
+
 /// FNV-1a over `bytes`, continuing from `hash`.
 fn fnv(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &byte| {

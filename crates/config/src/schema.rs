@@ -9,8 +9,6 @@
 use crate::config::Config;
 use crate::tree::DecisionTree;
 use crate::value::Value;
-use serde::json::Value as Json;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -167,45 +165,6 @@ pub struct Schema {
     name: String,
     tunables: Vec<Tunable>,
     by_name: HashMap<String, TunableId>,
-}
-
-/// The canonical form the trial-cache sidecar fingerprints: the name,
-/// then each tunable's name, kind (externally tagged, fields in
-/// declaration order) and default. `by_name` only indexes `tunables`,
-/// so it stays out. Nothing reads this form back.
-impl Serialize for Schema {
-    fn to_json(&self) -> Json {
-        fn obj(fields: Vec<(&str, Json)>) -> Json {
-            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        }
-        let range = |min: &dyn Serialize, max: &dyn Serialize| {
-            vec![("min", min.to_json()), ("max", max.to_json())]
-        };
-        let tunables = self.tunables.iter().map(|t| {
-            let (tag, fields) = match &t.kind {
-                TunableKind::ChoiceSite { num_algorithms } => (
-                    "ChoiceSite",
-                    vec![("num_algorithms", num_algorithms.to_json())],
-                ),
-                TunableKind::Cutoff { min, max } => ("Cutoff", range(min, max)),
-                TunableKind::Switch { num_values } => {
-                    ("Switch", vec![("num_values", num_values.to_json())])
-                }
-                TunableKind::AccuracyVariable { min, max } => ("AccuracyVariable", range(min, max)),
-                TunableKind::FloatParam { min, max } => ("FloatParam", range(min, max)),
-                TunableKind::UserDefined { min, max } => ("UserDefined", range(min, max)),
-            };
-            obj(vec![
-                ("name", t.name.to_json()),
-                ("kind", obj(vec![(tag, obj(fields))])),
-                ("default", t.default.to_json()),
-            ])
-        });
-        obj(vec![
-            ("name", self.name.to_json()),
-            ("tunables", Json::Arr(tunables.collect())),
-        ])
-    }
 }
 
 impl Schema {

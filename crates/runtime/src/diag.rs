@@ -1,64 +1,16 @@
-//! One funnel for library diagnostics.
+//! The `PB_QUIET` environment knob.
 //!
-//! Library crates must not write to stderr bare: test output gets
-//! noisy, and operators can't turn the chatter off. Everything
-//! advisory goes through [`warn`] (or the [`crate::diag_warn!`]
-//! macro), which honors the `PB_QUIET` environment knob:
-//!
-//! * `PB_QUIET` unset, empty, or `0` — warnings print to stderr with a
-//!   `pb: ` prefix.
-//! * `PB_QUIET` set to anything else — warnings are suppressed.
-//!
-//! Either way every warning is counted, so tests (and operators) can
-//! assert "no diagnostics" without scraping stderr.
+//! Library crates write no diagnostics: a fault is a returned error or
+//! a counted, quarantined trial. [`quiet`] is here because the ledger's
+//! environment echo (`ledger/src/env.rs`) records the knob with every
+//! run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-static EMITTED: AtomicU64 = AtomicU64::new(0);
-
-/// Whether diagnostics are suppressed (`PB_QUIET` set non-empty,
-/// non-`0`). Read once per process.
+/// Whether `PB_QUIET` is set non-empty and non-`0`. Read once per
+/// process. Nothing in the library consults it; kept for the ledger's
+/// environment echo.
 pub fn quiet() -> bool {
     static QUIET: OnceLock<bool> = OnceLock::new();
     *QUIET.get_or_init(|| std::env::var("PB_QUIET").is_ok_and(|v| !(v.is_empty() || v == "0")))
-}
-
-/// Emits one advisory diagnostic to stderr (unless [`quiet`]) and
-/// counts it either way.
-pub fn warn(message: impl AsRef<str>) {
-    EMITTED.fetch_add(1, Ordering::Relaxed);
-    if !quiet() {
-        eprintln!("pb: {}", message.as_ref());
-    }
-}
-
-/// Number of warnings emitted so far in this process (suppressed ones
-/// included).
-pub fn warn_count() -> u64 {
-    EMITTED.load(Ordering::Relaxed)
-}
-
-/// [`warn`] with `format!` arguments:
-/// `diag_warn!("sidecar {} corrupted", path)`.
-#[macro_export]
-macro_rules! diag_warn {
-    ($($arg:tt)*) => {
-        $crate::diag::warn(format!($($arg)*))
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn warnings_are_counted() {
-        // `quiet()` latches on first read; the count must advance
-        // regardless of the knob's state.
-        let before = warn_count();
-        warn("diag self-test (harmless)");
-        diag_warn!("diag self-test {} (harmless)", 2);
-        assert_eq!(warn_count(), before + 2);
-    }
 }

@@ -48,9 +48,7 @@ impl TrialOutcome {
     /// every attempt faulted (panicked, timed out, or produced a
     /// non-finite cost) and whose retries are exhausted: infinite cost
     /// on every axis and `-inf` accuracy, so a quarantined candidate
-    /// loses every time comparison, meets no accuracy target, and is
-    /// never persisted to a trial-cache sidecar (which skips
-    /// non-finite entries).
+    /// loses every time comparison and meets no accuracy target.
     pub const QUARANTINED: TrialOutcome = TrialOutcome {
         time: f64::INFINITY,
         wall_seconds: f64::INFINITY,

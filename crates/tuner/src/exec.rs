@@ -11,8 +11,8 @@
 //!   sequentially, when forced) — on the submitting thread, as one pool
 //!   task, when its measured trial times say the batch costs less than
 //!   a dispatch — and
-//! * memoizes outcomes in a fingerprint cache keyed on
-//!   `(canonical config hash, n, seed)`, so duplicate candidates and
+//! * memoizes outcomes, for one tuning run, in a fingerprint cache keyed
+//!   on `(canonical config hash, n, seed)`, so duplicate candidates and
 //!   mutate-then-revert configurations never re-execute a trial, and
 //! * builds each training input once per tuning run
 //!   ([`TrialRunner::prepare`]) and shares it with every trial on the
@@ -29,7 +29,7 @@
 //! planned and batched per arena round like everything else.
 
 use pb_config::{Config, Value};
-use pb_runtime::parallel::{parallel_gen, MODELED_THREADS};
+use pb_runtime::parallel::parallel_gen;
 use pb_runtime::pool::Pool;
 use pb_runtime::{SharedInput, TrialOutcome, TrialRunner};
 use pb_stats::OnlineStats;
@@ -225,22 +225,13 @@ impl Hasher for KeyHasher {
 /// A map keyed through [`KeyHasher`].
 type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
-/// One memoized outcome, tagged with whether it was preloaded from a
-/// cross-run sidecar (a *warm* entry) or produced in this run.
-#[derive(Debug, Clone, Copy)]
-struct CachedTrial {
-    outcome: TrialOutcome,
-    warm: bool,
-}
-
-/// The trial memo: `(config fingerprint, n, seed) → outcome`.
+/// The trial memo: `(config fingerprint, n, seed) → outcome`, for one
+/// tuning run. It lives as long as its evaluator and is never written
+/// anywhere: its keys cannot see a change to a transform's code.
 #[derive(Debug, Default)]
 struct TrialCache {
-    map: Mutex<KeyMap<CacheKey, CachedTrial>>,
+    map: Mutex<KeyMap<CacheKey, TrialOutcome>>,
     hits: AtomicU64,
-    /// Hits served by entries preloaded from a sidecar (cross-run
-    /// reuse), counted separately from in-run hits.
-    hits_warm: AtomicU64,
     misses: AtomicU64,
     /// Intra-batch duplicates: requests that shared another request's
     /// execution *within the same batch*. Not hits — nothing was in
@@ -248,61 +239,6 @@ struct TrialCache {
     /// did not execute a trial.
     coalesced: AtomicU64,
 }
-
-/// On-disk form of the trial memo: one sidecar per transform, keyed by
-/// `(transform name, config fingerprint, n, seed)` and stamped with
-/// the schema's fingerprint — a sidecar recorded against a different
-/// tunable schema is rejected wholesale, since its config fingerprints
-/// describe configurations of a different shape.
-#[derive(Debug)]
-struct SidecarFile {
-    transform: String,
-    schema: u64,
-    /// The modeled machine's width (`MODELED_THREADS`) the virtual
-    /// costs were charged against. A sidecar from a build that charged
-    /// another width (older builds charged the pool's) holds costs that
-    /// are not comparable, so the whole sidecar is rejected on mismatch.
-    threads: usize,
-    entries: Vec<SidecarEntry>,
-}
-
-serde::json_object!(SidecarFile {
-    transform,
-    schema,
-    threads,
-    entries,
-});
-
-/// FNV-1a over the schema's canonical serialized form: changes to the
-/// tunable set, ranges, or defaults invalidate persisted sidecars.
-/// (Changes to the transform's *implementation* cannot be detected
-/// from here — delete the sidecar when the measured code changes.)
-fn schema_fingerprint(schema: &pb_config::Schema) -> u64 {
-    let canonical = serde_json::to_string(schema).expect("schemas serialize");
-    fnv1a(FNV_OFFSET, canonical.as_bytes())
-}
-
-/// One `(key, outcome)` pair of the sidecar.
-#[derive(Debug)]
-struct SidecarEntry {
-    fingerprint: u64,
-    n: u64,
-    seed: u64,
-    time: f64,
-    wall_seconds: f64,
-    virtual_cost: f64,
-    accuracy: f64,
-}
-
-serde::json_object!(SidecarEntry {
-    fingerprint,
-    n,
-    seed,
-    time,
-    wall_seconds,
-    virtual_cost,
-    accuracy,
-});
 
 /// The estimated work below which a parallel-mode batch runs on the
 /// submitting thread instead of the pool: for less, queueing the batch,
@@ -412,21 +348,11 @@ impl<'a> Evaluator<'a> {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Requests served from the cache without executing a trial
-    /// (entries produced earlier in this run; warm sidecar entries are
-    /// counted by [`Evaluator::cache_hits_warm`] instead).
+    /// Requests served from the cache without executing a trial.
     pub fn cache_hits(&self) -> u64 {
         self.cache
             .as_ref()
             .map_or(0, |c| c.hits.load(Ordering::Relaxed))
-    }
-
-    /// Requests served by entries preloaded from a cross-run sidecar
-    /// (see [`Evaluator::load_sidecar`]).
-    pub fn cache_hits_warm(&self) -> u64 {
-        self.cache
-            .as_ref()
-            .map_or(0, |c| c.hits_warm.load(Ordering::Relaxed))
     }
 
     /// Requests that had to execute a trial.
@@ -464,19 +390,14 @@ impl<'a> Evaluator<'a> {
         // The requests that execute, borrowed: nothing is cloned.
         let mut misses: Vec<&TrialRequest> = Vec::new();
         let mut hits = 0;
-        let mut hits_warm = 0;
         let mut coalesced = 0;
         {
             let map = cache.map.lock().expect("trial cache poisoned");
             for (i, request) in requests.iter().enumerate() {
                 let key = request.key();
-                if let Some(cached) = map.get(&key) {
-                    slots[i] = Some(cached.outcome);
-                    if cached.warm {
-                        hits_warm += 1;
-                    } else {
-                        hits += 1;
-                    }
+                if let Some(&outcome) = map.get(&key) {
+                    slots[i] = Some(outcome);
+                    hits += 1;
                 } else if let Some(&mi) = miss_of_key.get(&key) {
                     // Duplicate within the batch: executes once, but
                     // nothing was cached yet — count it as coalesced,
@@ -493,7 +414,6 @@ impl<'a> Evaluator<'a> {
             }
         }
         cache.hits.fetch_add(hits, Ordering::Relaxed);
-        cache.hits_warm.fetch_add(hits_warm, Ordering::Relaxed);
         cache.coalesced.fetch_add(coalesced, Ordering::Relaxed);
         cache
             .misses
@@ -503,13 +423,7 @@ impl<'a> Evaluator<'a> {
         {
             let mut map = cache.map.lock().expect("trial cache poisoned");
             for (request, &outcome) in misses.iter().zip(&executed) {
-                map.insert(
-                    request.key(),
-                    CachedTrial {
-                        outcome,
-                        warm: false,
-                    },
-                );
+                map.insert(request.key(), outcome);
             }
         }
 
@@ -691,128 +605,24 @@ impl<'a> Evaluator<'a> {
         input
     }
 
-    /// Preloads the trial memo from a cross-run sidecar written by
-    /// [`Evaluator::save_sidecar`], so a re-tuning run starts warm.
-    /// Returns the number of entries loaded; 0 when the file is
-    /// missing, malformed, recorded for a different transform, a
-    /// different tunable schema, or a different modeled machine width
-    /// (schedule-aware virtual costs embed it), or memoization is off
-    /// — a cold start, never an error. Entries loaded here count their reuse
-    /// as [`cache_hits_warm`](Evaluator::cache_hits_warm).
-    ///
-    /// Only sound when trials are deterministic functions of
-    /// `(config, n, seed)` — the same condition as memoization
-    /// itself; callers gate on [`TrialRunner::deterministic`]. A
-    /// schema change invalidates the sidecar automatically; a change
-    /// to the transform's *implementation* (or its cost model) does
-    /// not alter the keys, so delete the sidecar when the measured
-    /// code itself changes.
-    pub fn load_sidecar(&self, path: &Path) -> usize {
-        let Some(cache) = &self.cache else { return 0 };
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return 0;
-        };
-        let file = match serde_json::from_str::<SidecarFile>(&text) {
-            Ok(file) => file,
-            Err(_) => {
-                // A corrupted or truncated sidecar (a crashed writer
-                // predating atomic renames, a bad disk, a manual edit)
-                // must degrade to a cold start, not an aborted tuning
-                // run — but silently ignoring real data loss helps
-                // nobody, so say what happened (suppressible via
-                // `PB_QUIET`).
-                pb_runtime::diag_warn!(
-                    "trial-cache sidecar {} is corrupted or truncated; starting cold",
-                    path.display()
-                );
-                return 0;
-            }
-        };
-        if file.transform != self.runner.name()
-            || file.schema != schema_fingerprint(self.runner.schema())
-            || file.threads != MODELED_THREADS
-        {
-            return 0;
-        }
-        let mut map = cache.map.lock().expect("trial cache poisoned");
-        let mut loaded = 0;
-        for entry in file.entries {
-            let outcome = TrialOutcome {
-                time: entry.time,
-                wall_seconds: entry.wall_seconds,
-                virtual_cost: entry.virtual_cost,
-                accuracy: entry.accuracy,
-            };
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                map.entry((entry.fingerprint, entry.n, entry.seed))
-            {
-                slot.insert(CachedTrial {
-                    outcome,
-                    warm: true,
-                });
-                loaded += 1;
-            }
-        }
-        loaded
+    /// Always 0, and reads nothing: the trial memo lives for one tuning
+    /// run. Does nothing; kept only so the frozen ledger
+    /// (`ledger/src/layers.rs`) builds; the ledger refresh deletes it
+    /// with the `sidecars` row.
+    pub fn load_sidecar(&self, _path: &Path) -> usize {
+        0
     }
 
-    /// Writes the trial memo (warm and in-run entries alike) to
-    /// `path` as a JSON sidecar keyed by
-    /// `(transform name, config fingerprint, n, seed)`. A no-op when
-    /// memoization is off. Entries with non-finite measurements are
-    /// skipped — JSON cannot carry them losslessly.
+    /// Always `Ok(())`, and writes nothing: the trial memo is never
+    /// persisted. Does nothing; kept only so the frozen ledger
+    /// (`ledger/src/layers.rs`) builds; the ledger refresh deletes it
+    /// with the `sidecars` row.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from writing the file.
-    pub fn save_sidecar(&self, path: &Path) -> std::io::Result<()> {
-        let Some(cache) = &self.cache else {
-            return Ok(());
-        };
-        let mut entries: Vec<SidecarEntry> = {
-            let map = cache.map.lock().expect("trial cache poisoned");
-            map.iter()
-                .filter(|(_, cached)| {
-                    let o = &cached.outcome;
-                    o.time.is_finite()
-                        && o.wall_seconds.is_finite()
-                        && o.virtual_cost.is_finite()
-                        && o.accuracy.is_finite()
-                })
-                .map(|(&(fingerprint, n, seed), cached)| SidecarEntry {
-                    fingerprint,
-                    n,
-                    seed,
-                    time: cached.outcome.time,
-                    wall_seconds: cached.outcome.wall_seconds,
-                    virtual_cost: cached.outcome.virtual_cost,
-                    accuracy: cached.outcome.accuracy,
-                })
-                .collect()
-        };
-        // HashMap iteration order is arbitrary; sort so the sidecar is
-        // byte-stable across runs with identical contents.
-        entries.sort_by_key(|e| (e.fingerprint, e.n, e.seed));
-        let file = SidecarFile {
-            transform: self.runner.name().to_string(),
-            schema: schema_fingerprint(self.runner.schema()),
-            threads: MODELED_THREADS,
-            entries,
-        };
-        let json = serde_json::to_string_pretty(&file)
-            .expect("sidecar serialization cannot fail for finite entries");
-        // Write-then-rename so an interrupted save (or two saves
-        // sharing one path) can never leave a truncated sidecar: the
-        // next load sees either the old file or the complete new one.
-        // The temp name is unique per save, not just per process, so
-        // two threads never write or rename each other's file.
-        static SAVES: AtomicU64 = AtomicU64::new(0);
-        let save = SAVES.fetch_add(1, Ordering::Relaxed);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}.{save}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)
+    /// Never.
+    pub fn save_sidecar(&self, _path: &Path) -> std::io::Result<()> {
+        Ok(())
     }
 
     /// Mean accuracy of `config` over trials `0..trials` at size `n`
@@ -862,63 +672,8 @@ mod tests {
         TrialRequest::new(Arc::new(config.clone()), n, trial_seed(n, index))
     }
 
-    /// The canonical form of a schema holding every tunable kind. A
-    /// byte moved here changes every schema fingerprint, and so turns
-    /// every sidecar on disk cold.
-    const GOLDEN_SCHEMA: &str = r#"{"name":"golden","tunables":[{"name":"site","kind":{"ChoiceSite":{"num_algorithms":3}},"default":{"Tree":{"levels":[],"top_choice":0}}},{"name":"cutoff","kind":{"Cutoff":{"min":1,"max":1024}},"default":{"Int":1}},{"name":"layout","kind":{"Switch":{"num_values":2}},"default":{"Switch":0}},{"name":"iters","kind":{"AccuracyVariable":{"min":1,"max":100}},"default":{"Int":1}},{"name":"omega","kind":{"FloatParam":{"min":1.0,"max":2.0}},"default":{"Float":1.5}},{"name":"k","kind":{"UserDefined":{"min":-4,"max":16}},"default":{"Int":-4}}]}"#;
-
-    /// A one-entry sidecar as written to disk.
-    const GOLDEN_SIDECAR: &str = r#"{
-  "transform": "golden",
-  "schema": 14695981039346656037,
-  "threads": 4,
-  "entries": [
-    {
-      "fingerprint": 18446744073709551609,
-      "n": 4096,
-      "seed": 42,
-      "time": 0.001953125,
-      "wall_seconds": 0.000025,
-      "virtual_cost": 12345.0,
-      "accuracy": -0.75
-    }
-  ]
-}"#;
-
-    #[test]
-    fn schema_and_sidecar_forms_are_pinned() {
-        let mut schema = Schema::new("golden");
-        schema.add_choice_site("site", 3);
-        schema.add_cutoff("cutoff", 1, 1024);
-        schema.add_switch("layout", 2);
-        schema.add_accuracy_variable("iters", 1, 100);
-        schema.add_float_param("omega", 1.0, 2.0);
-        schema.add_user_param("k", -4, 16);
-        assert_eq!(serde_json::to_string(&schema).unwrap(), GOLDEN_SCHEMA);
-        assert_eq!(schema_fingerprint(&schema), 17328238095768039247);
-
-        let entry = SidecarEntry {
-            fingerprint: u64::MAX - 6,
-            n: 4096,
-            seed: 42,
-            time: 0.001953125,
-            wall_seconds: 2.5e-5,
-            virtual_cost: 12345.0,
-            accuracy: -0.75,
-        };
-        let file = SidecarFile {
-            transform: "golden".into(),
-            schema: 0xCBF2_9CE4_8422_2325,
-            threads: 4,
-            entries: vec![entry],
-        };
-        assert_eq!(serde_json::to_string_pretty(&file).unwrap(), GOLDEN_SIDECAR);
-        let back: SidecarFile = serde_json::from_str(GOLDEN_SIDECAR).unwrap();
-        assert_eq!(format!("{back:?}"), format!("{file:?}"));
-    }
-
-    /// Sidecar entries are keyed by config fingerprint, so its value is
-    /// as persisted as the sidecar's JSON form.
+    /// The memo is keyed by config fingerprint: a change to its value
+    /// must be a deliberate one.
     #[test]
     fn config_fingerprint_is_pinned() {
         let mut schema = Schema::new("golden");
@@ -1166,122 +921,6 @@ mod tests {
         assert_eq!(eval.cache_misses(), 0);
     }
 
-    #[test]
-    fn sidecar_round_trips_the_memo() {
-        let runner = TransformRunner::new(Linear, CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
-        let config = runner.schema().default_config();
-        // Keys above `i64::MAX` (half of all hashes) are stored as
-        // plain JSON integers and must come back exactly.
-        let high = (1..=100)
-            .map(|v| {
-                let mut c = config.clone();
-                c.set_by_name(runner.schema(), "v", Value::Int(v)).unwrap();
-                c
-            })
-            .find(|c| config_fingerprint(c) >> 63 == 1)
-            .expect("some config hashes into the upper half");
-        let reqs = vec![
-            request(&config, 8, 0),
-            request(&config, 8, 1),
-            TrialRequest::new(Arc::new(high), 8, (1 << 63) | 5),
-        ];
-        let first = eval.run_batch(&reqs);
-        let path =
-            std::env::temp_dir().join(format!("pb_sidecar_roundtrip_{}.json", std::process::id()));
-        eval.save_sidecar(&path).unwrap();
-
-        // A fresh evaluator preloads the sidecar and serves the same
-        // requests without executing anything — counted as warm hits,
-        // separate from in-run hits.
-        let warm = Evaluator::new(&runner, EvalMode::Sequential, true);
-        assert_eq!(warm.load_sidecar(&path), 3);
-        let second = warm.run_batch(&reqs);
-        assert_eq!(first, second);
-        assert_eq!(warm.cache_misses(), 0);
-        assert_eq!(warm.cache_hits(), 0);
-        assert_eq!(warm.cache_hits_warm(), 3);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sidecar_is_keyed_by_transform_name() {
-        struct Renamed;
-        impl Transform for Renamed {
-            type Input = ();
-            type Output = ();
-            fn name(&self) -> &str {
-                "renamed"
-            }
-            fn schema(&self) -> Schema {
-                let mut s = Schema::new("renamed");
-                s.add_accuracy_variable("v", 1, 100);
-                s
-            }
-            fn generate_input(&self, _n: u64, _rng: &mut SmallRng) {}
-            fn execute(&self, _i: &(), ctx: &mut ExecCtx<'_>) {
-                ctx.charge(1.0);
-            }
-            fn accuracy(&self, _i: &(), _o: &()) -> f64 {
-                0.5
-            }
-        }
-        let runner = TransformRunner::new(Linear, CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
-        let config = runner.schema().default_config();
-        eval.run_batch(&[request(&config, 8, 0)]);
-        let path =
-            std::env::temp_dir().join(format!("pb_sidecar_transform_{}.json", std::process::id()));
-        eval.save_sidecar(&path).unwrap();
-        // Another transform's evaluator must not warm from it.
-        let other_runner = TransformRunner::new(Renamed, CostModel::Virtual);
-        let other = Evaluator::new(&other_runner, EvalMode::Sequential, true);
-        assert_eq!(other.load_sidecar(&path), 0);
-        // Same transform name but a changed tunable schema: the stale
-        // measurements describe configurations of a different shape
-        // and must be rejected wholesale.
-        struct LinearWider;
-        impl Transform for LinearWider {
-            type Input = ();
-            type Output = ();
-            fn name(&self) -> &str {
-                "linear"
-            }
-            fn schema(&self) -> Schema {
-                let mut s = Schema::new("linear");
-                s.add_accuracy_variable("v", 1, 200);
-                s
-            }
-            fn generate_input(&self, _n: u64, _rng: &mut SmallRng) {}
-            fn execute(&self, _i: &(), ctx: &mut ExecCtx<'_>) {
-                ctx.charge(1.0);
-            }
-            fn accuracy(&self, _i: &(), _o: &()) -> f64 {
-                0.5
-            }
-        }
-        let wider_runner = TransformRunner::new(LinearWider, CostModel::Virtual);
-        let wider = Evaluator::new(&wider_runner, EvalMode::Sequential, true);
-        assert_eq!(wider.load_sidecar(&path), 0);
-        // A different modeled machine width: schedule-aware virtual
-        // costs divide by it, so the recorded outcomes are not comparable.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let tampered = text.replace(
-            &format!("\"threads\": {MODELED_THREADS}"),
-            &format!("\"threads\": {}", MODELED_THREADS + 1),
-        );
-        assert_ne!(text, tampered, "threads field must be present");
-        std::fs::write(&path, tampered).unwrap();
-        let same = Evaluator::new(&runner, EvalMode::Sequential, true);
-        assert_eq!(same.load_sidecar(&path), 0);
-        // A missing file and a disabled cache are cold starts, not
-        // errors.
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(eval.load_sidecar(&path), 0);
-        let uncached = Evaluator::new(&runner, EvalMode::Sequential, false);
-        assert_eq!(uncached.load_sidecar(&path), 0);
-    }
-
     /// Panics while fewer than `fail_first` calls have been made, then
     /// behaves like `Linear`. `&self`-mutable via an atomic so the
     /// object-safe `Transform` interface stays untouched.
@@ -1350,13 +989,6 @@ mod tests {
         assert_eq!(eval.trial_panics(), 3, "initial attempt + two retries");
         assert_eq!(eval.trial_retries(), 2);
         assert_eq!(eval.quarantined(), 1);
-        // The sentinel is non-finite, so a sidecar save skips it.
-        let path =
-            std::env::temp_dir().join(format!("pb_sidecar_quarantine_{}.json", std::process::id()));
-        eval.save_sidecar(&path).unwrap();
-        let warm = Evaluator::new(&runner, EvalMode::Sequential, true);
-        assert_eq!(warm.load_sidecar(&path), 0, "sentinels never persist");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1463,59 +1095,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(times(EvalMode::Parallel), seq);
         }
-    }
-
-    #[test]
-    fn corrupted_sidecar_starts_cold() {
-        let runner = TransformRunner::new(Linear, CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
-        let path =
-            std::env::temp_dir().join(format!("pb_sidecar_corrupt_{}.json", std::process::id()));
-        // Truncated JSON — the classic torn write — and a sidecar from
-        // before the keys were JSON integers: each warns once.
-        let old_format = r#"{"transform": "linear", "schema": "00ab54a98ceb1f0a", "threads": 1,
-            "entries": [{"fingerprint": "00ab54a98ceb1f0a", "n": 8, "seed": "8000000000000005",
-            "time": 8.0, "wall_seconds": 0.0, "virtual_cost": 8.0, "accuracy": 1.0}]}"#;
-        for text in ["{\"transform\": \"linear\", \"entr", old_format] {
-            std::fs::write(&path, text).unwrap();
-            let warned = pb_runtime::diag::warn_count();
-            assert_eq!(eval.load_sidecar(&path), 0);
-            assert_eq!(pb_runtime::diag::warn_count(), warned + 1);
-        }
-        // The evaluator is fully usable afterwards.
-        let config = runner.schema().default_config();
-        let out = eval.run_batch(&[request(&config, 8, 0)]);
-        assert_eq!(out[0].time, 8.0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn concurrent_saves_to_one_path_never_fail_or_tear() {
-        let runner = TransformRunner::new(Linear, CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
-        let config = runner.schema().default_config();
-        let reqs: Vec<TrialRequest> = (0..32).map(|i| request(&config, 8, i)).collect();
-        eval.run_batch(&reqs);
-        let path =
-            std::env::temp_dir().join(format!("pb_sidecar_concurrent_{}.json", std::process::id()));
-        let failures = AtomicU64::new(0);
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    start.wait();
-                    for _ in 0..300 {
-                        let saved = eval.save_sidecar(&path).is_ok();
-                        let fresh = Evaluator::new(&runner, EvalMode::Sequential, true);
-                        if !saved || fresh.load_sidecar(&path) != reqs.len() {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(failures.load(Ordering::Relaxed), 0);
     }
 
     /// Accuracy and cost both scaled by a per-input factor, so trials

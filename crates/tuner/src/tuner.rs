@@ -165,8 +165,8 @@ pub struct TunerStats {
     /// Trial requests served from the memo cache without executing
     /// (entries produced earlier in this run).
     pub cache_hits: u64,
-    /// Trial requests served by entries preloaded from a cross-run
-    /// sidecar (see [`Autotuner::with_trial_cache`]).
+    /// Always 0: the memo lives for one run, so no entry is warm. Kept
+    /// because the frozen ledger still reads it.
     pub cache_hits_warm: u64,
     /// Trial requests that executed a trial (with memoization on,
     /// `trials - trial_retries`).
@@ -241,7 +241,6 @@ pub struct Autotuner<'a> {
     runner: &'a dyn TrialRunner,
     bins: AccuracyBins,
     options: TunerOptions,
-    trial_cache: Option<PathBuf>,
 }
 
 impl<'a> Autotuner<'a> {
@@ -251,23 +250,14 @@ impl<'a> Autotuner<'a> {
             runner,
             bins,
             options,
-            trial_cache: None,
         }
     }
 
-    /// Persists the trial memo across runs: before tuning, memo
-    /// entries are preloaded from the JSON sidecar at `path` (keyed by
-    /// `(transform name, config fingerprint, n, seed)`); after tuning,
-    /// the merged memo is written back, best-effort. Re-tuning the
-    /// same transform — after a seed change, a wider bin set, a small
-    /// schema-default change — then starts warm, with reuse reported
-    /// as [`TunerStats::cache_hits_warm`].
-    ///
-    /// Only takes effect when memoization does, i.e. when the runner
-    /// reports [`TrialRunner::deterministic`] trials; a wall-clock run
-    /// neither reads nor writes the sidecar.
-    pub fn with_trial_cache(mut self, path: impl Into<PathBuf>) -> Self {
-        self.trial_cache = Some(path.into());
+    /// Returns `self` unchanged: the trial memo lives for one tuning
+    /// run, and nothing is read from or written to `path`. Does
+    /// nothing; kept only so the frozen ledger (`ledger/src/layers.rs`)
+    /// builds; the ledger refresh deletes it with the `sidecars` row.
+    pub fn with_trial_cache(self, _path: impl Into<PathBuf>) -> Self {
         self
     }
 
@@ -301,9 +291,6 @@ impl<'a> Autotuner<'a> {
         // serving it cached timings would feed the comparator
         // zero-variance samples.
         let evaluator = Evaluator::new(self.runner, mode, self.runner.deterministic());
-        if let Some(path) = &self.trial_cache {
-            evaluator.load_sidecar(path);
-        }
         let pool = MutatorPool::from_schema(&schema);
         let comparator = Comparator::new(self.options.comparator);
         let mut rng = SmallRng::seed_from_u64(self.options.seed);
@@ -416,18 +403,12 @@ impl<'a> Autotuner<'a> {
         }
         stats.trials = evaluator.trials();
         stats.cache_hits = evaluator.cache_hits();
-        stats.cache_hits_warm = evaluator.cache_hits_warm();
         stats.cache_misses = evaluator.cache_misses();
         stats.cache_coalesced = evaluator.cache_coalesced();
         stats.trial_panics = evaluator.trial_panics();
         stats.trial_nonfinite = evaluator.trial_nonfinite();
         stats.trial_retries = evaluator.trial_retries();
         stats.quarantined = evaluator.quarantined();
-        if let Some(path) = &self.trial_cache {
-            // Best-effort: a read-only training directory should not
-            // fail the tuning run that produced a valid program.
-            let _ = evaluator.save_sidecar(path);
-        }
         Ok(TuningOutcome {
             program: TunedProgram::new(schema.name(), self.bins, entries),
             stats,

@@ -272,7 +272,6 @@ fn winsorized_comparator_converges_where_mean_is_flipped_by_outliers() {
         robust.stats.cache_hits, 0,
         "noisy trials must never replay from the memo"
     );
-    assert_eq!(robust.stats.cache_hits_warm, 0);
 }
 
 /// Plan seed pinned for the flip scenario above (found by scanning;

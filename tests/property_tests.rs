@@ -291,20 +291,11 @@ proptest! {
     }
 }
 
-/// Options for the tuning runs over [`NoisyLevels`] that write and
-/// read the trial-cache sidecar.
-fn sidecar_options() -> TunerOptions {
-    TunerOptions {
-        parallel_trials: false,
-        ..TunerOptions::fast_preset(8, 0x51DE)
-    }
-}
-
-/// The three JSON files the system persists, as it writes them: a
-/// config holding every value variant, a tuned program, and the
-/// trial-cache sidecar of a tuning run over [`NoisyLevels`].
-fn persisted_files() -> &'static [String; 3] {
-    static FILES: OnceLock<[String; 3]> = OnceLock::new();
+/// The JSON files the system persists, as it writes them: a config
+/// holding every value variant, and a tuned program from a tuning run
+/// over [`NoisyLevels`].
+fn persisted_files() -> &'static [String; 2] {
+    static FILES: OnceLock<[String; 2]> = OnceLock::new();
     FILES.get_or_init(|| {
         let mut tree = DecisionTree::single(0);
         tree.add_level(64, 2);
@@ -317,19 +308,11 @@ fn persisted_files() -> &'static [String; 3] {
         ];
         let config = Config::from_values("golden".into(), values);
         let runner = TransformRunner::new(NoisyLevels, CostModel::Virtual);
-        let path =
-            std::env::temp_dir().join(format!("pb_prop_sidecar_{}.json", std::process::id()));
-        let tuned = Autotuner::new(
-            &runner,
-            AccuracyBins::new(vec![0.1, 0.5]),
-            sidecar_options(),
-        )
-        .with_trial_cache(&path)
-        .tune()
-        .expect("tunes");
-        let sidecar = std::fs::read_to_string(&path).expect("the tuner writes its sidecar");
-        std::fs::remove_file(&path).ok();
-        [config.to_json(), tuned.to_json(), sidecar]
+        let options = TunerOptions::fast_preset(8, 0x51DE);
+        let tuned = Autotuner::new(&runner, AccuracyBins::new(vec![0.1, 0.5]), options)
+            .tune()
+            .expect("tunes");
+        [config.to_json(), tuned.to_json()]
     })
 }
 
@@ -341,7 +324,7 @@ proptest! {
     #[test]
     fn mutated_config_files_fail_with_errors_not_panics(seed in 0u64..1_000_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let [config, tuned, _] = persisted_files();
+        let [config, tuned] = persisted_files();
         let config = mutate(config, JSON_INSERTS, &mut rng);
         let tuned = mutate(tuned, JSON_INSERTS, &mut rng);
         let outcome = std::panic::catch_unwind(|| {
@@ -349,28 +332,6 @@ proptest! {
             let _ = TunedProgram::from_json(&tuned);
         });
         prop_assert!(outcome.is_ok(), "panicked on:\n{config}\n{tuned}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A damaged trial-cache sidecar never stops a tuning run: the
-    /// tuner that reads it starts warm from what loads, or cold.
-    #[test]
-    fn mutated_sidecars_start_warm_or_cold(seed in 0u64..1_000_000_000) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let sidecar = mutate(&persisted_files()[2], JSON_INSERTS, &mut rng);
-        let path = std::env::temp_dir().join(format!("pb_prop_mutated_{}.json", std::process::id()));
-        std::fs::write(&path, &sidecar).unwrap();
-        let runner = TransformRunner::new(NoisyLevels, CostModel::Virtual);
-        let outcome = std::panic::catch_unwind(|| {
-            Autotuner::new(&runner, AccuracyBins::new(vec![0.1, 0.5]), sidecar_options())
-                .with_trial_cache(&path)
-                .tune()
-        });
-        std::fs::remove_file(&path).ok();
-        prop_assert!(matches!(outcome, Ok(Ok(_))), "failed on:\n{sidecar}");
     }
 }
 
