@@ -181,8 +181,8 @@ fn profile(n: u64) -> Vec<(f64, f64)> {
         let input = generate_input(n, &mut SmallRng::seed_from_u64(0xF17 ^ (n << 8) ^ trial));
         for (alg, acc) in out.iter_mut().enumerate() {
             let mut ctx = ExecCtx::new(&schema, &config, n, trial);
-            let packing = pack_with(alg, &input.items, 2, usize::MAX, &mut ctx);
-            acc.0 += packing.bins() as f64 / input.opt_bins.max(1) as f64;
+            let packing = pack_with(alg, &input, 2, usize::MAX, &mut ctx);
+            acc.0 += packing.bins() as f64 / input.opt_bins().max(1) as f64;
             acc.1 += ctx.virtual_cost();
         }
     }

@@ -49,6 +49,7 @@ use pb_config::Schema;
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// The 13 packing heuristics, in the paper's order.
 pub const ALGORITHM_NAMES: [&str; 13] = [
@@ -69,13 +70,36 @@ pub const ALGORITHM_NAMES: [&str; 13] = [
 
 /// A training instance: item sizes plus the number of bins the
 /// generator unpacked them from (an upper bound on — and in practice
-/// equal to — OPT).
-#[derive(Debug, Clone, PartialEq)]
+/// equal to — OPT). It also keeps the items' descending order, sorted
+/// on first use: every decreasing variant and MFFD on this input reads
+/// the one sort, and each is still charged for sorting. An input whose
+/// packings never sort pays nothing for it.
+#[derive(Debug, Clone)]
 pub struct BinPackingInput {
+    items: Vec<f64>,
+    opt_bins: usize,
+    descending: OnceLock<Vec<f64>>,
+}
+
+impl BinPackingInput {
     /// Item sizes in `(0, 1]`, in generator order.
-    pub items: Vec<f64>,
+    pub fn items(&self) -> &[f64] {
+        &self.items
+    }
+
     /// The number of full bins the generator split.
-    pub opt_bins: usize,
+    pub fn opt_bins(&self) -> usize {
+        self.opt_bins
+    }
+
+    /// The items sorted descending, stably.
+    fn descending(&self) -> &[f64] {
+        self.descending.get_or_init(|| {
+            let mut sorted = self.items.clone();
+            sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+            sorted
+        })
+    }
 }
 
 /// Generates `n` items by splitting full bins with stick-breaking into
@@ -105,7 +129,11 @@ pub fn generate_input(n: u64, rng: &mut SmallRng) -> BinPackingInput {
         let j = rng.gen_range(0..=i);
         items.swap(i, j);
     }
-    BinPackingInput { items, opt_bins }
+    BinPackingInput {
+        items,
+        opt_bins,
+        descending: OnceLock::new(),
+    }
 }
 
 /// Bins per block of [`Packing`]'s block bounds.
@@ -424,8 +452,8 @@ fn pack_next_fit(items: &[f64], ctx: &mut ExecCtx<'_>) -> Packing {
 /// large item its own bin; walk those bins from most-full to
 /// least-full trying to add one medium item (or the two smallest small
 /// items that fit); finish with FFD on whatever remains.
-fn pack_mffd(items: &[f64], par_cutoff: usize, ctx: &mut ExecCtx<'_>) -> Packing {
-    let (mut p, leftovers) = mffd_pairing(items, ctx);
+fn pack_mffd(input: &BinPackingInput, par_cutoff: usize, ctx: &mut ExecCtx<'_>) -> Packing {
+    let (mut p, leftovers) = mffd_pairing(input, ctx);
     // This final placement loop is the same first-fit scan as the
     // standalone kernel, so it shares the tunable switch-over (the
     // large/medium pairing walk stays sequential: its probes
@@ -439,10 +467,8 @@ fn pack_mffd(items: &[f64], par_cutoff: usize, ctx: &mut ExecCtx<'_>) -> Packing
 /// MFFD up to its final FFD pass: the bins of the large items after
 /// the medium/small pairing walk, and the leftovers (descending) still
 /// to be first-fit.
-fn mffd_pairing(items: &[f64], ctx: &mut ExecCtx<'_>) -> (Packing, Vec<f64>) {
-    let mut sorted = items.to_vec();
-    charge_sort(ctx, sorted.len());
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+fn mffd_pairing(input: &BinPackingInput, ctx: &mut ExecCtx<'_>) -> (Packing, Vec<f64>) {
+    let sorted = decreasing(input, ctx);
     // Descending, so each class is a run: large (> 1/2), medium
     // (> 1/3), then the rest, whose two smallest sit at `rest_end`.
     let large = sorted.partition_point(|&x| x > 0.5);
@@ -450,7 +476,7 @@ fn mffd_pairing(items: &[f64], ctx: &mut ExecCtx<'_>) -> (Packing, Vec<f64>) {
     let mut rest_end = sorted.len();
     let medium = &sorted[large..rest_start];
 
-    let mut p = Packing::with_capacity(items.len());
+    let mut p = Packing::with_capacity(sorted.len());
     for &x in &sorted[..large] {
         p.open(x);
     }
@@ -481,17 +507,15 @@ fn mffd_pairing(items: &[f64], ctx: &mut ExecCtx<'_>) -> (Packing, Vec<f64>) {
         }
     }
     // Leftovers, still descending: the unused medium items, then the
-    // rest, moved to the front of `sorted`.
-    let mut len = 0;
+    // rest.
+    let mut leftovers = Vec::with_capacity(medium.len() + rest_end - rest_start);
     let mut mi = first_unused(&mut next, 0);
-    while large + mi < rest_start {
-        sorted[len] = sorted[large + mi];
-        len += 1;
+    while mi < medium.len() {
+        leftovers.push(medium[mi]);
         mi = first_unused(&mut next, mi + 1);
     }
-    sorted.copy_within(rest_start..rest_end, len);
-    sorted.truncate(len + rest_end - rest_start);
-    (p, sorted)
+    leftovers.extend_from_slice(&sorted[rest_start..rest_end]);
+    (p, leftovers)
 }
 
 /// The first unused medium item at or after `i`, halving the path of
@@ -509,14 +533,14 @@ fn charge_sort(ctx: &mut ExecCtx<'_>, n: usize) {
     ctx.charge(n * n.log2());
 }
 
-fn decreasing(items: &[f64], ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-    charge_sort(ctx, items.len());
-    let mut sorted = items.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-    sorted
+/// `input`'s items, descending, charged as a sort.
+fn decreasing<'i>(input: &'i BinPackingInput, ctx: &mut ExecCtx<'_>) -> &'i [f64] {
+    charge_sort(ctx, input.items().len());
+    input.descending()
 }
 
-/// Runs one named algorithm (index into [`ALGORITHM_NAMES`]).
+/// Runs one named algorithm (index into [`ALGORITHM_NAMES`]) on
+/// `input`.
 ///
 /// `par_cutoff` is the §5.2 switch-over: placement scans over at least
 /// that many open bins are charged as split scans (pass `usize::MAX`
@@ -528,43 +552,26 @@ fn decreasing(items: &[f64], ctx: &mut ExecCtx<'_>) -> Vec<f64> {
 /// Panics if `algorithm >= 13`.
 pub fn pack_with(
     algorithm: usize,
-    items: &[f64],
+    input: &BinPackingInput,
     awf_k: usize,
     par_cutoff: usize,
     ctx: &mut ExecCtx<'_>,
 ) -> Packing {
+    let items = input.items();
     match algorithm {
         0 => pack_one_slot(items, ScanFrom::Front, par_cutoff, ctx),
-        1 => {
-            let s = decreasing(items, ctx);
-            pack_one_slot(&s, ScanFrom::Front, par_cutoff, ctx)
-        }
-        2 => pack_mffd(items, par_cutoff, ctx),
+        1 => pack_one_slot(decreasing(input, ctx), ScanFrom::Front, par_cutoff, ctx),
+        2 => pack_mffd(input, par_cutoff, ctx),
         3 => pack_best_fit(items, par_cutoff, ctx),
-        4 => {
-            let s = decreasing(items, ctx);
-            pack_best_fit(&s, par_cutoff, ctx)
-        }
+        4 => pack_best_fit(decreasing(input, ctx), par_cutoff, ctx),
         5 => pack_one_slot(items, ScanFrom::Back, par_cutoff, ctx),
-        6 => {
-            let s = decreasing(items, ctx);
-            pack_one_slot(&s, ScanFrom::Back, par_cutoff, ctx)
-        }
+        6 => pack_one_slot(decreasing(input, ctx), ScanFrom::Back, par_cutoff, ctx),
         7 => pack_next_fit(items, ctx),
-        8 => {
-            let s = decreasing(items, ctx);
-            pack_next_fit(&s, ctx)
-        }
+        8 => pack_next_fit(decreasing(input, ctx), ctx),
         9 => pack_worst_fit(items, par_cutoff, ctx),
-        10 => {
-            let s = decreasing(items, ctx);
-            pack_worst_fit(&s, par_cutoff, ctx)
-        }
+        10 => pack_worst_fit(decreasing(input, ctx), par_cutoff, ctx),
         11 => pack_almost_worst_fit(items, awf_k, par_cutoff, ctx),
-        12 => {
-            let s = decreasing(items, ctx);
-            pack_almost_worst_fit(&s, awf_k, par_cutoff, ctx)
-        }
+        12 => pack_almost_worst_fit(decreasing(input, ctx), awf_k, par_cutoff, ctx),
         other => panic!("unknown bin-packing algorithm index {other}"),
     }
 }
@@ -613,7 +620,7 @@ impl Transform for BinPacking {
         let k = ctx.param("almost_worst_k").expect("schema declares k") as usize;
         let par_cutoff = ctx.param("par_cutoff").expect("schema").max(1) as usize;
         ctx.event(ALGORITHM_NAMES[algorithm]);
-        pack_with(algorithm, &input.items, k, par_cutoff, ctx)
+        pack_with(algorithm, input, k, par_cutoff, ctx)
     }
 
     fn accuracy(&self, input: &BinPackingInput, output: &Packing) -> f64 {
@@ -632,14 +639,14 @@ mod tests {
         ExecCtx::new(schema, config, n, 0)
     }
 
-    fn run_all(items: &[f64]) -> Vec<Packing> {
+    fn run_all(input: &BinPackingInput) -> Vec<Packing> {
         let t = BinPacking;
         let schema = t.schema();
         let config = schema.default_config();
         (0..13)
             .map(|alg| {
-                let mut ctx = ctx_for(&schema, &config, items.len() as u64);
-                pack_with(alg, items, 2, usize::MAX, &mut ctx)
+                let mut ctx = ctx_for(&schema, &config, input.items().len() as u64);
+                pack_with(alg, input, 2, usize::MAX, &mut ctx)
             })
             .collect()
     }
@@ -880,7 +887,12 @@ mod tests {
         ) -> Packing {
             let sorted;
             let items = if matches!(algorithm, 1 | 4 | 6 | 8 | 10 | 12) {
-                sorted = decreasing(items, ctx);
+                charge_sort(ctx, items.len());
+                sorted = {
+                    let mut sorted = items.to_vec();
+                    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+                    sorted
+                };
                 &sorted
             } else {
                 items
@@ -929,9 +941,10 @@ mod tests {
                             continue;
                         }
                         let mut ctx = ctx_for(&schema, &config, n);
-                        let got = pack_with(alg, &input.items, k, cutoff, &mut ctx);
+                        let got = pack_with(alg, &input, k, cutoff, &mut ctx);
                         let mut ref_ctx = ctx_for(&schema, &config, n);
-                        let want = reference::pack_with(alg, &input.items, k, cutoff, &mut ref_ctx);
+                        let want =
+                            reference::pack_with(alg, input.items(), k, cutoff, &mut ref_ctx);
                         let what = format!("{} n={n} cutoff={cutoff} k={k}", ALGORITHM_NAMES[alg]);
                         assert_eq!(got.residuals(), want.residuals(), "{what}");
                         assert_eq!(
@@ -942,6 +955,43 @@ mod tests {
                             ref_ctx.virtual_cost()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Every algorithm, twice, in a shuffled order, on four shared
+    /// inputs (three of one size), each packing checked against a fresh
+    /// input and against the kernels that sort per call: the kept order
+    /// is the one each input's own sort gives, for that input only.
+    #[test]
+    fn shared_inputs_pack_like_fresh_ones() {
+        let schema = BinPacking.schema();
+        let config = schema.default_config();
+        let draws = [(600, 1), (600, 2), (600, 3), (257, 4)];
+        let draw = |(n, seed): (u64, u64)| generate_input(n, &mut SmallRng::seed_from_u64(seed));
+        let shared: Vec<BinPackingInput> = draws.into_iter().map(draw).collect();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut order: Vec<usize> = (0..13).chain(0..13).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for alg in order {
+            for (input, &(n, seed)) in shared.iter().zip(&draws) {
+                for cutoff in [16, usize::MAX] {
+                    let mut ctx = ctx_for(&schema, &config, n);
+                    let got = pack_with(alg, input, 2, cutoff, &mut ctx);
+                    let mut fresh_ctx = ctx_for(&schema, &config, n);
+                    let fresh = pack_with(alg, &draw((n, seed)), 2, cutoff, &mut fresh_ctx);
+                    let mut ref_ctx = ctx_for(&schema, &config, n);
+                    let want = reference::pack_with(alg, input.items(), 2, cutoff, &mut ref_ctx);
+                    let what =
+                        format!("{} n={n} seed={seed} cutoff={cutoff}", ALGORITHM_NAMES[alg]);
+                    assert_eq!(got.residuals(), fresh.residuals(), "{what}");
+                    assert_eq!(got.residuals(), want.residuals(), "{what}");
+                    let cost = ctx.virtual_cost().to_bits();
+                    assert_eq!(cost, fresh_ctx.virtual_cost().to_bits(), "{what}");
+                    assert_eq!(cost, ref_ctx.virtual_cost().to_bits(), "{what}");
                 }
             }
         }
@@ -1057,7 +1107,7 @@ mod tests {
                 .map(|cutoff| {
                     let config = schema.default_config();
                     let mut ctx = ExecCtx::new(&schema, &config, 600, 0);
-                    pack_with(alg, &input.items, 2, cutoff, &mut ctx)
+                    pack_with(alg, &input, 2, cutoff, &mut ctx)
                 })
                 .collect();
             assert_eq!(
@@ -1073,22 +1123,22 @@ mod tests {
     fn generator_splits_full_bins() {
         let mut rng = SmallRng::seed_from_u64(1);
         let input = generate_input(100, &mut rng);
-        assert_eq!(input.items.len(), 100);
-        assert!(input.items.iter().all(|&x| x > 0.0 && x <= 1.0));
+        assert_eq!(input.items().len(), 100);
+        assert!(input.items().iter().all(|&x| x > 0.0 && x <= 1.0));
         // Total volume can't exceed the generated bins.
-        let total: f64 = input.items.iter().sum();
-        assert!(total <= input.opt_bins as f64 + 1e-9);
-        assert!(input.opt_bins >= 20, "2–5 items per bin over 100 items");
+        let total: f64 = input.items().iter().sum();
+        assert!(total <= input.opt_bins() as f64 + 1e-9);
+        assert!(input.opt_bins() >= 20, "2–5 items per bin over 100 items");
     }
 
     #[test]
     fn all_algorithms_produce_valid_packings() {
         let mut rng = SmallRng::seed_from_u64(2);
         let input = generate_input(200, &mut rng);
-        for (alg, p) in run_all(&input.items).into_iter().enumerate() {
+        for (alg, p) in run_all(&input).into_iter().enumerate() {
             assert!(p.is_valid(), "{} overfilled a bin", ALGORITHM_NAMES[alg]);
             // Volume lower bound: bins >= ceil(total volume).
-            let total: f64 = input.items.iter().sum();
+            let total: f64 = input.items().iter().sum();
             assert!(
                 p.bins() as f64 >= total - 1e-9,
                 "{} lost items",
@@ -1104,8 +1154,8 @@ mod tests {
         for seed in 0..5u64 {
             let mut r = SmallRng::seed_from_u64(seed);
             let input = generate_input(150 + 10 * seed, &mut r);
-            let packs = run_all(&input.items);
-            let opt = input.opt_bins as f64;
+            let packs = run_all(&input);
+            let opt = input.opt_bins() as f64;
             assert!(packs[7].bins() as f64 <= 2.0 * opt + 1.0, "NextFit bound");
             assert!(packs[0].bins() as f64 <= 1.7 * opt + 1.0, "FirstFit bound");
             assert!(packs[1].bins() as f64 <= 4.0 / 3.0 * opt + 1.0, "FFD bound");
@@ -1125,7 +1175,7 @@ mod tests {
         let mut ffd = 0usize;
         for _ in 0..10 {
             let input = generate_input(120, &mut rng);
-            let packs = run_all(&input.items);
+            let packs = run_all(&input);
             ff += packs[0].bins();
             ffd += packs[1].bins();
         }

@@ -16,6 +16,7 @@
 //! share only values that do not depend on the shift, so every
 //! eigenvalue equals `eigenvalue_k`'s bit for bit.
 
+#[cfg(test)]
 use crate::eigen_qr::SymmetricEigen;
 use crate::matrix::{norm2, Matrix};
 use crate::tridiag::SymmetricTridiagonal;
@@ -134,8 +135,14 @@ fn eigenvalues_lockstep(t: &SymmetricTridiagonal, ks: [usize; LANES], tol: f64) 
 
 /// Eigenvalues `first..first + count` by bisection: full groups of
 /// `LANES` indices in lockstep, a remainder of two or three padded
-/// with its last index, a single leftover on the scalar path.
-fn eigenvalue_range(t: &SymmetricTridiagonal, first: usize, count: usize, tol: f64) -> Vec<f64> {
+/// with its last index, a single leftover on the scalar path. Each is
+/// `eigenvalue_k`'s bit for bit, whatever range it is bisected in.
+pub(crate) fn eigenvalue_range(
+    t: &SymmetricTridiagonal,
+    first: usize,
+    count: usize,
+    tol: f64,
+) -> Vec<f64> {
     let mut values = Vec::with_capacity(count);
     let mut k = first;
     let end = first + count;
@@ -282,26 +289,97 @@ fn normalize(v: &mut [f64]) -> f64 {
     norm
 }
 
+/// The absolute tolerance a selection bisects `t`'s eigenvalues to.
+pub(crate) fn selection_tol(t: &SymmetricTridiagonal) -> f64 {
+    let (lo, hi) = t.gershgorin_bounds();
+    (hi - lo).abs().max(1.0) * 1e-13
+}
+
+/// Whether `prev` is in the cluster of `lambda`: a selection
+/// orthogonalizes `lambda`'s vector against those of the lower selected
+/// eigenvalues in its cluster.
+fn clusters_with(prev: f64, lambda: f64, tol: f64) -> bool {
+    let cluster_tol = tol.max(1e-10 * lambda.abs().max(1.0));
+    (prev - lambda).abs() < cluster_tol * 1e3
+}
+
+/// The eigenvector of each of `values` by inverse iteration against
+/// nothing, one column each: what a selection computes for an
+/// eigenvalue whose cluster is empty, whichever other eigenvalues it
+/// selects.
+pub(crate) fn free_vectors(t: &SymmetricTridiagonal, values: &[f64]) -> Matrix {
+    let mut solver = ShiftedSolver::new(t);
+    let vectors: Vec<Vec<f64>> = values
+        .iter()
+        .map(|&lambda| inverse_iteration(&mut solver, lambda, &[]))
+        .collect();
+    Matrix::from_fn(t.dim(), values.len(), |r, c| vectors[c][r])
+}
+
+/// For a selection of the eigenvalues `values` (ascending, bisected to
+/// [`selection_tol`]), the eigenvectors whose cluster is not empty, as
+/// `(position in values, vector)`; the selection's other eigenvectors
+/// are the free ones (see [`free_vectors`]). Each is the vector the
+/// selection computes, bit for bit: inverse iteration orthogonalized
+/// against this selection's own vectors of its cluster, free ones
+/// included, which are recomputed here.
+pub(crate) fn clustered_vectors(
+    t: &SymmetricTridiagonal,
+    values: &[f64],
+) -> Vec<(usize, Vec<f64>)> {
+    let tol = selection_tol(t);
+    let mut solver = None;
+    let mut free: Vec<Option<Vec<f64>>> = vec![None; values.len()];
+    let mut own: Vec<Option<Vec<f64>>> = vec![None; values.len()];
+    for (i, &lambda) in values.iter().enumerate() {
+        let members: Vec<usize> = (0..i)
+            .filter(|&j| clusters_with(values[j], lambda, tol))
+            .collect();
+        if members.is_empty() {
+            continue;
+        }
+        let solver = solver.get_or_insert_with(|| ShiftedSolver::new(t));
+        for &j in &members {
+            if own[j].is_none() && free[j].is_none() {
+                free[j] = Some(inverse_iteration(solver, values[j], &[]));
+            }
+        }
+        let cluster: Vec<&[f64]> = members
+            .iter()
+            .map(|&j| own[j].as_deref().or(free[j].as_deref()).expect("computed"))
+            .collect();
+        own[i] = Some(inverse_iteration(solver, lambda, &cluster));
+    }
+    own.into_iter()
+        .enumerate()
+        .filter_map(|(i, vector)| Some((i, vector?)))
+        .collect()
+}
+
 /// The `k` largest eigenpairs (ascending order within the result).
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` or `k > t.dim()`.
+#[cfg(test)]
 pub fn largest_eigenpairs(t: &SymmetricTridiagonal, k: usize) -> SymmetricEigen {
     selected_eigenpairs(t, t.dim() - k, k)
 }
 
-/// Eigenpairs `first..first + count` (by ascending eigenvalue index).
+/// Eigenpairs `first..first + count` (by ascending eigenvalue index),
+/// every vector computed in one pass: the selection image compression
+/// made per trial before it kept its triplets, and the oracle for
+/// [`free_vectors`] with [`clustered_vectors`].
 ///
 /// # Panics
 ///
 /// Panics if the range is empty or exceeds the dimension.
+#[cfg(test)]
 pub fn selected_eigenpairs(t: &SymmetricTridiagonal, first: usize, count: usize) -> SymmetricEigen {
     let n = t.dim();
     assert!(count > 0, "must request at least one eigenpair");
     assert!(first + count <= n, "eigenpair range out of bounds");
-    let (lo, hi) = t.gershgorin_bounds();
-    let tol = (hi - lo).abs().max(1.0) * 1e-13;
+    let tol = selection_tol(t);
 
     let values = eigenvalue_range(t, first, count, tol);
 
@@ -310,11 +388,10 @@ pub fn selected_eigenpairs(t: &SymmetricTridiagonal, first: usize, count: usize)
     for (i, &lambda) in values.iter().enumerate() {
         // Vectors already computed for eigenvalues within a cluster
         // must be orthogonalized away.
-        let cluster_tol = tol.max(1e-10 * lambda.abs().max(1.0));
         let cluster: Vec<&[f64]> = values[..i]
             .iter()
             .zip(&vectors)
-            .filter(|(&prev, _)| (prev - lambda).abs() < cluster_tol * 1e3)
+            .filter(|(&prev, _)| clusters_with(prev, lambda, tol))
             .map(|(_, v)| v.as_slice())
             .collect();
         let vector = inverse_iteration(&mut solver, lambda, &cluster);

@@ -13,8 +13,7 @@
 //! `log₁₀(rms(A) / rms(A − A_k))`.
 
 use crate::matrix::Matrix;
-use crate::svd::{gram_reduction, svd_reduced, Svd, SvdMethod};
-use crate::tridiag::Tridiagonalization;
+use crate::svd::{Svd, SvdMethod, TopTriplets};
 use pb_config::Schema;
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
@@ -23,21 +22,30 @@ use rand::rngs::SmallRng;
 pub const SOLVER_NAMES: [&str; 3] = ["qr", "divide_and_conquer", "bisection_k"];
 
 /// One image to compress, with the part of its SVD that no tunable
-/// changes: the tridiagonal reduction of its Gram matrix `AᵀA`. Built
-/// once per image, so every trial on it, whatever its eigensolver or
-/// rank, starts from the same reduction. A trial is still charged for
-/// computing it: a real compression call would.
-#[derive(Debug, Clone)]
+/// changes: the tridiagonal reduction of its Gram matrix `AᵀA`, built
+/// with the image, and per eigensolver the top singular triplets the
+/// trials on it have found so far (`TopTriplets`). QL and divide and
+/// conquer decompose the whole spectrum on their first trial, whatever
+/// its rank; bisection bisects the eigenvalues it has not yet. A trial
+/// of rank `k` grows its solver's triplets to `k` if it must, then
+/// copies the top `k` out: the bits a fresh image gives. A trial is
+/// still charged for the whole decomposition: a real compression call
+/// would pay for it.
+#[derive(Debug)]
 pub struct Image {
-    pixels: Matrix,
-    reduction: Tridiagonalization,
+    triplets: TopTriplets,
 }
 
 impl Image {
     /// Wraps `pixels`, reducing `AᵀA` once.
     pub fn new(pixels: Matrix) -> Self {
-        let reduction = gram_reduction(&pixels);
-        Image { pixels, reduction }
+        Image {
+            triplets: TopTriplets::new(pixels),
+        }
+    }
+
+    fn pixels(&self) -> &Matrix {
+        self.triplets.matrix()
     }
 }
 
@@ -66,7 +74,7 @@ impl Transform for ImageCompression {
     }
 
     fn execute(&self, input: &Image, ctx: &mut ExecCtx<'_>) -> Svd {
-        let n = input.pixels.rows();
+        let n = input.pixels().rows();
         let k = (ctx.param("rank_k").expect("schema declares rank_k") as usize).clamp(1, n);
         let solver = ctx
             .choice("eigensolver")
@@ -94,13 +102,15 @@ impl Transform for ImageCompression {
         };
         // Forming u_i = A·vᵢ/σᵢ and later reconstruction are O(k·n²).
         ctx.charge((k * n * n) as f64);
-        svd_reduced(&input.pixels, &input.reduction, k, method)
+        input
+            .triplets
+            .top_k(k, method)
             .expect("QL iteration converges on Gram matrices")
     }
 
     fn accuracy(&self, input: &Image, output: &Svd) -> f64 {
-        let initial = input.pixels.rms().max(f64::MIN_POSITIVE);
-        let err = input.pixels.sub(&output.reconstruct()).rms();
+        let initial = input.pixels().rms().max(f64::MIN_POSITIVE);
+        let err = input.pixels().sub(&output.reconstruct()).rms();
         if err <= 0.0 {
             return 16.0;
         }

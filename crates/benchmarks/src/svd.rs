@@ -6,12 +6,28 @@
 //! symmetric eigenproblem — either all triplets at once (QR or
 //! divide-and-conquer on `AᵀA`) or only the top `k` (bisection), which
 //! is the algorithmic menu the autotuner chooses from.
+//!
+//! A matrix's [`TopTriplets`] keep, per eigensolver, the top triplets
+//! found so far, so a later call of any rank copies them out instead
+//! of decomposing again. Every triplet is the one a decomposition for
+//! that call alone gives, bit for bit:
+//! * QL and divide and conquer decompose the whole spectrum whatever
+//!   the rank, and a rank-`k` call keeps the top `k` pairs of it;
+//! * bisection finds each eigenvalue to the same bits whatever range
+//!   it is bisected in, and an eigenvector whose cluster (the lower
+//!   selected eigenvalues within its tolerance) is empty does not
+//!   depend on the rank. The others are orthogonalized against their
+//!   cluster, which the rank decides, so each call recomputes them;
+//! * `V = Q·X` and the left vectors `uᵢ = A·vᵢ/σᵢ` sum each column in
+//!   an order that does not depend on the other columns, and the
+//!   left vectors' floor reads only σ₀, the top of every rank.
 
 use crate::eigen_bisect;
 use crate::eigen_dc::eigen_dc_tridiagonal;
-use crate::eigen_qr::{eigen_tridiagonal, EigenDidNotConverge};
+use crate::eigen_qr::{eigen_tridiagonal, EigenDidNotConverge, SymmetricEigen};
 use crate::matrix::{axpy, Matrix};
-use crate::tridiag::{householder_tridiagonalize, Tridiagonalization};
+use crate::tridiag::{householder_tridiagonalize, SymmetricTridiagonal, Tridiagonalization};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which eigensolver backs the SVD computation — the algorithmic
 /// choice exposed to the autotuner in the image-compression benchmark.
@@ -70,8 +86,194 @@ impl Svd {
 /// are the right singular vectors) reduced to tridiagonal form: the
 /// part of every SVD of `a` that depends on `a` alone, whatever the
 /// eigensolver or rank.
-pub fn gram_reduction(a: &Matrix) -> Tridiagonalization {
+fn gram_reduction(a: &Matrix) -> Tridiagonalization {
     householder_tridiagonalize(&gram(a))
+}
+
+/// One matrix `A` with what its top-`k` SVDs share: the tridiagonal
+/// reduction of `AᵀA`, built with it, and per eigensolver the top
+/// singular triplets found so far, grown on demand (see the module
+/// docs for why a kept triplet is the one a fresh call computes). QL
+/// and divide and conquer decompose once, and keep the eigenpairs they
+/// have not turned into triplets yet to grow from; bisection
+/// keeps the eigenvalues it has bisected. Calls may come from several
+/// threads at once: a call that must grow a solver's triplets holds
+/// that solver's lock while it does.
+#[derive(Debug)]
+pub struct TopTriplets {
+    a: Matrix,
+    reduction: Tridiagonalization,
+    /// Per [`SvdMethod`], in declaration order, the triplets kept so
+    /// far.
+    kept: [Mutex<Kept>; 3],
+}
+
+/// The top `len` singular triplets of one eigensolver, descending.
+#[derive(Debug, Default)]
+struct Kept {
+    /// QL or divide and conquer: the eigenpairs of the reduced Gram
+    /// matrix not kept yet, `0..n − len` ascending. The first call
+    /// decomposes the whole matrix; each growth keeps only the rest.
+    rest: Option<SymmetricEigen>,
+    /// The eigenvalues `σ²` of `AᵀA`, before the clamp at zero.
+    lambda: Vec<f64>,
+    sigma: Vec<f64>,
+    /// Right singular vectors, one contiguous column each.
+    v: Vec<f64>,
+    /// Left singular vectors, one contiguous column each.
+    u: Vec<f64>,
+}
+
+impl Kept {
+    fn len(&self) -> usize {
+        self.sigma.len()
+    }
+
+    /// The top `k ≤ len` triplets.
+    fn top(&self, k: usize) -> Svd {
+        let columns = |data: &[f64]| {
+            let rows = data.len() / self.len();
+            Matrix::from_fn(rows, k, |r, c| data[c * rows + r])
+        };
+        Svd {
+            u: columns(&self.u),
+            sigma: self.sigma[..k].to_vec(),
+            v: columns(&self.v),
+        }
+    }
+}
+
+impl TopTriplets {
+    /// Wraps `a`, reducing `AᵀA` once.
+    pub fn new(a: Matrix) -> Self {
+        let reduction = gram_reduction(&a);
+        TopTriplets {
+            a,
+            reduction,
+            kept: Default::default(),
+        }
+    }
+
+    /// The matrix `A`.
+    pub fn matrix(&self) -> &Matrix {
+        &self.a
+    }
+
+    /// The top-`k` SVD of `A` with the selected eigensolver, equal bit
+    /// for bit to what a new `TopTriplets` of `A` gives.
+    ///
+    /// `k` is clamped to `1..=min(m, n)`. The eigenpairs of the reduced
+    /// Gram matrix give `σ²` and the right singular vectors; left
+    /// vectors follow from `uᵢ = A·vᵢ/σᵢ`. Zero singular values get
+    /// zero left vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns `EigenDidNotConverge` if the underlying QL iteration
+    /// fails.
+    pub fn top_k(&self, k: usize, method: SvdMethod) -> Result<Svd, EigenDidNotConverge> {
+        let k = k.min(self.a.rows().min(self.a.cols())).max(1);
+        type Decompose = fn(&SymmetricTridiagonal) -> Result<SymmetricEigen, EigenDidNotConverge>;
+        let decompose: Decompose = match method {
+            SvdMethod::Qr => |t| eigen_tridiagonal(t, None),
+            SvdMethod::DivideAndConquer => eigen_dc_tridiagonal,
+            SvdMethod::Bisection => return Ok(self.bisection_top_k(k)),
+        };
+        let mut kept = lock(&self.kept[method as usize]);
+        let len = kept.len();
+        if len < k {
+            let rest = match kept.rest.take() {
+                Some(rest) => rest,
+                None => decompose(&self.reduction.tridiag)?,
+            };
+            // Ascending: position `p` is eigenpair `n − 1 − p`.
+            let n = self.reduction.tridiag.dim();
+            let lambda = (len..k).map(|p| rest.values[n - 1 - p]).collect();
+            let vectors = Matrix::from_fn(n, k - len, |r, c| rest.vectors[(r, n - 1 - len - c)]);
+            self.grow(&mut kept, lambda, &vectors);
+            if k < n {
+                kept.rest = Some(SymmetricEigen {
+                    values: rest.values[..n - k].to_vec(),
+                    vectors: Matrix::from_fn(n, n - k, |r, c| rest.vectors[(r, c)]),
+                });
+            }
+        }
+        Ok(kept.top(k))
+    }
+
+    /// Bisection's top `k`: the kept free triplets, with the vectors
+    /// whose cluster is not empty at rank `k` recomputed.
+    fn bisection_top_k(&self, k: usize) -> Svd {
+        let t = &self.reduction.tridiag;
+        let n = t.dim();
+        let mut kept = lock(&self.kept[SvdMethod::Bisection as usize]);
+        let len = kept.len();
+        if len < k {
+            let tol = eigen_bisect::selection_tol(t);
+            let mut lambda = eigen_bisect::eigenvalue_range(t, n - k, k - len, tol);
+            lambda.reverse();
+            let free = eigen_bisect::free_vectors(t, &lambda);
+            self.grow(&mut kept, lambda, &free);
+        }
+        // The selection `n − k..n`, ascending: position `i` is kept
+        // triplet `k − 1 − i`.
+        let ascending: Vec<f64> = kept.lambda[..k].iter().rev().copied().collect();
+        let clustered = eigen_bisect::clustered_vectors(t, &ascending);
+        let mut svd = kept.top(k);
+        if !clustered.is_empty() {
+            let vectors = Matrix::from_fn(n, clustered.len(), |r, c| clustered[c].1[r]);
+            let sigma: Vec<f64> = clustered
+                .iter()
+                .map(|&(i, _)| svd.sigma[k - 1 - i])
+                .collect();
+            let v = self.reduction.q.matmul(&vectors);
+            let u = left_vectors(&self.a, &v, &sigma, svd.sigma[0]);
+            for (c, &(i, _)) in clustered.iter().enumerate() {
+                let p = k - 1 - i;
+                for r in 0..v.rows() {
+                    svd.v[(r, p)] = v[(r, c)];
+                }
+                for r in 0..u.rows() {
+                    svd.u[(r, p)] = u[(r, c)];
+                }
+            }
+        }
+        svd
+    }
+
+    /// Appends the triplets of the next eigenpairs, `lambda` descending
+    /// with the matching tridiagonal eigenvectors in `vectors`' columns.
+    /// Everything is computed before `kept` changes, so a panic leaves
+    /// it as it was.
+    fn grow(&self, kept: &mut Kept, lambda: Vec<f64>, vectors: &Matrix) {
+        // Map tridiagonal eigenvectors back to right singular vectors.
+        let v = self.reduction.q.matmul(vectors);
+        // σ = sqrt(max(λ, 0)); tiny negatives from roundoff clamp to 0.
+        let sigma: Vec<f64> = lambda.iter().map(|&l| l.max(0.0).sqrt()).collect();
+        let top = kept.sigma.first().unwrap_or(&sigma[0]);
+        let u = left_vectors(&self.a, &v, &sigma, *top);
+        append_columns(&mut kept.v, &v);
+        append_columns(&mut kept.u, &u);
+        kept.sigma.extend(sigma);
+        kept.lambda.extend(lambda);
+    }
+}
+
+/// Appends `more`'s columns to `kept`, one contiguous column each,
+/// without the spare capacity of amortized growth: kept triplets grow a
+/// few times per input, and live as long as it does.
+fn append_columns(kept: &mut Vec<f64>, more: &Matrix) {
+    kept.reserve_exact(more.rows() * more.cols());
+    for c in 0..more.cols() {
+        kept.extend((0..more.rows()).map(|r| more[(r, c)]));
+    }
+}
+
+/// Locks one solver's kept triplets. A call that panicked while holding
+/// the lock left them unchanged (see [`TopTriplets::grow`]), so a
+/// poisoned lock is taken as it is.
+fn lock(kept: &Mutex<Kept>) -> MutexGuard<'_, Kept> {
+    kept.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The top-`k` SVD of `a` with `a`'s [`gram_reduction`].
@@ -81,16 +283,15 @@ pub fn svd_top_k(a: &Matrix, k: usize, method: SvdMethod) -> Result<Svd, EigenDi
 }
 
 /// Computes the top-`k` SVD of `a` with the selected eigensolver, from
-/// `reduction`, which must be `gram_reduction(a)`.
-///
-/// `k` is clamped to `min(m, n)`. The eigenpairs of the reduced Gram
-/// matrix give `σ²` and the right singular vectors; left vectors follow
-/// from `uᵢ = A·vᵢ/σᵢ`. Zero singular values get zero left vectors.
+/// `reduction`, which must be `gram_reduction(a)`: one call's whole
+/// decomposition, as image compression ran it per trial before
+/// [`TopTriplets`] kept it, and the bit-identity oracle for it.
 ///
 /// # Errors
 ///
 /// Returns `EigenDidNotConverge` if the underlying QL iteration
 /// fails.
+#[cfg(test)]
 pub fn svd_reduced(
     a: &Matrix,
     reduction: &Tridiagonalization,
@@ -131,7 +332,7 @@ pub fn svd_reduced(
     }
     let sigma: Vec<f64> = values.iter().map(|&l| l.sqrt()).collect();
 
-    let u = left_vectors(a, &v, &sigma);
+    let u = left_vectors(a, &v, &sigma, sigma[0]);
     Ok(Svd { u, sigma, v })
 }
 
@@ -167,13 +368,15 @@ fn gram(a: &Matrix) -> Matrix {
 }
 
 /// `uⱼ = A·vⱼ/σⱼ` for every column `vⱼ` of `v`, zero where `σⱼ` is
-/// negligible, in one pass over `A`: row `i` accumulates all its `k`
-/// products `(A·vⱼ)ᵢ` in lockstep, each summed over `A`'s row in
-/// ascending order from `A.matvec(vⱼ)`'s starting value.
-fn left_vectors(a: &Matrix, v: &Matrix, sigma: &[f64]) -> Matrix {
+/// negligible against `top`, the largest singular value, in one pass
+/// over `A`: row `i` accumulates all its `k` products `(A·vⱼ)ᵢ` in
+/// lockstep, each summed over `A`'s row in ascending order from
+/// `A.matvec(vⱼ)`'s starting value, so each column's bits do not depend
+/// on the others.
+fn left_vectors(a: &Matrix, v: &Matrix, sigma: &[f64], top: f64) -> Matrix {
     let m = a.rows();
     let k = sigma.len();
-    let floor = f64::EPSILON * sigma.first().copied().unwrap_or(1.0).max(1.0);
+    let floor = f64::EPSILON * top.max(1.0);
     let mut u = vec![0.0; m * k];
     let mut av = vec![0.0; k];
     for (i, u_row) in u.chunks_exact_mut(k.max(1)).enumerate() {
@@ -194,6 +397,7 @@ fn left_vectors(a: &Matrix, v: &Matrix, sigma: &[f64]) -> Matrix {
 
 /// Selects the top `k` eigenpairs from an ascending decomposition,
 /// returning them descending.
+#[cfg(test)]
 fn take_top_k(values: Vec<f64>, vectors: Matrix, k: usize) -> (Vec<f64>, Matrix) {
     let n = values.len();
     let k = k.min(n);
@@ -214,6 +418,141 @@ mod tests {
         SvdMethod::DivideAndConquer,
         SvdMethod::Bisection,
     ];
+
+    fn assert_svd_bits_eq(got: &Svd, want: &Svd, what: &str) {
+        assert_bits_eq(&got.sigma, &want.sigma, &format!("{what}: σ"));
+        assert_bits_eq(got.v.as_slice(), want.v.as_slice(), &format!("{what}: V"));
+        assert_bits_eq(got.u.as_slice(), want.u.as_slice(), &format!("{what}: U"));
+    }
+
+    /// A fresh matrix's top-`k` SVD: its own `TopTriplets`, checked
+    /// against the per-call body they replaced.
+    fn fresh_top_k(a: &Matrix, k: usize, method: SvdMethod) -> Svd {
+        let fresh = TopTriplets::new(a.clone()).top_k(k, method).unwrap();
+        let what = format!("fresh {method:?} k={k}");
+        assert_svd_bits_eq(&fresh, &svd_top_k(a, k, method).unwrap(), &what);
+        fresh
+    }
+
+    /// One shared `TopTriplets` per size, asked for every solver at
+    /// ranks that grow, shrink and revisit its kept triplets: in
+    /// ascending and descending rank per solver, with the solvers
+    /// interleaved, and from four threads at once. Every SVD must be a
+    /// fresh matrix's, bit for bit.
+    #[test]
+    fn kept_triplets_match_fresh_inputs_bit_for_bit() {
+        for n in [16usize, 48, 96] {
+            let a = Matrix::random_uniform(n, n, &mut SmallRng::seed_from_u64(n as u64));
+            let ranks = [1, n / 2, n, 3, n - 1];
+            let fresh: Vec<Vec<Svd>> = METHODS
+                .iter()
+                .map(|&method| ranks.iter().map(|&k| fresh_top_k(&a, k, method)).collect())
+                .collect();
+            let mut ascending = Vec::new();
+            let mut descending = Vec::new();
+            let mut interleaved = Vec::new();
+            for s in 0..METHODS.len() {
+                let mut by_rank: Vec<usize> = (0..ranks.len()).collect();
+                by_rank.sort_by_key(|&r| ranks[r]);
+                ascending.extend(by_rank.iter().map(|&r| (s, r)));
+                descending.extend(by_rank.iter().rev().map(|&r| (s, r)));
+            }
+            for r in 0..ranks.len() {
+                interleaved.extend((0..METHODS.len()).map(|s| (s, r)));
+            }
+            let check = |kept: &TopTriplets, order: &[(usize, usize)], label: &str| {
+                for &(s, r) in order {
+                    let got = kept.top_k(ranks[r], METHODS[s]).unwrap();
+                    let what = format!("n={n} {label} {:?} k={}", METHODS[s], ranks[r]);
+                    assert_svd_bits_eq(&got, &fresh[s][r], &what);
+                }
+            };
+            let orders = [
+                ("ascending", &ascending),
+                ("descending", &descending),
+                ("interleaved", &interleaved),
+            ];
+            for (label, order) in orders {
+                check(&TopTriplets::new(a.clone()), order, label);
+            }
+            let shared = TopTriplets::new(a.clone());
+            std::thread::scope(|scope| {
+                for (i, order) in [&ascending, &descending, &interleaved, &ascending]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let (check, shared) = (&check, &shared);
+                    scope.spawn(move || {
+                        let mut order = order.clone();
+                        order.rotate_left(i * 4);
+                        check(shared, &order, &format!("thread {i}"));
+                    });
+                }
+            });
+        }
+    }
+
+    /// `H₁·D·H₂` for Householder reflectors `Hᵢ = I − 2·w·wᵀ/(wᵀw)`: its
+    /// singular values are `|D|`'s entries.
+    fn reflected(d: &[f64], rng: &mut SmallRng) -> Matrix {
+        let n = d.len();
+        let mut reflector = || {
+            let w: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let ww: f64 = w.iter().map(|x| x * x).sum();
+            Matrix::from_fn(n, n, |i, j| {
+                f64::from(u8::from(i == j)) - 2.0 * w[i] * w[j] / ww
+            })
+        };
+        let (h1, h2) = (reflector(), reflector());
+        h1.matmul(&Matrix::from_fn(
+            n,
+            n,
+            |i, j| if i == j { d[i] } else { 0.0 },
+        ))
+        .matmul(&h2)
+    }
+
+    /// Singular values repeated at the top, in the middle and at the
+    /// bottom of the spectrum, so bisection orthogonalizes vectors
+    /// against clusters that change with the rank: on one shared
+    /// `TopTriplets`, every solver at ranks growing one by one, then
+    /// shrinking, must give a fresh matrix's SVD bit for bit.
+    #[test]
+    fn kept_triplets_match_fresh_inputs_on_clustered_spectra() {
+        let d = [
+            5.0, 5.0, 5.0, 4.0, 3.5, 3.0, 3.0, 2.5, 2.0, 2.0, 2.0, 2.0, 1.5, 1.0, 0.5, 0.5,
+        ];
+        let n = d.len();
+        let a = reflected(&d, &mut SmallRng::seed_from_u64(17));
+        let ranks: Vec<usize> = (1..=n).chain((1..n).rev()).collect();
+        for method in METHODS {
+            let shared = TopTriplets::new(a.clone());
+            for &k in &ranks {
+                let what = format!("clustered {method:?} k={k}");
+                let got = shared.top_k(k, method).unwrap();
+                assert_svd_bits_eq(&got, &fresh_top_k(&a, k, method), &what);
+            }
+        }
+        // The check above reached both kinds of bisection vector: some
+        // rank has clustered vectors, and the top vector is free at
+        // rank 1 and clustered at rank 2.
+        let shared = TopTriplets::new(a);
+        let _ = shared.top_k(n, SvdMethod::Bisection);
+        let t = &shared.reduction.tridiag;
+        let kept = lock(&shared.kept[SvdMethod::Bisection as usize]);
+        let clustered_at = |k: usize| {
+            let ascending: Vec<f64> = kept.lambda[..k].iter().rev().copied().collect();
+            let clustered = eigen_bisect::clustered_vectors(t, &ascending);
+            clustered
+                .iter()
+                .map(|&(i, _)| k - 1 - i)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(clustered_at(1), Vec::<usize>::new());
+        assert_eq!(clustered_at(2), vec![0]);
+        assert_eq!(clustered_at(3), vec![1, 0]);
+        assert!((4..=n).all(|k| !clustered_at(k).is_empty()));
+    }
 
     /// Entry-by-entry accumulation walking a column of `V` — the
     /// reconstruction before the transposed form: the bit-identity
@@ -341,7 +680,7 @@ mod tests {
                         sigma[last] = 0.0;
                         sigma[last / 2] = f64::EPSILON / 2.0;
                         assert_bits_eq(
-                            left_vectors(&a, &svd.v, &sigma).as_slice(),
+                            left_vectors(&a, &svd.v, &sigma, sigma[0]).as_slice(),
                             left_vectors_reference(&a, &svd.v, &sigma).as_slice(),
                             &format!("{what} with negligible σ"),
                         );

@@ -28,7 +28,7 @@ fn engaged_placement_scans_leave_the_pool_untouched() {
         let [(engaged, engaged_cost), (sequential, sequential_cost)] =
             [16, usize::MAX].map(|par_cutoff| {
                 let mut ctx = ExecCtx::new(&schema, &config, 2048, 0);
-                let packing = pack_with(algorithm, &input.items, 2, par_cutoff, &mut ctx);
+                let packing = pack_with(algorithm, &input, 2, par_cutoff, &mut ctx);
                 (packing, ctx.virtual_cost())
             });
         assert_eq!(engaged.residuals(), sequential.residuals());

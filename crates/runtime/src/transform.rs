@@ -21,6 +21,14 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostModel {
     /// Wall-clock seconds — what the paper uses on real hardware.
+    ///
+    /// Work an input keeps for later trials (see
+    /// [`TrialRunner::prepare`]) is not re-timed: the first trial on an
+    /// input that needs it pays for it, later ones do not. Image
+    /// compression's first trial with an eigensolver pays for that
+    /// solver's decomposition, for instance, and a later trial of no
+    /// larger rank only copies triplets out. No ledger workload tunes
+    /// image compression under this model.
     WallClock,
     /// Deterministic virtual cost charged via [`ExecCtx::charge`] —
     /// used by the test suite and by reproducible tuning runs, where

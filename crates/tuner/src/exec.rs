@@ -272,7 +272,8 @@ pub struct Evaluator<'a> {
     cache: Option<TrialCache>,
     /// The inputs built so far, `(n, seed) → input`. Trial seeds depend
     /// only on `(n, trial index)`, so a run meets few of them, and each
-    /// lives as long as the evaluator: one tuning run.
+    /// lives until the tuner moves past its size
+    /// ([`Evaluator::drop_inputs_below`]).
     inputs: Mutex<KeyMap<(u64, u64), InputSlot>>,
     /// Cleared once a prepared input turns out to carry nothing (`()`:
     /// a runner that does not override `prepare`, or a transform with
@@ -595,6 +596,14 @@ impl<'a> Evaluator<'a> {
         TrialOutcome::QUARANTINED
     }
 
+    /// Drops the inputs of sizes below `n`, and what they keep. A tuning
+    /// run climbs its size schedule and runs no trial below the size it
+    /// is at; a trial that did would prepare its input again.
+    pub(crate) fn drop_inputs_below(&self, n: u64) {
+        let mut inputs = self.inputs.lock().expect("input map poisoned");
+        inputs.retain(|&(size, _), _| size >= n);
+    }
+
     /// Prepares `r`'s input, and stops sharing inputs if it carries
     /// nothing.
     fn prepare(&self, r: &TrialRequest) -> SharedInput {
@@ -644,6 +653,9 @@ mod tests {
     use pb_config::{Schema, Value};
     use pb_runtime::{CostModel, ExecCtx, TraceNode, Transform, TransformRunner};
     use rand::rngs::SmallRng;
+    use std::any::Any;
+    use std::collections::HashSet;
+    use std::sync::Weak;
 
     struct Linear;
 
@@ -1126,13 +1138,17 @@ mod tests {
     }
 
     /// Forwards everything to `inner`, counting the inputs it prepares
-    /// per `(n, seed)` and the trials run on them.
+    /// per `(n, seed)` and the trials run on them, and keeping a weak
+    /// handle to each input to count, at every preparation, the inputs
+    /// of smaller sizes still alive.
     struct Counting<'r> {
         inner: &'r dyn TrialRunner,
         deterministic: bool,
         prepared: Mutex<HashMap<(u64, u64), u64>>,
         ran_on: Mutex<HashMap<(u64, u64), u64>>,
         unprepared: AtomicU64,
+        inputs: Mutex<Vec<(u64, Weak<dyn Any + Send + Sync>)>>,
+        alive_below: AtomicU64,
     }
 
     impl<'r> Counting<'r> {
@@ -1143,6 +1159,8 @@ mod tests {
                 prepared: Mutex::default(),
                 ran_on: Mutex::default(),
                 unprepared: AtomicU64::new(0),
+                inputs: Mutex::default(),
+                alive_below: AtomicU64::new(0),
             }
         }
     }
@@ -1166,7 +1184,15 @@ mod tests {
         }
         fn prepare(&self, n: u64, seed: u64) -> SharedInput {
             *self.prepared.lock().unwrap().entry((n, seed)).or_default() += 1;
-            self.inner.prepare(n, seed)
+            let mut inputs = self.inputs.lock().unwrap();
+            let alive = inputs
+                .iter()
+                .filter(|(size, input)| *size < n && input.strong_count() > 0)
+                .count();
+            self.alive_below.fetch_add(alive as u64, Ordering::Relaxed);
+            let input = self.inner.prepare(n, seed);
+            inputs.push((n, Arc::downgrade(&input)));
+            input
         }
         fn run_prepared(
             &self,
@@ -1214,6 +1240,11 @@ mod tests {
                 );
                 assert_eq!(ran_on.values().sum::<u64>(), outcome.stats.trials, "{what}");
                 assert_eq!(counting.unprepared.load(Ordering::Relaxed), 0, "{what}");
+                // The tuner drops an input once it moves past its size.
+                let sizes: HashSet<u64> = keys.iter().map(|&&(n, _)| n).collect();
+                assert!(sizes.len() >= 3, "{what}: sizes {sizes:?}");
+                let alive_below = counting.alive_below.load(Ordering::Relaxed);
+                assert_eq!(alive_below, 0, "{what}: an input outlived its size");
                 programs.push(outcome.program);
             }
         }

@@ -323,6 +323,7 @@ impl<'a> Autotuner<'a> {
 
         let sizes = self.options.size_schedule();
         for &n in &sizes {
+            evaluator.drop_inputs_below(n);
             let span = pb_trace::start();
             pop.test_all(&evaluator, n, self.options.comparator.min_trials);
             pb_trace::record(EventKind::PhaseTest, span);

@@ -282,9 +282,11 @@ impl TrialRunner for Unshared<'_> {
     }
 }
 
-/// Image compression keeps its Gram reduction and Helmholtz its band
-/// factors on the shared input; neither may show in a tuned decision or
-/// a counter.
+/// Image compression keeps its Gram reduction and each eigensolver's
+/// top singular triplets on the shared input, and Helmholtz its band
+/// factors; none may show in a tuned decision or a counter. Image
+/// compression tunes up to n = 48 as well as 16: only past 32 does
+/// divide and conquer recurse.
 #[test]
 fn shared_inputs_change_work_not_results() {
     let _pool = force_parallel_pool();
@@ -302,6 +304,7 @@ fn shared_inputs_change_work_not_results() {
     }
     let image = TransformRunner::new(ImageCompression, CostModel::Virtual);
     check(&image, vec![0.3, 1.0], 16, 0x1C);
+    check(&image, vec![0.3, 1.0], 48, 0x1C);
     let helmholtz = TransformRunner::new(Helmholtz3d, CostModel::Virtual);
     check(&helmholtz, vec![1.0, 3.0, 5.0], 7, 0x4E);
 }

@@ -106,17 +106,17 @@ proptest! {
         let config = schema.default_config();
         for alg in 0..ALGORITHM_NAMES.len() {
             let mut ctx = ExecCtx::new(&schema, &config, n, seed);
-            let packing = pack_with(alg, &input.items, 2, usize::MAX, &mut ctx);
+            let packing = pack_with(alg, &input, 2, usize::MAX, &mut ctx);
             prop_assert!(packing.is_valid(), "{} overfilled", ALGORITHM_NAMES[alg]);
             // Volume bound (each bin holds at most 1.0), with float
             // slack: the generator's bins sum to 1.0 only up to
             // rounding, so `ceil` of the total would over-demand.
             prop_assert!(
-                packing.bins() as f64 >= input.items.iter().sum::<f64>() - 1e-9,
+                packing.bins() as f64 >= input.items().iter().sum::<f64>() - 1e-9,
                 "{} lost volume", ALGORITHM_NAMES[alg]
             );
             prop_assert!(
-                packing.bins() as f64 <= 2.0 * input.opt_bins as f64 + 1.0,
+                packing.bins() as f64 <= 2.0 * input.opt_bins() as f64 + 1.0,
                 "{} above the NextFit bound", ALGORITHM_NAMES[alg]
             );
         }
