@@ -24,9 +24,10 @@ use pb_benchmarks::{
 use pb_config::AccuracyBins;
 use pb_runtime::{CostModel, Transform, TransformRunner, TrialRunner, TunedProgram};
 use pb_stats::OnlineStats;
-use pb_tuner::{Autotuner, TunerOptions};
+use pb_tuner::{Autotuner, EvalMode, Evaluator, TrialRequest, TunerOptions};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of measurement trials per (config, size) cell.
 pub const MEASURE_TRIALS: u64 = 3;
@@ -153,10 +154,12 @@ pub fn gate(cells: &[Cell]) -> bool {
 
 /// Measures every bin of `tuned` at every size on [`MEASURE_TRIALS`]
 /// seeds the tuner never drew, averaging accuracy as the tuner's
-/// admission does, and judges the cells. Each held-out `(n, seed)`
-/// input is built once and shared by every bin's trial on it; each
-/// cell still sums its trials in seed order. They come size by size,
-/// each size's bins in target order.
+/// admission does, and judges the cells. Each size's trials run as one
+/// [`Evaluator`] batch, so each held-out `(n, seed)` input is built
+/// once and shared by every bin's trial on it, and a trial that panics
+/// is quarantined: its cell fails instead of aborting the run. Each
+/// cell sums its trials in seed order. They come size by size, each
+/// size's bins in target order.
 pub fn measure(
     runner: &dyn TrialRunner,
     tuned: &TunedProgram,
@@ -166,17 +169,25 @@ pub fn measure(
     let entries = tuned.entries();
     let mut cells = Vec::new();
     for &n in sizes {
-        let mut sums = vec![(0.0, OnlineStats::new()); entries.len()];
-        for trial in 0..MEASURE_TRIALS {
-            let seed = 0xC0FFEE ^ (n << 8) ^ trial;
-            let input = runner.prepare(n, seed);
-            for (entry, (cost, acc)) in entries.iter().zip(&mut sums) {
-                let outcome = runner.run_prepared(&entry.config, &input, n, seed);
-                *cost += outcome.time;
+        let requests: Vec<TrialRequest> = entries
+            .iter()
+            .flat_map(|entry| {
+                let config = Arc::new(entry.config.clone());
+                (0..MEASURE_TRIALS).map(move |trial| {
+                    let seed = 0xC0FFEE ^ (n << 8) ^ trial;
+                    TrialRequest::new(Arc::clone(&config), n, seed)
+                })
+            })
+            .collect();
+        let evaluator = Evaluator::new(runner, EvalMode::Parallel, runner.deterministic());
+        let outcomes = evaluator.run_batch(&requests);
+        for (entry, trials) in entries.iter().zip(outcomes.chunks(MEASURE_TRIALS as usize)) {
+            let mut cost = 0.0;
+            let mut acc = OnlineStats::new();
+            for outcome in trials {
+                cost += outcome.time;
                 acc.push(outcome.accuracy);
             }
-        }
-        for (entry, (cost, acc)) in entries.iter().zip(sums) {
             let cost = cost / MEASURE_TRIALS as f64;
             cells.push(Cell::new(n, entry.target, train_size, cost, acc.mean()));
         }
@@ -273,7 +284,7 @@ pub fn fig6_panels() -> Vec<Panel> {
 mod tests {
     use super::*;
     use pb_config::Schema;
-    use pb_runtime::ExecCtx;
+    use pb_runtime::{ExecCtx, TunedEntry};
     use rand::rngs::SmallRng;
 
     struct Iterate;
@@ -319,6 +330,59 @@ mod tests {
         }
         assert!(cells.iter().all(Cell::passes), "{cells:?}");
         assert!(gate(&cells));
+    }
+
+    /// `Iterate`, except that more than 64 iterations panic.
+    struct Fragile;
+
+    impl Transform for Fragile {
+        type Input = ();
+        type Output = f64;
+        fn name(&self) -> &str {
+            "fragile"
+        }
+        fn schema(&self) -> Schema {
+            Iterate.schema()
+        }
+        fn generate_input(&self, _n: u64, _rng: &mut SmallRng) {}
+        fn execute(&self, i: &(), ctx: &mut ExecCtx<'_>) -> f64 {
+            assert!(ctx.param("iters").unwrap() <= 64, "injected panic (test)");
+            Iterate.execute(i, ctx)
+        }
+        fn accuracy(&self, i: &(), o: &f64) -> f64 {
+            Iterate.accuracy(i, o)
+        }
+    }
+
+    #[test]
+    fn a_panicking_configuration_measures_as_a_failing_cell() {
+        let runner = TransformRunner::new(Fragile, CostModel::Virtual);
+        let schema = runner.schema();
+        let bins = AccuracyBins::new(vec![0.5, 0.99]);
+        let entries = [1, 128]
+            .into_iter()
+            .zip(bins.targets())
+            .map(|(iters, &target)| {
+                let mut config = schema.default_config();
+                config
+                    .set_by_name(schema, "iters", pb_config::Value::Int(iters))
+                    .unwrap();
+                TunedEntry {
+                    target,
+                    config,
+                    observed_accuracy: target,
+                    observed_time: 1.0,
+                }
+            })
+            .collect();
+        let tuned = TunedProgram::new("fragile", bins, entries);
+        let cells = measure(&runner, &tuned, &[8], 8);
+        assert_eq!(cells.len(), 2);
+        assert!(cells[0].passes(), "{:?}", cells[0]);
+        assert_eq!(cells[1].cost, f64::INFINITY);
+        assert!(!cells[1].passes(), "{:?}", cells[1]);
+        assert_eq!(cells[1].verdict(), "FAIL accuracy");
+        assert!(!gate(&cells));
     }
 
     #[test]

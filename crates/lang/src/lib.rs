@@ -7,7 +7,8 @@
 //! same data, `either…or` statements), accuracy variables,
 //! `for_enough` loops, an `accuracy_metric` — and the compiler turns
 //! those degrees of freedom into a tunable schema for the genetic
-//! autotuner.
+//! autotuner. The bins a transform's `accuracy_bins` header declares
+//! reach the tuner through [`DslTransform::accuracy_bins`].
 //!
 //! Pipeline:
 //!
@@ -74,7 +75,6 @@ pub mod interp;
 pub mod lexer;
 pub mod opt;
 mod parser;
-pub mod pretty;
 mod sema;
 pub mod token;
 mod traininfo;

@@ -44,7 +44,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
 /// (the parser's own recursion), and the height of an expression tree
 /// (an operator chain is parsed by iteration but is as deep as it is
 /// long). Everything that later recurses over the tree — `sema`,
-/// `compile`, `pretty`, the tree-walker, `Drop` — is bounded by it. A
+/// `compile`, the tree-walker, `Drop` — is bounded by it. A
 /// level costs the parser under 1.5 KB of stack in an optimized build
 /// and under 7 KB in an unoptimized one.
 pub(crate) const MAX_NESTING: usize = 256;

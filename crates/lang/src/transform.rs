@@ -12,7 +12,7 @@ use crate::interp::{HostFn, Interpreter, RuntimeError, Value};
 use crate::opt::OptLevel;
 use crate::sema::check_program;
 use crate::traininfo::extract_schema;
-use pb_config::{Config, Schema};
+use pb_config::{AccuracyBins, Config, Schema};
 use pb_runtime::{ExecCtx, Transform};
 use rand::rngs::SmallRng;
 use std::collections::HashMap;
@@ -119,6 +119,17 @@ impl DslTransform {
         &self.interpreter
     }
 
+    /// The bins the transform's `accuracy_bins` header declares, for
+    /// the tuner; `None` when it declares none.
+    pub fn accuracy_bins(&self) -> Option<AccuracyBins> {
+        let t = self
+            .interpreter
+            .program()
+            .transform(&self.name)
+            .expect("transform existence checked at compile time");
+        (!t.accuracy_bins.is_empty()).then(|| AccuracyBins::new(t.accuracy_bins.clone()))
+    }
+
     /// Runs the accuracy-metric transform on an input/output pair.
     ///
     /// # Errors
@@ -199,7 +210,6 @@ impl Transform for DslTransform {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
-    use pb_config::AccuracyBins;
     use pb_runtime::{CostModel, TransformRunner, TrialRunner};
     /// An iterative-refinement DSL program: each for_enough iteration
     /// halves the error; accuracy = iterations performed.

@@ -135,9 +135,10 @@ pub trait TrialRunner: Send + Sync {
 
     /// Builds the input [`TrialRunner::run_trial`] would generate for
     /// `(n, seed)`, once, so every trial on it can share it through
-    /// [`TrialRunner::run_prepared`]. The default builds nothing: a
-    /// runner that does not override both methods keeps generating its
-    /// input per trial.
+    /// [`TrialRunner::run_prepared`]. The default builds `()`, once per
+    /// `(n, seed)` like any other input: a runner that does not
+    /// override both methods reaches its own `run_trial` through the
+    /// default `run_prepared`, and so generates its input per trial.
     fn prepare(&self, n: u64, seed: u64) -> SharedInput {
         let _ = (n, seed);
         Arc::new(())

@@ -16,7 +16,10 @@
 //!   mutate-then-revert configurations never re-execute a trial, and
 //! * builds each training input once per tuning run
 //!   ([`TrialRunner::prepare`]) and shares it with every trial on the
-//!   same `(n, seed)`, whatever the candidate.
+//!   same `(n, seed)`, whatever the candidate. Every trial runs through
+//!   [`TrialRunner::run_prepared`]: a runner that keeps nothing per
+//!   input gets the default `()` input, and the default `run_prepared`
+//!   calls its own `run_trial`.
 //!
 //! Because trial seeds are a deterministic function of the input size
 //! and trial index, and trials are pure under the virtual cost model,
@@ -38,7 +41,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// How an [`Evaluator`] executes a batch of trials.
@@ -265,7 +268,7 @@ impl WallHistory {
 type InputSlot = Arc<OnceLock<SharedInput>>;
 
 /// Executes trials for the tuner: batched, optionally parallel,
-/// optionally memoized.
+/// optionally memoized, each on its `(n, seed)`'s shared input.
 pub struct Evaluator<'a> {
     runner: &'a dyn TrialRunner,
     mode: EvalMode,
@@ -275,11 +278,6 @@ pub struct Evaluator<'a> {
     /// lives until the tuner moves past its size
     /// ([`Evaluator::drop_inputs_below`]).
     inputs: Mutex<KeyMap<(u64, u64), InputSlot>>,
-    /// Cleared once a prepared input turns out to carry nothing (`()`:
-    /// a runner that does not override `prepare`, or a transform with
-    /// no input); later batches then run every trial unprepared, and
-    /// pay nothing for the map.
-    shares_inputs: AtomicBool,
     /// Per input size, the measured wall time of the trials this
     /// evaluator ran in parallel mode: what decides whether a batch is
     /// worth dispatching. Updated once per batch, by the submitting
@@ -312,7 +310,6 @@ impl<'a> Evaluator<'a> {
             mode,
             cache: memoize.then(TrialCache::default),
             inputs: Mutex::default(),
-            shares_inputs: AtomicBool::new(true),
             walls: Mutex::default(),
             trials: AtomicU64::new(0),
             trial_panics: AtomicU64::new(0),
@@ -442,21 +439,13 @@ impl<'a> Evaluator<'a> {
         if requests.is_empty() {
             return Vec::new();
         }
-        // Relaxed: the flag guards no data; a batch that reads it stale
-        // only resolves slots it did not need.
-        let inputs = self
-            .shares_inputs
-            .load(Ordering::Relaxed)
-            .then(|| self.input_slots(requests));
-        let run = |i: usize| {
-            let input = inputs.as_ref().map(|slots| &*slots[i]);
-            self.guarded_run(requests[i], input)
-        };
+        let inputs = self.input_slots(requests);
+        let run = |i: usize| self.guarded_run(requests[i], &inputs[i]);
         let in_order = || (0..requests.len()).map(run).collect();
         if self.mode == EvalMode::Sequential {
             return in_order();
         }
-        let outcomes = if self.runs_inline(requests, inputs.as_deref()) {
+        let outcomes = if self.runs_inline(requests, &inputs) {
             Pool::global().run_inline(requests.len(), in_order)
         } else {
             match self.repeated_coordinates(requests) {
@@ -489,8 +478,8 @@ impl<'a> Evaluator<'a> {
     /// them, and an inline batch would build them one after another.
     /// Sequential order is the one the sequential evaluator runs in,
     /// so repeated coordinates draw as they do there.
-    fn runs_inline(&self, requests: &[&TrialRequest], inputs: Option<&[InputSlot]>) -> bool {
-        if inputs.is_some_and(|slots| slots.iter().any(|slot| slot.get().is_none())) {
+    fn runs_inline(&self, requests: &[&TrialRequest], inputs: &[InputSlot]) -> bool {
+        if inputs.iter().any(|slot| slot.get().is_none()) {
             return false;
         }
         let history = self.walls.lock().expect("wall history poisoned");
@@ -567,25 +556,21 @@ impl<'a> Evaluator<'a> {
     /// `MAX_RETRIES` times. The first attempt on an empty `input` slot
     /// prepares the input inside the same guard, so a panicking input
     /// generator faults like a panicking trial, and leaves the slot
-    /// empty for the next attempt. Without a slot the trial generates
-    /// its own input. A trial whose every attempt faults is
+    /// empty for the next attempt. A trial whose every attempt faults is
     /// *quarantined*: its recorded outcome is the deterministic
     /// worst-cost sentinel [`TrialOutcome::QUARANTINED`], which loses
     /// every comparison and meets no accuracy target, so tournaments,
     /// arena contests, and merges degrade gracefully instead of
     /// aborting the run.
-    fn guarded_run(&self, r: &TrialRequest, input: Option<&OnceLock<SharedInput>>) -> TrialOutcome {
+    fn guarded_run(&self, r: &TrialRequest, input: &OnceLock<SharedInput>) -> TrialOutcome {
         for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
                 self.trial_retries.fetch_add(1, Ordering::Relaxed);
             }
             self.trials.fetch_add(1, Ordering::Relaxed);
-            match catch_unwind(AssertUnwindSafe(|| match input {
-                Some(slot) => {
-                    let input = slot.get_or_init(|| self.prepare(r));
-                    self.runner.run_prepared(r.config(), input, r.n, r.seed)
-                }
-                None => self.runner.run_trial(r.config(), r.n, r.seed),
+            match catch_unwind(AssertUnwindSafe(|| {
+                let input = input.get_or_init(|| self.runner.prepare(r.n, r.seed));
+                self.runner.run_prepared(r.config(), input, r.n, r.seed)
             })) {
                 Ok(outcome) if outcome.time.is_finite() => return outcome,
                 Ok(_) => self.trial_nonfinite.fetch_add(1, Ordering::Relaxed),
@@ -602,16 +587,6 @@ impl<'a> Evaluator<'a> {
     pub(crate) fn drop_inputs_below(&self, n: u64) {
         let mut inputs = self.inputs.lock().expect("input map poisoned");
         inputs.retain(|&(size, _), _| size >= n);
-    }
-
-    /// Prepares `r`'s input, and stops sharing inputs if it carries
-    /// nothing.
-    fn prepare(&self, r: &TrialRequest) -> SharedInput {
-        let input = self.runner.prepare(r.n, r.seed);
-        if input.is::<()>() {
-            self.shares_inputs.store(false, Ordering::Relaxed);
-        }
-        input
     }
 
     /// Always 0, and reads nothing: the trial memo lives for one tuning
@@ -783,8 +758,18 @@ mod tests {
         let config = runner.schema().default_config();
         let reqs: Vec<TrialRequest> = (0..4).map(|i| request(&config, 8, i)).collect();
         let refs: Vec<&TrialRequest> = reqs.iter().collect();
-        assert!(!eval.runs_inline(&refs, None), "no history at n = 8 yet");
+        // Slots already filled, so only a missing history can keep a
+        // batch off the submitting thread.
+        let filled = || -> InputSlot {
+            let slot: InputSlot = Arc::default();
+            slot.get_or_init(|| Arc::new(()) as SharedInput);
+            slot
+        };
+        let ready: Vec<InputSlot> = (0..4).map(|_| filled()).collect();
+        assert!(!eval.runs_inline(&refs, &ready), "no history at n = 8 yet");
+        let built = eval.input_slots(&refs);
         eval.run_batch(&reqs);
+        assert!(built.iter().all(|slot| slot.get().is_some()));
         assert_eq!(
             eval.walls.lock().unwrap()[&8].count,
             4,
@@ -797,7 +782,7 @@ mod tests {
             count: 1,
         };
         eval.walls.lock().unwrap().insert(8, cheap);
-        assert!(eval.runs_inline(&refs, None));
+        assert!(eval.runs_inline(&refs, &built));
         let seen = &runner.transform().seen;
         seen.lock().unwrap().clear();
         eval.run_batch(&reqs);
@@ -813,16 +798,16 @@ mod tests {
         // A size without history, an input not yet built, and work
         // estimated at the threshold all dispatch.
         let other = [request(&config, 16, 0)];
-        assert!(!eval.runs_inline(&[&other[0]], None));
+        assert!(!eval.runs_inline(&[&other[0]], &[filled()]));
         let empty: InputSlot = Arc::default();
-        assert!(!eval.runs_inline(&refs[..1], Some(&[empty])));
+        assert!(!eval.runs_inline(&refs[..1], &[empty]));
         let costly = WallHistory {
             sum: INLINE_BELOW_SECONDS / 4.0,
             count: 1,
         };
         eval.walls.lock().unwrap().insert(8, costly);
-        assert!(eval.runs_inline(&refs[..3], None));
-        assert!(!eval.runs_inline(&refs, None));
+        assert!(eval.runs_inline(&refs[..3], &built[..3]));
+        assert!(!eval.runs_inline(&refs, &built));
     }
 
     #[test]
@@ -1212,14 +1197,16 @@ mod tests {
         use pb_config::AccuracyBins;
 
         let runner = TransformRunner::new(Jittered, CostModel::Virtual);
-        let mut programs = Vec::new();
+        let options = |parallel| TunerOptions {
+            parallel_trials: parallel,
+            ..TunerOptions::fast_preset(64, 5)
+        };
+        let bins = AccuracyBins::new(vec![0.5, 0.9]);
+        let mut outcomes = Vec::new();
         for memoize in [true, false] {
             for parallel in [false, true] {
                 let counting = Counting::new(&runner, memoize);
-                let mut options = TunerOptions::fast_preset(64, 5);
-                options.parallel_trials = parallel;
-                let bins = AccuracyBins::new(vec![0.5, 0.9]);
-                let outcome = Autotuner::new(&counting, bins, options)
+                let outcome = Autotuner::new(&counting, bins.clone(), options(parallel))
                     .tune_outcome()
                     .unwrap();
                 let what = format!("memoize={memoize} parallel={parallel}");
@@ -1245,11 +1232,26 @@ mod tests {
                 assert!(sizes.len() >= 3, "{what}: sizes {sizes:?}");
                 let alive_below = counting.alive_below.load(Ordering::Relaxed);
                 assert_eq!(alive_below, 0, "{what}: an input outlived its size");
-                programs.push(outcome.program);
+                outcomes.push(outcome);
             }
         }
-        assert_eq!(programs[0], programs[1]);
-        assert_eq!(programs[2], programs[3]);
+        assert_eq!(outcomes[0].program, outcomes[1].program);
+        assert_eq!(outcomes[2].program, outcomes[3].program);
+        // A runner that keeps nothing per input decides as the sharing
+        // one does, and each trial reaches its `run_trial`.
+        for (parallel, shared) in [false, true].into_iter().zip(&outcomes) {
+            let unshared = Unshared {
+                inner: &runner,
+                ran: Mutex::default(),
+            };
+            let outcome = Autotuner::new(&unshared, bins.clone(), options(parallel))
+                .tune_outcome()
+                .unwrap();
+            assert_eq!(outcome.program, shared.program, "parallel={parallel}");
+            assert_eq!(outcome.stats, shared.stats, "parallel={parallel}");
+            let ran: u64 = unshared.ran.into_inner().unwrap().values().sum();
+            assert_eq!(ran, outcome.stats.trials, "parallel={parallel}");
+        }
     }
 
     /// `Jittered` behind inputs whose first `fail` preparations panic.
@@ -1337,26 +1339,87 @@ mod tests {
         }
     }
 
+    /// Forwards only `run_trial` to `inner`, counting its calls per
+    /// `(n, seed)`: `prepare` and `run_prepared` keep their defaults.
+    struct Unshared<'r> {
+        inner: &'r dyn TrialRunner,
+        ran: Mutex<HashMap<(u64, u64), u64>>,
+    }
+
+    impl TrialRunner for Unshared<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn deterministic(&self) -> bool {
+            true
+        }
+        fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
+            *self.ran.lock().unwrap().entry((n, seed)).or_default() += 1;
+            self.inner.run_trial(config, n, seed)
+        }
+        fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
+            self.inner.run_traced(config, n, seed)
+        }
+    }
+
     #[test]
-    fn inputs_that_carry_nothing_stop_being_shared() {
-        // `Linear`'s input is `()`, as is every input of a runner that
-        // does not override `prepare`.
-        let runner = TransformRunner::new(Linear, CostModel::Virtual);
-        let counting = Counting::new(&runner, true);
-        let eval = Evaluator::new(&counting, EvalMode::Sequential, true);
-        let config = runner.schema().default_config();
-        let first: Vec<TrialRequest> = (0..3).map(|i| request(&config, 8, i)).collect();
-        eval.run_batch(&first);
-        // The batch resolved its slots before the first input showed it
-        // carries nothing, so all three ran prepared …
-        assert_eq!(counting.prepared.lock().unwrap().len(), 3);
-        assert_eq!(counting.unprepared.load(Ordering::Relaxed), 0);
-        // … and later batches, on old and new inputs, run unprepared.
-        let later: Vec<TrialRequest> = (2..6).map(|i| request(&config, 16, i)).collect();
-        let outcomes = eval.run_batch(&later);
-        assert_eq!(counting.prepared.lock().unwrap().len(), 3);
-        assert_eq!(counting.unprepared.load(Ordering::Relaxed), 4);
-        assert!(outcomes.iter().all(|o| o.time == 16.0));
+    fn a_runner_that_keeps_nothing_runs_on_the_one_input_path() {
+        let runner = TransformRunner::new(Jittered, CostModel::Virtual);
+        let schema = runner.schema();
+        let configs: Vec<Config> = [1, 3, 5]
+            .map(|v| {
+                let mut config = schema.default_config();
+                config.set_by_name(schema, "v", Value::Int(v)).unwrap();
+                config
+            })
+            .into();
+        // Candidate `c` runs trials `c..c + 4` at two sizes: every
+        // batch after the first meets inputs no earlier batch built.
+        let batch = |c: u64, config: &Config| -> Vec<TrialRequest> {
+            [8, 16]
+                .into_iter()
+                .flat_map(|n| (c..c + 4).map(move |i| (n, i)))
+                .map(|(n, i)| request(config, n, i))
+                .collect()
+        };
+        let measured = |o: &TrialOutcome| (o.time, o.virtual_cost, o.accuracy);
+        for mode in [EvalMode::Sequential, EvalMode::Parallel] {
+            let unshared = Unshared {
+                inner: &runner,
+                ran: Mutex::default(),
+            };
+            let eval = Evaluator::new(&unshared, mode, true);
+            let sharing = Evaluator::new(&runner, mode, true);
+            for (c, config) in (0..).zip(&configs) {
+                let requests = batch(c, config);
+                let got: Vec<_> = eval.run_batch(&requests).iter().map(measured).collect();
+                let want: Vec<_> = sharing.run_batch(&requests).iter().map(measured).collect();
+                assert_eq!(got, want, "{mode:?}");
+            }
+            // One slot per `(n, seed)`, each filled once by the default
+            // `prepare`'s `()` …
+            let inputs = eval.inputs.lock().unwrap();
+            assert_eq!(inputs.len(), 12, "{mode:?}");
+            assert!(
+                inputs
+                    .values()
+                    .all(|slot| slot.get().is_some_and(|input| input.is::<()>())),
+                "{mode:?}"
+            );
+            // … and every trial reached `run_trial` through the default
+            // `run_prepared`.
+            let ran = unshared.ran.lock().unwrap();
+            let mut keys: Vec<_> = ran.keys().copied().collect();
+            keys.sort();
+            let mut slots: Vec<_> = inputs.keys().copied().collect();
+            slots.sort();
+            assert_eq!(keys, slots, "{mode:?}");
+            assert_eq!(ran.values().sum::<u64>(), 24, "{mode:?}");
+            assert_eq!(eval.trials(), 24, "{mode:?}");
+        }
     }
 
     #[test]

@@ -370,30 +370,16 @@ impl<'a> Autotuner<'a> {
         let final_n = *sizes.last().expect("schedule is never empty");
         let mut entries = Vec::with_capacity(self.bins.len());
         for &target in self.bins.targets() {
-            let idx = match pop.fastest_meeting(final_n, target) {
-                Some(i) => i,
-                None => {
-                    // Last-resort guided mutation aimed at this target.
-                    self.guided_mutation(
-                        &evaluator,
-                        &schema,
-                        &mut pop,
-                        final_n,
-                        &mut stats,
-                        &mut alloc_id,
-                    );
-                    pop.fastest_meeting(final_n, target).ok_or_else(|| {
-                        let best = pop
-                            .best_accuracy_index(final_n)
-                            .map(|i| pop.candidates()[i].mean_accuracy(final_n))
-                            .unwrap_or(f64::NEG_INFINITY);
-                        TunerError::AccuracyUnreachable {
-                            target,
-                            best_achieved: best,
-                        }
-                    })?
+            let idx = pop.fastest_meeting(final_n, target).ok_or_else(|| {
+                let best = pop
+                    .best_accuracy_index(final_n)
+                    .map(|i| pop.candidates()[i].mean_accuracy(final_n))
+                    .unwrap_or(f64::NEG_INFINITY);
+                TunerError::AccuracyUnreachable {
+                    target,
+                    best_achieved: best,
                 }
-            };
+            })?;
             let candidate = &pop.candidates()[idx];
             entries.push(TunedEntry {
                 target,

@@ -1,12 +1,12 @@
 //! The full paper pipeline on a program *written in the language*:
 //! parse the Figure-3 kmeans program, extract its tunable schema
 //! (training information), register the host helper functions, and
-//! autotune it — sub-algorithm choice, `k`, and `for_enough`
-//! iterations all discovered automatically.
+//! autotune it to the accuracy bins the program declares —
+//! sub-algorithm choice, `k`, and `for_enough` iterations all
+//! discovered automatically.
 //!
 //! Run with: `cargo run --release --example dsl_kmeans`
 
-use petabricks::config::AccuracyBins;
 use petabricks::lang::interp::Value;
 use petabricks::lang::{parse_program, DslTransform};
 use petabricks::runtime::{CostModel, TransformRunner};
@@ -20,6 +20,7 @@ const KMEANS: &str = r#"
     transform kmeans
     accuracy_metric kmeansaccuracy
     accuracy_variable k 1 64
+    accuracy_bins 0.1 0.4
     from Points[2, n]
     through Centroids[2, k]
     to Assignments[n]
@@ -99,13 +100,13 @@ fn main() {
 
     register_host_helpers(&mut dsl);
 
+    let bins = dsl.accuracy_bins().expect("the program declares its bins");
     let runner = TransformRunner::new(dsl, CostModel::Virtual);
     println!("extracted tunables (the training information):");
     for (_, tunable) in runner.schema().iter() {
         println!("  {:<16} {:?}", tunable.name(), tunable.kind());
     }
 
-    let bins = AccuracyBins::new(vec![0.1, 0.4]);
     let tuned = Autotuner::new(&runner, bins, TunerOptions::fast_preset(64, 5))
         .tune()
         .expect("targets reachable");

@@ -149,23 +149,6 @@ proptest! {
         let (tournament, brute) = prune_both_ways(&levels, &bins, k);
         prop_assert_eq!(tournament, brute);
     }
-
-    /// The language round-trips numeric headers through the printer.
-    #[test]
-    fn dsl_accuracy_bins_round_trip(bins in prop::collection::vec(-10.0f64..10.0, 1..6)) {
-        let rendered: Vec<String> = bins.iter().map(|b| format!("{b}")).collect();
-        let src = format!(
-            "transform t accuracy_bins {} from A[n] to B[n] {{ to (B b) from (A a) {{ b[0] = 1; }} }}",
-            rendered.join(" ")
-        );
-        let program = petabricks::lang::parse_program(&src).unwrap();
-        let printed = petabricks::lang::pretty::print_program(&program);
-        let reparsed = petabricks::lang::parse_program(&printed).unwrap();
-        prop_assert_eq!(
-            &program.transforms[0].accuracy_bins,
-            &reparsed.transforms[0].accuracy_bins
-        );
-    }
 }
 
 /// The shipped DSL programs, read as shipped.
