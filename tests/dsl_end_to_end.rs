@@ -6,7 +6,7 @@ use petabricks::config::AccuracyBins;
 use petabricks::lang::interp::Value;
 use petabricks::lang::{check_program, parse_program, DslTransform};
 use petabricks::runtime::{CostModel, TransformRunner, TrialRunner};
-use petabricks::tuner::{Autotuner, TunerOptions};
+use petabricks::tuner::{config_fingerprint, Autotuner, TunerOptions, TunerStats};
 use std::collections::HashMap;
 
 /// Iterative refinement: each `for_enough` iteration halves the error,
@@ -81,10 +81,29 @@ fn dsl_program_tunes_to_accuracy_bins() {
     let unbinned = compile_source(&REFINE.replace("accuracy_bins 1 3", ""));
     assert_eq!(unbinned.accuracy_bins(), None);
     let runner = TransformRunner::new(dsl, CostModel::Virtual);
-    let tuned = Autotuner::new(&runner, bins, TunerOptions::fast_preset(4, 0xD51))
-        .tune()
+    let outcome = Autotuner::new(&runner, bins, TunerOptions::fast_preset(4, 0xD51))
+        .tune_outcome()
         .expect("reachable targets");
+    let tuned = outcome.program;
     let schema = runner.schema();
+
+    // The run's decisions, recorded at seed `0xD51`: a change that
+    // claims to leave the tuner's decisions alone leaves these alone.
+    let decisions = TunerStats {
+        children_created: 32,
+        children_accepted: 11,
+        guided_runs: 1,
+        cache_hits: 30,
+        cache_misses: 60,
+        ..TunerStats::default()
+    };
+    assert_eq!(outcome.stats.decision_image(), decisions);
+    let fingerprints: Vec<u64> = tuned
+        .entries()
+        .iter()
+        .map(|e| config_fingerprint(&e.config))
+        .collect();
+    assert_eq!(fingerprints, [16632294184343744959, 17451968936011951962]);
 
     // The tight bin needs more for_enough iterations than the loose
     // one (1 digit needs ~4 halvings; 3 digits ~10).

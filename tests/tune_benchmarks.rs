@@ -8,21 +8,65 @@ use petabricks::benchmarks::{
 };
 use petabricks::config::AccuracyBins;
 use petabricks::runtime::{CostModel, Transform, TransformRunner, TrialRunner};
-use petabricks::tuner::{Autotuner, TunerOptions};
+use petabricks::tuner::{config_fingerprint, Autotuner, TunerOptions, TunerStats};
 
-/// Tunes a benchmark and validates the tuned frontier: every bin's
-/// configuration meets its target on fresh seeds (mean of 3 runs, with
-/// slack for sampling noise), and costs do not decrease as targets
-/// tighten.
-fn tune_and_check<T>(transform: T, bins: Vec<f64>, max_size: u64, slack: f64)
+/// What a tuning run decided, recorded at seed `0xE2E`: the non-zero
+/// counters of its decision image, in declaration order (children
+/// created and accepted, guided runs, cache hits, misses and coalesced
+/// requests, prune rounds and draws, merge rounds and draws), and each
+/// bin's configuration fingerprint. A change that claims to leave the
+/// tuner's decisions alone leaves these numbers alone.
+struct Golden {
+    decisions: [u64; 10],
+    fingerprints: [u64; 2],
+}
+
+/// Tunes a benchmark, pins its decisions to `golden`, and validates the
+/// tuned frontier: every bin's configuration meets its target on fresh
+/// seeds (mean of 3 runs, with slack for sampling noise), and costs do
+/// not decrease as targets tighten.
+fn tune_and_check<T>(transform: T, bins: Vec<f64>, max_size: u64, slack: f64, golden: Golden)
 where
     T: Transform + Send + Sync,
 {
     let runner = TransformRunner::new(transform, CostModel::Virtual);
     let bins = AccuracyBins::new(bins);
-    let tuned = Autotuner::new(&runner, bins, TunerOptions::fast_preset(max_size, 0xE2E))
-        .tune()
+    let outcome = Autotuner::new(&runner, bins, TunerOptions::fast_preset(max_size, 0xE2E))
+        .tune_outcome()
         .unwrap_or_else(|e| panic!("{} failed to tune: {e}", runner.name()));
+    let tuned = outcome.program;
+
+    let d = golden.decisions;
+    let decisions = TunerStats {
+        children_created: d[0],
+        children_accepted: d[1],
+        guided_runs: d[2],
+        cache_hits: d[3],
+        cache_misses: d[4],
+        cache_coalesced: d[5],
+        prune_rounds: d[6],
+        prune_draws: d[7],
+        merge_rounds: d[8],
+        merge_draws: d[9],
+        ..TunerStats::default()
+    };
+    let fingerprints: Vec<u64> = tuned
+        .entries()
+        .iter()
+        .map(|e| config_fingerprint(&e.config))
+        .collect();
+    assert_eq!(
+        outcome.stats.decision_image(),
+        decisions,
+        "{}: the run's decisions moved",
+        runner.name()
+    );
+    assert_eq!(
+        fingerprints,
+        golden.fingerprints,
+        "{}: the tuned configurations moved",
+        runner.name()
+    );
 
     for entry in tuned.entries() {
         let mean_acc: f64 = (100..103)
@@ -55,32 +99,81 @@ fn binpacking_tunes() {
         vec![ratio_to_accuracy(1.5), ratio_to_accuracy(1.1)],
         512,
         0.05,
+        Golden {
+            decisions: [152, 50, 9, 333, 780, 14, 49, 66, 329, 443],
+            fingerprints: [3593121945390088736, 13757747007497296233],
+        },
     );
 }
 
 #[test]
 fn clustering_tunes() {
-    tune_and_check(Clustering, vec![0.05, 0.2], 128, 0.04);
+    tune_and_check(
+        Clustering,
+        vec![0.05, 0.2],
+        128,
+        0.04,
+        Golden {
+            decisions: [118, 24, 1, 44, 228, 20, 0, 0, 0, 0],
+            fingerprints: [3351631446066172221, 6309349710390917252],
+        },
+    );
 }
 
 #[test]
 fn imagecompression_tunes() {
-    tune_and_check(ImageCompression, vec![0.3, 1.0], 24, 0.05);
+    tune_and_check(
+        ImageCompression,
+        vec![0.3, 1.0],
+        24,
+        0.05,
+        Golden {
+            decisions: [96, 16, 3, 78, 178, 12, 0, 0, 0, 0],
+            fingerprints: [3829817405662221939, 10652339385666867404],
+        },
+    );
 }
 
 #[test]
 fn preconditioner_tunes() {
-    tune_and_check(Preconditioner, vec![0.5, 2.0], 16, 0.1);
+    tune_and_check(
+        Preconditioner,
+        vec![0.5, 2.0],
+        16,
+        0.1,
+        Golden {
+            decisions: [75, 32, 0, 34, 134, 14, 0, 0, 0, 0],
+            fingerprints: [13057747326865578407, 11323289064743671789],
+        },
+    );
 }
 
 #[test]
 fn poisson_tunes() {
-    tune_and_check(Poisson2d, vec![1.0, 5.0], 15, 0.2);
+    tune_and_check(
+        Poisson2d,
+        vec![1.0, 5.0],
+        15,
+        0.2,
+        Golden {
+            decisions: [68, 4, 1, 10, 352, 32, 0, 0, 0, 0],
+            fingerprints: [7982226097295529205, 14975989814984909427],
+        },
+    );
 }
 
 #[test]
 fn helmholtz_tunes() {
-    tune_and_check(Helmholtz3d, vec![1.0, 3.0], 7, 0.2);
+    tune_and_check(
+        Helmholtz3d,
+        vec![1.0, 3.0],
+        7,
+        0.2,
+        Golden {
+            decisions: [51, 7, 0, 6, 114, 0, 0, 0, 0, 0],
+            fingerprints: [11693561503576570141, 4711559584290035882],
+        },
+    );
 }
 
 #[test]
