@@ -89,7 +89,8 @@ pub fn set_vm_profiling(on: bool) {
 /// Which tuner phase a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// `Population::test_all`.
+    /// Each size's first `Population::test_all` (new children and
+    /// guided candidates are tested inside their own phases).
     PhaseTest,
     /// Random-mutation plan+execute (children's trial batch).
     PhaseMutate,

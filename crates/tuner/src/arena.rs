@@ -11,9 +11,10 @@
 //! [`Arena::run`] advances every pending decision ([`Contest`]) as far
 //! as current statistics allow, collects the stalled comparisons'
 //! requested draws, executes them as one [`Evaluator::run_batch`] on
-//! the pool, merges outcomes back in candidate-index order, and
-//! repeats. Every comparison is decided afresh from the candidates'
-//! statistics at the moment it is asked.
+//! the pool, merges outcomes back in candidate-index order (through
+//! the helper that also tests the population), and repeats. Every
+//! comparison is decided afresh from the candidates' statistics at the
+//! moment it is asked.
 //!
 //! No randomness is consumed anywhere in a round (trial seeds are a
 //! deterministic function of each candidate's trial count) and merges
@@ -21,7 +22,7 @@
 //! forced-sequential execution, including every counter in
 //! [`ArenaReport`].
 
-use crate::candidate::Candidate;
+use crate::candidate::{run_trials, Candidate};
 use crate::exec::Evaluator;
 use pb_stats::{Comparator, CompareOutcome, CompareStep, SampleStats, Which};
 use std::collections::BTreeMap;
@@ -133,13 +134,15 @@ impl<'a, 'r> Arena<'a, 'r> {
     ///
     /// Each iteration advances all contests against the candidates'
     /// current statistics; every stalled comparison deposits its draw
-    /// request — per candidate, the *largest* request wins, since draws
-    /// extend the shared per-candidate statistics — and the round's
-    /// requests execute as one batch through the evaluator, merging
-    /// back in candidate-index order.
+    /// request as the trial count its candidate must reach — per
+    /// candidate, the *largest* request wins, since draws extend the
+    /// shared per-candidate statistics — and the round's requests
+    /// execute as one batch through the evaluator, merging back in
+    /// candidate-index order.
     pub fn run<C: Contest>(&mut self, cands: &mut [Candidate], n: u64, contests: &mut [C]) {
         let empty = SampleStats::new();
         loop {
+            // Candidate index → trials it must have once the round ran.
             let mut demands: BTreeMap<usize, u64> = BTreeMap::new();
             let mut all_done = true;
             {
@@ -152,12 +155,12 @@ impl<'a, 'r> Arena<'a, 'r> {
                     match comparator.decide_samples(time_a, time_b) {
                         CompareStep::Decided(outcome) => Some(outcome),
                         CompareStep::NeedMore { which, draws } => {
-                            let target = match which {
-                                Which::A => a,
-                                Which::B => b,
+                            let (target, time) = match which {
+                                Which::A => (a, time_a),
+                                Which::B => (b, time_b),
                             };
                             let entry = demands.entry(target).or_insert(0);
-                            *entry = (*entry).max(draws);
+                            *entry = (*entry).max(time.count() + draws);
                             None
                         }
                     }
@@ -171,29 +174,12 @@ impl<'a, 'r> Arena<'a, 'r> {
             }
             debug_assert!(!demands.is_empty(), "a stalled contest must demand draws");
 
-            // Plan one batch for the whole round, spanning every
-            // stalled comparison; candidate-index order fixes the
-            // merge order.
-            let mut requests = Vec::new();
-            let mut spans: Vec<(usize, usize)> = Vec::new();
-            for (&ci, &extra) in &demands {
-                let plan = cands[ci].plan_more_trials(n, extra);
-                spans.push((ci, plan.len()));
-                requests.extend(plan);
-            }
+            // One batch for the whole round, spanning every stalled
+            // comparison, run on the pool (or sequentially —
+            // bit-identical either way); candidate-index order fixes
+            // the merge order.
             self.rounds += 1;
-            self.draws += requests.len() as u64;
-
-            // Execute on the pool (or sequentially — bit-identical
-            // either way) and merge back in plan order.
-            let outcomes = self.evaluator.run_batch(&requests);
-            let mut offset = 0;
-            for (ci, count) in spans {
-                for outcome in &outcomes[offset..offset + count] {
-                    cands[ci].absorb(n, outcome);
-                }
-                offset += count;
-            }
+            self.draws += run_trials(cands, n, self.evaluator, demands);
         }
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! "The dominant time requirement of our autotuner is testing candidate
 //! algorithms by running them on training inputs" (§5.5.1), so every
-//! trial's result is cached on the candidate for its lifetime in the
-//! population, keyed by input size.
+//! trial's result is cached on the candidate for as long as the tuner
+//! trains at that input size. [`run_trials`] is the one path from a
+//! trial to a candidate.
 
-use crate::exec::{SharedConfig, TrialRequest};
+use crate::exec::{Evaluator, SharedConfig, TrialRequest};
 use crate::mutators::MutationRecord;
 use pb_config::Config;
 use pb_runtime::TrialOutcome;
 use pb_stats::{OnlineStats, SampleStats};
-use std::collections::BTreeMap;
 
 /// Cached timing and accuracy statistics for one input size.
 #[derive(Debug, Clone, Default)]
@@ -35,8 +35,11 @@ pub struct Candidate {
     /// The configuration this candidate embodies, fingerprinted once:
     /// every trial planned for it shares both.
     config: SharedConfig,
-    /// Per-input-size cached measurements.
-    results: BTreeMap<u64, SizeStats>,
+    /// The measurements at the input size they were taken at. A run
+    /// climbs its size schedule and never reads a size it has left, so
+    /// a candidate keeps one size's statistics: trials at a new size
+    /// replace them.
+    results: Option<(u64, SizeStats)>,
     /// Record of the mutation that created this candidate, consumed by
     /// the `MetaUndo` mutator (§5.4).
     pub last_mutation: Option<MutationRecord>,
@@ -54,7 +57,7 @@ impl Candidate {
         Candidate {
             id,
             config,
-            results: BTreeMap::new(),
+            results: None,
             last_mutation: None,
         }
     }
@@ -64,14 +67,25 @@ impl Candidate {
         self.config.config()
     }
 
-    /// The cached statistics for input size `n`, if any trials ran.
+    /// The cached statistics for input size `n`, if any trials ran
+    /// there since the candidate last measured another size.
     pub fn stats(&self, n: u64) -> Option<&SizeStats> {
-        self.results.get(&n)
+        match &self.results {
+            Some((size, stats)) if *size == n => Some(stats),
+            _ => None,
+        }
     }
 
-    /// Mutable (creating) access to the statistics for size `n`.
+    /// Mutable access to the statistics for size `n`, starting them
+    /// afresh (and dropping another size's) if there are none.
     pub fn stats_mut(&mut self, n: u64) -> &mut SizeStats {
-        self.results.entry(n).or_default()
+        if self.stats(n).is_none() {
+            self.results = None;
+        }
+        let (_, stats) = self
+            .results
+            .get_or_insert_with(|| (n, SizeStats::default()));
+        stats
     }
 
     /// Number of trials cached at size `n`.
@@ -99,25 +113,17 @@ impl Candidate {
     /// Plans the trials needed to reach `min_trials` cached trials at
     /// size `n` (the *plan* half of plan-then-execute; outcomes are
     /// merged back with [`Candidate::absorb`] in trial-index order).
-    /// Every request shares the candidate's configuration and
-    /// fingerprint: planning neither clones nor hashes it.
+    /// To plan `extra` trials beyond the cached ones, ask for
+    /// `trials(n) + extra`. Every request shares the candidate's
+    /// configuration and fingerprint: planning neither clones nor
+    /// hashes it.
     ///
     /// Seeds are a deterministic function of the size and trial index,
     /// so *different candidates are measured on the same training
     /// inputs*, which sharpens comparisons exactly as reusing test
     /// inputs did in the original system.
-    pub fn plan_trials(&self, n: u64, min_trials: u64) -> Vec<TrialRequest> {
+    pub fn plan_trials(&self, n: u64, min_trials: u64) -> impl Iterator<Item = TrialRequest> + '_ {
         self.config.plan(n, self.trials(n)..min_trials)
-    }
-
-    /// Plans `extra` additional trials beyond the ones already cached
-    /// at size `n` (the comparator-draw analogue of
-    /// [`Candidate::plan_trials`]; used by tournament pruning to batch
-    /// the adaptive comparator's requested draws). Outcomes must be
-    /// merged back with [`Candidate::absorb`] in plan order.
-    pub fn plan_more_trials(&self, n: u64, extra: u64) -> Vec<TrialRequest> {
-        let start = self.trials(n);
-        self.config.plan(n, start..start + extra)
     }
 
     /// Merges one planned trial's outcome into the size-`n` statistics.
@@ -134,6 +140,41 @@ impl Candidate {
     pub fn meets_target(&self, n: u64, target: f64) -> bool {
         self.mean_accuracy(n) >= target
     }
+}
+
+/// The one path from a trial to a candidate: brings each candidate `i`
+/// of `wants` — `(i, min_trials)` pairs, each `i` at most once, in the
+/// order that fixes the batch's and the merge's — up to `min_trials`
+/// cached trials at size `n`, running every candidate's missing trials
+/// as one [`Evaluator::run_batch`] and absorbing each candidate's
+/// outcomes in plan order. Candidates with nothing missing add nothing
+/// to the batch. Returns the number of trials run.
+pub(crate) fn run_trials(
+    cands: &mut [Candidate],
+    n: u64,
+    evaluator: &Evaluator<'_>,
+    wants: impl IntoIterator<Item = (usize, u64)>,
+) -> u64 {
+    let mut requests = Vec::new();
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    for (i, min_trials) in wants {
+        let start = requests.len();
+        requests.extend(cands[i].plan_trials(n, min_trials));
+        if requests.len() > start {
+            spans.push((i, requests.len() - start));
+        }
+    }
+    if requests.is_empty() {
+        return 0;
+    }
+    let outcomes = evaluator.run_batch(&requests);
+    let mut outcomes = outcomes.iter();
+    for (i, count) in spans {
+        for outcome in outcomes.by_ref().take(count) {
+            cands[i].absorb(n, outcome);
+        }
+    }
+    requests.len() as u64
 }
 
 /// Deterministic seed for trial `index` at input size `n`, shared by all
@@ -181,7 +222,8 @@ mod tests {
 
     /// Plans up to `min_trials` at `n`, runs the plan, absorbs it.
     fn fill(c: &mut Candidate, runner: &dyn TrialRunner, n: u64, min_trials: u64) {
-        for r in c.plan_trials(n, min_trials) {
+        let plan: Vec<TrialRequest> = c.plan_trials(n, min_trials).collect();
+        for r in plan {
             c.absorb(n, &runner.run_trial(r.config(), r.n, r.seed));
         }
     }
@@ -198,7 +240,7 @@ mod tests {
         assert_eq!(c.mean_time(16), 16.0);
         assert_eq!(c.mean_accuracy(16), 0.7);
         // Planning again asks for nothing more.
-        assert!(c.plan_trials(16, 3).is_empty());
+        assert_eq!(c.plan_trials(16, 3).count(), 0);
         // Other sizes remain independent.
         assert_eq!(c.trials(32), 0);
     }

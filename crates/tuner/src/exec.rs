@@ -129,15 +129,17 @@ impl SharedConfig {
 
     /// One request per trial index in `indices` at size `n`, each on
     /// the shared configuration and fingerprint.
-    pub(crate) fn plan(&self, n: u64, indices: Range<u64>) -> Vec<TrialRequest> {
-        indices
-            .map(|index| TrialRequest {
-                config: Arc::clone(&self.config),
-                fingerprint: self.fingerprint,
-                n,
-                seed: crate::candidate::trial_seed(n, index),
-            })
-            .collect()
+    pub(crate) fn plan(
+        &self,
+        n: u64,
+        indices: Range<u64>,
+    ) -> impl Iterator<Item = TrialRequest> + '_ {
+        indices.map(move |index| TrialRequest {
+            config: Arc::clone(&self.config),
+            fingerprint: self.fingerprint,
+            n,
+            seed: crate::candidate::trial_seed(n, index),
+        })
     }
 }
 
@@ -609,15 +611,28 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// Mean accuracy of `config` over trials `0..trials` at size `n`
-    /// (a batched replacement for probe candidates).
-    pub(crate) fn mean_accuracy(&self, config: &SharedConfig, n: u64, trials: u64) -> f64 {
-        let requests = config.plan(n, 0..trials);
-        let mut acc = OnlineStats::new();
-        for outcome in self.run_batch(&requests) {
-            acc.push(outcome.accuracy);
-        }
-        acc.mean()
+    /// Each configuration's mean accuracy over trials `0..trials` at
+    /// size `n`, all run as one batch (guided mutation's probes, which
+    /// never join the population). No trials read 0.0.
+    pub(crate) fn mean_accuracies(
+        &self,
+        configs: &[SharedConfig],
+        n: u64,
+        trials: u64,
+    ) -> Vec<f64> {
+        let requests: Vec<TrialRequest> =
+            configs.iter().flat_map(|c| c.plan(n, 0..trials)).collect();
+        let outcomes = self.run_batch(&requests);
+        let trials = trials as usize;
+        (0..configs.len())
+            .map(|k| {
+                let mut acc = OnlineStats::new();
+                for outcome in &outcomes[k * trials..(k + 1) * trials] {
+                    acc.push(outcome.accuracy);
+                }
+                acc.mean()
+            })
+            .collect()
     }
 }
 
@@ -694,8 +709,10 @@ mod tests {
             .unwrap();
         let fingerprint = config_fingerprint(&config);
         let candidate = crate::candidate::Candidate::new(7, config.clone());
-        let planned = candidate.plan_trials(16, 3);
-        let more = candidate.plan_more_trials(16, 2);
+        let planned: Vec<TrialRequest> = candidate.plan_trials(16, 3).collect();
+        let more: Vec<TrialRequest> = candidate
+            .plan_trials(16, candidate.trials(16) + 2)
+            .collect();
         assert_eq!((planned.len(), more.len()), (3, 2));
         // Nothing absorbed yet: both plans start at trial index 0.
         let seeds: Vec<u64> = planned.iter().chain(&more).map(|r| r.seed).collect();
@@ -1420,6 +1437,34 @@ mod tests {
             assert_eq!(ran.values().sum::<u64>(), 24, "{mode:?}");
             assert_eq!(eval.trials(), 24, "{mode:?}");
         }
+    }
+
+    /// Guided mutation's probes: one batch, one mean per configuration
+    /// in order, and 0.0 for each when no trial is asked for.
+    #[test]
+    fn mean_accuracies_read_each_probe_and_zero_without_trials() {
+        let runner = TransformRunner::new(Jittered, CostModel::Virtual);
+        let schema = runner.schema();
+        let configs: Vec<SharedConfig> = [1, 3]
+            .map(|v| {
+                let mut config = schema.default_config();
+                config.set_by_name(schema, "v", Value::Int(v)).unwrap();
+                SharedConfig::new(config)
+            })
+            .into();
+        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
+        assert_eq!(eval.mean_accuracies(&configs, 8, 0), [0.0, 0.0]);
+        assert_eq!(eval.trials(), 0);
+        let means = eval.mean_accuracies(&configs, 8, 3);
+        for (config, mean) in configs.iter().zip(means) {
+            let mut acc = OnlineStats::new();
+            for i in 0..3 {
+                let outcome = runner.run_trial(config.config(), 8, trial_seed(8, i));
+                acc.push(outcome.accuracy);
+            }
+            assert_eq!(mean.to_bits(), acc.mean().to_bits());
+        }
+        assert_eq!(eval.cache_misses(), 6);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`MutatorPool`] — the mutator pool generated automatically from a
 //!   transform's tunable schema (§5.4): decision-tree manipulation,
 //!   log-normal scaling, uniform random, and meta mutators.
-//! * [`Candidate`] — a configuration plus its cached per-input-size
-//!   timing/accuracy statistics.
+//! * [`Candidate`] — a configuration plus its cached timing/accuracy
+//!   statistics at the current input size.
 //! * [`Population`] — the accuracy-binned pruning procedure (§5.5.4).
 //! * [`arena`] — the comparison arena: a session object with a
 //!   generic "pending decisions → batched draws → merged outcomes"
@@ -84,5 +84,4 @@ pub use candidate::{Candidate, SizeStats};
 pub use exec::{config_fingerprint, EvalMode, Evaluator, TrialRequest};
 pub use mutators::{MutationRecord, Mutator, MutatorPool};
 pub use population::Population;
-pub use tournament::PruneReport;
 pub use tuner::{Autotuner, TunerError, TunerOptions, TunerStats, TuningOutcome};

@@ -20,9 +20,9 @@
 //! execute as one [`Evaluator`] batch per round on the pool.
 
 use crate::arena::{Arena, ArenaReport, Contest, PairContest};
-use crate::candidate::Candidate;
+use crate::candidate::{run_trials, Candidate};
 use crate::exec::Evaluator;
-use crate::tournament::{PruneReport, Selection};
+use crate::tournament::Selection;
 use pb_config::AccuracyBins;
 use pb_stats::{total_cmp_nan_first, total_cmp_nan_last, welch_t_test, Comparator, CompareOutcome};
 use std::collections::{BTreeMap, BTreeSet};
@@ -107,7 +107,8 @@ impl Population {
     }
 
     /// Ensures every candidate has at least `min_trials` cached at `n`
-    /// (the *testPopulation* phase of Figure 5).
+    /// (the *testPopulation* phase of Figure 5, and how candidates new
+    /// to the population get their first trials).
     ///
     /// Plan-then-execute: the whole population's missing trials are
     /// collected into one batch, executed through `evaluator` (on the
@@ -115,26 +116,8 @@ impl Population {
     /// candidate in trial-index order — bit-identical to testing each
     /// candidate sequentially.
     pub fn test_all(&mut self, evaluator: &Evaluator<'_>, n: u64, min_trials: u64) {
-        let mut requests = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for (i, c) in self.candidates.iter().enumerate() {
-            let plan = c.plan_trials(n, min_trials);
-            if !plan.is_empty() {
-                spans.push((i, plan.len()));
-                requests.extend(plan);
-            }
-        }
-        if requests.is_empty() {
-            return;
-        }
-        let outcomes = evaluator.run_batch(&requests);
-        let mut offset = 0;
-        for (i, count) in spans {
-            for outcome in &outcomes[offset..offset + count] {
-                self.candidates[i].absorb(n, outcome);
-            }
-            offset += count;
-        }
+        let wants = (0..self.candidates.len()).map(|i| (i, min_trials));
+        run_trials(&mut self.candidates, n, evaluator, wants);
     }
 
     /// Adaptive time comparison between candidates `i` and `j` at size
@@ -233,7 +216,7 @@ impl Population {
     /// pair — execute as a single [`Evaluator`] batch on the pool,
     /// sharing the trial memo. Plan-then-execute with merges in
     /// candidate-index order keeps parallel pruning bit-identical to
-    /// sequential.
+    /// sequential. Returns the session's counters.
     pub fn prune(
         &mut self,
         n: u64,
@@ -241,10 +224,9 @@ impl Population {
         keep_per_bin: usize,
         evaluator: &Evaluator<'_>,
         comparator: &Comparator,
-    ) -> PruneReport {
-        let mut report = PruneReport::default();
+    ) -> ArenaReport {
         if self.candidates.len() <= 1 {
-            return report;
+            return ArenaReport::default();
         }
         let mut selections: Vec<Selection> = bins
             .targets()
@@ -258,7 +240,6 @@ impl Population {
             .collect();
         let mut arena = Arena::new(evaluator, comparator);
         arena.run(&mut self.candidates, n, &mut selections);
-        report.arena = arena.report();
         let mut keep: BTreeSet<usize> = selections
             .into_iter()
             .flat_map(Selection::into_result)
@@ -266,10 +247,8 @@ impl Population {
         if let Some(best) = self.best_accuracy_index(n) {
             keep.insert(best);
         }
-        let before = self.candidates.len();
         self.retain_indexed(|idx| keep.contains(&idx));
-        report.removed = (before - self.candidates.len()) as u64;
-        report
+        arena.report()
     }
 }
 
@@ -423,7 +402,8 @@ mod tests {
         let bins = AccuracyBins::new(vec![0.2, 0.8]);
         let comparator = Comparator::default();
         let evaluator = Evaluator::new(&runner, crate::exec::EvalMode::Sequential, true);
-        let removed = pop.prune(16, &bins, 1, &evaluator, &comparator).removed;
+        pop.prune(16, &bins, 1, &evaluator, &comparator);
+        let removed = 10 - pop.len();
         assert!(removed >= 7, "population should shrink, removed {removed}");
         // The fastest candidate meeting 0.2 is level 2; meeting 0.8 is
         // level 8; the best-accuracy safety net keeps level 10.
@@ -610,8 +590,8 @@ mod tests {
         // Kept: the two truly fastest (10, 20) plus the best-accuracy
         // safety net (900). The moving-pivot bug kept 500 instead of 20.
         assert_eq!(levels, vec![10, 20, 900], "report: {report:?}");
-        assert!(report.arena.rounds > 0, "adaptive draws must have batched");
-        assert!(report.arena.draws > 0);
+        assert!(report.rounds > 0, "adaptive draws must have batched");
+        assert!(report.draws > 0);
     }
 
     /// The prune path must execute its comparator draws through
@@ -644,9 +624,9 @@ mod tests {
         let evaluator = Evaluator::new(&runner, crate::exec::EvalMode::Sequential, true);
         let bins = AccuracyBins::new(vec![0.01, 0.2]);
         let report = pop.prune(n, &bins, 2, &evaluator, &comparator);
-        assert!(report.arena.rounds > 0);
+        assert!(report.rounds > 0);
         assert!(
-            report.arena.draws > report.arena.rounds,
+            report.draws > report.rounds,
             "independent comparisons must batch their draws: {report:?}"
         );
     }

@@ -26,15 +26,6 @@ use crate::arena::Contest;
 use crate::candidate::Candidate;
 use pb_stats::{total_cmp_nan_last, CompareOutcome};
 
-/// What one [`Population::prune`](crate::Population::prune) call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PruneReport {
-    /// Candidates removed from the population.
-    pub removed: u64,
-    /// The prune call's arena-session counters (rounds, draws).
-    pub arena: crate::arena::ArenaReport,
-}
-
 /// K-way selection over pre-sorted runs of candidate indices:
 /// repeatedly pops the overall fastest remaining head, until `take`
 /// elements are selected.

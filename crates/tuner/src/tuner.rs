@@ -19,7 +19,7 @@
 //! the fastest `K` per accuracy bin (§5.5.4).
 
 use crate::candidate::Candidate;
-use crate::exec::{EvalMode, Evaluator, SharedConfig, TrialRequest};
+use crate::exec::{EvalMode, Evaluator, SharedConfig};
 use crate::mutators::MutatorPool;
 use crate::population::Population;
 use pb_config::{AccuracyBins, Config, Schema, TunableKind, Value};
@@ -339,17 +339,14 @@ impl<'a> Autotuner<'a> {
                     &mut stats,
                     &mut alloc_id,
                 );
-                if self.targets_not_reached(&pop, n) {
+                if let Some(target) = self.unmet_target(&pop, n) {
                     stats.guided_runs += 1;
                     let span = pb_trace::start();
-                    self.guided_mutation(
-                        &evaluator,
-                        &schema,
-                        &mut pop,
-                        n,
-                        &mut stats,
-                        &mut alloc_id,
-                    );
+                    if self.guided_mutation(&evaluator, &schema, &mut pop, n, target, &mut alloc_id)
+                    {
+                        stats.children_created += 1;
+                        stats.children_accepted += 1;
+                    }
                     pb_trace::record(EventKind::PhaseGuided, span);
                 }
                 let span = pb_trace::start();
@@ -361,8 +358,8 @@ impl<'a> Autotuner<'a> {
                     &comparator,
                 );
                 pb_trace::record(EventKind::PhasePrune, span);
-                stats.prune_rounds += report.arena.rounds;
-                stats.prune_draws += report.arena.draws;
+                stats.prune_rounds += report.rounds;
+                stats.prune_draws += report.draws;
             }
         }
 
@@ -403,23 +400,25 @@ impl<'a> Autotuner<'a> {
         })
     }
 
-    /// Whether any accuracy bin is unmet by every candidate (drives the
-    /// guided-mutation phase of Figure 5).
-    fn targets_not_reached(&self, pop: &Population, n: u64) -> bool {
+    /// The lowest accuracy-bin target no candidate meets, if any (drives
+    /// the guided-mutation phase of Figure 5, which climbs toward it).
+    fn unmet_target(&self, pop: &Population, n: u64) -> Option<f64> {
         self.bins
             .targets()
             .iter()
-            .any(|&t| pop.fastest_meeting(n, t).is_none())
+            .copied()
+            .find(|&t| pop.fastest_meeting(n, t).is_none())
     }
 
     /// The random-mutation phase (§5.5.2) in plan-then-execute form:
     ///
     /// 1. **Plan** — draw every mutation attempt of the round against
     ///    the round-start population: pick a random parent and
-    ///    mutator, build the child configuration. No trials run.
-    /// 2. **Execute** — batch all planned children's initial trials
-    ///    through the evaluator (the pool in parallel
-    ///    mode).
+    ///    mutator, build the child configuration, and append the child
+    ///    to the population. No trials run.
+    /// 2. **Test** — the population's test (only the children lack
+    ///    trials) batches all their initial trials through the
+    ///    evaluator (the pool in parallel mode).
     /// 3. **Merge** — decide each child-vs-parent comparison through
     ///    one comparison-arena session
     ///    ([`Population::merge_children`]): the pairs are grouped by
@@ -453,10 +452,10 @@ impl<'a> Autotuner<'a> {
         }
         // Phase 1 — plan. Parents are drawn from the round-start
         // population (accepted children join the parent pool next
-        // round).
+        // round); children join at fixed indices after the parents.
         let span = pb_trace::start();
         let parent_count = pop.len();
-        let mut planned: Vec<(usize, Candidate)> = Vec::new();
+        let mut parent_of: Vec<usize> = Vec::new();
         for _ in 0..self.options.mutation_attempts {
             let parent_idx = rng.gen_range(0..parent_count);
             let parent = &pop.candidates()[parent_idx];
@@ -467,35 +466,17 @@ impl<'a> Autotuner<'a> {
             };
             let mut child = Candidate::new(alloc_id(), config);
             child.last_mutation = Some(record);
-            planned.push((parent_idx, child));
-        }
-
-        // Phase 2 — execute the whole round's initial trials at once.
-        let mut requests = Vec::new();
-        let mut spans = Vec::new();
-        for (_, child) in &planned {
-            let plan = child.plan_trials(n, self.options.comparator.min_trials);
-            spans.push(plan.len());
-            requests.extend(plan);
-        }
-        let outcomes = evaluator.run_batch(&requests);
-        let mut offset = 0;
-        for ((_, child), count) in planned.iter_mut().zip(&spans) {
-            for outcome in &outcomes[offset..offset + *count] {
-                child.absorb(n, outcome);
-            }
-            offset += count;
-        }
-        pb_trace::record(EventKind::PhaseMutate, span);
-
-        // Phase 3 — merge through the arena. All children join the
-        // population at fixed indices after the parents; rejected ones
-        // are dropped once every pair is decided.
-        let parent_of: Vec<usize> = planned.iter().map(|&(p, _)| p).collect();
-        for (_, child) in planned {
-            stats.children_created += 1;
+            parent_of.push(parent_idx);
             pop.add(child);
         }
+        stats.children_created += parent_of.len() as u64;
+
+        // Phase 2 — test the whole round's children at once.
+        pop.test_all(evaluator, n, self.options.comparator.min_trials);
+        pb_trace::record(EventKind::PhaseMutate, span);
+
+        // Phase 3 — merge through the arena; rejected children are
+        // dropped once every pair is decided.
         let span = pb_trace::start();
         let (accepted, report) = pop.merge_children(
             &parent_of,
@@ -512,8 +493,9 @@ impl<'a> Autotuner<'a> {
     }
 
     /// The guided-mutation phase (§5.5.3): hill climbing on the
-    /// accuracy tunables of the best-accuracy candidate toward the
-    /// lowest unmet bin target.
+    /// accuracy tunables of the best-accuracy candidate toward
+    /// `target`, the lowest unmet bin target. Returns whether it added
+    /// a candidate to the population.
     ///
     /// Each hill-climbing step's neighbour probes are independent, so
     /// their trials execute as one batch; the winning probe is picked
@@ -525,28 +507,21 @@ impl<'a> Autotuner<'a> {
         schema: &Schema,
         pop: &mut Population,
         n: u64,
-        stats: &mut TunerStats,
+        target: f64,
         alloc_id: &mut impl FnMut() -> u64,
-    ) {
-        let Some(&target) = self
-            .bins
-            .targets()
-            .iter()
-            .find(|&&t| pop.fastest_meeting(n, t).is_none())
-        else {
-            return;
-        };
+    ) -> bool {
         let Some(base_idx) = pop.best_accuracy_index(n) else {
-            return;
+            return false;
         };
         let accuracy_ids = schema.accuracy_tunables();
         if accuracy_ids.is_empty() {
-            return;
+            return false;
         }
 
+        let trials = self.options.comparator.min_trials;
         let mut current = SharedConfig::new(pop.candidates()[base_idx].config().clone());
         let mut current_acc =
-            evaluator.mean_accuracy(&current, n, self.options.comparator.min_trials);
+            evaluator.mean_accuracies(std::slice::from_ref(&current), n, trials)[0];
         let mut improved_any = false;
 
         for _ in 0..self.options.guided_max_steps {
@@ -566,22 +541,10 @@ impl<'a> Autotuner<'a> {
                 }
             }
             // … execute their trials as one batch …
-            let trials = self.options.comparator.min_trials;
-            let requests: Vec<TrialRequest> = probes
-                .iter()
-                .flat_map(|probe| probe.plan(n, 0..trials))
-                .collect();
-            let outcomes = evaluator.run_batch(&requests);
+            let accuracies = evaluator.mean_accuracies(&probes, n, trials);
             // … and pick the winner in plan order.
-            let trials = trials as usize;
             let mut best: Option<(SharedConfig, f64)> = None;
-            for (k, probe) in probes.into_iter().enumerate() {
-                let span = &outcomes[k * trials..(k + 1) * trials];
-                let mut acc_stats = pb_stats::OnlineStats::new();
-                for outcome in span {
-                    acc_stats.push(outcome.accuracy);
-                }
-                let acc = acc_stats.mean();
+            for (probe, acc) in probes.into_iter().zip(accuracies) {
                 if best.as_ref().map(|(_, a)| acc > *a).unwrap_or(true) {
                     best = Some((probe, acc));
                 }
@@ -596,16 +559,12 @@ impl<'a> Autotuner<'a> {
             }
         }
 
-        if improved_any || current_acc >= target {
-            let mut candidate = Candidate::shared(alloc_id(), current);
-            let plan = candidate.plan_trials(n, self.options.comparator.min_trials);
-            for outcome in &evaluator.run_batch(&plan) {
-                candidate.absorb(n, outcome);
-            }
-            stats.children_created += 1;
-            stats.children_accepted += 1;
-            pop.add(candidate);
+        let added = improved_any || current_acc >= target;
+        if added {
+            pop.add(Candidate::shared(alloc_id(), current));
+            pop.test_all(evaluator, n, trials);
         }
+        added
     }
 }
 

@@ -124,7 +124,8 @@ fn blocking_reference_merge(
                     // served before the next is planned.
                     let candidate = &mut pop.candidates_mut()[target];
                     for _ in 0..draws {
-                        let plan = candidate.plan_more_trials(n, 1);
+                        let plan: Vec<_> =
+                            candidate.plan_trials(n, candidate.trials(n) + 1).collect();
                         candidate.absorb(n, &evaluator.run_batch(&plan)[0]);
                     }
                 }
@@ -372,7 +373,7 @@ fn resort_draws_nothing_beyond_the_promotion_pair() {
     let pair_draws = arena.report().draws;
     assert!(pair_draws > 0, "the promotion decision must draw trials");
     assert_eq!(
-        report.arena.draws, pair_draws,
+        report.draws, pair_draws,
         "prune must draw exactly one pair-decision's trials; more means \
          the re-sort re-tested the promotion pair"
     );
