@@ -142,13 +142,13 @@ impl Candidate {
     }
 }
 
-/// The one path from a trial to a candidate: brings each candidate `i`
-/// of `wants` — `(i, min_trials)` pairs, each `i` at most once, in the
-/// order that fixes the batch's and the merge's — up to `min_trials`
-/// cached trials at size `n`, running every candidate's missing trials
-/// as one [`Evaluator::run_batch`] and absorbing each candidate's
-/// outcomes in plan order. Candidates with nothing missing add nothing
-/// to the batch. Returns the number of trials run.
+/// The one path from a trial to a candidate. For each `(i, min_trials)`
+/// in `wants`, plans the trials candidate `i` lacks to hold `min_trials`
+/// at size `n`; runs them all as one [`Evaluator::run_batch`]; and
+/// absorbs each candidate's outcomes in plan order. `wants` names each
+/// candidate at most once, and its order is the batch's order.
+/// Candidates that lack nothing add nothing. Returns the number of
+/// trials run.
 pub(crate) fn run_trials(
     cands: &mut [Candidate],
     n: u64,
