@@ -315,8 +315,137 @@ impl Transform for Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_inputs::trial_hash_words;
     use pb_config::Value;
     use rand::SeedableRng;
+
+    /// Whole-trial hashes (centroid and assignment bits, virtual cost
+    /// and accuracy) taken before trials kept their k-means++ seeding on
+    /// the input and the assignment scan pruned by x. At `k = n` random
+    /// initialization draws duplicate centroids, so the scan meets ties.
+    const PINS: [&str; 78] = [
+        "n64 random once k=1: b57237b5b7d495ab",
+        "n64 random once k=8: 63260e6fd2161a8d",
+        "n64 random once k=64: cbf054a4ac975491",
+        "n64 random stabilize_pct k=1: 018c59d9390aea01",
+        "n64 random stabilize_pct k=8: ad1bf551abcfed4d",
+        "n64 random stabilize_pct k=64: be2f38235d49e43e",
+        "n64 random fixed_point k=1: 018c59d9390aea01",
+        "n64 random fixed_point k=8: ad1bf551abcfed4d",
+        "n64 random fixed_point k=64: be2f38235d49e43e",
+        "n64 kmeans++ once k=1: e960131b36a80259",
+        "n64 kmeans++ once k=8: 7fdc3c7609293f64",
+        "n64 kmeans++ once k=64: d89ff5025eb711f6",
+        "n64 kmeans++ stabilize_pct k=1: b401482663a8a3cc",
+        "n64 kmeans++ stabilize_pct k=8: 03c99e0fa3378eb8",
+        "n64 kmeans++ stabilize_pct k=64: 2da545434f20195e",
+        "n64 kmeans++ fixed_point k=1: b401482663a8a3cc",
+        "n64 kmeans++ fixed_point k=8: 03c99e0fa3378eb8",
+        "n64 kmeans++ fixed_point k=64: 2da545434f20195e",
+        "n512 random once k=1: 56a9d5983d83930b",
+        "n512 random once k=8: 3f1dbf458a883c10",
+        "n512 random once k=23: 5fac996c6e809d54",
+        "n512 random once k=459: 81c44e9184fe3ad4",
+        "n512 random once k=512: 9b5f5c6a8a18a5a0",
+        "n512 random stabilize_pct k=1: b02b2ca9a1453bce",
+        "n512 random stabilize_pct k=8: 0396e74c4554e2da",
+        "n512 random stabilize_pct k=23: d0e54bdb89a6ce00",
+        "n512 random stabilize_pct k=459: b432cbc990f99116",
+        "n512 random stabilize_pct k=512: d95c47af8b05bf9e",
+        "n512 random fixed_point k=1: b02b2ca9a1453bce",
+        "n512 random fixed_point k=8: 0396e74c4554e2da",
+        "n512 random fixed_point k=23: 0166564c989d63db",
+        "n512 random fixed_point k=459: b432cbc990f99116",
+        "n512 random fixed_point k=512: 0acd08601bd64059",
+        "n512 kmeans++ once k=1: a1c506af3c36122f",
+        "n512 kmeans++ once k=8: 3e21cd12a580a576",
+        "n512 kmeans++ once k=23: 6525a93313c791e5",
+        "n512 kmeans++ once k=459: 9c9665e612d8c849",
+        "n512 kmeans++ once k=512: 8bb3d348ec8fdb88",
+        "n512 kmeans++ stabilize_pct k=1: 6712a758f88613ba",
+        "n512 kmeans++ stabilize_pct k=8: cd5580dd9fe7f9f9",
+        "n512 kmeans++ stabilize_pct k=23: 2fdef7515d08e5ce",
+        "n512 kmeans++ stabilize_pct k=459: 7087c08f7c584523",
+        "n512 kmeans++ stabilize_pct k=512: 6beb0fe9ee80e11c",
+        "n512 kmeans++ fixed_point k=1: 6712a758f88613ba",
+        "n512 kmeans++ fixed_point k=8: cd5580dd9fe7f9f9",
+        "n512 kmeans++ fixed_point k=23: 2fdef7515d08e5ce",
+        "n512 kmeans++ fixed_point k=459: 7087c08f7c584523",
+        "n512 kmeans++ fixed_point k=512: 6beb0fe9ee80e11c",
+        "n2048 random once k=1: fb0b07f0e13edf2f",
+        "n2048 random once k=8: d692fad6f06699a7",
+        "n2048 random once k=45: 8408eb1983ae1bd1",
+        "n2048 random once k=459: c1e598a9c8e86c2a",
+        "n2048 random once k=2048: 15329e7abc6b4c3e",
+        "n2048 random stabilize_pct k=1: 57a4c8ad04d6c10f",
+        "n2048 random stabilize_pct k=8: 695ef4bf2b26a635",
+        "n2048 random stabilize_pct k=45: 314a4f5842970102",
+        "n2048 random stabilize_pct k=459: dc5dfb90c48d75ad",
+        "n2048 random stabilize_pct k=2048: 1aa9b2a8b7c3eab4",
+        "n2048 random fixed_point k=1: 57a4c8ad04d6c10f",
+        "n2048 random fixed_point k=8: 695ef4bf2b26a635",
+        "n2048 random fixed_point k=45: ad5672621d67c645",
+        "n2048 random fixed_point k=459: b4e9893cdf5b21c3",
+        "n2048 random fixed_point k=2048: f021bd97750a9833",
+        "n2048 kmeans++ once k=1: 43f21260c3793133",
+        "n2048 kmeans++ once k=8: 375960e8466faf33",
+        "n2048 kmeans++ once k=45: 79ad211c3d935fbc",
+        "n2048 kmeans++ once k=459: 45984d3fc51a5f12",
+        "n2048 kmeans++ once k=2048: e6d86bb935e64181",
+        "n2048 kmeans++ stabilize_pct k=1: e3d82767ff3a5517",
+        "n2048 kmeans++ stabilize_pct k=8: 2d2184d0037b0ea4",
+        "n2048 kmeans++ stabilize_pct k=45: ee02b64ce8f86254",
+        "n2048 kmeans++ stabilize_pct k=459: c0880016a88f24ab",
+        "n2048 kmeans++ stabilize_pct k=2048: ce7f3cf9b2ecdf9e",
+        "n2048 kmeans++ fixed_point k=1: e3d82767ff3a5517",
+        "n2048 kmeans++ fixed_point k=8: 9d8ee699dde1bb41",
+        "n2048 kmeans++ fixed_point k=45: 41a1be274472c48b",
+        "n2048 kmeans++ fixed_point k=459: f2af19ca31998fec",
+        "n2048 kmeans++ fixed_point k=2048: ce7f3cf9b2ecdf9e",
+    ];
+
+    #[test]
+    fn whole_trials_match_their_pins() {
+        let t = Clustering;
+        let schema = t.schema();
+        let mut got = Vec::new();
+        for n in [64u64, 512, 2048] {
+            let input = t.generate_input(n, &mut SmallRng::seed_from_u64(n));
+            let root = (n as f64).sqrt().round() as u64;
+            let mut ks: Vec<u64> = [1, 8, root, 459, n]
+                .into_iter()
+                .filter(|&k| k <= n)
+                .collect();
+            ks.dedup();
+            for (init, init_name) in INIT_NAMES.iter().enumerate() {
+                for (policy, policy_name) in ITERATION_NAMES.iter().enumerate() {
+                    for &k in &ks {
+                        let mut config = schema.default_config();
+                        let tree = |c| Value::Tree(pb_config::DecisionTree::single(c));
+                        config.set_by_name(&schema, "init", tree(init)).unwrap();
+                        config
+                            .set_by_name(&schema, "iteration", tree(policy))
+                            .unwrap();
+                        config
+                            .set_by_name(&schema, "k", Value::Int(k as i64))
+                            .unwrap();
+                        config
+                            .set_by_name(&schema, "max_iters", Value::Int(12))
+                            .unwrap();
+                        let (hash, _) = trial_hash_words(&t, &config, &input, n, |out| {
+                            let c = &out.centroids;
+                            let floats = c.x.iter().chain(&c.y).map(|v| v.to_bits());
+                            floats
+                                .chain(out.assignments.iter().map(|&a| a as u64))
+                                .collect()
+                        });
+                        got.push(format!("n{n} {init_name} {policy_name} k={k}: {hash:016x}"));
+                    }
+                }
+            }
+        }
+        assert_eq!(got, PINS);
+    }
 
     #[test]
     fn generator_matches_paper_shape() {

@@ -150,16 +150,33 @@ pub(crate) fn trial_hash<T: Transform>(
     n: u64,
     values: impl Fn(&T::Output) -> Vec<&[f64]>,
 ) -> (u64, u64) {
+    trial_hash_words(t, config, input, n, |out| {
+        values(out)
+            .into_iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    })
+}
+
+/// [`trial_hash`] over the 64-bit words `words` reads off the output,
+/// for outputs that are not all floats.
+pub(crate) fn trial_hash_words<T: Transform>(
+    t: &T,
+    config: &Config,
+    input: &T::Input,
+    n: u64,
+    words: impl Fn(&T::Output) -> Vec<u64>,
+) -> (u64, u64) {
     let schema = t.schema();
     let mut ctx = ExecCtx::new(&schema, config, n, 0);
     ctx.enable_trace();
     let out = t.execute(input, &mut ctx);
-    let tail = [ctx.virtual_cost(), t.accuracy(input, &out)];
-    let trial = values(&out)
+    let tail = [ctx.virtual_cost(), t.accuracy(input, &out)].map(f64::to_bits);
+    let trial = words(&out)
         .into_iter()
-        .flatten()
-        .chain(&tail)
-        .fold(FNV_OFFSET, |h, v| fnv(h, &v.to_bits().to_le_bytes()));
+        .chain(tail)
+        .fold(FNV_OFFSET, |h, w| fnv(h, &w.to_le_bytes()));
     let mut shape = String::new();
     write_shape(&ctx.trace_tree(), &mut shape);
     (trial, fnv(FNV_OFFSET, shape.as_bytes()))
