@@ -283,10 +283,13 @@ impl TrialRunner for Unshared<'_> {
 }
 
 /// Image compression keeps its Gram reduction and each eigensolver's
-/// top singular triplets on the shared input, and Helmholtz its band
-/// factors; none may show in a tuned decision or a counter. Image
-/// compression tunes up to n = 48 as well as 16: only past 32 does
-/// divide and conquer recurse.
+/// top singular triplets on the shared input, Helmholtz its band
+/// factors, and k-means its k-means++ seedings; none may show in a
+/// tuned decision or a counter. Image compression tunes up to n = 48 as
+/// well as 16: only past 32 does divide and conquer recurse. k-means
+/// tunes up to n = 1 024 at the seed whose tuned programs seed 30
+/// centres by k-means++ at every size, so the assignment scan prunes
+/// too.
 #[test]
 fn shared_inputs_change_work_not_results() {
     let _pool = force_parallel_pool();
@@ -307,6 +310,8 @@ fn shared_inputs_change_work_not_results() {
     check(&image, vec![0.3, 1.0], 48, 0x1C);
     let helmholtz = TransformRunner::new(Helmholtz3d, CostModel::Virtual);
     check(&helmholtz, vec![1.0, 3.0, 5.0], 7, 0x4E);
+    let clustering = TransformRunner::new(Clustering, CostModel::Virtual);
+    check(&clustering, vec![0.05, 0.2], 1024, 0xE2E);
 }
 
 /// A trial that spins for `spin` before charging like `v` iterations
