@@ -47,11 +47,6 @@ impl SpdOperator {
         self.m * self.m
     }
 
-    /// Diagonal entry at linear index `i`.
-    pub fn diag(&self, i: usize) -> f64 {
-        self.a[i] + 4.0
-    }
-
     /// `y = A·x`.
     ///
     /// # Panics
@@ -66,7 +61,8 @@ impl SpdOperator {
     /// `y = A·x` into `y`, row by row: each point's centre term, then
     /// whichever of its up, down, left and right neighbours exist are
     /// subtracted in that order, so every entry is `apply`'s
-    /// point-by-point expression.
+    /// point-by-point expression. An interior row, with both vertical
+    /// neighbours, takes one pass; a boundary row one pass per term.
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         let m = self.m;
         assert_eq!(x.len(), m * m, "vector length mismatch");
@@ -74,6 +70,26 @@ impl SpdOperator {
         for i in 0..m {
             let row = i * m..(i + 1) * m;
             let yr = &mut y[row.clone()];
+            if i > 0 && i + 1 < m {
+                // m ≥ 3 here: the row's ends have one horizontal
+                // neighbour each, every other point two.
+                let (ar, xr) = (&self.a[row.clone()], &x[row.clone()]);
+                let up = &x[row.start - m..row.start];
+                let down = &x[row.end..row.end + m];
+                yr[0] = (ar[0] + 4.0) * xr[0] - up[0] - down[0] - xr[1];
+                let inner = 1..m - 1;
+                for ((((yj, &aj), w), &uj), &dj) in yr[inner.clone()]
+                    .iter_mut()
+                    .zip(&ar[inner.clone()])
+                    .zip(xr.windows(3))
+                    .zip(&up[inner.clone()])
+                    .zip(&down[inner])
+                {
+                    *yj = (aj + 4.0) * w[1] - uj - dj - w[0] - w[2];
+                }
+                yr[m - 1] = (ar[m - 1] + 4.0) * xr[m - 1] - up[m - 1] - down[m - 1] - xr[m - 2];
+                continue;
+            }
             for ((yj, &aj), &xj) in yr.iter_mut().zip(&self.a[row.clone()]).zip(&x[row.clone()]) {
                 *yj = (aj + 4.0) * xj;
             }
@@ -146,26 +162,28 @@ impl Preconditioning {
             1 => {
                 // Jacobi: z = D⁻¹·r.
                 ctx.charge(r.len() as f64);
-                for (i, (zi, &ri)) in z.iter_mut().zip(r).enumerate() {
-                    *zi = ri / op.diag(i);
+                for ((zi, &ri), &ai) in z.iter_mut().zip(r).zip(&op.a) {
+                    *zi = ri / (ai + 4.0);
                 }
             }
             _ => {
                 // Truncated Neumann series on the Jacobi splitting:
                 // P⁻¹ = Σ_{j=0}^{deg} (I − D⁻¹A)^j · D⁻¹.
-                for (i, (ti, &ri)) in self.term.iter_mut().zip(r).enumerate() {
-                    *ti = ri / op.diag(i);
+                for ((ti, &ri), &ai) in self.term.iter_mut().zip(r).zip(&op.a) {
+                    *ti = ri / (ai + 4.0);
                 }
                 z.copy_from_slice(&self.term);
                 for _ in 0..self.degree {
-                    // term ← (I − D⁻¹A)·term.
+                    // term ← (I − D⁻¹A)·term, then z += term.
                     op.apply_into(&self.term, &mut self.at);
                     ctx.charge(5.0 * r.len() as f64);
-                    for (i, (t, &ati)) in self.term.iter_mut().zip(&self.at).enumerate() {
-                        *t -= ati / op.diag(i);
-                    }
-                    for (zi, &ti) in z.iter_mut().zip(&self.term) {
-                        *zi += ti;
+                    for ((zi, t), (&ati, &ai)) in z
+                        .iter_mut()
+                        .zip(&mut self.term)
+                        .zip(self.at.iter().zip(&op.a))
+                    {
+                        *t -= ati / (ai + 4.0);
+                        *zi += *t;
                     }
                 }
             }
