@@ -125,7 +125,7 @@ pub struct Dataset {
 
 impl Dataset {
     /// Wraps `points`, with no seeding drawn yet.
-    pub fn new(points: Points) -> Self {
+    fn new(points: Points) -> Self {
         Dataset {
             points,
             seedings: Mutex::default(),
@@ -133,7 +133,7 @@ impl Dataset {
     }
 
     /// The points.
-    pub fn points(&self) -> &Points {
+    fn points(&self) -> &Points {
         &self.points
     }
 
@@ -300,7 +300,7 @@ impl ByX {
             return None;
         }
         let mut index: Vec<usize> = (0..centroids.len()).collect();
-        index.sort_by(|&a, &b| centroids.x[a].total_cmp(&centroids.x[b]));
+        index.sort_unstable_by(|&a, &b| centroids.x[a].total_cmp(&centroids.x[b]));
         Some(ByX {
             x: index.iter().map(|&c| centroids.x[c]).collect(),
             y: index.iter().map(|&c| centroids.y[c]).collect(),
