@@ -48,7 +48,7 @@ fn frontier_cost(runner: &dyn TrialRunner, tuned: &pb_runtime::TunedProgram, n: 
         .iter()
         .map(|e| {
             (0..3)
-                .map(|t| runner.run_trial(&e.config, n, t).time)
+                .map(|t| runner.run_trial(&e.config, n, t).virtual_cost)
                 .sum::<f64>()
                 / 3.0
         })

@@ -179,13 +179,13 @@ pub fn measure(
                 })
             })
             .collect();
-        let evaluator = Evaluator::new(runner, EvalMode::Parallel, runner.deterministic());
+        let evaluator = Evaluator::new(runner, EvalMode::Parallel, true);
         let outcomes = evaluator.run_batch(&requests);
         for (entry, trials) in entries.iter().zip(outcomes.chunks(MEASURE_TRIALS as usize)) {
             let mut cost = 0.0;
             let mut acc = OnlineStats::new();
             for outcome in trials {
-                cost += outcome.time;
+                cost += outcome.virtual_cost;
                 acc.push(outcome.accuracy);
             }
             let cost = cost / MEASURE_TRIALS as f64;

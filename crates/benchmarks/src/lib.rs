@@ -11,9 +11,7 @@
 //! | [`Preconditioner`] | §6.1.6 | `log₁₀` RMS residual-reduction ratio |
 //!
 //! Every transform charges a deterministic virtual cost proportional to
-//! the work it performs, so the autotuner can run in the reproducible
-//! [`pb_runtime::CostModel::Virtual`] mode; wall-clock tuning works
-//! unchanged.
+//! the work it performs: the cost the autotuner optimizes.
 //!
 //! # Numeric substrate
 //!

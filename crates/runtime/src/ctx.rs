@@ -5,8 +5,8 @@
 //! active configuration. [`ExecCtx`] plays that role here: a transform's
 //! `execute` body asks the context which algorithm to run, how many
 //! `for_enough` iterations to perform, and so on. The context also
-//! accumulates a deterministic *virtual cost* (used instead of
-//! wall-clock time in tests and in the deterministic tuning mode) and an
+//! accumulates a deterministic *virtual cost* (what the tuner optimizes,
+//! in place of the paper's wall-clock time) and an
 //! execution trace from which cycle-shape diagrams (Fig. 8) are drawn.
 
 use pb_config::{Config, ConfigError, Schema, TunableId};

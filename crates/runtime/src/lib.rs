@@ -11,8 +11,8 @@
 //!   `accuracy_metric` (§3.2).
 //! * [`ExecCtx`] — the execution context handed to a running transform.
 //!   It resolves choice sites through decision trees, reads accuracy
-//!   variables, implements `for_enough` loops, accumulates a
-//!   deterministic *virtual cost* alongside wall-clock time, and records
+//!   variables, implements `for_enough` loops, accumulates the
+//!   deterministic *virtual cost* the tuner optimizes, and records
 //!   an execution trace (used to draw the multigrid cycle shapes of
 //!   Fig. 8).
 //! * [`TunedProgram`] — the result of training: one configuration per

@@ -17,22 +17,17 @@ use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How candidate cost is measured during training.
+/// How candidate cost is measured during training: there is one model.
+///
+/// Kept, with its one variant, only so the frozen ledger
+/// (`ledger/src/programs.rs`) builds; the ledger refresh deletes it
+/// with [`TransformRunner::new`]'s argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostModel {
-    /// Wall-clock seconds — what the paper uses on real hardware.
-    ///
-    /// Work an input keeps for later trials (see
-    /// [`TrialRunner::prepare`]) is not re-timed: the first trial on an
-    /// input that needs it pays for it, later ones do not. Image
-    /// compression's first trial with an eigensolver pays for that
-    /// solver's decomposition, for instance, and a later trial of no
-    /// larger rank only copies triplets out. No ledger workload tunes
-    /// image compression under this model.
-    WallClock,
-    /// Deterministic virtual cost charged via [`ExecCtx::charge`] —
-    /// used by the test suite and by reproducible tuning runs, where
-    /// machine noise would otherwise make results flaky.
+    /// Deterministic virtual cost charged via [`ExecCtx::charge`]:
+    /// every trial is a pure function of `(config, n, seed)`, so the
+    /// tuner memoizes it and a tuning run's decisions reproduce on any
+    /// machine.
     #[default]
     Virtual,
 }
@@ -40,12 +35,11 @@ pub enum CostModel {
 /// Measurements from one trial execution of a candidate algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialOutcome {
-    /// The cost the tuner optimizes (wall seconds or virtual units,
-    /// per the runner's [`CostModel`]).
-    pub time: f64,
-    /// Wall-clock seconds regardless of cost model.
+    /// Wall-clock seconds of the execution: what decides whether a
+    /// batch of trials is worth dispatching, never what is tuned.
     pub wall_seconds: f64,
-    /// Virtual cost regardless of cost model.
+    /// The virtual cost charged through [`ExecCtx::charge`]: the cost
+    /// the tuner optimizes.
     pub virtual_cost: f64,
     /// The accuracy-metric value for this run (larger = more accurate).
     pub accuracy: f64,
@@ -58,7 +52,6 @@ impl TrialOutcome {
     /// on every axis and `-inf` accuracy, so a quarantined candidate
     /// loses every time comparison and meets no accuracy target.
     pub const QUARANTINED: TrialOutcome = TrialOutcome {
-        time: f64::INFINITY,
         wall_seconds: f64::INFINITY,
         virtual_cost: f64::INFINITY,
         accuracy: f64::NEG_INFINITY,
@@ -121,10 +114,10 @@ pub trait TrialRunner: Send + Sync {
     /// The tunable schema.
     fn schema(&self) -> &Schema;
 
-    /// Whether [`TrialRunner::run_trial`] is a pure function of
-    /// `(config, n, seed)` — true for the virtual cost model, false
-    /// for wall-clock measurement. The tuner only memoizes trial
-    /// outcomes when this holds; the conservative default is `false`.
+    /// Nothing reads this: every trial is a pure function of
+    /// `(config, n, seed)` and the tuner memoizes them all. Kept only
+    /// so the frozen ledger's `TimedRunner` (`ledger/src/timing.rs`)
+    /// builds; the ledger refresh deletes it.
     fn deterministic(&self) -> bool {
         false
     }
@@ -204,24 +197,23 @@ pub trait TrialRunner: Send + Sync {
 /// let config = runner.schema().default_config();
 /// let outcome = runner.run_trial(&config, 100, 7);
 /// assert!(outcome.accuracy <= 1.0);
-/// assert_eq!(outcome.time, outcome.virtual_cost);
+/// assert!(outcome.virtual_cost <= 100.0);
 /// ```
 #[derive(Debug)]
 pub struct TransformRunner<T: Transform> {
     transform: T,
     schema: Schema,
-    cost_model: CostModel,
 }
 
 impl<T: Transform> TransformRunner<T> {
-    /// Wraps `transform`, caching its schema.
+    /// Wraps `transform`, caching its schema. `cost_model` names the
+    /// one model there is; the argument is kept only so the frozen
+    /// ledger (`ledger/src/programs.rs`) builds, and the ledger
+    /// refresh deletes it.
     pub fn new(transform: T, cost_model: CostModel) -> Self {
+        let CostModel::Virtual = cost_model;
         let schema = transform.schema();
-        TransformRunner {
-            transform,
-            schema,
-            cost_model,
-        }
+        TransformRunner { transform, schema }
     }
 
     /// The wrapped transform.
@@ -263,15 +255,9 @@ impl<T: Transform> TransformRunner<T> {
         let output = self.transform.execute(input, &mut ctx);
         let wall = start.elapsed().as_secs_f64();
         let accuracy = self.transform.accuracy(input, &output);
-        let virtual_cost = ctx.virtual_cost();
-        let time = match self.cost_model {
-            CostModel::WallClock => wall,
-            CostModel::Virtual => virtual_cost,
-        };
         let outcome = TrialOutcome {
-            time,
             wall_seconds: wall,
-            virtual_cost,
+            virtual_cost: ctx.virtual_cost(),
             accuracy,
         };
         let tree = if traced {
@@ -293,10 +279,6 @@ where
 
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn deterministic(&self) -> bool {
-        self.cost_model == CostModel::Virtual
     }
 
     fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
@@ -378,44 +360,14 @@ mod tests {
             .set_by_name(runner.schema(), "level", pb_config::Value::Int(3))
             .unwrap();
         let out = runner.run_trial(&config, 100, 1);
-        assert!(out.time >= 300.0, "cost scales with level*input");
-        assert_eq!(out.time, out.virtual_cost);
+        assert!(out.virtual_cost >= 300.0, "cost scales with level*input");
         assert!((out.accuracy - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wall_clock_model_reports_elapsed() {
-        let runner = TransformRunner::new(Toy, CostModel::WallClock);
-        let config = runner.schema().default_config();
-        let out = runner.run_trial(&config, 10, 1);
-        assert_eq!(out.time, out.wall_seconds);
-        assert!(out.wall_seconds >= 0.0);
-    }
-
-    #[test]
-    fn wall_clock_model_still_records_virtual_cost_and_accuracy() {
-        // Wall-clock tuning keeps the deterministic observables: the
-        // virtual cost and accuracy of a trial are functions of
-        // (config, n, seed) regardless of cost model, so diagnostics
-        // can cross-check noisy timings against them.
-        let wall = TransformRunner::new(Toy, CostModel::WallClock);
-        let virt = TransformRunner::new(Toy, CostModel::Virtual);
-        let config = wall.schema().default_config();
-        let w = wall.run_trial(&config, 64, 9);
-        let v = virt.run_trial(&config, 64, 9);
-        assert_eq!(w.virtual_cost, v.virtual_cost);
-        assert_eq!(w.accuracy, v.accuracy);
-        assert!(w.time.is_finite());
-        // And only the virtual model may be memoized.
-        assert!(!wall.deterministic());
-        assert!(virt.deterministic());
     }
 
     #[test]
     fn quarantine_sentinel_is_worst_on_every_axis() {
         let q = TrialOutcome::QUARANTINED;
         assert!(q.is_quarantined());
-        assert_eq!(q.time, f64::INFINITY);
         assert_eq!(q.wall_seconds, f64::INFINITY);
         assert_eq!(q.virtual_cost, f64::INFINITY);
         assert_eq!(q.accuracy, f64::NEG_INFINITY);
@@ -442,11 +394,11 @@ mod tests {
         config
             .set_by_name(runner.schema(), "level", pb_config::Value::Int(3))
             .unwrap();
-        let measured = |o: TrialOutcome| (o.time, o.virtual_cost, o.accuracy);
+        let measured = |o: TrialOutcome| (o.virtual_cost, o.accuracy);
         // Toy's input is `n` or `n + 1` by seed, so its cost shows
         // which input a trial ran on.
         let costs: Vec<f64> = (0..8)
-            .map(|seed| runner.run_trial(&config, 100, seed).time)
+            .map(|seed| runner.run_trial(&config, 100, seed).virtual_cost)
             .collect();
         assert!(
             costs.contains(&301.0) && costs.contains(&304.0),

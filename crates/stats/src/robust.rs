@@ -28,6 +28,12 @@ pub enum Robustness {
     /// sorted observations are clamped to the nearest interior value.
     /// Keeps the sample count (and thus the t-test's degrees of
     /// freedom) while bounding each outlier's leverage.
+    ///
+    /// Every cost the tuner optimizes is virtual, so nothing tunes
+    /// under this policy: it is kept only for the frozen ledger's
+    /// comparator row (`stats.decide_winsorized_ns` in
+    /// `ledger/src/layers.rs`) and the cost-noise half of the chaos
+    /// suite (`tests/faults`), and the ledger refresh deletes it.
     Winsorized {
         /// Fraction of observations clamped at *each* end (e.g. `0.1`
         /// clamps the bottom 10% and the top 10%).

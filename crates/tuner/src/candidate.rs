@@ -15,9 +15,8 @@ use pb_stats::{OnlineStats, SampleStats};
 /// Cached timing and accuracy statistics for one input size.
 #[derive(Debug, Clone, Default)]
 pub struct SizeStats {
-    /// Cost observations (per the runner's cost model). Sample-
-    /// retaining, so the comparator's [`pb_stats::Robustness`] policy
-    /// can winsorize or trim noisy wall-clock measurements; the
+    /// Virtual-cost observations. Sample-retaining, so the comparator's
+    /// [`pb_stats::Robustness`] policy can winsorize noisy ones; the
     /// pass-through mean/variance are bit-identical to the plain
     /// accumulator.
     pub time: SampleStats,
@@ -131,7 +130,7 @@ impl Candidate {
     /// planned, which keeps parallel runs bit-identical to sequential.
     pub fn absorb(&mut self, n: u64, outcome: &TrialOutcome) {
         let stats = self.stats_mut(n);
-        stats.time.push(outcome.time);
+        stats.time.push(outcome.virtual_cost);
         stats.accuracy.push(outcome.accuracy);
     }
 

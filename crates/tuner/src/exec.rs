@@ -22,10 +22,10 @@
 //!   calls its own `run_trial`.
 //!
 //! Because trial seeds are a deterministic function of the input size
-//! and trial index, and trials are pure under the virtual cost model,
-//! parallel execution is **bit-identical** to sequential execution:
-//! only the wall-clock schedule differs, never an outcome or a merge
-//! order.
+//! and trial index, and every trial is a pure function of
+//! `(config, n, seed)` under the virtual cost model, parallel execution
+//! is **bit-identical** to sequential execution: only the wall-clock
+//! schedule differs, never an outcome or a merge order.
 //!
 //! [`Evaluator::run_batch`] is the only way a trial reaches the runner:
 //! the adaptive comparator's demand-driven extra trials (§5.5.1) are
@@ -270,11 +270,11 @@ impl WallHistory {
 type InputSlot = Arc<OnceLock<SharedInput>>;
 
 /// Executes trials for the tuner: batched, optionally parallel,
-/// optionally memoized, each on its `(n, seed)`'s shared input.
+/// memoized, each on its `(n, seed)`'s shared input.
 pub struct Evaluator<'a> {
     runner: &'a dyn TrialRunner,
     mode: EvalMode,
-    cache: Option<TrialCache>,
+    cache: TrialCache,
     /// The inputs built so far, `(n, seed) → input`. Trial seeds depend
     /// only on `(n, trial index)`, so a run meets few of them, and each
     /// lives until the tuner moves past its size
@@ -299,18 +299,16 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Wraps `runner`. `memoize` enables the trial cache — sound
-    /// whenever trials are deterministic functions of
-    /// `(config, n, seed)`, i.e. under the virtual cost model; disable
-    /// it when tuning on wall-clock time, where repeated measurements
-    /// genuinely differ and replaying one would feed the comparator
-    /// zero-variance copies of it. The tuner passes
-    /// [`TrialRunner::deterministic`].
+    /// Wraps `runner`, with an empty trial memo. Every trial is a pure
+    /// function of `(config, n, seed)`, so the memo is always on:
+    /// `memoize` is ignored, and kept only so the frozen ledger
+    /// (`ledger/src/layers.rs`) builds; the ledger refresh deletes it.
     pub fn new(runner: &'a dyn TrialRunner, mode: EvalMode, memoize: bool) -> Self {
+        let _ = memoize;
         Evaluator {
             runner,
             mode,
-            cache: memoize.then(TrialCache::default),
+            cache: TrialCache::default(),
             inputs: Mutex::default(),
             walls: Mutex::default(),
             trials: AtomicU64::new(0),
@@ -350,24 +348,18 @@ impl<'a> Evaluator<'a> {
 
     /// Requests served from the cache without executing a trial.
     pub fn cache_hits(&self) -> u64 {
-        self.cache
-            .as_ref()
-            .map_or(0, |c| c.hits.load(Ordering::Relaxed))
+        self.cache.hits.load(Ordering::Relaxed)
     }
 
     /// Requests that had to execute a trial.
     pub fn cache_misses(&self) -> u64 {
-        self.cache
-            .as_ref()
-            .map_or(0, |c| c.misses.load(Ordering::Relaxed))
+        self.cache.misses.load(Ordering::Relaxed)
     }
 
     /// Requests that duplicated another request in the same batch and
     /// shared its execution (neither a hit nor a miss).
     pub fn cache_coalesced(&self) -> u64 {
-        self.cache
-            .as_ref()
-            .map_or(0, |c| c.coalesced.load(Ordering::Relaxed))
+        self.cache.coalesced.load(Ordering::Relaxed)
     }
 
     /// Runs every request and returns outcomes in request order.
@@ -378,9 +370,7 @@ impl<'a> Evaluator<'a> {
     /// sequential mode. Identical results and identical final cache
     /// state either way.
     pub fn run_batch(&self, requests: &[TrialRequest]) -> Vec<TrialOutcome> {
-        let Some(cache) = &self.cache else {
-            return self.execute(&requests.iter().collect::<Vec<_>>());
-        };
+        let cache = &self.cache;
 
         // Partition into already-cached slots and unique misses.
         let mut slots: Vec<Option<TrialOutcome>> = vec![None; requests.len()];
@@ -434,9 +424,10 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Executes every request (no cache involvement), parallel or
-    /// sequential per the mode. In parallel mode a batch cheaper than
-    /// a dispatch runs inline (see [`Evaluator::runs_inline`]).
+    /// Executes every request (no cache involvement; `run_batch` hands
+    /// over distinct coordinates only), parallel or sequential per the
+    /// mode. In parallel mode a batch cheaper than a dispatch runs
+    /// inline (see [`Evaluator::runs_inline`]).
     fn execute(&self, requests: &[&TrialRequest]) -> Vec<TrialOutcome> {
         if requests.is_empty() {
             return Vec::new();
@@ -450,21 +441,7 @@ impl<'a> Evaluator<'a> {
         let outcomes = if self.runs_inline(requests, &inputs) {
             Pool::global().run_inline(requests.len(), in_order)
         } else {
-            match self.repeated_coordinates(requests) {
-                None => parallel_gen(requests.len(), 2, run),
-                Some(chains) => {
-                    let ran = parallel_gen(chains.len(), 2, |c| {
-                        chains[c].iter().map(|&i| run(i)).collect::<Vec<_>>()
-                    });
-                    let mut outcomes = vec![TrialOutcome::QUARANTINED; requests.len()];
-                    for (chain, chain_outcomes) in chains.iter().zip(ran) {
-                        for (&i, outcome) in chain.iter().zip(chain_outcomes) {
-                            outcomes[i] = outcome;
-                        }
-                    }
-                    outcomes
-                }
-            }
+            parallel_gen(requests.len(), 2, run)
         };
         self.record_walls(requests, &outcomes);
         outcomes
@@ -478,8 +455,6 @@ impl<'a> Evaluator<'a> {
     /// mean over all sizes sends large-size batches inline; the inputs
     /// must be built because `wall_seconds` does not include building
     /// them, and an inline batch would build them one after another.
-    /// Sequential order is the one the sequential evaluator runs in,
-    /// so repeated coordinates draw as they do there.
     fn runs_inline(&self, requests: &[&TrialRequest], inputs: &[InputSlot]) -> bool {
         if inputs.iter().any(|slot| slot.get().is_none()) {
             return false;
@@ -523,34 +498,6 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Request indices grouped by trial coordinate, in first-occurrence
-    /// order, when some coordinate repeats within the batch; `None`
-    /// when every request is distinct (always, behind the memo, which
-    /// coalesces repeats before they get here).
-    ///
-    /// Without a memo, identical candidates each re-run the same
-    /// `(config, n, seed)`. A runner that re-samples — wall-clock, or
-    /// injected noise, which draws on how often a coordinate has run
-    /// — hands its k-th draw to whichever repeat reaches it k-th, so a
-    /// pool job per request would let the schedule pick which candidate
-    /// gets which draw. One job per coordinate, run in request order,
-    /// gives every repeat the draw the sequential evaluator gives it.
-    fn repeated_coordinates(&self, requests: &[&TrialRequest]) -> Option<Vec<Vec<usize>>> {
-        if self.cache.is_some() {
-            return None;
-        }
-        let mut chain_of: KeyMap<CacheKey, usize> = KeyMap::default();
-        let mut chains: Vec<Vec<usize>> = Vec::new();
-        for (i, r) in requests.iter().enumerate() {
-            let chain = *chain_of.entry(r.key()).or_insert(chains.len());
-            if chain == chains.len() {
-                chains.push(Vec::new());
-            }
-            chains[chain].push(i);
-        }
-        (chains.len() < requests.len()).then_some(chains)
-    }
-
     /// Executes one trial under full fault isolation, counting every
     /// call into the runner: panics are caught (`catch_unwind` — the
     /// pool's unwind machinery never engages), non-finite costs are
@@ -574,7 +521,7 @@ impl<'a> Evaluator<'a> {
                 let input = input.get_or_init(|| self.runner.prepare(r.n, r.seed));
                 self.runner.run_prepared(r.config(), input, r.n, r.seed)
             })) {
-                Ok(outcome) if outcome.time.is_finite() => return outcome,
+                Ok(outcome) if outcome.virtual_cost.is_finite() => return outcome,
                 Ok(_) => self.trial_nonfinite.fetch_add(1, Ordering::Relaxed),
                 Err(_) => self.trial_panics.fetch_add(1, Ordering::Relaxed),
             };
@@ -770,8 +717,7 @@ mod tests {
             },
             CostModel::Virtual,
         );
-        // Unmemoized, so the same requests run again.
-        let eval = Evaluator::new(&runner, EvalMode::Parallel, false);
+        let eval = Evaluator::new(&runner, EvalMode::Parallel, true);
         let config = runner.schema().default_config();
         let reqs: Vec<TrialRequest> = (0..4).map(|i| request(&config, 8, i)).collect();
         let refs: Vec<&TrialRequest> = reqs.iter().collect();
@@ -802,7 +748,8 @@ mod tests {
         assert!(eval.runs_inline(&refs, &built));
         let seen = &runner.transform().seen;
         seen.lock().unwrap().clear();
-        eval.run_batch(&reqs);
+        // Past the memo, so the same requests run again.
+        eval.execute(&refs);
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 4);
         for &(depth, stayed) in seen.iter() {
@@ -920,19 +867,7 @@ mod tests {
         // The comparator-style single draw for the same trial hits.
         let outcomes = eval.run_batch(&[request(&config, 16, 0)]);
         assert_eq!(eval.cache_hits(), 1);
-        assert_eq!(outcomes[0].time, 16.0);
-    }
-
-    #[test]
-    fn memoization_can_be_disabled() {
-        let runner = TransformRunner::new(Linear, CostModel::Virtual);
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, false);
-        let config = runner.schema().default_config();
-        let reqs = vec![request(&config, 8, 0), request(&config, 8, 0)];
-        eval.run_batch(&reqs);
-        eval.run_batch(&reqs);
-        assert_eq!(eval.cache_hits(), 0);
-        assert_eq!(eval.cache_misses(), 0);
+        assert_eq!(outcomes[0].virtual_cost, 16.0);
     }
 
     /// Panics while fewer than `fail_first` calls have been made, then
@@ -981,7 +916,10 @@ mod tests {
         let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
         let config = runner.schema().default_config();
         let out = eval.run_batch(&[request(&config, 8, 0)]);
-        assert_eq!(out[0].time, 8.0, "the retry produced a healthy outcome");
+        assert_eq!(
+            out[0].virtual_cost, 8.0,
+            "the retry produced a healthy outcome"
+        );
         assert_eq!(eval.trial_panics(), 1);
         assert_eq!(eval.trial_retries(), 1);
         assert_eq!(eval.trials(), 2, "the retried attempt is a trial too");
@@ -1037,80 +975,6 @@ mod tests {
         assert_eq!(eval.quarantined(), 1);
     }
 
-    #[test]
-    fn wall_clock_trials_resample_through_the_evaluator() {
-        // Real measurements flow through `run_batch` without a memo
-        // (the tuner memoizes only deterministic runners), every
-        // request re-executes, and outcomes stay finite.
-        let runner = TransformRunner::new(Linear, CostModel::WallClock);
-        assert!(!runner.deterministic());
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, runner.deterministic());
-        let config = runner.schema().default_config();
-        let reqs = vec![request(&config, 8, 0), request(&config, 8, 0)];
-        for outcome in eval.run_batch(&reqs) {
-            assert!(outcome.time.is_finite());
-            assert_eq!(outcome.time, outcome.wall_seconds);
-        }
-        // Demand-driven draws re-execute too: no hits, no misses
-        // counted (there is no cache at all).
-        eval.run_batch(&[request(&config, 8, 0)]);
-        assert_eq!(eval.cache_hits(), 0);
-        assert_eq!(eval.cache_misses(), 0);
-        assert_eq!(eval.quarantined(), 0);
-    }
-
-    #[test]
-    fn repeated_coordinates_resample_in_request_order_on_the_pool() {
-        /// Re-samples like a noisy measurement: a trial's time grows
-        /// with how often its coordinate has already run.
-        struct Drifting<'r> {
-            inner: &'r dyn TrialRunner,
-            runs: Mutex<HashMap<u64, u64>>,
-        }
-        impl TrialRunner for Drifting<'_> {
-            fn name(&self) -> &str {
-                self.inner.name()
-            }
-            fn schema(&self) -> &Schema {
-                self.inner.schema()
-            }
-            fn deterministic(&self) -> bool {
-                false
-            }
-            fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
-                let mut outcome = self.inner.run_trial(config, n, seed);
-                let mut runs = self.runs.lock().unwrap();
-                let run = runs.entry(seed).or_insert(0);
-                outcome.time += *run as f64;
-                *run += 1;
-                outcome
-            }
-            fn run_traced(&self, config: &Config, n: u64, seed: u64) -> (TrialOutcome, TraceNode) {
-                self.inner.run_traced(config, n, seed)
-            }
-        }
-
-        let clean = TransformRunner::new(Linear, CostModel::Virtual);
-        let config = clean.schema().default_config();
-        // Eight coordinates, sixteen interleaved repeats of each.
-        let reqs: Vec<TrialRequest> = (0..128).map(|i| request(&config, 8, i % 8)).collect();
-        let times = |mode| {
-            let runner = Drifting {
-                inner: &clean,
-                runs: Mutex::new(HashMap::new()),
-            };
-            let eval = Evaluator::new(&runner, mode, false);
-            let times: Vec<f64> = eval.run_batch(&reqs).iter().map(|o| o.time).collect();
-            times
-        };
-        let seq = times(EvalMode::Sequential);
-        assert_eq!(seq[0], 8.0);
-        assert_eq!(seq[127], 8.0 + 15.0);
-        for _ in 0..20 {
-            assert_eq!(times(EvalMode::Parallel), seq);
-        }
-    }
-
     /// Accuracy and cost both scaled by a per-input factor, so trials
     /// on different seeds differ and comparisons draw extra seeds.
     struct Jittered;
@@ -1145,7 +1009,6 @@ mod tests {
     /// of smaller sizes still alive.
     struct Counting<'r> {
         inner: &'r dyn TrialRunner,
-        deterministic: bool,
         prepared: Mutex<HashMap<(u64, u64), u64>>,
         ran_on: Mutex<HashMap<(u64, u64), u64>>,
         unprepared: AtomicU64,
@@ -1154,10 +1017,9 @@ mod tests {
     }
 
     impl<'r> Counting<'r> {
-        fn new(inner: &'r dyn TrialRunner, deterministic: bool) -> Self {
+        fn new(inner: &'r dyn TrialRunner) -> Self {
             Counting {
                 inner,
-                deterministic,
                 prepared: Mutex::default(),
                 ran_on: Mutex::default(),
                 unprepared: AtomicU64::new(0),
@@ -1173,9 +1035,6 @@ mod tests {
         }
         fn schema(&self) -> &Schema {
             self.inner.schema()
-        }
-        fn deterministic(&self) -> bool {
-            self.deterministic
         }
         fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
             self.unprepared.fetch_add(1, Ordering::Relaxed);
@@ -1220,40 +1079,37 @@ mod tests {
         };
         let bins = AccuracyBins::new(vec![0.5, 0.9]);
         let mut outcomes = Vec::new();
-        for memoize in [true, false] {
-            for parallel in [false, true] {
-                let counting = Counting::new(&runner, memoize);
-                let outcome = Autotuner::new(&counting, bins.clone(), options(parallel))
-                    .tune_outcome()
-                    .unwrap();
-                let what = format!("memoize={memoize} parallel={parallel}");
-                let prepared = counting.prepared.into_inner().unwrap();
-                let ran_on = counting.ran_on.into_inner().unwrap();
-                assert!(
-                    prepared.values().all(|&count| count == 1),
-                    "{what}: {prepared:?}"
-                );
-                let mut keys: Vec<_> = prepared.keys().collect();
-                keys.sort();
-                let mut ran: Vec<_> = ran_on.keys().collect();
-                ran.sort();
-                assert_eq!(keys, ran, "{what}: every input prepared is run on");
-                assert!(
-                    keys.len() >= 4 && (ran_on.values().sum::<u64>() as usize) > 4 * keys.len(),
-                    "{what}: trials share few inputs: {ran_on:?}"
-                );
-                assert_eq!(ran_on.values().sum::<u64>(), outcome.stats.trials, "{what}");
-                assert_eq!(counting.unprepared.load(Ordering::Relaxed), 0, "{what}");
-                // The tuner drops an input once it moves past its size.
-                let sizes: HashSet<u64> = keys.iter().map(|&&(n, _)| n).collect();
-                assert!(sizes.len() >= 3, "{what}: sizes {sizes:?}");
-                let alive_below = counting.alive_below.load(Ordering::Relaxed);
-                assert_eq!(alive_below, 0, "{what}: an input outlived its size");
-                outcomes.push(outcome);
-            }
+        for parallel in [false, true] {
+            let counting = Counting::new(&runner);
+            let outcome = Autotuner::new(&counting, bins.clone(), options(parallel))
+                .tune_outcome()
+                .unwrap();
+            let what = format!("parallel={parallel}");
+            let prepared = counting.prepared.into_inner().unwrap();
+            let ran_on = counting.ran_on.into_inner().unwrap();
+            assert!(
+                prepared.values().all(|&count| count == 1),
+                "{what}: {prepared:?}"
+            );
+            let mut keys: Vec<_> = prepared.keys().collect();
+            keys.sort();
+            let mut ran: Vec<_> = ran_on.keys().collect();
+            ran.sort();
+            assert_eq!(keys, ran, "{what}: every input prepared is run on");
+            assert!(
+                keys.len() >= 4 && (ran_on.values().sum::<u64>() as usize) > 4 * keys.len(),
+                "{what}: trials share few inputs: {ran_on:?}"
+            );
+            assert_eq!(ran_on.values().sum::<u64>(), outcome.stats.trials, "{what}");
+            assert_eq!(counting.unprepared.load(Ordering::Relaxed), 0, "{what}");
+            // The tuner drops an input once it moves past its size.
+            let sizes: HashSet<u64> = keys.iter().map(|&&(n, _)| n).collect();
+            assert!(sizes.len() >= 3, "{what}: sizes {sizes:?}");
+            let alive_below = counting.alive_below.load(Ordering::Relaxed);
+            assert_eq!(alive_below, 0, "{what}: an input outlived its size");
+            outcomes.push(outcome);
         }
         assert_eq!(outcomes[0].program, outcomes[1].program);
-        assert_eq!(outcomes[2].program, outcomes[3].program);
         // A runner that keeps nothing per input decides as the sharing
         // one does, and each trial reaches its `run_trial`.
         for (parallel, shared) in [false, true].into_iter().zip(&outcomes) {
@@ -1284,9 +1140,6 @@ mod tests {
         }
         fn schema(&self) -> &Schema {
             self.inner.schema()
-        }
-        fn deterministic(&self) -> bool {
-            true
         }
         fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
             self.inner.run_trial(config, n, seed)
@@ -1321,9 +1174,18 @@ mod tests {
         let transient = flaky(1);
         let eval = Evaluator::new(&transient, EvalMode::Sequential, true);
         let config = transient.schema().default_config();
-        let time = |config: &Config| transient.inner.run_trial(config, 8, trial_seed(8, 0)).time;
+        let cost = |config: &Config| {
+            transient
+                .inner
+                .run_trial(config, 8, trial_seed(8, 0))
+                .virtual_cost
+        };
         let out = eval.run_batch(&[request(&config, 8, 0)]);
-        assert_eq!(out[0].time, time(&config), "the retry prepared the input");
+        assert_eq!(
+            out[0].virtual_cost,
+            cost(&config),
+            "the retry prepared the input"
+        );
         assert_eq!(eval.trial_panics(), 1);
         assert_eq!(eval.trial_retries(), 1);
         assert_eq!(eval.trials(), 2);
@@ -1334,8 +1196,8 @@ mod tests {
             .set_by_name(transient.schema(), "v", Value::Int(3))
             .unwrap();
         assert_eq!(
-            eval.run_batch(&[request(&other, 8, 0)])[0].time,
-            time(&other)
+            eval.run_batch(&[request(&other, 8, 0)])[0].virtual_cost,
+            cost(&other)
         );
         assert_eq!(transient.prepares.load(Ordering::Relaxed), 2);
 
@@ -1370,9 +1232,6 @@ mod tests {
         fn schema(&self) -> &Schema {
             self.inner.schema()
         }
-        fn deterministic(&self) -> bool {
-            true
-        }
         fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
             *self.ran.lock().unwrap().entry((n, seed)).or_default() += 1;
             self.inner.run_trial(config, n, seed)
@@ -1402,7 +1261,7 @@ mod tests {
                 .map(|(n, i)| request(config, n, i))
                 .collect()
         };
-        let measured = |o: &TrialOutcome| (o.time, o.virtual_cost, o.accuracy);
+        let measured = |o: &TrialOutcome| (o.virtual_cost, o.accuracy);
         for mode in [EvalMode::Sequential, EvalMode::Parallel] {
             let unshared = Unshared {
                 inner: &runner,
@@ -1479,7 +1338,6 @@ mod tests {
             // `wall_seconds` is a real clock measurement and differs
             // run to run even sequentially; everything the tuner
             // consumes must agree bitwise.
-            assert_eq!(s.time, p.time);
             assert_eq!(s.virtual_cost, p.virtual_cost);
             assert_eq!(s.accuracy, p.accuracy);
         }

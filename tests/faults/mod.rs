@@ -1,14 +1,19 @@
 // Seeded deterministic fault and noise injection for autotuner trials.
 //
-// Real deployments measure wall-clock time on shared machines: trials
-// crash, return garbage, and — even when healthy — report noisy
-// costs. The tuner's fault-isolation layer
-// (`pb_tuner::Evaluator`) and robust comparator statistics
-// (`pb_stats::Robustness`) exist to survive exactly that, and this
-// module is the harness that proves they do: a `FaultyRunner` wraps
-// any `TrialRunner` and injects faults and noise at *seeded,
-// reproducible* trial coordinates, so chaos tests can assert
-// bit-identical tuning decisions instead of eyeballing flakiness.
+// A candidate configuration can drive a trial into a panic or a
+// non-finite cost; the tuner's fault-isolation layer
+// (`pb_tuner::Evaluator`) exists to survive that, and this module is
+// the harness that proves it does: a `FaultyRunner` wraps any
+// `TrialRunner` and injects faults at *seeded, reproducible* trial
+// coordinates, so chaos tests can assert bit-identical tuning
+// decisions instead of eyeballing flakiness.
+//
+// Its cost-noise half (jitter and outlier spikes) drives the winsorized
+// comparator (`pb_stats::Robustness::Winsorized`), which is kept for
+// the ledger's comparator row and this chaos suite: every cost the
+// tuner optimizes is virtual, and robustness to timing noise is out of
+// scope. Noise is keyed by coordinate and attempt, so the tuner's memo
+// replays a noisy trial's first draw like any other outcome.
 //
 // Design rules:
 //
@@ -37,8 +42,8 @@ use std::sync::Mutex;
 enum FaultKind {
     /// The trial panics (models a crash in measured code).
     Panic,
-    /// The trial reports a non-finite cost (models a corrupted timer
-    /// or overflowed accumulator).
+    /// The trial reports a non-finite cost (models an overflowed
+    /// accumulator).
     NonFinite,
 }
 
@@ -91,9 +96,7 @@ impl FaultConfig {
             && self.outlier_rate == 0.0
     }
 
-    /// Whether cost noise is enabled (jitter or outliers). Noise makes
-    /// the wrapped runner non-deterministic; faults alone do not,
-    /// because they are a pure function of the coordinate and attempt.
+    /// Whether cost noise is enabled (jitter or outliers).
     pub fn is_noisy(&self) -> bool {
         self.jitter != 0.0 || self.outlier_rate != 0.0
     }
@@ -193,7 +196,7 @@ impl<'r> FaultyRunner<'r> {
                 factor *= self.plan.outlier_factor;
             }
         }
-        outcome.time *= factor;
+        outcome.virtual_cost *= factor;
         self.noisy.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -205,14 +208,6 @@ impl TrialRunner for FaultyRunner<'_> {
 
     fn schema(&self) -> &petabricks::config::Schema {
         self.inner.schema()
-    }
-
-    /// Noise breaks replayability (that is the point: it models
-    /// wall-clock measurement, which the tuner must re-sample rather
-    /// than memoize). Bounded faults alone keep determinism, because
-    /// injection is a pure function of the coordinate and attempt.
-    fn deterministic(&self) -> bool {
-        self.inner.deterministic() && !self.plan.is_noisy()
     }
 
     fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
@@ -229,7 +224,7 @@ impl TrialRunner for FaultyRunner<'_> {
             Some(FaultKind::NonFinite) => {
                 self.nonfinite.fetch_add(1, Ordering::Relaxed);
                 let mut outcome = self.inner.run_trial(config, n, seed);
-                outcome.time = f64::NAN;
+                outcome.virtual_cost = f64::NAN;
                 outcome
             }
             None => {
@@ -333,9 +328,11 @@ mod tests {
         let config = inner.schema().default_config();
         let direct = inner.run_trial(&config, 32, 9);
         let wrapped = faulty.run_trial(&config, 32, 9);
-        assert_eq!(direct.time.to_bits(), wrapped.time.to_bits());
+        assert_eq!(
+            direct.virtual_cost.to_bits(),
+            wrapped.virtual_cost.to_bits()
+        );
         assert_eq!(direct.accuracy.to_bits(), wrapped.accuracy.to_bits());
-        assert!(faulty.deterministic(), "off plan keeps determinism");
         assert_eq!(faulty.report(), InjectionReport::default());
         assert!(
             faulty.calls.lock().unwrap().is_empty(),
@@ -360,7 +357,7 @@ mod tests {
             assert!(attempt.is_err(), "first two attempts must panic");
         }
         let healed = faulty.run_trial(&config, 16, 5);
-        assert!(healed.time.is_finite());
+        assert!(healed.virtual_cost.is_finite());
         assert_eq!(faulty.report().panics, 2);
         // Another coordinate counts its own attempts.
         let other = catch_unwind(AssertUnwindSafe(|| faulty.run_trial(&config, 16, 6)));
@@ -379,10 +376,10 @@ mod tests {
         );
         let config = inner.schema().default_config();
         let bad = faulty.run_trial(&config, 8, 1);
-        assert!(bad.time.is_nan());
-        assert_eq!(bad.accuracy, 1.0, "accuracy survives a corrupted timer");
+        assert!(bad.virtual_cost.is_nan());
+        assert_eq!(bad.accuracy, 1.0, "accuracy survives a corrupted cost");
         let healed = faulty.run_trial(&config, 8, 1);
-        assert_eq!(healed.time, 8.0);
+        assert_eq!(healed.virtual_cost, 8.0);
         assert_eq!(faulty.report().nonfinite, 1);
     }
 
@@ -438,25 +435,24 @@ mod tests {
             ..FaultConfig::default()
         };
         let faulty = FaultyRunner::new(&inner, plan.clone());
-        assert!(!faulty.deterministic(), "jitter must force re-sampling");
         let config = inner.schema().default_config();
-        let clean = inner.run_trial(&config, 64, 3).time;
-        let noisy = faulty.run_trial(&config, 64, 3).time;
+        let clean = inner.run_trial(&config, 64, 3).virtual_cost;
+        let noisy = faulty.run_trial(&config, 64, 3).virtual_cost;
         assert!(noisy != clean, "jitter should perturb the cost");
         assert!((noisy - clean).abs() <= 0.1 * clean + 1e-9);
-        // Attempt-keyed: a re-run of the same coordinate draws fresh
-        // noise (models wall-clock re-measurement)…
-        let resampled = faulty.run_trial(&config, 64, 3).time;
+        // Attempt-keyed: a re-run of the same coordinate (a retry)
+        // draws fresh noise…
+        let resampled = faulty.run_trial(&config, 64, 3).virtual_cost;
         assert!(resampled != noisy, "re-sampling must draw fresh noise");
         // …but an identical fresh harness replays the identical
         // sequence (models a reproducible experiment).
         let replay = FaultyRunner::new(&inner, plan);
         assert_eq!(
-            replay.run_trial(&config, 64, 3).time.to_bits(),
+            replay.run_trial(&config, 64, 3).virtual_cost.to_bits(),
             noisy.to_bits()
         );
         assert_eq!(
-            replay.run_trial(&config, 64, 3).time.to_bits(),
+            replay.run_trial(&config, 64, 3).virtual_cost.to_bits(),
             resampled.to_bits()
         );
         assert_eq!(faulty.report().noisy, 2);
@@ -475,10 +471,10 @@ mod tests {
             },
         );
         let config = inner.schema().default_config();
-        let clean = inner.run_trial(&config, 16, 0).time;
+        let clean = inner.run_trial(&config, 16, 0).virtual_cost;
         let mut spikes = 0;
         for seed in 0..300 {
-            let t = faulty.run_trial(&config, 16, seed).time;
+            let t = faulty.run_trial(&config, 16, seed).virtual_cost;
             if t > 10.0 * clean {
                 spikes += 1;
             } else {

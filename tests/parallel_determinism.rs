@@ -213,8 +213,9 @@ fn tracing_does_not_perturb_tuner_decisions() {
     }
 }
 
-/// The same trials as the wrapped runner, but reported as
-/// non-deterministic, so the tuner runs them without a memo.
+/// The same trials as the wrapped runner, but reported as not
+/// deterministic: a flag the tuner does not read, since every trial is
+/// a pure function of `(config, n, seed)` and always memoized.
 struct Unmemoized<'r>(&'r dyn TrialRunner);
 
 impl TrialRunner for Unmemoized<'_> {
@@ -224,6 +225,9 @@ impl TrialRunner for Unmemoized<'_> {
     fn schema(&self) -> &Schema {
         self.0.schema()
     }
+    fn deterministic(&self) -> bool {
+        false
+    }
     fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
         self.0.run_trial(config, n, seed)
     }
@@ -232,36 +236,36 @@ impl TrialRunner for Unmemoized<'_> {
     }
 }
 
+/// Every runner is memoized, whatever its `deterministic()` says: one
+/// that reports `false` tunes k-means to the same program, and the same
+/// counters, cache hits included, as the plain runner.
 #[test]
 fn memoization_does_not_change_results_only_work() {
     let _pool = force_parallel_pool();
     let runner = TransformRunner::new(Clustering, CostModel::Virtual);
     let bins = AccuracyBins::new(vec![0.05, 0.2]);
     let options = TunerOptions::fast_preset(64, 3);
-    let with_cache = Autotuner::new(&runner, bins.clone(), options)
+    let plain = Autotuner::new(&runner, bins.clone(), options)
         .tune_outcome()
         .unwrap();
-    let without_cache = Autotuner::new(&Unmemoized(&runner), bins, options)
+    let flagged = Unmemoized(&runner);
+    assert!(!flagged.deterministic());
+    let reported = Autotuner::new(&flagged, bins, options)
         .tune_outcome()
         .unwrap();
-    assert_eq!(with_cache.program, without_cache.program);
+    assert_eq!(plain.program, reported.program);
+    assert_eq!(plain.stats, reported.stats);
     assert!(
-        with_cache.stats.cache_hits > 0,
+        reported.stats.cache_hits > 0,
         "a real tuning run re-requests trials (duplicate candidates, \
          comparator redraws): {:?}",
-        with_cache.stats
-    );
-    assert!(
-        with_cache.stats.trials < without_cache.stats.trials,
-        "memoization must reduce executed trials: {} vs {}",
-        with_cache.stats.trials,
-        without_cache.stats.trials
+        reported.stats
     );
 }
 
-/// The same trials as the wrapped runner, memoized like it, but
-/// without `prepare` and `run_prepared`: every trial generates its own
-/// input, as before inputs were shared.
+/// The same trials as the wrapped runner, but without `prepare` and
+/// `run_prepared`: every trial generates its own input, as before
+/// inputs were shared.
 struct Unshared<'r>(&'r dyn TrialRunner);
 
 impl TrialRunner for Unshared<'_> {
@@ -270,9 +274,6 @@ impl TrialRunner for Unshared<'_> {
     }
     fn schema(&self) -> &Schema {
         self.0.schema()
-    }
-    fn deterministic(&self) -> bool {
-        self.0.deterministic()
     }
     fn run_trial(&self, config: &Config, n: u64, seed: u64) -> TrialOutcome {
         self.0.run_trial(config, n, seed)
