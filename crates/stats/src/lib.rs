@@ -13,9 +13,12 @@
 //!   function.
 //! * [`Comparator`] — the adaptive trial-count comparison protocol from
 //!   §5.5.1 (run more trials only when the decision is still ambiguous).
-//! * [`SampleStats`] / [`Robustness`] — sample-retaining statistics and
-//!   the winsorized summary policy that keeps the comparison
-//!   protocol honest under noisy (wall-clock) measurement.
+//!
+//! Every cost the tuner compares is virtual, a pure function of the
+//! trial, so there is one summary: the Welford accumulator. The names
+//! [`SampleStats`] (an alias of [`OnlineStats`]) and [`Robustness`]
+//! (an inert policy) are read by nothing here; they survive only
+//! because the frozen benchmark ledger names them.
 //!
 //! # Examples
 //!
@@ -35,12 +38,10 @@
 mod compare;
 mod online;
 mod order;
-mod robust;
 mod special;
 mod ttest;
 
-pub use compare::{Comparator, ComparatorConfig, CompareOutcome, CompareStep, Which};
-pub use online::OnlineStats;
+pub use compare::{Comparator, ComparatorConfig, CompareOutcome, CompareStep, Robustness, Which};
+pub use online::{OnlineStats, SampleStats};
 pub use order::{total_cmp_nan_first, total_cmp_nan_last};
-pub use robust::{Robustness, SampleStats};
 pub use ttest::{welch_t_test, TTest};

@@ -21,6 +21,11 @@ pub struct OnlineStats {
     m2: f64,
 }
 
+/// The name the frozen benchmark ledger uses for a candidate's cost
+/// statistics. Read by nothing in the crates; the ledger refresh
+/// deletes it.
+pub type SampleStats = OnlineStats;
+
 impl OnlineStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {

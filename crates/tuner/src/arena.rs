@@ -24,7 +24,7 @@
 
 use crate::candidate::{run_trials, Candidate};
 use crate::exec::Evaluator;
-use pb_stats::{Comparator, CompareOutcome, CompareStep, SampleStats, Which};
+use pb_stats::{Comparator, CompareOutcome, CompareStep, Which};
 use std::collections::BTreeMap;
 
 /// Counters for one arena session (folded into
@@ -140,7 +140,6 @@ impl<'a, 'r> Arena<'a, 'r> {
     /// execute as one batch through the evaluator, merging back in
     /// candidate-index order.
     pub fn run<C: Contest>(&mut self, cands: &mut [Candidate], n: u64, contests: &mut [C]) {
-        let empty = SampleStats::new();
         loop {
             // Candidate index → trials it must have once the round ran.
             let mut demands: BTreeMap<usize, u64> = BTreeMap::new();
@@ -150,9 +149,9 @@ impl<'a, 'r> Arena<'a, 'r> {
                 let comparator = self.comparator;
                 let mut cmp = |a: usize, b: usize| -> Option<CompareOutcome> {
                     debug_assert_ne!(a, b, "cannot compare a candidate to itself");
-                    let time_a = cands_ro[a].stats(n).map(|s| &s.time).unwrap_or(&empty);
-                    let time_b = cands_ro[b].stats(n).map(|s| &s.time).unwrap_or(&empty);
-                    match comparator.decide_samples(time_a, time_b) {
+                    let time_a = cands_ro[a].stats(n).map(|s| s.time).unwrap_or_default();
+                    let time_b = cands_ro[b].stats(n).map(|s| s.time).unwrap_or_default();
+                    match comparator.decide_samples(&time_a, &time_b) {
                         CompareStep::Decided(outcome) => Some(outcome),
                         CompareStep::NeedMore { which, draws } => {
                             let (target, time) = match which {

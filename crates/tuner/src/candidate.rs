@@ -10,16 +10,14 @@ use crate::exec::{Evaluator, SharedConfig, TrialRequest};
 use crate::mutators::MutationRecord;
 use pb_config::Config;
 use pb_runtime::TrialOutcome;
-use pb_stats::{OnlineStats, SampleStats};
+use pb_stats::OnlineStats;
 
 /// Cached timing and accuracy statistics for one input size.
 #[derive(Debug, Clone, Default)]
 pub struct SizeStats {
-    /// Virtual-cost observations. Sample-retaining, so the comparator's
-    /// [`pb_stats::Robustness`] policy can winsorize noisy ones; the
-    /// pass-through mean/variance are bit-identical to the plain
-    /// accumulator.
-    pub time: SampleStats,
+    /// Virtual-cost observations: the mean and variance the comparator
+    /// tests.
+    pub time: OnlineStats,
     /// Accuracy-metric observations.
     pub accuracy: OnlineStats,
 }

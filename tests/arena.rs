@@ -109,7 +109,7 @@ fn blocking_reference_merge(
             let time_of = |pop: &Population, i: usize| {
                 pop.candidates()[i]
                     .stats(n)
-                    .map(|s| s.time.clone())
+                    .map(|s| s.time)
                     .unwrap_or_default()
             };
             let step = comparator.decide_samples(&time_of(pop, child), &time_of(pop, parent));

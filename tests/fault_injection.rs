@@ -1,33 +1,23 @@
-//! Chaos and noise contracts for the fault-tolerant tuning pipeline.
+//! Chaos contracts for the fault-tolerant tuning pipeline, end to end
+//! through the autotuner.
 //!
-//! Two guarantees are pinned here, end to end through the autotuner:
-//!
-//! 1. **Chaos heals bit-identically.** With the `faults` module injecting
-//!    panics and non-finite costs at a seeded fraction of trial
-//!    coordinates — each faulting once, within the evaluator's retry
-//!    budget — a virtual-cost tuning run's *decisions* (program,
-//!    decision-image statistics, final population) are bit-identical
-//!    to the fault-free run, sequentially and on a forced 4-thread
-//!    pool. Faults that exhaust retries quarantine instead of
-//!    aborting, still deterministically.
-//! 2. **Robust statistics survive noise.** Under seeded cost jitter and
-//!    outlier spikes, the winsorized comparator still converges to the
-//!    known-best algorithm where the plain mean comparator is flipped
-//!    by the outliers. `Robustness::Winsorized` is kept for the
-//!    ledger's comparator row and this suite: every cost the tuner
-//!    optimizes is virtual, and robustness to timing noise is out of
-//!    scope.
+//! **Chaos heals bit-identically.** With the `faults` module injecting
+//! panics and non-finite costs at a seeded fraction of trial
+//! coordinates — each faulting once, within the evaluator's retry
+//! budget — a virtual-cost tuning run's *decisions* (program,
+//! decision-image statistics, final population) are bit-identical to
+//! the fault-free run, sequentially and on a forced 4-thread pool.
+//! Faults that exhaust retries quarantine instead of aborting, still
+//! deterministically.
 
 mod faults;
 
 use faults::{FaultConfig, FaultyRunner};
 use petabricks::benchmarks::Clustering;
-use petabricks::config::{AccuracyBins, Schema};
+use petabricks::config::AccuracyBins;
 use petabricks::runtime::pool::THREADS_ENV;
-use petabricks::runtime::{CostModel, ExecCtx, Transform, TransformRunner, TrialRunner};
-use petabricks::stats::Robustness;
+use petabricks::runtime::{CostModel, TransformRunner, TrialRunner};
 use petabricks::tuner::{Autotuner, TunerOptions, TuningOutcome};
-use rand::rngs::SmallRng;
 
 /// Forces a multi-threaded pool even on single-core CI runners (same
 /// idiom as `parallel_determinism.rs`).
@@ -83,7 +73,6 @@ fn chaos_with_retries_is_decision_identical_to_fault_free() {
         panic_rate: 0.10,
         nonfinite_rate: 0.05,
         faults_per_trial: 1,
-        ..FaultConfig::default()
     };
 
     let clean = tune_runner(&clean_runner, clustering_options(false));
@@ -139,7 +128,6 @@ fn chaos_runs_are_bit_identical_across_evaluator_modes() {
         panic_rate: 0.12,
         nonfinite_rate: 0.06,
         faults_per_trial: 1,
-        ..FaultConfig::default()
     };
     let seq_runner = FaultyRunner::new(&clean_runner, plan.clone());
     let par_runner = FaultyRunner::new(&clean_runner, plan);
@@ -188,79 +176,3 @@ fn permanent_faults_quarantine_without_aborting() {
     assert_eq!(seq.stats, par.stats);
     assert_eq!(seq.final_population, par.final_population);
 }
-
-/// Two interchangeable algorithms, one 25% cheaper: the tuner must
-/// learn to prefer algorithm 0.
-struct CloseRace;
-
-impl Transform for CloseRace {
-    type Input = ();
-    type Output = ();
-    fn name(&self) -> &str {
-        "close_race"
-    }
-    fn schema(&self) -> Schema {
-        let mut s = Schema::new("close_race");
-        s.add_switch("algo", 2);
-        s
-    }
-    fn generate_input(&self, _n: u64, _rng: &mut SmallRng) {}
-    fn execute(&self, _i: &(), ctx: &mut ExecCtx<'_>) {
-        let factor = match ctx.switch("algo").unwrap() {
-            0 => 1.0,
-            _ => 1.25,
-        };
-        ctx.charge(factor * ctx.size() as f64);
-    }
-    fn accuracy(&self, _i: &(), _o: &()) -> f64 {
-        1.0
-    }
-}
-
-/// The algorithm the tuner picks for the one bin under the plan's noise.
-fn tune_noisy(robustness: Robustness, plan_seed: u64) -> usize {
-    let clean_runner = TransformRunner::new(CloseRace, CostModel::Virtual);
-    let noisy_runner = FaultyRunner::new(
-        &clean_runner,
-        FaultConfig {
-            seed: plan_seed,
-            jitter: 0.04,
-            outlier_rate: 0.12,
-            outlier_factor: 60.0,
-            ..FaultConfig::default()
-        },
-    );
-    let mut options = TunerOptions::fast_preset(64, 0x5EED);
-    options.comparator.min_trials = 5;
-    options.comparator.max_trials = 25;
-    options.comparator.robustness = robustness;
-    let program = Autotuner::new(&noisy_runner, AccuracyBins::new(vec![0.5]), options)
-        .tune()
-        .unwrap_or_else(|e| panic!("tuning failed: {e}"));
-    program
-        .entry(0)
-        .config
-        .switch(clean_runner.schema(), "algo")
-        .unwrap()
-}
-
-/// Under seeded outlier spikes, the winsorized comparator still finds
-/// the genuinely cheaper algorithm at a plan seed where the plain mean
-/// comparator is flipped by the spikes.
-#[test]
-fn winsorized_comparator_converges_where_mean_is_flipped_by_outliers() {
-    force_parallel_pool();
-    let plan_seed = NOISE_PLAN_SEED;
-    let mean_algo = tune_noisy(Robustness::Mean, plan_seed);
-    let robust_algo = tune_noisy(Robustness::Winsorized { fraction: 0.2 }, plan_seed);
-    assert_eq!(
-        mean_algo, 1,
-        "plan seed must be one where outliers flip the mean comparator"
-    );
-    assert_eq!(robust_algo, 0, "winsorizing must recover the true winner");
-}
-
-/// Plan seed pinned for the flip scenario above (found by scanning;
-/// any seed where the mean comparator picks the slower algorithm and
-/// the winsorized comparator picks the cheaper one would do).
-const NOISE_PLAN_SEED: u64 = 6;

@@ -1,4 +1,4 @@
-// Seeded deterministic fault and noise injection for autotuner trials.
+// Seeded deterministic fault injection for autotuner trials.
 //
 // A candidate configuration can drive a trial into a panic or a
 // non-finite cost; the tuner's fault-isolation layer
@@ -7,13 +7,6 @@
 // `TrialRunner` and injects faults at *seeded, reproducible* trial
 // coordinates, so chaos tests can assert bit-identical tuning
 // decisions instead of eyeballing flakiness.
-//
-// Its cost-noise half (jitter and outlier spikes) drives the winsorized
-// comparator (`pb_stats::Robustness::Winsorized`), which is kept for
-// the ledger's comparator row and this chaos suite: every cost the
-// tuner optimizes is virtual, and robustness to timing noise is out of
-// scope. Noise is keyed by coordinate and attempt, so the tuner's memo
-// replays a noisy trial's first draw like any other outcome.
 //
 // Design rules:
 //
@@ -47,7 +40,7 @@ enum FaultKind {
     NonFinite,
 }
 
-/// The injection plan: fault rates and cost noise.
+/// The injection plan: fault rates.
 ///
 /// All rates are probabilities in `[0, 1]` evaluated against a seeded
 /// hash of the trial coordinate; the default plan injects nothing.
@@ -62,14 +55,6 @@ pub struct FaultConfig {
     /// How many consecutive attempts at a faulting coordinate fail
     /// before it heals (`u32::MAX` = never heals).
     pub faults_per_trial: u32,
-    /// Multiplicative cost noise: each trial's cost is scaled by a
-    /// seeded uniform factor in `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
-    /// Fraction of trials whose cost is additionally multiplied by
-    /// [`FaultConfig::outlier_factor`] (models a context-switch spike).
-    pub outlier_rate: f64,
-    /// Cost multiplier for outlier trials.
-    pub outlier_factor: f64,
 }
 
 impl Default for FaultConfig {
@@ -79,9 +64,6 @@ impl Default for FaultConfig {
             panic_rate: 0.0,
             nonfinite_rate: 0.0,
             faults_per_trial: 1,
-            jitter: 0.0,
-            outlier_rate: 0.0,
-            outlier_factor: 20.0,
         }
     }
 }
@@ -90,15 +72,7 @@ impl FaultConfig {
     /// Whether this plan injects nothing at all (the fast-path gate:
     /// an off plan never hashes or locks).
     pub fn is_off(&self) -> bool {
-        self.panic_rate == 0.0
-            && self.nonfinite_rate == 0.0
-            && self.jitter == 0.0
-            && self.outlier_rate == 0.0
-    }
-
-    /// Whether cost noise is enabled (jitter or outliers).
-    pub fn is_noisy(&self) -> bool {
-        self.jitter != 0.0 || self.outlier_rate != 0.0
+        self.panic_rate == 0.0 && self.nonfinite_rate == 0.0
     }
 }
 
@@ -109,12 +83,10 @@ pub struct InjectionReport {
     pub panics: u64,
     /// Non-finite costs returned.
     pub nonfinite: u64,
-    /// Trials whose cost was jittered or outlier-scaled.
-    pub noisy: u64,
 }
 
-/// A [`TrialRunner`] decorator that injects the plan's faults and
-/// noise, transparently delegating everything else to the wrapped
+/// A [`TrialRunner`] decorator that injects the plan's faults,
+/// transparently delegating everything else to the wrapped
 /// runner.
 pub struct FaultyRunner<'r> {
     inner: &'r dyn TrialRunner,
@@ -125,7 +97,6 @@ pub struct FaultyRunner<'r> {
     calls: Mutex<HashMap<(u64, u64, u64), u32>>,
     panics: AtomicU64,
     nonfinite: AtomicU64,
-    noisy: AtomicU64,
 }
 
 impl<'r> FaultyRunner<'r> {
@@ -137,7 +108,6 @@ impl<'r> FaultyRunner<'r> {
             calls: Mutex::new(HashMap::new()),
             panics: AtomicU64::new(0),
             nonfinite: AtomicU64::new(0),
-            noisy: AtomicU64::new(0),
         }
     }
 
@@ -146,7 +116,6 @@ impl<'r> FaultyRunner<'r> {
         InjectionReport {
             panics: self.panics.load(Ordering::Relaxed),
             nonfinite: self.nonfinite.load(Ordering::Relaxed),
-            noisy: self.noisy.load(Ordering::Relaxed),
         }
     }
 
@@ -178,27 +147,6 @@ impl<'r> FaultyRunner<'r> {
             None
         }
     }
-
-    /// Applies seeded multiplicative noise to a healthy outcome.
-    fn apply_noise(&self, key: (u64, u64, u64), attempt: u32, outcome: &mut TrialOutcome) {
-        if !self.plan.is_noisy() {
-            return;
-        }
-        let coords = [self.plan.seed, key.0, key.1, key.2, attempt as u64];
-        let mut factor = 1.0;
-        if self.plan.jitter != 0.0 {
-            let draw = unit(mix_salted(SALT_JITTER, &coords));
-            factor *= 1.0 + self.plan.jitter * (2.0 * draw - 1.0);
-        }
-        if self.plan.outlier_rate != 0.0 {
-            let draw = unit(mix_salted(SALT_OUTLIER, &coords));
-            if draw < self.plan.outlier_rate {
-                factor *= self.plan.outlier_factor;
-            }
-        }
-        outcome.virtual_cost *= factor;
-        self.noisy.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 impl TrialRunner for FaultyRunner<'_> {
@@ -227,11 +175,7 @@ impl TrialRunner for FaultyRunner<'_> {
                 outcome.virtual_cost = f64::NAN;
                 outcome
             }
-            None => {
-                let mut outcome = self.inner.run_trial(config, n, seed);
-                self.apply_noise(key, attempt, &mut outcome);
-                outcome
-            }
+            None => self.inner.run_trial(config, n, seed),
         }
     }
 
@@ -243,8 +187,6 @@ impl TrialRunner for FaultyRunner<'_> {
 }
 
 const SALT_FAULT: u64 = 0x7061_6E69_635F_6B65; // "panic_ke"
-const SALT_JITTER: u64 = 0x6A69_7474_6572_5F73; // "jitter_s"
-const SALT_OUTLIER: u64 = 0x6F75_746C_6965_7221; // "outlier!"
 
 /// FNV-1a over the configuration's canonical JSON: a stable identity
 /// for "same candidate" that needs no dependency on the tuner's own
@@ -273,13 +215,6 @@ fn mix(words: &[u64]) -> u64 {
     state = state.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     state ^= state >> 33;
     state
-}
-
-fn mix_salted(salt: u64, words: &[u64]) -> u64 {
-    let mut salted = Vec::with_capacity(words.len() + 1);
-    salted.push(salt);
-    salted.extend_from_slice(words);
-    mix(&salted)
 }
 
 /// Maps a hash to a uniform draw in `[0, 1)`.
@@ -424,66 +359,5 @@ mod tests {
             a.is_err() != b.is_err()
         });
         assert!(differs, "different plan seeds must differ somewhere");
-    }
-
-    #[test]
-    fn jitter_makes_the_runner_nondeterministic_but_seeded() {
-        let inner = runner();
-        let plan = FaultConfig {
-            seed: 7,
-            jitter: 0.1,
-            ..FaultConfig::default()
-        };
-        let faulty = FaultyRunner::new(&inner, plan.clone());
-        let config = inner.schema().default_config();
-        let clean = inner.run_trial(&config, 64, 3).virtual_cost;
-        let noisy = faulty.run_trial(&config, 64, 3).virtual_cost;
-        assert!(noisy != clean, "jitter should perturb the cost");
-        assert!((noisy - clean).abs() <= 0.1 * clean + 1e-9);
-        // Attempt-keyed: a re-run of the same coordinate (a retry)
-        // draws fresh noise…
-        let resampled = faulty.run_trial(&config, 64, 3).virtual_cost;
-        assert!(resampled != noisy, "re-sampling must draw fresh noise");
-        // …but an identical fresh harness replays the identical
-        // sequence (models a reproducible experiment).
-        let replay = FaultyRunner::new(&inner, plan);
-        assert_eq!(
-            replay.run_trial(&config, 64, 3).virtual_cost.to_bits(),
-            noisy.to_bits()
-        );
-        assert_eq!(
-            replay.run_trial(&config, 64, 3).virtual_cost.to_bits(),
-            resampled.to_bits()
-        );
-        assert_eq!(faulty.report().noisy, 2);
-    }
-
-    #[test]
-    fn outliers_scale_a_seeded_fraction_of_trials() {
-        let inner = runner();
-        let faulty = FaultyRunner::new(
-            &inner,
-            FaultConfig {
-                seed: 11,
-                outlier_rate: 0.1,
-                outlier_factor: 50.0,
-                ..FaultConfig::default()
-            },
-        );
-        let config = inner.schema().default_config();
-        let clean = inner.run_trial(&config, 16, 0).virtual_cost;
-        let mut spikes = 0;
-        for seed in 0..300 {
-            let t = faulty.run_trial(&config, 16, seed).virtual_cost;
-            if t > 10.0 * clean {
-                spikes += 1;
-            } else {
-                assert_eq!(t.to_bits(), clean.to_bits(), "non-outliers are untouched");
-            }
-        }
-        assert!(
-            (10..70).contains(&spikes),
-            "a 10% outlier rate should spike roughly 30 of 300 trials, spiked {spikes}"
-        );
     }
 }
