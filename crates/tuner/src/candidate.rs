@@ -4,13 +4,15 @@
 //! algorithms by running them on training inputs" (§5.5.1), so every
 //! trial's result is cached on the candidate for as long as the tuner
 //! trains at that input size. [`run_trials`] is the one path from a
-//! trial to a candidate.
+//! trial to a candidate, guided mutation's probes included, and
+//! [`Candidate::meets_target`] is the one admission rule.
 
-use crate::exec::{Evaluator, SharedConfig, TrialRequest};
+use crate::exec::{config_fingerprint, Evaluator, TrialRequest};
 use crate::mutators::MutationRecord;
 use pb_config::Config;
 use pb_runtime::TrialOutcome;
 use pb_stats::OnlineStats;
+use std::sync::Arc;
 
 /// Cached timing and accuracy statistics for one input size.
 #[derive(Debug, Clone, Default)]
@@ -29,9 +31,10 @@ pub struct Candidate {
     /// compare. The tuner itself never reads it; trial seeds come from
     /// the input size and the trial index, not from the candidate.
     pub id: u64,
-    /// The configuration this candidate embodies, fingerprinted once:
-    /// every trial planned for it shares both.
-    config: SharedConfig,
+    /// The configuration this candidate embodies and its fingerprint,
+    /// computed once: every trial planned for it shares both.
+    config: Arc<Config>,
+    fingerprint: u64,
     /// The measurements at the input size they were taken at. A run
     /// climbs its size schedule and never reads a size it has left, so
     /// a candidate keeps one size's statistics: trials at a new size
@@ -46,14 +49,10 @@ impl Candidate {
     /// Wraps a configuration as an untested candidate, fingerprinting
     /// it.
     pub fn new(id: u64, config: Config) -> Self {
-        Candidate::shared(id, SharedConfig::new(config))
-    }
-
-    /// Wraps an already fingerprinted configuration.
-    pub(crate) fn shared(id: u64, config: SharedConfig) -> Self {
         Candidate {
             id,
-            config,
+            fingerprint: config_fingerprint(&config),
+            config: Arc::new(config),
             results: None,
             last_mutation: None,
         }
@@ -61,7 +60,7 @@ impl Candidate {
 
     /// The configuration this candidate embodies.
     pub fn config(&self) -> &Config {
-        self.config.config()
+        &self.config
     }
 
     /// The cached statistics for input size `n`, if any trials ran
@@ -120,7 +119,10 @@ impl Candidate {
     /// inputs*, which sharpens comparisons exactly as reusing test
     /// inputs did in the original system.
     pub fn plan_trials(&self, n: u64, min_trials: u64) -> impl Iterator<Item = TrialRequest> + '_ {
-        self.config.plan(n, self.trials(n)..min_trials)
+        (self.trials(n)..min_trials).map(move |index| {
+            let config = Arc::clone(&self.config);
+            TrialRequest::fingerprinted(config, self.fingerprint, n, trial_seed(n, index))
+        })
     }
 
     /// Merges one planned trial's outcome into the size-`n` statistics.

@@ -29,16 +29,16 @@
 //!
 //! [`Evaluator::run_batch`] is the only way a trial reaches the runner:
 //! the adaptive comparator's demand-driven extra trials (§5.5.1) are
-//! planned and batched per arena round like everything else.
+//! planned and batched per arena round, and guided mutation's probes
+//! (§5.5.3) are candidates batched per step, like everything else.
 
+use crate::tuner::TunerStats;
 use pb_config::{Config, Value};
 use pb_runtime::parallel::parallel_gen;
 use pb_runtime::pool::Pool;
 use pb_runtime::{SharedInput, TrialOutcome, TrialRunner};
-use pb_stats::OnlineStats;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,6 +87,12 @@ impl TrialRequest {
     /// Plans one trial, fingerprinting the configuration.
     pub fn new(config: Arc<Config>, n: u64, seed: u64) -> Self {
         let fingerprint = config_fingerprint(&config);
+        TrialRequest::fingerprinted(config, fingerprint, n, seed)
+    }
+
+    /// Plans one trial on a configuration whose fingerprint is already
+    /// known: how a candidate plans every trial without re-hashing.
+    pub(crate) fn fingerprinted(config: Arc<Config>, fingerprint: u64, n: u64, seed: u64) -> Self {
         TrialRequest {
             config,
             fingerprint,
@@ -102,44 +108,6 @@ impl TrialRequest {
 
     fn key(&self) -> CacheKey {
         (self.fingerprint, self.n, self.seed)
-    }
-}
-
-/// A configuration behind an `Arc`, with its fingerprint: what a
-/// candidate (or a guided-mutation probe) plans its trials from.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedConfig {
-    config: Arc<Config>,
-    fingerprint: u64,
-}
-
-impl SharedConfig {
-    /// Moves `config` behind an `Arc` and fingerprints it, once.
-    pub(crate) fn new(config: Config) -> Self {
-        let fingerprint = config_fingerprint(&config);
-        SharedConfig {
-            config: Arc::new(config),
-            fingerprint,
-        }
-    }
-
-    pub(crate) fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// One request per trial index in `indices` at size `n`, each on
-    /// the shared configuration and fingerprint.
-    pub(crate) fn plan(
-        &self,
-        n: u64,
-        indices: Range<u64>,
-    ) -> impl Iterator<Item = TrialRequest> + '_ {
-        indices.map(move |index| TrialRequest {
-            config: Arc::clone(&self.config),
-            fingerprint: self.fingerprint,
-            n,
-            seed: crate::candidate::trial_seed(n, index),
-        })
     }
 }
 
@@ -319,47 +287,22 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Calls into the runner so far, retried attempts included.
-    pub(crate) fn trials(&self) -> u64 {
-        self.trials.load(Ordering::Relaxed)
-    }
-
-    /// Trial attempts that panicked (caught and classified, never
-    /// propagated to the pool or the tuning loop).
-    pub fn trial_panics(&self) -> u64 {
-        self.trial_panics.load(Ordering::Relaxed)
-    }
-
-    /// Trial attempts that reported a non-finite cost.
-    pub fn trial_nonfinite(&self) -> u64 {
-        self.trial_nonfinite.load(Ordering::Relaxed)
-    }
-
-    /// Re-executions triggered by faulting attempts.
-    pub fn trial_retries(&self) -> u64 {
-        self.trial_retries.load(Ordering::Relaxed)
-    }
-
-    /// Trials that exhausted their retries and were recorded as
-    /// [`TrialOutcome::QUARANTINED`].
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Requests served from the cache without executing a trial.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits.load(Ordering::Relaxed)
-    }
-
-    /// Requests that had to execute a trial.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses.load(Ordering::Relaxed)
-    }
-
-    /// Requests that duplicated another request in the same batch and
-    /// shared its execution (neither a hit nor a miss).
-    pub fn cache_coalesced(&self) -> u64 {
-        self.cache.coalesced.load(Ordering::Relaxed)
+    /// The counters this evaluator owns — calls into the runner, the
+    /// memo's hits, misses and coalesced requests, and the fault
+    /// counters — as a [`TunerStats`] whose run-level fields are zero.
+    pub fn counters(&self) -> TunerStats {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        TunerStats {
+            trials: read(&self.trials),
+            cache_hits: read(&self.cache.hits),
+            cache_misses: read(&self.cache.misses),
+            cache_coalesced: read(&self.cache.coalesced),
+            trial_panics: read(&self.trial_panics),
+            trial_nonfinite: read(&self.trial_nonfinite),
+            trial_retries: read(&self.trial_retries),
+            quarantined: read(&self.quarantined),
+            ..TunerStats::default()
+        }
     }
 
     /// Runs every request and returns outcomes in request order.
@@ -556,30 +499,6 @@ impl<'a> Evaluator<'a> {
     /// Never.
     pub fn save_sidecar(&self, _path: &Path) -> std::io::Result<()> {
         Ok(())
-    }
-
-    /// Each configuration's mean accuracy over trials `0..trials` at
-    /// size `n`, all run as one batch (guided mutation's probes, which
-    /// never join the population). No trials read 0.0.
-    pub(crate) fn mean_accuracies(
-        &self,
-        configs: &[SharedConfig],
-        n: u64,
-        trials: u64,
-    ) -> Vec<f64> {
-        let requests: Vec<TrialRequest> =
-            configs.iter().flat_map(|c| c.plan(n, 0..trials)).collect();
-        let outcomes = self.run_batch(&requests);
-        let trials = trials as usize;
-        (0..configs.len())
-            .map(|k| {
-                let mut acc = OnlineStats::new();
-                for outcome in &outcomes[k * trials..(k + 1) * trials] {
-                    acc.push(outcome.accuracy);
-                }
-                acc.mean()
-            })
-            .collect()
     }
 }
 
@@ -781,12 +700,13 @@ mod tests {
         let config = runner.schema().default_config();
         let reqs = vec![request(&config, 8, 0), request(&config, 8, 1)];
         let first = eval.run_batch(&reqs);
-        assert_eq!(eval.cache_misses(), 2);
-        assert_eq!(eval.cache_hits(), 0);
+        let c = eval.counters();
+        assert_eq!((c.cache_misses, c.cache_hits), (2, 0));
         // A duplicate candidate re-requests the exact same trials.
         let second = eval.run_batch(&reqs);
-        assert_eq!(eval.cache_misses(), 2, "no re-execution");
-        assert_eq!(eval.cache_hits(), 2);
+        let c = eval.counters();
+        assert_eq!(c.cache_misses, 2, "no re-execution");
+        assert_eq!(c.cache_hits, 2);
         assert_eq!(first, second);
     }
 
@@ -801,20 +721,16 @@ mod tests {
             request(&config, 8, 0),
         ];
         let out = eval.run_batch(&reqs);
-        assert_eq!(eval.cache_misses(), 1);
-        assert_eq!(
-            eval.cache_hits(),
-            0,
-            "nothing was cached when the batch was planned"
-        );
-        assert_eq!(eval.cache_coalesced(), 2);
+        let c = eval.counters();
+        assert_eq!(c.cache_misses, 1);
+        assert_eq!(c.cache_hits, 0, "nothing was cached when planned");
+        assert_eq!(c.cache_coalesced, 2);
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);
         // Re-running the same batch *is* cache reuse: all three hit.
         eval.run_batch(&reqs);
-        assert_eq!(eval.cache_misses(), 1);
-        assert_eq!(eval.cache_hits(), 3);
-        assert_eq!(eval.cache_coalesced(), 2);
+        let c = eval.counters();
+        assert_eq!((c.cache_misses, c.cache_hits, c.cache_coalesced), (1, 3, 2));
     }
 
     #[test]
@@ -842,20 +758,20 @@ mod tests {
         let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
         let base = schema.default_config();
         eval.run_batch(&[request(&base, 8, 0)]);
-        assert_eq!(eval.cache_misses(), 1);
+        assert_eq!(eval.counters().cache_misses, 1);
         // A mutated config misses …
         let mut mutated = base.clone();
         mutated.set_by_name(schema, "v", Value::Int(7)).unwrap();
         assert_ne!(config_fingerprint(&base), config_fingerprint(&mutated));
         eval.run_batch(&[request(&mutated, 8, 0)]);
-        assert_eq!(eval.cache_misses(), 2);
+        assert_eq!(eval.counters().cache_misses, 2);
         // … but reverting the mutation hits again.
         let mut reverted = mutated.clone();
         reverted.set_by_name(schema, "v", Value::Int(1)).unwrap();
         assert_eq!(config_fingerprint(&base), config_fingerprint(&reverted));
         eval.run_batch(&[request(&reverted, 8, 0)]);
-        assert_eq!(eval.cache_misses(), 2);
-        assert_eq!(eval.cache_hits(), 1);
+        let c = eval.counters();
+        assert_eq!((c.cache_misses, c.cache_hits), (2, 1));
     }
 
     #[test]
@@ -866,7 +782,7 @@ mod tests {
         eval.run_batch(&[request(&config, 16, 0)]);
         // The comparator-style single draw for the same trial hits.
         let outcomes = eval.run_batch(&[request(&config, 16, 0)]);
-        assert_eq!(eval.cache_hits(), 1);
+        assert_eq!(eval.counters().cache_hits, 1);
         assert_eq!(outcomes[0].virtual_cost, 16.0);
     }
 
@@ -920,15 +836,15 @@ mod tests {
             out[0].virtual_cost, 8.0,
             "the retry produced a healthy outcome"
         );
-        assert_eq!(eval.trial_panics(), 1);
-        assert_eq!(eval.trial_retries(), 1);
-        assert_eq!(eval.trials(), 2, "the retried attempt is a trial too");
-        assert_eq!(eval.quarantined(), 0);
+        let c = eval.counters();
+        assert_eq!((c.trial_panics, c.trial_retries, c.quarantined), (1, 1, 0));
+        assert_eq!(c.trials, 2, "the retried attempt is a trial too");
         // The healthy (post-retry) outcome is what got memoized.
         let again = eval.run_batch(&[request(&config, 8, 0)]);
         assert_eq!(again[0], out[0]);
-        assert_eq!(eval.cache_hits(), 1);
-        assert_eq!(eval.trial_panics(), 1, "no re-execution, no new faults");
+        let c = eval.counters();
+        assert_eq!(c.cache_hits, 1);
+        assert_eq!(c.trial_panics, 1, "no re-execution, no new faults");
     }
 
     #[test]
@@ -938,9 +854,9 @@ mod tests {
         let config = runner.schema().default_config();
         let out = eval.run_batch(&[request(&config, 8, 0)]);
         assert!(out[0].is_quarantined());
-        assert_eq!(eval.trial_panics(), 3, "initial attempt + two retries");
-        assert_eq!(eval.trial_retries(), 2);
-        assert_eq!(eval.quarantined(), 1);
+        let c = eval.counters();
+        assert_eq!(c.trial_panics, 3, "initial attempt + two retries");
+        assert_eq!((c.trial_retries, c.quarantined), (2, 1));
     }
 
     #[test]
@@ -970,9 +886,9 @@ mod tests {
         let config = runner.schema().default_config();
         let out = eval.run_batch(&[request(&config, 8, 0)]);
         assert!(out[0].is_quarantined());
-        assert_eq!(eval.trial_nonfinite(), 3, "initial attempt + two retries");
-        assert_eq!(eval.trial_panics(), 0);
-        assert_eq!(eval.quarantined(), 1);
+        let c = eval.counters();
+        assert_eq!(c.trial_nonfinite, 3, "initial attempt + two retries");
+        assert_eq!((c.trial_panics, c.quarantined), (0, 1));
     }
 
     /// Accuracy and cost both scaled by a per-input factor, so trials
@@ -1186,10 +1102,9 @@ mod tests {
             cost(&config),
             "the retry prepared the input"
         );
-        assert_eq!(eval.trial_panics(), 1);
-        assert_eq!(eval.trial_retries(), 1);
-        assert_eq!(eval.trials(), 2);
-        assert_eq!(eval.quarantined(), 0);
+        let c = eval.counters();
+        assert_eq!((c.trial_panics, c.trial_retries, c.trials), (1, 1, 2));
+        assert_eq!(c.quarantined, 0);
         // Another candidate on the same input re-uses it.
         let mut other = config.clone();
         other
@@ -1207,9 +1122,9 @@ mod tests {
             let eval = Evaluator::new(&broken, mode, true);
             let out = eval.run_batch(&[request(&config, 8, 0)]);
             assert!(out[0].is_quarantined());
-            assert_eq!(eval.trial_panics(), 3, "initial attempt + two retries");
-            assert_eq!(eval.trial_retries(), 2);
-            assert_eq!(eval.quarantined(), 1);
+            let c = eval.counters();
+            assert_eq!(c.trial_panics, 3, "initial attempt + two retries");
+            assert_eq!((c.trial_retries, c.quarantined), (2, 1));
             // A failed preparation leaves nothing behind: the next
             // trial on that input prepares it afresh.
             let out = eval.run_batch(&[request(&other, 8, 0)]);
@@ -1294,36 +1209,8 @@ mod tests {
             slots.sort();
             assert_eq!(keys, slots, "{mode:?}");
             assert_eq!(ran.values().sum::<u64>(), 24, "{mode:?}");
-            assert_eq!(eval.trials(), 24, "{mode:?}");
+            assert_eq!(eval.counters().trials, 24, "{mode:?}");
         }
-    }
-
-    /// Guided mutation's probes: one batch, one mean per configuration
-    /// in order, and 0.0 for each when no trial is asked for.
-    #[test]
-    fn mean_accuracies_read_each_probe_and_zero_without_trials() {
-        let runner = TransformRunner::new(Jittered, CostModel::Virtual);
-        let schema = runner.schema();
-        let configs: Vec<SharedConfig> = [1, 3]
-            .map(|v| {
-                let mut config = schema.default_config();
-                config.set_by_name(schema, "v", Value::Int(v)).unwrap();
-                SharedConfig::new(config)
-            })
-            .into();
-        let eval = Evaluator::new(&runner, EvalMode::Sequential, true);
-        assert_eq!(eval.mean_accuracies(&configs, 8, 0), [0.0, 0.0]);
-        assert_eq!(eval.trials(), 0);
-        let means = eval.mean_accuracies(&configs, 8, 3);
-        for (config, mean) in configs.iter().zip(means) {
-            let mut acc = OnlineStats::new();
-            for i in 0..3 {
-                let outcome = runner.run_trial(config.config(), 8, trial_seed(8, i));
-                acc.push(outcome.accuracy);
-            }
-            assert_eq!(mean.to_bits(), acc.mean().to_bits());
-        }
-        assert_eq!(eval.cache_misses(), 6);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   transform's tunable schema (§5.4): decision-tree manipulation,
 //!   log-normal scaling, uniform random, and meta mutators.
 //! * [`Candidate`] — a configuration plus its cached timing/accuracy
-//!   statistics at the current input size.
+//!   statistics at the current input size (guided mutation's probes too).
+//! * [`Evaluator`] — executes, memoizes and counts every trial.
 //! * [`Population`] — the accuracy-binned pruning procedure (§5.5.4).
-//! * [`arena`] — the comparison arena: a session object with a
+//! * [`Arena`] — the comparison arena: a session object with a
 //!   generic "pending decisions → batched draws → merged outcomes"
 //!   round loop that every comparator consumer drives, so the adaptive
 //!   comparator's trial draws batch onto the pool.
@@ -71,7 +72,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod arena;
+mod arena;
 mod candidate;
 mod exec;
 mod mutators;
@@ -79,9 +80,9 @@ mod population;
 mod tournament;
 mod tuner;
 
-pub use arena::{Arena, ArenaReport, Contest, PairContest};
-pub use candidate::{Candidate, SizeStats};
+pub use arena::{Arena, Contest, PairContest};
+pub use candidate::Candidate;
 pub use exec::{config_fingerprint, EvalMode, Evaluator, TrialRequest};
-pub use mutators::{MutationRecord, Mutator, MutatorPool};
+pub use mutators::MutatorPool;
 pub use population::Population;
 pub use tuner::{Autotuner, TunerError, TunerOptions, TunerStats, TuningOutcome};

@@ -194,7 +194,7 @@ impl MutatorPool {
     ///
     /// `n` is the current training input size (used for new decision
     /// tree cutoffs). `previous` is the record of the candidate's last
-    /// mutation, consumed by [`Mutator::MetaUndo`]. Returns the record
+    /// mutation, consumed by the undo meta mutator. Returns the record
     /// of this mutation, or `None` if the chosen mutator was
     /// inapplicable (e.g. removing a level from a depth-0 tree).
     pub fn apply_random(
@@ -213,7 +213,7 @@ impl MutatorPool {
     }
 
     /// Applies one specific mutator. See [`MutatorPool::apply_random`].
-    pub fn apply(
+    pub(crate) fn apply(
         &self,
         mutator: Mutator,
         config: &mut Config,
@@ -331,9 +331,9 @@ impl MutatorPool {
                 // no-op after rounding.
                 let scaled = if scaled == value {
                     if factor >= 1.0 {
-                        value + 1
+                        value.saturating_add(1)
                     } else {
-                        value - 1
+                        value.saturating_sub(1)
                     }
                 } else {
                     scaled
@@ -572,6 +572,24 @@ mod tests {
                 assert_ne!(before, after, "accepted mutation must change the value");
                 assert!((1..=10_000).contains(&after));
             }
+        }
+    }
+
+    #[test]
+    fn scale_int_saturates_at_the_top_of_the_integer_range() {
+        let mut s = Schema::new("extreme");
+        let id = s.add_accuracy_variable("k", 1, i64::MAX);
+        let pool = MutatorPool::from_schema(&s);
+        for seed in 0..16 {
+            let mut config = s.default_config();
+            config.set(id, Value::Int(i64::MAX));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let applied = pool
+                .apply(Mutator::ScaleInt { id }, &mut config, &s, 8, &mut rng, None)
+                .is_some();
+            let after = config.get(id).as_int().unwrap();
+            assert_eq!(applied, after != i64::MAX, "seed {seed}");
+            assert!(after >= 1, "seed {seed}");
         }
     }
 

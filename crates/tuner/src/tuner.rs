@@ -18,8 +18,8 @@
 //! on accuracy variables when targets are unmet (§5.5.3); pruning keeps
 //! the fastest `K` per accuracy bin (§5.5.4).
 
-use crate::candidate::Candidate;
-use crate::exec::{EvalMode, Evaluator, SharedConfig};
+use crate::candidate::{run_trials, Candidate};
+use crate::exec::{EvalMode, Evaluator};
 use crate::mutators::MutatorPool;
 use crate::population::Population;
 use pb_config::{AccuracyBins, Config, Schema, TunableKind, Value};
@@ -381,14 +381,16 @@ impl<'a> Autotuner<'a> {
                 observed_time: candidate.mean_time(final_n),
             });
         }
-        stats.trials = evaluator.trials();
-        stats.cache_hits = evaluator.cache_hits();
-        stats.cache_misses = evaluator.cache_misses();
-        stats.cache_coalesced = evaluator.cache_coalesced();
-        stats.trial_panics = evaluator.trial_panics();
-        stats.trial_nonfinite = evaluator.trial_nonfinite();
-        stats.trial_retries = evaluator.trial_retries();
-        stats.quarantined = evaluator.quarantined();
+        let stats = TunerStats {
+            children_created: stats.children_created,
+            children_accepted: stats.children_accepted,
+            guided_runs: stats.guided_runs,
+            prune_rounds: stats.prune_rounds,
+            prune_draws: stats.prune_draws,
+            merge_rounds: stats.merge_rounds,
+            merge_draws: stats.merge_draws,
+            ..evaluator.counters()
+        };
         Ok(TuningOutcome {
             program: TunedProgram::new(schema.name(), self.bins, entries),
             stats,
@@ -403,7 +405,7 @@ impl<'a> Autotuner<'a> {
             .targets()
             .iter()
             .copied()
-            .find(|&t| pop.fastest_meeting(n, t).is_none())
+            .find(|&t| !pop.candidates().iter().any(|c| c.meets_target(n, t)))
     }
 
     /// The random-mutation phase (§5.5.2) in plan-then-execute form:
@@ -493,10 +495,10 @@ impl<'a> Autotuner<'a> {
     /// `target`, the lowest unmet bin target. Returns whether it added
     /// a candidate to the population.
     ///
-    /// Each hill-climbing step's neighbour probes are independent, so
-    /// their trials execute as one batch; the winning probe is picked
-    /// in the fixed (tunable, neighbour) iteration order, keeping
-    /// parallel execution bit-identical to sequential.
+    /// The incumbent and each step's probes are candidates outside the
+    /// population, tested by one [`run_trials`] batch per step and judged
+    /// by [`Candidate::meets_target`]; the first most accurate probe in
+    /// (tunable, neighbour) order wins, so parallel runs match sequential.
     fn guided_mutation(
         &self,
         evaluator: &Evaluator<'_>,
@@ -515,54 +517,60 @@ impl<'a> Autotuner<'a> {
         }
 
         let trials = self.options.comparator.min_trials;
-        let mut current = SharedConfig::new(pop.candidates()[base_idx].config().clone());
-        let mut current_acc =
-            evaluator.mean_accuracies(std::slice::from_ref(&current), n, trials)[0];
+        // Measured afresh: its population twin may hold more trials.
+        let mut current = Candidate::new(PROBE_ID, pop.candidates()[base_idx].config().clone());
+        let incumbent = std::slice::from_mut(&mut current);
+        run_trials(incumbent, n, evaluator, [(0, trials)]);
         let mut improved_any = false;
 
         for _ in 0..self.options.guided_max_steps {
-            if current_acc >= target {
+            if current.meets_target(n, target) {
                 break;
             }
             // Plan the step's probes …
-            let mut probes: Vec<SharedConfig> = Vec::new();
+            let mut probes: Vec<Candidate> = Vec::new();
             for &id in &accuracy_ids {
                 for neighbor in neighbor_values(schema, current.config(), id) {
                     let mut probe = current.config().clone();
                     probe.set(id, neighbor);
-                    if probe == *current.config() {
-                        continue;
+                    if probe != *current.config() {
+                        probes.push(Candidate::new(PROBE_ID, probe));
                     }
-                    probes.push(SharedConfig::new(probe));
                 }
             }
-            // … execute their trials as one batch …
-            let accuracies = evaluator.mean_accuracies(&probes, n, trials);
+            // … test them as one batch …
+            let wants = (0..probes.len()).map(|i| (i, trials));
+            run_trials(&mut probes, n, evaluator, wants);
             // … and pick the winner in plan order.
-            let mut best: Option<(SharedConfig, f64)> = None;
-            for (probe, acc) in probes.into_iter().zip(accuracies) {
-                if best.as_ref().map(|(_, a)| acc > *a).unwrap_or(true) {
-                    best = Some((probe, acc));
+            let best = probes.into_iter().reduce(|best, probe| {
+                let better = probe.mean_accuracy(n) > best.mean_accuracy(n);
+                if better {
+                    probe
+                } else {
+                    best
                 }
-            }
+            });
             match best {
-                Some((config, acc)) if acc > current_acc => {
-                    current = config;
-                    current_acc = acc;
+                Some(probe) if probe.mean_accuracy(n) > current.mean_accuracy(n) => {
+                    current = probe;
                     improved_any = true;
                 }
                 _ => break, // local optimum
             }
         }
 
-        let added = improved_any || current_acc >= target;
+        let added = improved_any || current.meets_target(n, target);
         if added {
-            pop.add(Candidate::shared(alloc_id(), current));
+            pop.add(Candidate::new(alloc_id(), current.config().clone()));
             pop.test_all(evaluator, n, trials);
         }
         added
     }
 }
+
+/// The id of guided mutation's incumbent and probes: nothing reads it,
+/// and a run allocates ids upward from 0, so no member takes it.
+const PROBE_ID: u64 = u64::MAX;
 
 /// Hill-climbing neighbourhood for one accuracy tunable: double, halve,
 /// increment, decrement for accuracy variables; every alternative
@@ -572,7 +580,8 @@ fn neighbor_values(schema: &Schema, config: &Config, id: pb_config::TunableId) -
     match tunable.kind() {
         TunableKind::AccuracyVariable { .. } => {
             let v = config.get(id).as_int().unwrap_or(1);
-            [v * 2, v / 2, v + 1, v - 1]
+            let (up, down) = (v.saturating_add(1), v.saturating_sub(1));
+            [v.saturating_mul(2), v / 2, up, down]
                 .into_iter()
                 .map(|x| tunable.clamp(Value::Int(x)))
                 .collect()
@@ -810,6 +819,94 @@ mod tests {
         // The winning candidate's cost at the final size reflects the
         // correct asymptotic branch.
         assert!(tuned.entry(0).observed_time < 16_000.0);
+    }
+
+    /// A tuner targeting `target`, a sequential evaluator, and a
+    /// population of one `Iterate` candidate at `iters`, tested at `n`.
+    fn one_candidate<'r>(
+        runner: &'r TransformRunner<Iterate>,
+        iters: i64,
+        n: u64,
+        target: f64,
+    ) -> (Autotuner<'r>, Evaluator<'r>, Population) {
+        let schema = runner.schema();
+        let mut config = schema.default_config();
+        config
+            .set_by_name(schema, "iters", Value::Int(iters))
+            .unwrap();
+        let options = TunerOptions::fast_preset(n, 0);
+        let tuner = Autotuner::new(runner, AccuracyBins::new(vec![target]), options);
+        let evaluator = Evaluator::new(runner, EvalMode::Sequential, true);
+        let mut pop = Population::new();
+        pop.add(Candidate::new(0, config));
+        pop.test_all(&evaluator, n, options.comparator.min_trials);
+        (tuner, evaluator, pop)
+    }
+
+    #[test]
+    fn guided_mutation_climbs_to_a_reachable_target() {
+        let runner = TransformRunner::new(Iterate, CostModel::Virtual);
+        let (tuner, evaluator, mut pop) = one_candidate(&runner, 1, 8, 0.9);
+        let mut next_id = 1;
+        let mut alloc_id = || {
+            next_id += 1;
+            next_id - 1
+        };
+        assert_eq!(tuner.unmet_target(&pop, 8), Some(0.9));
+        assert!(tuner.guided_mutation(
+            &evaluator,
+            runner.schema(),
+            &mut pop,
+            8,
+            0.9,
+            &mut alloc_id
+        ));
+        assert_eq!(pop.len(), 2, "exactly one candidate added");
+        let added = &pop.candidates()[1];
+        assert_eq!(added.id, 1, "the added candidate takes the run's next id");
+        assert!(added.meets_target(8, 0.9));
+        assert_eq!(tuner.unmet_target(&pop, 8), None);
+    }
+
+    #[test]
+    fn guided_mutation_at_the_range_maximum_adds_nothing() {
+        let runner = TransformRunner::new(Iterate, CostModel::Virtual);
+        let (tuner, evaluator, mut pop) = one_candidate(&runner, 1 << 14, 8, 2.0);
+        let before = pop.candidates()[0].config().clone();
+        let mut alloc_id = || -> u64 { panic!("no candidate may be added") };
+        assert!(!tuner.guided_mutation(
+            &evaluator,
+            runner.schema(),
+            &mut pop,
+            8,
+            2.0,
+            &mut alloc_id
+        ));
+        assert_eq!(pop.len(), 1);
+        assert_eq!(*pop.candidates()[0].config(), before);
+    }
+
+    #[test]
+    fn neighbors_saturate_at_the_ends_of_the_integer_range() {
+        let mut schema = Schema::new("extreme");
+        let id = schema.add_accuracy_variable("k", i64::MIN, i64::MAX);
+        let mut config = schema.default_config();
+        let ints = |config: &Config| -> Vec<i64> {
+            neighbor_values(&schema, config, id)
+                .into_iter()
+                .map(|v| v.as_int().unwrap())
+                .collect()
+        };
+        config.set(id, Value::Int(i64::MAX));
+        assert_eq!(
+            ints(&config),
+            [i64::MAX, i64::MAX / 2, i64::MAX, i64::MAX - 1]
+        );
+        config.set(id, Value::Int(i64::MIN));
+        assert_eq!(
+            ints(&config),
+            [i64::MIN, i64::MIN / 2, i64::MIN + 1, i64::MIN]
+        );
     }
 
     #[test]
